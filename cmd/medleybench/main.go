@@ -58,7 +58,6 @@ func main() {
 	lat := flag.Bool("lat", false, "workloads: measure per-transaction latency percentiles (p50/p99 columns)")
 	snapshot := flag.Bool("snapshot", false, "cache workload: serve read probes as validation-free MVCC snapshot reads (engines with CapSnapshot only)")
 	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (measure the discovery path)")
-	noLatch := flag.Bool("nolatch", false, "disable key-granular cross-shard latching on sharded engines (whole-shard locks, the pre-latch behavior)")
 	flag.Parse()
 
 	checkShardsFlag(*shards)
@@ -76,7 +75,7 @@ func main() {
 
 	ratios := parseRatios(*ratio)
 	threads := parseThreads(*threadsFlag)
-	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards, NoLatch: *noLatch}
+	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; scale=%.2f; dur=%v\n", runtime.GOMAXPROCS(0), *scale, *dur)
 
 	if *wlFlag != "" {
@@ -100,7 +99,7 @@ func main() {
 		cfg := workload.Config{
 			Dur: *dur, Warmup: *warmup, Scale: *scale,
 			Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-			Shards: *shards, NoLatch: *noLatch, ZipfS: *zipfS, ReadPct: rp,
+			Shards: *shards, ZipfS: *zipfS, ReadPct: rp,
 			Accounts: *accounts, Latency: *lat, NoHints: *noHints,
 			Snapshot: *snapshot,
 		}

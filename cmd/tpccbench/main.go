@@ -36,7 +36,6 @@ func main() {
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per point")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
 	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
-	noLatch := flag.Bool("nolatch", false, "disable key-granular cross-shard latching on sharded engines (whole-shard locks, the pre-latch behavior)")
 	flag.Parse()
 
 	// The non-fatal over-parallelism warning is emitted by the registry at
@@ -88,7 +87,7 @@ func main() {
 	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
-	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards, NoLatch: *noLatch}
+	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
 	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale")

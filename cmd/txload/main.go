@@ -364,8 +364,8 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		if txnPct > 0 && rng.IntN(100) < txnPct {
 			// A transfer: read the source, move one unit between two
 			// accounts, stamp a per-connection sequence key. The op list is
-			// the transaction's declared footprint, so sharded engines lock
-			// (or latch) exactly these keys up front.
+			// the transaction's declared footprint, so sharded engines latch
+			// exactly these keys up front.
 			from, to := k%accounts, draw()%accounts
 			if from == to {
 				to = (to + 1) % accounts

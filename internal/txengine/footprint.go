@@ -1,6 +1,6 @@
 package txengine
 
-// Footprint prediction for the sharded runtime.
+// Footprint declarations for the sharded runtime.
 //
 // A cross-shard transaction on a sharded engine normally discovers its shard
 // set by optimistic execution: the first attempt runs single-shard, and every
@@ -10,57 +10,33 @@ package txengine
 // eight shards, the overwhelming majority of transactions restart exactly
 // once just to learn their second shard.
 //
-// This file removes that cost along two complementary paths, in the spirit
-// of surrogate-model partition selection (predict a partition's footprint
-// cheaply instead of discovering it by failure):
+// Workloads that know their keys up front — a transfer knows both accounts
+// before the transaction begins — remove that cost by declaring them
+// (KeyHinter/HintKeys, QueueHinter/HintQueues). The sharded engine routes the
+// keys, and the next Run opens its linked sub-transactions on the whole
+// declared shard set before the first attempt, skipping discovery entirely.
 //
-//   - Planner hints (KeyHinter/HintKeys): workloads that know their keys up
-//     front — a transfer knows both accounts before the transaction begins —
-//     pre-declare them. The sharded engine routes the keys, and the next Run
-//     acquires the whole predicted shard set's locks before the first
-//     attempt, skipping discovery entirely.
-//
-//   - A per-worker footprint cache (fpCache): every Run is keyed by its
-//     transaction site — the code pointer of the closure passed to Run, so
-//     all iterations of one workload loop share a key — and the footprint it
-//     committed with is recorded. Once a site's multi-shard footprint has
-//     been observed identically fpConfident times in a row, subsequent Runs
-//     at that site pre-declare it like a hint would. Sites whose footprints
-//     vary run-to-run (uniformly random keys) never reach the confidence
-//     bar and keep the plain discovery path, so the cache cannot make an
-//     unpredictable workload slower or over-lock it.
-//
-// Mispredictions are safe by construction: a predicted attempt that touches
-// a shard outside its pre-declared set falls back to today's restart path —
-// the attempt rolls back, the cache entry is invalidated, and the retry uses
-// the shards the attempt actually touched (not the stale prediction), so a
-// shifted key distribution re-converges after one miss. Prediction
-// effectiveness is surfaced as Stats.FootprintHits / FootprintMisses.
+// A wrong declaration is safe by construction: an attempt that touches a
+// shard outside its declared set restarts like discovery does, from the
+// declared set plus the escaped shard. Declarations that held and that were
+// escaped are surfaced as Stats.FootprintHits / FootprintMisses.
 
-import (
-	"reflect"
-	"slices"
-	"sync"
-)
-
-// KeyHinter is the optional Tx extension of footprint-predicting (sharded)
-// engines: HintKeys pre-declares map keys the worker's next Run will touch,
-// so the transaction can acquire its whole shard set up front instead of
-// discovering it by restart — and, on latch-enabled engines, latch exactly
-// those keys instead of locking whole shards (see latch.go). The keys are
+// KeyHinter is the optional Tx extension of the sharded engines: HintKeys
+// pre-declares map keys the worker's next Run will touch, so the transaction
+// can open its whole shard set up front instead of discovering it by restart
+// — and latch exactly those keys, so declared transactions on the same hot
+// keys queue instead of aborting each other (see latch.go). The keys are
 // sorted and deduplicated once, at declaration time. Successive HintKeys /
 // HintQueues calls before a Run accumulate into one declaration; the next
-// Run consumes it whole and applies it to all of its attempts. Hinting
-// inside Run is a no-op.
+// Run consumes it whole. Hinting inside Run is a no-op.
 type KeyHinter interface {
 	HintKeys(keys ...uint64)
 }
 
 // QueueHinter is the queue-side companion of KeyHinter: HintQueues
-// pre-declares transactional queues the worker's next Run will touch, so a
-// latched cross-shard attempt covers the queue's home shard and serializes
-// same-queue traffic through the queue's synthetic latch key rather than
-// falling back to whole-shard locks.
+// pre-declares transactional queues the worker's next Run will touch, so
+// the attempt covers the queue's home shard from the start and serializes
+// same-queue traffic through the queue's synthetic latch key.
 type QueueHinter interface {
 	HintQueues(qs ...Queue[uint64])
 }
@@ -82,145 +58,6 @@ func HintKeys(tx Tx, keys ...uint64) {
 	if h, ok := tx.(KeyHinter); ok {
 		h.HintKeys(keys...)
 	}
-}
-
-// fpConfident is the prediction confidence bar: a site's footprint must have
-// been observed identically this many times in a row before Runs pre-declare
-// it. One observation is not enough — a site that alternates footprints
-// (random keys) would then mispredict on every other Run, and a mispredicted
-// attempt costs more than a discovery restart (it holds exclusive locks it
-// did not need). Three consecutive observations make a lucky streak on a
-// uniformly random site rare (at eight shards, under 0.2% of Runs) while a
-// genuinely stable site still converges within its first few iterations.
-const fpConfident = 3
-
-// fpEntry is one transaction site's learned footprint: the shard set, and —
-// when the site's key set is stable and small enough to latch — the latch
-// key set. Key confidence is tracked separately from shard confidence: a
-// site can have a rock-stable shard pair under rotating keys (uniform
-// transfer at two shards), in which case shard prediction fires but the
-// attempt falls back to whole-shard locks rather than latching stale keys.
-type fpEntry struct {
-	want  []int    // last observed multi-shard footprint, ascending
-	keys  []uint64 // last observed latch key set, ascending, ≤ latchMaxKeys
-	conf  uint8    // consecutive identical shard-set observations (saturating)
-	kconf uint8    // consecutive identical key-set observations (saturating)
-}
-
-// fpCache is the per-worker footprint cache: transaction site → learned
-// shard set. It lives on the worker's Tx handle, so it is touched by exactly
-// one goroutine and needs no synchronization; the one-entry last-site memo
-// makes the common case (a worker looping over one transaction body) a
-// pointer compare instead of a map probe.
-type fpCache struct {
-	m        map[uintptr]*fpEntry
-	lastSite uintptr
-	lastE    *fpEntry
-}
-
-// entry returns the cache entry for site, nil if none. Negative results are
-// memoized too: a single-shard-only site pays one map probe, then pointer
-// compares.
-func (c *fpCache) entry(site uintptr) *fpEntry {
-	if site == c.lastSite && site != 0 {
-		return c.lastE
-	}
-	e := c.m[site]
-	c.lastSite, c.lastE = site, e
-	return e
-}
-
-// predict returns the shard set to pre-declare for a Run at site (nil when
-// the site has no confident multi-shard footprint) and, when the site's key
-// set is independently confident, the latch key set to acquire instead of
-// whole-shard locks. Both returned slices are entry-owned: callers must not
-// mutate or recycle them.
-func (c *fpCache) predict(site uintptr) ([]int, []uint64) {
-	if e := c.entry(site); e != nil && e.conf >= fpConfident {
-		if e.kconf >= fpConfident {
-			return e.want, e.keys
-		}
-		return e.want, nil
-	}
-	return nil, nil
-}
-
-// learn records the footprint a Run at site actually used: the shard set fp
-// and the distinct keys the final attempt touched (keyOverflow set when the
-// attempt touched more than latchMaxKeys keys, which disqualifies the site
-// from key prediction). Multi-shard footprints build confidence when stable
-// and reset it when they change; single-shard Runs decay confidence, so a
-// site that stops crossing shards stops being predicted. The keys slice is
-// caller-owned scratch; the entry keeps its own copy in place.
-func (c *fpCache) learn(site uintptr, fp []int, keys []uint64, keyOverflow bool) {
-	if len(fp) <= 1 {
-		if e := c.entry(site); e != nil && e.conf > 0 {
-			e.conf--
-		}
-		return
-	}
-	e := c.entry(site)
-	if e == nil {
-		if c.m == nil {
-			c.m = make(map[uintptr]*fpEntry, 8)
-		}
-		e = &fpEntry{}
-		c.m[site] = e
-		c.lastSite, c.lastE = site, e
-	}
-	if slices.Equal(e.want, fp) {
-		if e.conf < 250 {
-			e.conf++
-		}
-	} else {
-		e.want = slices.Clone(fp)
-		e.conf = 1
-	}
-	if keyOverflow {
-		e.keys, e.kconf = e.keys[:0], 0
-		return
-	}
-	if slices.Equal(e.keys, keys) {
-		if e.kconf < 250 {
-			e.kconf++
-		}
-		return
-	}
-	// Entry storage is reused in place, so a site whose keys rotate every
-	// Run (which never reaches key confidence) costs one allocation total,
-	// not one per Run.
-	e.keys = append(e.keys[:0], keys...)
-	e.kconf = 1
-}
-
-// miss invalidates site's prediction after a mispredicted attempt: the key
-// distribution shifted under the cache, so demand fresh confirmations before
-// predicting again.
-func (c *fpCache) miss(site uintptr) {
-	if e := c.entry(site); e != nil {
-		e.conf, e.kconf = 0, 0
-	}
-}
-
-// runSite identifies a Run's transaction site: the code pointer of the
-// closure passed to Run. Every instantiation of one source-level closure
-// shares it, so a worker looping over a workload body accumulates history
-// under one key, while distinct transaction shapes stay separate.
-func runSite(fn func() error) uintptr {
-	return reflect.ValueOf(fn).Pointer()
-}
-
-// footprintPool recycles the shard-set slices allocated on the footprint
-// discovery/growth path, so a restart-heavy phase (cold cache, shifted keys)
-// does not allocate one set per restart. Handle-local sets (hint buffers,
-// used/begun tracking) are reused in place and never enter the pool.
-var footprintPool = sync.Pool{New: func() any { s := make([]int, 0, 8); return &s }}
-
-func getFootprint() *[]int { return footprintPool.Get().(*[]int) }
-
-func putFootprint(p *[]int) {
-	*p = (*p)[:0]
-	footprintPool.Put(p)
 }
 
 // insertShard inserts s into an ascending shard set in place, returning the

@@ -33,9 +33,18 @@ func distinctShardKeys(t testing.TB, se *shardedEngine, n int, start uint64) []u
 	return keys
 }
 
-// transferOnce is the shared transaction site for the footprint-cache tests:
-// every call Runs the same closure code, so the worker's cache accumulates
-// history for it across key pairs.
+// oversizedHint returns latchMaxKeys+1 keys no test transacts on: hinted
+// alongside a transaction's real keys they push its declaration past the
+// latch cap.
+func oversizedHint() []uint64 {
+	keys := make([]uint64, latchMaxKeys+1)
+	for i := range keys {
+		keys[i] = 1<<32 + uint64(i)
+	}
+	return keys
+}
+
+// transferOnce moves one unit src[from] -> dst[to] in one transaction.
 func transferOnce(t *testing.T, tx Tx, src, dst Map[uint64], from, to uint64) {
 	t.Helper()
 	if err := tx.Run(func() error {
@@ -112,151 +121,12 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	}
 }
 
-// TestShardedFootprintCacheConverges pins the cache's deterministic
-// convergence on a stable site: a fixed cross-shard key pair pays exactly
-// fpConfident discovery restarts (one per confidence-building Run), after
-// which every Run is a predicted hit with no further restarts.
-func TestShardedFootprintCacheConverges(t *testing.T) {
-	const iters = 50
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m1, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-	m2, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-
-	keys := distinctShardKeys(t, se, 2, 0)
-	init := eng.NewWorker(0)
-	m1.Put(init, keys[0], 10_000)
-	m2.Put(init, keys[1], 10_000)
-
-	tx := eng.NewWorker(1)
-	base := eng.Stats()
-	for i := 0; i < iters; i++ {
-		transferOnce(t, tx, m1, m2, keys[0], keys[1])
-	}
-	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != fpConfident {
-		t.Errorf("stable site paid %d discovery restarts, want exactly fpConfident=%d", d.CrossShardRestarts, fpConfident)
-	}
-	if want := uint64(iters - fpConfident); d.FootprintHits != want {
-		t.Errorf("FootprintHits = %d, want %d (every Run after convergence)", d.FootprintHits, want)
-	}
-	if d.FootprintMisses != 0 {
-		t.Errorf("FootprintMisses = %d, want 0", d.FootprintMisses)
-	}
-}
-
-// TestShardedFootprintCacheInvalidatesOnShift: when a site's key
-// distribution shifts mid-run, the first predicted Run after the shift
-// mispredicts once, falls back to discovery (committing atomically), and
-// the cache re-converges on the new footprint.
-func TestShardedFootprintCacheInvalidatesOnShift(t *testing.T) {
-	const phase = 20
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m1, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-	m2, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-
-	// Four keys on four distinct shards: phase A transfers 0→1, phase B 2→3.
-	keys := distinctShardKeys(t, se, 4, 0)
-	init := eng.NewWorker(0)
-	for _, k := range keys {
-		m1.Put(init, k, 10_000)
-		m2.Put(init, k, 10_000)
-	}
-
-	tx := eng.NewWorker(1)
-	for i := 0; i < phase; i++ {
-		transferOnce(t, tx, m1, m2, keys[0], keys[1])
-	}
-	base := eng.Stats()
-	for i := 0; i < phase; i++ {
-		transferOnce(t, tx, m1, m2, keys[2], keys[3])
-	}
-	d := eng.Stats().Delta(base)
-	if d.FootprintMisses != 1 {
-		t.Errorf("shifted site counted %d misses, want exactly 1 (the stale prediction)", d.FootprintMisses)
-	}
-	// The mispredicted Run restarts twice (once dropping the stale set,
-	// once growing to the second new shard) and its commit already counts
-	// as the first fresh observation; the following fpConfident-1 Runs
-	// rebuild confidence with one discovery restart each; the rest hit.
-	if want := uint64(fpConfident + 1); d.CrossShardRestarts != want {
-		t.Errorf("shift paid %d restarts, want %d", d.CrossShardRestarts, want)
-	}
-	if want := uint64(phase - fpConfident); d.FootprintHits != want {
-		t.Errorf("FootprintHits after shift = %d, want %d", d.FootprintHits, want)
-	}
-	if d.Commits != phase {
-		t.Errorf("Commits = %d, want %d (every shifted Run must still commit)", d.Commits, phase)
-	}
-
-	// Atomicity across the shift: all value movements conserved.
-	audit := eng.NewWorker(2)
-	sum := uint64(0)
-	for _, k := range keys {
-		a, _ := m1.Get(audit, k)
-		b, _ := m2.Get(audit, k)
-		sum += a + b
-	}
-	if sum != 8*10_000 {
-		t.Fatalf("conservation violated across distribution shift: sum %d, want %d", sum, 8*10_000)
-	}
-}
-
-// TestShardedHintAuthoritative: a hint that resolves to a single shard must
-// suppress any stale cache prediction for that Run — the declared footprint
-// wins, so a converged multi-shard site followed by a hinted single-shard
-// Run pays neither a misprediction nor a restart.
-func TestShardedHintAuthoritative(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m1, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-	m2, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-
-	keys := distinctShardKeys(t, se, 2, 0)
-	init := eng.NewWorker(0)
-	m1.Put(init, keys[0], 1000)
-	m2.Put(init, keys[0], 1000)
-	m2.Put(init, keys[1], 1000)
-
-	// Converge the site on the cross-shard pair.
-	tx := eng.NewWorker(1)
-	for i := 0; i < fpConfident+2; i++ {
-		transferOnce(t, tx, m1, m2, keys[0], keys[1])
-	}
-
-	// Same site, single-shard keys, hinted: the cache's {shard0, shard1}
-	// entry must not be consulted.
-	base := eng.Stats()
-	HintKeys(tx, keys[0], keys[0])
-	transferOnce(t, tx, m1, m2, keys[0], keys[0])
-	d := eng.Stats().Delta(base)
-	if d.FootprintMisses != 0 || d.CrossShardRestarts != 0 {
-		t.Errorf("hinted single-shard Run after a converged cross-shard site: misses=%d restarts=%d, want 0/0",
-			d.FootprintMisses, d.CrossShardRestarts)
-	}
-	if d.FootprintHits != 0 {
-		t.Errorf("single-shard hint counted a hit (%d); only multi-shard pre-declarations count", d.FootprintHits)
-	}
-}
-
 // TestShardedMispredictFallbackConservation is the concurrent misprediction
 // audit at shards 2 and 8: workers run transfers whose hints are frequently
-// wrong (stale keys hinted, fresh keys transacted), so predicted attempts
-// mispredict and fall back to discovery mid-flight, while auditors sweep
-// the whole ledger. Conservation must hold throughout and at the end.
+// wrong (stale keys hinted, fresh keys transacted), so declared attempts
+// escape their declaration, drop their latches and restart as discovery
+// mid-flight, while auditors sweep the whole ledger. Conservation must hold
+// throughout and at the end.
 func TestShardedMispredictFallbackConservation(t *testing.T) {
 	const (
 		accounts = 48
@@ -292,7 +162,7 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 						// Deliberately stale hint: declare a different key
 						// pair than the transaction will touch. On wide
 						// shard counts this mispredicts regularly; the
-						// fallback must stay atomic.
+						// restarted attempt must stay atomic.
 						HintKeys(tx, rng.Uint64N(accounts), rng.Uint64N(accounts))
 						err := tx.Run(func() error {
 							c, ok := checking.Get(tx, from)

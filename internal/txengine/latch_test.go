@@ -158,8 +158,8 @@ func TestLatchStressMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestInsertKey pins the sorted-dedup invariant hinted and learned latch
-// key sets rely on.
+// TestInsertKey pins the sorted-dedup invariant declared latch key sets rely
+// on.
 func TestInsertKey(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	var set []uint64
@@ -181,8 +181,8 @@ func TestInsertKey(t *testing.T) {
 
 // TestShardedLatchedHintZeroRestart pins the latched fast path end to end:
 // on an idle sharded engine, a hinted cross-shard transaction must commit
-// with no discovery restart and no whole-shard fallback — the hint routes it
-// straight through read locks + key latches + the linked-group commit.
+// with no discovery restart and no unlatched attempt — the hint routes it
+// straight through key latches + the linked-group commit.
 func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -219,7 +219,7 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 		t.Errorf("hinted runs discovery-restarted %d times", d.CrossShardRestarts)
 	}
 	if d.LatchFallbacks != 0 {
-		t.Errorf("hinted runs fell back to whole-shard locks %d times", d.LatchFallbacks)
+		t.Errorf("hinted runs ran unlatched %d times", d.LatchFallbacks)
 	}
 	if d.Commits == 0 {
 		t.Errorf("no commits recorded: %+v", d)
@@ -227,32 +227,42 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 }
 
 // TestShardedLatchedTransferStress is the engine-level race test for the
-// latched commit path: workers run hinted transfers over a small overlapping
-// account set at 2 and 8 shards, with latching on and off, and the total
-// must be conserved — any torn linked-group commit or latch/epoch ordering
-// bug shows up as drift or a -race report.
+// linked commit path: workers run transfers over a small overlapping account
+// set at 1, 2 and 8 shards, declaring them three ways — hinted (latched),
+// un-hinted (discovery, then linked without latches) and with an oversized
+// hint (> latchMaxKeys keys: declared shard set, no latches) — beside
+// single-shard writers rewriting the same accounts. The total must be
+// conserved and no single-shard increment lost: any torn linked-group commit
+// or latch/epoch ordering bug shows up as drift or a -race report.
 func TestShardedLatchedTransferStress(t *testing.T) {
 	const (
 		accounts = 12 // tiny: nearly every pair of workers overlaps
 		perAcct  = 10_000
-		workers  = 8
+		workers  = 6
+		singles  = 2
 		iters    = 400
 	)
-	for _, shards := range []int{2, 8} {
-		for _, noLatch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/nolatch=%v", shards, noLatch), func(t *testing.T) {
-				eng, err := Build("medley-sharded", Config{Shards: shards, NoLatch: noLatch})
+	filler := oversizedHint()
+	for _, shards := range []int{1, 2, 8} {
+		for _, decl := range []string{"hinted", "unhinted", "oversized"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, decl), func(t *testing.T) {
+				eng, err := Build("medley-sharded", Config{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer eng.Close()
+				se := eng.(*shardedEngine)
 				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
 				if err != nil {
 					t.Fatal(err)
 				}
 				init := eng.NewWorker(0)
+				// side[a] is a counter on account a's shard: a single-shard
+				// writer bumps it in the transaction that rewrites a.
+				var side [accounts]uint64
 				for a := uint64(0); a < accounts; a++ {
 					m.Put(init, a, perAcct)
+					side[a] = keyOnShard(t, se, se.shardOf(a), 1<<20+a<<8)
 				}
 				var wg sync.WaitGroup
 				for g := 0; g < workers; g++ {
@@ -265,7 +275,13 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 							from := rng.Uint64N(accounts)
 							to := rng.Uint64N(accounts)
 							amt := uint64(rng.IntN(5) + 1)
-							HintKeys(tx, from, to)
+							switch decl {
+							case "hinted":
+								HintKeys(tx, from, to)
+							case "oversized":
+								HintKeys(tx, from, to)
+								HintKeys(tx, filler...)
+							}
 							if err := tx.Run(func() error {
 								f, _ := m.Get(tx, from)
 								if f < amt {
@@ -286,22 +302,59 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 						}
 					}(g)
 				}
+				for g := 0; g < singles; g++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						tx := eng.NewWorker(100 + id)
+						rng := rand.New(rand.NewPCG(uint64(id)+77, uint64(shards)))
+						for i := 0; i < iters; i++ {
+							a := rng.Uint64N(accounts)
+							if err := tx.Run(func() error {
+								v, _ := m.Get(tx, a)
+								m.Put(tx, a, v)
+								runtime.Gosched()
+								c, _ := m.Get(tx, side[a])
+								m.Put(tx, side[a], c+1)
+								return nil
+							}); err != nil {
+								t.Errorf("single-shard writer %d: %v", id, err)
+								return
+							}
+						}
+					}(g)
+				}
 				wg.Wait()
-				audit := eng.NewWorker(workers + 1)
-				sum := uint64(0)
+				audit := eng.NewWorker(999)
+				sum, bumps := uint64(0), uint64(0)
 				for a := uint64(0); a < accounts; a++ {
 					v, _ := m.Get(audit, a)
-					sum += v
+					c, _ := m.Get(audit, side[a])
+					sum, bumps = sum+v, bumps+c
 				}
 				if sum != accounts*perAcct {
 					t.Errorf("total %d, want %d: money not conserved", sum, accounts*perAcct)
 				}
-				d := eng.Stats()
-				if noLatch && d.LatchWaits != 0 {
-					t.Errorf("NoLatch engine reported latch waits: %+v", d)
+				if bumps != singles*iters {
+					t.Errorf("side counters sum %d, want %d: a single-shard commit was lost", bumps, singles*iters)
 				}
-				if !noLatch && shards > 1 && d.LatchWaits == 0 {
-					t.Errorf("latched overlapping stress never waited on a latch: %+v", d)
+				d := eng.Stats()
+				switch {
+				case shards == 1:
+					if d.LatchWaits != 0 || d.LatchFallbacks != 0 || d.CrossShardRestarts != 0 {
+						t.Errorf("one shard ran cross-shard machinery: %+v", d)
+					}
+				case decl == "hinted":
+					if d.LatchWaits == 0 {
+						t.Errorf("latched overlapping stress never waited on a latch: %+v", d)
+					}
+					if d.LatchFallbacks != 0 {
+						t.Errorf("correctly hinted transfers ran unlatched: %+v", d)
+					}
+				default:
+					if d.LatchWaits != 0 || d.LatchFallbacks == 0 {
+						t.Errorf("%s transfers must run linked without latches: %+v", decl, d)
+					}
 				}
 			})
 		}

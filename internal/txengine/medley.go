@@ -246,7 +246,7 @@ func (t *sessionTx) runStamped(fn func() error) error {
 				// fn aborted explicitly but returned nil; treat as conflict.
 				err = core.ErrTxAborted
 			} else {
-				err = t.commitStamped()
+				err = t.snap.commit(t.s.TxEnd)
 				if err == nil {
 					return nil
 				}
@@ -259,26 +259,6 @@ func (t *sessionTx) runStamped(fn func() error) error {
 		}
 		t.bo.wait(attempt)
 	}
-}
-
-// commitStamped draws the commit timestamp — after fn installed every node,
-// before TxEnd's InPrep→InProg transition, which is what keeps timestamp
-// order consistent with conflict order (see snapshot.go) — commits, and on
-// success publishes the buffered writes under that timestamp. Read-only
-// transactions buffer nothing and skip the draw entirely.
-func (t *sessionTx) commitStamped() error {
-	if len(t.snap.pending) == 0 {
-		return t.s.TxEnd()
-	}
-	ts := t.snap.tier.beginCommit(t.snap.slot)
-	err := t.s.TxEnd()
-	if err == nil {
-		t.snap.publishAll(ts)
-	} else {
-		t.snap.reset()
-	}
-	t.snap.tier.endCommit(t.snap.slot)
-	return err
 }
 
 // SnapshotRead implements SnapshotReader: fn runs against the tier's sealed
@@ -329,33 +309,6 @@ func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 // are buffered whenever a transaction is open on the session.
 func (t *sessionTx) snapAgent() *snapAgent { return &t.snap }
 func (t *sessionTx) snapBuffering() bool   { return t.s.InTx() }
-
-// beginManual / commitManual / abortManual implement manualTx: the sharded
-// decorator drives the session's transaction scope explicitly so that one
-// logical transaction can hold open sub-transactions on several shards'
-// TxManagers at once.
-var _ manualTx = (*sessionTx)(nil)
-
-func (t *sessionTx) beginManual() { t.s.TxBegin() }
-
-func (t *sessionTx) commitManual() error { return t.s.TxEnd() }
-
-func (t *sessionTx) abortManual() {
-	if t.s.InTx() {
-		t.s.TxAbort()
-	}
-}
-
-// coreSession implements the sharded decorator's sessionProvider seam: the
-// underlying core session, through which the latched cross-shard path links
-// per-shard sub-transactions into one shared-fate core.TxGroup.
-func (t *sessionTx) coreSession() *core.Session { return t.s }
-
-// pinnedEpoch implements the sharded decorator's epochPinned seam: the
-// epoch the open manual transaction is pinned to, or 0 on transient bases.
-// The cross-shard commit coordinator compares it across shards to guarantee
-// every sub-commit sits in the same epoch cut before committing any.
-func (t *sessionTx) pinnedEpoch() uint64 { return montage.PinnedEpoch(t.s) }
 
 func (t *sessionTx) RunRead(fn func()) {
 	_ = t.Run(func() error { fn(); return nil })

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,56 +16,50 @@ import (
 // This file implements the sharded engine runtime: a registry-composable
 // decorator that wraps S independent instances of a base engine (each with
 // its own TxManager, session list, and structures) and hash-routes every
-// map key to its owning shard. Single-shard transactions run entirely on
-// that shard's optimistic machinery, under the shard's read lock, so they
-// scale with the shard count instead of funneling through one manager.
-// Cross-shard transactions come in two grades. When the footprint layer
-// knows the transaction's keys — a HintKeys/HintQueues pre-declaration or a
-// key-confident footprint-cache entry (see footprint.go) — the attempt runs
-// *latched*: it takes only the involved shards' read locks (ascending), then
-// latches exactly its declared keys in global key order (latch.go), links
-// the per-shard sub-transactions into one shared-fate core.TxGroup, and
-// commits them with a single atomic verdict (core.CommitLinked) under the
-// epoch commit guard — no shard is ever held exclusively, so disjoint-key
-// cross-shard transactions on the same hot shard proceed in parallel. The
-// latches serialize latched transactions with overlapping declarations
-// (FIFO, no abort churn); atomicity does not depend on them — the TxGroup's
-// one status word is what makes the multi-shard commit all-or-nothing even
-// though concurrent single-shard traffic can invalidate reads at any time.
+// map key to its owning shard. The decorator holds no lock on any shard:
+// every conflict, inside a shard or across shards, is resolved by the base
+// engines' own optimistic (MCNS) machinery.
 //
-// When the keys are not known — discovery mode, a misprediction retrying,
-// or an oversized key set — the attempt falls back to the original path:
-// the involved shards' locks are taken exclusively, in ascending shard
-// order, with the shard set coming from shard-level prediction or from
-// optimistic discovery (an op touching a shard outside the known set
-// restarts the attempt with the union). Exclusivity makes every per-shard
-// sub-commit deterministic — no concurrent activity can invalidate a locked
-// shard's read set — so the ordered commit sequence is failure-free and the
-// composition audits (cross-map transfer conservation, queue+map claim
-// integrity) hold exactly as they do on an unsharded engine. Latched
-// attempts hold those shards' read locks, so they are excluded by a
-// discovery writer like all other traffic and the exclusivity argument
-// survives the new mode. Config.NoLatch restores this path for every
-// cross-shard transaction (the -nolatch A/B knob).
+// A transaction that stays on one shard is a plain transaction of that
+// shard's engine, so single-shard traffic scales with the shard count
+// instead of funneling through one manager. A transaction that spans
+// several shards has exactly one commit path (commitLinked): the attempt
+// opens one sub-transaction per shard, links them into one shared-fate
+// core.TxGroup before any of them installs a write, and finishes with
+// core.CommitLinked — every member's read set is validated and one status
+// word decides all of them, so the commit is all-or-nothing even though
+// concurrent single-shard traffic can invalidate a member's reads up to the
+// last moment (that aborts the whole group, which retries under the shared
+// backoff like any conflict). This is all NBTC asks for: the transaction's
+// linearizing CASes take effect together.
 //
-// The decorator needs one thing beyond the public Engine contract: explicit
-// transaction control on base worker handles (manualTx), so that one
-// logical transaction can hold open sub-transactions on several shards at
-// once. Medley-family handles provide it via core.Session; engines without
-// transactions (Original) shard trivially, routing bare operations.
+// The attempt's shard set comes from a HintKeys/HintQueues declaration, or
+// from discovery: an undeclared Run starts single-shard, and an operation
+// that touches a shard outside the attempt's set restarts it with the union
+// (Stats.CrossShardRestarts) — the retry is linked, like every multi-shard
+// attempt. A declaration of at most latchMaxKeys keys additionally takes
+// those keys' latches (latch.go) before the sub-transactions begin, so
+// declared transactions with overlapping hot keys queue FIFO instead of
+// aborting each other. Latches only schedule; atomicity never depends on
+// them, which is why undeclared and oversized footprints simply run without.
+//
+// Every transactional base the decorator wraps is Medley-family: its worker
+// handles are sessionTx, and the decorator drives their core sessions
+// directly (begin, link, commit, abort). Engines without transactions
+// (Original) shard trivially, routing bare operations.
 //
 // # Sharded persistence (txmontage-sharded)
 //
 // Persistent bases compose too: every shard owns its own montage.EpochSys
 // and pnvm.Device, but all of them share one montage.EpochClock, created
 // here and passed down through Config.EpochClock. The shared clock is what
-// makes durability shard-safely: a cross-shard transaction pins the same
-// epoch number on every shard it touches, the ordered sub-commit sequence
-// runs under the clock's commit guard (no advance can interleave, and a
-// pre-check aborts cleanly if the sub-transactions straddle two epochs), and
-// the coordinator — the engine's own advancer goroutine, or Sync — advances
-// all shards together so every device reaches the same durable frontier.
-// After a crash, recovery takes one dump per device, computes the domain's
+// makes durability shard-safe: a cross-shard transaction pins the same
+// epoch number on every shard it touches, the linked commit runs under the
+// clock's commit guard (no advance can interleave, and a pre-check aborts
+// cleanly if the sub-transactions straddle two epochs), and the coordinator
+// — the engine's own advancer goroutine, or Sync — advances all shards
+// together so every device reaches the same durable frontier. After a
+// crash, recovery takes one dump per device, computes the domain's
 // consistent cut (the minimum of the per-device durable frontiers), and
 // rebuilds each shard at exactly that cut: state one device persisted ahead
 // of the others is discarded, so a transaction is never recovered torn even
@@ -76,34 +68,14 @@ import (
 // DefaultShards is the shard count used when Config.Shards is unset.
 const DefaultShards = 4
 
-// manualTx is the optional Tx extension the sharded decorator requires of
-// transactional base engines: explicit begin/commit/abort, with commitManual
-// returning core.ErrTxAborted on a validation conflict.
-type manualTx interface {
-	beginManual()
-	commitManual() error
-	abortManual()
-}
-
-// shardSlot is one shard: a private base engine instance plus the shard's
-// reader-writer lock. Single-shard attempts and standalone operations hold
-// the read side (concurrent with each other, resolved by the base engine's
-// own concurrency control); cross-shard attempts hold the write side of
-// every involved shard. Padded so adjacent slots never share a cache line.
-type shardSlot struct {
-	eng Engine
-	mu  sync.RWMutex
-	_   [88]byte // 16 (iface) + 24 (RWMutex) + 88 = 128
-}
-
 type shardedEngine struct {
 	name   string
 	caps   Caps
 	txCap  bool
-	shards []*shardSlot
+	shards []Engine      // one private base engine instance per shard
 	nextQ  atomic.Uint64 // round-robin home-shard assignment for queues
 	ct     counters
-	latch  *latchTable // key-granular cross-shard latches; nil when disabled
+	latch  *latchTable // key latches for declared footprints; nil without CapTx
 	snap   *snapTier   // the engine's single MVCC snapshot tier; nil without CapSnapshot
 
 	// Persistence coordination (nil/empty when the base is transient): the
@@ -119,17 +91,6 @@ type shardedEngine struct {
 // epochSysProvider is the seam through which the decorator recognizes
 // montage-backed bases and reaches their per-shard epoch systems.
 type epochSysProvider interface{ EpochSys() *montage.EpochSys }
-
-// epochPinned is the worker-handle seam of the cross-shard epoch cut: the
-// epoch the handle's open manual transaction is pinned to (0 on transient
-// bases). See shardedTx.commit.
-type epochPinned interface{ pinnedEpoch() uint64 }
-
-// sessionProvider is the worker-handle seam of the latched cross-shard
-// path: the base handle's core session, through which per-shard
-// sub-transactions are linked into one shared-fate core.TxGroup. Bases
-// without it (none today) simply never run latched.
-type sessionProvider interface{ coreSession() *core.Session }
 
 // newShardedEngine builds cfg.Shards independent instances of the named
 // base engine behind one sharded façade. Persistent (montage-backed) bases
@@ -172,17 +133,17 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 			e.Close()
 			return nil, fmt.Errorf("txengine: sharded %s shard %d: %w", baseKey, i, err)
 		}
-		e.shards = append(e.shards, &shardSlot{eng: shard})
+		e.shards = append(e.shards, shard)
 	}
-	e.name = fmt.Sprintf("%s-sh%d", e.shards[0].eng.Name(), n)
-	if e.txCap && !cfg.NoLatch {
+	e.name = fmt.Sprintf("%s-sh%d", e.shards[0].Name(), n)
+	if e.txCap {
 		e.latch = newLatchTable()
 	}
 
 	// Detect montage-backed shards: all of them share clock, so the engine
 	// coordinates their epochs and implements the multi-device Persister.
-	for _, sl := range e.shards {
-		esp, ok := sl.eng.(epochSysProvider)
+	for _, sh := range e.shards {
+		esp, ok := sh.(epochSysProvider)
 		if !ok || esp.EpochSys() == nil {
 			break
 		}
@@ -198,15 +159,10 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 		e.esys, e.devs = nil, nil
 	}
 	if e.txCap && e.caps.Has(CapSnapshot) && !cfg.snapOff {
-		// One tier for the whole engine: every commit — single-shard,
-		// cross-shard exclusive, or a PR 6 shared-fate latch group — draws
-		// exactly one timestamp from it. Anchored to the shared epoch clock
-		// on persistent bases.
-		var ec *montage.EpochClock
-		if e.clock != nil {
-			ec = e.clock
-		}
-		e.snap = newSnapTier(ec)
+		// One tier for the whole engine: every commit — single-shard or a
+		// shared-fate group — draws exactly one timestamp from it. Anchored
+		// to the shared epoch clock on persistent bases.
+		e.snap = newSnapTier(e.clock)
 	}
 	return e, nil
 }
@@ -242,8 +198,8 @@ func (e *shardedEngine) NumShards() int { return len(e.shards) }
 // shard's engine stats (standalone-op accounting on bases that keep it).
 func (e *shardedEngine) Stats() Stats {
 	total := e.ct.snapshot()
-	for _, sl := range e.shards {
-		total.Add(sl.eng.Stats())
+	for _, sh := range e.shards {
+		total.Add(sh.Stats())
 	}
 	return total
 }
@@ -254,8 +210,8 @@ func (e *shardedEngine) Close() {
 		<-e.done
 		e.stop = nil
 	}
-	for _, sl := range e.shards {
-		sl.eng.Close()
+	for _, sh := range e.shards {
+		sh.Close()
 	}
 }
 
@@ -304,6 +260,13 @@ func (e *shardedEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map
 	sub := make([]Map[uint64], len(e.shards))
 	subSpec := e.subSpec(spec)
 	u64 := montage.Uint64Codec()
+	// Seed every recovered record into the snapshot sidecar at the tier's
+	// base cut: a chain miss means "absent", so unseeded recovered keys
+	// would vanish from snapshots until their first post-recovery write.
+	var ch *snapChains
+	if e.snap != nil {
+		ch = &snapChains{tier: e.snap}
+	}
 	for i := range e.shards {
 		live := montage.LiveRecordsAt(dumps[i], cut)
 		if spec.Kind == KindHash {
@@ -311,19 +274,15 @@ func (e *shardedEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map
 		} else {
 			sub[i] = txmapAdapter[uint64]{montage.RecoverSkipMap(e.esys[i], u64, live)}
 		}
+		if ch != nil {
+			for _, r := range live {
+				ch.seed(r.Key, u64.Dec(r.Val), nil)
+			}
+		}
 	}
 	inner := &shardedMap[uint64]{e: e, sub: sub}
-	if e.snap == nil {
+	if ch == nil {
 		return inner, nil
-	}
-	// Seed every recovered record into the snapshot sidecar at the tier's
-	// base cut: a chain miss means "absent", so unseeded recovered keys
-	// would vanish from snapshots until their first post-recovery write.
-	ch := &snapChains{tier: e.snap}
-	for i := range e.shards {
-		for _, r := range montage.LiveRecordsAt(dumps[i], cut) {
-			ch.seed(r.Key, u64.Dec(r.Val), nil)
-		}
 	}
 	return newSnapUintMap(inner, ch), nil
 }
@@ -382,7 +341,7 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 	}
 	qid := e.nextQ.Add(1) - 1
 	home := int(qid) % len(e.shards)
-	q, err := e.shards[home].eng.NewUintQueue()
+	q, err := e.shards[home].NewUintQueue()
 	if err != nil {
 		return nil, err
 	}
@@ -394,10 +353,7 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *shardedEngine) NewWorker(tid int) Tx {
 	n := len(e.shards)
-	t := &shardedTx{e: e, tid: tid,
-		base: make([]Tx, n), man: make([]manualTx, n), pin: make([]epochPinned, n),
-		ses: make([]*core.Session, n),
-		cur: -1}
+	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), cur: -1}
 	if e.latch != nil {
 		t.lw = newLatchWaiter()
 	}
@@ -409,8 +365,8 @@ func (e *shardedEngine) NewWorker(tid int) Tx {
 }
 
 // growRestart is the control-flow sentinel thrown when an attempt touches a
-// shard outside its locked set; Run catches it and retries with the union.
-type growRestart struct{ want []int }
+// shard outside its set; attempt catches it, and Run retries with the union.
+type growRestart struct{ shard int }
 
 // routeMemoSize is the worker handle's direct-mapped key→shard memo size.
 // Must be a power of two.
@@ -418,51 +374,33 @@ const routeMemoSize = 8
 
 // shardedTx is the per-worker handle: a lazily filled pool of base handles,
 // one per shard this worker has touched, plus the state of the current
-// attempt, the route memo, and the footprint-prediction state (pending hint
-// + site-keyed cache). Not goroutine-safe, like every Tx.
+// attempt, the pending footprint declaration, and the route memo. Not
+// goroutine-safe, like every Tx.
 type shardedTx struct {
 	e    *shardedEngine
 	tid  int
 	base []Tx            // per-shard base handles, created on first touch
-	man  []manualTx      // cached manual-transaction seam per handle
-	pin  []epochPinned   // cached epoch seam per handle (nil where absent)
-	ses  []*core.Session // cached core-session seam per handle (nil where absent)
+	ses  []*core.Session // their core sessions (transactional bases only)
 
-	inRun     bool
-	cross     bool   // attempt holds locks on want (exclusive unless latched)
-	predicted bool   // attempt's want was pre-declared (hint or cache)
-	locksHeld bool   // cross-mode locks currently held
-	want      []int  // cross mode: ascending shard set to lock
-	used      []int  // shards the attempt's ops actually entered, ascending
-	begun     []int  // shards with an open base sub-transaction
-	cur       int    // single-shard mode: the shard in use, -1 if none yet
-	aborted   bool   // Tx.Abort doomed the current Run
-	grown     *[]int // pooled holder backing the current attempt's grown want
-	grownNext *[]int // pooled holder staged by growTo, adopted by Run
-	one       [1]int // scratch for growTo's single-shard source set
+	inRun   bool
+	aborted bool // Tx.Abort doomed the current Run
+	linked  bool // the attempt is linked over fp; otherwise single-shard on cur
+	cur     int  // single-shard attempt: the shard in use, -1 if none yet
 
-	// Latched-mode state (see latch.go). latchKeys is the current Run's
-	// declared latch key set — ascending, deduplicated, entry- or
-	// hint-owned — nil when the Run falls back to whole-shard locks.
-	// usedKeys accumulates the distinct keys an unhinted attempt touches so
-	// the footprint cache can learn key sets; it is a reused buffer capped
-	// at latchMaxKeys (keyOverflow disqualifies the site).
-	latched     bool // current attempt holds key latches, not shard writes
-	latchHeld   bool // latchKeys currently acquired
-	latchKeys   []uint64
-	trackKeys   bool // record touched keys into usedKeys this Run
-	keyOverflow bool
-	usedKeys    []uint64
-	sesBuf      []*core.Session // want's sessions, for LinkTxs/CommitLinked
-	lw          latchWaiter     // reusable wait token (one wait at a time)
-
-	hintPending  bool     // a HintKeys/HintQueues declaration awaits the next Run
-	hint         []int    // the declared shard set; nil when it was single-shard
-	hintBuf      []int    // backing storage for hint, reused across hints
-	hintKeys     []uint64 // declared latch keys, ascending; reused like hintBuf
-	hintOverflow bool     // declaration exceeded latchMaxKeys: don't latch
-	readSite     uintptr  // RunRead's real site, threaded past its adapter closure
-	fp           fpCache
+	// fp is the Run's shard footprint, ascending: HintKeys/HintQueues stage
+	// it before the Run, discovery restarts grow it between attempts.
+	// hintKeys is the declared latch key set (ascending, deduplicated;
+	// emptied when the declaration overflows latchMaxKeys), and latchKeys
+	// the set the current Run latches — hintKeys, or nil when it runs
+	// without latches.
+	fp           []int
+	hintKeys     []uint64
+	hintPending  bool // a declaration awaits the next Run
+	hintOverflow bool
+	latchKeys    []uint64
+	latchHeld    bool            // latchKeys currently acquired
+	group        []*core.Session // fp's sessions, for LinkTxs/CommitLinked
+	lw           latchWaiter     // reusable wait token (one wait at a time)
 
 	// Direct-mapped key→shard memo: repeated keys (Get then Put inside one
 	// transaction, hot keys across iterations) skip the hash. memoS stores
@@ -482,9 +420,8 @@ func (t *shardedTx) snapBuffering() bool   { return t.inRun && !t.aborted }
 
 // SnapshotRead implements SnapshotReader, exactly as on the unsharded
 // engines: the cut is tier-wide, so it is consistent across every shard —
-// the seal cannot pass a cross-shard (or shared-fate group) commit that is
-// still mid-flight, because the whole group is one commit window on the
-// shared tier.
+// the seal cannot pass a shared-fate group commit that is still mid-flight,
+// because the whole group is one commit window on the shared tier.
 func (t *shardedTx) SnapshotRead(fn func()) bool {
 	if !t.snap.enabled() {
 		return false
@@ -527,59 +464,24 @@ func (t *shardedTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 }
 
 // handle returns this worker's base handle for shard s, creating it (and its
-// base session) on first touch — the per-shard session pool. Creation also
-// caches the handle's manualTx and epochPinned seams, so the per-operation
-// and per-commit paths never repeat the interface assertions.
+// base session) on first touch — the per-shard session pool. On
+// transactional engines it also caches the handle's core session: every
+// such base is Medley-family, so the assertion can only fail for a base
+// wired up without shared-fate commit support, and then fails loudly.
 func (t *shardedTx) handle(s int) Tx {
 	h := t.base[s]
 	if h == nil {
-		h = t.e.shards[s].eng.NewWorker(t.tid)
+		h = t.e.shards[s].NewWorker(t.tid)
 		t.base[s] = h
-		if m, ok := h.(manualTx); ok {
-			t.man[s] = m
-		}
-		if p, ok := h.(epochPinned); ok {
-			t.pin[s] = p
-		}
-		if sp, ok := h.(sessionProvider); ok {
-			t.ses[s] = sp.coreSession()
+		if t.e.txCap {
+			t.ses[s] = h.(*sessionTx).s
 		}
 	}
 	return h
 }
 
-// groupable reports whether every shard in want exposes the core-session
-// seam the shared-fate (latched) commit needs. Handles are created eagerly
-// here, so after a worker's first cross-shard Run this is a few nil checks.
-func (t *shardedTx) groupable(want []int) bool {
-	for _, s := range want {
-		t.handle(s)
-		if t.ses[s] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *shardedTx) manual(s int) manualTx {
-	t.handle(s)
-	m := t.man[s]
-	if m == nil {
-		// Transactional bases must expose explicit transaction control;
-		// sessionTx carries a compile-time assertion, so this only fires if
-		// a new base is wired up without it.
-		panic("txengine: " + t.e.name + " base workers lack manual transaction control")
-	}
-	return m
-}
-
-// routeOf is shardOf through the handle's memo. While a learning Run is in
-// flight it also records the key into the attempt's used-key set, so the
-// footprint cache can learn latchable key sets alongside shard sets.
+// routeOf is shardOf through the handle's memo.
 func (t *shardedTx) routeOf(k uint64) int {
-	if t.trackKeys && t.inRun {
-		t.noteKey(k)
-	}
 	i := k & (routeMemoSize - 1)
 	if t.memoK[i] == k && t.memoS[i] != 0 {
 		return int(t.memoS[i]) - 1
@@ -587,19 +489,6 @@ func (t *shardedTx) routeOf(k uint64) int {
 	s := t.e.shardOf(k)
 	t.memoK[i], t.memoS[i] = k, uint16(s+1)
 	return s
-}
-
-// noteKey records one distinct touched key, capped at latchMaxKeys; past
-// the cap the attempt's key set is unlatchable and tracking stops.
-func (t *shardedTx) noteKey(k uint64) {
-	if t.keyOverflow {
-		return
-	}
-	t.usedKeys = insertKey(t.usedKeys, k)
-	if len(t.usedKeys) > latchMaxKeys {
-		t.keyOverflow = true
-		t.usedKeys = t.usedKeys[:0]
-	}
 }
 
 // hintOpen starts or continues the pending declaration: the first
@@ -610,7 +499,7 @@ func (t *shardedTx) hintOpen() {
 		return
 	}
 	t.hintPending = true
-	t.hintBuf = t.hintBuf[:0]
+	t.fp = t.fp[:0]
 	t.hintKeys = t.hintKeys[:0]
 	t.hintOverflow = false
 }
@@ -618,7 +507,8 @@ func (t *shardedTx) hintOpen() {
 // hintKey merges one latch key into the pending declaration (sorted,
 // deduplicated — done once here, at declaration time, not per attempt).
 // Declarations beyond latchMaxKeys stay valid as shard pre-declarations but
-// give up on latching: whole-shard locks beat hundreds of latch handoffs.
+// give up on latching: hundreds of latch handoffs cost more than the
+// conflicts they would queue.
 func (t *shardedTx) hintKey(k uint64) {
 	if t.hintOverflow {
 		return
@@ -630,360 +520,159 @@ func (t *shardedTx) hintKey(k uint64) {
 	}
 }
 
-// hintClose re-derives the pending declaration's shard pre-set after a
-// merge. Sets of one shard pre-declare nothing — the single-shard path
-// needs none — but the hint still marks the next Run as hinted, so it
-// trusts the declaration over any cached footprint.
-func (t *shardedTx) hintClose() {
-	if len(t.hintBuf) > 1 {
-		t.hint = t.hintBuf
-	} else {
-		t.hint = nil
-	}
-}
-
 // HintKeys implements KeyHinter: route the declared keys and stage their
-// shard set (and, for latch-enabled engines, the keys themselves) for the
-// next Run. Successive HintKeys/HintQueues calls accumulate until a Run
-// consumes them.
+// shard set and the keys themselves for the next Run. Successive
+// HintKeys/HintQueues calls accumulate until a Run consumes them.
 func (t *shardedTx) HintKeys(keys ...uint64) {
 	if t.inRun {
 		return
 	}
 	t.hintOpen()
-	h := t.hintBuf
 	for _, k := range keys {
-		h = insertShard(h, t.routeOf(k))
+		t.fp = insertShard(t.fp, t.routeOf(k))
 		t.hintKey(k)
 	}
-	t.hintBuf = h
-	t.hintClose()
 }
 
 // HintQueues implements QueueHinter: declare the queues' home shards and
-// synthetic latch keys for the next Run, so queue+map transactions can run
-// latched with same-queue traffic serialized through the queue latch.
+// synthetic latch keys for the next Run, so queue+map transactions skip
+// discovery and same-queue traffic serializes through the queue latch.
 func (t *shardedTx) HintQueues(qs ...Queue[uint64]) {
 	if t.inRun {
 		return
 	}
 	t.hintOpen()
-	h := t.hintBuf
 	for _, q := range qs {
 		sq, ok := q.(*shardedQueue)
 		if !ok || sq.e != t.e {
 			continue // foreign queue: nothing of ours to declare
 		}
-		h = insertShard(h, sq.home)
+		t.fp = insertShard(t.fp, sq.home)
 		t.hintKey(sq.lkey)
 	}
-	t.hintBuf = h
-	t.hintClose()
 }
-
-var noRelease = func() {}
 
 // enter prepares shard s for one operation by this worker and returns the
-// base handle to run it on, plus a release callback (a no-op inside Run,
-// where locks are attempt-scoped). Inside Run it lazily opens the shard's
-// sub-transaction, or restarts the attempt when s falls outside the
-// attempt's shard set.
-func (t *shardedTx) enter(s int) (Tx, func()) {
+// base handle to run it on. Outside a transaction (or after Tx.Abort) the
+// operation is standalone on the base engine. Inside a single-shard attempt
+// it lazily opens the shard's sub-transaction; an operation on a shard
+// outside the attempt's set restarts the attempt.
+func (t *shardedTx) enter(s int) Tx {
 	if !t.inRun || t.aborted {
-		// Standalone (or post-abort) operation: runs outside any
-		// transaction, under the shard's read lock so it cannot interpose
-		// between a cross-shard attempt's sub-commits.
-		if !t.e.txCap {
-			return t.handle(s), noRelease
+		return t.handle(s)
+	}
+	if t.linked {
+		if !slices.Contains(t.fp, s) {
+			panic(growRestart{s})
 		}
-		sl := t.e.shards[s]
-		sl.mu.RLock()
-		return t.handle(s), sl.mu.RUnlock
+		return t.base[s]
 	}
-	if t.cross {
-		if !slices.Contains(t.want, s) {
-			panic(growRestart{want: t.growTo(s)})
+	if t.cur != s {
+		if t.cur != -1 {
+			panic(growRestart{s})
 		}
-		t.used = insertShard(t.used, s)
-		return t.handle(s), noRelease
+		t.handle(s)
+		t.cur = s
+		t.ses[s].TxBegin()
 	}
-	if t.cur == s {
-		return t.handle(s), noRelease
-	}
-	if t.cur != -1 {
-		panic(growRestart{want: t.growTo(s)})
-	}
-	t.e.shards[s].mu.RLock()
-	t.cur = s
-	t.used = append(t.used[:0], s)
-	t.manual(s).beginManual()
-	t.begun = append(t.begun, s)
-	return t.handle(s), noRelease
+	return t.base[s]
 }
 
-// growTo builds the next attempt's shard set when the current attempt
-// touched shard s outside its footprint. Discovery attempts grow their
-// locked set by s; mispredicted attempts fall back to the shards they
-// actually used plus s, dropping the stale prediction so a bad hint or a
-// shifted cache entry cannot drag unneeded shards through the retry. The
-// set lives in a pooled slice owned by the Run loop (see footprintPool).
-func (t *shardedTx) growTo(s int) []int {
-	var src []int
-	switch {
-	case !t.cross:
-		t.one[0] = t.cur
-		src = t.one[:1]
-	case t.predicted:
-		src = t.used
-	default:
-		src = t.want
+// beginLinked opens a multi-shard attempt: key latches first when the Run
+// declared a latchable key set (ascending, FIFO — see latch.go), then one
+// sub-transaction per shard, linked into one shared-fate group before any
+// of them can install a write.
+func (t *shardedTx) beginLinked() {
+	if t.latchKeys != nil {
+		if w := t.e.latch.acquireAll(t.latchKeys, &t.lw); w > 0 {
+			t.e.ct.latchWaits.Add(uint64(w))
+		}
+		t.latchHeld = true
+	} else {
+		t.e.ct.latchFallbacks.Add(1)
 	}
-	np := getFootprint()
-	out := append((*np)[:0], src...)
-	*np = insertShard(out, s)
-	// The previous pooled set (if any) still backs t.want, which the
-	// in-flight attempt's rollback/unlock will walk while unwinding; Run
-	// recycles it only after adopting this one.
-	t.grownNext = np
-	return *np
+	t.group = t.group[:0]
+	for _, s := range t.fp {
+		t.handle(s)
+		t.ses[s].TxBegin()
+		t.group = append(t.group, t.ses[s])
+	}
+	core.LinkTxs(t.group)
 }
 
-// unlock releases whatever locks the current attempt holds — key latches
-// first, then the shard locks (read side for latched attempts, write side
-// otherwise). Idempotent.
-func (t *shardedTx) unlock() {
-	if t.cross {
-		if t.latchHeld {
-			t.e.latch.releaseAll(t.latchKeys)
-			t.latchHeld = false
-		}
-		if t.locksHeld {
-			if t.latched {
-				for _, s := range t.want {
-					t.e.shards[s].mu.RUnlock()
-				}
-			} else {
-				for _, s := range t.want {
-					t.e.shards[s].mu.Unlock()
-				}
-			}
-			t.locksHeld = false
-		}
-		return
-	}
-	if t.cur != -1 {
-		t.e.shards[t.cur].mu.RUnlock()
-		t.cur = -1
+func (t *shardedTx) unlatch() {
+	if t.latchHeld {
+		t.e.latch.releaseAll(t.latchKeys)
+		t.latchHeld = false
 	}
 }
 
 // rollback aborts every open sub-transaction and releases the attempt's
-// locks. Idempotent.
+// latches. Idempotent.
 func (t *shardedTx) rollback() {
-	for _, s := range t.begun {
-		t.man[s].abortManual()
+	if !t.linked {
+		if t.cur != -1 {
+			abortOpen(t.ses[t.cur])
+		}
+		return
 	}
-	t.begun = t.begun[:0]
-	t.unlock()
+	for _, s := range t.group {
+		abortOpen(s)
+	}
+	t.unlatch()
 }
 
-// commit finalizes a clean attempt: every open sub-transaction is committed
-// — in ascending shard order for cross-shard attempts — and the locks are
-// released. Returns nil on commit, core.ErrTxAborted on conflict.
+func abortOpen(s *core.Session) {
+	if s.InTx() {
+		s.TxAbort()
+	}
+}
+
+// commitLinked is the one multi-shard commit. The per-shard sub-transactions
+// were linked into one core.TxGroup at begin time, so the commit is a single
+// atomic verdict — core.CommitLinked validates every member and flips one
+// status word — and a torn commit is impossible by construction, even though
+// concurrent traffic may invalidate the attempt's reads up to the very last
+// moment (that aborts the whole group, which retries).
 //
-// On persistent bases the cross-shard sequence runs under the shared epoch
-// clock's commit guard: epoch advancement is blocked for the duration, and
-// a pre-check verifies every shard's sub-transaction is pinned to the
-// (now immovable) current epoch. Together these guarantee the transaction
-// lands in one epoch cut on every shard — the property multi-device
-// recovery relies on — and restore the invariant the tear panic below
-// encodes: once the first sub-commit succeeds, none of the remaining
-// validators (MCNS reads under exclusive locks, epochs under the guard)
-// can fail.
-func (t *shardedTx) commit() error {
-	if !t.cross {
-		// Single-shard fast path: no cross-shard machinery at all — no
-		// epoch-clock commit guard, no pinned-epoch pre-check, no ordered
-		// sequence. The shard's own base engine validates the commit (its
-		// epoch validator included, on persistent bases), and the read lock
-		// is dropped straight after. A panic inside commitManual unwinds
-		// through attempt's recover, whose rollback releases the lock.
-		if t.cur == -1 {
-			return nil // the transaction touched nothing
-		}
-		s := t.cur
-		t.begun = t.begun[:0]
-		var ts uint64
-		if len(t.snap.pending) > 0 {
-			ts = t.snap.tier.beginCommit(t.snap.slot)
-		}
-		err := t.man[s].commitManual()
-		t.e.shards[s].mu.RUnlock()
-		t.cur = -1
-		if ts != 0 {
-			if err == nil {
-				t.snap.publishAll(ts)
-			} else {
-				t.snap.reset()
-			}
-			t.snap.tier.endCommit(t.snap.slot)
-		}
-		return err
-	}
-	if t.latched {
-		return t.commitLatched()
-	}
-	defer t.unlock()
-	if t.e.clock != nil && len(t.begun) > 0 {
+// On persistent bases the verdict runs under the shared epoch clock's
+// commit guard: epoch advancement is blocked for the duration, and the
+// pre-check aborts cleanly if the epoch moved between this attempt's
+// sub-begins — committing sub-transactions that straddle two cuts would
+// persist one transaction across two recovery cuts. Together these
+// guarantee the transaction lands in one epoch cut on every shard, the
+// property multi-device recovery relies on.
+//
+// The group stamps ONE version: the timestamp is drawn before
+// CommitLinked's single InPrep→InProg transition and published for every
+// member's writes together iff the verdict is commit.
+func (t *shardedTx) commitLinked() error {
+	defer t.unlatch()
+	if t.e.clock != nil {
 		cur, release := t.e.clock.GuardCommit()
 		defer release()
-		// Batched pre-check: one pass over the handle-cached epoch seams —
-		// no per-shard interface assertions on the commit path.
-		for _, s := range t.begun {
-			ep := t.pin[s]
-			if ep != nil && ep.pinnedEpoch() != cur {
-				// The epoch advanced between this attempt's sub-begins, so
-				// the sub-transactions straddle two cuts. Committing them
-				// would either tear mid-sequence (a later shard's epoch
-				// validator fails after an earlier shard committed) or —
-				// worse — persist one transaction across two recovery
-				// cuts. Abort the whole attempt cleanly and retry.
+		for _, s := range t.group {
+			if montage.PinnedEpoch(s) != cur {
 				t.rollback()
 				return core.ErrTxAborted
 			}
 		}
 	}
-	// One timestamp for the whole shard set: drawn after the epoch
-	// pre-check, before the first sub-transaction's InPrep→InProg
-	// transition, published only once every sub-commit has succeeded.
-	var ts uint64
-	if len(t.snap.pending) > 0 {
-		ts = t.snap.tier.beginCommit(t.snap.slot)
-		defer t.snap.tier.endCommit(t.snap.slot)
-	}
-	for i, s := range t.begun {
-		if err := t.man[s].commitManual(); err != nil {
-			if i > 0 {
-				// Earlier shards already committed. With every involved
-				// shard exclusively locked (and the epoch guarded above) no
-				// validation can fail, so a torn cross-shard commit is a
-				// protocol bug, not a runtime condition — fail loudly
-				// rather than lose atomicity.
-				panic(fmt.Sprintf("txengine: %s cross-shard commit tore at shard %d: %v", t.e.name, s, err))
-			}
-			for _, r := range t.begun[i+1:] {
-				t.man[r].abortManual()
-			}
-			t.begun = t.begun[:0]
-			t.snap.reset()
-			return err
-		}
-	}
-	t.begun = t.begun[:0]
-	if ts != 0 {
-		t.snap.publishAll(ts)
-	}
-	return nil
+	return t.snap.commit(func() error { return core.CommitLinked(t.group) })
 }
 
-// commitLatched finalizes a latched cross-shard attempt. The per-shard
-// sub-transactions were linked into one shared-fate core.TxGroup at begin
-// time, so the commit is a single atomic verdict — core.CommitLinked
-// validates every member and flips one status word — and a torn commit is
-// impossible by construction, even though the attempt holds no shard
-// exclusively and concurrent traffic may invalidate its reads up to the
-// very last moment (that just aborts the whole group, which retries).
-//
-// The epoch discipline matches the exclusive path: the shared clock's
-// commit guard blocks advancement across the verdict, and the pinned-epoch
-// pre-check aborts cleanly if the sub-transactions already straddle two
-// cuts — so a latched commit, too, lands in one epoch cut on every shard.
-func (t *shardedTx) commitLatched() error {
-	defer t.unlock()
-	if t.e.clock != nil && len(t.begun) > 0 {
-		cur, release := t.e.clock.GuardCommit()
-		defer release()
-		for _, s := range t.begun {
-			ep := t.pin[s]
-			if ep != nil && ep.pinnedEpoch() != cur {
-				t.rollback()
-				return core.ErrTxAborted
-			}
-		}
-	}
-	t.begun = t.begun[:0]
-	// The shared-fate group stamps ONE version: the timestamp is drawn
-	// before CommitLinked's single InPrep→InProg transition and published
-	// for every member's writes together iff the group's one verdict is
-	// commit.
-	var ts uint64
-	if len(t.snap.pending) > 0 {
-		ts = t.snap.tier.beginCommit(t.snap.slot)
-	}
-	err := core.CommitLinked(t.sesBuf)
-	if ts != 0 {
-		if err == nil {
-			t.snap.publishAll(ts)
-		} else {
-			t.snap.reset()
-		}
-		t.snap.tier.endCommit(t.snap.slot)
-	}
-	return err
-}
-
-// attempt executes fn once. A non-nil grew return means the attempt's shard
-// footprint exceeded its lock set: retry with that set. err is nil on
-// commit, core.ErrTxAborted on conflict, and fn's own error otherwise.
-func (t *shardedTx) attempt(fn func() error, want []int) (err error, grew []int) {
+// attempt executes fn once, linked over t.fp or single-shard. grew reports
+// that the attempt touched a shard outside its set and t.fp now holds the
+// union to retry with (linked). err is nil on commit, core.ErrTxAborted on
+// conflict, and fn's own error otherwise.
+func (t *shardedTx) attempt(fn func() error, linked bool) (err error, grew bool) {
 	t.inRun = true
 	t.aborted = false
 	t.cur = -1
 	t.snap.reset()
-	t.begun = t.begun[:0]
-	t.used = t.used[:0]
-	t.usedKeys = t.usedKeys[:0]
-	t.keyOverflow = false
-	t.cross = want != nil
-	t.want = want
-	t.latched = false
-	if t.cross {
-		if t.latchKeys != nil {
-			// Latched: shard read locks first (ascending), key latches
-			// second (ascending). The order matters for deadlock freedom —
-			// a latch holder must never block behind a shard writer, and
-			// read-lock waiters (stalled by a pending discovery writer) must
-			// hold no latches. Holding the read side keeps the discovery
-			// path's exclusivity assumption intact.
-			t.latched = true
-			for _, s := range want {
-				t.e.shards[s].mu.RLock()
-			}
-			t.locksHeld = true
-			if w := t.e.latch.acquireAll(t.latchKeys, &t.lw); w > 0 {
-				t.e.ct.latchWaits.Add(uint64(w))
-			}
-			t.latchHeld = true
-			t.sesBuf = t.sesBuf[:0]
-			for _, s := range want {
-				t.manual(s).beginManual()
-				t.begun = append(t.begun, s)
-				t.sesBuf = append(t.sesBuf, t.ses[s])
-			}
-			core.LinkTxs(t.sesBuf)
-		} else {
-			if t.e.latch != nil {
-				t.e.ct.latchFallbacks.Add(1)
-			}
-			for _, s := range want { // ascending: deadlock-free
-				t.e.shards[s].mu.Lock()
-			}
-			t.locksHeld = true
-			for _, s := range want {
-				t.manual(s).beginManual()
-				t.begun = append(t.begun, s)
-			}
-		}
+	t.linked = linked
+	if linked {
+		t.beginLinked()
 	}
 	defer func() {
 		t.inRun = false
@@ -993,7 +682,12 @@ func (t *shardedTx) attempt(fn func() error, want []int) (err error, grew []int)
 			if !ok {
 				panic(r)
 			}
-			err, grew = nil, g.want
+			// The attempt has fully unwound, so its set can grow in place.
+			if !linked {
+				t.fp = append(t.fp[:0], t.cur)
+			}
+			t.fp = insertShard(t.fp, g.shard)
+			err, grew = nil, true
 		}
 	}()
 	ferr := fn()
@@ -1001,91 +695,65 @@ func (t *shardedTx) attempt(fn func() error, want []int) (err error, grew []int)
 		// Abort already rolled back. If fn swallowed the abort error,
 		// treat the attempt as a conflict (mirrors core.Session.Run).
 		if ferr == nil {
-			return core.ErrTxAborted, nil
+			return core.ErrTxAborted, false
 		}
-		return ferr, nil
+		return ferr, false
 	}
 	if ferr != nil {
 		t.rollback()
-		return ferr, nil
+		return ferr, false
 	}
-	return t.commit(), nil
+	if linked {
+		return t.commitLinked(), false
+	}
+	if t.cur == -1 {
+		return nil, false // the transaction touched nothing
+	}
+	// Single-shard fast path: a plain commit of the shard's own engine (its
+	// epoch validator included, on persistent bases) — no group, no guard.
+	return t.snap.commit(t.ses[t.cur].TxEnd), false
 }
 
-// Run implements Tx. The first attempt's shard set comes, in priority
-// order, from a pending HintKeys pre-declaration, from the worker's
-// footprint cache when the transaction site has a confident history, or —
-// the discovery path — from optimistic single-shard execution that restarts
-// into the ordered-acquire cross-shard path as the footprint reveals
-// itself. Pre-declared footprints that hold count as FootprintHits and skip
-// discovery entirely; mispredictions count as FootprintMisses, invalidate
-// the cache entry, and fall back to discovery seeded with the shards the
-// attempt actually touched. Conflict aborts retry under the shared backoff.
-// Footprint-discovery restarts are not conflicts (nobody aborted anybody),
-// so they count as CrossShardRestarts rather than inflating Aborts/Retries.
+// Run implements Tx. A pending HintKeys/HintQueues declaration that spans
+// several shards makes the first attempt linked over exactly those shards
+// (latched, when it names at most latchMaxKeys keys); otherwise the Run
+// starts single-shard and discovers its footprint by restart. A declaration
+// that holds counts one FootprintHit; one that an operation escapes counts
+// one FootprintMiss, drops its latches, and continues as discovery from the
+// declared set. Conflict aborts retry under the shared backoff. Footprint
+// restarts are not conflicts (nobody aborted anybody), so they count as
+// CrossShardRestarts rather than inflating Aborts/Retries.
 func (t *shardedTx) Run(fn func() error) error {
 	if !t.e.txCap {
 		panic("txengine: " + t.e.name + " supports no transactions")
 	}
-	var site uintptr
-	var want []int
-	var latchKeys []uint64
-	hinted := t.hintPending
-	if hinted {
-		// A hint is authoritative: the workload declared its keys, so the
-		// cache is neither consulted nor updated (and the site lookup is
-		// skipped altogether on this hot path).
-		t.hintPending = false
-		want, t.hint = t.hint, nil
-		if want != nil && t.e.latch != nil && !t.hintOverflow && len(t.hintKeys) > 0 {
-			latchKeys = t.hintKeys
-		}
-	} else {
-		if site = t.readSite; site == 0 {
-			site = runSite(fn)
-		}
-		want, latchKeys = t.fp.predict(site)
-		if t.e.latch == nil {
-			latchKeys = nil
-		}
+	linked := t.hintPending && len(t.fp) > 1
+	t.hintPending = false
+	t.latchKeys = nil
+	if linked && !t.hintOverflow {
+		t.latchKeys = t.hintKeys
 	}
-	if len(latchKeys) == 0 || (latchKeys != nil && !t.groupable(want)) {
-		latchKeys = nil // nothing to latch, or base can't shared-fate commit
-	}
-	t.latchKeys = latchKeys
-	t.trackKeys = t.e.latch != nil && !hinted
-	predicted := want != nil
+	declared := linked
 	execs := 0
 	for attempt := 0; ; attempt++ {
-		t.predicted = predicted
-		err, grew := t.attempt(fn, want)
-		if grew != nil {
-			// The failed attempt has fully unwound; its shard set (possibly
-			// a pooled slice from an earlier growth) is dead now, and the
-			// staged replacement becomes the next attempt's set.
-			if t.grown != nil {
-				putFootprint(t.grown)
-			}
-			t.grown, t.grownNext = t.grownNext, nil
+		err, grew := t.attempt(fn, linked)
+		if grew {
 			t.e.ct.crossRestarts.Add(1)
-			if predicted {
+			if declared {
+				// The declared key set is as stale as the shard set it rode
+				// on: the retry runs without latches.
 				t.e.ct.fpMisses.Add(1)
-				if !hinted {
-					t.fp.miss(site)
-				}
-				predicted = false
+				t.latchKeys = nil
+				declared = false
 			}
-			// A mispredicted key set is as stale as the shard set it rode
-			// on: the retry discovers under whole-shard locks.
-			t.latchKeys = nil
-			want = grew
+			linked = true
 			continue // footprint restart: no backoff, nobody conflicted
 		}
-		if predicted {
-			// The pre-declared footprint covered every operation of the
-			// attempt; count the hit once per Run, whatever the outcome.
+		if declared {
+			// The declaration covered every operation of the attempt; count
+			// the hit once per Run, whatever the outcome.
 			t.e.ct.fpHits.Add(1)
-			predicted = false
+			declared = false
 		}
 		execs++
 		if err == nil {
@@ -1094,7 +762,6 @@ func (t *shardedTx) Run(fn func() error) error {
 			if execs > 1 {
 				t.e.ct.retries.Add(uint64(execs - 1))
 			}
-			t.finishRun(site, hinted)
 			return nil
 		}
 		if errors.Is(err, core.ErrTxAborted) {
@@ -1105,35 +772,12 @@ func (t *shardedTx) Run(fn func() error) error {
 		if execs > 1 {
 			t.e.ct.retries.Add(uint64(execs - 1))
 		}
-		t.finishRun(site, hinted)
 		return err
 	}
 }
 
-// finishRun closes a Run: on unhinted Runs the cache learns the footprint
-// the final attempt actually used — shard set and key set both, so stable
-// sites converge toward (latched) prediction and shifted ones re-converge —
-// and the discovery path's pooled shard set is recycled.
-func (t *shardedTx) finishRun(site uintptr, hinted bool) {
-	if !hinted {
-		t.fp.learn(site, t.used, t.usedKeys, t.keyOverflow)
-	}
-	t.trackKeys = false
-	t.latchKeys = nil
-	if t.grown != nil {
-		putFootprint(t.grown)
-		t.grown = nil
-	}
-}
-
-// RunRead delegates to Run through an adapter closure; the caller's own
-// closure identifies the transaction site, or every read-only transaction
-// of the worker would share the adapter's code pointer and conflate its
-// footprint history.
 func (t *shardedTx) RunRead(fn func()) {
-	t.readSite = reflect.ValueOf(fn).Pointer()
 	_ = t.Run(func() error { fn(); return nil })
-	t.readSite = 0
 }
 
 func (t *shardedTx) NoTx(fn func()) {
@@ -1164,9 +808,9 @@ type shardedMap[V any] struct {
 func newShardedMap[V any](e *shardedEngine, spec MapSpec, mk func(Engine, MapSpec) (Map[V], error)) (Map[V], error) {
 	sub := e.subSpec(spec)
 	m := &shardedMap[V]{e: e, sub: make([]Map[V], len(e.shards))}
-	for i, sl := range e.shards {
+	for i, sh := range e.shards {
 		var err error
-		if m.sub[i], err = mk(sl.eng, sub); err != nil {
+		if m.sub[i], err = mk(sh, sub); err != nil {
 			return nil, err
 		}
 	}
@@ -1176,45 +820,31 @@ func newShardedMap[V any](e *shardedEngine, spec MapSpec, mk func(Engine, MapSpe
 func (m *shardedMap[V]) Get(tx Tx, k uint64) (V, bool) {
 	t := tx.(*shardedTx)
 	s := t.routeOf(k)
-	bt, release := t.enter(s)
-	v, ok := m.sub[s].Get(bt, k)
-	release()
-	return v, ok
+	return m.sub[s].Get(t.enter(s), k)
 }
 
 func (m *shardedMap[V]) Put(tx Tx, k uint64, v V) (V, bool) {
 	t := tx.(*shardedTx)
 	s := t.routeOf(k)
-	bt, release := t.enter(s)
-	prev, had := m.sub[s].Put(bt, k, v)
-	release()
-	return prev, had
+	return m.sub[s].Put(t.enter(s), k, v)
 }
 
 func (m *shardedMap[V]) Insert(tx Tx, k uint64, v V) bool {
 	t := tx.(*shardedTx)
 	s := t.routeOf(k)
-	bt, release := t.enter(s)
-	ok := m.sub[s].Insert(bt, k, v)
-	release()
-	return ok
+	return m.sub[s].Insert(t.enter(s), k, v)
 }
 
 func (m *shardedMap[V]) Remove(tx Tx, k uint64) (V, bool) {
 	t := tx.(*shardedTx)
 	s := t.routeOf(k)
-	bt, release := t.enter(s)
-	v, ok := m.sub[s].Remove(bt, k)
-	release()
-	return v, ok
+	return m.sub[s].Remove(t.enter(s), k)
 }
 
 // shardedQueue is a base queue resident on its home shard, reached through
 // the same enter machinery so queue+map transactions stay atomic. lkey is
-// the queue's synthetic latch key: declared via HintQueues it lets latched
-// transactions serialize same-queue traffic without locking the home shard,
-// and learning Runs record it so the footprint cache can predict queue
-// footprints too.
+// the queue's synthetic latch key: declared via HintQueues it serializes
+// latched same-queue traffic through one FIFO latch.
 type shardedQueue struct {
 	e    *shardedEngine
 	home int
@@ -1227,12 +857,7 @@ func (q *shardedQueue) Enqueue(tx Tx, v uint64) {
 	if t.snap.rt != 0 {
 		panic("txengine: queue operation inside SnapshotRead (queues are unversioned)")
 	}
-	if t.trackKeys && t.inRun {
-		t.noteKey(q.lkey)
-	}
-	bt, release := t.enter(q.home)
-	q.q.Enqueue(bt, v)
-	release()
+	q.q.Enqueue(t.enter(q.home), v)
 }
 
 func (q *shardedQueue) Dequeue(tx Tx) (uint64, bool) {
@@ -1240,11 +865,5 @@ func (q *shardedQueue) Dequeue(tx Tx) (uint64, bool) {
 	if t.snap.rt != 0 {
 		panic("txengine: queue operation inside SnapshotRead (queues are unversioned)")
 	}
-	if t.trackKeys && t.inRun {
-		t.noteKey(q.lkey)
-	}
-	bt, release := t.enter(q.home)
-	v, ok := q.q.Dequeue(bt)
-	release()
-	return v, ok
+	return q.q.Dequeue(t.enter(q.home))
 }

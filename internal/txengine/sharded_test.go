@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestShardedRegistryAndKnob pins the sharded registry entries and the
@@ -227,6 +228,79 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 				t.Fatalf("final sum %d != %d: a cross-shard transfer tore", sum, want)
 			}
 		})
+	}
+}
+
+// TestShardedCrossShardNotBlockedByOpenRun pins that the runtime holds no
+// lock on a shard: while one worker sits inside an open single-shard Run on
+// shard A, another worker's un-hinted transfer over A and B on disjoint keys
+// must discover its footprint and commit without waiting for the first
+// worker to leave.
+func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
+	eng, err := Build("medley-sharded", Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	se := eng.(*shardedEngine)
+	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := keyOnShard(t, se, 0, 0)
+	from := keyOnShard(t, se, 0, held+1)
+	to := keyOnShard(t, se, 1, 0)
+	init := eng.NewWorker(0)
+	m.Put(init, from, 100)
+	m.Put(init, to, 100)
+
+	inside, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sitter := make(chan error, 1)
+	go func() {
+		tx := eng.NewWorker(1)
+		sitter <- tx.Run(func() error {
+			m.Put(tx, held, 1) // opens the sub-transaction on shard A
+			once.Do(func() { close(inside) })
+			<-release
+			return nil
+		})
+	}()
+	<-inside
+
+	base := eng.Stats()
+	mover := make(chan error, 1)
+	go func() {
+		tx := eng.NewWorker(2)
+		mover <- tx.Run(func() error {
+			f, _ := m.Get(tx, from)
+			m.Put(tx, from, f-1)
+			v, _ := m.Get(tx, to)
+			m.Put(tx, to, v+1)
+			return nil
+		})
+	}()
+	select {
+	case err := <-mover:
+		if err != nil {
+			t.Errorf("transfer: %v", err)
+		}
+		if d := eng.Stats().Delta(base); d.CrossShardRestarts != 1 || d.Commits != 1 {
+			t.Errorf("un-hinted transfer beside an open Run: %+v, want one discovery restart and one commit", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("cross-shard transfer parked behind an open single-shard Run on one of its shards")
+	}
+	close(release)
+	if err := <-sitter; err != nil {
+		t.Errorf("open Run: %v", err)
+	}
+	audit := eng.NewWorker(3)
+	f, _ := m.Get(audit, from)
+	v, _ := m.Get(audit, to)
+	h, _ := m.Get(audit, held)
+	if f != 99 || v != 101 || h != 1 {
+		t.Errorf("from=%d to=%d held=%d, want 99 101 1", f, v, h)
 	}
 }
 

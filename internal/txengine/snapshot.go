@@ -446,6 +446,26 @@ func (a *snapAgent) publishAll(ts uint64) {
 	a.lastTS = ts
 }
 
+// commit runs end — the transaction's one commit verdict — inside a commit
+// window of the tier. The timestamp is drawn after fn installed every node
+// and before end's InPrep→InProg transition, which is what keeps timestamp
+// order consistent with conflict order; on success the buffered writes
+// publish under it. Read-only transactions buffer nothing and skip the draw.
+func (a *snapAgent) commit(end func() error) error {
+	if len(a.pending) == 0 {
+		return end()
+	}
+	ts := a.tier.beginCommit(a.slot)
+	err := end()
+	if err == nil {
+		a.publishAll(ts)
+	} else {
+		a.reset()
+	}
+	a.tier.endCommit(a.slot)
+	return err
+}
+
 // snapTxn is the internal seam a Tx handle implements to route snapMap
 // operations: the agent, plus whether writes are currently buffered by an
 // open transaction (vs standalone).

@@ -23,25 +23,25 @@ import (
 //     nobody aborted anybody — so they are counted separately from Aborts
 //     and Retries; a high rate means the workload is cross-shard-heavy and
 //     paying the discovery cost. Zero on non-sharded engines.
-//   - FootprintHits: Runs whose pre-declared shard set (a HintKeys hint or
-//     a confident footprint-cache entry — see footprint.go) covered every
-//     operation, so the cross-shard locks were acquired up front and no
-//     discovery restart was paid. At most one per Run.
-//   - FootprintMisses: Runs whose pre-declared shard set proved wrong (an
-//     operation escaped it); the Run fell back to the discovery path and
-//     the stale cache entry was invalidated. At most one per Run. Hits and
-//     misses count only pre-declared Runs: plain discovery moves neither.
+//   - FootprintHits: Runs whose HintKeys/HintQueues declaration spanned
+//     several shards and covered every operation, so the Run opened its
+//     whole shard set up front and paid no discovery restart. At most one
+//     per Run.
+//   - FootprintMisses: Runs whose multi-shard declaration proved wrong (an
+//     operation escaped it); the Run restarted as discovery from the
+//     declared set. At most one per Run. Hits and misses count declared
+//     Runs only: undeclared Runs, and declarations that route to a single
+//     shard, move neither.
 //   - LatchWaits: key latches a latched cross-shard attempt had to queue
 //     for because another latched transaction held them (see latch.go). A
 //     high rate relative to Commits means declared footprints overlap on
 //     hot keys — traffic is pipelining through the latch FIFO rather than
 //     aborting, which is the latch layer doing its job.
-//   - LatchFallbacks: cross-shard attempts that took whole-shard exclusive
-//     locks even though key latching was enabled — discovery mode (no
-//     declared keys), mispredictions retrying, oversized key sets (>
-//     latchMaxKeys), or a base engine without shared-fate commit support.
-//     Zero when latching is disabled (Config.NoLatch) or the engine is
-//     unsharded.
+//   - LatchFallbacks: cross-shard attempts that ran linked without latches
+//     — no declared keys (discovery), an oversized declaration (>
+//     latchMaxKeys keys), or a mispredicted hint retrying. Conflicts among
+//     them are resolved optimistically (abort, back off, retry) instead of
+//     by queueing. Zero on unsharded engines.
 //   - SnapshotReads: SnapshotRead transactions served from the MVCC version
 //     tier (see snapshot.go). Each also counts as a Commit — a snapshot is
 //     a committed read-only transaction — and by construction contributes

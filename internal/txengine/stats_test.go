@@ -147,3 +147,60 @@ func TestStatsUnderConflict(t *testing.T) {
 		}
 	})
 }
+
+// TestShardedFootprintStats pins the sharded counters' contract on an idle
+// engine, where every count is exact. FootprintHits/Misses move only on
+// Runs that declared a multi-shard footprint; LatchFallbacks counts every
+// cross-shard attempt that ran linked without latches — no declared keys,
+// an oversized declaration, or a mispredicted hint retrying.
+func TestShardedFootprintStats(t *testing.T) {
+	eng, err := Build("medley-sharded", Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	se := eng.(*shardedEngine)
+	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distinctShardKeys(t, se, 4, 0)
+	same := keyOnShard(t, se, 0, keys[0]+1) // shares keys[0]'s shard
+	tx := eng.NewWorker(0)
+	touch := func(ks ...uint64) {
+		t.Helper()
+		if err := tx.Run(func() error {
+			for _, k := range ks {
+				v, _ := m.Get(tx, k)
+				m.Put(tx, k, v+1)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		hint  []uint64
+		touch []uint64
+		want  Stats
+	}{
+		{"single-shard, undeclared", nil, []uint64{keys[0], same}, Stats{Commits: 1}},
+		{"single-shard hint", []uint64{keys[0], same}, []uint64{keys[0], same}, Stats{Commits: 1}},
+		{"hint holds", keys[:2], keys[:2], Stats{Commits: 1, FootprintHits: 1}},
+		{"discovery", nil, keys[:2], Stats{Commits: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
+		{"discovery, three shards", nil, keys[:3], Stats{Commits: 1, CrossShardRestarts: 2, LatchFallbacks: 2}},
+		{"oversized hint", append(oversizedHint(), keys[:2]...), keys[:2], Stats{Commits: 1, FootprintHits: 1, LatchFallbacks: 1}},
+		{"hint escaped", keys[:2], []uint64{keys[0], keys[2]}, Stats{Commits: 1, FootprintMisses: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
+		{"single-shard hint escaped", []uint64{keys[0]}, keys[:2], Stats{Commits: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
+	} {
+		base := eng.Stats()
+		if c.hint != nil {
+			HintKeys(tx, c.hint...)
+		}
+		touch(c.touch...)
+		if d := eng.Stats().Delta(base); d != c.want {
+			t.Errorf("%s: %+v, want %+v", c.name, d, c.want)
+		}
+	}
+}

@@ -147,18 +147,11 @@ type Config struct {
 	// (0: DefaultShards). Non-sharded engines ignore it. Validated centrally
 	// by every registry construction path — see Validate.
 	Shards int
-	// NoLatch disables key-granular latching on sharded engines: every
-	// cross-shard transaction takes whole-shard exclusive locks, as it did
-	// before the latch manager existed. An A/B escape hatch for measurement
-	// (-nolatch in the CLIs) and a kill switch should latching ever
-	// misbehave; non-sharded engines ignore it.
-	NoLatch bool
 	// snapOff disables the MVCC snapshot tier on engines that would
 	// otherwise carry one. Set internally by the sharded decorator for its
 	// sub-engines: the decorator owns the single tier-wide clock and wraps
 	// only its top-level maps, so a cross-shard transaction stamps exactly
-	// one version for the whole shard set (and PR 6 shared-fate groups
-	// stamp one version for the whole group).
+	// one version for the whole shared-fate group.
 	snapOff bool
 }
 

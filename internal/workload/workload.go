@@ -49,16 +49,11 @@ type Config struct {
 	// Shards is the partition count for sharded engines (0: engine
 	// default); non-sharded engines ignore it.
 	Shards int
-	// NoLatch disables key-granular cross-shard latching on sharded
-	// engines: cross-shard transactions take whole-shard exclusive locks
-	// as they did before the latch manager. The A/B control for latch
-	// measurements; non-sharded engines ignore it.
-	NoLatch bool
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate
 	// traffic on fewer hot keys. The cache scenario always skews (0: 1.2);
 	// the transfer scenario draws accounts uniformly unless ZipfS is set,
-	// making it the contention knob for latch A/B measurements.
+	// making it the contention knob for latch measurements.
 	ZipfS float64
 	// ReadPct is the cache scenario's lookup percentage, 0–100 (0: 90;
 	// negative: an all-update mix). The remainder are invalidating updates.
@@ -301,7 +296,7 @@ func Run(scenario, engine string, cfg Config) (Result, error) {
 	if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
 		return Result{}, fmt.Errorf("workload: engine %q cannot serve snapshot reads (needs CapSnapshot): %w", engine, txengine.ErrUnsupported)
 	}
-	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards, NoLatch: cfg.NoLatch})
+	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards})
 	if err != nil {
 		return Result{}, err
 	}

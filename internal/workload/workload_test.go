@@ -114,27 +114,27 @@ func TestKnobs(t *testing.T) {
 }
 
 // TestTransferConservation audits money conservation on the sharded engine
-// across the latch matrix: shard counts 2 and 8, latching on and off, with
-// Zipf-skewed draws so cross-shard transfers pile onto a few hot accounts.
-// Latched commits go through the linked-group path (key latches + shared
-// commit CAS) rather than whole-shard exclusion, so any atomicity hole
-// there shows up as an imbalance here.
+// across the latch matrix: shard counts 2 and 8, hinted (latched) and
+// un-hinted (discovery, unlatched), with Zipf-skewed draws so cross-shard
+// transfers pile onto a few hot accounts. Both commit through the
+// linked-group path (shared commit CAS), so any atomicity hole there shows
+// up as an imbalance here.
 func TestTransferConservation(t *testing.T) {
 	for _, shards := range []int{2, 8} {
-		for _, noLatch := range []bool{false, true} {
+		for _, noHints := range []bool{false, true} {
 			name := "shards=2"
 			if shards == 8 {
 				name = "shards=8"
 			}
-			if noLatch {
-				name += "/nolatch"
+			if noHints {
+				name += "/nohints"
 			} else {
 				name += "/latch"
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := smokeConfig()
 				cfg.Shards = shards
-				cfg.NoLatch = noLatch
+				cfg.NoHints = noHints
 				cfg.Accounts = 64 // small: most transfers cross shards
 				cfg.ZipfS = 1.4   // skewed: hot accounts collide constantly
 				res, err := Run("transfer", "medley-sharded", cfg)
@@ -147,8 +147,8 @@ func TestTransferConservation(t *testing.T) {
 				if res.AuxN("transfers") == 0 {
 					t.Errorf("no transfers completed: %s", res.AuxString())
 				}
-				if noLatch && res.Stats.LatchWaits != 0 {
-					t.Errorf("NoLatch run still waited on latches: %+v", res.Stats)
+				if noHints && res.Stats.LatchWaits != 0 {
+					t.Errorf("un-hinted run still waited on latches: %+v", res.Stats)
 				}
 			})
 		}
