@@ -43,14 +43,29 @@ type readRec struct {
 	tag unsafe.Pointer
 }
 
-// Desc is an MCNS transaction descriptor. A fresh descriptor is allocated
-// for every transaction (the garbage collector supplies the ABA protection
-// that the paper's serial numbers provide); the readSet, writeSet and
-// validators slices are mutated only by the owning session and only while
-// the status is InPrep, which makes concurrent helper access race-free (see
-// package comment).
+// Desc is an MCNS transaction descriptor: the header that installed cells
+// point at. It holds no set storage of its own. While the status is InPrep,
+// readSet and writeSet alias scratch slices owned by the session
+// (Session.rs/ws) and only the owner touches them; a helper that finds an
+// InPrep descriptor aborts it and uninstalls the one cell it tripped over,
+// without reading either set. A descriptor that other goroutines can reach —
+// one that installed a cell or joined a TxGroup — is frozen by its owner
+// before the InPrep→InProg CAS: both slices are replaced by exact-size
+// private copies, and from then on nobody writes them. Helpers read the sets
+// only after loading InProg or Committed from the status word, so that CAS
+// orders the copies before every helper read, and a straggler still holding
+// one of this transaction's cells sees this transaction's frozen sets however
+// many later transactions have refilled the scratch (see doc.go).
+//
+// A descriptor that finished without ever being reachable (no install, no
+// group) is handed back to its session and reused by the next TxBegin; one
+// that was reachable is never reused — the garbage collector supplies the ABA
+// protection that the paper's per-thread serial numbers provide.
 type Desc struct {
 	status atomic.Uint32
+	// frozen records that the sets are private copies and the scratch has
+	// already gone back to the session. Owner-only.
+	frozen bool
 	// group, when non-nil, links this descriptor into a shared-fate
 	// TxGroup: status lives in the group's word and finalization spans
 	// every member (see group.go). Set once, before the first install.
@@ -59,22 +74,9 @@ type Desc struct {
 	readSet    []readRec
 	writeSet   []Obj
 	validators []func() bool
-
-	// Inline first storage for the sets: typical transactions (1–10
-	// operations, at most one layered validator) fit without further
-	// allocation; appends spill to the heap transparently.
-	rsBuf [24]readRec
-	wsBuf [12]Obj
-	vBuf  [1]func() bool
-}
-
-// newDesc allocates a descriptor with its set storage inline.
-func newDesc(owner *Session) *Desc {
-	d := &Desc{owner: owner}
-	d.readSet = d.rsBuf[:0]
-	d.writeSet = d.wsBuf[:0]
-	d.validators = d.vBuf[:0]
-	return d
+	// vBuf is inline storage for the one validator a layered system
+	// registers (txMontage's epoch check); more spill to the heap.
+	vBuf [1]func() bool
 }
 
 // Status returns the descriptor's current status (the group's, for a
@@ -125,6 +127,15 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 	if o.curCell() != found {
 		return // descriptor no longer responsible for this object
 	}
+	d.finalize(o)
+}
+
+// finalize is tryFinalize past its responsibility check. Nothing makes the
+// two atomic: a helper can be descheduled between them for as long as it
+// likes, while the owner finishes this transaction and runs any number of
+// later ones — which is why a reachable descriptor's sets are frozen and the
+// descriptor itself is never reused (the stale-helper tests enter here).
+func (d *Desc) finalize(o Obj) {
 	// For a linked descriptor the status word, the validation scope, and
 	// the sweep scope are all group-wide: helping one member means
 	// finalizing the whole shared-fate group (see group.go).
@@ -150,8 +161,9 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 		// safe for a helper to sweep everything.
 		d.sweepScope(committed)
 	} else {
-		// Aborted straight from InPrep: the owner may still be appending
-		// to the write set, so only uninstall the cell we tripped over.
+		// Never seen past InPrep: the write set is the owner's scratch —
+		// still being appended to, or already refilled by a later
+		// transaction — so only uninstall the cell we tripped over.
 		o.uninstallFor(d, committed)
 	}
 	if d.owner != nil {

@@ -35,8 +35,60 @@
 // finalize the descriptor (abort if InPrep, help validate/commit if InProg)
 // and uninstall the cell they tripped over; the owner sweeps its entire
 // write set on commit or abort. Helpers never mutate a descriptor's read or
-// write sets, and they read the read set only after observing status InProg
-// (at which point both sets are frozen), so the protocol is free of data
-// races by construction. Eager contention management makes the system
+// write sets, and they read them only after loading InProg or Committed from
+// the status word, so the protocol is free of data races by construction
+// (next section). Eager contention management makes the system
 // obstruction-free, exactly as argued in Section 5.2 of the paper.
+//
+// # Who owns the read and write sets
+//
+// The paper keeps one descriptor per thread and reuses it under a serial
+// number, so txBegin allocates nothing. Here the garbage collector stands in
+// for the serial number — a helper may hold a descriptor for as long as it
+// likes — so what a transaction allocates is decided by who owns its sets:
+//
+//   - InPrep: the sets alias scratch slices of the Session (rs, ws), which
+//     grow by append and persist across transactions. Only the owner touches
+//     them. A helper that meets an InPrep descriptor aborts it and uninstalls
+//     the single cell it found; it reads neither set.
+//   - txEnd (TxEnd, CommitLinked): a descriptor another goroutine can reach —
+//     it installed a cell, or it belongs to a TxGroup, whose members are
+//     reachable through each other's cells — is frozen: both sets are
+//     replaced by exact-size private copies and the scratch goes back to the
+//     session, cleared. Only then does the owner CAS InPrep→InProg.
+//   - InProg, Committed, Aborted-after-InProg: the sets are immutable.
+//     Helpers validate the read set and sweep the write set.
+//   - Aborted straight from InPrep (a helper's abort, TxAbort): helpers still
+//     read no set; the owner sweeps and takes the scratch back unfrozen.
+//
+// Freeze-before-InProg is race-free because the InPrep→InProg CAS is the
+// only edge after which a helper reads the sets, and the copies are written
+// before it: the status word's release/acquire pairing that already ordered
+// the owner's appends before helper reads now orders the copies. It is
+// stale-helper-safe because tryFinalize's "is this cell still current" check
+// and the rest of it are not atomic: a helper can pass the check, sleep
+// through the owner's commit and any number of its later transactions, and
+// resume. What it then holds is that old transaction's descriptor, whose
+// sets name that transaction's objects and nothing else; the scratch the
+// current transaction is filling is not reachable from it.
+//
+// # When a descriptor is recycled
+//
+// A descriptor that finishes without ever installing a cell and outside any
+// group — a read-only transaction, one whose every write failed before
+// installing — was never visible to another goroutine. The session keeps it
+// as its spare and the next TxBegin reuses it, so such a transaction
+// allocates nothing. A descriptor that was ever reachable is never reused,
+// whatever its outcome: that is the ABA guarantee the serial number gives
+// the paper.
+//
+// Scratch and spare belong to one session, so what a transaction allocates
+// is a function of what that transaction (and its predecessor on the
+// session) did: header + read copy + write copy + two cells per install for
+// a writer, zero for a reader. A sync.Pool, a free list shared between
+// sessions, or epoch-deferred reuse would save the header too, but with a
+// hit rate that depends on collector timing and scheduling — and bytes per
+// operation is the benchmark's tightest bound (5 %), with deterministic
+// budget tests on top (budget_test.go). A saving that cannot be measured
+// the same way twice cannot be defended.
 package core

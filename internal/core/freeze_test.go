@@ -1,0 +1,492 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+)
+
+// staleHelper models a helper that loaded an installed cell, passed
+// tryFinalize's responsibility check and was descheduled: it parks on its
+// own goroutine and, when run, executes the rest of tryFinalize against
+// whatever the owner's session has turned into by then.
+type staleHelper struct{ release, done chan struct{} }
+
+func parkHelper(o Obj) *staleHelper {
+	d := (*cellHeader)(o.curCell()).desc
+	h := &staleHelper{make(chan struct{}), make(chan struct{})}
+	go func() {
+		<-h.release
+		d.finalize(o)
+		close(h.done)
+	}()
+	return h
+}
+
+func (h *staleHelper) run() {
+	close(h.release)
+	<-h.done
+}
+
+// The points at which a stale helper is released, relative to the owner.
+const (
+	beforeTxEnd = iota
+	betweenFreezeAndInProg
+	afterFinish
+	insideNextTx
+	numReleasePoints
+)
+
+var releasePointNames = [numReleasePoints]string{
+	"before TxEnd", "between freeze and InProg CAS", "after finish", "inside the next transaction",
+}
+
+// endWith is TxEnd (one session) or CommitLinked (several) taken apart so
+// that between can run after the freeze and before the status CAS.
+func endWith(ss []*Session, between func()) error {
+	for _, s := range ss {
+		if d := s.desc; d.group != nil || len(d.writeSet) != 0 {
+			s.freeze(d)
+		}
+	}
+	between()
+	d0 := ss[0].desc
+	w := d0.statusWord()
+	if w.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		if d0.validateScope() {
+			w.CompareAndSwap(uint32(InProg), uint32(Committed))
+		} else {
+			w.CompareAndSwap(uint32(InProg), uint32(Aborted))
+		}
+	}
+	var err error
+	for _, s := range ss {
+		err = s.finish(s.desc)
+	}
+	return err
+}
+
+func txRead(s *Session, o *CASObj[int]) int {
+	v, tag := o.NbtcLoad(s)
+	s.AddToReadSet(o, tag)
+	return v
+}
+
+func txWrite(t *testing.T, s *Session, o *CASObj[int], from, to int) {
+	t.Helper()
+	if !o.NbtcCAS(s, from, to, true, true) {
+		t.Fatalf("install %d→%d failed", from, to)
+	}
+}
+
+// wantFrozen asserts that d carries exactly these sets, privately: nothing
+// a later transaction does to the session's scratch may show through.
+func wantFrozen(t *testing.T, d *Desc, reads, writes []*CASObj[int]) {
+	t.Helper()
+	if !d.frozen {
+		t.Fatal("reachable descriptor not frozen")
+	}
+	if len(d.readSet) != len(reads) || len(d.writeSet) != len(writes) {
+		t.Fatalf("frozen sets have %d reads, %d writes; want %d, %d", len(d.readSet), len(d.writeSet), len(reads), len(writes))
+	}
+	for i, o := range reads {
+		if d.readSet[i].o != Obj(o) {
+			t.Fatalf("frozen read %d is not the object the transaction read", i)
+		}
+	}
+	for i, o := range writes {
+		if d.writeSet[i] != Obj(o) {
+			t.Fatalf("frozen write %d is not the object the transaction wrote", i)
+		}
+	}
+	s := d.owner
+	if len(reads) > 0 && cap(s.rs) > 0 && &d.readSet[0] == &s.rs[:1][0] {
+		t.Fatal("frozen read set aliases the session's scratch")
+	}
+	if len(writes) > 0 && cap(s.ws) > 0 && &d.writeSet[0] == &s.ws[:1][0] {
+		t.Fatal("frozen write set aliases the session's scratch")
+	}
+}
+
+func wantAll(t *testing.T, what string, objs []CASObj[int], want int) {
+	t.Helper()
+	for i := range objs {
+		if got := objs[i].Load(); got != want {
+			t.Fatalf("%s[%d] = %d, want %d", what, i, got, want)
+		}
+		if objs[i].installedBy() != nil {
+			t.Fatalf("%s[%d] still has a descriptor installed", what, i)
+		}
+	}
+}
+
+func ptrs(objs []CASObj[int]) []*CASObj[int] {
+	out := make([]*CASObj[int], len(objs))
+	for i := range objs {
+		out[i] = &objs[i]
+	}
+	return out
+}
+
+// secondTx runs a transaction larger than any first transaction of these
+// tests on s (three reads, five writes), so it refills every scratch slot
+// the first one used and more. mid runs while it is open, after its last
+// install. The transaction must commit, on a descriptor other than first,
+// and whatever ran in mid must have left it alone.
+func secondTx(t *testing.T, s *Session, first *Desc, mid func()) {
+	t.Helper()
+	reads := make([]CASObj[int], 3)
+	writes := make([]CASObj[int], 5)
+	s.TxBegin()
+	d := s.Desc()
+	if d == first {
+		t.Fatal("a descriptor that installed cells was reused")
+	}
+	for i := range reads {
+		txRead(s, &reads[i])
+	}
+	for i := range writes {
+		txWrite(t, s, &writes[i], 0, 2)
+	}
+	mid()
+	if d.Status() != InPrep {
+		t.Fatalf("second transaction is %v after the stale helper ran, want InPrep", d.Status())
+	}
+	for i := range writes {
+		if writes[i].installedBy() != d {
+			t.Fatalf("stale helper disturbed the second transaction's cell %d", i)
+		}
+	}
+	if err := s.TxEnd(); err != nil {
+		t.Fatalf("second transaction: %v", err)
+	}
+	wantAll(t, "second", writes, 2)
+	wantFrozen(t, d, ptrs(reads), ptrs(writes))
+}
+
+// TestStaleHelper enumerates where a helper that tripped over one of
+// transaction 1's cells resumes, and checks at every point that it acts on
+// transaction 1 alone: the owner's next transaction, which refills the same
+// scratch, commits untouched, and transaction 1's frozen sets still name
+// exactly its own objects afterwards.
+func TestStaleHelper(t *testing.T) {
+	for p := 0; p < numReleasePoints; p++ {
+		t.Run(releasePointNames[p], func(t *testing.T) {
+			a := NewTxManager().Session()
+			var x CASObj[int]
+			first := make([]CASObj[int], 2)
+
+			a.TxBegin()
+			d1 := a.Desc()
+			txRead(a, &x)
+			for i := range first {
+				txWrite(t, a, &first[i], 0, 1)
+			}
+			h := parkHelper(&first[0])
+			at := func(q int) func() {
+				return func() {
+					if p == q {
+						h.run()
+					}
+				}
+			}
+
+			at(beforeTxEnd)()
+			var err error
+			if p == betweenFreezeAndInProg {
+				err = endWith([]*Session{a}, h.run)
+			} else {
+				err = a.TxEnd()
+			}
+			at(afterFinish)()
+
+			// Released while transaction 1 was still InPrep, the helper
+			// aborts it; afterwards it can only find it committed.
+			want := 1
+			if p <= betweenFreezeAndInProg {
+				want = 0
+				if !errors.Is(err, ErrTxAborted) {
+					t.Fatalf("first transaction = %v, want abort by the helper", err)
+				}
+			} else if err != nil {
+				t.Fatalf("first transaction: %v", err)
+			}
+			wantAll(t, "first", first, want)
+
+			secondTx(t, a, d1, at(insideNextTx))
+			wantAll(t, "first", first, want)
+			wantFrozen(t, d1, []*CASObj[int]{&x}, ptrs(first))
+		})
+	}
+}
+
+// TestStaleHelperLinked is TestStaleHelper for a linked pair: the helper
+// holds a cell of member B and reaches member A's sets through the group.
+func TestStaleHelperLinked(t *testing.T) {
+	for p := 0; p < numReleasePoints; p++ {
+		t.Run(releasePointNames[p], func(t *testing.T) {
+			a, b := NewTxManager().Session(), NewTxManager().Session()
+			ss := []*Session{a, b}
+			var x CASObj[int]
+			firstA := make([]CASObj[int], 1)
+			firstB := make([]CASObj[int], 2)
+
+			a.TxBegin()
+			b.TxBegin()
+			LinkTxs(ss)
+			dA, dB := a.Desc(), b.Desc()
+			txRead(a, &x)
+			txWrite(t, a, &firstA[0], 0, 1)
+			for i := range firstB {
+				txWrite(t, b, &firstB[i], 0, 1)
+			}
+			h := parkHelper(&firstB[0])
+			at := func(q int) func() {
+				return func() {
+					if p == q {
+						h.run()
+					}
+				}
+			}
+
+			at(beforeTxEnd)()
+			var err error
+			if p == betweenFreezeAndInProg {
+				err = endWith(ss, h.run)
+			} else {
+				err = CommitLinked(ss)
+			}
+			at(afterFinish)()
+
+			want := 1
+			if p <= betweenFreezeAndInProg {
+				want = 0
+				if !errors.Is(err, ErrTxAborted) {
+					t.Fatalf("linked commit = %v, want abort by the helper", err)
+				}
+			} else if err != nil {
+				t.Fatalf("linked commit: %v", err)
+			}
+			wantAll(t, "firstA", firstA, want)
+			wantAll(t, "firstB", firstB, want)
+
+			secondTx(t, a, dA, at(insideNextTx))
+			secondTx(t, b, dB, func() {})
+			wantAll(t, "firstA", firstA, want)
+			wantAll(t, "firstB", firstB, want)
+			wantFrozen(t, dA, []*CASObj[int]{&x}, ptrs(firstA))
+			wantFrozen(t, dB, nil, ptrs(firstB))
+		})
+	}
+}
+
+// TestDescFreezeLeavesNothingBehind checks what an idle session holds after
+// a transaction: scratch and closure slots cleared over their whole
+// capacity, whether the transaction committed, aborted or never published.
+func TestDescFreezeLeavesNothingBehind(t *testing.T) {
+	s := NewTxManager().Session()
+	objs := make([]CASObj[int], 4)
+	wantIdle := func(when string) {
+		t.Helper()
+		for _, r := range s.rs[:cap(s.rs)] {
+			if r.o != nil || r.tag != nil {
+				t.Fatalf("%s: read scratch still pins an object", when)
+			}
+		}
+		for _, o := range s.ws[:cap(s.ws)] {
+			if o != nil {
+				t.Fatalf("%s: write scratch still pins an object", when)
+			}
+		}
+		for _, f := range s.cleanups[:cap(s.cleanups)] {
+			if f != nil {
+				t.Fatalf("%s: a cleanup closure is still reachable", when)
+			}
+		}
+		for _, f := range s.undos[:cap(s.undos)] {
+			if f != nil {
+				t.Fatalf("%s: an undo closure is still reachable", when)
+			}
+		}
+	}
+	body := func() {
+		s.TxBegin()
+		for i := range objs {
+			txRead(s, &objs[i])
+		}
+		s.AddToCleanups(func() {})
+		s.OnAbort(func() {})
+	}
+
+	body()
+	txWrite(t, s, &objs[0], 0, 1)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantIdle("after commit")
+
+	body()
+	txWrite(t, s, &objs[1], 0, 1)
+	s.TxAbort()
+	wantIdle("after abort")
+	if objs[1].Load() != 0 {
+		t.Fatal("aborted write visible")
+	}
+
+	body()
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantIdle("after read-only commit")
+	if sp := s.spare; sp == nil || sp.readSet != nil || sp.writeSet != nil || sp.vBuf[0] != nil {
+		t.Fatal("spare descriptor missing or still holding on to its last transaction")
+	}
+}
+
+// TestDescFreezeHeaderSize pins the descriptor to its header: the 112-byte
+// size class, down from 896 with the sets inline.
+func TestDescFreezeHeaderSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Desc{}); sz > 112 {
+		t.Fatalf("Desc is %d bytes, budget 112", sz)
+	}
+}
+
+// TestDescFreezeLargeSets runs transactions whose sets outgrow any inline
+// tier there ever was (24 reads, 12 writes), through every way of ending.
+func TestDescFreezeLargeSets(t *testing.T) {
+	const nr, nw = 25, 13
+	s := NewTxManager().Session()
+	other := s.Manager().Session()
+	reads := make([]CASObj[int], nr)
+	writes := make([]CASObj[int], nw)
+	open := func(from, to int) *Desc {
+		s.TxBegin()
+		for i := range reads {
+			txRead(s, &reads[i])
+		}
+		for i := range writes {
+			txWrite(t, s, &writes[i], from, to)
+		}
+		return s.Desc()
+	}
+
+	d := open(0, 1)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantAll(t, "writes", writes, 1)
+	wantFrozen(t, d, ptrs(reads), ptrs(writes))
+
+	open(1, 2)
+	s.TxAbort()
+	wantAll(t, "writes", writes, 1)
+
+	// The last read goes stale: validation fails, every write rolls back.
+	open(1, 2)
+	if !reads[nr-1].NbtcCAS(other, 0, 9, true, true) {
+		t.Fatal("invalidating CAS failed")
+	}
+	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("TxEnd = %v, want abort", err)
+	}
+	wantAll(t, "writes", writes, 1)
+
+	// A helper commits it: the sweep it runs covers the whole frozen set.
+	reads[nr-1].Store(0)
+	d = open(1, 3)
+	h := parkHelper(&writes[nw-1])
+	if err := endWith([]*Session{s}, func() {
+		if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+			t.Fatal("InPrep→InProg failed")
+		}
+		h.run()
+		wantAll(t, "writes (swept by the helper)", writes, 3)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDescRecycle drives 1000 mixed transactions through two sessions and
+// checks the one rule of descriptor reuse at every TxBegin: a descriptor
+// that ever installed a cell or joined a group is never seen again, while
+// one that did neither is the very next transaction's descriptor.
+func TestDescRecycle(t *testing.T) {
+	a, b := NewTxManager().Session(), NewTxManager().Session()
+	objs := make([]CASObj[int], 8)
+	reachable := map[*Desc]string{} // holding the pointers also keeps the addresses from being reused
+	spareOf := map[*Session]*Desc{} // the descriptor each session's next TxBegin must reuse
+	begin := func(s *Session, i int) *Desc {
+		s.TxBegin()
+		d := s.Desc()
+		if how, bad := reachable[d]; bad {
+			t.Fatalf("tx %d reuses a descriptor that %s", i, how)
+		}
+		if want := spareOf[s]; want != nil && d != want {
+			t.Fatalf("tx %d did not reuse the descriptor its predecessor left unreachable", i)
+		}
+		if d.Status() != InPrep || d.frozen || d.group != nil || len(d.readSet) != 0 || len(d.writeSet) != 0 || len(d.validators) != 0 {
+			t.Fatalf("tx %d starts on a descriptor that is not blank", i)
+		}
+		spareOf[s] = nil
+		return d
+	}
+	end := func(s *Session, d *Desc, published string, abort bool) {
+		if published != "" {
+			reachable[d] = published
+		} else {
+			spareOf[s] = d
+		}
+		if abort {
+			s.TxAbort()
+		} else if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	recycled := 0
+	for i := 0; i < 1000; i++ {
+		o := &objs[rng.Intn(len(objs))]
+		abort := rng.Intn(4) == 0
+		switch kind := rng.Intn(5); kind {
+		case 0: // read-only
+			d := begin(a, i)
+			txRead(a, o)
+			d.AddValidator(func() bool { return true })
+			end(a, d, "", abort)
+			recycled++
+		case 1: // every write fails before it installs
+			d := begin(a, i)
+			if o.NbtcCAS(a, -1, 0, true, true) {
+				t.Fatal("CAS from a value never stored succeeded")
+			}
+			end(a, d, "", abort)
+			recycled++
+		case 2: // one install
+			d := begin(a, i)
+			v := txRead(a, o)
+			txWrite(t, a, o, v, v+1)
+			end(a, d, fmt.Sprintf("installed a cell in tx %d", i), abort)
+		default: // linked pair; b's member may stay empty and is reachable all the same
+			dA, dB := begin(a, i), begin(b, i)
+			LinkTxs([]*Session{a, b})
+			v := txRead(a, o)
+			if kind == 3 {
+				txWrite(t, a, o, v, v+1)
+			}
+			how := fmt.Sprintf("was linked in tx %d", i)
+			reachable[dA], reachable[dB] = how, how
+			if abort {
+				a.TxAbort()
+				b.TxAbort()
+			} else if err := CommitLinked([]*Session{a, b}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if recycled < 100 || len(reachable) < 100 {
+		t.Fatalf("mix degenerate: %d recyclable, %d reachable", recycled, len(reachable))
+	}
+}

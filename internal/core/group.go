@@ -36,6 +36,9 @@ import "sync/atomic"
 type TxGroup struct {
 	status  atomic.Uint32
 	members []*Desc
+	// mBuf backs members for groups of up to four (a cross-shard commit
+	// over the default shard count), so linking makes one allocation.
+	mBuf [4]*Desc
 }
 
 // LinkTxs links the currently open transactions of ss into a new shared-fate
@@ -49,8 +52,9 @@ type TxGroup struct {
 // group, but each session still needs its own TxAbort/finish to run its
 // sweep, undos, and hooks).
 func LinkTxs(ss []*Session) *TxGroup {
-	g := &TxGroup{members: make([]*Desc, len(ss))}
-	for i, s := range ss {
+	g := &TxGroup{}
+	g.members = g.mBuf[:0]
+	for _, s := range ss {
 		d := s.desc
 		if d == nil {
 			panic("medley: LinkTxs outside a transaction")
@@ -62,23 +66,30 @@ func LinkTxs(ss []*Session) *TxGroup {
 			panic("medley: LinkTxs after a speculative install")
 		}
 		d.group = g
-		g.members[i] = d
+		g.members = append(g.members, d)
 	}
 	return g
 }
 
-// CommitLinked atomically commits the linked transactions of ss: one status
-// CAS freezes every member, validation covers every member's read set and
-// validators, and one final CAS decides the fate of all of them. It then
-// finishes each session (sweep, cleanups/undos, hooks) and returns nil if
-// the group committed, ErrTxAborted otherwise. ss must be exactly the
-// sessions passed to LinkTxs, each still inside its linked transaction.
+// CommitLinked atomically commits the linked transactions of ss: every
+// member's sets are frozen, one status CAS publishes them all, validation
+// covers every member's read set and validators, and one final CAS decides
+// the fate of all of them. It then finishes each session (sweep,
+// cleanups/undos, hooks) and returns nil if the group committed,
+// ErrTxAborted otherwise. ss must be exactly the sessions passed to LinkTxs,
+// each still inside its linked transaction.
 func CommitLinked(ss []*Session) error {
 	d0 := ss[0].desc
 	if d0 == nil || d0.group == nil {
 		panic("medley: CommitLinked outside a linked transaction")
 	}
 	g := d0.group
+	// Every member is reachable through every other member's cells, so
+	// every member freezes — all of them before the one CAS that lets
+	// helpers read any of them.
+	for _, s := range ss {
+		s.freeze(s.desc)
+	}
 	if g.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
 		ok := true
 		for _, m := range g.members {

@@ -28,6 +28,18 @@ type Session struct {
 	cleanups []func() // post-critical work, run after commit
 	undos    []func() // tNew compensation, run after abort
 
+	// rs and ws are the scratch the open transaction's read and write sets
+	// alias while it is InPrep (see Desc); they grow by append and are kept
+	// across transactions, so a transaction in steady state allocates no
+	// set storage until it freezes. spare is a descriptor whose transaction
+	// ended without becoming reachable from another goroutine; the next
+	// TxBegin reuses it. All three belong to this session alone: reuse
+	// depends on nothing but what this session did, which keeps the bytes a
+	// transaction allocates a function of the transaction.
+	rs    []readRec
+	ws    []Obj
+	spare *Desc
+
 	// TxData is scratch space for layered systems (txMontage stores its
 	// per-transaction epoch context here). Reset to nil at TxBegin.
 	TxData any
@@ -59,7 +71,9 @@ func (s *Session) OpStart() { s.inSpec = false }
 // and to run cleanup immediately when called outside a transaction.
 func (s *Session) InTx() bool { return s.desc != nil }
 
-// Desc returns the current transaction's descriptor, or nil.
+// Desc returns the current transaction's descriptor, or nil. Do not keep it
+// past the end of the transaction: the session's next transaction may run on
+// the same descriptor (see Desc).
 func (s *Session) Desc() *Desc { return s.desc }
 
 func (s *Session) stats() *Stats { return &s.st }
@@ -71,11 +85,14 @@ func (s *Session) TxBegin() {
 	if s.desc != nil {
 		panic("medley: TxBegin inside an open transaction")
 	}
-	d := newDesc(s)
+	d := s.spare
+	if d == nil {
+		d = &Desc{owner: s}
+	}
+	s.spare = nil
+	d.readSet, d.writeSet, d.validators = s.rs[:0], s.ws[:0], d.vBuf[:0]
 	s.desc = d
 	s.inSpec = false
-	s.cleanups = s.cleanups[:0]
-	s.undos = s.undos[:0]
 	s.TxData = nil
 	s.st.Begins.Add(1)
 	if h := s.mgr.beginHook; h != nil {
@@ -96,6 +113,9 @@ func (s *Session) TxEnd() error {
 		// A linked transaction validates and commits group-wide; committing
 		// one member alone would break the shared fate.
 		panic("medley: TxEnd on a linked transaction; use CommitLinked")
+	}
+	if len(d.writeSet) != 0 {
+		s.freeze(d) // installed cells lead helpers here once it is InProg
 	}
 	if d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
 		if d.validate() {
@@ -132,13 +152,56 @@ func (s *Session) TxAbort() error {
 	return err
 }
 
+// freeze gives d private, exact-size copies of its read and write sets and
+// takes the scratch back, cleared. It must run before the status CAS that
+// publishes the sets to helpers (InPrep→InProg): that CAS is what orders
+// these writes before any helper's reads.
+func (s *Session) freeze(d *Desc) {
+	rs, ws := d.readSet, d.writeSet
+	d.readSet, d.writeSet = exactCopy(rs), exactCopy(ws)
+	d.frozen = true
+	s.reclaim(rs, ws)
+}
+
+// exactCopy returns a copy of s that shares nothing with it, not even the
+// base pointer of an empty slice (nil for an empty set).
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// reclaim takes the scratch back from a transaction that is done with it.
+// The entries are cleared so an idle session pins no nodes; the capacity
+// (grown by the transaction's appends) is kept.
+func (s *Session) reclaim(rs []readRec, ws []Obj) {
+	clear(rs)
+	clear(ws)
+	s.rs, s.ws = rs[:0], ws[:0]
+}
+
 // finish completes a transaction whose status has been finalized (possibly
-// by a helper): sweeps the write set, runs cleanups or undos, updates stats,
-// and closes the session's transaction scope.
+// by a helper): sweeps the write set, takes back the scratch and, if it may,
+// the descriptor, runs cleanups or undos, updates stats, and closes the
+// session's transaction scope.
 func (s *Session) finish(d *Desc) error {
 	st := Status(d.statusWord().Load())
 	committed := st == Committed
 	d.sweep(committed)
+	if !d.frozen {
+		// Never InProg, so no helper reads these sets (tryFinalize): the
+		// descriptor is unreachable, or was aborted straight from InPrep.
+		reachable := len(d.writeSet) != 0 || d.group != nil
+		s.reclaim(d.readSet, d.writeSet)
+		d.readSet, d.writeSet, d.validators, d.vBuf[0] = nil, nil, nil, nil
+		if !reachable {
+			d.status.Store(uint32(InPrep))
+			s.spare = d
+		}
+	}
 	s.desc = nil
 	s.inSpec = false
 	if committed {
@@ -150,6 +213,11 @@ func (s *Session) finish(d *Desc) error {
 			s.undos[i]()
 		}
 	}
+	// Drop the closures (and the victims and payload ids they capture) now,
+	// not when some later transaction overwrites the slots.
+	clear(s.cleanups)
+	clear(s.undos)
+	s.cleanups, s.undos = s.cleanups[:0], s.undos[:0]
 	// The end hook runs after cleanups and undos: txMontage releases the
 	// session's epoch pin here, which guarantees that post-commit payload
 	// retirements (and abort compensation) reach their epoch's persistence
@@ -220,11 +288,15 @@ func (s *Session) OnAbort(f func()) {
 // layer to retire NVM payloads) can observe retirement.
 func (s *Session) TRetire(x any) {
 	hook := s.mgr.retireHook
-	s.AddToCleanups(func() {
-		if hook != nil {
-			hook(x)
-		}
-	})
+	if hook == nil {
+		return
+	}
+	if s.desc == nil {
+		// Every retire issued from inside a cleanup lands here.
+		hook(x)
+		return
+	}
+	s.cleanups = append(s.cleanups, func() { hook(x) })
 }
 
 // Run executes fn as a transaction, retrying (with randomized exponential

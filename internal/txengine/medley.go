@@ -200,7 +200,8 @@ func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 }
 
 func (e *medleyEngine) NewWorker(int) Tx {
-	t := &sessionTx{s: e.mgr.Session(), ct: &e.ct}
+	s := e.mgr.Session()
+	t := &sessionTx{s: s, ct: &e.ct, end: s.TxEnd}
 	if e.snap != nil {
 		t.snap.tier = e.snap
 		t.snap.slot = e.snap.newSlot()
@@ -223,20 +224,15 @@ type sessionTx struct {
 	ct   *counters
 	snap snapAgent
 	bo   backoff
+	end  func() error // s.TxEnd, bound once: a method value per Run would allocate
 }
 
+// Run is core.Session.Run with version stamping folded into the commit (a
+// successful commit publishes the attempt's buffered writes at one drawn
+// timestamp; without a snapshot tier nothing is ever buffered and the
+// commit is a bare TxEnd) and with the attempts counted in the loop, so a
+// Run allocates nothing in this layer.
 func (t *sessionTx) Run(fn func() error) error {
-	if !t.snap.enabled() {
-		return t.ct.countRun(t.s.Run, fn)
-	}
-	return t.ct.countRun(t.runStamped, fn)
-}
-
-// runStamped is core.Session.Run with version stamping folded into the
-// commit: the loop shape (and therefore the stats contract countRun builds
-// on it) is identical, but a successful commit publishes the attempt's
-// buffered writes at one drawn timestamp.
-func (t *sessionTx) runStamped(fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.reset()
 		t.s.TxBegin()
@@ -246,15 +242,13 @@ func (t *sessionTx) runStamped(fn func() error) error {
 				// fn aborted explicitly but returned nil; treat as conflict.
 				err = core.ErrTxAborted
 			} else {
-				err = t.snap.commit(t.s.TxEnd)
-				if err == nil {
-					return nil
-				}
+				err = t.snap.commit(t.end)
 			}
 		} else if t.s.InTx() {
 			t.s.TxAbort()
 		}
-		if !errors.Is(err, core.ErrTxAborted) {
+		if err == nil || !errors.Is(err, core.ErrTxAborted) {
+			t.ct.countAttempts(attempt+1, err)
 			return err
 		}
 		t.bo.wait(attempt)

@@ -353,7 +353,8 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *shardedEngine) NewWorker(tid int) Tx {
 	n := len(e.shards)
-	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), cur: -1}
+	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), end: make([]func() error, n), cur: -1}
+	t.endLinked = func() error { return core.CommitLinked(t.group) }
 	if e.latch != nil {
 		t.lw = newLatchWaiter()
 	}
@@ -381,6 +382,11 @@ type shardedTx struct {
 	tid  int
 	base []Tx            // per-shard base handles, created on first touch
 	ses  []*core.Session // their core sessions (transactional bases only)
+	// The commit verdicts handed to snapAgent.commit, bound once so a Run
+	// allocates no closure: each base handle's TxEnd, and CommitLinked over
+	// the current group.
+	end       []func() error
+	endLinked func() error
 
 	inRun   bool
 	aborted bool // Tx.Abort doomed the current Run
@@ -474,7 +480,8 @@ func (t *shardedTx) handle(s int) Tx {
 		h = t.e.shards[s].NewWorker(t.tid)
 		t.base[s] = h
 		if t.e.txCap {
-			t.ses[s] = h.(*sessionTx).s
+			st := h.(*sessionTx)
+			t.ses[s], t.end[s] = st.s, st.end
 		}
 	}
 	return h
@@ -658,7 +665,7 @@ func (t *shardedTx) commitLinked() error {
 			}
 		}
 	}
-	return t.snap.commit(func() error { return core.CommitLinked(t.group) })
+	return t.snap.commit(t.endLinked)
 }
 
 // attempt executes fn once, linked over t.fp or single-shard. grew reports
@@ -711,7 +718,7 @@ func (t *shardedTx) attempt(fn func() error, linked bool) (err error, grew bool)
 	}
 	// Single-shard fast path: a plain commit of the shard's own engine (its
 	// epoch validator included, on persistent bases) — no group, no guard.
-	return t.snap.commit(t.ses[t.cur].TxEnd), false
+	return t.snap.commit(t.end[t.cur]), false
 }
 
 // Run implements Tx. A pending HintKeys/HintQueues declaration that spans
@@ -756,23 +763,11 @@ func (t *shardedTx) Run(fn func() error) error {
 			declared = false
 		}
 		execs++
-		if err == nil {
-			t.e.ct.commits.Add(1)
-			t.e.ct.aborts.Add(uint64(execs - 1))
-			if execs > 1 {
-				t.e.ct.retries.Add(uint64(execs - 1))
-			}
-			return nil
+		if err == nil || !errors.Is(err, core.ErrTxAborted) {
+			t.e.ct.countAttempts(execs, err)
+			return err
 		}
-		if errors.Is(err, core.ErrTxAborted) {
-			t.bo.wait(attempt)
-			continue
-		}
-		t.e.ct.aborts.Add(uint64(execs))
-		if execs > 1 {
-			t.e.ct.retries.Add(uint64(execs - 1))
-		}
-		return err
+		t.bo.wait(attempt)
 	}
 }
 

@@ -160,16 +160,24 @@ func (c *counters) countSnapshotN(stale bool, n uint64) {
 func (c *counters) countRun(run func(func() error) error, fn func() error) error {
 	execs := 0
 	err := run(func() error { execs++; return fn() })
+	c.countAttempts(execs, err)
+	return err
+}
+
+// countAttempts accounts a finished Run that executed its body execs times
+// and ended with err: one commit or terminal abort, plus one abort and one
+// retry per earlier execution. Engines that own their retry loop (Medley,
+// the sharded decorator) call it directly with the loop's own count.
+func (c *counters) countAttempts(execs int, err error) {
 	if execs > 1 {
 		c.retries.Add(uint64(execs - 1))
+		c.aborts.Add(uint64(execs - 1))
 	}
 	if err == nil {
 		c.commits.Add(1)
-		c.aborts.Add(uint64(execs - 1))
 	} else {
-		c.aborts.Add(uint64(execs))
+		c.aborts.Add(1)
 	}
-	return err
 }
 
 // countRead is countRun for read-only paths that retry by re-executing fn

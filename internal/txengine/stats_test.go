@@ -204,3 +204,45 @@ func TestShardedFootprintStats(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocatesNothingInAdapter pins the adapter layer's own budget: a
+// committed Run on the Medley family allocates nothing outside what core and
+// the structures allocate for its writes — no counting closure, no method
+// values — so a read-only Run, which core serves from the session's spare
+// descriptor, allocates nothing at all. On the sharded decorator that holds
+// for the single-shard path.
+func TestRunAllocatesNothingInAdapter(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
+		t.Run(key, func(t *testing.T) {
+			b, _ := Lookup(key)
+			eng, err := b.New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := eng.NewWorker(0)
+			m.Put(tx, 1, 1)
+			body := func() error {
+				m.Get(tx, 1)
+				m.Get(tx, 1)
+				return nil
+			}
+			run := func() {
+				if err := tx.Run(body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Fatalf("a committed read-only Run allocates %v times, want 0", got)
+			}
+		})
+	}
+}
