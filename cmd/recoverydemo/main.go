@@ -21,6 +21,13 @@
 // mid-flush, mid-commit-record, mid-write-back — and the same audits must
 // still hold. Exits 2 if the named point never fires.
 //
+// A recover.* point moves the failure inside recovery itself: the run crashes
+// between transactions as usual, recovery starts on a fresh engine, a second
+// power failure lands at the named instant of the one recovery pipeline
+// (pnvm.RecoverDomain), and a third engine recovers what is left — the same
+// audits must hold, and the media must end at live keys + one marker per
+// device.
+//
 // Examples:
 //
 //	recoverydemo                                   # txMontage, one device
@@ -28,12 +35,15 @@
 //	recoverydemo -engine ponefile                  # eager persistence: nothing lost
 //	recoverydemo -engine txmontage-sharded -shards 4 -crash txmontage.advance.mid-shard
 //	recoverydemo -engine ponefile -crash ponefile.commit.mark-volatile
+//	recoverydemo -engine txmontage-sharded -shards 4 -crash recover.pre-marker
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"medley/internal/chaos"
 	"medley/internal/pnvm"
@@ -52,8 +62,18 @@ func main() {
 	engine := flag.String("engine", "txmontage", "persistent engine to demo (txmontage | txmontage-sharded | ponefile)")
 	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
 	accounts := flag.Uint64("accounts", 8, "account pairs to open")
-	crashPoint := flag.String("crash", "", "chaos point to crash at during the unsynced phase (empty: crash between transactions)")
+	crashPoint := flag.String("crash", "", "chaos point to crash at during the unsynced phase, or a recover.* point to crash a second time inside recovery (empty: crash between transactions)")
 	flag.Parse()
+	// A recover.* point fires inside recovery, not inside the run: the first
+	// crash stays between transactions and the point is armed later.
+	recoverPoint := ""
+	if strings.HasPrefix(*crashPoint, "recover.") {
+		recoverPoint, *crashPoint = *crashPoint, ""
+		if !slices.Contains(chaos.Names(), recoverPoint) {
+			fmt.Fprintf(os.Stderr, "unknown chaos point %q (registered: %s)\n", recoverPoint, strings.Join(chaos.Names(), ", "))
+			os.Exit(2)
+		}
+	}
 
 	cfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), Shards: *shards}
 	eng, err := txengine.Build(*engine, cfg)
@@ -107,8 +127,8 @@ func main() {
 	// More transfers that are NOT synced: a buffered engine may lose them,
 	// but only whole transactions at a time. With -crash armed, one of them
 	// (or the sync that follows) dies mid-operation at the named point.
-	if *crashPoint != "" {
-		if err := chaos.Arm(*crashPoint, chaos.Fault{Kind: chaos.Crash, Action: func() {
+	armCrash := func(point string) {
+		if err := chaos.Arm(point, chaos.Fault{Kind: chaos.Crash, Action: func() {
 			for _, d := range devs {
 				d.Crash()
 			}
@@ -116,6 +136,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+	}
+	if *crashPoint != "" {
+		armCrash(*crashPoint)
 	}
 	crashed := false
 	ran := uint64(0)
@@ -144,27 +167,38 @@ func main() {
 			*accounts, len(devs))
 		eng.Close()
 	}
-	dumps := pnvm.DumpAll(devs)
-	total := 0
-	for _, d := range dumps {
-		total += len(d)
-	}
-	fmt.Printf("recovered %d surviving records across %d dump(s)\n", total, len(dumps))
-
 	// Post-crash world: a fresh engine over the same devices, one merged
 	// logical map at an epoch-consistent cut.
-	eng2, err := txengine.Build(*engine, txengine.Config{
-		Latencies: pnvm.DefaultLatencies(), Shards: *shards, Devices: devs,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	recoverFleet := func() (txengine.Engine, txengine.Map[uint64]) {
+		dumps := pnvm.DumpAll(devs)
+		total := 0
+		for _, d := range dumps {
+			total += len(d)
+		}
+		fmt.Printf("recovering from %d surviving records across %d dump(s), cut %d\n", total, len(dumps), pnvm.Cut(dumps))
+		eng, err := txengine.Build(*engine, txengine.Config{
+			Latencies: pnvm.DefaultLatencies(), Shards: *shards, Devices: devs,
+		})
+		var m txengine.Map[uint64]
+		if err == nil {
+			m, err = eng.(txengine.Persister).RecoverUintMap(dumps, spec)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		return eng, m
 	}
-	rm, err := eng2.(txengine.Persister).RecoverUintMap(dumps, spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if recoverPoint != "" {
+		armCrash(recoverPoint)
+		if !runToCrash(func() { recoverFleet() }) {
+			fmt.Fprintf(os.Stderr, "-crash %s never fired (recovery completed)\n", recoverPoint)
+			os.Exit(2)
+		}
+		chaos.DisarmAll()
+		fmt.Printf("power failed again inside recovery at %s; recovering what is left...\n", recoverPoint)
 	}
+	eng2, rm := recoverFleet()
 	tx2 := eng2.NewWorker(0)
 
 	// Two audits gate the exit status. Conservation alone would pass
@@ -198,6 +232,18 @@ func main() {
 				a, c, opening-amt, opening-amt-50)
 			ok = false
 		}
+	}
+	// Recovery scrubs the media down to the live set: one record per
+	// surviving key, one cut marker per device.
+	onMedia := 0
+	for _, d := range devs {
+		onMedia += d.Live()
+	}
+	if want := 2*int(*accounts) + len(devs); onMedia != want {
+		fmt.Printf("media holds %d records, want %d (2×%d balances + %d markers)\n", onMedia, want, *accounts, len(devs))
+		ok = false
+	} else {
+		fmt.Printf("media holds %d records: %d balances + %d marker(s)\n", onMedia, 2**accounts, len(devs))
 	}
 	if !ok {
 		fmt.Fprintln(os.Stderr, "recovery audit FAILED")

@@ -20,7 +20,7 @@ func main() {
 	es := montage.NewEpochSys(dev)
 	mgr := core.NewTxManager()
 	montage.Attach(mgr, es) // ← this one call turns Medley into txMontage
-	es.Start(5 * time.Millisecond)
+	stopAdvancer := montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, 5*time.Millisecond)
 
 	inventory := montage.NewHashMap(es, montage.Uint64Codec(), 4096)
 	ledger := montage.NewSkipMap(es, montage.Uint64Codec())
@@ -54,7 +54,7 @@ func main() {
 		}(w)
 	}
 	wg.Wait()
-	es.Stop()
+	stopAdvancer()
 	es.Sync() // push everything over an epoch boundary
 	fmt.Println("sold items across 4 goroutines; synced to simulated NVM")
 
@@ -65,12 +65,17 @@ func main() {
 	}
 	fmt.Printf("inventory says %d units sold\n", sold)
 
-	// Crash and recover. The recovered payload set must reflect whole
+	// Crash and recover through the one recovery pipeline: cut at the
+	// newest durable frontier marker, live payloads at the cut, media
+	// scrubbed down to them. The recovered payload set must reflect whole
 	// transactions only: units missing from inventory == ledger entries.
-	dev.Crash()
-	recs := dev.Recover()
-	live := montage.LiveRecords(recs)
-	fmt.Printf("crash: %d live payloads recovered\n", len(live))
+	devs := []*pnvm.Device{dev}
+	rec, err := pnvm.RecoverDomain(devs, pnvm.DumpAll(devs))
+	if err != nil {
+		panic(err)
+	}
+	live := rec.Live[0]
+	fmt.Printf("crash: %d live payloads recovered at epoch cut %d; %d records left on media\n", len(live), rec.Cut, dev.Live())
 
 	// Payload keys < items are inventory rows; the rest are ledger rows.
 	var invUnits, ledgerEntries uint64

@@ -26,13 +26,14 @@
 // EpochSys instances (NewEpochSysShared), so every transaction in the domain
 // — wherever its shards live — pins the same monotonically advancing epoch
 // numbers, and a coordinator advances all devices together
-// (AdvanceTogether). Each flush ends with a durable frontier marker on the
-// device, so post-crash recovery can compute, per device, the highest epoch
-// fully persisted there; the recovery cut of the whole domain is the minimum
-// of those frontiers (ConsistentCut), and LiveRecordsAt rebuilds each
-// device's logical state at exactly that cut — payloads beyond it are
-// dropped and retirements beyond it are ignored, so no transaction is ever
-// recovered torn across devices.
+// (AdvanceTogether, or StartAdvancer's background loop). Each flush ends
+// with a durable frontier marker on the device (pnvm.MarkerKey, tagged with
+// the flushed epoch), so post-crash recovery can compute, per device, the
+// highest epoch fully persisted there. Recovery itself is not montage's: the
+// cut (the minimum of those frontiers), the live set at it and the media
+// scrub are pnvm.RecoverDomain, shared with POneFile; Recover below adds only
+// what is epoch-specific — it keeps advancers off the devices meanwhile and
+// restarts the clock past the cut.
 package montage
 
 import (
@@ -63,12 +64,6 @@ var (
 
 // firstEpoch leaves room for the e-2 recovery cut arithmetic.
 const firstEpoch = 3
-
-// FrontierKey is the reserved payload key of durable frontier markers: a
-// record with this key and epoch tag e asserts that every payload batch
-// through epoch e has been written back and fenced on its device. Data maps
-// must not use it.
-const FrontierKey = ^uint64(0)
 
 // EpochClock is the epoch counter plus the registry of sessions pinned to an
 // epoch. One clock can be shared by several EpochSys instances (sharded
@@ -169,8 +164,8 @@ func (c *EpochClock) WaitNotPinnedBelow(bound uint64) {
 // EpochSys manages one device's pending persistence batches and its view of
 // the (possibly shared) epoch clock. Create with NewEpochSys (private clock)
 // or NewEpochSysShared, attach to a TxManager with Attach, and either run
-// the background advancer (Start/Stop), call Advance manually (tests), or —
-// for shared clocks — let a coordinator drive AdvanceTogether.
+// the background advancer (StartAdvancer) over every system of the clock or
+// call Advance / AdvanceTogether by hand (tests).
 type EpochSys struct {
 	dev   *pnvm.Device
 	clock *EpochClock
@@ -184,14 +179,10 @@ type EpochSys struct {
 	claims atomic.Uint64 // retire-claim allocator
 
 	// lastMarker is the id of the newest durable frontier marker; each
-	// flush deletes the one it supersedes (Frontier takes the max, so only
+	// flush deletes the one it supersedes (recovery takes the max, so only
 	// the newest matters) to keep marker count O(1) instead of O(epochs).
-	// Written only under the clock's advanceMu, or single-threaded during
-	// recovery re-anchoring.
+	// Written only under the clock's advanceMu.
 	lastMarker uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 type pendStripe struct {
@@ -207,8 +198,8 @@ func NewEpochSys(dev *pnvm.Device) *EpochSys {
 
 // NewEpochSysShared creates an epoch system over the given device pinned to
 // a shared clock. The caller owns the advance cadence: drive all systems of
-// the clock together with AdvanceTogether (or SyncTogether); do not Start
-// per-system advancers on a shared clock.
+// the clock together (AdvanceTogether, SyncTogether, or one StartAdvancer
+// over all of them), never one system alone.
 func NewEpochSysShared(dev *pnvm.Device, clock *EpochClock) *EpochSys {
 	es := &EpochSys{dev: dev, clock: clock}
 	for i := range es.stripes {
@@ -239,7 +230,7 @@ func (es *EpochSys) pendAdd(sid int, epoch, id uint64) {
 // PNew writes a fresh payload to NVM tagged with epoch, registering it for
 // the epoch's persistence batch. Returns the payload id.
 func (es *EpochSys) PNew(sid int, key uint64, val []byte, epoch uint64) uint64 {
-	if key == FrontierKey {
+	if key == pnvm.MarkerKey {
 		panic("montage: payload key 2^64-1 is reserved for frontier markers")
 	}
 	id, err := es.dev.Write(key, val, epoch)
@@ -289,7 +280,7 @@ func (es *EpochSys) Flush(epoch uint64) {
 	// The frontier marker is only meaningful if it becomes durable after
 	// the batch: recovery treats a missing marker as "this epoch never
 	// fully persisted here" and cuts before it.
-	id, err := es.dev.Write(FrontierKey, nil, epoch)
+	id, err := es.dev.Write(pnvm.MarkerKey, nil, epoch)
 	if err != nil {
 		if errors.Is(err, pnvm.ErrCrashed) {
 			return
@@ -301,7 +292,7 @@ func (es *EpochSys) Flush(epoch uint64) {
 	es.dev.Fence()
 	// The new marker durably supersedes the previous one; drop it so
 	// markers don't accumulate one per epoch. A crash between the
-	// write-back above and this delete leaves both (harmless, Frontier
+	// write-back above and this delete leaves both (harmless, recovery
 	// takes the max); a crash *before* the write-back lost the new marker,
 	// and then the delete must not erase the old one — pnvm.Device.Delete
 	// is a no-op on crashed media, which covers exactly that window.
@@ -360,82 +351,54 @@ func SyncTogether(clock *EpochClock, systems []*EpochSys) {
 	AdvanceTogether(clock, systems)
 }
 
-// ReanchorAll scrubs every reattached device of a (fresh) domain after a
-// crash so they can be reused: torn state beyond the recovery cut —
-// records created after it, retirement marks stamped after it — is removed
-// from media, stale frontier markers are dropped, one fresh durable marker
-// per device re-asserts "complete through cut", and the shared clock is
-// raised past the cut so no new transaction shares an epoch number with a
-// pre-crash batch. Without the scrub a *second* crash would compute its
-// frontier from pre-first-crash markers and resurrect exactly the torn
-// state the first recovery discarded. Epoch advancement is blocked for the
-// duration, so a background advancer already running on the rebuilt engine
-// cannot interleave its flushes with the scrub. dumps must be
-// index-aligned with systems.
-func ReanchorAll(clock *EpochClock, systems []*EpochSys, dumps [][]pnvm.Record, cut uint64) {
+// Recover runs the shared recovery pipeline (pnvm.RecoverDomain) over the
+// reattached devices of a fresh domain; dumps must be index-aligned with
+// systems. What montage adds is epoch-specific: advancement is blocked for
+// the duration, so a background advancer already running on the rebuilt
+// engine cannot interleave its flushes (and its marker deletes) with the
+// scrub; each system adopts the fresh marker as the one its next flush
+// supersedes; and the shared clock is raised past the cut, so no new
+// transaction shares an epoch number with a pre-crash batch still on media.
+func Recover(clock *EpochClock, systems []*EpochSys, dumps [][]pnvm.Record) (pnvm.Recovery, error) {
 	clock.advanceMu.Lock()
 	defer clock.advanceMu.Unlock()
+	devs := make([]*pnvm.Device, len(systems))
 	for i, es := range systems {
-		es.reanchor(dumps[i], cut)
+		devs[i] = es.dev
 	}
-	clock.AdvanceTo(cut + 2)
-}
-
-// reanchor is ReanchorAll's per-device step. Callers hold the clock's
-// advanceMu (or run single-threaded), since it writes lastMarker.
-func (es *EpochSys) reanchor(recs []pnvm.Record, cut uint64) {
-	// Drop every frontier marker by scanning the device itself, not the
-	// dump: a background coordinator that ticked between reattachment and
-	// recovery has written markers at fresh-clock epochs the dump never
-	// saw, and a stale marker surviving here would falsify the next
-	// crash's consistent cut.
-	es.dev.DeleteKey(FrontierKey)
-	for _, r := range recs {
-		switch {
-		case r.Key == FrontierKey:
-			// already gone via DeleteKey
-		case r.Epoch > cut:
-			es.dev.Delete(r.ID)
-		case r.Retire > cut:
-			es.dev.ClearRetire(r.ID)
-		}
-	}
-	id, err := es.dev.Write(FrontierKey, nil, cut)
+	rec, err := pnvm.RecoverDomain(devs, dumps)
 	if err != nil {
-		panic("montage: reanchor marker write failed: " + err.Error())
+		return rec, err
 	}
-	es.dev.WriteBack(id)
-	es.dev.Fence()
-	es.lastMarker = id
+	for i, es := range systems {
+		es.lastMarker = rec.Markers[i]
+	}
+	clock.AdvanceTo(rec.Cut + 2)
+	return rec, nil
 }
 
-// Start launches the background epoch advancer with the given period
-// (nbMontage uses tens of milliseconds). Stop() halts it. Only for systems
-// with a private clock; shared-clock domains run one coordinator instead.
-func (es *EpochSys) Start(period time.Duration) {
-	es.stop = make(chan struct{})
-	es.done = make(chan struct{})
+// StartAdvancer launches the one background epoch advancer of a clock: every
+// period (nbMontage uses tens of milliseconds) it advances the clock and
+// flushes all of its systems together. The returned stop halts it and
+// returns once it has exited; call it once.
+func StartAdvancer(clock *EpochClock, systems []*EpochSys, period time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(es.done)
+		defer close(done)
 		t := time.NewTicker(period)
 		defer t.Stop()
 		for {
 			select {
-			case <-es.stop:
+			case <-quit:
 				return
 			case <-t.C:
-				es.Advance()
+				AdvanceTogether(clock, systems)
 			}
 		}
 	}()
-}
-
-// Stop halts the background advancer.
-func (es *EpochSys) Stop() {
-	if es.stop != nil {
-		close(es.stop)
-		<-es.done
-		es.stop = nil
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 

@@ -154,97 +154,12 @@ func (m *Map[V]) retire(s *core.Session, pid, epoch uint64) {
 	s.AddToCleanups(func() { m.es.PRetire(sid, pid, epoch, claim) })
 }
 
-// RecoverSkipMap rebuilds a skiplist-indexed map from the records surviving
-// a crash (pnvm.Device.Recover output). Single-threaded, as in post-crash
-// recovery: new threads, quiesced system.
-func RecoverSkipMap[V any](es *EpochSys, codec Codec[V], recs []RecordView) *Map[V] {
-	m := NewSkipMap[V](es, codec)
-	m.rebuild(recs)
-	return m
-}
-
-// RecoverHashMap is the hash-indexed analogue of RecoverSkipMap.
-func RecoverHashMap[V any](es *EpochSys, codec Codec[V], nbuckets int, recs []RecordView) *Map[V] {
-	m := NewHashMap[V](es, codec, nbuckets)
-	m.rebuild(recs)
-	return m
-}
-
-// RecordView is a live payload as seen by recovery.
-type RecordView struct {
-	ID  uint64
-	Key uint64
-	Val []byte
-}
-
-func (m *Map[V]) rebuild(recs []RecordView) {
+// Rebuild binds every recovered payload (one device's
+// pnvm.Recovery.Live) into the index of a freshly created map.
+// Single-threaded, as in post-crash recovery: new threads, quiesced system.
+func (m *Map[V]) Rebuild(live []pnvm.Record) {
 	s := core.NewTxManager().Session() // plain, non-transactional rebuild
-	for _, r := range recs {
+	for _, r := range live {
 		m.idx.Put(s, r.Key, entry[V]{val: m.codec.Dec(r.Val), pid: r.ID})
 	}
-}
-
-// LiveRecords filters a device recovery dump to live payloads (durable
-// creations without a durable retirement), skipping frontier markers. It is
-// the single-device recovery filter; multi-device recovery must use
-// LiveRecordsAt with the domain's ConsistentCut instead, or retirements
-// flushed on one device but not another could tear a transaction.
-func LiveRecords(recs []pnvm.Record) []RecordView {
-	var out []RecordView
-	for _, r := range recs {
-		if r.Key != FrontierKey && r.Retire == 0 {
-			out = append(out, RecordView{ID: r.ID, Key: r.Key, Val: r.Val})
-		}
-	}
-	return out
-}
-
-// Frontier returns the highest epoch fully persisted on a device, judged by
-// its durable frontier markers (see EpochSys.Flush). A dump with no marker
-// has frontier 0: nothing on it is provably complete.
-func Frontier(recs []pnvm.Record) uint64 {
-	var f uint64
-	for _, r := range recs {
-		if r.Key == FrontierKey && r.Epoch > f {
-			f = r.Epoch
-		}
-	}
-	return f
-}
-
-// ConsistentCut returns the recovery cut of a multi-device domain: the
-// highest epoch every device is complete through (the minimum of the
-// per-device frontiers). State beyond the cut existed durably on some
-// devices but not all, so recovering it would tear cross-device
-// transactions; LiveRecordsAt drops it.
-func ConsistentCut(dumps [][]pnvm.Record) uint64 {
-	cut := ^uint64(0)
-	for _, d := range dumps {
-		if f := Frontier(d); f < cut {
-			cut = f
-		}
-	}
-	if cut == ^uint64(0) {
-		return 0
-	}
-	return cut
-}
-
-// LiveRecordsAt filters one device's recovery dump to the payloads live at
-// an epoch cut: creations from epochs beyond the cut are dropped, and
-// retirement marks from epochs beyond the cut are ignored (the retired
-// payload is resurrected), so the result is exactly the state as of the end
-// of the cut epoch.
-func LiveRecordsAt(recs []pnvm.Record, cut uint64) []RecordView {
-	var out []RecordView
-	for _, r := range recs {
-		if r.Key == FrontierKey || r.Epoch > cut {
-			continue
-		}
-		if r.Retire != 0 && r.Retire <= cut {
-			continue
-		}
-		out = append(out, RecordView{ID: r.ID, Key: r.Key, Val: r.Val})
-	}
-	return out
 }

@@ -133,11 +133,19 @@ func TestCrashRecoveryDurableState(t *testing.T) {
 	m.Remove(s, 6)
 	m.Put(s, 200, 1)
 
-	dev.Crash()
-	recs := LiveRecords(dev.Recover())
 	es2 := NewEpochSys(dev)
-	m2 := RecoverSkipMap(es2, Uint64Codec(), recs)
+	rec, err := Recover(es2.Clock(), []*EpochSys{es2}, pnvm.DumpAll([]*pnvm.Device{dev}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewSkipMap(es2, Uint64Codec())
+	m2.Rebuild(rec.Live[0])
 	chk := core.NewTxManager().Session()
+	// The fresh clock restarts past the cut: a new transaction must never
+	// share an epoch number with a pre-crash batch still on media.
+	if es2.Current() < rec.Cut+2 {
+		t.Fatalf("clock resumed at epoch %d, want at least cut %d + 2", es2.Current(), rec.Cut)
+	}
 
 	// The synced prefix must be intact…
 	for k := uint64(0); k < 100; k++ {
@@ -186,9 +194,12 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 				}
 			}
 		}()
-		// Writers: tx i writes (i, i) to both maps atomically.
+		// Writers: tx i writes (i, i) to both maps atomically. The two maps
+		// share the device's raw key space, so mb keeps its keys disjoint
+		// from ma's (recovery merges same-key records, newest wins).
 		const writers = 4
 		const perWriter = 200
+		const mbBase = uint64(1) << 32
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -198,7 +209,7 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 					k := uint64(w*perWriter + i)
 					_ = s.Run(func() error {
 						ma.Put(s, k, k)
-						mb.Put(s, k, k)
+						mb.Put(s, mbBase+k, k)
 						return nil
 					})
 				}
@@ -208,14 +219,17 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 		close(stop)
 		<-advDone
 
-		dev.Crash()
-		recs := LiveRecords(dev.Recover())
-		// Each transaction wrote one payload per map under the same key, in
-		// the same epoch. Failure atomicity means a key either survives in
-		// both maps (2 live payloads) or in neither (0) — never 1.
+		devs := []*pnvm.Device{dev}
+		rec, err := pnvm.RecoverDomain(devs, pnvm.DumpAll(devs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each transaction wrote one payload per map, in the same epoch.
+		// Failure atomicity means a key either survives in both maps (2
+		// live payloads) or in neither (0) — never 1.
 		count := map[uint64]int{}
-		for _, r := range recs {
-			count[r.Key]++
+		for _, r := range rec.Live[0] {
+			count[r.Key%mbBase]++
 		}
 		for k, c := range count {
 			if c != 2 {

@@ -20,14 +20,15 @@
 //     redo-log commit record: each committing transaction tags its payload
 //     records and retirement marks with a fresh commit serial, makes them
 //     durable, and only then writes back a reserved commit record carrying
-//     that serial. Recovery (LiveKV/Reanchor) computes the durable commit
-//     cut — the highest serial with a durable commit record — and replays
-//     exactly the transactions at or below it: payload records beyond the
-//     cut are torn (scrubbed off media), retirement marks beyond it are
-//     ignored (the retiree stays live). A crash at any point of the window
-//     therefore recovers either all of a transaction's records or none,
-//     which the chaos crash-point sweep in txengine's conformance suite
-//     proves point by point.
+//     that serial (under pnvm.MarkerKey). Recovery is the shared pipeline,
+//     pnvm.RecoverDomain: the cut is the highest serial with a durable
+//     commit record, and exactly the transactions at or below it survive —
+//     payload records beyond the cut are torn (scrubbed off media),
+//     retirement marks beyond it are lifted (the retiree stays live). A
+//     crash at any point of the window therefore recovers either all of a
+//     transaction's records or none, which the chaos crash-point sweep in
+//     txengine's conformance suite proves point by point. Recover below
+//     adds only the serial allocator's restart.
 //
 // Substitution note (documented in DESIGN.md): real OneFile achieves
 // wait-freedom by publishing each transaction as a closure that all threads
@@ -60,12 +61,6 @@ var (
 	cpPostMark     = chaos.At("ponefile.commit.post-mark")     // commit point passed
 	cpGC           = chaos.At("ponefile.commit.gc")            // before dead-record GC
 )
-
-// CommitKey is the reserved record key under which POneFile logs commit
-// records. Each commit record's Epoch field carries the transaction's commit
-// serial; the highest serial with a durable commit record is the recovery
-// cut. Payload keys must stay below it (StagePersist enforces this).
-const CommitKey = ^uint64(0)
 
 // STM is a OneFile-lite transaction manager. All structures attached to one
 // STM instance commit through the same global sequence.
@@ -258,7 +253,7 @@ func (st *STM) persist() error {
 	}
 	// (3) The commit record. The transaction is committed on media exactly
 	// when this record's write-back lands.
-	mid, werr := st.dev.Write(CommitKey, nil, serial)
+	mid, werr := st.dev.Write(pnvm.MarkerKey, nil, serial)
 	if werr != nil {
 		return fail(werr)
 	}
@@ -283,7 +278,7 @@ func (st *STM) persist() error {
 	// (4) GC: the retired records are durably dead and the previous commit
 	// record is superseded (recovery takes the highest serial), so drop
 	// both rather than accumulate one record per overwrite. A crash in
-	// here just leaves them for Reanchor's recovery scrub.
+	// here just leaves them for recovery's scrub.
 	for _, id := range retired {
 		st.dev.Delete(id)
 	}
@@ -324,7 +319,7 @@ func (st *STM) StagePersist(sid, key uint64, val []byte) {
 	if st.dev == nil {
 		return
 	}
-	if key == CommitKey {
+	if key == pnvm.MarkerKey {
 		panic("onefile: payload key collides with the reserved commit-record key")
 	}
 	st.staged = append(st.staged, stagedKV{sid: sid, key: key, val: val})
@@ -345,99 +340,26 @@ func (st *STM) Stats() (commits, aborts uint64) {
 // Device returns the simulated NVM device (nil for the transient variant).
 func (st *STM) Device() *pnvm.Device { return st.dev }
 
-// LiveKV reduces a post-crash device dump (pnvm.Device.Recover output) to
-// the surviving key → payload bindings under the redo-log commit rule. The
-// durable commit cut is the highest serial carried by a durable commit
-// record; a transaction is recovered exactly when its serial is at or below
-// the cut. Payload records beyond the cut are torn halves of uncommitted
-// transactions and are dropped; retirement marks beyond the cut were placed
-// by transactions that never committed and are ignored (the marked record
-// stays live); records durably retired at or below the cut are dropped.
-// Where a committed update's old and new records both survived (crash
-// before GC), the newer allocation wins. Device records carry only the raw
-// key, so distinct structures that persisted the same key recover merged
-// (newest wins) — the same modeling caveat as the montage layer, whose
-// demos tag key spaces per structure.
-func LiveKV(recs []pnvm.Record) map[uint64][]byte {
-	cut := commitCut(recs)
-	best := make(map[uint64]pnvm.Record, len(recs))
-	for _, r := range recs {
-		if r.Key == CommitKey || r.Epoch > cut {
-			continue
-		}
-		if r.Retire != 0 && r.Retire <= cut {
-			continue
-		}
-		if b, ok := best[r.Key]; !ok || r.ID > b.ID {
-			best[r.Key] = r
-		}
-	}
-	out := make(map[uint64][]byte, len(best))
-	for k, r := range best {
-		out[k] = r.Val
-	}
-	return out
-}
-
-// commitCut returns the durable commit cut of a device dump: the highest
-// commit serial whose commit record survived the crash. Zero when no
-// transaction ever committed.
-func commitCut(recs []pnvm.Record) uint64 {
-	cut := uint64(0)
-	for _, r := range recs {
-		if r.Key == CommitKey && r.Epoch > cut {
-			cut = r.Epoch
-		}
-	}
-	return cut
-}
-
-// Reanchor reattaches a fresh persistent STM to a recovered device: given
-// the same dump LiveKV reduces, it scrubs torn payload records (serial
-// beyond the durable commit cut) off the media, lifts retirement marks left
-// by uncommitted transactions, completes the GC a crash may have
-// interrupted (durably-retired and shadowed records, stale commit records),
-// collapses the commit-record history to a single anchor, and resumes the
-// commit-serial allocator past the cut so post-recovery transactions always
-// supersede pre-crash ones. Call once, after pnvm recovery and before the
-// STM serves transactions.
-func (st *STM) Reanchor(recs []pnvm.Record) {
-	if st.dev == nil {
-		return
-	}
+// Recover reattaches a fresh persistent STM to its crashed-and-reopened
+// device: the shared pipeline (pnvm.RecoverDomain) computes the durable
+// commit cut from dumps — exactly one, this STM's device's — and scrubs the
+// media down to the live records and one commit record at the cut. What
+// POneFile adds, under the writer lock: the commit-serial allocator resumes
+// at the cut, so post-recovery transactions always supersede pre-crash ones,
+// and the live records are adopted as structure sid's bindings, so the
+// transaction that rebuilds sid from them retires and GCs each one through
+// the normal commit protocol instead of leaving a second copy beside it.
+// Call once, before the STM serves transactions.
+func (st *STM) Recover(dumps [][]pnvm.Record, sid uint64) ([]pnvm.Record, error) {
 	st.wlock.Lock()
 	defer st.wlock.Unlock()
-	cut := commitCut(recs)
-	// Newest committed live record per raw key — everything else under that
-	// key is shadow state (LiveKV's newest-wins merge applied to media, so
-	// a later removal of the key cannot resurrect an older record).
-	newest := make(map[uint64]uint64, len(recs))
-	for _, r := range recs {
-		if r.Key == CommitKey || r.Epoch > cut || (r.Retire != 0 && r.Retire <= cut) {
-			continue
-		}
-		if r.ID > newest[r.Key] {
-			newest[r.Key] = r.ID
-		}
+	rec, err := pnvm.RecoverDomain([]*pnvm.Device{st.dev}, dumps)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range recs {
-		switch {
-		case r.Key == CommitKey:
-			st.dev.Delete(r.ID) // collapsed into the single anchor below
-		case r.Epoch > cut:
-			st.dev.Delete(r.ID) // torn payload: its commit record never became durable
-		case r.Retire != 0 && r.Retire <= cut:
-			st.dev.Delete(r.ID) // durably retired; a crash interrupted GC
-		case r.ID != newest[r.Key]:
-			st.dev.Delete(r.ID) // shadowed by a newer committed record
-		case r.Retire > cut:
-			st.dev.ClearRetire(r.ID) // the retiring transaction tore; record stays live
-		}
+	st.serial, st.lastCommit = rec.Cut, rec.Markers[0]
+	for _, r := range rec.Live[0] {
+		st.keyIDs[persistKey{sid, r.Key}] = r.ID
 	}
-	st.serial = cut
-	if id, err := st.dev.Write(CommitKey, nil, cut); err == nil {
-		st.dev.WriteBack(id)
-		st.dev.Fence()
-		st.lastCommit = id
-	}
+	return rec.Live[0], nil
 }

@@ -228,8 +228,7 @@ func TestPersistSIDNamespacing(t *testing.T) {
 	mustTx(func() error { st.StagePersist(sid2, 5, []byte{2}); return nil })
 	// Structure 2 removes its copy; structure 1's record must stay live.
 	mustTx(func() error { st.StagePersist(sid2, 5, nil); return nil })
-	dev.Crash()
-	kv := LiveKV(dev.Recover())
+	_, _, kv := recoverKV(t, dev)
 	got, ok := kv[5]
 	if !ok || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("structure 1's record lost: kv[5] = %v, %v (another structure's ops retired it)", got, ok)
@@ -280,7 +279,7 @@ func TestCommitRecordGatesVisibility(t *testing.T) {
 		if !crashed {
 			t.Fatalf("%s: crash never fired", tc.point)
 		}
-		kv := LiveKV(dev.Recover())
+		_, _, kv := recoverKV(t, dev)
 		if kv[1] == nil {
 			t.Fatalf("%s: committed base key lost", tc.point)
 		}
@@ -290,11 +289,30 @@ func TestCommitRecordGatesVisibility(t *testing.T) {
 	}
 }
 
-// TestReanchorScrubsAndResumes: recovery's Reanchor must scrub everything the
-// commit cut excludes (torn payloads, durably-retired overwrites, the commit
-// history itself) down to a single anchor record, and the STM must resume
-// committing on the same device with the recovered state intact.
-func TestReanchorScrubsAndResumes(t *testing.T) {
+// recoverKV crashes dev (a no-op when a fault already did), recovers a fresh
+// STM over it, and returns that STM, the structure id the surviving records
+// were adopted under, and the surviving key → payload bindings.
+func recoverKV(t *testing.T, dev *pnvm.Device) (*STM, uint64, map[uint64][]byte) {
+	t.Helper()
+	st := NewPersistent(dev)
+	sid := st.NewPersistSID()
+	live, err := st.Recover(pnvm.DumpAll([]*pnvm.Device{dev}), sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := make(map[uint64][]byte, len(live))
+	for _, r := range live {
+		kv[r.Key] = r.Val
+	}
+	return st, sid, kv
+}
+
+// TestRecoverScrubsAndResumes: recovery must scrub everything the commit cut
+// excludes (torn payloads, durably-retired overwrites, the commit history
+// itself) down to a single anchor record, and the STM must resume committing
+// on the same device with the recovered state intact — adopted, so that
+// overwriting a recovered key retires its record instead of shadowing it.
+func TestRecoverScrubsAndResumes(t *testing.T) {
 	t.Cleanup(chaos.DisarmAll)
 	dev := pnvm.New(pnvm.Latencies{})
 	st := NewPersistent(dev)
@@ -309,7 +327,7 @@ func TestReanchorScrubsAndResumes(t *testing.T) {
 	mustTx(func() error { st.StagePersist(sid, 2, []byte{22}); st.StagePersist(sid, 3, []byte{3}); return nil })
 	mustTx(func() error { st.StagePersist(sid, 1, nil); return nil })
 	// One more transaction dies just before its commit record: its payloads
-	// are durable torn garbage that Reanchor must remove from media.
+	// are durable torn garbage that recovery must remove from media.
 	if err := chaos.Arm("ponefile.commit.pre-mark", chaos.Fault{Kind: chaos.Crash, Action: func() { dev.Crash() }}); err != nil {
 		t.Fatal(err)
 	}
@@ -326,60 +344,53 @@ func TestReanchorScrubsAndResumes(t *testing.T) {
 	}()
 	chaos.DisarmAll()
 
-	recs := dev.Recover()
 	want := map[uint64]byte{2: 22, 3: 3} // key 1 removed, key 9 torn
-	st2 := NewPersistent(dev)
-	st2.Reanchor(recs)
-
-	// The scrub is on media, not just in the recovered view: re-crash and
-	// re-dump. Exactly one commit record (the anchor) and exactly the live
-	// payloads survive.
-	dev.Crash()
-	after := dev.Recover()
-	marks, payloads := 0, 0
-	for _, r := range after {
-		if r.Key == CommitKey {
-			marks++
-		} else {
-			payloads++
+	check := func(when string, kv map[uint64][]byte) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok := kv[k]; !ok || len(got) != 1 || got[0] != v {
+				t.Fatalf("%s: key %d = %v, %v want [%d]", when, k, got, ok, v)
+			}
+		}
+		if len(kv) != len(want) {
+			t.Fatalf("%s: removed/torn keys resurrected: %v", when, kv)
 		}
 	}
-	if marks != 1 {
-		t.Fatalf("commit history not collapsed: %d commit records on media, want 1 anchor", marks)
-	}
-	if payloads != len(want) {
-		t.Fatalf("scrub left %d payload records, want %d", payloads, len(want))
-	}
-	kv := LiveKV(after)
-	for k, v := range want {
-		if got, ok := kv[k]; !ok || len(got) != 1 || got[0] != v {
-			t.Fatalf("key %d after reanchor: %v, %v want [%d]", k, got, ok, v)
+	// media re-crashes and re-dumps the device: the scrub must be on media,
+	// not just in the recovered view.
+	media := func() (marks, payloads int) {
+		for _, r := range pnvm.DumpAll([]*pnvm.Device{dev})[0] {
+			if r.Key == pnvm.MarkerKey {
+				marks++
+			} else {
+				payloads++
+			}
 		}
+		return marks, payloads
 	}
-	if kv[1] != nil || kv[9] != nil {
-		t.Fatalf("removed/torn keys resurrected: kv[1]=%v kv[9]=%v", kv[1], kv[9])
+	_, _, kv := recoverKV(t, dev)
+	check("first recovery", kv)
+	if marks, payloads := media(); marks != 1 || payloads != len(want) {
+		t.Fatalf("scrub left %d commit records and %d payload records, want 1 anchor and %d", marks, payloads, len(want))
 	}
 
-	// And the reanchored STM keeps committing: a fresh transaction on the
-	// recovered device is durable and GCs back down to one commit record.
-	st3 := NewPersistent(dev)
-	st3.Reanchor(after)
-	sid3 := st3.NewPersistSID()
-	if err := st3.WriteTx(func() error { st3.StagePersist(sid3, 4, []byte{4}); return nil }); err != nil {
+	// Recovering the scrubbed media is a fixed point, and the recovered STM
+	// keeps committing: a fresh transaction is durable, overwriting a
+	// recovered key retires the adopted record, and GC brings the device
+	// back down to one commit record.
+	st3, sid3, kv := recoverKV(t, dev)
+	check("second recovery", kv)
+	want[2], want[4] = 23, 4
+	if err := st3.WriteTx(func() error {
+		st3.StagePersist(sid3, 2, []byte{23})
+		st3.StagePersist(sid3, 4, []byte{4})
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	dev.Crash()
-	final := dev.Recover()
-	marks = 0
-	for _, r := range final {
-		if r.Key == CommitKey {
-			marks++
-		}
+	if marks, payloads := media(); marks != 1 || payloads != len(want) {
+		t.Fatalf("continued commits left %d commit records and %d payload records, want 1 and %d", marks, payloads, len(want))
 	}
-	if marks != 1 {
-		t.Fatalf("continued commits leak commit records: %d on media", marks)
-	}
-	if kv := LiveKV(final); kv[4] == nil || kv[2] == nil {
-		t.Fatalf("post-reanchor commit not durable: kv[4]=%v kv[2]=%v", kv[4], kv[2])
-	}
+	_, _, kv = recoverKV(t, dev)
+	check("after a post-recovery commit", kv)
 }

@@ -20,8 +20,11 @@
 // The record store is sharded so that the simulation itself scales like a
 // DIMM (per-line independence) rather than like a global lock.
 //
-// The device stores opaque records (key, value bytes, epoch tags); the
-// montage layer decides what they mean.
+// The device stores opaque records (key, value bytes, epoch tags). What the
+// tags count — montage epochs, POneFile commit serials — is the persistence
+// layer's business; what they mean after a crash is not: both layers end a
+// unit of durability with a marker under MarkerKey, and RecoverDomain
+// (recover.go) is the one recovery rule over them.
 package pnvm
 
 import (
@@ -34,10 +37,10 @@ import (
 )
 
 // Fault-injection points on the media path. pnvm.write fires inside every
-// record store (payloads, retire marks, frontier/commit markers alike), so a
-// crash armed there lands at whatever instant of a higher-level protocol
-// first touches media; pnvm.writeback fires inside every clwb. WriteBack has
-// no error channel, so only crash/delay faults are meaningful there.
+// record store (payloads and cut markers alike), so a crash armed there
+// lands at whatever instant of a higher-level protocol first touches media;
+// pnvm.writeback fires inside every clwb. WriteBack has no error channel, so
+// only crash/delay faults are meaningful there.
 var (
 	cpWrite     = chaos.At("pnvm.write")
 	cpWriteBack = chaos.At("pnvm.writeback")
@@ -183,21 +186,6 @@ func (d *Device) UnRetire(id uint64, claim uint64) {
 	s.mu.Unlock()
 }
 
-// ClearRetire unconditionally clears a record's retirement mark. Unlike
-// UnRetire it is not claim-gated: it exists for post-crash recovery scrubs,
-// where the retiring transaction lies beyond the recovery cut and is being
-// discarded wholesale, and the device is quiesced and single-threaded.
-func (d *Device) ClearRetire(id uint64) {
-	s := d.shard(id)
-	s.mu.Lock()
-	if r, ok := s.records[id]; ok {
-		r.Retire = 0
-		delete(s.retireClaim, id)
-		delete(s.retireDurable, id)
-	}
-	s.mu.Unlock()
-}
-
 // Delete removes a record outright (used to undo allocations of aborted
 // transactions before they are ever durable, and to drop superseded
 // metadata). On a crashed device it is a no-op: post-crash media must not
@@ -276,27 +264,6 @@ func (d *Device) Recover() []Record {
 	}
 	d.crashed.Store(false)
 	return out
-}
-
-// DeleteKey removes every record stored under key, durable or not. It
-// exists for recovery scrubs of reserved-key metadata (montage's frontier
-// markers): scanning the live device rather than a crash dump catches
-// records written after the dump was taken, e.g. by a background advancer
-// that ticked between engine reattachment and recovery.
-func (d *Device) DeleteKey(key uint64) {
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for id, r := range s.records {
-			if r.Key == key {
-				delete(s.records, id)
-				delete(s.durable, id)
-				delete(s.retireDurable, id)
-				delete(s.retireClaim, id)
-			}
-		}
-		s.mu.Unlock()
-	}
 }
 
 // DumpAll crashes every device of a multi-device domain and returns their

@@ -1,7 +1,9 @@
 package txengine
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"medley/internal/chaos"
@@ -40,6 +42,16 @@ var montagePoints = []string{
 	"txmontage.advance.mid-shard",
 	"pnvm.write",
 	"pnvm.writeback",
+}
+
+// recoverPoints spans the one recovery pipeline (pnvm.RecoverDomain) in
+// protocol order; every persistent engine recovers through it.
+var recoverPoints = []string{
+	"recover.scrub",
+	"recover.pre-marker",
+	"recover.marker-volatile",
+	"recover.post-marker",
+	"recover.mid-device",
 }
 
 // requireRegistered pins the sweep's point lists against the live registry,
@@ -92,6 +104,76 @@ func TestChaosCrashPointSweepPOneFile(t *testing.T) {
 }
 
 func sweepPOneFile(t *testing.T, point string, after int) {
+	ponefileToCrash(t, point, after).recoverAndAudit(t)
+}
+
+// crashedRun is a sweep workload stopped by its armed crash: the wounded
+// engine is abandoned, and what remains is the device fleet, how to rebuild
+// an engine over it, and the workload's own audit of a recovered map (it
+// returns how many keys the map holds).
+type crashedRun struct {
+	b     Builder
+	cfg   Config // Devices unset
+	devs  []*pnvm.Device
+	spec  MapSpec
+	audit func(t *testing.T, rm Map[uint64], tx Tx) (keys int)
+}
+
+// recoverInto dumps the (crashed) fleet and starts recovery on a fresh
+// engine over it. The error is RecoverUintMap's; a fault armed inside
+// recovery panics through, for chaosCrashed to catch.
+func (r crashedRun) recoverInto(t *testing.T) (eng Engine, rm Map[uint64], err error) {
+	t.Helper()
+	dumps := pnvm.DumpAll(r.devs)
+	cfg := r.cfg
+	cfg.Devices = r.devs
+	eng, err = r.b.New(cfg)
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	t.Cleanup(eng.Close)
+	rm, err = eng.(Persister).RecoverUintMap(dumps, r.spec)
+	return eng, rm, err
+}
+
+// recoverAndAudit recovers the fleet on a fresh engine, runs the workload's
+// audit, and requires the media to hold exactly the recovered keys plus one
+// marker per device. It returns the durable media content (per device: key →
+// value bytes, and the marker epochs), read back through one more crash.
+func (r crashedRun) recoverAndAudit(t *testing.T) (media []map[uint64]string, markers [][]uint64) {
+	t.Helper()
+	eng, rm, err := r.recoverInto(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := r.audit(t, rm, eng.NewWorker(0))
+	onMedia := 0
+	for _, d := range r.devs {
+		onMedia += d.Live()
+	}
+	if want := keys + len(r.devs); onMedia != want {
+		t.Fatalf("media holds %d records after recovery, want %d live keys + %d markers", onMedia, keys, len(r.devs))
+	}
+	media, markers = make([]map[uint64]string, len(r.devs)), make([][]uint64, len(r.devs))
+	for i, d := range pnvm.DumpAll(r.devs) {
+		media[i] = map[uint64]string{}
+		for _, rec := range d {
+			if rec.Key == pnvm.MarkerKey {
+				markers[i] = append(markers[i], rec.Epoch)
+			} else {
+				media[i][rec.Key] = string(rec.Val)
+			}
+		}
+		if len(media[i])+len(markers[i]) != len(d) || len(markers[i]) != 1 {
+			t.Fatalf("device %d after recovery: %d records for %d keys and markers %v", i, len(d), len(media[i]), markers[i])
+		}
+	}
+	return media, markers
+}
+
+// ponefileToCrash runs the POneFile sweep workload until the crash armed at
+// point (skipping its first after hits) lands.
+func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
 	const (
 		accounts = uint64(8)
 		opening  = uint64(1000)
@@ -167,47 +249,43 @@ func sweepPOneFile(t *testing.T, point string, after int) {
 	}
 	chaos.DisarmAll()
 
-	dumps := pnvm.DumpAll(devs)
-	eng2, err := b.New(Config{Devices: devs})
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-	defer eng2.Close()
-	rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2 := eng2.NewWorker(0)
-
-	// Conservation: transfers move value, never create or destroy it.
-	var sum uint64
-	for a := uint64(0); a < accounts; a++ {
-		v, ok := rm.Get(tx2, a)
-		if !ok {
-			t.Fatalf("account %d missing after recovery", a)
+	return crashedRun{b: b, devs: devs, spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
+		// Conservation: transfers move value, never create or destroy it.
+		var sum uint64
+		for a := uint64(0); a < accounts; a++ {
+			v, ok := rm.Get(tx2, a)
+			if !ok {
+				t.Fatalf("account %d missing after recovery", a)
+			}
+			sum += v
 		}
-		sum += v
-	}
-	if want := accounts * opening; sum != want {
-		t.Fatalf("conservation broken: accounts sum to %d, want %d", sum, want)
-	}
-	// Atomicity, per attempted transaction: its stamp pair recovers
-	// both-or-neither, and every transaction acknowledged before the crash
-	// recovers in full (eager persistence loses nothing acknowledged).
-	for i := uint64(1); i <= uint64(attempted); i++ {
-		v1, ok1 := rm.Get(tx2, stampA+i)
-		v2, ok2 := rm.Get(tx2, stampB+i)
-		if ok1 != ok2 {
-			t.Fatalf("tx %d recovered torn at %s: stamps (%v,%v)", i, point, ok1, ok2)
+		if want := accounts * opening; sum != want {
+			t.Fatalf("conservation broken: accounts sum to %d, want %d", sum, want)
 		}
-		if ok1 && (v1 != i || v2 != i) {
-			t.Fatalf("tx %d recovered wrong stamps: %d,%d", i, v1, v2)
+		// Atomicity, per attempted transaction: its stamp pair recovers
+		// both-or-neither, and every transaction acknowledged before the
+		// crash recovers in full (eager persistence loses nothing
+		// acknowledged).
+		keys := int(accounts)
+		for i := uint64(1); i <= uint64(attempted); i++ {
+			v1, ok1 := rm.Get(tx2, stampA+i)
+			v2, ok2 := rm.Get(tx2, stampB+i)
+			if ok1 != ok2 {
+				t.Fatalf("tx %d recovered torn at %s: stamps (%v,%v)", i, point, ok1, ok2)
+			}
+			if ok1 && (v1 != i || v2 != i) {
+				t.Fatalf("tx %d recovered wrong stamps: %d,%d", i, v1, v2)
+			}
+			if int(i) <= completed && !ok1 {
+				t.Fatalf("acknowledged tx %d lost after crash at %s", i, point)
+			}
+			if ok1 {
+				keys += 2
+			}
 		}
-		if int(i) <= completed && !ok1 {
-			t.Fatalf("acknowledged tx %d lost after crash at %s", i, point)
-		}
-	}
-	t.Logf("%s after=%d: crashed in tx %d (%d acknowledged), recovery atomic", point, after, attempted, completed)
+		t.Logf("%s after=%d: crashed in tx %d (%d acknowledged), recovery atomic", point, after, attempted, completed)
+		return keys
+	}}
 }
 
 // TestChaosCrashPointSweepShardedMontage sweeps the txMontage flush/advance
@@ -221,17 +299,20 @@ func TestChaosCrashPointSweepShardedMontage(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, point := range montagePoints {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, point), func(t *testing.T) {
-				sweepMontage(t, shards, point)
+				montageToCrash(t, "txmontage-sharded", shards, point).recoverAndAudit(t)
 			})
 		}
 	}
 }
 
-func sweepMontage(t *testing.T, shards int, point string) {
+// montageToCrash runs the txMontage sweep workload on the named engine until
+// the crash armed at point lands.
+func montageToCrash(t *testing.T, engine string, shards int, point string) crashedRun {
 	const n = uint64(16)
 	t.Cleanup(chaos.DisarmAll)
-	b, _ := Lookup("txmontage-sharded")
-	eng, err := b.New(Config{Shards: shards}) // EpochLen 0: sync by hand, no background advancer
+	b, _ := Lookup(engine)
+	cfg := Config{Shards: shards} // EpochLen 0: sync by hand, no background advancer
+	eng, err := b.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,40 +372,121 @@ func sweepMontage(t *testing.T, shards int, point string) {
 	}
 	chaos.DisarmAll()
 
-	dumps := pnvm.DumpAll(devs)
-	eng2, err := b.New(Config{Shards: shards, Devices: devs})
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-	defer eng2.Close()
-	rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2 := eng2.NewWorker(0)
+	return crashedRun{b: b, cfg: cfg, devs: devs, spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
+		// Synced committed state must be fully visible.
+		for i := uint64(0); i < n; i++ {
+			for _, k := range []uint64{i, i + n} {
+				if v, ok := rm.Get(tx2, k); !ok || v != 100+i {
+					t.Fatalf("synced key %d: got %d,%v want %d,true", k, v, ok, 100+i)
+				}
+			}
+		}
+		// Post-sync pairs: all-or-nothing, correct values when present.
+		recovered := 0
+		for i := uint64(0); i < n; i++ {
+			v1, ok1 := rm.Get(tx2, 2*n+i)
+			v2, ok2 := rm.Get(tx2, 3*n+i)
+			if ok1 != ok2 {
+				t.Fatalf("post-sync pair %d recovered torn at %s: (%v,%v)", i, point, ok1, ok2)
+			}
+			if ok1 {
+				recovered++
+				if v1 != 500+i || v2 != 500+i {
+					t.Fatalf("post-sync pair %d recovered wrong values: %d,%d", i, v1, v2)
+				}
+			}
+		}
+		t.Logf("%s shards=%d %s: crash fired, %d/%d post-sync pairs recovered, no tears", engine, shards, point, recovered, n)
+		return int(2*n) + 2*recovered
+	}}
+}
 
-	// Synced committed state must be fully visible.
-	for i := uint64(0); i < n; i++ {
-		for _, k := range []uint64{i, i + n} {
-			if v, ok := rm.Get(tx2, k); !ok || v != 100+i {
-				t.Fatalf("synced key %d: got %d,%v want %d,true", k, v, ok, 100+i)
-			}
-		}
+// TestChaosCrashInsideRecoverySweep is the second-failure sweep: the sweep
+// workloads above run to a first crash that leaves recovery real work (torn
+// payloads and beyond-cut retire marks on POneFile; a fleet torn between two
+// shards' flushes, markers ahead of the domain cut, on txMontage), recovery
+// starts on a fresh engine, and a second power failure lands at every point
+// of the one recovery pipeline × hit offsets — the first and last hit of
+// each point, plus mid-scrub. A third engine then recovers what is left and
+// must reach the same cut, pass the workload's audits, and leave the same
+// durable media (live keys + one marker per device) as a recovery that was
+// never interrupted. A marker write that fails instead of crashing must come
+// back as RecoverUintMap's error, with nothing lost either.
+func TestChaosCrashInsideRecoverySweep(t *testing.T) {
+	requireRegistered(t, recoverPoints)
+	type scenario struct {
+		name string
+		run  func(t *testing.T) crashedRun
 	}
-	// Post-sync pairs: all-or-nothing, correct values when present.
-	recovered := 0
-	for i := uint64(0); i < n; i++ {
-		v1, ok1 := rm.Get(tx2, 2*n+i)
-		v2, ok2 := rm.Get(tx2, 3*n+i)
-		if ok1 != ok2 {
-			t.Fatalf("post-sync pair %d recovered torn at %s: (%v,%v)", i, point, ok1, ok2)
-		}
-		if ok1 {
-			recovered++
-			if v1 != 500+i || v2 != 500+i {
-				t.Fatalf("post-sync pair %d recovered wrong values: %d,%d", i, v1, v2)
-			}
-		}
+	scenarios := []scenario{
+		{"ponefile-after-commit.pre-mark", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.pre-mark", 2) }},
+		{"ponefile-after-commit.gc", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.gc", 2) }},
+		{"txmontage", func(t *testing.T) crashedRun { return montageToCrash(t, "txmontage", 0, "txmontage.advance.mid-shard") }},
 	}
-	t.Logf("shards=%d %s: crash fired, %d/%d post-sync pairs recovered, no tears", shards, point, recovered, n)
+	for _, shards := range []int{1, 2, 8} {
+		scenarios = append(scenarios, scenario{fmt.Sprintf("txmontage-sharded-%d", shards), func(t *testing.T) crashedRun {
+			return montageToCrash(t, "txmontage-sharded", shards, "txmontage.advance.mid-shard")
+		}})
+	}
+	injected := errors.New("injected media error")
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			ref := sc.run(t)
+			refCut := pnvm.Cut(pnvm.DumpAll(ref.devs))
+			wantMedia, wantMarkers := ref.recoverAndAudit(t)
+			nd := len(ref.devs)
+
+			type armed struct {
+				point string
+				chaos.Fault
+			}
+			faults := []armed{{"pnvm.write", chaos.Fault{Kind: chaos.Error, Err: injected}}}
+			for _, point := range recoverPoints {
+				last := nd - 1 // per-device points fire once per device
+				offsets := []int{0, last}
+				if point == "recover.scrub" { // once per device shard (pnvm has 64)
+					last = 64*nd - 1
+					offsets = []int{0, 1, 37, last}
+				}
+				for i, after := range offsets {
+					if i > 0 && after <= offsets[i-1] {
+						continue
+					}
+					faults = append(faults, armed{point, chaos.Fault{Kind: chaos.Crash, After: after}})
+				}
+			}
+			for _, f := range faults {
+				t.Run(fmt.Sprintf("%s/%v/after=%d", f.point, f.Kind, f.After), func(t *testing.T) {
+					r := sc.run(t)
+					f.Action = func() {
+						for _, d := range r.devs {
+							d.Crash()
+						}
+					}
+					if err := chaos.Arm(f.point, f.Fault); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					crashed := chaosCrashed(func() { _, _, err = r.recoverInto(t) })
+					chaos.DisarmAll()
+					if f.Kind == chaos.Crash && !crashed {
+						t.Fatalf("crash at %s after=%d never fired inside recovery", f.point, f.After)
+					}
+					if f.Kind == chaos.Error && !errors.Is(err, injected) {
+						t.Fatalf("failed marker write: RecoverUintMap returned %v, want the injected error", err)
+					}
+					// What the interrupted recovery left behind fixes the
+					// same cut an uninterrupted one computed.
+					left := pnvm.DumpAll(r.devs)
+					if cut := pnvm.Cut(left); cut != refCut {
+						t.Fatalf("cut after the interrupted recovery is %d, uninterrupted recovery cut at %d", cut, refCut)
+					}
+					media, markers := r.recoverAndAudit(t)
+					if !reflect.DeepEqual(media, wantMedia) || !reflect.DeepEqual(markers, wantMarkers) {
+						t.Fatalf("media after interrupted + repeated recovery differs from an uninterrupted recovery:\n got %v %v\nwant %v %v", media, markers, wantMedia, wantMarkers)
+					}
+				})
+			}
+		})
+	}
 }

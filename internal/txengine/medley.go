@@ -23,7 +23,7 @@ type medleyEngine struct {
 	mgr     *core.TxManager
 	es      *montage.EpochSys // non-nil for txMontage
 	codec   montage.Codec[any]
-	started bool
+	stopAdv func()    // halts the private background advancer; nil when none runs
 	snap    *snapTier // MVCC snapshot tier; nil when Config.snapOff (sharded sub-engines)
 	ct      counters
 }
@@ -64,8 +64,7 @@ func newTxMontageEngine(cfg Config) (Engine, error) {
 		e.snap = newSnapTier(es.Clock())
 	}
 	if cfg.EpochLen > 0 && cfg.EpochClock == nil {
-		es.Start(cfg.EpochLen)
-		e.started = true
+		e.stopAdv = montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, cfg.EpochLen)
 	}
 	return e, nil
 }
@@ -75,8 +74,8 @@ func (e *medleyEngine) Caps() Caps   { return medleyCaps }
 func (e *medleyEngine) Stats() Stats { return e.ct.snapshot() }
 
 func (e *medleyEngine) Close() {
-	if e.started {
-		e.es.Stop()
+	if e.stopAdv != nil {
+		e.stopAdv()
 	}
 }
 
@@ -100,80 +99,43 @@ func (e *medleyEngine) Sync() {
 	}
 }
 
-// RecoverUintMap implements Persister: rebuilds a map from the live
-// payloads of this engine's one device's post-crash dump, at the device's
-// epoch-consistent cut (its durable frontier); the device is scrubbed of
-// beyond-cut state and the clock re-anchored past the cut, so the engine —
-// and a possible second crash — continue from a clean boundary.
+// RecoverUintMap implements Persister: a single-device txMontage is a
+// recovery domain of one.
 func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.es == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
 	}
-	if len(dumps) != 1 {
-		// Record ids are per-device counters, so a foreign device's dump
-		// would alias this device's ids and the scrub would corrupt media.
-		return nil, fmt.Errorf("txengine: %s recovery wants exactly one dump for its one device: got %d", e.name, len(dumps))
+	rec, err := montage.Recover(e.es.Clock(), []*montage.EpochSys{e.es}, dumps)
+	if err != nil {
+		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	cut := montage.ConsistentCut(dumps)
-	montage.ReanchorAll(e.es.Clock(), []*montage.EpochSys{e.es}, dumps, cut)
-	live := montage.LiveRecordsAt(dumps[0], cut)
-	var inner Map[uint64]
+	return newSnapUintMap(montageUintMap(e.es, spec, rec.Live[0]), e.snap, rec.Live), nil
+}
+
+// montageUintMap builds one device's persistent uint64 map, its index
+// rebuilt from live when the device is being recovered.
+func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) Map[uint64] {
+	var m *montage.Map[uint64]
 	if spec.Kind == KindHash {
-		inner = txmapAdapter[uint64]{montage.RecoverHashMap(e.es, montage.Uint64Codec(), bucketsOr(spec, 1<<16), live)}
+		m = montage.NewHashMap(es, montage.Uint64Codec(), bucketsOr(spec, 1<<16))
 	} else {
-		inner = txmapAdapter[uint64]{montage.RecoverSkipMap(e.es, montage.Uint64Codec(), live)}
+		m = montage.NewSkipMap(es, montage.Uint64Codec())
 	}
-	return e.wrapRecoveredUint(inner, live), nil
-}
-
-// wrapRecoveredUint attaches the snapshot sidecar to a recovered map and
-// seeds every live record into the version chains. Seeding is mandatory: a
-// chain miss means "absent at the cut", so an unseeded recovered key would
-// read as missing from every snapshot until its first post-recovery write.
-func (e *medleyEngine) wrapRecoveredUint(inner Map[uint64], live []montage.RecordView) Map[uint64] {
-	if e.snap == nil {
-		return inner
-	}
-	ch := &snapChains{tier: e.snap}
-	dec := montage.Uint64Codec().Dec
-	for _, r := range live {
-		ch.seed(r.Key, dec(r.Val), nil)
-	}
-	return snapMap[uint64]{
-		inner: inner,
-		ch:    ch,
-		enc:   func(v uint64) (uint64, any) { return v, nil },
-		dec:   func(u uint64, _ any) uint64 { return u },
-	}
-}
-
-// wrapUint / wrapRow attach the per-map snapshot sidecar when the engine
-// carries the MVCC tier.
-func (e *medleyEngine) wrapUint(inner Map[uint64]) Map[uint64] {
-	if e.snap == nil {
-		return inner
-	}
-	return newSnapUintMap(inner, &snapChains{tier: e.snap})
-}
-
-func (e *medleyEngine) wrapRow(inner Map[any]) Map[any] {
-	if e.snap == nil {
-		return inner
-	}
-	return newSnapRowMap(inner, &snapChains{tier: e.snap})
+	m.Rebuild(live)
+	return txmapAdapter[uint64]{m}
 }
 
 func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
-	if e.es != nil {
-		if spec.Kind == KindHash {
-			return e.wrapUint(txmapAdapter[uint64]{montage.NewHashMap(e.es, montage.Uint64Codec(), bucketsOr(spec, 1<<16))}), nil
-		}
-		return e.wrapUint(txmapAdapter[uint64]{montage.NewSkipMap(e.es, montage.Uint64Codec())}), nil
+	var inner Map[uint64]
+	switch {
+	case e.es != nil:
+		inner = montageUintMap(e.es, spec, nil)
+	case spec.Kind == KindHash:
+		inner = txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}
+	default:
+		inner = txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
 	}
-	if spec.Kind == KindHash {
-		return e.wrapUint(txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}), nil
-	}
-	return e.wrapUint(txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}), nil
+	return newSnapUintMap(inner, e.snap, nil), nil
 }
 
 func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
@@ -182,14 +144,14 @@ func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 			return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
 		}
 		if spec.Kind == KindHash {
-			return e.wrapRow(txmapAdapter[any]{montage.NewHashMap(e.es, e.codec, bucketsOr(spec, 1<<16))}), nil
+			return newSnapRowMap(txmapAdapter[any]{montage.NewHashMap(e.es, e.codec, bucketsOr(spec, 1<<16))}, e.snap), nil
 		}
-		return e.wrapRow(txmapAdapter[any]{montage.NewSkipMap(e.es, e.codec)}), nil
+		return newSnapRowMap(txmapAdapter[any]{montage.NewSkipMap(e.es, e.codec)}, e.snap), nil
 	}
 	if spec.Kind == KindHash {
-		return e.wrapRow(txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}), nil
+		return newSnapRowMap(txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}, e.snap), nil
 	}
-	return e.wrapRow(txmapAdapter[any]{fskiplist.New[uint64, any]()}), nil
+	return newSnapRowMap(txmapAdapter[any]{fskiplist.New[uint64, any]()}, e.snap), nil
 }
 
 // NewUintQueue returns an NBTC-transformed Michael & Scott queue. The queue

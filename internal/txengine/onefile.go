@@ -57,81 +57,58 @@ func (e *onefileEngine) Devices() []*pnvm.Device {
 // committed is already durable.
 func (e *onefileEngine) Sync() {}
 
-// RecoverUintMap implements Persister: rebuilds a map from the surviving
-// payload records of this engine's one device's post-crash dump. The dump
-// is reduced under the redo-log commit rule (onefile.LiveKV): only
-// transactions whose commit record survived are replayed, so a crash inside
-// a WriteTx persistence window recovers all of that transaction or none.
-// Reanchor scrubs the torn remainder off the media and resumes the commit
-// serial before the rebuilt state is re-put (in one transaction, under one
-// fresh commit record).
+// RecoverUintMap implements Persister: POneFile is a recovery domain of one
+// device. The pipeline leaves the live records on media, adopted as the new
+// map's bindings, and one transaction re-puts them to rebuild the DRAM
+// index — so its commit retires and GCs every recovered record under one
+// fresh commit record, and media ends at live keys + one marker.
 func (e *onefileEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.st.Device() == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
 	}
-	if len(dumps) != 1 {
-		// A foreign device's dump would merge unrelated state silently.
-		return nil, fmt.Errorf("txengine: %s recovery wants exactly one dump for its one device: got %d", e.name, len(dumps))
-	}
-	e.st.Reanchor(dumps[0])
-	m, err := e.NewUintMap(spec)
+	m := newOFMap(e, spec, montage.Uint64Codec().Enc)
+	live, err := e.st.Recover(dumps, m.sid)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	u64 := montage.Uint64Codec()
+	dec := montage.Uint64Codec().Dec
 	tx := e.NewWorker(-1)
-	kv := onefile.LiveKV(dumps[0])
 	err = tx.Run(func() error {
-		for k, vb := range kv {
-			m.Put(tx, k, u64.Dec(vb))
+		for _, r := range live {
+			m.Put(tx, r.Key, dec(r.Val))
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("txengine: %s rebuild: %w", e.name, err)
 	}
 	return m, nil
 }
 
 func (e *onefileEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
-	var stage func(k uint64, v uint64, del bool)
-	if e.st.Device() != nil {
-		u64 := montage.Uint64Codec()
-		sid := e.st.NewPersistSID()
-		stage = func(k uint64, v uint64, del bool) {
-			if del {
-				e.st.StagePersist(sid, k, nil)
-				return
-			}
-			e.st.StagePersist(sid, k, u64.Enc(v))
-		}
-	}
-	if spec.Kind == KindHash {
-		h := onefile.NewHash[uint64](e.st, bucketsOr(spec, 1<<16))
-		return ofMap[uint64]{get: h.Get, put: h.Put, ins: h.Insert, rem: h.Remove, stage: stage}, nil
-	}
-	sl := onefile.NewSkipList[uint64](e.st)
-	return ofMap[uint64]{get: sl.Get, put: sl.Put, ins: sl.Insert, rem: sl.Remove, stage: stage}, nil
+	return newOFMap(e, spec, montage.Uint64Codec().Enc), nil
 }
 
 func (e *onefileEngine) NewRowMap(spec MapSpec) (Map[any], error) {
-	var stage func(k uint64, v any, del bool)
-	if e.st.Device() != nil && e.codec.Enc != nil {
-		sid := e.st.NewPersistSID()
-		stage = func(k uint64, v any, del bool) {
-			if del {
-				e.st.StagePersist(sid, k, nil)
-				return
-			}
-			e.st.StagePersist(sid, k, e.codec.Enc(v))
-		}
+	return newOFMap(e, spec, e.codec.Enc), nil
+}
+
+// newOFMap builds one OneFile map. On a persistent engine with a payload
+// encoding (always for uint64 maps; Config.RowCodec for row maps) it gets a
+// persistence structure id, and its mutators stage payload records.
+func newOFMap[V any](e *onefileEngine, spec MapSpec, enc func(V) []byte) ofMap[V] {
+	m := ofMap[V]{st: e.st}
+	if e.st.Device() != nil && enc != nil {
+		m.sid, m.enc = e.st.NewPersistSID(), enc
 	}
 	if spec.Kind == KindHash {
-		h := onefile.NewHash[any](e.st, bucketsOr(spec, 1<<16))
-		return ofMap[any]{get: h.Get, put: h.Put, ins: h.Insert, rem: h.Remove, stage: stage}, nil
+		h := onefile.NewHash[V](e.st, bucketsOr(spec, 1<<16))
+		m.get, m.put, m.ins, m.rem = h.Get, h.Put, h.Insert, h.Remove
+	} else {
+		sl := onefile.NewSkipList[V](e.st)
+		m.get, m.put, m.ins, m.rem = sl.Get, sl.Put, sl.Insert, sl.Remove
 	}
-	sl := onefile.NewSkipList[any](e.st)
-	return ofMap[any]{get: sl.Get, put: sl.Put, ins: sl.Insert, rem: sl.Remove, stage: stage}, nil
+	return m
 }
 
 func (e *onefileEngine) NewUintQueue() (Queue[uint64], error) { return nil, ErrUnsupported }
@@ -174,11 +151,14 @@ func (t *onefileTx) Abort() error { return ErrBusinessAbort }
 // the appropriate transaction. Mutators of persistent maps stage payload
 // records (see onefile.StagePersist) alongside the DRAM mutation.
 type ofMap[V any] struct {
-	get   func(uint64) (V, bool)
-	put   func(uint64, V) (V, bool)
-	ins   func(uint64, V) bool
-	rem   func(uint64) (V, bool)
-	stage func(k uint64, v V, del bool) // nil: transient
+	get func(uint64) (V, bool)
+	put func(uint64, V) (V, bool)
+	ins func(uint64, V) bool
+	rem func(uint64) (V, bool)
+
+	st  *onefile.STM
+	sid uint64         // persistence structure id
+	enc func(V) []byte // payload encoding; nil: transient, nothing staged
 }
 
 func (m ofMap[V]) Get(tx Tx, k uint64) (v V, ok bool) {
@@ -203,8 +183,8 @@ func (m ofMap[V]) Put(tx Tx, k uint64, v V) (old V, had bool) {
 	t.mutable()
 	if t.inTx {
 		old, had = m.put(k, v)
-		if m.stage != nil {
-			m.stage(k, v, false)
+		if m.enc != nil {
+			m.st.StagePersist(m.sid, k, m.enc(v))
 		}
 		return old, had
 	}
@@ -217,8 +197,8 @@ func (m ofMap[V]) Insert(tx Tx, k uint64, v V) (ok bool) {
 	t.mutable()
 	if t.inTx {
 		ok = m.ins(k, v)
-		if ok && m.stage != nil {
-			m.stage(k, v, false)
+		if ok && m.enc != nil {
+			m.st.StagePersist(m.sid, k, m.enc(v))
 		}
 		return ok
 	}
@@ -231,9 +211,8 @@ func (m ofMap[V]) Remove(tx Tx, k uint64) (old V, had bool) {
 	t.mutable()
 	if t.inTx {
 		old, had = m.rem(k)
-		if had && m.stage != nil {
-			var zero V
-			m.stage(k, zero, true)
+		if had && m.enc != nil {
+			m.st.StagePersist(m.sid, k, nil)
 		}
 		return old, had
 	}

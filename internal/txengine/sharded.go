@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"medley/internal/core"
 	"medley/internal/montage"
@@ -80,12 +79,12 @@ type shardedEngine struct {
 
 	// Persistence coordination (nil/empty when the base is transient): the
 	// shared epoch clock, each shard's epoch system and device in shard
-	// order, and the coordinator advancer's lifecycle channels.
-	clock *montage.EpochClock
-	esys  []*montage.EpochSys
-	devs  []*pnvm.Device
-	stop  chan struct{}
-	done  chan struct{}
+	// order, and the stop function of the coordinator (the one background
+	// advancer that moves every shard's epoch system forward together).
+	clock   *montage.EpochClock
+	esys    []*montage.EpochSys
+	devs    []*pnvm.Device
+	stopAdv func()
 }
 
 // epochSysProvider is the seam through which the decorator recognizes
@@ -153,7 +152,7 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 	if len(e.esys) == len(e.shards) {
 		e.clock = clock
 		if cfg.EpochLen > 0 {
-			e.startCoordinator(cfg.EpochLen)
+			e.stopAdv = montage.StartAdvancer(clock, e.esys, cfg.EpochLen)
 		}
 	} else {
 		e.esys, e.devs = nil, nil
@@ -165,27 +164,6 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 		e.snap = newSnapTier(e.clock)
 	}
 	return e, nil
-}
-
-// startCoordinator launches the background epoch advancer that moves every
-// shard's epoch system forward together (the sharded analogue of
-// montage.EpochSys.Start).
-func (e *shardedEngine) startCoordinator(period time.Duration) {
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	go func() {
-		defer close(e.done)
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-t.C:
-				montage.AdvanceTogether(e.clock, e.esys)
-			}
-		}
-	}()
 }
 
 func (e *shardedEngine) Name() string { return e.name }
@@ -205,10 +183,9 @@ func (e *shardedEngine) Stats() Stats {
 }
 
 func (e *shardedEngine) Close() {
-	if e.stop != nil {
-		close(e.stop)
-		<-e.done
-		e.stop = nil
+	if e.stopAdv != nil {
+		e.stopAdv()
+		e.stopAdv = nil
 	}
 	for _, sh := range e.shards {
 		sh.Close()
@@ -238,53 +215,24 @@ func (e *shardedEngine) Sync() {
 }
 
 // RecoverUintMap implements Persister: merge S post-crash device dumps into
-// one logical map. The domain's consistent cut is the minimum of the
-// per-device durable frontiers; each shard's dump is trimmed to that cut
-// (so a device that flushed ahead of the others contributes nothing beyond
-// it) and then recovered through the shard's own engine. Requires one dump
-// per shard, in shard order — i.e. the same shard count the state was
-// written under.
+// one logical map. Every shard's index is rebuilt from its own device's live
+// records at the *domain's* cut (not its device's possibly-further
+// frontier), so a device that flushed ahead of the others contributes
+// nothing beyond it. Requires one dump per shard, in shard order — i.e. the
+// same shard count the state was written under.
 func (e *shardedEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.clock == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
 	}
-	if len(dumps) != len(e.shards) {
-		return nil, fmt.Errorf("txengine: %s recovery wants one dump per shard: got %d dumps for %d shards", e.name, len(dumps), len(e.shards))
+	rec, err := montage.Recover(e.clock, e.esys, dumps)
+	if err != nil {
+		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	// Every shard recovers its own dump at the *global* cut (not its
-	// device's possibly-further frontier); the devices are scrubbed of
-	// beyond-cut state and the shared clock re-anchored past the cut, so a
-	// second crash cannot resurrect what this recovery discarded.
-	cut := montage.ConsistentCut(dumps)
-	montage.ReanchorAll(e.clock, e.esys, dumps, cut)
-	sub := make([]Map[uint64], len(e.shards))
-	subSpec := e.subSpec(spec)
-	u64 := montage.Uint64Codec()
-	// Seed every recovered record into the snapshot sidecar at the tier's
-	// base cut: a chain miss means "absent", so unseeded recovered keys
-	// would vanish from snapshots until their first post-recovery write.
-	var ch *snapChains
-	if e.snap != nil {
-		ch = &snapChains{tier: e.snap}
+	sub, subSpec := make([]Map[uint64], len(e.shards)), e.subSpec(spec)
+	for i, es := range e.esys {
+		sub[i] = montageUintMap(es, subSpec, rec.Live[i])
 	}
-	for i := range e.shards {
-		live := montage.LiveRecordsAt(dumps[i], cut)
-		if spec.Kind == KindHash {
-			sub[i] = txmapAdapter[uint64]{montage.RecoverHashMap(e.esys[i], u64, bucketsOr(subSpec, 1<<16), live)}
-		} else {
-			sub[i] = txmapAdapter[uint64]{montage.RecoverSkipMap(e.esys[i], u64, live)}
-		}
-		if ch != nil {
-			for _, r := range live {
-				ch.seed(r.Key, u64.Dec(r.Val), nil)
-			}
-		}
-	}
-	inner := &shardedMap[uint64]{e: e, sub: sub}
-	if ch == nil {
-		return inner, nil
-	}
-	return newSnapUintMap(inner, ch), nil
+	return newSnapUintMap(&shardedMap[uint64]{e: e, sub: sub}, e.snap, rec.Live), nil
 }
 
 // shardOf routes a key to its owning shard: Fibonacci hashing spreads
@@ -314,10 +262,10 @@ func (e *shardedEngine) subSpec(spec MapSpec) MapSpec {
 
 func (e *shardedEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	m, err := newShardedMap(e, spec, Engine.NewUintMap)
-	if err != nil || e.snap == nil {
-		return m, err
+	if err != nil {
+		return nil, err
 	}
-	return newSnapUintMap(m, &snapChains{tier: e.snap}), nil
+	return newSnapUintMap(m, e.snap, nil), nil
 }
 
 func (e *shardedEngine) NewRowMap(spec MapSpec) (Map[any], error) {
@@ -325,10 +273,10 @@ func (e *shardedEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 		return nil, ErrUnsupported
 	}
 	m, err := newShardedMap(e, spec, Engine.NewRowMap)
-	if err != nil || e.snap == nil {
-		return m, err
+	if err != nil {
+		return nil, err
 	}
-	return newSnapRowMap(m, &snapChains{tier: e.snap}), nil
+	return newSnapRowMap(m, e.snap), nil
 }
 
 // NewUintQueue places the queue wholly on one shard (queues have no keys to
@@ -496,6 +444,24 @@ func (t *shardedTx) routeOf(k uint64) int {
 	s := t.e.shardOf(k)
 	t.memoK[i], t.memoS[i] = k, uint16(s+1)
 	return s
+}
+
+// insertShard inserts s into an ascending shard set in place, returning the
+// (possibly grown) slice. Shard sets are tiny — a handful of ints — so the
+// linear scan beats any cleverness.
+func insertShard(set []int, s int) []int {
+	for i, v := range set {
+		if v == s {
+			return set
+		}
+		if v > s {
+			set = append(set, 0)
+			copy(set[i+1:], set[i:])
+			set[i] = s
+			return set
+		}
+	}
+	return append(set, s)
 }
 
 // hintOpen starts or continues the pending declaration: the first

@@ -240,7 +240,7 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 						cid, ctr, claimedBy[cid])
 				}
 			}
-			t.Logf("shards=%d: cut=%d, %d claims recovered", shards, montage.ConsistentCut(dumps), len(claimedBy))
+			t.Logf("shards=%d: cut=%d, %d claims recovered", shards, pnvm.Cut(dumps), len(claimedBy))
 		})
 	}
 }
@@ -309,18 +309,18 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	dumps := pnvm.DumpAll(devs)
 	eng.Close()
 
-	f0, f1 := montage.Frontier(dumps[0]), montage.Frontier(dumps[1])
+	f0, f1 := pnvm.Cut(dumps[:1]), pnvm.Cut(dumps[1:])
 	if f0 <= f1 {
 		t.Fatalf("torn flush not injected: frontiers %d, %d", f0, f1)
 	}
-	// Sanity: naive per-device recovery (no cut) really would tear — shard
-	// 0 holds the post-transfer debit, shard 1 still the pre-transfer
-	// credit.
+	// Sanity: naive per-device recovery (every unretired record, no cut)
+	// really would tear — shard 0 holds the post-transfer debit, shard 1
+	// still the pre-transfer credit.
 	naive := uint64(0)
 	dec := montage.Uint64Codec().Dec
 	for _, d := range dumps {
-		for _, r := range montage.LiveRecords(d) {
-			if r.Key == k1 || r.Key == k2 {
+		for _, r := range d {
+			if r.Retire == 0 && (r.Key == k1 || r.Key == k2) {
 				naive += dec(r.Val)
 			}
 		}

@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 
 	"medley/internal/montage"
+	"medley/internal/pnvm"
 )
 
 // SnapshotReader is the optional Tx extension of engines with CapSnapshot.
@@ -485,7 +486,21 @@ type snapMap[V any] struct {
 	dec   func(uint64, any) V
 }
 
-func newSnapUintMap(inner Map[uint64], ch *snapChains) snapMap[uint64] {
+// newSnapUintMap / newSnapRowMap attach the per-map snapshot sidecar to a
+// top-level map when the engine carries the MVCC tier (tier nil: inner is
+// returned bare). A map rebuilt by recovery passes its per-device live
+// records, and every one is seeded into the chains (see seed).
+func newSnapUintMap(inner Map[uint64], tier *snapTier, live [][]pnvm.Record) Map[uint64] {
+	if tier == nil {
+		return inner
+	}
+	ch := &snapChains{tier: tier}
+	dec := montage.Uint64Codec().Dec
+	for _, recs := range live {
+		for _, r := range recs {
+			ch.seed(r.Key, dec(r.Val), nil)
+		}
+	}
 	return snapMap[uint64]{
 		inner: inner,
 		ch:    ch,
@@ -494,10 +509,13 @@ func newSnapUintMap(inner Map[uint64], ch *snapChains) snapMap[uint64] {
 	}
 }
 
-func newSnapRowMap(inner Map[any], ch *snapChains) snapMap[any] {
+func newSnapRowMap(inner Map[any], tier *snapTier) Map[any] {
+	if tier == nil {
+		return inner
+	}
 	return snapMap[any]{
 		inner: inner,
-		ch:    ch,
+		ch:    &snapChains{tier: tier},
 		enc:   func(v any) (uint64, any) { return 0, v },
 		dec:   func(_ uint64, a any) any { return a },
 	}

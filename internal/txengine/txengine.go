@@ -250,7 +250,7 @@ type Tx interface {
 //
 // The key ^uint64(0) (2^64-1) is reserved across all engines for engine
 // metadata: persistent montage-backed engines store their durable frontier
-// markers under it (montage.FrontierKey) and panic on an attempt to bind
+// markers under it (pnvm.MarkerKey) and panic on an attempt to bind
 // it. Portable callers must keep user keys below it.
 //
 // On engines without CapDynamicTx, in-transaction return values are
@@ -321,11 +321,58 @@ type Persister interface {
 	// RecoverUintMap rebuilds one logical uint64 map from the post-crash
 	// dumps of every device (pnvm.Device.Recover output, index-aligned
 	// with Devices — see pnvm.DumpAll) on this — freshly constructed —
-	// engine. Dumps are merged at an epoch-consistent cut: state some
-	// devices persisted beyond the cut is discarded so no transaction is
-	// recovered torn. Sharded engines require one dump per shard,
-	// recovered at the same shard count the state was written under.
+	// engine. Every engine recovers through the one pipeline,
+	// pnvm.RecoverDomain: the dumps are merged at the domain's cut (state
+	// some devices persisted beyond it is discarded, so no transaction is
+	// recovered torn), the media is scrubbed down to the live records plus
+	// one marker per device, and the engine resumes past the cut. A dump
+	// count that does not match the device count (sharded engines: the
+	// shard count the state was written under) and a failed marker write
+	// are returned as errors; recovery can then be rerun, as it can after a
+	// crash inside it.
 	RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error)
+}
+
+// KeyHinter is the optional Tx extension of the sharded engines. A
+// cross-shard transaction normally discovers its shard set by restart (one
+// wasted execution per new shard, Stats.CrossShardRestarts); HintKeys
+// pre-declares map keys the worker's next Run will touch, so the Run opens
+// its whole shard set up front — and latches exactly those keys, so declared
+// transactions on the same hot keys queue instead of aborting each other
+// (see latch.go). Successive HintKeys / HintQueues calls before a Run
+// accumulate into one declaration; the next Run consumes it whole. Hinting
+// inside Run is a no-op. A wrong declaration is safe: an attempt that
+// touches a shard outside its declared set restarts like discovery does
+// (Stats.FootprintHits / FootprintMisses count declarations that held and
+// that were escaped).
+type KeyHinter interface {
+	HintKeys(keys ...uint64)
+}
+
+// QueueHinter is the queue-side companion of KeyHinter: HintQueues
+// pre-declares transactional queues the worker's next Run will touch, so
+// the attempt covers the queue's home shard from the start and serializes
+// same-queue traffic through the queue's synthetic latch key.
+type QueueHinter interface {
+	HintQueues(qs ...Queue[uint64])
+}
+
+// HintKeys forwards a footprint hint to tx when its engine supports hints
+// (the sharded decorators); on every other engine it is a no-op, so portable
+// workload code can hint unconditionally. Keys that route to a single shard
+// produce no pre-declaration — the single-shard fast path is already
+// optimal — so over-hinting is harmless.
+func HintKeys(tx Tx, keys ...uint64) {
+	if h, ok := tx.(KeyHinter); ok {
+		h.HintKeys(keys...)
+	}
+}
+
+// HintQueues is HintKeys for queues.
+func HintQueues(tx Tx, qs ...Queue[uint64]) {
+	if h, ok := tx.(QueueHinter); ok {
+		h.HintQueues(qs...)
+	}
 }
 
 // Builder is one registry entry.
