@@ -205,7 +205,9 @@ func BenchmarkOverheadSingleOp(b *testing.B) {
 
 // BenchmarkAblationCASObj isolates the cost of the GC-safe CASObj cell
 // encoding versus a bare CAS-loop counter — the constant-factor price this
-// port pays in place of the paper's 128-bit CAS (see EXPERIMENTS.md).
+// port pays in place of the paper's 128-bit CAS: one 24-byte {desc, prev,
+// val} cell per successful CAS (allocated once per call, not per retry), and
+// one pointer hop per load.
 func BenchmarkAblationCASObj(b *testing.B) {
 	b.Run("CASObj", func(b *testing.B) {
 		var o core.CASObj[uint64]

@@ -13,38 +13,40 @@ type ReadTag unsafe.Pointer
 
 // cellHeader is the type-erased prefix of every cell. It MUST be the first
 // field of cell[T] so that a *cell[T] can be viewed as a *cellHeader by the
-// generic descriptor machinery.
+// descriptor machinery. Both words are written plainly while the cell is
+// private; once it is published they are read atomically and only ever
+// cleared, atomically and once (see uninstall).
 type cellHeader struct {
-	// desc is non-nil while a transaction descriptor is installed in the
-	// owning CASObj (the paper's "odd counter" state).
-	desc *Desc
-	// prev is the cell this cell was installed over. It is meaningful only
-	// while desc != nil and is used to validate reads that the installing
-	// transaction subsequently overwrote.
+	// desc (*Desc) is non-nil while a transaction descriptor is installed in
+	// the owning CASObj. Once nil it stays nil: the cell is a real value.
+	desc unsafe.Pointer
+	// prev is the cell this one was installed over: where the slot swings
+	// back to on abort, and what validates reads its transaction overwrote.
 	prev unsafe.Pointer
-	// seq mirrors the paper's 64-bit counter: even for a real value, odd
-	// while a descriptor is installed. Correctness does not depend on it
-	// (cells are immutable and GC prevents reuse); it is kept for fidelity
-	// and for invariant checks in tests.
-	seq uint64
 }
 
-// cell is one immutable version of a CASObj's contents.
+func (h *cellHeader) owner() *Desc { return (*Desc)(atomic.LoadPointer(&h.desc)) }
+
+// cell is one version of a CASObj's contents, 32 bytes around a marked
+// reference. val is immutable; while a descriptor is installed it is the
+// speculative value, and the replaced cell (prev) holds the old one.
 type cell[T comparable] struct {
 	cellHeader
-	// val is the current value; while desc != nil it is the speculative
-	// value that takes effect if the transaction commits.
 	val T
-	// old is the value that was overwritten by the install; it is restored
-	// if the transaction aborts. Meaningful only while desc != nil.
-	old T
 }
 
-// Obj is the type-erased view of a *CASObj[T] used by descriptors for
-// validation and uninstalling. Only *CASObj[T] implements it.
+// value is the cell's value; a nil cell is the zero value of T.
+func (c *cell[T]) value() (v T) {
+	if c != nil {
+		v = c.val
+	}
+	return v
+}
+
+// Obj is the type-erased view of a *CASObj[T], its only implementation: the
+// address of the word that holds its current cell.
 type Obj interface {
-	curCell() unsafe.Pointer
-	uninstallFor(d *Desc, committed bool)
+	slot() *unsafe.Pointer
 }
 
 // CASObj is an augmented atomic word (the paper's CASObj<T>, Fig. 1 and
@@ -52,10 +54,14 @@ type Obj interface {
 // pointer types and small structs of pointers/booleans (e.g. marked
 // references) are the intended instantiations.
 type CASObj[T comparable] struct {
-	c atomic.Pointer[cell[T]]
+	c unsafe.Pointer // *cell[T], accessed atomically once the object is shared
 }
 
-var _ Obj = (*CASObj[int])(nil)
+func (o *CASObj[T]) slot() *unsafe.Pointer { return &o.c }
+
+func (o *CASObj[T]) cas(old, new *cell[T]) bool {
+	return atomic.CompareAndSwapPointer(&o.c, unsafe.Pointer(old), unsafe.Pointer(new))
+}
 
 // resolve loads the current cell, eagerly finalizing any foreign descriptor
 // it encounters (the paper's tryFinalize loop). On return the cell is either
@@ -63,39 +69,41 @@ var _ Obj = (*CASObj[int])(nil)
 // `own` (when own != nil).
 func (o *CASObj[T]) resolve(own *Desc) *cell[T] {
 	for {
-		c := o.c.Load()
-		if c == nil || c.desc == nil || c.desc == own {
+		p := atomic.LoadPointer(&o.c)
+		if p == nil {
+			return nil
+		}
+		c := (*cell[T])(p)
+		d := c.owner()
+		if d == nil || d == own {
 			return c
 		}
-		c.desc.tryFinalize(o, unsafe.Pointer(c))
+		d.tryFinalize(&o.c, p)
 	}
 }
 
 // Load atomically reads the current value, resolving (finalizing and
-// uninstalling) any descriptor found in the object. This is the paper's
-// "regular atomic method" load; safe to call inside or outside transactions,
-// but inside a transaction it performs no read tracking.
-func (o *CASObj[T]) Load() T {
-	c := o.resolve(nil)
-	if c == nil {
-		var zero T
-		return zero
+// uninstalling) any descriptor found in the object: the paper's "regular
+// atomic method" load. Inside a transaction it performs no read tracking.
+func (o *CASObj[T]) Load() T { return o.resolve(nil).value() }
+
+// Init sets the value of an object no other goroutine can reach yet — a field
+// of a node before the CAS that publishes the node — with plain writes and at
+// most one cell for the life of the object, however often it is called; the
+// zero value needs none. Before publication only: afterwards use Store.
+func (o *CASObj[T]) Init(v T) {
+	var zero T
+	if c := (*cell[T])(o.c); c != nil {
+		c.val = v
+	} else if v != zero {
+		o.c = unsafe.Pointer(&cell[T]{val: v})
 	}
-	return c.val
 }
 
 // Store atomically replaces the current value.
 func (o *CASObj[T]) Store(v T) {
-	for {
-		c := o.resolve(nil)
-		var seq uint64
-		if c != nil {
-			seq = c.seq
-		}
-		nc := &cell[T]{cellHeader{seq: seq + 2}, v, v}
-		if o.c.CompareAndSwap(c, nc) {
-			return
-		}
+	nc := &cell[T]{val: v} // private until the CAS succeeds, so one serves every retry
+	for !o.cas(o.resolve(nil), nc) {
 	}
 }
 
@@ -103,18 +111,16 @@ func (o *CASObj[T]) Store(v T) {
 // resolves foreign descriptors before comparing, and retries on version
 // churn so long as the current value still equals expected.
 func (o *CASObj[T]) CAS(expected, desired T) bool {
+	var nc *cell[T]
 	for {
 		c := o.resolve(nil)
-		var cur T
-		var seq uint64
-		if c != nil {
-			cur, seq = c.val, c.seq
-		}
-		if cur != expected {
+		if c.value() != expected {
 			return false
 		}
-		nc := &cell[T]{cellHeader{seq: seq + 2}, desired, desired}
-		if o.c.CompareAndSwap(c, nc) {
+		if nc == nil {
+			nc = &cell[T]{val: desired}
+		}
+		if o.cas(c, nc) {
 			return true
 		}
 	}
@@ -132,15 +138,11 @@ func (o *CASObj[T]) NbtcLoad(s *Session) (T, ReadTag) {
 		own = s.desc
 	}
 	c := o.resolve(own)
-	if c == nil {
-		var zero T
-		return zero, nil
-	}
-	if c.desc != nil { // own descriptor: speculative read
+	if c != nil && c.owner() != nil { // own descriptor: speculative read
 		s.inSpec = true
-		return c.val, ReadTag(c.prev)
+		return c.val, ReadTag(atomic.LoadPointer(&c.prev))
 	}
-	return c.val, ReadTag(unsafe.Pointer(c))
+	return c.value(), ReadTag(unsafe.Pointer(c))
 }
 
 // NbtcCAS is the transactional CAS of Fig. 5. linPt indicates that a
@@ -154,100 +156,54 @@ func (o *CASObj[T]) NbtcCAS(s *Session, expected, desired T, linPt, pubPt bool) 
 		return o.CAS(expected, desired)
 	}
 	d := s.desc
+	var nc *cell[T] // the one cell this call allocates; private until a CAS publishes it
 	for {
 		c := o.resolve(d)
-		if c != nil && c.desc != nil {
-			// Own descriptor already installed here: speculative update of
-			// the pending new value (paper Fig. 5 line 34). Replacing the
-			// installed cell keeps old/prev so helpers can still abort us.
+		own := c != nil && c.owner() != nil
+		if own {
 			s.inSpec = true
-			if c.val != expected {
-				return false
-			}
-			nc := &cell[T]{cellHeader{desc: d, prev: c.prev, seq: c.seq}, desired, c.old}
-			if o.c.CompareAndSwap(c, nc) {
-				if linPt {
-					s.inSpec = false
-				}
-				return true
-			}
-			continue // a helper finalized us meanwhile; re-resolve
 		}
-		var cur T
-		var seq uint64
-		if c != nil {
-			cur, seq = c.val, c.seq
-		}
-		if cur != expected {
+		if c.value() != expected {
 			return false
 		}
 		if pubPt {
 			s.inSpec = true
 		}
-		if !s.inSpec {
-			// Non-critical CAS: execute on the fly (methodology step 1).
-			nc := &cell[T]{cellHeader{seq: seq + 2}, desired, desired}
-			if o.c.CompareAndSwap(c, nc) {
+		if nc == nil {
+			nc = &cell[T]{val: desired}
+		}
+		switch {
+		case own:
+			// Own descriptor already installed here: speculative update of
+			// the pending new value (paper Fig. 5 line 34). It inherits prev,
+			// so an abort restores the cell from before our first install.
+			nc.desc, nc.prev = unsafe.Pointer(d), atomic.LoadPointer(&c.prev)
+			if o.cas(c, nc) {
+				if linPt {
+					s.inSpec = false
+				}
 				return true
 			}
-			continue
-		}
-		// Critical CAS: install the descriptor (methodology step 2).
-		nc := &cell[T]{cellHeader{desc: d, prev: unsafe.Pointer(c), seq: seq + 1}, desired, cur}
-		d.writeSet = append(d.writeSet, o)
-		if !o.c.CompareAndSwap(c, nc) {
-			d.writeSet = d.writeSet[:len(d.writeSet)-1]
-			return false // contention; let the data structure retry its loop
-		}
-		s.stats().Installs.Add(1)
-		if linPt {
-			s.inSpec = false
-		}
-		return true
-	}
-}
-
-// curCell implements Obj.
-func (o *CASObj[T]) curCell() unsafe.Pointer {
-	return unsafe.Pointer(o.c.Load())
-}
-
-// uninstallFor implements Obj: if a cell installed by d is present, replace
-// it with the real-value cell dictated by d's final status. Loops because
-// the owner may concurrently replace one installed cell with another
-// (speculative new-value update); idempotent across racing helpers.
-func (o *CASObj[T]) uninstallFor(d *Desc, committed bool) {
-	for {
-		c := o.c.Load()
-		if c == nil || c.desc != d {
-			return
-		}
-		v := c.val
-		if !committed {
-			v = c.old
-		}
-		nc := &cell[T]{cellHeader{seq: c.seq + 1}, v, v}
-		if o.c.CompareAndSwap(c, nc) {
-			return
+			// a helper aborted us and swung the slot back; re-resolve
+		case !s.inSpec:
+			// Non-critical CAS: execute on the fly (methodology step 1). nc's
+			// header is nil: the cases that set it never lead back here.
+			if o.cas(c, nc) {
+				return true
+			}
+		default:
+			// Critical CAS: install the descriptor (methodology step 2).
+			nc.desc, nc.prev = unsafe.Pointer(d), unsafe.Pointer(c)
+			d.writeSet = append(d.writeSet, &o.c)
+			if !o.cas(c, nc) {
+				d.writeSet = d.writeSet[:len(d.writeSet)-1]
+				return false // contention; let the data structure retry its loop
+			}
+			s.stats().Installs.Add(1)
+			if linPt {
+				s.inSpec = false
+			}
+			return true
 		}
 	}
-}
-
-// seqOf reports the current cell's sequence number (tests only).
-func (o *CASObj[T]) seqOf() uint64 {
-	c := o.c.Load()
-	if c == nil {
-		return 0
-	}
-	return c.seq
-}
-
-// installedBy reports whether a descriptor is currently installed (tests and
-// invariant checks only).
-func (o *CASObj[T]) installedBy() *Desc {
-	c := o.c.Load()
-	if c == nil {
-		return nil
-	}
-	return c.desc
 }

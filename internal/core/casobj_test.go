@@ -2,9 +2,21 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// cellOf is the cell o's slot holds right now, descriptor or not.
+func cellOf[T comparable](o *CASObj[T]) *cell[T] { return (*cell[T])(atomic.LoadPointer(&o.c)) }
+
+// installedBy reports the descriptor currently installed in o, if any.
+func (o *CASObj[T]) installedBy() *Desc {
+	if c := cellOf(o); c != nil {
+		return c.owner()
+	}
+	return nil
+}
 
 func TestCASObjZeroValue(t *testing.T) {
 	var o CASObj[int]
@@ -55,13 +67,33 @@ func TestCASObjStruct(t *testing.T) {
 	}
 }
 
-func TestCASObjSeqParity(t *testing.T) {
+func TestCASObjPlainStoreInstallsNothing(t *testing.T) {
 	var o CASObj[int]
 	for i := 0; i < 10; i++ {
 		o.Store(i)
-		if o.seqOf()%2 != 0 {
-			t.Fatalf("seq odd after plain store: %d", o.seqOf())
+		if o.installedBy() != nil {
+			t.Fatalf("descriptor installed after plain store %d", i)
 		}
+	}
+}
+
+// Init is for a node nobody else can see yet: any number of calls cost the
+// object one cell, and the zero value none (TestBudgetInit counts).
+func TestCASObjInit(t *testing.T) {
+	var o CASObj[int]
+	o.Init(0)
+	if o.c != nil || o.Load() != 0 {
+		t.Fatal("Init(zero) allocated a cell or lost the value")
+	}
+	o.Init(3)
+	c := o.c
+	o.Init(4)
+	o.Init(0)
+	if o.c != c || o.Load() != 0 {
+		t.Fatal("a second Init replaced the cell or lost the value")
+	}
+	if !o.CAS(0, 9) || o.Load() != 9 {
+		t.Fatal("CAS after Init failed")
 	}
 }
 

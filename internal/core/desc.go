@@ -36,11 +36,11 @@ func (s Status) String() string {
 	return "invalid"
 }
 
-// readRec is one read-set entry: the object and the cell observed by the
-// linearizing load.
+// readRec is one read-set entry: the object's slot and the cell observed by
+// the linearizing load.
 type readRec struct {
-	o   Obj
-	tag unsafe.Pointer
+	slot *unsafe.Pointer
+	tag  unsafe.Pointer
 }
 
 // Desc is an MCNS transaction descriptor: the header that installed cells
@@ -53,9 +53,8 @@ type readRec struct {
 // before the InPrep→InProg CAS: both slices are replaced by exact-size
 // private copies, and from then on nobody writes them. Helpers read the sets
 // only after loading InProg or Committed from the status word, so that CAS
-// orders the copies before every helper read, and a straggler still holding
-// one of this transaction's cells sees this transaction's frozen sets however
-// many later transactions have refilled the scratch (see doc.go).
+// orders the copies before every helper read, and a straggler sees this
+// transaction's sets however often the scratch was refilled (see doc.go).
 //
 // A descriptor that finished without ever being reachable (no install, no
 // group) is handed back to its session and reused by the next TxBegin; one
@@ -72,7 +71,7 @@ type Desc struct {
 	group      *TxGroup
 	owner      *Session
 	readSet    []readRec
-	writeSet   []Obj
+	writeSet   []*unsafe.Pointer // the slot of every object installed into
 	validators []func() bool
 	// vBuf is inline storage for the one validator a layered system
 	// registers (txMontage's epoch check); more spill to the heap.
@@ -98,13 +97,13 @@ func (d *Desc) AddValidator(f func() bool) {
 func (d *Desc) validate() bool {
 	for i := range d.readSet {
 		r := &d.readSet[i]
-		cur := r.o.curCell()
+		cur := atomic.LoadPointer(r.slot)
 		if cur == r.tag {
 			continue
 		}
 		if cur != nil {
 			h := (*cellHeader)(cur)
-			if h.desc == d && h.prev == r.tag {
+			if h.owner() == d && atomic.LoadPointer(&h.prev) == r.tag {
 				continue
 			}
 		}
@@ -123,11 +122,11 @@ func (d *Desc) validate() bool {
 // the object through which it was discovered. If the descriptor reached
 // InProg its write set is frozen, so the helper additionally sweeps the
 // whole write set to accelerate completion.
-func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
-	if o.curCell() != found {
+func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
+	if atomic.LoadPointer(slot) != found {
 		return // descriptor no longer responsible for this object
 	}
-	d.finalize(o)
+	d.finalize(slot)
 }
 
 // finalize is tryFinalize past its responsibility check. Nothing makes the
@@ -135,18 +134,17 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 // likes, while the owner finishes this transaction and runs any number of
 // later ones — which is why a reachable descriptor's sets are frozen and the
 // descriptor itself is never reused (the stale-helper tests enter here).
-func (d *Desc) finalize(o Obj) {
+func (d *Desc) finalize(slot *unsafe.Pointer) {
 	// For a linked descriptor the status word, the validation scope, and
 	// the sweep scope are all group-wide: helping one member means
 	// finalizing the whole shared-fate group (see group.go).
 	w := d.statusWord()
 	st := Status(w.Load())
-	sawInProg := st == InProg || st == Committed
 	if st == InPrep {
 		w.CompareAndSwap(uint32(InPrep), uint32(Aborted))
 		st = Status(w.Load())
-		sawInProg = sawInProg || st == InProg || st == Committed
 	}
+	sawInProg := st == InProg || st == Committed
 	if st == InProg {
 		if d.validateScope() {
 			w.CompareAndSwap(uint32(InProg), uint32(Committed))
@@ -164,7 +162,7 @@ func (d *Desc) finalize(o Obj) {
 		// Never seen past InPrep: the write set is the owner's scratch —
 		// still being appended to, or already refilled by a later
 		// transaction — so only uninstall the cell we tripped over.
-		o.uninstallFor(d, committed)
+		uninstall(slot, d, committed)
 	}
 	if d.owner != nil {
 		d.owner.stats().Helps.Add(1)
@@ -174,7 +172,39 @@ func (d *Desc) finalize(o Obj) {
 // sweep uninstalls the descriptor from every write-set entry. Called by the
 // owner on commit/abort, and by helpers once the write set is frozen.
 func (d *Desc) sweep(committed bool) {
-	for _, o := range d.writeSet {
-		o.uninstallFor(d, committed)
+	for _, slot := range d.writeSet {
+		uninstall(slot, d, committed)
 	}
+}
+
+// uninstall takes d's cell, if slot holds one, out of the installed state:
+// the one way a descriptor leaves an object, for the owner's sweep, a helper's
+// sweep and a helper at the cell it tripped over alike. It loops because the
+// owner may concurrently replace one installed cell with another (speculative
+// new-value update); racing and stale callers all hold the same verdict.
+func uninstall(slot *unsafe.Pointer, d *Desc, committed bool) {
+	for {
+		c := atomic.LoadPointer(slot)
+		if c == nil || settle(slot, c, d, committed) {
+			return
+		}
+	}
+}
+
+// settle is uninstall past its load of the slot (a caller can sleep between
+// the two, as between tryFinalize and finalize); false means c was replaced.
+// Committed, the cell becomes the real value in place, prev cleared before
+// desc; aborted, the slot swings back to the cell the install replaced. Why
+// that order, and why a late caller is harmless either way: doc.go.
+func settle(slot *unsafe.Pointer, c unsafe.Pointer, d *Desc, committed bool) bool {
+	h := (*cellHeader)(c)
+	if h.owner() != d {
+		return true
+	}
+	if !committed {
+		return atomic.CompareAndSwapPointer(slot, c, atomic.LoadPointer(&h.prev))
+	}
+	atomic.StorePointer(&h.prev, nil)
+	atomic.StorePointer(&h.desc, nil)
+	return true
 }

@@ -19,26 +19,39 @@
 // counter and uses x86 CMPXCHG16B to switch the pair between "real value"
 // (even counter) and "descriptor installed" (odd counter). Go has no 128-bit
 // CAS, but it has a garbage collector, which eliminates the ABA hazard the
-// counter exists to prevent. We therefore represent the
-// (value, counter, descriptor) triple as an immutable heap cell reached
-// through a single atomic.Pointer. Cell identity subsumes {value, counter}
-// equality, so read-set validation is one pointer comparison. The paper's
-// counter is retained in each cell (with the same parity convention) purely
-// for introspection and test assertions.
+// counter exists to prevent. We therefore represent the (value, descriptor)
+// pair as a heap cell {desc, prev, val} reached through one atomic pointer,
+// the object's slot. Cell identity subsumes {value, counter} equality, so
+// read-set validation is one pointer comparison and no counter is kept.
 //
 // # Concurrency protocol
 //
 // A critical CAS installs a new cell that carries the owning descriptor, the
-// speculative new value, the overwritten old value, and a pointer to the
-// replaced cell (used to validate reads that the same transaction later
-// overwrote). Conflicting threads that encounter an installed cell eagerly
-// finalize the descriptor (abort if InPrep, help validate/commit if InProg)
-// and uninstall the cell they tripped over; the owner sweeps its entire
-// write set on commit or abort. Helpers never mutate a descriptor's read or
-// write sets, and they read them only after loading InProg or Committed from
-// the status word, so the protocol is free of data races by construction
-// (next section). Eager contention management makes the system
-// obstruction-free, exactly as argued in Section 5.2 of the paper.
+// speculative new value, and a pointer to the replaced cell, prev — which
+// holds the overwritten value and validates reads that the same transaction
+// later overwrote. That cell is all an install allocates: uninstalling is
+// type-erased and allocates nothing. On commit the installed cell becomes the
+// real value in place: prev is cleared, then desc, in that order so that a
+// helper descheduled between the two cannot leave the overwritten cell pinned
+// behind a cell that looks finished. On abort the slot swings back to prev
+// with one CAS, since the install never took effect. val is immutable, and a
+// desc that reads nil stays nil.
+//
+// So a cell pointer can come back to a slot, but only by the abort of an
+// install made directly over it, which is no change of the object's logical
+// value: a read-set entry that has become logically invalid stays invalid,
+// and a CAS (plain, installing, uninstalling) that succeeds against a cell
+// that left and came back succeeds against the value it meant. A cell that
+// carried an aborted descriptor never comes back: nothing names it as prev.
+//
+// Conflicting threads that encounter an installed cell eagerly finalize the
+// descriptor (abort if InPrep, help validate/commit if InProg) and uninstall
+// the cell they tripped over; the owner sweeps its entire write set on commit
+// or abort. Helpers never mutate a descriptor's sets and read them only after
+// loading InProg or Committed from the status word; a cell's words are
+// written plainly before the CAS that publishes it and atomically after, so
+// the protocol is free of data races by construction (next section). Eager
+// contention management makes the system obstruction-free (paper Section 5.2).
 //
 // # Who owns the read and write sets
 //
@@ -84,7 +97,7 @@
 //
 // Scratch and spare belong to one session, so what a transaction allocates
 // is a function of what that transaction (and its predecessor on the
-// session) did: header + read copy + write copy + two cells per install for
+// session) did: header + read copy + write copy + one cell per install for
 // a writer, zero for a reader. A sync.Pool, a free list shared between
 // sessions, or epoch-deferred reuse would save the header too, but with a
 // hit rate that depends on collector timing and scheduling — and bytes per

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -15,11 +16,16 @@ import (
 type staleHelper struct{ release, done chan struct{} }
 
 func parkHelper(o Obj) *staleHelper {
-	d := (*cellHeader)(o.curCell()).desc
+	slot := o.slot()
+	d := (*cellHeader)(atomic.LoadPointer(slot)).owner()
+	return park(func() { d.finalize(slot) })
+}
+
+func park(resume func()) *staleHelper {
 	h := &staleHelper{make(chan struct{}), make(chan struct{})}
 	go func() {
 		<-h.release
-		d.finalize(o)
+		resume()
 		close(h.done)
 	}()
 	return h
@@ -46,12 +52,22 @@ var releasePointNames = [numReleasePoints]string{
 // endWith is TxEnd (one session) or CommitLinked (several) taken apart so
 // that between can run after the freeze and before the status CAS.
 func endWith(ss []*Session, between func()) error {
+	freezeAll(ss)
+	between()
+	decide(ss)
+	return finishAll(ss)
+}
+
+func freezeAll(ss []*Session) {
 	for _, s := range ss {
 		if d := s.desc; d.group != nil || len(d.writeSet) != 0 {
 			s.freeze(d)
 		}
 	}
-	between()
+}
+
+// decide takes the (frozen) transaction of ss from InPrep to its verdict.
+func decide(ss []*Session) {
 	d0 := ss[0].desc
 	w := d0.statusWord()
 	if w.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
@@ -61,6 +77,9 @@ func endWith(ss []*Session, between func()) error {
 			w.CompareAndSwap(uint32(InProg), uint32(Aborted))
 		}
 	}
+}
+
+func finishAll(ss []*Session) error {
 	var err error
 	for _, s := range ss {
 		err = s.finish(s.desc)
@@ -92,12 +111,12 @@ func wantFrozen(t *testing.T, d *Desc, reads, writes []*CASObj[int]) {
 		t.Fatalf("frozen sets have %d reads, %d writes; want %d, %d", len(d.readSet), len(d.writeSet), len(reads), len(writes))
 	}
 	for i, o := range reads {
-		if d.readSet[i].o != Obj(o) {
+		if d.readSet[i].slot != o.slot() {
 			t.Fatalf("frozen read %d is not the object the transaction read", i)
 		}
 	}
 	for i, o := range writes {
-		if d.writeSet[i] != Obj(o) {
+		if d.writeSet[i] != o.slot() {
 			t.Fatalf("frozen write %d is not the object the transaction wrote", i)
 		}
 	}
@@ -113,12 +132,23 @@ func wantFrozen(t *testing.T, d *Desc, reads, writes []*CASObj[int]) {
 func wantAll(t *testing.T, what string, objs []CASObj[int], want int) {
 	t.Helper()
 	for i := range objs {
-		if got := objs[i].Load(); got != want {
-			t.Fatalf("%s[%d] = %d, want %d", what, i, got, want)
-		}
-		if objs[i].installedBy() != nil {
-			t.Fatalf("%s[%d] still has a descriptor installed", what, i)
-		}
+		wantSettled(t, fmt.Sprintf("%s[%d]", what, i), &objs[i], want)
+	}
+}
+
+// wantSettled asserts that o holds want as a real value: no descriptor, and
+// no overwritten cell pinned behind it.
+func wantSettled(t *testing.T, what string, o *CASObj[int], want int) {
+	t.Helper()
+	c := cellOf(o)
+	if c != nil && c.owner() != nil {
+		t.Fatalf("%s still has a descriptor installed", what)
+	}
+	if c != nil && atomic.LoadPointer(&c.prev) != nil {
+		t.Fatalf("%s still pins the cell it was installed over", what)
+	}
+	if got := c.value(); got != want {
+		t.Fatalf("%s = %d, want %d", what, got, want)
 	}
 }
 
@@ -291,7 +321,7 @@ func TestDescFreezeLeavesNothingBehind(t *testing.T) {
 	wantIdle := func(when string) {
 		t.Helper()
 		for _, r := range s.rs[:cap(s.rs)] {
-			if r.o != nil || r.tag != nil {
+			if r.slot != nil || r.tag != nil {
 				t.Fatalf("%s: read scratch still pins an object", when)
 			}
 		}
@@ -488,5 +518,137 @@ func TestDescRecycle(t *testing.T) {
 	}
 	if recycled < 100 || len(reachable) < 100 {
 		t.Fatalf("mix degenerate: %d recyclable, %d reachable", recycled, len(reachable))
+	}
+}
+
+// The points inside uninstall at which a caller can be descheduled.
+const (
+	afterLoad     = iota // it loaded the slot and has not entered settle
+	betweenClears        // committed only: it cleared prev and not yet desc
+)
+
+// parkInUninstall models a caller of uninstall(o.slot(), d, committed) — the
+// owner's sweep, a helper's sweep and the single-cell path are that one
+// function — descheduled inside it. Parked after the load it resumes in the
+// real settle; between the clears, the second store is made by hand.
+func parkInUninstall(o Obj, d *Desc, committed bool, point int) *staleHelper {
+	slot := o.slot()
+	c := atomic.LoadPointer(slot)
+	h := (*cellHeader)(c)
+	if point == betweenClears {
+		atomic.StorePointer(&h.prev, nil)
+		return park(func() { atomic.StorePointer(&h.desc, nil) })
+	}
+	return park(func() {
+		if !settle(slot, c, d, committed) {
+			uninstall(slot, d, committed)
+		}
+	})
+}
+
+// The points at which that caller is released.
+const (
+	beforeOwnerSweep = iota
+	afterOwnerSweep
+	insideLaterInstall // a later transaction has its own cell in the object
+	afterLaterTx
+	numUninstallReleases
+)
+
+var uninstallReleaseNames = [numUninstallReleases]string{
+	"before the owner's sweep", "after the owner's sweep", "inside a later install", "after the later transaction",
+}
+
+// TestStaleHelperInsideUninstall enumerates a caller parked inside uninstall
+// on object o while the owner finishes and a later transaction installs over
+// o and commits or aborts: single and linked, transaction 1 committed and
+// aborted. Wherever it resumes it must act on transaction 1's cell alone. A
+// reader that saw o between the two transactions is the witness that the
+// slot holds the very same cell again after the later one aborts.
+func TestStaleHelperInsideUninstall(t *testing.T) {
+	windows := []struct {
+		name   string
+		commit bool
+		point  int
+	}{
+		{"commit, parked after the load", true, afterLoad},
+		{"commit, parked between the clears", true, betweenClears},
+		{"abort, parked before the CAS", false, afterLoad},
+	}
+	for _, linked := range []bool{false, true} {
+		for _, w := range windows {
+			for rel := 0; rel < numUninstallReleases; rel++ {
+				for _, laterCommits := range []bool{true, false} {
+					name := fmt.Sprintf("linked=%v/%s/released %s/later commits=%v", linked, w.name, uninstallReleaseNames[rel], laterCommits)
+					t.Run(name, func(t *testing.T) {
+						ss := []*Session{NewTxManager().Session()}
+						if linked {
+							ss = append(ss, NewTxManager().Session())
+						}
+						owner := ss[len(ss)-1] // the member whose cell the parked caller holds
+						later, reader := NewTxManager().Session(), NewTxManager().Session()
+						var o, side, y CASObj[int]
+
+						for _, s := range ss {
+							s.TxBegin()
+						}
+						if linked {
+							LinkTxs(ss)
+						}
+						txWrite(t, ss[0], &side, 0, 1)
+						txWrite(t, owner, &o, 0, 1)
+						d := owner.desc
+						want := 0
+						if w.commit {
+							want = 1
+							freezeAll(ss)
+							decide(ss)
+						} else {
+							d.statusWord().CompareAndSwap(uint32(InPrep), uint32(Aborted))
+						}
+						h := parkInUninstall(&o, d, w.commit, w.point)
+						at := func(q int) {
+							if rel == q {
+								h.run()
+							}
+						}
+
+						at(beforeOwnerSweep)
+						if err := finishAll(ss); w.commit != (err == nil) {
+							t.Fatalf("transaction 1 = %v, want commit %v", err, w.commit)
+						}
+						at(afterOwnerSweep)
+						wantSettled(t, "o", &o, want)
+						wantSettled(t, "side", &side, want)
+
+						reader.TxBegin()
+						txRead(reader, &o)
+						txWrite(t, reader, &y, 0, 1)
+
+						later.TxBegin()
+						d2 := later.desc
+						txWrite(t, later, &o, want, 7)
+						at(insideLaterInstall)
+						if o.installedBy() != d2 || d2.Status() != InPrep {
+							t.Fatal("the parked caller disturbed the later transaction's install")
+						}
+						if !laterCommits {
+							later.TxAbort()
+						} else if err := later.TxEnd(); err != nil {
+							t.Fatalf("later transaction: %v", err)
+						} else {
+							want = 7
+						}
+						at(afterLaterTx)
+						wantSettled(t, "o", &o, want)
+
+						// The reader's cell is back iff the later install aborted.
+						if err := reader.TxEnd(); laterCommits != errors.Is(err, ErrTxAborted) {
+							t.Fatalf("reader = %v after the later transaction (committed %v)", err, laterCommits)
+						}
+					})
+				}
+			}
+		}
 	}
 }

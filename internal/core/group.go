@@ -19,14 +19,15 @@ import "sync/atomic"
 // time and a per-shard commit sequence could otherwise tear.
 //
 // Validation soundness under racing finalizers follows the same monotonicity
-// argument as the single-descriptor case: cells are immutable and the GC
-// rules out ABA, so once any member's read-set entry is invalid it stays
-// invalid forever. Whichever finalizer wins the status CAS observed an
-// all-valid (or some-invalid) group strictly before its CAS, and a racing
-// finalizer with the opposite verdict must have observed the group at a
-// time that contradicts monotonicity — so racing verdicts can differ only
-// when both CAS attempts land after the status is already final, where they
-// are no-ops.
+// argument as the single-descriptor case, over the object's logical value
+// (doc.go): val is immutable, and a cell pointer returns to a slot only when
+// an install made directly over it aborts, which changes nothing logically —
+// so once any member's read-set entry is logically invalid it stays invalid,
+// and two verdicts can differ only by a spurious abort (one finalizer met a
+// foreign install that later aborted). A finalizer that votes to commit saw
+// every entry unchanged since its read, after every member's writes were
+// installed; a committed cell's prev and desc are cleared only once the
+// status is final, where a late verdict's CAS is a no-op.
 
 // TxGroup links the descriptors of several open transactions into one
 // shared-fate unit with a single status word. Like Desc, a group is used
@@ -91,14 +92,7 @@ func CommitLinked(ss []*Session) error {
 		s.freeze(s.desc)
 	}
 	if g.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		ok := true
-		for _, m := range g.members {
-			if !m.validate() {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if d0.validateScope() {
 			g.status.CompareAndSwap(uint32(InProg), uint32(Committed))
 		} else {
 			g.status.CompareAndSwap(uint32(InProg), uint32(Aborted))

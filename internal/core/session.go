@@ -37,7 +37,7 @@ type Session struct {
 	// depends on nothing but what this session did, which keeps the bytes a
 	// transaction allocates a function of the transaction.
 	rs    []readRec
-	ws    []Obj
+	ws    []*unsafe.Pointer
 	spare *Desc
 
 	// TxData is scratch space for layered systems (txMontage stores its
@@ -177,7 +177,7 @@ func exactCopy[T any](s []T) []T {
 // reclaim takes the scratch back from a transaction that is done with it.
 // The entries are cleared so an idle session pins no nodes; the capacity
 // (grown by the transaction's appends) is kept.
-func (s *Session) reclaim(rs []readRec, ws []Obj) {
+func (s *Session) reclaim(rs []readRec, ws []*unsafe.Pointer) {
 	clear(rs)
 	clear(ws)
 	s.rs, s.ws = rs[:0], ws[:0]
@@ -256,7 +256,7 @@ func (s *Session) AddToReadSet(o Obj, tag ReadTag) {
 	if d == nil {
 		return
 	}
-	d.readSet = append(d.readSet, readRec{o: o, tag: unsafe.Pointer(tag)})
+	d.readSet = append(d.readSet, readRec{slot: o.slot(), tag: unsafe.Pointer(tag)})
 	s.st.Reads.Add(1)
 }
 

@@ -124,11 +124,13 @@ func (l *List[K, V]) Contains(s *core.Session, k K) bool {
 // and publication point); unlinking the victim is post-critical cleanup.
 func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 	s.OpStart()
+	// nn is private until one of the CASes below publishes it, so its
+	// successor is set with Init: one cell for the node, however many retries.
 	nn := &node[K, V]{key: k, val: v}
 	for {
 		prev, _, curr, _, nxt, found := l.find(s, k)
 		if found { // replace
-			nn.next.Store(Ref[K, V]{nxt.n, false})
+			nn.next.Init(Ref[K, V]{nxt.n, false})
 			if curr.next.NbtcCAS(s, Ref[K, V]{nxt.n, false}, Ref[K, V]{nn, true}, true, true) {
 				old = curr.val
 				l.deferUnlink(s, prev, curr, nn)
@@ -137,7 +139,7 @@ func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 			continue
 		}
 		// insert before curr
-		nn.next.Store(Ref[K, V]{curr, false})
+		nn.next.Init(Ref[K, V]{curr, false})
 		if prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{nn, false}, true, true) {
 			var zero V
 			return zero, false
@@ -158,7 +160,7 @@ func (l *List[K, V]) Insert(s *core.Session, k K, v V) bool {
 			s.AddToReadSet(&curr.next, ctag)
 			return false
 		}
-		nn.next.Store(Ref[K, V]{curr, false})
+		nn.next.Init(Ref[K, V]{curr, false})
 		if prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{nn, false}, true, true) {
 			return true
 		}

@@ -3,8 +3,10 @@ package txengine
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -328,11 +330,14 @@ func TestShardedQueueComposition(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	var producing atomic.Int32 // consumers spend no attempt on an empty queue before the producers are done
+	producing.Store(producers)
 	torn := make(chan string, consumers)
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			defer producing.Add(-1)
 			tx := eng.NewWorker(id)
 			for i := 0; i < perWorker; i++ {
 				j := uint64(id+1)<<32 | uint64(i)
@@ -356,6 +361,7 @@ func TestShardedQueueComposition(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				var j uint64
 				var got, known bool
+				busy := producing.Load() > 0
 				if err := tx.Run(func() error {
 					j, got = q.Dequeue(tx)
 					if !got {
@@ -376,6 +382,9 @@ func TestShardedQueueComposition(t *testing.T) {
 						default:
 						}
 					}
+				} else if busy {
+					i--
+					runtime.Gosched()
 				}
 			}
 		}(c)

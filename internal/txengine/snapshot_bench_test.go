@@ -5,7 +5,7 @@ package txengine
 // probes served either as OCC read-only transactions (RunRead — validated,
 // abortable) or as MVCC snapshot reads (SnapshotRead — validation-free,
 // never aborting). The delta is what read validation and retry risk cost a
-// read-mostly workload; scripts/bench.sh records both in BENCH_7.json.
+// read-mostly workload; README "MVCC snapshot reads" quotes the pair.
 
 import (
 	"math/rand/v2"
