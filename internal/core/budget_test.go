@@ -171,6 +171,23 @@ func TestBudgetHashTenOps(t *testing.T) {
 	}, 3+2*putAllocs, 112+224+16+2*putBytes)
 }
 
+// An Insert that finds its key is a read: mlist builds the node only after
+// find has reported the key absent, so the transaction installs nothing,
+// commits on the spare descriptor and allocates nothing.
+func TestBudgetHashFailedInsert(t *testing.T) {
+	s := core.NewTxManager().Session()
+	m := newBudgetMap(s)
+	budget(t, func() {
+		s.TxBegin()
+		if m.Insert(s, 2, 9) {
+			t.Fatal("inserted over a present key")
+		}
+		if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+	}, 0, 0)
+}
+
 // What a key costs while it sits in the map: 100 000 keys put one per
 // transaction into an engine's hash map with as many buckets (the paper's
 // load factor), HeapAlloc after a collection, per key. On medley:
@@ -179,16 +196,16 @@ func TestBudgetHashTenOps(t *testing.T) {
 //	link cell       32  the one cell that points at the node: its bucket's
 //	                    head (0.63 of keys) or its predecessor's next (0.37);
 //	                    a tail's own next is the zero value and has no cell
-//	chain head      16  snapshot tier: mutex + newest version
-//	version         48  snapshot tier: the committed state the Put published
-//	sync.Map entry  56  snapshot tier: entry (48) + the boxed key (8)
-//	sync.Map trie   62  snapshot tier: interior nodes, measured remainder
+//	version         32  snapshot tier: key, stamp, value, next older version
+//	slots        18–22  snapshot tier: 8 bytes and a dirty bit per slot, in
+//	                    arrays that double at 3/4 full: 1562 keys a stripe put
+//	                    three stripes in four on 4096 slots, the rest on 2048
 //
-// 238 in all (310 when the link cell and a cell under every node's next were
-// 64 bytes each). The sharded engine wraps the same map once; txmontage adds
-// 112 for the payload's record on the simulated device. The ceilings leave
-// 2 % for the one thing here that is not a function of the keys, the
-// per-process hash seed of sync.Map's trie.
+// 106–110 in all. The sharded engine wraps the same map once; txmontage adds
+// 112 for the payload's record on the simulated device. The ceilings are the
+// arithmetic with every stripe on the larger array and the table's own 4 KB.
+const residentKey = 24 + 32 + 32 + 22
+
 func TestBudgetResidentKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -197,17 +214,8 @@ func TestBudgetResidentKey(t *testing.T) {
 	for _, c := range []struct {
 		engine  string
 		ceiling float64
-	}{{"medley", 243}, {"medley-sharded", 243}, {"txmontage", 357}} {
-		e, err := txengine.Build(c.engine, txengine.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := e.NewUintMap(txengine.MapSpec{Kind: txengine.KindHash, Buckets: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx := e.NewWorker(0)
-		empty := heapAfterGC()
+	}{{"medley", residentKey}, {"medley-sharded", residentKey}, {"txmontage", residentKey + 112}} {
+		e, m, tx, empty := newHeapBudget(t, c.engine, n)
 		for k := uint64(0); k < n; k++ {
 			if err := tx.Run(func() error { m.Put(tx, k, k); return nil }); err != nil {
 				t.Fatal(err)
@@ -223,6 +231,71 @@ func TestBudgetResidentKey(t *testing.T) {
 		}
 		t.Logf("%s: %.1f B per resident key", c.engine, perKey)
 	}
+}
+
+// What a key costs once the map has a history: heap_live_mb on the
+// benchmark's embed_compose workload in small, with that workload's shape (as
+// many buckets as keys in the keyspace, half of them live). Of 2N keys N are
+// live; each round removes the live half and inserts the other, one committed
+// transaction a pair, so after five rounds every key has been inserted and
+// removed more than once. The snapshot tier may keep nothing for a key that
+// is gone — its tombstone and its slot are swept once no cut can tell the
+// difference — and one version for a key that is there, so a live key costs
+// what a resident one does plus what churn leaves behind in mhash (an emptied
+// bucket keeps its head cell, a node whose successor left keeps a cell around
+// nil) and the tier's dead markers: 132 B measured, within 1.5x pinned. A
+// tier that pays for every key ever seen, and a second version of each, is
+// past 4x.
+func TestBudgetChurnedKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 100_000
+	for _, engine := range []string{"medley", "medley-sharded"} {
+		e, m, tx, empty := newHeapBudget(t, engine, 2*n)
+		for k := uint64(0); k < n; k++ {
+			if err := tx.Run(func() error { m.Insert(tx, 2*k, k); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := uint64(0); round < 5; round++ {
+			for k := uint64(0); k < n; k++ {
+				err := tx.Run(func() error {
+					if _, had := m.Remove(tx, 2*k+round%2); !had || !m.Insert(tx, 2*k+1-round%2, round) {
+						t.Fatalf("%s: round %d lost track of pair %d", engine, round, k)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		perKey := float64(heapAfterGC()-empty) / n
+		if _, ok := m.Get(tx, 1); !ok { // the map is live across the measurement
+			t.Fatalf("%s: key 1 missing", engine)
+		}
+		e.Close()
+		if perKey > 1.5*residentKey {
+			t.Errorf("%s: %.1f B per live key after churn, budget %v", engine, perKey, 1.5*residentKey)
+		}
+		t.Logf("%s: %.1f B per live key after churn", engine, perKey)
+	}
+}
+
+// newHeapBudget builds an engine, a hash map of that many buckets and a
+// worker, and reads the heap they start from.
+func newHeapBudget(t *testing.T, engine string, buckets int) (txengine.Engine, txengine.Map[uint64], txengine.Tx, int64) {
+	t.Helper()
+	e, err := txengine.Build(engine, txengine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.NewUintMap(txengine.MapSpec{Kind: txengine.KindHash, Buckets: buckets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, m, e.NewWorker(0), heapAfterGC()
 }
 
 func heapAfterGC() int64 {

@@ -152,13 +152,16 @@ func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 // load that observed the existing node.
 func (l *List[K, V]) Insert(s *core.Session, k K, v V) bool {
 	s.OpStart()
-	nn := &node[K, V]{key: k, val: v}
+	var nn *node[K, V] // built once the key is known to be absent
 	for {
 		prev, ptag, curr, ctag, _, found := l.find(s, k)
 		if found {
 			s.AddToReadSet(prev, ptag)
 			s.AddToReadSet(&curr.next, ctag)
 			return false
+		}
+		if nn == nil {
+			nn = &node[K, V]{key: k, val: v}
 		}
 		nn.next.Init(Ref[K, V]{curr, false})
 		if prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{nn, false}, true, true) {

@@ -15,12 +15,15 @@ package txengine
 //     body has installed all of its descriptor nodes and *before* the
 //     InPrep→InProg status transition that makes the commit eligible — see
 //     the ordering argument below.
-//   - Committed values are published into per-key version chains held in a
-//     sidecar next to each top-level map (snapMap). The chains are read-only
-//     metadata for snapshot readers; the underlying engine map remains the
-//     single source of truth for OCC transactions.
+//   - Committed values are published into a version table held next to each
+//     top-level map (snapMap → snapTable): a fixed number of stripes, each an
+//     open-addressed array of slots keyed by the uint64 key itself, a slot
+//     pointing straight at the key's newest version and each version at the
+//     next older one. The table is read-only history for snapshot readers;
+//     the underlying engine map remains the single source of truth for OCC
+//     transactions.
 //   - SnapshotRead(fn) pins the current sealed watermark, runs fn with every
-//     map Get served from the chains at that timestamp, and returns. No
+//     map Get served from the table at that timestamp, and returns. No
 //     validation, no abort, no restart — by construction, not by luck.
 //
 // Why the timestamp order is consistent with MCNS conflict order: a writer
@@ -28,15 +31,15 @@ package txengine
 // InPrep→InProg CAS. A helper can only commit a transaction after it reaches
 // InProg, and only the owner's TxEnd sets InProg (see core.Session.TxAbort),
 // so draw(A) < resolve(A) always. If B depends on A (write-write or
-// read-write on a key), B observed A's installed node, which A installed
-// before draw(A) only if... more precisely: for ww/wr conflicts B's
-// conflicting access happens after A resolved, hence after draw(A), hence
-// draw(B) > draw(A); for an anti-dependency (A read, B overwrote), A's
-// validation at TxEnd saw the key unchanged, so B's install — which precedes
-// draw(B) — happened after A validated, which follows draw(A). Either way
-// timestamps agree with the serialization order, so the set of transactions
-// with ts <= any cut is prefix-closed and a chain read at that cut is a
-// consistent snapshot.
+// write-read on a key), B's conflicting access saw A's node resolved — one
+// met unresolved is first aborted (InPrep) or helped to its verdict (InProg),
+// never read through — so it happens after resolve(A), hence after draw(A),
+// and B draws only after its accesses: draw(B) > draw(A). For an
+// anti-dependency (A read, B overwrote), A's validation at TxEnd saw the key
+// unchanged, so B's install — which precedes draw(B) — happened after A
+// validated, which follows draw(A). Either way timestamps agree with the
+// serialization order, so the set of transactions with ts <= any cut is
+// prefix-closed and a table read at that cut is a consistent snapshot.
 //
 // The sealed watermark: a drawn timestamp is not immediately readable —
 // the transaction may still fail validation, and a slower writer may hold a
@@ -44,17 +47,22 @@ package txengine
 // (inflight) *before* drawing; the seal is min(clock, min over slots of
 // inflight-1), CAS-maxed so it never regresses. A snapshot pins the seal, so
 // it can never observe a timestamp that an in-flight commit could still
-// publish beneath it (a torn cut). Version chains are pruned behind a GC
-// floor = min(seal, oldest pinned snapshot), recomputed every few hundred
-// publishes; readers advertise their pin with a store-recheck loop so the
-// floor can never pass a live snapshot.
+// publish beneath it (a torn cut). Versions are reclaimed behind a GC
+// floor = min(seal, oldest pinned snapshot); readers advertise their pin
+// with a store-recheck loop so the floor can never pass a live snapshot.
+// Reclamation rides the publish path, with no goroutine and no knob (see
+// maintain): beyond one version per present key the table holds a sixteenth
+// of its slots in versions awaiting a sweep, plus whatever a pinned snapshot
+// is still entitled to read.
 
 import (
+	mbits "math/bits"
 	"sync"
 	"sync/atomic"
 
 	"medley/internal/montage"
 	"medley/internal/pnvm"
+	"medley/internal/structures/mhash"
 )
 
 // SnapshotReader is the optional Tx extension of engines with CapSnapshot.
@@ -126,11 +134,6 @@ func LastCommitTS(tx Tx) uint64 {
 	return 0
 }
 
-// snapGCPeriod is how many chain publishes elapse between GC-floor
-// recomputations. The floor only ever advances, so a stale floor costs
-// memory (longer chains), never correctness.
-const snapGCPeriod = 256
-
 // snapSlot is one worker's communication surface with the tier: inflight
 // publishes a lower bound on the timestamp the worker may be about to draw
 // (0 = no commit in flight), reading publishes the timestamp of the
@@ -148,12 +151,10 @@ type snapSlot struct {
 // cross-shard transaction (including a PR 6 shared-fate latch group)
 // stamps exactly one timestamp for the whole group.
 type snapTier struct {
-	clock   atomic.Uint64 // last drawn commit timestamp
-	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read
-	gcFloor atomic.Uint64 // chains may drop versions strictly below this
-	pubs    atomic.Uint64 // publish counter driving floor recomputation
-	mu      sync.Mutex    // guards slot registration
-	slots   atomic.Pointer[[]*snapSlot]
+	clock  atomic.Uint64 // last drawn commit timestamp
+	sealed atomic.Uint64 // highest timestamp safe for snapshots to read
+	mu     sync.Mutex    // guards slot registration
+	slots  atomic.Pointer[[]*snapSlot]
 }
 
 // newSnapTier builds a tier. When the engine is montage-backed, ec anchors
@@ -169,7 +170,6 @@ func newSnapTier(ec *montage.EpochClock) *snapTier {
 	}
 	t.clock.Store(base)
 	t.sealed.Store(base)
-	t.gcFloor.Store(base)
 	empty := make([]*snapSlot, 0)
 	t.slots.Store(&empty)
 	return t
@@ -249,132 +249,280 @@ func (t *snapTier) endSnapshot(s *snapSlot) {
 	s.reading.Store(0)
 }
 
-// refreshFloor recomputes the GC floor: the seal first, then every pinned
-// snapshot (the order pairs with beginSnapshot's recheck loop). The floor
-// is CAS-maxed; chains prune lazily against it on their next publish.
-func (t *snapTier) refreshFloor() {
+// refreshFloor computes the GC floor for the sweep that asks: the seal first,
+// then every pinned snapshot (the order pairs with beginSnapshot's recheck
+// loop). Nothing is stored: every pin live at or after the seal load is at or
+// above the result, so any floor ever computed stays safe to sweep against.
+func (t *snapTier) refreshFloor() uint64 {
 	floor := t.sealed.Load()
 	for _, s := range *t.slots.Load() {
 		if v := s.reading.Load(); v != 0 && v < floor {
 			floor = v
 		}
 	}
-	for {
-		cur := t.gcFloor.Load()
-		if cur >= floor || t.gcFloor.CompareAndSwap(cur, floor) {
-			return
-		}
+	return floor
+}
+
+// snapVer is one committed state of one key. key, stamp and val never change
+// once a slot or a newer version points at it; next does, when a slower
+// writer threads itself beneath or a sweep cuts the tail. stamp is ts<<1 with
+// the delete mark in bit 0: one compare orders a chain and a tombstone costs
+// no field, so a uint map's version is 32 bytes (pinned by a test).
+type snapVer[V any] struct {
+	key   uint64
+	stamp uint64
+	val   V
+	next  atomic.Pointer[snapVer[V]] // next older version
+}
+
+func (n *snapVer[V]) ts() uint64 { return n.stamp >> 1 }
+func (n *snapVer[V]) del() bool  { return n.stamp&1 != 0 }
+
+type snapSlots[V any] []atomic.Pointer[snapVer[V]]
+
+// snapStripes is fixed, so a key's stripe never changes; a stripe's slot
+// array starts at snapMinSlots. Both are powers of two.
+const (
+	snapStripes  = 64
+	snapMinSlots = 8
+)
+
+// snapStripe is one open-addressed (linear probing) slot array behind an
+// atomic pointer. Publishers serialize on mu, which also guards every other
+// field; readers load the pointer and probe, taking no lock and writing
+// nothing. 64 bytes, the last 8 padding, and first in the table: whether the
+// allocator starts the table on a cache line or 8 bytes into one, behind its
+// header, the fields of two stripes never share a line (pinned by a test).
+type snapStripe[V any] struct {
+	mu    sync.Mutex
+	slots atomic.Pointer[snapSlots[V]]
+	dirty []uint64 // one bit per slot: its chain holds something a sweep may reclaim
+	used  int32    // non-empty slots, dead markers included: at most 3/4 of the array
+	since int32    // publishes since the last sweep
+	swept uint64   // the GC floor of the last sweep
+	_     [8]byte
+}
+
+// snapTable is the version sidecar of one top-level map: the key itself
+// picks the stripe and the slot, the slot holds the key's newest version, a
+// miss means "absent at the cut". A publish allocates its version and
+// nothing else, bar the array a full stripe moves into.
+type snapTable[V any] struct {
+	stripes [snapStripes]snapStripe[V]
+	tier    *snapTier
+	dead    snapVer[V] // &dead marks a slot whose key was swept: probes pass it, inserts reuse it
+}
+
+// publish installs the committed state (val, or a tombstone) of key k at ts.
+// Chains stay sorted by descending ts: the common case is a new head (ts is
+// the newest drawn), but a slower writer may publish beneath newer versions —
+// snapshot pins below its timestamp are blocked by the seal, so late
+// placement is invisible to readers that could be hurt by it. The same
+// argument covers a key that lands in a slot a reader has already probed
+// past, or in an array newer than the one the reader loaded: every version
+// with ts <= sealed was fully published before the reader pinned, so all a
+// miss can hide is timestamps above the cut.
+func (t *snapTable[V]) publish(k, ts uint64, val V, del bool) {
+	v := &snapVer[V]{key: k, stamp: ts << 1, val: val}
+	if del {
+		v.stamp |= 1
 	}
-}
-
-// snapVersion is one committed state of one key. uval carries the value for
-// uint maps (no boxing on the hot path); aval carries row-map values. next
-// points at the next-older version; the chain is sorted by descending ts.
-type snapVersion struct {
-	ts   uint64
-	uval uint64
-	aval any
-	del  bool
-	next atomic.Pointer[snapVersion]
-}
-
-// chainHead anchors one key's version chain. Publishers serialize on mu;
-// readers traverse head/next lock-free.
-type chainHead struct {
-	mu   sync.Mutex
-	head atomic.Pointer[snapVersion]
-}
-
-// snapChains is the version sidecar of one top-level map.
-type snapChains struct {
-	tier *snapTier
-	m    sync.Map // uint64 -> *chainHead
-}
-
-func (c *snapChains) headOf(k uint64) *chainHead {
-	if h, ok := c.m.Load(k); ok {
-		return h.(*chainHead)
-	}
-	h, _ := c.m.LoadOrStore(k, &chainHead{})
-	return h.(*chainHead)
-}
-
-// publish installs the committed state (uval/aval/del) of key k at ts.
-// Chains stay sorted by descending ts: the common case is a head insert
-// (ts is the newest drawn), but a slower writer may publish beneath newer
-// entries — snapshot pins below its timestamp are blocked by the seal, so
-// late placement is invisible to readers that could be hurt by it.
-func (c *snapChains) publish(k, ts, uval uint64, aval any, del bool) {
-	h := c.headOf(k)
-	v := &snapVersion{ts: ts, uval: uval, aval: aval, del: del}
-	h.mu.Lock()
-	if cur := h.head.Load(); cur == nil || cur.ts < ts {
-		v.next.Store(cur)
-		h.head.Store(v)
-	} else {
-		p := cur
-		for {
-			n := p.next.Load()
-			if n == nil || n.ts < ts {
-				v.next.Store(n)
-				p.next.Store(v)
-				break
+	h := mhash.Mix64(k)
+	s := &t.stripes[h%snapStripes]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slots := t.maintain(s)
+	mask := uint64(len(slots) - 1)
+	at := -1            // the slot v lands in
+	var cur *snapVer[V] // the chain it lands on, if the key has one
+probe:
+	for i := h / snapStripes & mask; ; i = (i + 1) & mask {
+		switch n := slots[i].Load(); {
+		case n == nil:
+			if at < 0 {
+				at = int(i)
+				s.used++
 			}
-			p = n
+			break probe
+		case n == &t.dead:
+			if at < 0 {
+				at = int(i)
+			}
+		case n.key == k:
+			at, cur = int(i), n
+			break probe
 		}
 	}
-	c.truncate(h)
-	h.mu.Unlock()
-	if c.tier.pubs.Add(1)%snapGCPeriod == 0 {
-		c.tier.refreshFloor()
+	if cur == nil || cur.stamp < v.stamp {
+		v.next.Store(cur)
+		slots[at].Store(v)
+	} else {
+		for n := cur.next.Load(); n != nil && n.stamp > v.stamp; n = cur.next.Load() {
+			cur = n
+		}
+		v.next.Store(cur.next.Load())
+		cur.next.Store(v)
+	}
+	if cur != nil || del {
+		s.dirty[at>>6] |= 1 << (at & 63)
 	}
 }
 
-// truncate prunes, under h.mu, everything older than the newest version at
-// or below the GC floor — that version is the one any live or future
-// snapshot can still reach.
-func (c *snapChains) truncate(h *chainHead) {
-	floor := c.tier.gcFloor.Load()
-	n := h.head.Load()
-	for n != nil && n.ts > floor {
-		n = n.next.Load()
+// maintain does, under s.mu, the housekeeping that is due before a publish
+// and returns the array to publish into, with room for one more key. Every
+// len/16 publishes it refreshes the GC floor and, if that moved, sweeps the
+// dirty slots; a full scan at that rate would cost every publish several
+// cache misses, and at a lower one removed keys sit in their slots long
+// enough to double the array. When the array is 3/4 full (dead markers
+// count) the live heads move into one that the keys present fill at most by
+// half — larger, the same less its dead markers, or smaller — and the old
+// array stays as it was for the readers still probing it. The move runs in
+// the publisher's commit window, so it holds back the stripe's publishers and
+// the seal for a time linear in keys/snapStripes — 0.2 ms at 8 k keys a
+// stripe (embed_compose), 4 ms at 80 k — at most once per len/4 inserts; the
+// stripe count must grow before maps do (ROADMAP).
+func (t *snapTable[V]) maintain(s *snapStripe[V]) snapSlots[V] {
+	var slots snapSlots[V]
+	if p := s.slots.Load(); p != nil {
+		slots = *p
 	}
-	if n != nil {
-		n.next.Store(nil)
+	if s.since++; int(s.since) >= max(len(slots)/16, snapMinSlots) {
+		s.since = 0
+		if floor := t.tier.refreshFloor(); floor != s.swept {
+			s.swept = floor
+			t.sweep(s, slots, floor)
+		}
+	}
+	if (int(s.used)+1)*4 <= len(slots)*3 {
+		return slots
+	}
+	live, present := 0, 0
+	for i := range slots {
+		if n := slots[i].Load(); n != nil && n != &t.dead {
+			live++
+			if !n.del() {
+				present++
+			}
+		}
+	}
+	size := snapMinSlots
+	for size < 2*(present+1) || size*3 < 4*(live+1) {
+		size *= 2
+	}
+	next, dirty := make(snapSlots[V], size), make([]uint64, (size+63)/64)
+	mask := uint64(size - 1)
+	for i := range slots {
+		if n := slots[i].Load(); n != nil && n != &t.dead {
+			j := mhash.Mix64(n.key) / snapStripes & mask
+			for next[j].Load() != nil {
+				j = (j + 1) & mask
+			}
+			next[j].Store(n)
+			if n.del() || n.next.Load() != nil {
+				dirty[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	s.used, s.dirty = int32(live), dirty
+	s.slots.Store(&next)
+	return next
+}
+
+// sweep reclaims in place, under the stripe mutex, what no snapshot can
+// reach. In a chain the newest version at or below the floor is the last one
+// any live or future cut reads — nothing at or below the floor can still be
+// published beneath it or pinned above it — so the tail behind it goes; if
+// it is a tombstone it goes too, because a missing tail says "absent" just as
+// well, and when that leaves nothing the slot becomes a dead marker. A slot
+// stays dirty until its chain is one live version or gone.
+func (t *snapTable[V]) sweep(s *snapStripe[V], slots snapSlots[V], floor uint64) {
+	for w := range s.dirty {
+		for bits := s.dirty[w]; bits != 0; bits &= bits - 1 {
+			i := w<<6 | mbits.TrailingZeros64(bits)
+			head := slots[i].Load()
+			var newer *snapVer[V]
+			n := head
+			for n != nil && n.ts() > floor {
+				newer, n = n, n.next.Load()
+			}
+			switch {
+			case n == nil:
+			case !n.del():
+				n.next.Store(nil)
+			case newer != nil:
+				newer.next.Store(nil)
+			default:
+				head = nil
+				slots[i].Store(&t.dead)
+			}
+			if head == nil || !head.del() && head.next.Load() == nil {
+				s.dirty[w] &^= bits & -bits
+			}
+		}
 	}
 }
 
 // read returns key k's state at snapshot timestamp rt: the newest version
 // with ts <= rt, or absent when there is none (the key did not exist at the
-// cut) or it is a tombstone.
-func (c *snapChains) read(k, rt uint64) (uint64, any, bool) {
-	h, ok := c.m.Load(k)
-	if !ok {
-		return 0, nil, false
+// cut) or it is a tombstone. Any array the stripe has published answers every
+// cut pinned before the array was loaded (see publish), so the one loaded
+// here serves the whole probe through a concurrent move.
+func (t *snapTable[V]) read(k, rt uint64) (val V, ok bool) {
+	h := mhash.Mix64(k)
+	p := t.stripes[h%snapStripes].slots.Load()
+	if p == nil {
+		return val, false
 	}
-	for n := h.(*chainHead).head.Load(); n != nil; n = n.next.Load() {
-		if n.ts <= rt {
-			if n.del {
-				return 0, nil, false
-			}
-			return n.uval, n.aval, true
+	slots := *p
+	mask := uint64(len(slots) - 1)
+	for i := h / snapStripes & mask; ; i = (i + 1) & mask {
+		n := slots[i].Load()
+		if n == nil {
+			return val, false
 		}
+		if n == &t.dead || n.key != k {
+			continue
+		}
+		for ; n != nil; n = n.next.Load() {
+			if n.ts() <= rt {
+				return n.val, !n.del()
+			}
+		}
+		return val, false
 	}
-	return 0, nil, false
 }
 
-// seed installs recovered state at the tier's current seal. Recovery must
-// seed every live record into the chains: a chain miss means "absent at the
-// cut", so falling back to the inner map would tear against a concurrent
-// first-post-recovery writer.
-func (c *snapChains) seed(k, uval uint64, aval any) {
-	c.publish(k, c.tier.sealed.Load(), uval, aval, false)
+// The worker's write buffer is shared by maps of both value types, so a value
+// crosses it as a pair: a uint64 in uval, anything else (V is any, the row
+// maps) in aval. Which half is V's is a property of the instantiation, not of
+// the value — a row that happens to be a uint64 still travels in aval.
+func snapSplit[V any](v V) (uint64, any) {
+	if u, ok := any(&v).(*uint64); ok {
+		return *u, nil
+	}
+	return 0, v
 }
 
-// pendingWrite is one buffered chain publication awaiting its transaction's
-// commit timestamp.
+// publishRaw is publish from the write buffer.
+func (t *snapTable[V]) publishRaw(k, ts, uval uint64, aval any, del bool) {
+	var val V
+	if u, ok := any(&val).(*uint64); ok {
+		*u = uval
+	} else {
+		val, _ = aval.(V)
+	}
+	t.publish(k, ts, val, del)
+}
+
+// snapPublisher is what the write buffer needs of a table.
+type snapPublisher interface {
+	publishRaw(k, ts, uval uint64, aval any, del bool)
+}
+
+// pendingWrite is one buffered publication awaiting its transaction's commit
+// timestamp.
 type pendingWrite struct {
-	ch   *snapChains
+	tab  snapPublisher
 	k    uint64
 	uval uint64
 	aval any
@@ -419,28 +567,28 @@ func (a *snapAgent) denyWrite() {
 // the chain entry follows, so a standalone write is briefly invisible to
 // brand-new snapshots — the same lag any concurrent reader already
 // tolerates from an unsynchronized writer.
-func (a *snapAgent) note(ch *snapChains, k, uval uint64, aval any, del, buffered bool) {
+func (a *snapAgent) note(tab snapPublisher, k, uval uint64, aval any, del, buffered bool) {
 	if !buffered {
 		ts := a.tier.beginCommit(a.slot)
-		ch.publish(k, ts, uval, aval, del)
+		tab.publishRaw(k, ts, uval, aval, del)
 		a.lastTS = ts
 		a.tier.endCommit(a.slot)
 		return
 	}
 	for i := range a.pending {
-		if p := &a.pending[i]; p.ch == ch && p.k == k {
+		if p := &a.pending[i]; p.tab == tab && p.k == k {
 			p.uval, p.aval, p.del = uval, aval, del
 			return
 		}
 	}
-	a.pending = append(a.pending, pendingWrite{ch: ch, k: k, uval: uval, aval: aval, del: del})
+	a.pending = append(a.pending, pendingWrite{tab: tab, k: k, uval: uval, aval: aval, del: del})
 }
 
 // publishAll flushes the buffer at the transaction's commit timestamp.
 func (a *snapAgent) publishAll(ts uint64) {
 	for i := range a.pending {
 		p := &a.pending[i]
-		p.ch.publish(p.k, ts, p.uval, p.aval, p.del)
+		p.tab.publishRaw(p.k, ts, p.uval, p.aval, p.del)
 		p.aval = nil
 	}
 	a.pending = a.pending[:0]
@@ -478,58 +626,43 @@ type snapTxn interface {
 // snapMap decorates a top-level engine map with the version sidecar. OCC
 // reads and all writes pass straight through to the inner map; writes
 // additionally note their committed state with the agent, and snapshot
-// reads (agent.rt != 0) are served entirely from the chains.
+// reads (agent.rt != 0) are served entirely from the table.
 type snapMap[V any] struct {
 	inner Map[V]
-	ch    *snapChains
-	enc   func(V) (uint64, any)
-	dec   func(uint64, any) V
+	tab   *snapTable[V]
 }
 
 // newSnapUintMap / newSnapRowMap attach the per-map snapshot sidecar to a
 // top-level map when the engine carries the MVCC tier (tier nil: inner is
 // returned bare). A map rebuilt by recovery passes its per-device live
-// records, and every one is seeded into the chains (see seed).
+// records, and every one is seeded into the table at the tier's current
+// seal: a miss means "absent at the cut", so falling back to the inner map
+// would tear against a concurrent first-post-recovery writer.
 func newSnapUintMap(inner Map[uint64], tier *snapTier, live [][]pnvm.Record) Map[uint64] {
 	if tier == nil {
 		return inner
 	}
-	ch := &snapChains{tier: tier}
+	tab := &snapTable[uint64]{tier: tier}
 	dec := montage.Uint64Codec().Dec
 	for _, recs := range live {
 		for _, r := range recs {
-			ch.seed(r.Key, dec(r.Val), nil)
+			tab.publish(r.Key, tier.sealed.Load(), dec(r.Val), false)
 		}
 	}
-	return snapMap[uint64]{
-		inner: inner,
-		ch:    ch,
-		enc:   func(v uint64) (uint64, any) { return v, nil },
-		dec:   func(u uint64, _ any) uint64 { return u },
-	}
+	return snapMap[uint64]{inner: inner, tab: tab}
 }
 
 func newSnapRowMap(inner Map[any], tier *snapTier) Map[any] {
 	if tier == nil {
 		return inner
 	}
-	return snapMap[any]{
-		inner: inner,
-		ch:    &snapChains{tier: tier},
-		enc:   func(v any) (uint64, any) { return 0, v },
-		dec:   func(_ uint64, a any) any { return a },
-	}
+	return snapMap[any]{inner: inner, tab: &snapTable[any]{tier: tier}}
 }
 
 func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
 	a := tx.(snapTxn).snapAgent()
 	if a.rt != 0 {
-		u, av, ok := m.ch.read(k, a.rt)
-		if !ok {
-			var zero V
-			return zero, false
-		}
-		return m.dec(u, av), true
+		return m.tab.read(k, a.rt)
 	}
 	return m.inner.Get(tx, k)
 }
@@ -539,8 +672,8 @@ func (m snapMap[V]) Put(tx Tx, k uint64, v V) (V, bool) {
 	a := st.snapAgent()
 	a.denyWrite()
 	prev, had := m.inner.Put(tx, k, v)
-	u, av := m.enc(v)
-	a.note(m.ch, k, u, av, false, st.snapBuffering())
+	u, av := snapSplit(v)
+	a.note(m.tab, k, u, av, false, st.snapBuffering())
 	return prev, had
 }
 
@@ -550,8 +683,8 @@ func (m snapMap[V]) Insert(tx Tx, k uint64, v V) bool {
 	a.denyWrite()
 	ok := m.inner.Insert(tx, k, v)
 	if ok {
-		u, av := m.enc(v)
-		a.note(m.ch, k, u, av, false, st.snapBuffering())
+		u, av := snapSplit(v)
+		a.note(m.tab, k, u, av, false, st.snapBuffering())
 	}
 	return ok
 }
@@ -562,7 +695,7 @@ func (m snapMap[V]) Remove(tx Tx, k uint64) (V, bool) {
 	a.denyWrite()
 	prev, had := m.inner.Remove(tx, k)
 	if had {
-		a.note(m.ch, k, 0, nil, true, st.snapBuffering())
+		a.note(m.tab, k, 0, nil, true, st.snapBuffering())
 	}
 	return prev, had
 }
