@@ -34,6 +34,7 @@
 //	recoverydemo -engine txmontage-sharded -shards 8
 //	recoverydemo -engine ponefile                  # eager persistence: nothing lost
 //	recoverydemo -engine txmontage-sharded -shards 4 -crash txmontage.advance.mid-shard
+//	recoverydemo -engine txmontage-sharded -shards 4 -crash txmontage.advance.reclaim
 //	recoverydemo -engine ponefile -crash ponefile.commit.mark-volatile
 //	recoverydemo -engine txmontage-sharded -shards 4 -crash recover.pre-marker
 package main

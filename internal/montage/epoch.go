@@ -29,7 +29,12 @@
 // (AdvanceTogether, or StartAdvancer's background loop). Each flush ends
 // with a durable frontier marker on the device (pnvm.MarkerKey, tagged with
 // the flushed epoch), so post-crash recovery can compute, per device, the
-// highest epoch fully persisted there. Recovery itself is not montage's: the
+// highest epoch fully persisted there. Reclaim is nbMontage's rule — a payload
+// retired in epoch e is freed once e is persisted — and in a domain persisted
+// means on every device: Flush only queues what it found durably retired at
+// or before the epoch it flushed, and AdvanceTogether frees the queues after
+// the last device has fenced its marker, because until then a crash still
+// cuts at the epoch before. Recovery itself is not montage's: the
 // cut (the minimum of those frontiers), the live set at it and the media
 // scrub are pnvm.RecoverDomain, shared with POneFile; Recover below adds only
 // what is epoch-specific — it keeps advancers off the devices meanwhile and
@@ -52,14 +57,16 @@ import (
 // sit inside one device's Flush (batch write-backs, the window between batch
 // durability and the frontier marker, and the marker's own volatile window);
 // the advance points sit in AdvanceTogether, where a crash tears the domain
-// between shards' flushes. All of these sites return nothing, so only
-// crash/delay faults are meaningful.
+// between shards' flushes, or between two frees of the reclaim pass that
+// follows them. All of these sites return nothing, so only crash/delay faults
+// are meaningful.
 var (
 	cpFlushBatch          = chaos.At("txmontage.flush.batch")
 	cpFlushPreMarker      = chaos.At("txmontage.flush.pre-marker")
 	cpFlushMarkerVolatile = chaos.At("txmontage.flush.marker-volatile")
 	cpAdvancePreFlush     = chaos.At("txmontage.advance.pre-flush")
 	cpAdvanceMidShard     = chaos.At("txmontage.advance.mid-shard")
+	cpAdvanceReclaim      = chaos.At("txmontage.advance.reclaim")
 )
 
 // firstEpoch leaves room for the e-2 recovery cut arithmetic.
@@ -170,13 +177,14 @@ type EpochSys struct {
 	dev   *pnvm.Device
 	clock *EpochClock
 
-	// pending[e % pendSlots] holds record ids touched (created or retired)
-	// in epoch e, awaiting write-back. Striped to keep op-path contention
-	// low. An epoch's batch is flushed two advances later, so 8 slots are
-	// plenty.
+	// Record ids touched (created or retired) in an epoch, awaiting
+	// write-back. Striped to keep op-path contention low.
 	stripes [16]pendStripe
 
-	claims atomic.Uint64 // retire-claim allocator
+	// dead holds the ids Flush found durably retired at or before the epoch
+	// it flushed. AdvanceTogether frees them once every device of the domain
+	// carries that epoch's marker. Touched only under the clock's advanceMu.
+	dead []uint64
 
 	// lastMarker is the id of the newest durable frontier marker; each
 	// flush deletes the one it supersedes (recovery takes the max, so only
@@ -185,9 +193,17 @@ type EpochSys struct {
 	lastMarker uint64
 }
 
+// pendSlots is the size of a stripe's ring of batches. Every epoch is flushed
+// exactly once, two advances after it was current, and a session adds only to
+// the epoch it is pinned to, which Flush's caller has waited out: at most
+// three epochs hold ids at a time.
+const pendSlots = 4
+
 type pendStripe struct {
-	mu   sync.Mutex
-	pend map[uint64][]uint64 // epoch → record ids
+	mu sync.Mutex
+	// pend[e % pendSlots] is epoch e's batch. Flush empties a slot and keeps
+	// its array, so in steady state a batch grows into last round's capacity.
+	pend [pendSlots][]uint64
 }
 
 // NewEpochSys creates an epoch system over the given device with a private
@@ -201,11 +217,7 @@ func NewEpochSys(dev *pnvm.Device) *EpochSys {
 // the clock together (AdvanceTogether, SyncTogether, or one StartAdvancer
 // over all of them), never one system alone.
 func NewEpochSysShared(dev *pnvm.Device, clock *EpochClock) *EpochSys {
-	es := &EpochSys{dev: dev, clock: clock}
-	for i := range es.stripes {
-		es.stripes[i].pend = make(map[uint64][]uint64)
-	}
-	return es
+	return &EpochSys{dev: dev, clock: clock}
 }
 
 // Device returns the underlying simulated NVM device.
@@ -217,13 +229,10 @@ func (es *EpochSys) Clock() *EpochClock { return es.clock }
 // Current returns the current epoch.
 func (es *EpochSys) Current() uint64 { return es.clock.Current() }
 
-// NewClaim returns a fresh retire-claim token.
-func (es *EpochSys) NewClaim() uint64 { return es.claims.Add(1) }
-
 func (es *EpochSys) pendAdd(sid int, epoch, id uint64) {
 	st := &es.stripes[sid%len(es.stripes)]
 	st.mu.Lock()
-	st.pend[epoch] = append(st.pend[epoch], id)
+	st.pend[epoch%pendSlots] = append(st.pend[epoch%pendSlots], id)
 	st.mu.Unlock()
 }
 
@@ -246,33 +255,43 @@ func (es *EpochSys) PNew(sid int, key uint64, val []byte, epoch uint64) uint64 {
 func (es *EpochSys) UnNew(id uint64) { es.dev.Delete(id) }
 
 // PRetire marks a payload retired as of epoch, registering the mark for the
-// epoch's persistence batch. claim must come from NewClaim.
-func (es *EpochSys) PRetire(sid int, id, epoch, claim uint64) {
-	if err := es.dev.Retire(id, epoch, claim); err != nil {
+// epoch's persistence batch. The mark is final: montage retires only after
+// commit (Map.retire), so it carries no claim for an abort to lift it by.
+func (es *EpochSys) PRetire(sid int, id, epoch uint64) {
+	if err := es.dev.Retire(id, epoch, 0); err != nil {
 		panic("montage: device crashed during operation: " + err.Error())
 	}
 	es.pendAdd(sid, epoch, id)
 }
 
-// UnRetire clears a retire mark written by an aborting transaction.
-func (es *EpochSys) UnRetire(id, claim uint64) { es.dev.UnRetire(id, claim) }
-
 // Flush persists the given epoch's batch on this device — write-back of
 // every pending record, a fence, and then a durable frontier marker
-// asserting the device is complete through that epoch. Callers must ensure
-// no session is still pinned at or below the epoch (WaitNotPinnedBelow).
-// On a crashed device the flush is a no-op: the records (and the marker)
-// are simply lost, which recovery's frontier arithmetic already models.
-func (es *EpochSys) Flush(epoch uint64) {
+// asserting the device is complete through that epoch — and reports whether
+// that marker is durable. Callers must ensure no session is still pinned at
+// or below the epoch (WaitNotPinnedBelow). On a crashed device the flush is a
+// no-op: the records (and the marker) are simply lost, which recovery's
+// frontier arithmetic already models.
+//
+// Each write-back also tells whether its record is now durably retired. One
+// retired at or before the flushed epoch is dead at every cut from this epoch
+// on and joins es.dead. A record created in this epoch and retired in the next
+// sits in this batch too, and its write-back here makes the later mark
+// durable — but the cut may still fall on this epoch, where the record is
+// live, so it waits for the next epoch's batch, which holds it again.
+func (es *EpochSys) Flush(epoch uint64) bool {
 	for i := range es.stripes {
 		st := &es.stripes[i]
 		st.mu.Lock()
-		ids := st.pend[epoch]
-		delete(st.pend, epoch)
+		ids := st.pend[epoch%pendSlots]
+		// Emptied in place: the next epoch to use this slot, and ids' array,
+		// is not current until pendSlots-2 advances after this one returns.
+		st.pend[epoch%pendSlots] = ids[:0]
 		st.mu.Unlock()
 		cpFlushBatch.Hit() // crash here loses this stripe's (and later stripes') write-backs
 		for _, id := range ids {
-			es.dev.WriteBack(id)
+			if retired, _ := es.dev.WriteBack(id); retired != 0 && retired <= epoch {
+				es.dead = append(es.dead, id)
+			}
 		}
 	}
 	es.dev.Fence()
@@ -283,12 +302,14 @@ func (es *EpochSys) Flush(epoch uint64) {
 	id, err := es.dev.Write(pnvm.MarkerKey, nil, epoch)
 	if err != nil {
 		if errors.Is(err, pnvm.ErrCrashed) {
-			return
+			return false
 		}
 		panic("montage: frontier marker write failed: " + err.Error())
 	}
 	cpFlushMarkerVolatile.Hit() // crash here: marker written but never durable
-	es.dev.WriteBack(id)
+	if _, ok := es.dev.WriteBack(id); !ok {
+		return false // the device crashed under the marker and took it along
+	}
 	es.dev.Fence()
 	// The new marker durably supersedes the previous one; drop it so
 	// markers don't accumulate one per epoch. A crash between the
@@ -300,6 +321,19 @@ func (es *EpochSys) Flush(epoch uint64) {
 		es.dev.Delete(es.lastMarker)
 	}
 	es.lastMarker = id
+	return true
+}
+
+// reclaim frees the records Flush found dead: nbMontage's rule that a payload
+// retired in epoch e is reclaimed once e is persisted. A free is not a media
+// operation (the device counts none), and a crash between two frees leaves
+// durably dead records behind for recovery's scrub.
+func (es *EpochSys) reclaim() {
+	for _, id := range es.dead {
+		es.dev.Delete(id)
+		cpAdvanceReclaim.Hit()
+	}
+	es.dead = es.dead[:0]
 }
 
 // Advance moves to the next epoch and persists (write-back + fence) the
@@ -334,12 +368,22 @@ func AdvanceTogether(clock *EpochClock, systems []*EpochSys) {
 	e := clock.Tick()
 	clock.WaitNotPinnedBelow(e - 1)
 	cpAdvancePreFlush.Hit() // crash here: epoch ticked, nothing flushed
+	persisted := true
 	for _, es := range systems {
-		es.Flush(e - 2)
+		persisted = es.Flush(e-2) && persisted
 		// Fires between one shard's flush and the next, so a crash tears
 		// the domain mid-advance: some devices carry this epoch's marker,
 		// the rest don't, and recovery must cut at the minimum frontier.
 		cpAdvanceMidShard.Hit()
+	}
+	// The cut is the minimum frontier over the devices. Until the last of
+	// them has fenced its marker for e-2 a crash cuts at e-3, where a record
+	// retired in e-2 is live, on whichever device it sits: no device frees
+	// before every device has flushed.
+	if persisted {
+		for _, es := range systems {
+			es.reclaim()
+		}
 	}
 }
 

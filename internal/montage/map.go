@@ -149,9 +149,8 @@ func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 // until cleanups finish (core.Session.finish), so the mark always joins the
 // transaction's own epoch batch before that batch can flush.
 func (m *Map[V]) retire(s *core.Session, pid, epoch uint64) {
-	claim := m.es.NewClaim()
 	sid := s.ID()
-	s.AddToCleanups(func() { m.es.PRetire(sid, pid, epoch, claim) })
+	s.AddToCleanups(func() { m.es.PRetire(sid, pid, epoch) })
 }
 
 // Rebuild binds every recovered payload (one device's

@@ -64,7 +64,7 @@ func DefaultLatencies() Latencies {
 	}
 }
 
-// Record is one opaque persistent record.
+// Record is one opaque persistent record, as a dump (Recover) hands it out.
 type Record struct {
 	ID     uint64 // allocation id (unique per record)
 	Key    uint64
@@ -75,16 +75,56 @@ type Record struct {
 
 const nShards = 64
 
+// line is everything the device keeps for one record, in one object the size
+// of a cache line (TestLineSize): a record costs its shard's map one entry and
+// nothing else, retired or not. The id is the map key and is not
+// repeated here.
+type line struct {
+	key   uint64
+	val   []byte
+	epoch uint64
+	// retire is the retire mark on media, possibly volatile (0 = live), and
+	// claim names the transaction that wrote it, so that only it can lift it.
+	retire, claim uint64
+	// persisted is what a crash keeps: volatile while the record was never
+	// written back, else the retire mark as of the last write-back.
+	persisted uint64
+}
+
+// volatile in line.persisted marks a record no write-back has reached. Retire
+// marks count epochs or commit serials up from small numbers.
+const volatile = ^uint64(0)
+
+// lift clears the retire mark outright, the durable copy included: the
+// un-retire of an aborted commit or of a recovery that discards the mark's
+// unit needs no write-back of its own.
+func (r *line) lift() {
+	r.retire, r.claim = 0, 0
+	if r.persisted != volatile {
+		r.persisted = 0
+	}
+}
+
 // shard holds a slice of the record space under its own lock, standing in
 // for the line-level independence of a real DIMM.
 type shard struct {
-	mu      sync.Mutex
-	records map[uint64]*Record
-	durable map[uint64]bool
-	// retire marks that reached durability, and the claim that wrote the
-	// current (possibly volatile) mark.
-	retireDurable map[uint64]uint64
-	retireClaim   map[uint64]uint64
+	mu    sync.Mutex
+	lines map[uint64]*line
+	// free holds the objects of dropped records, zeroed, for Write to reuse:
+	// in steady state a store allocates nothing on the device's account.
+	free []*line
+}
+
+// drop removes record id, if it is there, and hands its object to the free
+// list; a second drop of the same id finds nothing. Zeroing releases the
+// payload bytes and leaves the next owner no durability, retire mark or claim
+// to inherit. The caller holds s.mu.
+func (s *shard) drop(id uint64) {
+	if r, ok := s.lines[id]; ok {
+		delete(s.lines, id)
+		*r = line{}
+		s.free = append(s.free, r)
+	}
 }
 
 // Device is a simulated NVM DIMM. All methods are safe for concurrent use.
@@ -104,11 +144,7 @@ type Device struct {
 func New(lat Latencies) *Device {
 	d := &Device{lat: lat}
 	for i := range d.shards {
-		s := &d.shards[i]
-		s.records = make(map[uint64]*Record)
-		s.durable = make(map[uint64]bool)
-		s.retireDurable = make(map[uint64]uint64)
-		s.retireClaim = make(map[uint64]uint64)
+		d.shards[i].lines = make(map[uint64]*line)
 	}
 	return d
 }
@@ -143,10 +179,16 @@ func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 	}
 	spin(d.lat.Write)
 	id := d.nextID.Add(1)
-	r := &Record{ID: id, Key: key, Val: val, Epoch: epoch}
 	s := d.shard(id)
 	s.mu.Lock()
-	s.records[id] = r
+	var r *line
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		r = new(line)
+	}
+	*r = line{key: key, val: val, epoch: epoch, persisted: volatile}
+	s.lines[id] = r
 	s.mu.Unlock()
 	d.writes.Add(1)
 	return id, nil
@@ -162,9 +204,8 @@ func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
 	spin(d.lat.Write)
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.records[id]; ok {
-		r.Retire = epoch
-		s.retireClaim[id] = claim
+	if r, ok := s.lines[id]; ok {
+		r.retire, r.claim = epoch, claim
 	}
 	s.mu.Unlock()
 	d.writes.Add(1)
@@ -178,10 +219,8 @@ func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
 func (d *Device) UnRetire(id uint64, claim uint64) {
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.records[id]; ok && !d.crashed.Load() && s.retireClaim[id] == claim {
-		r.Retire = 0
-		delete(s.retireClaim, id)
-		delete(s.retireDurable, id)
+	if r, ok := s.lines[id]; ok && !d.crashed.Load() && r.claim == claim {
+		r.lift()
 	}
 	s.mu.Unlock()
 }
@@ -197,28 +236,28 @@ func (d *Device) Delete(id uint64) {
 	s := d.shard(id)
 	s.mu.Lock()
 	if !d.crashed.Load() {
-		delete(s.records, id)
-		delete(s.durable, id)
-		delete(s.retireDurable, id)
-		delete(s.retireClaim, id)
+		s.drop(id)
 	}
 	s.mu.Unlock()
 }
 
-// WriteBack makes record id durable (clwb). Idempotent.
-func (d *Device) WriteBack(id uint64) {
+// WriteBack makes record id durable (clwb), its retire mark included.
+// Idempotent. It reports whether the record was there to write back, and the
+// retire mark that is durable with it (0 = durably live): from that epoch on
+// no recovery cut can find the record live, which is what a reclaimer needs
+// to know (montage's epoch rule).
+func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
 	cpWriteBack.Hit() // no error channel: crash/delay faults only
 	spin(d.lat.WriteBack)
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.records[id]; ok {
-		s.durable[id] = true
-		if r.Retire != 0 {
-			s.retireDurable[id] = r.Retire
-		}
+	if r, ok := s.lines[id]; ok {
+		r.persisted = r.retire
+		retired, durable = r.retire, true
 	}
 	s.mu.Unlock()
 	d.writeBacks.Add(1)
+	return retired, durable
 }
 
 // Fence orders prior write-backs (sfence).
@@ -235,15 +274,11 @@ func (d *Device) Crash() {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for id, r := range s.records {
-			if !s.durable[id] {
-				delete(s.records, id)
-				continue
-			}
-			if re, ok := s.retireDurable[id]; ok {
-				r.Retire = re
+		for id, r := range s.lines {
+			if r.persisted == volatile {
+				delete(s.lines, id)
 			} else {
-				r.Retire = 0
+				r.retire = r.persisted
 			}
 		}
 		s.mu.Unlock()
@@ -257,8 +292,8 @@ func (d *Device) Recover() []Record {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for _, r := range s.records {
-			out = append(out, *r)
+		for id, r := range s.lines {
+			out = append(out, Record{ID: id, Key: r.key, Val: r.val, Epoch: r.epoch, Retire: r.retire})
 		}
 		s.mu.Unlock()
 	}
@@ -289,7 +324,7 @@ func (d *Device) Live() int {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += len(s.records)
+		n += len(s.lines)
 		s.mu.Unlock()
 	}
 	return n

@@ -154,20 +154,15 @@ func (d *Device) reanchor(cut uint64, dead *[nShards][]uint64) (marker uint64, e
 		s := &d.shards[i]
 		s.mu.Lock()
 		for _, id := range dead[i] {
-			delete(s.records, id)
-			delete(s.durable, id)
+			s.drop(id)
 		}
-		for id, r := range s.records {
-			if r.Key == MarkerKey {
+		for id, r := range s.lines {
+			if r.key == MarkerKey {
 				stale = append(stale, id)
 			} else {
-				r.Retire = 0
+				r.lift()
 			}
 		}
-		// No record left in the shard is retired, so the mark tables empty
-		// wholesale instead of entry by entry.
-		clear(s.retireClaim)
-		clear(s.retireDurable)
 		s.mu.Unlock()
 		cpRecoverScrub.Hit() // outside the lock: a crash action takes it
 	}

@@ -40,6 +40,7 @@ var montagePoints = []string{
 	"txmontage.flush.marker-volatile",
 	"txmontage.advance.pre-flush",
 	"txmontage.advance.mid-shard",
+	"txmontage.advance.reclaim",
 	"pnvm.write",
 	"pnvm.writeback",
 }
@@ -350,7 +351,10 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 	}
 
 	// Phase 2: more pairs, then a sync — the media points fire inside the
-	// transactions, the flush/advance points inside the sync.
+	// transactions, the flush/advance points inside the sync. Each
+	// transaction also rewrites a synced pair with the values it has, so the
+	// sync has retired records to reclaim: one freed before its successor is
+	// inside the cut would show as a synced key gone.
 	crashed := false
 	for i := uint64(0); i < n && !crashed; i++ {
 		i := i
@@ -358,6 +362,8 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 			if err := tx.Run(func() error {
 				m.Put(tx, 2*n+i, 500+i)
 				m.Put(tx, 3*n+i, 500+i)
+				m.Put(tx, i, 100+i)
+				m.Put(tx, i+n, 100+i)
 				return nil
 			}); err != nil {
 				t.Fatalf("phase-2 tx %d: %v", i, err)
@@ -404,7 +410,8 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 // TestChaosCrashInsideRecoverySweep is the second-failure sweep: the sweep
 // workloads above run to a first crash that leaves recovery real work (torn
 // payloads and beyond-cut retire marks on POneFile; a fleet torn between two
-// shards' flushes, markers ahead of the domain cut, on txMontage), recovery
+// shards' flushes, markers ahead of the domain cut, or one stopped inside its
+// reclaim pass, durably dead records still on media, on txMontage), recovery
 // starts on a fresh engine, and a second power failure lands at every point
 // of the one recovery pipeline × hit offsets — the first and last hit of
 // each point, plus mid-scrub. A third engine then recovers what is left and
@@ -426,6 +433,8 @@ func TestChaosCrashInsideRecoverySweep(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		scenarios = append(scenarios, scenario{fmt.Sprintf("txmontage-sharded-%d", shards), func(t *testing.T) crashedRun {
 			return montageToCrash(t, "txmontage-sharded", shards, "txmontage.advance.mid-shard")
+		}}, scenario{fmt.Sprintf("txmontage-sharded-%d-after-reclaim", shards), func(t *testing.T) crashedRun {
+			return montageToCrash(t, "txmontage-sharded", shards, "txmontage.advance.reclaim")
 		}})
 	}
 	injected := errors.New("injected media error")

@@ -258,10 +258,14 @@ func TestShardsOverParallelismWarningOnce(t *testing.T) {
 	defer func() { warnShardsFn = orig }()
 
 	// Counts chosen to be over-parallel on any host this test runs on, and
-	// distinct from anything other tests construct, so the process-global
-	// dedupe map is fresh for them.
+	// distinct from anything other tests construct. The dedupe map is
+	// process-global and outlives a run of this test (-count=2), so their
+	// entries are forgotten first.
 	n1 := 4*runtime.GOMAXPROCS(0) + 7
 	n2 := 4*runtime.GOMAXPROCS(0) + 9
+	for _, n := range []int{n1, n2, n1 + 2} {
+		shardsWarned.Delete(overParallelismWarning(n))
+	}
 	for i := 0; i < 3; i++ {
 		eng, err := Build("medley-sharded", Config{Shards: n1})
 		if err != nil {
