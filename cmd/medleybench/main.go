@@ -57,7 +57,7 @@ func main() {
 	accounts := flag.Int("accounts", 0, "transfer workload: account count (0: 1024 scaled); fewer = hotter")
 	lat := flag.Bool("lat", false, "workloads: measure per-transaction latency percentiles (p50/p99 columns)")
 	snapshot := flag.Bool("snapshot", false, "cache workload: serve read probes as validation-free MVCC snapshot reads (engines with CapSnapshot only)")
-	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (measure the discovery path)")
+	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (measure the undeclared path)")
 	flag.Parse()
 
 	checkShardsFlag(*shards)
@@ -142,15 +142,15 @@ func main() {
 		for _, r := range ratios {
 			wl := bench.PaperWorkload(r[0], r[1], r[2], *scale)
 			fmt.Printf("\n## %s, get:insert:remove = %s\n", figName, wl.Ratio())
-			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "xshard", "fphit", "fpmiss", "latchw", "latchfb")
+			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "fpmiss", "latchw", "latchfb")
 			for _, name := range systems {
 				for _, th := range threads {
 					sys := mustSystem(name, kind, wl, opt)
 					res := bench.RunThroughput(sys, wl, th, *dur)
 					sys.Close()
-					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d\n",
+					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d\n",
 						res.System, res.Threads, res.Throughput,
-						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.CrossShardRestarts,
+						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
 						res.Stats.FootprintHits, res.Stats.FootprintMisses,
 						res.Stats.LatchWaits, res.Stats.LatchFallbacks)
 				}
@@ -307,11 +307,11 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 		}
 		fmt.Printf("\n## workload %s (%s)\n", name, sc.Doc)
 		if cfg.Latency {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "p50", "p99", "audit")
+			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
+				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "p50", "p99", "audit")
 		} else {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "audit")
+			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
+				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "audit")
 		}
 		for _, engine := range systems {
 			for _, th := range threads {
@@ -323,18 +323,18 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 					os.Exit(2)
 				}
 				if cfg.Latency {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10v %10v  %s\n",
+					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10v %10v  %s\n",
 						res.System, res.Threads, res.Throughput,
 						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.CrossShardRestarts, res.Stats.FootprintHits, res.Stats.FootprintMisses,
+						res.Stats.FootprintHits, res.Stats.FootprintMisses,
 						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
 						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
 						res.P50, res.P99, res.AuxString())
 				} else {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d  %s\n",
+					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d  %s\n",
 						res.System, res.Threads, res.Throughput,
 						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.CrossShardRestarts, res.Stats.FootprintHits, res.Stats.FootprintMisses,
+						res.Stats.FootprintHits, res.Stats.FootprintMisses,
 						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
 						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
 						res.AuxString())

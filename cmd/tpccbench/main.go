@@ -90,7 +90,7 @@ func main() {
 	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
-	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale")
+	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale")
 
 	for _, name := range systems {
 		for _, th := range threads {
@@ -102,9 +102,9 @@ func main() {
 			tpcc.Load(st, cfg)
 			res := tpcc.Run(st, cfg, th, *dur)
 			st.Close()
-			fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
+			fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d\n",
 				res.System, res.Threads, res.Throughput,
-				res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.CrossShardRestarts,
+				res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
 				res.Stats.FootprintHits, res.Stats.FootprintMisses,
 				res.Stats.LatchWaits, res.Stats.LatchFallbacks,
 				res.Stats.SnapshotReads, res.Stats.SnapshotStale)

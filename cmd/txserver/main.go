@@ -143,8 +143,8 @@ func main() {
 	s.Drain()
 	st := eng.Stats()
 	c := s.Counters()
-	fmt.Printf("txserver: engine commits=%d aborts=%d retries=%d xshard=%d fphit=%d latchw=%d\n",
-		st.Commits, st.Aborts, st.Retries, st.CrossShardRestarts, st.FootprintHits, st.LatchWaits)
+	fmt.Printf("txserver: engine commits=%d aborts=%d retries=%d fphit=%d latchw=%d\n",
+		st.Commits, st.Aborts, st.Retries, st.FootprintHits, st.LatchWaits)
 	fmt.Printf("txserver: server conns=%d requests=%d shed=%d drained=%d idleclosed=%d batches=%d batchedops=%d\n",
 		c.Conns, c.Requests, c.Shed, c.Drained, c.IdleClosed, c.Batches, c.BatchedOps)
 	fmt.Printf("txserver: readlane snapserved=%d combined=%d occserved=%d\n",

@@ -82,18 +82,37 @@ func TestBudgetOneReadOneWrite(t *testing.T) {
 	}, 4, 112+16+8+24)
 }
 
-// Linking is one allocation for up to four members (TxGroup, 64 bytes with
-// its inline member array); each member is reachable and pays its header.
-func TestBudgetLinkedPair(t *testing.T) {
-	ss := []*core.Session{core.NewTxManager().Session(), core.NewTxManager().Session()}
-	budget(t, func() {
-		ss[0].TxBegin()
-		ss[1].TxBegin()
-		core.LinkTxs(ss)
-		if err := core.CommitLinked(ss); err != nil {
-			t.Fatal(err)
+// A transaction over two managers is one transaction: the session that joins
+// brings no descriptor of its own. Read-only it is as unreachable as on one
+// manager; with one read and one write per manager it is ONE header 112 + a
+// two-entry read copy 32 + a two-entry write copy 16 + 2 cells × 24.
+func TestBudgetJoinedPair(t *testing.T) {
+	root, guest := core.NewTxManager().Session(), core.NewTxManager().Session()
+	var r, w [2]core.CASObj[int]
+	v := 0
+	run := func(write bool) func() {
+		return func() {
+			root.TxBegin()
+			for i, s := range []*core.Session{root, guest} {
+				if i == 1 {
+					guest.TxJoin(root) // after the root's install, when there is one
+				}
+				_, tag := r[i].NbtcLoad(s)
+				s.AddToReadSet(&r[i], tag)
+				if write && !w[i].NbtcCAS(s, v, v+1, true, true) {
+					t.Fatal("install failed")
+				}
+			}
+			if write {
+				v++
+			}
+			if err := root.TxEnd(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}, 3, 64+2*112)
+	}
+	t.Run("read-only", func(t *testing.T) { budget(t, run(false), 0, 0) })
+	t.Run("one read, one write each", func(t *testing.T) { budget(t, run(true), 5, 112+32+16+2*24) })
 }
 
 // The same on mhash, where the structure's own allocations ride along. A

@@ -42,7 +42,7 @@ func TestCommitInPlace(t *testing.T) {
 		var err error
 		if byHelper {
 			h := parkHelper(&o)
-			err = endWith([]*Session{s}, func() {
+			err = endWith(s, func() {
 				s.desc.status.CompareAndSwap(uint32(InPrep), uint32(InProg))
 				h.run()
 				wantSettled(t, "o (swept by the helper)", &o, 2)
@@ -147,15 +147,15 @@ func TestAbortRestoresOverwrittenCell(t *testing.T) {
 		a.TxAbort()
 		wantRestored("an own-overwrite abort")
 
-		// A linked pair aborted through its sibling.
-		ss := []*Session{a, other}
+		// A transaction of two sessions aborted through the one that joined.
 		a.TxBegin()
-		other.TxBegin()
-		LinkTxs(ss)
 		txWrite(t, a, &o, v, v+1)
+		other.TxJoin(a)
 		other.TxAbort()
-		a.TxAbort()
-		wantRestored("a linked abort")
+		if a.InTx() {
+			t.Fatal("the joined session's abort left the root open")
+		}
+		wantRestored("a joined session's abort")
 
 		if err := reader.TxEnd(); err != nil {
 			t.Fatalf("stored=%v: a reader from before the aborted installs = %v, want commit", stored, err)

@@ -49,43 +49,44 @@ type readRec struct {
 // (Session.rs/ws) and only the owner touches them; a helper that finds an
 // InPrep descriptor aborts it and uninstalls the one cell it tripped over,
 // without reading either set. A descriptor that other goroutines can reach —
-// one that installed a cell or joined a TxGroup — is frozen by its owner
-// before the InPrep→InProg CAS: both slices are replaced by exact-size
-// private copies, and from then on nobody writes them. Helpers read the sets
+// one that installed a cell — is frozen by its owner before the
+// InPrep→InProg CAS: both slices are replaced by exact-size private copies,
+// and from then on nobody writes them. Helpers read the sets and validators
 // only after loading InProg or Committed from the status word, so that CAS
 // orders the copies before every helper read, and a straggler sees this
 // transaction's sets however often the scratch was refilled (see doc.go).
 //
-// A descriptor that finished without ever being reachable (no install, no
-// group) is handed back to its session and reused by the next TxBegin; one
-// that was reachable is never reused — the garbage collector supplies the ABA
+// One transaction has one descriptor, however many sessions take part in it:
+// a session that joins (Session.TxJoin) installs, reads and registers its
+// validator on the root session's descriptor.
+//
+// A descriptor that finished without ever being reachable (no install) is
+// handed back to its session and reused by the next TxBegin; one that was
+// reachable is never reused — the garbage collector supplies the ABA
 // protection that the paper's per-thread serial numbers provide.
 type Desc struct {
 	status atomic.Uint32
 	// frozen records that the sets are private copies and the scratch has
 	// already gone back to the session. Owner-only.
-	frozen bool
-	// group, when non-nil, links this descriptor into a shared-fate
-	// TxGroup: status lives in the group's word and finalization spans
-	// every member (see group.go). Set once, before the first install.
-	group      *TxGroup
-	owner      *Session
+	frozen     bool
+	owner      *Session // the root session: the one whose TxBegin opened the transaction
 	readSet    []readRec
 	writeSet   []*unsafe.Pointer // the slot of every object installed into
 	validators []func() bool
-	// vBuf is inline storage for the one validator a layered system
-	// registers (txMontage's epoch check); more spill to the heap.
-	vBuf [1]func() bool
+	// vBuf is inline storage for the validators a layered system registers
+	// (txMontage's epoch check, one per session in the transaction); a
+	// transaction of more than two such sessions spills to the heap.
+	vBuf [2]func() bool
 }
 
-// Status returns the descriptor's current status (the group's, for a
-// linked descriptor).
-func (d *Desc) Status() Status { return Status(d.statusWord().Load()) }
+// Status returns the descriptor's current status.
+func (d *Desc) Status() Status { return Status(d.status.Load()) }
 
 // AddValidator registers an extra commit-time check evaluated (by the owner
 // or by helpers) together with read-set validation; used by txMontage to
 // fold the epoch check into MCNS commit (paper Section 4.4). Must be called
-// by the owning session before the first speculative install.
+// before TxEnd, by the goroutine that owns the transaction: helpers read the
+// validators, like the sets, only once the status is InProg.
 func (d *Desc) AddValidator(f func() bool) {
 	d.validators = append(d.validators, f)
 }
@@ -135,29 +136,25 @@ func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
 // later ones — which is why a reachable descriptor's sets are frozen and the
 // descriptor itself is never reused (the stale-helper tests enter here).
 func (d *Desc) finalize(slot *unsafe.Pointer) {
-	// For a linked descriptor the status word, the validation scope, and
-	// the sweep scope are all group-wide: helping one member means
-	// finalizing the whole shared-fate group (see group.go).
-	w := d.statusWord()
-	st := Status(w.Load())
+	st := d.Status()
 	if st == InPrep {
-		w.CompareAndSwap(uint32(InPrep), uint32(Aborted))
-		st = Status(w.Load())
+		d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
+		st = d.Status()
 	}
 	sawInProg := st == InProg || st == Committed
 	if st == InProg {
-		if d.validateScope() {
-			w.CompareAndSwap(uint32(InProg), uint32(Committed))
+		if d.validate() {
+			d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
 		} else {
-			w.CompareAndSwap(uint32(InProg), uint32(Aborted))
+			d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
 		}
-		st = Status(w.Load())
+		st = d.Status()
 	}
 	committed := st == Committed
 	if sawInProg {
-		// Write set(s) frozen (owner reached txEnd before finalization):
-		// safe for a helper to sweep everything.
-		d.sweepScope(committed)
+		// Write set frozen (owner reached txEnd before finalization): safe
+		// for a helper to sweep everything.
+		d.sweep(committed)
 	} else {
 		// Never seen past InPrep: the write set is the owner's scratch —
 		// still being appended to, or already refilled by a later

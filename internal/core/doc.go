@@ -47,11 +47,30 @@
 // Conflicting threads that encounter an installed cell eagerly finalize the
 // descriptor (abort if InPrep, help validate/commit if InProg) and uninstall
 // the cell they tripped over; the owner sweeps its entire write set on commit
-// or abort. Helpers never mutate a descriptor's sets and read them only after
-// loading InProg or Committed from the status word; a cell's words are
-// written plainly before the CAS that publishes it and atomically after, so
-// the protocol is free of data races by construction (next section). Eager
-// contention management makes the system obstruction-free (paper Section 5.2).
+// or abort. Helpers never mutate a descriptor's sets or validators and read
+// them only after loading InProg or Committed from the status word; a cell's
+// words are written plainly before the CAS that publishes it and atomically
+// after, so the protocol is free of data races by construction (next
+// section). Eager contention management makes the system obstruction-free
+// (paper Section 5.2).
+//
+// # One descriptor for several managers
+//
+// A transaction over structures of several TxManagers — the shards of a
+// sharded engine — is still one descriptor: the first session opens it with
+// TxBegin and every other one enters it with TxJoin(root), whenever the
+// transaction first needs it, after the root has installed cells included.
+// The guest's reads, installs and validator (AddValidator: before TxEnd, by
+// the owning goroutine) go to the shared descriptor; root.TxEnd freezes once,
+// makes one InPrep→InProg CAS, validates once, sweeps once, and closes every
+// session with the verdict. A late join needs no more protection than an
+// append to the sets does: everything a joining session writes, the goroutine
+// that owns the transaction writes before its InPrep→InProg CAS, and a helper
+// that finds the descriptor InPrep aborts it without looking at anything but
+// the cell it found. Racing finalizers are sound for the reason they are in
+// the paper: an entry that is logically invalid stays invalid (above), so two
+// verdicts differ only by a spurious abort, and the status CAS of the later
+// one is a no-op.
 //
 // # Who owns the read and write sets
 //
@@ -64,11 +83,10 @@
 //     grow by append and persist across transactions. Only the owner touches
 //     them. A helper that meets an InPrep descriptor aborts it and uninstalls
 //     the single cell it found; it reads neither set.
-//   - txEnd (TxEnd, CommitLinked): a descriptor another goroutine can reach —
-//     it installed a cell, or it belongs to a TxGroup, whose members are
-//     reachable through each other's cells — is frozen: both sets are
-//     replaced by exact-size private copies and the scratch goes back to the
-//     session, cleared. Only then does the owner CAS InPrep→InProg.
+//   - TxEnd: a descriptor another goroutine can reach — it installed a cell —
+//     is frozen: both sets are replaced by exact-size private copies and the
+//     scratch goes back to the session, cleared. Only then does the owner CAS
+//     InPrep→InProg.
 //   - InProg, Committed, Aborted-after-InProg: the sets are immutable.
 //     Helpers validate the read set and sweep the write set.
 //   - Aborted straight from InPrep (a helper's abort, TxAbort): helpers still
@@ -87,9 +105,9 @@
 //
 // # When a descriptor is recycled
 //
-// A descriptor that finishes without ever installing a cell and outside any
-// group — a read-only transaction, one whose every write failed before
-// installing — was never visible to another goroutine. The session keeps it
+// A descriptor that finishes without ever installing a cell — a read-only
+// transaction, one whose every write failed before installing, over however
+// many managers — was never visible to another goroutine. The session keeps it
 // as its spare and the next TxBegin reuses it, so such a transaction
 // allocates nothing. A descriptor that was ever reachable is never reused,
 // whatever its outcome: that is the ABA guarantee the serial number gives

@@ -49,42 +49,31 @@ var releasePointNames = [numReleasePoints]string{
 	"before TxEnd", "between freeze and InProg CAS", "after finish", "inside the next transaction",
 }
 
-// endWith is TxEnd (one session) or CommitLinked (several) taken apart so
-// that between can run after the freeze and before the status CAS.
-func endWith(ss []*Session, between func()) error {
-	freezeAll(ss)
+// endWith is s.TxEnd taken apart so that between can run after the freeze and
+// before the status CAS. s is the root of its transaction.
+func endWith(s *Session, between func()) error {
+	freezeTx(s)
 	between()
-	decide(ss)
-	return finishAll(ss)
+	decide(s)
+	return s.finish(s.desc)
 }
 
-func freezeAll(ss []*Session) {
-	for _, s := range ss {
-		if d := s.desc; d.group != nil || len(d.writeSet) != 0 {
-			s.freeze(d)
-		}
+func freezeTx(s *Session) {
+	if d := s.desc; len(d.writeSet) != 0 {
+		s.freeze(d)
 	}
 }
 
-// decide takes the (frozen) transaction of ss from InPrep to its verdict.
-func decide(ss []*Session) {
-	d0 := ss[0].desc
-	w := d0.statusWord()
-	if w.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		if d0.validateScope() {
-			w.CompareAndSwap(uint32(InProg), uint32(Committed))
+// decide takes the (frozen) transaction of s from InPrep to its verdict.
+func decide(s *Session) {
+	d := s.desc
+	if d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		if d.validate() {
+			d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
 		} else {
-			w.CompareAndSwap(uint32(InProg), uint32(Aborted))
+			d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
 		}
 	}
-}
-
-func finishAll(ss []*Session) error {
-	var err error
-	for _, s := range ss {
-		err = s.finish(s.desc)
-	}
-	return err
 }
 
 func txRead(s *Session, o *CASObj[int]) int {
@@ -226,7 +215,7 @@ func TestStaleHelper(t *testing.T) {
 			at(beforeTxEnd)()
 			var err error
 			if p == betweenFreezeAndInProg {
-				err = endWith([]*Session{a}, h.run)
+				err = endWith(a, h.run)
 			} else {
 				err = a.TxEnd()
 			}
@@ -252,23 +241,26 @@ func TestStaleHelper(t *testing.T) {
 	}
 }
 
-// TestStaleHelperLinked is TestStaleHelper for a linked pair: the helper
-// holds a cell of member B and reaches member A's sets through the group.
-func TestStaleHelperLinked(t *testing.T) {
+// TestStaleHelperJoined is TestStaleHelper for a transaction over two
+// managers: session b joins after a has installed, the helper holds a cell b
+// installed, and what it reaches through it is the one descriptor, whose
+// frozen sets name both sessions' objects.
+func TestStaleHelperJoined(t *testing.T) {
 	for p := 0; p < numReleasePoints; p++ {
 		t.Run(releasePointNames[p], func(t *testing.T) {
 			a, b := NewTxManager().Session(), NewTxManager().Session()
-			ss := []*Session{a, b}
 			var x CASObj[int]
 			firstA := make([]CASObj[int], 1)
 			firstB := make([]CASObj[int], 2)
 
 			a.TxBegin()
-			b.TxBegin()
-			LinkTxs(ss)
-			dA, dB := a.Desc(), b.Desc()
+			d := a.Desc()
 			txRead(a, &x)
 			txWrite(t, a, &firstA[0], 0, 1)
+			b.TxJoin(a)
+			if b.Desc() != d {
+				t.Fatal("the joined session runs on a descriptor of its own")
+			}
 			for i := range firstB {
 				txWrite(t, b, &firstB[i], 0, 1)
 			}
@@ -284,30 +276,32 @@ func TestStaleHelperLinked(t *testing.T) {
 			at(beforeTxEnd)()
 			var err error
 			if p == betweenFreezeAndInProg {
-				err = endWith(ss, h.run)
+				err = endWith(a, h.run)
 			} else {
-				err = CommitLinked(ss)
+				err = a.TxEnd()
 			}
 			at(afterFinish)()
+			if a.InTx() || b.InTx() {
+				t.Fatal("a session is still inside the finished transaction")
+			}
 
 			want := 1
 			if p <= betweenFreezeAndInProg {
 				want = 0
 				if !errors.Is(err, ErrTxAborted) {
-					t.Fatalf("linked commit = %v, want abort by the helper", err)
+					t.Fatalf("joined commit = %v, want abort by the helper", err)
 				}
 			} else if err != nil {
-				t.Fatalf("linked commit: %v", err)
+				t.Fatalf("joined commit: %v", err)
 			}
 			wantAll(t, "firstA", firstA, want)
 			wantAll(t, "firstB", firstB, want)
 
-			secondTx(t, a, dA, at(insideNextTx))
-			secondTx(t, b, dB, func() {})
+			secondTx(t, a, d, at(insideNextTx))
+			secondTx(t, b, d, func() {})
 			wantAll(t, "firstA", firstA, want)
 			wantAll(t, "firstB", firstB, want)
-			wantFrozen(t, dA, []*CASObj[int]{&x}, ptrs(firstA))
-			wantFrozen(t, dB, nil, ptrs(firstB))
+			wantFrozen(t, d, []*CASObj[int]{&x}, append(ptrs(firstA), ptrs(firstB)...))
 		})
 	}
 }
@@ -348,6 +342,8 @@ func TestDescFreezeLeavesNothingBehind(t *testing.T) {
 		}
 		s.AddToCleanups(func() {})
 		s.OnAbort(func() {})
+		s.Desc().AddValidator(func() bool { return true })
+		s.Desc().AddValidator(func() bool { return true })
 	}
 
 	body()
@@ -370,7 +366,7 @@ func TestDescFreezeLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIdle("after read-only commit")
-	if sp := s.spare; sp == nil || sp.readSet != nil || sp.writeSet != nil || sp.vBuf[0] != nil {
+	if sp := s.spare; sp == nil || sp.readSet != nil || sp.writeSet != nil || sp.vBuf[0] != nil || sp.vBuf[1] != nil {
 		t.Fatal("spare descriptor missing or still holding on to its last transaction")
 	}
 }
@@ -427,7 +423,7 @@ func TestDescFreezeLargeSets(t *testing.T) {
 	reads[nr-1].Store(0)
 	d = open(1, 3)
 	h := parkHelper(&writes[nw-1])
-	if err := endWith([]*Session{s}, func() {
+	if err := endWith(s, func() {
 		if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
 			t.Fatal("InPrep→InProg failed")
 		}
@@ -440,8 +436,9 @@ func TestDescFreezeLargeSets(t *testing.T) {
 
 // TestDescRecycle drives 1000 mixed transactions through two sessions and
 // checks the one rule of descriptor reuse at every TxBegin: a descriptor
-// that ever installed a cell or joined a group is never seen again, while
-// one that did neither is the very next transaction's descriptor.
+// that ever installed a cell — through its own session or one that joined —
+// is never seen again, while one that did not is the very next transaction's
+// descriptor.
 func TestDescRecycle(t *testing.T) {
 	a, b := NewTxManager().Session(), NewTxManager().Session()
 	objs := make([]CASObj[int], 8)
@@ -456,7 +453,7 @@ func TestDescRecycle(t *testing.T) {
 		if want := spareOf[s]; want != nil && d != want {
 			t.Fatalf("tx %d did not reuse the descriptor its predecessor left unreachable", i)
 		}
-		if d.Status() != InPrep || d.frozen || d.group != nil || len(d.readSet) != 0 || len(d.writeSet) != 0 || len(d.validators) != 0 {
+		if d.Status() != InPrep || d.frozen || len(d.readSet) != 0 || len(d.writeSet) != 0 || len(d.validators) != 0 {
 			t.Fatalf("tx %d starts on a descriptor that is not blank", i)
 		}
 		spareOf[s] = nil
@@ -499,20 +496,23 @@ func TestDescRecycle(t *testing.T) {
 			v := txRead(a, o)
 			txWrite(t, a, o, v, v+1)
 			end(a, d, fmt.Sprintf("installed a cell in tx %d", i), abort)
-		default: // linked pair; b's member may stay empty and is reachable all the same
-			dA, dB := begin(a, i), begin(b, i)
-			LinkTxs([]*Session{a, b})
-			v := txRead(a, o)
+		default: // b joins a's transaction; what counts is still only whether anything was installed
+			d := begin(a, i)
+			b.TxJoin(a)
+			v := txRead(b, o)
+			published := ""
 			if kind == 3 {
-				txWrite(t, a, o, v, v+1)
+				txWrite(t, b, o, v, v+1)
+				published = fmt.Sprintf("installed a cell through a joined session in tx %d", i)
+			} else {
+				d.AddValidator(func() bool { return true })
+				d.AddValidator(func() bool { return true })
+				d.AddValidator(func() bool { return true }) // one more than fits inline
+				recycled++
 			}
-			how := fmt.Sprintf("was linked in tx %d", i)
-			reachable[dA], reachable[dB] = how, how
-			if abort {
-				a.TxAbort()
-				b.TxAbort()
-			} else if err := CommitLinked([]*Session{a, b}); err != nil {
-				t.Fatal(err)
+			end(a, d, published, abort)
+			if b.InTx() {
+				t.Fatalf("tx %d left the joined session open", i)
 			}
 		}
 	}
@@ -561,8 +561,8 @@ var uninstallReleaseNames = [numUninstallReleases]string{
 
 // TestStaleHelperInsideUninstall enumerates a caller parked inside uninstall
 // on object o while the owner finishes and a later transaction installs over
-// o and commits or aborts: single and linked, transaction 1 committed and
-// aborted. Wherever it resumes it must act on transaction 1's cell alone. A
+// o and commits or aborts: o installed by the root session and by one that
+// joined after the root's install, transaction 1 committed and aborted. Wherever it resumes it must act on transaction 1's cell alone. A
 // reader that saw o between the two transactions is the witness that the
 // slot holds the very same cell again after the later one aborts.
 func TestStaleHelperInsideUninstall(t *testing.T) {
@@ -575,36 +575,32 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 		{"commit, parked between the clears", true, betweenClears},
 		{"abort, parked before the CAS", false, afterLoad},
 	}
-	for _, linked := range []bool{false, true} {
+	for _, joined := range []bool{false, true} {
 		for _, w := range windows {
 			for rel := 0; rel < numUninstallReleases; rel++ {
 				for _, laterCommits := range []bool{true, false} {
-					name := fmt.Sprintf("linked=%v/%s/released %s/later commits=%v", linked, w.name, uninstallReleaseNames[rel], laterCommits)
+					name := fmt.Sprintf("joined=%v/%s/released %s/later commits=%v", joined, w.name, uninstallReleaseNames[rel], laterCommits)
 					t.Run(name, func(t *testing.T) {
-						ss := []*Session{NewTxManager().Session()}
-						if linked {
-							ss = append(ss, NewTxManager().Session())
-						}
-						owner := ss[len(ss)-1] // the member whose cell the parked caller holds
+						root := NewTxManager().Session()
+						owner := root // the session that installs the cell the parked caller holds
 						later, reader := NewTxManager().Session(), NewTxManager().Session()
 						var o, side, y CASObj[int]
 
-						for _, s := range ss {
-							s.TxBegin()
+						root.TxBegin()
+						txWrite(t, root, &side, 0, 1)
+						if joined {
+							owner = NewTxManager().Session()
+							owner.TxJoin(root)
 						}
-						if linked {
-							LinkTxs(ss)
-						}
-						txWrite(t, ss[0], &side, 0, 1)
 						txWrite(t, owner, &o, 0, 1)
-						d := owner.desc
+						d := root.desc
 						want := 0
 						if w.commit {
 							want = 1
-							freezeAll(ss)
-							decide(ss)
+							freezeTx(root)
+							decide(root)
 						} else {
-							d.statusWord().CompareAndSwap(uint32(InPrep), uint32(Aborted))
+							d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
 						}
 						h := parkInUninstall(&o, d, w.commit, w.point)
 						at := func(q int) {
@@ -614,7 +610,7 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 						}
 
 						at(beforeOwnerSweep)
-						if err := finishAll(ss); w.commit != (err == nil) {
+						if err := root.finish(d); w.commit != (err == nil) || owner.InTx() {
 							t.Fatalf("transaction 1 = %v, want commit %v", err, w.commit)
 						}
 						at(afterOwnerSweep)

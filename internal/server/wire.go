@@ -39,8 +39,7 @@
 //
 // A transaction executes atomically under one engine transaction with every
 // key pre-declared through txengine.HintKeys, so on sharded engines the
-// whole shard set is predicted up front and the footprint-discovery restart
-// is never paid. Responses on one connection are written in request order,
+// whole shard set is opened up front, under the keys' latches. Responses on one connection are written in request order,
 // so pipelining clients may match responses positionally (ids are still
 // echoed for verification).
 //

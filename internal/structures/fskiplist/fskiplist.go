@@ -84,6 +84,18 @@ type findResult[K cmp.Ordered, V any] struct {
 // as it goes. Pass a nil session (or one outside a transaction) for plain
 // maintenance traversals. Nodes encountered at level lvl always have towers
 // at least lvl tall.
+//
+// A search can find itself standing on a dead node: it descends from a node
+// whose tower was marked after the level above was read. A dead node's edge
+// is frozen, so it still routes forward, but only to what was there when the
+// node died. Two rules keep that from hiding a key. Walking on through dead
+// nodes stops at k like any other walk: a dead successor with a key ≥ k is no
+// place to descend from, since everything below it is past k. And the bottom
+// level takes no position through a dead edge at all: keys linked after the
+// node was snipped are not behind its edge, and a read-set entry on an edge
+// that never changes validates whatever happens to k. There the search marks
+// the rest of the dead node's tower, as its remover is about to, and starts
+// over, so that it cannot come down the same way again.
 func (sl *SkipList[K, V]) find(s *core.Session, k K) (r findResult[K, V], found bool) {
 retry:
 	pred := sl.head
@@ -103,6 +115,9 @@ retry:
 					// pending). The marked edge still routes forward; walk
 					// through without snipping — only a live edge may be
 					// CASed.
+					if curr.key >= k {
+						break
+					}
 					pred = curr
 					predObj = &curr.next[lvl]
 					cref, ctag = nref, ntag
@@ -126,7 +141,7 @@ retry:
 				continue
 			}
 			// curr.key >= k: this level is positioned.
-			if lvl == 0 && curr.key == k {
+			if lvl == 0 && curr.key == k && !cref.marked {
 				r.preds[0] = predObj
 				r.succs[0] = curr
 				r.ptag = ctag
@@ -140,6 +155,10 @@ retry:
 		r.preds[lvl] = predObj
 		r.succs[lvl] = cref.n
 		if lvl == 0 {
+			if cref.marked {
+				sl.retireTower(pred, k)
+				goto retry
+			}
 			r.ptag = ctag
 		}
 	}

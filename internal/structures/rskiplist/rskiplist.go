@@ -71,6 +71,10 @@ type findResult[V any] struct {
 	nxt0  Ref[V]
 }
 
+// find locates preds/succs for key k at every level, snipping marked nodes as
+// it goes. As in fskiplist.find, a walk through dead nodes stops at k, and
+// the bottom level takes no position through a dead node's frozen edge: it
+// marks the rest of that node's wheel and starts over.
 func (sl *SkipList[V]) find(s *core.Session, k uint64) (r findResult[V], found bool) {
 retry:
 	pred := sl.head
@@ -86,6 +90,9 @@ retry:
 			if nref.marked {
 				if cref.marked {
 					// entered through a dead edge: route through it
+					if curr.key >= k {
+						break
+					}
 					pred = curr
 					predObj = &curr.wheel[lvl]
 					cref, ctag = nref, ntag
@@ -107,7 +114,7 @@ retry:
 				cref, ctag = nref, ntag
 				continue
 			}
-			if lvl == 0 && curr.key == k {
+			if lvl == 0 && curr.key == k && !cref.marked {
 				r.preds[0] = predObj
 				r.succs[0] = curr
 				r.ptag = ctag
@@ -121,6 +128,10 @@ retry:
 		r.preds[lvl] = predObj
 		r.succs[lvl] = cref.n
 		if lvl == 0 {
+			if cref.marked {
+				sl.retireWheel(pred)
+				goto retry
+			}
 			r.ptag = ctag
 		}
 	}

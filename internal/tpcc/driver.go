@@ -48,8 +48,8 @@ func Run(st Store, cfg Config, threads int, dur time.Duration) Result {
 				} else {
 					// Payment's keys are known before the transaction, so
 					// draw first and hint them: on sharded engines the
-					// cross-shard ones skip discovery and commit under
-					// key latches.
+					// cross-shard ones open their shards up front and
+					// commit under key latches.
 					a := DrawPayment(cfg, rng, tid, &histSeq)
 					err = w.RunTxHinted(a.Keys(keyBuf[:0]), func(h Handle) error { return PaymentWith(h, a) })
 				}

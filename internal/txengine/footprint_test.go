@@ -63,8 +63,8 @@ func transferOnce(t *testing.T, tx Tx, src, dst Map[uint64], from, to uint64) {
 
 // TestShardedHintedTransferNoDiscovery: with both keys pre-declared via
 // HintKeys, cross-shard transfers must acquire their footprint up front —
-// zero discovery restarts, every cross-shard Run a footprint hit, and no
-// misses — while conserving value.
+// every cross-shard Run a footprint hit, and no misses — while conserving
+// value.
 func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	const iters = 400
 	eng, err := Build("medley-sharded", Config{Shards: 8})
@@ -96,9 +96,6 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 		transferOnce(t, tx, checking, savings, from, to)
 	}
 	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != 0 {
-		t.Errorf("hinted transfers paid %d discovery restarts, want 0", d.CrossShardRestarts)
-	}
 	if d.FootprintMisses != 0 {
 		t.Errorf("hinted transfers counted %d misses, want 0", d.FootprintMisses)
 	}
@@ -124,8 +121,9 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 // TestShardedMispredictFallbackConservation is the concurrent misprediction
 // audit at shards 2 and 8: workers run transfers whose hints are frequently
 // wrong (stale keys hinted, fresh keys transacted), so declared attempts
-// escape their declaration, drop their latches and restart as discovery
-// mid-flight, while auditors sweep the whole ledger. Conservation must hold
+// escape their declaration and join the shards they turn out to need
+// mid-flight, under latches that cover the wrong keys, while auditors sweep
+// the whole ledger. Conservation must hold
 // throughout and at the end.
 func TestShardedMispredictFallbackConservation(t *testing.T) {
 	const (
@@ -162,7 +160,7 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 						// Deliberately stale hint: declare a different key
 						// pair than the transaction will touch. On wide
 						// shard counts this mispredicts regularly; the
-						// restarted attempt must stay atomic.
+						// attempt must stay atomic.
 						HintKeys(tx, rng.Uint64N(accounts), rng.Uint64N(accounts))
 						err := tx.Run(func() error {
 							c, ok := checking.Get(tx, from)

@@ -6,7 +6,7 @@ import "sync"
 //
 // A cross-shard transaction that declared its keys (HintKeys/HintQueues, at
 // most latchMaxKeys of them) latches exactly those keys before it opens its
-// sub-transactions, and releases them after the linked commit. Nothing else
+// shards, and releases them after the commit. Nothing else
 // in the sharded runtime blocks: single-shard transactions, standalone
 // operations and undeclared cross-shard transactions never touch the table.
 //
@@ -24,10 +24,10 @@ import "sync"
 // blocks on nothing but the next latch.
 //
 // Latches schedule; they do not isolate. Correctness of the cross-shard
-// commit comes from core.TxGroup (shared-fate atomic multi-descriptor
-// commit) plus the base engines' optimistic machinery — key-disjoint
-// transactions can still conflict through adjacent-node read-set entries,
-// and unlatched transactions run concurrently on the same keys. The latches
+// commit comes from its being one MCNS descriptor (core.Session.TxJoin: one
+// status CAS decides every shard's writes) — key-disjoint transactions can
+// still conflict through adjacent-node read-set entries, and unlatched
+// transactions run concurrently on the same keys. The latches
 // exist to stop declared transactions with overlapping footprints from
 // repeatedly aborting each other on hot keys: they queue instead, in FIFO
 // order, and the hot key's traffic pipelines.

@@ -181,8 +181,8 @@ func TestInsertKey(t *testing.T) {
 
 // TestShardedLatchedHintZeroRestart pins the latched fast path end to end:
 // on an idle sharded engine, a hinted cross-shard transaction must commit
-// with no discovery restart and no unlatched attempt — the hint routes it
-// straight through key latches + the linked-group commit.
+// with no unlatched attempt — the hint routes it straight through key latches
+// and shards opened up front.
 func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -215,9 +215,6 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 		}
 	}
 	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != 0 {
-		t.Errorf("hinted runs discovery-restarted %d times", d.CrossShardRestarts)
-	}
 	if d.LatchFallbacks != 0 {
 		t.Errorf("hinted runs ran unlatched %d times", d.LatchFallbacks)
 	}
@@ -227,12 +224,12 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 }
 
 // TestShardedLatchedTransferStress is the engine-level race test for the
-// linked commit path: workers run transfers over a small overlapping account
+// cross-shard commit: workers run transfers over a small overlapping account
 // set at 1, 2 and 8 shards, declaring them three ways — hinted (latched),
-// un-hinted (discovery, then linked without latches) and with an oversized
-// hint (> latchMaxKeys keys: declared shard set, no latches) — beside
-// single-shard writers rewriting the same accounts. The total must be
-// conserved and no single-shard increment lost: any torn linked-group commit
+// un-hinted (the second shard joins on first touch, no latches) and with an
+// oversized hint (> latchMaxKeys keys: declared shard set, no latches) —
+// beside single-shard writers rewriting the same accounts. The total must be
+// conserved and no single-shard increment lost: any torn cross-shard commit
 // or latch/epoch ordering bug shows up as drift or a -race report.
 func TestShardedLatchedTransferStress(t *testing.T) {
 	const (
@@ -341,7 +338,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 				d := eng.Stats()
 				switch {
 				case shards == 1:
-					if d.LatchWaits != 0 || d.LatchFallbacks != 0 || d.CrossShardRestarts != 0 {
+					if d.LatchWaits != 0 || d.LatchFallbacks != 0 {
 						t.Errorf("one shard ran cross-shard machinery: %+v", d)
 					}
 				case decl == "hinted":
@@ -353,7 +350,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					}
 				default:
 					if d.LatchWaits != 0 || d.LatchFallbacks == 0 {
-						t.Errorf("%s transfers must run linked without latches: %+v", decl, d)
+						t.Errorf("%s transfers must run without latches: %+v", decl, d)
 					}
 				}
 			})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"medley/internal/core"
@@ -19,32 +18,31 @@ import (
 // every conflict, inside a shard or across shards, is resolved by the base
 // engines' own optimistic (MCNS) machinery.
 //
-// A transaction that stays on one shard is a plain transaction of that
-// shard's engine, so single-shard traffic scales with the shard count
-// instead of funneling through one manager. A transaction that spans
-// several shards has exactly one commit path (commitLinked): the attempt
-// opens one sub-transaction per shard, links them into one shared-fate
-// core.TxGroup before any of them installs a write, and finishes with
-// core.CommitLinked — every member's read set is validated and one status
-// word decides all of them, so the commit is all-or-nothing even though
-// concurrent single-shard traffic can invalidate a member's reads up to the
-// last moment (that aborts the whole group, which retries under the shared
-// backoff like any conflict). This is all NBTC asks for: the transaction's
-// linearizing CASes take effect together.
+// A transaction is one MCNS descriptor, however many shards it touches. The
+// first shard an attempt reaches opens the transaction on that shard's
+// session (TxBegin); every later one enters it (core.Session.TxJoin), at
+// whatever point of the body the shard is first needed, so all of the
+// attempt's reads, installs and epoch validators sit in one descriptor and
+// every attempt — one shard or many, declared or not — ends in the same
+// commit: the root session's TxEnd, one status CAS, all-or-nothing even
+// though concurrent traffic can invalidate a read up to the last moment (that
+// aborts the transaction, which retries under the shared backoff like any
+// conflict). This is all NBTC asks for: the transaction's linearizing CASes
+// take effect together. Single-shard traffic stays a plain transaction of its
+// shard's engine and scales with the shard count instead of funneling through
+// one manager.
 //
-// The attempt's shard set comes from a HintKeys/HintQueues declaration, or
-// from discovery: an undeclared Run starts single-shard, and an operation
-// that touches a shard outside the attempt's set restarts it with the union
-// (Stats.CrossShardRestarts) — the retry is linked, like every multi-shard
-// attempt. A declaration of at most latchMaxKeys keys additionally takes
-// those keys' latches (latch.go) before the sub-transactions begin, so
-// declared transactions with overlapping hot keys queue FIFO instead of
-// aborting each other. Latches only schedule; atomicity never depends on
-// them, which is why undeclared and oversized footprints simply run without.
+// A HintKeys/HintQueues declaration that spans several shards opens them all
+// at the start of each attempt, and when it names at most latchMaxKeys keys
+// takes those keys' latches (latch.go) first, so declared transactions with
+// overlapping hot keys queue FIFO instead of aborting each other. Latches only
+// schedule; atomicity never depends on them, which is why undeclared and
+// oversized footprints simply run without, and why an operation that escapes
+// its declaration just joins the shard it needs.
 //
 // Every transactional base the decorator wraps is Medley-family: its worker
 // handles are sessionTx, and the decorator drives their core sessions
-// directly (begin, link, commit, abort). Engines without transactions
+// directly (begin, join, commit, abort). Engines without transactions
 // (Original) shard trivially, routing bare operations.
 //
 // # Sharded persistence (txmontage-sharded)
@@ -53,7 +51,7 @@ import (
 // and pnvm.Device, but all of them share one montage.EpochClock, created
 // here and passed down through Config.EpochClock. The shared clock is what
 // makes durability shard-safe: a cross-shard transaction pins the same
-// epoch number on every shard it touches, the linked commit runs under the
+// epoch number on every shard it touches, its commit runs under the
 // clock's commit guard (no advance can interleave, and a pre-check aborts
 // cleanly if the sub-transactions straddle two epochs), and the coordinator
 // — the engine's own advancer goroutine, or Sync — advances all shards
@@ -158,8 +156,8 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 		e.esys, e.devs = nil, nil
 	}
 	if e.txCap && e.caps.Has(CapSnapshot) && !cfg.snapOff {
-		// One tier for the whole engine: every commit — single-shard or a
-		// shared-fate group — draws exactly one timestamp from it. Anchored
+		// One tier for the whole engine: every commit, over one shard or
+		// several, draws exactly one timestamp from it. Anchored
 		// to the shared epoch clock on persistent bases.
 		e.snap = newSnapTier(e.clock)
 	}
@@ -301,8 +299,7 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *shardedEngine) NewWorker(tid int) Tx {
 	n := len(e.shards)
-	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), end: make([]func() error, n), cur: -1}
-	t.endLinked = func() error { return core.CommitLinked(t.group) }
+	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), end: make([]func() error, n), root: -1}
 	if e.latch != nil {
 		t.lw = newLatchWaiter()
 	}
@@ -312,10 +309,6 @@ func (e *shardedEngine) NewWorker(tid int) Tx {
 	}
 	return t
 }
-
-// growRestart is the control-flow sentinel thrown when an attempt touches a
-// shard outside its set; attempt catches it, and Run retries with the union.
-type growRestart struct{ shard int }
 
 // routeMemoSize is the worker handle's direct-mapped key→shard memo size.
 // Must be a power of two.
@@ -330,31 +323,29 @@ type shardedTx struct {
 	tid  int
 	base []Tx            // per-shard base handles, created on first touch
 	ses  []*core.Session // their core sessions (transactional bases only)
-	// The commit verdicts handed to snapAgent.commit, bound once so a Run
-	// allocates no closure: each base handle's TxEnd, and CommitLinked over
-	// the current group.
-	end       []func() error
-	endLinked func() error
+	// Each base handle's TxEnd, bound once so that handing the root's to
+	// snapAgent.commit allocates no closure.
+	end []func() error
 
 	inRun   bool
 	aborted bool // Tx.Abort doomed the current Run
-	linked  bool // the attempt is linked over fp; otherwise single-shard on cur
-	cur     int  // single-shard attempt: the shard in use, -1 if none yet
+	root    int  // the shard whose session opened the attempt's transaction, -1 if none yet
+	multi   bool // the attempt spans a second shard
 
-	// fp is the Run's shard footprint, ascending: HintKeys/HintQueues stage
-	// it before the Run, discovery restarts grow it between attempts.
-	// hintKeys is the declared latch key set (ascending, deduplicated;
-	// emptied when the declaration overflows latchMaxKeys), and latchKeys
-	// the set the current Run latches — hintKeys, or nil when it runs
-	// without latches.
+	// fp is the declared shard footprint, ascending, staged by
+	// HintKeys/HintQueues before the Run. hintKeys is the declared latch key
+	// set (ascending, deduplicated; emptied when the declaration overflows
+	// latchMaxKeys), and latchKeys the set the current Run latches —
+	// hintKeys, or nil when it runs without latches.
 	fp           []int
 	hintKeys     []uint64
 	hintPending  bool // a declaration awaits the next Run
 	hintOverflow bool
+	declared     bool // the Run opens fp (latched, if latchKeys) at the start of every attempt
+	escaped      bool // an operation of the Run touched a shard outside its declaration
 	latchKeys    []uint64
-	latchHeld    bool            // latchKeys currently acquired
-	group        []*core.Session // fp's sessions, for LinkTxs/CommitLinked
-	lw           latchWaiter     // reusable wait token (one wait at a time)
+	latchHeld    bool        // latchKeys currently acquired
+	lw           latchWaiter // reusable wait token (one wait at a time)
 
 	// Direct-mapped key→shard memo: repeated keys (Get then Put inside one
 	// transaction, hot keys across iterations) skip the hash. memoS stores
@@ -374,8 +365,8 @@ func (t *shardedTx) snapBuffering() bool   { return t.inRun && !t.aborted }
 
 // SnapshotRead implements SnapshotReader, exactly as on the unsharded
 // engines: the cut is tier-wide, so it is consistent across every shard —
-// the seal cannot pass a shared-fate group commit that is still mid-flight,
-// because the whole group is one commit window on the shared tier.
+// the seal cannot pass a cross-shard commit that is still mid-flight, because
+// the whole transaction is one commit window on the shared tier.
 func (t *shardedTx) SnapshotRead(fn func()) bool {
 	if !t.snap.enabled() {
 		return false
@@ -421,7 +412,7 @@ func (t *shardedTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 // base session) on first touch — the per-shard session pool. On
 // transactional engines it also caches the handle's core session: every
 // such base is Medley-family, so the assertion can only fail for a base
-// wired up without shared-fate commit support, and then fails loudly.
+// whose sessions cannot join one another's transactions, and then fails loudly.
 func (t *shardedTx) handle(s int) Tx {
 	h := t.base[s]
 	if h == nil {
@@ -508,8 +499,8 @@ func (t *shardedTx) HintKeys(keys ...uint64) {
 }
 
 // HintQueues implements QueueHinter: declare the queues' home shards and
-// synthetic latch keys for the next Run, so queue+map transactions skip
-// discovery and same-queue traffic serializes through the queue latch.
+// synthetic latch keys for the next Run, so same-queue traffic serializes
+// through the queue latch.
 func (t *shardedTx) HintQueues(qs ...Queue[uint64]) {
 	if t.inRun {
 		return
@@ -527,210 +518,136 @@ func (t *shardedTx) HintQueues(qs ...Queue[uint64]) {
 
 // enter prepares shard s for one operation by this worker and returns the
 // base handle to run it on. Outside a transaction (or after Tx.Abort) the
-// operation is standalone on the base engine. Inside a single-shard attempt
-// it lazily opens the shard's sub-transaction; an operation on a shard
-// outside the attempt's set restarts the attempt.
+// operation is standalone on the base engine; inside one, the shard is opened
+// on first touch.
 func (t *shardedTx) enter(s int) Tx {
 	if !t.inRun || t.aborted {
 		return t.handle(s)
 	}
-	if t.linked {
-		if !slices.Contains(t.fp, s) {
-			panic(growRestart{s})
-		}
-		return t.base[s]
-	}
-	if t.cur != s {
-		if t.cur != -1 {
-			panic(growRestart{s})
-		}
-		t.handle(s)
-		t.cur = s
-		t.ses[s].TxBegin()
+	if ses := t.ses[s]; ses == nil || !ses.InTx() {
+		// Every declared shard is open since the attempt began.
+		t.escaped = t.declared
+		t.open(s)
 	}
 	return t.base[s]
 }
 
-// beginLinked opens a multi-shard attempt: key latches first when the Run
-// declared a latchable key set (ascending, FIFO — see latch.go), then one
-// sub-transaction per shard, linked into one shared-fate group before any
-// of them can install a write.
-func (t *shardedTx) beginLinked() {
-	if t.latchKeys != nil {
-		if w := t.e.latch.acquireAll(t.latchKeys, &t.lw); w > 0 {
-			t.e.ct.latchWaits.Add(uint64(w))
-		}
-		t.latchHeld = true
-	} else {
-		t.e.ct.latchFallbacks.Add(1)
-	}
-	t.group = t.group[:0]
-	for _, s := range t.fp {
-		t.handle(s)
+// open brings shard s into the current attempt: its session begins the
+// attempt's transaction if it is the first, and joins it otherwise.
+func (t *shardedTx) open(s int) {
+	t.handle(s)
+	if t.root < 0 {
+		t.root = s
 		t.ses[s].TxBegin()
-		t.group = append(t.group, t.ses[s])
+		return
 	}
-	core.LinkTxs(t.group)
+	if !t.multi {
+		t.multi = true
+		if !t.latchHeld {
+			t.e.ct.latchFallbacks.Add(1)
+		}
+	}
+	t.ses[s].TxJoin(t.ses[t.root])
 }
 
-func (t *shardedTx) unlatch() {
+// rollback aborts the attempt's transaction, if one is open, and releases
+// the attempt's latches. Idempotent.
+func (t *shardedTx) rollback() {
+	if t.root >= 0 && t.ses[t.root].InTx() {
+		t.ses[t.root].TxAbort()
+	}
 	if t.latchHeld {
 		t.e.latch.releaseAll(t.latchKeys)
 		t.latchHeld = false
 	}
 }
 
-// rollback aborts every open sub-transaction and releases the attempt's
-// latches. Idempotent.
-func (t *shardedTx) rollback() {
-	if !t.linked {
-		if t.cur != -1 {
-			abortOpen(t.ses[t.cur])
+// attempt executes fn once. err is nil on commit, core.ErrTxAborted on
+// conflict, and fn's own error otherwise.
+//
+// On persistent bases a multi-shard verdict runs under the shared epoch
+// clock's commit guard: epoch advancement is blocked for the duration, and
+// the pre-check aborts cleanly if the epoch moved between this attempt's
+// shards opening — committing sessions that straddle two cuts would persist
+// one transaction across two recovery cuts. Together these guarantee the
+// transaction lands in one epoch cut on every shard, the property
+// multi-device recovery relies on. A single-shard commit is its shard's own
+// (epoch validator included): no guard.
+//
+// The transaction stamps ONE version: the timestamp is drawn before the
+// root's single InPrep→InProg transition and published for every shard's
+// writes together iff the verdict is commit.
+func (t *shardedTx) attempt(fn func() error) error {
+	t.inRun, t.aborted, t.root, t.multi = true, false, -1, false
+	t.snap.reset()
+	// However the attempt ends, a panic out of fn included, nothing stays
+	// open and no latch stays held; after a commit this finds nothing to abort.
+	defer func() {
+		t.rollback()
+		t.inRun = false
+	}()
+	if t.declared {
+		if t.latchKeys != nil {
+			// Key latches first (ascending, FIFO — see latch.go).
+			if w := t.e.latch.acquireAll(t.latchKeys, &t.lw); w > 0 {
+				t.e.ct.latchWaits.Add(uint64(w))
+			}
+			t.latchHeld = true
 		}
-		return
+		for _, s := range t.fp {
+			t.open(s)
+		}
 	}
-	for _, s := range t.group {
-		abortOpen(s)
+	ferr := fn()
+	if t.aborted && ferr == nil {
+		// fn swallowed the abort error: treat the attempt as a conflict
+		// (mirrors core.Session.Run).
+		return core.ErrTxAborted
 	}
-	t.unlatch()
-}
-
-func abortOpen(s *core.Session) {
-	if s.InTx() {
-		s.TxAbort()
+	if ferr != nil || t.root < 0 { // failed, or touched nothing
+		return ferr
 	}
-}
-
-// commitLinked is the one multi-shard commit. The per-shard sub-transactions
-// were linked into one core.TxGroup at begin time, so the commit is a single
-// atomic verdict — core.CommitLinked validates every member and flips one
-// status word — and a torn commit is impossible by construction, even though
-// concurrent traffic may invalidate the attempt's reads up to the very last
-// moment (that aborts the whole group, which retries).
-//
-// On persistent bases the verdict runs under the shared epoch clock's
-// commit guard: epoch advancement is blocked for the duration, and the
-// pre-check aborts cleanly if the epoch moved between this attempt's
-// sub-begins — committing sub-transactions that straddle two cuts would
-// persist one transaction across two recovery cuts. Together these
-// guarantee the transaction lands in one epoch cut on every shard, the
-// property multi-device recovery relies on.
-//
-// The group stamps ONE version: the timestamp is drawn before
-// CommitLinked's single InPrep→InProg transition and published for every
-// member's writes together iff the verdict is commit.
-func (t *shardedTx) commitLinked() error {
-	defer t.unlatch()
-	if t.e.clock != nil {
+	if t.multi && t.e.clock != nil {
 		cur, release := t.e.clock.GuardCommit()
 		defer release()
-		for _, s := range t.group {
-			if montage.PinnedEpoch(s) != cur {
-				t.rollback()
+		for _, s := range t.ses {
+			if e := montage.PinnedEpoch(s); e != 0 && e != cur {
 				return core.ErrTxAborted
 			}
 		}
 	}
-	return t.snap.commit(t.endLinked)
-}
-
-// attempt executes fn once, linked over t.fp or single-shard. grew reports
-// that the attempt touched a shard outside its set and t.fp now holds the
-// union to retry with (linked). err is nil on commit, core.ErrTxAborted on
-// conflict, and fn's own error otherwise.
-func (t *shardedTx) attempt(fn func() error, linked bool) (err error, grew bool) {
-	t.inRun = true
-	t.aborted = false
-	t.cur = -1
-	t.snap.reset()
-	t.linked = linked
-	if linked {
-		t.beginLinked()
-	}
-	defer func() {
-		t.inRun = false
-		if r := recover(); r != nil {
-			t.rollback()
-			g, ok := r.(growRestart)
-			if !ok {
-				panic(r)
-			}
-			// The attempt has fully unwound, so its set can grow in place.
-			if !linked {
-				t.fp = append(t.fp[:0], t.cur)
-			}
-			t.fp = insertShard(t.fp, g.shard)
-			err, grew = nil, true
-		}
-	}()
-	ferr := fn()
-	if t.aborted {
-		// Abort already rolled back. If fn swallowed the abort error,
-		// treat the attempt as a conflict (mirrors core.Session.Run).
-		if ferr == nil {
-			return core.ErrTxAborted, false
-		}
-		return ferr, false
-	}
-	if ferr != nil {
-		t.rollback()
-		return ferr, false
-	}
-	if linked {
-		return t.commitLinked(), false
-	}
-	if t.cur == -1 {
-		return nil, false // the transaction touched nothing
-	}
-	// Single-shard fast path: a plain commit of the shard's own engine (its
-	// epoch validator included, on persistent bases) — no group, no guard.
-	return t.snap.commit(t.end[t.cur]), false
+	return t.snap.commit(t.end[t.root])
 }
 
 // Run implements Tx. A pending HintKeys/HintQueues declaration that spans
-// several shards makes the first attempt linked over exactly those shards
-// (latched, when it names at most latchMaxKeys keys); otherwise the Run
-// starts single-shard and discovers its footprint by restart. A declaration
-// that holds counts one FootprintHit; one that an operation escapes counts
-// one FootprintMiss, drops its latches, and continues as discovery from the
-// declared set. Conflict aborts retry under the shared backoff. Footprint
-// restarts are not conflicts (nobody aborted anybody), so they count as
-// CrossShardRestarts rather than inflating Aborts/Retries.
+// several shards opens exactly those shards at the start of every attempt
+// (latched, when it names at most latchMaxKeys keys); otherwise shards open as
+// the body reaches them. A declaration that covers the first attempt counts
+// one FootprintHit, one that an operation escapes one FootprintMiss. Conflict
+// aborts retry under the shared backoff.
 func (t *shardedTx) Run(fn func() error) error {
 	if !t.e.txCap {
 		panic("txengine: " + t.e.name + " supports no transactions")
 	}
-	linked := t.hintPending && len(t.fp) > 1
+	t.declared = t.hintPending && len(t.fp) > 1
 	t.hintPending = false
+	t.escaped = false
 	t.latchKeys = nil
-	if linked && !t.hintOverflow {
+	if t.declared && !t.hintOverflow {
 		t.latchKeys = t.hintKeys
 	}
-	declared := linked
-	execs := 0
 	for attempt := 0; ; attempt++ {
-		err, grew := t.attempt(fn, linked)
-		if grew {
-			t.e.ct.crossRestarts.Add(1)
-			if declared {
-				// The declared key set is as stale as the shard set it rode
-				// on: the retry runs without latches.
+		err := t.attempt(fn)
+		if attempt == 0 && t.declared {
+			// Once per Run, whatever the outcome.
+			if t.escaped {
 				t.e.ct.fpMisses.Add(1)
-				t.latchKeys = nil
-				declared = false
+			} else {
+				t.e.ct.fpHits.Add(1)
 			}
-			linked = true
-			continue // footprint restart: no backoff, nobody conflicted
 		}
-		if declared {
-			// The declaration covered every operation of the attempt; count
-			// the hit once per Run, whatever the outcome.
-			t.e.ct.fpHits.Add(1)
-			declared = false
-		}
-		execs++
 		if err == nil || !errors.Is(err, core.ErrTxAborted) {
-			t.e.ct.countAttempts(execs, err)
+			t.e.ct.countAttempts(attempt+1, err)
 			return err
 		}
 		t.bo.wait(attempt)

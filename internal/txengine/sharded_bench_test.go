@@ -1,7 +1,7 @@
 package txengine
 
 // Hot-path microbenchmarks for the sharded runtime: key routing, the
-// single-shard commit fast path, cross-shard commits via discovery and via
+// single-shard commit fast path, cross-shard commits undeclared and via
 // hints (the latched path), and the latch table itself. CI runs the suite at
 // -benchtime=1x so the benches always compile and execute.
 
@@ -72,9 +72,9 @@ func BenchmarkSingleShardCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossShardCommitDiscovery measures the undeclared cross-shard
-// path: the transaction discovers its second shard by restart every time.
-func BenchmarkCrossShardCommitDiscovery(b *testing.B) {
+// BenchmarkCrossShardCommitUndeclared measures the undeclared cross-shard
+// path: the second shard joins the open transaction when the body reaches it.
+func BenchmarkCrossShardCommitUndeclared(b *testing.B) {
 	se, m1, m2, tx := benchEngine(b)
 	keys := distinctShardKeys(b, se, 4, 0)
 	for _, k := range keys {
@@ -97,8 +97,8 @@ func BenchmarkCrossShardCommitDiscovery(b *testing.B) {
 }
 
 // BenchmarkCrossShardCommitHinted measures the same cross-shard transaction
-// with both keys pre-declared via HintKeys: latches and linked
-// sub-transactions up front, no discovery restart.
+// with both keys pre-declared via HintKeys: latches taken and both shards
+// opened up front.
 func BenchmarkCrossShardCommitHinted(b *testing.B) {
 	se, m1, m2, tx := benchEngine(b)
 	keys := distinctShardKeys(b, se, 4, 0)

@@ -389,6 +389,90 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	}
 }
 
+// TestShardedEpochStraddle: an attempt whose first shard opened in epoch e
+// and whose second shard joined in e+1 (the shared clock ticked in between)
+// must not commit — one transaction in two recovery cuts — and must commit on
+// retry, in one epoch, with both writes recovered together. Today the
+// decorator's pre-check under GuardCommit refuses the attempt; the descriptor
+// refuses it on its own too (the root's epoch validator fails), which the
+// second half shows on the shards' sessions directly, so the property holds
+// whichever of the two is kept (ROADMAP).
+func TestShardedEpochStraddle(t *testing.T) {
+	b, _ := Lookup("txmontage-sharded")
+	eng, err := b.New(Config{Shards: 2}) // EpochLen 0: the test owns the clock
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := eng.(*shardedEngine)
+	spec := MapSpec{Kind: KindHash, Buckets: 256}
+	m, err := eng.NewUintMap(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distinctShardKeys(t, se, 2, 1)
+	k1, k2 := keys[0], keys[1]
+	tx := eng.NewWorker(0).(*shardedTx)
+	m.Put(tx, k1, 1000)
+	m.Put(tx, k2, 1000)
+	se.Sync()
+
+	var pinned [][2]uint64 // per execution of the body: the epoch each shard's session is pinned to
+	base := eng.Stats()
+	if err := tx.Run(func() error {
+		a, _ := m.Get(tx, k1)
+		m.Put(tx, k1, a-100)
+		if len(pinned) == 0 {
+			se.clock.Tick()
+		}
+		b, _ := m.Get(tx, k2)
+		m.Put(tx, k2, b+100)
+		pinned = append(pinned, [2]uint64{montage.PinnedEpoch(tx.ses[0]), montage.PinnedEpoch(tx.ses[1])})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pinned) != 2 || pinned[0][1] != pinned[0][0]+1 || pinned[1] != [2]uint64{pinned[0][1], pinned[0][1]} {
+		t.Fatalf("pinned epochs per attempt = %v, want a straddle (e, e+1) then one epoch (e+1, e+1)", pinned)
+	}
+	if d, want := eng.Stats().Delta(base), (Stats{Commits: 1, Aborts: 1, Retries: 1, LatchFallbacks: 2}); d != want {
+		t.Fatalf("stats %+v, want %+v: the straddling attempt aborted, the retry committed", d, want)
+	}
+
+	// Validation alone: the same straddle on the two shards' own sessions,
+	// with nothing between them and core.
+	root := se.shards[0].(*medleyEngine).mgr.Session()
+	guest := se.shards[1].(*medleyEngine).mgr.Session()
+	root.TxBegin()
+	se.clock.Tick()
+	guest.TxJoin(root)
+	if e0, e1 := montage.PinnedEpoch(root), montage.PinnedEpoch(guest); e1 != e0+1 {
+		t.Fatalf("sessions pinned to %d and %d, want a straddle", e0, e1)
+	}
+	if err := root.TxEnd(); err == nil {
+		t.Fatal("a transaction pinned to two epochs validated")
+	}
+
+	se.Sync()
+	dumps := pnvm.DumpAll(se.devs)
+	devs := se.devs
+	eng.Close()
+	eng2, err := b.New(Config{Shards: 2, Devices: devs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx2 := eng2.NewWorker(0)
+	v1, _ := rm.Get(tx2, k1)
+	v2, _ := rm.Get(tx2, k2)
+	if v1 != 900 || v2 != 1100 {
+		t.Fatalf("recovered %d / %d, want 900 / 1100: both writes of the retry, none of the straddling attempt", v1, v2)
+	}
+}
+
 // TestConfigShardsValidation pins the central Config.Shards validation:
 // every registry construction path rejects negative and absurd shard counts
 // with a clear error, and device/shard mismatches fail fast.

@@ -17,31 +17,28 @@ import (
 //     the difference is the business aborts).
 //   - Fallbacks: NoTx bodies the engine could not run uninstrumented and
 //     wrapped in a transaction instead (engines without CapNoTx).
-//   - CrossShardRestarts: attempts a sharded engine re-executed because the
-//     transaction touched a shard outside its known footprint (the
-//     footprint-discovery restart of sharded.go). These are not conflicts —
-//     nobody aborted anybody — so they are counted separately from Aborts
-//     and Retries; a high rate means the workload is cross-shard-heavy and
-//     paying the discovery cost. Zero on non-sharded engines.
+//   - CrossShardRestarts: always 0. A sharded engine used to re-execute an
+//     attempt that touched a shard outside its known footprint; now the shard
+//     joins the open transaction (sharded.go). The field stays only because
+//     benchmark/serve.go reads it.
 //   - FootprintHits: Runs whose HintKeys/HintQueues declaration spanned
-//     several shards and covered every operation, so the Run opened its
-//     whole shard set up front and paid no discovery restart. At most one
-//     per Run.
+//     several shards and covered every operation of the first attempt, so
+//     the Run opened its whole shard set up front. At most one per Run.
 //   - FootprintMisses: Runs whose multi-shard declaration proved wrong (an
-//     operation escaped it); the Run restarted as discovery from the
-//     declared set. At most one per Run. Hits and misses count declared
-//     Runs only: undeclared Runs, and declarations that route to a single
-//     shard, move neither.
+//     operation of the first attempt escaped it and joined its shard late,
+//     under latches that cover the declared keys only). At most one per Run.
+//     Hits and misses count declared Runs only: undeclared Runs, and
+//     declarations that route to a single shard, move neither.
 //   - LatchWaits: key latches a latched cross-shard attempt had to queue
 //     for because another latched transaction held them (see latch.go). A
 //     high rate relative to Commits means declared footprints overlap on
 //     hot keys — traffic is pipelining through the latch FIFO rather than
 //     aborting, which is the latch layer doing its job.
-//   - LatchFallbacks: cross-shard attempts that ran linked without latches
-//     — no declared keys (discovery), an oversized declaration (>
-//     latchMaxKeys keys), or a mispredicted hint retrying. Conflicts among
-//     them are resolved optimistically (abort, back off, retry) instead of
-//     by queueing. Zero on unsharded engines.
+//   - LatchFallbacks: attempts that came to span a second shard without
+//     latches — no declared keys, or an oversized declaration (>
+//     latchMaxKeys keys). Counted once per attempt. Conflicts among them are
+//     resolved optimistically (abort, back off, retry) instead of by
+//     queueing. Zero on unsharded engines.
 //   - SnapshotReads: SnapshotRead transactions served from the MVCC version
 //     tier (see snapshot.go). Each also counts as a Commit — a snapshot is
 //     a committed read-only transaction — and by construction contributes
@@ -75,7 +72,6 @@ func (s *Stats) Add(o Stats) {
 	s.Aborts += o.Aborts
 	s.Retries += o.Retries
 	s.Fallbacks += o.Fallbacks
-	s.CrossShardRestarts += o.CrossShardRestarts
 	s.FootprintHits += o.FootprintHits
 	s.FootprintMisses += o.FootprintMisses
 	s.LatchWaits += o.LatchWaits
@@ -87,23 +83,22 @@ func (s *Stats) Add(o Stats) {
 // Delta returns the counters accumulated since the prev snapshot.
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
-		Commits:            s.Commits - prev.Commits,
-		Aborts:             s.Aborts - prev.Aborts,
-		Retries:            s.Retries - prev.Retries,
-		Fallbacks:          s.Fallbacks - prev.Fallbacks,
-		CrossShardRestarts: s.CrossShardRestarts - prev.CrossShardRestarts,
-		FootprintHits:      s.FootprintHits - prev.FootprintHits,
-		FootprintMisses:    s.FootprintMisses - prev.FootprintMisses,
-		LatchWaits:         s.LatchWaits - prev.LatchWaits,
-		LatchFallbacks:     s.LatchFallbacks - prev.LatchFallbacks,
-		SnapshotReads:      s.SnapshotReads - prev.SnapshotReads,
-		SnapshotStale:      s.SnapshotStale - prev.SnapshotStale,
+		Commits:         s.Commits - prev.Commits,
+		Aborts:          s.Aborts - prev.Aborts,
+		Retries:         s.Retries - prev.Retries,
+		Fallbacks:       s.Fallbacks - prev.Fallbacks,
+		FootprintHits:   s.FootprintHits - prev.FootprintHits,
+		FootprintMisses: s.FootprintMisses - prev.FootprintMisses,
+		LatchWaits:      s.LatchWaits - prev.LatchWaits,
+		LatchFallbacks:  s.LatchFallbacks - prev.LatchFallbacks,
+		SnapshotReads:   s.SnapshotReads - prev.SnapshotReads,
+		SnapshotStale:   s.SnapshotStale - prev.SnapshotStale,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d retries=%d fallbacks=%d xrestarts=%d fphits=%d fpmisses=%d latchw=%d latchfb=%d snapreads=%d snapstale=%d",
-		s.Commits, s.Aborts, s.Retries, s.Fallbacks, s.CrossShardRestarts, s.FootprintHits, s.FootprintMisses,
+	return fmt.Sprintf("commits=%d aborts=%d retries=%d fallbacks=%d fphits=%d fpmisses=%d latchw=%d latchfb=%d snapreads=%d snapstale=%d",
+		s.Commits, s.Aborts, s.Retries, s.Fallbacks, s.FootprintHits, s.FootprintMisses,
 		s.LatchWaits, s.LatchFallbacks, s.SnapshotReads, s.SnapshotStale)
 }
 
@@ -111,7 +106,6 @@ func (s Stats) String() string {
 // Fields are atomic: all of an engine's Tx handles bump the same instance.
 type counters struct {
 	commits, aborts, retries, fallbacks atomic.Uint64
-	crossRestarts                       atomic.Uint64
 	fpHits, fpMisses                    atomic.Uint64
 	latchWaits, latchFallbacks          atomic.Uint64
 	snapReads, snapStale                atomic.Uint64
@@ -119,17 +113,16 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Commits:            c.commits.Load(),
-		Aborts:             c.aborts.Load(),
-		Retries:            c.retries.Load(),
-		Fallbacks:          c.fallbacks.Load(),
-		CrossShardRestarts: c.crossRestarts.Load(),
-		FootprintHits:      c.fpHits.Load(),
-		FootprintMisses:    c.fpMisses.Load(),
-		LatchWaits:         c.latchWaits.Load(),
-		LatchFallbacks:     c.latchFallbacks.Load(),
-		SnapshotReads:      c.snapReads.Load(),
-		SnapshotStale:      c.snapStale.Load(),
+		Commits:         c.commits.Load(),
+		Aborts:          c.aborts.Load(),
+		Retries:         c.retries.Load(),
+		Fallbacks:       c.fallbacks.Load(),
+		FootprintHits:   c.fpHits.Load(),
+		FootprintMisses: c.fpMisses.Load(),
+		LatchWaits:      c.latchWaits.Load(),
+		LatchFallbacks:  c.latchFallbacks.Load(),
+		SnapshotReads:   c.snapReads.Load(),
+		SnapshotStale:   c.snapStale.Load(),
 	}
 }
 

@@ -2,6 +2,7 @@ package txengine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -151,8 +152,9 @@ func TestStatsUnderConflict(t *testing.T) {
 // TestShardedFootprintStats pins the sharded counters' contract on an idle
 // engine, where every count is exact. FootprintHits/Misses move only on
 // Runs that declared a multi-shard footprint; LatchFallbacks counts every
-// cross-shard attempt that ran linked without latches — no declared keys,
-// an oversized declaration, or a mispredicted hint retrying.
+// attempt that came to span a second shard without latches — no declared
+// keys, or an oversized declaration. However a Run finds its shards, its body
+// runs once: a shard outside the attempt's set joins it, nothing re-executes.
 func TestShardedFootprintStats(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -167,9 +169,10 @@ func TestShardedFootprintStats(t *testing.T) {
 	keys := distinctShardKeys(t, se, 4, 0)
 	same := keyOnShard(t, se, 0, keys[0]+1) // shares keys[0]'s shard
 	tx := eng.NewWorker(0)
-	touch := func(ks ...uint64) {
+	touch := func(ks ...uint64) (execs int) {
 		t.Helper()
 		if err := tx.Run(func() error {
+			execs++
 			for _, k := range ks {
 				v, _ := m.Get(tx, k)
 				m.Put(tx, k, v+1)
@@ -178,6 +181,7 @@ func TestShardedFootprintStats(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		return execs
 	}
 	for _, c := range []struct {
 		name  string
@@ -188,19 +192,19 @@ func TestShardedFootprintStats(t *testing.T) {
 		{"single-shard, undeclared", nil, []uint64{keys[0], same}, Stats{Commits: 1}},
 		{"single-shard hint", []uint64{keys[0], same}, []uint64{keys[0], same}, Stats{Commits: 1}},
 		{"hint holds", keys[:2], keys[:2], Stats{Commits: 1, FootprintHits: 1}},
-		{"discovery", nil, keys[:2], Stats{Commits: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
-		{"discovery, three shards", nil, keys[:3], Stats{Commits: 1, CrossShardRestarts: 2, LatchFallbacks: 2}},
+		{"undeclared", nil, keys[:2], Stats{Commits: 1, LatchFallbacks: 1}},
+		{"undeclared, three shards", nil, keys[:3], Stats{Commits: 1, LatchFallbacks: 1}},
 		{"oversized hint", append(oversizedHint(), keys[:2]...), keys[:2], Stats{Commits: 1, FootprintHits: 1, LatchFallbacks: 1}},
-		{"hint escaped", keys[:2], []uint64{keys[0], keys[2]}, Stats{Commits: 1, FootprintMisses: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
-		{"single-shard hint escaped", []uint64{keys[0]}, keys[:2], Stats{Commits: 1, CrossShardRestarts: 1, LatchFallbacks: 1}},
+		{"hint escaped", keys[:2], []uint64{keys[0], keys[2]}, Stats{Commits: 1, FootprintMisses: 1}}, // its latches stay held
+		{"single-shard hint escaped", []uint64{keys[0]}, keys[:2], Stats{Commits: 1, LatchFallbacks: 1}},
 	} {
 		base := eng.Stats()
 		if c.hint != nil {
 			HintKeys(tx, c.hint...)
 		}
-		touch(c.touch...)
-		if d := eng.Stats().Delta(base); d != c.want {
-			t.Errorf("%s: %+v, want %+v", c.name, d, c.want)
+		execs := touch(c.touch...)
+		if d := eng.Stats().Delta(base); d != c.want || execs != 1 {
+			t.Errorf("%s: %+v in %d executions of the body, want %+v in one", c.name, d, execs, c.want)
 		}
 	}
 }
@@ -244,5 +248,72 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 				t.Fatalf("a committed read-only Run allocates %v times, want 0", got)
 			}
 		})
+	}
+}
+
+// TestCrossShardRunAllocatesWhatOneShardDoes pins the sharded decorator's
+// budget for a transaction that spans shards: nothing. The second shard's
+// session joins the first's descriptor, so an un-hinted transfer between two
+// shards allocates exactly — count and bytes — what the same transfer does
+// inside one shard (one header, one read copy, one write copy, two
+// overwrites), and a committed read-only Run over two shards allocates 0.
+func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	eng, err := Build("medley-sharded", Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	se := eng.(*shardedEngine)
+	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := keyOnShard(t, se, 0, 0)
+	same := keyOnShard(t, se, 0, from+1)
+	other := keyOnShard(t, se, 1, 0)
+	tx := eng.NewWorker(0)
+	for _, k := range []uint64{from, same, other} {
+		m.Put(tx, k, 1<<40)
+	}
+	measure := func(body func() error) (allocs, bytes uint64) {
+		run := func() {
+			if err := tx.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // scratch, memo and base handles reach their steady state
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	transfer := func(to uint64) func() error {
+		return func() error {
+			v, _ := m.Get(tx, from)
+			m.Put(tx, from, v-1)
+			w, _ := m.Get(tx, to)
+			m.Put(tx, to, w+1)
+			return nil
+		}
+	}
+	oneAllocs, oneBytes := measure(transfer(same))
+	twoAllocs, twoBytes := measure(transfer(other))
+	t.Logf("transfer: %d allocations / %d B on one shard, %d / %d over two", oneAllocs, oneBytes, twoAllocs, twoBytes)
+	if oneAllocs == 0 || twoAllocs != oneAllocs || twoBytes != oneBytes {
+		t.Errorf("a transfer over two shards allocates %d times / %d B, inside one shard %d times / %d B: want the same", twoAllocs, twoBytes, oneAllocs, oneBytes)
+	}
+	if allocs, bytes := measure(func() error {
+		m.Get(tx, from)
+		m.Get(tx, other)
+		return nil
+	}); allocs != 0 || bytes != 0 {
+		t.Errorf("a committed read-only Run over two shards allocates %d times / %d B, want 0", allocs, bytes)
 	}
 }

@@ -334,15 +334,14 @@ type Persister interface {
 }
 
 // KeyHinter is the optional Tx extension of the sharded engines. A
-// cross-shard transaction normally discovers its shard set by restart (one
-// wasted execution per new shard, Stats.CrossShardRestarts); HintKeys
-// pre-declares map keys the worker's next Run will touch, so the Run opens
-// its whole shard set up front — and latches exactly those keys, so declared
-// transactions on the same hot keys queue instead of aborting each other
-// (see latch.go). Successive HintKeys / HintQueues calls before a Run
-// accumulate into one declaration; the next Run consumes it whole. Hinting
-// inside Run is a no-op. A wrong declaration is safe: an attempt that
-// touches a shard outside its declared set restarts like discovery does
+// cross-shard transaction normally opens each shard when its body first
+// reaches it; HintKeys pre-declares map keys the worker's next Run will
+// touch, so the Run opens its whole shard set up front — and latches exactly
+// those keys, so declared transactions on the same hot keys queue instead of
+// aborting each other (see latch.go). Successive HintKeys / HintQueues calls
+// before a Run accumulate into one declaration; the next Run consumes it
+// whole. Hinting inside Run is a no-op. A wrong declaration is safe: a shard
+// outside the declared set joins the transaction like an undeclared one
 // (Stats.FootprintHits / FootprintMisses count declarations that held and
 // that were escaped).
 type KeyHinter interface {

@@ -84,8 +84,8 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 			to := draw()
 			// Both account keys are known before the transaction begins —
 			// the transfer shape's planner hint. On sharded engines the
-			// pre-declared shard set is locked up front, skipping the
-			// footprint-discovery restart; elsewhere HintKeys is a no-op.
+			// pre-declared shard set is opened up front under the keys'
+			// latches; elsewhere HintKeys is a no-op.
 			if hints {
 				hintKeys[0], hintKeys[1] = from, to
 				txengine.HintKeys(tx, hintKeys[:]...)

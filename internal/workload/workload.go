@@ -88,8 +88,8 @@ type Config struct {
 	// NoHints disables the footprint hints scenarios pass to sharded
 	// engines (txengine.HintKeys). Hints let a transaction that knows its
 	// keys up front — a transfer knows both accounts — pre-declare its
-	// shard set and skip the cross-shard discovery restart; disabling them
-	// measures the bare discovery path. No-ops on non-sharded engines
+	// shard set and queue on its keys' latches; disabling them measures the
+	// undeclared path (shards join on first touch, no latches). No-ops on non-sharded engines
 	// either way.
 	NoHints bool
 }

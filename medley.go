@@ -45,8 +45,12 @@
 //   - medley.NewBSTMap — Natarajan & Mittal external BST (internal/structures/nmbst)
 //   - medley.NewQueue — Michael & Scott FIFO queue (internal/structures/msqueue)
 //
-// All maps implement the shared Map interface; a TxManager must be shared
-// by every structure participating in the same transactions.
+// All maps implement the shared Map interface. Structures that take part in
+// the same transactions normally share a TxManager. Structures of two
+// managers compose as well: the second manager's session enters the open
+// transaction of the first with s2.TxJoin(s1), runs its operations like any
+// other session, and s1.TxEnd commits both on one descriptor — which is how
+// the sharded engines of internal/txengine span shards.
 //
 // # Persistence (txMontage)
 //
