@@ -13,9 +13,9 @@ import (
 // allocates, as an exact count and a ceiling in bytes. Nothing here depends
 // on timing, the collector or the scheduler — the session's scratch and spare
 // descriptor are its own — so a change that moves a number moved the design.
-// Sizes are Go's malloc size classes (…16, 24, 32, 48, 64 … 112 … 352 …).
+// Sizes are Go's malloc size classes (…16, 24, 32, 48, 64 … 96 … 352 …).
 //
-//	header      112  core.Desc (104 bytes of fields)
+//	header       96  core.Desc (96 bytes of fields)
 //	read copy    16n the frozen read set, n entries of {slot, tag}, rounded up
 //	write copy    8n the frozen write set, n slots, rounded up
 //	cell         24  for CASObj[int]: desc, prev, value
@@ -63,7 +63,7 @@ func TestBudgetReadOnly(t *testing.T) {
 }
 
 // One read, one write on bare CASObj[int]s — the core layer with no
-// structure on top: header 112 + read copy 16 + write copy 8 + 1 cell × 24.
+// structure on top: header 96 + read copy 16 + write copy 8 + 1 cell × 24.
 func TestBudgetOneReadOneWrite(t *testing.T) {
 	s := core.NewTxManager().Session()
 	var r, w core.CASObj[int]
@@ -79,40 +79,7 @@ func TestBudgetOneReadOneWrite(t *testing.T) {
 		if err := s.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
-	}, 4, 112+16+8+24)
-}
-
-// A transaction over two managers is one transaction: the session that joins
-// brings no descriptor of its own. Read-only it is as unreachable as on one
-// manager; with one read and one write per manager it is ONE header 112 + a
-// two-entry read copy 32 + a two-entry write copy 16 + 2 cells × 24.
-func TestBudgetJoinedPair(t *testing.T) {
-	root, guest := core.NewTxManager().Session(), core.NewTxManager().Session()
-	var r, w [2]core.CASObj[int]
-	v := 0
-	run := func(write bool) func() {
-		return func() {
-			root.TxBegin()
-			for i, s := range []*core.Session{root, guest} {
-				if i == 1 {
-					guest.TxJoin(root) // after the root's install, when there is one
-				}
-				_, tag := r[i].NbtcLoad(s)
-				s.AddToReadSet(&r[i], tag)
-				if write && !w[i].NbtcCAS(s, v, v+1, true, true) {
-					t.Fatal("install failed")
-				}
-			}
-			if write {
-				v++
-			}
-			if err := root.TxEnd(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	t.Run("read-only", func(t *testing.T) { budget(t, run(false), 0, 0) })
-	t.Run("one read, one write each", func(t *testing.T) { budget(t, run(true), 5, 112+32+16+2*24) })
+	}, 4, 96+16+8+24)
 }
 
 // The same on mhash, where the structure's own allocations ride along. A
@@ -166,7 +133,7 @@ func TestBudgetHashOneReadOneWrite(t *testing.T) {
 		if err := s.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
-	}, 3+putAllocs, 112+16+8+putBytes)
+	}, 3+putAllocs, 96+16+8+putBytes)
 }
 
 // Ten operations — six Gets that hit, two that miss, two Puts: 14 reads
@@ -187,7 +154,7 @@ func TestBudgetHashTenOps(t *testing.T) {
 		if err := s.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
-	}, 3+2*putAllocs, 112+224+16+2*putBytes)
+	}, 3+2*putAllocs, 96+224+16+2*putBytes)
 }
 
 // An Insert that finds its key is a read: mlist builds the node only after
@@ -213,8 +180,8 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 // shard's free list, fed by the reclaim of the record it replaces and by the
 // superseded markers; the ids join batch slices handed back emptied by the
 // last flush; the dead queue keeps its capacity. What is left is what medley
-// pays for the same Put through the same engine (8 allocations, 352 B: header
-// 112, read copy 48, write copy 8, the Put's 152, one 32-byte version) and
+// pays for the same Put through the same engine (8 allocations, 336 B: header
+// 96, read copy 48, write copy 8, the Put's 152, one 32-byte version) and
 // what the payload itself costs:
 //
 //	payload        8  the encoded value, the record's Val
@@ -243,7 +210,7 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		overwrite()
 	}
-	budget(t, overwrite, 8+3, 352+96)
+	budget(t, overwrite, 8+3, 336+96)
 }
 
 // What a key costs while it sits in the map: 100 000 keys put one per

@@ -101,7 +101,7 @@ func TestCommitInPlaceRetainsOneCell(t *testing.T) {
 func TestAbortRestoresOverwrittenCell(t *testing.T) {
 	for _, stored := range []bool{true, false} {
 		mgr := NewTxManager()
-		a, reader, other := mgr.Session(), mgr.Session(), mgr.Session()
+		a, reader := mgr.Session(), mgr.Session()
 		var o, y CASObj[int]
 		v := 0
 		if stored {
@@ -146,16 +146,6 @@ func TestAbortRestoresOverwrittenCell(t *testing.T) {
 		}
 		a.TxAbort()
 		wantRestored("an own-overwrite abort")
-
-		// A transaction of two sessions aborted through the one that joined.
-		a.TxBegin()
-		txWrite(t, a, &o, v, v+1)
-		other.TxJoin(a)
-		other.TxAbort()
-		if a.InTx() {
-			t.Fatal("the joined session's abort left the root open")
-		}
-		wantRestored("a joined session's abort")
 
 		if err := reader.TxEnd(); err != nil {
 			t.Fatalf("stored=%v: a reader from before the aborted installs = %v, want commit", stored, err)

@@ -56,9 +56,9 @@ type readRec struct {
 // orders the copies before every helper read, and a straggler sees this
 // transaction's sets however often the scratch was refilled (see doc.go).
 //
-// One transaction has one descriptor, however many sessions take part in it:
-// a session that joins (Session.TxJoin) installs, reads and registers its
-// validator on the root session's descriptor.
+// One transaction has one descriptor and one session, however many
+// structures it touches: every structure of a transaction shares the
+// session's TxManager (paper Fig. 1).
 //
 // A descriptor that finished without ever being reachable (no install) is
 // handed back to its session and reused by the next TxBegin; one that was
@@ -69,14 +69,14 @@ type Desc struct {
 	// frozen records that the sets are private copies and the scratch has
 	// already gone back to the session. Owner-only.
 	frozen     bool
-	owner      *Session // the root session: the one whose TxBegin opened the transaction
+	owner      *Session // the session whose TxBegin opened the transaction
 	readSet    []readRec
 	writeSet   []*unsafe.Pointer // the slot of every object installed into
 	validators []func() bool
-	// vBuf is inline storage for the validators a layered system registers
-	// (txMontage's epoch check, one per session in the transaction); a
-	// transaction of more than two such sessions spills to the heap.
-	vBuf [2]func() bool
+	// vBuf is inline storage for the one validator a layered system
+	// registers per transaction (txMontage's epoch check); a second spills
+	// to the heap.
+	vBuf [1]func() bool
 }
 
 // Status returns the descriptor's current status.

@@ -54,23 +54,31 @@
 // section). Eager contention management makes the system obstruction-free
 // (paper Section 5.2).
 //
-// # One descriptor for several managers
+// # What the paper guarantees and what the runtime adds
 //
-// A transaction over structures of several TxManagers — the shards of a
-// sharded engine — is still one descriptor: the first session opens it with
-// TxBegin and every other one enters it with TxJoin(root), whenever the
-// transaction first needs it, after the root has installed cells included.
-// The guest's reads, installs and validator (AddValidator: before TxEnd, by
-// the owning goroutine) go to the shared descriptor; root.TxEnd freezes once,
-// makes one InPrep→InProg CAS, validates once, sweeps once, and closes every
-// session with the verdict. A late join needs no more protection than an
-// append to the sets does: everything a joining session writes, the goroutine
-// that owns the transaction writes before its InPrep→InProg CAS, and a helper
-// that finds the descriptor InPrep aborts it without looking at anything but
-// the cell it found. Racing finalizers are sound for the reason they are in
-// the paper: an entry that is logically invalid stays invalid (above), so two
-// verdicts differ only by a spurious abort, and the status CAS of the later
-// one is a no-op.
+// The paper's guarantees hold per TxManager, and an engine — sharded or not —
+// has exactly one: every structure a transaction may touch shares it (Fig. 1),
+// and a worker has one Session, so a transaction is one descriptor on one
+// session however many structures, shards or devices its operations land on.
+// Within that scope the commit is nonblocking: one status CAS
+// (InPrep→InProg→Committed) decides every write together, this package takes
+// no lock at any point between TxBegin and the end of TxEnd, and a helper that
+// finds a stalled owner's cell finishes the transaction for it (or aborts it
+// while InPrep). A layered system adds to the verdict only through AddValidator
+// (before TxEnd, by the owning goroutine): txMontage registers one epoch
+// check per transaction, so "all of it in one epoch" is decided by the same
+// validation as the reads, not by a lock around the commit.
+//
+// What blocks is the runtime's, and only by declaration: the sharded engines'
+// key latches (txengine/latch.go) make transactions that declared overlapping
+// footprints queue FIFO instead of aborting each other. They are taken before
+// the transaction opens and released after it closes, so no descriptor is
+// ever installed by a goroutine waiting on one; they only schedule, and
+// atomicity and isolation never depend on them — undeclared transactions run
+// on the same keys concurrently, under the paper's guarantees alone. (The
+// MVCC sidecar's stripe mutex, txengine/snapshot.go, is the one lock a
+// committer does take inside its commit window; it guards version publication,
+// not the verdict.)
 //
 // # Who owns the read and write sets
 //
@@ -106,8 +114,8 @@
 // # When a descriptor is recycled
 //
 // A descriptor that finishes without ever installing a cell — a read-only
-// transaction, one whose every write failed before installing, over however
-// many managers — was never visible to another goroutine. The session keeps it
+// transaction, one whose every write failed before installing — was never
+// visible to another goroutine. The session keeps it
 // as its spare and the next TxBegin reuses it, so such a transaction
 // allocates nothing. A descriptor that was ever reachable is never reused,
 // whatever its outcome: that is the ABA guarantee the serial number gives

@@ -241,71 +241,6 @@ func TestStaleHelper(t *testing.T) {
 	}
 }
 
-// TestStaleHelperJoined is TestStaleHelper for a transaction over two
-// managers: session b joins after a has installed, the helper holds a cell b
-// installed, and what it reaches through it is the one descriptor, whose
-// frozen sets name both sessions' objects.
-func TestStaleHelperJoined(t *testing.T) {
-	for p := 0; p < numReleasePoints; p++ {
-		t.Run(releasePointNames[p], func(t *testing.T) {
-			a, b := NewTxManager().Session(), NewTxManager().Session()
-			var x CASObj[int]
-			firstA := make([]CASObj[int], 1)
-			firstB := make([]CASObj[int], 2)
-
-			a.TxBegin()
-			d := a.Desc()
-			txRead(a, &x)
-			txWrite(t, a, &firstA[0], 0, 1)
-			b.TxJoin(a)
-			if b.Desc() != d {
-				t.Fatal("the joined session runs on a descriptor of its own")
-			}
-			for i := range firstB {
-				txWrite(t, b, &firstB[i], 0, 1)
-			}
-			h := parkHelper(&firstB[0])
-			at := func(q int) func() {
-				return func() {
-					if p == q {
-						h.run()
-					}
-				}
-			}
-
-			at(beforeTxEnd)()
-			var err error
-			if p == betweenFreezeAndInProg {
-				err = endWith(a, h.run)
-			} else {
-				err = a.TxEnd()
-			}
-			at(afterFinish)()
-			if a.InTx() || b.InTx() {
-				t.Fatal("a session is still inside the finished transaction")
-			}
-
-			want := 1
-			if p <= betweenFreezeAndInProg {
-				want = 0
-				if !errors.Is(err, ErrTxAborted) {
-					t.Fatalf("joined commit = %v, want abort by the helper", err)
-				}
-			} else if err != nil {
-				t.Fatalf("joined commit: %v", err)
-			}
-			wantAll(t, "firstA", firstA, want)
-			wantAll(t, "firstB", firstB, want)
-
-			secondTx(t, a, d, at(insideNextTx))
-			secondTx(t, b, d, func() {})
-			wantAll(t, "firstA", firstA, want)
-			wantAll(t, "firstB", firstB, want)
-			wantFrozen(t, d, []*CASObj[int]{&x}, append(ptrs(firstA), ptrs(firstB)...))
-		})
-	}
-}
-
 // TestDescFreezeLeavesNothingBehind checks what an idle session holds after
 // a transaction: scratch and closure slots cleared over their whole
 // capacity, whether the transaction committed, aborted or never published.
@@ -366,16 +301,16 @@ func TestDescFreezeLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIdle("after read-only commit")
-	if sp := s.spare; sp == nil || sp.readSet != nil || sp.writeSet != nil || sp.vBuf[0] != nil || sp.vBuf[1] != nil {
+	if sp := s.spare; sp == nil || sp.readSet != nil || sp.writeSet != nil || sp.vBuf[0] != nil {
 		t.Fatal("spare descriptor missing or still holding on to its last transaction")
 	}
 }
 
-// TestDescFreezeHeaderSize pins the descriptor to its header: the 112-byte
+// TestDescFreezeHeaderSize pins the descriptor to its header: the 96-byte
 // size class, down from 896 with the sets inline.
 func TestDescFreezeHeaderSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Desc{}); sz > 112 {
-		t.Fatalf("Desc is %d bytes, budget 112", sz)
+	if sz := unsafe.Sizeof(Desc{}); sz > 96 {
+		t.Fatalf("Desc is %d bytes, budget 96", sz)
 	}
 }
 
@@ -434,13 +369,12 @@ func TestDescFreezeLargeSets(t *testing.T) {
 	}
 }
 
-// TestDescRecycle drives 1000 mixed transactions through two sessions and
+// TestDescRecycle drives 1000 mixed transactions through a session and
 // checks the one rule of descriptor reuse at every TxBegin: a descriptor
-// that ever installed a cell — through its own session or one that joined —
-// is never seen again, while one that did not is the very next transaction's
-// descriptor.
+// that ever installed a cell is never seen again, while one that did not is
+// the very next transaction's descriptor.
 func TestDescRecycle(t *testing.T) {
-	a, b := NewTxManager().Session(), NewTxManager().Session()
+	a := NewTxManager().Session()
 	objs := make([]CASObj[int], 8)
 	reachable := map[*Desc]string{} // holding the pointers also keeps the addresses from being reused
 	spareOf := map[*Session]*Desc{} // the descriptor each session's next TxBegin must reuse
@@ -477,7 +411,7 @@ func TestDescRecycle(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		o := &objs[rng.Intn(len(objs))]
 		abort := rng.Intn(4) == 0
-		switch kind := rng.Intn(5); kind {
+		switch rng.Intn(4) {
 		case 0: // read-only
 			d := begin(a, i)
 			txRead(a, o)
@@ -496,24 +430,13 @@ func TestDescRecycle(t *testing.T) {
 			v := txRead(a, o)
 			txWrite(t, a, o, v, v+1)
 			end(a, d, fmt.Sprintf("installed a cell in tx %d", i), abort)
-		default: // b joins a's transaction; what counts is still only whether anything was installed
+		default: // read-only with one validator more than fits inline
 			d := begin(a, i)
-			b.TxJoin(a)
-			v := txRead(b, o)
-			published := ""
-			if kind == 3 {
-				txWrite(t, b, o, v, v+1)
-				published = fmt.Sprintf("installed a cell through a joined session in tx %d", i)
-			} else {
-				d.AddValidator(func() bool { return true })
-				d.AddValidator(func() bool { return true })
-				d.AddValidator(func() bool { return true }) // one more than fits inline
-				recycled++
-			}
-			end(a, d, published, abort)
-			if b.InTx() {
-				t.Fatalf("tx %d left the joined session open", i)
-			}
+			txRead(a, o)
+			d.AddValidator(func() bool { return true })
+			d.AddValidator(func() bool { return true })
+			end(a, d, "", abort)
+			recycled++
 		}
 	}
 	if recycled < 100 || len(reachable) < 100 {
@@ -561,10 +484,10 @@ var uninstallReleaseNames = [numUninstallReleases]string{
 
 // TestStaleHelperInsideUninstall enumerates a caller parked inside uninstall
 // on object o while the owner finishes and a later transaction installs over
-// o and commits or aborts: o installed by the root session and by one that
-// joined after the root's install, transaction 1 committed and aborted. Wherever it resumes it must act on transaction 1's cell alone. A
-// reader that saw o between the two transactions is the witness that the
-// slot holds the very same cell again after the later one aborts.
+// o and commits or aborts, transaction 1 committed and aborted. Wherever it
+// resumes it must act on transaction 1's cell alone. A reader that saw o
+// between the two transactions is the witness that the slot holds the very
+// same cell again after the later one aborts.
 func TestStaleHelperInsideUninstall(t *testing.T) {
 	windows := []struct {
 		name   string
@@ -575,75 +498,67 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 		{"commit, parked between the clears", true, betweenClears},
 		{"abort, parked before the CAS", false, afterLoad},
 	}
-	for _, joined := range []bool{false, true} {
-		for _, w := range windows {
-			for rel := 0; rel < numUninstallReleases; rel++ {
-				for _, laterCommits := range []bool{true, false} {
-					name := fmt.Sprintf("joined=%v/%s/released %s/later commits=%v", joined, w.name, uninstallReleaseNames[rel], laterCommits)
-					t.Run(name, func(t *testing.T) {
-						root := NewTxManager().Session()
-						owner := root // the session that installs the cell the parked caller holds
-						later, reader := NewTxManager().Session(), NewTxManager().Session()
-						var o, side, y CASObj[int]
+	for _, w := range windows {
+		for rel := 0; rel < numUninstallReleases; rel++ {
+			for _, laterCommits := range []bool{true, false} {
+				name := fmt.Sprintf("%s/released %s/later commits=%v", w.name, uninstallReleaseNames[rel], laterCommits)
+				t.Run(name, func(t *testing.T) {
+					owner, later, reader := NewTxManager().Session(), NewTxManager().Session(), NewTxManager().Session()
+					var o, side, y CASObj[int]
 
-						root.TxBegin()
-						txWrite(t, root, &side, 0, 1)
-						if joined {
-							owner = NewTxManager().Session()
-							owner.TxJoin(root)
+					owner.TxBegin()
+					txWrite(t, owner, &side, 0, 1)
+					txWrite(t, owner, &o, 0, 1)
+					d := owner.desc
+					want := 0
+					if w.commit {
+						want = 1
+						freezeTx(owner)
+						decide(owner)
+					} else {
+						d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
+					}
+					h := parkInUninstall(&o, d, w.commit, w.point)
+					at := func(q int) {
+						if rel == q {
+							h.run()
 						}
-						txWrite(t, owner, &o, 0, 1)
-						d := root.desc
-						want := 0
-						if w.commit {
-							want = 1
-							freezeTx(root)
-							decide(root)
-						} else {
-							d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
-						}
-						h := parkInUninstall(&o, d, w.commit, w.point)
-						at := func(q int) {
-							if rel == q {
-								h.run()
-							}
-						}
+					}
 
-						at(beforeOwnerSweep)
-						if err := root.finish(d); w.commit != (err == nil) || owner.InTx() {
-							t.Fatalf("transaction 1 = %v, want commit %v", err, w.commit)
-						}
-						at(afterOwnerSweep)
-						wantSettled(t, "o", &o, want)
-						wantSettled(t, "side", &side, want)
+					at(beforeOwnerSweep)
+					if err := owner.finish(d); w.commit != (err == nil) || owner.InTx() {
+						t.Fatalf("transaction 1 = %v, want commit %v", err, w.commit)
+					}
+					at(afterOwnerSweep)
+					wantSettled(t, "o", &o, want)
+					wantSettled(t, "side", &side, want)
 
-						reader.TxBegin()
-						txRead(reader, &o)
-						txWrite(t, reader, &y, 0, 1)
+					reader.TxBegin()
+					txRead(reader, &o)
+					txWrite(t, reader, &y, 0, 1)
 
-						later.TxBegin()
-						d2 := later.desc
-						txWrite(t, later, &o, want, 7)
-						at(insideLaterInstall)
-						if o.installedBy() != d2 || d2.Status() != InPrep {
-							t.Fatal("the parked caller disturbed the later transaction's install")
-						}
-						if !laterCommits {
-							later.TxAbort()
-						} else if err := later.TxEnd(); err != nil {
-							t.Fatalf("later transaction: %v", err)
-						} else {
-							want = 7
-						}
-						at(afterLaterTx)
-						wantSettled(t, "o", &o, want)
+					later.TxBegin()
+					d2 := later.desc
+					txWrite(t, later, &o, want, 7)
+					at(insideLaterInstall)
+					if o.installedBy() != d2 || d2.Status() != InPrep {
+						t.Fatal("the parked caller disturbed the later transaction's install")
+					}
+					if !laterCommits {
+						later.TxAbort()
+					} else if err := later.TxEnd(); err != nil {
+						t.Fatalf("later transaction: %v", err)
+					} else {
+						want = 7
+					}
+					at(afterLaterTx)
+					wantSettled(t, "o", &o, want)
 
-						// The reader's cell is back iff the later install aborted.
-						if err := reader.TxEnd(); laterCommits != errors.Is(err, ErrTxAborted) {
-							t.Fatalf("reader = %v after the later transaction (committed %v)", err, laterCommits)
-						}
-					})
-				}
+					// The reader's cell is back iff the later install aborted.
+					if err := reader.TxEnd(); laterCommits != errors.Is(err, ErrTxAborted) {
+						t.Fatalf("reader = %v after the later transaction (committed %v)", err, laterCommits)
+					}
+				})
 			}
 		}
 	}

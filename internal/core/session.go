@@ -19,11 +19,6 @@ type Session struct {
 	next *Session // manager's push-only session list (see TxManager.Session)
 	desc *Desc    // non-nil while inside a transaction
 
-	// root is the session whose open transaction this one joined (TxJoin),
-	// nil otherwise; guests are the sessions that joined this one's.
-	root   *Session
-	guests []*Session
-
 	// inSpec tracks whether execution is inside the current operation's
 	// speculation interval (Def. 3): set on a publication point or on
 	// first contact with a value speculatively written by this
@@ -96,11 +91,6 @@ func (s *Session) TxBegin() {
 	}
 	s.spare = nil
 	d.readSet, d.writeSet, d.validators = s.rs[:0], s.ws[:0], d.vBuf[:0]
-	s.open(d)
-}
-
-// open puts s inside the transaction of d.
-func (s *Session) open(d *Desc) {
 	s.desc = d
 	s.inSpec = false
 	s.TxData = nil
@@ -110,39 +100,14 @@ func (s *Session) open(d *Desc) {
 	}
 }
 
-// TxJoin opens s inside root's open transaction: a session of another
-// TxManager, driven by the same goroutine, takes part in the transaction that
-// root.TxBegin started. There is still one descriptor — s installs, reads and
-// (through its manager's begin hook) registers its validator on root's — so
-// one status CAS decides every session's operations together, which is all
-// the paper asks of a transaction over several structures. root.TxEnd or
-// root.TxAbort ends the transaction for s too: its cleanups or undos run, its
-// end hook, its own Commits/Aborts. Joining is sound at any moment of the
-// transaction's life, after installs included (doc.go).
-func (s *Session) TxJoin(root *Session) {
-	if s.desc != nil {
-		panic("medley: TxJoin inside an open transaction")
-	}
-	if root.desc == nil || root.root != nil {
-		panic("medley: TxJoin on a session that is not the root of an open transaction")
-	}
-	s.root = root
-	root.guests = append(root.guests, s)
-	s.open(root.desc)
-}
-
 // TxEnd attempts to commit the current transaction (paper Fig. 6, txEnd).
 // It returns nil on commit and ErrTxAborted otherwise. Either way the
-// transaction is finished when TxEnd returns, for this session and every
-// session that joined it: speculative writes are made visible or rolled
-// back, and cleanups or undo handlers have run.
+// transaction is finished when TxEnd returns: speculative writes are made
+// visible or rolled back, and cleanups or undo handlers have run.
 func (s *Session) TxEnd() error {
 	d := s.desc
 	if d == nil {
 		panic("medley: TxEnd outside a transaction")
-	}
-	if s.root != nil {
-		panic("medley: TxEnd on a session that joined a transaction; its root ends it")
 	}
 	if len(d.writeSet) != 0 {
 		s.freeze(d) // installed cells lead helpers here once it is InProg
@@ -159,15 +124,11 @@ func (s *Session) TxEnd() error {
 
 // TxAbort explicitly aborts the current transaction (paper Fig. 6, txAbort)
 // and always returns ErrTxAborted, so that transaction bodies can write
-// "return s.TxAbort()". Called on a session that joined a transaction it
-// aborts the whole transaction, through its root.
+// "return s.TxAbort()".
 func (s *Session) TxAbort() error {
 	d := s.desc
 	if d == nil {
 		panic("medley: TxAbort outside a transaction")
-	}
-	if s.root != nil {
-		return s.root.TxAbort()
 	}
 	for {
 		st := d.Status()
@@ -218,8 +179,8 @@ func (s *Session) reclaim(rs []readRec, ws []*unsafe.Pointer) {
 
 // finish completes a transaction whose status has been finalized (possibly
 // by a helper): sweeps the write set, takes back the scratch and, if it may,
-// the descriptor, then closes the transaction scope of this session and of
-// every session that joined it, with the one verdict.
+// the descriptor, then closes the session's transaction scope: runs its
+// cleanups or undos, the manager's end hook, and counts the verdict.
 func (s *Session) finish(d *Desc) error {
 	committed := d.Status() == Committed
 	d.sweep(committed)
@@ -228,25 +189,13 @@ func (s *Session) finish(d *Desc) error {
 		// descriptor is unreachable, or was aborted straight from InPrep.
 		reachable := len(d.writeSet) != 0
 		s.reclaim(d.readSet, d.writeSet)
-		d.readSet, d.writeSet, d.validators, d.vBuf = nil, nil, nil, [2]func() bool{}
+		d.readSet, d.writeSet, d.validators, d.vBuf = nil, nil, nil, [1]func() bool{}
 		if !reachable {
 			d.status.Store(uint32(InPrep))
 			s.spare = d
 		}
 	}
-	err := s.close(committed)
-	for _, g := range s.guests {
-		g.close(committed)
-	}
-	clear(s.guests)
-	s.guests = s.guests[:0]
-	return err
-}
-
-// close ends one session's part in a transaction whose cells are swept: runs
-// its cleanups or undos, its manager's end hook, and counts the verdict.
-func (s *Session) close(committed bool) error {
-	s.desc, s.root = nil, nil
+	s.desc = nil
 	s.inSpec = false
 	if committed {
 		for _, f := range s.cleanups {

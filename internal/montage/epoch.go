@@ -74,18 +74,14 @@ const firstEpoch = 3
 
 // EpochClock is the epoch counter plus the registry of sessions pinned to an
 // epoch. One clock can be shared by several EpochSys instances (sharded
-// txMontage: one device and batch system per shard, one clock), which is
-// what lets a cross-shard transaction land in the same epoch cut on every
-// shard it touches.
+// txMontage: one device and batch system per shard, one clock): a transaction
+// pins one epoch of it and validates "still current" once at commit, so it
+// lands in the same epoch cut on every device it touches. Nothing locks the
+// counter against commits — a tick between a transaction's operations, or
+// between its last one and TxEnd, fails that validation and the transaction
+// retries in the new epoch.
 type EpochClock struct {
 	epoch atomic.Uint64
-
-	// commitMu serializes epoch advancement against multi-shard commit
-	// sequences: an ordered cross-shard commit holds the read side for its
-	// whole sub-commit sequence (GuardCommit), so every sub-commit's epoch
-	// validator sees the same current epoch and the sequence cannot tear;
-	// Tick holds the write side only for the increment itself.
-	commitMu sync.RWMutex
 
 	// advanceMu serializes whole advance sequences (tick + straggler wait
 	// + flush) against each other. Without it, a Sync racing a background
@@ -111,33 +107,19 @@ func (c *EpochClock) Current() uint64 { return c.epoch.Load() }
 // Tick advances the epoch by one and returns the new value. It does not
 // wait for stragglers or flush anything — see EpochSys.Advance and
 // AdvanceTogether for the full advance protocols.
-func (c *EpochClock) Tick() uint64 {
-	c.commitMu.Lock()
-	e := c.epoch.Add(1)
-	c.commitMu.Unlock()
-	return e
-}
-
-// GuardCommit blocks epoch advancement until release is called and returns
-// the epoch that stays current for the whole guarded window. Multi-shard
-// commit sequences run under it so all their epoch validators agree.
-func (c *EpochClock) GuardCommit() (epoch uint64, release func()) {
-	c.commitMu.RLock()
-	return c.epoch.Load(), c.commitMu.RUnlock
-}
+func (c *EpochClock) Tick() uint64 { return c.epoch.Add(1) }
 
 // AdvanceTo raises the clock to at least epoch e. Recovery re-anchoring
 // uses it so the fresh clock starts beyond every pre-crash epoch still on
 // media — a new transaction must never share an epoch number with an old,
-// already-flushed batch. Like Tick, the mutation happens under commitMu's
-// write side, so it cannot land inside a commit sequence's GuardCommit
-// window (whose epoch must stay current until released).
+// already-flushed batch.
 func (c *EpochClock) AdvanceTo(e uint64) {
-	c.commitMu.Lock()
-	if c.epoch.Load() < e {
-		c.epoch.Store(e)
+	for {
+		cur := c.epoch.Load()
+		if cur >= e || c.epoch.CompareAndSwap(cur, e) {
+			return
+		}
 	}
-	c.commitMu.Unlock()
 }
 
 // register allocates an active-epoch slot for a session.
@@ -474,7 +456,10 @@ type sessExt struct {
 // Attach wires the epoch system into a TxManager, turning Medley
 // transactions on attached structures into txMontage transactions: TxBegin
 // pins the current epoch and registers the epoch validator; transaction end
-// releases the pin.
+// releases the pin. What it binds the manager to is es's clock, not its
+// device: maps on any EpochSys of that clock may run under the manager, and a
+// transaction over several of them holds one pin and one validator (the
+// sharded engine attaches its one manager this way).
 func Attach(mgr *core.TxManager, es *EpochSys) {
 	clock := es.clock
 	extFor := func(s *core.Session) *sessExt {
@@ -513,9 +498,7 @@ func (es *EpochSys) TxEpoch(s *core.Session) uint64 {
 
 // PinnedEpoch returns the epoch the session's current transaction is pinned
 // to, or 0 when the session is outside a transaction (or the manager has no
-// epoch system attached). The sharded commit coordinator uses it to check
-// that every shard's sub-transaction sits in the same epoch cut before the
-// ordered sub-commit sequence starts.
+// epoch system attached).
 func PinnedEpoch(s *core.Session) uint64 {
 	if s != nil && s.InTx() {
 		if ctx, ok := s.TxData.(*txCtx); ok {

@@ -53,6 +53,11 @@ type ofind[K cmp.Ordered, V any] struct {
 	nxt0  *onode[K, V]
 }
 
+// find is SkipList.find on bare references, with the same three rules for a
+// search that finds itself on a dead node (see there): only a live edge is
+// CASed, so that no dead node's mark is ever overwritten; walking on through
+// dead nodes stops at k; and the bottom level takes no position through a
+// dead edge — it finishes the dead tower and starts over.
 func (sl *Original[K, V]) find(k K) (r ofind[K, V], found bool) {
 retry:
 	pred := sl.head
@@ -66,6 +71,15 @@ retry:
 			}
 			nref := curr.next[lvl].Load()
 			if nref.marked {
+				if cref.marked {
+					if curr.key >= k {
+						break
+					}
+					pred = curr
+					predObj = &curr.next[lvl]
+					cref = nref
+					continue
+				}
 				if !predObj.CompareAndSwap(cref, &oref[K, V]{nref.n, false}) {
 					goto retry
 				}
@@ -81,7 +95,7 @@ retry:
 				cref = nref
 				continue
 			}
-			if lvl == 0 && curr.key == k {
+			if lvl == 0 && curr.key == k && !cref.marked {
 				r.preds[0] = predObj
 				r.succs[0] = curr
 				r.curr = curr
@@ -92,6 +106,10 @@ retry:
 		}
 		r.preds[lvl] = predObj
 		r.succs[lvl] = cref.n
+		if lvl == 0 && cref.marked {
+			pred.retireTower()
+			goto retry
+		}
 	}
 	return r, false
 }
@@ -118,6 +136,7 @@ func (sl *Original[K, V]) Put(k K, v V) (old V, replaced bool) {
 			}
 			nn.next[0].Store(&oref[K, V]{r.nxt0, false})
 			if r.curr.next[0].CompareAndSwap(cur, &oref[K, V]{nn, true}) {
+				r.curr.retireTower()
 				sl.snip(k)
 				sl.linkUpper(nn, k)
 				return r.curr.val, true
@@ -171,19 +190,22 @@ func (sl *Original[K, V]) Remove(k K) (V, bool) {
 			continue
 		}
 		if r.curr.next[0].CompareAndSwap(cur, &oref[K, V]{r.nxt0, true}) {
-			for lvl := r.curr.level; lvl >= 1; lvl-- {
-				for {
-					c := r.curr.next[lvl].Load()
-					if c.marked {
-						break
-					}
-					if r.curr.next[lvl].CompareAndSwap(c, &oref[K, V]{c.n, true}) {
-						break
-					}
-				}
-			}
+			r.curr.retireTower()
 			sl.snip(k)
 			return r.curr.val, true
+		}
+	}
+}
+
+// retireTower marks every upper level of a tower that is dead at the bottom,
+// so that traversals snip it everywhere.
+func (n *onode[K, V]) retireTower() {
+	for lvl := n.level; lvl >= 1; lvl-- {
+		for {
+			c := n.next[lvl].Load()
+			if c.marked || n.next[lvl].CompareAndSwap(c, &oref[K, V]{c.n, true}) {
+				break
+			}
 		}
 	}
 }

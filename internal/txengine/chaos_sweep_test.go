@@ -4,9 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"medley/internal/chaos"
+	"medley/internal/montage"
 	"medley/internal/pnvm"
 )
 
@@ -404,6 +409,169 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 		}
 		t.Logf("%s shards=%d %s: crash fired, %d/%d post-sync pairs recovered, no tears", engine, shards, point, recovered, n)
 		return int(2*n) + 2*recovered
+	}}
+}
+
+// TestShardedStraddleStormCrashSweep runs the crash-point sweep under a tick
+// storm: a goroutine advancing the domain back to back beside four workers
+// moving units between accounts on different shards, so ticks land in every
+// gap of a cross-shard transaction — between two shards' operations, between
+// the last one and TxEnd, inside validation — thousands of times, with nothing
+// but the transaction's one epoch validator between them and a commit. The
+// crash fires wherever the point is next hit, in a worker's transaction or in
+// the storm's advance; at whatever cut recovery lands, every account is there
+// and the total is the one that was synced: no transfer was persisted half in
+// one epoch and half in the next.
+func TestShardedStraddleStormCrashSweep(t *testing.T) {
+	requireRegistered(t, montagePoints)
+	for _, shards := range []int{2, 8} {
+		for _, point := range montagePoints {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, point), func(t *testing.T) {
+				stormToCrash(t, shards, point).recoverAndAudit(t)
+			})
+		}
+	}
+}
+
+// stormToCrash runs transfers under a tick storm on txmontage-sharded until
+// the crash armed at point lands.
+func stormToCrash(t *testing.T, shards int, point string) crashedRun {
+	const accounts, start, workers = 6, 1000, 4
+	t.Cleanup(chaos.DisarmAll)
+	b, _ := Lookup("txmontage-sharded")
+	cfg := Config{Shards: shards} // EpochLen 0: the storm is the only advancer
+	eng, err := b.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := eng.(*shardedEngine)
+	spec := testSpec(b.Caps)
+	m, err := eng.NewUintMap(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Account i lives on shard i % shards: with an even shard count, accounts
+	// of different parity are on different shards, and every transfer below
+	// is between an even and an odd one.
+	keys := alternatingShardKeys(t, se, accounts, 0)
+	setup := eng.NewWorker(workers)
+	for _, k := range keys {
+		m.Put(setup, k, start)
+	}
+	se.Sync()
+
+	var down atomic.Bool // the fleet has lost power
+	if err := chaos.Arm(point, chaos.Fault{
+		Kind:  chaos.Crash,
+		After: 200, // well into the storm, whichever point it is
+		Times: 1,
+		Action: func() {
+			down.Store(true) // before the first device goes: whoever trips over it knows why
+			for _, d := range se.devs {
+				d.Crash()
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// dies runs fn as one thread of the process that is about to lose power:
+	// the thread the crash fires in, and any thread that then trips over the
+	// dead media, are gone; any other panic is a bug.
+	dies := func(fn func()) (dead bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, crash := chaos.AsCrash(r); !crash && !down.Load() {
+					panic(r)
+				}
+				dead = true
+			}
+		}()
+		fn()
+		return false
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !down.Load() && time.Now().Before(deadline) {
+			if dies(func() { montage.AdvanceTogether(se.clock, se.esys) }) {
+				return
+			}
+		}
+	}()
+	// Workers 0 and 1 move units back and forth between the two hot accounts,
+	// 0 and 1, as fast as they can. Workers 2 and 3 each pay out of an account
+	// of their own (3 and 5: nobody else conflicts with them) into hot account
+	// 0, and dawdle between the two shards: ticks fall in that gap, and so do
+	// whole transactions of the fast workers in the epochs after them, whose
+	// result the credit then reads. Such an attempt must not commit — it would
+	// be persisted an epoch before what it read — and nothing but its epoch
+	// validator says so.
+	errStop := errors.New("stop")
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := eng.NewWorker(w).(*shardedTx)
+			for n := 0; ; n++ {
+				from, to, dawdle := (w+n)%2, (w+n+1)%2, 0
+				if w >= 2 {
+					from, to, dawdle = 2*w-1, 0, 3
+				}
+				var err error
+				if dies(func() {
+					err = tx.Run(func() error {
+						if down.Load() || time.Now().After(deadline) {
+							return errStop
+						}
+						a, _ := m.Get(tx, keys[from])
+						m.Put(tx, keys[from], a-1)
+						for i := 0; i < dawdle; i++ {
+							runtime.Gosched()
+						}
+						b, _ := m.Get(tx, keys[to])
+						m.Put(tx, keys[to], b+1)
+						return nil
+					})
+				}) {
+					// A thread that dies inside its commit's cleanups dies
+					// pinned. The process it models is gone, but this one's
+					// storm would wait for the pin forever: let it go.
+					if !tx.ses.InTx() {
+						tx.ses.TxBegin()
+						tx.ses.TxAbort()
+					}
+					return
+				}
+				if err != nil {
+					return
+				}
+				runtime.Gosched() // nobody keeps a processor for a whole time slice
+			}
+		}()
+	}
+	wg.Wait()
+	chaos.DisarmAll()
+	st := eng.Stats()
+	if !down.Load() {
+		t.Fatalf("point %s never fired at shards=%d (%d commits, %d aborts)", point, shards, st.Commits, st.Aborts)
+	}
+
+	return crashedRun{b: b, cfg: cfg, devs: se.devs, spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
+		total := uint64(0)
+		for i, k := range keys {
+			v, ok := rm.Get(tx2, k)
+			if !ok {
+				t.Fatalf("account %d lost after crash at %s", i, point)
+			}
+			total += v
+		}
+		if total != accounts*start {
+			t.Fatalf("recovered total %d after crash at %s, want %d: a transfer was cut in half", total, point, accounts*start)
+		}
+		t.Logf("shards=%d %s: crashed after %d commits and %d aborts, total conserved", shards, point, st.Commits, st.Aborts)
+		return accounts
 	}}
 }
 

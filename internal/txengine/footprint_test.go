@@ -33,6 +33,18 @@ func distinctShardKeys(t testing.TB, se *shardedEngine, n int, start uint64) []u
 	return keys
 }
 
+// alternatingShardKeys returns n ascending keys from start on, the i-th on
+// shard i % shards: with two shards or more, consecutive keys never share one.
+func alternatingShardKeys(t testing.TB, se *shardedEngine, n int, start uint64) []uint64 {
+	t.Helper()
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = keyOnShard(t, se, i%len(se.shards), start)
+		start = keys[i] + 1
+	}
+	return keys
+}
+
 // oversizedHint returns latchMaxKeys+1 keys no test transacts on: hinted
 // alongside a transaction's real keys they push its declaration past the
 // latch cap.

@@ -5,10 +5,13 @@ import "sync"
 // Key-granular latches for declared cross-shard transactions.
 //
 // A cross-shard transaction that declared its keys (HintKeys/HintQueues, at
-// most latchMaxKeys of them) latches exactly those keys before it opens its
-// shards, and releases them after the commit. Nothing else
+// most latchMaxKeys of them) latches exactly those keys before its
+// transaction opens, and releases them after it has closed. Nothing else
 // in the sharded runtime blocks: single-shard transactions, standalone
 // operations and undeclared cross-shard transactions never touch the table.
+// This is the runtime's one blocking mechanism, entered only by declaration;
+// inside the transaction the paper's nonblocking commit is untouched
+// (core/doc.go states the boundary).
 //
 // latchTable is a bucketed table of per-key latches in the spirit of
 // tinykv's latches scheduler. Each bucket holds a mutex-protected map from
@@ -24,8 +27,8 @@ import "sync"
 // blocks on nothing but the next latch.
 //
 // Latches schedule; they do not isolate. Correctness of the cross-shard
-// commit comes from its being one MCNS descriptor (core.Session.TxJoin: one
-// status CAS decides every shard's writes) — key-disjoint transactions can
+// commit comes from its being one MCNS descriptor on the worker's one session
+// (one status CAS decides every shard's writes) — key-disjoint transactions can
 // still conflict through adjacent-node read-set entries, and unlatched
 // transactions run concurrently on the same keys. The latches
 // exist to stop declared transactions with overlapping footprints from

@@ -29,7 +29,7 @@ type medleyEngine struct {
 }
 
 func newMedleyEngine(cfg Config) (Engine, error) {
-	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager()}
+	e := &medleyEngine{name: "Medley", mgr: cfg.manager()}
 	if !cfg.snapOff {
 		e.snap = newSnapTier(nil)
 	}
@@ -37,7 +37,7 @@ func newMedleyEngine(cfg Config) (Engine, error) {
 }
 
 func newTxMontageEngine(cfg Config) (Engine, error) {
-	mgr := core.NewTxManager()
+	mgr := cfg.manager()
 	if len(cfg.Devices) > 1 {
 		return nil, fmt.Errorf("txengine: txmontage is single-device (got %d devices); use txmontage-sharded for multi-device persistence", len(cfg.Devices))
 	}
@@ -48,22 +48,24 @@ func newTxMontageEngine(cfg Config) (Engine, error) {
 		dev = pnvm.New(cfg.Latencies)
 	}
 	var es *montage.EpochSys
-	if cfg.EpochClock != nil {
+	if cfg.clock != nil {
 		// Shared clock: the clock's owner (the sharded coordinator) drives
 		// the advance cadence for every system on it; starting a private
 		// advancer here would flush this shard's batches at boundaries the
 		// other shards never reach.
-		es = montage.NewEpochSysShared(dev, cfg.EpochClock)
+		es = montage.NewEpochSysShared(dev, cfg.clock)
 	} else {
 		es = montage.NewEpochSys(dev)
 	}
+	// On a shared manager every shard binds it to the same clock again,
+	// which changes nothing.
 	montage.Attach(mgr, es)
 	e := &medleyEngine{name: "txMontage", mgr: mgr, es: es, codec: cfg.RowCodec}
 	if !cfg.snapOff {
 		// Anchor commit timestamps to the same clock that orders epoch cuts.
 		e.snap = newSnapTier(es.Clock())
 	}
-	if cfg.EpochLen > 0 && cfg.EpochClock == nil {
+	if cfg.EpochLen > 0 && cfg.clock == nil {
 		e.stopAdv = montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, cfg.EpochLen)
 	}
 	return e, nil

@@ -19,8 +19,8 @@ type originalEngine struct {
 	mgr *core.TxManager
 }
 
-func newOriginalEngine(Config) (Engine, error) {
-	return &originalEngine{mgr: core.NewTxManager()}, nil
+func newOriginalEngine(cfg Config) (Engine, error) {
+	return &originalEngine{mgr: cfg.manager()}, nil
 }
 
 func (e *originalEngine) Name() string { return "Original" }

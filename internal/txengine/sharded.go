@@ -12,55 +12,57 @@ import (
 )
 
 // This file implements the sharded engine runtime: a registry-composable
-// decorator that wraps S independent instances of a base engine (each with
-// its own TxManager, session list, and structures) and hash-routes every
-// map key to its owning shard. The decorator holds no lock on any shard:
-// every conflict, inside a shard or across shards, is resolved by the base
-// engines' own optimistic (MCNS) machinery.
+// decorator that builds S instances of a base engine as the S partitions of
+// ONE engine and hash-routes every map key to its owning shard. Shards
+// partition data — S sub-maps behind each logical map, and on persistent
+// bases S devices — not transactions: the instances share one TxManager, a
+// worker has one session on it, and the decorator holds no lock on any shard.
+// Every conflict, inside a shard or across shards, is resolved by the one
+// optimistic (MCNS) machinery.
 //
-// A transaction is one MCNS descriptor, however many shards it touches. The
-// first shard an attempt reaches opens the transaction on that shard's
-// session (TxBegin); every later one enters it (core.Session.TxJoin), at
-// whatever point of the body the shard is first needed, so all of the
-// attempt's reads, installs and epoch validators sit in one descriptor and
-// every attempt — one shard or many, declared or not — ends in the same
-// commit: the root session's TxEnd, one status CAS, all-or-nothing even
-// though concurrent traffic can invalidate a read up to the last moment (that
-// aborts the transaction, which retries under the shared backoff like any
-// conflict). This is all NBTC asks for: the transaction's linearizing CASes
-// take effect together. Single-shard traffic stays a plain transaction of its
-// shard's engine and scales with the shard count instead of funneling through
-// one manager.
+// So a transaction is one MCNS descriptor on one session, however many shards
+// it touches, exactly as over several structures of an unsharded engine. The
+// first shard an attempt reaches opens the transaction (TxBegin); a later one
+// is only noted as touched, for the footprint and latch accounting. Every
+// attempt — one shard or many, declared or not — ends in the same commit: the
+// session's TxEnd, one status CAS, all-or-nothing even though concurrent
+// traffic can invalidate a read up to the last moment (that aborts the
+// transaction, which retries under the shared backoff like any conflict).
+// This is all NBTC asks for: the transaction's linearizing CASes take effect
+// together. What sharding buys is smaller sub-maps, per-shard devices, and
+// the key latches' scheduling; the manager has no contended word to spread.
 //
-// A HintKeys/HintQueues declaration that spans several shards opens them all
-// at the start of each attempt, and when it names at most latchMaxKeys keys
-// takes those keys' latches (latch.go) first, so declared transactions with
-// overlapping hot keys queue FIFO instead of aborting each other. Latches only
-// schedule; atomicity never depends on them, which is why undeclared and
+// A HintKeys/HintQueues declaration that spans several shards marks them all
+// touched at the start of each attempt, and when it names at most latchMaxKeys
+// keys takes those keys' latches (latch.go) first, so declared transactions
+// with overlapping hot keys queue FIFO instead of aborting each other. Latches
+// only schedule; atomicity never depends on them, which is why undeclared and
 // oversized footprints simply run without, and why an operation that escapes
-// its declaration just joins the shard it needs.
+// its declaration just runs on the shard it needs.
 //
 // Every transactional base the decorator wraps is Medley-family: its worker
-// handles are sessionTx, and the decorator drives their core sessions
-// directly (begin, join, commit, abort). Engines without transactions
-// (Original) shard trivially, routing bare operations.
+// handles are sessionTx, and the decorator drives the handle's core session
+// directly (begin, commit, abort). Engines without transactions (Original)
+// shard trivially, routing bare operations.
 //
 // # Sharded persistence (txmontage-sharded)
 //
 // Persistent bases compose too: every shard owns its own montage.EpochSys
 // and pnvm.Device, but all of them share one montage.EpochClock, created
-// here and passed down through Config.EpochClock. The shared clock is what
-// makes durability shard-safe: a cross-shard transaction pins the same
-// epoch number on every shard it touches, its commit runs under the
-// clock's commit guard (no advance can interleave, and a pre-check aborts
-// cleanly if the sub-transactions straddle two epochs), and the coordinator
-// — the engine's own advancer goroutine, or Sync — advances all shards
-// together so every device reaches the same durable frontier. After a
-// crash, recovery takes one dump per device, computes the domain's
-// consistent cut (the minimum of the per-device durable frontiers), and
-// rebuilds each shard at exactly that cut: state one device persisted ahead
-// of the others is discarded, so a transaction is never recovered torn even
-// when the crash lands between two shards' flushes.
+// here and passed down beside the manager (Config.clock), and the manager is
+// attached to that clock. That is what makes durability shard-safe: a
+// transaction pins ONE epoch, tags the payloads it writes on every device
+// with it, and commits only if that epoch is still current (its single epoch
+// validator) — a clock tick anywhere between its first operation and its
+// commit aborts it, so no transaction is ever persisted across two recovery
+// cuts and no lock is needed to say so. The coordinator — the engine's own
+// advancer goroutine, or Sync — advances all shards together so every device
+// reaches the same durable frontier. After a crash, recovery takes one dump
+// per device, computes the domain's consistent cut (the minimum of the
+// per-device durable frontiers), and rebuilds each shard at exactly that cut:
+// state one device persisted ahead of the others is discarded, so a
+// transaction is never recovered torn even when the crash lands between two
+// shards' flushes.
 
 // DefaultShards is the shard count used when Config.Shards is unset.
 const DefaultShards = 4
@@ -69,7 +71,7 @@ type shardedEngine struct {
 	name   string
 	caps   Caps
 	txCap  bool
-	shards []Engine      // one private base engine instance per shard
+	shards []Engine      // one base engine instance per shard, all on one TxManager
 	nextQ  atomic.Uint64 // round-robin home-shard assignment for queues
 	ct     counters
 	latch  *latchTable // key latches for declared footprints; nil without CapTx
@@ -89,11 +91,11 @@ type shardedEngine struct {
 // montage-backed bases and reaches their per-shard epoch systems.
 type epochSysProvider interface{ EpochSys() *montage.EpochSys }
 
-// newShardedEngine builds cfg.Shards independent instances of the named
-// base engine behind one sharded façade. Persistent (montage-backed) bases
-// are built one device per shard on a shared epoch clock; cfg.Devices, when
-// non-empty, supplies the per-shard devices (recovery reattachment) and
-// must be index-aligned with the shard order.
+// newShardedEngine builds cfg.Shards instances of the named base engine, on
+// one transaction manager, behind one sharded façade. Persistent
+// (montage-backed) bases are built one device per shard on a shared epoch
+// clock; cfg.Devices, when non-empty, supplies the per-shard devices (recovery
+// reattachment) and must be index-aligned with the shard order.
 func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 	b, ok := Lookup(baseKey)
 	if !ok {
@@ -106,12 +108,9 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 	if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
 		return nil, fmt.Errorf("txengine: sharded %s wants one device per shard: got %d devices for %d shards", baseKey, len(cfg.Devices), n)
 	}
-	clock := cfg.EpochClock
-	if clock == nil {
-		clock = montage.NewEpochClock()
-	}
+	clock := montage.NewEpochClock()
 	sub := cfg
-	sub.EpochClock = clock
+	sub.mgr, sub.clock = core.NewTxManager(), clock
 	sub.EpochLen = 0 // the coordinator owns the advance cadence, not the shards
 	// The decorator owns the one snapshot tier and wraps only its top-level
 	// maps; sub-engines must not each run a private clock, or a cross-shard
@@ -298,8 +297,13 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 }
 
 func (e *shardedEngine) NewWorker(tid int) Tx {
-	n := len(e.shards)
-	t := &shardedTx{e: e, tid: tid, base: make([]Tx, n), ses: make([]*core.Session, n), end: make([]func() error, n), root: -1}
+	t := &shardedTx{e: e, base: e.shards[0].NewWorker(tid), seen: make([]uint64, len(e.shards))}
+	if e.txCap {
+		// Every transactional base is Medley-family; one that is not fails
+		// loudly here.
+		st := t.base.(*sessionTx)
+		t.ses, t.end = st.s, st.end
+	}
 	if e.latch != nil {
 		t.lw = newLatchWaiter()
 	}
@@ -314,23 +318,25 @@ func (e *shardedEngine) NewWorker(tid int) Tx {
 // Must be a power of two.
 const routeMemoSize = 8
 
-// shardedTx is the per-worker handle: a lazily filled pool of base handles,
-// one per shard this worker has touched, plus the state of the current
-// attempt, the pending footprint declaration, and the route memo. Not
-// goroutine-safe, like every Tx.
+// shardedTx is the per-worker handle: the worker's one base handle, on which
+// every shard's operations run, plus the state of the current attempt, the
+// pending footprint declaration, and the route memo. Not goroutine-safe, like
+// every Tx.
 type shardedTx struct {
 	e    *shardedEngine
-	tid  int
-	base []Tx            // per-shard base handles, created on first touch
-	ses  []*core.Session // their core sessions (transactional bases only)
-	// Each base handle's TxEnd, bound once so that handing the root's to
-	// snapAgent.commit allocates no closure.
-	end []func() error
+	base Tx            // a handle of shard 0's engine: a session of the one manager, good on every shard
+	ses  *core.Session // its core session (transactional bases only)
+	// ses.TxEnd, bound once so that handing it to snapAgent.commit allocates
+	// no closure.
+	end func() error
 
 	inRun   bool
 	aborted bool // Tx.Abort doomed the current Run
-	root    int  // the shard whose session opened the attempt's transaction, -1 if none yet
 	multi   bool // the attempt spans a second shard
+	// seen[s] == stamp iff the current attempt has touched shard s; stamp
+	// counts attempts, so starting one clears the set without a loop.
+	seen  []uint64
+	stamp uint64
 
 	// fp is the declared shard footprint, ascending, staged by
 	// HintKeys/HintQueues before the Run. hintKeys is the declared latch key
@@ -341,7 +347,7 @@ type shardedTx struct {
 	hintKeys     []uint64
 	hintPending  bool // a declaration awaits the next Run
 	hintOverflow bool
-	declared     bool // the Run opens fp (latched, if latchKeys) at the start of every attempt
+	declared     bool // the Run touches fp (latched, if latchKeys) at the start of every attempt
 	escaped      bool // an operation of the Run touched a shard outside its declaration
 	latchKeys    []uint64
 	latchHeld    bool        // latchKeys currently acquired
@@ -406,24 +412,6 @@ func (t *shardedTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 	}
 	t.e.ct.countSnapshotN(stale, uint64(n))
 	return rt, true
-}
-
-// handle returns this worker's base handle for shard s, creating it (and its
-// base session) on first touch — the per-shard session pool. On
-// transactional engines it also caches the handle's core session: every
-// such base is Medley-family, so the assertion can only fail for a base
-// whose sessions cannot join one another's transactions, and then fails loudly.
-func (t *shardedTx) handle(s int) Tx {
-	h := t.base[s]
-	if h == nil {
-		h = t.e.shards[s].NewWorker(t.tid)
-		t.base[s] = h
-		if t.e.txCap {
-			st := h.(*sessionTx)
-			t.ses[s], t.end[s] = st.s, st.end
-		}
-	}
-	return h
 }
 
 // routeOf is shardOf through the handle's memo.
@@ -517,28 +505,24 @@ func (t *shardedTx) HintQueues(qs ...Queue[uint64]) {
 }
 
 // enter prepares shard s for one operation by this worker and returns the
-// base handle to run it on. Outside a transaction (or after Tx.Abort) the
-// operation is standalone on the base engine; inside one, the shard is opened
-// on first touch.
+// handle to run it on. Outside a transaction (or after Tx.Abort) the operation
+// is standalone on the base engine; inside one, the shard's first touch is
+// recorded.
 func (t *shardedTx) enter(s int) Tx {
-	if !t.inRun || t.aborted {
-		return t.handle(s)
-	}
-	if ses := t.ses[s]; ses == nil || !ses.InTx() {
-		// Every declared shard is open since the attempt began.
+	if t.inRun && !t.aborted && t.seen[s] != t.stamp {
+		// Every declared shard is touched since the attempt began.
 		t.escaped = t.declared
-		t.open(s)
+		t.touch(s)
 	}
-	return t.base[s]
+	return t.base
 }
 
-// open brings shard s into the current attempt: its session begins the
-// attempt's transaction if it is the first, and joins it otherwise.
-func (t *shardedTx) open(s int) {
-	t.handle(s)
-	if t.root < 0 {
-		t.root = s
-		t.ses[s].TxBegin()
+// touch brings shard s into the current attempt: the first shard opens the
+// attempt's transaction, the second makes it a cross-shard one.
+func (t *shardedTx) touch(s int) {
+	t.seen[s] = t.stamp
+	if !t.ses.InTx() {
+		t.ses.TxBegin()
 		return
 	}
 	if !t.multi {
@@ -547,14 +531,13 @@ func (t *shardedTx) open(s int) {
 			t.e.ct.latchFallbacks.Add(1)
 		}
 	}
-	t.ses[s].TxJoin(t.ses[t.root])
 }
 
 // rollback aborts the attempt's transaction, if one is open, and releases
 // the attempt's latches. Idempotent.
 func (t *shardedTx) rollback() {
-	if t.root >= 0 && t.ses[t.root].InTx() {
-		t.ses[t.root].TxAbort()
+	if t.ses.InTx() {
+		t.ses.TxAbort()
 	}
 	if t.latchHeld {
 		t.e.latch.releaseAll(t.latchKeys)
@@ -565,20 +548,12 @@ func (t *shardedTx) rollback() {
 // attempt executes fn once. err is nil on commit, core.ErrTxAborted on
 // conflict, and fn's own error otherwise.
 //
-// On persistent bases a multi-shard verdict runs under the shared epoch
-// clock's commit guard: epoch advancement is blocked for the duration, and
-// the pre-check aborts cleanly if the epoch moved between this attempt's
-// shards opening — committing sessions that straddle two cuts would persist
-// one transaction across two recovery cuts. Together these guarantee the
-// transaction lands in one epoch cut on every shard, the property
-// multi-device recovery relies on. A single-shard commit is its shard's own
-// (epoch validator included): no guard.
-//
 // The transaction stamps ONE version: the timestamp is drawn before the
-// root's single InPrep→InProg transition and published for every shard's
+// session's single InPrep→InProg transition and published for every shard's
 // writes together iff the verdict is commit.
 func (t *shardedTx) attempt(fn func() error) error {
-	t.inRun, t.aborted, t.root, t.multi = true, false, -1, false
+	t.inRun, t.aborted, t.multi = true, false, false
+	t.stamp++
 	t.snap.reset()
 	// However the attempt ends, a panic out of fn included, nothing stays
 	// open and no latch stays held; after a commit this finds nothing to abort.
@@ -595,7 +570,7 @@ func (t *shardedTx) attempt(fn func() error) error {
 			t.latchHeld = true
 		}
 		for _, s := range t.fp {
-			t.open(s)
+			t.touch(s)
 		}
 	}
 	ferr := fn()
@@ -604,27 +579,18 @@ func (t *shardedTx) attempt(fn func() error) error {
 		// (mirrors core.Session.Run).
 		return core.ErrTxAborted
 	}
-	if ferr != nil || t.root < 0 { // failed, or touched nothing
+	if ferr != nil || !t.ses.InTx() { // failed, or touched nothing
 		return ferr
 	}
-	if t.multi && t.e.clock != nil {
-		cur, release := t.e.clock.GuardCommit()
-		defer release()
-		for _, s := range t.ses {
-			if e := montage.PinnedEpoch(s); e != 0 && e != cur {
-				return core.ErrTxAborted
-			}
-		}
-	}
-	return t.snap.commit(t.end[t.root])
+	return t.snap.commit(t.end)
 }
 
 // Run implements Tx. A pending HintKeys/HintQueues declaration that spans
-// several shards opens exactly those shards at the start of every attempt
-// (latched, when it names at most latchMaxKeys keys); otherwise shards open as
-// the body reaches them. A declaration that covers the first attempt counts
-// one FootprintHit, one that an operation escapes one FootprintMiss. Conflict
-// aborts retry under the shared backoff.
+// several shards touches exactly those shards at the start of every attempt
+// (latched, when it names at most latchMaxKeys keys); otherwise shards are
+// touched as the body reaches them. A declaration that covers the first
+// attempt counts one FootprintHit, one that an operation escapes one
+// FootprintMiss. Conflict aborts retry under the shared backoff.
 func (t *shardedTx) Run(fn func() error) error {
 	if !t.e.txCap {
 		panic("txengine: " + t.e.name + " supports no transactions")
@@ -676,8 +642,7 @@ func (t *shardedTx) Abort() error {
 }
 
 // shardedMap hash-partitions a transactional map across the engine's
-// shards: one base map per shard, each only ever touched by that shard's
-// sessions.
+// shards: one base map per shard, each holding only the keys routed to it.
 type shardedMap[V any] struct {
 	e   *shardedEngine
 	sub []Map[V]

@@ -73,7 +73,7 @@ func BenchmarkSingleShardCommit(b *testing.B) {
 }
 
 // BenchmarkCrossShardCommitUndeclared measures the undeclared cross-shard
-// path: the second shard joins the open transaction when the body reaches it.
+// path: the second shard is noted as touched when the body reaches it.
 func BenchmarkCrossShardCommitUndeclared(b *testing.B) {
 	se, m1, m2, tx := benchEngine(b)
 	keys := distinctShardKeys(b, se, 4, 0)

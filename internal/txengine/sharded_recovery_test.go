@@ -389,14 +389,29 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	}
 }
 
-// TestShardedEpochStraddle: an attempt whose first shard opened in epoch e
-// and whose second shard joined in e+1 (the shared clock ticked in between)
-// must not commit — one transaction in two recovery cuts — and must commit on
-// retry, in one epoch, with both writes recovered together. Today the
-// decorator's pre-check under GuardCommit refuses the attempt; the descriptor
-// refuses it on its own too (the root's epoch validator fails), which the
-// second half shows on the shards' sessions directly, so the property holds
-// whichever of the two is kept (ROADMAP).
+// payloadEpoch returns the creation epoch of key's one unretired record in a
+// device's post-crash dump.
+func payloadEpoch(t *testing.T, dump []pnvm.Record, key uint64) uint64 {
+	t.Helper()
+	var epochs []uint64
+	for _, r := range dump {
+		if r.Key == key && r.Retire == 0 {
+			epochs = append(epochs, r.Epoch)
+		}
+	}
+	if len(epochs) != 1 {
+		t.Fatalf("key %d has unretired records of epochs %v on its device, want exactly one", key, epochs)
+	}
+	return epochs[0]
+}
+
+// TestShardedEpochStraddle: a transaction holds one epoch pin whichever
+// shards it touches, so a clock tick between its first and its second shard's
+// operation cannot put it in two recovery cuts — it can only make the pin
+// stale, and then the attempt aborts by validation alone (nothing locks the
+// clock against commits). The retry commits in the new epoch, and after Sync +
+// crash + recovery both devices hold that attempt's payloads, tagged with the
+// same epoch, and nothing of the first.
 func TestShardedEpochStraddle(t *testing.T) {
 	b, _ := Lookup("txmontage-sharded")
 	eng, err := b.New(Config{Shards: 2}) // EpochLen 0: the test owns the clock
@@ -416,44 +431,34 @@ func TestShardedEpochStraddle(t *testing.T) {
 	m.Put(tx, k2, 1000)
 	se.Sync()
 
-	var pinned [][2]uint64 // per execution of the body: the epoch each shard's session is pinned to
+	var pinned [][2]uint64 // per execution of the body: the pinned epoch at the first and at the second shard's operation
 	base := eng.Stats()
 	if err := tx.Run(func() error {
 		a, _ := m.Get(tx, k1)
 		m.Put(tx, k1, a-100)
+		e1 := montage.PinnedEpoch(tx.ses)
 		if len(pinned) == 0 {
 			se.clock.Tick()
 		}
 		b, _ := m.Get(tx, k2)
 		m.Put(tx, k2, b+100)
-		pinned = append(pinned, [2]uint64{montage.PinnedEpoch(tx.ses[0]), montage.PinnedEpoch(tx.ses[1])})
+		pinned = append(pinned, [2]uint64{e1, montage.PinnedEpoch(tx.ses)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(pinned) != 2 || pinned[0][1] != pinned[0][0]+1 || pinned[1] != [2]uint64{pinned[0][1], pinned[0][1]} {
-		t.Fatalf("pinned epochs per attempt = %v, want a straddle (e, e+1) then one epoch (e+1, e+1)", pinned)
+	if len(pinned) != 2 || pinned[0][0] != pinned[0][1] || pinned[1] != [2]uint64{pinned[0][0] + 1, pinned[0][0] + 1} {
+		t.Fatalf("pinned epochs per attempt = %v, want (e, e) across the tick, then (e+1, e+1)", pinned)
 	}
 	if d, want := eng.Stats().Delta(base), (Stats{Commits: 1, Aborts: 1, Retries: 1, LatchFallbacks: 2}); d != want {
-		t.Fatalf("stats %+v, want %+v: the straddling attempt aborted, the retry committed", d, want)
-	}
-
-	// Validation alone: the same straddle on the two shards' own sessions,
-	// with nothing between them and core.
-	root := se.shards[0].(*medleyEngine).mgr.Session()
-	guest := se.shards[1].(*medleyEngine).mgr.Session()
-	root.TxBegin()
-	se.clock.Tick()
-	guest.TxJoin(root)
-	if e0, e1 := montage.PinnedEpoch(root), montage.PinnedEpoch(guest); e1 != e0+1 {
-		t.Fatalf("sessions pinned to %d and %d, want a straddle", e0, e1)
-	}
-	if err := root.TxEnd(); err == nil {
-		t.Fatal("a transaction pinned to two epochs validated")
+		t.Fatalf("stats %+v, want %+v: the attempt the tick went through aborted, the retry committed", d, want)
 	}
 
 	se.Sync()
 	dumps := pnvm.DumpAll(se.devs)
+	if e1, e2 := payloadEpoch(t, dumps[se.shardOf(k1)], k1), payloadEpoch(t, dumps[se.shardOf(k2)], k2); e1 != e2 || e1 != pinned[1][0] {
+		t.Fatalf("the two shards' payloads carry epochs %d and %d, want both the retry's %d", e1, e2, pinned[1][0])
+	}
 	devs := se.devs
 	eng.Close()
 	eng2, err := b.New(Config{Shards: 2, Devices: devs})
@@ -469,7 +474,94 @@ func TestShardedEpochStraddle(t *testing.T) {
 	v1, _ := rm.Get(tx2, k1)
 	v2, _ := rm.Get(tx2, k2)
 	if v1 != 900 || v2 != 1100 {
-		t.Fatalf("recovered %d / %d, want 900 / 1100: both writes of the retry, none of the straddling attempt", v1, v2)
+		t.Fatalf("recovered %d / %d, want 900 / 1100: both writes of the retry, none of the aborted attempt", v1, v2)
+	}
+}
+
+// TestShardedStraddleEveryGap enumerates where a tick can fall inside a
+// cross-shard transaction: a transfer over k keys (k = 2, 3, 4) on alternating
+// shards, the shared clock ticked in each gap between two consecutive shard
+// touches and in the one between the last touch and TxEnd — every position.
+// Wherever it falls the attempt must abort and the retry commit; after Sync +
+// crash + recovery every payload of the transfer carries one epoch and the
+// transfer is there whole.
+func TestShardedStraddleEveryGap(t *testing.T) {
+	b, _ := Lookup("txmontage-sharded")
+	spec := MapSpec{Kind: KindHash, Buckets: 256}
+	for _, shards := range []int{2, 8} {
+		for k := 2; k <= 4; k++ {
+			for gap := 0; gap < k; gap++ { // after the operations on keys[gap]: before keys[gap+1]'s, or before TxEnd
+				t.Run(fmt.Sprintf("shards=%d/k=%d/gap=%d", shards, k, gap), func(t *testing.T) {
+					eng, err := b.New(Config{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					se := eng.(*shardedEngine)
+					m, err := eng.NewUintMap(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tx := eng.NewWorker(0)
+					keys := alternatingShardKeys(t, se, k, 1)
+					for _, key := range keys {
+						m.Put(tx, key, 1000)
+					}
+					se.Sync()
+
+					runs, base := 0, eng.Stats()
+					if err := tx.Run(func() error {
+						runs++
+						for i, key := range keys {
+							v, _ := m.Get(tx, key)
+							if i == 0 {
+								m.Put(tx, key, v-uint64(k-1))
+							} else {
+								m.Put(tx, key, v+1)
+							}
+							if runs == 1 && i == gap {
+								se.clock.Tick()
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if d := eng.Stats().Delta(base); d.Commits != 1 || d.Aborts != 1 || d.Retries != 1 {
+						t.Fatalf("commits %d, aborts %d, retries %d: want the ticked attempt aborted and the retry committed (1/1/1)", d.Commits, d.Aborts, d.Retries)
+					}
+
+					se.Sync()
+					dumps := pnvm.DumpAll(se.devs)
+					epoch := payloadEpoch(t, dumps[se.shardOf(keys[0])], keys[0])
+					for _, key := range keys[1:] {
+						if e := payloadEpoch(t, dumps[se.shardOf(key)], key); e != epoch {
+							t.Fatalf("key %d's payload carries epoch %d, key %d's %d: one transaction in two cuts", key, e, keys[0], epoch)
+						}
+					}
+					devs := se.devs
+					eng.Close()
+					eng2, err := b.New(Config{Shards: shards, Devices: devs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer eng2.Close()
+					rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tx2 := eng2.NewWorker(0)
+					for i, key := range keys {
+						want := uint64(1001)
+						if i == 0 {
+							want = 1000 - uint64(k-1)
+						}
+						if v, ok := rm.Get(tx2, key); !ok || v != want {
+							t.Fatalf("recovered key %d = %d, %v, want %d", key, v, ok, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -420,3 +420,67 @@ func TestShardedQueueComposition(t *testing.T) {
 		t.Fatalf("claimed+leftover = %d, want %d (jobs lost or duplicated)", total, producers*perWorker)
 	}
 }
+
+// TestShardedOneSessionPerWorker pins what a shard is not: a transaction
+// scope. Every shard of an engine sits on the engine's one TxManager, and a
+// worker that has run transactions over all S shards holds one session on it
+// — W workers, W sessions, whatever S is.
+func TestShardedOneSessionPerWorker(t *testing.T) {
+	const workers, rounds = 4, 50
+	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
+		for _, shards := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
+				eng, err := Build(engine, Config{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				se := eng.(*shardedEngine)
+				mgr := se.shards[0].(*medleyEngine).mgr
+				for i, sh := range se.shards {
+					if sh.(*medleyEngine).mgr != mgr {
+						t.Fatalf("shard %d runs on a transaction manager of its own", i)
+					}
+				}
+				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := distinctShardKeys(t, se, shards, 1) // one key on every shard
+				if mgr.NumSessions() != 0 {
+					t.Fatalf("%d sessions before the first worker", mgr.NumSessions())
+				}
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tx := eng.NewWorker(w)
+						for r := 0; r < rounds; r++ {
+							if err := tx.Run(func() error {
+								for _, k := range keys {
+									v, _ := m.Get(tx, k)
+									m.Put(tx, k, v+1)
+								}
+								return nil
+							}); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				if n := mgr.NumSessions(); n != workers {
+					t.Fatalf("%d workers over %d shards hold %d sessions, want one each", workers, shards, n)
+				}
+				tx := eng.NewWorker(workers)
+				for _, k := range keys {
+					if v, _ := m.Get(tx, k); v != workers*rounds {
+						t.Fatalf("key %d = %d after %d increments", k, v, workers*rounds)
+					}
+				}
+			})
+		}
+	}
+}

@@ -18,14 +18,14 @@ import (
 //   - Fallbacks: NoTx bodies the engine could not run uninstrumented and
 //     wrapped in a transaction instead (engines without CapNoTx).
 //   - CrossShardRestarts: always 0. A sharded engine used to re-execute an
-//     attempt that touched a shard outside its known footprint; now the shard
-//     joins the open transaction (sharded.go). The field stays only because
-//     benchmark/serve.go reads it.
+//     attempt that touched a shard outside its known footprint; now the
+//     operation simply runs, in the one transaction (sharded.go). The field
+//     stays only because benchmark/serve.go reads it.
 //   - FootprintHits: Runs whose HintKeys/HintQueues declaration spanned
 //     several shards and covered every operation of the first attempt, so
-//     the Run opened its whole shard set up front. At most one per Run.
+//     the Run knew its whole shard set up front. At most one per Run.
 //   - FootprintMisses: Runs whose multi-shard declaration proved wrong (an
-//     operation of the first attempt escaped it and joined its shard late,
+//     operation of the first attempt escaped it and reached its shard late,
 //     under latches that cover the declared keys only). At most one per Run.
 //     Hits and misses count declared Runs only: undeclared Runs, and
 //     declarations that route to a single shard, move neither.

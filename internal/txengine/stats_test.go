@@ -252,9 +252,9 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 }
 
 // TestCrossShardRunAllocatesWhatOneShardDoes pins the sharded decorator's
-// budget for a transaction that spans shards: nothing. The second shard's
-// session joins the first's descriptor, so an un-hinted transfer between two
-// shards allocates exactly — count and bytes — what the same transfer does
+// budget for a transaction that spans shards: nothing. It is the worker's one
+// session on the engine's one manager either way, so an un-hinted transfer
+// between two shards allocates exactly — count and bytes — what the same transfer does
 // inside one shard (one header, one read copy, one write copy, two
 // overwrites), and a committed read-only Run over two shards allocates 0.
 func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {

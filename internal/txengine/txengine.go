@@ -126,13 +126,6 @@ type Config struct {
 	// flows use this to crash a device fleet and rebuild an engine on the
 	// survivors.
 	Devices []*pnvm.Device
-	// EpochClock, if non-nil, is the shared epoch clock montage-backed
-	// engines pin their transactions on instead of owning a private one.
-	// The sharded decorator hands one clock to every shard so a cross-shard
-	// transaction lands in the same epoch cut on each; engines built with a
-	// shared clock never start their own advancer — the clock's owner
-	// coordinates the advance cadence. Most callers leave it nil.
-	EpochClock *montage.EpochClock
 	// EpochLen, if positive, starts txMontage's epoch advancer at this
 	// period; Close stops it.
 	EpochLen time.Duration
@@ -147,12 +140,27 @@ type Config struct {
 	// (0: DefaultShards). Non-sharded engines ignore it. Validated centrally
 	// by every registry construction path — see Validate.
 	Shards int
-	// snapOff disables the MVCC snapshot tier on engines that would
-	// otherwise carry one. Set internally by the sharded decorator for its
-	// sub-engines: the decorator owns the single tier-wide clock and wraps
-	// only its top-level maps, so a cross-shard transaction stamps exactly
-	// one version for the whole shared-fate group.
+
+	// Shared by the sharded decorator with its sub-engines, which are S
+	// partitions of data (and devices) inside ONE engine: one transaction
+	// manager, so a worker runs every shard's operations on one session and
+	// a transaction is one descriptor (manager); one epoch clock, so the
+	// transaction pins one epoch whichever devices it writes, and the
+	// decorator, not the shards, owns the advance cadence; and no snapshot
+	// tier below the decorator's own, which wraps only its top-level maps, so
+	// a transaction stamps exactly one version.
+	mgr     *core.TxManager
+	clock   *montage.EpochClock
 	snapOff bool
+}
+
+// manager returns the transaction manager an engine is built on: the sharded
+// decorator's when it is one of its shards, its own otherwise.
+func (c Config) manager() *core.TxManager {
+	if c.mgr != nil {
+		return c.mgr
+	}
+	return core.NewTxManager()
 }
 
 // MaxShards bounds Config.Shards: a larger count is almost certainly a typo
@@ -334,14 +342,14 @@ type Persister interface {
 }
 
 // KeyHinter is the optional Tx extension of the sharded engines. A
-// cross-shard transaction normally opens each shard when its body first
-// reaches it; HintKeys pre-declares map keys the worker's next Run will
-// touch, so the Run opens its whole shard set up front — and latches exactly
+// cross-shard transaction normally learns its shards as its body reaches
+// them; HintKeys pre-declares map keys the worker's next Run will touch, so
+// the Run knows its whole shard set up front — and latches exactly
 // those keys, so declared transactions on the same hot keys queue instead of
 // aborting each other (see latch.go). Successive HintKeys / HintQueues calls
 // before a Run accumulate into one declaration; the next Run consumes it
 // whole. Hinting inside Run is a no-op. A wrong declaration is safe: a shard
-// outside the declared set joins the transaction like an undeclared one
+// outside the declared set is touched like an undeclared one
 // (Stats.FootprintHits / FootprintMisses count declarations that held and
 // that were escaped).
 type KeyHinter interface {

@@ -89,8 +89,8 @@ type Config struct {
 	// engines (txengine.HintKeys). Hints let a transaction that knows its
 	// keys up front — a transfer knows both accounts — pre-declare its
 	// shard set and queue on its keys' latches; disabling them measures the
-	// undeclared path (shards join on first touch, no latches). No-ops on non-sharded engines
-	// either way.
+	// undeclared path (no latches). No-ops on non-sharded engines either
+	// way.
 	NoHints bool
 }
 

@@ -46,11 +46,10 @@
 //   - medley.NewQueue — Michael & Scott FIFO queue (internal/structures/msqueue)
 //
 // All maps implement the shared Map interface. Structures that take part in
-// the same transactions normally share a TxManager. Structures of two
-// managers compose as well: the second manager's session enters the open
-// transaction of the first with s2.TxJoin(s1), runs its operations like any
-// other session, and s1.TxEnd commits both on one descriptor — which is how
-// the sharded engines of internal/txengine span shards.
+// the same transactions must share a TxManager (the paper's Fig. 1): a
+// transaction is one descriptor on one session of it, however many structures
+// it touches — the shards of internal/txengine's sharded engines, which
+// partition data and devices under one manager, included.
 //
 // # Persistence (txMontage)
 //
