@@ -5,8 +5,11 @@
 // runtime, where the batch scheduler's footprint hints let cross-shard
 // transactions lock their shard set up front.
 //
-// Each connection gets a dedicated engine session and a FIFO request queue
-// (the server side of the client's pipelining window). A token-based
+// Each connection gets one goroutine and a dedicated engine session, and is
+// served a burst at a time: one read takes what the client has pipelined (at
+// most -queue requests, the server side of the client's pipelining window),
+// one ordered pass over the engine answers it, one write returns the
+// responses. A token-based
 // admission controller sheds excess load with an explicit RETRY status
 // instead of queueing toward collapse. On engines with a snapshot tier,
 // read-only work — Gets and all-Read Txn batches — is served through the
@@ -53,7 +56,7 @@ func main() {
 	batch := flag.Int("batch", 0, "max adjacent single-op requests coalesced into one hinted transaction (0: default; 1: off)")
 	tokens := flag.Int("tokens", 0, "admission tokens: concurrent executing batches (0: 4×GOMAXPROCS)")
 	admitWait := flag.Duration("admitwait", 0, "how long a batch waits for admission before RETRY (0: default; negative: shed immediately)")
-	queue := flag.Int("queue", 0, "per-connection pipelining queue depth (0: default)")
+	queue := flag.Int("queue", 0, "most requests one connection is served per burst — one read, one pass over the engine, one write (0: default)")
 	grace := flag.Duration("grace", 0, "drain grace for in-flight requests (0: default)")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
 	noReadLane := flag.Bool("noreadlane", false, "disable the snapshot read fast lane (A/B control: every request runs OCC)")

@@ -13,7 +13,9 @@
 //     panic models the process dying at that instant; tests recover it at
 //     the top of the "run" (AsCrash), abandon the wounded engine exactly as
 //     a restart would, and drive recovery from the surviving media.
-//   - Delay: sleep, modelling a stall (slow media, scheduling hiccup).
+//   - Delay: run the fault's Action, if any, then sleep, modelling a stall
+//     (slow media, scheduling hiccup). A zero delay with an Action is a
+//     test's hook at that instant of the protocol.
 //   - Error: return an injected error from Point.Hit. Sites without an error
 //     channel (e.g. a write-back that returns nothing) ignore it.
 //   - Torn: truncation injection for byte-stream sites. Point.Torn(n)
@@ -47,7 +49,7 @@ type Kind uint8
 const (
 	// Crash runs Fault.Action, then panics with a *CrashPanic.
 	Crash Kind = iota + 1
-	// Delay sleeps Fault.Delay.
+	// Delay runs Fault.Action, if set, then sleeps Fault.Delay.
 	Delay
 	// Error makes Point.Hit return Fault.Err.
 	Error
@@ -75,7 +77,7 @@ type Fault struct {
 	Kind   Kind
 	Delay  time.Duration // Delay: how long to sleep
 	Err    error         // Error: what Hit returns
-	Action func()        // Crash: run before panicking (e.g. crash a device fleet)
+	Action func()        // Crash: run before panicking (e.g. crash a device fleet); Delay: run before sleeping
 	After  int           // skip the first After hits
 	Every  int           // then fire every Every-th eligible hit (0 or 1: every one)
 	Times  int           // fire at most Times times (0: unlimited)
@@ -253,6 +255,9 @@ func (p *Point) hit() error {
 		}
 		panic(&CrashPanic{Point: p.name})
 	case Delay:
+		if a.Action != nil {
+			a.Action()
+		}
 		time.Sleep(a.Delay)
 	case Error:
 		return a.Err

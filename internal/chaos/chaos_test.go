@@ -74,7 +74,8 @@ func TestCrashFaultPanicsAfterAction(t *testing.T) {
 
 func TestDelayFault(t *testing.T) {
 	p := pt(t, "delay")
-	if err := Arm(p.Name(), Fault{Kind: Delay, Delay: 20 * time.Millisecond}); err != nil {
+	ran := false
+	if err := Arm(p.Name(), Fault{Kind: Delay, Delay: 20 * time.Millisecond, Action: func() { ran = true }}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -83,6 +84,9 @@ func TestDelayFault(t *testing.T) {
 	}
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("delay fault slept only %v", d)
+	}
+	if !ran {
+		t.Fatal("delay Action (a test's hook at the point) did not run")
 	}
 }
 

@@ -34,8 +34,8 @@ func BenchmarkDecodeRequestGet(b *testing.B) {
 }
 
 // BenchmarkDecodeRequestTxn contrasts the allocating decode (fresh op slice
-// per transaction) with the reusing decode the server's read loop runs
-// (pooled storage, zero steady-state allocs).
+// per transaction) with the reusing decode the server's burst loop runs
+// (each burst slot keeps its op storage: zero steady-state allocs).
 func BenchmarkDecodeRequestTxn(b *testing.B) {
 	ops := []TxnOp{
 		{Kind: TxnRead, Key: 1},

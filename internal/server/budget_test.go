@@ -1,0 +1,128 @@
+package server
+
+import (
+	"bufio"
+	"encoding/binary"
+	"net"
+	"runtime"
+	"testing"
+
+	"medley/internal/txengine"
+)
+
+// Deterministic allocation budgets for the serving tier: what ONE request
+// costs the server, in allocations and bytes, on medley-sharded — measured
+// over the in-memory listener as a process-wide malloc delta across a few
+// thousand synchronous round trips, with what the client and the pipe
+// allocate (the same round trips against a stub that answers from canned
+// bytes) subtracted. What is left is the engine's transaction (priced in
+// internal/core/budget_test.go) plus whatever the server adds per request —
+// which is nothing: the burst, its op storage, the frame, key, result and
+// response buffers all belong to the connection.
+
+// perRequest reports allocations and bytes per call of f, process-wide.
+func perRequest(n int, f func(i int)) (allocs, bytes float64) {
+	for i := 0; i < 64; i++ {
+		f(i) // grow every scratch buffer to its steady state
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		f(64 + i)
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(n), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+}
+
+// stubServe answers every request frame on c with a canned OK, allocating
+// nothing per request: the client's and the pipe's own share of a round trip.
+func stubServe(c net.Conn) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	var buf, out []byte
+	var resp Response
+	for {
+		body, err := ReadFrame(br, buf)
+		if err != nil {
+			return
+		}
+		buf = body
+		resp = Response{ID: binary.BigEndian.Uint64(body), Op: body[8], Status: StatusOK}
+		out = AppendResponse(out[:0], &resp)
+		if _, err := c.Write(out); err != nil {
+			return
+		}
+	}
+}
+
+func TestBudgetServe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const (
+		n    = 4000
+		keys = 1024
+	)
+	transfer := make([]TxnOp, 4)
+	cases := []struct {
+		name   string
+		opts   Options
+		do     func(c *Conn, i int) (*Response, error)
+		allocs float64 // ceilings, set from the measured values beside them
+		bytes  float64
+	}{
+		// A snapshot read allocates nothing, and neither does the lane.
+		{"get via lane", Options{}, func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }, 0.02, 4},
+		// An OCC Get is a standalone read: no descriptor.
+		{"get via occ", Options{NoReadLane: true}, func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }, 0.02, 4},
+		// An overwriting Put, auto-committed: measured 5.01 allocations, 184 B
+		// (node 48 + two cells 2×32 + snapshot version 32 + the tier's
+		// amortized slot arrays).
+		{"put", Options{}, func(c *Conn, i int) (*Response, error) { return c.Put(uint64(i%keys), uint64(i)) }, 5.05, 190},
+		// Read + two Adds + a stamp write, the txload/benchmark transfer:
+		// measured 19.1 allocations, 808 B.
+		{"4-op transfer txn", Options{}, func(c *Conn, i int) (*Response, error) {
+			a, b := uint64(i%keys), uint64((i+7)%keys)
+			transfer[0] = TxnOp{Kind: TxnRead, Key: a}
+			transfer[1] = AddDelta(a, -1)
+			transfer[2] = AddDelta(b, +1)
+			transfer[3] = TxnOp{Kind: TxnWrite, Key: keys + uint64(i%8), Arg: uint64(i)}
+			return c.Txn(transfer)
+		}, 19.3, 820},
+	}
+
+	// The client's own share: the same client over the same pipe against the
+	// stub.
+	scl, ssv := net.Pipe()
+	go stubServe(ssv)
+	stub := &Conn{c: scl, br: bufio.NewReaderSize(scl, 64<<10)}
+	defer stub.Close()
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, tc.opts)
+			cl, _ := ln.dial(t)
+			c := &Conn{c: cl, br: bufio.NewReaderSize(cl, 64<<10)}
+			for k := uint64(0); k < keys+8; k++ {
+				if r, err := c.Put(k, 1<<40); err != nil || !r.OK() {
+					t.Fatalf("seed %d: %+v, %v", k, r, err)
+				}
+			}
+			round := func(c *Conn) func(int) {
+				return func(i int) {
+					if r, err := tc.do(c, i); err != nil || !r.OK() {
+						t.Fatalf("request %d: %+v, %v", i, r, err)
+					}
+				}
+			}
+			clientAllocs, clientBytes := perRequest(n, round(stub))
+			allocs, bytes := perRequest(n, round(c))
+			allocs, bytes = allocs-clientAllocs, bytes-clientBytes
+			t.Logf("%.3f allocations, %.1f B per request (client's own %.3f, %.1f B subtracted)", allocs, bytes, clientAllocs, clientBytes)
+			if allocs > tc.allocs || bytes > tc.bytes {
+				t.Errorf("%.3f allocations, %.1f B per request; budget %.2f, %.0f B", allocs, bytes, tc.allocs, tc.bytes)
+			}
+		})
+	}
+}

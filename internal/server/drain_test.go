@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -29,31 +28,14 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 	)
 	spec := txengine.MapSpec{Kind: txengine.KindHash, Buckets: 1 << 10}
 
-	eng, err := txengine.Build("txmontage-sharded", txengine.Config{
+	s, addr := startServer(t, "txmontage-sharded", txengine.Config{
 		Latencies: pnvm.DefaultLatencies(), Shards: shards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := eng.(txengine.Persister)
+	}, Options{MapSpec: spec, BatchMax: 8, DrainGrace: 300 * time.Millisecond})
+	p, ok := s.Engine().(txengine.Persister)
 	if !ok || len(p.Devices()) != shards {
 		t.Fatalf("engine is not a %d-device persister", shards)
 	}
 	devs := p.Devices()
-
-	s, err := New(eng, Options{MapSpec: spec, CloseEngine: true, BatchMax: 8,
-		DrainGrace: 300 * time.Millisecond})
-	if err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-	addr := ln.Addr().String()
 
 	// Fund the accounts; all funding is acknowledged before traffic starts.
 	c0, err := Dial(addr, time.Second)
@@ -115,9 +97,6 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	s.Drain()
 	wg.Wait()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
 	mu.Lock()
 	nAcked := len(acked)
 	mu.Unlock()

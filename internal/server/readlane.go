@@ -12,8 +12,9 @@ import (
 // pinned cut can answer any number of read closures, pending reads from many
 // connections are combined into a single tier pin.
 //
-// The combining discipline is flat combining: each connection submits its
-// read run as a job to its assigned stripe; the first submitter to find the
+// The combining discipline is flat combining: each connection submits a read
+// run — the whole contiguous stretch of reads in its current burst, however
+// long — as one job to its assigned stripe; the first submitter to find the
 // stripe idle becomes the leader, drains every pending job under one
 // SnapshotReadBatch cut, keeps draining while new jobs arrive, then hands
 // the stripe back. Followers just enqueue and wait — no per-job engine
@@ -26,7 +27,7 @@ import (
 // per submission. The submitter owns batch/results/minTS before submit and
 // after done; the leader owns them in between.
 type readJob struct {
-	batch   []pendReq    // the read run: OpGets, or one all-Read OpTxn
+	batch   []pendReq    // the read run: OpGets and all-Read OpTxns
 	results []ReadResult // one entry per read, in request order
 	// minTS is the submitting connection's last write timestamp. If the
 	// pinned cut hasn't reached it (a concurrent writer elsewhere holds the
@@ -43,6 +44,13 @@ type combiner struct {
 	s  *Server
 	tx txengine.Tx
 
+	// The current wakeup, touched only by the leader. Fields rather than
+	// locals captured by a closure, and each bound to serve once, so a
+	// wakeup allocates nothing.
+	jobs   []*readJob
+	served uint64
+	each   func(i int, cut uint64)
+
 	mu      sync.Mutex
 	active  bool       // a leader is draining
 	pending []*readJob // jobs awaiting the leader
@@ -50,8 +58,8 @@ type combiner struct {
 }
 
 // readLane is the set of combiner stripes. Connections are assigned to
-// stripes round-robin at accept time: fewer stripes combine harder, more
-// stripes admit more read parallelism.
+// stripes round-robin by accept sequence number: fewer stripes combine
+// harder, more stripes admit more read parallelism.
 type readLane struct {
 	stripes []*combiner
 }
@@ -66,7 +74,9 @@ func newReadLane(s *Server, n int) *readLane {
 		if _, ok := tx.(txengine.SnapshotBatchReader); !ok {
 			return nil
 		}
-		l.stripes = append(l.stripes, &combiner{s: s, tx: tx})
+		cb := &combiner{s: s, tx: tx}
+		cb.each = cb.serve
+		l.stripes = append(l.stripes, cb)
 	}
 	return l
 }
@@ -109,28 +119,9 @@ func (cb *combiner) submit(j *readJob) {
 
 // run serves one wakeup's worth of jobs from a single pinned snapshot cut.
 func (cb *combiner) run(jobs []*readJob) {
-	served := uint64(0)
-	cut, ok := txengine.SnapshotReadBatch(cb.tx, len(jobs), func(i int, cut uint64) {
-		j := jobs[i]
-		if j.minTS > cut {
-			j.fallback = true
-			return
-		}
-		j.results = j.results[:0]
-		for bi := range j.batch {
-			r := &j.batch[bi].req
-			if r.Op == OpGet {
-				v, found := cb.s.m.Get(cb.tx, r.Key)
-				j.results = append(j.results, ReadResult{Found: found, Val: v})
-			} else {
-				for oi := range r.Ops {
-					v, found := cb.s.m.Get(cb.tx, r.Ops[oi].Key)
-					j.results = append(j.results, ReadResult{Found: found, Val: v})
-				}
-			}
-		}
-		served += uint64(len(j.batch))
-	})
+	cb.jobs, cb.served = jobs, 0
+	_, ok := txengine.SnapshotReadBatch(cb.tx, len(jobs), cb.each)
+	cb.jobs = nil
 	if !ok {
 		// No snapshot tier behind this session after all; OCC serves them.
 		for _, j := range jobs {
@@ -138,9 +129,31 @@ func (cb *combiner) run(jobs []*readJob) {
 		}
 		return
 	}
-	_ = cut
-	cb.s.cSnapServed.Add(served)
+	cb.s.cSnapServed.Add(cb.served)
 	if len(jobs) > 1 {
-		cb.s.cCombined.Add(served)
+		cb.s.cCombined.Add(cb.served)
 	}
+}
+
+// serve answers the wakeup's i-th job at the pinned cut.
+func (cb *combiner) serve(i int, cut uint64) {
+	j := cb.jobs[i]
+	if j.minTS > cut {
+		j.fallback = true
+		return
+	}
+	j.results = j.results[:0]
+	for bi := range j.batch {
+		r := &j.batch[bi].req
+		if r.Op == OpGet {
+			v, found := cb.s.m.Get(cb.tx, r.Key)
+			j.results = append(j.results, ReadResult{Found: found, Val: v})
+		} else {
+			for oi := range r.Ops {
+				v, found := cb.s.m.Get(cb.tx, r.Ops[oi].Key)
+				j.results = append(j.results, ReadResult{Found: found, Val: v})
+			}
+		}
+	}
+	cb.served += uint64(len(j.batch))
 }

@@ -14,12 +14,13 @@ import (
 	"medley/internal/txengine"
 )
 
-// Fault-injection points on the wire path. server.frame.read fires before
-// each frame read (error faults drop the connection as a failed read would);
-// server.frame.write fires at each response write — armed with a torn fault
-// it pushes a strict prefix of the encoded frames onto the wire and kills
-// the connection mid-frame, which is how the client retry tests manufacture
-// torn frames and forced reconnects.
+// Fault-injection points on the wire path. server.frame.read fires once per
+// request frame, before it is taken off the connection (error faults drop the
+// connection as a failed read would); server.frame.write fires once per
+// response write, which carries a whole burst — armed with a torn fault it
+// pushes a strict prefix of the encoded frames onto the wire and kills the
+// connection, which is how the client retry tests manufacture torn frames
+// and forced reconnects.
 var (
 	cpFrameRead  = chaos.At("server.frame.read")
 	cpFrameWrite = chaos.At("server.frame.write")
@@ -33,8 +34,8 @@ type Options struct {
 	// one connection the scheduler coalesces into a single hinted
 	// transaction (0: DefaultBatchMax; 1: coalescing off). Coalescing
 	// amortizes admission, scheduling, and commit overhead across the
-	// batch; because members come from one connection's FIFO, program
-	// order per connection is preserved.
+	// batch; because members are adjacent in one connection's burst,
+	// program order per connection is preserved.
 	BatchMax int
 	// Tokens is the admission controller's token count: the number of
 	// request batches allowed to execute on the engine concurrently
@@ -46,10 +47,11 @@ type Options struct {
 	// AdmitWait is how long a batch may wait for an admission token before
 	// being shed (0: DefaultAdmitWait; negative: shed immediately).
 	AdmitWait time.Duration
-	// QueueDepth is the per-connection decoded-request queue — the server
-	// side of the pipelining window (0: DefaultQueueDepth). A full queue
-	// blocks the connection's reader, pushing back on the client through
-	// TCP flow control rather than buffering unboundedly.
+	// QueueDepth is the most requests a connection decodes into one burst —
+	// the server side of the pipelining window (0: DefaultQueueDepth).
+	// Whatever the client pipelined beyond it stays in the socket until the
+	// burst is executed and answered, pushing back on the client through TCP
+	// flow control rather than buffering unboundedly.
 	QueueDepth int
 	// DrainGrace bounds how long Drain waits for each connection's
 	// in-flight requests (0: DefaultDrainGrace). Requests arriving after
@@ -73,13 +75,13 @@ type Options struct {
 	ReadCombiners int
 	// IdleTimeout closes a connection whose next frame does not arrive
 	// within it (0: no idle limit), so a hung or vanished client cannot pin
-	// its engine session and reader/processor goroutines forever. The
-	// deadline is re-armed before each frame read and suspended once drain
-	// begins — drain's own absolute deadline (DrainGrace) takes over.
+	// its engine session and goroutine forever. The deadline is re-armed
+	// before each blocking read and suspended once drain begins — drain's
+	// own absolute deadline (DrainGrace) takes over.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write/flush (0: no limit): a client
-	// that stops reading while the server still owes it responses is cut
-	// off instead of blocking the processor on TCP backpressure forever.
+	// WriteTimeout bounds each response write (0: no limit): a client that
+	// stops reading while the server still owes it responses is cut off
+	// instead of blocking its connection on TCP backpressure forever.
 	// Suspended during drain, like IdleTimeout.
 	WriteTimeout time.Duration
 }
@@ -157,11 +159,11 @@ type Counters struct {
 }
 
 // Server serves the wire protocol over one hosted transactional map on one
-// engine. Each connection gets a dedicated engine session (Tx handle) and a
-// FIFO request queue; responses are written in request order. On engines
-// with CapSnapshot, read-only work — Gets and all-Read Txn batches — is
-// routed through the read fast lane (see readlane.go) unless
-// Options.NoReadLane.
+// engine. Each connection gets one goroutine and a dedicated engine session
+// (Tx handle), and is served a burst at a time (see handle); responses are
+// written in request order. On engines with CapSnapshot, read-only work —
+// Gets and all-Read Txn batches — is routed through the read fast lane (see
+// readlane.go) unless Options.NoReadLane.
 type Server struct {
 	eng  txengine.Engine
 	m    txengine.Map[uint64]
@@ -269,8 +271,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		s.cConns.Add(1)
-		go s.handle(c)
+		// The accept sequence number picks the connection's combiner stripe;
+		// it is taken here, not read back in handle, so that connections
+		// accepted back to back land on different stripes.
+		go s.handle(c, s.cConns.Add(1))
 	}
 }
 
@@ -305,23 +309,21 @@ func (s *Server) Drain() {
 	<-s.doneCh
 }
 
-// pendReq is one decoded request in a connection's queue. shed marks
-// requests that arrived after drain began: they flow through the processor
+// pendReq is one decoded request of a connection's burst. shed marks
+// requests decoded after drain began: they keep their place in the burst
 // (preserving response order) but are answered StatusDraining unexecuted.
 // read marks lane-eligible requests (OpGet, or OpTxn whose ops are all
-// TxnRead), classified once at decode time. ops is the pooled backing store
-// of req.Ops, recycled by the processor once the response is encoded.
+// TxnRead), classified once at decode time.
 type pendReq struct {
 	req  Request
-	ops  *[]TxnOp
 	shed bool
 	read bool
 }
 
-// opsPool recycles OpTxn op slices between the reader (which decodes into
-// them) and the processor (which returns them after responding), so a
-// steady transaction stream allocates no per-request op storage.
-var opsPool = sync.Pool{New: func() any { s := make([]TxnOp, 0, 16); return &s }}
+// keptOps is the largest op slice a burst slot keeps for its next request:
+// the common transaction decodes into storage its slot already owns, and one
+// huge Txn does not pin its slice for the life of the connection.
+const keptOps = 64
 
 // allRead reports whether every op of an OpTxn is a TxnRead.
 func allRead(ops []TxnOp) bool {
@@ -333,83 +335,20 @@ func allRead(ops []TxnOp) bool {
 	return true
 }
 
-func (s *Server) handle(c net.Conn) {
-	defer s.wg.Done()
-	defer c.Close()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
-	queue := make(chan pendReq, s.opts.queueDepth())
-	go s.readLoop(c, queue)
-	s.procLoop(c, queue)
-}
-
-// readLoop decodes frames into the connection's queue. Any read or decode
-// error ends the connection's input (the processor still answers everything
-// already queued); a full queue blocks here, which backpressures the client
-// through TCP flow control. With Options.IdleTimeout set, the read deadline
-// is re-armed per frame so an idle connection is closed rather than pinned;
-// once drain begins the re-arming stops and Drain's absolute deadline rules
-// (a reset racing the drain flag extends that one connection's bound by at
-// most the idle timeout).
-func (s *Server) readLoop(c net.Conn, queue chan<- pendReq) {
-	defer close(queue)
-	br := bufio.NewReaderSize(c, 64<<10)
-	idle := s.opts.IdleTimeout
-	var buf []byte
-	for {
-		if idle > 0 && !s.draining.Load() {
-			c.SetReadDeadline(time.Now().Add(idle))
-		}
-		if cpFrameRead.Hit() != nil {
-			return // injected input fault: the connection drops as on a failed read
-		}
-		body, err := ReadFrame(br, buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.draining.Load() {
-				s.cIdleClosed.Add(1)
-			}
-			return
-		}
-		buf = body
-		pr := pendReq{}
-		if len(body) > reqHeaderLen && body[8] == OpTxn {
-			// Transactions decode into pooled op storage; the processor
-			// returns it once the response is encoded.
-			pr.ops = opsPool.Get().(*[]TxnOp)
-			pr.req, err = DecodeRequestReuse(body, *pr.ops)
-			*pr.ops = pr.req.Ops[:0:cap(pr.req.Ops)]
-		} else {
-			pr.req, err = DecodeRequest(body)
-		}
-		if err != nil {
-			if pr.ops != nil {
-				opsPool.Put(pr.ops)
-			}
-			return
-		}
-		pr.read = pr.req.Op == OpGet || (pr.req.Op == OpTxn && allRead(pr.req.Ops))
-		s.cRequests.Add(1)
-		pr.shed = s.draining.Load()
-		queue <- pr
-	}
-}
-
-// proc is one connection's processor state: the dedicated engine session,
-// the read-lane stripe and reusable job, and every per-connection scratch
-// buffer the hot path reuses instead of allocating — request batches, hint
-// keys, read results, the encoded-response buffer, and a Response value
-// whose address is stable so encoding never escapes to the heap.
+// proc is one connection's state: the dedicated engine session, the
+// read-lane stripe and reusable job, and every scratch buffer the hot path
+// reuses instead of allocating — the burst, the blocking read's frame
+// buffer, hint keys, read results, the encoded-response buffer, and a
+// Response value whose address is stable so encoding never escapes to the
+// heap.
 type proc struct {
 	s     *Server
 	tx    txengine.Tx
 	comb  *combiner // read-lane stripe; nil when the lane is off
 	timer *time.Timer
 
-	batch   []pendReq
+	burst   []pendReq // cap is the queue depth; slots keep their op storage
+	rbuf    []byte
 	keys    []uint64
 	results []ReadResult
 	wbuf    []byte
@@ -422,180 +361,200 @@ type proc struct {
 	lastWriteTS uint64
 }
 
-// procLoop is the connection's processor: it dequeues requests, coalesces
-// adjacent single-ops into batches, classifies them read vs write, executes
-// read runs through the snapshot lane and everything else through admission
-// control on the connection's dedicated engine session, and writes responses
-// in request order. The output writer is flushed only when no request is
-// ready — pipelined bursts pay one syscall per burst, not per response.
-func (s *Server) procLoop(c net.Conn, queue <-chan pendReq) {
-	bw := bufio.NewWriterSize(c, 64<<10)
-	p := &proc{s: s, tx: s.eng.NewWorker(int(s.nextTid.Add(1)))}
+// handle serves one connection, one burst at a time: read what the client
+// has pipelined, answer it in one pass over the engine, push the responses
+// with one write. A read or decode error still answers everything decoded
+// before it, then closes. seq is the connection's accept sequence number.
+func (s *Server) handle(c net.Conn, seq uint64) {
+	defer s.wg.Done()
+	defer c.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+	}()
+	p := &proc{s: s, tx: s.eng.NewWorker(int(s.nextTid.Add(1))), burst: make([]pendReq, 0, s.opts.queueDepth())}
 	if s.lane != nil {
-		p.comb = s.lane.stripeFor(s.cConns.Load())
+		p.comb = s.lane.stripeFor(seq)
 		p.job.done = make(chan struct{}, 1)
 	}
 	p.timer = time.NewTimer(time.Hour)
 	if !p.timer.Stop() {
 		<-p.timer.C
 	}
-	batchMax := s.opts.batchMax()
-	var (
-		leftover *pendReq
-		holdover pendReq
-	)
+	br := bufio.NewReaderSize(c, 64<<10)
 	for {
-		var first pendReq
-		if leftover != nil {
-			first, leftover = *leftover, nil
-		} else {
-			// Nothing collected: flush buffered responses before blocking.
-			if bw.Buffered() > 0 {
-				if s.flushConn(c, bw) != nil {
-					s.discard(queue)
-					return
-				}
-			}
-			var ok bool
-			if first, ok = <-queue; !ok {
-				return
-			}
-		}
-		p.batch = append(p.batch[:0], first)
-		closed := false
-		if !first.shed && first.req.Op != OpTxn && batchMax > 1 {
-		collect:
-			for len(p.batch) < batchMax {
-				select {
-				case r, ok := <-queue:
-					if !ok {
-						closed = true
-						break collect
-					}
-					if r.shed || r.req.Op == OpTxn {
-						holdover = r
-						leftover = &holdover
-						break collect
-					}
-					p.batch = append(p.batch, r)
-				default:
-					break collect
-				}
-			}
-		}
-		p.exec(p.batch)
-		if len(p.wbuf) > 0 {
-			if !s.writeFrames(c, bw, p.wbuf) {
-				s.discard(queue)
+		err := p.readBurst(c, br)
+		if len(p.burst) > 0 {
+			s.cRequests.Add(uint64(len(p.burst)))
+			p.exec(p.burst, p.comb != nil)
+			if !s.writeFrames(c, p.wbuf) {
 				return
 			}
 			p.wbuf = p.wbuf[:0]
 		}
-		if closed {
-			s.flushConn(c, bw)
+		if err != nil {
 			return
 		}
 	}
 }
 
-// writeFrames pushes one exec round's encoded responses toward the wire,
-// honoring the write deadline and the frame-write fault point. A false
-// return means the connection must die: a real write error, an injected
-// error, or an injected torn write — for the latter a strict prefix of the
-// frame bytes is flushed onto the wire first, so the client sees a frame
-// truncated mid-body, exactly what a connection dying mid-send produces.
-func (s *Server) writeFrames(c net.Conn, bw *bufio.Writer, buf []byte) bool {
+// readBurst blocks for one frame, then takes every further frame that is
+// already whole in the read buffer, up to the queue depth. A frame that is
+// not whole yet — a split segment, or a Txn larger than the buffer — ends
+// the burst, so it never delays the answers to the requests before it: the
+// next call blocks for its remainder. So does a malformed length prefix,
+// which that blocking read then reports. Because every frame but the first
+// fits the read buffer beside its predecessors, a burst's responses are
+// bounded by about the buffer's size plus one maximal response.
+//
+// With Options.IdleTimeout set, the read deadline is re-armed before each
+// blocking read so an idle connection is closed rather than pinned; once
+// drain begins the re-arming stops and Drain's absolute deadline rules (a
+// reset racing the drain flag extends that one connection's bound by at most
+// the idle timeout).
+func (p *proc) readBurst(c net.Conn, br *bufio.Reader) error {
+	s := p.s
+	p.burst = p.burst[:0]
+	if idle := s.opts.IdleTimeout; idle > 0 && !s.draining.Load() {
+		c.SetReadDeadline(time.Now().Add(idle))
+	}
+	if err := cpFrameRead.Hit(); err != nil {
+		return err // injected input fault: the connection drops as on a failed read
+	}
+	body, err := ReadFrame(br, p.rbuf)
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() && !s.draining.Load() {
+			s.cIdleClosed.Add(1)
+		}
+		return err
+	}
+	p.rbuf = body
+	err = p.decode(body)
+	for err == nil && len(p.burst) < cap(p.burst) {
+		if body = bufferedFrame(br); body == nil {
+			break
+		}
+		if err = cpFrameRead.Hit(); err != nil {
+			break
+		}
+		err = p.decode(body) // in place: the request keeps no reference to body
+		br.Discard(4 + len(body))
+	}
+	return err
+}
+
+// decode appends one request to the burst, stamping shed at decode time: a
+// drain that begins mid-burst answers the rest of that burst StatusDraining,
+// in order.
+func (p *proc) decode(body []byte) error {
+	n := len(p.burst)
+	slot := &p.burst[:n+1][n]
+	ops := slot.req.Ops[:0]
+	if cap(ops) > keptOps {
+		ops = nil
+	}
+	req, err := DecodeRequestReuse(body, ops)
+	if err != nil {
+		return err
+	}
+	if req.Ops == nil {
+		req.Ops = ops // a single-op request leaves the slot's storage to the next Txn
+	}
+	*slot = pendReq{
+		req:  req,
+		shed: p.s.draining.Load(),
+		read: req.Op == OpGet || (req.Op == OpTxn && allRead(req.Ops)),
+	}
+	p.burst = p.burst[:n+1]
+	return nil
+}
+
+// writeFrames pushes one burst's encoded responses onto the wire with one
+// write, honoring the write deadline (suspended during drain, whose absolute
+// deadline already bounds the connection) and the frame-write fault point. A
+// false return means the connection must die: a real write error, an
+// injected error, or an injected torn write — for the latter a strict prefix
+// of the bytes goes out first, so the client sees the stream truncated,
+// exactly what a connection dying mid-send produces.
+func (s *Server) writeFrames(c net.Conn, buf []byte) bool {
 	if n, torn := cpFrameWrite.Torn(len(buf)); torn {
-		bw.Write(buf[:n])
-		bw.Flush()
-		// Close now, not via handle's deferred Close: the caller's discard
-		// waits on the readLoop, which would otherwise keep waiting on a
-		// healthy socket whose client is itself waiting for the rest of
-		// this frame.
-		c.Close()
+		c.Write(buf[:n])
 		return false
 	}
 	if cpFrameWrite.Hit() != nil {
-		c.Close()
 		return false
 	}
 	if wt := s.opts.WriteTimeout; wt > 0 && !s.draining.Load() {
 		c.SetWriteDeadline(time.Now().Add(wt))
 	}
-	_, err := bw.Write(buf)
+	_, err := c.Write(buf)
 	return err == nil
 }
 
-// flushConn flushes buffered responses under the write deadline (suspended
-// during drain, whose absolute deadline already bounds the connection).
-func (s *Server) flushConn(c net.Conn, bw *bufio.Writer) error {
-	if wt := s.opts.WriteTimeout; wt > 0 && !s.draining.Load() {
-		c.SetWriteDeadline(time.Now().Add(wt))
-	}
-	return bw.Flush()
-}
-
-// discard drains a connection's queue after its writer died, so the reader
-// (possibly blocked on a full queue) can observe its own error and exit.
-func (s *Server) discard(queue <-chan pendReq) {
-	for range queue {
-	}
-}
-
-// exec answers one collected batch, appending the responses to p.wbuf in
-// request order. With the read lane on, the batch is split into maximal
-// contiguous runs of reads vs writes: read runs go through the snapshot
-// combiner, everything else through the OCC path — executed strictly in
-// order, so a read following this connection's write observes it. Pooled
-// op storage is recycled at the end.
-func (p *proc) exec(batch []pendReq) {
-	switch {
-	case batch[0].shed:
-		p.s.cDrained.Add(uint64(len(batch)))
-		for i := range batch {
-			p.resp = Response{ID: batch[i].req.ID, Op: batch[i].req.Op, Status: StatusDraining}
-			p.wbuf = AppendResponse(p.wbuf, &p.resp)
-		}
-	case p.comb == nil:
-		p.execOCC(batch)
-	default:
-		for len(batch) > 0 {
-			n := 1
-			for n < len(batch) && batch[n].read == batch[0].read {
+// exec answers a burst, appending the responses to p.wbuf in request order.
+// It walks the burst as maximal runs, executed strictly in order so a read
+// following this connection's write observes it: shed requests are refused;
+// with the lane on, a contiguous stretch of reads of any length is one job
+// for the snapshot combiner (falling back, lane off, to the OCC path when the
+// cut trails this connection's own last write); an OpTxn runs alone; and
+// adjacent single-ops are coalesced, BatchMax at a time, into one hinted
+// transaction.
+func (p *proc) exec(burst []pendReq, lane bool) {
+	batchMax := p.s.opts.batchMax()
+	for len(burst) > 0 {
+		first, n := &burst[0], 1
+		switch {
+		case first.shed:
+			for n < len(burst) && burst[n].shed {
 				n++
 			}
-			if batch[0].read {
-				p.execLane(batch[:n])
-			} else {
-				p.execOCC(batch[:n])
+			p.s.cDrained.Add(uint64(n))
+			p.fail(burst[:n], StatusDraining, "")
+		case lane && first.read:
+			for n < len(burst) && burst[n].read && !burst[n].shed {
+				n++
 			}
-			batch = batch[n:]
+			if !p.execLane(burst[:n]) {
+				p.exec(burst[:n], false)
+			}
+		default:
+			if first.req.Op != OpTxn {
+				for n < len(burst) && n < batchMax && burst[n].req.Op != OpTxn &&
+					!burst[n].shed && !(lane && burst[n].read) {
+					n++
+				}
+			}
+			p.execOCC(burst[:n])
 		}
-	}
-	for i := range p.batch {
-		if p.batch[i].ops != nil {
-			opsPool.Put(p.batch[i].ops)
-			p.batch[i].ops = nil
-		}
+		burst = burst[n:]
 	}
 }
 
-// execLane serves one read run — adjacent Gets, or a single all-Read Txn —
-// through the connection's combiner stripe: the run is submitted as one job,
-// a leader drains every stripe connection's pending jobs into a single
-// pinned snapshot cut, and the results come back in j.results. A cut that
-// trails this connection's own last write (a concurrent writer elsewhere is
-// still sealing) falls the run back to the OCC path, preserving strict
-// read-your-writes.
-func (p *proc) execLane(run []pendReq) {
+// fail answers every request of batch with a status that carries no result.
+func (p *proc) fail(batch []pendReq, status byte, msg string) {
+	for i := range batch {
+		p.resp = Response{ID: batch[i].req.ID, Op: batch[i].req.Op, Status: status, Err: msg}
+		p.wbuf = AppendResponse(p.wbuf, &p.resp)
+	}
+}
+
+// execLane serves one read run — the burst's whole contiguous stretch of
+// Gets and all-Read Txns — through the connection's combiner stripe: the run
+// is submitted as one job, a leader drains every stripe connection's pending
+// jobs into a single pinned snapshot cut, and the results come back in
+// j.results. A cut that trails this connection's own last write (a
+// concurrent writer elsewhere is still sealing) serves nothing and reports
+// false, preserving strict read-your-writes.
+func (p *proc) execLane(run []pendReq) bool {
 	j := &p.job
 	j.batch = run
 	j.minTS = p.lastWriteTS
 	j.fallback = false
 	p.comb.submit(j)
 	if j.fallback {
-		p.execOCC(run)
-		return
+		return false
 	}
 	ri := 0
 	for i := range run {
@@ -610,6 +569,7 @@ func (p *proc) execLane(run []pendReq) {
 		}
 		p.wbuf = AppendResponse(p.wbuf, &p.resp)
 	}
+	return true
 }
 
 // execOCC runs one batch — a single request or several coalesced single-ops
@@ -666,25 +626,15 @@ func (p *proc) execOCC(batch []pendReq) {
 			p.wbuf = AppendResponse(p.wbuf, &p.resp)
 		}
 	case errors.Is(err, txengine.ErrBusinessAbort):
-		for i := range batch {
-			p.resp = Response{ID: batch[i].req.ID, Op: batch[i].req.Op, Status: StatusAborted}
-			p.wbuf = AppendResponse(p.wbuf, &p.resp)
-		}
+		p.fail(batch, StatusAborted, "")
 	default:
-		msg := err.Error()
-		for i := range batch {
-			p.resp = Response{ID: batch[i].req.ID, Op: batch[i].req.Op, Status: StatusErr, Err: msg}
-			p.wbuf = AppendResponse(p.wbuf, &p.resp)
-		}
+		p.fail(batch, StatusErr, err.Error())
 	}
 }
 
 func (p *proc) shed(batch []pendReq) {
 	p.s.cShed.Add(uint64(len(batch)))
-	for i := range batch {
-		p.resp = Response{ID: batch[i].req.ID, Op: batch[i].req.Op, Status: StatusRetry}
-		p.wbuf = AppendResponse(p.wbuf, &p.resp)
-	}
+	p.fail(batch, StatusRetry, "")
 }
 
 // execSingle runs one Get/Put as a standalone auto-committed operation —
@@ -703,7 +653,7 @@ func (p *proc) execSingle(r *Request) {
 // execBatch coalesces adjacent single-ops from one connection into a single
 // transaction with every key pre-declared, so sharded engines open the
 // batch's whole shard set (and latch exactly its keys) up front. One
-// admission token, one commit, one response flush for the whole batch.
+// admission token and one commit for the whole batch.
 func (p *proc) execBatch(batch []pendReq) error {
 	s := p.s
 	p.keys = p.keys[:0]

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,20 +14,31 @@ import (
 // drain.
 func startServer(t *testing.T, engine string, cfg txengine.Config, opts Options) (*Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	return serveOn(t, ln, engine, cfg, opts), ln.Addr().String()
+}
+
+// serveOn is startServer on a listener of the caller's choosing. Its cleanup
+// drains, checks Serve's verdict, and asserts that the goroutine count is
+// back to what it was before the engine was built: no connection, combiner
+// or engine goroutine outlives a drain.
+func serveOn(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, opts Options) *Server {
+	t.Helper()
+	before := runtime.NumGoroutine()
 	eng, err := txengine.Build(engine, cfg)
 	if err != nil {
+		ln.Close()
 		t.Fatalf("build %s: %v", engine, err)
 	}
 	opts.CloseEngine = true
 	s, err := New(eng, opts)
 	if err != nil {
 		eng.Close()
+		ln.Close()
 		t.Fatalf("server: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		t.Fatalf("listen: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
@@ -35,8 +47,25 @@ func startServer(t *testing.T, engine string, cfg txengine.Config, opts Options)
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
+		waitGoroutines(t, before)
 	})
-	return s, ln.Addr().String()
+	return s
+}
+
+// waitGoroutines fails the test unless the process's goroutine count comes
+// back down to at most want within a bounded wait (goroutines unwind
+// asynchronously after the close that ends them).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func dialT(t *testing.T, addr string) *Conn {
@@ -248,25 +277,8 @@ func TestServeAdmissionSheds(t *testing.T) {
 // StatusDraining (when they arrive in the grace window) or the connection
 // closes; either way the drain completes and acknowledged work is kept.
 func TestServeDrainRejectsNew(t *testing.T) {
-	eng, err := txengine.Build("medley", txengine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(eng, Options{CloseEngine: true, DrainGrace: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	c, err := Dial(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	s, addr := startServer(t, "medley", txengine.Config{}, Options{DrainGrace: 200 * time.Millisecond})
+	c := dialT(t, addr)
 	if r, err := c.Put(1, 1); err != nil || !r.OK() {
 		t.Fatalf("pre-drain put: %+v, %v", r, err)
 	}
@@ -292,13 +304,10 @@ func TestServeDrainRejectsNew(t *testing.T) {
 			t.Fatalf("post-drain put executed: %+v", r)
 		}
 	}
-	s.Drain() // blocks until fully drained
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
+	s.Drain()       // blocks until fully drained
 	_ = sawDraining // either rejection mode is correct; execution is not
 	// New connections are refused after drain.
-	if _, err := Dial(ln.Addr().String(), 0); err == nil {
+	if _, err := Dial(addr, 0); err == nil {
 		t.Fatal("dial succeeded after drain")
 	}
 }

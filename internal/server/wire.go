@@ -360,3 +360,21 @@ func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
+
+// bufferedFrame returns the body of br's next frame when the whole frame is
+// already buffered, without consuming it (the caller Discards 4+len(body)
+// once done with the bytes), and nil otherwise: an incomplete frame, or a
+// length prefix ReadFrame would reject — both are for a blocking ReadFrame to
+// wait for or report.
+func bufferedFrame(br *bufio.Reader) []byte {
+	if br.Buffered() < 4 {
+		return nil
+	}
+	hdr, _ := br.Peek(4)
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n == 0 || n > MaxFrame || br.Buffered() < 4+n {
+		return nil
+	}
+	frame, _ := br.Peek(4 + n)
+	return frame[4:]
+}
