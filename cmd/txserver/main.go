@@ -5,20 +5,20 @@
 // runtime, where the batch scheduler's footprint hints let cross-shard
 // transactions lock their shard set up front.
 //
-// Each connection gets one goroutine and a dedicated engine session, and is
-// served a burst at a time: one read takes what the client has pipelined (at
-// most -queue requests, the server side of the client's pipelining window),
-// one ordered pass over the engine answers it, one write returns the
-// responses. A token-based
+// Each connection gets one goroutine and an engine session of its own (handed
+// on to a later connection when it closes), and is served a burst at a time:
+// one read takes what the client has pipelined (at most -queue requests, the
+// server side of the client's pipelining window), one ordered pass over the
+// engine answers it, one write returns the responses. A token-based
 // admission controller sheds excess load with an explicit RETRY status
 // instead of queueing toward collapse. On engines with a snapshot tier,
 // read-only work — Gets and all-Read Txn batches — is served through the
-// read fast lane: cross-connection combiners answer many connections'
-// pending reads from one pinned snapshot cut, no OCC, no admission tokens
-// (-noreadlane reverts to the pure OCC path for A/B runs). SIGINT/SIGTERM
-// triggers a graceful drain: in-flight requests finish, new ones are
-// rejected with DRAINING, persistent engines sync a durable cut, and the
-// process exits 0.
+// read fast lane: each contiguous run of reads in a burst is answered from
+// one snapshot cut pinned by the connection's own session, no OCC, no
+// admission tokens, no waiting for any other connection (-noreadlane reverts
+// to the pure OCC path for A/B runs). SIGINT/SIGTERM triggers a graceful
+// drain: in-flight requests finish, new ones are rejected with DRAINING,
+// persistent engines sync a durable cut, and the process exits 0.
 //
 // Examples:
 //
@@ -40,6 +40,7 @@ import (
 	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -53,14 +54,13 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	engine := flag.String("engine", "medley-sharded", "registry engine to host (needs dynamic transactions; see medleybench -list)")
 	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
-	batch := flag.Int("batch", 0, "max adjacent single-op requests coalesced into one hinted transaction (0: default; 1: off)")
-	tokens := flag.Int("tokens", 0, "admission tokens: concurrent executing batches (0: 4×GOMAXPROCS)")
-	admitWait := flag.Duration("admitwait", 0, "how long a batch waits for admission before RETRY (0: default; negative: shed immediately)")
-	queue := flag.Int("queue", 0, "most requests one connection is served per burst — one read, one pass over the engine, one write (0: default)")
-	grace := flag.Duration("grace", 0, "drain grace for in-flight requests (0: default)")
+	batch := flag.Int("batch", server.DefaultBatchMax, "max adjacent single-op requests coalesced into one hinted transaction (1: off)")
+	tokens := flag.Int("tokens", 4*runtime.GOMAXPROCS(0), "admission tokens: concurrent executing batches")
+	admitWait := flag.Duration("admitwait", server.DefaultAdmitWait, "how long a batch waits for admission before RETRY (negative: shed immediately)")
+	queue := flag.Int("queue", server.DefaultQueueDepth, "most requests one connection is served per burst — one read, one pass over the engine, one write")
+	grace := flag.Duration("grace", server.DefaultDrainGrace, "drain grace for in-flight requests")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
 	noReadLane := flag.Bool("noreadlane", false, "disable the snapshot read fast lane (A/B control: every request runs OCC)")
-	combiners := flag.Int("combiners", 0, "read-lane combiner stripes (0: host-sized default)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this between frames (0: never)")
 	writeTimeout := flag.Duration("writetimeout", 0, "per-response write deadline (0: none)")
 	chaosSpecs := flag.String("chaos", os.Getenv("MEDLEY_CHAOS"),
@@ -103,7 +103,7 @@ func main() {
 	s, err := server.New(eng, server.Options{
 		BatchMax: *batch, Tokens: *tokens, AdmitWait: *admitWait,
 		QueueDepth: *queue, DrainGrace: *grace,
-		NoReadLane: *noReadLane, ReadCombiners: *combiners,
+		NoReadLane:  *noReadLane,
 		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 	})
 	if err != nil {
@@ -150,8 +150,7 @@ func main() {
 		st.Commits, st.Aborts, st.Retries, st.FootprintHits, st.LatchWaits)
 	fmt.Printf("txserver: server conns=%d requests=%d shed=%d drained=%d idleclosed=%d batches=%d batchedops=%d\n",
 		c.Conns, c.Requests, c.Shed, c.Drained, c.IdleClosed, c.Batches, c.BatchedOps)
-	fmt.Printf("txserver: readlane snapserved=%d combined=%d occserved=%d\n",
-		c.SnapServed, c.Combined, c.OCCServed)
+	fmt.Printf("txserver: readlane snapserved=%d occserved=%d\n", c.SnapServed, c.OCCServed)
 	eng.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -445,59 +445,3 @@ func TestServeGoroutines(t *testing.T) {
 		})
 	}
 }
-
-// TestReadLaneStripeAssignment: a connection's combiner stripe comes from
-// its accept sequence number, so N connections accepted back to back spread
-// ⌈N/2⌉/⌊N/2⌋ over two stripes — not from a counter read back later, which
-// let neighbours share a stripe while another stayed empty.
-func TestReadLaneStripeAssignment(t *testing.T) {
-	const n = 9
-	ln := newPipeListener()
-	clients := make([]net.Conn, n)
-	for i := range clients {
-		clients[i], _ = ln.dial(t) // queued: Serve has not started, so all n are accepted back to back
-	}
-	s := serveOn(t, ln, "medley-sharded", txengine.Config{Shards: 2}, Options{ReadCombiners: 2})
-	if s.lane == nil || len(s.lane.stripes) != 2 {
-		t.Fatal("want a read lane of two stripes")
-	}
-	// Hold both stripes' leadership so every connection's read parks on its
-	// stripe's pending list, where it can be counted.
-	for _, cb := range s.lane.stripes {
-		cb.mu.Lock()
-		cb.active = true
-		cb.mu.Unlock()
-	}
-	for _, cl := range clients {
-		mustWrite(t, cl, frames(get(1)))
-	}
-	occupancy := func() (a, b int) {
-		var parked [2]int
-		for i, cb := range s.lane.stripes {
-			cb.mu.Lock()
-			parked[i] = len(cb.pending)
-			cb.mu.Unlock()
-		}
-		return parked[0], parked[1]
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	a, b := occupancy()
-	for a+b < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		a, b = occupancy()
-	}
-	if max(a, b) != (n+1)/2 || min(a, b) != n/2 {
-		t.Errorf("stripe occupancy %d/%d for %d connections, want %d/%d", a, b, n, (n+1)/2, n/2)
-	}
-	// Hand the stripes back: a leader's submission drains the parked jobs.
-	for _, cb := range s.lane.stripes {
-		cb.mu.Lock()
-		cb.active = false
-		cb.mu.Unlock()
-		cb.submit(&readJob{done: make(chan struct{}, 1)})
-	}
-	for _, cl := range clients {
-		expect(t, bufio.NewReader(cl), 1, okResp(false, 0))
-		cl.Close() // now, not in cleanup: the drain registered after the dials runs before it
-	}
-}

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bufio"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"medley/internal/txengine"
 )
@@ -152,128 +156,171 @@ func TestReadLaneNeverTorn(t *testing.T) {
 // TestReadLaneReadYourWrites: a connection that just wrote a key must see
 // that write through the lane immediately, even while concurrent writers on
 // other keys hold the snapshot seal back (the lane falls such reads back to
-// OCC rather than serve a stale cut).
+// OCC rather than serve a stale cut). Every checking connection pins its own
+// cuts and compares them with its own last write, so the property is checked
+// with 1, 4 and 16 of them at once.
 func TestReadLaneReadYourWrites(t *testing.T) {
-	s, addr := startServer(t, "medley", txengine.Config{}, Options{})
-	if !s.ReadLaneEnabled() {
-		t.Fatal("read lane should be on")
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := Dial(addr, 0)
-			if err != nil {
-				return
+	for _, checkers := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("%d checkers", checkers), func(t *testing.T) {
+			s, addr := startServer(t, "medley", txengine.Config{}, Options{})
+			if !s.ReadLaneEnabled() {
+				t.Fatal("read lane should be on")
 			}
-			defer c.Close()
-			for i := uint64(0); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				c.Put(1000+uint64(w), i)
-			}
-		}(w)
-	}
 
-	c := dialT(t, addr)
-	for i := uint64(1); i <= 300; i++ {
-		if r, err := c.Put(7, i); err != nil || r.Status == StatusErr {
-			t.Fatalf("put %d: %+v, %v", i, r, err)
-		}
-		r, err := c.Get(7)
-		if err != nil || r.Status == StatusErr {
-			t.Fatalf("get %d: %+v, %v", i, r, err)
-		}
-		if r.OK() && (!r.Found || r.Val != i) {
-			t.Fatalf("read-your-writes violated: wrote %d, read %+v", i, r)
-		}
+			stop := make(chan struct{})
+			var writers, wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					c, err := Dial(addr, 0)
+					if err != nil {
+						return
+					}
+					defer c.Close()
+					// Pipelined, so that the server is inside a commit — the
+					// seal held back — most of the time.
+					for i := uint64(0); ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for k := uint64(0); k < 16; k++ {
+							c.SendPut(1000+16*uint64(w)+k, i)
+						}
+						if c.Flush() != nil {
+							return
+						}
+						for k := 0; k < 16; k++ {
+							if _, err := c.Recv(); err != nil {
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			for ck := 0; ck < checkers; ck++ {
+				wg.Add(1)
+				go func(key uint64) {
+					defer wg.Done()
+					c, err := Dial(addr, time.Second)
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					defer c.Close()
+					for i := uint64(1); i <= 1000; i++ {
+						if r, err := c.Put(key, i); err != nil || r.Status == StatusErr {
+							t.Errorf("key %d put %d: %+v, %v", key, i, r, err)
+							return
+						}
+						r, err := c.Get(key)
+						if err != nil || r.Status == StatusErr {
+							t.Errorf("key %d get %d: %+v, %v", key, i, r, err)
+							return
+						}
+						if r.OK() && (!r.Found || r.Val != i) {
+							t.Errorf("read-your-writes violated on key %d: wrote %d, read %+v", key, i, r)
+							return
+						}
+					}
+				}(uint64(ck))
+			}
+			wg.Wait()
+			close(stop)
+			writers.Wait()
+		})
 	}
-	close(stop)
-	wg.Wait()
 }
 
-// TestReadLaneCombines pins the flat-combining mechanics deterministically:
-// two follower jobs are staged on the stripe's pending queue, then a third
-// submission takes leadership and must drain all three under one wakeup —
-// every request counts as combined, every job gets its results, and the
-// jobs of dead-to-be connections are released from the scratch array.
-func TestReadLaneCombines(t *testing.T) {
-	eng, err := txengine.Build("medley", txengine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(eng, Options{CloseEngine: true, ReadCombiners: 1})
-	if err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Drain)
-	if !s.ReadLaneEnabled() || len(s.lane.stripes) != 1 {
-		t.Fatalf("want one combiner stripe, have lane=%v", s.ReadLaneEnabled())
-	}
-	seed := eng.NewWorker(99)
-	if err := seed.Run(func() error {
-		for k := uint64(0); k < 8; k++ {
-			s.m.Put(seed, k, 100+k)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+// parkingMap is the hosted map, except that the first Get of key parks until
+// released: a connection descheduled in the middle of its read run.
+type parkingMap struct {
+	txengine.Map[uint64]
+	key        uint64
+	once, open sync.Once
+	parked     chan struct{} // closed once the Get has parked
+	gate       chan struct{} // closed by release
+}
 
-	mkJob := func(keys ...uint64) *readJob {
-		j := &readJob{done: make(chan struct{}, 1)}
-		for _, k := range keys {
-			j.batch = append(j.batch, pendReq{req: Request{Op: OpGet, Key: k}, read: true})
-		}
-		return j
-	}
-	cb := s.lane.stripes[0]
-	followers := []*readJob{mkJob(0, 1), mkJob(2, 3, 4)}
-	cb.mu.Lock()
-	cb.pending = append(cb.pending, followers...)
-	cb.mu.Unlock()
+// parkGetsOf puts a parkingMap for key in front of s's map. Call it before
+// the first dial, so that every connection's goroutine starts after the swap.
+// The parked Get is released when the test ends at the latest: a failure must
+// not leave a connection parked under the drain.
+func parkGetsOf(t *testing.T, s *Server, key uint64) *parkingMap {
+	m := &parkingMap{Map: s.m, key: key, parked: make(chan struct{}), gate: make(chan struct{})}
+	t.Cleanup(m.release)
+	s.m = m
+	return m
+}
 
-	leader := mkJob(5, 6)
-	cb.submit(leader) // drains the staged followers and itself in one wakeup
+// release lets the parked Get go on; calling it again is harmless.
+func (m *parkingMap) release() { m.open.Do(func() { close(m.gate) }) }
 
-	total := 0
-	for _, j := range append(followers, leader) {
-		select {
-		case <-j.done:
-		default:
-			if j != leader {
-				t.Fatal("follower job not signalled")
-			}
-		}
-		if j.fallback {
-			t.Fatal("job fell back with no writer churn")
-		}
-		if len(j.results) != len(j.batch) {
-			t.Fatalf("job got %d results for %d gets", len(j.results), len(j.batch))
-		}
-		for i, res := range j.results {
-			if want := 100 + j.batch[i].req.Key; !res.Found || res.Val != want {
-				t.Fatalf("get %d: %+v, want %d", j.batch[i].req.Key, res, want)
-			}
-		}
-		total += len(j.batch)
+func (m *parkingMap) Get(tx txengine.Tx, k uint64) (uint64, bool) {
+	if k == m.key {
+		m.once.Do(func() {
+			close(m.parked)
+			<-m.gate
+		})
 	}
-	got := s.Counters()
-	if got.SnapServed != uint64(total) || got.Combined != uint64(total) {
-		t.Fatalf("want %d snap-served and combined, got %+v", total, got)
+	return m.Map.Get(tx, k)
+}
+
+// await blocks until a connection has parked.
+func (m *parkingMap) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-m.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no connection reached the parking Get")
 	}
-	for _, slot := range cb.scratch[:cap(cb.scratch)] {
-		if slot != nil {
-			t.Fatal("drained wakeup retains job references")
+}
+
+// TestReadLaneRunsAreIndependent: a read run is served by the connection that
+// owns it, from a cut its own session pins, so a connection stalled inside
+// its run holds up nobody. Connection A parks in the middle of a run; while
+// it is parked connection B's Gets, all-Read Txn and Put are all answered;
+// released, A answers in order and from the cut it pinned before B wrote.
+func TestReadLaneRunsAreIndependent(t *testing.T) {
+	const parkKey = 9
+	s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, Options{})
+	pm := parkGetsOf(t, s, parkKey)
+
+	// readTxn reads the next response off br as an all-Read Txn's.
+	readTxn := func(br *bufio.Reader, id uint64, reads ...ReadResult) {
+		t.Helper()
+		var resp Response
+		body, err := ReadFrame(br, nil)
+		if err == nil {
+			err = DecodeResponse(body, &resp)
+		}
+		if err != nil || resp.ID != id || !resp.OK() || !slices.Equal(resp.Reads, reads) {
+			t.Fatalf("txn response: id %d status %d reads %+v, %v; want id %d reads %+v", resp.ID, resp.Status, resp.Reads, err, id, reads)
 		}
 	}
+	audit := Request{Op: OpTxn, Ops: []TxnOp{{Kind: TxnRead, Key: 1}, {Kind: TxnRead, Key: 2}}}
+
+	seed, _ := ln.dial(t)
+	mustWrite(t, seed, frames(put(1, 100), put(2, 200), put(parkKey, 300)))
+	expect(t, bufio.NewReader(seed), 1, okResp(false, 0), okResp(false, 0), okResp(false, 0))
+
+	a, _ := ln.dial(t)
+	mustWrite(t, a, frames(get(1), get(parkKey), get(2), audit))
+	pm.await(t)
+
+	b, _ := ln.dial(t)
+	bbr := bufio.NewReader(b)
+	mustWrite(t, b, frames(get(1), get(2), audit, put(2, 201), get(2)))
+	expect(t, bbr, 1, okResp(true, 100), okResp(true, 200))
+	readTxn(bbr, 3, ReadResult{Found: true, Val: 100}, ReadResult{Found: true, Val: 200})
+	expect(t, bbr, 4, okResp(true, 200), okResp(true, 201))
+
+	pm.release()
+	abr := bufio.NewReader(a)
+	expect(t, abr, 1, okResp(true, 100), okResp(true, 300), okResp(true, 200))
+	readTxn(abr, 4, ReadResult{Found: true, Val: 100}, ReadResult{Found: true, Val: 200})
 }
 
 // TestReadLaneDisabled: the -noreadlane knob forces every read through the
@@ -289,8 +336,8 @@ func TestReadLaneDisabled(t *testing.T) {
 			t.Fatalf("get: %+v, %v", r, err)
 		}
 	}
-	if got := s.Counters(); got.SnapServed != 0 || got.Combined != 0 {
-		t.Fatalf("lane counters moved while disabled: %+v", got)
+	if got := s.Counters(); got.SnapServed != 0 {
+		t.Fatalf("lane counter moved while disabled: %+v", got)
 	}
 
 	s2, addr2 := startServer(t, "onefile", txengine.Config{}, Options{})

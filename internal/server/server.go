@@ -41,8 +41,9 @@ type Options struct {
 	// request batches allowed to execute on the engine concurrently
 	// (0: 4×GOMAXPROCS). Requests beyond it wait up to AdmitWait and are
 	// then shed with StatusRetry — bounded queueing instead of collapse.
-	// Read-lane batches bypass the tokens: the combiner executes at most
-	// one batch per stripe at a time, a strictly tighter bound.
+	// Read-lane runs bypass the tokens: a snapshot read takes no latch,
+	// validates nothing and cannot abort, so it never adds to the contention
+	// the tokens bound.
 	Tokens int
 	// AdmitWait is how long a batch may wait for an admission token before
 	// being shed (0: DefaultAdmitWait; negative: shed immediately).
@@ -68,11 +69,6 @@ type Options struct {
 	// lane existed. The A/B measurement knob (-noreadlane in txserver) and
 	// a kill switch. Engines without CapSnapshot never have the lane.
 	NoReadLane bool
-	// ReadCombiners is the read lane's combiner stripe count (0: a host-
-	// sized default). Each stripe drains the pending reads of its assigned
-	// connections into one pinned snapshot cut per wakeup; fewer stripes
-	// combine more aggressively, more stripes admit more read parallelism.
-	ReadCombiners int
 	// IdleTimeout closes a connection whose next frame does not arrive
 	// within it (0: no idle limit), so a hung or vanished client cannot pin
 	// its engine session and goroutine forever. The deadline is re-armed
@@ -129,13 +125,6 @@ func (o Options) drainGrace() time.Duration {
 	return DefaultDrainGrace
 }
 
-func (o Options) readCombiners() int {
-	if o.ReadCombiners > 0 {
-		return o.ReadCombiners
-	}
-	return max(1, min(4, runtime.GOMAXPROCS(0)/4))
-}
-
 func (o Options) mapSpec() txengine.MapSpec {
 	if o.MapSpec == (txengine.MapSpec{}) {
 		return txengine.MapSpec{Kind: txengine.KindHash, Buckets: 1 << 16}
@@ -153,22 +142,23 @@ type Counters struct {
 	Batches    uint64 // coalesced multi-op batches executed
 	BatchedOps uint64 // single-op requests executed inside those batches
 	SnapServed uint64 // requests answered from the snapshot read lane
-	Combined   uint64 // lane requests that shared their pinned cut with another connection
+	Combined   uint64 // always 0: no cut is shared between connections any more (benchmark/ still reads the field)
 	OCCServed  uint64 // requests answered StatusOK through the OCC path
 	IdleClosed uint64 // connections closed by the idle-timeout read deadline
 }
 
 // Server serves the wire protocol over one hosted transactional map on one
-// engine. Each connection gets one goroutine and a dedicated engine session
-// (Tx handle), and is served a burst at a time (see handle); responses are
-// written in request order. On engines with CapSnapshot, read-only work —
-// Gets and all-Read Txn batches — is routed through the read fast lane (see
-// readlane.go) unless Options.NoReadLane.
+// engine. Each connection gets one goroutine and, for as long as it lives, an
+// engine session (Tx handle) of its own, and is served a burst at a time (see
+// handle); responses are written in request order. On engines with
+// CapSnapshot, read-only work — Gets and all-Read Txn batches — is answered
+// from a snapshot cut the connection's own session pins (the read fast lane,
+// see execLane) unless Options.NoReadLane.
 type Server struct {
 	eng  txengine.Engine
 	m    txengine.Map[uint64]
 	opts Options
-	lane *readLane // nil: OCC path only
+	lane bool // false: OCC path only
 
 	tokens   chan struct{}
 	draining atomic.Bool
@@ -178,12 +168,16 @@ type Server struct {
 	mu    sync.Mutex
 	ln    net.Listener
 	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	// free holds the sessions of connections that have gone, for the next
+	// connections to take: an engine session cannot be released, and every one
+	// ever created is a slot that each commit and each snapshot pin walks.
+	free []txengine.Tx
+	wg   sync.WaitGroup
 
 	nextTid atomic.Int64
 
 	cConns, cRequests, cShed, cDrained, cBatches, cBatchedOps atomic.Uint64
-	cSnapServed, cCombined, cOCCServed, cIdleClosed           atomic.Uint64
+	cSnapServed, cOCCServed, cIdleClosed                      atomic.Uint64
 }
 
 // New builds a server over eng, creating the hosted map from opts.MapSpec.
@@ -208,9 +202,7 @@ func New(eng txengine.Engine, opts Options) (*Server, error) {
 	for i := 0; i < opts.tokens(); i++ {
 		s.tokens <- struct{}{}
 	}
-	if !opts.NoReadLane && eng.Caps().Has(txengine.CapSnapshot) {
-		s.lane = newReadLane(s, opts.readCombiners())
-	}
+	s.lane = !opts.NoReadLane && eng.Caps().Has(txengine.CapSnapshot)
 	return s, nil
 }
 
@@ -221,7 +213,7 @@ func (s *Server) Map() txengine.Map[uint64] { return s.m }
 func (s *Server) Engine() txengine.Engine { return s.eng }
 
 // ReadLaneEnabled reports whether the snapshot read fast lane is active.
-func (s *Server) ReadLaneEnabled() bool { return s.lane != nil }
+func (s *Server) ReadLaneEnabled() bool { return s.lane }
 
 // Counters snapshots the server-level counters.
 func (s *Server) Counters() Counters {
@@ -233,7 +225,6 @@ func (s *Server) Counters() Counters {
 		Batches:    s.cBatches.Load(),
 		BatchedOps: s.cBatchedOps.Load(),
 		SnapServed: s.cSnapServed.Load(),
-		Combined:   s.cCombined.Load(),
 		OCCServed:  s.cOCCServed.Load(),
 		IdleClosed: s.cIdleClosed.Load(),
 	}
@@ -271,10 +262,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		// The accept sequence number picks the connection's combiner stripe;
-		// it is taken here, not read back in handle, so that connections
-		// accepted back to back land on different stripes.
-		go s.handle(c, s.cConns.Add(1))
+		s.cConns.Add(1)
+		go s.handle(c)
 	}
 }
 
@@ -335,16 +324,14 @@ func allRead(ops []TxnOp) bool {
 	return true
 }
 
-// proc is one connection's state: the dedicated engine session, the
-// read-lane stripe and reusable job, and every scratch buffer the hot path
-// reuses instead of allocating — the burst, the blocking read's frame
-// buffer, hint keys, read results, the encoded-response buffer, and a
-// Response value whose address is stable so encoding never escapes to the
-// heap.
+// proc is one connection's state: the engine session it holds while it
+// lives, and every scratch buffer the hot path reuses instead of allocating —
+// the burst, the blocking read's frame buffer, hint keys, read results, the
+// encoded-response buffer, and a Response value whose address is stable so
+// encoding never escapes to the heap.
 type proc struct {
 	s     *Server
 	tx    txengine.Tx
-	comb  *combiner // read-lane stripe; nil when the lane is off
 	timer *time.Timer
 
 	burst   []pendReq // cap is the queue depth; slots keep their op storage
@@ -353,31 +340,51 @@ type proc struct {
 	results []ReadResult
 	wbuf    []byte
 	resp    Response
-	job     readJob
 
-	// lastWriteTS is the engine commit timestamp of this connection's most
-	// recent write; a snapshot cut must reach it before the lane may serve
-	// this connection's reads (read-your-writes — see execLane).
+	// The read run execLane is serving, and serveRun bound once: fields
+	// rather than locals captured by a closure, so a run allocates nothing.
+	run   []pendReq
+	serve func(i int, cut uint64)
+
+	// lastWriteTS is the engine commit timestamp of the most recent write
+	// through tx — this connection's, or a previous holder's of the session,
+	// which is merely conservative; a snapshot cut must reach it before the
+	// lane may serve this connection's reads (read-your-writes — see
+	// execLane).
 	lastWriteTS uint64
+}
+
+// session takes a session off the free list, or creates the engine's next.
+func (s *Server) session() txengine.Tx {
+	s.mu.Lock()
+	n := len(s.free)
+	if n == 0 {
+		s.mu.Unlock()
+		return s.eng.NewWorker(int(s.nextTid.Add(1)))
+	}
+	tx := s.free[n-1]
+	s.free = s.free[:n-1]
+	s.mu.Unlock()
+	return tx
 }
 
 // handle serves one connection, one burst at a time: read what the client
 // has pipelined, answer it in one pass over the engine, push the responses
 // with one write. A read or decode error still answers everything decoded
-// before it, then closes. seq is the connection's accept sequence number.
-func (s *Server) handle(c net.Conn, seq uint64) {
+// before it, then closes. The connection's session goes back on the free list
+// once the last burst has been executed.
+func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
+	p := &proc{s: s, tx: s.session(), burst: make([]pendReq, 0, s.opts.queueDepth())}
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
+		s.free = append(s.free, p.tx)
 		s.mu.Unlock()
 	}()
-	p := &proc{s: s, tx: s.eng.NewWorker(int(s.nextTid.Add(1))), burst: make([]pendReq, 0, s.opts.queueDepth())}
-	if s.lane != nil {
-		p.comb = s.lane.stripeFor(seq)
-		p.job.done = make(chan struct{}, 1)
-	}
+	p.serve = p.serveRun
+	p.lastWriteTS = txengine.LastCommitTS(p.tx)
 	p.timer = time.NewTimer(time.Hour)
 	if !p.timer.Stop() {
 		<-p.timer.C
@@ -387,7 +394,7 @@ func (s *Server) handle(c net.Conn, seq uint64) {
 		err := p.readBurst(c, br)
 		if len(p.burst) > 0 {
 			s.cRequests.Add(uint64(len(p.burst)))
-			p.exec(p.burst, p.comb != nil)
+			p.exec(p.burst, s.lane)
 			if !s.writeFrames(c, p.wbuf) {
 				return
 			}
@@ -496,11 +503,10 @@ func (s *Server) writeFrames(c net.Conn, buf []byte) bool {
 // exec answers a burst, appending the responses to p.wbuf in request order.
 // It walks the burst as maximal runs, executed strictly in order so a read
 // following this connection's write observes it: shed requests are refused;
-// with the lane on, a contiguous stretch of reads of any length is one job
-// for the snapshot combiner (falling back, lane off, to the OCC path when the
-// cut trails this connection's own last write); an OpTxn runs alone; and
-// adjacent single-ops are coalesced, BatchMax at a time, into one hinted
-// transaction.
+// with the lane on, a contiguous stretch of reads of any length is answered
+// from one snapshot cut (falling back, lane off, to the OCC path when the cut
+// trails this connection's own last write); an OpTxn runs alone; and adjacent
+// single-ops are coalesced, BatchMax at a time, into one hinted transaction.
 func (p *proc) exec(burst []pendReq, lane bool) {
 	batchMax := p.s.opts.batchMax()
 	for len(burst) > 0 {
@@ -541,35 +547,55 @@ func (p *proc) fail(batch []pendReq, status byte, msg string) {
 }
 
 // execLane serves one read run — the burst's whole contiguous stretch of
-// Gets and all-Read Txns — through the connection's combiner stripe: the run
-// is submitted as one job, a leader drains every stripe connection's pending
-// jobs into a single pinned snapshot cut, and the results come back in
-// j.results. A cut that trails this connection's own last write (a
-// concurrent writer elsewhere is still sealing) serves nothing and reports
-// false, preserving strict read-your-writes.
+// Gets and all-Read Txns — from one snapshot cut pinned on the connection's
+// own session: nothing validates, aborts or retries, no other connection is
+// waited for, and an all-Read Txn is never seen half-applied. The pin is taken
+// and released in here, so it is never held across socket I/O. A cut that
+// trails this connection's own last write (a concurrent writer elsewhere is
+// still sealing) serves nothing and reports false, preserving strict
+// read-your-writes; so does a session with no snapshot tier behind it.
 func (p *proc) execLane(run []pendReq) bool {
-	j := &p.job
-	j.batch = run
-	j.minTS = p.lastWriteTS
-	j.fallback = false
-	p.comb.submit(j)
-	if j.fallback {
+	p.run = run
+	cut, ok := txengine.SnapshotReadBatch(p.tx, 1, p.serve)
+	if !ok || cut < p.lastWriteTS {
 		return false
 	}
+	p.s.cSnapServed.Add(uint64(len(run)))
 	ri := 0
 	for i := range run {
 		r := &run[i].req
 		p.resp = Response{ID: r.ID, Op: r.Op, Status: StatusOK}
 		if r.Op == OpTxn {
-			p.resp.Reads = j.results[ri : ri+len(r.Ops)]
+			p.resp.Reads = p.results[ri : ri+len(r.Ops)]
 			ri += len(r.Ops)
 		} else {
-			p.resp.Found, p.resp.Val = j.results[ri].Found, j.results[ri].Val
+			p.resp.Found, p.resp.Val = p.results[ri].Found, p.results[ri].Val
 			ri++
 		}
 		p.wbuf = AppendResponse(p.wbuf, &p.resp)
 	}
 	return true
+}
+
+// serveRun reads p.run at the pinned cut into p.results, one entry per read
+// in request order — unless the cut trails, when execLane falls the run back.
+func (p *proc) serveRun(_ int, cut uint64) {
+	if cut < p.lastWriteTS {
+		return
+	}
+	p.results = p.results[:0]
+	for i := range p.run {
+		r := &p.run[i].req
+		if r.Op == OpGet {
+			v, found := p.s.m.Get(p.tx, r.Key)
+			p.results = append(p.results, ReadResult{Found: found, Val: v})
+			continue
+		}
+		for oi := range r.Ops {
+			v, found := p.s.m.Get(p.tx, r.Ops[oi].Key)
+			p.results = append(p.results, ReadResult{Found: found, Val: v})
+		}
+	}
 }
 
 // execOCC runs one batch — a single request or several coalesced single-ops

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -23,9 +24,17 @@ func startServer(t *testing.T, engine string, cfg txengine.Config, opts Options)
 
 // serveOn is startServer on a listener of the caller's choosing. Its cleanup
 // drains, checks Serve's verdict, and asserts that the goroutine count is
-// back to what it was before the engine was built: no connection, combiner
-// or engine goroutine outlives a drain.
+// back to what it was before the engine was built: no connection or engine
+// goroutine outlives a drain.
 func serveOn(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, opts Options) *Server {
+	t.Helper()
+	return serveWrapped(t, ln, engine, cfg, opts, func(e txengine.Engine) txengine.Engine { return e })
+}
+
+// serveWrapped is serveOn with the built engine passed through wrap before the
+// server sees it, so a test can observe the calls the server makes on it.
+func serveWrapped(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, opts Options,
+	wrap func(txengine.Engine) txengine.Engine) *Server {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	eng, err := txengine.Build(engine, cfg)
@@ -33,6 +42,7 @@ func serveOn(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, 
 		ln.Close()
 		t.Fatalf("build %s: %v", engine, err)
 	}
+	eng = wrap(eng)
 	opts.CloseEngine = true
 	s, err := New(eng, opts)
 	if err != nil {
@@ -270,6 +280,65 @@ func TestServeAdmissionSheds(t *testing.T) {
 	}
 	if got := s.Counters(); got.Shed == 0 {
 		t.Fatalf("shed not counted: %+v", got)
+	}
+}
+
+// TestServeAdmissionLaneBypassesTokens: with the only admission token held
+// and no waiting allowed, anything on the OCC path is shed at once — and
+// pipelined Gets on eight connections are all answered, because a lane read
+// takes no token.
+func TestServeAdmissionLaneBypassesTokens(t *testing.T) {
+	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 2}, Options{Tokens: 1, AdmitWait: -1})
+	seed := dialT(t, addr)
+	for k := uint64(0); k < 8; k++ {
+		if r, err := seed.Put(k, k+1); err != nil || !r.OK() {
+			t.Fatalf("seed %d: %+v, %v", k, r, err)
+		}
+	}
+	<-s.tokens
+	defer func() { s.tokens <- struct{}{} }()
+	if r, err := seed.Put(0, 1); err != nil || r.Status != StatusRetry {
+		t.Fatalf("put with the token held: %+v, %v; want StatusRetry", r, err)
+	}
+
+	const conns, depth = 8, 64
+	errs := make(chan error, conns)
+	for w := 0; w < conns; w++ {
+		go func() {
+			c, err := Dial(addr, time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for i := 0; i < depth; i++ {
+				c.SendGet(uint64(i % 8))
+			}
+			if err := c.Flush(); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < depth; i++ {
+				r, err := c.Recv()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !r.OK() || !r.Found || r.Val != uint64(i%8)+1 {
+					errs <- fmt.Errorf("pipelined get %d: %+v", i, r)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < conns; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := s.Counters(); got.Shed != 1 || got.SnapServed != conns*depth {
+		t.Errorf("shed=%d snapserved=%d, want the one Put shed and all %d Gets lane-served", got.Shed, got.SnapServed, conns*depth)
 	}
 }
 
