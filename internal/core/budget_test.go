@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"medley/internal/core"
+	"medley/internal/pnvm"
 	"medley/internal/structures/mhash"
 	"medley/internal/txengine"
 )
@@ -176,10 +177,10 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 
 // A committed overwrite on txmontage, Sync included, once the device's free
 // lists and the epoch batches have been round the loop: the persistence
-// bookkeeping allocates nothing. The record's 64-byte line comes off its
-// shard's free list, fed by the reclaim of the record it replaces and by the
-// superseded markers; the ids join batch slices handed back emptied by the
-// last flush; the dead queue keeps its capacity. What is left is what medley
+// bookkeeping allocates nothing. The record's line is a slot of its shard's
+// slab off the shard's free list, fed by the reclaim of the record it replaces
+// and by the superseded markers; the ids join batch slices handed back emptied
+// by the last flush; the dead queue keeps its capacity. What is left is what medley
 // pays for the same Put through the same engine (8 allocations, 336 B: header
 // 96, read copy 48, write copy 8, the Put's 152, one 32-byte version) and
 // what the payload itself costs:
@@ -213,6 +214,41 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 	budget(t, overwrite, 8+3, 336+96)
 }
 
+// The device's own share of that, with nothing above it: what a record's life
+// costs pnvm once every shard has a freed slot to hand out. A store takes a
+// slot, the id it returns is the slot's address, every later call indexes to
+// it, and the delete hands the slot number back: no table to grow, no object
+// per record, nothing allocated.
+func TestBudgetDeviceCycle(t *testing.T) {
+	d := pnvm.New(pnvm.Latencies{})
+	val := []byte{1}
+	write := func() uint64 {
+		id, err := d.Write(7, val, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	old := write()
+	cycle := func() {
+		id := write()
+		if err := d.Retire(old, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		d.WriteBack(id)
+		d.WriteBack(old)
+		d.Delete(old)
+		old = id
+	}
+	for i := 0; i < 200; i++ { // three laps of the 64 shards
+		cycle()
+	}
+	budget(t, cycle, 0, 0)
+	if got := d.Live(); got != 1 {
+		t.Fatalf("device holds %d records after the cycles, want the one not yet replaced", got)
+	}
+}
+
 // What a key costs while it sits in the map: 100 000 keys put one per
 // transaction into an engine's hash map with as many buckets (the paper's
 // load factor), HeapAlloc after a collection, per key. On medley:
@@ -227,9 +263,23 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 //	                    three stripes in four on 4096 slots, the rest on 2048
 //
 // 106–110 in all. The sharded engine wraps the same map once; txmontage adds
-// 112 for the payload's record on the simulated device. The ceilings are the
-// arithmetic with every stripe on the larger array and the table's own 4 KB.
-const residentKey = 24 + 32 + 32 + 22
+// what the payload costs on the simulated device and what points at it:
+//
+//	slot          85.4  a 72-byte line in its shard's slab: a chunk of 256 is
+//	                    18 432 B and the allocator's 8-byte header, the 19 072
+//	                    size class, 74.5 B a slot; 1562.5 keys a device shard
+//	                    stand on 7 chunks, 1792 slots
+//	payload        8    the encoded value, the record's Val
+//	node          +8    the index entry carries the payload id beside the value
+//	batch          8.9  the id in its epoch's batch, a slice grown by append
+//	                    to 110 592 entries (no advancer runs here)
+//
+// 110.3. The ceilings are the arithmetic with every stripe on the larger array
+// and the table's own 4 KB.
+const (
+	residentKey        = 24 + 32 + 32 + 22
+	residentKeyMontage = residentKey + 110.3
+)
 
 func TestBudgetResidentKey(t *testing.T) {
 	if raceEnabled {
@@ -239,7 +289,7 @@ func TestBudgetResidentKey(t *testing.T) {
 	for _, c := range []struct {
 		engine  string
 		ceiling float64
-	}{{"medley", residentKey}, {"medley-sharded", residentKey}, {"txmontage", residentKey + 112}} {
+	}{{"medley", residentKey}, {"medley-sharded", residentKey}, {"txmontage", residentKeyMontage}} {
 		e, m, tx, empty := newHeapBudget(t, c.engine, n)
 		for k := uint64(0); k < n; k++ {
 			if err := tx.Run(func() error { m.Put(tx, k, k); return nil }); err != nil {

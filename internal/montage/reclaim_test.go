@@ -144,3 +144,44 @@ func TestReclaimBoundsTheDevice(t *testing.T) {
 		}
 	}
 }
+
+// An aborted transaction's payload is deleted at once (UnNew) but its id stays
+// in the epoch's batch, and by the time the batch is flushed the slot it named
+// belongs to another record: here one that committed and was overwritten in
+// the same epoch, so that a write-back through the stale id would find a
+// durably retired record, queue the stale id as dead, and the reclaim would
+// free a slot twice. The flush must skip those ids.
+func TestFlushSkipsAbortedPayloads(t *testing.T) {
+	const keys = 128 // two laps of the device's 64 shards
+	es, mgr := testSys()
+	m := NewHashMap(es, Uint64Codec(), keys)
+	s := mgr.Session()
+	for k := uint64(0); k < keys; k++ {
+		s.TxBegin()
+		m.Put(s, 1000+k, 1)
+		s.TxAbort()
+	}
+	if got := es.Device().Live(); got != 0 {
+		t.Fatalf("device holds %d records after %d aborted puts", got, keys)
+	}
+	for k := uint64(0); k < keys; k++ {
+		m.Put(s, k, 1)
+		m.Put(s, k, 10+k)
+	}
+	es.Sync()
+	if got := es.Device().Live(); got != keys+1 {
+		t.Fatalf("device holds %d records after Sync, want exactly %d keys + 1 marker", got, keys)
+	}
+	kv, _ := recoverKV(t, []*pnvm.Device{es.Device()})
+	if len(kv[0]) != keys {
+		t.Fatalf("recovered %d keys, want %d", len(kv[0]), keys)
+	}
+	for k := uint64(0); k < keys; k++ {
+		if v, ok := kv[0][k]; !ok || v != 10+k {
+			t.Fatalf("recovered key %d = %d,%v, want %d", k, v, ok, 10+k)
+		}
+	}
+	if got := es.Device().Live(); got != keys+1 {
+		t.Fatalf("device holds %d records after recovery, want exactly %d keys + 1 marker", got, keys)
+	}
+}

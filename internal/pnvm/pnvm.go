@@ -18,7 +18,12 @@
 //     verify buffered durable strict serializability end to end.
 //
 // The record store is sharded so that the simulation itself scales like a
-// DIMM (per-line independence) rather than like a global lock.
+// DIMM (per-line independence) rather than like a global lock. A shard is a
+// slab: lines in fixed-size chunks that are never moved, a free list of slot
+// numbers and a mutex. A record's id is its address, as a payload's handle is
+// on real NVM: serial<<26 | slot<<6 | shard (the arithmetic is at serialBits).
+// Nothing is looked up; an id whose record is gone names a slot that is empty
+// or holds another id, and finds nothing.
 //
 // The device stores opaque records (key, value bytes, epoch tags). What the
 // tags count — montage epochs, POneFile commit serials — is the persistence
@@ -73,13 +78,41 @@ type Record struct {
 	Retire uint64 // retirement epoch; 0 = live
 }
 
-const nShards = 64
+// A record id is serial<<26 | slot<<6 | shard, 64 bits in all:
+//
+//	shard   6 bits  id%nShards, the device shard the record lives on
+//	slot   20 bits  its line's index in that shard's slab: 1 Mi lines a shard,
+//	                64 Mi records a device
+//	serial 38 bits  the device's allocation counter, from 1: ids are unique for
+//	                the life of the device and grow with allocation order
+//	                (recovery's "newest id wins"), and a slot's next owner
+//	                never answers to the last one's id; 2.7e11 stores, about
+//	                twenty days of the benchmark's durable transfers
+//
+// Running out of either is a panic in Write, never a wrap.
+const (
+	shardBits  = 6
+	slotBits   = 20
+	serialBits = 64 - slotBits - shardBits
 
-// line is everything the device keeps for one record, in one object the size
-// of a cache line (TestLineSize): a record costs its shard's map one entry and
-// nothing else, retired or not. The id is the map key and is not
-// repeated here.
+	nShards       = 1 << shardBits
+	slotsPerShard = 1 << slotBits
+	maxSerial     = 1<<serialBits - 1
+
+	// chunkLines is how many lines a slab grows by: 256 of them are 18 KiB,
+	// one allocation, and at 100 000 records a device the unused tail of each
+	// shard's last chunk is an eighth of the slab (core's
+	// TestBudgetResidentKey does the arithmetic); at 1024 it was a third.
+	chunkLines = 256
+)
+
+// line is everything the device keeps for one record, retired or not: one
+// element of its shard's slab (TestLineSize) and nothing else. An empty slot
+// is the zero line; no record has id 0.
 type line struct {
+	// id is the record's, so that an id whose record was dropped finds nothing
+	// here once the slot has a new owner.
+	id    uint64
 	key   uint64
 	val   []byte
 	epoch uint64
@@ -106,24 +139,76 @@ func (r *line) lift() {
 }
 
 // shard holds a slice of the record space under its own lock, standing in
-// for the line-level independence of a real DIMM.
+// for the line-level independence of a real DIMM. Slot i is
+// chunks[i/chunkLines][i%chunkLines]. The slots below next have been handed
+// out, and each of them either holds a record (line.id != 0; live counts
+// them) or is on free.
 type shard struct {
-	mu    sync.Mutex
-	lines map[uint64]*line
-	// free holds the objects of dropped records, zeroed, for Write to reuse:
-	// in steady state a store allocates nothing on the device's account.
-	free []*line
+	mu     sync.Mutex
+	chunks []*[chunkLines]line
+	next   uint32
+	live   int
+	// free holds the slots of dropped records, their lines zeroed, for Write
+	// to reuse: in steady state a store allocates nothing on the device's
+	// account.
+	free []uint32
 }
 
-// drop removes record id, if it is there, and hands its object to the free
+func (s *shard) at(slot uint32) *line { return &s.chunks[slot/chunkLines][slot%chunkLines] }
+
+func slotOf(id uint64) uint32 { return uint32(id >> shardBits & (slotsPerShard - 1)) }
+
+// find returns record id's line, or nil if the record is not (or no longer)
+// on the shard: the slot the id names was never handed out, is empty, or
+// belongs to a later record. The caller holds s.mu.
+func (s *shard) find(id uint64) *line {
+	slot := slotOf(id)
+	if id == 0 || slot >= s.next {
+		return nil
+	}
+	if r := s.at(slot); r.id == id {
+		return r
+	}
+	return nil
+}
+
+// take hands out a slot for a new record, a freed one first. The caller
+// holds s.mu.
+func (s *shard) take() uint32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		return slot
+	}
+	if s.next == slotsPerShard {
+		panic("pnvm: device shard full: 1<<20 records")
+	}
+	if s.next%chunkLines == 0 {
+		s.chunks = append(s.chunks, new([chunkLines]line))
+	}
+	s.next++
+	return s.next - 1
+}
+
+// drop removes record id, if it is there, and hands its slot to the free
 // list; a second drop of the same id finds nothing. Zeroing releases the
 // payload bytes and leaves the next owner no durability, retire mark or claim
 // to inherit. The caller holds s.mu.
 func (s *shard) drop(id uint64) {
-	if r, ok := s.lines[id]; ok {
-		delete(s.lines, id)
+	if r := s.find(id); r != nil {
 		*r = line{}
-		s.free = append(s.free, r)
+		s.free = append(s.free, slotOf(id))
+		s.live--
+	}
+}
+
+// each calls f on every record of the shard, in slot order; f may drop the
+// record it is given. The caller holds s.mu.
+func (s *shard) each(f func(r *line)) {
+	for slot := uint32(0); slot < s.next; slot++ {
+		if r := s.at(slot); r.id != 0 {
+			f(r)
+		}
 	}
 }
 
@@ -141,13 +226,7 @@ type Device struct {
 }
 
 // New creates a device with the given latencies.
-func New(lat Latencies) *Device {
-	d := &Device{lat: lat}
-	for i := range d.shards {
-		d.shards[i].lines = make(map[uint64]*line)
-	}
-	return d
-}
+func New(lat Latencies) *Device { return &Device{lat: lat} }
 
 // NewDefault creates a device with Optane-flavoured latencies.
 func NewDefault() *Device { return New(DefaultLatencies()) }
@@ -169,26 +248,30 @@ func spin(dur time.Duration) {
 var ErrCrashed = errors.New("pnvm: device crashed; call Recover")
 
 // Write stores a new record to media (not yet durable) and returns its id.
-// Models the NVM store cost.
+// Models the NVM store cost. Like every store it tests for a crash under the
+// shard lock, which orders it against Crash()'s scan of the same shard: a
+// store that passed the test before the lock could land after the scan and
+// leave a never-written-back record on post-crash media for Recover to hand
+// out.
 func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 	if err := cpWrite.Hit(); err != nil {
 		return 0, err
 	}
+	spin(d.lat.Write)
+	serial := d.nextID.Add(1)
+	if serial > maxSerial {
+		panic("pnvm: device out of record ids: 1<<38 stores")
+	}
+	s := d.shard(serial)
+	s.mu.Lock()
 	if d.crashed.Load() {
+		s.mu.Unlock()
 		return 0, ErrCrashed
 	}
-	spin(d.lat.Write)
-	id := d.nextID.Add(1)
-	s := d.shard(id)
-	s.mu.Lock()
-	var r *line
-	if n := len(s.free); n > 0 {
-		r, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		r = new(line)
-	}
-	*r = line{key: key, val: val, epoch: epoch, persisted: volatile}
-	s.lines[id] = r
+	slot := s.take()
+	id := serial<<(slotBits+shardBits) | uint64(slot)<<shardBits | serial%nShards
+	*s.at(slot) = line{id: id, key: key, val: val, epoch: epoch, persisted: volatile}
+	s.live++
 	s.mu.Unlock()
 	d.writes.Add(1)
 	return id, nil
@@ -198,13 +281,14 @@ func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 // record's metadata; not yet durable). claim identifies the retiring
 // transaction so that only it can undo the mark.
 func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
-	if d.crashed.Load() {
-		return ErrCrashed
-	}
 	spin(d.lat.Write)
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.lines[id]; ok {
+	if d.crashed.Load() { // under the lock, as in Write: no volatile mark on post-crash media
+		s.mu.Unlock()
+		return ErrCrashed
+	}
+	if r := s.find(id); r != nil {
 		r.retire, r.claim = epoch, claim
 	}
 	s.mu.Unlock()
@@ -219,7 +303,7 @@ func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
 func (d *Device) UnRetire(id uint64, claim uint64) {
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.lines[id]; ok && !d.crashed.Load() && r.claim == claim {
+	if r := s.find(id); r != nil && !d.crashed.Load() && r.claim == claim {
 		r.lift()
 	}
 	s.mu.Unlock()
@@ -251,7 +335,7 @@ func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
 	spin(d.lat.WriteBack)
 	s := d.shard(id)
 	s.mu.Lock()
-	if r, ok := s.lines[id]; ok {
+	if r := s.find(id); r != nil {
 		r.persisted = r.retire
 		retired, durable = r.retire, true
 	}
@@ -274,13 +358,13 @@ func (d *Device) Crash() {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for id, r := range s.lines {
+		s.each(func(r *line) {
 			if r.persisted == volatile {
-				delete(s.lines, id)
+				s.drop(r.id)
 			} else {
 				r.retire = r.persisted
 			}
-		}
+		})
 		s.mu.Unlock()
 	}
 }
@@ -288,13 +372,13 @@ func (d *Device) Crash() {
 // Recover returns the surviving records (durable creations, with durable
 // retirement marks applied) and reopens the device for use.
 func (d *Device) Recover() []Record {
-	var out []Record
+	out := make([]Record, 0, d.Live()) // sized once: a dump is hundreds of thousands of records
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for id, r := range s.lines {
-			out = append(out, Record{ID: id, Key: r.key, Val: r.val, Epoch: r.epoch, Retire: r.retire})
-		}
+		s.each(func(r *line) {
+			out = append(out, Record{ID: r.id, Key: r.key, Val: r.val, Epoch: r.epoch, Retire: r.retire})
+		})
 		s.mu.Unlock()
 	}
 	d.crashed.Store(false)
@@ -324,7 +408,7 @@ func (d *Device) Live() int {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += len(s.lines)
+		n += s.live
 		s.mu.Unlock()
 	}
 	return n

@@ -1,6 +1,8 @@
 package pnvm
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -125,73 +127,305 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// The device-side object of a record is one 64-byte size class: at 80 bytes
-// txmontage's resident key (core's TestBudgetResidentKey) is over its ceiling.
+// A record's line is 72 bytes: the 64 of key, value slice, epoch, retire mark,
+// claim and durable copy, and the id, which is what lets a dropped record's
+// id find nothing once its slot has a new owner. core's TestBudgetResidentKey
+// prices txmontage's resident key from this number.
 func TestLineSize(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got > 64 {
-		t.Fatalf("a record's line is %d bytes, budget 64", got)
+	if got := unsafe.Sizeof(line{}); got != 72 {
+		t.Fatalf("a record's line is %d bytes, budget 72", got)
 	}
 }
 
-// freeLines counts the objects waiting on the device's free lists.
-func freeLines(d *Device) (n int) {
+// checkSlab asserts the slab's one invariant on every shard — every slot ever
+// handed out is either occupied by a record whose id names that slot and
+// shard, or zeroed and on the free list exactly once — and that Live is the
+// occupied count. It returns the occupied and free totals.
+func checkSlab(t *testing.T, d *Device) (occupied, free int) {
+	t.Helper()
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += len(s.free)
+		if want := (int(s.next) + chunkLines - 1) / chunkLines; len(s.chunks) != want {
+			t.Fatalf("shard %d: %d chunks for %d slots, want %d", i, len(s.chunks), s.next, want)
+		}
+		onFree := map[uint32]bool{}
+		for _, slot := range s.free {
+			if slot >= s.next || onFree[slot] {
+				t.Fatalf("shard %d: slot %d on the free list twice or never handed out (next %d)", i, slot, s.next)
+			}
+			onFree[slot] = true
+			if r := s.at(slot); !reflect.DeepEqual(*r, line{}) {
+				t.Fatalf("shard %d: free slot %d still holds %+v", i, slot, *r)
+			}
+		}
+		n := 0
+		for slot := uint32(0); slot < s.next; slot++ {
+			r := s.at(slot)
+			switch {
+			case onFree[slot]:
+			case r.id == 0:
+				t.Fatalf("shard %d: slot %d is empty and not on the free list", i, slot)
+			case slotOf(r.id) != slot || r.id%nShards != uint64(i):
+				t.Fatalf("shard %d slot %d holds id %#x, which names shard %d slot %d", i, slot, r.id, r.id%nShards, slotOf(r.id))
+			default:
+				n++
+			}
+		}
+		if s.live != n {
+			t.Fatalf("shard %d counts %d records, holds %d", i, s.live, n)
+		}
+		occupied, free = occupied+n, free+len(s.free)
 		s.mu.Unlock()
 	}
-	return n
+	if got := d.Live(); got != occupied {
+		t.Fatalf("Live() = %d, slab holds %d records", got, occupied)
+	}
+	return occupied, free
 }
 
-// Only a delete that found its record feeds the free list: the same object
-// handed out twice would be two records sharing one line.
-func TestDeleteTwiceFreesOnce(t *testing.T) {
-	d := New(Latencies{})
-	id, _ := d.Write(1, []byte{1}, 3)
-	d.Delete(id + nShards) // same shard, no such record
-	d.Delete(id)
-	d.Delete(id)
-	if got := freeLines(d); got != 1 {
-		t.Fatalf("%d lines on the free list after deleting one record twice, want 1", got)
-	}
-	d.Crash()
-	keep, _ := d.Write(2, nil, 3)
-	d.Delete(keep) // crashed media: a no-op, so nothing to recycle
-	if got := freeLines(d); got != 1 {
-		t.Fatalf("%d lines on the free list after a delete on crashed media, want 1", got)
-	}
+// slotLine copies out whatever is in the slot id names, the id's own record or
+// not.
+func slotLine(d *Device, id uint64) line {
+	s := d.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return *s.at(slotOf(id))
 }
 
-// A recycled line starts over. The first generation is written back, retired
-// under a claim and that mark written back too; the second generation, built
-// on the same objects, is volatile and live, and a crash loses all of it.
-func TestReusedLineInheritsNothing(t *testing.T) {
+// lap writes one record to each of the 64 shards (consecutive serials go
+// round them) with key base+shard, and returns the ids.
+func lap(t *testing.T, d *Device, base uint64, val byte, epoch uint64) []uint64 {
+	t.Helper()
+	ids := make([]uint64, nShards)
+	for k := range ids {
+		id, err := d.Write(base+uint64(k), []byte{val}, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = id
+	}
+	return ids
+}
+
+// The slab's bookkeeping through every way a slot changes hands: writes,
+// deletes (twice, and of ids that name nothing), reuse, crash, refusals on
+// crashed media, recovery with its scrub. What the map and the free list of
+// line objects gave by construction is asserted after each step.
+func TestSlabAccounting(t *testing.T) {
 	d := New(Latencies{})
-	first := map[*line]bool{}
-	for k := uint64(0); k < nShards; k++ { // consecutive ids: one per shard
-		id, _ := d.Write(k, []byte{1}, 3)
+	want := func(step string, occupied, free int) {
+		t.Helper()
+		if o, f := checkSlab(t, d); o != occupied || f != free {
+			t.Fatalf("%s: %d records and %d free slots, want %d and %d", step, o, f, occupied, free)
+		}
+	}
+	first, second, third := lap(t, d, 0, 1, 3), lap(t, d, 100, 1, 3), lap(t, d, 200, 1, 3)
+	want("three laps", 3*nShards, 0)
+
+	// The second lap is written back, retired under a claim and that mark
+	// written back too, so its slots have everything to leave behind.
+	for _, id := range second {
 		d.Retire(id, 4, 77)
 		d.WriteBack(id)
-		first[d.shard(id).lines[id]] = true
 		d.Delete(id)
+		d.Delete(id)           // found nothing: frees nothing
+		d.Delete(id + nShards) // the next slot of the shard under this serial: no such record
+		d.Delete(0)
 	}
-	var ids []uint64
-	for k := uint64(0); k < nShards; k++ {
-		id, _ := d.Write(100+k, []byte{2}, 5)
-		if !first[d.shard(id).lines[id]] {
-			t.Fatalf("record %d got a fresh line with one waiting on its shard's free list", id)
+	want("one lap deleted twice", 2*nShards, nShards)
+
+	// As many writes as deletes take exactly the freed slots, and a reused
+	// slot starts over: volatile, live, unclaimed.
+	fourth := lap(t, d, 300, 2, 5)
+	want("freed slots reused", 3*nShards, 0)
+	for k, id := range fourth {
+		if slotOf(id) != slotOf(second[k]) || id%nShards != second[k]%nShards {
+			t.Fatalf("record %#x took a fresh slot with %#x's waiting on its shard's free list", id, second[k])
 		}
-		ids = append(ids, id)
+		if l := slotLine(d, id); l.persisted != volatile || l.retire != 0 || l.claim != 0 || l.val[0] != 2 {
+			t.Fatalf("reused slot starts as %+v, want volatile, live and unclaimed", l)
+		}
+		d.UnRetire(id, 77) // the first owner's claim: nothing here to lift
 	}
-	if got := freeLines(d); got != 0 {
-		t.Fatalf("%d lines still free after as many writes as deletes", got)
+
+	// A crash frees what was never written back; crashed media takes no
+	// record and gives none up.
+	for _, id := range first {
+		d.WriteBack(id)
 	}
-	d.UnRetire(ids[0], 77) // the first owner's claim: nothing here to lift
-	d.WriteBack(ids[0])
+	d.WriteBack(fourth[0])
 	d.Crash()
-	recs := d.Recover()
-	if len(recs) != 1 || recs[0].ID != ids[0] || recs[0].Retire != 0 || recs[0].Val[0] != 2 {
-		t.Fatalf("recovered %+v: want only the one second-generation record that was written back, live", recs)
+	want("crash", nShards+1, 2*nShards-1)
+	if _, err := d.Write(1, nil, 3); err != ErrCrashed {
+		t.Fatalf("write on crashed media: %v", err)
 	}
+	d.Delete(first[0])
+	d.Delete(third[0]) // lost in the crash
+	want("stores on crashed media", nShards+1, 2*nShards-1)
+	recs := d.Recover()
+	if len(recs) != nShards+1 || cap(recs) != len(recs) {
+		t.Fatalf("dump of %d records in a slice of %d, want %d sized once", len(recs), cap(recs), nShards+1)
+	}
+	for _, r := range recs {
+		if r.Retire != 0 || (r.ID != fourth[0] && r.Val[0] != 1) {
+			t.Fatalf("recovered %+v: want the first lap and one live second-generation record", r)
+		}
+	}
+
+	// Recovery's scrub: no marker, so the cut is 0 and every record goes,
+	// each slot freed once, and the fresh marker takes one of them.
+	dumps := DumpAll([]*Device{d})
+	if _, err := RecoverDomain([]*Device{d}, dumps); err != nil {
+		t.Fatal(err)
+	}
+	want("scrubbed to the marker", 1, 3*nShards-1)
+	lap(t, d, 400, 3, 1)
+	want("a lap after recovery", nShards+1, 2*nShards-1)
+}
+
+// The slab's one obligation the map met for free: an id whose record was
+// dropped finds nothing, whatever has become of its slot. Every call that
+// takes an id, against every state the slot can be in, on every shard.
+func TestStaleIdFindsNothing(t *testing.T) {
+	const claim = 77
+	ops := []struct {
+		name string
+		call func(t *testing.T, d *Device, id uint64)
+	}{
+		{"Retire", func(t *testing.T, d *Device, id uint64) {
+			if err := d.Retire(id, 9, claim); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"UnRetire", func(_ *testing.T, d *Device, id uint64) { d.UnRetire(id, claim) }},
+		{"WriteBack", func(t *testing.T, d *Device, id uint64) {
+			if retired, durable := d.WriteBack(id); durable || retired != 0 {
+				t.Fatalf("write-back through a dropped id reports retired=%d durable=%v", retired, durable)
+			}
+		}},
+		{"Delete", func(_ *testing.T, d *Device, id uint64) { d.Delete(id) }},
+	}
+	occupants := []struct {
+		name string
+		fill func(d *Device, id uint64) // nil: the slot stays empty
+	}{
+		{"slot empty", nil},
+		{"volatile record", func(d *Device, id uint64) {}},
+		{"durable record", func(d *Device, id uint64) { d.WriteBack(id) }},
+		{"durably retired record", func(d *Device, id uint64) { d.Retire(id, 6, claim); d.WriteBack(id) }},
+	}
+	for _, op := range ops {
+		for _, occ := range occupants {
+			t.Run(op.name+"/"+occ.name, func(t *testing.T) {
+				d := New(Latencies{})
+				stale := lap(t, d, 0, 1, 3)
+				for _, id := range stale {
+					d.Retire(id, 4, claim)
+					d.WriteBack(id)
+					d.Delete(id)
+				}
+				if occ.fill != nil {
+					for k, id := range lap(t, d, 100, 2, 5) {
+						if slotOf(id) != slotOf(stale[k]) || id%nShards != stale[k]%nShards {
+							t.Fatalf("record %#x did not take dropped record %#x's slot", id, stale[k])
+						}
+						occ.fill(d, id)
+					}
+				}
+				occupied, free := checkSlab(t, d)
+				for _, id := range stale {
+					before := slotLine(d, id)
+					op.call(t, d, id)
+					if after := slotLine(d, id); !reflect.DeepEqual(after, before) {
+						t.Fatalf("shard %d: the slot held %+v and holds %+v after the call", id%nShards, before, after)
+					}
+				}
+				if o, f := checkSlab(t, d); o != occupied || f != free {
+					t.Fatalf("%d records and %d free slots became %d and %d", occupied, free, o, f)
+				}
+			})
+		}
+	}
+}
+
+// A store tests for the crash under its shard's lock. Testing before the lock
+// lets a store that was inside its media latency when Crash scanned its shard
+// land afterwards: a record no write-back ever reached, or a volatile retire
+// mark, on post-crash media, and Recover hands it out as a survivor.
+func TestCrashOrdersAgainstStores(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stores int
+		prep   func(d *Device) uint64
+		store  func(d *Device, id uint64) error // called until it fails
+		check  func(recs []Record) bool
+		want   string
+	}{
+		{
+			name:   "write",
+			stores: 4,
+			prep:   func(*Device) uint64 { return 0 },
+			store:  func(d *Device, _ uint64) error { _, err := d.Write(1, nil, 3); return err },
+			check:  func(recs []Record) bool { return len(recs) == 0 },
+			want:   "nothing: no record was ever written back",
+		},
+		{
+			name:   "retire",
+			stores: 1,
+			prep: func(d *Device) uint64 {
+				id, _ := d.Write(1, []byte{1}, 3)
+				d.WriteBack(id)
+				return id
+			},
+			store: func(d *Device, id uint64) error { return d.Retire(id, 4, 1) },
+			check: func(recs []Record) bool { return len(recs) == 1 && recs[0].Retire == 0 },
+			want:  "the one record, live: its retire mark was never written back",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 50; round++ {
+				d := New(Latencies{Write: 200 * time.Microsecond})
+				id := tc.prep(d)
+				var started, done sync.WaitGroup
+				started.Add(tc.stores)
+				done.Add(tc.stores)
+				for i := 0; i < tc.stores; i++ {
+					go func() {
+						defer done.Done()
+						started.Done()
+						for tc.store(d, id) == nil {
+						}
+					}()
+				}
+				started.Wait()
+				d.Crash() // lands inside the first stores' latency
+				done.Wait()
+				if recs := d.Recover(); !tc.check(recs) {
+					t.Fatalf("round %d: recovered %+v, want %s", round, recs, tc.want)
+				}
+				checkSlab(t, d)
+			}
+		})
+	}
+}
+
+// Running out of serials or of slots in a shard is a panic, never an id that
+// wraps onto a live record's.
+func TestExhaustionIsLoud(t *testing.T) {
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: Write returned", what)
+			}
+		}()
+		f()
+	}
+	d := New(Latencies{})
+	d.nextID.Store(maxSerial)
+	panics("serials exhausted", func() { d.Write(1, nil, 3) })
+	d = New(Latencies{})
+	d.shards[1].next = slotsPerShard // serial 1 goes to shard 1
+	panics("shard full", func() { d.Write(1, nil, 3) })
 }

@@ -156,13 +156,13 @@ func (d *Device) reanchor(cut uint64, dead *[nShards][]uint64) (marker uint64, e
 		for _, id := range dead[i] {
 			s.drop(id)
 		}
-		for id, r := range s.lines {
+		s.each(func(r *line) {
 			if r.key == MarkerKey {
-				stale = append(stale, id)
+				stale = append(stale, r.id)
 			} else {
 				r.lift()
 			}
-		}
+		})
 		s.mu.Unlock()
 		cpRecoverScrub.Hit() // outside the lock: a crash action takes it
 	}
