@@ -181,8 +181,9 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 // slab off the shard's free list, fed by the reclaim of the record it replaces
 // and by the superseded markers; the ids join batch slices handed back emptied
 // by the last flush; the dead queue keeps its capacity. What is left is what medley
-// pays for the same Put through the same engine (8 allocations, 336 B: header
-// 96, read copy 48, write copy 8, the Put's 152, one 32-byte version) and
+// pays for the same Put through the same engine (7 allocations, 304 B: header
+// 96, read copy 48, write copy 8, the Put's 152 — and no version, since
+// nothing has read a snapshot, so the snapshot tier has not started) and
 // what the payload itself costs:
 //
 //	payload        8  the encoded value, the record's Val
@@ -211,7 +212,7 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		overwrite()
 	}
-	budget(t, overwrite, 8+3, 336+96)
+	budget(t, overwrite, 7+3, 304+96)
 }
 
 // The device's own share of that, with nothing above it: what a record's life
@@ -251,16 +252,22 @@ func TestBudgetDeviceCycle(t *testing.T) {
 
 // What a key costs while it sits in the map: 100 000 keys put one per
 // transaction into an engine's hash map with as many buckets (the paper's
-// load factor), HeapAlloc after a collection, per key. On medley:
+// load factor), HeapAlloc after a collection, per key. On medley, in a map
+// nothing has read a snapshot of:
 //
 //	node            24  key, value, next
 //	link cell       32  the one cell that points at the node: its bucket's
 //	                    head (0.63 of keys) or its predecessor's next (0.37);
 //	                    a tail's own next is the zero value and has no cell
-//	version         32  snapshot tier: key, stamp, value, next older version
-//	slots        18–22  snapshot tier: 8 bytes and a dirty bit per slot, in
-//	                    arrays that double at 3/4 full: 1562 keys a stripe put
-//	                    three stripes in four on 4096 slots, the rest on 2048
+//
+// 56 in all: the snapshot tier has not started, so it holds nothing. Once one
+// SnapshotRead has started it (here, after the puts: its scan seeds every
+// key), each key adds
+//
+//	version         32  key, stamp, value, next older version
+//	slots        18–22  8 bytes and a dirty bit per slot, in arrays that
+//	                    double at 3/4 full: 1562 keys a stripe put three
+//	                    stripes in four on 4096 slots, the rest on 2048
 //
 // 106–110 in all. The sharded engine wraps the same map once; txmontage adds
 // what the payload costs on the simulated device and what points at it:
@@ -274,11 +281,15 @@ func TestBudgetDeviceCycle(t *testing.T) {
 //	batch          8.9  the id in its epoch's batch, a slice grown by append
 //	                    to 110 592 entries (no advancer runs here)
 //
-// 110.3. The ceilings are the arithmetic with every stripe on the larger array
-// and the table's own 4 KB.
+// 110.3. The ceilings are the arithmetic with every stripe on the larger
+// array, plus what a run allocates once whatever its key count (the worker's
+// scratch and spare descriptor; on txmontage the epoch system's batch ring):
+// 8 KB spread over the keys, of which 0.2 KB is used on medley and 4 KB on
+// txmontage.
 const (
-	residentKey        = 24 + 32 + 32 + 22
-	residentKeyMontage = residentKey + 110.3
+	residentKey         = 24 + 32
+	residentKeySnapshot = residentKey + 32 + 22
+	montageKey          = 110.3
 )
 
 func TestBudgetResidentKey(t *testing.T) {
@@ -286,15 +297,27 @@ func TestBudgetResidentKey(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 100_000
+	const once = 8 << 10 / float64(n)
 	for _, c := range []struct {
-		engine  string
-		ceiling float64
-	}{{"medley", residentKey}, {"medley-sharded", residentKey}, {"txmontage", residentKeyMontage}} {
+		engine   string
+		snapshot bool
+		ceiling  float64
+	}{
+		{"medley", false, residentKey + once},
+		{"medley-sharded", false, residentKey + once},
+		{"txmontage", false, residentKey + montageKey + once},
+		{"medley", true, residentKeySnapshot + once},
+		{"medley-sharded", true, residentKeySnapshot + once},
+		{"txmontage", true, residentKeySnapshot + montageKey + once},
+	} {
 		e, m, tx, empty := newHeapBudget(t, c.engine, n)
 		for k := uint64(0); k < n; k++ {
 			if err := tx.Run(func() error { m.Put(tx, k, k); return nil }); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if c.snapshot && !txengine.SnapshotRead(tx, func() {}) {
+			t.Fatalf("%s: SnapshotRead refused", c.engine)
 		}
 		perKey := float64(heapAfterGC()-empty) / n
 		if _, ok := m.Get(tx, n-1); !ok { // the map is live across the measurement
@@ -302,9 +325,9 @@ func TestBudgetResidentKey(t *testing.T) {
 		}
 		e.Close()
 		if perKey > c.ceiling {
-			t.Errorf("%s: %.1f B per resident key, budget %v", c.engine, perKey, c.ceiling)
+			t.Errorf("%s (snapshot %v): %.1f B per resident key, budget %.2f", c.engine, c.snapshot, perKey, c.ceiling)
 		}
-		t.Logf("%s: %.1f B per resident key", c.engine, perKey)
+		t.Logf("%s (snapshot %v): %.1f B per resident key", c.engine, c.snapshot, perKey)
 	}
 }
 
@@ -313,21 +336,36 @@ func TestBudgetResidentKey(t *testing.T) {
 // many buckets as keys in the keyspace, half of them live). Of 2N keys N are
 // live; each round removes the live half and inserts the other, one committed
 // transaction a pair, so after five rounds every key has been inserted and
-// removed more than once. The snapshot tier may keep nothing for a key that
-// is gone — its tombstone and its slot are swept once no cut can tell the
-// difference — and one version for a key that is there, so a live key costs
-// what a resident one does plus what churn leaves behind in mhash (an emptied
-// bucket keeps its head cell, a node whose successor left keeps a cell around
-// nil) and the tier's dead markers: 132 B measured, within 1.5x pinned. A
-// tier that pays for every key ever seen, and a second version of each, is
-// past 4x.
+// removed more than once. A live key costs what a resident one does plus what
+// churn leaves behind in mhash (an emptied bucket keeps its head cell, a node
+// whose successor left keeps a cell around nil): 76 B measured in a map
+// nothing has read a snapshot of, within 1.5x of residentKey pinned. With the
+// snapshot tier started first (one SnapshotRead before the churn) the tier
+// may keep nothing for a key that is gone — its tombstone and its slot are
+// swept once no cut can tell the difference — and one version for a key that
+// is there, so the tier's dead markers join the residue: 132 B measured,
+// within 1.5x of residentKeySnapshot. A tier that pays for every key ever
+// seen, and a second version of each, is past 4x.
 func TestBudgetChurnedKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 100_000
-	for _, engine := range []string{"medley", "medley-sharded"} {
+	for _, c := range []struct {
+		engine   string
+		snapshot bool
+		ceiling  float64
+	}{
+		{"medley", false, 1.5 * residentKey},
+		{"medley-sharded", false, 1.5 * residentKey},
+		{"medley", true, 1.5 * residentKeySnapshot},
+		{"medley-sharded", true, 1.5 * residentKeySnapshot},
+	} {
+		engine := c.engine
 		e, m, tx, empty := newHeapBudget(t, engine, 2*n)
+		if c.snapshot && !txengine.SnapshotRead(tx, func() {}) {
+			t.Fatalf("%s: SnapshotRead refused", engine)
+		}
 		for k := uint64(0); k < n; k++ {
 			if err := tx.Run(func() error { m.Insert(tx, 2*k, k); return nil }); err != nil {
 				t.Fatal(err)
@@ -351,10 +389,10 @@ func TestBudgetChurnedKey(t *testing.T) {
 			t.Fatalf("%s: key 1 missing", engine)
 		}
 		e.Close()
-		if perKey > 1.5*residentKey {
-			t.Errorf("%s: %.1f B per live key after churn, budget %v", engine, perKey, 1.5*residentKey)
+		if perKey > c.ceiling {
+			t.Errorf("%s (snapshot %v): %.1f B per live key after churn, budget %v", engine, c.snapshot, perKey, c.ceiling)
 		}
-		t.Logf("%s: %.1f B per live key after churn", engine, perKey)
+		t.Logf("%s (snapshot %v): %.1f B per live key after churn", engine, c.snapshot, perKey)
 	}
 }
 

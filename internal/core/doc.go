@@ -78,7 +78,10 @@
 // on the same keys concurrently, under the paper's guarantees alone. (The
 // MVCC sidecar's stripe mutex, txengine/snapshot.go, is the one lock a
 // committer does take inside its commit window; it guards version publication,
-// not the verdict.)
+// not the verdict. It exists only once the sidecar has started, on the
+// engine's first snapshot read — until then a commit publishes nothing and
+// takes no lock — and the start blocks that first snapshot for one scan of the
+// engine's maps.)
 //
 // # Who owns the read and write sets
 //

@@ -46,7 +46,10 @@ type entry[V any] struct {
 // "payloads persist, indices rebuild". With the epoch system Attach'ed to
 // the TxManager, transactions over Map are fully ACID (txMontage).
 type Map[V any] struct {
-	idx   txmap.Map[entry[V]]
+	idx interface {
+		txmap.Map[entry[V]]
+		Range(f func(uint64, entry[V]) bool)
+	}
 	es    *EpochSys
 	codec Codec[V]
 }
@@ -151,6 +154,12 @@ func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 func (m *Map[V]) retire(s *core.Session, pid, epoch uint64) {
 	sid := s.ID()
 	s.AddToCleanups(func() { m.es.PRetire(sid, pid, epoch) })
+}
+
+// Range calls f on each present pair until f returns false. Non-linearizable:
+// each pair as it stood at some instant of the walk.
+func (m *Map[V]) Range(f func(uint64, V) bool) {
+	m.idx.Range(func(k uint64, e entry[V]) bool { return f(k, e.val) })
 }
 
 // Rebuild binds every recovered payload (one device's

@@ -211,9 +211,18 @@ func TestReadLaneReadYourWrites(t *testing.T) {
 					}
 					defer c.Close()
 					for i := uint64(1); i <= 1000; i++ {
-						if r, err := c.Put(key, i); err != nil || r.Status == StatusErr {
-							t.Errorf("key %d put %d: %+v, %v", key, i, r, err)
-							return
+						// A Put shed by admission control (StatusRetry) was not
+						// executed: send it again, or the Get below rightly reads
+						// the previous value.
+						for {
+							r, err := c.Put(key, i)
+							if err != nil || r.Status == StatusErr {
+								t.Errorf("key %d put %d: %+v, %v", key, i, r, err)
+								return
+							}
+							if r.Status != StatusRetry {
+								break
+							}
 						}
 						r, err := c.Get(key)
 						if err != nil || r.Status == StatusErr {
@@ -230,6 +239,59 @@ func TestReadLaneReadYourWrites(t *testing.T) {
 			wg.Wait()
 			close(stop)
 			writers.Wait()
+		})
+	}
+}
+
+// TestReadLaneFirstReadSeesAcknowledgedPuts: nothing reads a snapshot until
+// the engine's first lane read, so every Put before it was committed without
+// a version, and the connection that made it carries no read-your-writes
+// watermark. That first read starts the snapshot tier, and every Put a
+// connection had acknowledged by then is in its cut: four connections put,
+// then one of them reads every key through the lane.
+func TestReadLaneFirstReadSeesAcknowledgedPuts(t *testing.T) {
+	const writers, keys = 4, 64
+	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
+		t.Run(engine, func(t *testing.T) {
+			s, addr := startServer(t, engine, txengine.Config{Shards: 4}, Options{})
+			conns := make([]*Conn, writers)
+			var wg sync.WaitGroup
+			for w := range conns {
+				conns[w] = dialT(t, addr)
+				wg.Add(1)
+				go func(c *Conn, w int) {
+					defer wg.Done()
+					for k := uint64(w); k < keys; k += writers {
+						if r, err := c.Put(k, 1000+k); err != nil || !r.OK() {
+							t.Errorf("put %d: %+v, %v", k, r, err)
+							return
+						}
+					}
+				}(conns[w], w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if got := s.Counters(); got.SnapServed != 0 {
+				t.Fatalf("the lane served %d reads before the first one", got.SnapServed)
+			}
+			ops := make([]TxnOp, keys)
+			for k := range ops {
+				ops[k] = TxnOp{Kind: TxnRead, Key: uint64(k)}
+			}
+			r, err := conns[0].Txn(ops)
+			if err != nil || !r.OK() || len(r.Reads) != keys {
+				t.Fatalf("first read: %+v, %v", r, err)
+			}
+			for k, rd := range r.Reads {
+				if !rd.Found || rd.Val != 1000+uint64(k) {
+					t.Errorf("key %d read %+v, acknowledged %d before the read", k, rd, 1000+k)
+				}
+			}
+			if got := s.Counters(); got.SnapServed != 1 {
+				t.Fatalf("the first read was not served by the lane: %+v", got)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package txengine
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"medley/internal/core"
 	"medley/internal/montage"
@@ -19,13 +20,41 @@ const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | Ca
 // attached it is txMontage (Medley + periodic persistence over the
 // simulated NVM device).
 type medleyEngine struct {
-	name    string
-	mgr     *core.TxManager
-	es      *montage.EpochSys // non-nil for txMontage
-	codec   montage.Codec[any]
-	stopAdv func()    // halts the private background advancer; nil when none runs
-	snap    *snapTier // MVCC snapshot tier; nil when Config.snapOff (sharded sub-engines)
-	ct      counters
+	name  string
+	mgr   *core.TxManager
+	es    *montage.EpochSys // non-nil for txMontage
+	codec montage.Codec[any]
+	adv   advancer  // the private background advancer, when Config.EpochLen asks for one
+	snap  *snapTier // MVCC snapshot tier; nil when Config.snapOff (sharded sub-engines)
+	ct    counters
+}
+
+// advancer is an engine's background epoch advancer, started by the first map
+// the engine builds or recovers rather than by the engine: devices reattached
+// for recovery must carry no marker of the fresh clock, or a crash before
+// recovery would cut them past their pre-crash frontier.
+type advancer struct {
+	once sync.Once
+	run  func() (stop func()) // starts it; nil when the engine runs none
+	stop func()
+}
+
+// start starts the advancer, the first time it is called before close.
+func (a *advancer) start() {
+	a.once.Do(func() {
+		if a.run != nil {
+			a.stop = a.run()
+		}
+	})
+}
+
+// close stops the advancer if it runs, and keeps it from starting later.
+func (a *advancer) close() {
+	a.once.Do(func() {})
+	if a.stop != nil {
+		a.stop()
+		a.stop = nil
+	}
 }
 
 func newMedleyEngine(cfg Config) (Engine, error) {
@@ -66,7 +95,9 @@ func newTxMontageEngine(cfg Config) (Engine, error) {
 		e.snap = newSnapTier(es.Clock())
 	}
 	if cfg.EpochLen > 0 && cfg.clock == nil {
-		e.stopAdv = montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, cfg.EpochLen)
+		e.adv.run = func() func() {
+			return montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, cfg.EpochLen)
+		}
 	}
 	return e, nil
 }
@@ -75,11 +106,7 @@ func (e *medleyEngine) Name() string { return e.name }
 func (e *medleyEngine) Caps() Caps   { return medleyCaps }
 func (e *medleyEngine) Stats() Stats { return e.ct.snapshot() }
 
-func (e *medleyEngine) Close() {
-	if e.stopAdv != nil {
-		e.stopAdv()
-	}
-}
+func (e *medleyEngine) Close() { e.adv.close() }
 
 // EpochSys exposes the montage epoch system (nil for transient Medley), for
 // recovery demos and persistence tests.
@@ -111,12 +138,13 @@ func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[
 	if err != nil {
 		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	return newSnapUintMap(montageUintMap(e.es, spec, rec.Live[0]), e.snap, rec.Live), nil
+	e.adv.start()
+	return newSnapMap(montageUintMap(e.es, spec, rec.Live[0]), e.snap), nil
 }
 
 // montageUintMap builds one device's persistent uint64 map, its index
 // rebuilt from live when the device is being recovered.
-func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) Map[uint64] {
+func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) txmapAdapter[uint64] {
 	var m *montage.Map[uint64]
 	if spec.Kind == KindHash {
 		m = montage.NewHashMap(es, montage.Uint64Codec(), bucketsOr(spec, 1<<16))
@@ -128,7 +156,7 @@ func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) Map[
 }
 
 func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
-	var inner Map[uint64]
+	var inner txmapAdapter[uint64]
 	switch {
 	case e.es != nil:
 		inner = montageUintMap(e.es, spec, nil)
@@ -137,23 +165,26 @@ func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	default:
 		inner = txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
 	}
-	return newSnapUintMap(inner, e.snap, nil), nil
+	e.adv.start()
+	return newSnapMap(inner, e.snap), nil
 }
 
 func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
-	if e.es != nil {
-		if e.codec.Enc == nil || e.codec.Dec == nil {
-			return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
-		}
-		if spec.Kind == KindHash {
-			return newSnapRowMap(txmapAdapter[any]{montage.NewHashMap(e.es, e.codec, bucketsOr(spec, 1<<16))}, e.snap), nil
-		}
-		return newSnapRowMap(txmapAdapter[any]{montage.NewSkipMap(e.es, e.codec)}, e.snap), nil
+	var inner txmapAdapter[any]
+	switch {
+	case e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
+		return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
+	case e.es != nil && spec.Kind == KindHash:
+		inner = txmapAdapter[any]{montage.NewHashMap(e.es, e.codec, bucketsOr(spec, 1<<16))}
+	case e.es != nil:
+		inner = txmapAdapter[any]{montage.NewSkipMap(e.es, e.codec)}
+	case spec.Kind == KindHash:
+		inner = txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}
+	default:
+		inner = txmapAdapter[any]{fskiplist.New[uint64, any]()}
 	}
-	if spec.Kind == KindHash {
-		return newSnapRowMap(txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}, e.snap), nil
-	}
-	return newSnapRowMap(txmapAdapter[any]{fskiplist.New[uint64, any]()}, e.snap), nil
+	e.adv.start()
+	return newSnapMap(inner, e.snap), nil
 }
 
 // NewUintQueue returns an NBTC-transformed Michael & Scott queue. The queue
@@ -191,11 +222,12 @@ type sessionTx struct {
 	end  func() error // s.TxEnd, bound once: a method value per Run would allocate
 }
 
-// Run is core.Session.Run with version stamping folded into the commit (a
-// successful commit publishes the attempt's buffered writes at one drawn
-// timestamp; without a snapshot tier nothing is ever buffered and the
-// commit is a bare TxEnd) and with the attempts counted in the loop, so a
-// Run allocates nothing in this layer.
+// Run is core.Session.Run with version stamping folded into the commit (once
+// the snapshot tier has started, a successful commit publishes the attempt's
+// buffered writes at one drawn timestamp; before, nothing is buffered and the
+// commit is a TxEnd with the worker's slot marked — see snapAgent.commit)
+// and with the attempts counted in the loop, so a Run allocates nothing in
+// this layer.
 func (t *sessionTx) Run(fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.reset()
@@ -208,7 +240,9 @@ func (t *sessionTx) Run(fn func() error) error {
 			} else {
 				err = t.snap.commit(t.end)
 			}
-		} else if t.s.InTx() {
+		}
+		if t.s.InTx() {
+			// fn failed, or the commit met the snapshot tier's start.
 			t.s.TxAbort()
 		}
 		if err == nil || !errors.Is(err, core.ErrTxAborted) {
@@ -219,48 +253,15 @@ func (t *sessionTx) Run(fn func() error) error {
 	}
 }
 
-// SnapshotRead implements SnapshotReader: fn runs against the tier's sealed
-// cut, validation-free. Illegal inside an open transaction (the snapshot
-// would not see the transaction's own writes).
+// SnapshotRead implements SnapshotReader (snapAgent.snapshot).
 func (t *sessionTx) SnapshotRead(fn func()) bool {
-	if !t.snap.enabled() {
-		return false
-	}
-	if t.s.InTx() {
-		panic("txengine: SnapshotRead inside an open transaction")
-	}
-	rt, stale := t.snap.tier.beginSnapshot(t.snap.slot)
-	t.snap.rt = rt
-	defer func() {
-		t.snap.rt = 0
-		t.snap.tier.endSnapshot(t.snap.slot)
-	}()
-	fn()
-	t.ct.countSnapshot(stale)
-	return true
+	_, ok := t.snap.snapshot(t.ct, t.s.InTx(), 1, func(int, uint64) { fn() })
+	return ok
 }
 
-// SnapshotReadBatch implements SnapshotBatchReader: one pinned cut serves n
-// read-only closures, each its own logical snapshot transaction, with the
-// pin/seal/GC-floor bookkeeping paid once for the batch.
+// SnapshotReadBatch implements SnapshotBatchReader (snapAgent.snapshot).
 func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bool) {
-	if !t.snap.enabled() {
-		return 0, false
-	}
-	if t.s.InTx() {
-		panic("txengine: SnapshotReadBatch inside an open transaction")
-	}
-	rt, stale := t.snap.tier.beginSnapshot(t.snap.slot)
-	t.snap.rt = rt
-	defer func() {
-		t.snap.rt = 0
-		t.snap.tier.endSnapshot(t.snap.slot)
-	}()
-	for i := 0; i < n; i++ {
-		each(i, rt)
-	}
-	t.ct.countSnapshotN(stale, uint64(n))
-	return rt, true
+	return t.snap.snapshot(t.ct, t.s.InTx(), n, each)
 }
 
 // snapAgent / snapBuffering implement the snapTxn seam for snapMap: writes
@@ -281,9 +282,16 @@ func (t *sessionTx) Abort() error {
 	return ErrBusinessAbort
 }
 
-// txmapAdapter lifts any session-based txmap.Map (the Medley structures and
-// the montage persistent maps) to an engine Map.
-type txmapAdapter[V any] struct{ m txmap.Map[V] }
+// txmapAdapter lifts a session-based txmap.Map (the Medley structures and the
+// montage persistent maps) to an engine Map, its Range included.
+type txmapAdapter[V any] struct {
+	m interface {
+		txmap.Map[V]
+		Range(f func(uint64, V) bool)
+	}
+}
+
+func (a txmapAdapter[V]) Range(f func(uint64, V) bool) { a.m.Range(f) }
 
 func (a txmapAdapter[V]) Get(tx Tx, k uint64) (V, bool) { return a.m.Get(tx.(*sessionTx).s, k) }
 func (a txmapAdapter[V]) Put(tx Tx, k uint64, v V) (V, bool) {

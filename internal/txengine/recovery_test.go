@@ -3,7 +3,9 @@ package txengine
 import (
 	"errors"
 	"testing"
+	"time"
 
+	"medley/internal/chaos"
 	"medley/internal/pnvm"
 )
 
@@ -145,6 +147,107 @@ func TestCrashRecoveryConformance(t *testing.T) {
 			t.Logf("%s: %d devices, recovered %d/%d post-sync transactions", b.Key, len(devs), recovered, n)
 		})
 	}
+}
+
+// TestRecoveryAdvancerWaitsForTheMap: an engine built with a background
+// advancer over a crashed image starts the advancer with the map it
+// recovers, not at construction. The image's durable frontier is two epochs
+// in, with the next epoch's batch written back but not its marker: keys
+// synced, then overwritten or removed, then a crash inside the sync. Twenty
+// advancer periods pass between construction and recovery, and the media
+// must not change meanwhile — a fresh-clock marker written there would pass
+// the old frontier, and a recovery that then ran from the media would cut
+// beyond it, reviving the unsynced overwrites and removals. Every synced key
+// comes back with its synced value.
+func TestRecoveryAdvancerWaitsForTheMap(t *testing.T) {
+	const n = uint64(32)
+	for _, tc := range []struct {
+		key    string
+		shards int
+	}{{"txmontage", 0}, {"txmontage-sharded", 2}} {
+		t.Run(tc.key, func(t *testing.T) {
+			t.Cleanup(chaos.DisarmAll)
+			b, _ := Lookup(tc.key)
+			eng, err := b.New(Config{Shards: tc.shards}) // EpochLen 0: sync by hand
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := eng.(Persister)
+			devs := p.Devices()
+			spec := MapSpec{Kind: KindHash, Buckets: 64}
+			m, err := eng.NewUintMap(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := eng.NewWorker(0)
+			for k := uint64(0); k < n; k++ {
+				if err := tx.Run(func() error { m.Put(tx, k, 100+k); return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Sync()
+			for k := uint64(0); k < n; k++ {
+				if err := tx.Run(func() error {
+					if k%2 == 0 {
+						m.Put(tx, k, 900+k)
+					} else {
+						m.Remove(tx, k)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The sync's first advance flushes an empty epoch on every device;
+			// the second writes the overwrites back and crashes before the first
+			// device's marker.
+			if err := chaos.Arm("txmontage.flush.pre-marker", chaos.Fault{
+				Kind:  chaos.Crash,
+				After: len(devs),
+				Action: func() {
+					for _, d := range devs {
+						d.Crash()
+					}
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !chaosCrashed(p.Sync) {
+				t.Fatal("the crash inside the sync never fired")
+			}
+			chaos.DisarmAll()
+			pnvm.DumpAll(devs) // the restart reopens the media
+
+			eng2, err := b.New(Config{Shards: tc.shards, EpochLen: time.Millisecond, Devices: devs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng2.Close()
+			before := deviceWrites(devs)
+			time.Sleep(25 * time.Millisecond)
+			if after := deviceWrites(devs); after != before {
+				t.Errorf("%d device writes between construction and recovery", after-before)
+			}
+			rm, err := eng2.(Persister).RecoverUintMap(pnvm.DumpAll(devs), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx2 := eng2.NewWorker(0)
+			for k := uint64(0); k < n; k++ {
+				if v, ok := rm.Get(tx2, k); !ok || v != 100+k {
+					t.Fatalf("synced key %d recovered as (%d, %v), want (%d, true)", k, v, ok, 100+k)
+				}
+			}
+		})
+	}
+}
+
+func deviceWrites(devs []*pnvm.Device) (n uint64) {
+	for _, d := range devs {
+		w, _, _ := d.Stats()
+		n += w
+	}
+	return n
 }
 
 // TestPersisterCoverage pins that the persistent engines actually implement

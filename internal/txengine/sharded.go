@@ -79,12 +79,12 @@ type shardedEngine struct {
 
 	// Persistence coordination (nil/empty when the base is transient): the
 	// shared epoch clock, each shard's epoch system and device in shard
-	// order, and the stop function of the coordinator (the one background
-	// advancer that moves every shard's epoch system forward together).
-	clock   *montage.EpochClock
-	esys    []*montage.EpochSys
-	devs    []*pnvm.Device
-	stopAdv func()
+	// order, and the coordinator (the one background advancer that moves
+	// every shard's epoch system forward together).
+	clock *montage.EpochClock
+	esys  []*montage.EpochSys
+	devs  []*pnvm.Device
+	adv   advancer
 }
 
 // epochSysProvider is the seam through which the decorator recognizes
@@ -149,7 +149,7 @@ func newShardedEngine(baseKey string, cfg Config) (Engine, error) {
 	if len(e.esys) == len(e.shards) {
 		e.clock = clock
 		if cfg.EpochLen > 0 {
-			e.stopAdv = montage.StartAdvancer(clock, e.esys, cfg.EpochLen)
+			e.adv.run = func() func() { return montage.StartAdvancer(clock, e.esys, cfg.EpochLen) }
 		}
 	} else {
 		e.esys, e.devs = nil, nil
@@ -180,10 +180,7 @@ func (e *shardedEngine) Stats() Stats {
 }
 
 func (e *shardedEngine) Close() {
-	if e.stopAdv != nil {
-		e.stopAdv()
-		e.stopAdv = nil
-	}
+	e.adv.close()
 	for _, sh := range e.shards {
 		sh.Close()
 	}
@@ -229,7 +226,8 @@ func (e *shardedEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map
 	for i, es := range e.esys {
 		sub[i] = montageUintMap(es, subSpec, rec.Live[i])
 	}
-	return newSnapUintMap(&shardedMap[uint64]{e: e, sub: sub}, e.snap, rec.Live), nil
+	e.adv.start()
+	return newSnapMap(&shardedMap[uint64]{e: e, sub: sub}, e.snap), nil
 }
 
 // shardOf routes a key to its owning shard: Fibonacci hashing spreads
@@ -262,7 +260,8 @@ func (e *shardedEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSnapUintMap(m, e.snap, nil), nil
+	e.adv.start()
+	return newSnapMap(m, e.snap), nil
 }
 
 func (e *shardedEngine) NewRowMap(spec MapSpec) (Map[any], error) {
@@ -273,7 +272,8 @@ func (e *shardedEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSnapRowMap(m, e.snap), nil
+	e.adv.start()
+	return newSnapMap(m, e.snap), nil
 }
 
 // NewUintQueue places the queue wholly on one shard (queues have no keys to
@@ -370,48 +370,18 @@ func (t *shardedTx) snapAgent() *snapAgent { return &t.snap }
 func (t *shardedTx) snapBuffering() bool   { return t.inRun && !t.aborted }
 
 // SnapshotRead implements SnapshotReader, exactly as on the unsharded
-// engines: the cut is tier-wide, so it is consistent across every shard —
-// the seal cannot pass a cross-shard commit that is still mid-flight, because
-// the whole transaction is one commit window on the shared tier.
+// engines (snapAgent.snapshot): the cut is tier-wide, so it is consistent
+// across every shard — the seal cannot pass a cross-shard commit that is
+// still mid-flight, because the whole transaction is one commit window on the
+// shared tier.
 func (t *shardedTx) SnapshotRead(fn func()) bool {
-	if !t.snap.enabled() {
-		return false
-	}
-	if t.inRun {
-		panic("txengine: SnapshotRead inside an open transaction")
-	}
-	rt, stale := t.snap.tier.beginSnapshot(t.snap.slot)
-	t.snap.rt = rt
-	defer func() {
-		t.snap.rt = 0
-		t.snap.tier.endSnapshot(t.snap.slot)
-	}()
-	fn()
-	t.e.ct.countSnapshot(stale)
-	return true
+	_, ok := t.snap.snapshot(&t.e.ct, t.inRun, 1, func(int, uint64) { fn() })
+	return ok
 }
 
-// SnapshotReadBatch implements SnapshotBatchReader on the decorator's
-// tier-wide cut: one pin, one seal advance, n logical read transactions —
-// consistent across every shard like SnapshotRead.
+// SnapshotReadBatch implements SnapshotBatchReader on the same tier-wide cut.
 func (t *shardedTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bool) {
-	if !t.snap.enabled() {
-		return 0, false
-	}
-	if t.inRun {
-		panic("txengine: SnapshotReadBatch inside an open transaction")
-	}
-	rt, stale := t.snap.tier.beginSnapshot(t.snap.slot)
-	t.snap.rt = rt
-	defer func() {
-		t.snap.rt = 0
-		t.snap.tier.endSnapshot(t.snap.slot)
-	}()
-	for i := 0; i < n; i++ {
-		each(i, rt)
-	}
-	t.e.ct.countSnapshotN(stale, uint64(n))
-	return rt, true
+	return t.snap.snapshot(&t.e.ct, t.inRun, n, each)
 }
 
 // routeOf is shardOf through the handle's memo.
@@ -550,7 +520,10 @@ func (t *shardedTx) rollback() {
 //
 // The transaction stamps ONE version: the timestamp is drawn before the
 // session's single InPrep→InProg transition and published for every shard's
-// writes together iff the verdict is commit.
+// writes together iff the verdict is commit. (Before the snapshot tier has
+// started it stamps none, and a commit that meets the start returns
+// core.ErrTxAborted with the transaction still open: the deferred rollback
+// aborts it, and the retry publishes.)
 func (t *shardedTx) attempt(fn func() error) error {
 	t.inRun, t.aborted, t.multi = true, false, false
 	t.stamp++
@@ -648,7 +621,7 @@ type shardedMap[V any] struct {
 	sub []Map[V]
 }
 
-func newShardedMap[V any](e *shardedEngine, spec MapSpec, mk func(Engine, MapSpec) (Map[V], error)) (Map[V], error) {
+func newShardedMap[V any](e *shardedEngine, spec MapSpec, mk func(Engine, MapSpec) (Map[V], error)) (*shardedMap[V], error) {
 	sub := e.subSpec(spec)
 	m := &shardedMap[V]{e: e, sub: make([]Map[V], len(e.shards))}
 	for i, sh := range e.shards {
@@ -658,6 +631,21 @@ func newShardedMap[V any](e *shardedEngine, spec MapSpec, mk func(Engine, MapSpe
 		}
 	}
 	return m, nil
+}
+
+// Range walks the sub-maps in shard order (rangeMap): each is a bare map of
+// a Medley-family shard, which the snapshot tier only wraps on top.
+func (m *shardedMap[V]) Range(f func(uint64, V) bool) {
+	for _, sub := range m.sub {
+		more := true
+		sub.(rangeMap[V]).Range(func(k uint64, v V) bool {
+			more = f(k, v)
+			return more
+		})
+		if !more {
+			return
+		}
+	}
 }
 
 func (m *shardedMap[V]) Get(tx Tx, k uint64) (V, bool) {

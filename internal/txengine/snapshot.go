@@ -25,6 +25,9 @@ package txengine
 //   - SnapshotRead(fn) pins the current sealed watermark, runs fn with every
 //     map Get served from the table at that timestamp, and returns. No
 //     validation, no abort, no restart — by construction, not by luck.
+//   - None of this runs until something reads a snapshot: the tier starts on
+//     the engine's first one (see "The start" below). Before that a commit
+//     draws nothing, buffers nothing and publishes nothing.
 //
 // Why the timestamp order is consistent with MCNS conflict order: a writer
 // draws its timestamp after fn has installed every node and before TxEnd's
@@ -39,7 +42,10 @@ package txengine
 // unchanged, so B's install — which precedes draw(B) — happened after A
 // validated, which follows draw(A). Either way timestamps agree with the
 // serialization order, so the set of transactions with ts <= any cut is
-// prefix-closed and a table read at that cut is a consistent snapshot.
+// prefix-closed and a table read at that cut is a consistent snapshot. A
+// standalone write applies its inner operation first and draws after, so it
+// is ordered against a concurrent writer of the same key by neither; nothing
+// below claims more for it.
 //
 // The sealed watermark: a drawn timestamp is not immediately readable —
 // the transaction may still fail validation, and a slower writer may hold a
@@ -54,15 +60,81 @@ package txengine
 // maintain): beyond one version per present key the table holds a sixteenth
 // of its slots in versions awaiting a sweep, plus whatever a pinned snapshot
 // is still entitled to read.
+//
+// The start. The tier starts once per engine, at its first snapshot, and
+// never stops. Until then a committing worker only marks its slot
+// (unpublished) for the length of its TxEnd — of its inner operation, for a
+// standalone write — and re-reads the tier state after the mark: a
+// transaction that finds a start under way aborts, and its retry publishes; a
+// standalone write takes the publishing path instead. The first snapshot
+// starts the tier under startMu:
+//
+//  1. state = starting: every commit that re-reads the state from here on
+//     publishes.
+//  2. Wait until no slot is marked.
+//  3. Draw T_seed, pin it on the starter's slot (no sweep may pass it), and
+//     wait for the seal to reach it.
+//  4. Scan every map registered with the tier (Range: each key as it stood at
+//     some instant of the walk), dropping every version below T_seed and
+//     publishing each present key at T_seed.
+//  5. Draw T_ready, wait for the seal to reach it, state = on.
+//
+// Why the table at any cut c >= T_ready is the committed state at c. Take a
+// key k that the scan read at instant s. Every write to k is one of three:
+//
+//   - unpublished: its worker marked its slot, then read the state as off, so
+//     step 1 followed the mark (the stores and loads are sequentially
+//     consistent: a Dekker pair), step 2 saw it and waited for the clear,
+//     which follows the write; the write precedes s;
+//   - published below T_seed: the seal passed its timestamp, in step 3, only
+//     after its window closed, which follows the write; it precedes s too;
+//   - published above T_seed: its version is in the table, above the seed.
+//
+// So the writes that precede s are every write of the first two kinds and
+// some of the third, and the seed — k's state at s, no version if k was
+// absent — is their result; step 4 drops every version of the second kind,
+// so nothing below the seed survives to contradict it. A reader at c takes
+// the newest version at or below c. If a write of the third kind has its
+// timestamp at or below c, the newest such is the committed state at c
+// (timestamps order conflicting commits) and it shadows the seed. Otherwise
+// every third-kind write is above c >= T_ready; it drew after T_ready, which
+// was drawn after the scan, so none can have been visible at s (a
+// transaction is first readable at InProg, after its draw) and the seed is
+// the committed state at c. (A standalone write applies before it draws, so
+// the seed may show one at cuts below its timestamp: early, never lost — the
+// slack noted above.) That covers the commits that land while the scan
+// runs: behind the scanner their version shadows the older seed, ahead of it
+// the seed already holds them and their version repeats it. A scan that meets
+// a transaction still InPrep aborts it, as any reader does, and its retry
+// publishes. Nothing reads below T_ready: the seal passes T_ready before the
+// state opens and never goes back, and a snapshot pins the seal. During the
+// scan the floor is at most T_seed (the starter's pin), so no sweep can take
+// a tombstone of the third kind and let a seed behind it show through.
 
 import (
 	mbits "math/bits"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"medley/internal/chaos"
+	"medley/internal/core"
 	"medley/internal/montage"
-	"medley/internal/pnvm"
 	"medley/internal/structures/mhash"
+)
+
+// The instants of the start protocol, in the order a committing worker or the
+// starting snapshot passes them. A production run arms none of them; tests
+// park a goroutine at each to enumerate the start's windows.
+var (
+	cpCommitPreMark = chaos.At("snapshot.commit.pre-mark") // tier off, slot not yet marked
+	cpCommitMarked  = chaos.At("snapshot.commit.marked")   // slot marked, state not yet re-read
+	cpCommitChecked = chaos.At("snapshot.commit.checked")  // re-read as off: TxEnd or the standalone inner op next
+	cpCommitDone    = chaos.At("snapshot.commit.done")     // committed unpublished, the mark not yet cleared
+	cpCommitWindow  = chaos.At("snapshot.commit.window")   // tier started: timestamp drawn, TxEnd next
+	cpStartScan     = chaos.At("snapshot.start.scan")      // the start has seeded one more key
 )
 
 // SnapshotReader is the optional Tx extension of engines with CapSnapshot.
@@ -120,16 +192,16 @@ func SnapshotReadBatch(tx Tx, n int, each func(i int, cut uint64)) (uint64, bool
 // LastCommitTS reports the commit timestamp of the most recent
 // version-stamped write committed through tx — standalone or transactional —
 // or 0 when the handle has written nothing (or the engine has no snapshot
-// tier). A snapshot cut at or above this watermark is guaranteed to include
+// tier). Until the engine's tier has started no write is stamped, so it
+// returns 0 until then; every snapshot cut covers the writes made before the
+// start. A snapshot cut at or above this watermark is guaranteed to include
 // every write the handle has completed, which is how a serving layer keeps
 // read-your-writes while routing reads through snapshots: serve the read
 // from any cut >= LastCommitTS, fall back to an OCC read when the available
 // cut trails it (a writer elsewhere is still sealing).
 func LastCommitTS(tx Tx) uint64 {
 	if st, ok := tx.(snapTxn); ok {
-		if a := st.snapAgent(); a.enabled() {
-			return a.lastTS
-		}
+		return st.snapAgent().lastTS
 	}
 	return 0
 }
@@ -137,24 +209,37 @@ func LastCommitTS(tx Tx) uint64 {
 // snapSlot is one worker's communication surface with the tier: inflight
 // publishes a lower bound on the timestamp the worker may be about to draw
 // (0 = no commit in flight), reading publishes the timestamp of the
-// worker's pinned snapshot (0 = none). Padded so two hot slots never share
-// a cache line.
+// worker's pinned snapshot (0 = none), and unpublished marks a commit that
+// publishes nothing (before the tier's start). Padded so two hot slots never
+// share a cache line.
 type snapSlot struct {
-	inflight atomic.Uint64
-	reading  atomic.Uint64
-	_        [112]byte
+	inflight    atomic.Uint64
+	reading     atomic.Uint64
+	unpublished atomic.Bool
+	_           [108]byte
 }
+
+// The tier's states, in the one order it passes them.
+const (
+	snapOff      uint32 = iota // nothing has read a snapshot: commits publish nothing
+	snapStarting               // the first snapshot is seeding the tables: commits publish
+	snapOn                     // started, for good
+)
 
 // snapTier is the per-engine clock + watermark state shared by every worker
 // and every snapMap of one engine. A sharded engine owns exactly one tier —
 // its sub-engines are built with version stamping disabled — so a
-// cross-shard transaction (including a PR 6 shared-fate latch group)
-// stamps exactly one timestamp for the whole group.
+// cross-shard transaction stamps exactly one timestamp. It is 64 bytes, so
+// the allocator gives it a cache line of its own (pinned by a test): every
+// commit and every snapshot reads the clock, the seal and the slots together,
+// and every write the state.
 type snapTier struct {
-	clock  atomic.Uint64 // last drawn commit timestamp
-	sealed atomic.Uint64 // highest timestamp safe for snapshots to read
-	mu     sync.Mutex    // guards slot registration
-	slots  atomic.Pointer[[]*snapSlot]
+	clock   atomic.Uint64 // last drawn commit timestamp
+	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read
+	slots   atomic.Pointer[[]*snapSlot]
+	state   atomic.Uint32
+	startMu sync.Mutex   // held by the start, and by a map joining the tier
+	maps    []snapSource // every top-level map of the engine; guarded by startMu
 }
 
 // newSnapTier builds a tier. When the engine is montage-backed, ec anchors
@@ -175,18 +260,86 @@ func newSnapTier(ec *montage.EpochClock) *snapTier {
 	return t
 }
 
-// newSlot registers a worker with the tier. Slots are copy-on-write so the
-// hot paths (reseal, floor refresh) walk a plain slice with no lock.
+// newSlot registers a worker with the tier. Slots are copy-on-write,
+// installed by CAS, so the hot paths (reseal, floor refresh, the start's wait)
+// walk a plain slice with no lock.
 func (t *snapTier) newSlot() *snapSlot {
 	s := &snapSlot{}
-	t.mu.Lock()
-	old := *t.slots.Load()
-	next := make([]*snapSlot, len(old)+1)
-	copy(next, old)
-	next[len(old)] = s
-	t.slots.Store(&next)
-	t.mu.Unlock()
-	return s
+	for {
+		old := t.slots.Load()
+		next := append(slices.Clip(*old), s)
+		if t.slots.CompareAndSwap(old, &next) {
+			return s
+		}
+	}
+}
+
+// snapSource is a top-level map as the tier's start sees it (snapMap.seed).
+type snapSource interface {
+	seed(ts uint64)
+}
+
+// register adds a new map to those the start scans. A map that joins a tier
+// already on is seeded on the spot, at the seal: nothing can have written it
+// yet, so its content is the committed state at every cut from there on.
+func (t *snapTier) register(m snapSource) {
+	t.startMu.Lock()
+	defer t.startMu.Unlock()
+	t.maps = append(t.maps, m)
+	if t.state.Load() == snapOn {
+		m.seed(t.sealed.Load())
+	}
+}
+
+// start starts the tier, the first time a snapshot asks (see the header);
+// later callers find it on, or wait on startMu for the start under way. s is
+// the starting snapshot's slot: its pin at T_seed holds the GC floor while
+// the maps are scanned.
+func (t *snapTier) start(s *snapSlot) {
+	t.startMu.Lock()
+	defer t.startMu.Unlock()
+	if t.state.Load() == snapOn {
+		return
+	}
+	t.state.Store(snapStarting)
+	waitUntil(func() bool {
+		for _, w := range *t.slots.Load() {
+			if w.unpublished.Load() {
+				return false
+			}
+		}
+		return true
+	})
+	seed := t.clock.Add(1)
+	s.reading.Store(seed)
+	t.sealThrough(seed)
+	for _, m := range t.maps {
+		m.seed(seed)
+	}
+	t.sealThrough(t.clock.Add(1))
+	t.state.Store(snapOn)
+	s.reading.Store(0)
+}
+
+// sealThrough returns once the seal has reached ts: every commit that drew a
+// timestamp at or below it has published and closed its window.
+func (t *snapTier) sealThrough(ts uint64) {
+	waitUntil(func() bool {
+		t.reseal()
+		return t.sealed.Load() >= ts
+	})
+}
+
+// waitUntil polls done, yielding between polls and, past the first few,
+// sleeping: what the start waits for is other workers' commits.
+func waitUntil(done func() bool) {
+	for i := 0; !done(); i++ {
+		if i < 64 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
 }
 
 // beginCommit opens a commit window for s and returns the drawn timestamp.
@@ -462,6 +615,34 @@ func (t *snapTable[V]) sweep(s *snapStripe[V], slots snapSlots[V], floor uint64)
 	}
 }
 
+// trim drops every version below ts, and makes a dead marker of every slot
+// that leaves empty: step 4 of the start, before the seeds go in. Only the
+// versions published while the start waited for its seal can be there.
+func (t *snapTable[V]) trim(ts uint64) {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		if p := s.slots.Load(); p != nil {
+			slots := *p
+			for j := range slots {
+				n := slots[j].Load()
+				switch {
+				case n == nil || n == &t.dead:
+				case n.ts() < ts:
+					slots[j].Store(&t.dead)
+					s.dirty[j>>6] &^= 1 << (j & 63)
+				default:
+					for next := n.next.Load(); next != nil && next.ts() >= ts; next = n.next.Load() {
+						n = next
+					}
+					n.next.Store(nil)
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
 // read returns key k's state at snapshot timestamp rt: the newest version
 // with ts <= rt, or absent when there is none (the key did not exist at the
 // cut) or it is a tombstone. Any array the stripe has published answers every
@@ -534,14 +715,13 @@ type pendingWrite struct {
 // sub-engines, or engines without CapSnapshot) and every snapMap stays
 // unwrapped, so the agent is never consulted.
 type snapAgent struct {
-	tier    *snapTier
-	slot    *snapSlot
-	rt      uint64 // nonzero while inside SnapshotRead: the pinned cut
-	lastTS  uint64 // commit ts of the handle's newest published write (see LastCommitTS)
-	pending []pendingWrite
+	tier        *snapTier
+	slot        *snapSlot
+	rt          uint64 // nonzero while inside SnapshotRead: the pinned cut
+	lastTS      uint64 // commit ts of the handle's newest published write (see LastCommitTS)
+	unpublished bool   // the attempt wrote with the tier off: its commit is marked, not published
+	pending     []pendingWrite
 }
-
-func (a *snapAgent) enabled() bool { return a.tier != nil }
 
 // reset drops buffered publications; called at the start of every attempt
 // so an aborted or restarted attempt leaves nothing behind.
@@ -550,38 +730,126 @@ func (a *snapAgent) reset() {
 		a.pending[i].aval = nil
 	}
 	a.pending = a.pending[:0]
+	a.unpublished = false
 }
 
-// denyWrite panics when called inside a snapshot — snapshots are read-only.
-func (a *snapAgent) denyWrite() {
+// snapshot is SnapshotRead and SnapshotReadBatch of every handle with a tier:
+// one cut is pinned, each(i, cut) runs for i in [0, n) against it, and n
+// snapshot reads are counted in ct. It reports false, running nothing,
+// without a tier, and panics inside an open transaction (the snapshot would
+// not see the transaction's own writes). The tier starts here, on the
+// engine's first snapshot, and nowhere else.
+func (a *snapAgent) snapshot(ct *counters, inTx bool, n int, each func(i int, cut uint64)) (uint64, bool) {
+	if a.tier == nil {
+		return 0, false
+	}
+	if inTx {
+		panic("txengine: snapshot read inside an open transaction")
+	}
+	if a.tier.state.Load() != snapOn {
+		a.tier.start(a.slot)
+	}
+	rt, stale := a.tier.beginSnapshot(a.slot)
+	a.rt = rt
+	defer func() {
+		a.rt = 0
+		a.tier.endSnapshot(a.slot)
+	}()
+	for i := 0; i < n; i++ {
+		each(i, rt)
+	}
+	ct.countSnapshotN(stale, uint64(n))
+	return rt, true
+}
+
+// snapWrite is how one map write meets the tier, decided before the write
+// reaches the inner map (beginWrite) and acted on after it (endWrite).
+type snapWrite uint8
+
+const (
+	writeBuffered    snapWrite = iota // tier started, in a transaction: published at the commit's timestamp
+	writePublished                    // tier started, standalone: published in a commit window of its own
+	writeUnpublished                  // tier off, in a transaction: the attempt's commit is marked instead
+	writeMarked                       // tier off, standalone: the slot is marked around the inner op
+)
+
+// beginWrite readies one map write; buffered says a transaction is open. It
+// panics inside a snapshot — snapshots are read-only. A standalone write with
+// the tier off marks the slot here, before its inner op, and re-reads the
+// state: a start under way sends it down the publishing path.
+func (a *snapAgent) beginWrite(buffered bool) snapWrite {
 	if a.rt != 0 {
 		panic("txengine: write inside SnapshotRead (snapshot transactions are read-only)")
 	}
+	switch {
+	case a.tier.state.Load() != snapOff:
+		if buffered {
+			return writeBuffered
+		}
+		return writePublished
+	case buffered:
+		return writeUnpublished
+	case a.mark():
+		return writeMarked
+	}
+	return writePublished
 }
 
-// note records one committed-write-to-be. Inside a transaction the write is
-// buffered (deduplicated per key — only the final state of a key commits)
-// and published at the transaction's single drawn timestamp. Outside a
-// transaction (NoTx mode, standalone ops) the write is its own commit and
-// publishes immediately under its own draw; the inner map applies first and
-// the chain entry follows, so a standalone write is briefly invisible to
-// brand-new snapshots — the same lag any concurrent reader already
-// tolerates from an unsynchronized writer.
-func (a *snapAgent) note(tab snapPublisher, k, uval uint64, aval any, del, buffered bool) {
-	if !buffered {
+// endWrite finishes a write begun as w; applied says whether it changed the
+// inner map (an Insert of a present key or a Remove of an absent one did
+// not). Inside a transaction the committed state of a key is buffered —
+// deduplicated, only a key's final state commits — and published at the
+// transaction's single drawn timestamp. A standalone write is its own commit
+// and publishes now, under its own draw; the inner map applied first, so it
+// is briefly invisible to brand-new snapshots — the same lag any concurrent
+// reader already tolerates from an unsynchronized writer.
+func (a *snapAgent) endWrite(w snapWrite, tab snapPublisher, k, uval uint64, aval any, del, applied bool) {
+	if w == writeMarked {
+		a.unmark()
+		return
+	}
+	if !applied {
+		return
+	}
+	switch w {
+	case writeUnpublished:
+		a.unpublished = true
+	case writePublished:
 		ts := a.tier.beginCommit(a.slot)
 		tab.publishRaw(k, ts, uval, aval, del)
 		a.lastTS = ts
 		a.tier.endCommit(a.slot)
-		return
-	}
-	for i := range a.pending {
-		if p := &a.pending[i]; p.tab == tab && p.k == k {
-			p.uval, p.aval, p.del = uval, aval, del
-			return
+	case writeBuffered:
+		for i := range a.pending {
+			if p := &a.pending[i]; p.tab == tab && p.k == k {
+				p.uval, p.aval, p.del = uval, aval, del
+				return
+			}
 		}
+		a.pending = append(a.pending, pendingWrite{tab: tab, k: k, uval: uval, aval: aval, del: del})
 	}
-	a.pending = append(a.pending, pendingWrite{tab: tab, k: k, uval: uval, aval: aval, del: del})
+}
+
+// mark marks an unpublished commit in the worker's slot and re-reads the
+// tier state: true, the tier is still off and its start will wait for the
+// commit until unmark; false, a start is under way, the mark is gone again
+// and the commit must publish.
+func (a *snapAgent) mark() bool {
+	cpCommitPreMark.Hit()
+	a.slot.unpublished.Store(true)
+	cpCommitMarked.Hit()
+	if a.tier.state.Load() == snapOff {
+		cpCommitChecked.Hit()
+		return true
+	}
+	a.slot.unpublished.Store(false)
+	return false
+}
+
+// unmark ends a marked commit.
+func (a *snapAgent) unmark() {
+	cpCommitDone.Hit()
+	a.slot.unpublished.Store(false)
 }
 
 // publishAll flushes the buffer at the transaction's commit timestamp.
@@ -595,16 +863,28 @@ func (a *snapAgent) publishAll(ts uint64) {
 	a.lastTS = ts
 }
 
-// commit runs end — the transaction's one commit verdict — inside a commit
-// window of the tier. The timestamp is drawn after fn installed every node
+// commit runs end — the transaction's one commit verdict. An attempt that
+// wrote with the tier off runs it marked, or, finding a start under way,
+// returns core.ErrTxAborted without running it: the caller aborts the open
+// transaction and the retry publishes. Otherwise end runs inside a commit
+// window of the tier: the timestamp is drawn after fn installed every node
 // and before end's InPrep→InProg transition, which is what keeps timestamp
-// order consistent with conflict order; on success the buffered writes
+// order consistent with conflict order, and on success the buffered writes
 // publish under it. Read-only transactions buffer nothing and skip the draw.
 func (a *snapAgent) commit(end func() error) error {
+	if a.unpublished {
+		if !a.mark() {
+			return core.ErrTxAborted
+		}
+		err := end()
+		a.unmark()
+		return err
+	}
 	if len(a.pending) == 0 {
 		return end()
 	}
 	ts := a.tier.beginCommit(a.slot)
+	cpCommitWindow.Hit()
 	err := end()
 	if err == nil {
 		a.publishAll(ts)
@@ -623,40 +903,51 @@ type snapTxn interface {
 	snapBuffering() bool
 }
 
+// rangeMap is a top-level map as the tier's start reads it: Range visits
+// every present pair, each as it stood at some instant of the walk — not a
+// linearizable snapshot of the map, which the start does not need.
+type rangeMap[V any] interface {
+	Map[V]
+	Range(f func(k uint64, v V) bool)
+}
+
 // snapMap decorates a top-level engine map with the version sidecar. OCC
 // reads and all writes pass straight through to the inner map; writes
-// additionally note their committed state with the agent, and snapshot
-// reads (agent.rt != 0) are served entirely from the table.
+// additionally meet the tier (beginWrite, endWrite), and snapshot reads
+// (agent.rt != 0) are served entirely from the table.
 type snapMap[V any] struct {
-	inner Map[V]
+	inner rangeMap[V]
 	tab   *snapTable[V]
 }
 
-// newSnapUintMap / newSnapRowMap attach the per-map snapshot sidecar to a
-// top-level map when the engine carries the MVCC tier (tier nil: inner is
-// returned bare). A map rebuilt by recovery passes its per-device live
-// records, and every one is seeded into the table at the tier's current
-// seal: a miss means "absent at the cut", so falling back to the inner map
-// would tear against a concurrent first-post-recovery writer.
-func newSnapUintMap(inner Map[uint64], tier *snapTier, live [][]pnvm.Record) Map[uint64] {
+// newSnapMap attaches the snapshot sidecar to a top-level map, new or
+// recovered alike, and registers it with the tier (tier nil: inner is
+// returned bare).
+func newSnapMap[V any](inner rangeMap[V], tier *snapTier) Map[V] {
 	if tier == nil {
 		return inner
 	}
-	tab := &snapTable[uint64]{tier: tier}
-	dec := montage.Uint64Codec().Dec
-	for _, recs := range live {
-		for _, r := range recs {
-			tab.publish(r.Key, tier.sealed.Load(), dec(r.Val), false)
-		}
-	}
-	return snapMap[uint64]{inner: inner, tab: tab}
+	m := snapMap[V]{inner: inner, tab: &snapTable[V]{tier: tier}}
+	tier.register(m)
+	return m
 }
 
-func newSnapRowMap(inner Map[any], tier *snapTier) Map[any] {
-	if tier == nil {
-		return inner
-	}
-	return snapMap[any]{inner: inner, tab: &snapTable[any]{tier: tier}}
+// seed is step 4 of the start for this map: every version below ts goes, and
+// every key present in the inner map is published at ts.
+func (m snapMap[V]) seed(ts uint64) {
+	m.tab.trim(ts)
+	m.inner.Range(func(k uint64, v V) bool {
+		m.tab.publish(k, ts, v, false)
+		cpStartScan.Hit()
+		return true
+	})
+}
+
+// writeOf is beginWrite for a write through tx.
+func writeOf(tx Tx) (*snapAgent, snapWrite) {
+	st := tx.(snapTxn)
+	a := st.snapAgent()
+	return a, a.beginWrite(st.snapBuffering())
 }
 
 func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
@@ -668,34 +959,24 @@ func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
 }
 
 func (m snapMap[V]) Put(tx Tx, k uint64, v V) (V, bool) {
-	st := tx.(snapTxn)
-	a := st.snapAgent()
-	a.denyWrite()
+	a, w := writeOf(tx)
 	prev, had := m.inner.Put(tx, k, v)
 	u, av := snapSplit(v)
-	a.note(m.tab, k, u, av, false, st.snapBuffering())
+	a.endWrite(w, m.tab, k, u, av, false, true)
 	return prev, had
 }
 
 func (m snapMap[V]) Insert(tx Tx, k uint64, v V) bool {
-	st := tx.(snapTxn)
-	a := st.snapAgent()
-	a.denyWrite()
+	a, w := writeOf(tx)
 	ok := m.inner.Insert(tx, k, v)
-	if ok {
-		u, av := snapSplit(v)
-		a.note(m.tab, k, u, av, false, st.snapBuffering())
-	}
+	u, av := snapSplit(v)
+	a.endWrite(w, m.tab, k, u, av, false, ok)
 	return ok
 }
 
 func (m snapMap[V]) Remove(tx Tx, k uint64) (V, bool) {
-	st := tx.(snapTxn)
-	a := st.snapAgent()
-	a.denyWrite()
+	a, w := writeOf(tx)
 	prev, had := m.inner.Remove(tx, k)
-	if had {
-		a.note(m.tab, k, 0, nil, true, st.snapBuffering())
-	}
+	a.endWrite(w, m.tab, k, 0, nil, true, had)
 	return prev, had
 }

@@ -121,10 +121,12 @@ func TestSnapshotReadBatchGate(t *testing.T) {
 }
 
 // TestLastCommitTS pins the read-your-writes watermark the serving tier
-// leans on: zero before a handle's first write, advancing with each of the
-// handle's commits (transactional or standalone), untouched by reads, and a
-// quiesced snapshot cut reaches it — so a cut that passes the watermark is
-// guaranteed to contain the handle's newest write.
+// leans on: zero before a handle's first write, and zero until the engine's
+// first snapshot has started the tier (writes publish nothing before, and
+// every cut covers them); then advancing with each of the handle's commits
+// (transactional or standalone), untouched by reads, and a quiesced snapshot
+// cut reaches it — so a cut that passes the watermark is guaranteed to
+// contain the handle's newest write.
 func TestLastCommitTS(t *testing.T) {
 	snapEngines(t, []int{2}, func(t *testing.T, eng Engine) {
 		m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
@@ -134,6 +136,23 @@ func TestLastCommitTS(t *testing.T) {
 		tx := eng.NewWorker(1)
 		if ts := LastCommitTS(tx); ts != 0 {
 			t.Fatalf("fresh handle watermark %d, want 0", ts)
+		}
+		if err := tx.Run(func() error { m.Put(tx, 1, 5); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		m.Put(tx, 3, 30)
+		if ts := LastCommitTS(tx); ts != 0 {
+			t.Fatalf("watermark %d before the tier started, want 0", ts)
+		}
+		if _, ok := SnapshotReadBatch(tx, 1, func(_ int, cut uint64) {
+			if v, found := m.Get(tx, 1); !found || v != 5 {
+				t.Errorf("first cut %d missed a write from before the start", cut)
+			}
+			if v, found := m.Get(tx, 3); !found || v != 30 {
+				t.Errorf("first cut %d missed a standalone write from before the start", cut)
+			}
+		}); !ok {
+			t.Fatal("SnapshotReadBatch refused")
 		}
 		if err := tx.Run(func() error { m.Put(tx, 1, 10); return nil }); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package txengine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -87,6 +88,10 @@ func TestSnapshotCapsGate(t *testing.T) {
 // sum every account in both maps. The modular total is invariant under
 // transfers, so any deviation means the snapshot observed half a transfer: a
 // torn cut. Runs at shards 1, 2, and 8 so cross-shard commits are covered.
+//
+// With readers=mid-run the readers wait until the writers are a quarter of
+// the way through, so the first snapshot starts the tier under their
+// traffic: every commit before it published nothing.
 func TestSnapshotNeverTorn(t *testing.T) {
 	const (
 		accounts = 96
@@ -95,7 +100,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 		readers  = 2
 		iters    = 1200
 	)
-	snapEngines(t, []int{1, 2, 8}, func(t *testing.T, eng Engine) {
+	eachReaderStart(t, []int{1, 2, 8}, func(t *testing.T, eng Engine, late bool) {
 		spec := MapSpec{Kind: KindHash, Buckets: 256}
 		checking, err := eng.NewUintMap(spec)
 		if err != nil {
@@ -122,6 +127,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 		want := 2 * accounts * perAcct // modular sum, invariant under transfers
 
 		var done atomic.Bool
+		var progress atomic.Int64
 		var wWg, rWg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wWg.Add(1)
@@ -143,6 +149,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 						t.Errorf("transfer: %v", err)
 						return
 					}
+					progress.Add(1)
 				}
 			}(w)
 		}
@@ -151,7 +158,8 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			go func(r int) {
 				defer rWg.Done()
 				tx := eng.NewWorker(1 + writers + r)
-				for !done.Load() {
+				awaitProgress(late, &progress, writers*iters/4)
+				for first := true; first || !done.Load(); first = false {
 					sum := uint64(0)
 					missing := 0
 					if !SnapshotRead(tx, func() {
@@ -204,6 +212,29 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			t.Fatal("no snapshot reads counted")
 		}
 	})
+}
+
+// eachReaderStart is snapEngines twice: with snapshot readers that start
+// with the writers (the tier starts before the first commit) and with readers
+// that start mid-run (late: the tier starts under the writers' traffic).
+func eachReaderStart(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engine, late bool)) {
+	for _, late := range []bool{false, true} {
+		name := "readers=from-start"
+		if late {
+			name = "readers=mid-run"
+		}
+		t.Run(name, func(t *testing.T) {
+			snapEngines(t, shardCounts, func(t *testing.T, eng Engine) { f(t, eng, late) })
+		})
+	}
+}
+
+// awaitProgress holds a late reader back until the writers have committed
+// enough transactions.
+func awaitProgress(late bool, progress *atomic.Int64, enough int) {
+	for late && progress.Load() < int64(enough) {
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestSnapshotZeroAbort is the bugfix's core claim, stated as exact stats:
@@ -381,24 +412,32 @@ func TestSnapshotWriteDenied(t *testing.T) {
 	})
 }
 
-// TestSnapshotRecovery checks the recovery seeding rule: chains must be
-// rebuilt from the recovered live records, so a snapshot taken on a fresh
-// post-crash engine observes every recovered key (a chain miss means
-// "absent at the cut" — falling back to the inner map would tear).
+// TestSnapshotRecovery: a recovered map starts like any other, so the first
+// snapshot on a fresh post-crash engine — whose start scans the recovered map
+// — observes every recovered key (a chain miss means "absent at the cut":
+// falling back to the inner map would tear), and every write made between
+// recovery and that snapshot, transactional or standalone. A map recovered
+// into a tier some snapshot has already started is seeded as it joins.
 func TestSnapshotRecovery(t *testing.T) {
 	const n = uint64(100)
 	for _, tc := range []struct {
-		key    string
-		shards int
+		key     string
+		shards  int
+		started bool // a snapshot started the fresh engine's tier before recovery
 	}{
-		{"txmontage", 0},
-		{"txmontage-sharded", 2},
-		{"txmontage-sharded", 8},
+		{"txmontage", 0, false},
+		{"txmontage-sharded", 2, false},
+		{"txmontage-sharded", 8, false},
+		{"txmontage", 0, true},
+		{"txmontage-sharded", 2, true},
 	} {
 		tc := tc
 		name := tc.key
 		if tc.shards > 0 {
 			name = fmt.Sprintf("%s/shards=%d", tc.key, tc.shards)
+		}
+		if tc.started {
+			name += "/tier-started-before-recovery"
 		}
 		t.Run(name, func(t *testing.T) {
 			b, ok := Lookup(tc.key)
@@ -438,27 +477,39 @@ func TestSnapshotRecovery(t *testing.T) {
 				t.Fatalf("rebuild: %v", err)
 			}
 			defer eng2.Close()
+			if tc.started && !SnapshotRead(eng2.NewWorker(1), func() {}) {
+				t.Fatal("SnapshotRead refused on the fresh engine")
+			}
 			rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tx2 := eng2.NewWorker(0)
-			missing, wrong := 0, 0
+			if err := tx2.Run(func() error {
+				rm.Put(tx2, 0, 500)
+				rm.Remove(tx2, 1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rm.Put(tx2, n, 77)
+			rm.Remove(tx2, 2)
+			want := map[uint64]uint64{0: 500, n: 77}
+			for k := uint64(3); k < n; k++ {
+				want[k] = k*7 + 3
+			}
+			got := map[uint64]uint64{}
 			if !SnapshotRead(tx2, func() {
-				for k := uint64(0); k < n; k++ {
-					v, ok := rm.Get(tx2, k)
-					switch {
-					case !ok:
-						missing++
-					case v != k*7+3:
-						wrong++
+				for k := uint64(0); k <= n; k++ {
+					if v, ok := rm.Get(tx2, k); ok {
+						got[k] = v
 					}
 				}
 			}) {
 				t.Fatal("SnapshotRead refused on recovered engine")
 			}
-			if missing != 0 || wrong != 0 {
-				t.Fatalf("post-recovery snapshot: %d missing, %d wrong of %d recovered keys", missing, wrong, n)
+			if !maps.Equal(got, want) {
+				t.Fatalf("first snapshot after recovery and writes:\n got  %v\n want %v", got, want)
 			}
 			// New writes after recovery must be snapshot-visible too: the
 			// recovered chains and the live tier share one clock.
@@ -477,9 +528,10 @@ func TestSnapshotRecovery(t *testing.T) {
 // TestSnapshotFuzzModel is the fuzz-vs-model leg: each writer owns a
 // disjoint key range and applies random sum-preserving transfers inside it,
 // while snapshot readers sweep random ranges asserting the per-range sum
-// invariant mid-flight. After the run the engine state must equal each
-// writer's sequential model exactly — through an OCC read and through a
-// final snapshot.
+// invariant mid-flight (from the start, or from a quarter of the way in, when
+// their first snapshot starts the tier). After the run the engine state must
+// equal each writer's sequential model exactly — through an OCC read and
+// through a final snapshot.
 func TestSnapshotFuzzModel(t *testing.T) {
 	const (
 		workers = 4
@@ -488,7 +540,7 @@ func TestSnapshotFuzzModel(t *testing.T) {
 		iters   = 700
 	)
 	rangeBase := func(w int) uint64 { return uint64(w+1) << 32 }
-	snapEngines(t, []int{1, 2, 8}, func(t *testing.T, eng Engine) {
+	eachReaderStart(t, []int{1, 2, 8}, func(t *testing.T, eng Engine, late bool) {
 		m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 512})
 		if err != nil {
 			t.Fatal(err)
@@ -509,6 +561,7 @@ func TestSnapshotFuzzModel(t *testing.T) {
 
 		models := make([]map[uint64]uint64, workers)
 		var done atomic.Bool
+		var progress atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -540,6 +593,7 @@ func TestSnapshotFuzzModel(t *testing.T) {
 					}
 					model[from] -= amt
 					model[to] += amt
+					progress.Add(1)
 				}
 				models[w] = model
 			}(w)
@@ -550,7 +604,8 @@ func TestSnapshotFuzzModel(t *testing.T) {
 				defer wg.Done()
 				tx := eng.NewWorker(1 + workers + r)
 				rng := rand.New(rand.NewPCG(uint64(r)+101, 17))
-				for !done.Load() {
+				awaitProgress(late, &progress, workers*iters/4)
+				for first := true; first || !done.Load(); first = false {
 					w := int(rng.Uint64N(workers))
 					sum := uint64(0)
 					SnapshotRead(tx, func() {

@@ -126,15 +126,9 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// countSnapshot accounts one completed snapshot read: a commit (a snapshot
-// is a committed read-only transaction) that by construction cannot abort
-// or retry, plus the snapshot-specific counters.
-func (c *counters) countSnapshot(stale bool) {
-	c.countSnapshotN(stale, 1)
-}
-
 // countSnapshotN accounts n logical snapshot-read transactions served from
-// one pinned cut (SnapshotReadBatch): each counts as its own commit and
+// one pinned cut: each counts as its own commit (a snapshot is a committed
+// read-only transaction that by construction cannot abort or retry) and
 // snapshot read, staleness included — the cut is shared, the transactions
 // are not.
 func (c *counters) countSnapshotN(stale bool, n uint64) {

@@ -126,8 +126,10 @@ type Config struct {
 	// flows use this to crash a device fleet and rebuild an engine on the
 	// survivors.
 	Devices []*pnvm.Device
-	// EpochLen, if positive, starts txMontage's epoch advancer at this
-	// period; Close stops it.
+	// EpochLen, if positive, runs txMontage's epoch advancer at this period,
+	// from the first map the engine builds or recovers (so devices
+	// reattached for recovery see no fresh-clock marker before it); Close
+	// stops it.
 	EpochLen time.Duration
 	// RowCodec encodes row values into NVM payload bytes; required by
 	// txMontage row maps (TPC-C), unused elsewhere.
