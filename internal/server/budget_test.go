@@ -65,31 +65,44 @@ func TestBudgetServe(t *testing.T) {
 		keys = 1024
 	)
 	transfer := make([]TxnOp, 4)
+	get := func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }
+	put := func(c *Conn, i int) (*Response, error) { return c.Put(uint64(i%keys), uint64(i)) }
+	txn := func(c *Conn, i int) (*Response, error) {
+		a, b := uint64(i%keys), uint64((i+7)%keys)
+		transfer[0] = TxnOp{Kind: TxnRead, Key: a}
+		transfer[1] = AddDelta(a, -1)
+		transfer[2] = AddDelta(b, +1)
+		transfer[3] = TxnOp{Kind: TxnWrite, Key: keys + uint64(i%8), Arg: uint64(i)}
+		return c.Txn(transfer)
+	}
 	cases := []struct {
-		name   string
-		opts   Options
-		do     func(c *Conn, i int) (*Response, error)
-		allocs float64 // ceilings, set from the measured values beside them
-		bytes  float64
+		name    string
+		opts    Options
+		started bool // one lane Get has started the engine's snapshot tier first
+		do      func(c *Conn, i int) (*Response, error)
+		allocs  float64 // ceilings, set from the measured values beside them
+		bytes   float64
 	}{
 		// A snapshot read allocates nothing, and neither does the lane.
-		{"get via lane", Options{}, func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }, 0.02, 4},
+		{"get via lane", Options{}, false, get, 0.02, 4},
 		// An OCC Get is a standalone read: no descriptor.
-		{"get via occ", Options{NoReadLane: true}, func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }, 0.02, 4},
-		// An overwriting Put, auto-committed: measured 5.01 allocations, 184 B
-		// (node 48 + two cells 2×32 + snapshot version 32 + the tier's
-		// amortized slot arrays).
-		{"put", Options{}, func(c *Conn, i int) (*Response, error) { return c.Put(uint64(i%keys), uint64(i)) }, 5.05, 190},
-		// Read + two Adds + a stamp write, the txload/benchmark transfer:
-		// measured 19.1 allocations, 808 B.
-		{"4-op transfer txn", Options{}, func(c *Conn, i int) (*Response, error) {
-			a, b := uint64(i%keys), uint64((i+7)%keys)
-			transfer[0] = TxnOp{Kind: TxnRead, Key: a}
-			transfer[1] = AddDelta(a, -1)
-			transfer[2] = AddDelta(b, +1)
-			transfer[3] = TxnOp{Kind: TxnWrite, Key: keys + uint64(i%8), Arg: uint64(i)}
-			return c.Txn(transfer)
-		}, 19.3, 820},
+		{"get via occ", Options{NoReadLane: true}, false, get, 0.02, 4},
+		// An overwriting Put, auto-committed, before anything has read a
+		// snapshot: measured 4.007 allocations, 152.2 B — mhash's Put as
+		// internal/core prices it (node 24, deferred-unlink closure 64,
+		// unlink cell 32, install cell 32) and no snapshot version.
+		{"put", Options{}, false, put, 4.02, 154},
+		// The same once the snapshot tier has started: measured 5.01
+		// allocations, 184 B (+ one 32-byte snapshot version).
+		{"put, tier started", Options{}, true, put, 5.05, 190},
+		// Read + two Adds + a stamp write, the txload/benchmark transfer,
+		// before anything has read a snapshot: measured 16.11 allocations,
+		// 712.2 B.
+		{"4-op transfer txn", Options{}, false, txn, 16.2, 716},
+		// The same once the snapshot tier has started: measured 19.1
+		// allocations, 808 B (+ a 32-byte version for each of the three
+		// keys it writes).
+		{"4-op transfer txn, tier started", Options{}, true, txn, 19.3, 820},
 	}
 
 	// The client's own share: the same client over the same pipe against the
@@ -101,12 +114,17 @@ func TestBudgetServe(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, tc.opts)
+			s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, tc.opts)
 			cl, _ := ln.dial(t)
 			c := &Conn{c: cl, br: bufio.NewReaderSize(cl, 64<<10)}
 			for k := uint64(0); k < keys+8; k++ {
 				if r, err := c.Put(k, 1<<40); err != nil || !r.OK() {
 					t.Fatalf("seed %d: %+v, %v", k, r, err)
+				}
+			}
+			if tc.started {
+				if r, err := c.Get(0); err != nil || !r.OK() || s.Counters().SnapServed != 1 {
+					t.Fatalf("the lane Get that starts the tier: %+v, %v, %+v", r, err, s.Counters())
 				}
 			}
 			round := func(c *Conn) func(int) {

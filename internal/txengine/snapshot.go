@@ -114,7 +114,6 @@ package txengine
 import (
 	mbits "math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,15 +228,13 @@ const (
 // snapTier is the per-engine clock + watermark state shared by every worker
 // and every snapMap of one engine. A sharded engine owns exactly one tier —
 // its sub-engines are built with version stamping disabled — so a
-// cross-shard transaction stamps exactly one timestamp. It is 64 bytes, so
-// the allocator gives it a cache line of its own (pinned by a test): every
-// commit and every snapshot reads the clock, the seal and the slots together,
-// and every write the state.
+// cross-shard transaction stamps exactly one timestamp.
 type snapTier struct {
 	clock   atomic.Uint64 // last drawn commit timestamp
 	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read
 	slots   atomic.Pointer[[]*snapSlot]
 	state   atomic.Uint32
+	mu      sync.Mutex   // guards slot registration
 	startMu sync.Mutex   // held by the start, and by a map joining the tier
 	maps    []snapSource // every top-level map of the engine; guarded by startMu
 }
@@ -260,18 +257,19 @@ func newSnapTier(ec *montage.EpochClock) *snapTier {
 	return t
 }
 
-// newSlot registers a worker with the tier. Slots are copy-on-write,
-// installed by CAS, so the hot paths (reseal, floor refresh, the start's wait)
-// walk a plain slice with no lock.
+// newSlot registers a worker with the tier. Slots are copy-on-write so the
+// hot paths (reseal, floor refresh, the start's wait) walk a plain slice with
+// no lock.
 func (t *snapTier) newSlot() *snapSlot {
 	s := &snapSlot{}
-	for {
-		old := t.slots.Load()
-		next := append(slices.Clip(*old), s)
-		if t.slots.CompareAndSwap(old, &next) {
-			return s
-		}
-	}
+	t.mu.Lock()
+	old := *t.slots.Load()
+	next := make([]*snapSlot, len(old)+1)
+	copy(next, old)
+	next[len(old)] = s
+	t.slots.Store(&next)
+	t.mu.Unlock()
+	return s
 }
 
 // snapSource is a top-level map as the tier's start sees it (snapMap.seed).

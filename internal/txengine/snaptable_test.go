@@ -85,9 +85,6 @@ func TestSnapTableSizes(t *testing.T) {
 	if got := unsafe.Sizeof(snapStripe[uint64]{}); got != 64 {
 		t.Errorf("a stripe is %d bytes, want one 64-byte cache line", got)
 	}
-	if got := unsafe.Sizeof(snapTier{}); got != 64 {
-		t.Errorf("a tier is %d bytes, want the 64 of the size class the allocator lines up", got)
-	}
 	stripesKeepToTheirLines[uint64](t)
 	stripesKeepToTheirLines[any](t)
 }
