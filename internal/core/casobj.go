@@ -194,11 +194,10 @@ func (o *CASObj[T]) NbtcCAS(s *Session, expected, desired T, linPt, pubPt bool) 
 		default:
 			// Critical CAS: install the descriptor (methodology step 2).
 			nc.desc, nc.prev = unsafe.Pointer(d), unsafe.Pointer(c)
-			d.writeSet = append(d.writeSet, &o.c)
 			if !o.cas(c, nc) {
-				d.writeSet = d.writeSet[:len(d.writeSet)-1]
 				return false // contention; let the data structure retry its loop
 			}
+			d.writeSet = append(d.writeSet, &o.c)
 			s.stats().Installs.Add(1)
 			if linPt {
 				s.inSpec = false

@@ -39,18 +39,13 @@ func TestCommitInPlace(t *testing.T) {
 		if c.owner() != s.desc || c.prev == nil {
 			t.Fatal("installed cell does not carry its descriptor and the cell it replaced")
 		}
-		var err error
 		if byHelper {
-			h := parkHelper(&o)
-			err = endWith(s, func() {
-				s.desc.status.CompareAndSwap(uint32(InPrep), uint32(InProg))
-				h.run()
-				wantSettled(t, "o (swept by the helper)", &o, 2)
-			})
-		} else {
-			err = s.TxEnd()
+			h := parkHelper(&o, cellLoaded)
+			s.desc.status.CompareAndSwap(uint32(InPrep), uint32(InProg))
+			h.run()
+			wantSettled(t, "o (swept by the helper)", &o, 2)
 		}
-		if err != nil {
+		if err := s.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
 		if cellOf(&o) != c {

@@ -44,31 +44,27 @@ type readRec struct {
 }
 
 // Desc is an MCNS transaction descriptor: the header that installed cells
-// point at. It holds no set storage of its own. While the status is InPrep,
-// readSet and writeSet alias scratch slices owned by the session
-// (Session.rs/ws) and only the owner touches them; a helper that finds an
-// InPrep descriptor aborts it and uninstalls the one cell it tripped over,
-// without reading either set. A descriptor that other goroutines can reach —
-// one that installed a cell — is frozen by its owner before the
-// InPrep→InProg CAS: both slices are replaced by exact-size private copies,
-// and from then on nobody writes them. Helpers read the sets and validators
-// only after loading InProg or Committed from the status word, so that CAS
-// orders the copies before every helper read, and a straggler sees this
-// transaction's sets however often the scratch was refilled (see doc.go).
+// point at, and the read and write sets they are validated and swept by. A
+// session runs transaction after transaction on one descriptor. Only the owner
+// appends to the sets, and only while the status is InPrep; from InProg on
+// they are frozen simply because nobody appends any more. Helpers read the
+// sets and validators only after loading InProg or Committed from the status
+// word, so that CAS orders the appends before every helper read. A helper that
+// meets an InPrep descriptor aborts it and uninstalls the one cell it tripped
+// over, without reading either set.
 //
 // One transaction has one descriptor and one session, however many
 // structures it touches: every structure of a transaction shares the
 // session's TxManager (paper Fig. 1).
 //
-// A descriptor that finished without ever being reachable (no install) is
-// handed back to its session and reused by the next TxBegin; one that was
-// reachable is never reused — the garbage collector supplies the ABA
-// protection that the paper's per-thread serial numbers provide.
+// The descriptor goes on to the owner's next transaction only if no helper is
+// inside it when this one has finished (helpers, see doc.go); otherwise the
+// owner leaves it to the helpers and takes a fresh one.
 type Desc struct {
 	status atomic.Uint32
-	// frozen records that the sets are private copies and the scratch has
-	// already gone back to the session. Owner-only.
-	frozen     bool
+	// helpers counts the goroutines inside tryFinalize on this descriptor:
+	// the only ones other than the owner that dereference it.
+	helpers    atomic.Int32
 	owner      *Session // the session whose TxBegin opened the transaction
 	readSet    []readRec
 	writeSet   []*unsafe.Pointer // the slot of every object installed into
@@ -77,6 +73,14 @@ type Desc struct {
 	// registers per transaction (txMontage's epoch check); a second spills
 	// to the heap.
 	vBuf [1]func() bool
+}
+
+// newDesc returns a blank descriptor for s whose sets take reads and writes
+// entries without growing.
+func newDesc(s *Session, reads, writes int) *Desc {
+	d := &Desc{owner: s, readSet: make([]readRec, 0, reads), writeSet: make([]*unsafe.Pointer, 0, writes)}
+	d.validators = d.vBuf[:0]
+	return d
 }
 
 // Status returns the descriptor's current status.
@@ -118,56 +122,83 @@ func (d *Desc) validate() bool {
 	return true
 }
 
-// tryFinalize gets a conflicting descriptor "out of the way" (paper Fig. 6):
-// abort it if still InPrep, help it commit if InProg, then uninstall it from
-// the object through which it was discovered. If the descriptor reached
-// InProg its write set is frozen, so the helper additionally sweeps the
-// whole write set to accelerate completion.
-func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
-	if atomic.LoadPointer(slot) != found {
-		return // descriptor no longer responsible for this object
+// decide takes an InProg descriptor to its verdict and returns it.
+func (d *Desc) decide() Status {
+	if d.validate() {
+		d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
+	} else {
+		d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
 	}
-	d.finalize(slot)
+	return d.Status()
 }
 
-// finalize is tryFinalize past its responsibility check. Nothing makes the
-// two atomic: a helper can be descheduled between them for as long as it
-// likes, while the owner finishes this transaction and runs any number of
-// later ones — which is why a reachable descriptor's sets are frozen and the
-// descriptor itself is never reused (the stale-helper tests enter here).
+// tryFinalize gets a conflicting descriptor "out of the way" (paper Fig. 6):
+// abort it if still InPrep, help it commit if InProg, then uninstall it from
+// the object through which it was discovered. It is the one place a
+// goroutine other than the owner dereferences a descriptor, and it does so
+// counted: it takes the count, re-checks that slot still holds found and that
+// found still names d, and only then reads anything of d. A helper the owner
+// did not count fails the re-check (doc.go).
+func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
+	d.helpers.Add(1)
+	if atomic.LoadPointer(slot) == found && (*cellHeader)(found).owner() == d {
+		d.finalize(slot)
+	}
+	d.helpers.Add(-1)
+}
+
+// finalize is tryFinalize past its re-check. A helper can be descheduled
+// anywhere in it for as long as it likes, while the owner finishes this
+// transaction: it is counted, so the owner does not reuse d meanwhile (the
+// stale-helper tests enter here).
 func (d *Desc) finalize(slot *unsafe.Pointer) {
-	st := d.Status()
+	st, sawInProg := d.verdict()
+	if sawInProg {
+		// The owner reached TxEnd: the write set is complete, so sweep it all.
+		d.sweep(st == Committed)
+	} else {
+		// Never seen past InPrep: the owner may still be appending to the
+		// write set, so only uninstall the cell we tripped over.
+		uninstall(slot, d, st == Committed)
+	}
+	d.owner.stats().Helps.Add(1)
+}
+
+// verdict is finalize's first half: it aborts d if still InPrep, decides it
+// if InProg, and reports the final status and whether d had left InPrep
+// before the helper aborted it.
+func (d *Desc) verdict() (st Status, sawInProg bool) {
+	st = d.Status()
 	if st == InPrep {
 		d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
 		st = d.Status()
 	}
-	sawInProg := st == InProg || st == Committed
+	sawInProg = st == InProg || st == Committed
 	if st == InProg {
-		if d.validate() {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
-		} else {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
-		}
-		st = d.Status()
+		st = d.decide()
 	}
-	committed := st == Committed
-	if sawInProg {
-		// Write set frozen (owner reached txEnd before finalization): safe
-		// for a helper to sweep everything.
-		d.sweep(committed)
-	} else {
-		// Never seen past InPrep: the write set is the owner's scratch —
-		// still being appended to, or already refilled by a later
-		// transaction — so only uninstall the cell we tripped over.
-		uninstall(slot, d, committed)
+	return st, sawInProg
+}
+
+// reuse is called by the owner once d's transaction has finished and been
+// swept, and returns the descriptor the session's next transaction runs on: d
+// itself, blank, if no helper is inside it, else a fresh one with d's set
+// capacities, d being left to its helpers and the collector. Why the count
+// is read after the sweep: doc.go.
+func (d *Desc) reuse() *Desc {
+	if d.helpers.Load() != 0 {
+		return newDesc(d.owner, cap(d.readSet), cap(d.writeSet))
 	}
-	if d.owner != nil {
-		d.owner.stats().Helps.Add(1)
-	}
+	clear(d.readSet)
+	clear(d.writeSet)
+	d.readSet, d.writeSet = d.readSet[:0], d.writeSet[:0]
+	d.validators, d.vBuf = d.vBuf[:0], [1]func() bool{}
+	d.status.Store(uint32(InPrep))
+	return d
 }
 
 // sweep uninstalls the descriptor from every write-set entry. Called by the
-// owner on commit/abort, and by helpers once the write set is frozen.
+// owner on commit/abort, and by helpers once the owner has reached TxEnd.
 func (d *Desc) sweep(committed bool) {
 	for _, slot := range d.writeSet {
 		uninstall(slot, d, committed)
@@ -189,7 +220,7 @@ func uninstall(slot *unsafe.Pointer, d *Desc, committed bool) {
 }
 
 // settle is uninstall past its load of the slot (a caller can sleep between
-// the two, as between tryFinalize and finalize); false means c was replaced.
+// the two); false means c was replaced.
 // Committed, the cell becomes the real value in place, prev cleared before
 // desc; aborted, the slot swings back to the cell the install replaced. Why
 // that order, and why a late caller is harmless either way: doc.go.

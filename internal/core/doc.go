@@ -24,6 +24,12 @@
 // the object's slot. Cell identity subsumes {value, counter} equality, so
 // read-set validation is one pointer comparison and no counter is kept.
 //
+// The paper also keeps one descriptor per thread and reuses it under a serial
+// number, so that a helper holding an old transaction's descriptor can tell it
+// has been reused. Here a count of the helpers inside a descriptor stands in
+// for the serial number: the owner reuses its descriptor only when the count
+// says no helper is inside it (below).
+//
 // # Concurrency protocol
 //
 // A critical CAS installs a new cell that carries the owning descriptor, the
@@ -85,52 +91,55 @@
 //
 // # Who owns the read and write sets
 //
-// The paper keeps one descriptor per thread and reuses it under a serial
-// number, so txBegin allocates nothing. Here the garbage collector stands in
-// for the serial number — a helper may hold a descriptor for as long as it
-// likes — so what a transaction allocates is decided by who owns its sets:
+// The descriptor does: readSet and writeSet are its own arrays, and its
+// session keeps it from one transaction to the next, sets, capacity and all.
 //
-//   - InPrep: the sets alias scratch slices of the Session (rs, ws), which
-//     grow by append and persist across transactions. Only the owner touches
-//     them. A helper that meets an InPrep descriptor aborts it and uninstalls
-//     the single cell it found; it reads neither set.
-//   - TxEnd: a descriptor another goroutine can reach — it installed a cell —
-//     is frozen: both sets are replaced by exact-size private copies and the
-//     scratch goes back to the session, cleared. Only then does the owner CAS
-//     InPrep→InProg.
-//   - InProg, Committed, Aborted-after-InProg: the sets are immutable.
-//     Helpers validate the read set and sweep the write set.
+//   - InPrep: only the owner touches the sets; it appends to them. A helper
+//     that meets an InPrep descriptor aborts it and uninstalls the single cell
+//     it found; it reads neither set.
+//   - InProg, Committed, Aborted-after-InProg: nobody appends any more, so the
+//     sets are frozen with no copy made. Helpers validate the read set and
+//     sweep the write set, having loaded InProg or Committed from the status
+//     word: the owner's InPrep→InProg CAS orders its appends before their reads.
 //   - Aborted straight from InPrep (a helper's abort, TxAbort): helpers still
-//     read no set; the owner sweeps and takes the scratch back unfrozen.
+//     read no set; the owner sweeps.
 //
-// Freeze-before-InProg is race-free because the InPrep→InProg CAS is the
-// only edge after which a helper reads the sets, and the copies are written
-// before it: the status word's release/acquire pairing that already ordered
-// the owner's appends before helper reads now orders the copies. It is
-// stale-helper-safe because tryFinalize's "is this cell still current" check
-// and the rest of it are not atomic: a helper can pass the check, sleep
-// through the owner's commit and any number of its later transactions, and
-// resume. What it then holds is that old transaction's descriptor, whose
-// sets name that transaction's objects and nothing else; the scratch the
-// current transaction is filling is not reachable from it.
+// After its sweep the owner clears the sets, keeping their capacity, and the
+// next transaction appends into the same arrays — but only if no helper is
+// inside the descriptor (next section).
 //
-// # When a descriptor is recycled
+// # When a descriptor is reused
 //
-// A descriptor that finishes without ever installing a cell — a read-only
-// transaction, one whose every write failed before installing — was never
-// visible to another goroutine. The session keeps it
-// as its spare and the next TxBegin reuses it, so such a transaction
-// allocates nothing. A descriptor that was ever reachable is never reused,
-// whatever its outcome: that is the ABA guarantee the serial number gives
-// the paper.
+// A helper reaches a descriptor only through a cell that names it, and
+// dereferences it only inside tryFinalize: validate, settle, NbtcLoad and
+// NbtcCAS compare the pointer and read nothing behind it. tryFinalize
+// increments the descriptor's helper count, re-checks that the slot still
+// holds the cell it found and that the cell still names the descriptor, calls
+// finalize only if both hold, then decrements. The owner, once it has swept
+// and closed its transaction, reads the count. At zero it blanks the
+// descriptor (sets cleared, status InPrep) and keeps it for its next
+// transaction; otherwise it leaves the descriptor to its helpers and the
+// collector and gives its next transaction a fresh one with the same set
+// capacities. Why that is safe:
 //
-// Scratch and spare belong to one session, so what a transaction allocates
-// is a function of what that transaction (and its predecessor on the
-// session) did: header + read copy + write copy + one cell per install for
-// a writer, zero for a reader. A sync.Pool, a free list shared between
-// sessions, or epoch-deferred reuse would save the header too, but with a
-// hit rate that depends on collector timing and scheduling — and bytes per
-// operation is the benchmark's tightest bound (5 %), with deterministic
-// budget tests on top (budget_test.go). A saving that cannot be measured
-// the same way twice cannot be defended.
+//   - After the owner's sweep no slot holds a cell that names the descriptor.
+//     Committed cells have a nil desc, and a nil desc stays nil; aborted cells
+//     have left their slots and never come back.
+//   - So a helper that increments after the owner read zero fails its re-check
+//     before it reads anything of the descriptor.
+//   - A helper that increments before that read is seen, and the descriptor
+//     is not reused.
+//   - The helper increments and then loads the slot and the cell; the owner
+//     sweeps and then loads the count. That is a Dekker pair, and Go's atomics
+//     are sequentially consistent: one of the two sees the other's write.
+//
+// A helper that increments and fails its re-check may make the owner drop a
+// descriptor nobody was going to touch; that costs a fresh descriptor, never
+// safety. With no helper about, reuse is deterministic: what a transaction
+// allocates is one cell per install, and nothing for its descriptor or sets
+// once the session's arrays have grown to fit — it does not depend on
+// collector timing or scheduling, which a sync.Pool, a free list shared
+// between sessions, or epoch-deferred reuse would (bytes per operation is the
+// benchmark's tightest bound, 5 %, with deterministic budget tests on top,
+// budget_test.go).
 package core

@@ -1,0 +1,701 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// staleHelper is a goroutine parked at some point of a protocol: when run, it
+// executes the rest against whatever the owner's session has turned into by
+// then.
+type staleHelper struct{ release, done chan struct{} }
+
+func park(resume func()) *staleHelper {
+	h := &staleHelper{make(chan struct{}), make(chan struct{})}
+	go func() {
+		<-h.release
+		resume()
+		close(h.done)
+	}()
+	return h
+}
+
+func (h *staleHelper) run() {
+	close(h.release)
+	<-h.done
+}
+
+// The points of tryFinalize at which a helper that tripped over a cell parks.
+const (
+	cellLoaded  = iota // it loaded the cell and the descriptor the cell names
+	counted            // it took the count
+	rechecked          // its re-check passed
+	inFinalize         // it took the verdict and has not swept
+	inUninstall        // it loaded the slot inside uninstall
+	numHelperPoints
+)
+
+var helperPointNames = [numHelperPoints]string{
+	"cell loaded", "counted", "re-checked", "inside finalize", "inside uninstall",
+}
+
+// parkHelper parks a helper that tripped over o's cell at point at of
+// tryFinalize, taking the count and re-checking the way tryFinalize does.
+// What it does before that point it does now, on the caller's goroutine.
+func parkHelper(o Obj, at int) *staleHelper {
+	slot := o.slot()
+	found := atomic.LoadPointer(slot)
+	d := (*cellHeader)(found).owner()
+	if at == cellLoaded {
+		return park(func() { d.tryFinalize(slot, found) })
+	}
+	if at == counted {
+		d.helpers.Add(1)
+		return park(func() {
+			if atomic.LoadPointer(slot) == found && (*cellHeader)(found).owner() == d {
+				d.finalize(slot)
+			}
+			d.helpers.Add(-1)
+		})
+	}
+	EnterAsHelper(o)
+	if at == rechecked {
+		return park(func() {
+			d.finalize(slot)
+			d.helpers.Add(-1)
+		})
+	}
+	st, sawInProg := d.verdict()
+	committed := st == Committed
+	c := atomic.LoadPointer(slot)
+	return park(func() {
+		if at == inUninstall && !settle(slot, c, d, committed) {
+			uninstall(slot, d, committed)
+		}
+		if sawInProg {
+			d.sweep(committed)
+		} else {
+			uninstall(slot, d, committed)
+		}
+		d.helpers.Add(-1)
+	})
+}
+
+// The points of the owner's timeline at which a parked helper is released.
+const (
+	beforeTxEnd    = iota // transaction 1 InPrep, every install made
+	atInProg              // inside transaction 1's validator: InProg, no verdict yet
+	afterSweep            // inside its cleanup or undo: swept, the count not read
+	afterCountRead        // TxEnd has returned, the next TxBegin has not run
+	insideNextTx          // the next transaction is open, its installs made
+	afterNextTx           // the next transaction has committed
+	numOwnerPoints
+)
+
+var ownerPointNames = [numOwnerPoints]string{
+	"before TxEnd", "at InProg", "after the sweep", "after the count read", "inside the next transaction", "after the next transaction",
+}
+
+// decide takes the open transaction of s from InPrep to its verdict, as TxEnd
+// does before it finishes.
+func decide(s *Session) {
+	if d := s.desc; d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		d.decide()
+	}
+}
+
+func txRead(s *Session, o *CASObj[int]) int {
+	v, tag := o.NbtcLoad(s)
+	s.AddToReadSet(o, tag)
+	return v
+}
+
+func txWrite(t *testing.T, s *Session, o *CASObj[int], from, to int) {
+	t.Helper()
+	if !o.NbtcCAS(s, from, to, true, true) {
+		t.Fatalf("install %d→%d failed", from, to)
+	}
+}
+
+func wantAll(t *testing.T, what string, objs []CASObj[int], want int) {
+	t.Helper()
+	for i := range objs {
+		wantSettled(t, fmt.Sprintf("%s[%d]", what, i), &objs[i], want)
+	}
+}
+
+// wantSettled asserts that o holds want as a real value: no descriptor, and
+// no overwritten cell pinned behind it.
+func wantSettled(t *testing.T, what string, o *CASObj[int], want int) {
+	t.Helper()
+	c := cellOf(o)
+	if c != nil && c.owner() != nil {
+		t.Fatalf("%s still has a descriptor installed", what)
+	}
+	if c != nil && atomic.LoadPointer(&c.prev) != nil {
+		t.Fatalf("%s still pins the cell it was installed over", what)
+	}
+	if got := c.value(); got != want {
+		t.Fatalf("%s = %d, want %d", what, got, want)
+	}
+}
+
+// wantBlank asserts that d is ready for a transaction: InPrep, empty sets
+// with at least the given capacities.
+func wantBlank(t *testing.T, d *Desc, reads, writes int) {
+	t.Helper()
+	if d.Status() != InPrep || len(d.readSet) != 0 || len(d.writeSet) != 0 || len(d.validators) != 0 {
+		t.Fatalf("transaction starts on a descriptor that is not blank: %v, sets %d/%d/%d",
+			d.Status(), len(d.readSet), len(d.writeSet), len(d.validators))
+	}
+	if cap(d.readSet) < reads || cap(d.writeSet) < writes {
+		t.Fatalf("descriptor sets hold %d reads, %d writes; its predecessor's held %d, %d", cap(d.readSet), cap(d.writeSet), reads, writes)
+	}
+}
+
+// nextTx runs the owner's next transaction on s: three reads, two writes over
+// transaction 1's objects (from want to want+10) and five more, so that it
+// fills every set entry transaction 1 used and more. It must run on prev
+// exactly when reuse holds, and otherwise on a fresh descriptor with prev's
+// capacities; mid runs while it is open, after its last install, and must
+// leave it alone: still InPrep, every cell still its own, and it commits.
+func nextTx(t *testing.T, s *Session, prev *Desc, reuse bool, reads, writes int, first []CASObj[int], want int, mid func()) {
+	t.Helper()
+	more := make([]CASObj[int], 5)
+	rs := make([]CASObj[int], 3)
+	s.TxBegin()
+	d := s.Desc()
+	if (d == prev) != reuse { // not fatal: go on to see whether the helper disturbs it
+		t.Errorf("next transaction runs on its predecessor's descriptor: %v, want %v", d == prev, reuse)
+	}
+	wantBlank(t, d, reads, writes)
+	for i := range rs {
+		txRead(s, &rs[i])
+	}
+	for i := range first {
+		txWrite(t, s, &first[i], want, want+10)
+	}
+	for i := range more {
+		txWrite(t, s, &more[i], 0, 2)
+	}
+	mid()
+	if d.Status() != InPrep {
+		t.Fatalf("next transaction is %v after the stale helper ran, want InPrep", d.Status())
+	}
+	for i := range first {
+		if first[i].installedBy() != d {
+			t.Fatalf("stale helper disturbed the next transaction's cell in first[%d]", i)
+		}
+	}
+	for i := range more {
+		if more[i].installedBy() != d {
+			t.Fatalf("stale helper disturbed the next transaction's cell %d", i)
+		}
+	}
+	if err := s.TxEnd(); err != nil {
+		t.Fatalf("next transaction: %v", err)
+	}
+	wantAll(t, "first", first, want+10)
+	wantAll(t, "more", more, 2)
+}
+
+// TestStaleHelper enumerates a helper that tripped over one of transaction
+// 1's cells, parked at every point of tryFinalize — while transaction 1 is
+// InPrep, or InProg — and released at every point of the owner's timeline.
+// In every case the owner's next transaction runs on the same descriptor
+// exactly when no helper was counted when the owner read the count (parked
+// past the increment, released after the read), and that transaction is
+// never disturbed.
+func TestStaleHelper(t *testing.T) {
+	for _, parkInProg := range []bool{false, true} {
+		for hp := 0; hp < numHelperPoints; hp++ {
+			for rel := 0; rel < numOwnerPoints; rel++ {
+				if parkInProg && rel == beforeTxEnd {
+					continue // released before it parked
+				}
+				// Parked past the verdict while InPrep, the helper has aborted
+				// transaction 1, which then never reaches InProg.
+				abortedAtPark := !parkInProg && hp >= inFinalize
+				if abortedAtPark && rel == atInProg {
+					continue
+				}
+				when := "InPrep"
+				if parkInProg {
+					when = "InProg"
+				}
+				name := fmt.Sprintf("parked %s %s/released %s", helperPointNames[hp], when, ownerPointNames[rel])
+				t.Run(name, func(t *testing.T) {
+					staleHelperCase(t, parkInProg, hp, rel, abortedAtPark)
+				})
+			}
+		}
+	}
+}
+
+func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark bool) {
+	a := NewTxManager().Session()
+	var x CASObj[int]
+	first := make([]CASObj[int], 2)
+	var h *staleHelper
+	released := false
+	at := func(q int) {
+		if rel == q {
+			h.run()
+			released = true
+		}
+	}
+
+	a.TxBegin()
+	d1 := a.Desc()
+	txRead(a, &x)
+	for i := range first {
+		txWrite(t, a, &first[i], 0, 1)
+	}
+	a.AddToCleanups(func() { at(afterSweep) })
+	a.OnAbort(func() { at(afterSweep) })
+	validated := false
+	d1.AddValidator(func() bool {
+		if !validated { // the owner's own call; a helper validates past the seam
+			validated = true
+			if parkInProg {
+				h = parkHelper(&first[0], hp)
+			}
+			at(atInProg)
+		}
+		return true
+	})
+	if !parkInProg {
+		h = parkHelper(&first[0], hp)
+	}
+	reads, writes := cap(d1.readSet), cap(d1.writeSet)
+	at(beforeTxEnd)
+	err := a.TxEnd()
+	aborted := abortedAtPark || rel == beforeTxEnd && hp <= rechecked
+	want := 1
+	if aborted {
+		want = 0
+		if !errors.Is(err, ErrTxAborted) {
+			t.Fatalf("transaction 1 = %v, want abort by the helper", err)
+		}
+	} else if err != nil {
+		t.Fatalf("transaction 1: %v", err)
+	}
+	wantAll(t, "first", first, want)
+	at(afterCountRead)
+
+	countedAtRead := hp >= counted && rel >= afterCountRead
+	nextTx(t, a, d1, !countedAtRead, reads, writes, first, want, func() { at(insideNextTx) })
+	at(afterNextTx)
+	if !released {
+		t.Fatal("the release point was never reached")
+	}
+	wantAll(t, "first", first, want+10)
+}
+
+// TestReuseLeavesNothingBehind checks what an idle session holds after a
+// transaction: its next descriptor's sets and the closure slots cleared over
+// their whole capacity, whether the transaction committed, aborted or only
+// read.
+func TestReuseLeavesNothingBehind(t *testing.T) {
+	s := NewTxManager().Session()
+	objs := make([]CASObj[int], 4)
+	wantIdle := func(when string) {
+		t.Helper()
+		d := s.spare
+		wantBlank(t, d, 0, 0)
+		for _, r := range d.readSet[:cap(d.readSet)] {
+			if r.slot != nil || r.tag != nil {
+				t.Fatalf("%s: the read set still pins an object", when)
+			}
+		}
+		for _, o := range d.writeSet[:cap(d.writeSet)] {
+			if o != nil {
+				t.Fatalf("%s: the write set still pins an object", when)
+			}
+		}
+		for _, f := range append(d.validators[:cap(d.validators)], d.vBuf[:]...) {
+			if f != nil {
+				t.Fatalf("%s: a validator is still reachable", when)
+			}
+		}
+		for _, f := range s.cleanups[:cap(s.cleanups)] {
+			if f != nil {
+				t.Fatalf("%s: a cleanup closure is still reachable", when)
+			}
+		}
+		for _, f := range s.undos[:cap(s.undos)] {
+			if f != nil {
+				t.Fatalf("%s: an undo closure is still reachable", when)
+			}
+		}
+	}
+	body := func() {
+		s.TxBegin()
+		for i := range objs {
+			txRead(s, &objs[i])
+		}
+		if objs[3].NbtcCAS(s, -1, 0, true, true) {
+			t.Fatal("CAS from a value never stored succeeded")
+		}
+		s.AddToCleanups(func() {})
+		s.OnAbort(func() {})
+		s.Desc().AddValidator(func() bool { return true })
+		s.Desc().AddValidator(func() bool { return true })
+	}
+
+	body()
+	txWrite(t, s, &objs[0], 0, 1)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantIdle("after commit")
+
+	body()
+	txWrite(t, s, &objs[1], 0, 1)
+	s.TxAbort()
+	wantIdle("after abort")
+	if objs[1].Load() != 0 {
+		t.Fatal("aborted write visible")
+	}
+
+	body()
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantIdle("after read-only commit")
+}
+
+// TestReuseHeaderSize pins the descriptor to the 96-byte size class: the
+// helper count shares a word with the status.
+func TestReuseHeaderSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Desc{}); sz > 96 {
+		t.Fatalf("Desc is %d bytes, budget 96", sz)
+	}
+}
+
+// TestReuseLargeSets runs transactions whose sets outgrow any inline tier
+// there ever was (25 reads, 13 writes), through every way of ending, on one
+// descriptor throughout.
+func TestReuseLargeSets(t *testing.T) {
+	const nr, nw = 25, 13
+	s := NewTxManager().Session()
+	other := s.Manager().Session()
+	reads := make([]CASObj[int], nr)
+	writes := make([]CASObj[int], nw)
+	var first *Desc
+	open := func(from, to int) *Desc {
+		s.TxBegin()
+		d := s.Desc()
+		if first == nil {
+			first = d
+		} else if d != first {
+			t.Fatal("a transaction with no helper about ran on a new descriptor")
+		}
+		for i := range reads {
+			txRead(s, &reads[i])
+		}
+		for i := range writes {
+			txWrite(t, s, &writes[i], from, to)
+		}
+		return d
+	}
+
+	open(0, 1)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantAll(t, "writes", writes, 1)
+
+	open(1, 2)
+	s.TxAbort()
+	wantAll(t, "writes", writes, 1)
+
+	// The last read goes stale: validation fails, every write rolls back.
+	open(1, 2)
+	if !reads[nr-1].NbtcCAS(other, 0, 9, true, true) {
+		t.Fatal("invalidating CAS failed")
+	}
+	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("TxEnd = %v, want abort", err)
+	}
+	wantAll(t, "writes", writes, 1)
+
+	// A helper commits it: the sweep it runs covers the whole write set.
+	reads[nr-1].Store(0)
+	d := open(1, 3)
+	h := parkHelper(&writes[nw-1], cellLoaded)
+	if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		t.Fatal("InPrep→InProg failed")
+	}
+	h.run()
+	wantAll(t, "writes (swept by the helper)", writes, 3)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	open(3, 4)
+	s.TxAbort()
+}
+
+// TestReuseRecycle drives 1000 mixed transactions through a session and
+// checks the rule of descriptor reuse at every TxBegin: the descriptor is
+// the previous transaction's unless a helper was counted in it when that
+// transaction finished; then it is one never seen before, with room for its
+// predecessor's sets. Whether a transaction committed is taken from TxEnd,
+// never from a descriptor that has moved on.
+func TestReuseRecycle(t *testing.T) {
+	a := NewTxManager().Session()
+	objs := make([]CASObj[int], 8)
+	seen := map[*Desc]bool{} // holding the pointers also keeps the addresses from being reused
+	var prev *Desc
+	var prevReads, prevWrites int
+	dropPrev := false
+	fresh := 0
+	begin := func(i int) *Desc {
+		a.TxBegin()
+		d := a.Desc()
+		switch {
+		case prev == nil:
+		case !dropPrev && d != prev:
+			t.Fatalf("tx %d: no helper was counted, yet the descriptor was not reused", i)
+		case dropPrev && (d == prev || seen[d]):
+			t.Fatalf("tx %d: a helper was counted, yet the descriptor is not a fresh one", i)
+		case dropPrev:
+			fresh++
+		}
+		wantBlank(t, d, prevReads, prevWrites)
+		seen[d] = true
+		return d
+	}
+	end := func(d *Desc, h *staleHelper, abort bool) {
+		prev, prevReads, prevWrites, dropPrev = d, cap(d.readSet), cap(d.writeSet), h != nil
+		if abort {
+			a.TxAbort()
+		} else if err := a.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+		if h != nil {
+			h.run()
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	dropped := 0
+	for i := 0; i < 1000; i++ {
+		o := &objs[rng.Intn(len(objs))]
+		abort := rng.Intn(4) == 0
+		var h *staleHelper
+		d := begin(i)
+		switch rng.Intn(5) {
+		case 0: // read-only
+			txRead(a, o)
+			d.AddValidator(func() bool { return true })
+		case 1: // every write fails before it installs
+			if o.NbtcCAS(a, -1, 0, true, true) {
+				t.Fatal("CAS from a value never stored succeeded")
+			}
+		case 2: // one install
+			v := txRead(a, o)
+			txWrite(t, a, o, v, v+1)
+		case 3: // one install, and a helper counted in it across the finish
+			v := txRead(a, o)
+			txWrite(t, a, o, v, v+1)
+			h = parkHelper(o, counted)
+			dropped++
+		default: // read-only with one validator more than fits inline
+			txRead(a, o)
+			d.AddValidator(func() bool { return true })
+			d.AddValidator(func() bool { return true })
+		}
+		end(d, h, abort)
+	}
+	if dropped < 100 || len(seen) != fresh+1 {
+		t.Fatalf("mix degenerate or descriptors leaked: %d descriptors, %d fresh, %d transactions with a helper at the finish", len(seen), fresh, dropped)
+	}
+}
+
+// TestReuseContended has four sessions transfer between two objects, so a
+// transaction meets another's cell nearly every time and helping is the
+// common case. The sum is conserved; across the run some transactions ran on
+// their predecessor's descriptor and some found a helper still inside it and
+// took a fresh one. Each transfer's validator yields, so a helper that
+// validates it is descheduled inside finalize, at any GOMAXPROCS.
+func TestReuseContended(t *testing.T) {
+	mgr := NewTxManager()
+	var objs [2]CASObj[int]
+	objs[0].Store(1000)
+	objs[1].Store(1000)
+	yield := func() bool { runtime.Gosched(); return true }
+	var reused, dropped atomic.Int64
+	deadline := time.Now().Add(20 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := mgr.Session()
+			var last *Desc // compared, never read
+			for i := 0; i < 2000 || (reused.Load() == 0 || dropped.Load() == 0) && time.Now().Before(deadline); i++ {
+				src, dst := &objs[(w+i)%2], &objs[(w+i+1)%2]
+				err := s.Run(func() error {
+					if d := s.Desc(); last != nil && d == last {
+						reused.Add(1)
+					} else if last != nil {
+						dropped.Add(1)
+					}
+					last = s.Desc()
+					last.AddValidator(yield)
+					sv := txRead(s, src)
+					dv := txRead(s, dst)
+					if !src.NbtcCAS(s, sv, sv-1, true, true) || !dst.NbtcCAS(s, dv, dv+1, true, true) {
+						return ErrTxAborted
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if sum := objs[0].Load() + objs[1].Load(); sum != 2000 {
+		t.Fatalf("sum = %d, want 2000", sum)
+	}
+	t.Logf("%d transactions on their predecessor's descriptor, %d on a fresh one", reused.Load(), dropped.Load())
+	if reused.Load() == 0 || dropped.Load() == 0 {
+		t.Fatalf("reused %d, dropped %d: want both", reused.Load(), dropped.Load())
+	}
+}
+
+// The points inside uninstall at which a caller can be descheduled.
+const (
+	afterLoad     = iota // it loaded the slot and has not entered settle
+	betweenClears        // committed only: it cleared prev and not yet desc
+)
+
+// parkInUninstall models a caller of uninstall(o.slot(), d, committed) — the
+// owner's sweep, a helper's sweep and the single-cell path are that one
+// function — descheduled inside it, counted as a helper is. Parked after the
+// load it resumes in the real settle; between the clears, the second store is
+// made by hand.
+func parkInUninstall(o Obj, d *Desc, committed bool, point int) *staleHelper {
+	slot := o.slot()
+	c := atomic.LoadPointer(slot)
+	h := (*cellHeader)(c)
+	d.helpers.Add(1)
+	if point == betweenClears {
+		atomic.StorePointer(&h.prev, nil)
+		return park(func() {
+			atomic.StorePointer(&h.desc, nil)
+			d.helpers.Add(-1)
+		})
+	}
+	return park(func() {
+		if !settle(slot, c, d, committed) {
+			uninstall(slot, d, committed)
+		}
+		d.helpers.Add(-1)
+	})
+}
+
+// The points at which that caller is released.
+const (
+	beforeOwnerSweep = iota
+	afterOwnerSweep
+	insideLaterInstall // a later transaction has its own cell in the object
+	afterLaterTx
+	numUninstallReleases
+)
+
+var uninstallReleaseNames = [numUninstallReleases]string{
+	"before the owner's sweep", "after the owner's sweep", "inside a later install", "after the later transaction",
+}
+
+// TestStaleHelperInsideUninstall enumerates a caller parked inside uninstall
+// on object o while the owner finishes and a later transaction installs over
+// o and commits or aborts, transaction 1 committed and aborted. Wherever it
+// resumes it must act on transaction 1's cell alone. A reader that saw o
+// between the two transactions is the witness that the slot holds the very
+// same cell again after the later one aborts.
+func TestStaleHelperInsideUninstall(t *testing.T) {
+	windows := []struct {
+		name   string
+		commit bool
+		point  int
+	}{
+		{"commit, parked after the load", true, afterLoad},
+		{"commit, parked between the clears", true, betweenClears},
+		{"abort, parked before the CAS", false, afterLoad},
+	}
+	for _, w := range windows {
+		for rel := 0; rel < numUninstallReleases; rel++ {
+			for _, laterCommits := range []bool{true, false} {
+				name := fmt.Sprintf("%s/released %s/later commits=%v", w.name, uninstallReleaseNames[rel], laterCommits)
+				t.Run(name, func(t *testing.T) {
+					owner, later, reader := NewTxManager().Session(), NewTxManager().Session(), NewTxManager().Session()
+					var o, side, y CASObj[int]
+
+					owner.TxBegin()
+					txWrite(t, owner, &side, 0, 1)
+					txWrite(t, owner, &o, 0, 1)
+					d := owner.desc
+					want := 0
+					if w.commit {
+						want = 1
+						decide(owner)
+					} else {
+						d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
+					}
+					h := parkInUninstall(&o, d, w.commit, w.point)
+					at := func(q int) {
+						if rel == q {
+							h.run()
+						}
+					}
+
+					at(beforeOwnerSweep)
+					if err := owner.finish(d); w.commit != (err == nil) || owner.InTx() {
+						t.Fatalf("transaction 1 = %v, want commit %v", err, w.commit)
+					}
+					at(afterOwnerSweep)
+					wantSettled(t, "o", &o, want)
+					wantSettled(t, "side", &side, want)
+
+					reader.TxBegin()
+					txRead(reader, &o)
+					txWrite(t, reader, &y, 0, 1)
+
+					later.TxBegin()
+					d2 := later.desc
+					txWrite(t, later, &o, want, 7)
+					at(insideLaterInstall)
+					if o.installedBy() != d2 || d2.Status() != InPrep {
+						t.Fatal("the parked caller disturbed the later transaction's install")
+					}
+					if !laterCommits {
+						later.TxAbort()
+					} else if err := later.TxEnd(); err != nil {
+						t.Fatalf("later transaction: %v", err)
+					} else {
+						want = 7
+					}
+					at(afterLaterTx)
+					wantSettled(t, "o", &o, want)
+
+					// The reader's cell is back iff the later install aborted.
+					if err := reader.TxEnd(); laterCommits != errors.Is(err, ErrTxAborted) {
+						t.Fatalf("reader = %v after the later transaction (committed %v)", err, laterCommits)
+					}
+				})
+			}
+		}
+	}
+}

@@ -28,16 +28,10 @@ type Session struct {
 	cleanups []func() // post-critical work, run after commit
 	undos    []func() // tNew compensation, run after abort
 
-	// rs and ws are the scratch the open transaction's read and write sets
-	// alias while it is InPrep (see Desc); they grow by append and are kept
-	// across transactions, so a transaction in steady state allocates no
-	// set storage until it freezes. spare is a descriptor whose transaction
-	// ended without becoming reachable from another goroutine; the next
-	// TxBegin reuses it. All three belong to this session alone: reuse
-	// depends on nothing but what this session did, which keeps the bytes a
-	// transaction allocates a function of the transaction.
-	rs    []readRec
-	ws    []*unsafe.Pointer
+	// spare is the descriptor the next TxBegin runs on: the last one, unless
+	// a helper was inside it when its transaction finished (Desc.reuse). It
+	// belongs to this session alone, so with no helper about a transaction
+	// allocates nothing for its descriptor or its sets once they have grown.
 	spare *Desc
 
 	// TxData is scratch space for layered systems (txMontage stores its
@@ -72,8 +66,8 @@ func (s *Session) OpStart() { s.inSpec = false }
 func (s *Session) InTx() bool { return s.desc != nil }
 
 // Desc returns the current transaction's descriptor, or nil. Do not keep it
-// past the end of the transaction: the session's next transaction may run on
-// the same descriptor (see Desc).
+// past the end of the transaction: from then on it belongs to the session's
+// next transaction, or to nobody.
 func (s *Session) Desc() *Desc { return s.desc }
 
 func (s *Session) stats() *Stats { return &s.st }
@@ -87,11 +81,9 @@ func (s *Session) TxBegin() {
 	}
 	d := s.spare
 	if d == nil {
-		d = &Desc{owner: s}
+		d = newDesc(s, 0, 0)
 	}
-	s.spare = nil
-	d.readSet, d.writeSet, d.validators = s.rs[:0], s.ws[:0], d.vBuf[:0]
-	s.desc = d
+	s.desc, s.spare = d, nil
 	s.inSpec = false
 	s.TxData = nil
 	s.st.Begins.Add(1)
@@ -109,15 +101,8 @@ func (s *Session) TxEnd() error {
 	if d == nil {
 		panic("medley: TxEnd outside a transaction")
 	}
-	if len(d.writeSet) != 0 {
-		s.freeze(d) // installed cells lead helpers here once it is InProg
-	}
 	if d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		if d.validate() {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
-		} else {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
-		}
+		d.decide()
 	}
 	return s.finish(d)
 }
@@ -146,55 +131,13 @@ func (s *Session) TxAbort() error {
 	return err
 }
 
-// freeze gives d private, exact-size copies of its read and write sets and
-// takes the scratch back, cleared. It must run before the status CAS that
-// publishes the sets to helpers (InPrep→InProg): that CAS is what orders
-// these writes before any helper's reads.
-func (s *Session) freeze(d *Desc) {
-	rs, ws := d.readSet, d.writeSet
-	d.readSet, d.writeSet = exactCopy(rs), exactCopy(ws)
-	d.frozen = true
-	s.reclaim(rs, ws)
-}
-
-// exactCopy returns a copy of s that shares nothing with it, not even the
-// base pointer of an empty slice (nil for an empty set).
-func exactCopy[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	c := make([]T, len(s))
-	copy(c, s)
-	return c
-}
-
-// reclaim takes the scratch back from a transaction that is done with it.
-// The entries are cleared so an idle session pins no nodes; the capacity
-// (grown by the transaction's appends) is kept.
-func (s *Session) reclaim(rs []readRec, ws []*unsafe.Pointer) {
-	clear(rs)
-	clear(ws)
-	s.rs, s.ws = rs[:0], ws[:0]
-}
-
 // finish completes a transaction whose status has been finalized (possibly
-// by a helper): sweeps the write set, takes back the scratch and, if it may,
-// the descriptor, then closes the session's transaction scope: runs its
-// cleanups or undos, the manager's end hook, and counts the verdict.
+// by a helper): sweeps the write set, closes the session's transaction scope
+// (its cleanups or undos, the manager's end hook), takes the descriptor for
+// the next transaction if no helper is inside it, and counts the verdict.
 func (s *Session) finish(d *Desc) error {
 	committed := d.Status() == Committed
 	d.sweep(committed)
-	if !d.frozen {
-		// Never InProg, so no helper reads these sets (tryFinalize): the
-		// descriptor is unreachable, or was aborted straight from InPrep.
-		reachable := len(d.writeSet) != 0
-		s.reclaim(d.readSet, d.writeSet)
-		d.readSet, d.writeSet, d.validators, d.vBuf = nil, nil, nil, [1]func() bool{}
-		if !reachable {
-			d.status.Store(uint32(InPrep))
-			s.spare = d
-		}
-	}
 	s.desc = nil
 	s.inSpec = false
 	if committed {
@@ -218,6 +161,8 @@ func (s *Session) finish(d *Desc) error {
 	if h := s.mgr.endHook; h != nil {
 		h(s, committed)
 	}
+	// Last, so that a helper has as long as possible to leave.
+	s.spare = d.reuse()
 	if committed {
 		s.st.Commits.Add(1)
 		return nil
