@@ -12,10 +12,10 @@
 //     readers visible to writers; this per-operation metadata CAS is the
 //     overhead that costs LFTT its gap against Medley's invisible readers.
 //   - A node's logical membership is a function of the descriptor and
-//     operation recorded in its info field: a committed insert means
-//     present, a committed remove absent, an aborted operation reverts to
-//     the pre-operation state, all switched atomically by the single CAS on
-//     the transaction's status word.
+//     operation recorded in its info field: a committed transaction's
+//     operation leaves the state it recorded, an aborted one the state from
+//     before the transaction's first operation on the node, all switched
+//     atomically by the single CAS on the transaction's status word.
 //   - Nodes are never physically unlinked; a "removed" key persists as a
 //     physical node whose info marks it absent, to be revived by a later
 //     insert's adoption CAS.
@@ -75,14 +75,15 @@ type txDesc struct {
 // by adoption CASes.
 type info struct {
 	desc *txDesc
-	kind OpKind
-	// val is the node's value if this info leaves (or left) it present:
-	// insert = the new value; remove = the prior value (in case of abort);
-	// get = the observed value.
-	val uint64
-	// prevPresent is the logical membership before this operation (used to
-	// interpret get infos and aborted operations).
-	prevPresent bool
+	// present, val: the node's membership and value once the operation ran,
+	// as its transaction sees them.
+	present bool
+	val     uint64
+	// wasPresent, was: the same before the transaction's first operation on
+	// the node, which is what an abort reverts to (a transaction that removes
+	// and then reinserts a key, as Put does, must leave it present).
+	wasPresent bool
+	was        uint64
 }
 
 const maxLevel = 20
@@ -108,24 +109,20 @@ func New() *SkipList {
 // me is the interpreting transaction: its own operations read as committed.
 // The caller must have resolved any foreign active descriptor first.
 func interpret(h *info, me *txDesc) (present bool, val uint64) {
-	st := committed
-	if h.desc != me {
-		st = Status(h.desc.status.Load())
+	if h.desc == me || Status(h.desc.status.Load()) == committed {
+		return h.present, h.val
 	}
-	switch h.kind {
-	case OpInsert:
-		if st == committed {
-			return true, h.val
-		}
-		return false, 0 // adoption rule: insert adopted only when absent
-	case OpRemove:
-		if st == committed {
-			return false, 0
-		}
-		return true, h.val // adoption rule: remove adopted only when present
-	default: // OpGet preserves membership
-		return h.prevPresent, h.val
+	return h.wasPresent, h.was
+}
+
+// adopt is the info of d's next operation on a node whose info is h, which
+// leaves it present with val, or absent.
+func adopt(h *info, d *txDesc, present bool, val uint64) *info {
+	in := &info{desc: d, present: present, val: val, wasPresent: h.wasPresent, was: h.was}
+	if h.desc != d {
+		in.wasPresent, in.was = interpret(h, d)
 	}
+	return in
 }
 
 // resolve gets a foreign active descriptor out of the way by aborting it
@@ -232,7 +229,7 @@ func (sl *SkipList) doInsert(d *txDesc, op Op) (OpResult, bool) {
 		var preds [maxLevel]*node
 		n := sl.search(op.Key, &preds)
 		if n == nil {
-			in := &info{desc: d, kind: OpInsert, val: op.Val}
+			in := &info{desc: d, present: true, val: op.Val}
 			if nn, okIns := sl.physicalInsert(op.Key, in); okIns && nn != nil {
 				return OpResult{Val: op.Val, Ok: true}, true
 			}
@@ -243,18 +240,17 @@ func (sl *SkipList) doInsert(d *txDesc, op Op) (OpResult, bool) {
 		if h.desc != d && Status(h.desc.status.Load()) == active {
 			continue // racing resolution
 		}
-		present, _ := interpret(h, d)
+		present, val := interpret(h, d)
 		if present {
 			// Insert on a present key: the operation reports failure; the
 			// transaction itself proceeds (set-semantics insert is a no-op,
 			// still serialized via the adoption CAS below as a reader).
-			gi := &info{desc: d, kind: OpGet, val: h.val, prevPresent: true}
-			if n.info.CompareAndSwap(h, gi) {
-				return OpResult{Val: h.val, Ok: false}, true
+			if n.info.CompareAndSwap(h, adopt(h, d, true, val)) {
+				return OpResult{Val: val, Ok: false}, true
 			}
 			continue
 		}
-		in := &info{desc: d, kind: OpInsert, val: op.Val}
+		in := adopt(h, d, true, op.Val)
 		if n.info.CompareAndSwap(h, in) {
 			return OpResult{Val: op.Val, Ok: true}, true
 		}
@@ -269,7 +265,10 @@ func (sl *SkipList) doRemove(d *txDesc, op Op) (OpResult, bool) {
 		var preds [maxLevel]*node
 		n := sl.search(op.Key, &preds)
 		if n == nil {
-			return OpResult{Ok: false}, true // absent; op reports failure
+			if sl.absent(d, op.Key) {
+				return OpResult{Ok: false}, true // absent; op reports failure
+			}
+			continue
 		}
 		h := n.info.Load()
 		resolve(h, d)
@@ -278,17 +277,23 @@ func (sl *SkipList) doRemove(d *txDesc, op Op) (OpResult, bool) {
 		}
 		present, val := interpret(h, d)
 		if !present {
-			gi := &info{desc: d, kind: OpGet, prevPresent: false}
-			if n.info.CompareAndSwap(h, gi) {
+			if n.info.CompareAndSwap(h, adopt(h, d, false, 0)) {
 				return OpResult{Ok: false}, true
 			}
 			continue
 		}
-		ri := &info{desc: d, kind: OpRemove, val: val, prevPresent: true}
-		if n.info.CompareAndSwap(h, ri) {
+		if n.info.CompareAndSwap(h, adopt(h, d, false, 0)) {
 			return OpResult{Val: val, Ok: true}, true
 		}
 	}
+}
+
+// absent publishes d's read of a key that has no node on a node of its own,
+// which reads as absent, so that an insert racing d meets d; false if another
+// node for the key got there first.
+func (sl *SkipList) absent(d *txDesc, k uint64) bool {
+	_, ok := sl.physicalInsert(k, &info{desc: d})
+	return ok
 }
 
 func (sl *SkipList) doGet(d *txDesc, op Op) (OpResult, bool) {
@@ -299,7 +304,10 @@ func (sl *SkipList) doGet(d *txDesc, op Op) (OpResult, bool) {
 		var preds [maxLevel]*node
 		n := sl.search(op.Key, &preds)
 		if n == nil {
-			return OpResult{Ok: false}, true
+			if sl.absent(d, op.Key) {
+				return OpResult{Ok: false}, true
+			}
+			continue
 		}
 		h := n.info.Load()
 		resolve(h, d)
@@ -308,8 +316,7 @@ func (sl *SkipList) doGet(d *txDesc, op Op) (OpResult, bool) {
 		}
 		present, val := interpret(h, d)
 		// Visible reader: publish the read on the critical node.
-		gi := &info{desc: d, kind: OpGet, val: val, prevPresent: present}
-		if n.info.CompareAndSwap(h, gi) {
+		if n.info.CompareAndSwap(h, adopt(h, d, present, val)) {
 			return OpResult{Val: val, Ok: present}, true
 		}
 	}

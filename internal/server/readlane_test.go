@@ -2,246 +2,13 @@ package server
 
 import (
 	"bufio"
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"medley/internal/txengine"
 )
-
-// TestReadLaneNeverTorn is the read lane's end-to-end isolation audit:
-// writer connections move value between account pairs with multi-key
-// transactions while reader connections audit each pair's sum through the
-// lane — synchronous Gets and all-Read Txn batches. A torn read (an audit
-// transaction observing a transfer half-applied) would break the sum. After
-// an explicit drain, the lane must actually have served reads, and every OK
-// answered by the server must be attributed to exactly one path:
-// SnapServed + OCCServed == the clients' OK tally.
-func TestReadLaneNeverTorn(t *testing.T) {
-	const (
-		pairs     = 8
-		seed      = uint64(1000)
-		transfers = 300
-		audits    = 400
-		writers   = 4
-		readers   = 4
-	)
-	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 4}, Options{})
-	if !s.ReadLaneEnabled() {
-		t.Fatal("read lane should be on for a sharded medley engine")
-	}
-
-	// Seed each pair's two accounts.
-	seedConn := dialT(t, addr)
-	var okTally atomic.Uint64
-	for k := uint64(0); k < 2*pairs; k++ {
-		r, err := seedConn.Put(k, seed)
-		if err != nil || !r.OK() {
-			t.Fatalf("seed %d: %+v, %v", k, r, err)
-		}
-		okTally.Add(1)
-	}
-
-	var wg sync.WaitGroup
-	fail := make(chan string, writers+readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := Dial(addr, 0)
-			if err != nil {
-				fail <- "writer dial: " + err.Error()
-				return
-			}
-			defer c.Close()
-			for i := 0; i < transfers; i++ {
-				p := uint64((w + i) % pairs)
-				from, to := 2*p, 2*p+1
-				if i%2 == 0 {
-					from, to = to, from
-				}
-				r, err := c.Txn([]TxnOp{
-					{Kind: TxnRead, Key: from},
-					AddDelta(from, -1),
-					AddDelta(to, +1),
-				})
-				if err != nil {
-					fail <- "transfer: " + err.Error()
-					return
-				}
-				switch r.Status {
-				case StatusOK:
-					okTally.Add(1)
-				case StatusRetry, StatusAborted:
-					// Shed under load or balance exhausted: both fine.
-				default:
-					fail <- "transfer status: " + r.Err
-					return
-				}
-			}
-		}(w)
-	}
-	for rd := 0; rd < readers; rd++ {
-		wg.Add(1)
-		go func(rd int) {
-			defer wg.Done()
-			c, err := Dial(addr, 0)
-			if err != nil {
-				fail <- "reader dial: " + err.Error()
-				return
-			}
-			defer c.Close()
-			for i := 0; i < audits; i++ {
-				p := uint64((rd + i) % pairs)
-				// The atomic audit: one all-Read transaction is a single
-				// lane job served from one cut, so the pair sum must hold.
-				r, err := c.Txn([]TxnOp{
-					{Kind: TxnRead, Key: 2 * p},
-					{Kind: TxnRead, Key: 2*p + 1},
-				})
-				if err != nil {
-					fail <- "audit txn: " + err.Error()
-					return
-				}
-				if r.Status == StatusRetry {
-					continue
-				}
-				if !r.OK() || len(r.Reads) != 2 {
-					fail <- "audit txn status: " + r.Err
-					return
-				}
-				okTally.Add(1)
-				if sum := r.Reads[0].Val + r.Reads[1].Val; sum != 2*seed {
-					fail <- "torn read: pair sum drifted"
-					return
-				}
-				// Interleave plain Gets so individual-Get lane traffic runs
-				// under the same churn (no atomicity claim across two Gets).
-				if g, err := c.Get(2 * p); err != nil || !g.OK() {
-					if err != nil {
-						fail <- "audit get: " + err.Error()
-						return
-					}
-					if g.Status != StatusRetry {
-						fail <- "audit get status: " + g.Err
-						return
-					}
-				} else {
-					okTally.Add(1)
-				}
-			}
-		}(rd)
-	}
-	wg.Wait()
-	select {
-	case msg := <-fail:
-		t.Fatal(msg)
-	default:
-	}
-
-	s.Drain()
-	got := s.Counters()
-	if got.SnapServed == 0 {
-		t.Fatalf("lane served nothing: %+v", got)
-	}
-	if got.SnapServed+got.OCCServed != okTally.Load() {
-		t.Fatalf("attribution leak: snap %d + occ %d != client OKs %d",
-			got.SnapServed, got.OCCServed, okTally.Load())
-	}
-}
-
-// TestReadLaneReadYourWrites: a connection that just wrote a key must see
-// that write through the lane immediately, even while concurrent writers on
-// other keys hold the snapshot seal back (the lane falls such reads back to
-// OCC rather than serve a stale cut). Every checking connection pins its own
-// cuts and compares them with its own last write, so the property is checked
-// with 1, 4 and 16 of them at once.
-func TestReadLaneReadYourWrites(t *testing.T) {
-	for _, checkers := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("%d checkers", checkers), func(t *testing.T) {
-			s, addr := startServer(t, "medley", txengine.Config{}, Options{})
-			if !s.ReadLaneEnabled() {
-				t.Fatal("read lane should be on")
-			}
-
-			stop := make(chan struct{})
-			var writers, wg sync.WaitGroup
-			for w := 0; w < 3; w++ {
-				writers.Add(1)
-				go func(w int) {
-					defer writers.Done()
-					c, err := Dial(addr, 0)
-					if err != nil {
-						return
-					}
-					defer c.Close()
-					// Pipelined, so that the server is inside a commit — the
-					// seal held back — most of the time.
-					for i := uint64(0); ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						for k := uint64(0); k < 16; k++ {
-							c.SendPut(1000+16*uint64(w)+k, i)
-						}
-						if c.Flush() != nil {
-							return
-						}
-						for k := 0; k < 16; k++ {
-							if _, err := c.Recv(); err != nil {
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			for ck := 0; ck < checkers; ck++ {
-				wg.Add(1)
-				go func(key uint64) {
-					defer wg.Done()
-					c, err := Dial(addr, time.Second)
-					if err != nil {
-						t.Errorf("dial: %v", err)
-						return
-					}
-					defer c.Close()
-					for i := uint64(1); i <= 1000; i++ {
-						// A Put shed by admission control (StatusRetry) was not
-						// executed: send it again, or the Get below rightly reads
-						// the previous value.
-						for {
-							r, err := c.Put(key, i)
-							if err != nil || r.Status == StatusErr {
-								t.Errorf("key %d put %d: %+v, %v", key, i, r, err)
-								return
-							}
-							if r.Status != StatusRetry {
-								break
-							}
-						}
-						r, err := c.Get(key)
-						if err != nil || r.Status == StatusErr {
-							t.Errorf("key %d get %d: %+v, %v", key, i, r, err)
-							return
-						}
-						if r.OK() && (!r.Found || r.Val != i) {
-							t.Errorf("read-your-writes violated on key %d: wrote %d, read %+v", key, i, r)
-							return
-						}
-					}
-				}(uint64(ck))
-			}
-			wg.Wait()
-			close(stop)
-			writers.Wait()
-		})
-	}
-}
 
 // TestReadLaneFirstReadSeesAcknowledgedPuts: nothing reads a snapshot until
 // the engine's first lane read, so every Put before it was committed without

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -129,28 +130,6 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestRejects spot-checks the malformed-frame classes the fuzz
-// target explores: truncation, oversize, lying counts, garbage.
-func TestDecodeRequestRejects(t *testing.T) {
-	valid := AppendRequest(nil, &Request{ID: 7, Op: OpTxn, Ops: []TxnOp{{Kind: TxnWrite, Key: 1, Arg: 2}}})[4:]
-	cases := map[string][]byte{
-		"empty":          {},
-		"header only":    valid[:9],
-		"truncated op":   valid[:len(valid)-1],
-		"trailing bytes": append(append([]byte{}, valid...), 0),
-		"unknown op":     {0, 0, 0, 0, 0, 0, 0, 1, 99},
-		"bad txn kind":   {0, 0, 0, 0, 0, 0, 0, 1, OpTxn, 0, 1, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-	}
-	// A lying op count must be rejected before any allocation sized by it.
-	lying := append([]byte{0, 0, 0, 0, 0, 0, 0, 1, OpTxn}, 0xff, 0xff)
-	cases["lying op count"] = lying
-	for name, body := range cases {
-		if _, err := DecodeRequest(body); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}
-
 // TestReadFrameRejects covers the framing layer: truncated prefixes and
 // bodies, zero-length and oversized claims.
 func TestReadFrameRejects(t *testing.T) {
@@ -176,14 +155,59 @@ func TestReadFrameRejects(t *testing.T) {
 	}
 }
 
+// reqBody is a request body with id 1; respBody a response body with id 1.
+func reqBody(op byte, rest ...byte) []byte {
+	return append([]byte{0, 0, 0, 0, 0, 0, 0, 1, op}, rest...)
+}
+func respBody(op, status byte, rest ...byte) []byte {
+	return append([]byte{0, 0, 0, 0, 0, 0, 0, 1, op, status}, rest...)
+}
+
+// malformedRequests and malformedResponses are one body for each way the
+// decoders reject one, with the error each must give. They seed the fuzzers.
+var (
+	malformedRequests = []struct {
+		body []byte
+		err  string
+	}{
+		{nil, "request body 0 bytes"},
+		{reqBody(OpGet, make([]byte, 7)...), "OpGet payload 7 bytes"},
+		{reqBody(OpPut, make([]byte, 15)...), "OpPut payload 15 bytes"},
+		{reqBody(OpTxn), "missing op count"},
+		{reqBody(OpTxn, 0xff, 0xff), "declares 65535 ops"},
+		{reqBody(OpTxn, 0, 1, TxnWrite), "OpTxn payload 1 bytes"},
+		{reqBody(OpTxn, append([]byte{0, 1, 77}, make([]byte, 16)...)...), "op 0 has unknown kind 77"},
+		{reqBody(99), "unknown op 99"},
+	}
+	malformedResponses = []struct {
+		body []byte
+		err  string
+	}{
+		{respBody(OpGet, StatusOK, make([]byte, 8)...), "8-byte single-op OK payload"},
+		{respBody(OpGet, StatusOK, append([]byte{2}, make([]byte, 8)...)...), "found byte 2"},
+		{respBody(OpTxn, StatusOK, 0), "missing read count"},
+		{respBody(OpTxn, StatusOK, 0xff, 0xff), "declares 65535 reads"},
+		{respBody(OpTxn, StatusOK, append([]byte{0, 1}, make([]byte, 8)...)...), "OpTxn OK payload 8 bytes"},
+		{respBody(OpTxn, StatusOK, append([]byte{0, 1, 7}, make([]byte, 8)...)...), "read 0 found byte 7"},
+		{respBody(9, StatusOK), "unknown op 9"},
+		{respBody(OpGet, StatusRetry, 0), "status 1 carries 1 payload bytes"},
+		{respBody(OpGet, 9), "unknown status 9"},
+	}
+)
+
 // FuzzDecodeRequest: arbitrary bodies must error or decode — never panic,
 // never over-read (the race detector and -fuzz's instrumentation watch the
-// rest).
+// rest). Every malformed seed must be rejected with its error.
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add([]byte{})
 	f.Add(AppendRequest(nil, &Request{ID: 1, Op: OpGet, Key: 42})[4:])
 	f.Add(AppendRequest(nil, &Request{ID: 2, Op: OpPut, Key: 1, Val: 2})[4:])
 	f.Add(AppendRequest(nil, &Request{ID: 3, Op: OpTxn, Ops: []TxnOp{{Kind: TxnAdd, Key: 9, Arg: ^uint64(0)}}})[4:])
+	for _, c := range malformedRequests {
+		if _, err := DecodeRequest(c.body); err == nil || !strings.Contains(err.Error(), c.err) {
+			f.Errorf("DecodeRequest(%x) = %v, want %q", c.body, err, c.err)
+		}
+		f.Add(c.body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r, err := DecodeRequest(body)
 		if err == nil {
@@ -202,6 +226,13 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{ID: 1, Op: OpGet, Status: StatusOK, Found: true, Val: 3})[4:])
 	f.Add(AppendResponse(nil, &Response{ID: 2, Op: OpTxn, Status: StatusOK, Reads: []ReadResult{{true, 1}}})[4:])
 	f.Add(AppendResponse(nil, &Response{ID: 3, Op: OpPut, Status: StatusErr, Err: "x"})[4:])
+	for _, c := range malformedResponses {
+		var r Response
+		if err := DecodeResponse(c.body, &r); err == nil || !strings.Contains(err.Error(), c.err) {
+			f.Errorf("DecodeResponse(%x) = %v, want %q", c.body, err, c.err)
+		}
+		f.Add(c.body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var r Response
 		if err := DecodeResponse(body, &r); err == nil {

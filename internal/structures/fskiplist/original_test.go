@@ -1,157 +1,9 @@
 package fskiplist
 
 import (
-	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestOriginalBasic(t *testing.T) {
-	sl := NewOriginal[int, string]()
-	if _, ok := sl.Get(1); ok {
-		t.Fatal("empty had key")
-	}
-	if !sl.Insert(1, "one") {
-		t.Fatal("insert failed")
-	}
-	if sl.Insert(1, "dup") {
-		t.Fatal("dup insert succeeded")
-	}
-	if v, ok := sl.Get(1); !ok || v != "one" {
-		t.Fatalf("Get = %q,%v", v, ok)
-	}
-	old, replaced := sl.Put(1, "uno")
-	if !replaced || old != "one" {
-		t.Fatalf("Put = %q,%v", old, replaced)
-	}
-	if v, ok := sl.Remove(1); !ok || v != "uno" {
-		t.Fatalf("Remove = %q,%v", v, ok)
-	}
-	if sl.Len() != 0 {
-		t.Fatal("not empty")
-	}
-}
-
-func TestOriginalModelProperty(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Key  uint8
-		Val  int
-	}
-	f := func(ops []op) bool {
-		sl := NewOriginal[uint8, int]()
-		model := map[uint8]int{}
-		for _, o := range ops {
-			switch o.Kind % 4 {
-			case 0:
-				mv, mok := model[o.Key]
-				v, ok := sl.Get(o.Key)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-			case 1:
-				_, mok := model[o.Key]
-				if sl.Insert(o.Key, o.Val) == mok {
-					return false
-				}
-				if !mok {
-					model[o.Key] = o.Val
-				}
-			case 2:
-				mv, mok := model[o.Key]
-				old, rep := sl.Put(o.Key, o.Val)
-				if rep != mok || (rep && old != mv) {
-					return false
-				}
-				model[o.Key] = o.Val
-			case 3:
-				mv, mok := model[o.Key]
-				v, ok := sl.Remove(o.Key)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-				delete(model, o.Key)
-			}
-		}
-		return sl.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOriginalConcurrentChurn(t *testing.T) {
-	sl := NewOriginal[int, int]()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 4000; i++ {
-				k := rng.Intn(256)
-				switch rng.Intn(3) {
-				case 0:
-					sl.Put(k, k*5)
-				case 1:
-					if v, ok := sl.Get(k); ok && v != k*5 {
-						t.Errorf("Get(%d) = %d", k, v)
-					}
-				case 2:
-					sl.Remove(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ks := make([]int, 0)
-	seen := map[int]bool{}
-	sl2 := sl // traversal via Len path
-	_ = sl2
-	// Collect via repeated Get over keyspace + order check via Len parity.
-	for k := 0; k < 256; k++ {
-		if _, ok := sl.Get(k); ok {
-			if seen[k] {
-				t.Fatalf("duplicate %d", k)
-			}
-			seen[k] = true
-			ks = append(ks, k)
-		}
-	}
-	if !sort.IntsAreSorted(ks) {
-		t.Fatal("unsorted")
-	}
-}
-
-func TestOriginalDisjointParallelInserts(t *testing.T) {
-	sl := NewOriginal[int, int]()
-	var wg sync.WaitGroup
-	const per = 1000
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := w*per + i
-				if !sl.Insert(k, k) {
-					t.Errorf("insert %d failed", k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if sl.Len() != 8*per {
-		t.Fatalf("Len = %d", sl.Len())
-	}
-	for k := 0; k < 8*per; k += 97 {
-		if v, ok := sl.Get(k); !ok || v != k {
-			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-}
 
 // omkNode and olink build towers by hand for the dead-node tests below, the
 // untransformed twins of the ones in fskiplist_test.go.

@@ -1,38 +1,10 @@
 package mhash
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"medley/internal/core"
 )
-
-func TestBasicOps(t *testing.T) {
-	m := NewUint64[string](64)
-	s := core.NewTxManager().Session()
-	if _, ok := m.Get(s, 1); ok {
-		t.Fatal("empty map had a key")
-	}
-	m.Put(s, 1, "one")
-	m.Put(s, 65, "sixty-five") // same bucket as 1 for small tables, maybe
-	if v, ok := m.Get(s, 1); !ok || v != "one" {
-		t.Fatalf("Get(1) = %q,%v", v, ok)
-	}
-	if v, ok := m.Get(s, 65); !ok || v != "sixty-five" {
-		t.Fatalf("Get(65) = %q,%v", v, ok)
-	}
-	if v, ok := m.Remove(s, 1); !ok || v != "one" {
-		t.Fatalf("Remove = %q,%v", v, ok)
-	}
-	if m.Contains(s, 1) {
-		t.Fatal("contains removed key")
-	}
-	if !m.Contains(s, 65) {
-		t.Fatal("lost unrelated key")
-	}
-}
 
 func TestSingleBucketDegenerate(t *testing.T) {
 	// All keys collide: the table degenerates to one ordered list and must
@@ -52,183 +24,5 @@ func TestSingleBucketDegenerate(t *testing.T) {
 	}
 	if m.Len() != 50 {
 		t.Fatalf("Len = %d after removes", m.Len())
-	}
-}
-
-func TestModelProperty(t *testing.T) {
-	f := func(keys []uint8, vals []int16, kinds []uint8) bool {
-		m := NewUint64[int16](8)
-		s := core.NewTxManager().Session()
-		model := map[uint64]int16{}
-		n := len(keys)
-		if len(kinds) < n {
-			n = len(kinds)
-		}
-		for i := 0; i < n; i++ {
-			k := uint64(keys[i])
-			var v int16
-			if len(vals) > 0 {
-				v = vals[i%len(vals)]
-			}
-			switch kinds[i] % 3 {
-			case 0:
-				m.Put(s, k, v)
-				model[k] = v
-			case 1:
-				gv, gok := m.Get(s, k)
-				mv, mok := model[k]
-				if gok != mok || (gok && gv != mv) {
-					return false
-				}
-			case 2:
-				_, gok := m.Remove(s, k)
-				_, mok := model[k]
-				if gok != mok {
-					return false
-				}
-				delete(model, k)
-			}
-		}
-		return m.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentMixedWorkload(t *testing.T) {
-	m := NewUint64[uint64](256)
-	mgr := core.NewTxManager()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 5000; i++ {
-				k := uint64(rng.Intn(512))
-				switch rng.Intn(3) {
-				case 0:
-					m.Put(s, k, k*10)
-				case 1:
-					if v, ok := m.Get(s, k); ok && v != k*10 {
-						t.Errorf("Get(%d) = %d", k, v)
-					}
-				case 2:
-					m.Remove(s, k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m.Range(func(k, v uint64) bool {
-		if v != k*10 {
-			t.Errorf("corrupt pair %d->%d", k, v)
-		}
-		return true
-	})
-}
-
-// The paper's Fig. 3: transfer between accounts in two hash tables.
-func TestBankTransferBetweenTables(t *testing.T) {
-	mgr := core.NewTxManager()
-	ht1 := NewUint64[int](64)
-	ht2 := NewUint64[int](64)
-	s := mgr.Session()
-	ht1.Put(s, 1, 100)
-	ht2.Put(s, 2, 50)
-
-	transfer := func(s *core.Session, amount int) error {
-		return s.Run(func() error {
-			v1, ok := ht1.Get(s, 1)
-			if !ok || v1 < amount {
-				s.TxAbort()
-				return errInsufficient
-			}
-			v2, _ := ht2.Get(s, 2)
-			ht1.Put(s, 1, v1-amount)
-			ht2.Put(s, 2, v2+amount)
-			return nil
-		})
-	}
-	if err := transfer(s, 30); err != nil {
-		t.Fatal(err)
-	}
-	v1, _ := ht1.Get(s, 1)
-	v2, _ := ht2.Get(s, 2)
-	if v1 != 70 || v2 != 80 {
-		t.Fatalf("balances = %d,%d", v1, v2)
-	}
-	// Overdraft must fail atomically.
-	if err := transfer(s, 1000); err != errInsufficient {
-		t.Fatalf("overdraft err = %v", err)
-	}
-	v1, _ = ht1.Get(s, 1)
-	v2, _ = ht2.Get(s, 2)
-	if v1 != 70 || v2 != 80 {
-		t.Fatalf("balances changed on failed transfer: %d,%d", v1, v2)
-	}
-}
-
-var errInsufficient = errTest("insufficient funds")
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }
-
-// Concurrent transfers across tables preserve total balance.
-func TestConcurrentTransfersPreserveTotal(t *testing.T) {
-	mgr := core.NewTxManager()
-	ht1 := NewUint64[int](128)
-	ht2 := NewUint64[int](128)
-	setup := mgr.Session()
-	const accounts = 16
-	for a := uint64(0); a < accounts; a++ {
-		ht1.Put(setup, a, 1000)
-		ht2.Put(setup, a, 1000)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w) * 7))
-			for i := 0; i < 800; i++ {
-				a1 := uint64(rng.Intn(accounts))
-				a2 := uint64(rng.Intn(accounts))
-				src, dst := ht1, ht2
-				if rng.Intn(2) == 0 {
-					src, dst = ht2, ht1
-				}
-				_ = s.Run(func() error {
-					v1, ok1 := src.Get(s, a1)
-					if !ok1 || v1 < 1 {
-						return nil
-					}
-					v2, _ := dst.Get(s, a2)
-					src.Put(s, a1, v1-1)
-					dst.Put(s, a2, v2+1)
-					return nil
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	s := mgr.Session()
-	for a := uint64(0); a < accounts; a++ {
-		if v, ok := ht1.Get(s, a); ok {
-			total += v
-		}
-		if v, ok := ht2.Get(s, a); ok {
-			total += v
-		}
-	}
-	if total != accounts*2000 {
-		t.Fatalf("total = %d, want %d", total, accounts*2000)
 	}
 }

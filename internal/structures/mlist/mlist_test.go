@@ -1,87 +1,13 @@
 package mlist
 
 import (
-	"errors"
-	"math/rand"
-	"sort"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"medley/internal/core"
 )
 
 func newSession() *core.Session {
 	return core.NewTxManager().Session()
-}
-
-func TestEmptyList(t *testing.T) {
-	l := New[int, string]()
-	s := newSession()
-	if _, ok := l.Get(s, 1); ok {
-		t.Fatal("Get on empty list found a key")
-	}
-	if _, ok := l.Remove(s, 1); ok {
-		t.Fatal("Remove on empty list succeeded")
-	}
-	if l.Len() != 0 {
-		t.Fatal("non-zero length")
-	}
-}
-
-func TestInsertGetRemove(t *testing.T) {
-	l := New[int, string]()
-	s := newSession()
-	if !l.Insert(s, 2, "two") {
-		t.Fatal("insert failed")
-	}
-	if l.Insert(s, 2, "again") {
-		t.Fatal("duplicate insert succeeded")
-	}
-	v, ok := l.Get(s, 2)
-	if !ok || v != "two" {
-		t.Fatalf("Get = %q,%v", v, ok)
-	}
-	v, ok = l.Remove(s, 2)
-	if !ok || v != "two" {
-		t.Fatalf("Remove = %q,%v", v, ok)
-	}
-	if _, ok := l.Get(s, 2); ok {
-		t.Fatal("key present after remove")
-	}
-}
-
-func TestPutInsertsAndReplaces(t *testing.T) {
-	l := New[int, int]()
-	s := newSession()
-	if _, replaced := l.Put(s, 1, 10); replaced {
-		t.Fatal("fresh Put reported replacement")
-	}
-	old, replaced := l.Put(s, 1, 11)
-	if !replaced || old != 10 {
-		t.Fatalf("Put replace = %d,%v", old, replaced)
-	}
-	if v, _ := l.Get(s, 1); v != 11 {
-		t.Fatalf("Get = %d, want 11", v)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (replacement must not duplicate)", l.Len())
-	}
-}
-
-func TestOrderMaintained(t *testing.T) {
-	l := New[int, int]()
-	s := newSession()
-	for _, k := range []int{5, 1, 9, 3, 7, 2, 8} {
-		l.Insert(s, k, k)
-	}
-	ks := l.Keys()
-	if !sort.IntsAreSorted(ks) {
-		t.Fatalf("keys out of order: %v", ks)
-	}
-	if len(ks) != 7 {
-		t.Fatalf("len = %d", len(ks))
-	}
 }
 
 func TestRangeStopsEarly(t *testing.T) {
@@ -94,285 +20,6 @@ func TestRangeStopsEarly(t *testing.T) {
 	l.Range(func(k, v int) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("Range visited %d, want 3", n)
-	}
-}
-
-// Property test: list behaves like a model map under random op sequences.
-func TestSequentialModelProperty(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Key  uint8
-		Val  int
-	}
-	f := func(ops []op) bool {
-		l := New[uint8, int]()
-		s := newSession()
-		model := map[uint8]int{}
-		for _, o := range ops {
-			switch o.Kind % 4 {
-			case 0:
-				mv, mok := model[o.Key]
-				v, ok := l.Get(s, o.Key)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-			case 1:
-				_, mok := model[o.Key]
-				ok := l.Insert(s, o.Key, o.Val)
-				if ok == mok {
-					return false
-				}
-				if ok {
-					model[o.Key] = o.Val
-				}
-			case 2:
-				mv, mok := model[o.Key]
-				old, replaced := l.Put(s, o.Key, o.Val)
-				if replaced != mok || (replaced && old != mv) {
-					return false
-				}
-				model[o.Key] = o.Val
-			case 3:
-				mv, mok := model[o.Key]
-				v, ok := l.Remove(s, o.Key)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-				delete(model, o.Key)
-			}
-		}
-		if l.Len() != len(model) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentDisjointInserts(t *testing.T) {
-	l := New[int, int]()
-	mgr := core.NewTxManager()
-	const workers = 8
-	const per = 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			for i := 0; i < per; i++ {
-				k := w*per + i
-				if !l.Insert(s, k, k) {
-					t.Errorf("insert %d failed", k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if l.Len() != workers*per {
-		t.Fatalf("Len = %d, want %d", l.Len(), workers*per)
-	}
-	ks := l.Keys()
-	if !sort.IntsAreSorted(ks) {
-		t.Fatal("keys unsorted after concurrent inserts")
-	}
-}
-
-func TestConcurrentInsertRemoveChurn(t *testing.T) {
-	l := New[int, int]()
-	mgr := core.NewTxManager()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 3000; i++ {
-				k := rng.Intn(64)
-				switch rng.Intn(3) {
-				case 0:
-					l.Insert(s, k, k)
-				case 1:
-					l.Remove(s, k)
-				case 2:
-					if v, ok := l.Get(s, k); ok && v != k {
-						t.Errorf("Get(%d) = %d", k, v)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ks := l.Keys()
-	if !sort.IntsAreSorted(ks) {
-		t.Fatalf("unsorted after churn: %v", ks)
-	}
-	seen := map[int]bool{}
-	for _, k := range ks {
-		if seen[k] {
-			t.Fatalf("duplicate key %d", k)
-		}
-		seen[k] = true
-	}
-}
-
-// Transactional composition: move a key between two lists atomically.
-func TestTransactionalMoveBetweenLists(t *testing.T) {
-	mgr := core.NewTxManager()
-	l1 := New[int, int]()
-	l2 := New[int, int]()
-	s := mgr.Session()
-	l1.Insert(s, 7, 70)
-
-	err := s.Run(func() error {
-		v, ok := l1.Get(s, 7)
-		if !ok {
-			return errors.New("missing")
-		}
-		if _, ok := l1.Remove(s, 7); !ok {
-			return core.ErrTxAborted
-		}
-		if !l2.Insert(s, 7, v) {
-			return core.ErrTxAborted
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l1.Get(s, 7); ok {
-		t.Fatal("key still in l1")
-	}
-	if v, ok := l2.Get(s, 7); !ok || v != 70 {
-		t.Fatalf("l2 get = %d,%v", v, ok)
-	}
-}
-
-// A transaction must see its own earlier operations (complication 2 of
-// Section 2.2: later op depends on earlier op's outcome).
-func TestTxReadsOwnWrites(t *testing.T) {
-	mgr := core.NewTxManager()
-	l := New[int, int]()
-	s := mgr.Session()
-
-	err := s.Run(func() error {
-		if !l.Insert(s, 1, 10) {
-			return core.ErrTxAborted
-		}
-		v, ok := l.Get(s, 1)
-		if !ok || v != 10 {
-			t.Errorf("tx did not see own insert: %d,%v", v, ok)
-		}
-		if _, replaced := l.Put(s, 1, 11); !replaced {
-			t.Error("Put did not see own insert")
-		}
-		if v, _ := l.Get(s, 1); v != 11 {
-			t.Errorf("tx did not see own update: %d", v)
-		}
-		if _, ok := l.Remove(s, 1); !ok {
-			t.Error("Remove did not see own insert")
-		}
-		if _, ok := l.Get(s, 1); ok {
-			t.Error("tx sees key after own remove")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l.Get(s, 1); ok {
-		t.Fatal("key visible after tx that inserted and removed it")
-	}
-}
-
-func TestAbortRollsBackListOps(t *testing.T) {
-	mgr := core.NewTxManager()
-	l := New[int, int]()
-	s := mgr.Session()
-	l.Insert(s, 1, 10)
-
-	s.TxBegin()
-	l.Insert(s, 2, 20)
-	l.Remove(s, 1)
-	l.Put(s, 3, 30)
-	s.TxAbort()
-
-	if _, ok := l.Get(s, 2); ok {
-		t.Fatal("aborted insert visible")
-	}
-	if v, ok := l.Get(s, 1); !ok || v != 10 {
-		t.Fatal("aborted remove took effect")
-	}
-	if _, ok := l.Get(s, 3); ok {
-		t.Fatal("aborted put visible")
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", l.Len())
-	}
-}
-
-// Concurrent transfer transactions across two lists preserve the total
-// number of keys (strict serializability smoke test).
-func TestConcurrentAtomicMoves(t *testing.T) {
-	mgr := core.NewTxManager()
-	l1 := New[int, int]()
-	l2 := New[int, int]()
-	setup := mgr.Session()
-	const nkeys = 32
-	for k := 0; k < nkeys; k++ {
-		l1.Insert(setup, k, k)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w) + 100))
-			for i := 0; i < 400; i++ {
-				k := rng.Intn(nkeys)
-				src, dst := l1, l2
-				if rng.Intn(2) == 0 {
-					src, dst = l2, l1
-				}
-				_ = s.Run(func() error {
-					v, ok := src.Get(s, k)
-					if !ok {
-						return nil // not here; fine
-					}
-					if _, ok := src.Remove(s, k); !ok {
-						return core.ErrTxAborted
-					}
-					if !dst.Insert(s, k, v) {
-						return core.ErrTxAborted
-					}
-					return nil
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := l1.Len() + l2.Len()
-	if total != nkeys {
-		t.Fatalf("total keys = %d, want %d (atomicity violated)", total, nkeys)
-	}
-	// No key may be present in both lists, and every key in exactly one.
-	present := map[int]int{}
-	for _, k := range l1.Keys() {
-		present[k]++
-	}
-	for _, k := range l2.Keys() {
-		present[k]++
-	}
-	for k := 0; k < nkeys; k++ {
-		if present[k] != 1 {
-			t.Fatalf("key %d present %d times", k, present[k])
-		}
 	}
 }
 

@@ -1,299 +1,25 @@
 package msqueue
 
 import (
-	"sort"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"medley/internal/core"
 )
 
-func TestEmptyQueue(t *testing.T) {
-	q := New[int]()
-	s := core.NewTxManager().Session()
-	if _, ok := q.Dequeue(s); ok {
-		t.Fatal("dequeue from empty succeeded")
-	}
-	if _, ok := q.Peek(s); ok {
-		t.Fatal("peek on empty succeeded")
-	}
-	if q.Len() != 0 {
-		t.Fatal("len != 0")
-	}
-}
-
-func TestFIFOOrder(t *testing.T) {
-	q := New[int]()
-	s := core.NewTxManager().Session()
-	for i := 0; i < 100; i++ {
-		q.Enqueue(s, i)
-	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := q.Dequeue(s)
-		if !ok || v != i {
-			t.Fatalf("Dequeue = %d,%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := q.Dequeue(s); ok {
-		t.Fatal("queue not empty at end")
-	}
-}
-
+// TestPeekDoesNotRemove: Peek, which the queue contract does not have (the
+// contract suite, internal/structures, covers the rest), reads the head
+// without taking it and finds nothing in an empty queue.
 func TestPeekDoesNotRemove(t *testing.T) {
 	q := New[string]()
 	s := core.NewTxManager().Session()
+	if _, ok := q.Peek(s); ok {
+		t.Fatal("peek on empty succeeded")
+	}
 	q.Enqueue(s, "a")
 	if v, ok := q.Peek(s); !ok || v != "a" {
 		t.Fatalf("Peek = %q,%v", v, ok)
 	}
 	if q.Len() != 1 {
 		t.Fatal("peek removed element")
-	}
-}
-
-// Property: queue matches a model slice for any op sequence.
-func TestSequentialModelProperty(t *testing.T) {
-	f := func(ops []int16) bool {
-		q := New[int16]()
-		s := core.NewTxManager().Session()
-		var model []int16
-		for _, o := range ops {
-			if o >= 0 {
-				q.Enqueue(s, o)
-				model = append(model, o)
-			} else {
-				v, ok := q.Dequeue(s)
-				if len(model) == 0 {
-					if ok {
-						return false
-					}
-				} else {
-					if !ok || v != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
-			}
-		}
-		return q.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentEnqueueDequeueConservation(t *testing.T) {
-	q := New[int]()
-	mgr := core.NewTxManager()
-	const producers = 4
-	const consumers = 4
-	const per = 2000
-
-	// Phase 1: concurrent producers (concurrent produce+consume mixing is
-	// exercised by TestConcurrentTransactionalTransfers).
-	var pwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		pwg.Add(1)
-		go func(p int) {
-			defer pwg.Done()
-			s := mgr.Session()
-			for i := 0; i < per; i++ {
-				q.Enqueue(s, p*per+i)
-			}
-		}(p)
-	}
-	pwg.Wait()
-
-	// Phase 2: concurrent consumers drain until empty; every element must
-	// be seen exactly once.
-	var mu sync.Mutex
-	seen := make(map[int]bool, producers*per)
-	var cwg sync.WaitGroup
-	for c := 0; c < consumers; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			s := mgr.Session()
-			for {
-				v, ok := q.Dequeue(s)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				if seen[v] {
-					t.Errorf("duplicate %d", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	cwg.Wait()
-	if len(seen) != producers*per {
-		t.Fatalf("consumed %d, want %d", len(seen), producers*per)
-	}
-}
-
-// Per-producer order must be preserved (FIFO per source).
-func TestConcurrentPerProducerOrder(t *testing.T) {
-	q := New[[2]int]()
-	mgr := core.NewTxManager()
-	const producers = 4
-	const per = 1500
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			s := mgr.Session()
-			for i := 0; i < per; i++ {
-				q.Enqueue(s, [2]int{p, i})
-			}
-		}(p)
-	}
-	wg.Wait()
-	s := mgr.Session()
-	last := map[int]int{}
-	for {
-		v, ok := q.Dequeue(s)
-		if !ok {
-			break
-		}
-		p, i := v[0], v[1]
-		if prev, seen := last[p]; seen && i != prev+1 {
-			t.Fatalf("producer %d out of order: %d after %d", p, i, prev)
-		}
-		last[p] = i
-	}
-	for p := 0; p < producers; p++ {
-		if last[p] != per-1 {
-			t.Fatalf("producer %d missing items (last %d)", p, last[p])
-		}
-	}
-}
-
-// Transactional composition: atomically move an element between queues —
-// the canonical example of a structure transactional boosting cannot handle.
-func TestTransactionalQueueMove(t *testing.T) {
-	mgr := core.NewTxManager()
-	q1 := New[int]()
-	q2 := New[int]()
-	s := mgr.Session()
-	q1.Enqueue(s, 1)
-	q1.Enqueue(s, 2)
-
-	err := s.Run(func() error {
-		v, ok := q1.Dequeue(s)
-		if !ok {
-			return core.ErrTxAborted
-		}
-		q2.Enqueue(s, v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1.Len() != 1 || q2.Len() != 1 {
-		t.Fatalf("lens = %d,%d", q1.Len(), q2.Len())
-	}
-	if v, _ := q2.Dequeue(s); v != 1 {
-		t.Fatalf("moved %d, want 1", v)
-	}
-}
-
-func TestAbortRestoresQueueState(t *testing.T) {
-	mgr := core.NewTxManager()
-	q := New[int]()
-	s := mgr.Session()
-	q.Enqueue(s, 1)
-
-	s.TxBegin()
-	if v, ok := q.Dequeue(s); !ok || v != 1 {
-		t.Fatalf("tx dequeue = %d,%v", v, ok)
-	}
-	q.Enqueue(s, 99)
-	s.TxAbort()
-
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d after abort, want 1", q.Len())
-	}
-	if v, _ := q.Dequeue(s); v != 1 {
-		t.Fatalf("head = %d after abort, want 1", v)
-	}
-}
-
-// A transaction dequeues what it enqueued earlier in the same transaction
-// (complication 2: later op must see earlier op through helping).
-func TestTxDequeuesOwnEnqueue(t *testing.T) {
-	mgr := core.NewTxManager()
-	q := New[int]()
-	s := mgr.Session()
-
-	err := s.Run(func() error {
-		q.Enqueue(s, 42)
-		v, ok := q.Dequeue(s)
-		if !ok || v != 42 {
-			t.Errorf("tx dequeue of own enqueue = %d,%v", v, ok)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue len = %d, want 0", q.Len())
-	}
-}
-
-// Concurrent transactional transfers between two queues conserve elements.
-func TestConcurrentTransactionalTransfers(t *testing.T) {
-	mgr := core.NewTxManager()
-	q1 := New[int]()
-	q2 := New[int]()
-	setup := mgr.Session()
-	const n = 64
-	for i := 0; i < n; i++ {
-		q1.Enqueue(setup, i)
-	}
-	const workers = 6
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			for i := 0; i < 300; i++ {
-				src, dst := q1, q2
-				if (w+i)%2 == 0 {
-					src, dst = q2, q1
-				}
-				_ = s.Run(func() error {
-					v, ok := src.Dequeue(s)
-					if !ok {
-						return nil
-					}
-					dst.Enqueue(s, v)
-					return nil
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if total := q1.Len() + q2.Len(); total != n {
-		t.Fatalf("total = %d, want %d", total, n)
-	}
-	s := mgr.Session()
-	var all []int
-	all = append(all, q1.Drain(s)...)
-	all = append(all, q2.Drain(s)...)
-	sort.Ints(all)
-	for i, v := range all {
-		if v != i {
-			t.Fatalf("element set corrupted at %d: %v", i, v)
-		}
 	}
 }

@@ -20,7 +20,9 @@
 //     trip over the flag.
 //   - Read outcomes record the parent→leaf edge load; commit-time
 //     validation of that cell covers both presence (the leaf, unflagged)
-//     and absence (a different leaf where k would live).
+//     and absence (a different leaf where k would live). While a pending
+//     delete has frozen that edge, they record the ancestor edge instead
+//     (see addRead).
 //
 // Keys are uint64 with the two largest values reserved as sentinels (as in
 // the original paper); values are arbitrary and immutable per leaf.
@@ -77,6 +79,7 @@ func New[V any]() *Tree[V] {
 type seekRec[V any] struct {
 	ancObj *core.CASObj[edge[V]] // edge from which successor hangs
 	ancVal edge[V]               // its value when traversed (untagged, unflagged)
+	ancTag core.ReadTag          // tag of that load
 	succ   *node[V]              // successor: ancVal.n
 	parent *node[V]              // parent of leaf
 	parObj *core.CASObj[edge[V]] // edge parent→leaf
@@ -103,11 +106,12 @@ func (t *Tree[V]) seek(s *core.Session, k uint64) seekRec[V] {
 	parObj := &t.root.left
 	curVal, curTag := parObj.NbtcLoad(s)
 	cur := curVal.n
-	r.ancObj, r.ancVal, r.succ = parObj, curVal, cur
+	r.ancObj, r.ancVal, r.ancTag, r.succ = parObj, curVal, curTag, cur
 	for !cur.leaf {
 		if !curVal.tag && !curVal.flag {
 			r.ancObj = parObj
 			r.ancVal = curVal
+			r.ancTag = curTag
 			r.succ = cur
 		}
 		r.parent = cur
@@ -124,11 +128,24 @@ func (t *Tree[V]) seek(s *core.Session, k uint64) seekRec[V] {
 	return r
 }
 
+// addRead records the outcome of a read of k on the parent→leaf edge — or,
+// when that edge is flagged or tagged, on the ancestor edge. A flagged or
+// tagged edge never changes again, and once the pending delete splices its
+// parent out it no longer leads to k at all; the splice must change the
+// ancestor edge first.
+func (r *seekRec[V]) addRead(s *core.Session) {
+	if r.parVal.flag || r.parVal.tag {
+		s.AddToReadSet(r.ancObj, r.ancTag)
+		return
+	}
+	s.AddToReadSet(r.parObj, r.parTag)
+}
+
 // Get returns the value bound to k, if any.
 func (t *Tree[V]) Get(s *core.Session, k uint64) (V, bool) {
 	s.OpStart()
 	r := t.seek(s, k)
-	s.AddToReadSet(r.parObj, r.parTag)
+	r.addRead(s)
 	if r.leaf.key == k && !r.parVal.flag {
 		return r.leaf.val, true
 	}
@@ -148,7 +165,7 @@ func (t *Tree[V]) Insert(s *core.Session, k uint64, v V) bool {
 	for {
 		r := t.seek(s, k)
 		if r.leaf.key == k && !r.parVal.flag {
-			s.AddToReadSet(r.parObj, r.parTag)
+			r.addRead(s)
 			return false
 		}
 		if t.tryInsert(s, &r, k, v) {
@@ -210,7 +227,7 @@ func (t *Tree[V]) Remove(s *core.Session, k uint64) (V, bool) {
 	for {
 		r := t.seek(s, k)
 		if r.leaf.key != k || r.parVal.flag {
-			s.AddToReadSet(r.parObj, r.parTag)
+			r.addRead(s)
 			var zero V
 			return zero, false
 		}

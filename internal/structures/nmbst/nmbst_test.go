@@ -1,94 +1,12 @@
 package nmbst
 
 import (
-	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"medley/internal/core"
 )
 
 func newSession() *core.Session { return core.NewTxManager().Session() }
-
-func TestEmpty(t *testing.T) {
-	tr := New[string]()
-	s := newSession()
-	if _, ok := tr.Get(s, 1); ok {
-		t.Fatal("found key in empty tree")
-	}
-	if _, ok := tr.Remove(s, 1); ok {
-		t.Fatal("removed from empty tree")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
-func TestInsertGetRemove(t *testing.T) {
-	tr := New[string]()
-	s := newSession()
-	if !tr.Insert(s, 10, "ten") {
-		t.Fatal("insert failed")
-	}
-	if tr.Insert(s, 10, "again") {
-		t.Fatal("duplicate insert succeeded")
-	}
-	if v, ok := tr.Get(s, 10); !ok || v != "ten" {
-		t.Fatalf("Get = %q,%v", v, ok)
-	}
-	if v, ok := tr.Remove(s, 10); !ok || v != "ten" {
-		t.Fatalf("Remove = %q,%v", v, ok)
-	}
-	if _, ok := tr.Get(s, 10); ok {
-		t.Fatal("present after remove")
-	}
-	// Tree usable after delete (sentinels intact).
-	if !tr.Insert(s, 10, "redo") {
-		t.Fatal("re-insert failed")
-	}
-}
-
-func TestPutReplace(t *testing.T) {
-	tr := New[int]()
-	s := newSession()
-	if _, replaced := tr.Put(s, 5, 50); replaced {
-		t.Fatal("fresh put replaced")
-	}
-	old, replaced := tr.Put(s, 5, 51)
-	if !replaced || old != 50 {
-		t.Fatalf("Put = %d,%v", old, replaced)
-	}
-	if v, _ := tr.Get(s, 5); v != 51 {
-		t.Fatalf("Get = %d", v)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
-func TestManyKeysSorted(t *testing.T) {
-	tr := New[int]()
-	s := newSession()
-	perm := rand.Perm(2000)
-	for _, k := range perm {
-		tr.Insert(s, uint64(k), k)
-	}
-	ks := tr.Keys()
-	if len(ks) != 2000 {
-		t.Fatalf("len = %d", len(ks))
-	}
-	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-		t.Fatal("keys not sorted")
-	}
-	for _, k := range perm {
-		if v, ok := tr.Get(s, uint64(k)); !ok || v != k {
-			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-}
 
 func TestDeleteInteriorShapes(t *testing.T) {
 	// Exercise splices with siblings that are leaves and subtrees.
@@ -107,232 +25,6 @@ func TestDeleteInteriorShapes(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
-func TestSequentialModelProperty(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Key  uint8
-		Val  int
-	}
-	f := func(ops []op) bool {
-		tr := New[int]()
-		s := newSession()
-		model := map[uint64]int{}
-		for _, o := range ops {
-			k := uint64(o.Key)
-			switch o.Kind % 4 {
-			case 0:
-				mv, mok := model[k]
-				v, ok := tr.Get(s, k)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-			case 1:
-				_, mok := model[k]
-				if tr.Insert(s, k, o.Val) == mok {
-					return false
-				}
-				if !mok {
-					model[k] = o.Val
-				}
-			case 2:
-				mv, mok := model[k]
-				old, replaced := tr.Put(s, k, o.Val)
-				if replaced != mok || (replaced && old != mv) {
-					return false
-				}
-				model[k] = o.Val
-			case 3:
-				mv, mok := model[k]
-				v, ok := tr.Remove(s, k)
-				if ok != mok || (ok && v != mv) {
-					return false
-				}
-				delete(model, k)
-			}
-		}
-		return tr.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentChurn(t *testing.T) {
-	tr := New[int]()
-	mgr := core.NewTxManager()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 4000; i++ {
-				k := uint64(rng.Intn(128))
-				switch rng.Intn(3) {
-				case 0:
-					tr.Put(s, k, int(k)*3)
-				case 1:
-					if v, ok := tr.Get(s, k); ok && v != int(k)*3 {
-						t.Errorf("Get(%d) = %d", k, v)
-					}
-				case 2:
-					tr.Remove(s, k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ks := tr.Keys()
-	seen := map[uint64]bool{}
-	for _, k := range ks {
-		if seen[k] {
-			t.Fatalf("duplicate key %d", k)
-		}
-		seen[k] = true
-	}
-	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-		t.Fatal("unsorted")
-	}
-}
-
-func TestNoLostUpdatesSingleKey(t *testing.T) {
-	for round := 0; round < 10; round++ {
-		mgr := core.NewTxManager()
-		tr := New[int]()
-		setup := mgr.Session()
-		tr.Put(setup, 1, 100000)
-		var committed atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := mgr.Session()
-				for i := 0; i < 300; i++ {
-					if s.Run(func() error {
-						v, ok := tr.Get(s, 1)
-						if !ok {
-							return core.ErrTxAborted
-						}
-						tr.Put(s, 1, v-1)
-						return nil
-					}) == nil {
-						committed.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		v, _ := tr.Get(setup, 1)
-		if want := 100000 - int(committed.Load()); v != want {
-			t.Fatalf("round %d: %d want %d", round, v, want)
-		}
-	}
-}
-
-func TestTxReadsOwnWrites(t *testing.T) {
-	mgr := core.NewTxManager()
-	tr := New[int]()
-	s := mgr.Session()
-	err := s.Run(func() error {
-		if !tr.Insert(s, 7, 70) {
-			return core.ErrTxAborted
-		}
-		if v, ok := tr.Get(s, 7); !ok || v != 70 {
-			t.Errorf("own insert invisible: %d,%v", v, ok)
-		}
-		if old, replaced := tr.Put(s, 7, 71); !replaced || old != 70 {
-			t.Errorf("own replace wrong: %d,%v", old, replaced)
-		}
-		if v, ok := tr.Remove(s, 7); !ok || v != 71 {
-			t.Errorf("own remove wrong: %d,%v", v, ok)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
-func TestAbortRollsBack(t *testing.T) {
-	mgr := core.NewTxManager()
-	tr := New[int]()
-	s := mgr.Session()
-	tr.Insert(s, 1, 10)
-	tr.Insert(s, 2, 20)
-
-	s.TxBegin()
-	tr.Put(s, 1, 99)
-	tr.Remove(s, 2)
-	tr.Insert(s, 3, 30)
-	s.TxAbort()
-
-	if v, _ := tr.Get(s, 1); v != 10 {
-		t.Fatalf("aborted put visible: %d", v)
-	}
-	if _, ok := tr.Get(s, 2); !ok {
-		t.Fatal("aborted remove took effect")
-	}
-	if _, ok := tr.Get(s, 3); ok {
-		t.Fatal("aborted insert visible")
-	}
-}
-
-func TestConcurrentTransfersPreserveTotal(t *testing.T) {
-	mgr := core.NewTxManager()
-	t1 := New[int]()
-	t2 := New[int]()
-	setup := mgr.Session()
-	const accounts = 16
-	for a := uint64(0); a < accounts; a++ {
-		t1.Put(setup, a, 1000)
-		t2.Put(setup, a, 1000)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := mgr.Session()
-			rng := rand.New(rand.NewSource(int64(w) * 31))
-			for i := 0; i < 500; i++ {
-				a1 := uint64(rng.Intn(accounts))
-				a2 := uint64(rng.Intn(accounts))
-				src, dst := t1, t2
-				if rng.Intn(2) == 0 {
-					src, dst = t2, t1
-				}
-				_ = s.Run(func() error {
-					v1, ok := src.Get(s, a1)
-					if !ok || v1 < 1 {
-						return nil
-					}
-					v2, _ := dst.Get(s, a2)
-					src.Put(s, a1, v1-1)
-					dst.Put(s, a2, v2+1)
-					return nil
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	s := mgr.Session()
-	for a := uint64(0); a < accounts; a++ {
-		v1, _ := t1.Get(s, a)
-		v2, _ := t2.Get(s, a)
-		total += v1 + v2
-	}
-	if total != accounts*2000 {
-		t.Fatalf("total = %d, want %d", total, accounts*2000)
 	}
 }
 

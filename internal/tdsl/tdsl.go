@@ -8,8 +8,8 @@
 //     semantically critical state only — not every traversed node — so read
 //     sets stay small compared to a general STM.
 //   - Writes are buffered and applied at commit under locks, TL2-style:
-//     lock the written stripes in canonical order, validate recorded read
-//     versions, apply, bump versions, unlock.
+//     lock the written stripes in canonical order and mark them locked,
+//     validate recorded read versions, apply, bump versions, unlock.
 //   - Because commit holds locks, the system is blocking, and its
 //     scalability saturates once writer commits start queueing — the
 //     behaviour the paper observes.
@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,8 @@ type TM struct {
 func NewTM() *TM { return &TM{} }
 
 // stripeHdr is the versioned lock of one partition. version is even when
-// unlocked; a committing writer holds lock and bumps version to a fresh odd
-// value while applying, then to a fresh even value.
+// unlocked; a committing writer holds lock and keeps version odd from its
+// validation until it publishes a fresh even value.
 type stripeHdr struct {
 	lock    sync.Mutex
 	version atomic.Uint64
@@ -152,11 +153,18 @@ func (tx *Tx) Commit() error {
 			h.lock.Unlock()
 		}
 	}
-	// Validate reads: version unchanged, unless we hold the stripe's lock
-	// ourselves (then the version is still the recorded one anyway since we
-	// have not bumped yet).
+	// Announce the locks with odd versions before validating, so that two
+	// committers that each read what the other writes cannot both pass (write
+	// skew). Validate reads: version unchanged, or, on a stripe we locked, our
+	// own announcement over it.
+	for _, h := range locked {
+		h.version.Add(1)
+	}
 	for _, r := range tx.reads {
-		if r.hdr.version.Load() != r.ver {
+		if v := r.hdr.version.Load(); v != r.ver && (v != r.ver+1 || !slices.Contains(locked, r.hdr)) {
+			for _, h := range locked {
+				h.version.Add(^uint64(0))
+			}
 			unlock()
 			return tx.abort()
 		}

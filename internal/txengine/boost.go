@@ -71,20 +71,24 @@ func (e *boostEngine) NewWorker(int) Tx { return &boostTx{s: e.mgr.Session(), ct
 // non-transactionally — and the whole attempt must be retried with fresh
 // reads, whatever fn returned: any error it derived from the doomed
 // attempt's reads is meaningless. A deliberate Abort also dooms the rest of
-// the attempt but is never retried.
+// the attempt but is never retried: Run returns ErrBusinessAbort whatever fn
+// returns.
 type boostTx struct {
 	s          *core.Session
 	ct         *counters
 	doomed     bool // current attempt is dead; remaining map ops no-op
-	conflicted bool // doomed by a semantic-lock conflict: retry
+	conflicted bool // doomed by a semantic-lock conflict: retry; else by Abort
 }
 
 func (t *boostTx) Run(fn func() error) error {
 	err := t.ct.countRun(t.s.Run, func() error {
 		t.doomed, t.conflicted = false, false
 		err := fn()
-		if t.conflicted {
+		switch {
+		case t.conflicted:
 			return core.ErrTxAborted // lock conflict: retry with fresh reads
+		case t.doomed && err == nil:
+			return ErrBusinessAbort // fn called Abort and returned nil
 		}
 		return err
 	})

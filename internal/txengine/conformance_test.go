@@ -2,14 +2,14 @@ package txengine
 
 import (
 	"errors"
-	"fmt"
-	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"medley/internal/history"
 	"medley/internal/montage"
+	"medley/internal/pnvm"
 )
 
 // testSpec returns a map spec every engine can satisfy.
@@ -72,6 +72,56 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
+// TestUnsupportedFollowsCaps: every registered engine fails with
+// ErrUnsupported exactly where its caps deny a constructor — NewUintMap and
+// NewRowMap of each MapKind, NewUintQueue — and RecoverUintMap exactly where
+// the engine is transient; a static transaction (CapTx without CapDynamicTx)
+// over two maps fails with it too.
+func TestUnsupportedFollowsCaps(t *testing.T) {
+	for _, b := range Builders() {
+		t.Run(b.Key, func(t *testing.T) {
+			check := func(what string, err error, denied bool) {
+				t.Helper()
+				if errors.Is(err, ErrUnsupported) != denied || !denied && err != nil {
+					t.Errorf("%s = %v, want unsupported %v", what, err, denied)
+				}
+			}
+			build := func() Engine {
+				eng, err := b.New(Config{RowCodec: testRowCodec()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(eng.Close)
+				return eng
+			}
+			eng := build()
+			for kind, c := range map[MapKind]Caps{KindHash: CapHashMap, KindSkip: CapSkipMap} {
+				spec := MapSpec{Kind: kind, Buckets: 64}
+				_, err := eng.NewUintMap(spec)
+				check("NewUintMap("+kind.String()+")", err, !b.Caps.Has(c))
+				_, err = eng.NewRowMap(spec)
+				check("NewRowMap("+kind.String()+")", err, !b.Caps.Has(c|CapRowMaps))
+			}
+			_, err := eng.NewUintQueue()
+			check("NewUintQueue", err, !b.Caps.Has(CapQueue))
+			if p, ok := build().(Persister); ok {
+				_, err := p.RecoverUintMap(pnvm.DumpAll(p.Devices()), testSpec(b.Caps))
+				check("RecoverUintMap", err, len(p.Devices()) == 0)
+			}
+			if b.Caps.Has(CapTx) && !b.Caps.Has(CapDynamicTx) {
+				m1, _ := eng.NewUintMap(testSpec(b.Caps))
+				m2, _ := eng.NewUintMap(testSpec(b.Caps))
+				tx := eng.NewWorker(0)
+				check("a static transaction over two maps", tx.Run(func() error {
+					m1.Put(tx, 1, 1)
+					m2.Put(tx, 1, 1)
+					return nil
+				}), true)
+			}
+		})
+	}
+}
+
 // testRowCodec is a trivial any-codec (values are uint64s boxed as any).
 func testRowCodec() montage.Codec[any] {
 	u64 := montage.Uint64Codec()
@@ -102,7 +152,8 @@ func eachTxEngine(t *testing.T, f func(t *testing.T, b Builder, eng Engine, m Ma
 
 // TestBusinessAbortNoRetry: an error from the transaction body — including
 // ErrBusinessAbort from Tx.Abort — must pass through after exactly one
-// execution, with the transaction's writes rolled back.
+// execution, with the transaction's writes rolled back; so must a Tx.Abort
+// whose error the body swallows.
 func TestBusinessAbortNoRetry(t *testing.T) {
 	errBiz := errors.New("insufficient funds")
 	eachTxEngine(t, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
@@ -138,6 +189,20 @@ func TestBusinessAbortNoRetry(t *testing.T) {
 		}
 		if _, ok := m.Get(tx, 9); ok {
 			t.Fatal("Tx.Abort left the insert visible (rollback broken)")
+		}
+
+		calls = 0
+		err = tx.Run(func() error {
+			calls++
+			m.Insert(tx, 10, 100)
+			tx.Abort()
+			return nil
+		})
+		if !errors.Is(err, ErrBusinessAbort) || calls != 1 {
+			t.Fatalf("Run of a body that swallowed Tx.Abort = %v after %d executions, want ErrBusinessAbort after 1", err, calls)
+		}
+		if _, ok := m.Get(tx, 10); ok {
+			t.Fatal("a swallowed Tx.Abort left the insert visible")
 		}
 
 		// The handle must remain usable after aborts.
@@ -176,151 +241,58 @@ func TestStandaloneOps(t *testing.T) {
 	})
 }
 
-// TestAtomicTransfer: concurrent transactions move value between two keys;
-// atomicity requires the sum to be invariant at every committed read. For
-// dynamic engines the transfer reads both balances and writes dependent
-// values while concurrent readers check the invariant inside transactions;
-// for static engines (LFTT) each transaction blind-writes the same value to
-// both keys, and the invariant is that the keys end up equal.
+// TestAtomicTransfer: three workers move value between two hot keys, each
+// transaction reading both and writing both with values no other write
+// repeats, while a fourth reads both in read-only transactions; then one read
+// of each key. The checker must find one serial order of every committed
+// transaction that respects real time: a torn read, a lost update or a read
+// of a doomed attempt's write leaves none. On a static engine (LFTT) a
+// transaction blind-writes both keys and only the final reads are checked.
 func TestAtomicTransfer(t *testing.T) {
 	const (
-		workers = 4
-		iters   = 400
+		workers = 3
+		iters   = 500
 		k1, k2  = 100, 200
-		total   = 1000
 	)
 	eachTxEngine(t, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
-		if !b.Caps.Has(CapDynamicTx) {
-			testAtomicBlindWrites(t, eng, m)
-			return
-		}
-		init := eng.NewWorker(0)
-		m.Put(init, k1, total/2)
-		m.Put(init, k2, total/2)
-
-		// Mid-transaction reads of a doomed attempt may legally be
-		// inconsistent (TDSL and Medley validate reads at commit), so the
-		// invariant is only checked on values observed by the attempt that
-		// actually committed — Run leaves the last attempt's values in the
-		// captured variables.
+		dynamic := b.Caps.Has(CapDynamicTx)
+		var rec history.Recorder
 		var wg sync.WaitGroup
-		violation := make(chan string, workers*2)
-		for w := 0; w < workers; w++ {
+		start := make(chan struct{})
+		for w := range workers + 1 {
+			if w == workers && !dynamic {
+				break
+			}
 			wg.Add(1)
-			go func(id int) {
+			go func() {
 				defer wg.Done()
-				tx := eng.NewWorker(1 + id)
-				rng := rand.New(rand.NewPCG(uint64(id)+1, 7))
-				for i := 0; i < iters; i++ {
-					var a, bv uint64
-					var ok1, ok2 bool
-					err := tx.Run(func() error {
-						a, ok1 = m.Get(tx, k1)
-						bv, ok2 = m.Get(tx, k2)
-						if !ok1 || !ok2 {
-							return nil // doomed attempt (e.g. boost lock conflict); retried
+				tx := eng.NewWorker(1 + w)
+				val := uint64(w+1) << 32
+				<-start
+				for range iters {
+					ops := []history.Op{{Kind: history.Get, Key: k1}, {Kind: history.Get, Key: k2}}
+					if w < workers {
+						val += 2
+						ops = append(ops, history.Op{Kind: history.Put, Key: k1, Arg: val - 1}, history.Op{Kind: history.Put, Key: k2, Arg: val})
+						if !dynamic {
+							ops = ops[2:]
 						}
-						amt := uint64(rng.IntN(10) + 1)
-						if amt > a {
-							amt = a
-						}
-						m.Put(tx, k1, a-amt)
-						m.Put(tx, k2, bv+amt)
-						return nil
-					})
-					if err != nil {
-						t.Errorf("worker %d: %v", id, err)
+					}
+					if err := runOps(&rec, w, m, tx, ops, !dynamic, nil); err != nil {
+						t.Errorf("worker %d: %v", w, err)
 						return
 					}
-					if ok1 && ok2 && a+bv != total {
-						select {
-						case violation <- fmt.Sprintf("worker %d: committed read %d+%d != %d", id, a, bv, total):
-						default:
-						}
-					}
 				}
-			}(w)
+			}()
 		}
-		// Concurrent invariant readers.
-		stop := make(chan struct{})
-		var rwg sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			rwg.Add(1)
-			go func(id int) {
-				defer rwg.Done()
-				tx := eng.NewWorker(100 + id)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					var a, bv uint64
-					var ok1, ok2 bool
-					err := tx.Run(func() error {
-						a, ok1 = m.Get(tx, k1)
-						bv, ok2 = m.Get(tx, k2)
-						return nil
-					})
-					if err == nil && ok1 && ok2 && a+bv != total {
-						select {
-						case violation <- fmt.Sprintf("reader %d: committed read %d+%d != %d", id, a, bv, total):
-						default:
-						}
-					}
-				}
-			}(r)
-		}
+		close(start)
 		wg.Wait()
-		close(stop)
-		rwg.Wait()
-		select {
-		case v := <-violation:
-			t.Fatalf("atomicity violation: %s", v)
-		default:
-		}
 		final := eng.NewWorker(999)
-		a, _ := m.Get(final, k1)
-		bv, _ := m.Get(final, k2)
-		if a+bv != total {
-			t.Fatalf("final sum %d+%d != %d", a, bv, total)
+		for _, k := range []uint64{k1, k2} {
+			single(&rec, workers+1, m, final, history.Op{Kind: history.Get, Key: k})
+		}
+		if err := history.Check(rec.Events()); err != nil {
+			t.Fatal(err)
 		}
 	})
-}
-
-// testAtomicBlindWrites is the static-transaction variant: concurrent
-// transactions write one value to both keys atomically, so the keys must
-// end up equal.
-func testAtomicBlindWrites(t *testing.T, eng Engine, m Map[uint64]) {
-	const (
-		workers = 4
-		iters   = 400
-		k1, k2  = 100, 200
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tx := eng.NewWorker(1 + id)
-			for i := 0; i < iters; i++ {
-				v := uint64(id)*uint64(iters) + uint64(i) + 1
-				if err := tx.Run(func() error {
-					m.Put(tx, k1, v)
-					m.Put(tx, k2, v)
-					return nil
-				}); err != nil {
-					t.Errorf("worker %d: %v", id, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	tx := eng.NewWorker(999)
-	a, ok1 := m.Get(tx, k1)
-	b, ok2 := m.Get(tx, k2)
-	if !ok1 || !ok2 || a != b {
-		t.Fatalf("blind-write atomicity broken: k1=%d,%v k2=%d,%v", a, ok1, b, ok2)
-	}
 }

@@ -5,212 +5,148 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"medley/internal/history"
 )
 
-// fuzzOp is one randomly generated map operation.
-type fuzzOp struct {
-	kind int // 0 get, 1 put, 2 insert, 3 remove
-	k, v uint64
-}
-
-// TestFuzzConformance applies random transaction sequences to every
-// registered engine and to a per-worker sequential model map, and compares
-// results. Each worker owns a disjoint key range, so its model is exact
-// even though all workers run concurrently (the concurrency still
-// exercises shared engine machinery — descriptors, version clocks, the
-// writer lock — under the race detector); two extra chaos workers hammer a
-// shared range without a model to force real conflicts. Business aborts
-// are injected to check rollback: the model ignores aborted blocks.
-func TestFuzzConformance(t *testing.T) {
-	const (
-		workers  = 4
-		chaos    = 2
-		iters    = 1500
-		rangeLen = 64
-	)
-	errBiz := errors.New("fuzz: deliberate abort")
-	for _, b := range Builders() {
-		b := b
-		t.Run(b.Key, func(t *testing.T) {
-			eng := buildForTest(t, b)
-			defer eng.Close()
-			m, err := eng.NewUintMap(testSpec(b.Caps))
-			if err != nil {
-				t.Fatal(err)
-			}
-			txCapable := b.Caps.Has(CapTx)
-			dynamic := b.Caps.Has(CapDynamicTx)
-
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					tx := eng.NewWorker(w)
-					rng := rand.New(rand.NewPCG(uint64(w)+1, 0xfeed))
-					model := make(map[uint64]uint64, rangeLen)
-					base := uint64(w+1) << 32
-					key := func() uint64 { return base + rng.Uint64N(rangeLen) }
-					genOps := func() []fuzzOp {
-						ops := make([]fuzzOp, 1+rng.IntN(6))
-						for i := range ops {
-							ops[i] = fuzzOp{kind: rng.IntN(4), k: key(), v: rng.Uint64()}
-						}
-						return ops
-					}
-					// applyModel folds ops into the model, returning the
-					// expected results.
-					applyModel := func(ops []fuzzOp, model map[uint64]uint64) []fuzzOp {
-						out := make([]fuzzOp, len(ops))
-						for i, op := range ops {
-							prev, had := model[op.k]
-							out[i] = fuzzOp{k: prev, v: b2u(had)}
-							switch op.kind {
-							case 1:
-								model[op.k] = op.v
-							case 2:
-								if !had {
-									model[op.k] = op.v
-									out[i].v = 1 // insert reports success
-								} else {
-									out[i].v = 0
-								}
-							case 3:
-								delete(model, op.k)
-							}
-						}
-						return out
-					}
-					sweep := func() {
-						for k := base; k < base+rangeLen; k++ {
-							got, ok := m.Get(tx, k)
-							want, wok := model[k]
-							if ok != wok || (ok && got != want) {
-								t.Errorf("%s worker %d: key %d = %d,%v; model %d,%v",
-									b.Key, w, k, got, ok, want, wok)
-								return
-							}
-						}
-					}
-					for i := 0; i < iters; i++ {
-						ops := genOps()
-						if !txCapable {
-							// Original: operations run bare; apply one group
-							// non-transactionally and fold into the model.
-							want := applyModel(ops, model)
-							tx.NoTx(func() {
-								for j, op := range ops {
-									switch op.kind {
-									case 0:
-										if v, ok := m.Get(tx, op.k); ok != (want[j].v == 1) || (ok && v != want[j].k) {
-											t.Errorf("original get mismatch")
-										}
-									case 1:
-										m.Put(tx, op.k, op.v)
-									case 2:
-										m.Insert(tx, op.k, op.v)
-									case 3:
-										m.Remove(tx, op.k)
-									}
-								}
-							})
-							continue
-						}
-						abort := rng.IntN(10) == 0
-						got := make([]fuzzOp, len(ops))
-						err := tx.Run(func() error {
-							for j, op := range ops {
-								switch op.kind {
-								case 0:
-									v, ok := m.Get(tx, op.k)
-									got[j] = fuzzOp{k: v, v: b2u(ok)}
-								case 1:
-									v, ok := m.Put(tx, op.k, op.v)
-									got[j] = fuzzOp{k: v, v: b2u(ok)}
-								case 2:
-									ok := m.Insert(tx, op.k, op.v)
-									got[j] = fuzzOp{v: b2u(ok)}
-								case 3:
-									v, ok := m.Remove(tx, op.k)
-									got[j] = fuzzOp{k: v, v: b2u(ok)}
-								}
-							}
-							if abort {
-								return errBiz
-							}
-							return nil
-						})
-						if abort {
-							if !errors.Is(err, errBiz) {
-								t.Errorf("%s: aborted tx returned %v", b.Key, err)
-								return
-							}
-							// Rolled back: the model is untouched.
-						} else {
-							if err != nil {
-								t.Errorf("%s: %v", b.Key, err)
-								return
-							}
-							want := applyModel(ops, model)
-							if dynamic {
-								for j := range ops {
-									// Compare prev-value results of the
-									// committed attempt (insert: success bit
-									// only).
-									if ops[j].kind == 2 {
-										if got[j].v != want[j].v {
-											t.Errorf("%s worker %d iter %d op %d: insert=%v want %v",
-												b.Key, w, i, j, got[j].v, want[j].v)
-											return
-										}
-										continue
-									}
-									if got[j].v != want[j].v || (got[j].v == 1 && got[j].k != want[j].k) {
-										t.Errorf("%s worker %d iter %d op %d (kind %d): got %d,%d want %d,%d",
-											b.Key, w, i, j, ops[j].kind, got[j].k, got[j].v, want[j].k, want[j].v)
-										return
-									}
-								}
-							}
-						}
-						if i%100 == 0 {
-							sweep()
-						}
-					}
-					sweep()
-				}(w)
-			}
-			// Chaos workers: force real conflicts on a shared key range; no
-			// model, just load.
-			if txCapable {
-				for c := 0; c < chaos; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						tx := eng.NewWorker(workers + c)
-						rng := rand.New(rand.NewPCG(uint64(c)+99, 0xc0ffee))
-						for i := 0; i < iters; i++ {
-							k := rng.Uint64N(8)
-							_ = tx.Run(func() error {
-								if v, ok := m.Get(tx, k); ok {
-									m.Put(tx, k, v+1)
-								} else {
-									m.Insert(tx, k, 1)
-								}
-								return nil
-							})
-						}
-					}(c)
-				}
-			}
-			wg.Wait()
-		})
+// apply runs op on m through tx and returns it with m's answer.
+func apply(m Map[uint64], tx Tx, op history.Op) history.Op {
+	switch op.Kind {
+	case history.Get:
+		op.Val, op.Ok = m.Get(tx, op.Key)
+	case history.Put:
+		op.Val, op.Ok = m.Put(tx, op.Key, op.Arg)
+	case history.Insert:
+		op.Ok = m.Insert(tx, op.Key, op.Arg)
+	case history.Remove:
+		op.Val, op.Ok = m.Remove(tx, op.Key)
 	}
+	return op
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+// stampSince is the commit timestamp of the write tx has just made, if it
+// published one: LastCommitTS moved from before.
+func stampSince(tx Tx, before uint64) uint64 {
+	if ts := LastCommitTS(tx); ts != before {
+		return ts
 	}
 	return 0
+}
+
+// runOps runs ops as one transaction through tx, its body returning abort,
+// and records it if it committed, with the answers of the attempt that did
+// (blind: answers a static transaction does not give) and its commit stamp.
+func runOps(rec *history.Recorder, proc int, m Map[uint64], tx Tx, ops []history.Op, blind bool, abort error) error {
+	got := make([]history.Op, len(ops))
+	before, inv := LastCommitTS(tx), rec.Invoke()
+	err := tx.Run(func() error {
+		for i, op := range ops {
+			got[i] = apply(m, tx, op)
+			got[i].Blind = blind
+		}
+		return abort
+	})
+	if err == nil {
+		rec.Complete(history.Event{Proc: proc, Mode: history.Run, Ops: got, Invoke: inv, TS: stampSince(tx, before)})
+	}
+	return err
+}
+
+// single runs op standalone through tx and records it.
+func single(rec *history.Recorder, proc int, m Map[uint64], tx Tx, op history.Op) {
+	before, inv := LastCommitTS(tx), rec.Invoke()
+	op = apply(m, tx, op)
+	rec.Complete(history.Event{Proc: proc, Mode: history.Single, Ops: []history.Op{op}, Invoke: inv, TS: stampSince(tx, before)})
+}
+
+// snapshotOps reads keys at one snapshot cut through tx and records the reads
+// with the cut.
+func snapshotOps(rec *history.Recorder, proc int, m Map[uint64], tx Tx, keys []uint64) {
+	ops := make([]history.Op, len(keys))
+	inv := rec.Invoke()
+	cut, _ := SnapshotReadBatch(tx, 1, func(int, uint64) {
+		for i, k := range keys {
+			ops[i] = apply(m, tx, history.Op{Kind: history.Get, Key: k})
+		}
+	})
+	rec.Complete(history.Event{Proc: proc, Mode: history.Snapshot, Ops: ops, Invoke: inv, TS: cut})
+}
+
+// readAll records one transaction reading every key below n.
+func readAll(rec *history.Recorder, proc int, m Map[uint64], tx Tx, n uint64) error {
+	ops := make([]history.Op, n)
+	for k := range n {
+		ops[k] = history.Op{Kind: history.Get, Key: k}
+	}
+	return runOps(rec, proc, m, tx, ops, false, nil)
+}
+
+// TestFuzzConformance runs random transactions of one to four operations over
+// eight keys, a tenth of them business-aborted, and standalone operations,
+// from several workers on every registered engine, then a read of every key,
+// and hands the history to the checker: every transaction strictly
+// serializable, every standalone operation linearizable, every abort rolled
+// back. Written values are unique. On an engine without transactions
+// (Original) every operation is standalone; inside LFTT's static transactions
+// answers are not part of the contract, effects are. Each engine runs two
+// histories: a small one, which the whole-history search settles, and a large
+// one, checked key by key.
+func TestFuzzConformance(t *testing.T) {
+	errBiz := errors.New("fuzz: deliberate abort")
+	const keys = 8
+	for _, b := range Builders() {
+		t.Run(b.Key, func(t *testing.T) {
+			for _, scope := range []struct {
+				workers, iters int
+				check          func([]history.Event) error
+			}{{3, 40, history.Check}, {4, 600, history.CheckKeys}} {
+				eng := buildForTest(t, b)
+				m, err := eng.NewUintMap(testSpec(b.Caps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rec history.Recorder
+				var wg sync.WaitGroup
+				for w := range scope.workers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tx := eng.NewWorker(w)
+						rng := rand.New(rand.NewPCG(uint64(w)+1, 0xfeed))
+						val := uint64(w+1) << 32
+						for range scope.iters {
+							ops := make([]history.Op, 1+rng.IntN(4))
+							for i := range ops {
+								val++
+								ops[i] = history.Op{Kind: history.Kind(rng.IntN(4)), Key: rng.Uint64N(keys), Arg: val}
+							}
+							if !b.Caps.Has(CapTx) || rng.IntN(4) == 0 {
+								for _, op := range ops {
+									single(&rec, w, m, tx, op)
+								}
+								continue
+							}
+							var abort error
+							if rng.IntN(10) == 0 {
+								abort = errBiz
+							}
+							if err := runOps(&rec, w, m, tx, ops, !b.Caps.Has(CapDynamicTx), abort); !errors.Is(err, abort) {
+								t.Errorf("Run = %v, want %v", err, abort)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				tx := eng.NewWorker(scope.workers)
+				for k := range uint64(keys) {
+					single(&rec, scope.workers, m, tx, history.Op{Kind: history.Get, Key: k})
+				}
+				eng.Close()
+				if err := scope.check(rec.Events()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -49,23 +49,27 @@ func (e *lfttEngine) NewWorker(tid int) Tx {
 // between attempts prevents livelock among mutually aborting transactions
 // at high thread counts (the same discipline as core.Session.backoff).
 type lfttTx struct {
-	sl   *lftt.SkipList // the one map the buffered transaction targets
-	ct   *counters
-	buf  []lftt.Op
-	inTx bool
-	err  error
-	bo   backoff
+	sl      *lftt.SkipList // the one map the buffered transaction targets
+	ct      *counters
+	buf     []lftt.Op
+	inTx    bool
+	aborted bool // Abort doomed the buffered transaction
+	err     error
+	bo      backoff
 }
 
 // Run counts its own stats: the retry loop re-executes the buffered static
 // transaction, not fn, so the shared countRun wrapper would miss retries.
 func (t *lfttTx) Run(fn func() error) error {
-	t.inTx = true
+	t.inTx, t.aborted = true, false
 	t.sl = nil
 	t.err = nil
 	t.buf = t.buf[:0]
 	err := fn()
 	t.inTx = false
+	if err == nil && t.aborted {
+		err = ErrBusinessAbort // fn called Abort and returned nil
+	}
 	if err != nil {
 		t.ct.aborts.Add(1)
 		return err // business abort: buffered ops are discarded, no retry
@@ -94,7 +98,10 @@ func (t *lfttTx) NoTx(fn func()) {
 	t.ct.fallbacks.Add(1)
 	_ = t.Run(func() error { fn(); return nil })
 }
-func (t *lfttTx) Abort() error { return ErrBusinessAbort }
+func (t *lfttTx) Abort() error {
+	t.aborted = t.inTx
+	return ErrBusinessAbort
+}
 
 // stage appends an operation to the worker's buffered transaction.
 func (t *lfttTx) stage(sl *lftt.SkipList, ops ...lftt.Op) {

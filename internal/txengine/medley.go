@@ -215,11 +215,12 @@ func bucketsOr(spec MapSpec, def int) int {
 // are usable both inside and outside transactions, so NoTx is genuinely
 // uninstrumented.
 type sessionTx struct {
-	s    *core.Session
-	ct   *counters
-	snap snapAgent
-	bo   backoff
-	end  func() error // s.TxEnd, bound once: a method value per Run would allocate
+	s       *core.Session
+	ct      *counters
+	snap    snapAgent
+	bo      backoff
+	end     func() error // s.TxEnd, bound once: a method value per Run would allocate
+	aborted bool         // Abort doomed the current attempt
 }
 
 // Run is core.Session.Run with version stamping folded into the commit (once
@@ -231,13 +232,16 @@ type sessionTx struct {
 func (t *sessionTx) Run(fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.reset()
+		t.aborted = false
 		t.s.TxBegin()
 		err := fn()
 		if err == nil {
-			if !t.s.InTx() {
-				// fn aborted explicitly but returned nil; treat as conflict.
+			switch {
+			case t.aborted: // fn called Abort and returned nil
+				err = ErrBusinessAbort
+			case !t.s.InTx(): // an operation of fn aborted it
 				err = core.ErrTxAborted
-			} else {
+			default:
 				err = t.snap.commit(t.end)
 			}
 		}
@@ -279,6 +283,7 @@ func (t *sessionTx) Abort() error {
 	if t.s.InTx() {
 		t.s.TxAbort()
 	}
+	t.aborted = true
 	return ErrBusinessAbort
 }
 

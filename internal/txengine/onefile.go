@@ -122,16 +122,22 @@ func (e *onefileEngine) NewWorker(int) Tx { return &onefileTx{st: e.st, ct: &e.c
 // entries, and reads must seq-validate or they could observe uncommitted
 // writes of an in-flight write transaction.
 type onefileTx struct {
-	st     *onefile.STM
-	ct     *counters
-	inTx   bool
-	inRead bool
+	st      *onefile.STM
+	ct      *counters
+	inTx    bool
+	inRead  bool
+	aborted bool // Abort doomed the current Run
 }
 
 func (t *onefileTx) Run(fn func() error) error {
-	t.inTx = true
+	t.inTx, t.aborted = true, false
 	defer func() { t.inTx = false }()
-	return t.ct.countRun(t.st.WriteTx, fn)
+	return t.ct.countRun(t.st.WriteTx, func() error {
+		if err := fn(); err != nil || !t.aborted {
+			return err
+		}
+		return ErrBusinessAbort // fn called Abort and returned nil: roll back
+	})
 }
 
 func (t *onefileTx) RunRead(fn func()) {
@@ -144,7 +150,10 @@ func (t *onefileTx) NoTx(fn func()) {
 	t.ct.fallbacks.Add(1)
 	_ = t.Run(func() error { fn(); return nil })
 }
-func (t *onefileTx) Abort() error { return ErrBusinessAbort }
+func (t *onefileTx) Abort() error {
+	t.aborted = t.inTx
+	return ErrBusinessAbort
+}
 
 // ofMap adapts one OneFile structure (hash or skiplist; both carry their
 // STM internally). Operations called outside Run/RunRead wrap themselves in

@@ -548,9 +548,7 @@ func (t *shardedTx) attempt(fn func() error) error {
 	}
 	ferr := fn()
 	if t.aborted && ferr == nil {
-		// fn swallowed the abort error: treat the attempt as a conflict
-		// (mirrors core.Session.Run).
-		return core.ErrTxAborted
+		return ErrBusinessAbort // fn called Abort and returned nil
 	}
 	if ferr != nil || !t.ses.InTx() { // failed, or touched nothing
 		return ferr

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"medley/internal/history"
 	"medley/internal/pnvm"
 )
 
@@ -525,124 +526,91 @@ func TestSnapshotRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotFuzzModel is the fuzz-vs-model leg: each writer owns a
-// disjoint key range and applies random sum-preserving transfers inside it,
-// while snapshot readers sweep random ranges asserting the per-range sum
-// invariant mid-flight (from the start, or from a quarter of the way in, when
-// their first snapshot starts the tier). After the run the engine state must
-// equal each writer's sequential model exactly — through an OCC read and
-// through a final snapshot.
+// TestSnapshotFuzzModel: writers run transactions that read two of 48 shared
+// keys and write both, with values no other write repeats, while two readers
+// take up to 200 snapshots each of random ranges of 16 keys, from the start
+// or from a quarter of the way in, when their first snapshot starts the tier;
+// then a snapshot and a read of every key. Once the tier is on every commit
+// carries its stamp and every snapshot its cut, and the checker replays the
+// history key by key in timestamp order: strict serializability of the
+// transactions, every snapshot the committed state at its cut (a torn cut or
+// a version published below the seal shows as a snapshot read no order
+// allows).
 func TestSnapshotFuzzModel(t *testing.T) {
 	const (
 		workers = 4
-		keysPer = uint64(48)
-		initVal = uint64(1000)
+		keys    = uint64(48)
 		iters   = 700
 	)
-	rangeBase := func(w int) uint64 { return uint64(w+1) << 32 }
 	eachReaderStart(t, []int{1, 2, 8}, func(t *testing.T, eng Engine, late bool) {
 		m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var rec history.Recorder
 		init := eng.NewWorker(0)
-		for w := 0; w < workers; w++ {
-			w := w
-			if err := init.Run(func() error {
-				for i := uint64(0); i < keysPer; i++ {
-					m.Put(init, rangeBase(w)+i, initVal)
-				}
-				return nil
-			}); err != nil {
+		for k := range keys {
+			if err := runOps(&rec, 0, m, init, []history.Op{{Kind: history.Put, Key: k, Arg: 1}}, false, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		wantSum := keysPer * initVal
-
-		models := make([]map[uint64]uint64, workers)
 		var done atomic.Bool
 		var progress atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
+		var writers, readers sync.WaitGroup
+		for w := range workers {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
 				tx := eng.NewWorker(1 + w)
 				rng := rand.New(rand.NewPCG(uint64(w)+11, 13))
-				model := make(map[uint64]uint64, keysPer)
-				for i := uint64(0); i < keysPer; i++ {
-					model[rangeBase(w)+i] = initVal
-				}
-				for i := 0; i < iters; i++ {
-					// Distinct keys: from == to would make the second Put
-					// clobber the first in the engine while the model's
-					// increments cancel.
-					fi := rng.Uint64N(keysPer)
-					from := rangeBase(w) + fi
-					to := rangeBase(w) + (fi+1+rng.Uint64N(keysPer-1))%keysPer
-					amt := uint64(rng.IntN(30) + 1)
-					if err := tx.Run(func() error {
-						f, _ := m.Get(tx, from)
-						g, _ := m.Get(tx, to)
-						m.Put(tx, from, f-amt)
-						m.Put(tx, to, g+amt)
-						return nil
-					}); err != nil {
+				val := uint64(w+1) << 32
+				for range iters {
+					a := rng.Uint64N(keys)
+					b := (a + 1 + rng.Uint64N(keys-1)) % keys
+					val += 2
+					ops := []history.Op{
+						{Kind: history.Get, Key: a}, {Kind: history.Get, Key: b},
+						{Kind: history.Put, Key: a, Arg: val - 1}, {Kind: history.Put, Key: b, Arg: val},
+					}
+					if err := runOps(&rec, 1+w, m, tx, ops, false, nil); err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
-					model[from] -= amt
-					model[to] += amt
 					progress.Add(1)
 				}
-				models[w] = model
-			}(w)
+			}()
 		}
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
+		for r := range 2 {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
 				tx := eng.NewWorker(1 + workers + r)
 				rng := rand.New(rand.NewPCG(uint64(r)+101, 17))
 				awaitProgress(late, &progress, workers*iters/4)
-				for first := true; first || !done.Load(); first = false {
-					w := int(rng.Uint64N(workers))
-					sum := uint64(0)
-					SnapshotRead(tx, func() {
-						for i := uint64(0); i < keysPer; i++ {
-							v, _ := m.Get(tx, rangeBase(w)+i)
-							sum += v
-						}
-					})
-					if sum != wantSum {
-						t.Errorf("reader %d: range %d snapshot sum %d, want %d (torn cut)", r, w, sum, wantSum)
-						return
+				for i := 0; i < 200 && (i == 0 || !done.Load()); i++ {
+					lo := rng.Uint64N(keys - 16)
+					rangeKeys := make([]uint64, 16)
+					for i := range rangeKeys {
+						rangeKeys[i] = lo + uint64(i)
 					}
+					snapshotOps(&rec, 1+workers+r, m, tx, rangeKeys)
 				}
-			}(r)
+			}()
 		}
-		time.Sleep(30 * time.Millisecond)
+		writers.Wait()
 		done.Store(true)
-		wg.Wait()
-		if t.Failed() {
-			return
+		readers.Wait()
+		tx := eng.NewWorker(3 + workers)
+		all := make([]uint64, keys)
+		for k := range all {
+			all[k] = uint64(k)
 		}
-
-		// Model check: engine state must match every writer's sequential
-		// model — via OCC and via a post-quiesce snapshot.
-		tx := eng.NewWorker(1 + workers + 2)
-		for w := 0; w < workers; w++ {
-			for k, want := range models[w] {
-				if got, ok := m.Get(tx, k); !ok || got != want {
-					t.Fatalf("OCC final state: key %#x = (%d,%v), model %d", k, got, ok, want)
-				}
-				var got uint64
-				var ok bool
-				SnapshotRead(tx, func() { got, ok = m.Get(tx, k) })
-				if !ok || got != want {
-					t.Fatalf("snapshot final state: key %#x = (%d,%v), model %d", k, got, ok, want)
-				}
-			}
+		snapshotOps(&rec, 3+workers, m, tx, all)
+		if err := readAll(&rec, 3+workers, m, tx, keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := history.CheckKeys(rec.Events()); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -54,17 +54,21 @@ func (e *tdslEngine) NewWorker(int) Tx { return &tdslTx{tm: e.tm, ct: &e.ct} }
 // maps; outside Run, cur is nil and map operations auto-commit one-shot
 // transactions.
 type tdslTx struct {
-	tm  *tdsl.TM
-	ct  *counters
-	cur *tdsl.Tx
+	tm      *tdsl.TM
+	ct      *counters
+	cur     *tdsl.Tx
+	aborted bool // Abort doomed the current attempt
 }
 
 func (t *tdslTx) Run(fn func() error) error {
 	return t.ct.countRun(func(body func() error) error {
 		return t.tm.Run(func(tx *tdsl.Tx) error {
-			t.cur = tx
+			t.cur, t.aborted = tx, false
 			defer func() { t.cur = nil }()
-			return body()
+			if err := body(); err != nil || !t.aborted {
+				return err
+			}
+			return ErrBusinessAbort // fn called Abort and returned nil
 		})
 	}, fn)
 }
@@ -76,8 +80,11 @@ func (t *tdslTx) NoTx(fn func()) {
 }
 
 // Abort relies on TDSL's write buffering: the transaction's writes are
-// simply never committed once fn returns a non-retry error.
-func (t *tdslTx) Abort() error { return ErrBusinessAbort }
+// simply never committed once its attempt ends in ErrBusinessAbort.
+func (t *tdslTx) Abort() error {
+	t.aborted = t.cur != nil
+	return ErrBusinessAbort
+}
 
 type tdslMap[V any] struct{ m *tdsl.Map[V] }
 

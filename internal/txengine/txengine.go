@@ -240,7 +240,8 @@ type Tx interface {
 	// Run executes fn as one transaction, retrying internally (with
 	// backoff) whenever it aborts due to a conflict. A non-nil error from
 	// fn — including ErrBusinessAbort from Abort — rolls back once and is
-	// returned without retry.
+	// returned without retry; so is ErrBusinessAbort when fn called Abort
+	// and returned nil.
 	Run(fn func() error) error
 	// RunRead executes fn as a read-only transaction, retried until it
 	// observes a consistent snapshot. Engines with cheaper read-only
