@@ -76,15 +76,17 @@ func TestRegistryShape(t *testing.T) {
 // ErrUnsupported exactly where its caps deny a constructor — NewUintMap and
 // NewRowMap of each MapKind, NewUintQueue — and RecoverUintMap exactly where
 // the engine is transient; a static transaction (CapTx without CapDynamicTx)
-// over two maps fails with it too.
+// over two maps fails with it too. Each constructor is a subtest of its
+// engine's.
 func TestUnsupportedFollowsCaps(t *testing.T) {
 	for _, b := range Builders() {
 		t.Run(b.Key, func(t *testing.T) {
-			check := func(what string, err error, denied bool) {
-				t.Helper()
-				if errors.Is(err, ErrUnsupported) != denied || !denied && err != nil {
-					t.Errorf("%s = %v, want unsupported %v", what, err, denied)
-				}
+			check := func(what string, denied bool, call func() error) {
+				t.Run(what, func(t *testing.T) {
+					if err := call(); errors.Is(err, ErrUnsupported) != denied || !denied && err != nil {
+						t.Errorf("%s = %v, want unsupported %v", what, err, denied)
+					}
+				})
 			}
 			build := func() Engine {
 				eng, err := b.New(Config{RowCodec: testRowCodec()})
@@ -95,28 +97,39 @@ func TestUnsupportedFollowsCaps(t *testing.T) {
 				return eng
 			}
 			eng := build()
-			for kind, c := range map[MapKind]Caps{KindHash: CapHashMap, KindSkip: CapSkipMap} {
+			for _, kind := range []MapKind{KindHash, KindSkip} {
+				c := map[MapKind]Caps{KindHash: CapHashMap, KindSkip: CapSkipMap}[kind]
 				spec := MapSpec{Kind: kind, Buckets: 64}
-				_, err := eng.NewUintMap(spec)
-				check("NewUintMap("+kind.String()+")", err, !b.Caps.Has(c))
-				_, err = eng.NewRowMap(spec)
-				check("NewRowMap("+kind.String()+")", err, !b.Caps.Has(c|CapRowMaps))
+				check("NewUintMap/"+kind.String(), !b.Caps.Has(c), func() error {
+					_, err := eng.NewUintMap(spec)
+					return err
+				})
+				check("NewRowMap/"+kind.String(), !b.Caps.Has(c|CapRowMaps), func() error {
+					_, err := eng.NewRowMap(spec)
+					return err
+				})
 			}
-			_, err := eng.NewUintQueue()
-			check("NewUintQueue", err, !b.Caps.Has(CapQueue))
+			check("NewUintQueue", !b.Caps.Has(CapQueue), func() error {
+				_, err := eng.NewUintQueue()
+				return err
+			})
 			if p, ok := build().(Persister); ok {
-				_, err := p.RecoverUintMap(pnvm.DumpAll(p.Devices()), testSpec(b.Caps))
-				check("RecoverUintMap", err, len(p.Devices()) == 0)
+				check("RecoverUintMap", len(p.Devices()) == 0, func() error {
+					_, err := p.RecoverUintMap(pnvm.DumpAll(p.Devices()), testSpec(b.Caps))
+					return err
+				})
 			}
 			if b.Caps.Has(CapTx) && !b.Caps.Has(CapDynamicTx) {
 				m1, _ := eng.NewUintMap(testSpec(b.Caps))
 				m2, _ := eng.NewUintMap(testSpec(b.Caps))
 				tx := eng.NewWorker(0)
-				check("a static transaction over two maps", tx.Run(func() error {
-					m1.Put(tx, 1, 1)
-					m2.Put(tx, 1, 1)
-					return nil
-				}), true)
+				check("static transaction over two maps", true, func() error {
+					return tx.Run(func() error {
+						m1.Put(tx, 1, 1)
+						m2.Put(tx, 1, 1)
+						return nil
+					})
+				})
 			}
 		})
 	}
