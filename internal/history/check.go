@@ -43,7 +43,7 @@ func Check(events []Event) error {
 	if s.steps > budget {
 		return fmt.Errorf("history: %d events unsettled after %d steps of search", len(s.ev), budget)
 	}
-	return fmt.Errorf("history: no order of the %d events fits the spec; the longest start of one places %d, then\n%s", len(s.ev), s.best, s.why)
+	return fmt.Errorf("history: no order of the %d events fits the spec; the longest start of one places %d, then\n%s", len(s.ev), s.best, s.why())
 }
 
 // CheckKeys is Check on each map binding's, and each queue's, share of
@@ -83,9 +83,7 @@ func CheckKeys(events []Event) error {
 }
 
 type search struct {
-	ev     []Event // by Invoke
-	proc   []int   // each event's process, numbered from 0
-	nproc  int
+	ev     []Event  // by Invoke
 	writer []bool   // the event changed the state, by its answers
 	zob    []uint64 // a random word per event: the placed set's hash is their sum
 	done   []bool
@@ -93,15 +91,33 @@ type search struct {
 	set    uint64
 	seen   map[[2]uint64]bool
 	steps  int
-	best   int    // the most events any order placed
-	why    string // and what stopped it
+	best   int           // the most events any order placed
+	why    func() string // and what stopped it
+
+	// lists hold events in the order the search tends to place them, each
+	// with a cursor before which every event is placed: all events by Invoke
+	// (byInvoke), by stamp the stamped Runs, the Snapshots at a known cut and
+	// the writes (unstamped first), then each process's events in program
+	// order (byProc+p). A step looks at the unplaced heads of these, not at
+	// the whole history.
+	lists [][]int
+	at    []int
 }
+
+const (
+	byInvoke = iota
+	runsByTS
+	cutsByTS
+	writesByTS
+	byProc
+)
 
 func newSearch(events []Event) *search {
 	ev := slices.Clone(events)
 	slices.SortStableFunc(ev, func(a, b Event) int { return cmp.Compare(a.Invoke, b.Invoke) })
-	s := &search{ev: ev, proc: make([]int, len(ev)), writer: make([]bool, len(ev)),
-		zob: make([]uint64, len(ev)), done: make([]bool, len(ev)), seen: map[[2]uint64]bool{}}
+	s := &search{ev: ev, writer: make([]bool, len(ev)),
+		zob: make([]uint64, len(ev)), done: make([]bool, len(ev)), seen: map[[2]uint64]bool{},
+		lists: make([][]int, byProc)}
 	procs := map[int]int{}
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i, e := range ev {
@@ -109,63 +125,99 @@ func newSearch(events []Event) *search {
 		if !ok {
 			p = len(procs)
 			procs[e.Proc] = p
+			s.lists = append(s.lists, nil)
 		}
-		s.proc[i] = p
 		s.writer[i] = slices.ContainsFunc(e.Ops, Op.writes)
 		s.zob[i] = rng.Uint64()
+		s.lists[byInvoke] = append(s.lists[byInvoke], i)
+		s.lists[byProc+p] = append(s.lists[byProc+p], i)
+		switch {
+		case e.Mode == Run && e.TS > 0:
+			s.lists[runsByTS] = append(s.lists[runsByTS], i)
+		case e.Mode == Snapshot && e.TS > 0:
+			s.lists[cutsByTS] = append(s.lists[cutsByTS], i)
+		}
+		if s.writer[i] {
+			s.lists[writesByTS] = append(s.lists[writesByTS], i)
+		}
 	}
-	s.nproc = len(procs)
+	for _, l := range s.lists[runsByTS : writesByTS+1] {
+		slices.SortStableFunc(l, func(a, b int) int { return cmp.Compare(ev[a].TS, ev[b].TS) })
+	}
+	s.at = make([]int, len(s.lists))
 	return s
 }
 
-// next is what the events still to place allow to come next.
-type next struct {
-	bound         int64  // the least Complete among them
-	runTS, cut    uint64 // the least stamp of a stamped Run, the least known cut
-	writeTS       uint64 // the least stamp of a write, 0 if one has none
-	first, firstW []int  // per process: its first event, its first that is not a Snapshot
+// rest is list l from its first unplaced event on.
+func (s *search) rest(l int) []int {
+	list := s.lists[l]
+	for s.at[l] < len(list) && s.done[list[s.at[l]]] {
+		s.at[l]++
+	}
+	return list[s.at[l]:]
 }
 
-func (s *search) next() next {
-	n := next{bound: math.MaxInt64, runTS: math.MaxUint64, cut: math.MaxUint64, writeTS: math.MaxUint64,
-		first: make([]int, s.nproc), firstW: make([]int, s.nproc)}
-	for p := range n.first {
-		n.first[p], n.firstW[p] = len(s.ev), len(s.ev)
+// least is the least stamp among list l's unplaced events.
+func (s *search) least(l int) uint64 {
+	if r := s.rest(l); len(r) > 0 {
+		return s.ev[r[0]].TS
 	}
-	for i := len(s.ev) - 1; i >= 0; i-- {
-		if s.done[i] {
-			continue
+	return math.MaxUint64
+}
+
+// candidates are the events that may come next (see Check), by Invoke.
+func (s *search) candidates() []int {
+	runTS, cut, writeTS := s.least(runsByTS), s.least(cutsByTS), s.least(writesByTS)
+	var c []int
+	// A Snapshot at cut c, once every write stamped at or below c is placed.
+	for _, i := range s.rest(cutsByTS) {
+		if s.ev[i].TS >= writeTS {
+			break
 		}
-		e, p := &s.ev[i], s.proc[i]
-		n.bound = min(n.bound, e.Complete)
-		n.first[p] = i
-		switch {
-		case e.Mode != Snapshot:
-			n.firstW[p] = i
-			if e.Mode == Run && e.TS > 0 {
-				n.runTS = min(n.runTS, e.TS)
+		if !s.done[i] {
+			c = append(c, i)
+		}
+	}
+	// A Snapshot whose cut is unknown, once its process's earlier writes are
+	// placed; an event that is not a Snapshot, once its process's are all.
+	var heads []int
+	for p := byProc; p < len(s.lists); p++ {
+		first := true
+		for _, i := range s.rest(p) {
+			if s.done[i] {
+				continue
 			}
-		case e.TS > 0:
-			n.cut = min(n.cut, e.TS)
-		}
-		if s.writer[i] {
-			n.writeTS = min(n.writeTS, e.TS)
+			e := &s.ev[i]
+			if e.Mode != Snapshot {
+				if first {
+					heads = append(heads, i)
+				}
+				break
+			}
+			if e.TS == 0 {
+				c = append(c, i)
+			}
+			first = false
 		}
 	}
-	return n
-}
-
-// eligible reports whether event i may come next (see Check).
-func (s *search) eligible(n *next, i int) bool {
-	e := &s.ev[i]
-	switch {
-	case e.Mode != Snapshot:
-		return n.bound > e.Invoke && n.first[s.proc[i]] == i &&
-			(e.Mode == Single || e.TS == 0 || n.runTS >= e.TS && n.cut >= e.TS)
-	case e.TS > 0:
-		return n.writeTS > e.TS
+	// ... and once every event that returned before it was called is placed.
+	// Later events by Invoke cannot lower the bound: each returned after it.
+	bound := int64(math.MaxInt64)
+	for _, i := range s.rest(byInvoke) {
+		if s.ev[i].Invoke >= bound {
+			break
+		}
+		if !s.done[i] {
+			bound = min(bound, s.ev[i].Complete)
+		}
 	}
-	return n.firstW[s.proc[i]] > i
+	for _, i := range heads {
+		if e := &s.ev[i]; e.Invoke < bound && (e.Mode == Single || e.TS == 0 || runTS >= e.TS && cut >= e.TS) {
+			c = append(c, i)
+		}
+	}
+	slices.Sort(c)
+	return c
 }
 
 func (s *search) dfs(st *State) bool {
@@ -180,21 +232,27 @@ func (s *search) dfs(st *State) bool {
 		return false
 	}
 	s.seen[memo] = true
-	n := s.next()
+	c := s.candidates()
+	at := slices.Clone(s.at) // the cursors for this placed set
 	// A read that may come next and answers right here comes next in some
 	// order that fits, if any does: it changes nothing, and everything that
 	// must precede it is placed. So the search places it and tries nothing
-	// else here.
-	for i := range s.ev {
-		if !s.done[i] && !s.writer[i] && s.eligible(&n, i) {
+	// else here; if nothing fits after it, it is taken back with the rest.
+	for _, i := range c {
+		if !s.writer[i] {
 			if _, ok := s.try(st, i); ok {
 				s.place(i, true)
-				return s.dfs(st)
+				if s.dfs(st) {
+					return true
+				}
+				s.place(i, false)
+				copy(s.at, at)
+				return false
 			}
 		}
 	}
-	for i := range s.ev {
-		if s.done[i] || !s.writer[i] || !s.eligible(&n, i) {
+	for _, i := range c {
+		if !s.writer[i] {
 			continue
 		}
 		u, ok := s.try(st, i)
@@ -206,13 +264,14 @@ func (s *search) dfs(st *State) bool {
 			return true
 		}
 		s.place(i, false)
+		copy(s.at, at)
 		st.Revert(u)
 		if s.steps > budget {
 			return false
 		}
 	}
 	if s.placed > s.best {
-		s.best, s.why = s.placed, "nothing may come next"
+		s.best, s.why = s.placed, func() string { return "nothing may come next" }
 	}
 	return false
 }
@@ -224,9 +283,9 @@ func (s *search) try(st *State, i int) (Undo, bool) {
 	tx := st.Begin()
 	for _, op := range e.Ops {
 		if want := tx.Do(op); !op.answers(want) {
-			if s.placed > s.best || s.why == "" {
+			if s.placed > s.best || s.why == nil {
 				s.best = s.placed
-				s.why = fmt.Sprintf("%v\n  answered %v where the spec answers %v", e, op, want)
+				s.why = func() string { return fmt.Sprintf("%v\n  answered %v where the spec answers %v", e, op, want) }
 			}
 			return Undo{}, false
 		}

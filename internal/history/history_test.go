@@ -24,6 +24,13 @@ func put1(k, v, prev uint64) Op {
 	return op
 }
 
+// blind is a Put of k whose answer was not observed.
+func blind(k, v uint64) Op {
+	op := put(0, k, v)
+	op.Blind = true
+	return op
+}
+
 // TestCheck: histories the spec allows pass both checkers; each way of
 // breaking the contract fails Check, and CheckKeys wherever it is visible
 // on one key.
@@ -96,6 +103,19 @@ func TestCheck(t *testing.T) {
 			ev(0, Single, 1, 4, 0, put1(1, 10, 0)),
 			ev(0, Snapshot, 2, 5, 0, get(0, 1, 0, false)),
 		}},
+		{"reads of two blind writes, 1 then 2 then 1", false, true, []Event{
+			ev(0, Single, 1, 9, 0, blind(1, 1)),
+			ev(1, Single, 1, 9, 0, blind(1, 2)),
+			ev(2, Single, 2, 3, 0, get(0, 1, 1, true)),
+			ev(2, Single, 4, 5, 0, get(0, 1, 2, true)),
+			ev(2, Single, 6, 7, 0, get(0, 1, 1, true)),
+		}},
+		{"reads of two blind writes, 2 then 1", true, true, []Event{
+			ev(0, Single, 1, 9, 0, blind(1, 1)),
+			ev(1, Single, 1, 9, 0, blind(1, 2)),
+			ev(2, Single, 2, 3, 0, get(0, 1, 2, true)),
+			ev(2, Single, 4, 5, 0, get(0, 1, 1, true)),
+		}},
 		{"a queue out of order", false, true, []Event{
 			ev(0, Single, 1, 2, 0, Op{Kind: Enqueue, Obj: 5, Arg: 1}),
 			ev(0, Single, 3, 4, 0, Op{Kind: Enqueue, Obj: 5, Arg: 2}),
@@ -128,28 +148,37 @@ func TestCheck(t *testing.T) {
 // each to the end; and a goroutine that waits on another is let go after it.
 func TestExplore(t *testing.T) {
 	for _, c := range []struct{ preemptions, want int }{{0, 2}, {9, 20}} {
-		var seen []string
-		n := Explore(t, nil, c.preemptions, func(t *testing.T, s *Sched) {
-			var mu sync.Mutex
-			var order []string
-			for _, name := range []string{"a", "b"} {
-				s.Go(func() {
-					for _, p := range []string{"1", "2", "3"} {
-						mu.Lock()
-						order = append(order, name+p)
-						mu.Unlock()
-						if p != "3" {
-							s.at(name + p)
+		// A goroutine the machine stalls for longer than blockAfter counts
+		// as blocked, and the exploration takes another course: the count
+		// holds for an exploration without a stall, which a few tries see.
+		var n, distinct int
+		for range 5 {
+			var seen []string
+			n = Explore(t, nil, c.preemptions, func(t *testing.T, s *Sched) {
+				var mu sync.Mutex
+				var order []string
+				for _, name := range []string{"a", "b"} {
+					s.Go(func() {
+						for _, p := range []string{"1", "2", "3"} {
+							mu.Lock()
+							order = append(order, name+p)
+							mu.Unlock()
+							if p != "3" {
+								s.at(name + p)
+							}
 						}
-					}
-				})
+					})
+				}
+				s.Wait()
+				seen = append(seen, strings.Join(order, ""))
+			})
+			slices.Sort(seen)
+			if distinct = len(slices.Compact(seen)); n == c.want && distinct == c.want {
+				break
 			}
-			s.Wait()
-			seen = append(seen, strings.Join(order, ""))
-		})
-		slices.Sort(seen)
-		if n != c.want || len(slices.Compact(seen)) != c.want {
-			t.Errorf("%d preemptions: %d runs, %d distinct interleavings, want %d", c.preemptions, n, len(seen), c.want)
+		}
+		if n != c.want || distinct != c.want {
+			t.Errorf("%d preemptions: %d runs, %d distinct interleavings, want %d", c.preemptions, n, distinct, c.want)
 		}
 	}
 	Explore(t, nil, 2, func(t *testing.T, s *Sched) {

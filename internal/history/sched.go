@@ -135,6 +135,21 @@ func (s *Sched) Wait() {
 	}
 }
 
+// Parked returns the point each goroutine started with Go is parked at, in the
+// order they were started: "" for one running, blocked or returned. Called by
+// the goroutine let go last, it sees where every other one stopped.
+func (s *Sched) Parked() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	at := make([]string, len(s.gs))
+	for i, g := range s.gs {
+		if g.state == parked {
+			at[i] = g.at
+		}
+	}
+	return at
+}
+
 func (s *Sched) all(f func(*gor) bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,9 +8,11 @@
 //   - Transactions are *static*: the full operation list is known up front
 //     (which is why the paper cannot run LFTT on TPC-C).
 //   - Every operation — including reads — publishes the transaction's
-//     descriptor on its critical node (the node holding the key), making
-//     readers visible to writers; this per-operation metadata CAS is the
-//     overhead that costs LFTT its gap against Medley's invisible readers.
+//     descriptor on its critical node (the node holding the key, or, for a
+//     key with no node, the node before the gap where it would be linked),
+//     making readers visible to writers; this per-operation metadata CAS is
+//     the overhead that costs LFTT its gap against Medley's invisible
+//     readers.
 //   - A node's logical membership is a function of the descriptor and
 //     operation recorded in its info field: a committed transaction's
 //     operation leaves the state it recorded, an aborted one the state from
@@ -102,8 +104,17 @@ type SkipList struct {
 
 // New returns an empty LFTT skiplist.
 func New() *SkipList {
-	return &SkipList{head: &node{next: make([]atomic.Pointer[node], maxLevel), level: maxLevel - 1}}
+	head := &node{next: make([]atomic.Pointer[node], maxLevel), level: maxLevel - 1}
+	head.info.Store(&info{desc: settled}) // absent reads publish on it too
+	return &SkipList{head: head}
 }
+
+// settled is a descriptor that committed before anything began.
+var settled = func() *txDesc {
+	d := &txDesc{}
+	d.status.Store(int32(committed))
+	return d
+}()
 
 // interpret computes a node's logical membership and value from its info.
 // me is the interpreting transaction: its own operations read as committed.
@@ -171,6 +182,9 @@ func (sl *SkipList) physicalInsert(k uint64, first *info) (*node, bool) {
 	if !preds[0].next[0].CompareAndSwap(succ, nn) {
 		return nil, false
 	}
+	// A transaction still active that read a key of this gap absent
+	// published the read on the predecessor (absent): the insert conflicts.
+	resolve(preds[0].info.Load(), first.desc)
 	// Link upper levels best-effort.
 	for i := 1; i <= lvl; i++ {
 		for {
@@ -265,7 +279,7 @@ func (sl *SkipList) doRemove(d *txDesc, op Op) (OpResult, bool) {
 		var preds [maxLevel]*node
 		n := sl.search(op.Key, &preds)
 		if n == nil {
-			if sl.absent(d, op.Key) {
+			if sl.absent(d, op.Key, preds[0]) {
 				return OpResult{Ok: false}, true // absent; op reports failure
 			}
 			continue
@@ -288,12 +302,24 @@ func (sl *SkipList) doRemove(d *txDesc, op Op) (OpResult, bool) {
 	}
 }
 
-// absent publishes d's read of a key that has no node on a node of its own,
-// which reads as absent, so that an insert racing d meets d; false if another
-// node for the key got there first.
-func (sl *SkipList) absent(d *txDesc, k uint64) bool {
-	_, ok := sl.physicalInsert(k, &info{desc: d})
-	return ok
+// absent publishes d's read of a key k that has no node on p, the node after
+// which k would be linked, leaving p's own membership as it is; false if the
+// gap after p changed meanwhile, and the caller searches again. An insert
+// links its node into the gap first and then meets the read on p
+// (physicalInsert); the read publishes first and then finds the gap
+// unchanged. So one of the two sees the other.
+func (sl *SkipList) absent(d *txDesc, k uint64, p *node) bool {
+	succ := p.next[0].Load()
+	if succ != nil && succ.key <= k {
+		return false
+	}
+	h := p.info.Load()
+	resolve(h, d)
+	if h.desc != d && Status(h.desc.status.Load()) == active {
+		return false
+	}
+	present, val := interpret(h, d)
+	return p.info.CompareAndSwap(h, adopt(h, d, present, val)) && p.next[0].Load() == succ
 }
 
 func (sl *SkipList) doGet(d *txDesc, op Op) (OpResult, bool) {
@@ -304,7 +330,7 @@ func (sl *SkipList) doGet(d *txDesc, op Op) (OpResult, bool) {
 		var preds [maxLevel]*node
 		n := sl.search(op.Key, &preds)
 		if n == nil {
-			if sl.absent(d, op.Key) {
+			if sl.absent(d, op.Key, preds[0]) {
 				return OpResult{Ok: false}, true
 			}
 			continue

@@ -56,6 +56,44 @@ func TestStaticTxAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestAbortRestoresRemovedThenInserted: a transaction that removes a key and
+// inserts it again, as Put does, and is then aborted leaves the key as it
+// was before its first operation on it.
+func TestAbortRestoresRemovedThenInserted(t *testing.T) {
+	sl := New()
+	sl.Insert(5, 1)
+	d := &txDesc{}
+	if _, ok := sl.doRemove(d, Op{Kind: OpRemove, Key: 5}); !ok {
+		t.Fatal("remove failed")
+	}
+	if _, ok := sl.doInsert(d, Op{Kind: OpInsert, Key: 5, Val: 2}); !ok {
+		t.Fatal("insert failed")
+	}
+	d.status.Store(int32(aborted))
+	if v, ok := sl.Get(5); !ok || v != 1 {
+		t.Fatalf("after the abort Get(5) = %d,%v, want 1,true", v, ok)
+	}
+}
+
+// TestAbsentReadsMeetInserts: two transactions that each read absent the key
+// the other inserts, in two different gaps between nodes, cannot both commit
+// (write skew): a read of a key with no node publishes on the node before
+// its gap, which an insert into that gap then meets.
+func TestAbsentReadsMeetInserts(t *testing.T) {
+	sl := New()
+	sl.Insert(3, 3)
+	d1, d2 := &txDesc{}, &txDesc{}
+	sl.doGet(d1, Op{Key: 1})
+	sl.doGet(d2, Op{Key: 5})
+	_, ok1 := sl.doInsert(d1, Op{Kind: OpInsert, Key: 5, Val: 1})
+	_, ok2 := sl.doInsert(d2, Op{Kind: OpInsert, Key: 1, Val: 2})
+	c1 := ok1 && d1.status.CompareAndSwap(int32(active), int32(committed))
+	c2 := ok2 && d2.status.CompareAndSwap(int32(active), int32(committed))
+	if c1 && c2 {
+		t.Fatal("both committed, each having read absent what the other inserted")
+	}
+}
+
 func TestTxSeesOwnOps(t *testing.T) {
 	sl := New()
 	res, ok := func() ([]OpResult, bool) {

@@ -117,10 +117,10 @@ func (c *recConn) do(send func()) error {
 // most of the time, while 1, 4 or 16 checking connections each put a key of
 // their own and read it back, and read the writers' keys. Checked key by key.
 //
-// The "pairs" round is atomicity: two connections write two pairs of keys in
-// Txns, two others read each pair in one all-Read Txn and one key of it in a
-// Get; small, so that the whole history is checked at once, and an audit that
-// saw half a Txn fails it.
+// The "pairs" round is atomicity: four connections write eight pairs of keys
+// in 300 Txns each, four others read a pair in one all-Read Txn and one key
+// of it in a Get, 400 times each. Each pair's share is checked as one whole
+// history, so an audit that saw half a Txn fails it.
 //
 // Every round ends drained, with the lane having served reads, and every OK
 // answer attributed to exactly one path: SnapServed + OCCServed.
@@ -162,7 +162,7 @@ func TestServeHistory(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						key := uint64(ck)
-						for i := uint64(1); i <= 300; i++ {
+						for i := uint64(1); i <= 1000; i++ {
 							if err := c.do(func() { c.sendPut(key, uint64(ck+100)<<32|i) }); err != nil {
 								t.Error(err)
 								return
@@ -187,17 +187,22 @@ func TestServeHistory(t *testing.T) {
 		})
 	}
 	t.Run("pairs", func(t *testing.T) {
-		serveHistory(t, "medley-sharded", txengine.Config{Shards: 4}, history.Check, func(conn func(proc int) *recConn) {
+		const pairs, writers, readers = 8, 4, 4
+		serveHistory(t, "medley-sharded", txengine.Config{Shards: 4}, checkPairs, func(conn func(proc int) *recConn) {
 			var wg sync.WaitGroup
-			for p := range 4 {
+			for p := range writers + readers {
 				c := conn(p)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for i := uint64(1); i <= 40; i++ {
-						a := 2 * (i % 2)
+					n := uint64(400)
+					if p < writers {
+						n = 300
+					}
+					for i := uint64(1); i <= n; i++ {
+						a := 2 * ((uint64(p) + i) % pairs)
 						var err error
-						if p < 2 {
+						if p < writers {
 							v := uint64(p+1)<<32 | i
 							err = c.do(func() { c.sendTxn(nil, [2]uint64{a, v}, [2]uint64{a + 1, v}) })
 						} else if err = c.do(func() { c.sendTxn([]uint64{a, a + 1}) }); err == nil {
@@ -213,6 +218,23 @@ func TestServeHistory(t *testing.T) {
 			wg.Wait()
 		})
 	})
+}
+
+// checkPairs checks each pair's share of a "pairs" history as one whole
+// history: every request touches one pair, keys 2p and 2p+1, so the shares
+// are disjoint and each is allowed if the history is.
+func checkPairs(events []history.Event) error {
+	shares := map[uint64][]history.Event{}
+	for _, e := range events {
+		p := e.Ops[0].Key / 2
+		shares[p] = append(shares[p], e)
+	}
+	for p, share := range shares {
+		if err := history.Check(share); err != nil {
+			return fmt.Errorf("pair %d: %w", p, err)
+		}
+	}
+	return nil
 }
 
 // serveHistory serves engine, lets drive open recording connections and run

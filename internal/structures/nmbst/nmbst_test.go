@@ -28,6 +28,38 @@ func TestDeleteInteriorShapes(t *testing.T) {
 	}
 }
 
+// TestReadOfPendingDeleteValidates: a transaction reads k absent while the
+// edge above k's leaf is flagged (its delete linearized, the splice not yet
+// done); another session then splices the parent out, inserts k and then j.
+// The transaction that goes on to read j present cannot commit having read k
+// absent: its read of k must be validated on an edge the splice changes.
+func TestReadOfPendingDeleteValidates(t *testing.T) {
+	tr := New[int]()
+	tm := core.NewTxManager()
+	s, other := tm.Session(), tm.Session()
+	tr.Insert(s, 10, 10)
+	tr.Insert(s, 20, 20)
+	r := tr.seek(s, 20)
+	r.parObj.Store(edge[int]{n: r.leaf, flag: true})
+	attempts := 0
+	var sawK, sawJ bool
+	if err := s.Run(func() error {
+		attempts++
+		_, sawK = tr.Get(s, 20)
+		if attempts == 1 {
+			tr.Insert(other, 20, 21)
+			tr.Insert(other, 50, 50)
+		}
+		_, sawJ = tr.Get(s, 50)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sawJ && !sawK {
+		t.Fatalf("committed a read of 20 absent and of 50 present, after %d attempts", attempts)
+	}
+}
+
 func TestSentinelKeysRejectedGracefully(t *testing.T) {
 	tr := New[int]()
 	s := newSession()

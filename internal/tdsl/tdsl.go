@@ -103,8 +103,12 @@ func (tm *TM) Run(fn func(tx *Tx) error) error {
 		if !errors.Is(err, ErrAborted) {
 			return err
 		}
+		// Two committers that each read a stripe the other locked both abort;
+		// a randomized, growing backoff keeps them from doing so in step.
 		if attempt > 3 {
-			runtime.Gosched()
+			for range 1 + rand.IntN(1<<min(attempt-3, 10)) {
+				runtime.Gosched()
+			}
 		}
 	}
 }
@@ -132,7 +136,33 @@ func (tx *Tx) Commit() error {
 	if tx.aborted {
 		return ErrAborted
 	}
-	// Canonically order and dedupe write stripes to avoid deadlock.
+	locked := tx.lock()
+	if !tx.validate(locked) {
+		for _, h := range locked {
+			h.version.Add(^uint64(0))
+			h.lock.Unlock()
+		}
+		return tx.abort()
+	}
+	// Apply under odd versions, then publish fresh even versions.
+	wv := tx.tm.clock.Add(2)
+	for _, h := range locked {
+		h.version.Store(wv | 1)
+	}
+	for _, w := range tx.writes {
+		w.apply()
+	}
+	for _, h := range locked {
+		h.version.Store(wv + 2)
+		h.lock.Unlock()
+	}
+	return nil
+}
+
+// lock locks the written stripes in canonical order (no deadlock) and
+// announces each with an odd version, so that two committers that each read
+// what the other writes cannot both pass validation (write skew).
+func (tx *Tx) lock() []*stripeHdr {
 	stripes := make([]*stripeHdr, 0, len(tx.writes))
 	for _, w := range tx.writes {
 		stripes = append(stripes, w.hdr)
@@ -146,42 +176,21 @@ func (tx *Tx) Commit() error {
 			continue
 		}
 		h.lock.Lock()
+		h.version.Add(1)
 		locked = append(locked, h)
 	}
-	unlock := func() {
-		for _, h := range locked {
-			h.lock.Unlock()
-		}
-	}
-	// Announce the locks with odd versions before validating, so that two
-	// committers that each read what the other writes cannot both pass (write
-	// skew). Validate reads: version unchanged, or, on a stripe we locked, our
-	// own announcement over it.
-	for _, h := range locked {
-		h.version.Add(1)
-	}
+	return locked
+}
+
+// validate reports whether every read version still holds: unchanged, or, on
+// a stripe tx locked, its own announcement over it.
+func (tx *Tx) validate(locked []*stripeHdr) bool {
 	for _, r := range tx.reads {
 		if v := r.hdr.version.Load(); v != r.ver && (v != r.ver+1 || !slices.Contains(locked, r.hdr)) {
-			for _, h := range locked {
-				h.version.Add(^uint64(0))
-			}
-			unlock()
-			return tx.abort()
+			return false
 		}
 	}
-	// Apply under odd versions, then publish fresh even versions.
-	wv := tx.tm.clock.Add(2)
-	for _, h := range locked {
-		h.version.Store(wv | 1)
-	}
-	for _, w := range tx.writes {
-		w.apply()
-	}
-	for _, h := range locked {
-		h.version.Store(wv + 2)
-	}
-	unlock()
-	return nil
+	return true
 }
 
 func hdrPtr(h *stripeHdr) uintptr { return uintptr(unsafe.Pointer(h)) }

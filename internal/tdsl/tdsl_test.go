@@ -159,6 +159,47 @@ func TestCrossMapAtomicity(t *testing.T) {
 	}
 }
 
+// TestNoWriteSkew: two transactions that each read the key the other writes,
+// both locked before either validates, cannot both commit.
+func TestNoWriteSkew(t *testing.T) {
+	tm := NewTM()
+	a, b := NewMap[int](1), NewMap[int](1)
+	tm.Run(func(tx *Tx) error { a.Put(tx, 1, 0); b.Put(tx, 1, 0); return nil })
+	t1, t2 := tm.Begin(), tm.Begin()
+	a.Get(t1, 1)
+	b.Put(t1, 1, 1)
+	b.Get(t2, 1)
+	a.Put(t2, 1, 2)
+	l1, l2 := t1.lock(), t2.lock()
+	if t1.validate(l1) && t2.validate(l2) {
+		t.Fatal("both validated, each having read what the other writes")
+	}
+}
+
+// TestSymmetricConflictsFinish: two workers running transactions that each
+// read what the other writes, which abort each other when their commits
+// overlap, both finish.
+func TestSymmetricConflictsFinish(t *testing.T) {
+	tm := NewTM()
+	a, b := NewMap[int](1), NewMap[int](1)
+	var wg sync.WaitGroup
+	for w, from := range []*Map[int]{a, b} {
+		to := [2]*Map[int]{b, a}[w]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2000 {
+				tm.Run(func(tx *Tx) error {
+					v, _ := from.Get(tx, 1)
+					to.Put(tx, 1, v+1)
+					return nil
+				})
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestReadValidationCatchesInterference(t *testing.T) {
 	tm := NewTM()
 	m := NewMap[int](1) // single stripe: all keys conflict

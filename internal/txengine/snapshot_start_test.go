@@ -19,12 +19,11 @@ import (
 // every snapshot is the committed state at its cut.
 
 // startEngines are the engines the start is explored on: one per commit path
-// (sessionTx, shardedTx). txMontage commits through medley's sessionTx, and
-// TestSnapshotFuzzModel starts its tier under load.
+// (sessionTx, shardedTx), and txMontage, whose scan walks montage's map.
 var startEngines = []struct {
 	key    string
 	shards int
-}{{"medley", 0}, {"medley-sharded", 2}}
+}{{"medley", 0}, {"medley-sharded", 2}, {"txmontage", 0}}
 
 // startPoints are the instants the scheduler steps through: those of an
 // unpublished commit (snapAgent.mark, unmark), the commit window of a
@@ -98,15 +97,32 @@ var startWrites = []struct {
 // writer. The second writer puts the first writer's key, the second in scan
 // order, so that the scan can be parked before it or after, in a Run: a
 // standalone write may show early at a cut below its stamp, a Run may not.
+//
+// The first snapshot must wait for a writer that marked its slot with the tier
+// off, and for no other: it never returns while a writer is parked between
+// the re-read that found the tier off and unmark, and in some interleaving it
+// returns while a writer is parked before its mark.
 func TestSnapshotStart(t *testing.T) {
 	for _, e := range startEngines {
 		for _, w := range startWrites {
 			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.key, e.shards, w.name), func(t *testing.T) {
+				passed := 0 // interleavings whose start passed a writer parked before its mark
 				n := history.Explore(t, startPoints, 2, func(t *testing.T, s *history.Sched) {
 					r := newStartRig(t, e.key, e.shards)
 					defer r.eng.Close()
 					k, k2 := r.keys[1], r.keys[2]
-					s.Go(func() { snapshotOps(&r.rec, 1, r.m, r.eng.NewWorker(1), r.keys) })
+					var premark bool
+					s.Go(func() {
+						snapshotOps(&r.rec, 1, r.m, r.eng.NewWorker(1), r.keys)
+						for _, at := range s.Parked() {
+							switch at {
+							case "snapshot.commit.pre-mark":
+								premark = true
+							case "snapshot.commit.checked", "snapshot.commit.done":
+								t.Errorf("the first snapshot returned while a writer was parked at %s", at)
+							}
+						}
+					})
 					s.Go(func() { w.do(r, r.eng.NewWorker(2), k, k2) })
 					s.Go(func() {
 						if err := runOps(&r.rec, 3, r.m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k, Arg: 9000 + k}}, false, nil); err != nil {
@@ -114,6 +130,9 @@ func TestSnapshotStart(t *testing.T) {
 						}
 					})
 					s.Wait()
+					if premark {
+						passed++
+					}
 					tx := r.eng.NewWorker(4)
 					snapshotOps(&r.rec, 4, r.m, tx, r.keys)
 					if err := readAll(&r.rec, 4, r.m, tx, startKeys); err != nil {
@@ -123,7 +142,10 @@ func TestSnapshotStart(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				t.Logf("%d interleavings", n)
+				if passed == 0 && !t.Failed() {
+					t.Error("in no interleaving did the first snapshot return while a writer was parked before its mark")
+				}
+				t.Logf("%d interleavings, %d passed a writer before its mark", n, passed)
 			})
 		}
 	}
