@@ -226,7 +226,6 @@ const txnSeedBalance = uint64(1_000_000)
 func seedAccounts(addr string, accounts uint64) error {
 	const window = 64
 	const maxAttempts = 8
-	rng := rand.New(rand.NewPCG(1, 0))
 	c, err := server.Dial(addr, 5*time.Second)
 	if err != nil {
 		return err
@@ -249,7 +248,7 @@ func seedAccounts(addr string, accounts uint64) error {
 				return fmt.Errorf("seed window %d..%d: %w", lo, hi, lastErr)
 			}
 			if a > 0 {
-				time.Sleep(retryBackoff(rng, a-1))
+				time.Sleep(retry.Backoff(a - 1))
 			}
 			if c == nil {
 				if c, err = server.Dial(addr, 5*time.Second); err != nil {
@@ -305,20 +304,9 @@ type reqDesc struct {
 	nextAt   time.Time // earliest re-send time while queued for retry
 }
 
-// retryBackoff is the capped-exponential, jittered delay before re-send k
-// (k=0 after the first shed): half deterministic plus a uniform random half,
-// so drivers shed together don't storm back together.
-func retryBackoff(rng *rand.Rand, k int) time.Duration {
-	const base, cap = time.Millisecond, 100 * time.Millisecond
-	d := base
-	for i := 0; i < k && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d/2 + time.Duration(rng.Int64N(int64(d/2)+1))
-}
+// retry paces every re-send and redial with the default policy's Backoff, so
+// drivers shed together don't storm back together.
+var retry server.RetryPolicy
 
 // drive runs one connection's closed- or open-loop window until the
 // deadline. Responses arrive in request order (a server guarantee), so the
@@ -411,7 +399,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		pending = pending[:0]
 		c.Close()
 		for k := 0; ; k++ {
-			time.Sleep(retryBackoff(rng, k))
+			time.Sleep(retry.Backoff(k))
 			if !time.Now().Before(deadline) || k >= 5 {
 				got.errs++
 				return false
@@ -449,7 +437,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 			} else if r.Status == server.StatusDraining {
 				recycle = true
 			}
-			d.nextAt = now.Add(retryBackoff(rng, d.tries))
+			d.nextAt = now.Add(retry.Backoff(d.tries))
 			d.tries++
 			retryq = append(retryq, d)
 			return true

@@ -87,7 +87,9 @@
 // not the verdict. It exists only once the sidecar has started, on the
 // engine's first snapshot read — until then a commit publishes nothing and
 // takes no lock — and the start blocks that first snapshot for one scan of the
-// engine's maps.)
+// engine's maps. A writer that meets the start waits for it too, once per
+// engine, and never inside an open transaction: a standalone write before its
+// inner operation, a transaction attempt before TxBegin.)
 //
 // # Who owns the read and write sets
 //

@@ -71,13 +71,18 @@ func (c *Conn) SendTxn(ops []TxnOp) uint64 {
 	c.nextID++
 	if len(ops) > MaxTxnOps {
 		if c.err == nil {
-			c.err = fmt.Errorf("server: txn has %d ops, max %d", len(ops), MaxTxnOps)
+			c.err = errTxnTooLong(len(ops))
 		}
 		return c.nextID
 	}
 	c.req = Request{ID: c.nextID, Op: OpTxn, Ops: ops}
 	c.wbuf = AppendRequest(c.wbuf, &c.req)
 	return c.nextID
+}
+
+// errTxnTooLong is the error of a transaction of n > MaxTxnOps ops.
+func errTxnTooLong(n int) error {
+	return fmt.Errorf("server: txn has %d ops, max %d", n, MaxTxnOps)
 }
 
 // Flush writes every buffered request frame to the socket.

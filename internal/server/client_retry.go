@@ -48,11 +48,11 @@ func defDur(v, d time.Duration) time.Duration {
 	return d
 }
 
-// backoff returns the capped-exponential, jittered delay before retry k
+// Backoff returns the capped-exponential, jittered delay before retry k
 // (k=0 for the first retry): half the deterministic delay plus a uniformly
 // random half, so a fleet of clients kicked off by one server event does
 // not reconverge in lockstep.
-func (p RetryPolicy) backoff(k int) time.Duration {
+func (p RetryPolicy) Backoff(k int) time.Duration {
 	d := p.base()
 	for i := 0; i < k && d < p.cap(); i++ {
 		d *= 2
@@ -142,8 +142,12 @@ func (cl *Client) Put(key, val uint64) (*Response, error) {
 }
 
 // Txn executes one multi-op transaction. All-TxnRead batches retry as reads;
-// batches containing a write follow Put's unknown-outcome rule.
+// batches containing a write follow Put's unknown-outcome rule. A batch over
+// MaxTxnOps ops is refused at once: no frame can carry it, so nothing is sent.
 func (cl *Client) Txn(ops []TxnOp) (*Response, error) {
+	if len(ops) > MaxTxnOps {
+		return nil, errTxnTooLong(len(ops))
+	}
 	idempotent := allRead(ops)
 	return cl.do(func(c *Conn) uint64 { return c.SendTxn(ops) }, idempotent)
 }
@@ -156,7 +160,7 @@ func (cl *Client) do(send func(*Conn) uint64, idempotent bool) (*Response, error
 	retries := 0
 	for attempt := 0; attempt < cl.pol.maxAttempts(); attempt++ {
 		if attempt > 0 {
-			time.Sleep(cl.pol.backoff(attempt - 1))
+			time.Sleep(cl.pol.Backoff(attempt - 1))
 		}
 		c, err := cl.ensure()
 		if err != nil {

@@ -105,6 +105,33 @@ func TestClientExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestClientTxnTooLong: a batch over MaxTxnOps ops cannot be framed, so the
+// client refuses it before sending anything — a write batch is not an unknown
+// outcome, a read batch is not retried, and the connection is not dropped.
+func TestClientTxnTooLong(t *testing.T) {
+	addr := scriptServer(t, []byte{StatusOK})
+	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	defer cl.Close()
+	if _, err := cl.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []byte{TxnWrite, TxnRead} {
+		ops := make([]TxnOp, MaxTxnOps+1)
+		for i := range ops {
+			ops[i] = TxnOp{Kind: kind, Key: uint64(i)}
+		}
+		if _, err := cl.Txn(ops); err == nil || errors.Is(err, ErrUnknownOutcome) {
+			t.Fatalf("kind %d: Txn of %d ops: %v, want the encode error", kind, len(ops), err)
+		}
+		if st := cl.Stats(); st != (ClientStats{}) {
+			t.Fatalf("kind %d: %+v after a batch that was never sent, want no retry or reconnect", kind, st)
+		}
+	}
+	if resp, err := cl.Get(2); err != nil || !resp.OK() {
+		t.Fatalf("Get after the refused batches: %+v, %v", resp, err)
+	}
+}
+
 // TestClientReconnectsOnReadFault: injected input faults drop the server
 // side of the connection before anything executes; idempotent reads retry
 // through the reconnects.

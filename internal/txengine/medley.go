@@ -224,14 +224,14 @@ type sessionTx struct {
 }
 
 // Run is core.Session.Run with version stamping folded into the commit (once
-// the snapshot tier has started, a successful commit publishes the attempt's
+// the snapshot tier is on, a successful commit publishes the attempt's
 // buffered writes at one drawn timestamp; before, nothing is buffered and the
-// commit is a TxEnd with the worker's slot marked — see snapAgent.commit)
-// and with the attempts counted in the loop, so a Run allocates nothing in
-// this layer.
+// commit is a TxEnd with the worker's slot marked — see snapAgent.commit; an
+// attempt waits out the tier's start before it begins) and with the attempts
+// counted in the loop, so a Run allocates nothing in this layer.
 func (t *sessionTx) Run(fn func() error) error {
 	for attempt := 0; ; attempt++ {
-		t.snap.reset()
+		t.snap.beginAttempt()
 		t.aborted = false
 		t.s.TxBegin()
 		err := fn()

@@ -520,14 +520,14 @@ func (t *shardedTx) rollback() {
 //
 // The transaction stamps ONE version: the timestamp is drawn before the
 // session's single InPrep→InProg transition and published for every shard's
-// writes together iff the verdict is commit. (Before the snapshot tier has
-// started it stamps none, and a commit that meets the start returns
+// writes together iff the verdict is commit. (Before the snapshot tier is on
+// it stamps none, and a commit that meets the start returns
 // core.ErrTxAborted with the transaction still open: the deferred rollback
-// aborts it, and the retry publishes.)
+// aborts it, and the retry waits for the start before its latches.)
 func (t *shardedTx) attempt(fn func() error) error {
 	t.inRun, t.aborted, t.multi = true, false, false
 	t.stamp++
-	t.snap.reset()
+	t.snap.beginAttempt()
 	// However the attempt ends, a panic out of fn included, nothing stays
 	// open and no latch stays held; after a commit this finds nothing to abort.
 	defer func() {

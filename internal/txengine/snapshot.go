@@ -64,52 +64,39 @@ package txengine
 // The start. The tier starts once per engine, at its first snapshot, and
 // never stops. Until then a committing worker only marks its slot
 // (unpublished) for the length of its TxEnd — of its inner operation, for a
-// standalone write — and re-reads the tier state after the mark: a
-// transaction that finds a start under way aborts, and its retry publishes; a
-// standalone write takes the publishing path instead. The first snapshot
-// starts the tier under startMu:
+// standalone write — and re-reads the tier state after the mark. The first
+// snapshot starts the tier under startMu:
 //
-//  1. state = starting: every commit that re-reads the state from here on
-//     publishes.
+//  1. state = starting: from here on no writer publishes until the tier is
+//     on. A writer that finds it starting waits on startMu, and only while it
+//     holds nothing: a standalone write before its inner operation, a Run
+//     attempt before it opens its transaction. An attempt that meets the
+//     start inside its body buffers nothing and aborts at its commit; its
+//     retry waits.
 //  2. Wait until no slot is marked.
-//  3. Draw T_seed, pin it on the starter's slot (no sweep may pass it), and
-//     wait for the seal to reach it.
+//  3. Draw the seed.
 //  4. Scan every map registered with the tier (Range: each key as it stood at
-//     some instant of the walk), dropping every version below T_seed and
-//     publishing each present key at T_seed.
-//  5. Draw T_ready, wait for the seal to reach it, state = on.
+//     some instant of the walk), publishing each present key at the seed.
+//  5. Seal through the seed (one reseal: nothing else has drawn), state = on.
 //
-// Why the table at any cut c >= T_ready is the committed state at c. Take a
-// key k that the scan read at instant s. Every write to k is one of three:
-//
-//   - unpublished: its worker marked its slot, then read the state as off, so
-//     step 1 followed the mark (the stores and loads are sequentially
-//     consistent: a Dekker pair), step 2 saw it and waited for the clear,
-//     which follows the write; the write precedes s;
-//   - published below T_seed: the seal passed its timestamp, in step 3, only
-//     after its window closed, which follows the write; it precedes s too;
-//   - published above T_seed: its version is in the table, above the seed.
-//
-// So the writes that precede s are every write of the first two kinds and
-// some of the third, and the seed — k's state at s, no version if k was
-// absent — is their result; step 4 drops every version of the second kind,
-// so nothing below the seed survives to contradict it. A reader at c takes
-// the newest version at or below c. If a write of the third kind has its
-// timestamp at or below c, the newest such is the committed state at c
-// (timestamps order conflicting commits) and it shadows the seed. Otherwise
-// every third-kind write is above c >= T_ready; it drew after T_ready, which
-// was drawn after the scan, so none can have been visible at s (a
-// transaction is first readable at InProg, after its draw) and the seed is
-// the committed state at c. (A standalone write applies before it draws, so
-// the seed may show one at cuts below its timestamp: early, never lost — the
-// slack noted above.) That covers the commits that land while the scan
-// runs: behind the scanner their version shadows the older seed, ahead of it
-// the seed already holds them and their version repeats it. A scan that meets
-// a transaction still InPrep aborts it, as any reader does, and its retry
-// publishes. Nothing reads below T_ready: the seal passes T_ready before the
-// state opens and never goes back, and a snapshot pins the seal. During the
-// scan the floor is at most T_seed (the starter's pin), so no sweep can take
-// a tombstone of the third kind and let a seed behind it show through.
+// Why the table at any cut c >= seed is the committed state at c. Take a key
+// k that the scan read at instant s. A committed write to k that drew no
+// timestamp is unpublished: its worker marked its slot, then read the state
+// as off, so step 1 followed the mark (the stores and loads are sequentially
+// consistent: a Dekker pair), step 2 saw it and waited for the clear, which
+// follows the write; the write precedes s. Every other committed write
+// reached the inner map once the tier was on — each write of a transaction
+// read the state as on, a standalone write read it so or waited on startMu —
+// so it follows the scan and its version is in the table, above the seed
+// (nothing else draws while the tier is starting). The seed — k's state at
+// s, no version if k was absent — is therefore the result of every write
+// that precedes s, and nothing lies below it. A reader at c takes the newest
+// version at or below c: the newest write stamped at or below c if there is
+// one (timestamps order conflicting commits), the seed if not. A scan that
+// meets a transaction still InPrep aborts it, as any reader does; that
+// attempt aborts at its commit anyway. Nothing reads below the seed: the seal
+// passes it before the state opens and never goes back, and a snapshot pins
+// the seal.
 
 import (
 	mbits "math/bits"
@@ -132,7 +119,7 @@ var (
 	cpCommitMarked  = chaos.At("snapshot.commit.marked")   // slot marked, state not yet re-read
 	cpCommitChecked = chaos.At("snapshot.commit.checked")  // re-read as off: TxEnd or the standalone inner op next
 	cpCommitDone    = chaos.At("snapshot.commit.done")     // committed unpublished, the mark not yet cleared
-	cpCommitWindow  = chaos.At("snapshot.commit.window")   // tier started: timestamp drawn, TxEnd next
+	cpCommitWindow  = chaos.At("snapshot.commit.window")   // tier on: timestamp drawn, TxEnd or the publish next
 	cpStartScan     = chaos.At("snapshot.start.scan")      // the start has seeded one more key
 )
 
@@ -221,7 +208,7 @@ type snapSlot struct {
 // The tier's states, in the one order it passes them.
 const (
 	snapOff      uint32 = iota // nothing has read a snapshot: commits publish nothing
-	snapStarting               // the first snapshot is seeding the tables: commits publish
+	snapStarting               // the first snapshot is seeding the tables: writers wait on startMu
 	snapOn                     // started, for good
 )
 
@@ -235,7 +222,7 @@ type snapTier struct {
 	slots   atomic.Pointer[[]*snapSlot]
 	state   atomic.Uint32
 	mu      sync.Mutex   // guards slot registration
-	startMu sync.Mutex   // held by the start, and by a map joining the tier
+	startMu sync.Mutex   // held by the start (writers that meet it wait on it) and by a map joining the tier
 	maps    []snapSource // every top-level map of the engine; guarded by startMu
 }
 
@@ -290,54 +277,44 @@ func (t *snapTier) register(m snapSource) {
 }
 
 // start starts the tier, the first time a snapshot asks (see the header);
-// later callers find it on, or wait on startMu for the start under way. s is
-// the starting snapshot's slot: its pin at T_seed holds the GC floor while
-// the maps are scanned.
-func (t *snapTier) start(s *snapSlot) {
+// later callers find it on, or wait on startMu for the start under way.
+func (t *snapTier) start() {
 	t.startMu.Lock()
 	defer t.startMu.Unlock()
 	if t.state.Load() == snapOn {
 		return
 	}
 	t.state.Store(snapStarting)
-	waitUntil(func() bool {
-		for _, w := range *t.slots.Load() {
-			if w.unpublished.Load() {
-				return false
-			}
-		}
-		return true
-	})
-	seed := t.clock.Add(1)
-	s.reading.Store(seed)
-	t.sealThrough(seed)
-	for _, m := range t.maps {
-		m.seed(seed)
-	}
-	t.sealThrough(t.clock.Add(1))
-	t.state.Store(snapOn)
-	s.reading.Store(0)
-}
-
-// sealThrough returns once the seal has reached ts: every commit that drew a
-// timestamp at or below it has published and closed its window.
-func (t *snapTier) sealThrough(ts uint64) {
-	waitUntil(func() bool {
-		t.reseal()
-		return t.sealed.Load() >= ts
-	})
-}
-
-// waitUntil polls done, yielding between polls and, past the first few,
-// sleeping: what the start waits for is other workers' commits.
-func waitUntil(done func() bool) {
-	for i := 0; !done(); i++ {
+	for i := 0; t.marked(); i++ {
 		if i < 64 {
 			runtime.Gosched()
 		} else {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
+	seed := t.clock.Add(1)
+	for _, m := range t.maps {
+		m.seed(seed)
+	}
+	t.reseal() // no commit window is open: the seal reaches the seed
+	t.state.Store(snapOn)
+}
+
+// marked reports whether some worker's slot marks an unpublished commit.
+func (t *snapTier) marked() bool {
+	for _, w := range *t.slots.Load() {
+		if w.unpublished.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// waitStart returns once the start that the caller found under way is done:
+// a writer that meets the start waits here, holding nothing.
+func (t *snapTier) waitStart() {
+	t.startMu.Lock()
+	t.startMu.Unlock()
 }
 
 // beginCommit opens a commit window for s and returns the drawn timestamp.
@@ -347,7 +324,9 @@ func waitUntil(done func() bool) {
 // timestamp. That ordering is what makes the seal a torn-cut barrier.
 func (t *snapTier) beginCommit(s *snapSlot) uint64 {
 	s.inflight.Store(t.clock.Load())
-	return t.clock.Add(1)
+	ts := t.clock.Add(1)
+	cpCommitWindow.Hit()
+	return ts
 }
 
 // endCommit closes the window (publishes, if any, must already be done) and
@@ -613,34 +592,6 @@ func (t *snapTable[V]) sweep(s *snapStripe[V], slots snapSlots[V], floor uint64)
 	}
 }
 
-// trim drops every version below ts, and makes a dead marker of every slot
-// that leaves empty: step 4 of the start, before the seeds go in. Only the
-// versions published while the start waited for its seal can be there.
-func (t *snapTable[V]) trim(ts uint64) {
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		if p := s.slots.Load(); p != nil {
-			slots := *p
-			for j := range slots {
-				n := slots[j].Load()
-				switch {
-				case n == nil || n == &t.dead:
-				case n.ts() < ts:
-					slots[j].Store(&t.dead)
-					s.dirty[j>>6] &^= 1 << (j & 63)
-				default:
-					for next := n.next.Load(); next != nil && next.ts() >= ts; next = n.next.Load() {
-						n = next
-					}
-					n.next.Store(nil)
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
 // read returns key k's state at snapshot timestamp rt: the newest version
 // with ts <= rt, or absent when there is none (the key did not exist at the
 // cut) or it is a tombstone. Any array the stripe has published answers every
@@ -717,12 +668,22 @@ type snapAgent struct {
 	slot        *snapSlot
 	rt          uint64 // nonzero while inside SnapshotRead: the pinned cut
 	lastTS      uint64 // commit ts of the handle's newest published write (see LastCommitTS)
-	unpublished bool   // the attempt wrote with the tier off: its commit is marked, not published
+	unpublished bool   // the attempt wrote with the tier not on: its commit is marked, or aborts
 	pending     []pendingWrite
 }
 
-// reset drops buffered publications; called at the start of every attempt
-// so an aborted or restarted attempt leaves nothing behind.
+// beginAttempt readies the agent for a Run attempt, before the attempt opens
+// its transaction: a start under way holds it here, where it holds nothing,
+// and whatever an earlier attempt left is dropped.
+func (a *snapAgent) beginAttempt() {
+	if a.tier != nil && a.tier.state.Load() == snapStarting {
+		a.tier.waitStart()
+	}
+	a.reset()
+}
+
+// reset drops buffered publications, so an aborted or restarted attempt
+// leaves nothing behind.
 func (a *snapAgent) reset() {
 	for i := range a.pending {
 		a.pending[i].aval = nil
@@ -745,7 +706,7 @@ func (a *snapAgent) snapshot(ct *counters, inTx bool, n int, each func(i int, cu
 		panic("txengine: snapshot read inside an open transaction")
 	}
 	if a.tier.state.Load() != snapOn {
-		a.tier.start(a.slot)
+		a.tier.start()
 	}
 	rt, stale := a.tier.beginSnapshot(a.slot)
 	a.rt = rt
@@ -765,31 +726,33 @@ func (a *snapAgent) snapshot(ct *counters, inTx bool, n int, each func(i int, cu
 type snapWrite uint8
 
 const (
-	writeBuffered    snapWrite = iota // tier started, in a transaction: published at the commit's timestamp
-	writePublished                    // tier started, standalone: published in a commit window of its own
-	writeUnpublished                  // tier off, in a transaction: the attempt's commit is marked instead
+	writeBuffered    snapWrite = iota // tier on, in a transaction: published at the commit's timestamp
+	writePublished                    // tier on, standalone: published in a commit window of its own
+	writeUnpublished                  // tier not on, in a transaction: the attempt's commit is marked, or aborts
 	writeMarked                       // tier off, standalone: the slot is marked around the inner op
 )
 
 // beginWrite readies one map write; buffered says a transaction is open. It
 // panics inside a snapshot — snapshots are read-only. A standalone write with
 // the tier off marks the slot here, before its inner op, and re-reads the
-// state: a start under way sends it down the publishing path.
+// state; one that finds a start under way, either time, waits it out here and
+// publishes.
 func (a *snapAgent) beginWrite(buffered bool) snapWrite {
 	if a.rt != 0 {
 		panic("txengine: write inside SnapshotRead (snapshot transactions are read-only)")
 	}
+	state := a.tier.state.Load()
 	switch {
-	case a.tier.state.Load() != snapOff:
-		if buffered {
-			return writeBuffered
-		}
+	case state == snapOn && buffered:
+		return writeBuffered
+	case state == snapOn:
 		return writePublished
 	case buffered:
 		return writeUnpublished
-	case a.mark():
+	case state == snapOff && a.mark():
 		return writeMarked
 	}
+	a.tier.waitStart()
 	return writePublished
 }
 
@@ -830,8 +793,8 @@ func (a *snapAgent) endWrite(w snapWrite, tab snapPublisher, k, uval uint64, ava
 
 // mark marks an unpublished commit in the worker's slot and re-reads the
 // tier state: true, the tier is still off and its start will wait for the
-// commit until unmark; false, a start is under way, the mark is gone again
-// and the commit must publish.
+// commit until unmark; false, a start is under way or done, the mark is gone
+// again and the commit must not go ahead unpublished.
 func (a *snapAgent) mark() bool {
 	cpCommitPreMark.Hit()
 	a.slot.unpublished.Store(true)
@@ -862,13 +825,15 @@ func (a *snapAgent) publishAll(ts uint64) {
 }
 
 // commit runs end — the transaction's one commit verdict. An attempt that
-// wrote with the tier off runs it marked, or, finding a start under way,
-// returns core.ErrTxAborted without running it: the caller aborts the open
-// transaction and the retry publishes. Otherwise end runs inside a commit
-// window of the tier: the timestamp is drawn after fn installed every node
-// and before end's InPrep→InProg transition, which is what keeps timestamp
-// order consistent with conflict order, and on success the buffered writes
-// publish under it. Read-only transactions buffer nothing and skip the draw.
+// wrote with the tier not on runs it marked if the tier is still off, and
+// otherwise returns core.ErrTxAborted without running it: the caller aborts
+// the open transaction, and the retry waits for the start at its head
+// (beginAttempt). An attempt that wrote with the tier on runs end inside a
+// commit window of the tier: the timestamp is drawn after fn installed every
+// node and before end's InPrep→InProg transition, which is what keeps
+// timestamp order consistent with conflict order, and on success the
+// buffered writes publish under it. Read-only transactions buffer nothing and
+// skip the draw.
 func (a *snapAgent) commit(end func() error) error {
 	if a.unpublished {
 		if !a.mark() {
@@ -882,7 +847,6 @@ func (a *snapAgent) commit(end func() error) error {
 		return end()
 	}
 	ts := a.tier.beginCommit(a.slot)
-	cpCommitWindow.Hit()
 	err := end()
 	if err == nil {
 		a.publishAll(ts)
@@ -930,10 +894,9 @@ func newSnapMap[V any](inner rangeMap[V], tier *snapTier) Map[V] {
 	return m
 }
 
-// seed is step 4 of the start for this map: every version below ts goes, and
-// every key present in the inner map is published at ts.
+// seed is step 4 of the start for this map: every key present in the inner
+// map is published at ts.
 func (m snapMap[V]) seed(ts uint64) {
-	m.tab.trim(ts)
 	m.inner.Range(func(k uint64, v V) bool {
 		m.tab.publish(k, ts, v, false)
 		cpStartScan.Hit()

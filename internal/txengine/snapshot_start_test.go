@@ -2,21 +2,23 @@ package txengine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"medley/internal/chaos"
 	"medley/internal/history"
 )
 
 // The snapshot tier's start (snapshot.go, "The start"), explored: the
-// engine's first snapshot, a writer and a second writer of the same key are
-// stepped through every interleaving of the start's scan and the writers'
-// commit instants that preempts a goroutine at most twice. That covers a
-// writer parked at each instant of its commit while the tier starts, writes
-// landing behind and ahead of the scan, a commit that drew its timestamp
-// during the scan holding the first cut below T_ready, and a version
-// published below T_seed under a later unpublished write. A later snapshot
-// and a read of every key join each history, which the checker must accept:
-// every snapshot is the committed state at its cut.
+// engine's first snapshot and two writers are stepped through every
+// interleaving of the start's scan and the writers' unpublished-commit
+// instants that preempts a goroutine at most twice. That
+// covers a writer parked at each instant of its mark while the tier starts,
+// a write that lands just before the scan, and writers that meet the start
+// and wait for it on startMu (the scheduler counts them blocked and lets
+// another go). A later snapshot and a read of every key join each history,
+// which the checker must accept: every snapshot is the committed state at
+// its cut.
 
 // startEngines are the engines the start is explored on: one per commit path
 // (sessionTx, shardedTx), and txMontage, whose scan walks montage's map.
@@ -26,14 +28,14 @@ var startEngines = []struct {
 }{{"medley", 0}, {"medley-sharded", 2}, {"txmontage", 0}}
 
 // startPoints are the instants the scheduler steps through: those of an
-// unpublished commit (snapAgent.mark, unmark), the commit window of a
-// published one, and the scan's, after each key it seeds.
+// unpublished commit (snapAgent.mark, unmark), and the scan's, after each
+// key it seeds. A writer's draw (snapshot.commit.window) is not one of them:
+// the test asserts there instead that the tier is on.
 var startPoints = []string{
 	"snapshot.commit.pre-mark",
 	"snapshot.commit.marked",
 	"snapshot.commit.checked",
 	"snapshot.commit.done",
-	"snapshot.commit.window",
 	"snapshot.start.scan",
 }
 
@@ -94,14 +96,17 @@ var startWrites = []struct {
 }
 
 // TestSnapshotStart explores the start on each engine with each kind of first
-// writer. The second writer puts the first writer's key, the second in scan
-// order, so that the scan can be parked before it or after, in a Run: a
-// standalone write may show early at a cut below its stamp, a Run may not.
+// writer. The second writer puts, in a Run, the last key in scan order, which
+// the first writer's Run removes. It does not write the key of a standalone
+// first writer: two writers held by the start run free once it ends, and a
+// standalone write racing another writer of its key is ordered by neither
+// (snapshot.go).
 //
 // The first snapshot must wait for a writer that marked its slot with the tier
 // off, and for no other: it never returns while a writer is parked between
 // the re-read that found the tier off and unmark, and in some interleaving it
-// returns while a writer is parked before its mark.
+// returns while a writer is parked before its mark. A writer that meets the
+// start is held: no writer draws a timestamp until the tier is on.
 func TestSnapshotStart(t *testing.T) {
 	for _, e := range startEngines {
 		for _, w := range startWrites {
@@ -110,6 +115,16 @@ func TestSnapshotStart(t *testing.T) {
 				n := history.Explore(t, startPoints, 2, func(t *testing.T, s *history.Sched) {
 					r := newStartRig(t, e.key, e.shards)
 					defer r.eng.Close()
+					tier := r.m.(snapMap[uint64]).tab.tier
+					var early atomic.Bool // a writer drew a timestamp before the tier was on
+					if err := chaos.Arm("snapshot.commit.window", chaos.Fault{Kind: chaos.Delay, Action: func() {
+						if tier.state.Load() != snapOn {
+							early.Store(true)
+						}
+					}}); err != nil {
+						t.Fatal(err)
+					}
+					defer chaos.Disarm("snapshot.commit.window")
 					k, k2 := r.keys[1], r.keys[2]
 					var premark bool
 					s.Go(func() {
@@ -125,11 +140,14 @@ func TestSnapshotStart(t *testing.T) {
 					})
 					s.Go(func() { w.do(r, r.eng.NewWorker(2), k, k2) })
 					s.Go(func() {
-						if err := runOps(&r.rec, 3, r.m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k, Arg: 9000 + k}}, false, nil); err != nil {
+						if err := runOps(&r.rec, 3, r.m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k2, Arg: 9000 + k2}}, false, nil); err != nil {
 							panic(err)
 						}
 					})
 					s.Wait()
+					if early.Load() {
+						t.Error("a writer drew a timestamp before the tier was on: it was not held")
+					}
 					if premark {
 						passed++
 					}
