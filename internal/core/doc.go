@@ -89,7 +89,8 @@
 // takes no lock — and the start blocks that first snapshot for one scan of the
 // engine's maps. A writer that meets the start waits for it too, once per
 // engine, and never inside an open transaction: a standalone write before its
-// inner operation, a transaction attempt before TxBegin.)
+// inner operation, a transaction whose commit met the start before the TxBegin
+// of its retry. A transaction that writes nothing never waits.)
 //
 // # Who owns the read and write sets
 //

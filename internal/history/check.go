@@ -23,10 +23,9 @@ const budget = 1 << 21
 //   - program order: a process's events in the order it called them, except
 //     that a Snapshot whose cut is unknown follows only the process's own
 //     earlier writes (read-your-writes, no more);
-//   - commit order: stamped Runs in timestamp order, and a Snapshot at cut c
-//     after every write stamped at or below c, or stamped with none, and
-//     before every Run stamped above c. A Single write stamped above c may
-//     come before: it applies before it draws its stamp.
+//   - commit order: stamped events in timestamp order, Runs and Single
+//     writes alike, and a Snapshot at cut c after every write stamped at or
+//     below c, or stamped with none, and before every write stamped above c.
 //
 // Where every commit is stamped, commit order leaves only the reads to place,
 // and the search is a replay in timestamp order: strict serializability of
@@ -96,17 +95,17 @@ type search struct {
 
 	// lists hold events in the order the search tends to place them, each
 	// with a cursor before which every event is placed: all events by Invoke
-	// (byInvoke), by stamp the stamped Runs, the Snapshots at a known cut and
-	// the writes (unstamped first), then each process's events in program
-	// order (byProc+p). A step looks at the unplaced heads of these, not at
-	// the whole history.
+	// (byInvoke), by stamp the stamped Runs and Singles, the Snapshots at a
+	// known cut and the writes (unstamped first), then each process's events
+	// in program order (byProc+p). A step looks at the unplaced heads of
+	// these, not at the whole history.
 	lists [][]int
 	at    []int
 }
 
 const (
 	byInvoke = iota
-	runsByTS
+	commitsByTS
 	cutsByTS
 	writesByTS
 	byProc
@@ -132,8 +131,8 @@ func newSearch(events []Event) *search {
 		s.lists[byInvoke] = append(s.lists[byInvoke], i)
 		s.lists[byProc+p] = append(s.lists[byProc+p], i)
 		switch {
-		case e.Mode == Run && e.TS > 0:
-			s.lists[runsByTS] = append(s.lists[runsByTS], i)
+		case e.Mode != Snapshot && e.TS > 0:
+			s.lists[commitsByTS] = append(s.lists[commitsByTS], i)
 		case e.Mode == Snapshot && e.TS > 0:
 			s.lists[cutsByTS] = append(s.lists[cutsByTS], i)
 		}
@@ -141,7 +140,7 @@ func newSearch(events []Event) *search {
 			s.lists[writesByTS] = append(s.lists[writesByTS], i)
 		}
 	}
-	for _, l := range s.lists[runsByTS : writesByTS+1] {
+	for _, l := range s.lists[commitsByTS : writesByTS+1] {
 		slices.SortStableFunc(l, func(a, b int) int { return cmp.Compare(ev[a].TS, ev[b].TS) })
 	}
 	s.at = make([]int, len(s.lists))
@@ -167,7 +166,7 @@ func (s *search) least(l int) uint64 {
 
 // candidates are the events that may come next (see Check), by Invoke.
 func (s *search) candidates() []int {
-	runTS, cut, writeTS := s.least(runsByTS), s.least(cutsByTS), s.least(writesByTS)
+	commitTS, cut, writeTS := s.least(commitsByTS), s.least(cutsByTS), s.least(writesByTS)
 	var c []int
 	// A Snapshot at cut c, once every write stamped at or below c is placed.
 	for _, i := range s.rest(cutsByTS) {
@@ -212,7 +211,7 @@ func (s *search) candidates() []int {
 		}
 	}
 	for _, i := range heads {
-		if e := &s.ev[i]; e.Invoke < bound && (e.Mode == Single || e.TS == 0 || runTS >= e.TS && cut >= e.TS) {
+		if e := &s.ev[i]; e.Invoke < bound && (e.TS == 0 || commitTS >= e.TS && cut >= e.TS) {
 			c = append(c, i)
 		}
 	}

@@ -78,6 +78,10 @@ func TestCheck(t *testing.T) {
 			ev(0, Run, 1, 4, 6, get(0, 1, 0, false), put1(1, 10, 0)),
 			ev(1, Run, 2, 3, 7, get(0, 1, 0, false), put1(1, 11, 0)),
 		}},
+		{"a Run that saw a standalone write stamped after it", false, true, []Event{
+			ev(0, Single, 1, 4, 7, put1(1, 10, 0)),
+			ev(1, Run, 2, 3, 6, get(0, 1, 10, true), put1(1, 11, 10)),
+		}},
 		{"a stale snapshot at an old cut", true, true, []Event{
 			ev(0, Run, 1, 2, 5, put1(1, 10, 0)),
 			ev(0, Run, 3, 4, 6, put1(1, 11, 10)),

@@ -196,7 +196,8 @@ func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *medleyEngine) NewWorker(int) Tx {
 	s := e.mgr.Session()
-	t := &sessionTx{s: s, ct: &e.ct, end: s.TxEnd}
+	t := &sessionTx{s: s, ct: &e.ct}
+	t.snap.ses, t.snap.end = s, s.TxEnd
 	if e.snap != nil {
 		t.snap.tier = e.snap
 		t.snap.slot = e.snap.newSlot()
@@ -219,16 +220,16 @@ type sessionTx struct {
 	ct      *counters
 	snap    snapAgent
 	bo      backoff
-	end     func() error // s.TxEnd, bound once: a method value per Run would allocate
-	aborted bool         // Abort doomed the current attempt
+	aborted bool // Abort doomed the current attempt
 }
 
 // Run is core.Session.Run with version stamping folded into the commit (once
 // the snapshot tier is on, a successful commit publishes the attempt's
 // buffered writes at one drawn timestamp; before, nothing is buffered and the
 // commit is a TxEnd with the worker's slot marked — see snapAgent.commit; an
-// attempt waits out the tier's start before it begins) and with the attempts
-// counted in the loop, so a Run allocates nothing in this layer.
+// attempt whose commit met the tier's start waits it out before the retry)
+// and with the attempts counted in the loop, so a Run allocates nothing in
+// this layer.
 func (t *sessionTx) Run(fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.beginAttempt()
@@ -242,7 +243,7 @@ func (t *sessionTx) Run(fn func() error) error {
 			case !t.s.InTx(): // an operation of fn aborted it
 				err = core.ErrTxAborted
 			default:
-				err = t.snap.commit(t.end)
+				err = t.snap.commit()
 			}
 		}
 		if t.s.InTx() {

@@ -302,7 +302,8 @@ func (e *shardedEngine) NewWorker(tid int) Tx {
 		// Every transactional base is Medley-family; one that is not fails
 		// loudly here.
 		st := t.base.(*sessionTx)
-		t.ses, t.end = st.s, st.end
+		t.ses = st.s
+		t.snap.ses, t.snap.end = st.s, st.snap.end
 	}
 	if e.latch != nil {
 		t.lw = newLatchWaiter()
@@ -326,9 +327,6 @@ type shardedTx struct {
 	e    *shardedEngine
 	base Tx            // a handle of shard 0's engine: a session of the one manager, good on every shard
 	ses  *core.Session // its core session (transactional bases only)
-	// ses.TxEnd, bound once so that handing it to snapAgent.commit allocates
-	// no closure.
-	end func() error
 
 	inRun   bool
 	aborted bool // Tx.Abort doomed the current Run
@@ -553,7 +551,7 @@ func (t *shardedTx) attempt(fn func() error) error {
 	if ferr != nil || !t.ses.InTx() { // failed, or touched nothing
 		return ferr
 	}
-	return t.snap.commit(t.end)
+	return t.snap.commit()
 }
 
 // Run implements Tx. A pending HintKeys/HintQueues declaration that spans

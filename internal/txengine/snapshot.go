@@ -42,10 +42,9 @@ package txengine
 // unchanged, so B's install — which precedes draw(B) — happened after A
 // validated, which follows draw(A). Either way timestamps agree with the
 // serialization order, so the set of transactions with ts <= any cut is
-// prefix-closed and a table read at that cut is a consistent snapshot. A
-// standalone write applies its inner operation first and draws after, so it
-// is ordered against a concurrent writer of the same key by neither; nothing
-// below claims more for it.
+// prefix-closed and a table read at that cut is a consistent snapshot. Once
+// the tier is on, a standalone write runs as a transaction of one operation
+// (snapMap.write), so the argument covers it too.
 //
 // The sealed watermark: a drawn timestamp is not immediately readable —
 // the transaction may still fail validation, and a slower writer may hold a
@@ -68,11 +67,12 @@ package txengine
 // snapshot starts the tier under startMu:
 //
 //  1. state = starting: from here on no writer publishes until the tier is
-//     on. A writer that finds it starting waits on startMu, and only while it
+//     on. A writer that meets the start waits on startMu, and only while it
 //     holds nothing: a standalone write before its inner operation, a Run
-//     attempt before it opens its transaction. An attempt that meets the
-//     start inside its body buffers nothing and aborts at its commit; its
-//     retry waits.
+//     attempt before it opens its transaction. A Run attempt meets it at its
+//     commit: one that wrote with the tier not on buffered nothing, aborts
+//     there and waits before its retry. A Run that writes nothing never
+//     waits.
 //  2. Wait until no slot is marked.
 //  3. Draw the seed.
 //  4. Scan every map registered with the tier (Range: each key as it stood at
@@ -86,8 +86,8 @@ package txengine
 // consistent: a Dekker pair), step 2 saw it and waited for the clear, which
 // follows the write; the write precedes s. Every other committed write
 // reached the inner map once the tier was on — each write of a transaction
-// read the state as on, a standalone write read it so or waited on startMu —
-// so it follows the scan and its version is in the table, above the seed
+// read the state as on, and a standalone write is then a transaction — so it
+// follows the scan and its version is in the table, above the seed
 // (nothing else draws while the tier is starting). The seed — k's state at
 // s, no version if k was absent — is therefore the result of every write
 // that precedes s, and nothing lies below it. A reader at c takes the newest
@@ -119,7 +119,7 @@ var (
 	cpCommitMarked  = chaos.At("snapshot.commit.marked")   // slot marked, state not yet re-read
 	cpCommitChecked = chaos.At("snapshot.commit.checked")  // re-read as off: TxEnd or the standalone inner op next
 	cpCommitDone    = chaos.At("snapshot.commit.done")     // committed unpublished, the mark not yet cleared
-	cpCommitWindow  = chaos.At("snapshot.commit.window")   // tier on: timestamp drawn, TxEnd or the publish next
+	cpCommitWindow  = chaos.At("snapshot.commit.window")   // tier on: timestamp drawn, TxEnd next
 	cpStartScan     = chaos.At("snapshot.start.scan")      // the start has seeded one more key
 )
 
@@ -208,7 +208,7 @@ type snapSlot struct {
 // The tier's states, in the one order it passes them.
 const (
 	snapOff      uint32 = iota // nothing has read a snapshot: commits publish nothing
-	snapStarting               // the first snapshot is seeding the tables: writers wait on startMu
+	snapStarting               // the first snapshot is seeding the tables: writers that meet it wait on startMu
 	snapOn                     // started, for good
 )
 
@@ -660,23 +660,28 @@ type pendingWrite struct {
 }
 
 // snapAgent is the per-worker snapshot state embedded in an engine's Tx
-// handle. tier==nil means the engine has no snapshot tier (snapOff
-// sub-engines, or engines without CapSnapshot) and every snapMap stays
-// unwrapped, so the agent is never consulted.
+// handle, and the commit of its transactions (commit). tier==nil means the
+// engine has no snapshot tier (snapOff sub-engines, or engines without
+// CapSnapshot): every snapMap stays unwrapped and a commit is a bare end.
 type snapAgent struct {
 	tier        *snapTier
 	slot        *snapSlot
-	rt          uint64 // nonzero while inside SnapshotRead: the pinned cut
-	lastTS      uint64 // commit ts of the handle's newest published write (see LastCommitTS)
-	unpublished bool   // the attempt wrote with the tier not on: its commit is marked, or aborts
+	ses         *core.Session // the worker's session
+	end         func() error  // ses.TxEnd, bound once: a method value per commit would allocate
+	rt          uint64        // nonzero while inside SnapshotRead: the pinned cut
+	lastTS      uint64        // commit ts of the handle's newest published write (see LastCommitTS)
+	unpublished bool          // the attempt wrote with the tier not on: its commit is marked, or aborts
+	held        bool          // the last attempt's commit met the start: the next waits it out
 	pending     []pendingWrite
+	bo          backoff // between the attempts of a standalone write (snapMap.write)
 }
 
 // beginAttempt readies the agent for a Run attempt, before the attempt opens
-// its transaction: a start under way holds it here, where it holds nothing,
-// and whatever an earlier attempt left is dropped.
+// its transaction: one whose last attempt met the tier's start waits here for
+// it to end, holding nothing, and whatever an earlier attempt left is dropped.
 func (a *snapAgent) beginAttempt() {
-	if a.tier != nil && a.tier.state.Load() == snapStarting {
+	if a.held {
+		a.held = false
 		a.tier.waitStart()
 	}
 	a.reset()
@@ -727,7 +732,7 @@ type snapWrite uint8
 
 const (
 	writeBuffered    snapWrite = iota // tier on, in a transaction: published at the commit's timestamp
-	writePublished                    // tier on, standalone: published in a commit window of its own
+	writeOne                          // tier on, standalone: run as a transaction of one operation
 	writeUnpublished                  // tier not on, in a transaction: the attempt's commit is marked, or aborts
 	writeMarked                       // tier off, standalone: the slot is marked around the inner op
 )
@@ -735,8 +740,7 @@ const (
 // beginWrite readies one map write; buffered says a transaction is open. It
 // panics inside a snapshot — snapshots are read-only. A standalone write with
 // the tier off marks the slot here, before its inner op, and re-reads the
-// state; one that finds a start under way, either time, waits it out here and
-// publishes.
+// state; one that finds a start under way, either time, waits it out here.
 func (a *snapAgent) beginWrite(buffered bool) snapWrite {
 	if a.rt != 0 {
 		panic("txengine: write inside SnapshotRead (snapshot transactions are read-only)")
@@ -746,24 +750,21 @@ func (a *snapAgent) beginWrite(buffered bool) snapWrite {
 	case state == snapOn && buffered:
 		return writeBuffered
 	case state == snapOn:
-		return writePublished
+		return writeOne
 	case buffered:
 		return writeUnpublished
 	case state == snapOff && a.mark():
 		return writeMarked
 	}
 	a.tier.waitStart()
-	return writePublished
+	return writeOne
 }
 
 // endWrite finishes a write begun as w; applied says whether it changed the
 // inner map (an Insert of a present key or a Remove of an absent one did
 // not). Inside a transaction the committed state of a key is buffered —
 // deduplicated, only a key's final state commits — and published at the
-// transaction's single drawn timestamp. A standalone write is its own commit
-// and publishes now, under its own draw; the inner map applied first, so it
-// is briefly invisible to brand-new snapshots — the same lag any concurrent
-// reader already tolerates from an unsynchronized writer.
+// transaction's single drawn timestamp.
 func (a *snapAgent) endWrite(w snapWrite, tab snapPublisher, k, uval uint64, aval any, del, applied bool) {
 	if w == writeMarked {
 		a.unmark()
@@ -775,11 +776,6 @@ func (a *snapAgent) endWrite(w snapWrite, tab snapPublisher, k, uval uint64, ava
 	switch w {
 	case writeUnpublished:
 		a.unpublished = true
-	case writePublished:
-		ts := a.tier.beginCommit(a.slot)
-		tab.publishRaw(k, ts, uval, aval, del)
-		a.lastTS = ts
-		a.tier.endCommit(a.slot)
 	case writeBuffered:
 		for i := range a.pending {
 			if p := &a.pending[i]; p.tab == tab && p.k == k {
@@ -834,20 +830,21 @@ func (a *snapAgent) publishAll(ts uint64) {
 // timestamp order consistent with conflict order, and on success the
 // buffered writes publish under it. Read-only transactions buffer nothing and
 // skip the draw.
-func (a *snapAgent) commit(end func() error) error {
+func (a *snapAgent) commit() error {
 	if a.unpublished {
 		if !a.mark() {
+			a.held = true
 			return core.ErrTxAborted
 		}
-		err := end()
+		err := a.end()
 		a.unmark()
 		return err
 	}
 	if len(a.pending) == 0 {
-		return end()
+		return a.end()
 	}
 	ts := a.tier.beginCommit(a.slot)
-	err := end()
+	err := a.end()
 	if err == nil {
 		a.publishAll(ts)
 	} else {
@@ -875,8 +872,8 @@ type rangeMap[V any] interface {
 
 // snapMap decorates a top-level engine map with the version sidecar. OCC
 // reads and all writes pass straight through to the inner map; writes
-// additionally meet the tier (beginWrite, endWrite), and snapshot reads
-// (agent.rt != 0) are served entirely from the table.
+// additionally meet the tier (write), and snapshot reads (agent.rt != 0) are
+// served entirely from the table.
 type snapMap[V any] struct {
 	inner rangeMap[V]
 	tab   *snapTable[V]
@@ -904,11 +901,51 @@ func (m snapMap[V]) seed(ts uint64) {
 	})
 }
 
-// writeOf is beginWrite for a write through tx.
-func writeOf(tx Tx) (*snapAgent, snapWrite) {
+// snapOp is a map write as snapMap.write runs it.
+type snapOp uint8
+
+const (
+	opPut snapOp = iota
+	opInsert
+	opRemove
+)
+
+// write is every write through the map: op on the inner map, met by the tier
+// (beginWrite, endWrite). A standalone write on a tier that is on runs as a
+// transaction of one operation on the worker's session, retried until it
+// commits: it installs, draws and resolves as a Run does, so its timestamp
+// orders it against every other writer of its key (see the header).
+func (m snapMap[V]) write(tx Tx, op snapOp, k uint64, v V) (V, bool) {
 	st := tx.(snapTxn)
 	a := st.snapAgent()
-	return a, a.beginWrite(st.snapBuffering())
+	w := a.beginWrite(st.snapBuffering())
+	if w != writeOne {
+		return m.apply(a, w, tx, op, k, v)
+	}
+	for attempt := 0; ; attempt++ {
+		a.reset()
+		a.ses.TxBegin()
+		prev, ok := m.apply(a, writeBuffered, tx, op, k, v)
+		if a.ses.InTx() && a.commit() == nil {
+			return prev, ok
+		}
+		a.bo.wait(attempt)
+	}
+}
+
+// apply runs op on the inner map and finishes it as a write begun as w.
+func (m snapMap[V]) apply(a *snapAgent, w snapWrite, tx Tx, op snapOp, k uint64, v V) (prev V, ok bool) {
+	switch op {
+	case opPut:
+		prev, ok = m.inner.Put(tx, k, v)
+	case opInsert:
+		ok = m.inner.Insert(tx, k, v)
+	default:
+		prev, ok = m.inner.Remove(tx, k)
+	}
+	u, av := snapSplit(v)
+	a.endWrite(w, m.tab, k, u, av, op == opRemove, ok || op == opPut)
+	return prev, ok
 }
 
 func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
@@ -919,25 +956,14 @@ func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
 	return m.inner.Get(tx, k)
 }
 
-func (m snapMap[V]) Put(tx Tx, k uint64, v V) (V, bool) {
-	a, w := writeOf(tx)
-	prev, had := m.inner.Put(tx, k, v)
-	u, av := snapSplit(v)
-	a.endWrite(w, m.tab, k, u, av, false, true)
-	return prev, had
-}
+func (m snapMap[V]) Put(tx Tx, k uint64, v V) (V, bool) { return m.write(tx, opPut, k, v) }
 
 func (m snapMap[V]) Insert(tx Tx, k uint64, v V) bool {
-	a, w := writeOf(tx)
-	ok := m.inner.Insert(tx, k, v)
-	u, av := snapSplit(v)
-	a.endWrite(w, m.tab, k, u, av, false, ok)
+	_, ok := m.write(tx, opInsert, k, v)
 	return ok
 }
 
 func (m snapMap[V]) Remove(tx Tx, k uint64) (V, bool) {
-	a, w := writeOf(tx)
-	prev, had := m.inner.Remove(tx, k)
-	a.endWrite(w, m.tab, k, 0, nil, true, had)
-	return prev, had
+	var none V
+	return m.write(tx, opRemove, k, none)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"medley/internal/chaos"
 	"medley/internal/history"
@@ -14,11 +15,11 @@ import (
 // interleaving of the start's scan and the writers' unpublished-commit
 // instants that preempts a goroutine at most twice. That
 // covers a writer parked at each instant of its mark while the tier starts,
-// a write that lands just before the scan, and writers that meet the start
-// and wait for it on startMu (the scheduler counts them blocked and lets
-// another go). A later snapshot and a read of every key join each history,
-// which the checker must accept: every snapshot is the committed state at
-// its cut.
+// a write that lands just before the scan, writers that meet the start and
+// wait for it on startMu (the scheduler counts them blocked and lets another
+// go), and two writers of one key that the start releases together. A later
+// snapshot and a read of every key join each history, which the checker must
+// accept: every snapshot is the committed state at its cut.
 
 // startEngines are the engines the start is explored on: one per commit path
 // (sessionTx, shardedTx), and txMontage, whose scan walks montage's map.
@@ -96,11 +97,10 @@ var startWrites = []struct {
 }
 
 // TestSnapshotStart explores the start on each engine with each kind of first
-// writer. The second writer puts, in a Run, the last key in scan order, which
-// the first writer's Run removes. It does not write the key of a standalone
-// first writer: two writers held by the start run free once it ends, and a
-// standalone write racing another writer of its key is ordered by neither
-// (snapshot.go).
+// writer. The second writer puts the first writer's key, the second in scan
+// order, in a Run, so that the scan can be parked before it or after, and so
+// that two writers of one key that the start held run free together once it
+// ends.
 //
 // The first snapshot must wait for a writer that marked its slot with the tier
 // off, and for no other: it never returns while a writer is parked between
@@ -140,7 +140,7 @@ func TestSnapshotStart(t *testing.T) {
 					})
 					s.Go(func() { w.do(r, r.eng.NewWorker(2), k, k2) })
 					s.Go(func() {
-						if err := runOps(&r.rec, 3, r.m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k2, Arg: 9000 + k2}}, false, nil); err != nil {
+						if err := runOps(&r.rec, 3, r.m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k, Arg: 9000 + k}}, false, nil); err != nil {
 							panic(err)
 						}
 					})
@@ -164,6 +164,114 @@ func TestSnapshotStart(t *testing.T) {
 					t.Error("in no interleaving did the first snapshot return while a writer was parked before its mark")
 				}
 				t.Logf("%d interleavings, %d passed a writer before its mark", n, passed)
+			})
+		}
+	}
+}
+
+// TestSnapshotStartHoldsNoReader: while the start scans, holding startMu, a
+// Run that writes nothing runs to its end. Only a writer that meets the start
+// waits for it.
+func TestSnapshotStartHoldsNoReader(t *testing.T) {
+	for _, e := range startEngines {
+		t.Run(fmt.Sprintf("%s/shards=%d", e.key, e.shards), func(t *testing.T) {
+			r := newStartRig(t, e.key, e.shards)
+			defer r.eng.Close()
+			tx := r.eng.NewWorker(2)
+			found := make(chan bool, 1)
+			if err := chaos.Arm("snapshot.start.scan", chaos.Fault{Kind: chaos.Delay, Times: 1, Action: func() {
+				go tx.RunRead(func() {
+					_, ok := r.m.Get(tx, r.keys[0])
+					select {
+					case found <- ok:
+					default: // a retry's answer: the first one is in
+					}
+				})
+				select {
+				case ok := <-found:
+					if !ok {
+						t.Error("a read during the start missed a present key")
+					}
+				case <-time.After(5 * time.Second):
+					t.Error("a read-only Run waited for the start")
+				}
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			defer chaos.Disarm("snapshot.start.scan")
+			SnapshotRead(r.eng.NewWorker(1), func() {})
+		})
+	}
+}
+
+// hookMap runs hook once, when the first write it passes to the inner map
+// returns: between a standalone write's inner operation and its commit.
+type hookMap struct {
+	rangeMap[uint64]
+	hook func()
+}
+
+func (h *hookMap) after() {
+	if f := h.hook; f != nil {
+		h.hook = nil
+		f()
+	}
+}
+
+func (h *hookMap) Put(tx Tx, k, v uint64) (uint64, bool) {
+	defer h.after()
+	return h.rangeMap.Put(tx, k, v)
+}
+
+func (h *hookMap) Remove(tx Tx, k uint64) (uint64, bool) {
+	defer h.after()
+	return h.rangeMap.Remove(tx, k)
+}
+
+// TestSnapshotStandaloneOrder: on a tier that is on, a Run puts a key between
+// a standalone write's inner operation and its commit. The standalone write
+// is a transaction of one operation, so the Run aborts it, and its retry
+// writes over the Run's value and is stamped above it. Were it applied first
+// and stamped after, the table would hold it over the Run's value, which the
+// map no longer has: the later snapshot would read what the read of every
+// key does not.
+func TestSnapshotStandaloneOrder(t *testing.T) {
+	for _, e := range startEngines {
+		for _, w := range []struct {
+			name string
+			op   history.Op
+		}{{"put", history.Op{Kind: history.Put, Arg: 8000}}, {"remove", history.Op{Kind: history.Remove}}} {
+			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.key, e.shards, w.name), func(t *testing.T) {
+				r := newStartRig(t, e.key, e.shards)
+				defer r.eng.Close()
+				snapshotOps(&r.rec, 1, r.m, r.eng.NewWorker(1), r.keys) // starts the tier
+				sm := r.m.(snapMap[uint64])
+				h := &hookMap{rangeMap: sm.inner}
+				m := snapMap[uint64]{inner: h, tab: sm.tab}
+				k := r.keys[1]
+				h.hook = func() {
+					done := make(chan error)
+					go func() {
+						done <- runOps(&r.rec, 3, m, r.eng.NewWorker(3), []history.Op{{Kind: history.Put, Key: k, Arg: 9000 + k}}, false, nil)
+					}()
+					if err := <-done; err != nil {
+						t.Error(err)
+					}
+				}
+				op := w.op
+				op.Key = k
+				single(&r.rec, 2, m, r.eng.NewWorker(2), op)
+				if h.hook != nil {
+					t.Fatal("the standalone write never reached the inner map")
+				}
+				tx := r.eng.NewWorker(4)
+				snapshotOps(&r.rec, 4, r.m, tx, r.keys)
+				if err := readAll(&r.rec, 4, r.m, tx, startKeys); err != nil {
+					t.Fatal(err)
+				}
+				if err := history.Check(r.rec.Events()); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
