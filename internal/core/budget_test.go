@@ -17,12 +17,14 @@ import (
 // capacity — so a change that moves a number moved the design. Sizes are Go's
 // malloc size classes (…16, 24, 32, 48, 64 … 96 …).
 //
-//	cell         24  for CASObj[int]: desc, prev, value
-//	             32  for mlist's marked reference (a two-word value)
+//	cell         24  desc, prev and a one-word value: CASObj[int], mlist's
+//	                 marked reference
 //
-// Every critical CAS allocates one cell, the one that installs the
+// Every critical CAS publishes one cell, the one that installs the
 // descriptor: commit turns it into the real value in place, abort swings the
-// slot back to the cell it replaced, and neither allocates. The descriptor
+// slot back to the cell it replaced, and neither allocates. The CAS allocates
+// that cell unless its caller hands it one (NbtcCASIn): mlist's insert
+// publishes the cell inside the new node, which so costs nothing. The descriptor
 // and its read and write sets cost nothing once the session's first
 // transactions have grown them. Only a helper still inside the descriptor when
 // its transaction finishes makes the next transaction pay for a fresh one
@@ -117,17 +119,20 @@ func TestBudgetHelperAtFinish(t *testing.T) {
 // The same on mhash, where the structure's own allocations ride along. A
 // Put that replaces a value costs, outside core's one cell:
 //
-//	node          24  key, value, next
-//	cleanup       64  the deferred-unlink closure (function + six captures)
-//	unlink CAS    32  the post-commit cell that snips the victim out
+//	node          48  its own cell (24), key, value, next: the cell the
+//	                  post-commit unlink publishes in the predecessor
+//	cleanup       64  the deferred-unlink closure (function, dictionary and
+//	                  six captures)
 //
-// 120 bytes in 3 allocations, so 152 in 4 with the install. The keys here sit
-// alone in their buckets, so the new node's successor is nil — the zero value,
-// which next.Init stores without a cell; in front of a successor it is one
-// 32-byte cell, however often the Put retries (TestBudgetInit).
+// 112 bytes in 2 allocations, so 136 in 3 with the install, which publishes
+// the marked link to the node in a 24-byte cell of its own: that link goes
+// with the victim. The keys here sit alone in their buckets, so the new node's
+// successor is nil — the zero value, which next.Init stores without a cell;
+// in front of a successor it is one 24-byte cell, however often the Put
+// retries (TestBudgetInit).
 // A Get of a present key records two reads (predecessor link and the node's
 // own successor), of an absent key one.
-const putAllocs, putBytes = 4, 24 + 64 + 32 + 32
+const putAllocs, putBytes = 3, 48 + 64 + 24
 
 // A private node's successor, set three times as by a Put that retried
 // twice: one 24-byte cell around an int; the zero value costs nothing. The
@@ -212,19 +217,20 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 // and by the superseded markers; the ids join batch slices handed back emptied
 // by the last flush; the dead queue keeps its capacity. What is left is what medley
 // pays for the same Put through the same engine and what the payload itself
-// costs. Medley's Put through Run is 5 allocations, 200 B: the Put's 152 and
+// costs. Medley's Put through Run is 4 allocations, 184 B: the Put's 136 and
 // the 48-byte closure this test hands Run (it captures the map, the worker
 // and v), while nothing has read a snapshot; once one SnapshotRead has started
-// the snapshot tier it is 6 allocations, 232 B (one 32-byte version more: the
+// the snapshot tier it is 5 allocations, 216 B (one 32-byte version more: the
 // tier's slot array is not re-grown by an overwrite of a key it holds). The
 // payload:
 //
 //	payload        8  the encoded value, the record's Val
-//	node          +8  the index entry carries the payload id beside the value
+//	node         +16  the index entry carries the payload id beside the value:
+//	                  56 bytes with the node's cell, the 64-byte class
 //	undo          32  the OnAbort closure that deletes the payload
 //	retire        48  the post-commit closure that writes the retire mark
 //
-// 96 bytes in 3 allocations. Before reclaim the same call measured 16
+// 104 bytes in 3 allocations. Before reclaim the same call measured 16
 // allocations and 911 B: a fresh 64-byte record for the payload and for each
 // of Sync's two markers, entries in up to four tables that outlived them, and
 // per-epoch batch slices rebuilt from nil.
@@ -234,8 +240,8 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 		snapshot      bool
 		allocs, bytes int64
 	}{
-		{"tier off", false, 5 + 3, 200 + 96},
-		{"tier started", true, 6 + 3, 232 + 96},
+		{"tier off", false, 4 + 3, 184 + 104},
+		{"tier started", true, 5 + 3, 216 + 104},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, m, tx, _ := newHeapBudget(t, "txmontage", 16)
@@ -302,12 +308,12 @@ func TestBudgetDeviceCycle(t *testing.T) {
 // load factor), HeapAlloc after a collection, per key. On medley, in a map
 // nothing has read a snapshot of:
 //
-//	node            24  key, value, next
-//	link cell       32  the one cell that points at the node: its bucket's
-//	                    head (0.63 of keys) or its predecessor's next (0.37);
-//	                    a tail's own next is the zero value and has no cell
+//	node            48  the one cell that points at it, from its bucket's
+//	                    head (0.63 of keys) or its predecessor's next (0.37),
+//	                    then key, value, next; a tail's own next is the zero
+//	                    value and has no cell
 //
-// 56 in all: the snapshot tier has not started, so it holds nothing. Once one
+// 48 in all: the snapshot tier has not started, so it holds nothing. Once one
 // SnapshotRead has started it (here, after the puts: its scan seeds every
 // key), each key adds
 //
@@ -316,7 +322,7 @@ func TestBudgetDeviceCycle(t *testing.T) {
 //	                    double at 3/4 full: 1562 keys a stripe put three
 //	                    stripes in four on 4096 slots, the rest on 2048
 //
-// 106–110 in all. The sharded engine wraps the same map once; txmontage adds
+// 98–102 in all. The sharded engine wraps the same map once; txmontage adds
 // what the payload costs on the simulated device and what points at it:
 //
 //	slot          85.4  a 72-byte line in its shard's slab: a chunk of 256 is
@@ -324,20 +330,21 @@ func TestBudgetDeviceCycle(t *testing.T) {
 //	                    size class, 74.5 B a slot; 1562.5 keys a device shard
 //	                    stand on 7 chunks, 1792 slots
 //	payload        8    the encoded value, the record's Val
-//	node          +8    the index entry carries the payload id beside the value
+//	node         +16    the index entry carries the payload id beside the
+//	                    value: 56 bytes, the 64-byte class
 //	batch          8.9  the id in its epoch's batch, a slice grown by append
 //	                    to 110 592 entries (no advancer runs here)
 //
-// 110.3. With the tier started the ceilings are the arithmetic with every
+// 118.3. With the tier started the ceilings are the arithmetic with every
 // stripe on the larger array, whose slack also covers what a run allocates
 // once whatever its key count (the worker's scratch and spare descriptor; on
 // txmontage the epoch system's batch ring: 0.2 KB on medley, 4 KB on
 // txmontage). Without it the arithmetic has no slack, so the ceilings add
 // 8 KB spread over the keys for that.
 const (
-	residentKey         = 24 + 32
+	residentKey         = 48
 	residentKeySnapshot = residentKey + 32 + 22
-	montageKey          = 110.3
+	montageKey          = 118.3
 )
 
 func TestBudgetResidentKey(t *testing.T) {
@@ -386,12 +393,12 @@ func TestBudgetResidentKey(t *testing.T) {
 // transaction a pair, so after five rounds every key has been inserted and
 // removed more than once. A live key costs what a resident one does plus what
 // churn leaves behind in mhash (an emptied bucket keeps its head cell, a node
-// whose successor left keeps a cell around nil): 76 B measured in a map
+// whose successor left keeps a cell around nil): 63 B measured in a map
 // nothing has read a snapshot of, within 1.5x of residentKey pinned. With the
 // snapshot tier started first (one SnapshotRead before the churn) the tier
 // may keep nothing for a key that is gone — its tombstone and its slot are
 // swept once no cut can tell the difference — and one version for a key that
-// is there, so the tier's dead markers join the residue: 132 B measured,
+// is there, so the tier's dead markers join the residue: 119 B measured,
 // within 1.5x of residentKeySnapshot. A tier that pays for every key ever
 // seen, and a second version of each, is past 4x.
 func TestBudgetChurnedKey(t *testing.T) {

@@ -27,12 +27,21 @@ type cellHeader struct {
 
 func (h *cellHeader) owner() *Desc { return (*Desc)(atomic.LoadPointer(&h.desc)) }
 
-// cell is one version of a CASObj's contents, 32 bytes around a marked
-// reference. val is immutable; while a descriptor is installed it is the
+// cell is one version of a CASObj's contents, 24 bytes around a one-word
+// value. val is immutable; while a descriptor is installed it is the
 // speculative value, and the replaced cell (prev) holds the old one.
 type cell[T comparable] struct {
 	cellHeader
 	val T
+}
+
+// Cell is a cell a caller supplies to CASIn or NbtcCASIn instead of having
+// the CAS allocate one: a field of the node the CAS links, so that the slot,
+// the cell and the node are one object. Its zero value is ready; it may go
+// through any number of CASes that fail, but once one has published it, it
+// belongs to the object it was published in and must not be passed again.
+type Cell[T comparable] struct {
+	c cell[T]
 }
 
 // value is the cell's value; a nil cell is the zero value of T.
@@ -111,19 +120,13 @@ func (o *CASObj[T]) Store(v T) {
 // resolves foreign descriptors before comparing, and retries on version
 // churn so long as the current value still equals expected.
 func (o *CASObj[T]) CAS(expected, desired T) bool {
-	var nc *cell[T]
-	for {
-		c := o.resolve(nil)
-		if c.value() != expected {
-			return false
-		}
-		if nc == nil {
-			nc = &cell[T]{val: desired}
-		}
-		if o.cas(c, nc) {
-			return true
-		}
-	}
+	return o.NbtcCASIn(nil, expected, nil, desired, false, false)
+}
+
+// CASIn is CAS publishing desired in the caller's cell in, which must never
+// have been published (Cell); nil allocates one, as CAS does.
+func (o *CASObj[T]) CASIn(expected T, in *Cell[T], desired T) bool {
+	return o.NbtcCASIn(nil, expected, in, desired, false, false)
 }
 
 // NbtcLoad is the transactional load of Fig. 5. Outside a transaction it
@@ -152,26 +155,39 @@ func (o *CASObj[T]) NbtcLoad(s *Session) (T, ReadTag) {
 // are executed speculatively by installing the transaction's descriptor; the
 // write takes effect only if the transaction commits.
 func (o *CASObj[T]) NbtcCAS(s *Session, expected, desired T, linPt, pubPt bool) bool {
-	if s == nil || s.desc == nil {
-		return o.CAS(expected, desired)
+	return o.NbtcCASIn(s, expected, nil, desired, linPt, pubPt)
+}
+
+// NbtcCASIn is NbtcCAS publishing desired in the caller's cell in, which must
+// never have been published (Cell); nil allocates one, as NbtcCAS does. It is
+// the one CAS path: CAS, CASIn and NbtcCAS all run it.
+func (o *CASObj[T]) NbtcCASIn(s *Session, expected T, in *Cell[T], desired T, linPt, pubPt bool) bool {
+	var d *Desc // nil outside a transaction: every CAS is then non-critical
+	if s != nil {
+		d = s.desc
 	}
-	d := s.desc
-	var nc *cell[T] // the one cell this call allocates; private until a CAS publishes it
+	var nc *cell[T] // private until a CAS publishes it, so one serves every retry
+	if in != nil {
+		nc = &in.c
+	}
 	for {
 		c := o.resolve(d)
-		own := c != nil && c.owner() != nil
+		own := c != nil && c.owner() != nil // resolve leaves only d's own installed
 		if own {
 			s.inSpec = true
 		}
 		if c.value() != expected {
 			return false
 		}
-		if pubPt {
+		if pubPt && d != nil {
 			s.inSpec = true
 		}
 		if nc == nil {
-			nc = &cell[T]{val: desired}
+			nc = &cell[T]{}
 		}
+		nc.val = desired
+		// Each case writes the whole header: a caller's cell may come from a
+		// failed install that left its descriptor in it.
 		switch {
 		case own:
 			// Own descriptor already installed here: speculative update of
@@ -185,9 +201,9 @@ func (o *CASObj[T]) NbtcCAS(s *Session, expected, desired T, linPt, pubPt bool) 
 				return true
 			}
 			// a helper aborted us and swung the slot back; re-resolve
-		case !s.inSpec:
-			// Non-critical CAS: execute on the fly (methodology step 1). nc's
-			// header is nil: the cases that set it never lead back here.
+		case d == nil || !s.inSpec:
+			// Non-critical CAS: execute on the fly (methodology step 1).
+			nc.desc, nc.prev = nil, nil
 			if o.cas(c, nc) {
 				return true
 			}

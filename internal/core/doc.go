@@ -24,6 +24,13 @@
 // the object's slot. Cell identity subsumes {value, counter} equality, so
 // read-set validation is one pointer comparison and no counter is kept.
 //
+// The paper's word holds its value inline, so a step of a list walk loads one
+// line; a boxed value makes it slot → cell → node, two dependent misses more.
+// A structure gets the one line back by handing the CAS that links a new node
+// the cell inside that node (Cell, NbtcCASIn): the slot then points into the
+// node itself. A cell so supplied must never have been published, so each
+// node's cell goes to the one link that stays pointing at it (mlist).
+//
 // The paper also keeps one descriptor per thread and reuses it under a serial
 // number, so that a helper holding an old transaction's descriptor can tell it
 // has been reused. Here a count of the helpers inside a descriptor stands in
@@ -35,13 +42,16 @@
 // A critical CAS installs a new cell that carries the owning descriptor, the
 // speculative new value, and a pointer to the replaced cell, prev — which
 // holds the overwritten value and validates reads that the same transaction
-// later overwrote. That cell is all an install allocates: uninstalling is
-// type-erased and allocates nothing. On commit the installed cell becomes the
-// real value in place: prev is cleared, then desc, in that order so that a
-// helper descheduled between the two cannot leave the overwritten cell pinned
-// behind a cell that looks finished. On abort the slot swings back to prev
-// with one CAS, since the install never took effect. val is immutable, and a
-// desc that reads nil stays nil.
+// later overwrote. That cell is all an install allocates, and nothing when
+// the caller supplies it: uninstalling is type-erased and allocates nothing.
+// Every CAS writes the whole header of its cell before the CAS, since a
+// supplied cell may still carry what a failed install wrote into it. On
+// commit the installed cell becomes the real value in place: prev is cleared,
+// then desc, in that order so that a helper descheduled between the two
+// cannot leave the overwritten cell pinned behind a cell that looks finished.
+// On abort the slot swings back to prev with one CAS, since the install never
+// took effect. val is immutable once published, and a desc that reads nil
+// stays nil.
 //
 // So a cell pointer can come back to a slot, but only by the abort of an
 // install made directly over it, which is no change of the object's logical
@@ -139,7 +149,8 @@
 // A helper that increments and fails its re-check may make the owner drop a
 // descriptor nobody was going to touch; that costs a fresh descriptor, never
 // safety. With no helper about, reuse is deterministic: what a transaction
-// allocates is one cell per install, and nothing for its descriptor or sets
+// allocates is one cell per install that does not bring its own (installing
+// a new list node allocates none), and nothing for its descriptor or sets
 // once the session's arrays have grown to fit — it does not depend on
 // collector timing or scheduling, which a sync.Pool, a free list shared
 // between sessions, or epoch-deferred reuse would (bytes per operation is the

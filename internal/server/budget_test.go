@@ -88,24 +88,25 @@ func TestBudgetServe(t *testing.T) {
 		// An OCC Get is a standalone read: no descriptor.
 		{"get via occ", Options{NoReadLane: true}, false, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
-		// snapshot: measured 4.007 allocations, 152.2 B — mhash's Put as
-		// internal/core prices it (node 24, deferred-unlink closure 64,
-		// unlink cell 32, install cell 32) and no snapshot version.
-		{"put", Options{}, false, put, 4.02, 154},
-		// The same once the snapshot tier has started: measured 5.01
-		// allocations, 184 B (+ one 32-byte snapshot version).
-		{"put, tier started", Options{}, true, put, 5.05, 190},
+		// snapshot: measured 3.007 allocations, 136.2 B — mhash's Put as
+		// internal/core prices it (node 48 with the cell its unlink
+		// publishes, deferred-unlink closure 64, install cell 24) and no
+		// snapshot version.
+		{"put", Options{}, false, put, 3.02, 138},
+		// The same once the snapshot tier has started: measured 4.01
+		// allocations, 168.4 B (+ one 32-byte snapshot version).
+		{"put, tier started", Options{}, true, put, 4.05, 174},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
-		// before anything has read a snapshot: measured 13.11 allocations,
-		// 496.2 B: three Puts as above (456 B in 12), the 32-byte closure
+		// before anything has read a snapshot: measured 10.11 allocations,
+		// 448.1 B: three Puts as above (408 B in 9), the 32-byte closure
 		// execTxn hands Run, and the latch table's occasional growth (0.1
 		// allocation). The worker runs every transaction on one descriptor,
 		// so its header and its read and write sets cost nothing.
-		{"4-op transfer txn", Options{}, false, txn, 13.15, 500},
-		// The same once the snapshot tier has started: measured 16.11
-		// allocations, 592.3 B (+ a 32-byte version for each of the three
+		{"4-op transfer txn", Options{}, false, txn, 10.15, 452},
+		// The same once the snapshot tier has started: measured 13.11
+		// allocations, 544.1 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", Options{}, true, txn, 16.15, 596},
+		{"4-op transfer txn, tier started", Options{}, true, txn, 13.15, 548},
 	}
 
 	// The client's own share: the same client over the same pipe against the

@@ -14,28 +14,66 @@
 // Keys are ordered; values are immutable per node (updates replace the node,
 // exactly as in the paper: the new node is inserted as the marked victim's
 // successor in one CAS, which is both linearization and publication point).
+//
+// A node carries the cell of the link that stays pointing at it (in): an
+// insert publishes it in the predecessor, a replace in the post-commit unlink
+// that swings the predecessor past the victim. A walk from a slot then reads
+// the cell and the node in one object, where a cell of its own would be a
+// second dependent load; the paper's 128-bit CASObj gets the same from
+// holding the link inline.
 package mlist
 
 import (
 	"cmp"
+	"unsafe"
 
 	"medley/internal/core"
 )
 
 // node is a list node. key and val never change after insertion; all
-// mutation happens through next.
+// mutation happens through next. in is the cell that publishes the node in
+// the link that finally points at it, at most once (core.Cell).
 type node[K cmp.Ordered, V any] struct {
+	in   core.Cell[Ref[K, V]]
 	key  K
 	val  V
 	next core.CASObj[Ref[K, V]]
 }
 
-// Ref is a marked reference: the successor pointer plus the logical-deletion
-// mark of the containing node (Harris-style). It is the CASObj value type of
-// every next pointer.
+// Ref is a marked reference in one word: the successor's address, plus one
+// when the containing node is logically deleted (Harris's low-bit mark; a
+// node is word-aligned, so the bit is free). A marked nil is markedEnd's
+// address plus one, which no node has. It is the CASObj value type of every
+// next pointer.
 type Ref[K cmp.Ordered, V any] struct {
-	n      *node[K, V]
-	marked bool
+	p unsafe.Pointer
+}
+
+// markedEnd stands in for the node a marked nil points past.
+var markedEnd uint64
+
+func to[K cmp.Ordered, V any](n *node[K, V]) Ref[K, V] { return Ref[K, V]{unsafe.Pointer(n)} }
+
+// mark returns r with the deletion mark set.
+func (r Ref[K, V]) mark() Ref[K, V] {
+	p := r.p
+	if p == nil {
+		p = unsafe.Pointer(&markedEnd)
+	}
+	return Ref[K, V]{unsafe.Add(p, 1)}
+}
+
+func (r Ref[K, V]) marked() bool { return uintptr(r.p)&1 != 0 }
+
+// node returns the successor r points at, marked or not.
+func (r Ref[K, V]) node() *node[K, V] {
+	p := r.p
+	if uintptr(p)&1 != 0 {
+		if p = unsafe.Add(p, -1); p == unsafe.Pointer(&markedEnd) {
+			return nil
+		}
+	}
+	return (*node[K, V])(p)
 }
 
 // List is a lock-free ordered map from K to V supporting transactional
@@ -68,30 +106,30 @@ retry:
 	prev = &l.head
 	pref, ptag0 := prev.NbtcLoad(s)
 	ptag = ptag0
-	curr = pref.n
+	curr = pref.node()
 	for curr != nil {
 		cref, ctag0 := curr.next.NbtcLoad(s)
-		if cref.marked {
+		if cref.marked() {
 			// curr is logically deleted; snip it out. The replacement
-			// successor is cref.n (for value updates this is the new node
-			// carrying the same key).
-			if !prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{cref.n, false}, false, false) {
+			// successor is cref's node (for value updates this is the new
+			// node carrying the same key).
+			succ := to(cref.node())
+			if !prev.NbtcCAS(s, to(curr), succ, false, false) {
 				goto retry
 			}
 			pref2, ptag2 := prev.NbtcLoad(s)
-			want := Ref[K, V]{cref.n, false}
-			if pref2 != want {
+			if pref2 != succ {
 				goto retry
 			}
 			ptag = ptag2
-			curr = cref.n
+			curr = succ.node()
 			continue
 		}
 		if curr.key >= k {
 			return prev, ptag, curr, ctag0, cref, curr.key == k
 		}
 		prev, ptag = &curr.next, ctag0
-		curr = cref.n
+		curr = cref.node()
 	}
 	return prev, ptag, nil, nil, Ref[K, V]{}, false
 }
@@ -122,6 +160,8 @@ func (l *List[K, V]) Contains(s *core.Session, k K) bool {
 // update path follows the paper's Fig. 2: the new node is published as the
 // marked successor of the node it replaces in a single CAS (linearization
 // and publication point); unlinking the victim is post-critical cleanup.
+// That marked link goes with the victim, so it takes a cell of its own, and
+// the node's own cell goes to the unlink, whose link stays.
 func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 	s.OpStart()
 	// nn is private until one of the CASes below publishes it, so its
@@ -130,17 +170,17 @@ func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 	for {
 		prev, _, curr, _, nxt, found := l.find(s, k)
 		if found { // replace
-			nn.next.Init(Ref[K, V]{nxt.n, false})
-			if curr.next.NbtcCAS(s, Ref[K, V]{nxt.n, false}, Ref[K, V]{nn, true}, true, true) {
+			nn.next.Init(nxt)
+			if curr.next.NbtcCAS(s, nxt, to(nn).mark(), true, true) {
 				old = curr.val
-				l.deferUnlink(s, prev, curr, nn)
+				l.deferUnlink(s, prev, curr, nn, &nn.in)
 				return old, true
 			}
 			continue
 		}
 		// insert before curr
-		nn.next.Init(Ref[K, V]{curr, false})
-		if prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{nn, false}, true, true) {
+		nn.next.Init(to(curr))
+		if prev.NbtcCASIn(s, to(curr), &nn.in, to(nn), true, true) {
 			var zero V
 			return zero, false
 		}
@@ -163,8 +203,8 @@ func (l *List[K, V]) Insert(s *core.Session, k K, v V) bool {
 		if nn == nil {
 			nn = &node[K, V]{key: k, val: v}
 		}
-		nn.next.Init(Ref[K, V]{curr, false})
-		if prev.NbtcCAS(s, Ref[K, V]{curr, false}, Ref[K, V]{nn, false}, true, true) {
+		nn.next.Init(to(curr))
+		if prev.NbtcCASIn(s, to(curr), &nn.in, to(nn), true, true) {
 			return true
 		}
 	}
@@ -183,24 +223,26 @@ func (l *List[K, V]) Remove(s *core.Session, k K) (V, bool) {
 			var zero V
 			return zero, false
 		}
-		if curr.next.NbtcCAS(s, Ref[K, V]{nxt.n, false}, Ref[K, V]{nxt.n, true}, true, true) {
-			l.deferUnlink(s, prev, curr, nxt.n)
+		if curr.next.NbtcCAS(s, nxt, nxt.mark(), true, true) {
+			l.deferUnlink(s, prev, curr, nxt.node(), nil)
 			return curr.val, true
 		}
 	}
 }
 
 // deferUnlink registers the post-critical physical unlink of victim,
-// replacing it with succ in prev; if the direct CAS fails, a plain find
-// sweeps the victim out. Runs after commit (or immediately outside a
-// transaction), matching the cleanup lambda of the paper's Fig. 2.
-func (l *List[K, V]) deferUnlink(s *core.Session, prev *core.CASObj[Ref[K, V]], victim *node[K, V], succ *node[K, V]) {
-	k := victim.key
+// replacing it with succ in prev, published in cell in (nil: a new one); if
+// the direct CAS fails, a plain find sweeps the victim out. Runs after commit
+// (or immediately outside a transaction), matching the cleanup lambda of the
+// paper's Fig. 2. The closure reads victim.key instead of capturing a copy:
+// with in, and the dictionary a closure in a generic method captures, one
+// more word would take it past 64 bytes.
+func (l *List[K, V]) deferUnlink(s *core.Session, prev *core.CASObj[Ref[K, V]], victim, succ *node[K, V], in *core.Cell[Ref[K, V]]) {
 	s.AddToCleanups(func() {
-		if prev.CAS(Ref[K, V]{victim, false}, Ref[K, V]{succ, false}) {
+		if prev.CASIn(to(victim), in, to(succ)) {
 			s.TRetire(victim)
 		} else {
-			l.find(nil, k) // generic helping path snips it
+			l.find(nil, victim.key) // generic helping path snips it
 		}
 	})
 }
@@ -210,12 +252,12 @@ func (l *List[K, V]) deferUnlink(s *core.Session, prev *core.CASObj[Ref[K, V]], 
 func (l *List[K, V]) Len() int {
 	n := 0
 	ref := l.head.Load()
-	for nd := ref.n; nd != nil; {
+	for nd := ref.node(); nd != nil; {
 		nref := nd.next.Load()
-		if !nref.marked {
+		if !nref.marked() {
 			n++
 		}
-		nd = nref.n
+		nd = nref.node()
 	}
 	return n
 }
@@ -224,12 +266,12 @@ func (l *List[K, V]) Len() int {
 func (l *List[K, V]) Keys() []K {
 	var ks []K
 	ref := l.head.Load()
-	for nd := ref.n; nd != nil; {
+	for nd := ref.node(); nd != nil; {
 		nref := nd.next.Load()
-		if !nref.marked {
+		if !nref.marked() {
 			ks = append(ks, nd.key)
 		}
-		nd = nref.n
+		nd = nref.node()
 	}
 	return ks
 }
@@ -238,13 +280,13 @@ func (l *List[K, V]) Keys() []K {
 // false. Non-linearizable diagnostic traversal.
 func (l *List[K, V]) Range(f func(K, V) bool) {
 	ref := l.head.Load()
-	for nd := ref.n; nd != nil; {
+	for nd := ref.node(); nd != nil; {
 		nref := nd.next.Load()
-		if !nref.marked {
+		if !nref.marked() {
 			if !f(nd.key, nd.val) {
 				return
 			}
 		}
-		nd = nref.n
+		nd = nref.node()
 	}
 }

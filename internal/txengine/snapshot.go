@@ -509,8 +509,9 @@ probe:
 // array stays as it was for the readers still probing it. The move runs in
 // the publisher's commit window, so it holds back the stripe's publishers and
 // the seal for a time linear in keys/snapStripes — 0.2 ms at 8 k keys a
-// stripe (embed_compose), 4 ms at 80 k — at most once per len/4 inserts; the
-// stripe count must grow before maps do (ROADMAP).
+// stripe (a map of half a million keys; the benchmark rows that start the
+// tier hold 64 Ki keys, 1 k a stripe), 4 ms at 80 k — at most once per len/4
+// inserts; the stripe count must grow before maps do (ROADMAP).
 func (t *snapTable[V]) maintain(s *snapStripe[V]) snapSlots[V] {
 	var slots snapSlots[V]
 	if p := s.slots.Load(); p != nil {

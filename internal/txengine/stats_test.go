@@ -255,8 +255,9 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 // budget for a transaction that spans shards: nothing. It is the worker's one
 // session on the engine's one manager either way, so an un-hinted transfer
 // between two shards allocates exactly — count and bytes — what the same
-// transfer does inside one shard: two mhash overwrites (node 24, deferred
-// unlink 64, unlink cell 32, install cell 32), 8 allocations and 304 B, and
+// transfer does inside one shard: two mhash overwrites (node 48 with the cell
+// its unlink publishes, deferred unlink 64, install cell 24), 6 allocations
+// and 272 B, and
 // nothing for the descriptor, which the session reuses. A committed
 // read-only Run over two shards allocates 0.
 func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
@@ -308,8 +309,8 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 	oneAllocs, oneBytes := measure(transfer(same))
 	twoAllocs, twoBytes := measure(transfer(other))
 	t.Logf("transfer: %d allocations / %d B on one shard, %d / %d over two", oneAllocs, oneBytes, twoAllocs, twoBytes)
-	if oneAllocs != 2*4 || oneBytes != 2*152 || twoAllocs != oneAllocs || twoBytes != oneBytes {
-		t.Errorf("a transfer over two shards allocates %d times / %d B, inside one shard %d times / %d B: want 8 / 304 B both", twoAllocs, twoBytes, oneAllocs, oneBytes)
+	if oneAllocs != 2*3 || oneBytes != 2*136 || twoAllocs != oneAllocs || twoBytes != oneBytes {
+		t.Errorf("a transfer over two shards allocates %d times / %d B, inside one shard %d times / %d B: want 6 / 272 B both", twoAllocs, twoBytes, oneAllocs, oneBytes)
 	}
 	if allocs, bytes := measure(func() error {
 		m.Get(tx, from)
