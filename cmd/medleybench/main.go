@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"medley/internal/bench"
+	"medley/internal/metrics"
 	"medley/internal/pnvm"
 	"medley/internal/txengine"
 	"medley/internal/workload"
@@ -142,17 +143,14 @@ func main() {
 		for _, r := range ratios {
 			wl := bench.PaperWorkload(r[0], r[1], r[2], *scale)
 			fmt.Printf("\n## %s, get:insert:remove = %s\n", figName, wl.Ratio())
-			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "fpmiss", "latchw", "latchfb")
+			fmt.Printf("%-16s %8s %14s%s\n", "system", "threads", "txn/s", statHead)
 			for _, name := range systems {
 				for _, th := range threads {
 					sys := mustSystem(name, kind, wl, opt)
 					res := bench.RunThroughput(sys, wl, th, *dur)
 					sys.Close()
-					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d\n",
-						res.System, res.Threads, res.Throughput,
-						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
-						res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks)
+					_, stats := metrics.Columns(res.Stats, 10)
+					fmt.Printf("%-16s %8d %14.0f%s\n", res.System, res.Threads, res.Throughput, stats)
 				}
 			}
 		}
@@ -306,13 +304,14 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 			systems = kept
 		}
 		fmt.Printf("\n## workload %s (%s)\n", name, sc.Doc)
-		if cfg.Latency {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "p50", "p99", "audit")
-		} else {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "audit")
+		// The p50/p99 columns, in latency mode.
+		lat := func(p50, p99 any) string {
+			if !cfg.Latency {
+				return ""
+			}
+			return fmt.Sprintf(" %10v %10v", p50, p99)
 		}
+		fmt.Printf("%-12s %8s %14s%s%s  %s\n", "system", "threads", "txn/s", statHead, lat("p50", "p99"), "audit")
 		for _, engine := range systems {
 			for _, th := range threads {
 				cfg := cfg
@@ -322,27 +321,16 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(2)
 				}
-				if cfg.Latency {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10v %10v  %s\n",
-						res.System, res.Threads, res.Throughput,
-						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
-						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
-						res.P50, res.P99, res.AuxString())
-				} else {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d  %s\n",
-						res.System, res.Threads, res.Throughput,
-						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
-						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
-						res.AuxString())
-				}
+				_, stats := metrics.Columns(res.Stats, 10)
+				fmt.Printf("%-12s %8d %14.0f%s%s  %s\n", res.System, res.Threads, res.Throughput, stats, lat(res.P50, res.P99), res.AuxString())
 			}
 		}
 	}
 }
+
+// statHead heads the engine-counter columns, one per printed txengine.Stats
+// field.
+var statHead, _ = metrics.Columns(txengine.Stats{}, 10)
 
 func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, opt bench.Options) bench.System {
 	sys, err := bench.NewSystem(name, kind, wl, opt)

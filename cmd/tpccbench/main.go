@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"medley/internal/bench"
+	"medley/internal/metrics"
 	"medley/internal/pnvm"
 	"medley/internal/tpcc"
 	"medley/internal/txengine"
@@ -90,7 +91,8 @@ func main() {
 	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
-	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale")
+	head, _ := metrics.Columns(txengine.Stats{}, 10)
+	fmt.Printf("%-12s %8s %14s%s\n", "system", "threads", "txn/s", head)
 
 	for _, name := range systems {
 		for _, th := range threads {
@@ -102,12 +104,8 @@ func main() {
 			tpcc.Load(st, cfg)
 			res := tpcc.Run(st, cfg, th, *dur)
 			st.Close()
-			fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d\n",
-				res.System, res.Threads, res.Throughput,
-				res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
-				res.Stats.FootprintHits, res.Stats.FootprintMisses,
-				res.Stats.LatchWaits, res.Stats.LatchFallbacks,
-				res.Stats.SnapshotReads, res.Stats.SnapshotStale)
+			_, row := metrics.Columns(res.Stats, 10)
+			fmt.Printf("%-12s %8d %14.0f%s\n", res.System, res.Threads, res.Throughput, row)
 		}
 	}
 }

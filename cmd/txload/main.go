@@ -51,13 +51,16 @@ import (
 	"sync"
 	"time"
 
+	"medley/internal/metrics"
 	"medley/internal/server"
-	"medley/internal/workload"
 )
 
+// counts tallies a driver's measured responses; its fields name the text
+// line's and the -json object's keys.
 type counts struct {
-	ok, retry, draining, aborted, errs uint64
-	retries, unknown, reconnects       uint64
+	OK, Retry, Retries, Draining, Aborted, Unknown uint64
+	Errs                                           uint64 `metric:"errors"`
+	Reconnects                                     uint64
 }
 
 func main() {
@@ -141,7 +144,7 @@ func main() {
 	var (
 		mu     sync.Mutex
 		total  counts
-		merged workload.Hist
+		merged metrics.Hist
 		wg     sync.WaitGroup
 	)
 	start := time.Now()
@@ -157,14 +160,7 @@ func main() {
 			c, h, got := drive(*addr, windows[i], i, *readPct, *txnPct, accounts,
 				*zipfS, *keys, *seed, rates[i], *lat, measureStart, deadline)
 			mu.Lock()
-			total.ok += got.ok
-			total.retry += got.retry
-			total.draining += got.draining
-			total.aborted += got.aborted
-			total.errs += got.errs
-			total.retries += got.retries
-			total.unknown += got.unknown
-			total.reconnects += got.reconnects
+			metrics.Add(&total, got)
 			if h != nil {
 				merged.Merge(h)
 			}
@@ -180,16 +176,16 @@ func main() {
 		el = *dur // workers stop sending at the deadline; don't bill the tail drain
 	}
 
-	tput := float64(total.ok) / el.Seconds()
+	tput := float64(total.OK) / el.Seconds()
 	p50, p99 := merged.Percentile(0.50), merged.Percentile(0.99)
 	if *jsonOut {
 		out := map[string]any{
 			"conns": *conns, "clients": *clients, "pipeline": *pipeline,
 			"readpct": *readPct, "txnpct": *txnPct, "zipf": *zipfS, "rate": *rate,
-			"ok": total.ok, "retry": total.retry, "draining": total.draining,
-			"aborted": total.aborted, "errors": total.errs,
-			"retries": total.retries, "unknown": total.unknown, "reconnects": total.reconnects,
 			"secs": el.Seconds(), "throughput": tput,
+		}
+		for _, f := range metrics.Fields(total) {
+			out[f.Name] = f.Value
 		}
 		if *lat {
 			out["p50_us"] = float64(p50) / 1e3
@@ -197,15 +193,13 @@ func main() {
 		}
 		json.NewEncoder(os.Stdout).Encode(out)
 	} else {
-		fmt.Printf("txload: %d conns, ok=%d retry=%d retries=%d draining=%d aborted=%d unknown=%d errors=%d reconnects=%d in %.2fs — %.0f req/s",
-			*conns, total.ok, total.retry, total.retries, total.draining, total.aborted,
-			total.unknown, total.errs, total.reconnects, el.Seconds(), tput)
+		fmt.Printf("txload: %d conns, %s in %.2fs — %.0f req/s", *conns, metrics.Format(total), el.Seconds(), tput)
 		if *lat {
 			fmt.Printf(" p50=%v p99=%v", p50, p99)
 		}
 		fmt.Println()
 	}
-	if total.ok == 0 {
+	if total.OK == 0 {
 		fmt.Fprintln(os.Stderr, "txload: zero acknowledged requests")
 		os.Exit(1)
 	}
@@ -320,11 +314,11 @@ var retry server.RetryPolicy
 // first sent inside it, and a retried request's latency runs from its first
 // send — backoff waits are part of the price the client paid.
 func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS float64, keys, seed uint64,
-	connRate int, lat bool, measureStart, deadline time.Time) (*server.Conn, *workload.Hist, counts) {
+	connRate int, lat bool, measureStart, deadline time.Time) (*server.Conn, *metrics.Hist, counts) {
 	var got counts
 	c, err := server.Dial(addr, 5*time.Second)
 	if err != nil {
-		got.errs++
+		got.Errs++
 		return nil, nil, got
 	}
 	rng := rand.New(rand.NewPCG(seed, uint64(tid)+1))
@@ -333,9 +327,9 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		z := rand.NewZipf(rng, zipfS, 1, keys-1)
 		draw = z.Uint64
 	}
-	var h *workload.Hist
+	var h *metrics.Hist
 	if lat {
-		h = &workload.Hist{}
+		h = &metrics.Hist{}
 	}
 
 	pending := make([]*reqDesc, 0, window) // in flight, response order
@@ -393,7 +387,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 	reconnect := func() bool {
 		for _, d := range pending {
 			if d.measured {
-				got.unknown++
+				got.Unknown++
 			}
 		}
 		pending = pending[:0]
@@ -401,12 +395,12 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		for k := 0; ; k++ {
 			time.Sleep(retry.Backoff(k))
 			if !time.Now().Before(deadline) || k >= 5 {
-				got.errs++
+				got.Errs++
 				return false
 			}
 			if nc, err := server.Dial(addr, 5*time.Second); err == nil {
 				c = nc
-				got.reconnects++
+				got.Reconnects++
 				recycle = false
 				return true
 			}
@@ -420,7 +414,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		pending = pending[:copy(pending, pending[1:])]
 		if err != nil {
 			if d.measured {
-				got.unknown++
+				got.Unknown++
 			}
 			return false // caller redials; the rest of the window is marked there
 		}
@@ -429,9 +423,9 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 			// Explicitly not executed: safe to re-send, after a backoff.
 			if d.measured {
 				if r.Status == server.StatusRetry {
-					got.retry++
+					got.Retry++
 				} else {
-					got.draining++
+					got.Draining++
 					recycle = true // this instance is going away; redial when drained
 				}
 			} else if r.Status == server.StatusDraining {
@@ -450,11 +444,11 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		}
 		switch r.Status {
 		case server.StatusOK:
-			got.ok++
+			got.OK++
 		case server.StatusAborted:
-			got.aborted++
+			got.Aborted++
 		default:
-			got.errs++
+			got.Errs++
 		}
 		return true
 	}
@@ -481,7 +475,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 					break
 				}
 				retryq = retryq[:copy(retryq, retryq[1:])]
-				got.retries++
+				got.Retries++
 				writeDesc(d)
 				sent = true
 				continue

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"medley/internal/chaos"
+	"medley/internal/metrics"
 	"medley/internal/pnvm"
 	"medley/internal/server"
 	"medley/internal/txengine"
@@ -144,13 +145,8 @@ func main() {
 	// drain completes, so the report below and a zero exit really mean every
 	// acknowledged commit is finished and durable.
 	s.Drain()
-	st := eng.Stats()
-	c := s.Counters()
-	fmt.Printf("txserver: engine commits=%d aborts=%d retries=%d fphit=%d latchw=%d\n",
-		st.Commits, st.Aborts, st.Retries, st.FootprintHits, st.LatchWaits)
-	fmt.Printf("txserver: server conns=%d requests=%d shed=%d drained=%d idleclosed=%d batches=%d batchedops=%d\n",
-		c.Conns, c.Requests, c.Shed, c.Drained, c.IdleClosed, c.Batches, c.BatchedOps)
-	fmt.Printf("txserver: readlane snapserved=%d occserved=%d\n", c.SnapServed, c.OCCServed)
+	fmt.Println("txserver: engine", eng.Stats())
+	fmt.Println("txserver: server", metrics.Format(s.Counters()))
 	eng.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -214,7 +214,7 @@ func (o *CASObj[T]) NbtcCASIn(s *Session, expected T, in *Cell[T], desired T, li
 				return false // contention; let the data structure retry its loop
 			}
 			d.writeSet = append(d.writeSet, &o.c)
-			s.stats().Installs.Add(1)
+			atomic.AddUint64(&s.st.Installs, 1)
 			if linPt {
 				s.inSpec = false
 			}

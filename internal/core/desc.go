@@ -161,7 +161,7 @@ func (d *Desc) finalize(slot *unsafe.Pointer) {
 		// write set, so only uninstall the cell we tripped over.
 		uninstall(slot, d, st == Committed)
 	}
-	d.owner.stats().Helps.Add(1)
+	atomic.AddUint64(&d.owner.st.Helps, 1)
 }
 
 // verdict is finalize's first half: it aborts d if still InPrep, decides it

@@ -2,55 +2,20 @@ package core
 
 import (
 	"sync/atomic"
+
+	"medley/internal/metrics"
 )
 
-// cacheLine is the assumed coherence-granule size. Stats is padded to a
-// multiple of it so that adjacent Stats instances (per-shard counter arrays,
-// sessions allocated back to back) never share a line: every field is
-// written with atomic RMW ops on the session's hot path, and false sharing
-// between two sessions' counters serializes exactly the workers a sharded
-// runtime is trying to decouple.
-const cacheLine = 64
-
-// Stats counts transaction events. Fields are atomic so that aggregation can
-// run concurrently with the owning session, and the struct is padded to two
-// cache lines (the second line guards against the adjacent-line prefetcher)
-// so concurrent sessions never false-share their counters.
+// Stats counts transaction events. Each session bumps a cell of its own
+// (metrics.Cells) with atomic adds — a helper bumps the owner's Helps, so the
+// adds stay read-modify-writes — and TxManager.Stats sums the cells.
 type Stats struct {
-	Begins   atomic.Uint64 // transactions started
-	Commits  atomic.Uint64 // transactions committed
-	Aborts   atomic.Uint64 // transactions aborted (conflict or explicit)
-	Helps    atomic.Uint64 // foreign descriptors finalized on this session's behalf
-	Installs atomic.Uint64 // critical CASes that installed a descriptor
-	Reads    atomic.Uint64 // read-set entries recorded
-
-	_ [2*cacheLine - 6*8]byte
-}
-
-// StatsSnapshot is a plain-value copy of Stats.
-type StatsSnapshot struct {
-	Begins, Commits, Aborts, Helps, Installs, Reads uint64
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Begins:   s.Begins.Load(),
-		Commits:  s.Commits.Load(),
-		Aborts:   s.Aborts.Load(),
-		Helps:    s.Helps.Load(),
-		Installs: s.Installs.Load(),
-		Reads:    s.Reads.Load(),
-	}
-}
-
-// Add accumulates another snapshot into s.
-func (s *StatsSnapshot) Add(o StatsSnapshot) {
-	s.Begins += o.Begins
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Helps += o.Helps
-	s.Installs += o.Installs
-	s.Reads += o.Reads
+	Begins   uint64 // transactions started
+	Commits  uint64 // transactions committed
+	Aborts   uint64 // transactions aborted (conflict or explicit)
+	Helps    uint64 // foreign descriptors finalized on this session's behalf
+	Installs uint64 // critical CASes that installed a descriptor
+	Reads    uint64 // read-set entries recorded
 }
 
 // TxManager owns transaction metadata shared among all Composable structures
@@ -58,13 +23,12 @@ func (s *StatsSnapshot) Add(o StatsSnapshot) {
 // instance must be shared by every structure touched by a given transaction;
 // each worker goroutine obtains its own Session from it.
 //
-// Session allocation and stats aggregation are lock-free: sessions live on a
-// push-only atomic list and their counters are atomics, so neither workers
-// spinning up at high thread counts nor concurrent Stats polling ever
-// serialize on a manager mutex.
+// Session allocation and stats aggregation are lock-free: an id draw and a
+// push onto the counter cells, so neither workers spinning up at high thread
+// counts nor concurrent Stats polling ever serialize on a manager mutex.
 type TxManager struct {
-	sessions atomic.Pointer[Session] // head of the push-only session list
-	nextID   atomic.Int64
+	cells  metrics.Cells[Stats] // one per session
+	nextID atomic.Int64
 
 	// beginHook, if set, runs at the start of every transaction on the
 	// beginning session. Used by txMontage to pin the transaction's epoch
@@ -96,29 +60,15 @@ func (m *TxManager) SetRetireHook(h func(any)) { m.retireHook = h }
 
 // Session creates a new session bound to this manager. Sessions are not
 // goroutine-safe; create one per worker goroutine. Allocation is lock-free
-// (an atomic id draw plus a CAS push onto the session list), so spawning
-// workers never serializes on the manager.
+// (an atomic id draw plus a push onto the counter cells), so spawning workers
+// never serializes on the manager.
 func (m *TxManager) Session() *Session {
-	s := &Session{mgr: m, id: int(m.nextID.Add(1) - 1)}
-	for {
-		head := m.sessions.Load()
-		s.next = head
-		if m.sessions.CompareAndSwap(head, s) {
-			return s
-		}
-	}
+	return &Session{mgr: m, id: int(m.nextID.Add(1) - 1), st: m.cells.New()}
 }
 
 // NumSessions reports how many sessions have been created.
 func (m *TxManager) NumSessions() int { return int(m.nextID.Load()) }
 
-// Stats aggregates counters across all sessions without locking: the
-// session list is immutable once pushed and every counter is atomic, so the
-// walk is safe concurrent with both allocation and running transactions.
-func (m *TxManager) Stats() StatsSnapshot {
-	var total StatsSnapshot
-	for s := m.sessions.Load(); s != nil; s = s.next {
-		total.Add(s.st.snapshot())
-	}
-	return total
-}
+// Stats sums every session's counters without locking, concurrently with
+// both session allocation and running transactions.
+func (m *TxManager) Stats() Stats { return m.cells.Sum() }

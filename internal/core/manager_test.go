@@ -3,14 +3,12 @@ package core
 import (
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // TestSessionAllocationConcurrent hammers the lock-free session allocator
-// from many goroutines while Stats aggregation polls concurrently: every
-// session must get a distinct id, the list must retain every session, and
-// counters bumped on each session must all be visible in the final
-// aggregate.
+// from many goroutines: every session must get a distinct id, and
+// NumSessions must count each one. (The counter cells behind the sessions
+// are pinned in internal/metrics.)
 func TestSessionAllocationConcurrent(t *testing.T) {
 	const (
 		spawners   = 8
@@ -19,34 +17,16 @@ func TestSessionAllocationConcurrent(t *testing.T) {
 	m := NewTxManager()
 	var wg sync.WaitGroup
 	ids := make(chan int, spawners*perSpawner)
-	stop := make(chan struct{})
-	var poll sync.WaitGroup
-	poll.Add(1)
-	go func() { // concurrent aggregation must not race with allocation
-		defer poll.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.Stats()
-			}
-		}
-	}()
 	for g := 0; g < spawners; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSpawner; i++ {
-				s := m.Session()
-				s.st.Commits.Add(1)
-				ids <- s.ID()
+				ids <- m.Session().ID()
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
-	poll.Wait()
 	close(ids)
 
 	seen := make(map[int]bool)
@@ -61,23 +41,5 @@ func TestSessionAllocationConcurrent(t *testing.T) {
 	}
 	if n := m.NumSessions(); n != spawners*perSpawner {
 		t.Fatalf("NumSessions = %d, want %d", n, spawners*perSpawner)
-	}
-	if st := m.Stats(); st.Commits != spawners*perSpawner {
-		t.Fatalf("aggregated commits = %d, want %d (session list lost entries)", st.Commits, spawners*perSpawner)
-	}
-}
-
-// TestStatsPadding pins the false-sharing fix: Stats must span at least two
-// cache lines so adjacent instances (per-shard counter arrays, sessions)
-// never share one, and must stay 8-byte aligned for its atomics.
-func TestStatsPadding(t *testing.T) {
-	if sz := unsafe.Sizeof(Stats{}); sz < 2*cacheLine || sz%cacheLine != 0 {
-		t.Fatalf("Stats size %d, want a multiple of %d that is >= %d", sz, cacheLine, 2*cacheLine)
-	}
-	var pair [2]Stats
-	a := uintptr(unsafe.Pointer(&pair[0].Begins))
-	b := uintptr(unsafe.Pointer(&pair[1].Begins))
-	if b-a < 2*cacheLine {
-		t.Fatalf("adjacent Stats counters only %d bytes apart", b-a)
 	}
 }

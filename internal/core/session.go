@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -16,8 +17,7 @@ import (
 type Session struct {
 	mgr  *TxManager
 	id   int
-	next *Session // manager's push-only session list (see TxManager.Session)
-	desc *Desc    // non-nil while inside a transaction
+	desc *Desc // non-nil while inside a transaction
 
 	// inSpec tracks whether execution is inside the current operation's
 	// speculation interval (Def. 3): set on a publication point or on
@@ -44,7 +44,12 @@ type Session struct {
 	Ext any
 
 	rng uint64
-	st  Stats
+	st  *Stats // the session's counter cell (TxManager.cells)
+
+	// Every operation writes its session (inSpec, desc), so two cache lines
+	// of padding keep sessions allocated back to back, one per worker, off
+	// each other's lines and adjacent-line prefetch pairs.
+	_ [128]byte
 }
 
 // ID returns the session's thread id within its TxManager.
@@ -70,8 +75,6 @@ func (s *Session) InTx() bool { return s.desc != nil }
 // next transaction, or to nobody.
 func (s *Session) Desc() *Desc { return s.desc }
 
-func (s *Session) stats() *Stats { return &s.st }
-
 // TxBegin starts a new transaction (paper Fig. 5, txBegin). Transactions do
 // not nest; calling TxBegin while a transaction is open panics, since that
 // is a programming error rather than a recoverable condition.
@@ -86,7 +89,7 @@ func (s *Session) TxBegin() {
 	s.desc, s.spare = d, nil
 	s.inSpec = false
 	s.TxData = nil
-	s.st.Begins.Add(1)
+	atomic.AddUint64(&s.st.Begins, 1)
 	if h := s.mgr.beginHook; h != nil {
 		h(s)
 	}
@@ -164,10 +167,10 @@ func (s *Session) finish(d *Desc) error {
 	// Last, so that a helper has as long as possible to leave.
 	s.spare = d.reuse()
 	if committed {
-		s.st.Commits.Add(1)
+		atomic.AddUint64(&s.st.Commits, 1)
 		return nil
 	}
-	s.st.Aborts.Add(1)
+	atomic.AddUint64(&s.st.Aborts, 1)
 	return ErrTxAborted
 }
 
@@ -195,7 +198,7 @@ func (s *Session) AddToReadSet(o Obj, tag ReadTag) {
 		return
 	}
 	d.readSet = append(d.readSet, readRec{slot: o.slot(), tag: unsafe.Pointer(tag)})
-	s.st.Reads.Add(1)
+	atomic.AddUint64(&s.st.Reads, 1)
 }
 
 // AddToCleanups registers post-critical work (the paper's addToCleanups):

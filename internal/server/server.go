@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"medley/internal/chaos"
+	"medley/internal/metrics"
 	"medley/internal/txengine"
 )
 
@@ -133,7 +134,8 @@ func (o Options) mapSpec() txengine.MapSpec {
 }
 
 // Counters are the server-level counters (the engine's transactional
-// counters stay on Engine.Stats).
+// counters stay on Engine.Stats). Each connection bumps the cell that travels
+// with its session (worker); Server.Counters sums the cells.
 type Counters struct {
 	Conns      uint64 // connections accepted
 	Requests   uint64 // requests decoded
@@ -142,7 +144,7 @@ type Counters struct {
 	Batches    uint64 // coalesced multi-op batches executed
 	BatchedOps uint64 // single-op requests executed inside those batches
 	SnapServed uint64 // requests answered from the snapshot read lane
-	Combined   uint64 // always 0: no cut is shared between connections any more (benchmark/ still reads the field)
+	Combined   uint64 `metric:"-"` // always 0 and hidden from printers: no cut is shared between connections any more (benchmark/ still reads the field)
 	OCCServed  uint64 // requests answered StatusOK through the OCC path
 	IdleClosed uint64 // connections closed by the idle-timeout read deadline
 }
@@ -171,13 +173,11 @@ type Server struct {
 	// free holds the sessions of connections that have gone, for the next
 	// connections to take: an engine session cannot be released, and every one
 	// ever created is a slot that each commit and each snapshot pin walks.
-	free []txengine.Tx
+	free []worker
 	wg   sync.WaitGroup
 
 	nextTid atomic.Int64
-
-	cConns, cRequests, cShed, cDrained, cBatches, cBatchedOps atomic.Uint64
-	cSnapServed, cOCCServed, cIdleClosed                      atomic.Uint64
+	cells   metrics.Cells[Counters] // one per session
 }
 
 // New builds a server over eng, creating the hosted map from opts.MapSpec.
@@ -216,19 +216,7 @@ func (s *Server) Engine() txengine.Engine { return s.eng }
 func (s *Server) ReadLaneEnabled() bool { return s.lane }
 
 // Counters snapshots the server-level counters.
-func (s *Server) Counters() Counters {
-	return Counters{
-		Conns:      s.cConns.Load(),
-		Requests:   s.cRequests.Load(),
-		Shed:       s.cShed.Load(),
-		Drained:    s.cDrained.Load(),
-		Batches:    s.cBatches.Load(),
-		BatchedOps: s.cBatchedOps.Load(),
-		SnapServed: s.cSnapServed.Load(),
-		OCCServed:  s.cOCCServed.Load(),
-		IdleClosed: s.cIdleClosed.Load(),
-	}
-}
+func (s *Server) Counters() Counters { return s.cells.Sum() }
 
 // Serve accepts connections on ln until Drain (returns nil) or a listener
 // failure (returns the error).
@@ -262,7 +250,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		s.cConns.Add(1)
 		go s.handle(c)
 	}
 }
@@ -330,8 +317,8 @@ func allRead(ops []TxnOp) bool {
 // encoded-response buffer, and a Response value whose address is stable so
 // encoding never escapes to the heap.
 type proc struct {
-	s     *Server
-	tx    txengine.Tx
+	s *Server
+	worker
 	timer *time.Timer
 
 	burst   []pendReq // cap is the queue depth; slots keep their op storage
@@ -354,18 +341,25 @@ type proc struct {
 	lastWriteTS uint64
 }
 
+// worker is an engine session and the counter cell that goes with it, so the
+// server holds no more cells than sessions.
+type worker struct {
+	tx txengine.Tx
+	ct *Counters
+}
+
 // session takes a session off the free list, or creates the engine's next.
-func (s *Server) session() txengine.Tx {
+func (s *Server) session() worker {
 	s.mu.Lock()
 	n := len(s.free)
 	if n == 0 {
 		s.mu.Unlock()
-		return s.eng.NewWorker(int(s.nextTid.Add(1)))
+		return worker{s.eng.NewWorker(int(s.nextTid.Add(1))), s.cells.New()}
 	}
-	tx := s.free[n-1]
+	w := s.free[n-1]
 	s.free = s.free[:n-1]
 	s.mu.Unlock()
-	return tx
+	return w
 }
 
 // handle serves one connection, one burst at a time: read what the client
@@ -376,13 +370,14 @@ func (s *Server) session() txengine.Tx {
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
-	p := &proc{s: s, tx: s.session(), burst: make([]pendReq, 0, s.opts.queueDepth())}
+	p := &proc{s: s, worker: s.session(), burst: make([]pendReq, 0, s.opts.queueDepth())}
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
-		s.free = append(s.free, p.tx)
+		s.free = append(s.free, p.worker)
 		s.mu.Unlock()
 	}()
+	atomic.AddUint64(&p.ct.Conns, 1)
 	p.serve = p.serveRun
 	p.lastWriteTS = txengine.LastCommitTS(p.tx)
 	p.timer = time.NewTimer(time.Hour)
@@ -393,7 +388,7 @@ func (s *Server) handle(c net.Conn) {
 	for {
 		err := p.readBurst(c, br)
 		if len(p.burst) > 0 {
-			s.cRequests.Add(uint64(len(p.burst)))
+			atomic.AddUint64(&p.ct.Requests, uint64(len(p.burst)))
 			p.exec(p.burst, s.lane)
 			if !s.writeFrames(c, p.wbuf) {
 				return
@@ -433,7 +428,7 @@ func (p *proc) readBurst(c net.Conn, br *bufio.Reader) error {
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() && !s.draining.Load() {
-			s.cIdleClosed.Add(1)
+			atomic.AddUint64(&p.ct.IdleClosed, 1)
 		}
 		return err
 	}
@@ -516,7 +511,7 @@ func (p *proc) exec(burst []pendReq, lane bool) {
 			for n < len(burst) && burst[n].shed {
 				n++
 			}
-			p.s.cDrained.Add(uint64(n))
+			atomic.AddUint64(&p.ct.Drained, uint64(n))
 			p.fail(burst[:n], StatusDraining, "")
 		case lane && first.read:
 			for n < len(burst) && burst[n].read && !burst[n].shed {
@@ -560,7 +555,7 @@ func (p *proc) execLane(run []pendReq) bool {
 	if !ok || cut < p.lastWriteTS {
 		return false
 	}
-	p.s.cSnapServed.Add(uint64(len(run)))
+	atomic.AddUint64(&p.ct.SnapServed, uint64(len(run)))
 	ri := 0
 	for i := range run {
 		r := &run[i].req
@@ -640,7 +635,7 @@ func (p *proc) execOCC(batch []pendReq) {
 	p.lastWriteTS = txengine.LastCommitTS(p.tx)
 	switch {
 	case err == nil:
-		s.cOCCServed.Add(uint64(len(batch)))
+		atomic.AddUint64(&p.ct.OCCServed, uint64(len(batch)))
 		for i := range batch {
 			r := &batch[i].req
 			p.resp = Response{ID: r.ID, Op: r.Op, Status: StatusOK}
@@ -659,7 +654,7 @@ func (p *proc) execOCC(batch []pendReq) {
 }
 
 func (p *proc) shed(batch []pendReq) {
-	p.s.cShed.Add(uint64(len(batch)))
+	atomic.AddUint64(&p.ct.Shed, uint64(len(batch)))
 	p.fail(batch, StatusRetry, "")
 }
 
@@ -703,8 +698,8 @@ func (p *proc) execBatch(batch []pendReq) error {
 		return nil
 	})
 	if err == nil {
-		s.cBatches.Add(1)
-		s.cBatchedOps.Add(uint64(len(batch)))
+		atomic.AddUint64(&p.ct.Batches, 1)
+		atomic.AddUint64(&p.ct.BatchedOps, uint64(len(batch)))
 	}
 	return err
 }

@@ -26,7 +26,9 @@ func (e *countingEngine) NewWorker(tid int) txengine.Tx {
 // is a slot every commit and every snapshot pin walks, so the server hands a
 // closed connection's session to the next connection instead of creating one
 // per accept. However many connections come and go, the engine holds as many
-// sessions as were ever open at once — and none for the read lane itself.
+// sessions as were ever open at once — and none for the read lane itself. The
+// server's counter cells travel with the sessions, so they never outnumber
+// them.
 func TestServeSessionsReused(t *testing.T) {
 	ce := &countingEngine{}
 	ln := newPipeListener()
@@ -40,7 +42,8 @@ func TestServeSessionsReused(t *testing.T) {
 	if n := ce.workers.Load(); n != 0 {
 		t.Fatalf("New created %d sessions with the lane on, want none before the first connection", n)
 	}
-	// idle waits until every connection has gone and handed its session back.
+	// idle waits until every connection has gone and handed its session back,
+	// then checks the counter cells against the sessions.
 	idle := func() {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -49,6 +52,9 @@ func TestServeSessionsReused(t *testing.T) {
 			n := len(s.conns)
 			s.mu.Unlock()
 			if n == 0 {
+				if cells, sessions := s.cells.Len(), ce.workers.Load(); int64(cells) > sessions {
+					t.Fatalf("%d counter cells for %d sessions", cells, sessions)
+				}
 				return
 			}
 			if time.Now().After(deadline) {

@@ -3,6 +3,7 @@ package txengine
 import (
 	"medley/internal/boost"
 	"medley/internal/core"
+	"medley/internal/metrics"
 )
 
 const boostCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapRowMaps
@@ -15,7 +16,7 @@ const boostCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapRowMaps
 type boostEngine struct {
 	mgr    *core.TxManager
 	shards int
-	ct     counters
+	cells  metrics.Cells[Stats]
 }
 
 func newBoostEngine(cfg Config) (Engine, error) {
@@ -28,7 +29,7 @@ func newBoostEngine(cfg Config) (Engine, error) {
 
 func (e *boostEngine) Name() string { return "Boost" }
 func (e *boostEngine) Caps() Caps   { return boostCaps }
-func (e *boostEngine) Stats() Stats { return e.ct.snapshot() }
+func (e *boostEngine) Stats() Stats { return e.cells.Sum() }
 func (e *boostEngine) Close()       {}
 
 // NewUintQueue is unsupported: queue operations have no inverse, which is
@@ -62,7 +63,7 @@ func (e *boostEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 	return boostMap[any]{m: boost.NewMap[any](e.lockShards(spec))}, nil
 }
 
-func (e *boostEngine) NewWorker(int) Tx { return &boostTx{s: e.mgr.Session(), ct: &e.ct} }
+func (e *boostEngine) NewWorker(int) Tx { return &boostTx{s: e.mgr.Session(), ct: e.cells.New()} }
 
 // boostTx layers attempt state over a Medley session. A semantic-lock
 // conflict aborts the session's transaction immediately (boost.Do calls
@@ -75,7 +76,7 @@ func (e *boostEngine) NewWorker(int) Tx { return &boostTx{s: e.mgr.Session(), ct
 // returns.
 type boostTx struct {
 	s          *core.Session
-	ct         *counters
+	ct         *Stats
 	doomed     bool // current attempt is dead; remaining map ops no-op
 	conflicted bool // doomed by a semantic-lock conflict: retry; else by Abort
 }

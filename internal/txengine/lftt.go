@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"medley/internal/lftt"
+	"medley/internal/metrics"
 )
 
 const lfttCaps = CapTx | CapSkipMap
@@ -15,7 +16,7 @@ const lfttCaps = CapTx | CapSkipMap
 // values (no CapDynamicTx), which is why LFTT cannot run TPC-C, exactly as
 // the paper notes.
 type lfttEngine struct {
-	ct counters
+	cells metrics.Cells[Stats]
 }
 
 func newLFTTEngine(Config) (Engine, error) { return &lfttEngine{}, nil }
@@ -23,7 +24,7 @@ func newLFTTEngine(Config) (Engine, error) { return &lfttEngine{}, nil }
 func (*lfttEngine) Name() string { return "LFTT" }
 func (*lfttEngine) Caps() Caps   { return lfttCaps }
 func (e *lfttEngine) Stats() Stats {
-	return e.ct.snapshot()
+	return e.cells.Sum()
 }
 func (*lfttEngine) Close() {}
 
@@ -41,7 +42,7 @@ func (*lfttEngine) NewUintQueue() (Queue[uint64], error) { return nil, ErrUnsupp
 // NewWorker seeds each worker's backoff jitter from tid so mutually
 // conflicting workers don't retry in lockstep.
 func (e *lfttEngine) NewWorker(tid int) Tx {
-	return &lfttTx{ct: &e.ct, bo: backoff{rng: uint64(tid)*2654435769 + 0x9e3779b97f4a7c15}}
+	return &lfttTx{ct: e.cells.New(), bo: backoff{rng: uint64(tid)*2654435769 + 0x9e3779b97f4a7c15}}
 }
 
 // lfttTx buffers one static transaction per Run. ExecuteTx re-executes the
@@ -50,7 +51,7 @@ func (e *lfttEngine) NewWorker(tid int) Tx {
 // at high thread counts (the same discipline as core.Session.backoff).
 type lfttTx struct {
 	sl      *lftt.SkipList // the one map the buffered transaction targets
-	ct      *counters
+	ct      *Stats
 	buf     []lftt.Op
 	inTx    bool
 	aborted bool // Abort doomed the buffered transaction
@@ -58,7 +59,7 @@ type lfttTx struct {
 	bo      backoff
 }
 
-// Run counts its own stats: the retry loop re-executes the buffered static
+// Run counts its own attempts: the retry loop re-executes the buffered static
 // transaction, not fn, so the shared countRun wrapper would miss retries.
 func (t *lfttTx) Run(fn func() error) error {
 	t.inTx, t.aborted = true, false
@@ -70,34 +71,26 @@ func (t *lfttTx) Run(fn func() error) error {
 	if err == nil && t.aborted {
 		err = ErrBusinessAbort // fn called Abort and returned nil
 	}
-	if err != nil {
-		t.ct.aborts.Add(1)
-		return err // business abort: buffered ops are discarded, no retry
+	if err == nil {
+		err = t.err
 	}
-	if t.err != nil {
-		t.ct.aborts.Add(1)
-		return t.err
-	}
-	if len(t.buf) == 0 {
-		t.ct.commits.Add(1)
-		return nil
+	if err != nil || len(t.buf) == 0 {
+		// Nothing to execute, or an abort: its buffered ops are discarded,
+		// with no retry.
+		t.ct.countAttempts(1, err)
+		return err
 	}
 	for attempt := 0; ; attempt++ {
 		if _, ok := t.sl.ExecuteTx(t.buf); ok {
-			t.ct.commits.Add(1)
+			t.ct.countAttempts(attempt+1, nil)
 			return nil
 		}
-		t.ct.aborts.Add(1)
-		t.ct.retries.Add(1)
 		t.bo.wait(attempt)
 	}
 }
 
 func (t *lfttTx) RunRead(fn func()) { _ = t.Run(func() error { fn(); return nil }) }
-func (t *lfttTx) NoTx(fn func()) {
-	t.ct.fallbacks.Add(1)
-	_ = t.Run(func() error { fn(); return nil })
-}
+func (t *lfttTx) NoTx(fn func())    { t.ct.fallback(t.Run, fn) }
 func (t *lfttTx) Abort() error {
 	t.aborted = t.inTx
 	return ErrBusinessAbort

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"medley/internal/core"
+	"medley/internal/metrics"
 	"medley/internal/montage"
 	"medley/internal/pnvm"
 	"medley/internal/structures/fskiplist"
@@ -26,7 +27,7 @@ type medleyEngine struct {
 	codec montage.Codec[any]
 	adv   advancer  // the private background advancer, when Config.EpochLen asks for one
 	snap  *snapTier // MVCC snapshot tier; nil when Config.snapOff (sharded sub-engines)
-	ct    counters
+	cells metrics.Cells[Stats]
 }
 
 // advancer is an engine's background epoch advancer, started by the first map
@@ -104,7 +105,7 @@ func newTxMontageEngine(cfg Config) (Engine, error) {
 
 func (e *medleyEngine) Name() string { return e.name }
 func (e *medleyEngine) Caps() Caps   { return medleyCaps }
-func (e *medleyEngine) Stats() Stats { return e.ct.snapshot() }
+func (e *medleyEngine) Stats() Stats { return e.cells.Sum() }
 
 func (e *medleyEngine) Close() { e.adv.close() }
 
@@ -196,7 +197,7 @@ func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *medleyEngine) NewWorker(int) Tx {
 	s := e.mgr.Session()
-	t := &sessionTx{s: s, ct: &e.ct}
+	t := &sessionTx{s: s, ct: e.cells.New()}
 	t.snap.ses, t.snap.end = s, s.TxEnd
 	if e.snap != nil {
 		t.snap.tier = e.snap
@@ -217,7 +218,7 @@ func bucketsOr(spec MapSpec, def int) int {
 // uninstrumented.
 type sessionTx struct {
 	s       *core.Session
-	ct      *counters
+	ct      *Stats
 	snap    snapAgent
 	bo      backoff
 	aborted bool // Abort doomed the current attempt

@@ -3,6 +3,7 @@ package txengine
 import (
 	"fmt"
 
+	"medley/internal/metrics"
 	"medley/internal/montage"
 	"medley/internal/onefile"
 	"medley/internal/pnvm"
@@ -20,7 +21,7 @@ type onefileEngine struct {
 	name  string
 	st    *onefile.STM
 	codec montage.Codec[any]
-	ct    counters
+	cells metrics.Cells[Stats]
 }
 
 func newOneFileEngine(Config) (Engine, error) {
@@ -42,7 +43,7 @@ func newPOneFileEngine(cfg Config) (Engine, error) {
 
 func (e *onefileEngine) Name() string { return e.name }
 func (e *onefileEngine) Caps() Caps   { return onefileCaps }
-func (e *onefileEngine) Stats() Stats { return e.ct.snapshot() }
+func (e *onefileEngine) Stats() Stats { return e.cells.Sum() }
 func (e *onefileEngine) Close()       {}
 
 // Devices implements Persister (nil for transient OneFile).
@@ -113,7 +114,7 @@ func newOFMap[V any](e *onefileEngine, spec MapSpec, enc func(V) []byte) ofMap[V
 
 func (e *onefileEngine) NewUintQueue() (Queue[uint64], error) { return nil, ErrUnsupported }
 
-func (e *onefileEngine) NewWorker(int) Tx { return &onefileTx{st: e.st, ct: &e.ct} }
+func (e *onefileEngine) NewWorker(int) Tx { return &onefileTx{st: e.st, ct: e.cells.New()} }
 
 // onefileTx routes Run through the STM's serialized write path and RunRead
 // through its optimistic sequence-validated read path. inTx/inRead track
@@ -123,7 +124,7 @@ func (e *onefileEngine) NewWorker(int) Tx { return &onefileTx{st: e.st, ct: &e.c
 // writes of an in-flight write transaction.
 type onefileTx struct {
 	st      *onefile.STM
-	ct      *counters
+	ct      *Stats
 	inTx    bool
 	inRead  bool
 	aborted bool // Abort doomed the current Run
@@ -146,10 +147,7 @@ func (t *onefileTx) RunRead(fn func()) {
 	t.ct.countRead(t.st.ReadTx, fn)
 }
 
-func (t *onefileTx) NoTx(fn func()) {
-	t.ct.fallbacks.Add(1)
-	_ = t.Run(func() error { fn(); return nil })
-}
+func (t *onefileTx) NoTx(fn func()) { t.ct.fallback(t.Run, fn) }
 func (t *onefileTx) Abort() error {
 	t.aborted = t.inTx
 	return ErrBusinessAbort

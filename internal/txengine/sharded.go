@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"medley/internal/core"
+	"medley/internal/metrics"
 	"medley/internal/montage"
 	"medley/internal/pnvm"
 )
@@ -73,7 +74,7 @@ type shardedEngine struct {
 	txCap  bool
 	shards []Engine      // one base engine instance per shard, all on one TxManager
 	nextQ  atomic.Uint64 // round-robin home-shard assignment for queues
-	ct     counters
+	cells  metrics.Cells[Stats]
 	latch  *latchTable // key latches for declared footprints; nil without CapTx
 	snap   *snapTier   // the engine's single MVCC snapshot tier; nil without CapSnapshot
 
@@ -172,7 +173,7 @@ func (e *shardedEngine) NumShards() int { return len(e.shards) }
 // Stats aggregates the decorator's own transaction accounting with every
 // shard's engine stats (standalone-op accounting on bases that keep it).
 func (e *shardedEngine) Stats() Stats {
-	total := e.ct.snapshot()
+	total := e.cells.Sum()
 	for _, sh := range e.shards {
 		total.Add(sh.Stats())
 	}
@@ -297,7 +298,7 @@ func (e *shardedEngine) NewUintQueue() (Queue[uint64], error) {
 }
 
 func (e *shardedEngine) NewWorker(tid int) Tx {
-	t := &shardedTx{e: e, base: e.shards[0].NewWorker(tid), seen: make([]uint64, len(e.shards))}
+	t := &shardedTx{e: e, ct: e.cells.New(), base: e.shards[0].NewWorker(tid), seen: make([]uint64, len(e.shards))}
 	if e.txCap {
 		// Every transactional base is Medley-family; one that is not fails
 		// loudly here.
@@ -325,6 +326,7 @@ const routeMemoSize = 8
 // every Tx.
 type shardedTx struct {
 	e    *shardedEngine
+	ct   *Stats        // the worker's counter cell on the decorator
 	base Tx            // a handle of shard 0's engine: a session of the one manager, good on every shard
 	ses  *core.Session // its core session (transactional bases only)
 
@@ -373,13 +375,13 @@ func (t *shardedTx) snapBuffering() bool   { return t.inRun && !t.aborted }
 // still mid-flight, because the whole transaction is one commit window on the
 // shared tier.
 func (t *shardedTx) SnapshotRead(fn func()) bool {
-	_, ok := t.snap.snapshot(&t.e.ct, t.inRun, 1, func(int, uint64) { fn() })
+	_, ok := t.snap.snapshot(t.ct, t.inRun, 1, func(int, uint64) { fn() })
 	return ok
 }
 
 // SnapshotReadBatch implements SnapshotBatchReader on the same tier-wide cut.
 func (t *shardedTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bool) {
-	return t.snap.snapshot(&t.e.ct, t.inRun, n, each)
+	return t.snap.snapshot(t.ct, t.inRun, n, each)
 }
 
 // routeOf is shardOf through the handle's memo.
@@ -496,7 +498,7 @@ func (t *shardedTx) touch(s int) {
 	if !t.multi {
 		t.multi = true
 		if !t.latchHeld {
-			t.e.ct.latchFallbacks.Add(1)
+			atomic.AddUint64(&t.ct.LatchFallbacks, 1)
 		}
 	}
 }
@@ -536,7 +538,7 @@ func (t *shardedTx) attempt(fn func() error) error {
 		if t.latchKeys != nil {
 			// Key latches first (ascending, FIFO — see latch.go).
 			if w := t.e.latch.acquireAll(t.latchKeys, &t.lw); w > 0 {
-				t.e.ct.latchWaits.Add(uint64(w))
+				atomic.AddUint64(&t.ct.LatchWaits, uint64(w))
 			}
 			t.latchHeld = true
 		}
@@ -576,13 +578,13 @@ func (t *shardedTx) Run(fn func() error) error {
 		if attempt == 0 && t.declared {
 			// Once per Run, whatever the outcome.
 			if t.escaped {
-				t.e.ct.fpMisses.Add(1)
+				atomic.AddUint64(&t.ct.FootprintMisses, 1)
 			} else {
-				t.e.ct.fpHits.Add(1)
+				atomic.AddUint64(&t.ct.FootprintHits, 1)
 			}
 		}
 		if err == nil || !errors.Is(err, core.ErrTxAborted) {
-			t.e.ct.countAttempts(attempt+1, err)
+			t.ct.countAttempts(attempt+1, err)
 			return err
 		}
 		t.bo.wait(attempt)
@@ -598,8 +600,7 @@ func (t *shardedTx) NoTx(fn func()) {
 		fn() // ops route standalone through enter
 		return
 	}
-	t.e.ct.fallbacks.Add(1)
-	_ = t.Run(func() error { fn(); return nil })
+	t.ct.fallback(t.Run, fn)
 }
 
 func (t *shardedTx) Abort() error {

@@ -704,7 +704,7 @@ func (a *snapAgent) reset() {
 // without a tier, and panics inside an open transaction (the snapshot would
 // not see the transaction's own writes). The tier starts here, on the
 // engine's first snapshot, and nowhere else.
-func (a *snapAgent) snapshot(ct *counters, inTx bool, n int, each func(i int, cut uint64)) (uint64, bool) {
+func (a *snapAgent) snapshot(ct *Stats, inTx bool, n int, each func(i int, cut uint64)) (uint64, bool) {
 	if a.tier == nil {
 		return 0, false
 	}

@@ -1,8 +1,9 @@
 package txengine
 
 import (
-	"fmt"
 	"sync/atomic"
+
+	"medley/internal/metrics"
 )
 
 // Stats is a uniform snapshot of an engine's transaction outcomes, counted
@@ -17,10 +18,10 @@ import (
 //     the difference is the business aborts).
 //   - Fallbacks: NoTx bodies the engine could not run uninstrumented and
 //     wrapped in a transaction instead (engines without CapNoTx).
-//   - CrossShardRestarts: always 0. A sharded engine used to re-execute an
-//     attempt that touched a shard outside its known footprint; now the
-//     operation simply runs, in the one transaction (sharded.go). The field
-//     stays only because benchmark/serve.go reads it.
+//   - CrossShardRestarts: always 0, and hidden from printers. A sharded
+//     engine used to re-execute an attempt that touched a shard outside its
+//     known footprint; now the operation simply runs, in the one transaction
+//     (sharded.go). The field stays only because benchmark/serve.go reads it.
 //   - FootprintHits: Runs whose HintKeys/HintQueues declaration spanned
 //     several shards and covered every operation of the first attempt, so
 //     the Run knew its whole shard set up front. At most one per Run.
@@ -49,93 +50,47 @@ import (
 //     state; a persistently high ratio means long-running writers are
 //     holding the seal back.
 //
-// Standalone map operations called outside Run count only on engines that
-// implement them as one-shot transactions (OneFile, TDSL, LFTT); Medley and
-// Boost run them genuinely uninstrumented.
+// Standalone map operations called outside Run count here only on engines
+// that implement them as one-shot transactions (OneFile, TDSL, LFTT). Boost
+// runs them uninstrumented, and so does Medley until its snapshot tier
+// starts; from then on a standalone write is a one-op transaction on the
+// worker's session (snapMap.write), which core.Stats counts and Stats does
+// not.
+//
+// Each worker bumps a cell of its own (metrics.Cells); Engine.Stats sums the
+// engine's cells. The metric tags are the printers' column names.
 type Stats struct {
 	Commits            uint64
 	Aborts             uint64
 	Retries            uint64
 	Fallbacks          uint64
-	CrossShardRestarts uint64
-	FootprintHits      uint64
-	FootprintMisses    uint64
-	LatchWaits         uint64
-	LatchFallbacks     uint64
-	SnapshotReads      uint64
-	SnapshotStale      uint64
+	CrossShardRestarts uint64 `metric:"-"`
+	FootprintHits      uint64 `metric:"fphit"`
+	FootprintMisses    uint64 `metric:"fpmiss"`
+	LatchWaits         uint64 `metric:"latchw"`
+	LatchFallbacks     uint64 `metric:"latchfb"`
+	SnapshotReads      uint64 `metric:"snapread"`
+	SnapshotStale      uint64 `metric:"snapstale"`
 }
 
 // Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Retries += o.Retries
-	s.Fallbacks += o.Fallbacks
-	s.FootprintHits += o.FootprintHits
-	s.FootprintMisses += o.FootprintMisses
-	s.LatchWaits += o.LatchWaits
-	s.LatchFallbacks += o.LatchFallbacks
-	s.SnapshotReads += o.SnapshotReads
-	s.SnapshotStale += o.SnapshotStale
-}
+func (s *Stats) Add(o Stats) { metrics.Add(s, o) }
 
 // Delta returns the counters accumulated since the prev snapshot.
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Commits:         s.Commits - prev.Commits,
-		Aborts:          s.Aborts - prev.Aborts,
-		Retries:         s.Retries - prev.Retries,
-		Fallbacks:       s.Fallbacks - prev.Fallbacks,
-		FootprintHits:   s.FootprintHits - prev.FootprintHits,
-		FootprintMisses: s.FootprintMisses - prev.FootprintMisses,
-		LatchWaits:      s.LatchWaits - prev.LatchWaits,
-		LatchFallbacks:  s.LatchFallbacks - prev.LatchFallbacks,
-		SnapshotReads:   s.SnapshotReads - prev.SnapshotReads,
-		SnapshotStale:   s.SnapshotStale - prev.SnapshotStale,
-	}
-}
+func (s Stats) Delta(prev Stats) Stats { return metrics.Sub(s, prev) }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d retries=%d fallbacks=%d fphits=%d fpmisses=%d latchw=%d latchfb=%d snapreads=%d snapstale=%d",
-		s.Commits, s.Aborts, s.Retries, s.Fallbacks, s.FootprintHits, s.FootprintMisses,
-		s.LatchWaits, s.LatchFallbacks, s.SnapshotReads, s.SnapshotStale)
-}
-
-// counters is the shared engine-level accumulator behind Engine.Stats.
-// Fields are atomic: all of an engine's Tx handles bump the same instance.
-type counters struct {
-	commits, aborts, retries, fallbacks atomic.Uint64
-	fpHits, fpMisses                    atomic.Uint64
-	latchWaits, latchFallbacks          atomic.Uint64
-	snapReads, snapStale                atomic.Uint64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Commits:         c.commits.Load(),
-		Aborts:          c.aborts.Load(),
-		Retries:         c.retries.Load(),
-		Fallbacks:       c.fallbacks.Load(),
-		FootprintHits:   c.fpHits.Load(),
-		FootprintMisses: c.fpMisses.Load(),
-		LatchWaits:      c.latchWaits.Load(),
-		LatchFallbacks:  c.latchFallbacks.Load(),
-		SnapshotReads:   c.snapReads.Load(),
-		SnapshotStale:   c.snapStale.Load(),
-	}
-}
+func (s Stats) String() string { return metrics.Format(s) }
 
 // countSnapshotN accounts n logical snapshot-read transactions served from
 // one pinned cut: each counts as its own commit (a snapshot is a committed
 // read-only transaction that by construction cannot abort or retry) and
 // snapshot read, staleness included — the cut is shared, the transactions
 // are not.
-func (c *counters) countSnapshotN(stale bool, n uint64) {
-	c.commits.Add(n)
-	c.snapReads.Add(n)
+func (s *Stats) countSnapshotN(stale bool, n uint64) {
+	atomic.AddUint64(&s.Commits, n)
+	atomic.AddUint64(&s.SnapshotReads, n)
 	if stale {
-		c.snapStale.Add(n)
+		atomic.AddUint64(&s.SnapshotStale, n)
 	}
 }
 
@@ -144,10 +99,10 @@ func (c *counters) countSnapshotN(stale bool, n uint64) {
 // one commit or terminal abort plus one abort+retry per extra execution.
 // Engines whose retry loop does not re-execute fn (LFTT's static
 // transactions) count inside their own loop instead.
-func (c *counters) countRun(run func(func() error) error, fn func() error) error {
+func (s *Stats) countRun(run func(func() error) error, fn func() error) error {
 	execs := 0
 	err := run(func() error { execs++; return fn() })
-	c.countAttempts(execs, err)
+	s.countAttempts(execs, err)
 	return err
 }
 
@@ -155,26 +110,29 @@ func (c *counters) countRun(run func(func() error) error, fn func() error) error
 // and ended with err: one commit or terminal abort, plus one abort and one
 // retry per earlier execution. Engines that own their retry loop (Medley,
 // the sharded decorator) call it directly with the loop's own count.
-func (c *counters) countAttempts(execs int, err error) {
+func (s *Stats) countAttempts(execs int, err error) {
 	if execs > 1 {
-		c.retries.Add(uint64(execs - 1))
-		c.aborts.Add(uint64(execs - 1))
+		atomic.AddUint64(&s.Retries, uint64(execs-1))
+		atomic.AddUint64(&s.Aborts, uint64(execs-1))
 	}
 	if err == nil {
-		c.commits.Add(1)
+		atomic.AddUint64(&s.Commits, 1)
 	} else {
-		c.aborts.Add(1)
+		atomic.AddUint64(&s.Aborts, 1)
 	}
 }
 
+// fallback is NoTx on a handle that cannot run fn uninstrumented: fn runs as
+// a transaction through run, and counts as one fallback.
+func (s *Stats) fallback(run func(func() error) error, fn func()) {
+	atomic.AddUint64(&s.Fallbacks, 1)
+	_ = run(func() error { fn(); return nil })
+}
+
 // countRead is countRun for read-only paths that retry by re-executing fn
-// until a consistent snapshot is observed.
-func (c *counters) countRead(runRead func(func()), fn func()) {
+// until a consistent snapshot is observed; they always commit.
+func (s *Stats) countRead(runRead func(func()), fn func()) {
 	execs := 0
 	runRead(func() { execs++; fn() })
-	c.commits.Add(1)
-	if execs > 1 {
-		c.retries.Add(uint64(execs - 1))
-		c.aborts.Add(uint64(execs - 1))
-	}
+	s.countAttempts(execs, nil)
 }

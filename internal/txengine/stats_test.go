@@ -58,6 +58,55 @@ func TestStatsDeterministic(t *testing.T) {
 	})
 }
 
+// TestWorkersCountOnCellsOfTheirOwn: two workers of one engine bump two
+// distinct counter cells, so no commit writes a line another worker writes,
+// and Stats is the sum of the cells.
+func TestWorkersCountOnCellsOfTheirOwn(t *testing.T) {
+	eachTxEngine(t, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
+		a, c := eng.NewWorker(0), eng.NewWorker(1)
+		ca, cc := cellOf(t, a), cellOf(t, c)
+		if ca == cc {
+			t.Fatal("two workers share one counter cell")
+		}
+		base := eng.Stats()
+		for i := uint64(0); i < 3; i++ {
+			if err := a.Run(func() error { m.Put(a, i, i); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Run(func() error { m.Put(c, 9, 9); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if ca.Commits != 3 || cc.Commits != 1 {
+			t.Errorf("cells counted %d and %d commits, want 3 and 1", ca.Commits, cc.Commits)
+		}
+		if d := eng.Stats().Delta(base); d.Commits != 4 {
+			t.Errorf("Stats counted %d commits, want 4: %v", d.Commits, d)
+		}
+	})
+}
+
+// cellOf returns the counter cell a worker bumps.
+func cellOf(t *testing.T, tx Tx) *Stats {
+	t.Helper()
+	switch x := tx.(type) {
+	case *sessionTx:
+		return x.ct
+	case *shardedTx:
+		return x.ct
+	case *boostTx:
+		return x.ct
+	case *tdslTx:
+		return x.ct
+	case *lfttTx:
+		return x.ct
+	case *onefileTx:
+		return x.ct
+	}
+	t.Fatalf("no counter cell known for %T", tx)
+	return nil
+}
+
 // TestStatsUnderConflict forces transaction conflicts and asserts the
 // counters move coherently. For the optimistic read-validated engines
 // (Medley, txMontage, TDSL) a conflicting write is interposed between a

@@ -1,6 +1,7 @@
 package txengine
 
 import (
+	"medley/internal/metrics"
 	"medley/internal/tdsl"
 )
 
@@ -13,7 +14,7 @@ const tdslCaps = CapTx | CapDynamicTx | CapSkipMap | CapRowMaps
 type tdslEngine struct {
 	tm      *tdsl.TM
 	stripes int
-	ct      counters
+	cells   metrics.Cells[Stats]
 }
 
 func newTDSLEngine(Config) (Engine, error) {
@@ -22,7 +23,7 @@ func newTDSLEngine(Config) (Engine, error) {
 
 func (e *tdslEngine) Name() string { return "TDSL" }
 func (e *tdslEngine) Caps() Caps   { return tdslCaps }
-func (e *tdslEngine) Stats() Stats { return e.ct.snapshot() }
+func (e *tdslEngine) Stats() Stats { return e.cells.Sum() }
 func (e *tdslEngine) Close()       {}
 
 func (e *tdslEngine) NewUintQueue() (Queue[uint64], error) { return nil, ErrUnsupported }
@@ -48,14 +49,14 @@ func (e *tdslEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 	return tdslMap[any]{m: tdsl.NewMap[any](e.stripesFor(spec))}, nil
 }
 
-func (e *tdslEngine) NewWorker(int) Tx { return &tdslTx{tm: e.tm, ct: &e.ct} }
+func (e *tdslEngine) NewWorker(int) Tx { return &tdslTx{tm: e.tm, ct: e.cells.New()} }
 
 // tdslTx exposes the native tdsl.Tx of the current Run to the engine's
 // maps; outside Run, cur is nil and map operations auto-commit one-shot
 // transactions.
 type tdslTx struct {
 	tm      *tdsl.TM
-	ct      *counters
+	ct      *Stats
 	cur     *tdsl.Tx
 	aborted bool // Abort doomed the current attempt
 }
@@ -74,10 +75,7 @@ func (t *tdslTx) Run(fn func() error) error {
 }
 
 func (t *tdslTx) RunRead(fn func()) { _ = t.Run(func() error { fn(); return nil }) }
-func (t *tdslTx) NoTx(fn func()) {
-	t.ct.fallbacks.Add(1)
-	_ = t.Run(func() error { fn(); return nil })
-}
+func (t *tdslTx) NoTx(fn func())    { t.ct.fallback(t.Run, fn) }
 
 // Abort relies on TDSL's write buffering: the transaction's writes are
 // simply never committed once its attempt ends in ErrBusinessAbort.

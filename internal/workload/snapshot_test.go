@@ -69,24 +69,3 @@ func TestSnapshotCacheSmoke(t *testing.T) {
 		})
 	}
 }
-
-// TestLatHistWeighting pins the drive() latency fix: an iteration that
-// completed c transactions contributes c samples (so multi-transaction
-// iterations don't undercount) and zero-count iterations contribute none.
-func TestLatHistWeighting(t *testing.T) {
-	h := &latHist{}
-	h.recordN(time.Millisecond, 3)
-	h.recordN(time.Second, 0) // a lost conflict: no transactions completed
-	h.record(2 * time.Millisecond)
-	if h.count != 4 {
-		t.Fatalf("count = %d, want 4 (3 weighted + 1 single + 0 skipped)", h.count)
-	}
-	// The 3-weighted 1ms samples dominate: the median must sit in the 1ms
-	// bucket, not anywhere near the zero-weight 1s outlier.
-	if p := h.percentile(0.50); p > 2*time.Millisecond {
-		t.Fatalf("p50 = %v, want ~1ms (weighting broken)", p)
-	}
-	if p := h.percentile(0.99); p > 4*time.Millisecond {
-		t.Fatalf("p99 = %v: the zero-count 1s iteration leaked in", p)
-	}
-}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"medley/internal/metrics"
 	"medley/internal/pnvm"
 	"medley/internal/txengine"
 )
@@ -189,10 +190,10 @@ type Result struct {
 }
 
 // attachLatency fills the percentile fields from a measured histogram.
-func (r *Result) attachLatency(h *latHist) {
-	if h != nil && h.count > 0 {
-		r.P50 = h.percentile(0.50)
-		r.P99 = h.percentile(0.99)
+func (r *Result) attachLatency(h *metrics.Hist) {
+	if h != nil && h.Count() > 0 {
+		r.P50 = h.Percentile(0.50)
+		r.P99 = h.Percentile(0.99)
 	}
 }
 
@@ -341,7 +342,7 @@ func mapKind(caps txengine.Caps) txengine.MapKind {
 // histograms. onMeasure, if non-nil, fires once at the start of the
 // measured window (with workers already running), so callers can
 // re-snapshot engine stats to the same boundary.
-func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid int) func() uint64, onMeasure func()) (uint64, time.Duration, *latHist) {
+func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid int) func() uint64, onMeasure func()) (uint64, time.Duration, *metrics.Hist) {
 	var stop atomic.Bool
 	var measuring atomic.Bool
 	var total atomic.Uint64
@@ -349,15 +350,15 @@ func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid 
 	var ready, start sync.WaitGroup
 	ready.Add(threads)
 	start.Add(1)
-	hists := make([]*latHist, threads)
+	hists := make([]*metrics.Hist, threads)
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
 			iter := newWorker(tid)
-			var h *latHist
+			var h *metrics.Hist
 			if lat {
-				h = &latHist{}
+				h = &metrics.Hist{}
 				hists[tid] = h
 			}
 			ready.Done()
@@ -376,7 +377,7 @@ func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid 
 					// whichever side its commit did.
 					if measuring.Load() {
 						if c > 0 {
-							h.recordN(time.Since(t0), c)
+							h.RecordN(time.Since(t0), c)
 						}
 						n += c
 					}
@@ -420,10 +421,10 @@ func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid 
 	if !lat {
 		return total.Load(), el, nil
 	}
-	merged := &latHist{}
+	merged := &metrics.Hist{}
 	for _, h := range hists {
 		if h != nil {
-			merged.merge(h)
+			merged.Merge(h)
 		}
 	}
 	return total.Load(), el, merged

@@ -155,35 +155,6 @@ func TestTransferConservation(t *testing.T) {
 	}
 }
 
-// TestLatHist pins the histogram math the percentile mode relies on.
-func TestLatHist(t *testing.T) {
-	h := &latHist{}
-	for i := 1; i <= 1000; i++ {
-		h.record(time.Duration(i) * time.Microsecond)
-	}
-	p50 := h.percentile(0.50)
-	if p50 < 400*time.Microsecond || p50 > 600*time.Microsecond {
-		t.Errorf("p50 of uniform 1..1000us = %v, want ~500us", p50)
-	}
-	p99 := h.percentile(0.99)
-	if p99 < 900*time.Microsecond || p99 > 1100*time.Microsecond {
-		t.Errorf("p99 of uniform 1..1000us = %v, want ~990us", p99)
-	}
-	if h.percentile(1.0) < p99 {
-		t.Error("percentile not monotone")
-	}
-	var other latHist
-	other.record(time.Millisecond)
-	h.merge(&other)
-	if h.count != 1001 {
-		t.Errorf("merged count = %d, want 1001", h.count)
-	}
-	empty := &latHist{}
-	if empty.percentile(0.99) != 0 {
-		t.Error("empty histogram must report zero")
-	}
-}
-
 // TestCapabilityGating pins which engines each scenario admits: the
 // workqueue runs exactly on the queue-capable engines (Medley family +
 // Original), and the map scenarios exclude the static (LFTT) and
