@@ -1,9 +1,9 @@
 // Command txserver serves one transactional uint64 map over the internal/
 // server wire protocol (length-prefixed binary frames carrying Get, Put, and
 // multi-op Txn batches with pre-declared footprints). Any registry engine
-// with dynamic transactions can back it; the default is the sharded Medley
-// runtime, where the batch scheduler's footprint hints let cross-shard
-// transactions lock their shard set up front.
+// with dynamic transactions can back it; the default is medley-sharded,
+// where the batch scheduler's footprint hints let cross-shard transactions
+// latch their keys up front.
 //
 // Each connection gets one goroutine and an engine session of its own (handed
 // on to a later connection when it closes), and is served a burst at a time:

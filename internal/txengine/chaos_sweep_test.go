@@ -444,7 +444,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	spec := testSpec(b.Caps)
 	m, err := eng.NewUintMap(spec)
 	if err != nil {
@@ -467,7 +467,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 		Times: 1,
 		Action: func() {
 			down.Store(true) // before the first device goes: whoever trips over it knows why
-			for _, d := range se.devs {
+			for _, d := range se.Devices() {
 				d.Crash()
 			}
 		},
@@ -495,7 +495,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	go func() {
 		defer wg.Done()
 		for !down.Load() && time.Now().Before(deadline) {
-			if dies(func() { montage.AdvanceTogether(se.clock, se.esys) }) {
+			if dies(func() { montage.AdvanceTogether(se.clock, se.es) }) {
 				return
 			}
 		}
@@ -513,7 +513,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tx := eng.NewWorker(w).(*shardedTx)
+			tx := eng.NewWorker(w).(*sessionTx)
 			for n := 0; ; n++ {
 				from, to, dawdle := (w+n)%2, (w+n+1)%2, 0
 				if w >= 2 {
@@ -538,9 +538,9 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 					// A thread that dies inside its commit's cleanups dies
 					// pinned. The process it models is gone, but this one's
 					// storm would wait for the pin forever: let it go.
-					if !tx.ses.InTx() {
-						tx.ses.TxBegin()
-						tx.ses.TxAbort()
+					if !tx.s.InTx() {
+						tx.s.TxBegin()
+						tx.s.TxAbort()
 					}
 					return
 				}
@@ -558,7 +558,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 		t.Fatalf("point %s never fired at shards=%d (%d commits, %d aborts)", point, shards, st.Commits, st.Aborts)
 	}
 
-	return crashedRun{b: b, cfg: cfg, devs: se.devs, spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
+	return crashedRun{b: b, cfg: cfg, devs: se.Devices(), spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
 		total := uint64(0)
 		for i, k := range keys {
 			v, ok := rm.Get(tx2, k)

@@ -4,11 +4,12 @@ import "sync"
 
 // Key-granular latches for declared cross-shard transactions.
 //
-// A cross-shard transaction that declared its keys (HintKeys/HintQueues, at
-// most latchMaxKeys of them) latches exactly those keys before its
-// transaction opens, and releases them after it has closed. Nothing else
-// in the sharded runtime blocks: single-shard transactions, standalone
-// operations and undeclared cross-shard transactions never touch the table.
+// A Run on a -sharded engine whose declared keys (HintKeys, at most
+// latchMaxKeys of them) route to two shards or more latches exactly those keys
+// before each attempt's transaction opens, and releases them after it has
+// closed (sessionTx.Run). Nothing else on a sharded engine blocks:
+// single-shard transactions, standalone operations and undeclared cross-shard
+// transactions never touch the table.
 // This is the runtime's one blocking mechanism, entered only by declaration;
 // inside the transaction the paper's nonblocking commit is untouched
 // (core/doc.go states the boundary).
@@ -175,9 +176,9 @@ func (lt *latchTable) releaseAll(keys []uint64) {
 }
 
 // insertKey inserts k into an ascending, deduplicated key set in place,
-// returning the (possibly grown) slice — insertShard's uint64 twin, used
-// for declared latch key sets. Sets are capped at latchMaxKeys elsewhere, so
-// the linear scan is fine.
+// returning the (possibly grown) slice; declared latch key sets are built
+// with it. Sets are capped at latchMaxKeys elsewhere, so the linear scan is
+// fine.
 func insertKey(set []uint64, k uint64) []uint64 {
 	for i, v := range set {
 		if v == k {

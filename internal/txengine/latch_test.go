@@ -26,6 +26,15 @@ func (lt *latchTable) queued(k uint64) int {
 	return n
 }
 
+// holds reports whether some transaction holds the latch for k. Test-only
+// introspection under the bucket mutex.
+func (lt *latchTable) holds(k uint64) bool {
+	b := lt.bucketOf(k)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.m[k] != nil
+}
+
 // TestLatchAcquireRelease pins the uncontended protocol: a free latch is
 // taken without waiting, release dissolves it (the state is recycled), and
 // releasing an unheld latch panics.
@@ -180,9 +189,8 @@ func TestInsertKey(t *testing.T) {
 }
 
 // TestShardedLatchedHintZeroRestart pins the latched fast path end to end:
-// on an idle sharded engine, a hinted cross-shard transaction must commit
-// with no unlatched attempt — the hint routes it straight through key latches
-// and shards opened up front.
+// on an idle sharded engine, a hinted cross-shard transaction runs its body
+// once, with both declared keys latched, and commits.
 func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -194,7 +202,7 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := eng.NewWorker(0)
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	// Two keys guaranteed to live on different shards.
 	a, b := uint64(0), uint64(0)
 	for k := uint64(1); ; k++ {
@@ -204,9 +212,14 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 		}
 	}
 	base := eng.Stats()
+	execs, unlatched := 0, 0
 	for i := 0; i < 10; i++ {
 		HintKeys(tx, a, b)
 		if err := tx.Run(func() error {
+			execs++
+			if !se.latch.holds(a) || !se.latch.holds(b) {
+				unlatched++
+			}
 			m.Put(tx, a, uint64(i))
 			m.Put(tx, b, uint64(i))
 			return nil
@@ -214,20 +227,24 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := eng.Stats().Delta(base)
-	if d.LatchFallbacks != 0 {
-		t.Errorf("hinted runs ran unlatched %d times", d.LatchFallbacks)
+	if unlatched != 0 {
+		t.Errorf("hinted runs ran unlatched %d times", unlatched)
 	}
-	if d.Commits == 0 {
-		t.Errorf("no commits recorded: %+v", d)
+	if d := eng.Stats().Delta(base); d.Commits != 10 || execs != 10 {
+		t.Errorf("%+v in %d executions of the body, want 10 commits in 10", d, execs)
+	}
+	for _, k := range []uint64{a, b} {
+		if se.latch.holds(k) {
+			t.Errorf("key %d still latched after its Runs", k)
+		}
 	}
 }
 
 // TestShardedLatchedTransferStress is the engine-level race test for the
 // cross-shard commit: workers run transfers over a small overlapping account
 // set at 1, 2 and 8 shards, declaring them three ways — hinted (latched),
-// un-hinted (the second shard joins on first touch, no latches) and with an
-// oversized hint (> latchMaxKeys keys: declared shard set, no latches) —
+// un-hinted (no latches) and with an oversized hint (> latchMaxKeys keys: a
+// footprint hit, no latches) —
 // beside single-shard writers rewriting the same accounts. The total must be
 // conserved and no single-shard increment lost: any torn cross-shard commit
 // or latch/epoch ordering bug shows up as drift or a -race report.
@@ -248,7 +265,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer eng.Close()
-				se := eng.(*shardedEngine)
+				se := eng.(*medleyEngine)
 				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
 				if err != nil {
 					t.Fatal(err)
@@ -338,22 +355,108 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 				d := eng.Stats()
 				switch {
 				case shards == 1:
-					if d.LatchWaits != 0 || d.LatchFallbacks != 0 {
+					if d.LatchWaits != 0 || d.FootprintHits != 0 {
 						t.Errorf("one shard ran cross-shard machinery: %+v", d)
 					}
 				case decl == "hinted":
 					if d.LatchWaits == 0 {
 						t.Errorf("latched overlapping stress never waited on a latch: %+v", d)
 					}
-					if d.LatchFallbacks != 0 {
-						t.Errorf("correctly hinted transfers ran unlatched: %+v", d)
-					}
 				default:
-					if d.LatchWaits != 0 || d.LatchFallbacks == 0 {
+					if d.LatchWaits != 0 {
 						t.Errorf("%s transfers must run without latches: %+v", decl, d)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestShardedLatchedDeclarations pins which declarations latch, on an idle
+// medley-sharded where every count is exact: keys that route to one shard
+// neither latch nor count a footprint hit; keys on two shards latch and count
+// one; latchMaxKeys+1 keys over two shards count one and run unlatched; an
+// undeclared Run over two shards does neither. However a Run is declared, its
+// body runs once. On plain medley a declaration does nothing.
+func TestShardedLatchedDeclarations(t *testing.T) {
+	eng, err := Build("medley-sharded", Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	se := eng.(*medleyEngine)
+	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distinctShardKeys(t, se, 2, 0)
+	same := keyOnShard(t, se, 0, keys[0]+1) // shares keys[0]'s shard
+	tx := eng.NewWorker(0)
+	for _, c := range []struct {
+		name    string
+		hint    []uint64
+		touch   []uint64
+		latched bool
+		hits    uint64
+	}{
+		{"undeclared", nil, keys, false, 0},
+		{"one shard", []uint64{keys[0], same}, []uint64{keys[0], same}, false, 0},
+		{"two shards", keys, keys, true, 1},
+		{"latchMaxKeys+1 keys", append(oversizedHint()[2:], keys...), keys, false, 1},
+	} {
+		base := eng.Stats()
+		if c.hint != nil {
+			HintKeys(tx, c.hint...)
+		}
+		execs, held := 0, 0
+		if err := tx.Run(func() error {
+			execs++
+			held = 0
+			for _, k := range append(c.hint, c.touch...) {
+				if se.latch.holds(k) {
+					held++
+				}
+			}
+			for _, k := range c.touch {
+				v, _ := m.Get(tx, k)
+				m.Put(tx, k, v+1)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if latched := held > 0; latched != c.latched || (latched && held != len(c.hint)+len(c.touch)) {
+			t.Errorf("%s: %d of its keys latched, want latched=%v", c.name, held, c.latched)
+		}
+		if d := eng.Stats().Delta(base); d != (Stats{Commits: 1, FootprintHits: c.hits}) || execs != 1 {
+			t.Errorf("%s: %+v in %d executions of the body, want one commit and %d footprint hits in one", c.name, d, execs, c.hits)
+		}
+	}
+
+	plain, err := Build("medley", Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	pm, err := plain.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptx := plain.NewWorker(0).(*sessionTx)
+	base := plain.Stats()
+	HintKeys(ptx, keys...)
+	if err := ptx.Run(func() error {
+		if ptx.latched != nil || plain.(*medleyEngine).latch != nil {
+			t.Error("plain medley latched a declaration")
+		}
+		for _, k := range keys {
+			pm.Put(ptx, k, 1)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := plain.Stats().Delta(base); d != (Stats{Commits: 1}) {
+		t.Errorf("plain medley with HintKeys: %+v, want one commit", d)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"medley/internal/core"
 	"medley/internal/metrics"
@@ -17,17 +18,21 @@ import (
 
 const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | CapRowMaps | CapQueue | CapSnapshot
 
-// medleyEngine drives Medley transactional maps; with an epoch system
-// attached it is txMontage (Medley + periodic persistence over the
-// simulated NVM device).
+// medleyEngine drives Medley transactional maps; with epoch systems attached
+// it is txMontage (Medley + periodic persistence over simulated NVM devices).
+// Its maps are partitions of shards sub-maps (partition.go): one on medley and
+// txmontage, S on their -sharded forms.
 type medleyEngine struct {
-	name  string
-	mgr   *core.TxManager
-	es    *montage.EpochSys // non-nil for txMontage
-	codec montage.Codec[any]
-	adv   advancer  // the private background advancer, when Config.EpochLen asks for one
-	snap  *snapTier // MVCC snapshot tier; nil when Config.snapOff (sharded sub-engines)
-	cells metrics.Cells[Stats]
+	name   string
+	mgr    *core.TxManager
+	shards int
+	clock  *montage.EpochClock // txMontage: the one clock of es; nil for Medley
+	es     []*montage.EpochSys // txMontage: one per shard, on clock; nil for Medley
+	codec  montage.Codec[any]
+	adv    advancer    // the background advancer, when Config.EpochLen asks for one
+	snap   *snapTier   // the engine's one MVCC snapshot tier
+	latch  *latchTable // declared keys' latches; nil with one shard
+	cells  metrics.Cells[Stats]
 }
 
 // advancer is an engine's background epoch advancer, started by the first map
@@ -58,48 +63,46 @@ func (a *advancer) close() {
 	}
 }
 
-func newMedleyEngine(cfg Config) (Engine, error) {
-	e := &medleyEngine{name: "Medley", mgr: cfg.manager()}
-	if !cfg.snapOff {
-		e.snap = newSnapTier(nil)
+// newMedleyEngine builds Medley, or txMontage when persist is set, over one
+// shard, or over shardCount(cfg) when sharded is set. txMontage gives every
+// shard an epoch system and a device of its own (cfg.Devices, when non-empty,
+// supplies them in shard order, for recovery) on one epoch clock.
+func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
+	n := 1
+	if sharded {
+		n = shardCount(cfg)
 	}
-	return e, nil
-}
-
-func newTxMontageEngine(cfg Config) (Engine, error) {
-	mgr := cfg.manager()
-	if len(cfg.Devices) > 1 {
-		return nil, fmt.Errorf("txengine: txmontage is single-device (got %d devices); use txmontage-sharded for multi-device persistence", len(cfg.Devices))
-	}
-	var dev *pnvm.Device
-	if len(cfg.Devices) == 1 {
-		dev = cfg.Devices[0]
-	} else {
-		dev = pnvm.New(cfg.Latencies)
-	}
-	var es *montage.EpochSys
-	if cfg.clock != nil {
-		// Shared clock: the clock's owner (the sharded coordinator) drives
-		// the advance cadence for every system on it; starting a private
-		// advancer here would flush this shard's batches at boundaries the
-		// other shards never reach.
-		es = montage.NewEpochSysShared(dev, cfg.clock)
-	} else {
-		es = montage.NewEpochSys(dev)
-	}
-	// On a shared manager every shard binds it to the same clock again,
-	// which changes nothing.
-	montage.Attach(mgr, es)
-	e := &medleyEngine{name: "txMontage", mgr: mgr, es: es, codec: cfg.RowCodec}
-	if !cfg.snapOff {
-		// Anchor commit timestamps to the same clock that orders epoch cuts.
-		e.snap = newSnapTier(es.Clock())
-	}
-	if cfg.EpochLen > 0 && cfg.clock == nil {
-		e.adv.run = func() func() {
-			return montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, cfg.EpochLen)
+	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), shards: n}
+	if persist {
+		switch {
+		case !sharded && len(cfg.Devices) > 1:
+			return nil, fmt.Errorf("txengine: txmontage is single-device (got %d devices); use txmontage-sharded for multi-device persistence", len(cfg.Devices))
+		case len(cfg.Devices) > 0 && len(cfg.Devices) != n:
+			return nil, fmt.Errorf("txengine: txmontage-sharded wants one device per shard: got %d devices for %d shards", len(cfg.Devices), n)
+		}
+		e.name, e.codec, e.clock = "txMontage", cfg.RowCodec, montage.NewEpochClock()
+		for i := 0; i < n; i++ {
+			dev := pnvm.New(cfg.Latencies)
+			if len(cfg.Devices) > 0 {
+				dev = cfg.Devices[i]
+			}
+			e.es = append(e.es, montage.NewEpochSysShared(dev, e.clock))
+		}
+		// Attach binds the manager to the clock, which every shard shares.
+		montage.Attach(e.mgr, e.es[0])
+		if cfg.EpochLen > 0 {
+			e.adv.run = func() func() { return montage.StartAdvancer(e.clock, e.es, cfg.EpochLen) }
 		}
 	}
+	if sharded {
+		e.name = fmt.Sprintf("%s-sh%d", e.name, n)
+	}
+	if n > 1 {
+		e.latch = newLatchTable()
+	}
+	// On txMontage commit timestamps are anchored to the clock that orders
+	// epoch cuts.
+	e.snap = newSnapTier(e.clock)
 	return e, nil
 }
 
@@ -109,38 +112,43 @@ func (e *medleyEngine) Stats() Stats { return e.cells.Sum() }
 
 func (e *medleyEngine) Close() { e.adv.close() }
 
-// EpochSys exposes the montage epoch system (nil for transient Medley), for
-// recovery demos and persistence tests.
-func (e *medleyEngine) EpochSys() *montage.EpochSys { return e.es }
-
-// Devices implements Persister (nil for transient Medley).
+// Devices implements Persister: every shard's device in shard order, or nil
+// for transient Medley.
 func (e *medleyEngine) Devices() []*pnvm.Device {
 	if e.es == nil {
 		return nil
 	}
-	return []*pnvm.Device{e.es.Device()}
+	devs := make([]*pnvm.Device, len(e.es))
+	for i, es := range e.es {
+		devs[i] = es.Device()
+	}
+	return devs
 }
 
-// Sync implements Persister: an epoch-boundary sync, after which everything
-// committed so far is durable.
+// Sync implements Persister: two advances of every shard together, after
+// which each transaction committed before the call is durable on all of its
+// shards at one boundary.
 func (e *medleyEngine) Sync() {
 	if e.es != nil {
-		e.es.Sync()
+		montage.SyncTogether(e.clock, e.es)
 	}
 }
 
-// RecoverUintMap implements Persister: a single-device txMontage is a
-// recovery domain of one.
+// RecoverUintMap implements Persister: every shard's sub-map is rebuilt from
+// its own device's live records at the domain's cut. It takes one dump per
+// shard, in shard order: the shard count the state was written under.
 func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.es == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
 	}
-	rec, err := montage.Recover(e.es.Clock(), []*montage.EpochSys{e.es}, dumps)
+	rec, err := montage.Recover(e.clock, e.es, dumps)
 	if err != nil {
 		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
+	sub := subSpec(spec, e.shards)
+	m := partition(e.shards, func(i int) Map[uint64] { return montageUintMap(e.es[i], sub, rec.Live[i]) })
 	e.adv.start()
-	return newSnapMap(montageUintMap(e.es, spec, rec.Live[0]), e.snap), nil
+	return newSnapMap(m, e.snap), nil
 }
 
 // montageUintMap builds one device's persistent uint64 map, its index
@@ -157,51 +165,57 @@ func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) txma
 }
 
 func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
-	var inner txmapAdapter[uint64]
-	switch {
-	case e.es != nil:
-		inner = montageUintMap(e.es, spec, nil)
-	case spec.Kind == KindHash:
-		inner = txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}
-	default:
-		inner = txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
-	}
+	sub := subSpec(spec, e.shards)
+	m := partition(e.shards, func(i int) Map[uint64] {
+		switch {
+		case e.es != nil:
+			return montageUintMap(e.es[i], sub, nil)
+		case sub.Kind == KindHash:
+			return txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(sub, 1<<16))}
+		default:
+			return txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
+		}
+	})
 	e.adv.start()
-	return newSnapMap(inner, e.snap), nil
+	return newSnapMap(m, e.snap), nil
 }
 
 func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
-	var inner txmapAdapter[any]
-	switch {
-	case e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
+	if e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil) {
 		return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
-	case e.es != nil && spec.Kind == KindHash:
-		inner = txmapAdapter[any]{montage.NewHashMap(e.es, e.codec, bucketsOr(spec, 1<<16))}
-	case e.es != nil:
-		inner = txmapAdapter[any]{montage.NewSkipMap(e.es, e.codec)}
-	case spec.Kind == KindHash:
-		inner = txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}
-	default:
-		inner = txmapAdapter[any]{fskiplist.New[uint64, any]()}
 	}
+	sub := subSpec(spec, e.shards)
+	m := partition(e.shards, func(i int) Map[any] {
+		switch {
+		case e.es != nil && sub.Kind == KindHash:
+			return txmapAdapter[any]{montage.NewHashMap(e.es[i], e.codec, bucketsOr(sub, 1<<16))}
+		case e.es != nil:
+			return txmapAdapter[any]{montage.NewSkipMap(e.es[i], e.codec)}
+		case sub.Kind == KindHash:
+			return txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(sub, 1<<16))}
+		default:
+			return txmapAdapter[any]{fskiplist.New[uint64, any]()}
+		}
+	})
 	e.adv.start()
-	return newSnapMap(inner, e.snap), nil
+	return newSnapMap(m, e.snap), nil
 }
 
 // NewUintQueue returns an NBTC-transformed Michael & Scott queue. The queue
 // itself is transient even under txMontage: the paper's queue carries no
-// payload persistence, and composition with persistent maps stays atomic.
+// payload persistence, and composition with persistent maps stays atomic. A
+// queue has no key to partition by: a -sharded engine's queue is this one.
 func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 	return msQueueAdapter{q: msqueue.New[uint64]()}, nil
 }
 
 func (e *medleyEngine) NewWorker(int) Tx {
 	s := e.mgr.Session()
-	t := &sessionTx{s: s, ct: e.cells.New()}
+	t := &sessionTx{s: s, ct: e.cells.New(), shards: e.shards, latch: e.latch}
 	t.snap.ses, t.snap.end = s, s.TxEnd
-	if e.snap != nil {
-		t.snap.tier = e.snap
-		t.snap.slot = e.snap.newSlot()
+	t.snap.tier, t.snap.slot = e.snap, e.snap.newSlot()
+	if e.latch != nil {
+		t.lw = newLatchWaiter()
 	}
 	return t
 }
@@ -213,27 +227,103 @@ func bucketsOr(spec MapSpec, def int) int {
 	return def
 }
 
-// sessionTx adapts a core.Session to the Tx interface. Medley operations
-// are usable both inside and outside transactions, so NoTx is genuinely
-// uninstrumented.
+// sessionTx adapts a core.Session to the Tx interface: the worker handle of
+// every Medley-family engine, sharded or not. Medley operations are usable
+// both inside and outside transactions, so NoTx is genuinely uninstrumented.
 type sessionTx struct {
 	s       *core.Session
 	ct      *Stats
 	snap    snapAgent
 	bo      backoff
 	aborted bool // Abort doomed the current attempt
+	inRun   bool // inside Run, where HintKeys does nothing
+
+	// Declared keys, on an engine of more than one shard (latch non-nil).
+	shards  int
+	latch   *latchTable
+	decl    declaration // staged by HintKeys for the next Run
+	latched []uint64    // the keys the current attempt holds latched
+	lw      latchWaiter // reusable wait token (one wait at a time)
+}
+
+// declaration is the key set HintKeys stages for a worker's next Run:
+// ascending and deduplicated, and emptied once it grows past latchMaxKeys
+// (over); multi says the keys route to two shards or more.
+type declaration struct {
+	pending     bool
+	keys        []uint64
+	first       int // the first key's shard
+	multi, over bool
+}
+
+// HintKeys implements KeyHinter. On an engine of more than one shard it stages
+// keys for the worker's next Run, accumulating over calls until a Run consumes
+// them; anywhere else, and inside a Run, it does nothing.
+func (t *sessionTx) HintKeys(keys ...uint64) {
+	if t.latch == nil || t.inRun {
+		return
+	}
+	d := &t.decl
+	for _, k := range keys {
+		s := shardOf(k, t.shards)
+		if !d.pending {
+			*d = declaration{pending: true, keys: d.keys[:0], first: s}
+		}
+		d.multi = d.multi || s != d.first
+		if !d.over {
+			// Hundreds of latch handoffs cost more than the conflicts they
+			// would queue: an oversized declaration runs unlatched.
+			d.keys = insertKey(d.keys, k)
+			if d.over = len(d.keys) > latchMaxKeys; d.over {
+				d.keys = d.keys[:0]
+			}
+		}
+	}
+}
+
+// takeDeclaration consumes the staged declaration at the head of a Run and
+// returns the keys the Run latches: the declared ones when they route to two
+// shards or more and number at most latchMaxKeys, nil otherwise. A declaration
+// over two shards or more counts one FootprintHit.
+func (t *sessionTx) takeDeclaration() []uint64 {
+	d := &t.decl
+	if !d.pending {
+		return nil
+	}
+	d.pending = false
+	if !d.multi {
+		return nil
+	}
+	atomic.AddUint64(&t.ct.FootprintHits, 1)
+	if d.over {
+		return nil
+	}
+	return d.keys
 }
 
 // Run is core.Session.Run with version stamping folded into the commit (once
 // the snapshot tier is on, a successful commit publishes the attempt's
 // buffered writes at one drawn timestamp; before, nothing is buffered and the
 // commit is a TxEnd with the worker's slot marked — see snapAgent.commit; an
-// attempt whose commit met the tier's start waits it out before the retry)
-// and with the attempts counted in the loop, so a Run allocates nothing in
-// this layer.
+// attempt whose commit met the tier's start waits it out before the retry),
+// with a declaration's latches taken at the head of every attempt, and with
+// the attempts counted in the loop, so a Run allocates nothing in this layer.
 func (t *sessionTx) Run(fn func() error) error {
+	latch := t.takeDeclaration()
+	t.inRun = true
+	// However the Run ends, a panic out of fn included, it leaves no
+	// transaction open and no latch held. One defer outside the loop stays
+	// open-coded: it allocates nothing.
+	defer t.endRun()
 	for attempt := 0; ; attempt++ {
 		t.snap.beginAttempt()
+		if latch != nil {
+			// Latches first, holding nothing else (ascending, FIFO: latch.go).
+			if w := t.latch.acquireAll(latch, &t.lw); w > 0 {
+				atomic.AddUint64(&t.ct.LatchWaits, uint64(w))
+			}
+			t.latched = latch
+		}
 		t.aborted = false
 		t.s.TxBegin()
 		err := fn()
@@ -247,10 +337,9 @@ func (t *sessionTx) Run(fn func() error) error {
 				err = t.snap.commit()
 			}
 		}
-		if t.s.InTx() {
-			// fn failed, or the commit met the snapshot tier's start.
-			t.s.TxAbort()
-		}
+		// The attempt's latches go; its transaction is still open if fn
+		// failed or the commit met the snapshot tier's start.
+		t.rollback()
 		if err == nil || !errors.Is(err, core.ErrTxAborted) {
 			t.ct.countAttempts(attempt+1, err)
 			return err
@@ -259,21 +348,35 @@ func (t *sessionTx) Run(fn func() error) error {
 	}
 }
 
+// rollback aborts the attempt's transaction if it is open and releases the
+// attempt's latches if it holds them.
+func (t *sessionTx) rollback() {
+	if t.s.InTx() {
+		t.s.TxAbort()
+	}
+	if t.latched != nil {
+		t.latch.releaseAll(t.latched)
+		t.latched = nil
+	}
+}
+
+// endRun is Run's deferred exit: after a commit or an error it finds nothing
+// to roll back.
+func (t *sessionTx) endRun() {
+	t.rollback()
+	t.inRun = false
+}
+
 // SnapshotRead implements SnapshotReader (snapAgent.snapshot).
 func (t *sessionTx) SnapshotRead(fn func()) bool {
-	_, ok := t.snap.snapshot(t.ct, t.s.InTx(), 1, func(int, uint64) { fn() })
-	return ok
+	t.snap.snapshot(t.ct, t.s.InTx(), 1, func(int, uint64) { fn() })
+	return true
 }
 
 // SnapshotReadBatch implements SnapshotBatchReader (snapAgent.snapshot).
 func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bool) {
-	return t.snap.snapshot(t.ct, t.s.InTx(), n, each)
+	return t.snap.snapshot(t.ct, t.s.InTx(), n, each), true
 }
-
-// snapAgent / snapBuffering implement the snapTxn seam for snapMap: writes
-// are buffered whenever a transaction is open on the session.
-func (t *sessionTx) snapAgent() *snapAgent { return &t.snap }
-func (t *sessionTx) snapBuffering() bool   { return t.s.InTx() }
 
 func (t *sessionTx) RunRead(fn func()) {
 	_ = t.Run(func() error { fn(); return nil })

@@ -13,7 +13,7 @@ import (
 
 const benchShards = 8
 
-func benchEngine(b *testing.B) (*shardedEngine, Map[uint64], Map[uint64], *shardedTx) {
+func benchEngine(b *testing.B) (*medleyEngine, Map[uint64], Map[uint64], *sessionTx) {
 	b.Helper()
 	eng, err := Build("medley-sharded", Config{Shards: benchShards})
 	if err != nil {
@@ -28,30 +28,18 @@ func benchEngine(b *testing.B) (*shardedEngine, Map[uint64], Map[uint64], *shard
 	if err != nil {
 		b.Fatal(err)
 	}
-	se := eng.(*shardedEngine)
-	tx := eng.NewWorker(0).(*shardedTx)
+	se := eng.(*medleyEngine)
+	tx := eng.NewWorker(0).(*sessionTx)
 	return se, m1, m2, tx
 }
 
-// BenchmarkShardRouteHash measures the raw hash route (Fibonacci hash +
-// multiply-high range reduction), rotating keys so the handle memo never
-// applies.
+// BenchmarkShardRouteHash measures the hash route (Fibonacci hash +
+// multiply-high range reduction).
 func BenchmarkShardRouteHash(b *testing.B) {
 	se, _, _, _ := benchEngine(b)
 	acc := 0
 	for i := 0; b.N > i; i++ {
 		acc += se.shardOf(uint64(i))
-	}
-	sinkInt = acc
-}
-
-// BenchmarkShardRouteMemo measures the handle-local route memo on a
-// repeated key — the Get-then-Put-same-key pattern inside one transaction.
-func BenchmarkShardRouteMemo(b *testing.B) {
-	_, _, _, tx := benchEngine(b)
-	acc := 0
-	for i := 0; b.N > i; i++ {
-		acc += tx.routeOf(12345)
 	}
 	sinkInt = acc
 }

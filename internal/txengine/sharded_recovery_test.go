@@ -41,9 +41,9 @@ func TestShardedPersistRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se := eng.(*shardedEngine)
-		if se.NumShards() != shards {
-			t.Errorf("Shards=%d built %d shards", shards, se.NumShards())
+		se := eng.(*medleyEngine)
+		if se.shards != shards {
+			t.Errorf("Shards=%d built %d shards", shards, se.shards)
 		}
 		if !strings.Contains(eng.Name(), fmt.Sprintf("sh%d", shards)) {
 			t.Errorf("Shards=%d name %q does not carry the shard count", shards, eng.Name())
@@ -52,12 +52,12 @@ func TestShardedPersistRegistry(t *testing.T) {
 		if !ok || len(p.Devices()) != shards {
 			t.Fatalf("Shards=%d: want Persister with %d devices", shards, shards)
 		}
-		if se.clock == nil || len(se.esys) != shards {
-			t.Fatalf("Shards=%d: epoch coordination not wired (clock=%v, esys=%d)", shards, se.clock, len(se.esys))
+		if se.clock == nil || len(se.es) != shards {
+			t.Fatalf("Shards=%d: epoch coordination not wired (clock=%v, esys=%d)", shards, se.clock, len(se.es))
 		}
 		// Every shard must share the one clock, or cross-shard transactions
 		// could pin different epoch numbers per shard.
-		for i, es := range se.esys {
+		for i, es := range se.es {
 			if es.Clock() != se.clock {
 				t.Fatalf("shard %d has a private epoch clock", i)
 			}
@@ -257,7 +257,7 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	spec := MapSpec{Kind: KindHash, Buckets: 256}
 	m, err := eng.NewUintMap(spec)
 	if err != nil {
@@ -301,11 +301,11 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	// One clean coordinated advance (flushes the pre-transfer epoch E-1 on
 	// both shards), then a torn one: the clock ticks, shard 0 flushes epoch
 	// E — transfers included — and the crash lands before shard 1 does.
-	montage.AdvanceTogether(se.clock, se.esys)
+	montage.AdvanceTogether(se.clock, se.es)
 	e := se.clock.Tick()
 	se.clock.WaitNotPinnedBelow(e - 1)
-	se.esys[0].Flush(e - 2)
-	devs := se.devs
+	se.es[0].Flush(e - 2)
+	devs := se.Devices()
 	dumps := pnvm.DumpAll(devs)
 	eng.Close()
 
@@ -356,7 +356,7 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	// re-anchored the clock past the cut — otherwise this cycle would
 	// compute its cut from pre-first-crash markers and resurrect the torn
 	// transfer discarded above.
-	se2 := eng2.(*shardedEngine)
+	se2 := eng2.(*medleyEngine)
 	for i := 0; i < 2; i++ {
 		if err := tx2.Run(func() error {
 			a, _ := rm.Get(tx2, k1)
@@ -369,7 +369,7 @@ func TestShardedTornCutPrevented(t *testing.T) {
 		}
 	}
 	se2.Sync()
-	dumps2 := pnvm.DumpAll(se2.devs)
+	dumps2 := pnvm.DumpAll(se2.Devices())
 	eng2.Close()
 
 	eng3, err := b.New(Config{Shards: 2, Devices: devs})
@@ -418,7 +418,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	spec := MapSpec{Kind: KindHash, Buckets: 256}
 	m, err := eng.NewUintMap(spec)
 	if err != nil {
@@ -426,7 +426,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 	}
 	keys := distinctShardKeys(t, se, 2, 1)
 	k1, k2 := keys[0], keys[1]
-	tx := eng.NewWorker(0).(*shardedTx)
+	tx := eng.NewWorker(0).(*sessionTx)
 	m.Put(tx, k1, 1000)
 	m.Put(tx, k2, 1000)
 	se.Sync()
@@ -436,13 +436,13 @@ func TestShardedEpochStraddle(t *testing.T) {
 	if err := tx.Run(func() error {
 		a, _ := m.Get(tx, k1)
 		m.Put(tx, k1, a-100)
-		e1 := montage.PinnedEpoch(tx.ses)
+		e1 := montage.PinnedEpoch(tx.s)
 		if len(pinned) == 0 {
 			se.clock.Tick()
 		}
 		b, _ := m.Get(tx, k2)
 		m.Put(tx, k2, b+100)
-		pinned = append(pinned, [2]uint64{e1, montage.PinnedEpoch(tx.ses)})
+		pinned = append(pinned, [2]uint64{e1, montage.PinnedEpoch(tx.s)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -450,16 +450,16 @@ func TestShardedEpochStraddle(t *testing.T) {
 	if len(pinned) != 2 || pinned[0][0] != pinned[0][1] || pinned[1] != [2]uint64{pinned[0][0] + 1, pinned[0][0] + 1} {
 		t.Fatalf("pinned epochs per attempt = %v, want (e, e) across the tick, then (e+1, e+1)", pinned)
 	}
-	if d, want := eng.Stats().Delta(base), (Stats{Commits: 1, Aborts: 1, Retries: 1, LatchFallbacks: 2}); d != want {
+	if d, want := eng.Stats().Delta(base), (Stats{Commits: 1, Aborts: 1, Retries: 1}); d != want {
 		t.Fatalf("stats %+v, want %+v: the attempt the tick went through aborted, the retry committed", d, want)
 	}
 
 	se.Sync()
-	dumps := pnvm.DumpAll(se.devs)
+	dumps := pnvm.DumpAll(se.Devices())
 	if e1, e2 := payloadEpoch(t, dumps[se.shardOf(k1)], k1), payloadEpoch(t, dumps[se.shardOf(k2)], k2); e1 != e2 || e1 != pinned[1][0] {
 		t.Fatalf("the two shards' payloads carry epochs %d and %d, want both the retry's %d", e1, e2, pinned[1][0])
 	}
-	devs := se.devs
+	devs := se.Devices()
 	eng.Close()
 	eng2, err := b.New(Config{Shards: 2, Devices: devs})
 	if err != nil {
@@ -496,7 +496,7 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					se := eng.(*shardedEngine)
+					se := eng.(*medleyEngine)
 					m, err := eng.NewUintMap(spec)
 					if err != nil {
 						t.Fatal(err)
@@ -531,14 +531,14 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 					}
 
 					se.Sync()
-					dumps := pnvm.DumpAll(se.devs)
+					dumps := pnvm.DumpAll(se.Devices())
 					epoch := payloadEpoch(t, dumps[se.shardOf(keys[0])], keys[0])
 					for _, key := range keys[1:] {
 						if e := payloadEpoch(t, dumps[se.shardOf(key)], key); e != epoch {
 							t.Fatalf("key %d's payload carries epoch %d, key %d's %d: one transaction in two cuts", key, e, keys[0], epoch)
 						}
 					}
-					devs := se.devs
+					devs := se.Devices()
 					eng.Close()
 					eng2, err := b.New(Config{Shards: shards, Devices: devs})
 					if err != nil {

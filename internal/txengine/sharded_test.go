@@ -30,9 +30,9 @@ func TestShardedRegistryAndKnob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se := eng.(*shardedEngine)
-		if se.NumShards() != shards {
-			t.Errorf("Shards=%d built %d shards", shards, se.NumShards())
+		se := eng.(*medleyEngine)
+		if se.shards != shards {
+			t.Errorf("Shards=%d built %d shards", shards, se.shards)
 		}
 		if !strings.Contains(eng.Name(), fmt.Sprintf("sh%d", shards)) {
 			t.Errorf("Shards=%d name %q does not carry the shard count", shards, eng.Name())
@@ -45,7 +45,7 @@ func TestShardedRegistryAndKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.(*shardedEngine).NumShards(); n != DefaultShards {
+	if n := eng.(*medleyEngine).shards; n != DefaultShards {
 		t.Errorf("unset Shards built %d shards, want DefaultShards=%d", n, DefaultShards)
 	}
 	eng.Close()
@@ -59,7 +59,7 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	hit := make([]int, 8)
 	for k := uint64(0); k < 4096; k++ {
 		s := se.shardOf(k)
@@ -244,7 +244,7 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
@@ -308,9 +308,9 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 	}
 }
 
-// TestShardedQueueComposition: queue+map transactions must stay atomic even
-// though the queue lives on one home shard and the map entries route
-// elsewhere — the sharded version of the workqueue claim contract.
+// TestShardedQueueComposition: queue+map transactions must stay atomic
+// while the map entries route across shards — the sharded version of the
+// workqueue claim contract.
 func TestShardedQueueComposition(t *testing.T) {
 	const (
 		producers = 2
@@ -435,13 +435,8 @@ func TestShardedOneSessionPerWorker(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer eng.Close()
-				se := eng.(*shardedEngine)
-				mgr := se.shards[0].(*medleyEngine).mgr
-				for i, sh := range se.shards {
-					if sh.(*medleyEngine).mgr != mgr {
-						t.Fatalf("shard %d runs on a transaction manager of its own", i)
-					}
-				}
+				se := eng.(*medleyEngine)
+				mgr := se.mgr
 				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
 				if err != nil {
 					t.Fatal(err)

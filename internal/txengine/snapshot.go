@@ -186,8 +186,8 @@ func SnapshotReadBatch(tx Tx, n int, each func(i int, cut uint64)) (uint64, bool
 // from any cut >= LastCommitTS, fall back to an OCC read when the available
 // cut trails it (a writer elsewhere is still sealing).
 func LastCommitTS(tx Tx) uint64 {
-	if st, ok := tx.(snapTxn); ok {
-		return st.snapAgent().lastTS
+	if t, ok := tx.(*sessionTx); ok {
+		return t.snap.lastTS
 	}
 	return 0
 }
@@ -213,9 +213,9 @@ const (
 )
 
 // snapTier is the per-engine clock + watermark state shared by every worker
-// and every snapMap of one engine. A sharded engine owns exactly one tier —
-// its sub-engines are built with version stamping disabled — so a
-// cross-shard transaction stamps exactly one timestamp.
+// and every snapMap of one engine. A sharded engine owns exactly one tier,
+// which wraps its top-level maps over all of their shards, so a cross-shard
+// transaction stamps exactly one timestamp.
 type snapTier struct {
 	clock   atomic.Uint64 // last drawn commit timestamp
 	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read
@@ -660,10 +660,8 @@ type pendingWrite struct {
 	del  bool
 }
 
-// snapAgent is the per-worker snapshot state embedded in an engine's Tx
-// handle, and the commit of its transactions (commit). tier==nil means the
-// engine has no snapshot tier (snapOff sub-engines, or engines without
-// CapSnapshot): every snapMap stays unwrapped and a commit is a bare end.
+// snapAgent is the per-worker snapshot state embedded in a Medley-family Tx
+// handle (sessionTx), and the commit of its transactions (commit).
 type snapAgent struct {
 	tier        *snapTier
 	slot        *snapSlot
@@ -698,16 +696,12 @@ func (a *snapAgent) reset() {
 	a.unpublished = false
 }
 
-// snapshot is SnapshotRead and SnapshotReadBatch of every handle with a tier:
-// one cut is pinned, each(i, cut) runs for i in [0, n) against it, and n
-// snapshot reads are counted in ct. It reports false, running nothing,
-// without a tier, and panics inside an open transaction (the snapshot would
-// not see the transaction's own writes). The tier starts here, on the
-// engine's first snapshot, and nowhere else.
-func (a *snapAgent) snapshot(ct *Stats, inTx bool, n int, each func(i int, cut uint64)) (uint64, bool) {
-	if a.tier == nil {
-		return 0, false
-	}
+// snapshot is SnapshotRead and SnapshotReadBatch: one cut is pinned,
+// each(i, cut) runs for i in [0, n) against it, n snapshot reads are counted
+// in ct, and the cut is returned. It panics inside an open transaction (the
+// snapshot would not see the transaction's own writes). The tier starts here,
+// on the engine's first snapshot, and nowhere else.
+func (a *snapAgent) snapshot(ct *Stats, inTx bool, n int, each func(i int, cut uint64)) uint64 {
 	if inTx {
 		panic("txengine: snapshot read inside an open transaction")
 	}
@@ -724,7 +718,7 @@ func (a *snapAgent) snapshot(ct *Stats, inTx bool, n int, each func(i int, cut u
 		each(i, rt)
 	}
 	ct.countSnapshotN(stale, uint64(n))
-	return rt, true
+	return rt
 }
 
 // snapWrite is how one map write meets the tier, decided before the write
@@ -855,14 +849,6 @@ func (a *snapAgent) commit() error {
 	return err
 }
 
-// snapTxn is the internal seam a Tx handle implements to route snapMap
-// operations: the agent, plus whether writes are currently buffered by an
-// open transaction (vs standalone).
-type snapTxn interface {
-	snapAgent() *snapAgent
-	snapBuffering() bool
-}
-
 // rangeMap is a top-level map as the tier's start reads it: Range visits
 // every present pair, each as it stood at some instant of the walk — not a
 // linearizable snapshot of the map, which the start does not need.
@@ -881,13 +867,9 @@ type snapMap[V any] struct {
 }
 
 // newSnapMap attaches the snapshot sidecar to a top-level map, new or
-// recovered alike, and registers it with the tier (tier nil: inner is
-// returned bare).
-func newSnapMap[V any](inner rangeMap[V], tier *snapTier) Map[V] {
-	if tier == nil {
-		return inner
-	}
-	m := snapMap[V]{inner: inner, tab: &snapTable[V]{tier: tier}}
+// recovered alike, and registers it with the tier. inner must Range.
+func newSnapMap[V any](inner Map[V], tier *snapTier) Map[V] {
+	m := snapMap[V]{inner: inner.(rangeMap[V]), tab: &snapTable[V]{tier: tier}}
 	tier.register(m)
 	return m
 }
@@ -917,9 +899,9 @@ const (
 // commits: it installs, draws and resolves as a Run does, so its timestamp
 // orders it against every other writer of its key (see the header).
 func (m snapMap[V]) write(tx Tx, op snapOp, k uint64, v V) (V, bool) {
-	st := tx.(snapTxn)
-	a := st.snapAgent()
-	w := a.beginWrite(st.snapBuffering())
+	t := tx.(*sessionTx)
+	a := &t.snap
+	w := a.beginWrite(t.s.InTx())
 	if w != writeOne {
 		return m.apply(a, w, tx, op, k, v)
 	}
@@ -950,7 +932,7 @@ func (m snapMap[V]) apply(a *snapAgent, w snapWrite, tx Tx, op snapOp, k uint64,
 }
 
 func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
-	a := tx.(snapTxn).snapAgent()
+	a := &tx.(*sessionTx).snap
 	if a.rt != 0 {
 		return m.tab.read(k, a.rt)
 	}

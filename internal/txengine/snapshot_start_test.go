@@ -21,8 +21,9 @@ import (
 // snapshot and a read of every key join each history, which the checker must
 // accept: every snapshot is the committed state at its cut.
 
-// startEngines are the engines the start is explored on: one per commit path
-// (sessionTx, shardedTx), and txMontage, whose scan walks montage's map.
+// startEngines are the engines the start is explored on: one per map shape
+// (one shard, a partition of two), and txMontage, whose scan walks montage's
+// map.
 var startEngines = []struct {
 	key    string
 	shards int

@@ -14,9 +14,9 @@ import (
 )
 
 // snapEngines enumerates the CapSnapshot engines the suite sweeps: the
-// unsharded Medley family plus the sharded decorators at each shard count,
-// so the one-timestamp-per-group property of cross-shard commits (including
-// latch-group commits) is exercised alongside the single-manager path.
+// unsharded Medley family plus its -sharded forms at each shard count, so
+// the one-timestamp property of cross-shard commits (latched ones included)
+// is exercised alongside the single-shard path.
 func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engine)) {
 	for _, key := range []string{"medley", "txmontage"} {
 		b, ok := Lookup(key)

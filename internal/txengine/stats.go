@@ -21,25 +21,25 @@ import (
 //   - CrossShardRestarts: always 0, and hidden from printers. A sharded
 //     engine used to re-execute an attempt that touched a shard outside its
 //     known footprint; now the operation simply runs, in the one transaction
-//     (sharded.go). The field stays only because benchmark/serve.go reads it.
-//   - FootprintHits: Runs whose HintKeys/HintQueues declaration spanned
-//     several shards and covered every operation of the first attempt, so
-//     the Run knew its whole shard set up front. At most one per Run.
-//   - FootprintMisses: Runs whose multi-shard declaration proved wrong (an
-//     operation of the first attempt escaped it and reached its shard late,
-//     under latches that cover the declared keys only). At most one per Run.
-//     Hits and misses count declared Runs only: undeclared Runs, and
-//     declarations that route to a single shard, move neither.
+//     (partition.go). The field stays only because benchmark/serve.go reads
+//     it.
+//   - FootprintHits: Runs whose HintKeys declaration routed to two shards or
+//     more. At most one per Run; undeclared Runs, and declarations that route
+//     to a single shard, do not move it.
+//   - FootprintMisses: always 0, and hidden from printers. It counted
+//     declarations an operation escaped, which took tracking the shards each
+//     operation touched; the key-routing map passes the caller's Tx straight
+//     through, and nothing tracks them (partition.go). The field stays only
+//     because benchmark/serve.go reads it.
 //   - LatchWaits: key latches a latched cross-shard attempt had to queue
 //     for because another latched transaction held them (see latch.go). A
 //     high rate relative to Commits means declared footprints overlap on
 //     hot keys — traffic is pipelining through the latch FIFO rather than
 //     aborting, which is the latch layer doing its job.
-//   - LatchFallbacks: attempts that came to span a second shard without
-//     latches — no declared keys, or an oversized declaration (>
-//     latchMaxKeys keys). Counted once per attempt. Conflicts among them are
-//     resolved optimistically (abort, back off, retry) instead of by
-//     queueing. Zero on unsharded engines.
+//   - LatchFallbacks: always 0, and hidden from printers, for the same reason
+//     as FootprintMisses: it counted attempts that came to span a second
+//     shard without latches. The field stays only because benchmark/serve.go
+//     reads it.
 //   - SnapshotReads: SnapshotRead transactions served from the MVCC version
 //     tier (see snapshot.go). Each also counts as a Commit — a snapshot is
 //     a committed read-only transaction — and by construction contributes
@@ -66,9 +66,9 @@ type Stats struct {
 	Fallbacks          uint64
 	CrossShardRestarts uint64 `metric:"-"`
 	FootprintHits      uint64 `metric:"fphit"`
-	FootprintMisses    uint64 `metric:"fpmiss"`
+	FootprintMisses    uint64 `metric:"-"`
 	LatchWaits         uint64 `metric:"latchw"`
-	LatchFallbacks     uint64 `metric:"latchfb"`
+	LatchFallbacks     uint64 `metric:"-"`
 	SnapshotReads      uint64 `metric:"snapread"`
 	SnapshotStale      uint64 `metric:"snapstale"`
 }
@@ -108,8 +108,8 @@ func (s *Stats) countRun(run func(func() error) error, fn func() error) error {
 
 // countAttempts accounts a finished Run that executed its body execs times
 // and ended with err: one commit or terminal abort, plus one abort and one
-// retry per earlier execution. Engines that own their retry loop (Medley,
-// the sharded decorator) call it directly with the loop's own count.
+// retry per earlier execution. Engines that own their retry loop (the Medley
+// family) call it directly with the loop's own count.
 func (s *Stats) countAttempts(execs int, err error) {
 	if execs > 1 {
 		atomic.AddUint64(&s.Retries, uint64(execs-1))

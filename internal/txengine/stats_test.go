@@ -92,8 +92,6 @@ func cellOf(t *testing.T, tx Tx) *Stats {
 	switch x := tx.(type) {
 	case *sessionTx:
 		return x.ct
-	case *shardedTx:
-		return x.ct
 	case *boostTx:
 		return x.ct
 	case *tdslTx:
@@ -198,72 +196,11 @@ func TestStatsUnderConflict(t *testing.T) {
 	})
 }
 
-// TestShardedFootprintStats pins the sharded counters' contract on an idle
-// engine, where every count is exact. FootprintHits/Misses move only on
-// Runs that declared a multi-shard footprint; LatchFallbacks counts every
-// attempt that came to span a second shard without latches — no declared
-// keys, or an oversized declaration. However a Run finds its shards, its body
-// runs once: a shard outside the attempt's set joins it, nothing re-executes.
-func TestShardedFootprintStats(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := distinctShardKeys(t, se, 4, 0)
-	same := keyOnShard(t, se, 0, keys[0]+1) // shares keys[0]'s shard
-	tx := eng.NewWorker(0)
-	touch := func(ks ...uint64) (execs int) {
-		t.Helper()
-		if err := tx.Run(func() error {
-			execs++
-			for _, k := range ks {
-				v, _ := m.Get(tx, k)
-				m.Put(tx, k, v+1)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return execs
-	}
-	for _, c := range []struct {
-		name  string
-		hint  []uint64
-		touch []uint64
-		want  Stats
-	}{
-		{"single-shard, undeclared", nil, []uint64{keys[0], same}, Stats{Commits: 1}},
-		{"single-shard hint", []uint64{keys[0], same}, []uint64{keys[0], same}, Stats{Commits: 1}},
-		{"hint holds", keys[:2], keys[:2], Stats{Commits: 1, FootprintHits: 1}},
-		{"undeclared", nil, keys[:2], Stats{Commits: 1, LatchFallbacks: 1}},
-		{"undeclared, three shards", nil, keys[:3], Stats{Commits: 1, LatchFallbacks: 1}},
-		{"oversized hint", append(oversizedHint(), keys[:2]...), keys[:2], Stats{Commits: 1, FootprintHits: 1, LatchFallbacks: 1}},
-		{"hint escaped", keys[:2], []uint64{keys[0], keys[2]}, Stats{Commits: 1, FootprintMisses: 1}}, // its latches stay held
-		{"single-shard hint escaped", []uint64{keys[0]}, keys[:2], Stats{Commits: 1, LatchFallbacks: 1}},
-	} {
-		base := eng.Stats()
-		if c.hint != nil {
-			HintKeys(tx, c.hint...)
-		}
-		execs := touch(c.touch...)
-		if d := eng.Stats().Delta(base); d != c.want || execs != 1 {
-			t.Errorf("%s: %+v in %d executions of the body, want %+v in one", c.name, d, execs, c.want)
-		}
-	}
-}
-
 // TestRunAllocatesNothingInAdapter pins the adapter layer's own budget: a
 // committed Run on the Medley family allocates nothing outside what core and
 // the structures allocate for its writes — no counting closure, no method
 // values — so a read-only Run, which core serves from the session's spare
-// descriptor, allocates nothing at all. On the sharded decorator that holds
-// for the single-shard path.
+// descriptor, allocates nothing at all, sharded or not.
 func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -300,8 +237,8 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	}
 }
 
-// TestCrossShardRunAllocatesWhatOneShardDoes pins the sharded decorator's
-// budget for a transaction that spans shards: nothing. It is the worker's one
+// TestCrossShardRunAllocatesWhatOneShardDoes pins what a sharded engine adds
+// to a transaction that spans shards: nothing. It is the worker's one
 // session on the engine's one manager either way, so an un-hinted transfer
 // between two shards allocates exactly — count and bytes — what the same
 // transfer does inside one shard: two mhash overwrites (node 48 with the cell
@@ -318,7 +255,7 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	se := eng.(*shardedEngine)
+	se := eng.(*medleyEngine)
 	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +273,7 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // scratch, memo and base handles reach their steady state
+		run() // the session's scratch reaches its steady state
 		const n = 200
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,10 +1,10 @@
 // Package txengine unifies the repository's transactional systems behind a
 // single Engine abstraction: one name-keyed registry of backends (Medley,
 // txMontage, OneFile, POneFile, TDSL, LFTT, Boost, the untransformed
-// Original baseline, plus the sharded decorators medley-sharded,
-// txmontage-sharded, and original-sharded — see sharded.go), each exposing
-// per-worker transaction
-// handles and transactional map factories. The benchmark harness
+// Original baseline, plus medley-sharded, txmontage-sharded and
+// original-sharded, their bases with every map partitioned into S shards —
+// see partition.go), each exposing per-worker transaction handles and
+// transactional map factories. The benchmark harness
 // (internal/bench), the TPC-C workload (internal/tpcc), and the CLI tools
 // all consume engines through this package, so a new backend registered
 // here runs every workload for free.
@@ -120,11 +120,10 @@ type Config struct {
 	Latencies pnvm.Latencies
 	// Devices, if non-empty, are the simulated NVM devices persistent
 	// engines attach to instead of constructing their own from Latencies.
-	// Single-device engines (txmontage, ponefile) take exactly one; the
-	// sharded persistent decorator (txmontage-sharded) takes one per shard,
-	// index-aligned with the order its Devices() method reports. Recovery
-	// flows use this to crash a device fleet and rebuild an engine on the
-	// survivors.
+	// Single-device engines (txmontage, ponefile) take exactly one;
+	// txmontage-sharded takes one per shard, index-aligned with the order its
+	// Devices() method reports. Recovery flows use this to crash a device
+	// fleet and rebuild an engine on the survivors.
 	Devices []*pnvm.Device
 	// EpochLen, if positive, runs txMontage's epoch advancer at this period,
 	// from the first map the engine builds or recovers (so devices
@@ -136,38 +135,17 @@ type Config struct {
 	RowCodec montage.Codec[any]
 	// LockShards bounds Boost's semantic-lock tables (0: default).
 	LockShards int
-	// Shards is the partition count of sharded engines (medley-sharded,
-	// txmontage-sharded, original-sharded): the base engine is instantiated
-	// this many times and map keys hash-route to their owning shard
-	// (0: DefaultShards). Non-sharded engines ignore it. Validated centrally
-	// by every registry construction path — see Validate.
+	// Shards is the partition count of the -sharded engines (medley-sharded,
+	// txmontage-sharded, original-sharded): every map they build is that many
+	// sub-maps, each key hash-routed to its shard, and txmontage-sharded
+	// keeps one device per shard (0: DefaultShards). Other engines ignore it.
+	// Validated centrally by every registry construction path — see Validate.
 	Shards int
-
-	// Shared by the sharded decorator with its sub-engines, which are S
-	// partitions of data (and devices) inside ONE engine: one transaction
-	// manager, so a worker runs every shard's operations on one session and
-	// a transaction is one descriptor (manager); one epoch clock, so the
-	// transaction pins one epoch whichever devices it writes, and the
-	// decorator, not the shards, owns the advance cadence; and no snapshot
-	// tier below the decorator's own, which wraps only its top-level maps, so
-	// a transaction stamps exactly one version.
-	mgr     *core.TxManager
-	clock   *montage.EpochClock
-	snapOff bool
-}
-
-// manager returns the transaction manager an engine is built on: the sharded
-// decorator's when it is one of its shards, its own otherwise.
-func (c Config) manager() *core.TxManager {
-	if c.mgr != nil {
-		return c.mgr
-	}
-	return core.NewTxManager()
 }
 
 // MaxShards bounds Config.Shards: a larger count is almost certainly a typo
-// and would allocate that many independent engine instances (and, for
-// persistent engines, devices).
+// and would build that many sub-maps per map (and, for txmontage-sharded,
+// devices).
 const MaxShards = 1024
 
 // Validate rejects malformed configurations with a clear error. Register
@@ -178,7 +156,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("txengine: Config.Shards must be >= 1 (got %d); 0 selects the engine default of %d", c.Shards, DefaultShards)
 	}
 	if c.Shards > MaxShards {
-		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many independent engine instances is almost certainly unintended)", c.Shards, MaxShards)
+		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many sub-maps per map is almost certainly unintended)", c.Shards, MaxShards)
 	}
 	return nil
 }
@@ -193,12 +171,12 @@ func ValidateShardsFlag(shards int) error {
 }
 
 // overParallelismWarning is the non-fatal companion to Validate: a shard
-// count far past the host's parallelism is legal, but each shard is a full
-// engine instance (and, for persistent engines, a device), so it is usually
-// a typo. Empty when the count is unremarkable.
+// count far past the host's parallelism is legal, but each shard is a sub-map
+// of every map (and, for txmontage-sharded, a device), so it is usually a
+// typo. Empty when the count is unremarkable.
 func overParallelismWarning(shards int) string {
 	if max := 4 * runtime.GOMAXPROCS(0); shards > max {
-		return fmt.Sprintf("shards=%d is far beyond the host's parallelism (GOMAXPROCS=%d); each shard is a full engine instance",
+		return fmt.Sprintf("shards=%d is far beyond the host's parallelism (GOMAXPROCS=%d); each shard is a sub-map of every map",
 			shards, runtime.GOMAXPROCS(0))
 	}
 	return ""
@@ -344,44 +322,26 @@ type Persister interface {
 	RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error)
 }
 
-// KeyHinter is the optional Tx extension of the sharded engines. A
-// cross-shard transaction normally learns its shards as its body reaches
-// them; HintKeys pre-declares map keys the worker's next Run will touch, so
-// the Run knows its whole shard set up front — and latches exactly
+// KeyHinter is the optional Tx extension of the Medley family. HintKeys
+// pre-declares map keys the worker's next Run will touch. On a -sharded
+// engine a declaration whose keys route to two shards or more latches exactly
 // those keys, so declared transactions on the same hot keys queue instead of
-// aborting each other (see latch.go). Successive HintKeys / HintQueues calls
-// before a Run accumulate into one declaration; the next Run consumes it
-// whole. Hinting inside Run is a no-op. A wrong declaration is safe: a shard
-// outside the declared set is touched like an undeclared one
-// (Stats.FootprintHits / FootprintMisses count declarations that held and
-// that were escaped).
+// aborting each other (see latch.go); one of more than latchMaxKeys keys runs
+// unlatched. Successive HintKeys calls before a Run accumulate into one
+// declaration; the next Run consumes it whole. Hinting inside Run is a no-op.
+// A wrong declaration is safe: latches only schedule, and an operation on an
+// undeclared key simply runs (Stats.FootprintHits counts the declarations
+// over two shards or more).
 type KeyHinter interface {
 	HintKeys(keys ...uint64)
 }
 
-// QueueHinter is the queue-side companion of KeyHinter: HintQueues
-// pre-declares transactional queues the worker's next Run will touch, so
-// the attempt covers the queue's home shard from the start and serializes
-// same-queue traffic through the queue's synthetic latch key.
-type QueueHinter interface {
-	HintQueues(qs ...Queue[uint64])
-}
-
-// HintKeys forwards a footprint hint to tx when its engine supports hints
-// (the sharded decorators); on every other engine it is a no-op, so portable
-// workload code can hint unconditionally. Keys that route to a single shard
-// produce no pre-declaration — the single-shard fast path is already
-// optimal — so over-hinting is harmless.
+// HintKeys forwards a footprint hint to tx when its engine supports hints;
+// where it has no effect (one shard, keys on one shard, other engines) it is
+// a no-op, so portable workload code can hint unconditionally.
 func HintKeys(tx Tx, keys ...uint64) {
 	if h, ok := tx.(KeyHinter); ok {
 		h.HintKeys(keys...)
-	}
-}
-
-// HintQueues is HintKeys for queues.
-func HintQueues(tx Tx, qs ...Queue[uint64]) {
-	if h, ok := tx.(QueueHinter); ok {
-		h.HintQueues(qs...)
 	}
 }
 
@@ -398,7 +358,7 @@ type Builder struct {
 	// (eager per-write persistence); default workload series exclude them,
 	// explicit -systems selection still works.
 	Slow bool
-	// Sharded marks the sharded decorators: engines that actually consume
+	// Sharded marks the -sharded engines: the ones that actually consume
 	// Config.Shards. Construction of a sharded engine with a shard count far
 	// past the host's parallelism emits the (deduped) registry warning.
 	Sharded bool
@@ -473,27 +433,28 @@ func Names() []string {
 // Builtin engines, in the paper's presentation order. A single init keeps
 // the ordering independent of file names.
 func init() {
-	Register(Builder{Key: "medley", Caps: medleyCaps, Doc: "Medley NBTC transactional maps (the paper's system)", New: newMedleyEngine})
-	Register(Builder{Key: "txmontage", Caps: medleyCaps, Doc: "Medley + nbMontage epoch-based periodic persistence", New: newTxMontageEngine})
+	Register(Builder{Key: "medley", Caps: medleyCaps, Doc: "Medley NBTC transactional maps (the paper's system)",
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, false, false) }})
+	Register(Builder{Key: "txmontage", Caps: medleyCaps, Doc: "Medley + nbMontage epoch-based periodic persistence",
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true, false) }})
 	Register(Builder{Key: "onefile", Caps: onefileCaps, Doc: "OneFile-lite STM (transient)", New: newOneFileEngine})
 	Register(Builder{Key: "ponefile", Caps: onefileCaps, Doc: "OneFile-lite with eager per-write persistence", Slow: true, New: newPOneFileEngine})
 	Register(Builder{Key: "tdsl", Caps: tdslCaps, Doc: "TDSL-lite striped transactional skiplists", New: newTDSLEngine})
 	Register(Builder{Key: "lftt", Caps: lfttCaps, Doc: "LFTT-style static transactions over a skiplist", New: newLFTTEngine})
 	Register(Builder{Key: "boost", Caps: boostCaps, Doc: "transactional boosting over a lock-based map", New: newBoostEngine})
-	Register(Builder{Key: "original", Caps: originalCaps, Doc: "untransformed Fraser skiplist (no transactions)", New: newOriginalEngine})
-	// Sharded decorators: S independent base-engine instances behind one
-	// façade, hash-routed keys, ordered-acquire cross-shard commit
-	// (Config.Shards selects S). txmontage-sharded additionally gives every
-	// shard its own epoch system and NVM device on one shared epoch clock,
-	// with a coordinator that advances all shards to mutually consistent
-	// boundaries (see sharded.go). Registered after their bases so Lookup
-	// resolves during construction.
-	Register(Builder{Key: "medley-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned Medley: per-shard TxManagers, ordered cross-shard commit",
-		New: func(cfg Config) (Engine, error) { return newShardedEngine("medley", cfg) }})
-	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned txMontage: per-shard epoch systems + devices, coordinated epoch advance, merge-on-recover",
-		New: func(cfg Config) (Engine, error) { return newShardedEngine("txmontage", cfg) }})
+	Register(Builder{Key: "original", Caps: originalCaps, Doc: "untransformed Fraser skiplist (no transactions)",
+		New: func(cfg Config) (Engine, error) { return newOriginalEngine(cfg, false) }})
+	// The -sharded engines are their bases with every map partitioned into
+	// Config.Shards sub-maps by key hash: one TxManager, one session per
+	// worker, a cross-shard transaction one descriptor. txmontage-sharded
+	// also keeps one epoch system and device per shard on one epoch clock,
+	// advanced together and recovered at the domain's cut (see partition.go).
+	Register(Builder{Key: "medley-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned Medley: S sub-maps per map on one TxManager, latched declared keys",
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, false, true) }})
+	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned txMontage: an epoch system + device per shard on one epoch clock, merge-on-recover",
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true, true) }})
 	Register(Builder{Key: "original-sharded", Caps: originalCaps, Sharded: true, Doc: "hash-partitioned untransformed baseline (no transactions)",
-		New: func(cfg Config) (Engine, error) { return newShardedEngine("original", cfg) }})
+		New: func(cfg Config) (Engine, error) { return newOriginalEngine(cfg, true) }})
 }
 
 // backoff is per-worker state for core.Backoff, the shared randomized

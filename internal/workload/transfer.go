@@ -44,8 +44,8 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 	for lo := uint64(0); lo < accounts; lo += chunk {
 		hi := min(lo+chunk, accounts)
 		if hints {
-			// A load chunk's keys are known up front; pre-declare them so
-			// sharded engines lock the chunk's whole shard set first try.
+			// A load chunk's keys are known up front; pre-declare them
+			// (past the latch cap, so the load runs unlatched).
 			hintKeys = hintKeys[:0]
 			for a := lo; a < hi; a++ {
 				hintKeys = append(hintKeys, a)
@@ -83,9 +83,9 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 			from := draw()
 			to := draw()
 			// Both account keys are known before the transaction begins —
-			// the transfer shape's planner hint. On sharded engines the
-			// pre-declared shard set is opened up front under the keys'
-			// latches; elsewhere HintKeys is a no-op.
+			// the transfer shape's planner hint. On sharded engines a
+			// transfer over two shards runs under the keys' latches;
+			// elsewhere HintKeys is a no-op.
 			if hints {
 				hintKeys[0], hintKeys[1] = from, to
 				txengine.HintKeys(tx, hintKeys[:]...)
