@@ -15,7 +15,7 @@
 //	medleybench -figure 10                # latency: Original / TxOff / TxOn
 //	medleybench -workload workqueue -systems medley,original
 //	medleybench -workload all             # workqueue, cache, transfer
-//	medleybench -workload transfer -systems medley-sharded -shards 8 -lat
+//	medleybench -workload transfer -systems txmontage-sharded -shards 8 -lat
 //	medleybench -workload cache -zipf 1.6 -readpct 70 -accounts 64
 //	medleybench -workload cache -readpct 95 -snapshot   # MVCC snapshot probes
 //	medleybench -list                     # registered engines + workloads
@@ -52,13 +52,13 @@ func main() {
 	warmup := flag.Duration("warmup", 0, "workloads: ramp-up before measurement; warm-up samples are discarded from txn/s and the latency percentiles")
 	scale := flag.Float64("scale", 0.1, "keyspace scale (1.0 = paper's 1M keys)")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default); sweep by invoking once per count")
+	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it; sweep by invoking once per count")
 	zipfS := flag.Float64("zipf", 0, "Zipf skew exponent (>1.0; cache default 1.2; transfer: 0 keeps uniform draws)")
 	readPct := flag.Int("readpct", -1, "cache workload: lookup percentage 0-100 (-1: default 90)")
 	accounts := flag.Int("accounts", 0, "transfer workload: account count (0: 1024 scaled); fewer = hotter")
 	lat := flag.Bool("lat", false, "workloads: measure per-transaction latency percentiles (p50/p99 columns)")
 	snapshot := flag.Bool("snapshot", false, "cache workload: serve read probes as validation-free MVCC snapshot reads (engines with CapSnapshot only)")
-	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (measure the undeclared path)")
+	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints (measure the undeclared path, no latches)")
 	flag.Parse()
 
 	checkShardsFlag(*shards)
@@ -169,9 +169,7 @@ func main() {
 }
 
 // checkShardsFlag fails fast on invalid -shards values (the registry would
-// reject them anyway, but per-point). The non-fatal over-parallelism
-// warning is emitted by the registry itself at engine construction, deduped
-// to once per run.
+// reject them anyway, but per-point).
 func checkShardsFlag(shards int) {
 	if err := txengine.ValidateShardsFlag(shards); err != nil {
 		fmt.Fprintln(os.Stderr, "bad -shards:", err)

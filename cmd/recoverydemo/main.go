@@ -8,9 +8,10 @@
 // balance (buffered durable strict serializability).
 //
 // With -engine txmontage-sharded the demo becomes the multi-device story:
-// each shard owns its own epoch system and device, transfers routinely span
-// shards, and recovery merges one dump per device at the minimum durable
-// frontier — so even a crash landing between two shards' flushes never
+// the map is one index whose keys' payloads go to -shards devices, each with
+// its own epoch system on one clock, transfers routinely span devices, and
+// recovery rebuilds the index from one dump per device at the minimum durable
+// frontier — so even a crash landing between two devices' flushes never
 // recovers half a transfer.
 //
 // Examples:
@@ -54,14 +55,14 @@ import (
 const opening = uint64(1000) // per-account opening balance in each half
 
 // Account a's two balances live at distinct keys of one map, so recovery
-// audits a single recovered structure while the halves still hash to
-// (usually) different shards on a sharded engine.
+// audits a single recovered structure while the halves' payloads still go to
+// (usually) different devices on txmontage-sharded.
 func checkingKey(a uint64) uint64 { return 2 * a }
 func savingsKey(a uint64) uint64  { return 2*a + 1 }
 
 func main() {
 	engine := flag.String("engine", "txmontage", "persistent engine to demo (txmontage | txmontage-sharded | ponefile)")
-	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
+	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
 	accounts := flag.Uint64("accounts", 8, "account pairs to open")
 	crashPoint := flag.String("crash", "", "chaos point to crash at during the unsynced phase, or a recover.* point to crash a second time inside recovery (empty: crash between transactions)")
 	flag.Parse()

@@ -36,7 +36,7 @@ func main() {
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default: host sweep)")
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per point")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
+	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
 	flag.Parse()
 
 	// The non-fatal over-parallelism warning is emitted by the registry at

@@ -18,9 +18,9 @@
 // requests are transfer-style Txn batches (read + add/add transfer between
 // two accounts + a write stamp) over a small account region of the
 // keyspace, seeded with balance before the drivers start. Their footprints
-// ride the wire protocol's op lists, so on sharded engines the server's
-// batch scheduler pre-declares each transfer's key set — the cross-shard
-// latch path under end-to-end network load. Underflowed transfers surface
+// ride the wire protocol's op lists, so on Medley-family engines the server
+// pre-declares each transfer's key set — the latch path under end-to-end
+// network load. Underflowed transfers surface
 // as ABORTED, which the counts report separately.
 //
 // Shed responses (RETRY, and DRAINING with a reconnect first) are honored:
@@ -346,8 +346,8 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		if txnPct > 0 && rng.IntN(100) < txnPct {
 			// A transfer: read the source, move one unit between two
 			// accounts, stamp a per-connection sequence key. The op list is
-			// the transaction's declared footprint, so sharded engines latch
-			// exactly these keys up front.
+			// the transaction's declared footprint, so Medley-family engines
+			// latch exactly these keys up front.
 			from, to := k%accounts, draw()%accounts
 			if from == to {
 				to = (to + 1) % accounts

@@ -1,8 +1,8 @@
 // Command txserver serves one transactional uint64 map over the internal/
 // server wire protocol (length-prefixed binary frames carrying Get, Put, and
 // multi-op Txn batches with pre-declared footprints). Any registry engine
-// with dynamic transactions can back it; the default is medley-sharded,
-// where the batch scheduler's footprint hints let cross-shard transactions
+// with dynamic transactions can back it; the default is medley, where the
+// batch scheduler's footprint hints let transactions over two keys or more
 // latch their keys up front.
 //
 // Each connection gets one goroutine and an engine session of its own (handed
@@ -22,9 +22,9 @@
 //
 // Examples:
 //
-//	txserver                                   # medley-sharded on :7433
-//	txserver -engine medley-sharded -shards 8 -batch 32
-//	txserver -engine txmontage-sharded -shards 4   # persistent: drain syncs
+//	txserver                                   # medley on :7433
+//	txserver -batch 32
+//	txserver -engine txmontage-sharded -shards 4   # persistent over 4 devices: drain syncs
 //	txserver -engine medley -addr 127.0.0.1:9000 -tokens 2
 //	txserver -noreadlane                       # A/B control: OCC-only reads
 //	txserver -pprof 127.0.0.1:6060             # profiling endpoints
@@ -53,8 +53,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
-	engine := flag.String("engine", "medley-sharded", "registry engine to host (needs dynamic transactions; see medleybench -list)")
-	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
+	engine := flag.String("engine", "medley", "registry engine to host (needs dynamic transactions; see medleybench -list)")
+	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
 	batch := flag.Int("batch", server.DefaultBatchMax, "max adjacent single-op requests coalesced into one hinted transaction (1: off)")
 	tokens := flag.Int("tokens", 4*runtime.GOMAXPROCS(0), "admission tokens: concurrent executing batches")
 	admitWait := flag.Duration("admitwait", server.DefaultAdmitWait, "how long a batch waits for admission before RETRY (negative: shed immediately)")

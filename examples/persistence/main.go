@@ -22,8 +22,8 @@ func main() {
 	montage.Attach(mgr, es) // ← this one call turns Medley into txMontage
 	stopAdvancer := montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, 5*time.Millisecond)
 
-	inventory := montage.NewHashMap(es, montage.Uint64Codec(), 4096)
-	ledger := montage.NewSkipMap(es, montage.Uint64Codec())
+	inventory := montage.NewHashMap([]*montage.EpochSys{es}, montage.Uint64Codec(), 4096)
+	ledger := montage.NewSkipMap([]*montage.EpochSys{es}, montage.Uint64Codec())
 
 	// Concurrent sales: each transaction decrements stock and appends to
 	// the ledger — atomically, durably (within the epoch window).

@@ -15,8 +15,8 @@ type Options struct {
 	Latencies pnvm.Latencies
 	// EpochLen is txMontage's persistence epoch length (0: advancer off).
 	EpochLen time.Duration
-	// Shards is the partition count for sharded engines (0: engine
-	// default); non-sharded engines ignore it.
+	// Shards is txmontage-sharded's device count (0: engine default);
+	// other engines ignore it.
 	Shards int
 }
 

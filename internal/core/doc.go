@@ -72,10 +72,11 @@
 //
 // # What the paper guarantees and what the runtime adds
 //
-// The paper's guarantees hold per TxManager, and an engine — sharded or not —
-// has exactly one: every structure a transaction may touch shares it (Fig. 1),
-// and a worker has one Session, so a transaction is one descriptor on one
-// session however many structures, shards or devices its operations land on.
+// The paper's guarantees hold per TxManager, and an engine — on one device or
+// several — has exactly one: every structure a transaction may touch shares
+// it (Fig. 1), and a worker has one Session, so a transaction is one
+// descriptor on one session however many structures or devices its
+// operations land on.
 // Within that scope the commit is nonblocking: one status CAS
 // (InPrep→InProg→Committed) decides every write together, this package takes
 // no lock at any point between TxBegin and the end of TxEnd, and a helper that
@@ -85,9 +86,9 @@
 // check per transaction, so "all of it in one epoch" is decided by the same
 // validation as the reads, not by a lock around the commit.
 //
-// What blocks is the runtime's, and only by declaration: the sharded engines'
-// key latches (txengine/latch.go) make transactions that declared overlapping
-// footprints queue FIFO instead of aborting each other. They are taken before
+// What blocks is the runtime's, and only by declaration: the Medley family's
+// key latches (txengine/latch.go) make transactions that declared two to
+// latchMaxKeys overlapping keys queue FIFO instead of aborting each other. They are taken before
 // the transaction opens and released after it closes, so no descriptor is
 // ever installed by a goroutine waiting on one; they only schedule, and
 // atomicity and isolation never depend on them — undeclared transactions run

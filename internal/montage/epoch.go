@@ -17,15 +17,20 @@
 // linearize in one epoch and are recovered (or lost) together — failure
 // atomicity "almost for free".
 //
-// # Sharded persistence
+// # Multi-device persistence
 //
 // The epoch *counter* and the per-device *batching* are separate concerns:
 // an EpochClock carries the counter plus the pinned-session registry, and an
 // EpochSys carries one device's pending batches. A single-device system owns
-// a private clock (NewEpochSys); a sharded system shares one clock across S
-// EpochSys instances (NewEpochSysShared), so every transaction in the domain
-// — wherever its shards live — pins the same monotonically advancing epoch
-// numbers, and a coordinator advances all devices together
+// a private clock (NewEpochSys); a multi-device domain shares one clock
+// across S EpochSys instances (NewEpochSysShared), and each Map spans all of
+// them with one index, writing a key's payloads on the device the key routes
+// to (DeviceOf). Every transaction in the domain — wherever its keys'
+// devices are — pins one epoch of the same monotonically advancing clock,
+// tags every payload it writes with it, and commits only while that epoch
+// is current (its one epoch validator), so no transaction is persisted
+// across two recovery cuts and nothing locks the clock to say so. A
+// coordinator advances all devices together
 // (AdvanceTogether, or StartAdvancer's background loop). Each flush ends
 // with a durable frontier marker on the device (pnvm.MarkerKey, tagged with
 // the flushed epoch), so post-crash recovery can compute, per device, the

@@ -21,7 +21,7 @@ func testSys() (*EpochSys, *core.TxManager) {
 
 func TestBasicMapOps(t *testing.T) {
 	es, mgr := testSys()
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 	if _, ok := m.Get(s, 1); ok {
 		t.Fatal("empty map had key")
@@ -44,8 +44,8 @@ func TestBasicMapOps(t *testing.T) {
 
 func TestTransactionalAtomicity(t *testing.T) {
 	es, mgr := testSys()
-	m1 := NewHashMap(es, Uint64Codec(), 64)
-	m2 := NewSkipMap(es, Uint64Codec())
+	m1 := NewHashMap([]*EpochSys{es}, Uint64Codec(), 64)
+	m2 := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 	m1.Put(s, 1, 100)
 
@@ -70,7 +70,7 @@ func TestTransactionalAtomicity(t *testing.T) {
 
 func TestAbortUndoesPayloads(t *testing.T) {
 	es, mgr := testSys()
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 	m.Put(s, 1, 10)
 	before := es.Device().Live()
@@ -93,7 +93,7 @@ func TestAbortUndoesPayloads(t *testing.T) {
 
 func TestEpochValidatorAbortsCrossEpochTx(t *testing.T) {
 	es, mgr := testSys()
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 
 	s.TxBegin()
@@ -121,7 +121,7 @@ func TestCrashRecoveryDurableState(t *testing.T) {
 	es := NewEpochSys(dev)
 	mgr := core.NewTxManager()
 	Attach(mgr, es)
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 
 	for k := uint64(0); k < 100; k++ {
@@ -138,7 +138,7 @@ func TestCrashRecoveryDurableState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewSkipMap(es2, Uint64Codec())
+	m2 := NewSkipMap([]*EpochSys{es2}, Uint64Codec())
 	m2.Rebuild(rec.Live[0])
 	chk := core.NewTxManager().Session()
 	// The fresh clock restarts past the cut: a new transaction must never
@@ -175,8 +175,8 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 		es := NewEpochSys(dev)
 		mgr := core.NewTxManager()
 		Attach(mgr, es)
-		ma := NewSkipMap(es, Uint64Codec())
-		mb := NewSkipMap(es, Uint64Codec())
+		ma := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+		mb := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})

@@ -31,7 +31,7 @@ func recoverKV(t *testing.T, devs []*pnvm.Device) (kv []map[uint64]uint64, cut u
 // loses the key: its successor lies beyond the cut.
 func TestReclaimWaitsForTheRetireEpoch(t *testing.T) {
 	es, mgr := testSys()
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 	e := es.Current()
 	m.Put(s, 1, 10) // created in e
@@ -51,7 +51,7 @@ func TestReclaimWaitsForTheRetireEpoch(t *testing.T) {
 // and the record is gone from media before any recovery has to scrub it.
 func TestReclaimFreesAtTheRetireEpoch(t *testing.T) {
 	es, mgr := testSys()
-	m := NewSkipMap(es, Uint64Codec())
+	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
 	s := mgr.Session()
 	m.Put(s, 1, 10)
 	es.Advance()
@@ -78,7 +78,7 @@ func TestReclaimWaitsForTheWholeDomain(t *testing.T) {
 	for _, es := range systems {
 		mgr := core.NewTxManager()
 		Attach(mgr, es)
-		maps = append(maps, NewSkipMap(es, Uint64Codec()))
+		maps = append(maps, NewSkipMap([]*EpochSys{es}, Uint64Codec()))
 		sess = append(sess, mgr.Session())
 	}
 	for i, m := range maps {
@@ -122,7 +122,7 @@ func TestReclaimWaitsForTheWholeDomain(t *testing.T) {
 func TestReclaimBoundsTheDevice(t *testing.T) {
 	const keys, rounds = 20, 50
 	es, mgr := testSys()
-	m := NewHashMap(es, Uint64Codec(), keys)
+	m := NewHashMap([]*EpochSys{es}, Uint64Codec(), keys)
 	s := mgr.Session()
 	for round := uint64(0); round < rounds; round++ {
 		for k := uint64(0); k < keys; k++ {
@@ -154,7 +154,7 @@ func TestReclaimBoundsTheDevice(t *testing.T) {
 func TestFlushSkipsAbortedPayloads(t *testing.T) {
 	const keys = 128 // two laps of the device's 64 shards
 	es, mgr := testSys()
-	m := NewHashMap(es, Uint64Codec(), keys)
+	m := NewHashMap([]*EpochSys{es}, Uint64Codec(), keys)
 	s := mgr.Session()
 	for k := uint64(0); k < keys; k++ {
 		s.TxBegin()

@@ -139,29 +139,42 @@ func (st *STM) ReadTx(fn func()) {
 // directly (it holds the writer lock, so it sees its own writes) and must
 // route every mutation through the structure's tx-aware mutators, which
 // register undo handlers via LogUndo. If fn returns an error the
-// transaction rolls back and the error is returned.
-func (st *STM) WriteTx(fn func() error) error {
+// transaction rolls back and the error is returned; if fn panics it rolls
+// back and the panic goes on.
+func (st *STM) WriteTx(fn func() error) (err error) {
 	st.wlock.Lock()
-	defer st.wlock.Unlock()
 	st.undo = st.undo[:0]
 	st.staged = st.staged[:0]
 	st.dirty = 0
 	st.seq.Add(1) // odd: readers hold off
-	err := fn()
+	done := false
+	defer func() {
+		if !done {
+			st.rollback()
+		}
+		st.wlock.Unlock()
+	}()
+	err = fn()
 	if err == nil && st.dev != nil {
 		err = st.persist()
 	}
+	done = true
 	if err != nil {
-		for i := len(st.undo) - 1; i >= 0; i-- {
-			st.undo[i]()
-		}
-		st.seq.Add(1)
-		st.aborts.Add(1)
+		st.rollback()
 		return err
 	}
 	st.seq.Add(1)
 	st.commits.Add(1)
 	return nil
+}
+
+// rollback undoes the write transaction in progress and lets readers back in.
+func (st *STM) rollback() {
+	for i := len(st.undo) - 1; i >= 0; i-- {
+		st.undo[i]()
+	}
+	st.seq.Add(1)
+	st.aborts.Add(1)
 }
 
 // persist makes the current write transaction durable, failure-atomically:

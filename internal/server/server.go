@@ -672,8 +672,8 @@ func (p *proc) execSingle(r *Request) {
 }
 
 // execBatch coalesces adjacent single-ops from one connection into a single
-// transaction with every key pre-declared, so sharded engines open the
-// batch's whole shard set (and latch exactly its keys) up front. One
+// transaction with every key pre-declared, so the Medley family latches
+// exactly its keys up front. One
 // admission token and one commit for the whole batch.
 func (p *proc) execBatch(batch []pendReq) error {
 	s := p.s

@@ -38,8 +38,8 @@
 //	other statuses:   empty
 //
 // A transaction executes atomically under one engine transaction with every
-// key pre-declared through txengine.HintKeys, so on sharded engines the
-// whole shard set is opened up front, under the keys' latches. Responses on one connection are written in request order,
+// key pre-declared through txengine.HintKeys, so on the Medley family it
+// runs under the keys' latches. Responses on one connection are written in request order,
 // so pipelining clients may match responses positionally (ids are still
 // echoed for verification).
 //

@@ -47,9 +47,8 @@ func Run(st Store, cfg Config, threads int, dur time.Duration) Result {
 					err = w.RunTx(func(h Handle) error { return NewOrder(h, cfg, rng, tid) })
 				} else {
 					// Payment's keys are known before the transaction, so
-					// draw first and hint them: on sharded engines the
-					// cross-shard ones open their shards up front and
-					// commit under key latches.
+					// draw first and hint them: on the Medley family
+					// they commit under key latches.
 					a := DrawPayment(cfg, rng, tid, &histSeq)
 					err = w.RunTxHinted(a.Keys(keyBuf[:0]), func(h Handle) error { return PaymentWith(h, a) })
 				}

@@ -287,7 +287,7 @@ func NewOrder(h Handle, cfg Config, rng *rand.Rand, tid int) error {
 // newOrder — which draws its items inside the body and so can only be
 // discovered — payment's whole key set (warehouse, district, customer,
 // history) is fixed by these draws before the transaction starts, which is
-// what lets the driver hint it to sharded engines.
+// what lets the driver hint it to the Medley family's latches.
 type PaymentArgs struct {
 	W, D, C int
 	// CW, CD are the customer's warehouse/district (15% remote).
@@ -318,8 +318,7 @@ func DrawPayment(cfg Config, rng *rand.Rand, tid int, seq *uint64) PaymentArgs {
 
 // Keys appends the four row keys the payment will touch to dst. Keys from
 // different tables can collide numerically; for footprint purposes that is
-// benign — shard routing is table-independent, and a latch collision only
-// over-serializes.
+// benign — a latch collision only over-serializes.
 func (a PaymentArgs) Keys(dst []uint64) []uint64 {
 	return append(dst, WKey(a.W), DKey(a.W, a.D), CKey(a.CW, a.CD, a.C), a.HistKey)
 }

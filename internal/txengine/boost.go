@@ -82,7 +82,11 @@ type boostTx struct {
 }
 
 func (t *boostTx) Run(fn func() error) error {
-	err := t.ct.countRun(t.s.Run, func() error {
+	// However the Run ends, a panic out of fn included, it leaves no
+	// transaction open (so no semantic lock held) and the handle clean for
+	// standalone operations, doomed cleared after a business abort.
+	defer t.endRun()
+	return t.ct.countRun(t.s.Run, func() error {
 		t.doomed, t.conflicted = false, false
 		err := fn()
 		switch {
@@ -93,10 +97,15 @@ func (t *boostTx) Run(fn func() error) error {
 		}
 		return err
 	})
-	// Leave the handle clean for standalone operations after a business
-	// abort ended the last attempt with doomed still set.
+}
+
+// endRun is Run's deferred exit: after a commit or an error it finds no
+// transaction to abort.
+func (t *boostTx) endRun() {
+	if t.s.InTx() {
+		t.s.TxAbort()
+	}
 	t.doomed, t.conflicted = false, false
-	return err
 }
 
 func (t *boostTx) RunRead(fn func()) { _ = t.Run(func() error { fn(); return nil }) }

@@ -453,7 +453,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	// Account i lives on shard i % shards: with an even shard count, accounts
 	// of different parity are on different shards, and every transfer below
 	// is between an even and an odd one.
-	keys := alternatingShardKeys(t, se, accounts, 0)
+	keys := alternatingDeviceKeys(t, se, accounts, 0)
 	setup := eng.NewWorker(workers)
 	for _, k := range keys {
 		m.Put(setup, k, start)

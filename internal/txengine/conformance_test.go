@@ -229,75 +229,73 @@ func TestBusinessAbortNoRetry(t *testing.T) {
 }
 
 // TestRunPanicLeavesHandleUsable: a Run body that panics after a write, its
-// panic recovered by the caller, leaves nothing behind on the Medley handles.
-// The write is not visible, the same handle's next Run commits, and on the
-// sharded engines another worker's latched Run over the same keys finishes:
-// the panicked attempt's transaction is aborted and its latches released.
+// panic recovered by the caller, leaves nothing behind on any engine that
+// runs transactions. The write is not visible, the same handle's next Run
+// commits, and another worker's Run over the same keys (declared, so latched
+// on the Medley family) finishes: the panicked attempt's transaction is
+// rolled back and whatever it held released.
 func TestRunPanicLeavesHandleUsable(t *testing.T) {
-	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
-		t.Run(key, func(t *testing.T) {
-			eng, err := Build(key, Config{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-			if err != nil {
-				t.Fatal(err)
-			}
-			se := eng.(*medleyEngine)
-			k1 := keyOnShard(t, se, 0, 1)
-			k2 := keyOnShard(t, se, se.shards-1, k1+1) // on another shard when there are two
-			tx, other := eng.NewWorker(0), eng.NewWorker(1)
-			m.Put(tx, k1, 1)
-			m.Put(tx, k2, 1)
+	eachTxEngine(t, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
+		const k1, k2 = 1, 2
+		tx, other := eng.NewWorker(0), eng.NewWorker(1)
+		m.Put(tx, k1, 1)
+		m.Put(tx, k2, 1)
 
-			// run runs a Run over k1 and k2, declared, on a goroutine of its
-			// own, and returns what escaped it: the body's panic or Run's error.
-			run := func(what string, tx Tx, body func() error) (r any, err error) {
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					defer func() { r = recover() }()
-					HintKeys(tx, k1, k2)
-					err = tx.Run(body)
-				}()
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("%s never finished", what)
-				}
-				return r, err
+		// within runs f on a goroutine of its own and returns f's panic.
+		within := func(what string, f func()) (r any) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				defer func() { r = recover() }()
+				f()
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s never finished", what)
 			}
-			if r, _ := run("the panicking Run", tx, func() error {
-				m.Put(tx, k1, 100)
-				panic("body")
-			}); r != "body" {
-				t.Fatalf("the body's panic reached the caller as %v", r)
+			return r
+		}
+		// run runs a Run over k1 and k2, declared, and returns what escaped
+		// it: the body's panic or Run's error.
+		run := func(what string, tx Tx, body func() error) (r any, err error) {
+			r = within(what, func() {
+				HintKeys(tx, k1, k2)
+				err = tx.Run(body)
+			})
+			return r, err
+		}
+		if r, _ := run("the panicking Run", tx, func() error {
+			m.Put(tx, k1, 100)
+			panic("body")
+		}); r != "body" {
+			t.Fatalf("the body's panic reached the caller as %v", r)
+		}
+		for _, w := range []Tx{other, tx} {
+			var v uint64
+			if r := within("a read after the panic", func() { v, _ = m.Get(w, k1) }); r != nil || v != 1 {
+				t.Fatalf("a read after the panic: panic %v, value %d, want 1", r, v)
 			}
-			if v, _ := m.Get(other, k1); v != 1 {
-				t.Fatalf("the panicked Run's write is visible: %d", v)
+		}
+		// Blind writes, so engines without CapDynamicTx run them too.
+		put := func(tx Tx, k uint64) func() error {
+			return func() error {
+				m.Put(tx, k, 2)
+				return nil
 			}
-			incr := func(tx Tx, k uint64) func() error {
-				return func() error {
-					v, _ := m.Get(tx, k)
-					m.Put(tx, k, v+1)
-					return nil
-				}
-			}
-			if r, err := run("the handle's next Run", tx, incr(tx, k1)); r != nil || err != nil {
-				t.Fatalf("the handle's next Run: panic %v, error %v", r, err)
-			}
-			if r, err := run("another worker's Run over the same keys", other, incr(other, k2)); r != nil || err != nil {
-				t.Fatalf("another worker's Run: panic %v, error %v", r, err)
-			}
-			v1, _ := m.Get(other, k1)
-			v2, _ := m.Get(other, k2)
-			if v1 != 2 || v2 != 2 {
-				t.Fatalf("k1 = %d, k2 = %d after the panic and two increments, want 2 and 2", v1, v2)
-			}
-		})
-	}
+		}
+		if r, err := run("the handle's next Run", tx, put(tx, k1)); r != nil || err != nil {
+			t.Fatalf("the handle's next Run: panic %v, error %v", r, err)
+		}
+		if r, err := run("another worker's Run over the same keys", other, put(other, k2)); r != nil || err != nil {
+			t.Fatalf("another worker's Run: panic %v, error %v", r, err)
+		}
+		v1, _ := m.Get(other, k1)
+		v2, _ := m.Get(other, k2)
+		if v1 != 2 || v2 != 2 {
+			t.Fatalf("k1 = %d, k2 = %d after the panic and two writes, want 2 and 2", v1, v2)
+		}
+	})
 }
 
 // TestStandaloneOps: map operations outside Run must behave as single

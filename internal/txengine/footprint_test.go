@@ -3,46 +3,49 @@ package txengine
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"testing"
+
+	"medley/internal/montage"
 )
 
-// shardOf routes k among the engine's shards.
-func (e *medleyEngine) shardOf(k uint64) int { return shardOf(k, e.shards) }
+// deviceOf routes k among the engine's devices (txmontage-sharded).
+func (e *medleyEngine) deviceOf(k uint64) int { return montage.DeviceOf(k, len(e.es)) }
 
-// keyOnShard returns the first key >= start that routes to shard s on se.
-func keyOnShard(t testing.TB, se *medleyEngine, s int, start uint64) uint64 {
+// keyOnDevice returns the first key >= start whose payloads go to device d
+// on se.
+func keyOnDevice(t testing.TB, se *medleyEngine, d int, start uint64) uint64 {
 	t.Helper()
 	for k := start; k < start+1<<20; k++ {
-		if se.shardOf(k) == s {
+		if se.deviceOf(k) == d {
 			return k
 		}
 	}
-	t.Fatalf("no key on shard %d near %d", s, start)
+	t.Fatalf("no key on device %d near %d", d, start)
 	return 0
 }
 
-// distinctShardKeys returns n keys routing to n distinct shards, in shard
+// distinctDeviceKeys returns n keys routing to n distinct devices, in device
 // order 0..n-1, with successive calls disjoint via start.
-func distinctShardKeys(t testing.TB, se *medleyEngine, n int, start uint64) []uint64 {
+func distinctDeviceKeys(t testing.TB, se *medleyEngine, n int, start uint64) []uint64 {
 	t.Helper()
 	keys := make([]uint64, n)
 	next := start
-	for s := 0; s < n; s++ {
-		keys[s] = keyOnShard(t, se, s, next)
-		next = keys[s] + 1
+	for d := 0; d < n; d++ {
+		keys[d] = keyOnDevice(t, se, d, next)
+		next = keys[d] + 1
 	}
 	return keys
 }
 
-// alternatingShardKeys returns n ascending keys from start on, the i-th on
-// shard i % shards: with two shards or more, consecutive keys never share one.
-func alternatingShardKeys(t testing.TB, se *medleyEngine, n int, start uint64) []uint64 {
+// alternatingDeviceKeys returns n ascending keys from start on, the i-th on
+// device i % devices: with two devices or more, consecutive keys never share
+// one.
+func alternatingDeviceKeys(t testing.TB, se *medleyEngine, n int, start uint64) []uint64 {
 	t.Helper()
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = keyOnShard(t, se, i%se.shards, start)
+		keys[i] = keyOnDevice(t, se, i%len(se.es), start)
 		start = keys[i] + 1
 	}
 	return keys
@@ -77,16 +80,16 @@ func transferOnce(t *testing.T, tx Tx, src, dst Map[uint64], from, to uint64) {
 }
 
 // TestShardedHintedTransferNoDiscovery: with both keys pre-declared via
-// HintKeys, every cross-shard transfer counts one footprint hit and every
-// single-shard one none, while value is conserved.
+// HintKeys, every transfer between two accounts counts one footprint hit and
+// every transfer of an account to itself (one key) none, while value is
+// conserved.
 func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	const iters = 400
-	eng, err := Build("medley-sharded", Config{Shards: 8})
+	eng, err := Build("medley", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	se := eng.(*medleyEngine)
 	checking, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
 	savings, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
 
@@ -103,7 +106,7 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	wantHits := uint64(0)
 	for i := 0; i < iters; i++ {
 		from, to := rng.Uint64N(accounts), rng.Uint64N(accounts)
-		if se.shardOf(from) != se.shardOf(to) {
+		if from != to {
 			wantHits++
 		}
 		HintKeys(tx, from, to)
@@ -111,7 +114,7 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	}
 	d := eng.Stats().Delta(base)
 	if d.FootprintHits != wantHits {
-		t.Errorf("FootprintHits = %d, want %d (one per cross-shard Run)", d.FootprintHits, wantHits)
+		t.Errorf("FootprintHits = %d, want %d (one per Run over two keys)", d.FootprintHits, wantHits)
 	}
 	if d.Commits != iters {
 		t.Errorf("Commits = %d, want %d", d.Commits, iters)
@@ -130,7 +133,8 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 }
 
 // TestShardedMispredictFallbackConservation is the concurrent misprediction
-// audit at shards 2 and 8: workers run transfers whose hints are frequently
+// audit on medley and on txmontage-sharded over 8 devices: workers run
+// transfers whose hints are frequently
 // wrong (stale keys hinted, fresh keys transacted), so declared attempts
 // reach keys they did not declare, under latches that cover the wrong keys,
 // while auditors sweep the whole ledger. Conservation must hold throughout
@@ -142,9 +146,9 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 		workers  = 4
 		iters    = 250
 	)
-	for _, shards := range []int{2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng, err := Build("medley-sharded", Config{Shards: shards})
+	for i, engine := range []string{"medley", "txmontage-sharded"} {
+		t.Run(engine, func(t *testing.T) {
+			eng, err := Build(engine, Config{Shards: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,14 +167,14 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 				go func(id int) {
 					defer wg.Done()
 					tx := eng.NewWorker(1 + id)
-					rng := rand.New(rand.NewPCG(uint64(id)+7, uint64(shards)))
+					rng := rand.New(rand.NewPCG(uint64(id)+7, uint64(i)))
 					for i := 0; i < iters; i++ {
 						from := rng.Uint64N(accounts)
 						to := rng.Uint64N(accounts)
 						// Deliberately stale hint: declare a different key
-						// pair than the transaction will touch. On wide
-						// shard counts this mispredicts regularly; the
-						// attempt must stay atomic.
+						// pair than the transaction will touch, so the
+						// attempt latches the wrong keys; it must stay
+						// atomic.
 						HintKeys(tx, rng.Uint64N(accounts), rng.Uint64N(accounts))
 						err := tx.Run(func() error {
 							c, ok := checking.Get(tx, from)
@@ -241,56 +245,5 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 				t.Fatalf("final sum %d != %d", sum, 2*accounts*perAcct)
 			}
 		})
-	}
-}
-
-// TestShardsOverParallelismWarningOnce pins the registry-wrapper dedupe:
-// however many sharded engines a run constructs at an over-parallel shard
-// count, the warning prints once per distinct count.
-func TestShardsOverParallelismWarningOnce(t *testing.T) {
-	var mu sync.Mutex
-	var warned []string
-	orig := warnShardsFn
-	warnShardsFn = func(msg string) {
-		mu.Lock()
-		warned = append(warned, msg)
-		mu.Unlock()
-	}
-	defer func() { warnShardsFn = orig }()
-
-	// Counts chosen to be over-parallel on any host this test runs on, and
-	// distinct from anything other tests construct. The dedupe map is
-	// process-global and outlives a run of this test (-count=2), so their
-	// entries are forgotten first.
-	n1 := 4*runtime.GOMAXPROCS(0) + 7
-	n2 := 4*runtime.GOMAXPROCS(0) + 9
-	for _, n := range []int{n1, n2, n1 + 2} {
-		shardsWarned.Delete(overParallelismWarning(n))
-	}
-	for i := 0; i < 3; i++ {
-		eng, err := Build("medley-sharded", Config{Shards: n1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-	}
-	if len(warned) != 1 {
-		t.Fatalf("3 constructions at shards=%d warned %d times, want once: %v", n1, len(warned), warned)
-	}
-	eng, err := Build("original-sharded", Config{Shards: n2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	if len(warned) != 2 {
-		t.Fatalf("a distinct over-parallel count must warn anew: got %d warnings", len(warned))
-	}
-	// Non-sharded engines ignore Config.Shards and must not warn.
-	if eng, err = Build("medley", Config{Shards: n1 + 2}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	if len(warned) != 2 {
-		t.Fatalf("non-sharded engine warned about Shards it ignores: %v", warned)
 	}
 }

@@ -2,17 +2,16 @@ package txengine
 
 import "sync"
 
-// Key-granular latches for declared cross-shard transactions.
+// Key-granular latches for declared transactions.
 //
-// A Run on a -sharded engine whose declared keys (HintKeys, at most
-// latchMaxKeys of them) route to two shards or more latches exactly those keys
-// before each attempt's transaction opens, and releases them after it has
-// closed (sessionTx.Run). Nothing else on a sharded engine blocks:
-// single-shard transactions, standalone operations and undeclared cross-shard
-// transactions never touch the table.
-// This is the runtime's one blocking mechanism, entered only by declaration;
-// inside the transaction the paper's nonblocking commit is untouched
-// (core/doc.go states the boundary).
+// A Run on a Medley-family engine whose declaration (HintKeys) names two to
+// latchMaxKeys distinct keys latches exactly those keys before each
+// attempt's transaction opens, and releases them after it has closed
+// (sessionTx.Run). Nothing else blocks: undeclared transactions, one-key
+// declarations, oversized ones and standalone operations never touch the
+// table. This is the runtime's one blocking mechanism, entered only by
+// declaration; inside the transaction the paper's nonblocking commit is
+// untouched (core/doc.go states the boundary).
 //
 // latchTable is a bucketed table of per-key latches in the spirit of
 // tinykv's latches scheduler. Each bucket holds a mutex-protected map from
@@ -27,9 +26,9 @@ import "sync"
 // acquiring, so the classic total-order argument applies. A latch holder
 // blocks on nothing but the next latch.
 //
-// Latches schedule; they do not isolate. Correctness of the cross-shard
-// commit comes from its being one MCNS descriptor on the worker's one session
-// (one status CAS decides every shard's writes) — key-disjoint transactions can
+// Latches schedule; they do not isolate. Correctness comes from a
+// transaction's being one MCNS descriptor on the worker's one session (one
+// status CAS decides all of its writes) — key-disjoint transactions can
 // still conflict through adjacent-node read-set entries, and unlatched
 // transactions run concurrently on the same keys. The latches
 // exist to stop declared transactions with overlapping footprints from
@@ -38,7 +37,7 @@ import "sync"
 
 // latchTableBuckets is the number of latch buckets. Power of two; 256
 // buckets keep bucket collisions (two distinct hot keys sharing a mutex)
-// rare at realistic cross-shard concurrency while the whole table stays
+// rare at realistic concurrency while the whole table stays
 // a few KiB.
 const latchTableBuckets = 256
 
@@ -77,7 +76,7 @@ type latchBucket struct {
 	_    [64 - 8 - 8 - 8]byte
 }
 
-// latchTable is a sharded per-key latch table with FIFO wait/wake.
+// latchTable is a bucketed per-key latch table with FIFO wait/wake.
 type latchTable struct {
 	buckets [latchTableBuckets]latchBucket
 }
@@ -90,8 +89,9 @@ func newLatchTable() *latchTable {
 	return lt
 }
 
-// bucketOf routes a key to its bucket: same Fibonacci-hash spread as shard
-// routing, taken from the high bits so sequential keys scatter.
+// bucketOf routes a key to its bucket: same Fibonacci-hash spread as device
+// routing (montage.DeviceOf), taken from the high bits so sequential keys
+// scatter.
 func (lt *latchTable) bucketOf(k uint64) *latchBucket {
 	h := k * 0x9e3779b97f4a7c15
 	return &lt.buckets[h>>(64-8)]

@@ -189,10 +189,10 @@ func TestInsertKey(t *testing.T) {
 }
 
 // TestShardedLatchedHintZeroRestart pins the latched fast path end to end:
-// on an idle sharded engine, a hinted cross-shard transaction runs its body
-// once, with both declared keys latched, and commits.
+// on an idle engine, a transaction hinted with two keys runs its body once,
+// with both declared keys latched, and commits.
 func TestShardedLatchedHintZeroRestart(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 8})
+	eng, err := Build("medley", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,7 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	}
 	tx := eng.NewWorker(0)
 	se := eng.(*medleyEngine)
-	// Two keys guaranteed to live on different shards.
-	a, b := uint64(0), uint64(0)
-	for k := uint64(1); ; k++ {
-		if se.shardOf(k) != se.shardOf(a) {
-			b = k
-			break
-		}
-	}
+	a, b := uint64(0), uint64(1)
 	base := eng.Stats()
 	execs, unlatched := 0, 0
 	for i := 0; i < 10; i++ {
@@ -240,14 +233,14 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	}
 }
 
-// TestShardedLatchedTransferStress is the engine-level race test for the
-// cross-shard commit: workers run transfers over a small overlapping account
-// set at 1, 2 and 8 shards, declaring them three ways — hinted (latched),
-// un-hinted (no latches) and with an oversized hint (> latchMaxKeys keys: a
-// footprint hit, no latches) —
-// beside single-shard writers rewriting the same accounts. The total must be
-// conserved and no single-shard increment lost: any torn cross-shard commit
-// or latch/epoch ordering bug shows up as drift or a -race report.
+// TestShardedLatchedTransferStress is the engine-level race test for latched
+// commits: workers run transfers over a small overlapping account set on
+// medley and on txmontage-sharded over 1, 2 and 8 devices, declaring them
+// three ways — hinted (latched), un-hinted (no latches) and with an oversized
+// hint (> latchMaxKeys keys: a footprint hit, no latches) — beside
+// undeclared writers rewriting the same accounts. The total must be conserved
+// and no undeclared increment lost: any torn commit or latch/epoch ordering
+// bug shows up as drift or a -race report.
 func TestShardedLatchedTransferStress(t *testing.T) {
 	const (
 		accounts = 12 // tiny: nearly every pair of workers overlaps
@@ -257,26 +250,28 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 		iters    = 400
 	)
 	filler := oversizedHint()
-	for _, shards := range []int{1, 2, 8} {
+	for _, e := range []struct {
+		engine string
+		shards int
+	}{{"medley", 0}, {"txmontage-sharded", 1}, {"txmontage-sharded", 2}, {"txmontage-sharded", 8}} {
 		for _, decl := range []string{"hinted", "unhinted", "oversized"} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, decl), func(t *testing.T) {
-				eng, err := Build("medley-sharded", Config{Shards: shards})
+			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.engine, e.shards, decl), func(t *testing.T) {
+				eng, err := Build(e.engine, Config{Shards: e.shards})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer eng.Close()
-				se := eng.(*medleyEngine)
 				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
 				if err != nil {
 					t.Fatal(err)
 				}
 				init := eng.NewWorker(0)
-				// side[a] is a counter on account a's shard: a single-shard
-				// writer bumps it in the transaction that rewrites a.
+				// side[a] is a counter an undeclared writer bumps in the
+				// transaction that rewrites a.
 				var side [accounts]uint64
 				for a := uint64(0); a < accounts; a++ {
 					m.Put(init, a, perAcct)
-					side[a] = keyOnShard(t, se, se.shardOf(a), 1<<20+a<<8)
+					side[a] = 1<<20 + a
 				}
 				var wg sync.WaitGroup
 				for g := 0; g < workers; g++ {
@@ -284,7 +279,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					go func(id int) {
 						defer wg.Done()
 						tx := eng.NewWorker(1 + id)
-						rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(shards)))
+						rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(e.shards)))
 						for i := 0; i < iters; i++ {
 							from := rng.Uint64N(accounts)
 							to := rng.Uint64N(accounts)
@@ -321,7 +316,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					go func(id int) {
 						defer wg.Done()
 						tx := eng.NewWorker(100 + id)
-						rng := rand.New(rand.NewPCG(uint64(id)+77, uint64(shards)))
+						rng := rand.New(rand.NewPCG(uint64(id)+77, uint64(e.shards)))
 						for i := 0; i < iters; i++ {
 							a := rng.Uint64N(accounts)
 							if err := tx.Run(func() error {
@@ -332,7 +327,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 								m.Put(tx, side[a], c+1)
 								return nil
 							}); err != nil {
-								t.Errorf("single-shard writer %d: %v", id, err)
+								t.Errorf("undeclared writer %d: %v", id, err)
 								return
 							}
 						}
@@ -350,14 +345,10 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					t.Errorf("total %d, want %d: money not conserved", sum, accounts*perAcct)
 				}
 				if bumps != singles*iters {
-					t.Errorf("side counters sum %d, want %d: a single-shard commit was lost", bumps, singles*iters)
+					t.Errorf("side counters sum %d, want %d: an undeclared commit was lost", bumps, singles*iters)
 				}
 				d := eng.Stats()
 				switch {
-				case shards == 1:
-					if d.LatchWaits != 0 || d.FootprintHits != 0 {
-						t.Errorf("one shard ran cross-shard machinery: %+v", d)
-					}
 				case decl == "hinted":
 					if d.LatchWaits == 0 {
 						t.Errorf("latched overlapping stress never waited on a latch: %+v", d)
@@ -372,91 +363,65 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 	}
 }
 
-// TestShardedLatchedDeclarations pins which declarations latch, on an idle
-// medley-sharded where every count is exact: keys that route to one shard
-// neither latch nor count a footprint hit; keys on two shards latch and count
-// one; latchMaxKeys+1 keys over two shards count one and run unlatched; an
-// undeclared Run over two shards does neither. However a Run is declared, its
-// body runs once. On plain medley a declaration does nothing.
+// TestShardedLatchedDeclarations pins which declarations latch, on idle
+// Medley-family engines where every count is exact: two distinct keys latch
+// and count one footprint hit; one key (declared twice) neither latches nor
+// counts; latchMaxKeys+1 keys count one and run unlatched; an undeclared Run
+// does neither. However a Run is declared, its body runs once.
 func TestShardedLatchedDeclarations(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*medleyEngine)
-	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := distinctShardKeys(t, se, 2, 0)
-	same := keyOnShard(t, se, 0, keys[0]+1) // shares keys[0]'s shard
-	tx := eng.NewWorker(0)
-	for _, c := range []struct {
-		name    string
-		hint    []uint64
-		touch   []uint64
-		latched bool
-		hits    uint64
-	}{
-		{"undeclared", nil, keys, false, 0},
-		{"one shard", []uint64{keys[0], same}, []uint64{keys[0], same}, false, 0},
-		{"two shards", keys, keys, true, 1},
-		{"latchMaxKeys+1 keys", append(oversizedHint()[2:], keys...), keys, false, 1},
-	} {
-		base := eng.Stats()
-		if c.hint != nil {
-			HintKeys(tx, c.hint...)
-		}
-		execs, held := 0, 0
-		if err := tx.Run(func() error {
-			execs++
-			held = 0
-			for _, k := range append(c.hint, c.touch...) {
-				if se.latch.holds(k) {
-					held++
+	keys := []uint64{3, 5}
+	for _, engine := range []string{"medley", "txmontage", "txmontage-sharded"} {
+		t.Run(engine, func(t *testing.T) {
+			eng, err := Build(engine, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			se := eng.(*medleyEngine)
+			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := eng.NewWorker(0)
+			for _, c := range []struct {
+				name    string
+				hint    []uint64
+				latched bool
+				hits    uint64
+			}{
+				{"undeclared", nil, false, 0},
+				{"one key", []uint64{keys[0], keys[0]}, false, 0},
+				{"two keys", keys, true, 1},
+				{"latchMaxKeys+1 keys", append(oversizedHint()[2:], keys...), false, 1},
+			} {
+				base := eng.Stats()
+				if c.hint != nil {
+					HintKeys(tx, c.hint...)
+				}
+				execs, held := 0, 0
+				if err := tx.Run(func() error {
+					execs++
+					held = 0
+					for _, k := range c.hint {
+						if se.latch.holds(k) {
+							held++
+						}
+					}
+					for _, k := range keys {
+						v, _ := m.Get(tx, k)
+						m.Put(tx, k, v+1)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if latched := held > 0; latched != c.latched || (latched && held != len(c.hint)) {
+					t.Errorf("%s: %d of its %d keys latched, want latched=%v", c.name, held, len(c.hint), c.latched)
+				}
+				if d := eng.Stats().Delta(base); d != (Stats{Commits: 1, FootprintHits: c.hits}) || execs != 1 {
+					t.Errorf("%s: %+v in %d executions of the body, want one commit and %d footprint hits in one", c.name, d, execs, c.hits)
 				}
 			}
-			for _, k := range c.touch {
-				v, _ := m.Get(tx, k)
-				m.Put(tx, k, v+1)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if latched := held > 0; latched != c.latched || (latched && held != len(c.hint)+len(c.touch)) {
-			t.Errorf("%s: %d of its keys latched, want latched=%v", c.name, held, c.latched)
-		}
-		if d := eng.Stats().Delta(base); d != (Stats{Commits: 1, FootprintHits: c.hits}) || execs != 1 {
-			t.Errorf("%s: %+v in %d executions of the body, want one commit and %d footprint hits in one", c.name, d, execs, c.hits)
-		}
-	}
-
-	plain, err := Build("medley", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	pm, err := plain.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptx := plain.NewWorker(0).(*sessionTx)
-	base := plain.Stats()
-	HintKeys(ptx, keys...)
-	if err := ptx.Run(func() error {
-		if ptx.latched != nil || plain.(*medleyEngine).latch != nil {
-			t.Error("plain medley latched a declaration")
-		}
-		for _, k := range keys {
-			pm.Put(ptx, k, 1)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if d := plain.Stats().Delta(base); d != (Stats{Commits: 1}) {
-		t.Errorf("plain medley with HintKeys: %+v, want one commit", d)
+		})
 	}
 }

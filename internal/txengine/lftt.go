@@ -66,8 +66,11 @@ func (t *lfttTx) Run(fn func() error) error {
 	t.sl = nil
 	t.err = nil
 	t.buf = t.buf[:0]
+	// However fn ends, a panic included, the handle leaves the buffered
+	// transaction: nothing of it has executed, and later standalone
+	// operations must not be staged into it.
+	defer func() { t.inTx = false }()
 	err := fn()
-	t.inTx = false
 	if err == nil && t.aborted {
 		err = ErrBusinessAbort // fn called Abort and returned nil
 	}

@@ -1,6 +1,7 @@
 package txengine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,20 +21,38 @@ const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | Ca
 
 // medleyEngine drives Medley transactional maps; with epoch systems attached
 // it is txMontage (Medley + periodic persistence over simulated NVM devices).
-// Its maps are partitions of shards sub-maps (partition.go): one on medley and
-// txmontage, S on their -sharded forms.
+// Every map it builds is one index, whatever the device count.
+//
+// # Devices (txmontage-sharded)
+//
+// txmontage-sharded is txMontage over Config.Shards devices: one epoch system
+// per device, all on the engine's one montage.EpochClock, to which the one
+// TxManager is attached. Each map is one montage.Map index that writes and
+// retires a key's payloads on the device the key routes to (montage.DeviceOf),
+// so reads never route and a transaction over keys on several devices is one
+// MCNS descriptor pinned to one epoch, exactly as over one device. The
+// advancer and Sync advance all devices together (montage.AdvanceTogether), so
+// they reach the same durable frontier; recovery cuts the domain at the
+// minimum of the per-device frontiers (montage.Recover) and rebuilds each
+// map's one index from every device's live set, so state one device persisted
+// ahead of the others is discarded and no transaction is recovered torn.
+// Plain txmontage is the case of one device. A device is all a shard buys:
+// medley-sharded, with nothing to persist, is medley (see aliases).
 type medleyEngine struct {
-	name   string
-	mgr    *core.TxManager
-	shards int
-	clock  *montage.EpochClock // txMontage: the one clock of es; nil for Medley
-	es     []*montage.EpochSys // txMontage: one per shard, on clock; nil for Medley
-	codec  montage.Codec[any]
-	adv    advancer    // the background advancer, when Config.EpochLen asks for one
-	snap   *snapTier   // the engine's one MVCC snapshot tier
-	latch  *latchTable // declared keys' latches; nil with one shard
-	cells  metrics.Cells[Stats]
+	name  string
+	mgr   *core.TxManager
+	clock *montage.EpochClock // txMontage: the one clock of es; nil for Medley
+	es    []*montage.EpochSys // txMontage: one per device, on clock; nil for Medley
+	codec montage.Codec[any]
+	adv   advancer    // the background advancer, when Config.EpochLen asks for one
+	snap  *snapTier   // the engine's one MVCC snapshot tier
+	latch *latchTable // declared keys' latches
+	cells metrics.Cells[Stats]
 }
+
+// DefaultShards is txmontage-sharded's device count when Config.Shards is
+// unset.
+const DefaultShards = 4
 
 // advancer is an engine's background epoch advancer, started by the first map
 // the engine builds or recovers rather than by the engine: devices reattached
@@ -63,22 +82,22 @@ func (a *advancer) close() {
 	}
 }
 
-// newMedleyEngine builds Medley, or txMontage when persist is set, over one
-// shard, or over shardCount(cfg) when sharded is set. txMontage gives every
-// shard an epoch system and a device of its own (cfg.Devices, when non-empty,
-// supplies them in shard order, for recovery) on one epoch clock.
+// newMedleyEngine builds Medley, or txMontage when persist is set: over one
+// device, or over Config.Shards (0: DefaultShards) when sharded is set, each
+// with an epoch system of its own (cfg.Devices, when non-empty, supplies
+// them in order, for recovery) on one epoch clock.
 func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
-	n := 1
-	if sharded {
-		n = shardCount(cfg)
-	}
-	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), shards: n}
+	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), latch: newLatchTable()}
 	if persist {
+		n := 1
+		if sharded {
+			n = cmp.Or(cfg.Shards, DefaultShards)
+		}
 		switch {
 		case !sharded && len(cfg.Devices) > 1:
 			return nil, fmt.Errorf("txengine: txmontage is single-device (got %d devices); use txmontage-sharded for multi-device persistence", len(cfg.Devices))
 		case len(cfg.Devices) > 0 && len(cfg.Devices) != n:
-			return nil, fmt.Errorf("txengine: txmontage-sharded wants one device per shard: got %d devices for %d shards", len(cfg.Devices), n)
+			return nil, fmt.Errorf("txengine: txmontage-sharded wants %d devices, one per shard: got %d", n, len(cfg.Devices))
 		}
 		e.name, e.codec, e.clock = "txMontage", cfg.RowCodec, montage.NewEpochClock()
 		for i := 0; i < n; i++ {
@@ -88,17 +107,14 @@ func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
 			}
 			e.es = append(e.es, montage.NewEpochSysShared(dev, e.clock))
 		}
-		// Attach binds the manager to the clock, which every shard shares.
+		// Attach binds the manager to the clock, which every device shares.
 		montage.Attach(e.mgr, e.es[0])
 		if cfg.EpochLen > 0 {
 			e.adv.run = func() func() { return montage.StartAdvancer(e.clock, e.es, cfg.EpochLen) }
 		}
-	}
-	if sharded {
-		e.name = fmt.Sprintf("%s-sh%d", e.name, n)
-	}
-	if n > 1 {
-		e.latch = newLatchTable()
+		if sharded {
+			e.name = fmt.Sprintf("txMontage-sh%d", n)
+		}
 	}
 	// On txMontage commit timestamps are anchored to the clock that orders
 	// epoch cuts.
@@ -112,8 +128,8 @@ func (e *medleyEngine) Stats() Stats { return e.cells.Sum() }
 
 func (e *medleyEngine) Close() { e.adv.close() }
 
-// Devices implements Persister: every shard's device in shard order, or nil
-// for transient Medley.
+// Devices implements Persister: every device in routing order, or nil for
+// transient Medley.
 func (e *medleyEngine) Devices() []*pnvm.Device {
 	if e.es == nil {
 		return nil
@@ -125,18 +141,18 @@ func (e *medleyEngine) Devices() []*pnvm.Device {
 	return devs
 }
 
-// Sync implements Persister: two advances of every shard together, after
+// Sync implements Persister: two advances of every device together, after
 // which each transaction committed before the call is durable on all of its
-// shards at one boundary.
+// devices at one boundary.
 func (e *medleyEngine) Sync() {
 	if e.es != nil {
 		montage.SyncTogether(e.clock, e.es)
 	}
 }
 
-// RecoverUintMap implements Persister: every shard's sub-map is rebuilt from
-// its own device's live records at the domain's cut. It takes one dump per
-// shard, in shard order: the shard count the state was written under.
+// RecoverUintMap implements Persister: the map's one index is rebuilt from
+// every device's live records at the domain's cut. It takes one dump per
+// device, in device order: the device count the state was written under.
 func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.es == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
@@ -145,78 +161,62 @@ func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[
 	if err != nil {
 		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	sub := subSpec(spec, e.shards)
-	m := partition(e.shards, func(i int) Map[uint64] { return montageUintMap(e.es[i], sub, rec.Live[i]) })
+	m := newMontageMap(e.es, montage.Uint64Codec(), spec)
+	m.Rebuild(rec.Live...)
 	e.adv.start()
-	return newSnapMap(m, e.snap), nil
+	return newSnapMap[uint64](txmapAdapter[uint64]{m}, e.snap), nil
 }
 
-// montageUintMap builds one device's persistent uint64 map, its index
-// rebuilt from live when the device is being recovered.
-func montageUintMap(es *montage.EpochSys, spec MapSpec, live []pnvm.Record) txmapAdapter[uint64] {
-	var m *montage.Map[uint64]
+// newMontageMap builds one persistent map over the devices of es.
+func newMontageMap[V any](es []*montage.EpochSys, codec montage.Codec[V], spec MapSpec) *montage.Map[V] {
 	if spec.Kind == KindHash {
-		m = montage.NewHashMap(es, montage.Uint64Codec(), bucketsOr(spec, 1<<16))
-	} else {
-		m = montage.NewSkipMap(es, montage.Uint64Codec())
+		return montage.NewHashMap(es, codec, bucketsOr(spec, 1<<16))
 	}
-	m.Rebuild(live)
-	return txmapAdapter[uint64]{m}
+	return montage.NewSkipMap(es, codec)
 }
 
 func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
-	sub := subSpec(spec, e.shards)
-	m := partition(e.shards, func(i int) Map[uint64] {
-		switch {
-		case e.es != nil:
-			return montageUintMap(e.es[i], sub, nil)
-		case sub.Kind == KindHash:
-			return txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(sub, 1<<16))}
-		default:
-			return txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
-		}
-	})
+	var m rangeMap[uint64]
+	switch {
+	case e.es != nil:
+		m = txmapAdapter[uint64]{newMontageMap(e.es, montage.Uint64Codec(), spec)}
+	case spec.Kind == KindHash:
+		m = txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}
+	default:
+		m = txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
+	}
 	e.adv.start()
 	return newSnapMap(m, e.snap), nil
 }
 
 func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
-	if e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil) {
+	var m rangeMap[any]
+	switch {
+	case e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
 		return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
+	case e.es != nil:
+		m = txmapAdapter[any]{newMontageMap(e.es, e.codec, spec)}
+	case spec.Kind == KindHash:
+		m = txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}
+	default:
+		m = txmapAdapter[any]{fskiplist.New[uint64, any]()}
 	}
-	sub := subSpec(spec, e.shards)
-	m := partition(e.shards, func(i int) Map[any] {
-		switch {
-		case e.es != nil && sub.Kind == KindHash:
-			return txmapAdapter[any]{montage.NewHashMap(e.es[i], e.codec, bucketsOr(sub, 1<<16))}
-		case e.es != nil:
-			return txmapAdapter[any]{montage.NewSkipMap(e.es[i], e.codec)}
-		case sub.Kind == KindHash:
-			return txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(sub, 1<<16))}
-		default:
-			return txmapAdapter[any]{fskiplist.New[uint64, any]()}
-		}
-	})
 	e.adv.start()
 	return newSnapMap(m, e.snap), nil
 }
 
 // NewUintQueue returns an NBTC-transformed Michael & Scott queue. The queue
 // itself is transient even under txMontage: the paper's queue carries no
-// payload persistence, and composition with persistent maps stays atomic. A
-// queue has no key to partition by: a -sharded engine's queue is this one.
+// payload persistence, and composition with persistent maps stays atomic.
 func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 	return msQueueAdapter{q: msqueue.New[uint64]()}, nil
 }
 
 func (e *medleyEngine) NewWorker(int) Tx {
 	s := e.mgr.Session()
-	t := &sessionTx{s: s, ct: e.cells.New(), shards: e.shards, latch: e.latch}
+	t := &sessionTx{s: s, ct: e.cells.New(), latch: e.latch, lw: newLatchWaiter()}
 	t.snap.ses, t.snap.end = s, s.TxEnd
 	t.snap.tier, t.snap.slot = e.snap, e.snap.newSlot()
-	if e.latch != nil {
-		t.lw = newLatchWaiter()
-	}
 	return t
 }
 
@@ -228,8 +228,8 @@ func bucketsOr(spec MapSpec, def int) int {
 }
 
 // sessionTx adapts a core.Session to the Tx interface: the worker handle of
-// every Medley-family engine, sharded or not. Medley operations are usable
-// both inside and outside transactions, so NoTx is genuinely uninstrumented.
+// every Medley-family engine. Medley operations are usable both inside and
+// outside transactions, so NoTx is genuinely uninstrumented.
 type sessionTx struct {
 	s       *core.Session
 	ct      *Stats
@@ -238,8 +238,7 @@ type sessionTx struct {
 	aborted bool // Abort doomed the current attempt
 	inRun   bool // inside Run, where HintKeys does nothing
 
-	// Declared keys, on an engine of more than one shard (latch non-nil).
-	shards  int
+	// Declared keys.
 	latch   *latchTable
 	decl    declaration // staged by HintKeys for the next Run
 	latched []uint64    // the keys the current attempt holds latched
@@ -248,28 +247,24 @@ type sessionTx struct {
 
 // declaration is the key set HintKeys stages for a worker's next Run:
 // ascending and deduplicated, and emptied once it grows past latchMaxKeys
-// (over); multi says the keys route to two shards or more.
+// (over).
 type declaration struct {
-	pending     bool
-	keys        []uint64
-	first       int // the first key's shard
-	multi, over bool
+	pending, over bool
+	keys          []uint64
 }
 
-// HintKeys implements KeyHinter. On an engine of more than one shard it stages
-// keys for the worker's next Run, accumulating over calls until a Run consumes
-// them; anywhere else, and inside a Run, it does nothing.
+// HintKeys implements KeyHinter: it stages keys for the worker's next Run,
+// accumulating over calls until a Run consumes them; inside a Run it does
+// nothing.
 func (t *sessionTx) HintKeys(keys ...uint64) {
-	if t.latch == nil || t.inRun {
+	if t.inRun {
 		return
 	}
 	d := &t.decl
 	for _, k := range keys {
-		s := shardOf(k, t.shards)
 		if !d.pending {
-			*d = declaration{pending: true, keys: d.keys[:0], first: s}
+			*d = declaration{pending: true, keys: d.keys[:0]}
 		}
-		d.multi = d.multi || s != d.first
 		if !d.over {
 			// Hundreds of latch handoffs cost more than the conflicts they
 			// would queue: an oversized declaration runs unlatched.
@@ -282,16 +277,16 @@ func (t *sessionTx) HintKeys(keys ...uint64) {
 }
 
 // takeDeclaration consumes the staged declaration at the head of a Run and
-// returns the keys the Run latches: the declared ones when they route to two
-// shards or more and number at most latchMaxKeys, nil otherwise. A declaration
-// over two shards or more counts one FootprintHit.
+// returns the keys the Run latches: the declared ones when they are two to
+// latchMaxKeys distinct keys, nil otherwise. A declaration of two keys or
+// more counts one FootprintHit.
 func (t *sessionTx) takeDeclaration() []uint64 {
 	d := &t.decl
 	if !d.pending {
 		return nil
 	}
 	d.pending = false
-	if !d.multi {
+	if !d.over && len(d.keys) < 2 {
 		return nil
 	}
 	atomic.AddUint64(&t.ct.FootprintHits, 1)

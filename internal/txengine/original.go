@@ -1,8 +1,6 @@
 package txengine
 
 import (
-	"fmt"
-
 	"medley/internal/core"
 	"medley/internal/structures/fskiplist"
 	"medley/internal/structures/msqueue"
@@ -18,23 +16,14 @@ const originalCaps = CapNoTx | CapSkipMap | CapQueue
 // transactions they elide all NBTC instrumentation, so the queue behaves
 // as the plain Michael & Scott algorithm.
 type originalEngine struct {
-	name   string
-	mgr    *core.TxManager
-	shards int
+	mgr *core.TxManager
 }
 
-// newOriginalEngine builds the baseline over one shard, or over
-// shardCount(cfg) when sharded is set.
-func newOriginalEngine(cfg Config, sharded bool) (Engine, error) {
-	e := &originalEngine{name: "Original", mgr: core.NewTxManager(), shards: 1}
-	if sharded {
-		e.shards = shardCount(cfg)
-		e.name = fmt.Sprintf("Original-sh%d", e.shards)
-	}
-	return e, nil
+func newOriginalEngine(Config) (Engine, error) {
+	return &originalEngine{mgr: core.NewTxManager()}, nil
 }
 
-func (e *originalEngine) Name() string { return e.name }
+func (e *originalEngine) Name() string { return "Original" }
 func (e *originalEngine) Caps() Caps   { return originalCaps }
 func (e *originalEngine) Stats() Stats { return Stats{} }
 func (e *originalEngine) Close()       {}
@@ -43,9 +32,7 @@ func (e *originalEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	if spec.Kind == KindHash {
 		return nil, ErrUnsupported
 	}
-	return partition(e.shards, func(int) Map[uint64] {
-		return originalMap{sl: fskiplist.NewOriginal[uint64, uint64]()}
-	}), nil
+	return originalMap{sl: fskiplist.NewOriginal[uint64, uint64]()}, nil
 }
 
 func (e *originalEngine) NewRowMap(MapSpec) (Map[any], error) { return nil, ErrUnsupported }

@@ -42,8 +42,8 @@ func TestShardedPersistRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		se := eng.(*medleyEngine)
-		if se.shards != shards {
-			t.Errorf("Shards=%d built %d shards", shards, se.shards)
+		if len(se.es) != shards {
+			t.Errorf("Shards=%d built %d shards", shards, len(se.es))
 		}
 		if !strings.Contains(eng.Name(), fmt.Sprintf("sh%d", shards)) {
 			t.Errorf("Shards=%d name %q does not carry the shard count", shards, eng.Name())
@@ -266,11 +266,11 @@ func TestShardedTornCutPrevented(t *testing.T) {
 
 	// Two keys on different shards.
 	k1 := uint64(1)
-	for se.shardOf(k1) != 0 {
+	for se.deviceOf(k1) != 0 {
 		k1++
 	}
 	k2 := uint64(1)
-	for se.shardOf(k2) != 1 {
+	for se.deviceOf(k2) != 1 {
 		k2++
 	}
 
@@ -424,7 +424,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := distinctShardKeys(t, se, 2, 1)
+	keys := distinctDeviceKeys(t, se, 2, 1)
 	k1, k2 := keys[0], keys[1]
 	tx := eng.NewWorker(0).(*sessionTx)
 	m.Put(tx, k1, 1000)
@@ -456,7 +456,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 
 	se.Sync()
 	dumps := pnvm.DumpAll(se.Devices())
-	if e1, e2 := payloadEpoch(t, dumps[se.shardOf(k1)], k1), payloadEpoch(t, dumps[se.shardOf(k2)], k2); e1 != e2 || e1 != pinned[1][0] {
+	if e1, e2 := payloadEpoch(t, dumps[se.deviceOf(k1)], k1), payloadEpoch(t, dumps[se.deviceOf(k2)], k2); e1 != e2 || e1 != pinned[1][0] {
 		t.Fatalf("the two shards' payloads carry epochs %d and %d, want both the retry's %d", e1, e2, pinned[1][0])
 	}
 	devs := se.Devices()
@@ -502,7 +502,7 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 						t.Fatal(err)
 					}
 					tx := eng.NewWorker(0)
-					keys := alternatingShardKeys(t, se, k, 1)
+					keys := alternatingDeviceKeys(t, se, k, 1)
 					for _, key := range keys {
 						m.Put(tx, key, 1000)
 					}
@@ -532,9 +532,9 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 
 					se.Sync()
 					dumps := pnvm.DumpAll(se.Devices())
-					epoch := payloadEpoch(t, dumps[se.shardOf(keys[0])], keys[0])
+					epoch := payloadEpoch(t, dumps[se.deviceOf(keys[0])], keys[0])
 					for _, key := range keys[1:] {
-						if e := payloadEpoch(t, dumps[se.shardOf(key)], key); e != epoch {
+						if e := payloadEpoch(t, dumps[se.deviceOf(key)], key); e != epoch {
 							t.Fatalf("key %d's payload carries epoch %d, key %d's %d: one transaction in two cuts", key, e, keys[0], epoch)
 						}
 					}
@@ -600,4 +600,108 @@ func TestConfigShardsValidation(t *testing.T) {
 	if _, err := eng2.(Persister).RecoverUintMap(make([][]pnvm.Record, 3), MapSpec{Kind: KindHash}); err == nil {
 		t.Fatal("dump/shard mismatch accepted")
 	}
+}
+
+// TestShardedDeviceRouting pins where txmontage-sharded keeps a key: on four
+// devices, after Puts, overwrites and Removes in transactions over several
+// keys, a crash and a recovery, every media record of key k — live, retired
+// or rewritten after recovery — is on k's routed device and no other, and a
+// dump count that differs from the device count is still refused.
+func TestShardedDeviceRouting(t *testing.T) {
+	const devices, keys, fresh = 4, 256, 64
+	b, _ := Lookup("txmontage-sharded")
+	spec := MapSpec{Kind: KindHash, Buckets: 256}
+	eng, err := b.New(Config{Shards: devices}) // EpochLen 0: synced by hand
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := eng.(*medleyEngine)
+	// routed fails the test on any record of a dump off its key's device.
+	routed := func(when string, dumps [][]pnvm.Record) {
+		t.Helper()
+		n := 0
+		for d, dump := range dumps {
+			for _, r := range dump {
+				if r.Key == pnvm.MarkerKey {
+					continue
+				}
+				n++
+				if want := se.deviceOf(r.Key); d != want {
+					t.Fatalf("%s: key %d has a record on device %d, routed to %d", when, r.Key, d, want)
+				}
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: no records to check", when)
+		}
+	}
+	m, err := eng.NewUintMap(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := eng.NewWorker(0)
+	for k := uint64(0); k < keys; k++ {
+		m.Put(tx, k, k)
+	}
+	se.Sync()
+	// Overwrite k and k+1 together, remove every fourth key, in transactions
+	// that span devices.
+	want := make(map[uint64]uint64, keys)
+	for k := uint64(0); k < keys; k += 4 {
+		if err := tx.Run(func() error {
+			m.Put(tx, k, k+1000)
+			m.Put(tx, k+1, k+2000)
+			m.Remove(tx, k+3)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want[k], want[k+1], want[k+2] = k+1000, k+2000, k+2
+	}
+	se.Sync()
+	routed("before the crash", pnvm.DumpAll(se.Devices()))
+	for k := uint64(keys); k < keys+fresh; k++ {
+		m.Put(tx, k, k) // unsynced: the crash may keep it or not
+	}
+	devs := se.Devices()
+	dumps := pnvm.DumpAll(devs)
+	eng.Close()
+	routed("in the crash dumps", dumps)
+
+	eng2, err := b.New(Config{Shards: devices, Devices: devs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	for _, bad := range [][][]pnvm.Record{dumps[:devices-1], append(dumps[:devices:devices], nil)} {
+		if _, err := eng2.(Persister).RecoverUintMap(bad, spec); err == nil {
+			t.Fatalf("%d dumps for %d devices accepted", len(bad), devices)
+		}
+	}
+	rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se2, tx2 := eng2.(*medleyEngine), eng2.NewWorker(0)
+	for k := uint64(0); k < keys+fresh; k++ {
+		v, ok := rm.Get(tx2, k)
+		switch w, synced := want[k]; {
+		case k >= keys:
+			if ok && v != k {
+				t.Fatalf("unsynced key %d recovered as %d", k, v)
+			}
+		case !synced:
+			if ok {
+				t.Fatalf("removed key %d recovered as %d", k, v)
+			}
+		case !ok || v != w:
+			t.Fatalf("key %d recovered as %d, %v, want %d", k, v, ok, w)
+		}
+	}
+	routed("after recovery", pnvm.DumpAll(devs))
+	for k := uint64(0); k < keys+fresh; k += 3 {
+		rm.Put(tx2, k, k+3000)
+	}
+	se2.Sync()
+	routed("after writes on the recovered map", pnvm.DumpAll(devs))
 }

@@ -11,50 +11,39 @@ import (
 	"time"
 )
 
-// TestShardedRegistryAndKnob pins the sharded registry entries and the
-// Config.Shards knob: shard count honored, display name reflecting it, caps
-// mirroring the base, and keys actually spreading across shards.
+// TestShardedRegistryAndKnob pins what is left of the sharded names:
+// medley-sharded is an alias Lookup and Build resolve to medley — same
+// builder, same engine, Config.Shards ignored — that Names does not list;
+// txmontage-sharded is the one -sharded name left.
 func TestShardedRegistryAndKnob(t *testing.T) {
-	for _, key := range []string{"medley-sharded", "original-sharded"} {
-		if _, ok := Lookup(key); !ok {
-			t.Fatalf("registry missing %q (have %v)", key, Names())
+	b, ok := Lookup("Medley-Sharded")
+	if base, _ := Lookup("medley"); !ok || b.Key != "medley" || b.Caps != base.Caps || b.Doc != base.Doc {
+		t.Fatalf("medley-sharded resolves to %q (ok=%v), want the medley builder", b.Key, ok)
+	}
+	for _, name := range Names() {
+		if strings.HasSuffix(name, "-sharded") && name != "txmontage-sharded" {
+			t.Errorf("Names lists %q", name)
 		}
 	}
-	b, _ := Lookup("medley-sharded")
-	if base, _ := Lookup("medley"); b.Caps != base.Caps {
-		t.Errorf("medley-sharded caps %b != medley caps %b", b.Caps, base.Caps)
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		eng, err := b.New(Config{Shards: shards})
+	for _, shards := range []int{0, 1, 8} {
+		eng, err := Build("medley-sharded", Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		se := eng.(*medleyEngine)
-		if se.shards != shards {
-			t.Errorf("Shards=%d built %d shards", shards, se.shards)
-		}
-		if !strings.Contains(eng.Name(), fmt.Sprintf("sh%d", shards)) {
-			t.Errorf("Shards=%d name %q does not carry the shard count", shards, eng.Name())
+		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
+			t.Errorf("Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
 		}
 		eng.Close()
 	}
-
-	// Default shard count when the knob is unset.
-	eng, err := b.New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.(*medleyEngine).shards; n != DefaultShards {
-		t.Errorf("unset Shards built %d shards, want DefaultShards=%d", n, DefaultShards)
-	}
-	eng.Close()
 }
 
-// TestShardedRouting checks the hash routing: sequential keys must spread
-// over every shard, and the same key must always land on the same shard.
+// TestShardedRouting checks the device routing of txmontage-sharded:
+// sequential keys must spread over every device, the same key must always
+// land on the same device, and the one index serves every key to every
+// worker.
 func TestShardedRouting(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 8})
+	eng, err := Build("txmontage-sharded", Config{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,22 +51,20 @@ func TestShardedRouting(t *testing.T) {
 	se := eng.(*medleyEngine)
 	hit := make([]int, 8)
 	for k := uint64(0); k < 4096; k++ {
-		s := se.shardOf(k)
-		if s != se.shardOf(k) {
+		d := se.deviceOf(k)
+		if d != se.deviceOf(k) {
 			t.Fatal("routing not deterministic")
 		}
-		hit[s]++
+		hit[d]++
 	}
-	for s, n := range hit {
-		// A uniform spread puts 512 keys per shard; demand at least a
+	for d, n := range hit {
+		// A uniform spread puts 512 keys per device; demand at least a
 		// quarter of that so gross skew fails loudly.
 		if n < 128 {
-			t.Errorf("shard %d got %d/4096 sequential keys (want a roughly uniform spread)", s, n)
+			t.Errorf("device %d got %d/4096 sequential keys (want a roughly uniform spread)", d, n)
 		}
 	}
 
-	// Routed data round-trips: values written under one worker are visible
-	// to another for every key, i.e. both route identically.
 	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +80,9 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestShardedCrossShardTransfer is the dedicated cross-shard atomicity
-// test: at shard counts 1, 2, and 8, concurrent workers move value between
-// two maps (accounts deliberately spread over every shard) while readers
+// TestShardedCrossShardTransfer is the dedicated cross-device atomicity
+// test: on txmontage-sharded over 1, 2 and 8 devices, concurrent workers move
+// value between two maps (accounts spread over every device) while readers
 // audit account pairs transactionally; the per-pair invariant must hold on
 // every committed read and the total must be conserved at the end.
 func TestShardedCrossShardTransfer(t *testing.T) {
@@ -107,7 +94,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 	)
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng, err := Build("medley-sharded", Config{Shards: shards})
+			eng, err := Build("txmontage-sharded", Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,8 +126,8 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 						to := rng.Uint64N(accounts)
 						if i%5 == 4 {
 							// Read-only cross-map pair probe interleaved with
-							// the transfers: it exercises the (often
-							// cross-shard) read-only commit path; the actual
+							// the transfers: it exercises the read-only
+							// commit path; the actual
 							// conservation invariant is asserted by the
 							// whole-ledger auditors below, since per-account
 							// pair sums are not preserved by from!=to moves.
@@ -215,7 +202,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 			rwg.Wait()
 			select {
 			case v := <-violation:
-				t.Fatalf("cross-shard atomicity violation: %s", v)
+				t.Fatalf("cross-device atomicity violation: %s", v)
 			default:
 			}
 
@@ -227,19 +214,19 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 				sum += c + s
 			}
 			if want := uint64(2 * accounts * perAcct); sum != want {
-				t.Fatalf("final sum %d != %d: a cross-shard transfer tore", sum, want)
+				t.Fatalf("final sum %d != %d: a cross-device transfer tore", sum, want)
 			}
 		})
 	}
 }
 
 // TestShardedCrossShardNotBlockedByOpenRun pins that the runtime holds no
-// lock on a shard: while one worker sits inside an open single-shard Run on
-// shard A, another worker's un-hinted transfer over A and B on disjoint keys
-// must commit, in one execution of its body, without waiting for the first
-// worker to leave.
+// lock on a device: while one worker sits inside an open Run that wrote a
+// key on device A, another worker's un-hinted transfer over A and B on
+// disjoint keys must commit, in one execution of its body, without waiting
+// for the first worker to leave.
 func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
-	eng, err := Build("medley-sharded", Config{Shards: 2})
+	eng, err := Build("txmontage-sharded", Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +236,9 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := keyOnShard(t, se, 0, 0)
-	from := keyOnShard(t, se, 0, held+1)
-	to := keyOnShard(t, se, 1, 0)
+	held := keyOnDevice(t, se, 0, 0)
+	from := keyOnDevice(t, se, 0, held+1)
+	to := keyOnDevice(t, se, 1, 0)
 	init := eng.NewWorker(0)
 	m.Put(init, from, 100)
 	m.Put(init, to, 100)
@@ -262,7 +249,7 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 	go func() {
 		tx := eng.NewWorker(1)
 		sitter <- tx.Run(func() error {
-			m.Put(tx, held, 1) // opens the sub-transaction on shard A
+			m.Put(tx, held, 1) // a payload on device A
 			once.Do(func() { close(inside) })
 			<-release
 			return nil
@@ -293,7 +280,7 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 			t.Errorf("un-hinted transfer beside an open Run: %+v in %d executions of the body, want one commit in one", d, execs)
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("cross-shard transfer parked behind an open single-shard Run on one of its shards")
+		t.Error("cross-device transfer parked behind an open Run on one of its devices")
 	}
 	close(release)
 	if err := <-sitter; err != nil {
@@ -309,15 +296,15 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 }
 
 // TestShardedQueueComposition: queue+map transactions must stay atomic
-// while the map entries route across shards — the sharded version of the
-// workqueue claim contract.
+// while the map's payloads route across devices — the txmontage-sharded
+// version of the workqueue claim contract.
 func TestShardedQueueComposition(t *testing.T) {
 	const (
 		producers = 2
 		consumers = 2
 		perWorker = 250
 	)
-	eng, err := Build("medley-sharded", Config{Shards: 8})
+	eng, err := Build("txmontage-sharded", Config{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +408,17 @@ func TestShardedQueueComposition(t *testing.T) {
 	}
 }
 
-// TestShardedOneSessionPerWorker pins what a shard is not: a transaction
-// scope. Every shard of an engine sits on the engine's one TxManager, and a
-// worker that has run transactions over all S shards holds one session on it
-// — W workers, W sessions, whatever S is.
+// TestShardedOneSessionPerWorker pins what a device is not: a transaction
+// scope. Every device of an engine sits under the engine's one TxManager, and
+// a worker that has run transactions over all S devices holds one session on
+// it — W workers, W sessions, whatever S is.
 func TestShardedOneSessionPerWorker(t *testing.T) {
 	const workers, rounds = 4, 50
-	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
+	for _, engine := range []string{"medley", "txmontage-sharded"} {
 		for _, shards := range []int{1, 2, 8} {
+			if engine == "medley" && shards > 1 {
+				continue // medley ignores Config.Shards
+			}
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				eng, err := Build(engine, Config{Shards: shards})
 				if err != nil {
@@ -441,7 +431,7 @@ func TestShardedOneSessionPerWorker(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				keys := distinctShardKeys(t, se, shards, 1) // one key on every shard
+				keys := distinctDeviceKeys(t, se, max(len(se.es), 1), 1) // one key on every device
 				if mgr.NumSessions() != 0 {
 					t.Fatalf("%d sessions before the first worker", mgr.NumSessions())
 				}
@@ -467,7 +457,7 @@ func TestShardedOneSessionPerWorker(t *testing.T) {
 				}
 				wg.Wait()
 				if n := mgr.NumSessions(); n != workers {
-					t.Fatalf("%d workers over %d shards hold %d sessions, want one each", workers, shards, n)
+					t.Fatalf("%d workers over %d devices hold %d sessions, want one each", workers, len(se.es), n)
 				}
 				tx := eng.NewWorker(workers)
 				for _, k := range keys {

@@ -213,9 +213,9 @@ const (
 )
 
 // snapTier is the per-engine clock + watermark state shared by every worker
-// and every snapMap of one engine. A sharded engine owns exactly one tier,
-// which wraps its top-level maps over all of their shards, so a cross-shard
-// transaction stamps exactly one timestamp.
+// and every snapMap of one engine. An engine owns exactly one tier, which
+// wraps each of its top-level maps, so a transaction over several maps
+// stamps exactly one timestamp.
 type snapTier struct {
 	clock   atomic.Uint64 // last drawn commit timestamp
 	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read
@@ -867,9 +867,9 @@ type snapMap[V any] struct {
 }
 
 // newSnapMap attaches the snapshot sidecar to a top-level map, new or
-// recovered alike, and registers it with the tier. inner must Range.
-func newSnapMap[V any](inner Map[V], tier *snapTier) Map[V] {
-	m := snapMap[V]{inner: inner.(rangeMap[V]), tab: &snapTable[V]{tier: tier}}
+// recovered alike, and registers it with the tier.
+func newSnapMap[V any](inner rangeMap[V], tier *snapTier) Map[V] {
+	m := snapMap[V]{inner: inner, tab: &snapTable[V]{tier: tier}}
 	tier.register(m)
 	return m
 }

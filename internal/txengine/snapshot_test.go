@@ -13,10 +13,10 @@ import (
 	"medley/internal/pnvm"
 )
 
-// snapEngines enumerates the CapSnapshot engines the suite sweeps: the
-// unsharded Medley family plus its -sharded forms at each shard count, so
-// the one-timestamp property of cross-shard commits (latched ones included)
-// is exercised alongside the single-shard path.
+// snapEngines enumerates the CapSnapshot engines the suite sweeps: medley and
+// txmontage plus txmontage-sharded at each device count, so the
+// one-timestamp property of commits over several devices (latched ones
+// included) is exercised alongside the one-device path.
 func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engine)) {
 	for _, key := range []string{"medley", "txmontage"} {
 		b, ok := Lookup(key)
@@ -29,21 +29,15 @@ func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engin
 			f(t, eng)
 		})
 	}
-	for _, key := range []string{"medley-sharded", "txmontage-sharded"} {
-		b, ok := Lookup(key)
-		if !ok {
-			t.Fatalf("registry missing %q", key)
-		}
-		for _, shards := range shardCounts {
-			t.Run(fmt.Sprintf("%s/shards=%d", key, shards), func(t *testing.T) {
-				eng, err := b.New(Config{EpochLen: 2 * time.Millisecond, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
-				f(t, eng)
-			})
-		}
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("txmontage-sharded/shards=%d", shards), func(t *testing.T) {
+			eng, err := Build("txmontage-sharded", Config{EpochLen: 2 * time.Millisecond, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			f(t, eng)
+		})
 	}
 }
 

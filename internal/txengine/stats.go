@@ -20,18 +20,16 @@ import (
 //     wrapped in a transaction instead (engines without CapNoTx).
 //   - CrossShardRestarts: always 0, and hidden from printers. A sharded
 //     engine used to re-execute an attempt that touched a shard outside its
-//     known footprint; now the operation simply runs, in the one transaction
-//     (partition.go). The field stays only because benchmark/serve.go reads
-//     it.
-//   - FootprintHits: Runs whose HintKeys declaration routed to two shards or
-//     more. At most one per Run; undeclared Runs, and declarations that route
-//     to a single shard, do not move it.
+//     known footprint; no engine routes an operation any more. The field
+//     stays only because benchmark/serve.go reads it.
+//   - FootprintHits: Runs whose HintKeys declaration named two distinct keys
+//     or more, latched or (past latchMaxKeys) not. At most one per Run;
+//     undeclared Runs and one-key declarations do not move it.
 //   - FootprintMisses: always 0, and hidden from printers. It counted
 //     declarations an operation escaped, which took tracking the shards each
-//     operation touched; the key-routing map passes the caller's Tx straight
-//     through, and nothing tracks them (partition.go). The field stays only
-//     because benchmark/serve.go reads it.
-//   - LatchWaits: key latches a latched cross-shard attempt had to queue
+//     operation touched; nothing tracks them. The field stays only because
+//     benchmark/serve.go reads it.
+//   - LatchWaits: key latches a latched attempt had to queue
 //     for because another latched transaction held them (see latch.go). A
 //     high rate relative to Commits means declared footprints overlap on
 //     hot keys — traffic is pipelining through the latch FIFO rather than

@@ -200,12 +200,12 @@ func TestStatsUnderConflict(t *testing.T) {
 // committed Run on the Medley family allocates nothing outside what core and
 // the structures allocate for its writes — no counting closure, no method
 // values — so a read-only Run, which core serves from the session's spare
-// descriptor, allocates nothing at all, sharded or not.
+// descriptor, allocates nothing at all, on one device or several.
 func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
+	for _, key := range []string{"medley", "txmontage", "txmontage-sharded"} {
 		t.Run(key, func(t *testing.T) {
 			b, _ := Lookup(key)
 			eng, err := b.New(Config{})
@@ -237,72 +237,88 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	}
 }
 
-// TestCrossShardRunAllocatesWhatOneShardDoes pins what a sharded engine adds
-// to a transaction that spans shards: nothing. It is the worker's one
-// session on the engine's one manager either way, so an un-hinted transfer
-// between two shards allocates exactly — count and bytes — what the same
-// transfer does inside one shard: two mhash overwrites (node 48 with the cell
-// its unlink publishes, deferred unlink 64, install cell 24), 6 allocations
-// and 272 B, and
-// nothing for the descriptor, which the session reuses. A committed
-// read-only Run over two shards allocates 0.
+// TestCrossShardRunAllocatesWhatOneShardDoes pins what a second device adds
+// to a transaction: nothing. It is the worker's one session on the engine's
+// one manager and one index either way, so on txmontage-sharded an un-hinted
+// transfer between keys on two devices allocates as many times as the same
+// transfer between keys on one (the bytes differ by the amortized growth of
+// each device's epoch batches). On medley a transfer is two mhash overwrites
+// (node 48 with the cell its unlink publishes, deferred unlink 64, install
+// cell 24), 6 allocations and 272 B, and nothing for the descriptor, which
+// the session reuses. A committed read-only Run allocates 0 on both.
 func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	eng, err := Build("medley-sharded", Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*medleyEngine)
-	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := keyOnShard(t, se, 0, 0)
-	same := keyOnShard(t, se, 0, from+1)
-	other := keyOnShard(t, se, 1, 0)
-	tx := eng.NewWorker(0)
-	for _, k := range []uint64{from, same, other} {
-		m.Put(tx, k, 1<<40)
-	}
-	measure := func(body func() error) (allocs, bytes uint64) {
-		run := func() {
-			if err := tx.Run(body); err != nil {
+	for _, engine := range []string{"medley", "txmontage-sharded"} {
+		t.Run(engine, func(t *testing.T) {
+			eng, err := Build(engine, Config{Shards: 4})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		run() // the session's scratch reaches its steady state
-		const n = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
-	}
-	transfer := func(to uint64) func() error {
-		return func() error {
-			v, _ := m.Get(tx, from)
-			m.Put(tx, from, v-1)
-			w, _ := m.Get(tx, to)
-			m.Put(tx, to, w+1)
-			return nil
-		}
-	}
-	oneAllocs, oneBytes := measure(transfer(same))
-	twoAllocs, twoBytes := measure(transfer(other))
-	t.Logf("transfer: %d allocations / %d B on one shard, %d / %d over two", oneAllocs, oneBytes, twoAllocs, twoBytes)
-	if oneAllocs != 2*3 || oneBytes != 2*136 || twoAllocs != oneAllocs || twoBytes != oneBytes {
-		t.Errorf("a transfer over two shards allocates %d times / %d B, inside one shard %d times / %d B: want 6 / 272 B both", twoAllocs, twoBytes, oneAllocs, oneBytes)
-	}
-	if allocs, bytes := measure(func() error {
-		m.Get(tx, from)
-		m.Get(tx, other)
-		return nil
-	}); allocs != 0 || bytes != 0 {
-		t.Errorf("a committed read-only Run over two shards allocates %d times / %d B, want 0", allocs, bytes)
+			defer eng.Close()
+			se := eng.(*medleyEngine)
+			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, same, other := uint64(0), uint64(1), uint64(2)
+			if se.es != nil {
+				from = keyOnDevice(t, se, 0, 0)
+				same = keyOnDevice(t, se, 0, from+1)
+				other = keyOnDevice(t, se, 1, 0)
+			}
+			tx := eng.NewWorker(0)
+			for _, k := range []uint64{from, same, other} {
+				m.Put(tx, k, 1<<40)
+			}
+			measure := func(body func() error) (allocs, bytes uint64) {
+				run := func() {
+					if err := tx.Run(body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The session's scratch and the devices' slabs reach their
+				// steady state: records the Sync frees are reused below.
+				for i := 0; i < 1000; i++ {
+					run()
+				}
+				se.Sync()
+				run()
+				const n = 200
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					run()
+				}
+				runtime.ReadMemStats(&after)
+				return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+			}
+			transfer := func(to uint64) func() error {
+				return func() error {
+					v, _ := m.Get(tx, from)
+					m.Put(tx, from, v-1)
+					w, _ := m.Get(tx, to)
+					m.Put(tx, to, w+1)
+					return nil
+				}
+			}
+			oneAllocs, oneBytes := measure(transfer(same))
+			twoAllocs, twoBytes := measure(transfer(other))
+			t.Logf("transfer: %d allocations / %d B on one device, %d / %d over two", oneAllocs, oneBytes, twoAllocs, twoBytes)
+			if twoAllocs != oneAllocs {
+				t.Errorf("a transfer over two devices allocates %d times, on one device %d times: want the same", twoAllocs, oneAllocs)
+			}
+			if se.es == nil && (oneAllocs != 2*3 || oneBytes != 2*136 || twoBytes != oneBytes) {
+				t.Errorf("a transfer allocates %d times / %d B and %d times / %d B: want 6 / 272 B both", oneAllocs, oneBytes, twoAllocs, twoBytes)
+			}
+			if allocs, bytes := measure(func() error {
+				m.Get(tx, from)
+				m.Get(tx, other)
+				return nil
+			}); allocs != 0 || bytes != 0 {
+				t.Errorf("a committed read-only Run over two devices allocates %d times / %d B, want 0", allocs, bytes)
+			}
+		})
 	}
 }

@@ -62,10 +62,13 @@ type tdslTx struct {
 }
 
 func (t *tdslTx) Run(fn func() error) error {
+	// However the Run ends, a panic out of fn included, the handle is left
+	// outside any transaction: TDSL buffers writes, so dropping the
+	// attempt's Tx is its rollback.
+	defer func() { t.cur = nil }()
 	return t.ct.countRun(func(body func() error) error {
 		return t.tm.Run(func(tx *tdsl.Tx) error {
 			t.cur, t.aborted = tx, false
-			defer func() { t.cur = nil }()
 			if err := body(); err != nil || !t.aborted {
 				return err
 			}

@@ -1,10 +1,9 @@
 // Package txengine unifies the repository's transactional systems behind a
 // single Engine abstraction: one name-keyed registry of backends (Medley,
 // txMontage, OneFile, POneFile, TDSL, LFTT, Boost, the untransformed
-// Original baseline, plus medley-sharded, txmontage-sharded and
-// original-sharded, their bases with every map partitioned into S shards —
-// see partition.go), each exposing per-worker transaction handles and
-// transactional map factories. The benchmark harness
+// Original baseline, plus txmontage-sharded, txMontage over S devices with
+// one index per map — see medley.go), each exposing per-worker transaction
+// handles and transactional map factories. The benchmark harness
 // (internal/bench), the TPC-C workload (internal/tpcc), and the CLI tools
 // all consume engines through this package, so a new backend registered
 // here runs every workload for free.
@@ -40,10 +39,7 @@ package txengine
 import (
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"medley/internal/core"
@@ -121,8 +117,8 @@ type Config struct {
 	// Devices, if non-empty, are the simulated NVM devices persistent
 	// engines attach to instead of constructing their own from Latencies.
 	// Single-device engines (txmontage, ponefile) take exactly one;
-	// txmontage-sharded takes one per shard, index-aligned with the order its
-	// Devices() method reports. Recovery flows use this to crash a device
+	// txmontage-sharded takes Shards of them, index-aligned with the order
+	// its Devices() method reports. Recovery flows use this to crash a device
 	// fleet and rebuild an engine on the survivors.
 	Devices []*pnvm.Device
 	// EpochLen, if positive, runs txMontage's epoch advancer at this period,
@@ -135,17 +131,15 @@ type Config struct {
 	RowCodec montage.Codec[any]
 	// LockShards bounds Boost's semantic-lock tables (0: default).
 	LockShards int
-	// Shards is the partition count of the -sharded engines (medley-sharded,
-	// txmontage-sharded, original-sharded): every map they build is that many
-	// sub-maps, each key hash-routed to its shard, and txmontage-sharded
-	// keeps one device per shard (0: DefaultShards). Other engines ignore it.
-	// Validated centrally by every registry construction path — see Validate.
+	// Shards is txmontage-sharded's device count (0: DefaultShards): each
+	// map is still one index, and each key's payloads go to the device it
+	// hash-routes to. Other engines ignore it. Validated centrally by every
+	// registry construction path — see Validate.
 	Shards int
 }
 
 // MaxShards bounds Config.Shards: a larger count is almost certainly a typo
-// and would build that many sub-maps per map (and, for txmontage-sharded,
-// devices).
+// and would build that many devices.
 const MaxShards = 1024
 
 // Validate rejects malformed configurations with a clear error. Register
@@ -156,51 +150,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("txengine: Config.Shards must be >= 1 (got %d); 0 selects the engine default of %d", c.Shards, DefaultShards)
 	}
 	if c.Shards > MaxShards {
-		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many sub-maps per map is almost certainly unintended)", c.Shards, MaxShards)
+		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many devices is almost certainly unintended)", c.Shards, MaxShards)
 	}
 	return nil
 }
 
 // ValidateShardsFlag is the CLIs' shared -shards check: the central
 // Config.Validate rejection, for failing fast before a measurement sweep.
-// The non-fatal over-parallelism warning is emitted by the registry wrapper
-// when a sharded engine is actually constructed — once per run, however
-// many engine instances a sweep builds.
 func ValidateShardsFlag(shards int) error {
 	return (Config{Shards: shards}).Validate()
-}
-
-// overParallelismWarning is the non-fatal companion to Validate: a shard
-// count far past the host's parallelism is legal, but each shard is a sub-map
-// of every map (and, for txmontage-sharded, a device), so it is usually a
-// typo. Empty when the count is unremarkable.
-func overParallelismWarning(shards int) string {
-	if max := 4 * runtime.GOMAXPROCS(0); shards > max {
-		return fmt.Sprintf("shards=%d is far beyond the host's parallelism (GOMAXPROCS=%d); each shard is a sub-map of every map",
-			shards, runtime.GOMAXPROCS(0))
-	}
-	return ""
-}
-
-// shardsWarned dedupes the over-parallelism warning across engine
-// constructions: benchmark sweeps build one engine per measurement point,
-// and the warning should print once per run per distinct shard count, not
-// once per instantiation.
-var shardsWarned sync.Map
-
-// warnShardsFn emits a construction-time warning line; a test hook.
-var warnShardsFn = func(msg string) { fmt.Fprintln(os.Stderr, "# warning:", msg) }
-
-// maybeWarnShards emits the deduped over-parallelism warning for a sharded
-// builder's construction.
-func maybeWarnShards(cfg Config) {
-	w := overParallelismWarning(cfg.Shards)
-	if w == "" {
-		return
-	}
-	if _, dup := shardsWarned.LoadOrStore(w, true); !dup {
-		warnShardsFn(w)
-	}
 }
 
 // ErrBusinessAbort is the no-retry abort returned by Tx.Abort: Run passes it
@@ -292,19 +250,19 @@ type Engine interface {
 // Persister is the optional interface of engines backed by simulated NVM
 // devices (txMontage, POneFile, txmontage-sharded). Recovery flows drive
 // the crash/recover cycle through it. The contract is multi-device:
-// single-device engines report one device and a sharded persistent engine
-// reports one per shard. Engines whose type carries the methods but whose
+// single-device engines report one device and txmontage-sharded reports
+// Config.Shards. Engines whose type carries the methods but whose
 // instance is transient (Medley, OneFile) return nil Devices; callers must
 // check.
 type Persister interface {
-	// Devices returns the engine's simulated NVM devices, one per
-	// persistence shard (length 1 for single-device engines), or nil when
+	// Devices returns the engine's simulated NVM devices (length 1 for
+	// single-device engines), or nil when
 	// the instance is transient. The order is stable and matches the dump
 	// order RecoverUintMap expects.
 	Devices() []*pnvm.Device
 	// Sync makes everything committed so far durable on every device at a
 	// mutually consistent cut: a coordinated epoch-boundary sync for the
-	// montage family (all shards advanced together), a no-op for eagerly
+	// montage family (all devices advanced together), a no-op for eagerly
 	// persisting engines.
 	Sync()
 	// RecoverUintMap rebuilds one logical uint64 map from the post-crash
@@ -315,30 +273,30 @@ type Persister interface {
 	// some devices persisted beyond it is discarded, so no transaction is
 	// recovered torn), the media is scrubbed down to the live records plus
 	// one marker per device, and the engine resumes past the cut. A dump
-	// count that does not match the device count (sharded engines: the
-	// shard count the state was written under) and a failed marker write
+	// count that does not match the device count (txmontage-sharded: the
+	// device count the state was written under) and a failed marker write
 	// are returned as errors; recovery can then be rerun, as it can after a
 	// crash inside it.
 	RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error)
 }
 
 // KeyHinter is the optional Tx extension of the Medley family. HintKeys
-// pre-declares map keys the worker's next Run will touch. On a -sharded
-// engine a declaration whose keys route to two shards or more latches exactly
-// those keys, so declared transactions on the same hot keys queue instead of
-// aborting each other (see latch.go); one of more than latchMaxKeys keys runs
-// unlatched. Successive HintKeys calls before a Run accumulate into one
-// declaration; the next Run consumes it whole. Hinting inside Run is a no-op.
-// A wrong declaration is safe: latches only schedule, and an operation on an
-// undeclared key simply runs (Stats.FootprintHits counts the declarations
-// over two shards or more).
+// pre-declares map keys the worker's next Run will touch. A declaration of
+// two to latchMaxKeys distinct keys latches exactly those keys, so declared
+// transactions on the same hot keys queue instead of aborting each other
+// (see latch.go); one key has nothing to queue behind, and more than
+// latchMaxKeys run unlatched. Successive HintKeys calls before a Run
+// accumulate into one declaration; the next Run consumes it whole. Hinting
+// inside Run is a no-op. A wrong declaration is safe: latches only schedule,
+// and an operation on an undeclared key simply runs (Stats.FootprintHits
+// counts the declarations of two keys or more).
 type KeyHinter interface {
 	HintKeys(keys ...uint64)
 }
 
 // HintKeys forwards a footprint hint to tx when its engine supports hints;
-// where it has no effect (one shard, keys on one shard, other engines) it is
-// a no-op, so portable workload code can hint unconditionally.
+// on other engines it is a no-op, so portable workload code can hint
+// unconditionally.
 func HintKeys(tx Tx, keys ...uint64) {
 	if h, ok := tx.(KeyHinter); ok {
 		h.HintKeys(keys...)
@@ -358,10 +316,6 @@ type Builder struct {
 	// (eager per-write persistence); default workload series exclude them,
 	// explicit -systems selection still works.
 	Slow bool
-	// Sharded marks the -sharded engines: the ones that actually consume
-	// Config.Shards. Construction of a sharded engine with a shard count far
-	// past the host's parallelism emits the (deduped) registry warning.
-	Sharded bool
 	// New constructs the engine.
 	New func(cfg Config) (Engine, error)
 }
@@ -381,22 +335,28 @@ func Register(b Builder) {
 	}
 	b.Key = key
 	inner := b.New
-	sharded := b.Sharded
 	b.New = func(cfg Config) (Engine, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
-		}
-		if sharded {
-			maybeWarnShards(cfg)
 		}
 		return inner(cfg)
 	}
 	registry = append(registry, b)
 }
 
-// Lookup returns the builder registered under name (case-insensitive).
+// aliases are names Lookup and Build accept for an engine Builders and
+// Names list under another: medley-sharded was medley with every map split
+// into key-routed sub-maps, and with nothing to persist a shard buys nothing
+// else.
+var aliases = map[string]string{"medley-sharded": "medley"}
+
+// Lookup returns the builder registered under name (case-insensitive), or
+// under the name it is an alias of.
 func Lookup(name string) (Builder, bool) {
 	name = strings.ToLower(name)
+	if to, ok := aliases[name]; ok {
+		name = to
+	}
 	for _, b := range registry {
 		if b.Key == name {
 			return b, true
@@ -442,19 +402,11 @@ func init() {
 	Register(Builder{Key: "tdsl", Caps: tdslCaps, Doc: "TDSL-lite striped transactional skiplists", New: newTDSLEngine})
 	Register(Builder{Key: "lftt", Caps: lfttCaps, Doc: "LFTT-style static transactions over a skiplist", New: newLFTTEngine})
 	Register(Builder{Key: "boost", Caps: boostCaps, Doc: "transactional boosting over a lock-based map", New: newBoostEngine})
-	Register(Builder{Key: "original", Caps: originalCaps, Doc: "untransformed Fraser skiplist (no transactions)",
-		New: func(cfg Config) (Engine, error) { return newOriginalEngine(cfg, false) }})
-	// The -sharded engines are their bases with every map partitioned into
-	// Config.Shards sub-maps by key hash: one TxManager, one session per
-	// worker, a cross-shard transaction one descriptor. txmontage-sharded
-	// also keeps one epoch system and device per shard on one epoch clock,
-	// advanced together and recovered at the domain's cut (see partition.go).
-	Register(Builder{Key: "medley-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned Medley: S sub-maps per map on one TxManager, latched declared keys",
-		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, false, true) }})
-	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned txMontage: an epoch system + device per shard on one epoch clock, merge-on-recover",
+	Register(Builder{Key: "original", Caps: originalCaps, Doc: "untransformed Fraser skiplist (no transactions)", New: newOriginalEngine})
+	// txMontage over Config.Shards devices on one epoch clock: one index per
+	// map, each key's payloads on the device it routes to (see medley.go).
+	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Doc: "txMontage over S devices on one epoch clock: one index per map, payloads routed by key",
 		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true, true) }})
-	Register(Builder{Key: "original-sharded", Caps: originalCaps, Sharded: true, Doc: "hash-partitioned untransformed baseline (no transactions)",
-		New: func(cfg Config) (Engine, error) { return newOriginalEngine(cfg, true) }})
 }
 
 // backoff is per-worker state for core.Backoff, the shared randomized

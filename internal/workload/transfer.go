@@ -83,8 +83,8 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 			from := draw()
 			to := draw()
 			// Both account keys are known before the transaction begins —
-			// the transfer shape's planner hint. On sharded engines a
-			// transfer over two shards runs under the keys' latches;
+			// the transfer shape's planner hint. On the Medley family a
+			// transfer between two accounts runs under the keys' latches;
 			// elsewhere HintKeys is a no-op.
 			if hints {
 				hintKeys[0], hintKeys[1] = from, to

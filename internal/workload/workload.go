@@ -47,8 +47,8 @@ type Config struct {
 	Latencies pnvm.Latencies
 	EpochLen  time.Duration
 
-	// Shards is the partition count for sharded engines (0: engine
-	// default); non-sharded engines ignore it.
+	// Shards is txmontage-sharded's device count (0: engine default);
+	// other engines ignore it.
 	Shards int
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate
@@ -86,12 +86,11 @@ type Config struct {
 	// the old measure-from-start behavior.
 	Warmup time.Duration
 
-	// NoHints disables the footprint hints scenarios pass to sharded
-	// engines (txengine.HintKeys). Hints let a transaction that knows its
-	// keys up front — a transfer knows both accounts — pre-declare its
-	// shard set and queue on its keys' latches; disabling them measures the
-	// undeclared path (no latches). No-ops on non-sharded engines either
-	// way.
+	// NoHints disables the footprint hints scenarios pass to the engine
+	// (txengine.HintKeys). Hints let a transaction that knows its keys up
+	// front — a transfer knows both accounts — queue on its keys' latches on
+	// the Medley family; disabling them measures the undeclared path (no
+	// latches). No-ops on other engines either way.
 	NoHints bool
 }
 
