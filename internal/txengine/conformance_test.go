@@ -2,6 +2,8 @@ package txengine
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +31,21 @@ func buildForTest(t *testing.T, b Builder) Engine {
 	return eng
 }
 
+// sweptBuilders are the engines the registry-wide suites sweep: every
+// registered builder, then each alias under its own key, built through Build
+// by that name. The benchmark drives medley-sharded by name, so the suites
+// hold an alias to the behaviour of the engine it resolves to.
+func sweptBuilders() []Builder {
+	bs := Builders()
+	for _, alias := range slices.Sorted(maps.Keys(aliases)) {
+		b, _ := Lookup(alias)
+		b.Key = alias
+		b.New = func(cfg Config) (Engine, error) { return Build(alias, cfg) }
+		bs = append(bs, b)
+	}
+	return bs
+}
+
 // TestRegistryShape checks that the registry holds all the paper's systems
 // plus boost, and that caps are self-consistent with the factories.
 func TestRegistryShape(t *testing.T) {
@@ -43,7 +60,7 @@ func TestRegistryShape(t *testing.T) {
 	if _, err := Build("no-such-engine", Config{}); err == nil {
 		t.Error("Build of unknown engine must fail")
 	}
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		eng := buildForTest(t, b)
 		if eng.Caps() != b.Caps {
 			t.Errorf("%s: builder caps %b != engine caps %b", b.Key, b.Caps, eng.Caps())
@@ -79,7 +96,7 @@ func TestRegistryShape(t *testing.T) {
 // over two maps fails with it too. Each constructor is a subtest of its
 // engine's.
 func TestUnsupportedFollowsCaps(t *testing.T) {
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		t.Run(b.Key, func(t *testing.T) {
 			check := func(what string, denied bool, call func() error) {
 				t.Run(what, func(t *testing.T) {
@@ -146,7 +163,7 @@ func testRowCodec() montage.Codec[any] {
 
 // eachTxEngine runs f for every engine that supports transactions.
 func eachTxEngine(t *testing.T, f func(t *testing.T, b Builder, eng Engine, m Map[uint64])) {
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		if !b.Caps.Has(CapTx) {
 			continue
 		}

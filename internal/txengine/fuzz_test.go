@@ -94,7 +94,7 @@ func readAll(rec *history.Recorder, proc int, m Map[uint64], tx Tx, n uint64) er
 func TestFuzzConformance(t *testing.T) {
 	errBiz := errors.New("fuzz: deliberate abort")
 	const keys = 8
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		t.Run(b.Key, func(t *testing.T) {
 			for _, scope := range []struct {
 				workers, iters int

@@ -411,14 +411,12 @@ func TestShardedQueueComposition(t *testing.T) {
 // TestShardedOneSessionPerWorker pins what a device is not: a transaction
 // scope. Every device of an engine sits under the engine's one TxManager, and
 // a worker that has run transactions over all S devices holds one session on
-// it — W workers, W sessions, whatever S is.
+// it — W workers, W sessions, whatever S is. medley-sharded, which is medley
+// whatever S is, holds the same count.
 func TestShardedOneSessionPerWorker(t *testing.T) {
 	const workers, rounds = 4, 50
-	for _, engine := range []string{"medley", "txmontage-sharded"} {
+	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
 		for _, shards := range []int{1, 2, 8} {
-			if engine == "medley" && shards > 1 {
-				continue // medley ignores Config.Shards
-			}
 			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
 				eng, err := Build(engine, Config{Shards: shards})
 				if err != nil {

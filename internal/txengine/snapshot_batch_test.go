@@ -104,7 +104,7 @@ func TestSnapshotReadBatchOneCut(t *testing.T) {
 // TestSnapshotReadBatchGate: engines without a snapshot tier refuse the
 // batched entry point with ok=false and run nothing, mirroring SnapshotRead.
 func TestSnapshotReadBatchGate(t *testing.T) {
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		if b.Caps.Has(CapSnapshot) {
 			continue
 		}
@@ -189,7 +189,7 @@ func TestLastCommitTS(t *testing.T) {
 		}
 	})
 	// Engines without the tier report 0: callers treat it as "no watermark".
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		if b.Caps.Has(CapSnapshot) {
 			continue
 		}

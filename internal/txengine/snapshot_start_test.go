@@ -21,12 +21,13 @@ import (
 // snapshot and a read of every key join each history, which the checker must
 // accept: every snapshot is the committed state at its cut.
 
-// startEngines are the engines the start is explored on: medley, and
-// txMontage over one device and over two, whose scan walks montage's map.
+// startEngines are the engines the start is explored on: medley, also built
+// by its alias with a device count, and txMontage over one device and over
+// two, whose scan walks montage's map.
 var startEngines = []struct {
 	key    string
 	shards int
-}{{"medley", 0}, {"txmontage", 0}, {"txmontage-sharded", 2}}
+}{{"medley", 0}, {"medley-sharded", 2}, {"txmontage", 0}, {"txmontage-sharded", 2}}
 
 // startPoints are the instants the scheduler steps through: those of an
 // unpublished commit (snapAgent.mark, unmark), and the scan's, after each

@@ -205,10 +205,9 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, key := range []string{"medley", "txmontage", "txmontage-sharded"} {
+	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
 		t.Run(key, func(t *testing.T) {
-			b, _ := Lookup(key)
-			eng, err := b.New(Config{})
+			eng, err := Build(key, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

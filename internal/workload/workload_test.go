@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,12 +15,17 @@ func smokeConfig() Config {
 // TestSmoke runs every scenario on its full default engine series with a
 // tiny configuration and asserts the invariants each scenario audits:
 // no lost or duplicated jobs, no stale cache entries, no missing money.
-// CI runs this as the workload smoke job.
+// CI runs this as the workload smoke job. Where medley runs, so does
+// medley-sharded, the alias of medley that the registry resolves but does
+// not list, since the benchmark builds it by that name.
 func TestSmoke(t *testing.T) {
 	for _, sc := range Scenarios() {
 		engines := Engines(sc.Key)
 		if len(engines) == 0 {
 			t.Fatalf("%s: empty default engine series", sc.Key)
+		}
+		if slices.Contains(engines, "medley") {
+			engines = append(engines, "medley-sharded")
 		}
 		for _, engine := range engines {
 			t.Run(sc.Key+"/"+engine, func(t *testing.T) {
