@@ -347,7 +347,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 			// A transfer: read the source, move one unit between two
 			// accounts, stamp a per-connection sequence key. The op list is
 			// the transaction's declared footprint, so Medley-family engines
-			// latch exactly these keys up front.
+			// latch these keys' stripes up front.
 			from, to := k%accounts, draw()%accounts
 			if from == to {
 				to = (to + 1) % accounts

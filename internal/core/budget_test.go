@@ -322,8 +322,8 @@ func TestBudgetDeviceCycle(t *testing.T) {
 //	                    double at 3/4 full: 1562 keys a stripe put three
 //	                    stripes in four on 4096 slots, the rest on 2048
 //
-// 98–102 in all. The sharded engine wraps the same map once; txmontage adds
-// what the payload costs on the simulated device and what points at it:
+// 98–102 in all. txmontage adds what the payload costs on the simulated
+// device and what points at it:
 //
 //	slot          85.4  a 72-byte line in its shard's slab: a chunk of 256 is
 //	                    18 432 B and the allocator's 8-byte header, the 19 072
@@ -359,10 +359,8 @@ func TestBudgetResidentKey(t *testing.T) {
 		ceiling  float64
 	}{
 		{"medley", false, residentKey + once},
-		{"medley-sharded", false, residentKey + once},
 		{"txmontage", false, residentKey + montageKey + once},
 		{"medley", true, residentKeySnapshot},
-		{"medley-sharded", true, residentKeySnapshot},
 		{"txmontage", true, residentKeySnapshot + montageKey},
 	} {
 		e, m, tx, empty := newHeapBudget(t, c.engine, n)
@@ -412,9 +410,7 @@ func TestBudgetChurnedKey(t *testing.T) {
 		ceiling  float64
 	}{
 		{"medley", false, 1.5 * residentKey},
-		{"medley-sharded", false, 1.5 * residentKey},
 		{"medley", true, 1.5 * residentKeySnapshot},
-		{"medley-sharded", true, 1.5 * residentKeySnapshot},
 	} {
 		engine := c.engine
 		e, m, tx, empty := newHeapBudget(t, engine, 2*n)

@@ -87,9 +87,10 @@
 // validation as the reads, not by a lock around the commit.
 //
 // What blocks is the runtime's, and only by declaration: the Medley family's
-// key latches (txengine/latch.go) make transactions that declared two to
-// latchMaxKeys overlapping keys queue FIFO instead of aborting each other. They are taken before
-// the transaction opens and released after it closes, so no descriptor is
+// key latches (txengine/latch.go, a fixed array of striped mutexes) make
+// transactions that declared two to latchMaxKeys overlapping keys wait for
+// each other instead of aborting each other. They are taken before the
+// transaction opens and released after it closes, so no descriptor is
 // ever installed by a goroutine waiting on one; they only schedule, and
 // atomicity and isolation never depend on them — undeclared transactions run
 // on the same keys concurrently, under the paper's guarantees alone. (The

@@ -97,14 +97,14 @@ func TestBudgetServe(t *testing.T) {
 		// allocations, 168.4 B (+ one 32-byte snapshot version).
 		{"put, tier started", Options{}, true, put, 4.05, 174},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
-		// before anything has read a snapshot: measured 10.11 allocations,
-		// 448.1 B: three Puts as above (408 B in 9), the 32-byte closure
-		// execTxn hands Run, and the latch table's occasional growth (0.1
-		// allocation). The worker runs every transaction on one descriptor,
-		// so its header and its read and write sets cost nothing.
+		// before anything has read a snapshot: measured 10.01 allocations,
+		// 440.3 B: three Puts as above (408 B in 9) and the 32-byte closure
+		// execTxn hands Run; the latch stripes allocate nothing. The worker
+		// runs every transaction on one descriptor, so its header and its
+		// read and write sets cost nothing.
 		{"4-op transfer txn", Options{}, false, txn, 10.15, 452},
-		// The same once the snapshot tier has started: measured 13.11
-		// allocations, 544.1 B (+ a 32-byte version for each of the three
+		// The same once the snapshot tier has started: measured 13.01
+		// allocations, 536.4 B (+ a 32-byte version for each of the three
 		// keys it writes).
 		{"4-op transfer txn, tier started", Options{}, true, txn, 13.15, 548},
 	}

@@ -672,9 +672,9 @@ func (p *proc) execSingle(r *Request) {
 }
 
 // execBatch coalesces adjacent single-ops from one connection into a single
-// transaction with every key pre-declared, so the Medley family latches
-// exactly its keys up front. One
-// admission token and one commit for the whole batch.
+// transaction with every key pre-declared, so the Medley family latches its
+// keys' stripes up front. One admission token and one commit for the whole
+// batch.
 func (p *proc) execBatch(batch []pendReq) error {
 	s := p.s
 	p.keys = p.keys[:0]

@@ -39,9 +39,9 @@
 //
 // A transaction executes atomically under one engine transaction with every
 // key pre-declared through txengine.HintKeys, so on the Medley family it
-// runs under the keys' latches. Responses on one connection are written in request order,
-// so pipelining clients may match responses positionally (ids are still
-// echoed for verification).
+// runs under its keys' latch stripes. Responses on one connection are
+// written in request order, so pipelining clients may match responses
+// positionally (ids are still echoed for verification).
 //
 // StatusRetry is the admission controller shedding load: the request was
 // not executed and should be retried, ideally after backoff. StatusDraining

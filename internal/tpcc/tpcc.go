@@ -318,7 +318,8 @@ func DrawPayment(cfg Config, rng *rand.Rand, tid int, seq *uint64) PaymentArgs {
 
 // Keys appends the four row keys the payment will touch to dst. Keys from
 // different tables can collide numerically; for footprint purposes that is
-// benign — a latch collision only over-serializes.
+// benign — like two keys that share a latch stripe, a collision only
+// over-serializes.
 func (a PaymentArgs) Keys(dst []uint64) []uint64 {
 	return append(dst, WKey(a.W), DKey(a.W, a.D), CKey(a.CW, a.CD, a.C), a.HistKey)
 }

@@ -10,159 +10,130 @@ import (
 	"time"
 )
 
-// queued reports how many waiters are queued behind the current owner of k
-// (0 when free or held uncontended). Test-only introspection under the
-// bucket mutex.
-func (lt *latchTable) queued(k uint64) int {
-	b := lt.bucketOf(k)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	if st := b.m[k]; st != nil {
-		for w := st.head; w != nil; w = w.next {
-			n++
-		}
-	}
-	return n
-}
-
-// holds reports whether some transaction holds the latch for k. Test-only
-// introspection under the bucket mutex.
+// holds reports whether k's stripe is locked: a TryLock/Unlock probe. Inside
+// a latched Run it reads the caller's own latches.
 func (lt *latchTable) holds(k uint64) bool {
-	b := lt.bucketOf(k)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m[k] != nil
+	mu := &lt[stripeOf(latchHash(k))]
+	if mu.TryLock() {
+		mu.Unlock()
+		return false
+	}
+	return true
 }
 
-// TestLatchAcquireRelease pins the uncontended protocol: a free latch is
-// taken without waiting, release dissolves it (the state is recycled), and
-// releasing an unheld latch panics.
+// stripeMate returns the least key above k whose latch shares k's stripe.
+func stripeMate(k uint64) uint64 {
+	m := k + 1
+	for stripeOf(latchHash(m)) != stripeOf(latchHash(k)) {
+		m++
+	}
+	return m
+}
+
+// stage returns the latch set a declaration of keys stages.
+func stage(keys ...uint64) []uint64 {
+	var d declaration
+	for _, k := range keys {
+		d.add(k)
+	}
+	return d.keys
+}
+
+// TestLatchAcquireRelease pins the uncontended protocol: free stripes are
+// taken without waiting and are free again after release, and keys that
+// share a stripe take it once.
 func TestLatchAcquireRelease(t *testing.T) {
-	lt := newLatchTable()
-	w := newLatchWaiter()
-	if lt.acquire(42, &w) {
-		t.Error("uncontended acquire reported a wait")
+	lt := new(latchTable)
+	set := stage(42, 43)
+	if waits := lt.acquireAll(set); waits != 0 {
+		t.Errorf("uncontended acquireAll waited %d times", waits)
 	}
-	// A different key in another bucket is independent.
-	if lt.acquire(43, &w) {
-		t.Error("second key acquire reported a wait")
+	if !lt.holds(42) || !lt.holds(43) || lt.holds(7) {
+		t.Error("acquireAll latched other stripes than its keys'")
 	}
-	lt.release(42)
-	lt.release(43)
-	// Re-acquire after release must again be wait-free.
-	if waits := lt.acquireAll([]uint64{7, 42, 43}, &w); waits != 0 {
-		t.Errorf("acquireAll on free latches waited %d times", waits)
+	lt.releaseAll(set)
+	if lt.holds(42) || lt.holds(43) {
+		t.Error("stripe still locked after releaseAll")
 	}
-	lt.releaseAll([]uint64{7, 42, 43})
-
-	defer func() {
-		if recover() == nil {
-			t.Error("release of an unheld latch did not panic")
-		}
-	}()
-	lt.release(99)
-}
-
-// TestLatchFIFOHandoff pins the wake order: waiters queued behind a held
-// latch are woken in exactly arrival order, by direct ownership handoff.
-// Each goroutine is released into acquire only after the previous one is
-// observably queued, so the arrival order is deterministic.
-func TestLatchFIFOHandoff(t *testing.T) {
-	const k, n = 17, 8
-	lt := newLatchTable()
-	owner := newLatchWaiter()
-	lt.acquire(k, &owner)
-
-	var order []int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := newLatchWaiter()
-			lt.acquire(k, &w)
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-			lt.release(k)
-		}(i)
-		// Wait until goroutine i is in the queue before admitting i+1.
-		for deadline := time.Now().Add(5 * time.Second); lt.queued(k) != i+1; {
-			if time.Now().After(deadline) {
-				t.Fatalf("waiter %d never queued (queued=%d)", i, lt.queued(k))
-			}
-			time.Sleep(time.Microsecond)
+	// Re-acquire after release must again be wait-free; a key and its
+	// stripe mate lock one stripe once.
+	mate := stripeMate(42)
+	set = stage(mate, 7, 42, 43)
+	if waits := lt.acquireAll(set); waits != 0 {
+		t.Errorf("acquireAll on free stripes waited %d times", waits)
+	}
+	lt.releaseAll(set)
+	for _, k := range []uint64{7, 42, 43, mate} {
+		if lt.holds(k) {
+			t.Errorf("key %d still latched after releaseAll", k)
 		}
 	}
-	lt.release(k) // hand off to waiter 0; the chain drains in order
-	wg.Wait()
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("wake order %v, want ascending arrival order", order)
-		}
-	}
-	if lt.queued(k) != 0 {
-		t.Error("latch still has waiters after the chain drained")
-	}
-	w := newLatchWaiter()
-	if lt.acquire(k, &w) {
-		t.Error("latch not free after the chain drained")
-	}
-	lt.release(k)
 }
 
 // TestLatchStressMutualExclusion hammers acquireAll/releaseAll from many
-// goroutines with randomized overlapping key sets and asserts, per key, that
-// at most one holder exists at a time and no acquisition is ever lost. Run
-// under -race this is also the latch table's happens-before check; that the
-// test finishes at all is the no-deadlock/no-lost-wakeup check.
+// goroutines with randomized overlapping declarations and asserts, per key,
+// that at most one holder exists at a time. The keyspace is eight keys and
+// the stripe mate of each, so declarations whose raw key order differs from
+// their stripe order are common. Run under -race this is also the latch
+// table's happens-before check; finishing before the deadline is the
+// no-deadlock check.
 func TestLatchStressMutualExclusion(t *testing.T) {
 	const (
-		keys    = 16 // tiny keyspace: constant overlap
 		workers = 8
 		iters   = 2000
 	)
-	lt := newLatchTable()
-	var holders [keys]atomic.Int32
+	var keys []uint64
+	for k := uint64(0); k < 8; k++ {
+		keys = append(keys, k, stripeMate(k))
+	}
+	lt := new(latchTable)
+	holders := make([]atomic.Int32, len(keys))
 	var waits atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			w := newLatchWaiter()
 			rng := rand.New(rand.NewPCG(uint64(id)+1, 0xabcd))
-			var set []uint64
+			var idx []uint64 // indexes into keys, deduplicated
+			var d declaration
 			for i := 0; i < iters; i++ {
-				set = set[:0]
+				idx = idx[:0]
+				d.pending = false
 				for n := 1 + rng.IntN(4); n > 0; n-- {
-					set = insertKey(set, rng.Uint64N(keys))
+					j := rng.Uint64N(uint64(len(keys)))
+					idx = insertKey(idx, j)
+					d.add(keys[j])
 				}
-				waits.Add(uint64(lt.acquireAll(set, &w)))
-				for _, k := range set {
-					if h := holders[k].Add(1); h != 1 {
-						t.Errorf("key %d has %d concurrent holders", k, h)
+				waits.Add(uint64(lt.acquireAll(d.keys)))
+				for _, j := range idx {
+					if h := holders[j].Add(1); h != 1 {
+						t.Errorf("key %d has %d concurrent holders", keys[j], h)
 					}
 				}
-				// Yield while holding so other workers pile onto the queues
-				// even on a single-P host.
+				// Yield while holding so other workers pile onto the
+				// stripes even on a single-P host.
 				runtime.Gosched()
-				for _, k := range set {
-					holders[k].Add(-1)
+				for _, j := range idx {
+					holders[j].Add(-1)
 				}
-				lt.releaseAll(set)
+				lt.releaseAll(d.keys)
 			}
 		}(g)
 	}
-	wg.Wait()
-	if waits.Load() == 0 {
-		t.Error("stress run never contended; the test is not exercising handoff")
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stress run did not finish in 30 s: latch acquisition deadlocked")
 	}
-	for k := uint64(0); k < keys; k++ {
-		if n := lt.queued(k); n != 0 {
-			t.Errorf("key %d still has %d waiters after the run", k, n)
+	if waits.Load() == 0 {
+		t.Error("stress run never contended; the test is not exercising waits")
+	}
+	for _, k := range keys {
+		if lt.holds(k) {
+			t.Errorf("key %d still latched after the run", k)
 		}
 	}
 }
@@ -365,11 +336,15 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 
 // TestShardedLatchedDeclarations pins which declarations latch, on idle
 // Medley-family engines where every count is exact: two distinct keys latch
-// and count one footprint hit; one key (declared twice) neither latches nor
-// counts; latchMaxKeys+1 keys count one and run unlatched; an undeclared Run
-// does neither. However a Run is declared, its body runs once.
+// and count one footprint hit, two that share a stripe too (the stripe is
+// locked once); one key (declared twice) neither latches nor counts;
+// latchMaxKeys+1 keys count one and run unlatched; an undeclared Run does
+// neither. However a Run is declared, its body runs once, and every stripe
+// is free after it. Each Run has a deadline, so an attempt that locks a
+// stripe twice fails the test instead of hanging it.
 func TestShardedLatchedDeclarations(t *testing.T) {
 	keys := []uint64{3, 5}
+	shared := []uint64{keys[0], stripeMate(keys[0])}
 	for _, engine := range []string{"medley", "txmontage", "txmontage-sharded"} {
 		t.Run(engine, func(t *testing.T) {
 			eng, err := Build(engine, Config{})
@@ -392,6 +367,7 @@ func TestShardedLatchedDeclarations(t *testing.T) {
 				{"undeclared", nil, false, 0},
 				{"one key", []uint64{keys[0], keys[0]}, false, 0},
 				{"two keys", keys, true, 1},
+				{"two keys, one stripe", shared, true, 1},
 				{"latchMaxKeys+1 keys", append(oversizedHint()[2:], keys...), false, 1},
 			} {
 				base := eng.Stats()
@@ -399,27 +375,41 @@ func TestShardedLatchedDeclarations(t *testing.T) {
 					HintKeys(tx, c.hint...)
 				}
 				execs, held := 0, 0
-				if err := tx.Run(func() error {
-					execs++
-					held = 0
-					for _, k := range c.hint {
-						if se.latch.holds(k) {
-							held++
+				done := make(chan error, 1)
+				go func() {
+					done <- tx.Run(func() error {
+						execs++
+						held = 0
+						for _, k := range c.hint {
+							if se.latch.holds(k) {
+								held++
+							}
 						}
+						for _, k := range keys {
+							v, _ := m.Get(tx, k)
+							m.Put(tx, k, v+1)
+						}
+						return nil
+					})
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, k := range keys {
-						v, _ := m.Get(tx, k)
-						m.Put(tx, k, v+1)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: Run did not finish in 5 s", c.name)
 				}
 				if latched := held > 0; latched != c.latched || (latched && held != len(c.hint)) {
 					t.Errorf("%s: %d of its %d keys latched, want latched=%v", c.name, held, len(c.hint), c.latched)
 				}
 				if d := eng.Stats().Delta(base); d != (Stats{Commits: 1, FootprintHits: c.hits}) || execs != 1 {
 					t.Errorf("%s: %+v in %d executions of the body, want one commit and %d footprint hits in one", c.name, d, execs, c.hits)
+				}
+				for _, k := range c.hint {
+					if se.latch.holds(k) {
+						t.Errorf("%s: key %d still latched after its Run", c.name, k)
+					}
 				}
 			}
 		})

@@ -87,7 +87,7 @@ func (a *advancer) close() {
 // with an epoch system of its own (cfg.Devices, when non-empty, supplies
 // them in order, for recovery) on one epoch clock.
 func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
-	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), latch: newLatchTable()}
+	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), latch: new(latchTable)}
 	if persist {
 		n := 1
 		if sharded {
@@ -214,7 +214,7 @@ func (e *medleyEngine) NewUintQueue() (Queue[uint64], error) {
 
 func (e *medleyEngine) NewWorker(int) Tx {
 	s := e.mgr.Session()
-	t := &sessionTx{s: s, ct: e.cells.New(), latch: e.latch, lw: newLatchWaiter()}
+	t := &sessionTx{s: s, ct: e.cells.New(), latch: e.latch}
 	t.snap.ses, t.snap.end = s, s.TxEnd
 	t.snap.tier, t.snap.slot = e.snap, e.snap.newSlot()
 	return t
@@ -241,16 +241,30 @@ type sessionTx struct {
 	// Declared keys.
 	latch   *latchTable
 	decl    declaration // staged by HintKeys for the next Run
-	latched []uint64    // the keys the current attempt holds latched
-	lw      latchWaiter // reusable wait token (one wait at a time)
+	latched []uint64    // the hashes whose stripes the current attempt holds
 }
 
-// declaration is the key set HintKeys stages for a worker's next Run:
-// ascending and deduplicated, and emptied once it grows past latchMaxKeys
-// (over).
+// declaration is the key set HintKeys stages for a worker's next Run, as
+// the keys' latch hashes: ascending (so in stripe order) and deduplicated,
+// and emptied once it grows past latchMaxKeys (over).
 type declaration struct {
 	pending, over bool
 	keys          []uint64
+}
+
+// add stages key k.
+func (d *declaration) add(k uint64) {
+	if !d.pending {
+		*d = declaration{pending: true, keys: d.keys[:0]}
+	}
+	if !d.over {
+		// Hundreds of latches cost more than the conflicts they would
+		// queue: an oversized declaration runs unlatched.
+		d.keys = insertKey(d.keys, latchHash(k))
+		if d.over = len(d.keys) > latchMaxKeys; d.over {
+			d.keys = d.keys[:0]
+		}
+	}
 }
 
 // HintKeys implements KeyHinter: it stages keys for the worker's next Run,
@@ -260,26 +274,15 @@ func (t *sessionTx) HintKeys(keys ...uint64) {
 	if t.inRun {
 		return
 	}
-	d := &t.decl
 	for _, k := range keys {
-		if !d.pending {
-			*d = declaration{pending: true, keys: d.keys[:0]}
-		}
-		if !d.over {
-			// Hundreds of latch handoffs cost more than the conflicts they
-			// would queue: an oversized declaration runs unlatched.
-			d.keys = insertKey(d.keys, k)
-			if d.over = len(d.keys) > latchMaxKeys; d.over {
-				d.keys = d.keys[:0]
-			}
-		}
+		t.decl.add(k)
 	}
 }
 
 // takeDeclaration consumes the staged declaration at the head of a Run and
-// returns the keys the Run latches: the declared ones when they are two to
-// latchMaxKeys distinct keys, nil otherwise. A declaration of two keys or
-// more counts one FootprintHit.
+// returns the hashes whose stripes the Run latches: the declared keys' when
+// they are two to latchMaxKeys distinct keys, nil otherwise. A declaration
+// of two keys or more counts one FootprintHit.
 func (t *sessionTx) takeDeclaration() []uint64 {
 	d := &t.decl
 	if !d.pending {
@@ -313,8 +316,8 @@ func (t *sessionTx) Run(fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.beginAttempt()
 		if latch != nil {
-			// Latches first, holding nothing else (ascending, FIFO: latch.go).
-			if w := t.latch.acquireAll(latch, &t.lw); w > 0 {
+			// Latches first, holding nothing else (in stripe order: latch.go).
+			if w := t.latch.acquireAll(latch); w > 0 {
 				atomic.AddUint64(&t.ct.LatchWaits, uint64(w))
 			}
 			t.latched = latch

@@ -2,7 +2,7 @@ package txengine
 
 // Hot-path microbenchmarks for the Medley runtime's transfers: device
 // routing, the one-key commit fast path, a two-map transfer undeclared and
-// via hints (the latched path), and the latch table itself. The names keep
+// via hints (the latched path), and the latch stripes themselves. The names keep
 // the shard vocabulary of the key-routing map they were first measured on,
 // so README's history of them stays one series. CI runs the suite at
 // -benchtime=1x so the benches always compile and execute.
@@ -152,24 +152,23 @@ func BenchmarkCrossShardDisjointContendedLatched(b *testing.B) {
 }
 
 // BenchmarkLatchAcquireRelease measures the uncontended latch hot path: a
-// four-key sorted set acquired and released per iteration (the payment
-// shape), all latches free — the cost a latched commit pays over an
+// four-key declaration's stripes acquired and released per iteration (the
+// payment shape), all stripes free — the cost a latched commit pays over an
 // unlatched one before any contention.
 func BenchmarkLatchAcquireRelease(b *testing.B) {
-	lt := newLatchTable()
-	w := newLatchWaiter()
-	keys := []uint64{3, 257, 1031, 8209}
+	lt := new(latchTable)
+	set := stage(3, 257, 1031, 8209)
 	for i := 0; b.N > i; i++ {
-		lt.acquireAll(keys, &w)
-		lt.releaseAll(keys)
+		lt.acquireAll(set)
+		lt.releaseAll(set)
 	}
 }
 
 // BenchmarkLatchContendedHandoff measures the wait/wake path: two
-// goroutines hammer one hot key, so acquisitions constantly queue and
-// ownership moves by direct FIFO handoff.
+// goroutines hammer one hot key's stripe, so acquisitions constantly wait.
 func BenchmarkLatchContendedHandoff(b *testing.B) {
-	lt := newLatchTable()
+	lt := new(latchTable)
+	set := stage(42)
 	var wg sync.WaitGroup
 	n := b.N
 	b.ResetTimer()
@@ -177,10 +176,9 @@ func BenchmarkLatchContendedHandoff(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newLatchWaiter()
 			for i := 0; i < n; i++ {
-				lt.acquire(42, &w)
-				lt.release(42)
+				lt.acquireAll(set)
+				lt.releaseAll(set)
 			}
 		}()
 	}

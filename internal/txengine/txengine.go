@@ -282,14 +282,14 @@ type Persister interface {
 
 // KeyHinter is the optional Tx extension of the Medley family. HintKeys
 // pre-declares map keys the worker's next Run will touch. A declaration of
-// two to latchMaxKeys distinct keys latches exactly those keys, so declared
-// transactions on the same hot keys queue instead of aborting each other
-// (see latch.go); one key has nothing to queue behind, and more than
-// latchMaxKeys run unlatched. Successive HintKeys calls before a Run
-// accumulate into one declaration; the next Run consumes it whole. Hinting
-// inside Run is a no-op. A wrong declaration is safe: latches only schedule,
-// and an operation on an undeclared key simply runs (Stats.FootprintHits
-// counts the declarations of two keys or more).
+// two to latchMaxKeys distinct keys latches those keys' stripes (see
+// latch.go), so declared transactions on the same hot keys wait for each
+// other instead of aborting each other; one key has nothing to wait behind,
+// and more than latchMaxKeys run unlatched. Successive HintKeys calls before
+// a Run accumulate into one declaration; the next Run consumes it whole.
+// Hinting inside Run is a no-op. A wrong declaration is safe: latches only
+// schedule, and an operation on an undeclared key simply runs
+// (Stats.FootprintHits counts the declarations of two keys or more).
 type KeyHinter interface {
 	HintKeys(keys ...uint64)
 }

@@ -71,8 +71,8 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 		rng := rand.New(rand.NewPCG(cfg.seed(), uint64(tid)+1))
 		// Accounts draw uniformly by default; Config.ZipfS > 1 skews the
 		// draws toward a few hot accounts (the contention knob of the latch
-		// measurements — under skew, key latches queue the hot accounts'
-		// transfers instead of letting them abort each other).
+		// measurements — under skew, the hot accounts' transfers wait for
+		// each other's latch stripes instead of aborting each other).
 		draw := func() uint64 { return rng.Uint64N(accounts) }
 		if cfg.ZipfS > 1 {
 			z := rand.NewZipf(rng, cfg.ZipfS, 1, accounts-1)
