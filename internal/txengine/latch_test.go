@@ -70,6 +70,73 @@ func TestLatchAcquireRelease(t *testing.T) {
 	}
 }
 
+// TestLatchContendedHandoff pins the blocking protocol of one stripe: while a
+// holder has it, declarations on that stripe wait and none gets in, other
+// stripes stay free; on release every waiter is let in, one at a time, and the
+// stripe is free once they have all gone. Wake order is sync.Mutex's and is
+// not checked.
+func TestLatchContendedHandoff(t *testing.T) {
+	const k, n = 17, 8
+	lt := new(latchTable)
+	set := stage(k, stripeMate(k)) // two keys, one stripe
+	if waits := lt.acquireAll(set); waits != 0 {
+		t.Fatalf("uncontended acquireAll waited %d times", waits)
+	}
+
+	var ready sync.WaitGroup
+	var inside, entered, waits atomic.Int32
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			waits.Add(int32(lt.acquireAll(set)))
+			if h := inside.Add(1); h != 1 {
+				t.Errorf("stripe has %d concurrent holders", h)
+			}
+			entered.Add(1)
+			runtime.Gosched()
+			inside.Add(-1)
+			lt.releaseAll(set)
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	ready.Wait()
+	time.Sleep(10 * time.Millisecond) // let the waiters reach the stripe
+
+	if got := entered.Load(); got != 0 {
+		t.Fatalf("%d waiters got past a held stripe", got)
+	}
+	other := uint64(k + 1)
+	for stripeOf(latchHash(other)) == stripeOf(latchHash(k)) {
+		other++
+	}
+	if w := lt.acquireAll(stage(other)); w != 0 {
+		t.Errorf("a free stripe waited %d times behind another stripe's holder", w)
+	}
+	lt.releaseAll(stage(other))
+
+	lt.releaseAll(set)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("only %d of %d waiters acquired the stripe in 5 s after release",
+			entered.Load(), n)
+	}
+	if got := entered.Load(); got != n {
+		t.Errorf("%d of %d waiters acquired the stripe", got, n)
+	}
+	if w := waits.Load(); w < 1 || w > n {
+		t.Errorf("waiters counted %d waits, want 1..%d (one stripe each)", w, n)
+	}
+	if lt.holds(k) {
+		t.Error("stripe not free after every waiter released it")
+	}
+}
+
 // TestLatchStressMutualExclusion hammers acquireAll/releaseAll from many
 // goroutines with randomized overlapping declarations and asserts, per key,
 // that at most one holder exists at a time. The keyspace is eight keys and
