@@ -15,7 +15,7 @@
 //	medleybench -figure 10                # latency: Original / TxOff / TxOn
 //	medleybench -workload workqueue -systems medley,original
 //	medleybench -workload all             # workqueue, cache, transfer
-//	medleybench -workload transfer -systems txmontage-sharded -shards 8 -lat
+//	medleybench -workload transfer -systems txmontage -devices 8 -lat
 //	medleybench -workload cache -zipf 1.6 -readpct 70 -accounts 64
 //	medleybench -workload cache -readpct 95 -snapshot   # MVCC snapshot probes
 //	medleybench -list                     # registered engines + workloads
@@ -52,7 +52,7 @@ func main() {
 	warmup := flag.Duration("warmup", 0, "workloads: ramp-up before measurement; warm-up samples are discarded from txn/s and the latency percentiles")
 	scale := flag.Float64("scale", 0.1, "keyspace scale (1.0 = paper's 1M keys)")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it; sweep by invoking once per count")
+	devices := flag.Int("devices", 1, "device count of txmontage; other engines ignore it")
 	zipfS := flag.Float64("zipf", 0, "Zipf skew exponent (>1.0; cache default 1.2; transfer: 0 keeps uniform draws)")
 	readPct := flag.Int("readpct", -1, "cache workload: lookup percentage 0-100 (-1: default 90)")
 	accounts := flag.Int("accounts", 0, "transfer workload: account count (0: 1024 scaled); fewer = hotter")
@@ -60,8 +60,6 @@ func main() {
 	snapshot := flag.Bool("snapshot", false, "cache workload: serve read probes as validation-free MVCC snapshot reads (engines with CapSnapshot only)")
 	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints (measure the undeclared path, no latches)")
 	flag.Parse()
-
-	checkShardsFlag(*shards)
 
 	if *list {
 		for _, b := range txengine.Builders() {
@@ -76,7 +74,7 @@ func main() {
 
 	ratios := parseRatios(*ratio)
 	threads := parseThreads(*threadsFlag)
-	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
+	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
 	fmt.Printf("# host: GOMAXPROCS=%d; scale=%.2f; dur=%v\n", runtime.GOMAXPROCS(0), *scale, *dur)
 
 	if *wlFlag != "" {
@@ -100,7 +98,7 @@ func main() {
 		cfg := workload.Config{
 			Dur: *dur, Warmup: *warmup, Scale: *scale,
 			Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-			Shards: *shards, ZipfS: *zipfS, ReadPct: rp,
+			Shards: *devices, ZipfS: *zipfS, ReadPct: rp,
 			Accounts: *accounts, Latency: *lat, NoHints: *noHints,
 			Snapshot: *snapshot,
 		}
@@ -164,15 +162,6 @@ func main() {
 		runLatency(*figure, ratios, *scale, *dur, opt)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -figure; want 7, 8, or 10")
-		os.Exit(2)
-	}
-}
-
-// checkShardsFlag fails fast on invalid -shards values (the registry would
-// reject them anyway, but per-point).
-func checkShardsFlag(shards int) {
-	if err := txengine.ValidateShardsFlag(shards); err != nil {
-		fmt.Fprintln(os.Stderr, "bad -shards:", err)
 		os.Exit(2)
 	}
 }

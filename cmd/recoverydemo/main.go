@@ -7,14 +7,12 @@
 // transaction-consistent cut: every account pair still sums to its opening
 // balance (buffered durable strict serializability).
 //
-// With -engine txmontage-sharded the demo becomes the multi-device story:
-// the map is one index whose keys' payloads go to -shards devices, each with
+// With -engine txmontage -devices N the demo becomes the multi-device story:
+// the map is one index whose keys' payloads go to N devices, each with
 // its own epoch system on one clock, transfers routinely span devices, and
 // recovery rebuilds the index from one dump per device at the minimum durable
 // frontier — so even a crash landing between two devices' flushes never
 // recovers half a transfer.
-//
-// Examples:
 //
 // -crash <point> moves the failure from the quiet spot between transactions
 // to a named chaos point INSIDE the persistence machinery (see
@@ -32,12 +30,12 @@
 // Examples:
 //
 //	recoverydemo                                   # txMontage, one device
-//	recoverydemo -engine txmontage-sharded -shards 8
+//	recoverydemo -devices 8
 //	recoverydemo -engine ponefile                  # eager persistence: nothing lost
-//	recoverydemo -engine txmontage-sharded -shards 4 -crash txmontage.advance.mid-shard
-//	recoverydemo -engine txmontage-sharded -shards 4 -crash txmontage.advance.reclaim
+//	recoverydemo -devices 4 -crash txmontage.advance.mid-shard
+//	recoverydemo -devices 4 -crash txmontage.advance.reclaim
 //	recoverydemo -engine ponefile -crash ponefile.commit.mark-volatile
-//	recoverydemo -engine txmontage-sharded -shards 4 -crash recover.pre-marker
+//	recoverydemo -devices 4 -crash recover.pre-marker
 package main
 
 import (
@@ -56,13 +54,13 @@ const opening = uint64(1000) // per-account opening balance in each half
 
 // Account a's two balances live at distinct keys of one map, so recovery
 // audits a single recovered structure while the halves' payloads still go to
-// (usually) different devices on txmontage-sharded.
+// (usually) different devices when txmontage runs over several.
 func checkingKey(a uint64) uint64 { return 2 * a }
 func savingsKey(a uint64) uint64  { return 2*a + 1 }
 
 func main() {
-	engine := flag.String("engine", "txmontage", "persistent engine to demo (txmontage | txmontage-sharded | ponefile)")
-	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
+	engine := flag.String("engine", "txmontage", "persistent engine to demo (txmontage | ponefile)")
+	devices := flag.Int("devices", 1, "device count of txmontage; other engines ignore it")
 	accounts := flag.Uint64("accounts", 8, "account pairs to open")
 	crashPoint := flag.String("crash", "", "chaos point to crash at during the unsynced phase, or a recover.* point to crash a second time inside recovery (empty: crash between transactions)")
 	flag.Parse()
@@ -77,7 +75,7 @@ func main() {
 		}
 	}
 
-	cfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), Shards: *shards}
+	cfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), Shards: *devices}
 	eng, err := txengine.Build(*engine, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -85,7 +83,7 @@ func main() {
 	}
 	p, ok := eng.(txengine.Persister)
 	if !ok || len(p.Devices()) == 0 {
-		fmt.Fprintf(os.Stderr, "engine %q is transient; pick a persistent one (txmontage, txmontage-sharded, ponefile)\n", *engine)
+		fmt.Fprintf(os.Stderr, "engine %q is transient; pick a persistent one (txmontage, ponefile)\n", *engine)
 		os.Exit(2)
 	}
 	devs := p.Devices()
@@ -179,7 +177,7 @@ func main() {
 		}
 		fmt.Printf("recovering from %d surviving records across %d dump(s), cut %d\n", total, len(dumps), pnvm.Cut(dumps))
 		eng, err := txengine.Build(*engine, txengine.Config{
-			Latencies: pnvm.DefaultLatencies(), Shards: *shards, Devices: devs,
+			Latencies: pnvm.DefaultLatencies(), Shards: *devices, Devices: devs,
 		})
 		var m txengine.Map[uint64]
 		if err == nil {

@@ -36,15 +36,8 @@ func main() {
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default: host sweep)")
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per point")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
+	devices := flag.Int("devices", 1, "device count of txmontage; other engines ignore it")
 	flag.Parse()
-
-	// The non-fatal over-parallelism warning is emitted by the registry at
-	// engine construction, deduped to once per run.
-	if err := txengine.ValidateShardsFlag(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "bad -shards:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, b := range txengine.Builders() {
@@ -88,7 +81,7 @@ func main() {
 	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
-	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
+	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
 	head, _ := metrics.Columns(txengine.Stats{}, 10)

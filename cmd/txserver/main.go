@@ -24,7 +24,7 @@
 //
 //	txserver                                   # medley on :7433
 //	txserver -batch 32
-//	txserver -engine txmontage-sharded -shards 4   # persistent over 4 devices: drain syncs
+//	txserver -engine txmontage -devices 4          # persistent over 4 devices: drain syncs
 //	txserver -engine medley -addr 127.0.0.1:9000 -tokens 2
 //	txserver -noreadlane                       # A/B control: OCC-only reads
 //	txserver -pprof 127.0.0.1:6060             # profiling endpoints
@@ -54,7 +54,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	engine := flag.String("engine", "medley", "registry engine to host (needs dynamic transactions; see medleybench -list)")
-	shards := flag.Int("shards", 0, "device count of txmontage-sharded (0: 4); other engines ignore it")
+	devices := flag.Int("devices", 1, "device count of txmontage; other engines ignore it")
 	batch := flag.Int("batch", server.DefaultBatchMax, "max adjacent single-op requests coalesced into one hinted transaction (1: off)")
 	tokens := flag.Int("tokens", 4*runtime.GOMAXPROCS(0), "admission tokens: concurrent executing batches")
 	admitWait := flag.Duration("admitwait", server.DefaultAdmitWait, "how long a batch waits for admission before RETRY (negative: shed immediately)")
@@ -69,13 +69,9 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty: off)")
 	flag.Parse()
 
-	if err := txengine.ValidateShardsFlag(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "bad -shards:", err)
-		os.Exit(2)
-	}
 	eng, err := txengine.Build(*engine, txengine.Config{
 		Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-		Shards: *shards,
+		Shards: *devices,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -66,25 +66,30 @@ func TestDefaultThreadSweepMonotoneAndBounded(t *testing.T) {
 }
 
 // Smoke test every registered transactional engine, in both map shapes it
-// supports, through one short throughput run: the harness must produce
-// nonzero results and structures must survive.
+// supports, through one short throughput run, and txmontage over four devices
+// too: the harness must produce nonzero results and structures must survive.
 func TestAllSystemsSmoke(t *testing.T) {
 	wl := PaperWorkload(2, 1, 1, 0.001)
-	opt := Options{EpochLen: 5 * time.Millisecond}
 	for _, kind := range []txengine.MapKind{txengine.KindHash, txengine.KindSkip} {
 		names := TxSystemsFor(kind)
 		if len(names) == 0 {
 			t.Fatalf("no engines for %v maps", kind)
 		}
 		for _, name := range names {
-			sys, err := NewSystem(name, kind, wl, opt)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, kind, err)
+			counts := []int{0}
+			if name == "txmontage" {
+				counts = append(counts, 4)
 			}
-			res := RunThroughput(sys, wl, 4, 50*time.Millisecond)
-			sys.Close()
-			if res.Txns == 0 {
-				t.Errorf("%s: no transactions completed", res.System)
+			for _, devices := range counts {
+				sys, err := NewSystem(name, kind, wl, Options{EpochLen: 5 * time.Millisecond, Shards: devices})
+				if err != nil {
+					t.Fatalf("%s/%v/devices=%d: %v", name, kind, devices, err)
+				}
+				res := RunThroughput(sys, wl, 4, 50*time.Millisecond)
+				sys.Close()
+				if res.Txns == 0 {
+					t.Errorf("%s/devices=%d: no transactions completed", res.System, devices)
+				}
 			}
 		}
 	}

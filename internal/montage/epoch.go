@@ -78,8 +78,8 @@ var (
 const firstEpoch = 3
 
 // EpochClock is the epoch counter plus the registry of sessions pinned to an
-// epoch. One clock can be shared by several EpochSys instances (sharded
-// txMontage: one device and batch system per shard, one clock): a transaction
+// epoch. One clock can be shared by several EpochSys instances (txMontage
+// over several devices: one batch system per device, one clock): a transaction
 // pins one epoch of it and validates "still current" once at commit, so it
 // lands in the same epoch cut on every device it touches. Nothing locks the
 // counter against commits — a tick between a transaction's operations, or
@@ -344,8 +344,8 @@ func (es *EpochSys) Sync() {
 
 // AdvanceTogether advances a shared clock once and flushes the newly
 // flushable batch on every system of the domain, so all devices reach the
-// same epoch boundary before the advance returns. This is the sharded
-// engine's coordinator step. Whole advance sequences are serialized per
+// same epoch boundary before the advance returns. This is multi-device
+// txMontage's coordinator step. Whole advance sequences are serialized per
 // clock (a Sync racing the background coordinator must not interleave
 // their flushes, or a frontier marker could outrun an older batch's
 // write-back).
@@ -463,8 +463,8 @@ type sessExt struct {
 // pins the current epoch and registers the epoch validator; transaction end
 // releases the pin. What it binds the manager to is es's clock, not its
 // device: maps on any EpochSys of that clock may run under the manager, and a
-// transaction over several of them holds one pin and one validator (the
-// sharded engine attaches its one manager this way).
+// transaction over several of them holds one pin and one validator
+// (txMontage over several devices attaches its one manager this way).
 func Attach(mgr *core.TxManager, es *EpochSys) {
 	clock := es.clock
 	extFor := func(s *core.Session) *sessExt {

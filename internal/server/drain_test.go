@@ -10,7 +10,7 @@ import (
 )
 
 // TestDrainZeroAckedLossPersistent is the served flavor of the recovery
-// conformance suite: clients hammer a txmontage-sharded server with
+// conformance suite: clients hammer a txmontage server over two devices with
 // transfer transactions, a drain lands mid-traffic, and the engine's
 // devices are then "crashed" and recovered on a fresh engine. Because Drain
 // finishes in-flight requests and syncs a durable cut before returning,
@@ -19,7 +19,7 @@ import (
 // transfer-conservation audit.
 func TestDrainZeroAckedLossPersistent(t *testing.T) {
 	const (
-		shards    = 2
+		devices   = 2
 		conns     = 4
 		accounts  = uint64(32)
 		opening   = uint64(1_000)
@@ -28,12 +28,12 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 	)
 	spec := txengine.MapSpec{Kind: txengine.KindHash, Buckets: 1 << 10}
 
-	s, addr := startServer(t, "txmontage-sharded", txengine.Config{
-		Latencies: pnvm.DefaultLatencies(), Shards: shards,
+	s, addr := startServer(t, "txmontage", txengine.Config{
+		Latencies: pnvm.DefaultLatencies(), Shards: devices,
 	}, Options{MapSpec: spec, BatchMax: 8, DrainGrace: 300 * time.Millisecond})
 	p, ok := s.Engine().(txengine.Persister)
-	if !ok || len(p.Devices()) != shards {
-		t.Fatalf("engine is not a %d-device persister", shards)
+	if !ok || len(p.Devices()) != devices {
+		t.Fatalf("engine is not a %d-device persister", devices)
 	}
 	devs := p.Devices()
 
@@ -107,8 +107,8 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 	// Crash: the engine is closed (Drain did it); dump the surviving
 	// devices and rebuild a fresh engine on them.
 	dumps := pnvm.DumpAll(devs)
-	eng2, err := txengine.Build("txmontage-sharded", txengine.Config{
-		Latencies: pnvm.DefaultLatencies(), Shards: shards, Devices: devs,
+	eng2, err := txengine.Build("txmontage", txengine.Config{
+		Latencies: pnvm.DefaultLatencies(), Shards: devices, Devices: devs,
 	})
 	if err != nil {
 		t.Fatal(err)

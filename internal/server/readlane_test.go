@@ -18,7 +18,7 @@ import (
 // then one of them reads every key through the lane.
 func TestReadLaneFirstReadSeesAcknowledgedPuts(t *testing.T) {
 	const writers, keys = 4, 64
-	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
+	for _, engine := range []string{"medley-sharded", "txmontage"} {
 		t.Run(engine, func(t *testing.T) {
 			s, addr := startServer(t, engine, txengine.Config{Shards: 4}, Options{})
 			conns := make([]*Conn, writers)

@@ -17,8 +17,8 @@ type StoreOptions struct {
 	Latencies pnvm.Latencies
 	// EpochLen is txMontage's persistence epoch length (0: advancer off).
 	EpochLen time.Duration
-	// Shards is txmontage-sharded's device count (0: engine default);
-	// other engines ignore it.
+	// Shards is txmontage's device count (0: one device); other engines
+	// ignore it. It passes through to txengine.Config.Shards.
 	Shards int
 }
 

@@ -13,23 +13,34 @@ func smallCfg() Config {
 	}
 }
 
+// namedStore is a Store under its subtest name.
+type namedStore struct {
+	name string
+	Store
+}
+
 // stores builds one Store per registry engine that can run TPC-C (LFTT is
-// static-only and excluded by Engines itself).
-func stores(t *testing.T) []Store {
+// static-only and excluded by Engines itself), named by its display name,
+// plus txMontage over four devices.
+func stores(t *testing.T) []namedStore {
 	t.Helper()
 	names := Engines()
 	if len(names) < 5 {
 		t.Fatalf("Engines() = %v, want at least medley/txmontage/onefile/tdsl/boost", names)
 	}
-	out := make([]Store, 0, len(names))
-	for _, name := range names {
-		st, err := NewStore(name, StoreOptions{})
+	build := func(name string, opt StoreOptions) Store {
+		st, err := NewStore(name, opt)
 		if err != nil {
 			t.Fatalf("NewStore(%s): %v", name, err)
 		}
-		out = append(out, st)
+		return st
 	}
-	return out
+	out := make([]namedStore, 0, len(names)+1)
+	for _, name := range names {
+		st := build(name, StoreOptions{})
+		out = append(out, namedStore{st.Name(), st})
+	}
+	return append(out, namedStore{"txMontage/devices=4", build("txmontage", StoreOptions{Shards: 4})})
 }
 
 // TPC-C must refuse engines that cannot express its transactions.
@@ -45,7 +56,7 @@ func TestNewStoreRejectsStaticEngines(t *testing.T) {
 func TestLoadAndRunAllStores(t *testing.T) {
 	cfg := smallCfg()
 	for _, st := range stores(t) {
-		t.Run(st.Name(), func(t *testing.T) {
+		t.Run(st.name, func(t *testing.T) {
 			Load(st, cfg)
 			w := st.NewWorker(1)
 			rng := rand.New(rand.NewPCG(1, 2))
@@ -68,7 +79,7 @@ func TestLoadAndRunAllStores(t *testing.T) {
 func TestPaymentMoneyConservation(t *testing.T) {
 	cfg := smallCfg()
 	for _, st := range stores(t) {
-		t.Run(st.Name(), func(t *testing.T) {
+		t.Run(st.name, func(t *testing.T) {
 			Load(st, cfg)
 			res := Run(st, cfg, 8, 300*time.Millisecond)
 			if res.Txns == 0 {

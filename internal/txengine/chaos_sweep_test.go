@@ -295,29 +295,29 @@ func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
 }
 
 // TestChaosCrashPointSweepShardedMontage sweeps the txMontage flush/advance
-// path at shards 1, 2, and 8: base state is committed and synced, more pair
+// path over 1, 2 and 8 devices: base state is committed and synced, more pair
 // transactions run, then a crash is armed and fired either mid-transaction
 // (media points) or mid-sync (flush/advance points). Recovery must keep the
 // synced state intact and every later pair all-or-nothing — including the
-// torn-domain cases where only some shards carry the newest frontier marker.
+// torn-domain cases where only some devices carry the newest frontier marker.
 func TestChaosCrashPointSweepShardedMontage(t *testing.T) {
 	requireRegistered(t, montagePoints)
-	for _, shards := range []int{1, 2, 8} {
+	for _, devices := range []int{1, 2, 8} {
 		for _, point := range montagePoints {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, point), func(t *testing.T) {
-				montageToCrash(t, "txmontage-sharded", shards, point).recoverAndAudit(t)
+			t.Run(fmt.Sprintf("devices=%d/%s", devices, point), func(t *testing.T) {
+				montageToCrash(t, devices, point).recoverAndAudit(t)
 			})
 		}
 	}
 }
 
-// montageToCrash runs the txMontage sweep workload on the named engine until
-// the crash armed at point lands.
-func montageToCrash(t *testing.T, engine string, shards int, point string) crashedRun {
+// montageToCrash runs the txMontage sweep workload over the given number of
+// devices until the crash armed at point lands.
+func montageToCrash(t *testing.T, devices int, point string) crashedRun {
 	const n = uint64(16)
 	t.Cleanup(chaos.DisarmAll)
-	b, _ := Lookup(engine)
-	cfg := Config{Shards: shards} // EpochLen 0: sync by hand, no background advancer
+	b, _ := Lookup("txmontage")
+	cfg := Config{Shards: devices} // EpochLen 0: sync by hand, no background advancer
 	eng, err := b.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 		crashed = chaosCrashed(func() { p.Sync() })
 	}
 	if !crashed {
-		t.Fatalf("point %s never fired at shards=%d (transactions and sync both survived)", point, shards)
+		t.Fatalf("point %s never fired at devices=%d (transactions and sync both survived)", point, devices)
 	}
 	chaos.DisarmAll()
 
@@ -407,15 +407,15 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 				}
 			}
 		}
-		t.Logf("%s shards=%d %s: crash fired, %d/%d post-sync pairs recovered, no tears", engine, shards, point, recovered, n)
+		t.Logf("devices=%d %s: crash fired, %d/%d post-sync pairs recovered, no tears", devices, point, recovered, n)
 		return int(2*n) + 2*recovered
 	}}
 }
 
 // TestShardedStraddleStormCrashSweep runs the crash-point sweep under a tick
 // storm: a goroutine advancing the domain back to back beside four workers
-// moving units between accounts on different shards, so ticks land in every
-// gap of a cross-shard transaction — between two shards' operations, between
+// moving units between accounts on different devices, so ticks land in every
+// gap of a cross-device transaction — between two devices' operations, between
 // the last one and TxEnd, inside validation — thousands of times, with nothing
 // but the transaction's one epoch validator between them and a commit. The
 // crash fires wherever the point is next hit, in a worker's transaction or in
@@ -424,22 +424,22 @@ func montageToCrash(t *testing.T, engine string, shards int, point string) crash
 // one epoch and half in the next.
 func TestShardedStraddleStormCrashSweep(t *testing.T) {
 	requireRegistered(t, montagePoints)
-	for _, shards := range []int{2, 8} {
+	for _, devices := range []int{2, 8} {
 		for _, point := range montagePoints {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, point), func(t *testing.T) {
-				stormToCrash(t, shards, point).recoverAndAudit(t)
+			t.Run(fmt.Sprintf("devices=%d/%s", devices, point), func(t *testing.T) {
+				stormToCrash(t, devices, point).recoverAndAudit(t)
 			})
 		}
 	}
 }
 
-// stormToCrash runs transfers under a tick storm on txmontage-sharded until
-// the crash armed at point lands.
-func stormToCrash(t *testing.T, shards int, point string) crashedRun {
+// stormToCrash runs transfers under a tick storm on txmontage over the given
+// number of devices until the crash armed at point lands.
+func stormToCrash(t *testing.T, devices int, point string) crashedRun {
 	const accounts, start, workers = 6, 1000, 4
 	t.Cleanup(chaos.DisarmAll)
-	b, _ := Lookup("txmontage-sharded")
-	cfg := Config{Shards: shards} // EpochLen 0: the storm is the only advancer
+	b, _ := Lookup("txmontage")
+	cfg := Config{Shards: devices} // EpochLen 0: the storm is the only advancer
 	eng, err := b.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -450,8 +450,8 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Account i lives on shard i % shards: with an even shard count, accounts
-	// of different parity are on different shards, and every transfer below
+	// Account i lives on device i % devices: with an even device count,
+	// accounts of different parity are on different devices, and every transfer below
 	// is between an even and an odd one.
 	keys := alternatingDeviceKeys(t, se, accounts, 0)
 	setup := eng.NewWorker(workers)
@@ -503,7 +503,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	// Workers 0 and 1 move units back and forth between the two hot accounts,
 	// 0 and 1, as fast as they can. Workers 2 and 3 each pay out of an account
 	// of their own (3 and 5: nobody else conflicts with them) into hot account
-	// 0, and dawdle between the two shards: ticks fall in that gap, and so do
+	// 0, and dawdle between the two devices: ticks fall in that gap, and so do
 	// whole transactions of the fast workers in the epochs after them, whose
 	// result the credit then reads. Such an attempt must not commit — it would
 	// be persisted an epoch before what it read — and nothing but its epoch
@@ -555,7 +555,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 	chaos.DisarmAll()
 	st := eng.Stats()
 	if !down.Load() {
-		t.Fatalf("point %s never fired at shards=%d (%d commits, %d aborts)", point, shards, st.Commits, st.Aborts)
+		t.Fatalf("point %s never fired at devices=%d (%d commits, %d aborts)", point, devices, st.Commits, st.Aborts)
 	}
 
 	return crashedRun{b: b, cfg: cfg, devs: se.Devices(), spec: spec, audit: func(t *testing.T, rm Map[uint64], tx2 Tx) int {
@@ -570,7 +570,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 		if total != accounts*start {
 			t.Fatalf("recovered total %d after crash at %s, want %d: a transfer was cut in half", total, point, accounts*start)
 		}
-		t.Logf("shards=%d %s: crashed after %d commits and %d aborts, total conserved", shards, point, st.Commits, st.Aborts)
+		t.Logf("devices=%d %s: crashed after %d commits and %d aborts, total conserved", devices, point, st.Commits, st.Aborts)
 		return accounts
 	}}
 }
@@ -578,7 +578,7 @@ func stormToCrash(t *testing.T, shards int, point string) crashedRun {
 // TestChaosCrashInsideRecoverySweep is the second-failure sweep: the sweep
 // workloads above run to a first crash that leaves recovery real work (torn
 // payloads and beyond-cut retire marks on POneFile; a fleet torn between two
-// shards' flushes, markers ahead of the domain cut, or one stopped inside its
+// devices' flushes, markers ahead of the domain cut, or one stopped inside its
 // reclaim pass, durably dead records still on media, on txMontage), recovery
 // starts on a fresh engine, and a second power failure lands at every point
 // of the one recovery pipeline × hit offsets — the first and last hit of
@@ -596,13 +596,12 @@ func TestChaosCrashInsideRecoverySweep(t *testing.T) {
 	scenarios := []scenario{
 		{"ponefile-after-commit.pre-mark", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.pre-mark", 2) }},
 		{"ponefile-after-commit.gc", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.gc", 2) }},
-		{"txmontage", func(t *testing.T) crashedRun { return montageToCrash(t, "txmontage", 0, "txmontage.advance.mid-shard") }},
 	}
-	for _, shards := range []int{1, 2, 8} {
-		scenarios = append(scenarios, scenario{fmt.Sprintf("txmontage-sharded-%d", shards), func(t *testing.T) crashedRun {
-			return montageToCrash(t, "txmontage-sharded", shards, "txmontage.advance.mid-shard")
-		}}, scenario{fmt.Sprintf("txmontage-sharded-%d-after-reclaim", shards), func(t *testing.T) crashedRun {
-			return montageToCrash(t, "txmontage-sharded", shards, "txmontage.advance.reclaim")
+	for _, devices := range []int{1, 2, 8} {
+		scenarios = append(scenarios, scenario{fmt.Sprintf("txmontage-%d", devices), func(t *testing.T) crashedRun {
+			return montageToCrash(t, devices, "txmontage.advance.mid-shard")
+		}}, scenario{fmt.Sprintf("txmontage-%d-after-reclaim", devices), func(t *testing.T) crashedRun {
+			return montageToCrash(t, devices, "txmontage.advance.reclaim")
 		}})
 	}
 	injected := errors.New("injected media error")

@@ -1,8 +1,8 @@
 package txengine
 
 import (
+	"cmp"
 	"errors"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -32,33 +32,99 @@ func buildForTest(t *testing.T, b Builder) Engine {
 }
 
 // sweptBuilders are the engines the registry-wide suites sweep: every
-// registered builder, then each alias under its own key, built through Build
-// by that name. The benchmark drives medley-sharded by name, so the suites
-// hold an alias to the behaviour of the engine it resolves to.
+// registered builder, medley-sharded built through Build by that name (the
+// benchmark drives it by name, so the suites hold the alias to the behaviour
+// of the engine it resolves to), and txmontage over four devices, the count
+// the benchmark builds it with. The txmontage-sharded alias is not swept on
+// its own: with no device count it is one-device txmontage again.
 func sweptBuilders() []Builder {
-	bs := Builders()
-	for _, alias := range slices.Sorted(maps.Keys(aliases)) {
-		b, _ := Lookup(alias)
-		b.Key = alias
-		b.New = func(cfg Config) (Engine, error) { return Build(alias, cfg) }
-		bs = append(bs, b)
+	alias, _ := Lookup("medley-sharded")
+	alias.Key = "medley-sharded"
+	alias.New = func(cfg Config) (Engine, error) { return Build("medley-sharded", cfg) }
+	multi, _ := Lookup("txmontage")
+	multi.Key = "txmontage/devices=4"
+	multi.New = func(cfg Config) (Engine, error) {
+		cfg.Shards = cmp.Or(cfg.Shards, 4)
+		return Build("txmontage", cfg)
 	}
-	return bs
+	return append(Builders(), alias, multi)
 }
 
 // TestRegistryShape checks that the registry holds all the paper's systems
-// plus boost, and that caps are self-consistent with the factories.
+// plus boost, one engine each, and that caps are self-consistent with the
+// factories. The -sharded names are aliases: Build resolves them, Names does
+// not list them. txmontage takes its device count from Config, all its
+// devices on one clock: Shards, else len(Devices), else one.
 func TestRegistryShape(t *testing.T) {
-	for _, want := range []string{"medley", "txmontage", "onefile", "ponefile", "tdsl", "lftt", "boost", "original"} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("registry missing %q (have %v)", want, Names())
-		}
+	want := []string{"medley", "txmontage", "onefile", "ponefile", "tdsl", "lftt", "boost", "original"}
+	if !slices.Equal(Names(), want) {
+		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
 	if _, ok := Lookup("MEDLEY"); !ok {
 		t.Error("Lookup must be case-insensitive")
 	}
 	if _, err := Build("no-such-engine", Config{}); err == nil {
 		t.Error("Build of unknown engine must fail")
+	}
+	for alias, to := range map[string]string{"Medley-Sharded": "medley", "txmontage-sharded": "txmontage"} {
+		b, ok := Lookup(alias)
+		if base, _ := Lookup(to); !ok || b.Key != to || b.Caps != base.Caps || b.Doc != base.Doc {
+			t.Errorf("%s resolves to %q (ok=%v), want the %s builder", alias, b.Key, ok, to)
+		}
+	}
+	// medley-sharded is medley whatever Config.Shards says.
+	for _, shards := range []int{0, 1, 8} {
+		eng, err := Build("medley-sharded", Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := eng.(*medleyEngine)
+		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
+			t.Errorf("medley-sharded Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
+		}
+		eng.Close()
+	}
+	// txmontage's device count, under either name.
+	two := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"txmontage-sharded", Config{Shards: 4}, 4},
+		{"txmontage", Config{Shards: 4}, 4},
+		{"txmontage", Config{}, 1},
+		{"txmontage", Config{Devices: two}, 2},
+	} {
+		eng, err := Build(tc.name, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s Shards=%d with %d Devices: %v", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), err)
+		}
+		p, ok := eng.(Persister)
+		if !ok || len(p.Devices()) != tc.want {
+			t.Fatalf("%s Shards=%d with %d Devices: want a Persister with %d devices", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), tc.want)
+		}
+		se := eng.(*medleyEngine)
+		if eng.Name() != "txMontage" || se.clock == nil {
+			t.Errorf("%s over %d devices: name %q, clock %v", tc.name, tc.want, eng.Name(), se.clock)
+		}
+		// Every device shares the one clock, or transactions over several
+		// devices could pin different epoch numbers on each.
+		for i, es := range se.es {
+			if es.Clock() != se.clock {
+				t.Errorf("%s: device %d has a private epoch clock", tc.name, i)
+			}
+		}
+		for i, d := range tc.cfg.Devices {
+			if p.Devices()[i] != d {
+				t.Errorf("%s ignored Config.Devices[%d]", tc.name, i)
+			}
+		}
+		eng.Close()
+	}
+	three := append(two, pnvm.New(pnvm.Latencies{}))
+	if _, err := Build("txmontage", Config{Shards: 2, Devices: three}); err == nil {
+		t.Error("txmontage accepted Shards=2 with 3 Devices")
 	}
 	for _, b := range sweptBuilders() {
 		eng := buildForTest(t, b)

@@ -9,7 +9,7 @@ import (
 	"medley/internal/montage"
 )
 
-// deviceOf routes k among the engine's devices (txmontage-sharded).
+// deviceOf routes k among the engine's devices (txmontage).
 func (e *medleyEngine) deviceOf(k uint64) int { return montage.DeviceOf(k, len(e.es)) }
 
 // keyOnDevice returns the first key >= start whose payloads go to device d
@@ -133,7 +133,7 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 }
 
 // TestShardedMispredictFallbackConservation is the concurrent misprediction
-// audit on medley and on txmontage-sharded over 8 devices: workers run
+// audit on medley and on txmontage over 8 devices: workers run
 // transfers whose hints are frequently
 // wrong (stale keys hinted, fresh keys transacted), so declared attempts
 // reach keys they did not declare, under latches that cover the wrong keys,
@@ -146,7 +146,7 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 		workers  = 4
 		iters    = 250
 	)
-	for i, engine := range []string{"medley", "txmontage-sharded"} {
+	for i, engine := range []string{"medley", "txmontage"} {
 		t.Run(engine, func(t *testing.T) {
 			eng, err := Build(engine, Config{Shards: 8})
 			if err != nil {

@@ -41,32 +41,42 @@ func stage(keys ...uint64) []uint64 {
 
 // TestLatchAcquireRelease pins the uncontended protocol: free stripes are
 // taken without waiting and are free again after release, and keys that
-// share a stripe take it once.
+// share a stripe take it once. It runs under a deadline, so an acquireAll that
+// locks a stripe twice fails the test instead of hanging it.
 func TestLatchAcquireRelease(t *testing.T) {
-	lt := new(latchTable)
-	set := stage(42, 43)
-	if waits := lt.acquireAll(set); waits != 0 {
-		t.Errorf("uncontended acquireAll waited %d times", waits)
-	}
-	if !lt.holds(42) || !lt.holds(43) || lt.holds(7) {
-		t.Error("acquireAll latched other stripes than its keys'")
-	}
-	lt.releaseAll(set)
-	if lt.holds(42) || lt.holds(43) {
-		t.Error("stripe still locked after releaseAll")
-	}
-	// Re-acquire after release must again be wait-free; a key and its
-	// stripe mate lock one stripe once.
-	mate := stripeMate(42)
-	set = stage(mate, 7, 42, 43)
-	if waits := lt.acquireAll(set); waits != 0 {
-		t.Errorf("acquireAll on free stripes waited %d times", waits)
-	}
-	lt.releaseAll(set)
-	for _, k := range []uint64{7, 42, 43, mate} {
-		if lt.holds(k) {
-			t.Errorf("key %d still latched after releaseAll", k)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		lt := new(latchTable)
+		set := stage(42, 43)
+		if waits := lt.acquireAll(set); waits != 0 {
+			t.Errorf("uncontended acquireAll waited %d times", waits)
 		}
+		if !lt.holds(42) || !lt.holds(43) || lt.holds(7) {
+			t.Error("acquireAll latched other stripes than its keys'")
+		}
+		lt.releaseAll(set)
+		if lt.holds(42) || lt.holds(43) {
+			t.Error("stripe still locked after releaseAll")
+		}
+		// Re-acquire after release must again be wait-free; a key and its
+		// stripe mate lock one stripe once.
+		mate := stripeMate(42)
+		set = stage(mate, 7, 42, 43)
+		if waits := lt.acquireAll(set); waits != 0 {
+			t.Errorf("acquireAll on free stripes waited %d times", waits)
+		}
+		lt.releaseAll(set)
+		for _, k := range []uint64{7, 42, 43, mate} {
+			if lt.holds(k) {
+				t.Errorf("key %d still latched after releaseAll", k)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("acquireAll/releaseAll did not finish in 5 s")
 	}
 }
 
@@ -273,7 +283,7 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 
 // TestShardedLatchedTransferStress is the engine-level race test for latched
 // commits: workers run transfers over a small overlapping account set on
-// medley and on txmontage-sharded over 1, 2 and 8 devices, declaring them
+// medley and on txmontage over 1, 2 and 8 devices, declaring them
 // three ways — hinted (latched), un-hinted (no latches) and with an oversized
 // hint (> latchMaxKeys keys: a footprint hit, no latches) — beside
 // undeclared writers rewriting the same accounts. The total must be conserved
@@ -289,12 +299,12 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 	)
 	filler := oversizedHint()
 	for _, e := range []struct {
-		engine string
-		shards int
-	}{{"medley", 0}, {"txmontage-sharded", 1}, {"txmontage-sharded", 2}, {"txmontage-sharded", 8}} {
+		engine  string
+		devices int
+	}{{"medley", 0}, {"txmontage", 1}, {"txmontage", 2}, {"txmontage", 8}} {
 		for _, decl := range []string{"hinted", "unhinted", "oversized"} {
-			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.engine, e.shards, decl), func(t *testing.T) {
-				eng, err := Build(e.engine, Config{Shards: e.shards})
+			t.Run(fmt.Sprintf("%s/devices=%d/%s", e.engine, e.devices, decl), func(t *testing.T) {
+				eng, err := Build(e.engine, Config{Shards: e.devices})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +327,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					go func(id int) {
 						defer wg.Done()
 						tx := eng.NewWorker(1 + id)
-						rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(e.shards)))
+						rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(e.devices)))
 						for i := 0; i < iters; i++ {
 							from := rng.Uint64N(accounts)
 							to := rng.Uint64N(accounts)
@@ -354,7 +364,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					go func(id int) {
 						defer wg.Done()
 						tx := eng.NewWorker(100 + id)
-						rng := rand.New(rand.NewPCG(uint64(id)+77, uint64(e.shards)))
+						rng := rand.New(rand.NewPCG(uint64(id)+77, uint64(e.devices)))
 						for i := 0; i < iters; i++ {
 							a := rng.Uint64N(accounts)
 							if err := tx.Run(func() error {
@@ -402,19 +412,22 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 }
 
 // TestShardedLatchedDeclarations pins which declarations latch, on idle
-// Medley-family engines where every count is exact: two distinct keys latch
-// and count one footprint hit, two that share a stripe too (the stripe is
-// locked once); one key (declared twice) neither latches nor counts;
-// latchMaxKeys+1 keys count one and run unlatched; an undeclared Run does
-// neither. However a Run is declared, its body runs once, and every stripe
-// is free after it. Each Run has a deadline, so an attempt that locks a
+// Medley-family engines (medley, txmontage over 1 and 4 devices) where every
+// count is exact: two distinct keys latch and count one footprint hit, two
+// that share a stripe too (the stripe is locked once); one key (declared
+// twice) neither latches nor counts; latchMaxKeys+1 keys count one and run
+// unlatched; an undeclared Run does neither. However a Run is declared, its
+// body runs once, and every stripe is free after it. Each Run has a deadline, so an attempt that locks a
 // stripe twice fails the test instead of hanging it.
 func TestShardedLatchedDeclarations(t *testing.T) {
 	keys := []uint64{3, 5}
 	shared := []uint64{keys[0], stripeMate(keys[0])}
-	for _, engine := range []string{"medley", "txmontage", "txmontage-sharded"} {
-		t.Run(engine, func(t *testing.T) {
-			eng, err := Build(engine, Config{})
+	for _, e := range []struct {
+		engine  string
+		devices int
+	}{{"medley", 0}, {"txmontage", 1}, {"txmontage", 4}} {
+		t.Run(fmt.Sprintf("%s/devices=%d", e.engine, e.devices), func(t *testing.T) {
+			eng, err := Build(e.engine, Config{Shards: e.devices})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,10 @@ const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | Ca
 // it is txMontage (Medley + periodic persistence over simulated NVM devices).
 // Every map it builds is one index, whatever the device count.
 //
-// # Devices (txmontage-sharded)
+// # Devices
 //
-// txmontage-sharded is txMontage over Config.Shards devices: one epoch system
-// per device, all on the engine's one montage.EpochClock, to which the one
+// txMontage runs over a device count taken from Config: one epoch system per
+// device, all on the engine's one montage.EpochClock, to which the one
 // TxManager is attached. Each map is one montage.Map index that writes and
 // retires a key's payloads on the device the key routes to (montage.DeviceOf),
 // so reads never route and a transaction over keys on several devices is one
@@ -36,8 +36,7 @@ const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | Ca
 // minimum of the per-device frontiers (montage.Recover) and rebuilds each
 // map's one index from every device's live set, so state one device persisted
 // ahead of the others is discarded and no transaction is recovered torn.
-// Plain txmontage is the case of one device. A device is all a shard buys:
-// medley-sharded, with nothing to persist, is medley (see aliases).
+// Medley, with nothing to persist, has no devices and ignores the count.
 type medleyEngine struct {
 	name  string
 	mgr   *core.TxManager
@@ -49,10 +48,6 @@ type medleyEngine struct {
 	latch *latchTable // declared keys' latches
 	cells metrics.Cells[Stats]
 }
-
-// DefaultShards is txmontage-sharded's device count when Config.Shards is
-// unset.
-const DefaultShards = 4
 
 // advancer is an engine's background epoch advancer, started by the first map
 // the engine builds or recovers rather than by the engine: devices reattached
@@ -82,22 +77,15 @@ func (a *advancer) close() {
 	}
 }
 
-// newMedleyEngine builds Medley, or txMontage when persist is set: over one
-// device, or over Config.Shards (0: DefaultShards) when sharded is set, each
-// with an epoch system of its own (cfg.Devices, when non-empty, supplies
-// them in order, for recovery) on one epoch clock.
-func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
+// newMedleyEngine builds Medley, or txMontage when persist is set: over
+// Config.Shards devices, or as many as Config.Devices supplies (in order, for
+// recovery), or one, each with an epoch system of its own on one epoch clock.
+func newMedleyEngine(cfg Config, persist bool) (Engine, error) {
 	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), latch: new(latchTable)}
 	if persist {
-		n := 1
-		if sharded {
-			n = cmp.Or(cfg.Shards, DefaultShards)
-		}
-		switch {
-		case !sharded && len(cfg.Devices) > 1:
-			return nil, fmt.Errorf("txengine: txmontage is single-device (got %d devices); use txmontage-sharded for multi-device persistence", len(cfg.Devices))
-		case len(cfg.Devices) > 0 && len(cfg.Devices) != n:
-			return nil, fmt.Errorf("txengine: txmontage-sharded wants %d devices, one per shard: got %d", n, len(cfg.Devices))
+		n := cmp.Or(cfg.Shards, len(cfg.Devices), 1)
+		if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
+			return nil, fmt.Errorf("txengine: txmontage wants %d devices: got %d", n, len(cfg.Devices))
 		}
 		e.name, e.codec, e.clock = "txMontage", cfg.RowCodec, montage.NewEpochClock()
 		for i := 0; i < n; i++ {
@@ -111,9 +99,6 @@ func newMedleyEngine(cfg Config, persist, sharded bool) (Engine, error) {
 		montage.Attach(e.mgr, e.es[0])
 		if cfg.EpochLen > 0 {
 			e.adv.run = func() func() { return montage.StartAdvancer(e.clock, e.es, cfg.EpochLen) }
-		}
-		if sharded {
-			e.name = fmt.Sprintf("txMontage-sh%d", n)
 		}
 	}
 	// On txMontage commit timestamps are anchored to the clock that orders
@@ -267,18 +252,6 @@ func (d *declaration) add(k uint64) {
 	}
 }
 
-// HintKeys implements KeyHinter: it stages keys for the worker's next Run,
-// accumulating over calls until a Run consumes them; inside a Run it does
-// nothing.
-func (t *sessionTx) HintKeys(keys ...uint64) {
-	if t.inRun {
-		return
-	}
-	for _, k := range keys {
-		t.decl.add(k)
-	}
-}
-
 // takeDeclaration consumes the staged declaration at the head of a Run and
 // returns the hashes whose stripes the Run latches: the declared keys' when
 // they are two to latchMaxKeys distinct keys, nil otherwise. A declaration
@@ -363,17 +336,6 @@ func (t *sessionTx) rollback() {
 func (t *sessionTx) endRun() {
 	t.rollback()
 	t.inRun = false
-}
-
-// SnapshotRead implements SnapshotReader (snapAgent.snapshot).
-func (t *sessionTx) SnapshotRead(fn func()) bool {
-	t.snap.snapshot(t.ct, t.s.InTx(), 1, func(int, uint64) { fn() })
-	return true
-}
-
-// SnapshotReadBatch implements SnapshotBatchReader (snapAgent.snapshot).
-func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bool) {
-	return t.snap.snapshot(t.ct, t.s.InTx(), n, each), true
 }
 
 func (t *sessionTx) RunRead(fn func()) {

@@ -2,6 +2,7 @@ package txengine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestCrashRecoveryConformance is the cross-engine crash/recovery contract
-// for persistent engines (txMontage, POneFile, txmontage-sharded),
+// for persistent engines (txMontage over one device or several, POneFile),
 // mirroring cmd/recoverydemo through the engine layer: commit transactions,
 // crash the engine's whole device fleet, rebuild a fresh engine on the
 // survivors, and assert that synced committed state is visible, aborted
@@ -23,7 +24,7 @@ func TestCrashRecoveryConformance(t *testing.T) {
 		poison1 = uint64(1 << 20)
 		poison2 = poison1 + 1
 	)
-	for _, b := range Builders() {
+	for _, b := range sweptBuilders() {
 		b := b
 		t.Run(b.Key, func(t *testing.T) {
 			eng, err := b.New(Config{})
@@ -162,13 +163,13 @@ func TestCrashRecoveryConformance(t *testing.T) {
 func TestRecoveryAdvancerWaitsForTheMap(t *testing.T) {
 	const n = uint64(32)
 	for _, tc := range []struct {
-		key    string
-		shards int
-	}{{"txmontage", 0}, {"txmontage-sharded", 2}} {
-		t.Run(tc.key, func(t *testing.T) {
+		key     string
+		devices int
+	}{{"txmontage", 1}, {"txmontage", 2}} {
+		t.Run(fmt.Sprintf("%s/devices=%d", tc.key, tc.devices), func(t *testing.T) {
 			t.Cleanup(chaos.DisarmAll)
 			b, _ := Lookup(tc.key)
-			eng, err := b.New(Config{Shards: tc.shards}) // EpochLen 0: sync by hand
+			eng, err := b.New(Config{Shards: tc.devices}) // EpochLen 0: sync by hand
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +219,7 @@ func TestRecoveryAdvancerWaitsForTheMap(t *testing.T) {
 			chaos.DisarmAll()
 			pnvm.DumpAll(devs) // the restart reopens the media
 
-			eng2, err := b.New(Config{Shards: tc.shards, EpochLen: time.Millisecond, Devices: devs})
+			eng2, err := b.New(Config{Shards: tc.devices, EpochLen: time.Millisecond, Devices: devs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,8 +253,8 @@ func deviceWrites(devs []*pnvm.Device) (n uint64) {
 
 // TestPersisterCoverage pins that the persistent engines actually implement
 // Persister with live devices — so the conformance suite above cannot
-// silently skip them all — including the device-per-shard shape of the
-// sharded persistent engine. (Independent of subtest filtering.)
+// silently skip them all — including txmontage's device count, which
+// ponefile ignores. (Independent of subtest filtering.)
 func TestPersisterCoverage(t *testing.T) {
 	for _, tc := range []struct {
 		key    string
@@ -262,8 +263,9 @@ func TestPersisterCoverage(t *testing.T) {
 	}{
 		{"txmontage", 0, 1},
 		{"ponefile", 0, 1},
-		{"txmontage-sharded", 0, DefaultShards},
-		{"txmontage-sharded", 8, 8},
+		{"ponefile", 4, 1},
+		{"txmontage", 4, 4},
+		{"txmontage", 8, 8},
 	} {
 		b, ok := Lookup(tc.key)
 		if !ok {

@@ -38,7 +38,8 @@ func benchEngine(b *testing.B) (*medleyEngine, Map[uint64], Map[uint64], *sessio
 }
 
 // BenchmarkShardRouteHash measures the device route (Fibonacci hash +
-// multiply-high range reduction) a txmontage-sharded write takes.
+// multiply-high range reduction) a txmontage write takes over several
+// devices.
 func BenchmarkShardRouteHash(b *testing.B) {
 	acc := 0
 	for i := 0; b.N > i; i++ {

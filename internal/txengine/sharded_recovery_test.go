@@ -25,51 +25,10 @@ func svKey(a uint64) uint64  { return 2*a + 1 }
 func jobKey(j uint64) uint64 { return jobBase | j }
 func ctrKey(c uint64) uint64 { return ctrBase | c }
 
-// TestShardedPersistRegistry pins the txmontage-sharded registry entry: it
-// mirrors txmontage's caps, honors the shard knob, carries the shard count
-// in its display name, and reports one device per shard.
-func TestShardedPersistRegistry(t *testing.T) {
-	b, ok := Lookup("txmontage-sharded")
-	if !ok {
-		t.Fatalf("registry missing txmontage-sharded (have %v)", Names())
-	}
-	if base, _ := Lookup("txmontage"); b.Caps != base.Caps {
-		t.Errorf("txmontage-sharded caps %b != txmontage caps %b", b.Caps, base.Caps)
-	}
-	for _, shards := range []int{1, 2, 8} {
-		eng, err := b.New(Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		se := eng.(*medleyEngine)
-		if len(se.es) != shards {
-			t.Errorf("Shards=%d built %d shards", shards, len(se.es))
-		}
-		if !strings.Contains(eng.Name(), fmt.Sprintf("sh%d", shards)) {
-			t.Errorf("Shards=%d name %q does not carry the shard count", shards, eng.Name())
-		}
-		p, ok := eng.(Persister)
-		if !ok || len(p.Devices()) != shards {
-			t.Fatalf("Shards=%d: want Persister with %d devices", shards, shards)
-		}
-		if se.clock == nil || len(se.es) != shards {
-			t.Fatalf("Shards=%d: epoch coordination not wired (clock=%v, esys=%d)", shards, se.clock, len(se.es))
-		}
-		// Every shard must share the one clock, or cross-shard transactions
-		// could pin different epoch numbers per shard.
-		for i, es := range se.es {
-			if es.Clock() != se.clock {
-				t.Fatalf("shard %d has a private epoch clock", i)
-			}
-		}
-		eng.Close()
-	}
-}
-
 // TestShardedCrashRecoveryMerge is the mid-run crash + merged recovery test
-// at shards 1, 2, and 8: concurrent workers run cross-shard transfers and
+// over 1, 2 and 8 devices: concurrent workers run cross-shard transfers and
 // claim jobs (each claim marks a job-state key and increments the claimer's
-// counter key — almost always on different shards) while the background
+// counter key — almost always on different devices) while the background
 // coordinator advances the shared epoch. The crash lands at an arbitrary
 // boundary; recovery merges one dump per device and the recovered state
 // must pass the transfer-conservation and claim-consistency audits exactly
@@ -82,10 +41,10 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 		workers    = 4
 		iterations = 120
 	)
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			b, _ := Lookup("txmontage-sharded")
-			eng, err := b.New(Config{Shards: shards, EpochLen: time.Millisecond})
+	for _, devices := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("devices=%d", devices), func(t *testing.T) {
+			b, _ := Lookup("txmontage")
+			eng, err := b.New(Config{Shards: devices, EpochLen: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +87,7 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 					defer wg.Done()
 					tx := eng.NewWorker(1 + w)
 					cid := uint64(w) + 1
-					rng := rand.New(rand.NewPCG(uint64(w)+1, uint64(shards)))
+					rng := rand.New(rand.NewPCG(uint64(w)+1, uint64(devices)))
 					lo, hi := uint64(w)*jobs/workers, uint64(w+1)*jobs/workers
 					next := lo
 					for i := 0; i < iterations; i++ {
@@ -187,7 +146,7 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 			// Rebuild with a live coordinator: recovery must be safe even
 			// while the background advancer is already ticking (the scrub
 			// runs with epoch advancement blocked).
-			eng2, err := b.New(Config{Shards: shards, Devices: devs, EpochLen: time.Millisecond})
+			eng2, err := b.New(Config{Shards: devices, Devices: devs, EpochLen: time.Millisecond})
 			if err != nil {
 				t.Fatalf("rebuild: %v", err)
 			}
@@ -215,7 +174,7 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 
 			// Claim consistency: each claimer's recovered counter must equal
 			// the number of jobs recovered with its mark — the two halves of
-			// every claim transaction live on (usually) different shards.
+			// every claim transaction live on (usually) different devices.
 			claimedBy := make(map[uint64]uint64)
 			for j := uint64(0); j < jobs; j++ {
 				st, ok := rm.Get(tx, jobKey(j))
@@ -240,19 +199,19 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 						cid, ctr, claimedBy[cid])
 				}
 			}
-			t.Logf("shards=%d: cut=%d, %d claims recovered", shards, pnvm.Cut(dumps), len(claimedBy))
+			t.Logf("devices=%d: cut=%d, %d claims recovered", devices, pnvm.Cut(dumps), len(claimedBy))
 		})
 	}
 }
 
 // TestShardedTornCutPrevented injects the exact failure the coordinator
-// exists to prevent: a crash between two shards' epoch flushes. Shard 0
+// exists to prevent: a crash between two devices' epoch flushes. Device 0
 // persists the epoch holding a cross-shard transfer; shard 1 does not. A
 // naive per-device recovery would see the debit without the credit; the
 // merge must cut at the minimum durable frontier and drop the transfer from
-// both shards.
+// both devices.
 func TestShardedTornCutPrevented(t *testing.T) {
-	b, _ := Lookup("txmontage-sharded")
+	b, _ := Lookup("txmontage")
 	eng, err := b.New(Config{Shards: 2}) // EpochLen 0: epochs advanced by hand
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +223,7 @@ func TestShardedTornCutPrevented(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two keys on different shards.
+	// Two keys on different devices.
 	k1 := uint64(1)
 	for se.deviceOf(k1) != 0 {
 		k1++
@@ -299,7 +258,7 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	}
 
 	// One clean coordinated advance (flushes the pre-transfer epoch E-1 on
-	// both shards), then a torn one: the clock ticks, shard 0 flushes epoch
+	// both devices), then a torn one: the clock ticks, shard 0 flushes epoch
 	// E — transfers included — and the crash lands before shard 1 does.
 	montage.AdvanceTogether(se.clock, se.es)
 	e := se.clock.Tick()
@@ -406,14 +365,14 @@ func payloadEpoch(t *testing.T, dump []pnvm.Record, key uint64) uint64 {
 }
 
 // TestShardedEpochStraddle: a transaction holds one epoch pin whichever
-// shards it touches, so a clock tick between its first and its second shard's
+// devices it touches, so a clock tick between its first and its second device's
 // operation cannot put it in two recovery cuts — it can only make the pin
 // stale, and then the attempt aborts by validation alone (nothing locks the
 // clock against commits). The retry commits in the new epoch, and after Sync +
 // crash + recovery both devices hold that attempt's payloads, tagged with the
 // same epoch, and nothing of the first.
 func TestShardedEpochStraddle(t *testing.T) {
-	b, _ := Lookup("txmontage-sharded")
+	b, _ := Lookup("txmontage")
 	eng, err := b.New(Config{Shards: 2}) // EpochLen 0: the test owns the clock
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +416,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 	se.Sync()
 	dumps := pnvm.DumpAll(se.Devices())
 	if e1, e2 := payloadEpoch(t, dumps[se.deviceOf(k1)], k1), payloadEpoch(t, dumps[se.deviceOf(k2)], k2); e1 != e2 || e1 != pinned[1][0] {
-		t.Fatalf("the two shards' payloads carry epochs %d and %d, want both the retry's %d", e1, e2, pinned[1][0])
+		t.Fatalf("the two devices' payloads carry epochs %d and %d, want both the retry's %d", e1, e2, pinned[1][0])
 	}
 	devs := se.Devices()
 	eng.Close()
@@ -480,19 +439,19 @@ func TestShardedEpochStraddle(t *testing.T) {
 
 // TestShardedStraddleEveryGap enumerates where a tick can fall inside a
 // cross-shard transaction: a transfer over k keys (k = 2, 3, 4) on alternating
-// shards, the shared clock ticked in each gap between two consecutive shard
+// devices, the shared clock ticked in each gap between two consecutive device
 // touches and in the one between the last touch and TxEnd — every position.
 // Wherever it falls the attempt must abort and the retry commit; after Sync +
 // crash + recovery every payload of the transfer carries one epoch and the
 // transfer is there whole.
 func TestShardedStraddleEveryGap(t *testing.T) {
-	b, _ := Lookup("txmontage-sharded")
+	b, _ := Lookup("txmontage")
 	spec := MapSpec{Kind: KindHash, Buckets: 256}
-	for _, shards := range []int{2, 8} {
+	for _, devices := range []int{2, 8} {
 		for k := 2; k <= 4; k++ {
 			for gap := 0; gap < k; gap++ { // after the operations on keys[gap]: before keys[gap+1]'s, or before TxEnd
-				t.Run(fmt.Sprintf("shards=%d/k=%d/gap=%d", shards, k, gap), func(t *testing.T) {
-					eng, err := b.New(Config{Shards: shards})
+				t.Run(fmt.Sprintf("devices=%d/k=%d/gap=%d", devices, k, gap), func(t *testing.T) {
+					eng, err := b.New(Config{Shards: devices})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -540,7 +499,7 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 					}
 					devs := se.Devices()
 					eng.Close()
-					eng2, err := b.New(Config{Shards: shards, Devices: devs})
+					eng2, err := b.New(Config{Shards: devices, Devices: devs})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -566,10 +525,10 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 }
 
 // TestConfigShardsValidation pins the central Config.Shards validation:
-// every registry construction path rejects negative and absurd shard counts
-// with a clear error, and device/shard mismatches fail fast.
+// every registry construction path rejects negative and absurd device counts
+// with a clear error, and device-count mismatches fail fast.
 func TestConfigShardsValidation(t *testing.T) {
-	for _, engine := range []string{"medley-sharded", "txmontage-sharded", "medley"} {
+	for _, engine := range Names() {
 		for _, bad := range []int{-1, -64, MaxShards + 1} {
 			_, err := Build(engine, Config{Shards: bad})
 			if err == nil {
@@ -580,36 +539,30 @@ func TestConfigShardsValidation(t *testing.T) {
 			}
 		}
 	}
-	eng, err := Build("medley-sharded", Config{Shards: 2})
-	if err != nil {
-		t.Fatalf("valid shard count rejected: %v", err)
-	}
-	eng.Close()
-
-	// One device per shard, enforced at construction.
+	// As many Devices as Shards asks for, enforced at construction.
 	devs := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
-	if _, err := Build("txmontage-sharded", Config{Shards: 2, Devices: devs}); err == nil {
-		t.Fatal("device/shard mismatch accepted")
+	if _, err := Build("txmontage", Config{Shards: 2, Devices: devs}); err == nil {
+		t.Fatal("device-count mismatch accepted")
 	}
 	// And a dump-count mismatch, at recovery.
-	eng2, err := Build("txmontage-sharded", Config{Shards: 2})
+	eng, err := Build("txmontage", Config{Shards: 2})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("valid device count rejected: %v", err)
 	}
-	defer eng2.Close()
-	if _, err := eng2.(Persister).RecoverUintMap(make([][]pnvm.Record, 3), MapSpec{Kind: KindHash}); err == nil {
-		t.Fatal("dump/shard mismatch accepted")
+	defer eng.Close()
+	if _, err := eng.(Persister).RecoverUintMap(make([][]pnvm.Record, 3), MapSpec{Kind: KindHash}); err == nil {
+		t.Fatal("dump/device mismatch accepted")
 	}
 }
 
-// TestShardedDeviceRouting pins where txmontage-sharded keeps a key: on four
+// TestShardedDeviceRouting pins where txmontage keeps a key: on four
 // devices, after Puts, overwrites and Removes in transactions over several
 // keys, a crash and a recovery, every media record of key k — live, retired
 // or rewritten after recovery — is on k's routed device and no other, and a
 // dump count that differs from the device count is still refused.
 func TestShardedDeviceRouting(t *testing.T) {
 	const devices, keys, fresh = 4, 256, 64
-	b, _ := Lookup("txmontage-sharded")
+	b, _ := Lookup("txmontage")
 	spec := MapSpec{Kind: KindHash, Buckets: 256}
 	eng, err := b.New(Config{Shards: devices}) // EpochLen 0: synced by hand
 	if err != nil {

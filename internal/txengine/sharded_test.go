@@ -4,46 +4,18 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestShardedRegistryAndKnob pins what is left of the sharded names:
-// medley-sharded is an alias Lookup and Build resolve to medley — same
-// builder, same engine, Config.Shards ignored — that Names does not list;
-// txmontage-sharded is the one -sharded name left.
-func TestShardedRegistryAndKnob(t *testing.T) {
-	b, ok := Lookup("Medley-Sharded")
-	if base, _ := Lookup("medley"); !ok || b.Key != "medley" || b.Caps != base.Caps || b.Doc != base.Doc {
-		t.Fatalf("medley-sharded resolves to %q (ok=%v), want the medley builder", b.Key, ok)
-	}
-	for _, name := range Names() {
-		if strings.HasSuffix(name, "-sharded") && name != "txmontage-sharded" {
-			t.Errorf("Names lists %q", name)
-		}
-	}
-	for _, shards := range []int{0, 1, 8} {
-		eng, err := Build("medley-sharded", Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		se := eng.(*medleyEngine)
-		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
-			t.Errorf("Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
-		}
-		eng.Close()
-	}
-}
-
-// TestShardedRouting checks the device routing of txmontage-sharded:
+// TestShardedRouting checks the device routing of txmontage over 8 devices:
 // sequential keys must spread over every device, the same key must always
 // land on the same device, and the one index serves every key to every
 // worker.
 func TestShardedRouting(t *testing.T) {
-	eng, err := Build("txmontage-sharded", Config{Shards: 8})
+	eng, err := Build("txmontage", Config{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +53,7 @@ func TestShardedRouting(t *testing.T) {
 }
 
 // TestShardedCrossShardTransfer is the dedicated cross-device atomicity
-// test: on txmontage-sharded over 1, 2 and 8 devices, concurrent workers move
+// test: on txmontage over 1, 2 and 8 devices, concurrent workers move
 // value between two maps (accounts spread over every device) while readers
 // audit account pairs transactionally; the per-pair invariant must hold on
 // every committed read and the total must be conserved at the end.
@@ -92,9 +64,9 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 		workers  = 4
 		iters    = 300
 	)
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng, err := Build("txmontage-sharded", Config{Shards: shards})
+	for _, devices := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("devices=%d", devices), func(t *testing.T) {
+			eng, err := Build("txmontage", Config{Shards: devices})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +92,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 				go func(id int) {
 					defer wg.Done()
 					tx := eng.NewWorker(1 + id)
-					rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(shards)))
+					rng := rand.New(rand.NewPCG(uint64(id)+1, uint64(devices)))
 					for i := 0; i < iters; i++ {
 						from := rng.Uint64N(accounts)
 						to := rng.Uint64N(accounts)
@@ -226,7 +198,7 @@ func TestShardedCrossShardTransfer(t *testing.T) {
 // disjoint keys must commit, in one execution of its body, without waiting
 // for the first worker to leave.
 func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
-	eng, err := Build("txmontage-sharded", Config{Shards: 2})
+	eng, err := Build("txmontage", Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +268,7 @@ func TestShardedCrossShardNotBlockedByOpenRun(t *testing.T) {
 }
 
 // TestShardedQueueComposition: queue+map transactions must stay atomic
-// while the map's payloads route across devices — the txmontage-sharded
+// while the map's payloads route across 8 devices — the multi-device
 // version of the workqueue claim contract.
 func TestShardedQueueComposition(t *testing.T) {
 	const (
@@ -304,7 +276,7 @@ func TestShardedQueueComposition(t *testing.T) {
 		consumers = 2
 		perWorker = 250
 	)
-	eng, err := Build("txmontage-sharded", Config{Shards: 8})
+	eng, err := Build("txmontage", Config{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,59 +383,61 @@ func TestShardedQueueComposition(t *testing.T) {
 // TestShardedOneSessionPerWorker pins what a device is not: a transaction
 // scope. Every device of an engine sits under the engine's one TxManager, and
 // a worker that has run transactions over all S devices holds one session on
-// it — W workers, W sessions, whatever S is. medley-sharded, which is medley
-// whatever S is, holds the same count.
+// it — W workers, W sessions, whatever S is. medley, with no device, holds the
+// same count.
 func TestShardedOneSessionPerWorker(t *testing.T) {
 	const workers, rounds = 4, 50
-	for _, engine := range []string{"medley-sharded", "txmontage-sharded"} {
-		for _, shards := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/shards=%d", engine, shards), func(t *testing.T) {
-				eng, err := Build(engine, Config{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
-				se := eng.(*medleyEngine)
-				mgr := se.mgr
-				m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys := distinctDeviceKeys(t, se, max(len(se.es), 1), 1) // one key on every device
-				if mgr.NumSessions() != 0 {
-					t.Fatalf("%d sessions before the first worker", mgr.NumSessions())
-				}
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						tx := eng.NewWorker(w)
-						for r := 0; r < rounds; r++ {
-							if err := tx.Run(func() error {
-								for _, k := range keys {
-									v, _ := m.Get(tx, k)
-									m.Put(tx, k, v+1)
-								}
-								return nil
-							}); err != nil {
-								t.Error(err)
-								return
+	for _, tc := range []struct {
+		engine  string
+		devices int
+	}{{"medley", 0}, {"txmontage", 1}, {"txmontage", 2}, {"txmontage", 8}} {
+		engine, devices := tc.engine, tc.devices
+		t.Run(fmt.Sprintf("%s/devices=%d", engine, devices), func(t *testing.T) {
+			eng, err := Build(engine, Config{Shards: devices})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			se := eng.(*medleyEngine)
+			mgr := se.mgr
+			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := distinctDeviceKeys(t, se, max(len(se.es), 1), 1) // one key on every device
+			if mgr.NumSessions() != 0 {
+				t.Fatalf("%d sessions before the first worker", mgr.NumSessions())
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := eng.NewWorker(w)
+					for r := 0; r < rounds; r++ {
+						if err := tx.Run(func() error {
+							for _, k := range keys {
+								v, _ := m.Get(tx, k)
+								m.Put(tx, k, v+1)
 							}
+							return nil
+						}); err != nil {
+							t.Error(err)
+							return
 						}
-					}()
-				}
-				wg.Wait()
-				if n := mgr.NumSessions(); n != workers {
-					t.Fatalf("%d workers over %d devices hold %d sessions, want one each", workers, len(se.es), n)
-				}
-				tx := eng.NewWorker(workers)
-				for _, k := range keys {
-					if v, _ := m.Get(tx, k); v != workers*rounds {
-						t.Fatalf("key %d = %d after %d increments", k, v, workers*rounds)
 					}
+				}()
+			}
+			wg.Wait()
+			if n := mgr.NumSessions(); n != workers {
+				t.Fatalf("%d workers over %d devices hold %d sessions, want one each", workers, len(se.es), n)
+			}
+			tx := eng.NewWorker(workers)
+			for _, k := range keys {
+				if v, _ := m.Get(tx, k); v != workers*rounds {
+					t.Fatalf("key %d = %d after %d increments", k, v, workers*rounds)
 				}
-			})
-		}
+			}
+		})
 	}
 }

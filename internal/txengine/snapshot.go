@@ -123,54 +123,38 @@ var (
 	cpStartScan     = chaos.At("snapshot.start.scan")      // the start has seeded one more key
 )
 
-// SnapshotReader is the optional Tx extension of engines with CapSnapshot.
 // SnapshotRead runs fn as a read-only transaction against a consistent cut
-// of the engine's committed history: every map Get inside fn observes the
-// same commit-timestamp prefix, no validation runs, and the snapshot never
-// aborts or restarts. Map writes and queue operations inside fn panic —
-// snapshots are read-only by contract. The returned bool reports whether a
-// snapshot was actually taken (always true on a CapSnapshot engine).
-type SnapshotReader interface {
-	SnapshotRead(fn func()) bool
-}
-
-// SnapshotRead runs fn as a validation-free snapshot transaction when tx's
-// engine supports it (CapSnapshot) and reports whether it did; on every
-// other engine it is a no-op returning false, so portable workload code can
-// attempt a snapshot unconditionally and fall back to RunRead:
+// of the engine's committed history when tx's engine supports it
+// (CapSnapshot), and reports whether it did: every map Get inside fn
+// observes the same commit-timestamp prefix, no validation runs, and the
+// snapshot never aborts or restarts. Map writes and queue operations inside
+// fn panic — snapshots are read-only by contract. On every other engine it
+// is a no-op returning false, so portable workload code can attempt a
+// snapshot unconditionally and fall back to RunRead:
 //
 //	if !txengine.SnapshotRead(tx, probe) {
 //		_ = tx.RunRead(probe)
 //	}
 func SnapshotRead(tx Tx, fn func()) bool {
-	if s, ok := tx.(SnapshotReader); ok {
-		return s.SnapshotRead(fn)
+	t, ok := tx.(*sessionTx)
+	if ok {
+		t.snap.snapshot(t.ct, t.s.InTx(), 1, func(int, uint64) { fn() })
 	}
-	return false
+	return ok
 }
 
-// SnapshotBatchReader is the batched companion of SnapshotReader: one pinned
-// cut serves n independent read-only closures, amortizing the pin, seal, and
-// GC-floor bookkeeping over the batch. Each closure is its own logical
-// snapshot transaction (n SnapshotReads in Stats); all of them observe the
-// same commit-timestamp prefix, reported as cut. Implemented by the engines
-// that implement SnapshotReader.
-type SnapshotBatchReader interface {
-	// SnapshotReadBatch pins one consistent cut and runs each(i, cut) for
-	// i in [0, n). The returned cut is the pinned commit timestamp (compare
-	// it against LastCommitTS to detect a cut trailing a handle's own
-	// writes); ok is false — and nothing runs — on engines without the tier.
-	SnapshotReadBatch(n int, each func(i int, cut uint64)) (cut uint64, ok bool)
-}
-
-// SnapshotReadBatch runs n read-only closures against one pinned snapshot
-// cut when tx's engine supports it, and reports the cut plus whether the
-// batch ran. The portable no-op contract matches SnapshotRead: on engines
-// without CapSnapshot it returns (0, false) without invoking each, so
-// callers fall back to per-closure OCC reads.
+// SnapshotReadBatch is the batched companion of SnapshotRead: it pins one
+// consistent cut and runs each(i, cut) for i in [0, n), amortizing the pin,
+// seal, and GC-floor bookkeeping over the batch. Each closure is its own
+// logical snapshot transaction (n SnapshotReads in Stats); all of them
+// observe the same commit-timestamp prefix, returned as the cut (compare it
+// against LastCommitTS to detect a cut trailing a handle's own writes). The
+// portable no-op contract matches SnapshotRead: on engines without
+// CapSnapshot it returns (0, false) without invoking each, so callers fall
+// back to per-closure OCC reads.
 func SnapshotReadBatch(tx Tx, n int, each func(i int, cut uint64)) (uint64, bool) {
-	if s, ok := tx.(SnapshotBatchReader); ok {
-		return s.SnapshotReadBatch(n, each)
+	if t, ok := tx.(*sessionTx); ok {
+		return t.snap.snapshot(t.ct, t.s.InTx(), n, each), true
 	}
 	return 0, false
 }

@@ -25,9 +25,9 @@ import (
 // by its alias with a device count, and txMontage over one device and over
 // two, whose scan walks montage's map.
 var startEngines = []struct {
-	key    string
-	shards int
-}{{"medley", 0}, {"medley-sharded", 2}, {"txmontage", 0}, {"txmontage-sharded", 2}}
+	key     string
+	devices int
+}{{"medley", 0}, {"medley-sharded", 2}, {"txmontage", 0}, {"txmontage", 2}}
 
 // startPoints are the instants the scheduler steps through: those of an
 // unpublished commit (snapAgent.mark, unmark), and the scan's, after each
@@ -52,10 +52,10 @@ type startRig struct {
 	rec  history.Recorder
 }
 
-func newStartRig(t *testing.T, key string, shards int) *startRig {
+func newStartRig(t *testing.T, key string, devices int) *startRig {
 	t.Helper()
 	b, _ := Lookup(key)
-	eng, err := b.New(Config{Shards: shards})
+	eng, err := b.New(Config{Shards: devices})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ var startWrites = []struct {
 func TestSnapshotStart(t *testing.T) {
 	for _, e := range startEngines {
 		for _, w := range startWrites {
-			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.key, e.shards, w.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/devices=%d/%s", e.key, e.devices, w.name), func(t *testing.T) {
 				passed := 0 // interleavings whose start passed a writer parked before its mark
 				n := history.Explore(t, startPoints, 2, func(t *testing.T, s *history.Sched) {
-					r := newStartRig(t, e.key, e.shards)
+					r := newStartRig(t, e.key, e.devices)
 					defer r.eng.Close()
 					tier := r.m.(snapMap[uint64]).tab.tier
 					var early atomic.Bool // a writer drew a timestamp before the tier was on
@@ -175,8 +175,8 @@ func TestSnapshotStart(t *testing.T) {
 // waits for it.
 func TestSnapshotStartHoldsNoReader(t *testing.T) {
 	for _, e := range startEngines {
-		t.Run(fmt.Sprintf("%s/shards=%d", e.key, e.shards), func(t *testing.T) {
-			r := newStartRig(t, e.key, e.shards)
+		t.Run(fmt.Sprintf("%s/devices=%d", e.key, e.devices), func(t *testing.T) {
+			r := newStartRig(t, e.key, e.devices)
 			defer r.eng.Close()
 			tx := r.eng.NewWorker(2)
 			found := make(chan bool, 1)
@@ -242,8 +242,8 @@ func TestSnapshotStandaloneOrder(t *testing.T) {
 			name string
 			op   history.Op
 		}{{"put", history.Op{Kind: history.Put, Arg: 8000}}, {"remove", history.Op{Kind: history.Remove}}} {
-			t.Run(fmt.Sprintf("%s/shards=%d/%s", e.key, e.shards, w.name), func(t *testing.T) {
-				r := newStartRig(t, e.key, e.shards)
+			t.Run(fmt.Sprintf("%s/devices=%d/%s", e.key, e.devices, w.name), func(t *testing.T) {
+				r := newStartRig(t, e.key, e.devices)
 				defer r.eng.Close()
 				snapshotOps(&r.rec, 1, r.m, r.eng.NewWorker(1), r.keys) // starts the tier
 				sm := r.m.(snapMap[uint64])

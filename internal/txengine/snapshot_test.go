@@ -14,12 +14,12 @@ import (
 )
 
 // snapEngines enumerates the CapSnapshot engines the suite sweeps: medley and
-// txmontage plus txmontage-sharded at each device count, so the
-// one-timestamp property of commits over several devices (latched ones
-// included) is exercised alongside the one-device path. medley-sharded, the
-// alias of medley the benchmark builds with a device count, runs at each
-// count too: whatever Config.Shards says, it is medley.
-func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engine)) {
+// txmontage, then txmontage at each device count, so the one-timestamp
+// property of commits over several devices (latched ones included) is
+// exercised alongside the one-device path. medley-sharded, the alias of
+// medley the benchmark builds with a device count, runs at each count too:
+// whatever Config.Shards says, it is medley.
+func snapEngines(t *testing.T, deviceCounts []int, f func(t *testing.T, eng Engine)) {
 	for _, key := range []string{"medley", "txmontage"} {
 		b, ok := Lookup(key)
 		if !ok {
@@ -31,10 +31,10 @@ func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engin
 			f(t, eng)
 		})
 	}
-	for _, key := range []string{"medley-sharded", "txmontage-sharded"} {
-		for _, shards := range shardCounts {
-			t.Run(fmt.Sprintf("%s/shards=%d", key, shards), func(t *testing.T) {
-				eng, err := Build(key, Config{EpochLen: 2 * time.Millisecond, Shards: shards})
+	for _, key := range []string{"medley-sharded", "txmontage"} {
+		for _, devices := range deviceCounts {
+			t.Run(fmt.Sprintf("%s/devices=%d", key, devices), func(t *testing.T) {
+				eng, err := Build(key, Config{EpochLen: 2 * time.Millisecond, Shards: devices})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +50,7 @@ func snapEngines(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engin
 // else, so portable workload code can attempt it unconditionally. It also
 // checks the Medley family actually advertises the capability.
 func TestSnapshotCapsGate(t *testing.T) {
-	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
+	for _, key := range []string{"medley", "txmontage", "medley-sharded"} {
 		if b, ok := Lookup(key); !ok || !b.Caps.Has(CapSnapshot) {
 			t.Errorf("%s must advertise CapSnapshot", key)
 		}
@@ -86,7 +86,7 @@ func TestSnapshotCapsGate(t *testing.T) {
 // cross-abstraction composition the paper argues for) while snapshot readers
 // sum every account in both maps. The modular total is invariant under
 // transfers, so any deviation means the snapshot observed half a transfer: a
-// torn cut. Runs at shards 1, 2, and 8 so cross-shard commits are covered.
+// torn cut. Runs over 1, 2 and 8 devices so cross-device commits are covered.
 //
 // With readers=mid-run the readers wait until the writers are a quarter of
 // the way through, so the first snapshot starts the tier under their
@@ -216,14 +216,14 @@ func TestSnapshotNeverTorn(t *testing.T) {
 // eachReaderStart is snapEngines twice: with snapshot readers that start
 // with the writers (the tier starts before the first commit) and with readers
 // that start mid-run (late: the tier starts under the writers' traffic).
-func eachReaderStart(t *testing.T, shardCounts []int, f func(t *testing.T, eng Engine, late bool)) {
+func eachReaderStart(t *testing.T, deviceCounts []int, f func(t *testing.T, eng Engine, late bool)) {
 	for _, late := range []bool{false, true} {
 		name := "readers=from-start"
 		if late {
 			name = "readers=mid-run"
 		}
 		t.Run(name, func(t *testing.T) {
-			snapEngines(t, shardCounts, func(t *testing.T, eng Engine) { f(t, eng, late) })
+			snapEngines(t, deviceCounts, func(t *testing.T, eng Engine) { f(t, eng, late) })
 		})
 	}
 }
@@ -421,19 +421,19 @@ func TestSnapshotRecovery(t *testing.T) {
 	const n = uint64(100)
 	for _, tc := range []struct {
 		key     string
-		shards  int
+		devices int
 		started bool // a snapshot started the fresh engine's tier before recovery
 	}{
 		{"txmontage", 0, false},
-		{"txmontage-sharded", 2, false},
-		{"txmontage-sharded", 8, false},
+		{"txmontage", 2, false},
+		{"txmontage", 8, false},
 		{"txmontage", 0, true},
-		{"txmontage-sharded", 2, true},
+		{"txmontage", 2, true},
 	} {
 		tc := tc
 		name := tc.key
-		if tc.shards > 0 {
-			name = fmt.Sprintf("%s/shards=%d", tc.key, tc.shards)
+		if tc.devices > 0 {
+			name = fmt.Sprintf("%s/devices=%d", tc.key, tc.devices)
 		}
 		if tc.started {
 			name += "/tier-started-before-recovery"
@@ -443,7 +443,7 @@ func TestSnapshotRecovery(t *testing.T) {
 			if !ok {
 				t.Fatalf("registry missing %q", tc.key)
 			}
-			eng, err := b.New(Config{EpochLen: 2 * time.Millisecond, Shards: tc.shards})
+			eng, err := b.New(Config{EpochLen: 2 * time.Millisecond, Shards: tc.devices})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,7 +471,7 @@ func TestSnapshotRecovery(t *testing.T) {
 			eng.Close()
 			dumps := pnvm.DumpAll(devs)
 
-			eng2, err := b.New(Config{EpochLen: 2 * time.Millisecond, Shards: tc.shards, Devices: devs})
+			eng2, err := b.New(Config{EpochLen: 2 * time.Millisecond, Shards: tc.devices, Devices: devs})
 			if err != nil {
 				t.Fatalf("rebuild: %v", err)
 			}

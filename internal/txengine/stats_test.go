@@ -2,6 +2,7 @@ package txengine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -205,9 +206,12 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, key := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
-		t.Run(key, func(t *testing.T) {
-			eng, err := Build(key, Config{})
+	for _, tc := range []struct {
+		key     string
+		devices int
+	}{{"medley", 0}, {"medley-sharded", 0}, {"txmontage", 1}, {"txmontage", 4}} {
+		t.Run(fmt.Sprintf("%s/devices=%d", tc.key, tc.devices), func(t *testing.T) {
+			eng, err := Build(tc.key, Config{Shards: tc.devices})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +242,7 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 
 // TestCrossShardRunAllocatesWhatOneShardDoes pins what a second device adds
 // to a transaction: nothing. It is the worker's one session on the engine's
-// one manager and one index either way, so on txmontage-sharded an un-hinted
+// one manager and one index either way, so on txmontage an un-hinted
 // transfer between keys on two devices allocates as many times as the same
 // transfer between keys on one (the bytes differ by the amortized growth of
 // each device's epoch batches). On medley a transfer is two mhash overwrites
@@ -249,7 +253,7 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, engine := range []string{"medley", "txmontage-sharded"} {
+	for _, engine := range []string{"medley", "txmontage"} {
 		t.Run(engine, func(t *testing.T) {
 			eng, err := Build(engine, Config{Shards: 4})
 			if err != nil {

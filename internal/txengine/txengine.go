@@ -1,12 +1,11 @@
 // Package txengine unifies the repository's transactional systems behind a
 // single Engine abstraction: one name-keyed registry of backends (Medley,
-// txMontage, OneFile, POneFile, TDSL, LFTT, Boost, the untransformed
-// Original baseline, plus txmontage-sharded, txMontage over S devices with
-// one index per map — see medley.go), each exposing per-worker transaction
-// handles and transactional map factories. The benchmark harness
-// (internal/bench), the TPC-C workload (internal/tpcc), and the CLI tools
-// all consume engines through this package, so a new backend registered
-// here runs every workload for free.
+// txMontage over one device or several — see medley.go —, OneFile, POneFile,
+// TDSL, LFTT, Boost and the untransformed Original baseline), each exposing
+// per-worker transaction handles and transactional map factories. The
+// benchmark harness (internal/bench), the TPC-C workload (internal/tpcc), and
+// the CLI tools all consume engines through this package, so a new backend
+// registered here runs every workload for free.
 //
 // # Model
 //
@@ -73,11 +72,10 @@ const (
 	// untransformed Original baseline carry it.
 	CapQueue
 	// CapSnapshot: the engine stamps committed transactions with commit
-	// timestamps and its Tx handles implement SnapshotReader, so
-	// SnapshotRead(fn) serves read-only transactions from a consistent
-	// versioned cut — validation-free, never aborting, never restarting
-	// (see snapshot.go). Carried by the Medley family; engines without
-	// versions gate out exactly like CapQueue.
+	// timestamps, so SnapshotRead(tx, fn) serves read-only transactions from
+	// a consistent versioned cut — validation-free, never aborting, never
+	// restarting (see snapshot.go). Carried by the Medley family; engines
+	// without versions gate out exactly like CapQueue.
 	CapSnapshot
 )
 
@@ -116,10 +114,10 @@ type Config struct {
 	Latencies pnvm.Latencies
 	// Devices, if non-empty, are the simulated NVM devices persistent
 	// engines attach to instead of constructing their own from Latencies.
-	// Single-device engines (txmontage, ponefile) take exactly one;
-	// txmontage-sharded takes Shards of them, index-aligned with the order
-	// its Devices() method reports. Recovery flows use this to crash a device
-	// fleet and rebuild an engine on the survivors.
+	// ponefile takes exactly one; txmontage takes its device count of them
+	// (Shards, or len(Devices) when Shards is 0), index-aligned with the
+	// order its Devices() method reports. Recovery flows use this to crash a
+	// device fleet and rebuild an engine on the survivors.
 	Devices []*pnvm.Device
 	// EpochLen, if positive, runs txMontage's epoch advancer at this period,
 	// from the first map the engine builds or recovers (so devices
@@ -131,10 +129,11 @@ type Config struct {
 	RowCodec montage.Codec[any]
 	// LockShards bounds Boost's semantic-lock tables (0: default).
 	LockShards int
-	// Shards is txmontage-sharded's device count (0: DefaultShards): each
-	// map is still one index, and each key's payloads go to the device it
-	// hash-routes to. Other engines ignore it. Validated centrally by every
-	// registry construction path — see Validate.
+	// Shards is txmontage's device count (0: len(Devices), or one device
+	// when Devices is empty): each map is still one index, and each key's
+	// payloads go to the device it hash-routes to. Other engines ignore it.
+	// Validated centrally by every registry construction path — see
+	// Validate.
 	Shards int
 }
 
@@ -147,18 +146,12 @@ const MaxShards = 1024
 // tpcc, workload, the CLIs) share one validation point.
 func (c Config) Validate() error {
 	if c.Shards < 0 {
-		return fmt.Errorf("txengine: Config.Shards must be >= 1 (got %d); 0 selects the engine default of %d", c.Shards, DefaultShards)
+		return fmt.Errorf("txengine: Config.Shards must be >= 1 (got %d); 0 means one device", c.Shards)
 	}
 	if c.Shards > MaxShards {
 		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many devices is almost certainly unintended)", c.Shards, MaxShards)
 	}
 	return nil
-}
-
-// ValidateShardsFlag is the CLIs' shared -shards check: the central
-// Config.Validate rejection, for failing fast before a measurement sweep.
-func ValidateShardsFlag(shards int) error {
-	return (Config{Shards: shards}).Validate()
 }
 
 // ErrBusinessAbort is the no-retry abort returned by Tx.Abort: Run passes it
@@ -248,17 +241,15 @@ type Engine interface {
 }
 
 // Persister is the optional interface of engines backed by simulated NVM
-// devices (txMontage, POneFile, txmontage-sharded). Recovery flows drive
-// the crash/recover cycle through it. The contract is multi-device:
-// single-device engines report one device and txmontage-sharded reports
-// Config.Shards. Engines whose type carries the methods but whose
-// instance is transient (Medley, OneFile) return nil Devices; callers must
-// check.
+// devices (txMontage, POneFile). Recovery flows drive the crash/recover
+// cycle through it. The contract is multi-device: POneFile reports one
+// device and txMontage its device count. Engines whose type carries the
+// methods but whose instance is transient (Medley, OneFile) return nil
+// Devices; callers must check.
 type Persister interface {
 	// Devices returns the engine's simulated NVM devices (length 1 for
-	// single-device engines), or nil when
-	// the instance is transient. The order is stable and matches the dump
-	// order RecoverUintMap expects.
+	// single-device engines), or nil when the instance is transient. The
+	// order is stable and matches the dump order RecoverUintMap expects.
 	Devices() []*pnvm.Device
 	// Sync makes everything committed so far durable on every device at a
 	// mutually consistent cut: a coordinated epoch-boundary sync for the
@@ -273,33 +264,31 @@ type Persister interface {
 	// some devices persisted beyond it is discarded, so no transaction is
 	// recovered torn), the media is scrubbed down to the live records plus
 	// one marker per device, and the engine resumes past the cut. A dump
-	// count that does not match the device count (txmontage-sharded: the
-	// device count the state was written under) and a failed marker write
+	// count that does not match the device count (txmontage: the device
+	// count the state was written under) and a failed marker write
 	// are returned as errors; recovery can then be rerun, as it can after a
 	// crash inside it.
 	RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error)
 }
 
-// KeyHinter is the optional Tx extension of the Medley family. HintKeys
-// pre-declares map keys the worker's next Run will touch. A declaration of
-// two to latchMaxKeys distinct keys latches those keys' stripes (see
-// latch.go), so declared transactions on the same hot keys wait for each
-// other instead of aborting each other; one key has nothing to wait behind,
-// and more than latchMaxKeys run unlatched. Successive HintKeys calls before
-// a Run accumulate into one declaration; the next Run consumes it whole.
-// Hinting inside Run is a no-op. A wrong declaration is safe: latches only
-// schedule, and an operation on an undeclared key simply runs
-// (Stats.FootprintHits counts the declarations of two keys or more).
-type KeyHinter interface {
-	HintKeys(keys ...uint64)
-}
-
-// HintKeys forwards a footprint hint to tx when its engine supports hints;
-// on other engines it is a no-op, so portable workload code can hint
-// unconditionally.
+// HintKeys pre-declares map keys the worker's next Run will touch, on the
+// Medley family; on other engines it is a no-op, so portable workload code
+// can hint unconditionally. A declaration of two to latchMaxKeys distinct
+// keys latches those keys' stripes (see latch.go), so declared transactions
+// on the same hot keys wait for each other instead of aborting each other;
+// one key has nothing to wait behind, and more than latchMaxKeys run
+// unlatched. Successive HintKeys calls before a Run accumulate into one
+// declaration; the next Run consumes it whole. Hinting inside Run is a
+// no-op. A wrong declaration is safe: latches only schedule, and an
+// operation on an undeclared key simply runs (Stats.FootprintHits counts the
+// declarations of two keys or more).
 func HintKeys(tx Tx, keys ...uint64) {
-	if h, ok := tx.(KeyHinter); ok {
-		h.HintKeys(keys...)
+	t, ok := tx.(*sessionTx)
+	if !ok || t.inRun {
+		return
+	}
+	for _, k := range keys {
+		t.decl.add(k)
 	}
 }
 
@@ -345,10 +334,12 @@ func Register(b Builder) {
 }
 
 // aliases are names Lookup and Build accept for an engine Builders and
-// Names list under another: medley-sharded was medley with every map split
-// into key-routed sub-maps, and with nothing to persist a shard buys nothing
-// else.
-var aliases = map[string]string{"medley-sharded": "medley"}
+// Names list under another. Both exist only because the repository
+// benchmark (benchmark/) builds them by name, with Config{Shards: 4}, and
+// both go when it is next refreshed: medley-sharded is medley, which has no
+// device to spread, and txmontage-sharded is txmontage, which takes its
+// device count from Config.
+var aliases = map[string]string{"medley-sharded": "medley", "txmontage-sharded": "txmontage"}
 
 // Lookup returns the builder registered under name (case-insensitive), or
 // under the name it is an alias of.
@@ -394,19 +385,15 @@ func Names() []string {
 // the ordering independent of file names.
 func init() {
 	Register(Builder{Key: "medley", Caps: medleyCaps, Doc: "Medley NBTC transactional maps (the paper's system)",
-		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, false, false) }})
-	Register(Builder{Key: "txmontage", Caps: medleyCaps, Doc: "Medley + nbMontage epoch-based periodic persistence",
-		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true, false) }})
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, false) }})
+	Register(Builder{Key: "txmontage", Caps: medleyCaps, Doc: "Medley + nbMontage epoch-based periodic persistence over N devices on one epoch clock",
+		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true) }})
 	Register(Builder{Key: "onefile", Caps: onefileCaps, Doc: "OneFile-lite STM (transient)", New: newOneFileEngine})
 	Register(Builder{Key: "ponefile", Caps: onefileCaps, Doc: "OneFile-lite with eager per-write persistence", Slow: true, New: newPOneFileEngine})
 	Register(Builder{Key: "tdsl", Caps: tdslCaps, Doc: "TDSL-lite striped transactional skiplists", New: newTDSLEngine})
 	Register(Builder{Key: "lftt", Caps: lfttCaps, Doc: "LFTT-style static transactions over a skiplist", New: newLFTTEngine})
 	Register(Builder{Key: "boost", Caps: boostCaps, Doc: "transactional boosting over a lock-based map", New: newBoostEngine})
 	Register(Builder{Key: "original", Caps: originalCaps, Doc: "untransformed Fraser skiplist (no transactions)", New: newOriginalEngine})
-	// txMontage over Config.Shards devices on one epoch clock: one index per
-	// map, each key's payloads on the device it routes to (see medley.go).
-	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Doc: "txMontage over S devices on one epoch clock: one index per map, payloads routed by key",
-		New: func(cfg Config) (Engine, error) { return newMedleyEngine(cfg, true, true) }})
 }
 
 // backoff is per-worker state for core.Backoff, the shared randomized

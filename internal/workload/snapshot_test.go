@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,13 +45,16 @@ func TestSnapshotGate(t *testing.T) {
 // fell back to OCC, none were served torn (the stale audit), and the cache
 // invariants still hold.
 func TestSnapshotCacheSmoke(t *testing.T) {
-	for _, engine := range []string{"medley", "txmontage", "medley-sharded", "txmontage-sharded"} {
-		engine := engine
-		t.Run(engine, func(t *testing.T) {
+	for _, tc := range []struct {
+		engine  string
+		devices int
+	}{{"medley", 0}, {"medley-sharded", 0}, {"txmontage", 1}, {"txmontage", 4}} {
+		t.Run(fmt.Sprintf("%s/devices=%d", tc.engine, tc.devices), func(t *testing.T) {
 			cfg := smokeConfig()
 			cfg.ReadPct = 95
 			cfg.Snapshot = true
-			res, err := Run("cache", engine, cfg)
+			cfg.Shards = tc.devices
+			res, err := Run("cache", tc.engine, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,8 +47,8 @@ type Config struct {
 	Latencies pnvm.Latencies
 	EpochLen  time.Duration
 
-	// Shards is txmontage-sharded's device count (0: engine default);
-	// other engines ignore it.
+	// Shards is txmontage's device count (0: one device); other engines
+	// ignore it. It passes through to txengine.Config.Shards.
 	Shards int
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate

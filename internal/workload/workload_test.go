@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -17,7 +18,8 @@ func smokeConfig() Config {
 // no lost or duplicated jobs, no stale cache entries, no missing money.
 // CI runs this as the workload smoke job. Where medley runs, so does
 // medley-sharded, the alias of medley that the registry resolves but does
-// not list, since the benchmark builds it by that name.
+// not list, since the benchmark builds it by that name; where txmontage runs
+// over one device, it runs over four too.
 func TestSmoke(t *testing.T) {
 	for _, sc := range Scenarios() {
 		engines := Engines(sc.Key)
@@ -28,68 +30,80 @@ func TestSmoke(t *testing.T) {
 			engines = append(engines, "medley-sharded")
 		}
 		for _, engine := range engines {
-			t.Run(sc.Key+"/"+engine, func(t *testing.T) {
-				res, err := Run(sc.Key, engine, smokeConfig())
-				if err != nil {
-					t.Fatal(err)
+			counts := []int{0}
+			if engine == "txmontage" {
+				counts = append(counts, 4)
+			}
+			for _, devices := range counts {
+				name := sc.Key + "/" + engine
+				if devices > 0 {
+					name += fmt.Sprintf("/devices=%d", devices)
 				}
-				if res.Txns == 0 {
-					t.Fatal("no transactions completed")
-				}
-				if res.Throughput <= 0 {
-					t.Fatalf("throughput %v", res.Throughput)
-				}
-				b, _ := txengine.Lookup(engine)
-				if b.Caps.Has(txengine.CapTx) && res.Stats.Commits == 0 {
-					t.Fatalf("transactional engine reported zero commits: %+v", res.Stats)
-				}
-				transactional := b.Caps.Has(txengine.CapTx | txengine.CapDynamicTx)
-				switch sc.Key {
-				case "workqueue":
-					if transactional {
-						for _, bad := range []string{"lost", "dup", "violations"} {
-							if n := res.AuxN(bad); n != 0 {
-								t.Errorf("%s=%d on a transactional engine (%s)", bad, n, res.AuxString())
+				t.Run(name, func(t *testing.T) {
+					cfg := smokeConfig()
+					cfg.Shards = devices
+					res, err := Run(sc.Key, engine, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Txns == 0 {
+						t.Fatal("no transactions completed")
+					}
+					if res.Throughput <= 0 {
+						t.Fatalf("throughput %v", res.Throughput)
+					}
+					b, _ := txengine.Lookup(engine)
+					if b.Caps.Has(txengine.CapTx) && res.Stats.Commits == 0 {
+						t.Fatalf("transactional engine reported zero commits: %+v", res.Stats)
+					}
+					transactional := b.Caps.Has(txengine.CapTx | txengine.CapDynamicTx)
+					switch sc.Key {
+					case "workqueue":
+						if transactional {
+							for _, bad := range []string{"lost", "dup", "violations"} {
+								if n := res.AuxN(bad); n != 0 {
+									t.Errorf("%s=%d on a transactional engine (%s)", bad, n, res.AuxString())
+								}
 							}
 						}
+						if res.AuxN("produced") == 0 || res.AuxN("claimed") == 0 {
+							t.Errorf("workqueue made no progress: %s", res.AuxString())
+						}
+					case "cache":
+						if n := res.AuxN("stale"); n != 0 {
+							t.Errorf("stale=%d cache entries after atomic invalidation (%s)", n, res.AuxString())
+						}
+						if res.AuxN("hits")+res.AuxN("misses") == 0 {
+							t.Errorf("cache made no lookups: %s", res.AuxString())
+						}
+					case "transfer":
+						if n := res.AuxN("imbalance"); n != 0 {
+							t.Errorf("imbalance=%d: money not conserved (%s)", n, res.AuxString())
+						}
+						if res.AuxN("transfers") == 0 {
+							t.Errorf("no transfers completed: %s", res.AuxString())
+						}
 					}
-					if res.AuxN("produced") == 0 || res.AuxN("claimed") == 0 {
-						t.Errorf("workqueue made no progress: %s", res.AuxString())
-					}
-				case "cache":
-					if n := res.AuxN("stale"); n != 0 {
-						t.Errorf("stale=%d cache entries after atomic invalidation (%s)", n, res.AuxString())
-					}
-					if res.AuxN("hits")+res.AuxN("misses") == 0 {
-						t.Errorf("cache made no lookups: %s", res.AuxString())
-					}
-				case "transfer":
-					if n := res.AuxN("imbalance"); n != 0 {
-						t.Errorf("imbalance=%d: money not conserved (%s)", n, res.AuxString())
-					}
-					if res.AuxN("transfers") == 0 {
-						t.Errorf("no transfers completed: %s", res.AuxString())
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
 
-// TestKnobs drives the scenario tunables end to end: a sharded engine at an
-// explicit shard count, a hot transfer (few accounts), a skewed all-update
+// TestKnobs drives the scenario tunables end to end: txmontage at an
+// explicit device count, a hot transfer (few accounts), a skewed all-update
 // cache mix, and latency percentiles — every audit must still hold.
 func TestKnobs(t *testing.T) {
 	cfg := smokeConfig()
 	cfg.Shards = 8
 	cfg.Accounts = 4 // four hot accounts: maximum cross-map contention
 	cfg.Latency = true
-	res, err := Run("transfer", "medley-sharded", cfg)
+	res, err := Run("transfer", "txmontage", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := res.AuxN("imbalance"); n != 0 {
-		t.Errorf("hot sharded transfer lost money: imbalance=%d (%s)", n, res.AuxString())
+		t.Errorf("hot transfer over 8 devices lost money: imbalance=%d (%s)", n, res.AuxString())
 	}
 	if res.AuxN("transfers") == 0 {
 		t.Errorf("no transfers completed: %s", res.AuxString())

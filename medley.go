@@ -48,8 +48,9 @@
 // All maps implement the shared Map interface. Structures that take part in
 // the same transactions must share a TxManager (the paper's Fig. 1): a
 // transaction is one descriptor on one session of it, however many structures
-// it touches — the shards of internal/txengine's sharded engines, which
-// partition data and devices under one manager, included.
+// it touches, and however many devices their payloads persist to: txMontage
+// over several devices (internal/txengine) keeps one manager and one index per
+// map, and only routes each key's payloads to a device.
 //
 // # Persistence (txMontage)
 //
