@@ -596,6 +596,8 @@ func TestChaosCrashInsideRecoverySweep(t *testing.T) {
 	scenarios := []scenario{
 		{"ponefile-after-commit.pre-mark", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.pre-mark", 2) }},
 		{"ponefile-after-commit.gc", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.gc", 2) }},
+		// No device count: txmontage's default of one device.
+		{"txmontage", func(t *testing.T) crashedRun { return montageToCrash(t, 0, "txmontage.advance.mid-shard") }},
 	}
 	for _, devices := range []int{1, 2, 8} {
 		scenarios = append(scenarios, scenario{fmt.Sprintf("txmontage-%d", devices), func(t *testing.T) crashedRun {

@@ -53,8 +53,7 @@ func sweptBuilders() []Builder {
 // TestRegistryShape checks that the registry holds all the paper's systems
 // plus boost, one engine each, and that caps are self-consistent with the
 // factories. The -sharded names are aliases: Build resolves them, Names does
-// not list them. txmontage takes its device count from Config, all its
-// devices on one clock: Shards, else len(Devices), else one.
+// not list them.
 func TestRegistryShape(t *testing.T) {
 	want := []string{"medley", "txmontage", "onefile", "ponefile", "tdsl", "lftt", "boost", "original"}
 	if !slices.Equal(Names(), want) {
@@ -71,60 +70,6 @@ func TestRegistryShape(t *testing.T) {
 		if base, _ := Lookup(to); !ok || b.Key != to || b.Caps != base.Caps || b.Doc != base.Doc {
 			t.Errorf("%s resolves to %q (ok=%v), want the %s builder", alias, b.Key, ok, to)
 		}
-	}
-	// medley-sharded is medley whatever Config.Shards says.
-	for _, shards := range []int{0, 1, 8} {
-		eng, err := Build("medley-sharded", Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		se := eng.(*medleyEngine)
-		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
-			t.Errorf("medley-sharded Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
-		}
-		eng.Close()
-	}
-	// txmontage's device count, under either name.
-	two := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want int
-	}{
-		{"txmontage-sharded", Config{Shards: 4}, 4},
-		{"txmontage", Config{Shards: 4}, 4},
-		{"txmontage", Config{}, 1},
-		{"txmontage", Config{Devices: two}, 2},
-	} {
-		eng, err := Build(tc.name, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s Shards=%d with %d Devices: %v", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), err)
-		}
-		p, ok := eng.(Persister)
-		if !ok || len(p.Devices()) != tc.want {
-			t.Fatalf("%s Shards=%d with %d Devices: want a Persister with %d devices", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), tc.want)
-		}
-		se := eng.(*medleyEngine)
-		if eng.Name() != "txMontage" || se.clock == nil {
-			t.Errorf("%s over %d devices: name %q, clock %v", tc.name, tc.want, eng.Name(), se.clock)
-		}
-		// Every device shares the one clock, or transactions over several
-		// devices could pin different epoch numbers on each.
-		for i, es := range se.es {
-			if es.Clock() != se.clock {
-				t.Errorf("%s: device %d has a private epoch clock", tc.name, i)
-			}
-		}
-		for i, d := range tc.cfg.Devices {
-			if p.Devices()[i] != d {
-				t.Errorf("%s ignored Config.Devices[%d]", tc.name, i)
-			}
-		}
-		eng.Close()
-	}
-	three := append(two, pnvm.New(pnvm.Latencies{}))
-	if _, err := Build("txmontage", Config{Shards: 2, Devices: three}); err == nil {
-		t.Error("txmontage accepted Shards=2 with 3 Devices")
 	}
 	for _, b := range sweptBuilders() {
 		eng := buildForTest(t, b)

@@ -25,6 +25,55 @@ func svKey(a uint64) uint64  { return 2*a + 1 }
 func jobKey(j uint64) uint64 { return jobBase | j }
 func ctrKey(c uint64) uint64 { return ctrBase | c }
 
+// TestShardedPersistRegistry pins how txmontage counts its devices, under
+// either name: Config.Shards, else len(Config.Devices), else one, every
+// device a Persister reports and every device on the engine's one epoch
+// clock. A Devices slice of another length than Shards is refused.
+func TestShardedPersistRegistry(t *testing.T) {
+	two := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"txmontage-sharded", Config{Shards: 4}, 4},
+		{"txmontage", Config{Shards: 1}, 1},
+		{"txmontage", Config{Shards: 8}, 8},
+		{"txmontage", Config{}, 1},
+		{"txmontage", Config{Devices: two}, 2},
+	} {
+		eng, err := Build(tc.name, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s Shards=%d with %d Devices: %v", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), err)
+		}
+		p, ok := eng.(Persister)
+		if !ok || len(p.Devices()) != tc.want {
+			t.Fatalf("%s Shards=%d with %d Devices: want a Persister with %d devices", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), tc.want)
+		}
+		se := eng.(*medleyEngine)
+		if eng.Name() != "txMontage" || se.clock == nil || len(se.es) != tc.want {
+			t.Errorf("%s over %d devices: name %q, clock %v, %d epoch systems", tc.name, tc.want, eng.Name(), se.clock, len(se.es))
+		}
+		// Every device shares the one clock, or transactions over several
+		// devices could pin different epoch numbers on each.
+		for i, es := range se.es {
+			if es.Clock() != se.clock {
+				t.Errorf("%s: device %d has a private epoch clock", tc.name, i)
+			}
+		}
+		for i, d := range tc.cfg.Devices {
+			if p.Devices()[i] != d {
+				t.Errorf("%s ignored Config.Devices[%d]", tc.name, i)
+			}
+		}
+		eng.Close()
+	}
+	three := append(two, pnvm.New(pnvm.Latencies{}))
+	if _, err := Build("txmontage", Config{Shards: 2, Devices: three}); err == nil {
+		t.Error("txmontage accepted Shards=2 with 3 Devices")
+	}
+}
+
 // TestShardedCrashRecoveryMerge is the mid-run crash + merged recovery test
 // over 1, 2 and 8 devices: concurrent workers run cross-shard transfers and
 // claim jobs (each claim marks a job-state key and increments the claimer's

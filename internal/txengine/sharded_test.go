@@ -4,11 +4,38 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestShardedRegistryAndKnob pins what is left of the sharded names:
+// medley-sharded is an alias Lookup and Build resolve to medley — same
+// builder, same engine, Config.Shards ignored — that Names does not list.
+func TestShardedRegistryAndKnob(t *testing.T) {
+	b, ok := Lookup("Medley-Sharded")
+	if base, _ := Lookup("medley"); !ok || b.Key != "medley" || b.Caps != base.Caps || b.Doc != base.Doc {
+		t.Fatalf("medley-sharded resolves to %q (ok=%v), want the medley builder", b.Key, ok)
+	}
+	for _, name := range Names() {
+		if strings.HasSuffix(name, "-sharded") {
+			t.Errorf("Names lists %q", name)
+		}
+	}
+	for _, shards := range []int{0, 1, 8} {
+		eng, err := Build("medley-sharded", Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := eng.(*medleyEngine)
+		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
+			t.Errorf("Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
+		}
+		eng.Close()
+	}
+}
 
 // TestShardedRouting checks the device routing of txmontage over 8 devices:
 // sequential keys must spread over every device, the same key must always
@@ -383,16 +410,20 @@ func TestShardedQueueComposition(t *testing.T) {
 // TestShardedOneSessionPerWorker pins what a device is not: a transaction
 // scope. Every device of an engine sits under the engine's one TxManager, and
 // a worker that has run transactions over all S devices holds one session on
-// it — W workers, W sessions, whatever S is. medley, with no device, holds the
-// same count.
+// it — W workers, W sessions, whatever S is. medley-sharded, which is medley
+// with no device whatever Shards says, holds the same count.
 func TestShardedOneSessionPerWorker(t *testing.T) {
 	const workers, rounds = 4, 50
 	for _, tc := range []struct {
 		engine  string
 		devices int
-	}{{"medley", 0}, {"txmontage", 1}, {"txmontage", 2}, {"txmontage", 8}} {
+	}{{"medley-sharded", 1}, {"medley-sharded", 2}, {"medley-sharded", 8}, {"txmontage", 1}, {"txmontage", 2}, {"txmontage", 8}} {
 		engine, devices := tc.engine, tc.devices
-		t.Run(fmt.Sprintf("%s/devices=%d", engine, devices), func(t *testing.T) {
+		label := "devices"
+		if engine == "medley-sharded" {
+			label = "shards" // Config.Shards, which medley-sharded ignores
+		}
+		t.Run(fmt.Sprintf("%s/%s=%d", engine, label, devices), func(t *testing.T) {
 			eng, err := Build(engine, Config{Shards: devices})
 			if err != nil {
 				t.Fatal(err)
