@@ -80,8 +80,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON result object instead of text")
 	flag.Parse()
 
-	if *conns < 1 || *pipeline < 1 || *clients < 0 || *readPct < 0 || *readPct > 100 || *txnPct < 0 || *txnPct > 100 {
-		fmt.Fprintln(os.Stderr, "bad flags: want -conns>=1, -pipeline>=1, -clients>=0, -readpct 0-100, -txn 0-100")
+	if *conns < 1 || *pipeline < 1 || *clients < 0 || *readPct < 0 || *readPct > 100 || *txnPct < 0 || *txnPct > 100 || *keys < 1 {
+		fmt.Fprintln(os.Stderr, "bad flags: want -conns>=1, -pipeline>=1, -clients>=0, -readpct 0-100, -txn 0-100, -keys>=1")
 		os.Exit(2)
 	}
 	if *zipfS != 0 && *zipfS <= 1 {
@@ -242,7 +242,7 @@ func seedAccounts(addr string, accounts uint64) error {
 				return fmt.Errorf("seed window %d..%d: %w", lo, hi, lastErr)
 			}
 			if a > 0 {
-				time.Sleep(retry.Backoff(a - 1))
+				time.Sleep(server.Backoff(a - 1))
 			}
 			if c == nil {
 				if c, err = server.Dial(addr, 5*time.Second); err != nil {
@@ -297,10 +297,6 @@ type reqDesc struct {
 	tries    int       // shed count so far, drives the backoff exponent
 	nextAt   time.Time // earliest re-send time while queued for retry
 }
-
-// retry paces every re-send and redial with the default policy's Backoff, so
-// drivers shed together don't storm back together.
-var retry server.RetryPolicy
 
 // drive runs one connection's closed- or open-loop window until the
 // deadline. Responses arrive in request order (a server guarantee), so the
@@ -393,7 +389,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		pending = pending[:0]
 		c.Close()
 		for k := 0; ; k++ {
-			time.Sleep(retry.Backoff(k))
+			time.Sleep(server.Backoff(k))
 			if !time.Now().Before(deadline) || k >= 5 {
 				got.Errs++
 				return false
@@ -431,7 +427,7 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 			} else if r.Status == server.StatusDraining {
 				recycle = true
 			}
-			d.nextAt = now.Add(retry.Backoff(d.tries))
+			d.nextAt = now.Add(server.Backoff(d.tries))
 			d.tries++
 			retryq = append(retryq, d)
 			return true

@@ -7,26 +7,28 @@
 //
 // Each connection gets one goroutine and an engine session of its own (handed
 // on to a later connection when it closes), and is served a burst at a time:
-// one read takes what the client has pipelined (at most -queue requests, the
+// one read takes what the client has pipelined (at most 128 requests, the
 // server side of the client's pipelining window), one ordered pass over the
-// engine answers it, one write returns the responses. A token-based
-// admission controller sheds excess load with an explicit RETRY status
-// instead of queueing toward collapse. On engines with a snapshot tier,
+// engine answers it, one write returns the responses. Adjacent Gets and Puts
+// run up to 16 at a time as one hinted transaction. A token-based admission
+// controller (4×GOMAXPROCS tokens, 2 ms wait) sheds excess load with an
+// explicit RETRY status instead of queueing toward collapse. These settings
+// are fixed: no run has needed other values. On engines with a snapshot tier,
 // read-only work — Gets and all-Read Txn batches — is served through the
 // read fast lane: each contiguous run of reads in a burst is answered from
 // one snapshot cut pinned by the connection's own session, no OCC, no
-// admission tokens, no waiting for any other connection (-noreadlane reverts
-// to the pure OCC path for A/B runs). SIGINT/SIGTERM triggers a graceful
+// admission tokens, no waiting for any other connection (an engine without
+// the tier, such as onefile, serves every request through OCC, and the
+// startup line reports readlane=false). SIGINT/SIGTERM triggers a graceful
 // drain: in-flight requests finish, new ones are rejected with DRAINING,
 // persistent engines sync a durable cut, and the process exits 0.
 //
 // Examples:
 //
 //	txserver                                   # medley on :7433
-//	txserver -batch 32
-//	txserver -engine txmontage -devices 4          # persistent over 4 devices: drain syncs
-//	txserver -engine medley -addr 127.0.0.1:9000 -tokens 2
-//	txserver -noreadlane                       # A/B control: OCC-only reads
+//	txserver -engine txmontage -devices 4      # persistent over 4 devices: drain syncs
+//	txserver -engine onefile                   # no snapshot tier: OCC-only reads
+//	txserver -addr 127.0.0.1:9000 -grace 2s    # another address, a longer drain
 //	txserver -pprof 127.0.0.1:6060             # profiling endpoints
 //	txserver -idletimeout 30s -writetimeout 5s # cut dead/stalled connections
 //	txserver -chaos 'server.frame.write=torn@every=40'   # fault injection
@@ -40,7 +42,6 @@ import (
 	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -55,13 +56,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
 	engine := flag.String("engine", "medley", "registry engine to host (needs dynamic transactions; see medleybench -list)")
 	devices := flag.Int("devices", 1, "device count of txmontage; other engines ignore it")
-	batch := flag.Int("batch", server.DefaultBatchMax, "max adjacent single-op requests coalesced into one hinted transaction (1: off)")
-	tokens := flag.Int("tokens", 4*runtime.GOMAXPROCS(0), "admission tokens: concurrent executing batches")
-	admitWait := flag.Duration("admitwait", server.DefaultAdmitWait, "how long a batch waits for admission before RETRY (negative: shed immediately)")
-	queue := flag.Int("queue", server.DefaultQueueDepth, "most requests one connection is served per burst — one read, one pass over the engine, one write")
 	grace := flag.Duration("grace", server.DefaultDrainGrace, "drain grace for in-flight requests")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	noReadLane := flag.Bool("noreadlane", false, "disable the snapshot read fast lane (A/B control: every request runs OCC)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this between frames (0: never)")
 	writeTimeout := flag.Duration("writetimeout", 0, "per-response write deadline (0: none)")
 	chaosSpecs := flag.String("chaos", os.Getenv("MEDLEY_CHAOS"),
@@ -98,10 +94,7 @@ func main() {
 		fmt.Printf("txserver: chaos armed: %s\n", *chaosSpecs)
 	}
 	s, err := server.New(eng, server.Options{
-		BatchMax: *batch, Tokens: *tokens, AdmitWait: *admitWait,
-		QueueDepth: *queue, DrainGrace: *grace,
-		NoReadLane:  *noReadLane,
-		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
+		DrainGrace: *grace, IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 	})
 	if err != nil {
 		eng.Close()
@@ -114,8 +107,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fmt.Printf("txserver: %s on %s (batch=%d tokens=%d readlane=%v)\n",
-		eng.Name(), ln.Addr(), *batch, *tokens, s.ReadLaneEnabled())
+	fmt.Printf("txserver: %s on %s (readlane=%v)\n", eng.Name(), ln.Addr(), s.ReadLaneEnabled())
 	if *pprofAddr != "" {
 		go func() {
 			// DefaultServeMux carries the pprof handlers via the blank import.

@@ -75,17 +75,20 @@ func BenchmarkAppendResponseGet(b *testing.B) {
 }
 
 // benchServe measures pipelined Get round-trips through a loopback server —
-// the end-to-end serving hot path, lane on vs off. allocs/op covers the
-// client side of the cycle (the server's side shows up in throughput).
-func benchServe(b *testing.B, opts Options, readpct int) {
+// the end-to-end serving hot path, lane on vs off (an engine that does not
+// report CapSnapshot). allocs/op covers the client side of the cycle (the
+// server's side shows up in throughput).
+func benchServe(b *testing.B, lane bool, readpct int) {
 	eng, err := txengine.Build("medley", txengine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts.CloseEngine = true
-	s, err := New(eng, opts)
+	defer eng.Close()
+	if !lane {
+		eng = noSnapEngine{eng}
+	}
+	s, err := New(eng, Options{})
 	if err != nil {
-		eng.Close()
 		b.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -140,9 +143,7 @@ func benchServe(b *testing.B, opts Options, readpct int) {
 	}
 }
 
-func BenchmarkServeGetsLane(b *testing.B)   { benchServe(b, Options{}, 100) }
-func BenchmarkServeGetsNoLane(b *testing.B) { benchServe(b, Options{NoReadLane: true}, 100) }
-func BenchmarkServeMixedLane(b *testing.B)  { benchServe(b, Options{}, 90) }
-func BenchmarkServeMixedNoLane(b *testing.B) {
-	benchServe(b, Options{NoReadLane: true}, 90)
-}
+func BenchmarkServeGetsLane(b *testing.B)    { benchServe(b, true, 100) }
+func BenchmarkServeGetsNoLane(b *testing.B)  { benchServe(b, false, 100) }
+func BenchmarkServeMixedLane(b *testing.B)   { benchServe(b, true, 90) }
+func BenchmarkServeMixedNoLane(b *testing.B) { benchServe(b, false, 90) }

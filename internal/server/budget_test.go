@@ -77,36 +77,36 @@ func TestBudgetServe(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		opts    Options
+		occ     bool // served without the read lane (noLane)
 		started bool // one lane Get has started the engine's snapshot tier first
 		do      func(c *Conn, i int) (*Response, error)
 		allocs  float64 // ceilings, set from the measured values beside them
 		bytes   float64
 	}{
 		// A snapshot read allocates nothing, and neither does the lane.
-		{"get via lane", Options{}, false, get, 0.02, 4},
+		{"get via lane", false, false, get, 0.02, 4},
 		// An OCC Get is a standalone read: no descriptor.
-		{"get via occ", Options{NoReadLane: true}, false, get, 0.02, 4},
+		{"get via occ", true, false, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
 		// snapshot: measured 3.007 allocations, 136.2 B — mhash's Put as
 		// internal/core prices it (node 48 with the cell its unlink
 		// publishes, deferred-unlink closure 64, install cell 24) and no
 		// snapshot version.
-		{"put", Options{}, false, put, 3.02, 138},
+		{"put", false, false, put, 3.02, 138},
 		// The same once the snapshot tier has started: measured 4.01
 		// allocations, 168.4 B (+ one 32-byte snapshot version).
-		{"put, tier started", Options{}, true, put, 4.05, 174},
+		{"put, tier started", false, true, put, 4.05, 174},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
 		// before anything has read a snapshot: measured 10.01 allocations,
 		// 440.3 B: three Puts as above (408 B in 9) and the 32-byte closure
 		// execTxn hands Run; the latch stripes allocate nothing. The worker
 		// runs every transaction on one descriptor, so its header and its
 		// read and write sets cost nothing.
-		{"4-op transfer txn", Options{}, false, txn, 10.15, 452},
+		{"4-op transfer txn", false, false, txn, 10.15, 452},
 		// The same once the snapshot tier has started: measured 13.01
 		// allocations, 536.4 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", Options{}, true, txn, 13.15, 548},
+		{"4-op transfer txn, tier started", false, true, txn, 13.15, 548},
 	}
 
 	// The client's own share: the same client over the same pipe against the
@@ -118,7 +118,11 @@ func TestBudgetServe(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, tc.opts)
+			ln, wrap := newPipeListener(), func(e txengine.Engine) txengine.Engine { return e }
+			if tc.occ {
+				wrap = noLane
+			}
+			s := serveWrapped(t, ln, "medley-sharded", txengine.Config{Shards: 2}, Options{}, wrap)
 			cl, _ := ln.dial(t)
 			c := &Conn{c: cl, br: bufio.NewReaderSize(cl, 64<<10)}
 			for k := uint64(0); k < keys+8; k++ {

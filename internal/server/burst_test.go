@@ -168,15 +168,13 @@ func TestServeSocketBudget(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		opts    Options
 		burst   func() burst
 		writes  int64
 		batches uint64 // coalesced batches the burst must have run as
 		batched uint64
 	}{
 		{name: "100 gets", writes: 1, burst: func() burst { r, w := gets(100); return burst{r, w} }},
-		{name: "300 gets, queue 128", opts: Options{QueueDepth: 128}, writes: 3,
-			burst: func() burst { r, w := gets(300); return burst{r, w} }},
+		{name: "300 gets, queue 128", writes: 3, burst: func() burst { r, w := gets(300); return burst{r, w} }},
 		{name: "64 four-op txns", writes: 1, burst: func() burst {
 			var b burst
 			for i := 0; i < 64; i++ {
@@ -185,33 +183,37 @@ func TestServeSocketBudget(t *testing.T) {
 			}
 			return b
 		}},
-		// 190 Gets around one stretch of 10 Puts: still one write, and the
-		// Puts run as 4+4+2, each batch within BatchMax.
-		{name: "95/5 gets/puts", opts: Options{BatchMax: 4, QueueDepth: 256}, writes: 1, batches: 3, batched: 10,
+		// 122 Gets around one stretch of 6 Puts fill one burst of queueDepth
+		// (128): still one write, and the Puts, keys 0-3 then 0-1 again, run
+		// as one batch within batchMax.
+		{name: "95/5 gets/puts", writes: 1, batches: 1, batched: 6,
 			burst: func() burst {
-				r, w := gets(120)
-				for i := uint64(0); i < 10; i++ {
-					r = append(r, put(i%8, 2000+i))
+				r, w := gets(76)
+				for i := uint64(0); i < 6; i++ {
+					r = append(r, put(i%4, 2000+i))
 					prev := uint64(1000)
-					if i >= 8 {
-						prev = 2000 + i - 8
+					if i >= 4 {
+						prev = 2000 + i - 4
 					}
 					w = append(w, okResp(true, prev))
 				}
-				for i := uint64(0); i < 70; i++ {
-					r = append(r, get(i%8))
-					if i%8 < 2 {
-						w = append(w, okResp(true, 2008+i%8))
-					} else {
-						w = append(w, okResp(true, 2000+i%8))
+				for i := uint64(0); i < 46; i++ {
+					switch k := i % 8; {
+					case k < 2:
+						w = append(w, okResp(true, 2004+k))
+					case k < 4:
+						w = append(w, okResp(true, 2000+k))
+					default:
+						w = append(w, okResp(true, 1000))
 					}
+					r = append(r, get(i%8))
 				}
 				return burst{r, w}
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, tc.opts)
+			s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 2}, Options{})
 			seed, _ := ln.dial(t)
 			sbr := bufio.NewReader(seed)
 			for k := uint64(0); k < 8; k++ {

@@ -14,52 +14,36 @@ import (
 // application-level protocol) instead. Test with errors.Is.
 var ErrUnknownOutcome = errors.New("server: write outcome unknown (connection failed after send)")
 
-// RetryPolicy tunes a Client's reconnect/retry behavior. Zero fields take
-// the defaults noted on each.
+// RetryPolicy bounds a Client's attempts at one request.
 type RetryPolicy struct {
-	MaxAttempts int           // attempts per request, including the first (0: 8)
-	BaseBackoff time.Duration // backoff before the first retry (0: 1ms)
-	MaxBackoff  time.Duration // backoff growth cap (0: 100ms)
-	DialTimeout time.Duration // per-reconnect dial budget (0: 1s)
+	MaxAttempts int // attempts per request, including the first (0: 8)
 }
 
-func (p RetryPolicy) maxAttempts() int { return defInt(p.MaxAttempts, 8) }
-func (p RetryPolicy) base() time.Duration {
-	return defDur(p.BaseBackoff, time.Millisecond)
-}
-func (p RetryPolicy) cap() time.Duration {
-	return defDur(p.MaxBackoff, 100*time.Millisecond)
-}
-func (p RetryPolicy) dialTimeout() time.Duration {
-	return defDur(p.DialTimeout, time.Second)
-}
-
-func defInt(v, d int) int {
-	if v > 0 {
-		return v
+func (p RetryPolicy) maxAttempts() int {
+	if p.MaxAttempts > 0 {
+		return p.MaxAttempts
 	}
-	return d
+	return 8
 }
 
-func defDur(v, d time.Duration) time.Duration {
-	if v > 0 {
-		return v
-	}
-	return d
-}
+// The backoff schedule and the dial budget are constants: no client has
+// needed other values.
+const (
+	baseBackoff = time.Millisecond       // backoff before the first retry
+	maxBackoff  = 100 * time.Millisecond // backoff growth cap
+	dialTimeout = time.Second            // per-reconnect dial budget
+)
 
 // Backoff returns the capped-exponential, jittered delay before retry k
 // (k=0 for the first retry): half the deterministic delay plus a uniformly
 // random half, so a fleet of clients kicked off by one server event does
 // not reconverge in lockstep.
-func (p RetryPolicy) Backoff(k int) time.Duration {
-	d := p.base()
-	for i := 0; i < k && d < p.cap(); i++ {
+func Backoff(k int) time.Duration {
+	d := baseBackoff
+	for i := 0; i < k && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.cap() {
-		d = p.cap()
-	}
+	d = min(d, maxBackoff)
 	return d/2 + rand.N(d/2+1)
 }
 
@@ -114,7 +98,7 @@ func (cl *Client) ensure() (*Conn, error) {
 	if cl.conn != nil {
 		return cl.conn, nil
 	}
-	c, err := Dial(cl.addr, cl.pol.dialTimeout())
+	c, err := Dial(cl.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +144,7 @@ func (cl *Client) do(send func(*Conn) uint64, idempotent bool) (*Response, error
 	retries := 0
 	for attempt := 0; attempt < cl.pol.maxAttempts(); attempt++ {
 		if attempt > 0 {
-			time.Sleep(cl.pol.Backoff(attempt - 1))
+			time.Sleep(Backoff(attempt - 1))
 		}
 		c, err := cl.ensure()
 		if err != nil {

@@ -30,7 +30,7 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 
 	s, addr := startServer(t, "txmontage", txengine.Config{
 		Latencies: pnvm.DefaultLatencies(), Shards: devices,
-	}, Options{MapSpec: spec, BatchMax: 8, DrainGrace: 300 * time.Millisecond})
+	}, Options{MapSpec: spec, DrainGrace: 300 * time.Millisecond})
 	p, ok := s.Engine().(txengine.Persister)
 	if !ok || len(p.Devices()) != devices {
 		t.Fatalf("engine is not a %d-device persister", devices)
@@ -104,8 +104,10 @@ func TestDrainZeroAckedLossPersistent(t *testing.T) {
 		t.Fatal("no transaction was acknowledged before drain; test proves nothing")
 	}
 
-	// Crash: the engine is closed (Drain did it); dump the surviving
-	// devices and rebuild a fresh engine on them.
+	// Crash: close the engine, so its epoch advancer touches the devices no
+	// more, then dump the surviving devices and rebuild a fresh engine on
+	// them.
+	s.Engine().Close()
 	dumps := pnvm.DumpAll(devs)
 	eng2, err := txengine.Build("txmontage", txengine.Config{
 		Latencies: pnvm.DefaultLatencies(), Shards: devices, Devices: devs,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -152,14 +153,19 @@ func TestReadLaneRunsAreIndependent(t *testing.T) {
 	readTxn(abr, 4, ReadResult{Found: true, Val: 100}, ReadResult{Found: true, Val: 200})
 }
 
-// TestReadLaneDisabled: the -noreadlane knob forces every read through the
-// OCC path, and an engine without CapSnapshot never gets a lane.
+// TestReadLaneDisabled: an engine that does not report CapSnapshot gets no
+// lane, so every read goes through the OCC path — whether it has no snapshot
+// tier (onefile) or only does not report it.
 func TestReadLaneDisabled(t *testing.T) {
-	s, addr := startServer(t, "medley", txengine.Config{}, Options{NoReadLane: true})
-	if s.ReadLaneEnabled() {
-		t.Fatal("NoReadLane should disable the lane")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := dialT(t, addr)
+	s := serveWrapped(t, ln, "medley", txengine.Config{}, Options{}, noLane)
+	if s.ReadLaneEnabled() {
+		t.Fatal("an engine without CapSnapshot should get no lane")
+	}
+	c := dialT(t, ln.Addr().String())
 	for i := 0; i < 10; i++ {
 		if r, err := c.Get(uint64(i)); err != nil || !r.OK() {
 			t.Fatalf("get: %+v, %v", r, err)

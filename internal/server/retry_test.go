@@ -65,7 +65,7 @@ func scriptServer(t *testing.T, script []byte) string {
 // write must be re-sent, transparently, with the retry tallied.
 func TestClientRetriesShedWrites(t *testing.T) {
 	addr := scriptServer(t, []byte{StatusRetry, StatusRetry, StatusOK})
-	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{})
 	defer cl.Close()
 	resp, err := cl.Put(1, 2)
 	if err != nil || !resp.OK() {
@@ -80,7 +80,7 @@ func TestClientRetriesShedWrites(t *testing.T) {
 // reconnects (the address may point at a fresh instance) and retries.
 func TestClientRetriesDraining(t *testing.T) {
 	addr := scriptServer(t, []byte{StatusDraining, StatusOK})
-	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{})
 	defer cl.Close()
 	resp, err := cl.Txn([]TxnOp{{Kind: TxnWrite, Key: 3, Arg: 4}})
 	if err != nil || !resp.OK() {
@@ -95,7 +95,7 @@ func TestClientRetriesDraining(t *testing.T) {
 // loop forever; the terminal error reports the shed count.
 func TestClientExhaustsAttempts(t *testing.T) {
 	addr := scriptServer(t, []byte{StatusRetry})
-	cl := NewClient(addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{MaxAttempts: 3})
 	defer cl.Close()
 	if _, err := cl.Get(9); err == nil {
 		t.Fatal("Get against always-shedding server succeeded")
@@ -110,7 +110,7 @@ func TestClientExhaustsAttempts(t *testing.T) {
 // outcome, a read batch is not retried, and the connection is not dropped.
 func TestClientTxnTooLong(t *testing.T) {
 	addr := scriptServer(t, []byte{StatusOK})
-	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{})
 	defer cl.Close()
 	if _, err := cl.Get(1); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestClientReconnectsOnReadFault(t *testing.T) {
 	if err := chaos.Arm("server.frame.read", chaos.Fault{Kind: chaos.Error, Every: 5}); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{})
 	defer cl.Close()
 	for i := 0; i < 30; i++ {
 		if resp, err := cl.Get(uint64(i)); err != nil || !resp.OK() {
@@ -165,7 +165,7 @@ func TestClientWriteUnknownOutcome(t *testing.T) {
 	if err := chaos.Arm("server.frame.write", chaos.Fault{Kind: chaos.Torn, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(addr, RetryPolicy{BaseBackoff: time.Millisecond})
+	cl := NewClient(addr, RetryPolicy{})
 	defer cl.Close()
 	_, err := cl.Put(7, 70)
 	if !errors.Is(err, ErrUnknownOutcome) {
@@ -233,7 +233,7 @@ func TestTornFrameLoadZeroUnaccounted(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := NewClient(addr, RetryPolicy{MaxAttempts: 12, BaseBackoff: time.Millisecond})
+			cl := NewClient(addr, RetryPolicy{MaxAttempts: 12})
 			defer cl.Close()
 			acked, unknown := map[uint64]uint64{}, map[uint64]uint64{}
 			for i := 0; i < puts; i++ {

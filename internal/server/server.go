@@ -27,34 +27,13 @@ var (
 	cpFrameWrite = chaos.At("server.frame.write")
 )
 
-// Options tunes a Server. The zero value is serviceable: coalescing on,
-// admission sized to the host, the read fast lane on (where the engine
-// supports it), a half-second drain grace.
+// Options tunes a Server: deployment timeouts and the hosted map's shape.
+// The zero value is serviceable: a half-second drain grace, no idle or write
+// limit, a 1<<16-bucket hash map. Batching, admission and the burst size are
+// constants (batchMax, admitWait, queueDepth; the token count derives from
+// the host), and the read fast lane is on wherever the engine has
+// CapSnapshot.
 type Options struct {
-	// BatchMax is the most adjacent single-op requests (OpGet/OpPut) from
-	// one connection the scheduler coalesces into a single hinted
-	// transaction (0: DefaultBatchMax; 1: coalescing off). Coalescing
-	// amortizes admission, scheduling, and commit overhead across the
-	// batch; because members are adjacent in one connection's burst,
-	// program order per connection is preserved.
-	BatchMax int
-	// Tokens is the admission controller's token count: the number of
-	// request batches allowed to execute on the engine concurrently
-	// (0: 4×GOMAXPROCS). Requests beyond it wait up to AdmitWait and are
-	// then shed with StatusRetry — bounded queueing instead of collapse.
-	// Read-lane runs bypass the tokens: a snapshot read takes no latch,
-	// validates nothing and cannot abort, so it never adds to the contention
-	// the tokens bound.
-	Tokens int
-	// AdmitWait is how long a batch may wait for an admission token before
-	// being shed (0: DefaultAdmitWait; negative: shed immediately).
-	AdmitWait time.Duration
-	// QueueDepth is the most requests a connection decodes into one burst —
-	// the server side of the pipelining window (0: DefaultQueueDepth).
-	// Whatever the client pipelined beyond it stays in the socket until the
-	// burst is executed and answered, pushing back on the client through TCP
-	// flow control rather than buffering unboundedly.
-	QueueDepth int
 	// DrainGrace bounds how long Drain waits for each connection's
 	// in-flight requests (0: DefaultDrainGrace). Requests arriving after
 	// drain begins are rejected with StatusDraining.
@@ -62,14 +41,6 @@ type Options struct {
 	// MapSpec shapes the hosted map (zero: hash, 1<<16 buckets). Recovery
 	// flows must rebuild with the same spec.
 	MapSpec txengine.MapSpec
-	// CloseEngine closes the engine after Drain completes. Leave false
-	// when the caller owns the engine (tests that crash and recover it).
-	CloseEngine bool
-	// NoReadLane disables the snapshot read fast lane even on CapSnapshot
-	// engines: every request executes through the OCC path, as before the
-	// lane existed. The A/B measurement knob (-noreadlane in txserver) and
-	// a kill switch. Engines without CapSnapshot never have the lane.
-	NoReadLane bool
 	// IdleTimeout closes a connection whose next frame does not arrive
 	// within it (0: no idle limit), so a hung or vanished client cannot pin
 	// its engine session and goroutine forever. The deadline is re-armed
@@ -83,41 +54,33 @@ type Options struct {
 	WriteTimeout time.Duration
 }
 
-// Option defaults.
+// DefaultDrainGrace is the drain grace when Options.DrainGrace is 0.
+const DefaultDrainGrace = 500 * time.Millisecond
+
+// The scheduler's settings are constants: no deployment has needed another
+// value, and one becomes a knob again only when a value other than these buys
+// throughput or tail latency on a measured row.
 const (
-	DefaultBatchMax   = 16
-	DefaultAdmitWait  = 2 * time.Millisecond
-	DefaultQueueDepth = 128
-	DefaultDrainGrace = 500 * time.Millisecond
+	// batchMax is the most adjacent single-op requests (OpGet/OpPut) from one
+	// connection the scheduler coalesces into a single hinted transaction.
+	// Coalescing amortizes admission, scheduling, and commit overhead across
+	// the batch; because members are adjacent in one connection's burst,
+	// program order per connection is preserved.
+	batchMax = 16
+	// admitWait is how long a batch may wait for one of the admission tokens
+	// before it is shed with StatusRetry — bounded queueing instead of
+	// collapse. There are 4×GOMAXPROCS tokens (see New): the request batches
+	// allowed to execute on the engine at once. Read-lane runs take no token:
+	// a snapshot read takes no latch, validates nothing and cannot abort, so
+	// it never adds to the contention the tokens bound.
+	admitWait = 2 * time.Millisecond
+	// queueDepth is the most requests a connection decodes into one burst —
+	// the server side of the pipelining window. Whatever the client pipelined
+	// beyond it stays in the socket until the burst is executed and answered,
+	// pushing back on the client through TCP flow control rather than
+	// buffering unboundedly.
+	queueDepth = 128
 )
-
-func (o Options) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
-	}
-	return DefaultBatchMax
-}
-
-func (o Options) tokens() int {
-	if o.Tokens > 0 {
-		return o.Tokens
-	}
-	return 4 * runtime.GOMAXPROCS(0)
-}
-
-func (o Options) queueDepth() int {
-	if o.QueueDepth > 0 {
-		return o.QueueDepth
-	}
-	return DefaultQueueDepth
-}
-
-func (o Options) admitWait() time.Duration {
-	if o.AdmitWait != 0 {
-		return o.AdmitWait
-	}
-	return DefaultAdmitWait
-}
 
 func (o Options) drainGrace() time.Duration {
 	if o.DrainGrace > 0 {
@@ -155,7 +118,7 @@ type Counters struct {
 // handle); responses are written in request order. On engines with
 // CapSnapshot, read-only work — Gets and all-Read Txn batches — is answered
 // from a snapshot cut the connection's own session pins (the read fast lane,
-// see execLane) unless Options.NoReadLane.
+// see execLane).
 type Server struct {
 	eng  txengine.Engine
 	m    txengine.Map[uint64]
@@ -195,14 +158,14 @@ func New(eng txengine.Engine, opts Options) (*Server, error) {
 		eng:    eng,
 		m:      m,
 		opts:   opts,
-		tokens: make(chan struct{}, opts.tokens()),
+		tokens: make(chan struct{}, 4*runtime.GOMAXPROCS(0)), // sized to the host, not set
 		doneCh: make(chan struct{}),
 		conns:  map[net.Conn]struct{}{},
+		lane:   eng.Caps().Has(txengine.CapSnapshot),
 	}
-	for i := 0; i < opts.tokens(); i++ {
+	for range cap(s.tokens) {
 		s.tokens <- struct{}{}
 	}
-	s.lane = !opts.NoReadLane && eng.Caps().Has(txengine.CapSnapshot)
 	return s, nil
 }
 
@@ -258,8 +221,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // that arrive from now on with StatusDraining, let every connection finish
 // the requests it already pipelined (bounded by DrainGrace), then make the
 // engine durable (Persister.Sync) so every acknowledged commit survives a
-// subsequent crash, and close it if Options.CloseEngine. Safe to call from
-// any goroutine and more than once; every call blocks until the drain
+// subsequent crash. The engine stays open: its owner closes it. Safe to call
+// from any goroutine and more than once; every call blocks until the drain
 // completes.
 func (s *Server) Drain() {
 	s.drainOne.Do(func() {
@@ -276,9 +239,6 @@ func (s *Server) Drain() {
 		s.wg.Wait()
 		if p, ok := s.eng.(txengine.Persister); ok && len(p.Devices()) > 0 {
 			p.Sync()
-		}
-		if s.opts.CloseEngine {
-			s.eng.Close()
 		}
 		close(s.doneCh)
 	})
@@ -370,7 +330,7 @@ func (s *Server) session() worker {
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer c.Close()
-	p := &proc{s: s, worker: s.session(), burst: make([]pendReq, 0, s.opts.queueDepth())}
+	p := &proc{s: s, worker: s.session(), burst: make([]pendReq, 0, queueDepth)}
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -501,9 +461,8 @@ func (s *Server) writeFrames(c net.Conn, buf []byte) bool {
 // with the lane on, a contiguous stretch of reads of any length is answered
 // from one snapshot cut (falling back, lane off, to the OCC path when the cut
 // trails this connection's own last write); an OpTxn runs alone; and adjacent
-// single-ops are coalesced, BatchMax at a time, into one hinted transaction.
+// single-ops are coalesced, batchMax at a time, into one hinted transaction.
 func (p *proc) exec(burst []pendReq, lane bool) {
-	batchMax := p.s.opts.batchMax()
 	for len(burst) > 0 {
 		first, n := &burst[0], 1
 		switch {
@@ -603,12 +562,7 @@ func (p *proc) execOCC(batch []pendReq) {
 	select {
 	case <-s.tokens:
 	default:
-		wait := s.opts.admitWait()
-		if wait < 0 {
-			p.shed(batch)
-			return
-		}
-		p.timer.Reset(wait)
+		p.timer.Reset(admitWait)
 		select {
 		case <-s.tokens:
 			if !p.timer.Stop() {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"runtime"
@@ -23,16 +24,17 @@ func startServer(t *testing.T, engine string, cfg txengine.Config, opts Options)
 }
 
 // serveOn is startServer on a listener of the caller's choosing. Its cleanup
-// drains, checks Serve's verdict, and asserts that the goroutine count is
-// back to what it was before the engine was built: no connection or engine
-// goroutine outlives a drain.
+// drains, checks Serve's verdict, closes the engine, and asserts that the
+// goroutine count is back to what it was before the engine was built: no
+// connection or engine goroutine outlives a drain and a close.
 func serveOn(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, opts Options) *Server {
 	t.Helper()
 	return serveWrapped(t, ln, engine, cfg, opts, func(e txengine.Engine) txengine.Engine { return e })
 }
 
 // serveWrapped is serveOn with the built engine passed through wrap before the
-// server sees it, so a test can observe the calls the server makes on it.
+// server sees it, so a test can observe the calls the server makes on it, or
+// change what the engine reports (noLane).
 func serveWrapped(t *testing.T, ln net.Listener, engine string, cfg txengine.Config, opts Options,
 	wrap func(txengine.Engine) txengine.Engine) *Server {
 	t.Helper()
@@ -43,7 +45,6 @@ func serveWrapped(t *testing.T, ln net.Listener, engine string, cfg txengine.Con
 		t.Fatalf("build %s: %v", engine, err)
 	}
 	eng = wrap(eng)
-	opts.CloseEngine = true
 	s, err := New(eng, opts)
 	if err != nil {
 		eng.Close()
@@ -57,9 +58,34 @@ func serveWrapped(t *testing.T, ln net.Listener, engine string, cfg txengine.Con
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
+		eng.Close()
 		waitGoroutines(t, before)
 	})
 	return s
+}
+
+// noSnapEngine is the real engine with CapSnapshot masked out of its Caps:
+// the server gives it no read lane, so every request runs through OCC.
+type noSnapEngine struct{ txengine.Engine }
+
+func (e noSnapEngine) Caps() txengine.Caps { return e.Engine.Caps() &^ txengine.CapSnapshot }
+
+// noLane is serveWrapped's wrap for a server without the read lane.
+func noLane(e txengine.Engine) txengine.Engine { return noSnapEngine{e} }
+
+// holdTokens takes every admission token off s and returns the function that
+// gives them back: until then, a batch on the OCC path waits out admitWait and
+// is shed.
+func holdTokens(s *Server) (release func()) {
+	n := cap(s.tokens)
+	for range n {
+		<-s.tokens
+	}
+	return func() {
+		for range n {
+			s.tokens <- struct{}{}
+		}
+	}
 }
 
 // waitGoroutines fails the test unless the process's goroutine count comes
@@ -217,88 +243,89 @@ func TestServePipelining(t *testing.T) {
 	}
 }
 
-// TestServeBatchCoalescing pins a backlog behind the admission token, then
-// releases it: the processor must coalesce the queued single-ops into
-// hinted transactions while preserving per-connection program order.
+// TestServeBatchCoalescing pipelines 40 adjacent Puts and 40 Gets behind
+// them in one write: the Puts must run as hinted transactions of at most
+// batchMax (16) ops, 16+16+8, in program order, and the Gets read the last
+// values back through the lane. A second burst of 17 Puts runs as one batch
+// of 16 and a lone Put, which pins the limit itself.
 func TestServeBatchCoalescing(t *testing.T) {
-	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 4},
-		Options{BatchMax: 8, Tokens: 1, AdmitWait: 5 * time.Second})
-	c := dialT(t, addr)
+	s, ln := servePipe(t, "medley-sharded", txengine.Config{Shards: 4}, Options{})
+	cl, _ := ln.dial(t)
+	br := bufio.NewReader(cl)
 
-	<-s.tokens // hold the only token: requests queue, nothing executes
-	const n = 32
-	for i := 0; i < n; i++ {
-		c.SendPut(uint64(i%4), uint64(i)) // rewrites: order violations would show
+	const n = 40
+	var reqs []Request
+	var ws []want
+	for i := uint64(0); i < n; i++ {
+		reqs = append(reqs, put(i%4, i)) // rewrites: order violations would show
+		if i < 4 {
+			ws = append(ws, okResp(false, 0))
+		} else {
+			ws = append(ws, okResp(true, i-4))
+		}
 	}
-	for i := 0; i < n; i++ {
-		c.SendGet(uint64(i % 4))
+	for i := uint64(0); i < n; i++ {
+		reqs = append(reqs, get(i%4))
+		ws = append(ws, okResp(true, n-4+i%4)) // the last put to key k was n-4+k
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+	mustWrite(t, cl, frames(reqs...))
+	expect(t, br, 1, ws...)
+	if got := s.Counters(); got.Batches != 3 || got.BatchedOps != n || got.SnapServed != n {
+		t.Fatalf("want the %d Puts in 3 batches (16+16+8) and the Gets lane-served: %+v", n, got)
 	}
-	time.Sleep(50 * time.Millisecond) // let the queue fill behind the token
-	s.tokens <- struct{}{}
 
-	for i := 0; i < n; i++ {
-		r, err := c.Recv()
-		if err != nil || !r.OK() {
-			t.Fatalf("put resp %d: %+v, %v", i, r, err)
-		}
+	reqs, ws = reqs[:0], ws[:0]
+	for i := uint64(0); i < 17; i++ {
+		reqs = append(reqs, put(100+i, i))
+		ws = append(ws, okResp(false, 0))
 	}
-	for i := 0; i < n; i++ {
-		r, err := c.Recv()
-		if err != nil || !r.OK() {
-			t.Fatalf("get resp %d: %+v, %v", i, r, err)
-		}
-		// The last put to key k was value n-4+k.
-		want := uint64(n - 4 + i%4)
-		if !r.Found || r.Val != want {
-			t.Fatalf("get %d: got %d, want %d", i, r.Val, want)
-		}
-	}
-	if got := s.Counters(); got.Batches == 0 || got.BatchedOps < 2 {
-		t.Fatalf("no coalescing happened: %+v", got)
+	mustWrite(t, cl, frames(reqs...))
+	expect(t, br, 1, ws...)
+	if got := s.Counters(); got.Batches != 4 || got.BatchedOps != n+16 || got.OCCServed != n+17 {
+		t.Fatalf("want 17 Puts as one batch of 16 and one alone: %+v", got)
 	}
 }
 
-// TestServeAdmissionSheds holds the only token so the next request must
-// shed with StatusRetry — and succeed again once the token returns. The
-// read lane is off: lane reads bypass token admission by design.
+// TestServeAdmissionSheds holds every token so the next request waits out
+// admitWait and sheds with StatusRetry — and succeeds again once the tokens
+// return. The read lane is off: lane reads bypass token admission by design.
 func TestServeAdmissionSheds(t *testing.T) {
-	s, addr := startServer(t, "medley", txengine.Config{},
-		Options{Tokens: 1, AdmitWait: time.Millisecond, NoReadLane: true})
-	c := dialT(t, addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serveWrapped(t, ln, "medley", txengine.Config{}, Options{}, noLane)
+	c := dialT(t, ln.Addr().String())
 
-	<-s.tokens
+	release := holdTokens(s)
 	r, err := c.Get(1)
 	if err != nil || r.Status != StatusRetry {
-		t.Fatalf("with token held: %+v, %v; want StatusRetry", r, err)
+		t.Fatalf("with the tokens held: %+v, %v; want StatusRetry", r, err)
 	}
-	s.tokens <- struct{}{}
+	release()
 	if r, err := c.Get(1); err != nil || !r.OK() {
-		t.Fatalf("after token returned: %+v, %v", r, err)
+		t.Fatalf("after the tokens returned: %+v, %v", r, err)
 	}
-	if got := s.Counters(); got.Shed == 0 {
-		t.Fatalf("shed not counted: %+v", got)
+	if got := s.Counters(); got.Shed != 1 {
+		t.Fatalf("shed not counted once: %+v", got)
 	}
 }
 
-// TestServeAdmissionLaneBypassesTokens: with the only admission token held
-// and no waiting allowed, anything on the OCC path is shed at once — and
-// pipelined Gets on eight connections are all answered, because a lane read
-// takes no token.
+// TestServeAdmissionLaneBypassesTokens: with every admission token held,
+// anything on the OCC path is shed once admitWait runs out — and pipelined
+// Gets on eight connections are all answered, because a lane read takes no
+// token.
 func TestServeAdmissionLaneBypassesTokens(t *testing.T) {
-	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 2}, Options{Tokens: 1, AdmitWait: -1})
+	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 2}, Options{})
 	seed := dialT(t, addr)
 	for k := uint64(0); k < 8; k++ {
 		if r, err := seed.Put(k, k+1); err != nil || !r.OK() {
 			t.Fatalf("seed %d: %+v, %v", k, r, err)
 		}
 	}
-	<-s.tokens
-	defer func() { s.tokens <- struct{}{} }()
+	defer holdTokens(s)()
 	if r, err := seed.Put(0, 1); err != nil || r.Status != StatusRetry {
-		t.Fatalf("put with the token held: %+v, %v; want StatusRetry", r, err)
+		t.Fatalf("put with the tokens held: %+v, %v; want StatusRetry", r, err)
 	}
 
 	const conns, depth = 8, 64
@@ -398,8 +425,7 @@ func TestServeRejectsStaticEngine(t *testing.T) {
 // mixed load — a miniature of the txload shape — and audits total
 // conservation through transfer transactions.
 func TestServeManyConnections(t *testing.T) {
-	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 4},
-		Options{BatchMax: 8})
+	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 4}, Options{})
 	const conns = 16
 	const accounts = 64
 	const opening = uint64(1000)

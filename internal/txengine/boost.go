@@ -14,17 +14,15 @@ const boostCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapRowMaps
 // unlike the other engines — a semantic-lock conflict aborts and retries
 // the acquirer.
 type boostEngine struct {
-	mgr    *core.TxManager
-	shards int
-	cells  metrics.Cells[Stats]
+	mgr   *core.TxManager
+	cells metrics.Cells[Stats]
 }
 
-func newBoostEngine(cfg Config) (Engine, error) {
-	shards := cfg.LockShards
-	if shards <= 0 {
-		shards = 1024
-	}
-	return &boostEngine{mgr: core.NewTxManager(), shards: shards}, nil
+// boostShards is a map's lock-shard count when its spec gives no hint.
+const boostShards = 1024
+
+func newBoostEngine(Config) (Engine, error) {
+	return &boostEngine{mgr: core.NewTxManager()}, nil
 }
 
 func (e *boostEngine) Name() string { return "Boost" }
@@ -42,7 +40,7 @@ func (e *boostEngine) NewUintQueue() (Queue[uint64], error) { return nil, ErrUns
 // keyspace as Buckets) is capped rather than allocating millions of
 // mutexes per construction.
 func (e *boostEngine) lockShards(spec MapSpec) int {
-	shards := bucketsOr(spec, e.shards)
+	shards := bucketsOr(spec, boostShards)
 	if shards > 1<<16 {
 		shards = 1 << 16
 	}

@@ -127,8 +127,6 @@ type Config struct {
 	// RowCodec encodes row values into NVM payload bytes; required by
 	// txMontage row maps (TPC-C), unused elsewhere.
 	RowCodec montage.Codec[any]
-	// LockShards bounds Boost's semantic-lock tables (0: default).
-	LockShards int
 	// Shards is txmontage's device count (0: len(Devices), or one device
 	// when Devices is empty): each map is still one index, and each key's
 	// payloads go to the device it hash-routes to. Other engines ignore it.
