@@ -35,8 +35,9 @@ type TxManager struct {
 	// and register the epoch validator.
 	beginHook func(*Session)
 	// endHook, if set, runs when a transaction finishes (after the write
-	// set is swept, before cleanups/undos), with the commit outcome. Used
-	// by txMontage to release the session's epoch reservation.
+	// set is swept and the cleanups or undos have run), with the commit
+	// outcome. Used by txMontage to settle the transaction's payloads and
+	// release the session's epoch reservation.
 	endHook func(*Session, bool)
 	// retireHook, if set, observes TRetire'd nodes after commit. Used by
 	// the persistence layer to retire NVM payloads.

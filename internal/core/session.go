@@ -157,10 +157,10 @@ func (s *Session) finish(d *Desc) error {
 	clear(s.cleanups)
 	clear(s.undos)
 	s.cleanups, s.undos = s.cleanups[:0], s.undos[:0]
-	// The end hook runs after cleanups and undos: txMontage releases the
-	// session's epoch pin here, which guarantees that post-commit payload
-	// retirements (and abort compensation) reach their epoch's persistence
-	// batch before the epoch system may flush it.
+	// The end hook runs after cleanups and undos: txMontage writes its
+	// retire marks (or deletes an aborted transaction's payloads) and then
+	// releases the session's epoch pin here, so the marks reach their
+	// epoch's persistence batch before the epoch system may flush it.
 	if h := s.mgr.endHook; h != nil {
 		h(s, committed)
 	}

@@ -243,7 +243,8 @@ func (es *EpochSys) UnNew(id uint64) { es.dev.Delete(id) }
 
 // PRetire marks a payload retired as of epoch, registering the mark for the
 // epoch's persistence batch. The mark is final: montage retires only after
-// commit (Map.retire), so it carries no claim for an abort to lift it by.
+// commit (Attach's end hook), so it carries no claim for an abort to lift it
+// by.
 func (es *EpochSys) PRetire(sid int, id, epoch uint64) {
 	if err := es.dev.Retire(id, epoch, 0); err != nil {
 		panic("montage: device crashed during operation: " + err.Error())
@@ -435,16 +436,43 @@ func StartAdvancer(clock *EpochClock, systems []*EpochSys, period time.Duration)
 
 // txCtx is the per-transaction epoch context stored in Session.TxData. It
 // is embedded in the session's sessExt and reused across transactions —
-// only the owning session's goroutine reads or writes its fields.
+// only the owning session's goroutine reads or writes its fields. Beside the
+// pinned epoch it lists what the transaction's Map writes leave to its end:
+// the payloads it created, which an abort deletes, and the payloads it
+// superseded, which a commit marks retired at epoch. The lists keep their
+// arrays from one transaction to the next, so this bookkeeping allocates
+// nothing once they have grown.
 type txCtx struct {
-	epoch uint64
-	slot  *atomic.Uint64
+	epoch   uint64
+	slot    *atomic.Uint64
+	created []payloadRef
+	retired []payloadRef
+}
+
+// payloadRef names a payload: its record id on the device of es.
+type payloadRef struct {
+	es  *EpochSys
+	pid uint64
+}
+
+// txOf returns the epoch context of the session's open transaction. A Map
+// written under a manager that Attach never saw has none, and without it
+// nothing ties the transaction to one epoch: each write would take whatever
+// epoch is current and no validator would notice a tick between two of them,
+// so a crash could cut the transaction in two. That is a wiring error, so
+// it panics.
+func txOf(s *core.Session) *txCtx {
+	ctx, ok := s.TxData.(*txCtx)
+	if !ok {
+		panic("montage: Map written in a transaction of a TxManager that montage.Attach never saw")
+	}
+	return ctx
 }
 
 // sessExt is the per-session epoch state cached in Session.Ext: the pinned
-// epoch slot plus a reusable transaction context and validator closure, so
-// TxBegin on the txMontage hot path allocates nothing beyond the MCNS
-// descriptor itself. The validator reads the atomic pinned slot rather than
+// epoch slot plus a reusable transaction context (payload lists included)
+// and validator closure, so neither TxBegin nor a Map write's bookkeeping
+// on the txMontage hot path allocates. The validator reads the atomic pinned slot rather than
 // the (owner-only) ctx fields: helpers may evaluate a descriptor's
 // validators concurrently with the owner, and while the descriptor can be
 // finalized (InProg) the owner is still inside TxEnd, so the slot holds
@@ -461,10 +489,20 @@ type sessExt struct {
 // Attach wires the epoch system into a TxManager, turning Medley
 // transactions on attached structures into txMontage transactions: TxBegin
 // pins the current epoch and registers the epoch validator; transaction end
-// releases the pin. What it binds the manager to is es's clock, not its
-// device: maps on any EpochSys of that clock may run under the manager, and a
-// transaction over several of them holds one pin and one validator
-// (txMontage over several devices attaches its one manager this way).
+// settles the transaction's payloads and releases the pin. What it binds the
+// manager to is es's clock, not its device: maps on any EpochSys of that
+// clock may run under the manager, and a transaction over several of them
+// holds one pin and one validator (txMontage over several devices attaches
+// its one manager this way). Every Map write must run under an attached
+// manager (txOf).
+//
+// The end hook runs after the session's cleanups and undos. An aborted
+// transaction's payloads were never durable (the validator kept their epoch
+// current), so it deletes them. A committed one writes its retire marks,
+// never earlier: a doomed transaction that raced with, and was aborted by,
+// a payload's real retirer must not clobber the committed mark. Either way
+// the pin is released last, so the marks join the epoch's batch before any
+// advance may flush it.
 func Attach(mgr *core.TxManager, es *EpochSys) {
 	clock := es.clock
 	extFor := func(s *core.Session) *sessExt {
@@ -473,6 +511,7 @@ func Attach(mgr *core.TxManager, es *EpochSys) {
 			return ext
 		}
 		ext := &sessExt{slot: clock.register()}
+		ext.ctx.slot = ext.slot
 		ext.validator = func() bool { return clock.Current() == ext.slot.Load() }
 		s.Ext = ext
 		return ext
@@ -481,24 +520,27 @@ func Attach(mgr *core.TxManager, es *EpochSys) {
 		ext := extFor(s)
 		e := clock.Current()
 		ext.slot.Store(e)
-		ext.ctx = txCtx{epoch: e, slot: ext.slot}
+		ext.ctx.epoch = e
 		s.TxData = &ext.ctx
 		s.Desc().AddValidator(ext.validator)
 	})
 	mgr.SetEndHook(func(s *core.Session, committed bool) {
-		if ctx, ok := s.TxData.(*txCtx); ok {
-			ctx.slot.Store(0)
+		ctx, ok := s.TxData.(*txCtx)
+		if !ok {
+			return
 		}
+		if committed {
+			for _, r := range ctx.retired {
+				r.es.PRetire(s.ID(), r.pid, ctx.epoch)
+			}
+		} else {
+			for _, r := range ctx.created {
+				r.es.UnNew(r.pid)
+			}
+		}
+		ctx.created, ctx.retired = ctx.created[:0], ctx.retired[:0]
+		ctx.slot.Store(0)
 	})
-}
-
-// TxEpoch returns the epoch the session's current transaction is pinned to,
-// or the current epoch when outside a transaction.
-func (es *EpochSys) TxEpoch(s *core.Session) uint64 {
-	if e := PinnedEpoch(s); e != 0 {
-		return e
-	}
-	return es.clock.Current()
 }
 
 // PinnedEpoch returns the epoch the session's current transaction is pinned

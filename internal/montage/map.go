@@ -45,9 +45,9 @@ type entry[V any] struct {
 
 // Map is a persistent transactional map: a transient Medley index (skiplist
 // or hash table) over NVM payloads, following the nbMontage split of
-// "payloads persist, indices rebuild". With the epoch systems' clock
-// Attach'ed to the TxManager, transactions over Map are fully ACID
-// (txMontage).
+// "payloads persist, indices rebuild". Its writes run under a TxManager
+// that the epoch systems' clock is Attach'ed to, and transactions over Map
+// are then fully ACID (txMontage); a write under any other manager panics.
 //
 // A map spans every device of its domain with one index: each key's payloads
 // are written and retired on the device the key routes to (DeviceOf), so a
@@ -101,7 +101,12 @@ func (m *Map[V]) Get(s *core.Session, k uint64) (V, bool) {
 	return e.val, true
 }
 
-// Put binds k to v, returning the previous value if k was present.
+// Put binds k to v, returning the previous value if k was present. Inside
+// a transaction it writes the new payload on k's device, tagged with the
+// transaction's epoch, and lists it and the payload it supersedes in the
+// transaction's epoch context: Attach's end hook deletes the one if the
+// transaction aborts and marks the other retired if it commits. It panics
+// if the session's manager was never Attach'ed (txOf).
 func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 	if !s.InTx() {
 		// Run as a single-operation transaction so the payload provably
@@ -115,13 +120,12 @@ func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 		})
 		return old, replaced
 	}
-	es := m.sys(k)
-	epoch := es.TxEpoch(s)
-	pid := es.PNew(s.ID(), k, m.codec.Enc(v), epoch)
-	s.OnAbort(func() { es.UnNew(pid) })
+	ctx, es := txOf(s), m.sys(k)
+	pid := es.PNew(s.ID(), k, m.codec.Enc(v), ctx.epoch)
+	ctx.created = append(ctx.created, payloadRef{es, pid})
 	old, replaced := m.idx.Put(s, k, entry[V]{val: v, pid: pid})
 	if replaced {
-		retire(s, es, old.pid, epoch)
+		ctx.retired = append(ctx.retired, payloadRef{es, old.pid})
 		return old.val, true
 	}
 	var zero V
@@ -138,19 +142,19 @@ func (m *Map[V]) Insert(s *core.Session, k uint64, v V) bool {
 		})
 		return ok
 	}
-	es := m.sys(k)
-	epoch := es.TxEpoch(s)
-	pid := es.PNew(s.ID(), k, m.codec.Enc(v), epoch)
+	ctx, es := txOf(s), m.sys(k)
+	pid := es.PNew(s.ID(), k, m.codec.Enc(v), ctx.epoch)
 	if !m.idx.Insert(s, k, entry[V]{val: v, pid: pid}) {
 		// Key present: the speculative payload is unused either way.
 		es.UnNew(pid)
 		return false
 	}
-	s.OnAbort(func() { es.UnNew(pid) })
+	ctx.created = append(ctx.created, payloadRef{es, pid})
 	return true
 }
 
-// Remove deletes k, returning its value if present.
+// Remove deletes k, returning its value if present. The removed payload is
+// marked retired when the transaction commits, as Put's superseded one is.
 func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 	if !s.InTx() {
 		var old V
@@ -161,25 +165,14 @@ func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 		})
 		return old, ok
 	}
+	ctx := txOf(s)
 	old, ok := m.idx.Remove(s, k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	es := m.sys(k)
-	retire(s, es, old.pid, es.TxEpoch(s))
+	ctx.retired = append(ctx.retired, payloadRef{m.sys(k), old.pid})
 	return old.val, true
-}
-
-// retire marks a payload on es retired as of the transaction's epoch. The
-// mark is written in post-commit cleanup, never speculatively: a doomed transaction
-// that raced with (and was aborted by) the payload's real retirer must not
-// be able to clobber the committed mark. The session's epoch pin is held
-// until cleanups finish (core.Session.finish), so the mark always joins the
-// transaction's own epoch batch before that batch can flush.
-func retire(s *core.Session, es *EpochSys, pid, epoch uint64) {
-	sid := s.ID()
-	s.AddToCleanups(func() { es.PRetire(sid, pid, epoch) })
 }
 
 // Range calls f on each present pair until f returns false. Non-linearizable:

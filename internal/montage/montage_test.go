@@ -2,6 +2,8 @@ package montage
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,5 +238,151 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 				t.Fatalf("trial %d: key %d has %d live payloads; tx recovered partially", trial, k, c)
 			}
 		}
+	}
+}
+
+// twoDevices builds a map over two devices on one clock, its manager
+// attached, and returns a key routed to each device.
+func twoDevices(lat pnvm.Latencies) (clock *EpochClock, systems []*EpochSys, m *Map[uint64], s *core.Session, keys [2]uint64) {
+	clock = NewEpochClock()
+	for range 2 {
+		systems = append(systems, NewEpochSysShared(pnvm.New(lat), clock))
+	}
+	mgr := core.NewTxManager()
+	Attach(mgr, systems[0])
+	m = NewHashMap(systems, Uint64Codec(), 64)
+	var found [2]bool
+	for k := uint64(0); !found[0] || !found[1]; k++ {
+		if d := DeviceOf(k, 2); !found[d] {
+			keys[d], found[d] = k, true
+		}
+	}
+	return clock, systems, m, mgr.Session(), keys
+}
+
+// devicesOf returns the devices under systems.
+func devicesOf(systems []*EpochSys) []*pnvm.Device {
+	devs := make([]*pnvm.Device, len(systems))
+	for i, es := range systems {
+		devs[i] = es.Device()
+	}
+	return devs
+}
+
+// An aborted transaction leaves the devices as it found them: the payload
+// its overwrite created is deleted, and neither the payload that overwrite
+// superseded nor the one its remove took is marked retired, so no flush
+// frees them and recovery finds both keys at their old values.
+func TestAbortLeavesTheDevicesAsTheyWere(t *testing.T) {
+	clock, systems, m, s, keys := twoDevices(pnvm.Latencies{})
+	devs := devicesOf(systems)
+	m.Put(s, keys[0], 1)
+	m.Put(s, keys[1], 2)
+	SyncTogether(clock, systems)
+	live := []int{devs[0].Live(), devs[1].Live()}
+
+	s.TxBegin()
+	m.Put(s, keys[0], 10)
+	m.Remove(s, keys[1])
+	s.TxAbort()
+	SyncTogether(clock, systems) // flushes and frees anything the abort retired
+
+	for i, d := range devs {
+		if got := d.Live(); got != live[i] {
+			t.Errorf("device %d holds %d records after the abort and a sync, want %d as before", i, got, live[i])
+		}
+	}
+	kv, _ := recoverKV(t, devs)
+	if v, ok := kv[0][keys[0]]; !ok || v != 1 {
+		t.Errorf("recovered key %d = %d,%v, want 1", keys[0], v, ok)
+	}
+	if v, ok := kv[1][keys[1]]; !ok || v != 2 {
+		t.Errorf("recovered key %d = %d,%v, want 2", keys[1], v, ok)
+	}
+}
+
+// A committed remove's retire mark joins the batch of the transaction's own
+// epoch: the end hook writes it before it releases the pin, and the advance
+// that flushes the epoch waits for the pin. Here that advance is already
+// waiting when the transaction commits (its cleanup starts it), and a store
+// costs longer than the scheduler lets one goroutine run alone, so a mark
+// written after the pin was released would reach the batch after the flush
+// took it, and the crash that follows would find the keys live at the cut of
+// the epoch that removed them.
+func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
+	clock, systems, m, s, keys := twoDevices(pnvm.Latencies{Write: 25 * time.Millisecond})
+	devs := devicesOf(systems)
+	m.Put(s, keys[0], 1)
+	m.Put(s, keys[1], 2)
+	SyncTogether(clock, systems)
+
+	e := clock.Current()
+	flushed := make(chan struct{})
+	s.TxBegin()
+	m.Remove(s, keys[0])
+	m.Remove(s, keys[1])
+	s.AddToCleanups(func() {
+		// Committed, the marks not yet written. This advance flushes e-1
+		// and waits for no pin below e; the next flushes e once no session
+		// is pinned below e+1, which this one is until its end hook is done.
+		AdvanceTogether(clock, systems)
+		go func() {
+			AdvanceTogether(clock, systems)
+			close(flushed)
+		}()
+		for clock.Current() != e+2 { // ticked: it waits for the pin
+			runtime.Gosched()
+		}
+	})
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	<-flushed
+
+	kv, cut := recoverKV(t, devs)
+	if cut != e {
+		t.Fatalf("recovered at cut %d, want the remove's epoch %d", cut, e)
+	}
+	for i, k := range keys {
+		if v, ok := kv[i][k]; ok {
+			t.Errorf("key %d recovered = %d at the cut of the epoch that removed it", k, v)
+		}
+	}
+}
+
+// A Map written under a manager that Attach never saw would tag each payload
+// with whatever epoch is current, and nothing would hold a transaction to
+// one epoch. Every write path refuses, before it writes a payload, and says
+// what is missing.
+func TestUnattachedManagerPanics(t *testing.T) {
+	dev := pnvm.New(pnvm.Latencies{})
+	m := NewSkipMap([]*EpochSys{NewEpochSys(dev)}, Uint64Codec())
+	mgr := core.NewTxManager()
+	for _, c := range []struct {
+		name  string
+		inTx  bool
+		write func(s *core.Session)
+	}{
+		{"Put", true, func(s *core.Session) { m.Put(s, 1, 1) }},
+		{"Insert", true, func(s *core.Session) { m.Insert(s, 1, 1) }},
+		{"Remove", true, func(s *core.Session) { m.Remove(s, 1) }},
+		{"standalone Put", false, func(s *core.Session) { m.Put(s, 1, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mgr.Session() // a fresh one: the panic leaves its transaction open
+			if c.inTx {
+				s.TxBegin()
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "montage.Attach") {
+					t.Fatalf("panic %q, want one that names montage.Attach", msg)
+				}
+				if got := dev.Live(); got != 0 {
+					t.Fatalf("device holds %d records after the refused write", got)
+				}
+			}()
+			c.write(s)
+		})
 	}
 }

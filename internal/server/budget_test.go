@@ -37,19 +37,29 @@ func perRequest(n int, f func(i int)) (allocs, bytes float64) {
 
 // stubServe answers every request frame on c with a canned OK, allocating
 // nothing per request: the client's and the pipe's own share of a round trip.
+// Like the server it answers every frame already buffered behind the first
+// with one write, so a pipelined window costs the pipe what it costs there.
 func stubServe(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
 	var buf, out []byte
 	var resp Response
+	answer := func(body []byte) {
+		resp = Response{ID: binary.BigEndian.Uint64(body), Op: body[8], Status: StatusOK}
+		out = AppendResponse(out, &resp)
+	}
 	for {
 		body, err := ReadFrame(br, buf)
 		if err != nil {
 			return
 		}
 		buf = body
-		resp = Response{ID: binary.BigEndian.Uint64(body), Op: body[8], Status: StatusOK}
-		out = AppendResponse(out[:0], &resp)
+		out = out[:0]
+		answer(body)
+		for body = bufferedFrame(br); body != nil; body = bufferedFrame(br) {
+			answer(body)
+			br.Discard(4 + len(body))
+		}
 		if _, err := c.Write(out); err != nil {
 			return
 		}
@@ -67,6 +77,22 @@ func TestBudgetServe(t *testing.T) {
 	transfer := make([]TxnOp, 4)
 	get := func(c *Conn, i int) (*Response, error) { return c.Get(uint64(i % keys)) }
 	put := func(c *Conn, i int) (*Response, error) { return c.Put(uint64(i%keys), uint64(i)) }
+	// batchMax adjacent overwrites of distinct keys, pipelined in one write:
+	// the server runs them as one batch.
+	puts := func(c *Conn, i int) (*Response, error) {
+		for j := 0; j < batchMax; j++ {
+			c.SendPut(uint64((i*batchMax+j)%keys), uint64(i))
+		}
+		if err := c.Flush(); err != nil {
+			return nil, err
+		}
+		for j := 1; j < batchMax; j++ {
+			if r, err := c.Recv(); err != nil || !r.OK() {
+				return r, err
+			}
+		}
+		return c.Recv()
+	}
 	txn := func(c *Conn, i int) (*Response, error) {
 		a, b := uint64(i%keys), uint64((i+7)%keys)
 		transfer[0] = TxnOp{Kind: TxnRead, Key: a}
@@ -79,34 +105,40 @@ func TestBudgetServe(t *testing.T) {
 		name    string
 		occ     bool // served without the read lane (noLane)
 		started bool // one lane Get has started the engine's snapshot tier first
+		reqs    int  // requests per call of do
 		do      func(c *Conn, i int) (*Response, error)
-		allocs  float64 // ceilings, set from the measured values beside them
+		allocs  float64 // ceilings per request, set from the measured values beside them
 		bytes   float64
 	}{
 		// A snapshot read allocates nothing, and neither does the lane.
-		{"get via lane", false, false, get, 0.02, 4},
+		{"get via lane", false, false, 1, get, 0.02, 4},
 		// An OCC Get is a standalone read: no descriptor.
-		{"get via occ", true, false, get, 0.02, 4},
+		{"get via occ", true, false, 1, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
 		// snapshot: measured 3.007 allocations, 136.2 B — mhash's Put as
 		// internal/core prices it (node 48 with the cell its unlink
 		// publishes, deferred-unlink closure 64, install cell 24) and no
 		// snapshot version.
-		{"put", false, false, put, 3.02, 138},
+		{"put", false, false, 1, put, 3.02, 138},
 		// The same once the snapshot tier has started: measured 4.01
 		// allocations, 168.4 B (+ one 32-byte snapshot version).
-		{"put, tier started", false, true, put, 4.05, 174},
+		{"put, tier started", false, true, 1, put, 4.05, 174},
+		// The same Put served in a batch of batchMax: each costs what it
+		// costs alone, and the batch adds nothing — execBatch hands Run a
+		// body bound once per connection, and the latch stripes allocate
+		// nothing.
+		{"batched puts", false, false, batchMax, puts, 3.02, 138},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
-		// before anything has read a snapshot: measured 10.01 allocations,
-		// 440.3 B: three Puts as above (408 B in 9) and the 32-byte closure
-		// execTxn hands Run; the latch stripes allocate nothing. The worker
+		// before anything has read a snapshot: measured 9.01 allocations,
+		// 408.3 B: three Puts as above; execTxn's body is bound once per
+		// connection and the latch stripes allocate nothing. The worker
 		// runs every transaction on one descriptor, so its header and its
 		// read and write sets cost nothing.
-		{"4-op transfer txn", false, false, txn, 10.15, 452},
-		// The same once the snapshot tier has started: measured 13.01
-		// allocations, 536.4 B (+ a 32-byte version for each of the three
+		{"4-op transfer txn", false, false, 1, txn, 9.15, 420},
+		// The same once the snapshot tier has started: measured 12.01
+		// allocations, 504.4 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", false, true, txn, 13.15, 548},
+		{"4-op transfer txn, tier started", false, true, 1, txn, 12.15, 516},
 	}
 
 	// The client's own share: the same client over the same pipe against the
@@ -142,12 +174,19 @@ func TestBudgetServe(t *testing.T) {
 					}
 				}
 			}
-			clientAllocs, clientBytes := perRequest(n, round(stub))
-			allocs, bytes := perRequest(n, round(c))
-			allocs, bytes = allocs-clientAllocs, bytes-clientBytes
+			calls := n / tc.reqs
+			clientAllocs, clientBytes := perRequest(calls, round(stub))
+			allocs, bytes := perRequest(calls, round(c))
+			allocs, bytes = (allocs-clientAllocs)/float64(tc.reqs), (bytes-clientBytes)/float64(tc.reqs)
 			t.Logf("%.3f allocations, %.1f B per request (client's own %.3f, %.1f B subtracted)", allocs, bytes, clientAllocs, clientBytes)
 			if allocs > tc.allocs || bytes > tc.bytes {
 				t.Errorf("%.3f allocations, %.1f B per request; budget %.2f, %.0f B", allocs, bytes, tc.allocs, tc.bytes)
+			}
+			if want := uint64(0); tc.reqs > 1 {
+				want = uint64(64 + calls) // perRequest's warm-up calls and the measured ones
+				if got := s.Counters(); got.Batches != want || got.BatchedOps != want*uint64(tc.reqs) {
+					t.Errorf("want every call served as one batch of %d: %+v", tc.reqs, got)
+				}
 			}
 		})
 	}

@@ -293,6 +293,12 @@ type proc struct {
 	run   []pendReq
 	serve func(i int, cut uint64)
 
+	// Likewise the request execTxn runs and the batch execBatch runs, and
+	// the bodies they hand Run.
+	txn                *Request
+	batch              []pendReq
+	txnBody, batchBody func() error
+
 	// lastWriteTS is the engine commit timestamp of the most recent write
 	// through tx — this connection's, or a previous holder's of the session,
 	// which is merely conservative; a snapshot cut must reach it before the
@@ -338,7 +344,7 @@ func (s *Server) handle(c net.Conn) {
 		s.mu.Unlock()
 	}()
 	atomic.AddUint64(&p.ct.Conns, 1)
-	p.serve = p.serveRun
+	p.serve, p.txnBody, p.batchBody = p.serveRun, p.runTxn, p.runBatch
 	p.lastWriteTS = txengine.LastCommitTS(p.tx)
 	p.timer = time.NewTimer(time.Hour)
 	if !p.timer.Stop() {
@@ -630,27 +636,14 @@ func (p *proc) execSingle(r *Request) {
 // keys' stripes up front. One admission token and one commit for the whole
 // batch.
 func (p *proc) execBatch(batch []pendReq) error {
-	s := p.s
 	p.keys = p.keys[:0]
 	for i := range batch {
 		p.keys = append(p.keys, batch[i].req.Key)
 	}
 	txengine.HintKeys(p.tx, p.keys...)
 	p.results = p.results[:0]
-	err := p.tx.Run(func() error {
-		p.results = p.results[:0]
-		for i := range batch {
-			r := &batch[i].req
-			if r.Op == OpGet {
-				v, ok := s.m.Get(p.tx, r.Key)
-				p.results = append(p.results, ReadResult{Found: ok, Val: v})
-			} else {
-				prev, had := s.m.Put(p.tx, r.Key, r.Val)
-				p.results = append(p.results, ReadResult{Found: had, Val: prev})
-			}
-		}
-		return nil
-	})
+	p.batch = batch
+	err := p.tx.Run(p.batchBody)
 	if err == nil {
 		atomic.AddUint64(&p.ct.Batches, 1)
 		atomic.AddUint64(&p.ct.BatchedOps, uint64(len(batch)))
@@ -658,35 +651,56 @@ func (p *proc) execBatch(batch []pendReq) error {
 	return err
 }
 
+// runBatch is execBatch's transaction body.
+func (p *proc) runBatch() error {
+	s := p.s
+	p.results = p.results[:0]
+	for i := range p.batch {
+		r := &p.batch[i].req
+		if r.Op == OpGet {
+			v, ok := s.m.Get(p.tx, r.Key)
+			p.results = append(p.results, ReadResult{Found: ok, Val: v})
+		} else {
+			prev, had := s.m.Put(p.tx, r.Key, r.Val)
+			p.results = append(p.results, ReadResult{Found: had, Val: prev})
+		}
+	}
+	return nil
+}
+
 // execTxn runs one OpTxn atomically, keys pre-declared. TxnAdd underflow
 // business-aborts the whole transaction (StatusAborted to the client,
 // nothing applied).
 func (p *proc) execTxn(r *Request) error {
-	s := p.s
 	p.keys = p.keys[:0]
 	for _, op := range r.Ops {
 		p.keys = append(p.keys, op.Key)
 	}
 	txengine.HintKeys(p.tx, p.keys...)
 	p.results = p.results[:0]
-	return p.tx.Run(func() error {
-		p.results = p.results[:0]
-		for _, op := range r.Ops {
-			switch op.Kind {
-			case TxnRead:
-				v, ok := s.m.Get(p.tx, op.Key)
-				p.results = append(p.results, ReadResult{Found: ok, Val: v})
-			case TxnWrite:
-				s.m.Put(p.tx, op.Key, op.Arg)
-			case TxnAdd:
-				v, _ := s.m.Get(p.tx, op.Key)
-				delta := int64(op.Arg)
-				if delta < 0 && v < uint64(-delta) {
-					return p.tx.Abort()
-				}
-				s.m.Put(p.tx, op.Key, v+uint64(delta))
+	p.txn = r
+	return p.tx.Run(p.txnBody)
+}
+
+// runTxn is execTxn's transaction body.
+func (p *proc) runTxn() error {
+	s := p.s
+	p.results = p.results[:0]
+	for _, op := range p.txn.Ops {
+		switch op.Kind {
+		case TxnRead:
+			v, ok := s.m.Get(p.tx, op.Key)
+			p.results = append(p.results, ReadResult{Found: ok, Val: v})
+		case TxnWrite:
+			s.m.Put(p.tx, op.Key, op.Arg)
+		case TxnAdd:
+			v, _ := s.m.Get(p.tx, op.Key)
+			delta := int64(op.Arg)
+			if delta < 0 && v < uint64(-delta) {
+				return p.tx.Abort()
 			}
+			s.m.Put(p.tx, op.Key, v+uint64(delta))
 		}
-		return nil
-	})
+	}
+	return nil
 }
