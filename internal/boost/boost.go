@@ -75,9 +75,9 @@ func (t *LockTable) Acquire(s *core.Session, key uint64) bool {
 		// Release exactly once at transaction end, whichever way it goes.
 		// On abort, undo handlers registered later (the inverses) run
 		// first, so the object is restored before the lock drops.
-		release := func() { t.ReleaseNow(s, key) }
-		s.AddToCleanups(release)
-		s.OnAbort(release)
+		release := core.Func(func() { t.ReleaseNow(s, key) })
+		s.AddToCleanups(release, nil, nil)
+		s.OnAbort(release, nil, nil)
 	}
 	return true
 }
@@ -123,7 +123,7 @@ func (t *LockTable) Do(s *core.Session, key uint64, apply func(), inverse func()
 	}
 	apply()
 	if inverse != nil {
-		s.OnAbort(inverse)
+		s.OnAbort(core.Func(inverse), nil, nil)
 	}
 	return nil
 }

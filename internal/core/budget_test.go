@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"medley/internal/allocs"
 	"medley/internal/core"
 	"medley/internal/pnvm"
 	"medley/internal/structures/mhash"
@@ -34,25 +35,22 @@ import (
 //	read set     16n its predecessor's capacity, n entries of {slot, tag}
 //	write set     8n its predecessor's capacity, n slots
 
-// budget pins f to exactly allocs allocations and at most bytes bytes a call.
-func budget(t *testing.T, f func(), allocs float64, bytes int64) {
+// budget pins f to exactly want allocations and at most bytes bytes a call,
+// counted over the same 100 calls after one that grows the descriptor's sets
+// and the session's slices to their steady state.
+func budget(t *testing.T, f func(), want float64, bytes int64) {
 	t.Helper()
-	if raceEnabled {
+	if allocs.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
-	f() // grow the descriptor's sets and the session's slices to their steady state
-	if got := testing.AllocsPerRun(100, f); got != allocs {
-		t.Errorf("%v allocations per transaction, budget exactly %v", got, allocs)
+	f()
+	n, b := allocs.Count(100, f)
+	if got := float64(n); got != want {
+		t.Errorf("%v allocations per transaction, budget exactly %v", got, want)
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f()
-		}
-	})
-	got := r.MemBytes / uint64(r.N)
-	t.Logf("%d B per transaction", got)
-	if int64(got) > bytes {
-		t.Errorf("%d B per transaction, budget %d", got, bytes)
+	t.Logf("%d B per transaction", b)
+	if int64(b) > bytes {
+		t.Errorf("%d B per transaction, budget %d", b, bytes)
 	}
 }
 
@@ -121,18 +119,19 @@ func TestBudgetHelperAtFinish(t *testing.T) {
 //
 //	node          48  its own cell (24), key, value, next: the cell the
 //	                  post-commit unlink publishes in the predecessor
-//	cleanup       64  the deferred-unlink closure (function, dictionary and
-//	                  six captures)
 //
-// 112 bytes in 2 allocations, so 136 in 3 with the install, which publishes
-// the marked link to the node in a 24-byte cell of its own: that link goes
-// with the victim. The keys here sit alone in their buckets, so the new node's
-// successor is nil — the zero value, which next.Init stores without a cell;
-// in front of a successor it is one 24-byte cell, however often the Put
-// retries (TestBudgetInit).
+// 48 bytes in 1 allocation, so 72 in 2 with the install, which publishes the
+// marked link to the node in a 24-byte cell of its own: that link goes with
+// the victim. The unlink is a record in the session's cleanup slice, which
+// keeps its capacity: the list, the predecessor link and the victim, none of
+// which it allocates; as a closure (function, dictionary and six captures)
+// it cost 1 allocation and 64 B more. The keys here sit alone in their
+// buckets, so the new node's successor is nil — the zero value, which
+// next.Init stores without a cell; in front of a successor it is one 24-byte
+// cell, however often the Put retries (TestBudgetInit).
 // A Get of a present key records two reads (predecessor link and the node's
 // own successor), of an absent key one.
-const putAllocs, putBytes = 3, 48 + 64 + 24
+const putAllocs, putBytes = 2, 48 + 24
 
 // A private node's successor, set three times as by a Put that retried
 // twice: one 24-byte cell around an int; the zero value costs nothing. The
@@ -210,6 +209,30 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 	}, 0, 0)
 }
 
+// A committed Remove: the 24-byte cell its marking CAS installs, and the
+// one the post-commit unlink publishes in the predecessor: a fresh one, since
+// a successor's own cell is in the link that first pointed at it, and a nil
+// successor gets a cell all the same. The unlink is a record, as for a Put;
+// as a closure it cost 1 allocation and 64 B more.
+func TestBudgetHashRemove(t *testing.T) {
+	s := core.NewTxManager().Session()
+	m := mhash.NewUint64[uint64](1 << 10)
+	for k := uint64(0); k < 128; k++ { // one key for each call budget makes
+		m.Put(s, k, k)
+	}
+	k := uint64(0)
+	budget(t, func() {
+		s.TxBegin()
+		if _, ok := m.Remove(s, k); !ok {
+			t.Fatalf("key %d missing", k)
+		}
+		k++
+		if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+	}, 2, 24+24)
+}
+
 // A committed overwrite on txmontage, Sync included, once the device's free
 // lists and the epoch batches have been round the loop: the persistence
 // bookkeeping allocates nothing. The record's line is a slot of its shard's
@@ -219,10 +242,10 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 // the one it supersedes join the session's epoch context, whose two lists
 // keep their arrays from one transaction to the next. What is left is what medley
 // pays for the same Put through the same engine and what the payload itself
-// costs. Medley's Put through Run is 4 allocations, 184 B: the Put's 136 and
+// costs. Medley's Put through Run is 3 allocations, 120 B: the Put's 72 and
 // the 48-byte closure this test hands Run (it captures the map, the worker
 // and v), while nothing has read a snapshot; once one SnapshotRead has started
-// the snapshot tier it is 5 allocations, 216 B (one 32-byte version more: the
+// the snapshot tier it is 4 allocations, 152 B (one 32-byte version more: the
 // tier's slot array is not re-grown by an overwrite of a key it holds). The
 // payload:
 //
@@ -242,8 +265,8 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 		snapshot      bool
 		allocs, bytes int64
 	}{
-		{"tier off", false, 4 + 1, 184 + 24},
-		{"tier started", true, 5 + 1, 216 + 24},
+		{"tier off", false, 3 + 1, 120 + 24},
+		{"tier started", true, 4 + 1, 152 + 24},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, m, tx, _ := newHeapBudget(t, "txmontage", 16)
@@ -350,7 +373,7 @@ const (
 )
 
 func TestBudgetResidentKey(t *testing.T) {
-	if raceEnabled {
+	if allocs.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 100_000
@@ -402,7 +425,7 @@ func TestBudgetResidentKey(t *testing.T) {
 // within 1.5x of residentKeySnapshot. A tier that pays for every key ever
 // seen, and a second version of each, is past 4x.
 func TestBudgetChurnedKey(t *testing.T) {
-	if raceEnabled {
+	if allocs.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 100_000

@@ -152,10 +152,30 @@
 // descriptor nobody was going to touch; that costs a fresh descriptor, never
 // safety. With no helper about, reuse is deterministic: what a transaction
 // allocates is one cell per install that does not bring its own (installing
-// a new list node allocates none), and nothing for its descriptor or sets
-// once the session's arrays have grown to fit — it does not depend on
+// a new list node allocates none), and nothing for its descriptor, its sets
+// or its cleanup records once the session's arrays have grown to fit (next
+// section) — it does not depend on
 // collector timing or scheduling, which a sync.Pool, a free list shared
 // between sessions, or epoch-deferred reuse would (bytes per operation is the
 // benchmark's tightest bound, 5 %, with deterministic budget tests on top,
 // budget_test.go).
+//
+// # Deferred cleanups and undos
+//
+// Post-critical work (the paper's addToCleanups) and abort compensation (the
+// undo side of tNew) are records, not closures: a Cleaner, usually the
+// structure itself, and up to two operands, appended to one of two slices the
+// session keeps from one transaction to the next. A pointer goes into an
+// interface without an allocation, so registering allocates nothing once the
+// slices have grown, where a closure and its captures cost 32 to 64 bytes. A
+// structure names what its cleanup needs by the nodes it already holds: the
+// list's unlink gets the predecessor link and the victim, and reads the
+// successor from the victim's frozen marked link. After the sweep, finish
+// runs the cleanups in the order registered on commit, or the undos in
+// reverse on abort, with the transaction closed (a CAS or a TRetire in them
+// is plain), then clears both slices so that nothing they named stays
+// reachable. Outside a transaction a cleanup runs at once and an undo not at
+// all. A TRetire inside a transaction is a record of the retire hook. Func
+// adapts a closure for a caller with nothing to name (boosting's lock release
+// and inverses), and pays the closure's allocation.
 package core

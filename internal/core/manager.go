@@ -41,8 +41,14 @@ type TxManager struct {
 	endHook func(*Session, bool)
 	// retireHook, if set, observes TRetire'd nodes after commit. Used by
 	// the persistence layer to retire NVM payloads.
-	retireHook func(any)
+	retireHook retirer
 }
+
+// retirer is the retire hook as the Cleaner of a TRetire inside a
+// transaction: the record's first operand is the retired node.
+type retirer func(any)
+
+func (h retirer) Cleanup(_ *Session, x, _ any) { h(x) }
 
 // NewTxManager creates an empty transaction manager.
 func NewTxManager() *TxManager { return &TxManager{} }

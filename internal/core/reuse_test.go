@@ -258,8 +258,8 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 	for i := range first {
 		txWrite(t, a, &first[i], 0, 1)
 	}
-	a.AddToCleanups(func() { at(afterSweep) })
-	a.OnAbort(func() { at(afterSweep) })
+	a.AddToCleanups(Func(func() { at(afterSweep) }), nil, nil)
+	a.OnAbort(Func(func() { at(afterSweep) }), nil, nil)
 	validated := false
 	d1.AddValidator(func() bool {
 		if !validated { // the owner's own call; a helper validates past the seam
@@ -300,7 +300,7 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 }
 
 // TestReuseLeavesNothingBehind checks what an idle session holds after a
-// transaction: its next descriptor's sets and the closure slots cleared over
+// transaction: its next descriptor's sets and the record slots cleared over
 // their whole capacity, whether the transaction committed, aborted or only
 // read.
 func TestReuseLeavesNothingBehind(t *testing.T) {
@@ -325,14 +325,14 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 				t.Fatalf("%s: a validator is still reachable", when)
 			}
 		}
-		for _, f := range s.cleanups[:cap(s.cleanups)] {
-			if f != nil {
-				t.Fatalf("%s: a cleanup closure is still reachable", when)
+		for _, r := range s.cleanups[:cap(s.cleanups)] {
+			if r.c != nil || r.a != nil || r.b != nil {
+				t.Fatalf("%s: a cleanup record is still reachable", when)
 			}
 		}
-		for _, f := range s.undos[:cap(s.undos)] {
-			if f != nil {
-				t.Fatalf("%s: an undo closure is still reachable", when)
+		for _, r := range s.undos[:cap(s.undos)] {
+			if r.c != nil || r.a != nil || r.b != nil {
+				t.Fatalf("%s: an undo record is still reachable", when)
 			}
 		}
 	}
@@ -344,8 +344,8 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 		if objs[3].NbtcCAS(s, -1, 0, true, true) {
 			t.Fatal("CAS from a value never stored succeeded")
 		}
-		s.AddToCleanups(func() {})
-		s.OnAbort(func() {})
+		s.AddToCleanups(Func(func() {}), &objs[0], &objs[1])
+		s.OnAbort(Func(func() {}), &objs[2], &objs[3])
 		s.Desc().AddValidator(func() bool { return true })
 		s.Desc().AddValidator(func() bool { return true })
 	}

@@ -25,8 +25,8 @@ type Session struct {
 	// transaction; cleared by a successful linearizing CAS.
 	inSpec bool
 
-	cleanups []func() // post-critical work, run after commit
-	undos    []func() // tNew compensation, run after abort
+	cleanups []record // post-critical work, run after commit
+	undos    []record // tNew compensation, run after abort
 
 	// spare is the descriptor the next TxBegin runs on: the last one, unless
 	// a helper was inside it when its transaction finished (Desc.reuse). It
@@ -144,16 +144,16 @@ func (s *Session) finish(d *Desc) error {
 	s.desc = nil
 	s.inSpec = false
 	if committed {
-		for _, f := range s.cleanups {
-			f()
+		for i := range s.cleanups {
+			s.cleanups[i].run(s)
 		}
 	} else {
 		for i := len(s.undos) - 1; i >= 0; i-- {
-			s.undos[i]()
+			s.undos[i].run(s)
 		}
 	}
-	// Drop the closures (and the victims and payload ids they capture) now,
-	// not when some later transaction overwrites the slots.
+	// Drop the records (and the victims and payloads they name) now, not
+	// when some later transaction overwrites the slots.
 	clear(s.cleanups)
 	clear(s.undos)
 	s.cleanups, s.undos = s.cleanups[:0], s.undos[:0]
@@ -201,25 +201,54 @@ func (s *Session) AddToReadSet(o Obj, tag ReadTag) {
 	atomic.AddUint64(&s.st.Reads, 1)
 }
 
-// AddToCleanups registers post-critical work (the paper's addToCleanups):
-// deferred until after commit when inside a transaction, executed
-// immediately otherwise.
-func (s *Session) AddToCleanups(f func()) {
+// Cleaner is post-critical work or abort compensation that a structure
+// registers with its operands rather than as a closure: AddToCleanups and
+// OnAbort append a record {c, a, b} to a slice the session keeps from one
+// transaction to the next, and a pointer goes into an interface without an
+// allocation, so registering costs none.
+type Cleaner interface {
+	// Cleanup does the work on the operands it was registered with. It runs
+	// outside any transaction: s is the session that registered it, after
+	// its transaction finished or, outside one, at once.
+	Cleanup(s *Session, a, b any)
+}
+
+// Func adapts a closure to a Cleaner that ignores its operands, for callers
+// that hand the session arbitrary work (boosting's lock release and
+// inverses). The closure is the allocation a record avoids.
+type Func func()
+
+// Cleanup runs f.
+func (f Func) Cleanup(*Session, any, any) { f() }
+
+// record is one registration: a Cleaner and its operands.
+type record struct {
+	c    Cleaner
+	a, b any
+}
+
+func (r *record) run(s *Session) { r.c.Cleanup(s, r.a, r.b) }
+
+// AddToCleanups registers post-critical work (the paper's addToCleanups): c
+// on operands a and b, deferred until after commit when inside a
+// transaction, in the order registered, and executed immediately otherwise.
+func (s *Session) AddToCleanups(c Cleaner, a, b any) {
 	if s.desc == nil {
-		f()
+		c.Cleanup(s, a, b)
 		return
 	}
-	s.cleanups = append(s.cleanups, f)
+	s.cleanups = append(s.cleanups, record{c, a, b})
 }
 
 // OnAbort registers compensation to run if the current transaction aborts
-// (the undo side of the paper's tNew). Outside a transaction it is a no-op:
-// there is nothing to compensate.
-func (s *Session) OnAbort(f func()) {
+// (the undo side of the paper's tNew): c on operands a and b, in reverse
+// order of registration. Outside a transaction it is a no-op: there is
+// nothing to compensate.
+func (s *Session) OnAbort(c Cleaner, a, b any) {
 	if s.desc == nil {
 		return
 	}
-	s.undos = append(s.undos, f)
+	s.undos = append(s.undos, record{c, a, b})
 }
 
 // TRetire schedules safe memory reclamation of a node after the current
@@ -237,7 +266,7 @@ func (s *Session) TRetire(x any) {
 		hook(x)
 		return
 	}
-	s.cleanups = append(s.cleanups, func() { hook(x) })
+	s.cleanups = append(s.cleanups, record{hook, x, nil})
 }
 
 // Run executes fn as a transaction, retrying (with randomized exponential

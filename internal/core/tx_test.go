@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -270,7 +271,7 @@ func TestCleanupsRunOnCommitOnly(t *testing.T) {
 	ran := 0
 	s.TxBegin()
 	a.NbtcCAS(s, 0, 1, true, true)
-	s.AddToCleanups(func() { ran++ })
+	s.AddToCleanups(Func(func() { ran++ }), nil, nil)
 	if ran != 0 {
 		t.Fatal("cleanup ran before commit")
 	}
@@ -284,7 +285,7 @@ func TestCleanupsRunOnCommitOnly(t *testing.T) {
 	ran = 0
 	s.TxBegin()
 	a.NbtcCAS(s, 1, 2, true, true)
-	s.AddToCleanups(func() { ran++ })
+	s.AddToCleanups(Func(func() { ran++ }), nil, nil)
 	s.TxAbort()
 	if ran != 0 {
 		t.Fatal("cleanup ran on abort")
@@ -292,7 +293,7 @@ func TestCleanupsRunOnCommitOnly(t *testing.T) {
 
 	// Outside a transaction cleanups run immediately.
 	ran = 0
-	s.AddToCleanups(func() { ran++ })
+	s.AddToCleanups(Func(func() { ran++ }), nil, nil)
 	if ran != 1 {
 		t.Fatal("cleanup not immediate outside tx")
 	}
@@ -306,7 +307,7 @@ func TestOnAbortUndoRunsOnAbortOnly(t *testing.T) {
 	undone := 0
 	s.TxBegin()
 	a.NbtcCAS(s, 0, 1, true, true)
-	s.OnAbort(func() { undone++ })
+	s.OnAbort(Func(func() { undone++ }), nil, nil)
 	s.TxAbort()
 	if undone != 1 {
 		t.Fatalf("undo ran %d times, want 1", undone)
@@ -315,13 +316,72 @@ func TestOnAbortUndoRunsOnAbortOnly(t *testing.T) {
 	undone = 0
 	s.TxBegin()
 	a.NbtcCAS(s, 0, 1, true, true)
-	s.OnAbort(func() { undone++ })
+	s.OnAbort(Func(func() { undone++ }), nil, nil)
 	if err := s.TxEnd(); err != nil {
 		t.Fatal(err)
 	}
 	if undone != 0 {
 		t.Fatal("undo ran on commit")
 	}
+}
+
+// logCleaner is a Cleaner that logs its operands and whether it ran inside
+// a transaction.
+type logCleaner struct{ log []string }
+
+func (c *logCleaner) Cleanup(s *Session, a, b any) {
+	c.log = append(c.log, fmt.Sprintf("%v %v %v", a, b, s.InTx()))
+}
+
+// TestCleanupRecords: cleanups and undos are records of a Cleaner and its
+// operands. Inside a transaction the cleanups run after commit in the order
+// registered and the undos after abort in reverse; either way the session
+// then holds none. Outside one a cleanup runs at once and an undo not at all.
+func TestCleanupRecords(t *testing.T) {
+	s := NewTxManager().Session()
+	var a CASObj[int]
+	c := &logCleaner{}
+	wantLog := func(when string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(c.log) != fmt.Sprint(want) {
+			t.Fatalf("%s: ran %q, want %q", when, c.log, want)
+		}
+		c.log = nil
+		if len(s.cleanups) != 0 || len(s.undos) != 0 {
+			t.Fatalf("%s: %d cleanups and %d undos left registered", when, len(s.cleanups), len(s.undos))
+		}
+		for _, r := range append(s.cleanups[:cap(s.cleanups)], s.undos[:cap(s.undos)]...) {
+			if r != (record{}) {
+				t.Fatalf("%s: a record is still reachable", when)
+			}
+		}
+	}
+	register := func() {
+		s.AddToCleanups(c, "c", 1)
+		s.OnAbort(c, "u", 1)
+		s.AddToCleanups(c, "c", 2)
+		s.OnAbort(c, "u", 2)
+	}
+
+	s.TxBegin()
+	a.NbtcCAS(s, 0, 1, true, true)
+	register()
+	if len(c.log) != 0 {
+		t.Fatalf("ran %q before the transaction finished", c.log)
+	}
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantLog("commit", "c 1 false", "c 2 false")
+
+	s.TxBegin()
+	a.NbtcCAS(s, 1, 2, true, true)
+	register()
+	s.TxAbort()
+	wantLog("abort", "u 2 false", "u 1 false")
+
+	register()
+	wantLog("outside a transaction", "c 1 false", "c 2 false")
 }
 
 func TestRunRetriesOnConflictAbort(t *testing.T) {

@@ -321,7 +321,7 @@ func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
 	s.TxBegin()
 	m.Remove(s, keys[0])
 	m.Remove(s, keys[1])
-	s.AddToCleanups(func() {
+	s.AddToCleanups(core.Func(func() {
 		// Committed, the marks not yet written. This advance flushes e-1
 		// and waits for no pin below e; the next flushes e once no session
 		// is pinned below e+1, which this one is until its end hook is done.
@@ -333,7 +333,7 @@ func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
 		for clock.Current() != e+2 { // ticked: it waits for the pin
 			runtime.Gosched()
 		}
-	})
+	}), nil, nil)
 	if err := s.TxEnd(); err != nil {
 		t.Fatal(err)
 	}

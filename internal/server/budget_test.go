@@ -115,30 +115,30 @@ func TestBudgetServe(t *testing.T) {
 		// An OCC Get is a standalone read: no descriptor.
 		{"get via occ", true, false, 1, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
-		// snapshot: measured 3.007 allocations, 136.2 B — mhash's Put as
+		// snapshot: measured 2.006 allocations, 72.1 B — mhash's Put as
 		// internal/core prices it (node 48 with the cell its unlink
-		// publishes, deferred-unlink closure 64, install cell 24) and no
+		// publishes, install cell 24; the unlink is a record) and no
 		// snapshot version.
-		{"put", false, false, 1, put, 3.02, 138},
-		// The same once the snapshot tier has started: measured 4.01
-		// allocations, 168.4 B (+ one 32-byte snapshot version).
-		{"put, tier started", false, true, 1, put, 4.05, 174},
+		{"put", false, false, 1, put, 2.02, 74},
+		// The same once the snapshot tier has started: measured 3.007
+		// allocations, 104.3 B (+ one 32-byte snapshot version).
+		{"put, tier started", false, true, 1, put, 3.05, 110},
 		// The same Put served in a batch of batchMax: each costs what it
 		// costs alone, and the batch adds nothing — execBatch hands Run a
 		// body bound once per connection, and the latch stripes allocate
 		// nothing.
-		{"batched puts", false, false, batchMax, puts, 3.02, 138},
+		{"batched puts", false, false, batchMax, puts, 2.02, 74},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
-		// before anything has read a snapshot: measured 9.01 allocations,
-		// 408.3 B: three Puts as above; execTxn's body is bound once per
+		// before anything has read a snapshot: measured 6.012 allocations,
+		// 216.3 B: three Puts as above; execTxn's body is bound once per
 		// connection and the latch stripes allocate nothing. The worker
 		// runs every transaction on one descriptor, so its header and its
 		// read and write sets cost nothing.
-		{"4-op transfer txn", false, false, 1, txn, 9.15, 420},
-		// The same once the snapshot tier has started: measured 12.01
-		// allocations, 504.4 B (+ a 32-byte version for each of the three
+		{"4-op transfer txn", false, false, 1, txn, 6.15, 228},
+		// The same once the snapshot tier has started: measured 9.013
+		// allocations, 312.4 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", false, true, 1, txn, 12.15, 516},
+		{"4-op transfer txn, tier started", false, true, 1, txn, 9.15, 324},
 	}
 
 	// The client's own share: the same client over the same pipe against the

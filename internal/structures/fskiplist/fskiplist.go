@@ -204,13 +204,7 @@ func (sl *SkipList[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) 
 				// transaction do not descend onto a tower that is dead at
 				// the bottom but routed above.
 				sl.retireTower(victim, k)
-				s.AddToCleanups(func() {
-					if predObj.CAS(Ref[K, V]{victim, false}, Ref[K, V]{nn, false}) {
-						s.TRetire(victim)
-					}
-					sl.find(nil, k) // sweep any remaining links
-					sl.linkUpper(nn, k)
-				})
+				s.AddToCleanups(sl, predObj, victim)
 				return r.curr.val, true
 			}
 			continue
@@ -254,7 +248,7 @@ func (sl *SkipList[K, V]) insertAt(s *core.Session, r *findResult[K, V], k K, v 
 	}
 	if nn.level > 0 {
 		// Post-critical: build the express lanes after commit.
-		s.AddToCleanups(func() { sl.linkUpper(nn, k) })
+		s.AddToCleanups(sl, nn, nil)
 	}
 	return true
 }
@@ -274,9 +268,34 @@ func (sl *SkipList[K, V]) Remove(s *core.Session, k K) (V, bool) {
 		if r.curr.next[0].NbtcCAS(s, Ref[K, V]{r.nxt0.n, false}, Ref[K, V]{r.nxt0.n, true}, true, true) {
 			victim := r.curr
 			sl.retireTower(victim, k) // immediate physical demotion (see Put)
-			s.AddToCleanups(func() { sl.find(nil, k) })
+			s.AddToCleanups(sl, victim, nil)
 			return r.curr.val, true
 		}
+	}
+}
+
+// Cleanup is the post-critical work of an update, the core.Cleaner that Put,
+// Insert and Remove register; it runs after commit, or at once outside a
+// transaction. With operands (pred, victim) a replace unlinks its victim from
+// the bottom-level link pred, then sweeps and builds the tower of the
+// replacement, which the victim's marked bottom link, frozen since the
+// replace, names. With (n, nil) an insert builds n's upper levels, and a
+// remove, whose n is dead at the bottom, sweeps it out of every level.
+func (sl *SkipList[K, V]) Cleanup(s *core.Session, a, b any) {
+	if victim, ok := b.(*node[K, V]); ok {
+		pred, nn := a.(*core.CASObj[Ref[K, V]]), victim.next[0].Load().n
+		if pred.CAS(Ref[K, V]{victim, false}, Ref[K, V]{nn, false}) {
+			s.TRetire(victim)
+		}
+		sl.find(nil, victim.key) // sweep any remaining links
+		sl.linkUpper(nn, victim.key)
+		return
+	}
+	n := a.(*node[K, V])
+	if n.next[0].Load().marked {
+		sl.find(nil, n.key)
+	} else {
+		sl.linkUpper(n, n.key)
 	}
 }
 

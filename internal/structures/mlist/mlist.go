@@ -9,7 +9,9 @@
 //     Session.AddToReadSet.
 //   - Post-critical cleanup (physical unlinking of replaced or removed
 //     nodes) is registered with Session.AddToCleanups so that it executes
-//     after commit (or immediately, when called outside a transaction).
+//     after commit (or immediately, when called outside a transaction). The
+//     list is its own core.Cleaner: the registration is a record of the
+//     predecessor link and the victim, not a closure, and allocates nothing.
 //
 // Keys are ordered; values are immutable per node (updates replace the node,
 // exactly as in the paper: the new node is inserted as the marked victim's
@@ -172,9 +174,8 @@ func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 		if found { // replace
 			nn.next.Init(nxt)
 			if curr.next.NbtcCAS(s, nxt, to(nn).mark(), true, true) {
-				old = curr.val
-				l.deferUnlink(s, prev, curr, nn, &nn.in)
-				return old, true
+				s.AddToCleanups(l, prev, curr)
+				return curr.val, true
 			}
 			continue
 		}
@@ -224,27 +225,34 @@ func (l *List[K, V]) Remove(s *core.Session, k K) (V, bool) {
 			return zero, false
 		}
 		if curr.next.NbtcCAS(s, nxt, nxt.mark(), true, true) {
-			l.deferUnlink(s, prev, curr, nxt.node(), nil)
+			s.AddToCleanups(l, prev, curr)
 			return curr.val, true
 		}
 	}
 }
 
-// deferUnlink registers the post-critical physical unlink of victim,
-// replacing it with succ in prev, published in cell in (nil: a new one); if
-// the direct CAS fails, a plain find sweeps the victim out. Runs after commit
-// (or immediately outside a transaction), matching the cleanup lambda of the
-// paper's Fig. 2. The closure reads victim.key instead of capturing a copy:
-// with in, and the dictionary a closure in a generic method captures, one
-// more word would take it past 64 bytes.
-func (l *List[K, V]) deferUnlink(s *core.Session, prev *core.CASObj[Ref[K, V]], victim, succ *node[K, V], in *core.Cell[Ref[K, V]]) {
-	s.AddToCleanups(func() {
-		if prev.CASIn(to(victim), in, to(succ)) {
-			s.TRetire(victim)
-		} else {
-			l.find(nil, victim.key) // generic helping path snips it
-		}
-	})
+// Cleanup is the post-critical physical unlink of a replaced or removed
+// victim (the cleanup lambda of the paper's Fig. 2), the core.Cleaner that
+// Put and Remove register with operands prev, the link that reached the
+// victim, and victim itself. It runs after commit, or at once outside a
+// transaction. The victim's marked successor link never changes again, so
+// the rest follows from it: a replace's successor is the new node, which has
+// the victim's key and whose own cell, not yet published, goes to this link
+// that stays pointing at it; a remove's successor, if any, has a greater key
+// and its own cell in the link that first pointed at it, so this link takes
+// a fresh one. If the direct CAS fails, a plain find sweeps the victim out.
+func (l *List[K, V]) Cleanup(s *core.Session, prev, victim any) {
+	p, v := prev.(*core.CASObj[Ref[K, V]]), victim.(*node[K, V])
+	succ := v.next.Load().node()
+	var in *core.Cell[Ref[K, V]]
+	if succ != nil && succ.key == v.key {
+		in = &succ.in
+	}
+	if p.CASIn(to(v), in, to(succ)) {
+		s.TRetire(v)
+	} else {
+		l.find(nil, v.key) // generic helping path snips it
+	}
 }
 
 // Len counts the unmarked nodes. It is a non-linearizable diagnostic

@@ -124,6 +124,40 @@ func TestOwnCellLinksNode(t *testing.T) {
 	wantOwnCell(t, "Put that inserts", &nodeOf(t, l, 3).next, nodeOf(t, l, 4))
 }
 
+// TestRemoveTakesFreshCell: the unlink after a Remove links the victim's
+// successor in a cell of its own. The successor's own cell went to the link
+// that first pointed at it, so the unlink must not publish it again, in a
+// transaction or not.
+func TestRemoveTakesFreshCell(t *testing.T) {
+	for _, tx := range []bool{false, true} {
+		l := New[uint64, uint64]()
+		s := newSession()
+		for k := uint64(1); k <= 3; k++ {
+			l.Insert(s, k, k)
+		}
+		n1, n3 := nodeOf(t, l, 1), nodeOf(t, l, 3)
+		remove := func() error {
+			if _, ok := l.Remove(s, 2); !ok {
+				t.Fatal("Remove missed key 2")
+			}
+			return nil
+		}
+		if tx {
+			if err := s.Run(remove); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			remove()
+		}
+		if n1.next.Load() != to(n3) {
+			t.Fatalf("transaction %v: key 1 does not link key 3 after the remove of 2", tx)
+		}
+		if cellAt(&n1.next) == unsafe.Pointer(&n3.in) {
+			t.Fatalf("transaction %v: the unlink published key 3's own cell a second time", tx)
+		}
+	}
+}
+
 // TestMarkedNilSurvives: removing a tail node marks a nil successor, and the
 // mark holds through the speculative install, the commit and the cleanup.
 func TestMarkedNilSurvives(t *testing.T) {

@@ -54,9 +54,7 @@ func (q *Queue[T]) Enqueue(s *core.Session, v T) {
 		if tail.next.NbtcCAS(s, nil, nn, true, true) {
 			// Post-critical: swing tail. Deferred to commit inside a
 			// transaction so the speculative node stays private.
-			s.AddToCleanups(func() {
-				q.tail.CAS(tail, nn)
-			})
+			s.AddToCleanups(q, tail, nil)
 			return
 		}
 	}
@@ -78,18 +76,28 @@ func (q *Queue[T]) Dequeue(s *core.Session) (v T, ok bool) {
 			return zero, false
 		}
 		if q.head.NbtcCAS(s, head, next, true, true) {
-			val := next.val
-			s.AddToCleanups(func() {
-				// Help the tail past the dequeued prefix if it lags.
-				t := q.tail.Load()
-				if t == head {
-					q.tail.CAS(head, next)
-				}
-				s.TRetire(head)
-			})
-			return val, true
+			s.AddToCleanups(q, nil, head)
+			return next.val, true
 		}
 	}
+}
+
+// Cleanup is the post-critical work of an Enqueue or a Dequeue, the
+// core.Cleaner they register; it runs after commit, or at once outside a
+// transaction. A node's next is set once, so the node names its successor.
+// With operands (tail, nil) an enqueue swings the tail from the node it
+// linked after to that node's successor, the new node; with (nil, head) a
+// dequeue helps the tail past the old head if it lags there, and retires it.
+func (q *Queue[T]) Cleanup(s *core.Session, linked, dequeued any) {
+	if tail, ok := linked.(*node[T]); ok {
+		q.tail.CAS(tail, tail.next.Load())
+		return
+	}
+	head := dequeued.(*node[T])
+	if q.tail.Load() == head {
+		q.tail.CAS(head, head.next.Load())
+	}
+	s.TRetire(head)
 }
 
 // Peek returns the oldest element without removing it.

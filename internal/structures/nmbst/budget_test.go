@@ -1,0 +1,55 @@
+package nmbst
+
+import (
+	"testing"
+
+	"medley/internal/allocs"
+	"medley/internal/core"
+)
+
+// What a committed update allocates. A replace retires its leaf, which with
+// no retire hook registers nothing; a remove registers the splice with the
+// session as a record, in a slice that keeps its capacity. Neither allocates
+// for its cleanup; each closure cost one allocation more. Cells here are 32
+// bytes: desc, prev and a two-word edge.
+//
+//	replace   2 allocations, 80 B: the new leaf 48 and the cell the edge CAS
+//	          installs
+//	remove    3 allocations, 96 B: the cell the flagging CAS installs, and
+//	          after commit the cells of the sibling's tag and of the splice
+func TestBudgetCleanup(t *testing.T) {
+	if allocs.Race {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := core.NewTxManager().Session()
+	tr := New[uint64]()
+	for k := uint64(0); k < 256; k++ {
+		tr.Put(s, k*7919%256, k)
+	}
+	next := uint64(0)
+	commit := func(op func()) func() {
+		return func() {
+			s.TxBegin()
+			op()
+			if err := s.TxEnd(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replace := commit(func() { tr.Put(s, 255, 0) })
+	remove := commit(func() {
+		if _, ok := tr.Remove(s, next); !ok {
+			t.Fatalf("key %d missing", next)
+		}
+		next++
+	})
+	replace() // grow the descriptor's sets and the session's slices
+	remove()
+
+	if n, b := allocs.Count(100, replace); n != 2 || b != 80 {
+		t.Errorf("a replace allocates %d times, %d B: want 2, 80 B", n, b)
+	}
+	if n, b := allocs.Count(100, remove); n != 3 || b != 96 {
+		t.Errorf("a remove allocates %d times, %d B: want 3, 96 B", n, b)
+	}
+}

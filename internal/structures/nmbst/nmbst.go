@@ -184,8 +184,7 @@ func (t *Tree[V]) Put(s *core.Session, k uint64, v V) (old V, replaced bool) {
 		if r.leaf.key == k && !r.parVal.flag {
 			nl := &node[V]{key: k, val: v, leaf: true}
 			if r.parObj.NbtcCAS(s, edge[V]{r.leaf, false, false}, edge[V]{nl, false, false}, true, true) {
-				victim := r.leaf
-				s.AddToCleanups(func() { s.TRetire(victim) })
+				s.TRetire(r.leaf)
 				return r.leaf.val, true
 			}
 			t.help(s, &r)
@@ -236,12 +235,19 @@ func (t *Tree[V]) Remove(s *core.Session, k uint64) (V, bool) {
 			continue
 		}
 		if r.parObj.NbtcCAS(s, edge[V]{r.leaf, false, false}, edge[V]{r.leaf, true, false}, true, true) {
-			leaf := r.leaf
-			s.AddToCleanups(func() { t.completeDelete(s, k, leaf) })
+			s.AddToCleanups(t, r.leaf, nil)
 			return r.leaf.val, true
 		}
 		t.help(s, &r)
 	}
+}
+
+// Cleanup completes the delete of leaf, the core.Cleaner Remove registers
+// with operands (leaf, nil); it runs after commit, or at once outside a
+// transaction.
+func (t *Tree[V]) Cleanup(s *core.Session, leaf, _ any) {
+	l := leaf.(*node[V])
+	t.completeDelete(s, l.key, l)
 }
 
 // completeDelete finishes a linearized delete: tag the sibling edge, splice

@@ -169,13 +169,7 @@ func (sl *SkipList[V]) Put(s *core.Session, k uint64, v V) (old V, replaced bool
 				victim := r.curr
 				predObj := r.preds[0]
 				sl.retireWheel(victim)
-				s.AddToCleanups(func() {
-					if predObj.CAS(Ref[V]{victim, false}, Ref[V]{nn, false}) {
-						s.TRetire(victim)
-					}
-					sl.find(nil, k)
-					sl.linkUpper(nn, k)
-				})
+				s.AddToCleanups(sl, predObj, victim)
 				return r.curr.val, true
 			}
 			continue
@@ -210,7 +204,7 @@ func (sl *SkipList[V]) insertAt(s *core.Session, r *findResult[V], k uint64, v V
 		return false
 	}
 	if nn.level > 0 {
-		s.AddToCleanups(func() { sl.linkUpper(nn, k) })
+		s.AddToCleanups(sl, nn, nil)
 	}
 	return true
 }
@@ -228,9 +222,31 @@ func (sl *SkipList[V]) Remove(s *core.Session, k uint64) (V, bool) {
 		if r.curr.wheel[0].NbtcCAS(s, Ref[V]{r.nxt0.n, false}, Ref[V]{r.nxt0.n, true}, true, true) {
 			victim := r.curr
 			sl.retireWheel(victim)
-			s.AddToCleanups(func() { sl.find(nil, k) })
+			s.AddToCleanups(sl, victim, nil)
 			return r.curr.val, true
 		}
+	}
+}
+
+// Cleanup is the post-critical work of an update, registered as in package
+// fskiplist: (pred, victim) unlinks a replaced victim and builds its
+// replacement's wheel, (n, nil) builds an inserted n's upper levels or sweeps
+// a removed one out.
+func (sl *SkipList[V]) Cleanup(s *core.Session, a, b any) {
+	if victim, ok := b.(*node[V]); ok {
+		pred, nn := a.(*core.CASObj[Ref[V]]), victim.wheel[0].Load().n
+		if pred.CAS(Ref[V]{victim, false}, Ref[V]{nn, false}) {
+			s.TRetire(victim)
+		}
+		sl.find(nil, victim.key)
+		sl.linkUpper(nn, victim.key)
+		return
+	}
+	n := a.(*node[V])
+	if n.wheel[0].Load().marked {
+		sl.find(nil, n.key)
+	} else {
+		sl.linkUpper(n, n.key)
 	}
 }
 

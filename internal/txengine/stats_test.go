@@ -246,12 +246,13 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 // transfer between keys on two devices allocates as many times as the same
 // transfer between keys on one (the bytes differ by the amortized growth of
 // each device's epoch batches). On medley a transfer is two mhash overwrites
-// (node 48 with the cell its unlink publishes, deferred unlink 64, install
-// cell 24), 6 allocations and 272 B, and nothing for the descriptor, which
-// the session reuses. On txmontage each overwrite adds its 8-byte payload
-// and nothing else (the payload's undo and its predecessor's retire mark are
-// entries in the session's epoch context), 8 allocations on one device and
-// on two. A committed read-only Run allocates 0 on both.
+// (node 48 with the cell its unlink publishes, install cell 24; the unlink
+// itself is a record in the session's cleanup slice), 4 allocations and
+// 144 B, and nothing for the descriptor, which the session reuses. On
+// txmontage each overwrite adds its 8-byte payload and nothing else (the
+// payload's undo and its predecessor's retire mark are entries in the
+// session's epoch context), 6 allocations on one device and on two. A
+// committed read-only Run allocates 0 on both.
 func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -315,11 +316,11 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 			if twoAllocs != oneAllocs {
 				t.Errorf("a transfer over two devices allocates %d times, on one device %d times: want the same", twoAllocs, oneAllocs)
 			}
-			if se.es == nil && (oneAllocs != 2*3 || oneBytes != 2*136 || twoBytes != oneBytes) {
-				t.Errorf("a transfer allocates %d times / %d B and %d times / %d B: want 6 / 272 B both", oneAllocs, oneBytes, twoAllocs, twoBytes)
+			if se.es == nil && (oneAllocs != 2*2 || oneBytes != 2*72 || twoBytes != oneBytes) {
+				t.Errorf("a transfer allocates %d times / %d B and %d times / %d B: want 4 / 144 B both", oneAllocs, oneBytes, twoAllocs, twoBytes)
 			}
-			if se.es != nil && oneAllocs != 2*4 {
-				t.Errorf("a transfer allocates %d times on one device, want 8", oneAllocs)
+			if se.es != nil && oneAllocs != 2*3 {
+				t.Errorf("a transfer allocates %d times on one device, want 6", oneAllocs)
 			}
 			if allocs, bytes := measure(func() error {
 				m.Get(tx, from)

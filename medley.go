@@ -65,8 +65,12 @@
 // NbtcLoad/NbtcCAS with the linearization/publication flags from the
 // paper's methodology, register linearizing loads of read outcomes with
 // Session.AddToReadSet, and defer post-critical cleanup with
-// Session.AddToCleanups. The five structure packages are worked examples of
-// the mechanical transform.
+// Session.AddToCleanups. A cleanup is not a closure but a core.Cleaner,
+// usually the structure itself, registered with the one or two pointers it
+// works on (the predecessor link and the victim, say): the session keeps it
+// as a record in a slice it reuses, so a registration allocates nothing.
+// The five structure packages are worked examples of the mechanical
+// transform.
 package medley
 
 import (
