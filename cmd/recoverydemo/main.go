@@ -8,8 +8,8 @@
 // balance (buffered durable strict serializability).
 //
 // With -engine txmontage -devices N the demo becomes the multi-device story:
-// the map is one index whose keys' payloads go to N devices, each with
-// its own epoch system on one clock, transfers routinely span devices, and
+// the map is one index whose keys' payloads go to N devices of one
+// persistence domain (one epoch clock), transfers routinely span devices, and
 // recovery rebuilds the index from one dump per device at the minimum durable
 // frontier — so even a crash landing between two devices' flushes never
 // recovers half a transfer.

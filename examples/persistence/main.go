@@ -17,13 +17,13 @@ import (
 
 func main() {
 	dev := pnvm.NewDefault()
-	es := montage.NewEpochSys(dev)
+	dom := montage.NewDomain(dev) // the epoch clock and the device it persists
 	mgr := core.NewTxManager()
-	montage.Attach(mgr, es) // ← this one call turns Medley into txMontage
-	stopAdvancer := montage.StartAdvancer(es.Clock(), []*montage.EpochSys{es}, 5*time.Millisecond)
+	dom.Attach(mgr) // ← this one call turns Medley into txMontage
+	stopAdvancer := dom.StartAdvancer(5 * time.Millisecond)
 
-	inventory := montage.NewHashMap([]*montage.EpochSys{es}, montage.Uint64Codec(), 4096)
-	ledger := montage.NewSkipMap([]*montage.EpochSys{es}, montage.Uint64Codec())
+	inventory := montage.NewHashMap(dom, montage.Uint64Codec(), 4096)
+	ledger := montage.NewSkipMap(dom, montage.Uint64Codec())
 
 	// Concurrent sales: each transaction decrements stock and appends to
 	// the ledger — atomically, durably (within the epoch window).
@@ -55,7 +55,7 @@ func main() {
 	}
 	wg.Wait()
 	stopAdvancer()
-	es.Sync() // push everything over an epoch boundary
+	dom.Sync() // push everything over an epoch boundary
 	fmt.Println("sold items across 4 goroutines; synced to simulated NVM")
 
 	sold := uint64(0)
@@ -65,12 +65,12 @@ func main() {
 	}
 	fmt.Printf("inventory says %d units sold\n", sold)
 
-	// Crash and recover through the one recovery pipeline: cut at the
-	// newest durable frontier marker, live payloads at the cut, media
-	// scrubbed down to them. The recovered payload set must reflect whole
-	// transactions only: units missing from inventory == ledger entries.
-	devs := []*pnvm.Device{dev}
-	rec, err := pnvm.RecoverDomain(devs, pnvm.DumpAll(devs))
+	// Crash and recover a fresh domain over the same device through the one
+	// recovery pipeline: cut at the newest durable frontier marker, live
+	// payloads at the cut, media scrubbed down to them. The recovered
+	// payload set must reflect whole transactions only: units missing from
+	// inventory == ledger entries.
+	rec, err := montage.NewDomain(dev).Recover(pnvm.DumpAll(dom.Devices()))
 	if err != nil {
 		panic(err)
 	}

@@ -31,7 +31,7 @@ import (
 // its transaction finishes makes the next transaction pay for a fresh one
 // (TestBudgetHelperAtFinish):
 //
-//	header       96  core.Desc (96 bytes of fields)
+//	header       64  core.Desc (64 bytes of fields)
 //	read set     16n its predecessor's capacity, n entries of {slot, tag}
 //	write set     8n its predecessor's capacity, n slots
 
@@ -92,7 +92,7 @@ func TestBudgetOneReadOneWrite(t *testing.T) {
 
 // The same, with a helper that has taken the descriptor's count and passed
 // its re-check when the owner finishes, and leaves only afterwards: the cell
-// and one fresh descriptor for the next transaction — header 96, a read set
+// and one fresh descriptor for the next transaction — header 64, a read set
 // of its predecessor's capacity 1 (16), a write set of capacity 1 (8).
 func TestBudgetHelperAtFinish(t *testing.T) {
 	s := core.NewTxManager().Session()
@@ -111,7 +111,7 @@ func TestBudgetHelperAtFinish(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.LeaveAsHelper(&w)
-	}, 1+3, 24+96+16+8)
+	}, 1+3, 24+64+16+8)
 }
 
 // The same on mhash, where the structure's own allocations ride along. A

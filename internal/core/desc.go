@@ -48,10 +48,10 @@ type readRec struct {
 // session runs transaction after transaction on one descriptor. Only the owner
 // appends to the sets, and only while the status is InPrep; from InProg on
 // they are frozen simply because nobody appends any more. Helpers read the
-// sets and validators only after loading InProg or Committed from the status
-// word, so that CAS orders the appends before every helper read. A helper that
-// meets an InPrep descriptor aborts it and uninstalls the one cell it tripped
-// over, without reading either set.
+// sets only after loading InProg or Committed from the status word, so that
+// CAS orders the appends before every helper read. A helper that meets an
+// InPrep descriptor aborts it and uninstalls the one cell it tripped over,
+// without reading either set.
 //
 // One transaction has one descriptor and one session, however many
 // structures it touches: every structure of a transaction shares the
@@ -64,41 +64,25 @@ type Desc struct {
 	status atomic.Uint32
 	// helpers counts the goroutines inside tryFinalize on this descriptor:
 	// the only ones other than the owner that dereference it.
-	helpers    atomic.Int32
-	owner      *Session // the session whose TxBegin opened the transaction
-	readSet    []readRec
-	writeSet   []*unsafe.Pointer // the slot of every object installed into
-	validators []func() bool
-	// vBuf is inline storage for the one validator a layered system
-	// registers per transaction (txMontage's epoch check); a second spills
-	// to the heap.
-	vBuf [1]func() bool
+	helpers  atomic.Int32
+	owner    *Session // the session whose TxBegin opened the transaction
+	readSet  []readRec
+	writeSet []*unsafe.Pointer // the slot of every object installed into
 }
 
 // newDesc returns a blank descriptor for s whose sets take reads and writes
 // entries without growing.
 func newDesc(s *Session, reads, writes int) *Desc {
-	d := &Desc{owner: s, readSet: make([]readRec, 0, reads), writeSet: make([]*unsafe.Pointer, 0, writes)}
-	d.validators = d.vBuf[:0]
-	return d
+	return &Desc{owner: s, readSet: make([]readRec, 0, reads), writeSet: make([]*unsafe.Pointer, 0, writes)}
 }
 
 // Status returns the descriptor's current status.
 func (d *Desc) Status() Status { return Status(d.status.Load()) }
 
-// AddValidator registers an extra commit-time check evaluated (by the owner
-// or by helpers) together with read-set validation; used by txMontage to
-// fold the epoch check into MCNS commit (paper Section 4.4). Must be called
-// before TxEnd, by the goroutine that owns the transaction: helpers read the
-// validators, like the sets, only once the status is InProg.
-func (d *Desc) AddValidator(f func() bool) {
-	d.validators = append(d.validators, f)
-}
-
-// validate re-checks every read-set entry and extra validator (paper
-// Fig. 6, validateReads). A read is valid if the object still holds the
-// recorded cell, or holds a cell installed over it by this very descriptor
-// (a later write by the same transaction).
+// validate re-checks every read-set entry (paper Fig. 6, validateReads),
+// then asks the owner's manager's layer, if it has one. A read is valid if
+// the object still holds the recorded cell, or holds a cell installed over it
+// by this very descriptor (a later write by the same transaction).
 func (d *Desc) validate() bool {
 	for i := range d.readSet {
 		r := &d.readSet[i]
@@ -114,10 +98,8 @@ func (d *Desc) validate() bool {
 		}
 		return false
 	}
-	for _, f := range d.validators {
-		if !f() {
-			return false
-		}
+	if l := d.owner.mgr.layer; l != nil {
+		return l.Valid(d.owner)
 	}
 	return true
 }
@@ -192,7 +174,6 @@ func (d *Desc) reuse() *Desc {
 	clear(d.readSet)
 	clear(d.writeSet)
 	d.readSet, d.writeSet = d.readSet[:0], d.writeSet[:0]
-	d.validators, d.vBuf = d.vBuf[:0], [1]func() bool{}
 	d.status.Store(uint32(InPrep))
 	return d
 }

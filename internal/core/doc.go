@@ -63,8 +63,8 @@
 // Conflicting threads that encounter an installed cell eagerly finalize the
 // descriptor (abort if InPrep, help validate/commit if InProg) and uninstall
 // the cell they tripped over; the owner sweeps its entire write set on commit
-// or abort. Helpers never mutate a descriptor's sets or validators and read
-// them only after loading InProg or Committed from the status word; a cell's
+// or abort. Helpers never mutate a descriptor's sets and read them only
+// after loading InProg or Committed from the status word; a cell's
 // words are written plainly before the CAS that publishes it and atomically
 // after, so the protocol is free of data races by construction (next
 // section). Eager contention management makes the system obstruction-free
@@ -81,10 +81,11 @@
 // (InPrep→InProg→Committed) decides every write together, this package takes
 // no lock at any point between TxBegin and the end of TxEnd, and a helper that
 // finds a stalled owner's cell finishes the transaction for it (or aborts it
-// while InPrep). A layered system adds to the verdict only through AddValidator
-// (before TxEnd, by the owning goroutine): txMontage registers one epoch
-// check per transaction, so "all of it in one epoch" is decided by the same
-// validation as the reads, not by a lock around the commit.
+// while InPrep). A layered system adds to the verdict only through the
+// manager's one Layer, whose Valid the validation asks after the read set, by
+// the owner or by a helper alike: txMontage's is its epoch check, so "all of
+// it in one epoch" is decided by the same validation as the reads, not by a
+// lock around the commit.
 //
 // What blocks is the runtime's, and only by declaration: the Medley family's
 // key latches (txengine/latch.go, a fixed array of striped mutexes) make
@@ -172,10 +173,10 @@
 // list's unlink gets the predecessor link and the victim, and reads the
 // successor from the victim's frozen marked link. After the sweep, finish
 // runs the cleanups in the order registered on commit, or the undos in
-// reverse on abort, with the transaction closed (a CAS or a TRetire in them
-// is plain), then clears both slices so that nothing they named stays
-// reachable. Outside a transaction a cleanup runs at once and an undo not at
-// all. A TRetire inside a transaction is a record of the retire hook. Func
-// adapts a closure for a caller with nothing to name (boosting's lock release
+// reverse on abort, with the transaction closed (a CAS in them is plain),
+// then clears both slices so that nothing they named stays reachable, and
+// only then ends the transaction in the manager's Layer. Outside a
+// transaction a cleanup runs at once and an undo not at all. A node a cleanup
+// unlinks is reclaimed by the collector. Func adapts a closure for a caller with nothing to name (boosting's lock release
 // and inverses), and pays the closure's allocation.
 package core

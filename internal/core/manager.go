@@ -30,40 +30,33 @@ type TxManager struct {
 	cells  metrics.Cells[Stats] // one per session
 	nextID atomic.Int64
 
-	// beginHook, if set, runs at the start of every transaction on the
-	// beginning session. Used by txMontage to pin the transaction's epoch
-	// and register the epoch validator.
-	beginHook func(*Session)
-	// endHook, if set, runs when a transaction finishes (after the write
-	// set is swept and the cleanups or undos have run), with the commit
-	// outcome. Used by txMontage to settle the transaction's payloads and
-	// release the session's epoch reservation.
-	endHook func(*Session, bool)
-	// retireHook, if set, observes TRetire'd nodes after commit. Used by
-	// the persistence layer to retire NVM payloads.
-	retireHook retirer
+	layer Layer // SetLayer's; nil for plain Medley
 }
 
-// retirer is the retire hook as the Cleaner of a TRetire inside a
-// transaction: the record's first operand is the retired node.
-type retirer func(any)
-
-func (h retirer) Cleanup(_ *Session, x, _ any) { h(x) }
+// Layer is a system layered over a manager's transactions, as txMontage is
+// over Medley (paper Section 4.4: every transaction pins the epoch it began
+// in and commits only while that epoch is current). The manager calls it at
+// the three points of a transaction's life where such a system has work.
+type Layer interface {
+	// Begin runs at TxBegin on the beginning session, with its
+	// transaction open.
+	Begin(s *Session)
+	// Valid is the layer's part of the commit verdict, asked after the
+	// read set validated, by the owner or by a helper that finalizes the
+	// transaction; s is the owner's session either way. false aborts the
+	// transaction.
+	Valid(s *Session) bool
+	// End runs when the transaction has finished, after its cleanups or
+	// undos, with its verdict.
+	End(s *Session, committed bool)
+}
 
 // NewTxManager creates an empty transaction manager.
 func NewTxManager() *TxManager { return &TxManager{} }
 
-// SetBeginHook installs a hook invoked at TxBegin. It must be set before any
-// transactions run.
-func (m *TxManager) SetBeginHook(h func(*Session)) { m.beginHook = h }
-
-// SetEndHook installs a hook invoked when every transaction finishes, with
-// its commit outcome. It must be set before any transactions run.
-func (m *TxManager) SetEndHook(h func(*Session, bool)) { m.endHook = h }
-
-// SetRetireHook installs a hook invoked for every TRetire'd node after its
-// transaction commits. It must be set before any transactions run.
-func (m *TxManager) SetRetireHook(h func(any)) { m.retireHook = h }
+// SetLayer layers l over every transaction of the manager. It must be set
+// before any transactions run.
+func (m *TxManager) SetLayer(l Layer) { m.layer = l }
 
 // Session creates a new session bound to this manager. Sessions are not
 // goroutine-safe; create one per worker goroutine. Allocation is lock-free

@@ -91,7 +91,7 @@ func parkHelper(o Obj, at int) *staleHelper {
 // The points of the owner's timeline at which a parked helper is released.
 const (
 	beforeTxEnd    = iota // transaction 1 InPrep, every install made
-	atInProg              // inside transaction 1's validator: InProg, no verdict yet
+	atInProg              // inside the layer's validation of transaction 1: InProg, no verdict yet
 	afterSweep            // inside its cleanup or undo: swept, the count not read
 	afterCountRead        // TxEnd has returned, the next TxBegin has not run
 	insideNextTx          // the next transaction is open, its installs made
@@ -151,9 +151,9 @@ func wantSettled(t *testing.T, what string, o *CASObj[int], want int) {
 // with at least the given capacities.
 func wantBlank(t *testing.T, d *Desc, reads, writes int) {
 	t.Helper()
-	if d.Status() != InPrep || len(d.readSet) != 0 || len(d.writeSet) != 0 || len(d.validators) != 0 {
-		t.Fatalf("transaction starts on a descriptor that is not blank: %v, sets %d/%d/%d",
-			d.Status(), len(d.readSet), len(d.writeSet), len(d.validators))
+	if d.Status() != InPrep || len(d.readSet) != 0 || len(d.writeSet) != 0 {
+		t.Fatalf("transaction starts on a descriptor that is not blank: %v, sets %d/%d",
+			d.Status(), len(d.readSet), len(d.writeSet))
 	}
 	if cap(d.readSet) < reads || cap(d.writeSet) < writes {
 		t.Fatalf("descriptor sets hold %d reads, %d writes; its predecessor's held %d, %d", cap(d.readSet), cap(d.writeSet), reads, writes)
@@ -240,7 +240,8 @@ func TestStaleHelper(t *testing.T) {
 }
 
 func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark bool) {
-	a := NewTxManager().Session()
+	mgr := NewTxManager()
+	a := mgr.Session()
 	var x CASObj[int]
 	first := make([]CASObj[int], 2)
 	var h *staleHelper
@@ -251,6 +252,17 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 			released = true
 		}
 	}
+	validated := false
+	mgr.SetLayer(validLayer(func(*Session) bool {
+		if !validated { // the owner's own call; a helper validates past the seam
+			validated = true
+			if parkInProg {
+				h = parkHelper(&first[0], hp)
+			}
+			at(atInProg)
+		}
+		return true
+	}))
 
 	a.TxBegin()
 	d1 := a.Desc()
@@ -260,17 +272,6 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 	}
 	a.AddToCleanups(Func(func() { at(afterSweep) }), nil, nil)
 	a.OnAbort(Func(func() { at(afterSweep) }), nil, nil)
-	validated := false
-	d1.AddValidator(func() bool {
-		if !validated { // the owner's own call; a helper validates past the seam
-			validated = true
-			if parkInProg {
-				h = parkHelper(&first[0], hp)
-			}
-			at(atInProg)
-		}
-		return true
-	})
 	if !parkInProg {
 		h = parkHelper(&first[0], hp)
 	}
@@ -320,11 +321,6 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 				t.Fatalf("%s: the write set still pins an object", when)
 			}
 		}
-		for _, f := range append(d.validators[:cap(d.validators)], d.vBuf[:]...) {
-			if f != nil {
-				t.Fatalf("%s: a validator is still reachable", when)
-			}
-		}
 		for _, r := range s.cleanups[:cap(s.cleanups)] {
 			if r.c != nil || r.a != nil || r.b != nil {
 				t.Fatalf("%s: a cleanup record is still reachable", when)
@@ -346,8 +342,6 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 		}
 		s.AddToCleanups(Func(func() {}), &objs[0], &objs[1])
 		s.OnAbort(Func(func() {}), &objs[2], &objs[3])
-		s.Desc().AddValidator(func() bool { return true })
-		s.Desc().AddValidator(func() bool { return true })
 	}
 
 	body()
@@ -372,11 +366,11 @@ func TestReuseLeavesNothingBehind(t *testing.T) {
 	wantIdle("after read-only commit")
 }
 
-// TestReuseHeaderSize pins the descriptor to the 96-byte size class: the
+// TestReuseHeaderSize pins the descriptor to the 64-byte size class: the
 // helper count shares a word with the status.
 func TestReuseHeaderSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Desc{}); sz > 96 {
-		t.Fatalf("Desc is %d bytes, budget 96", sz)
+	if sz := unsafe.Sizeof(Desc{}); sz > 64 {
+		t.Fatalf("Desc is %d bytes, budget 64", sz)
 	}
 }
 
@@ -492,10 +486,9 @@ func TestReuseRecycle(t *testing.T) {
 		abort := rng.Intn(4) == 0
 		var h *staleHelper
 		d := begin(i)
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0: // read-only
 			txRead(a, o)
-			d.AddValidator(func() bool { return true })
 		case 1: // every write fails before it installs
 			if o.NbtcCAS(a, -1, 0, true, true) {
 				t.Fatal("CAS from a value never stored succeeded")
@@ -503,15 +496,11 @@ func TestReuseRecycle(t *testing.T) {
 		case 2: // one install
 			v := txRead(a, o)
 			txWrite(t, a, o, v, v+1)
-		case 3: // one install, and a helper counted in it across the finish
+		default: // one install, and a helper counted in it across the finish
 			v := txRead(a, o)
 			txWrite(t, a, o, v, v+1)
 			h = parkHelper(o, counted)
 			dropped++
-		default: // read-only with one validator more than fits inline
-			txRead(a, o)
-			d.AddValidator(func() bool { return true })
-			d.AddValidator(func() bool { return true })
 		}
 		end(d, h, abort)
 	}
@@ -524,14 +513,15 @@ func TestReuseRecycle(t *testing.T) {
 // transaction meets another's cell nearly every time and helping is the
 // common case. The sum is conserved; across the run some transactions ran on
 // their predecessor's descriptor and some found a helper still inside it and
-// took a fresh one. Each transfer's validator yields, so a helper that
-// validates it is descheduled inside finalize, at any GOMAXPROCS.
+// took a fresh one. The manager's layer yields in validation, so a helper
+// that validates a transfer is descheduled inside finalize, at any
+// GOMAXPROCS.
 func TestReuseContended(t *testing.T) {
 	mgr := NewTxManager()
+	mgr.SetLayer(validLayer(func(*Session) bool { runtime.Gosched(); return true }))
 	var objs [2]CASObj[int]
 	objs[0].Store(1000)
 	objs[1].Store(1000)
-	yield := func() bool { runtime.Gosched(); return true }
 	var reused, dropped atomic.Int64
 	deadline := time.Now().Add(20 * time.Second)
 	var wg sync.WaitGroup
@@ -550,7 +540,6 @@ func TestReuseContended(t *testing.T) {
 						dropped.Add(1)
 					}
 					last = s.Desc()
-					last.AddValidator(yield)
 					sv := txRead(s, src)
 					dv := txRead(s, dst)
 					if !src.NbtcCAS(s, sv, sv-1, true, true) || !dst.NbtcCAS(s, dv, dv+1, true, true) {

@@ -34,13 +34,9 @@ type Session struct {
 	// allocates nothing for its descriptor or its sets once they have grown.
 	spare *Desc
 
-	// TxData is scratch space for layered systems (txMontage stores its
-	// per-transaction epoch context here). Reset to nil at TxBegin.
-	TxData any
-
-	// Ext is a stable per-session extension slot for layered systems; it
-	// survives across transactions (txMontage caches the session's epoch
-	// pin here). Owned by whatever system the TxManager is attached to.
+	// Ext is the session's slot for the manager's Layer, kept from one
+	// transaction to the next (txMontage keeps the session's epoch pin and
+	// its transaction's payload lists here). Only the layer uses it.
 	Ext any
 
 	rng uint64
@@ -88,10 +84,9 @@ func (s *Session) TxBegin() {
 	}
 	s.desc, s.spare = d, nil
 	s.inSpec = false
-	s.TxData = nil
 	atomic.AddUint64(&s.st.Begins, 1)
-	if h := s.mgr.beginHook; h != nil {
-		h(s)
+	if l := s.mgr.layer; l != nil {
+		l.Begin(s)
 	}
 }
 
@@ -136,7 +131,7 @@ func (s *Session) TxAbort() error {
 
 // finish completes a transaction whose status has been finalized (possibly
 // by a helper): sweeps the write set, closes the session's transaction scope
-// (its cleanups or undos, the manager's end hook), takes the descriptor for
+// (its cleanups or undos, the manager's layer), takes the descriptor for
 // the next transaction if no helper is inside it, and counts the verdict.
 func (s *Session) finish(d *Desc) error {
 	committed := d.Status() == Committed
@@ -157,12 +152,12 @@ func (s *Session) finish(d *Desc) error {
 	clear(s.cleanups)
 	clear(s.undos)
 	s.cleanups, s.undos = s.cleanups[:0], s.undos[:0]
-	// The end hook runs after cleanups and undos: txMontage writes its
-	// retire marks (or deletes an aborted transaction's payloads) and then
-	// releases the session's epoch pin here, so the marks reach their
-	// epoch's persistence batch before the epoch system may flush it.
-	if h := s.mgr.endHook; h != nil {
-		h(s, committed)
+	// The layer ends the transaction after cleanups and undos: txMontage
+	// writes its retire marks (or deletes an aborted transaction's payloads)
+	// and then releases the session's epoch pin here, so the marks reach
+	// their epoch's persistence batch before an advance may flush it.
+	if l := s.mgr.layer; l != nil {
+		l.End(s, committed)
 	}
 	// Last, so that a helper has as long as possible to leave.
 	s.spare = d.reuse()
@@ -249,24 +244,6 @@ func (s *Session) OnAbort(c Cleaner, a, b any) {
 		return
 	}
 	s.undos = append(s.undos, record{c, a, b})
-}
-
-// TRetire schedules safe memory reclamation of a node after the current
-// transaction commits (the paper's tRetire). Under Go's garbage collector
-// reclamation itself is automatic, so the default behaviour simply drops the
-// reference after commit; a TxManager RetireHook (used by the persistence
-// layer to retire NVM payloads) can observe retirement.
-func (s *Session) TRetire(x any) {
-	hook := s.mgr.retireHook
-	if hook == nil {
-		return
-	}
-	if s.desc == nil {
-		// Every retire issued from inside a cleanup lands here.
-		hook(x)
-		return
-	}
-	s.cleanups = append(s.cleanups, record{hook, x, nil})
 }
 
 // Run executes fn as a transaction, retrying (with randomized exponential

@@ -384,6 +384,115 @@ func TestCleanupRecords(t *testing.T) {
 	wantLog("outside a transaction", "c 1 false", "c 2 false")
 }
 
+// logLayer is a Layer that logs each call with the session it was handed,
+// and Begin and End whether that session's transaction was open; Valid
+// answers valid.
+type logLayer struct {
+	log   []string
+	valid bool
+}
+
+func (l *logLayer) Begin(s *Session) {
+	l.log = append(l.log, fmt.Sprintf("begin %d %v", s.ID(), s.InTx()))
+}
+
+func (l *logLayer) Valid(s *Session) bool {
+	l.log = append(l.log, fmt.Sprintf("valid %d", s.ID()))
+	return l.valid
+}
+
+func (l *logLayer) End(s *Session, committed bool) {
+	l.log = append(l.log, fmt.Sprintf("end %d %v %v", s.ID(), committed, s.InTx()))
+}
+
+// validLayer is a Layer whose Valid is the function; Begin and End do
+// nothing.
+type validLayer func(*Session) bool
+
+func (validLayer) Begin(*Session)          {}
+func (f validLayer) Valid(s *Session) bool { return f(s) }
+func (validLayer) End(*Session, bool)      {}
+
+// TestLayer drives the manager's Layer through a transaction's life. Begin
+// runs at TxBegin, with the transaction open. Valid is asked at commit after
+// the read set, which a conflict fails first, with the owner's session also
+// when a helper finalizes the transaction; false aborts it and rolls its
+// writes back. End runs after the cleanups or undos, with the transaction
+// closed and its verdict.
+func TestLayer(t *testing.T) {
+	l := &logLayer{}
+	mgr := NewTxManager()
+	mgr.SetLayer(l)
+	s, other := mgr.Session(), mgr.Session()
+	var a, b CASObj[int]
+	wantLog := func(when string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(l.log) != fmt.Sprint(want) {
+			t.Fatalf("%s: layer calls %q, want %q", when, l.log, want)
+		}
+		l.log = nil
+	}
+	logged := func(what string) Func { return func() { l.log = append(l.log, what) } }
+
+	l.valid = true
+	s.TxBegin()
+	wantLog("TxBegin", "begin 0 true")
+	a.NbtcCAS(s, 0, 1, true, true)
+	s.AddToCleanups(logged("cleanup"), nil, nil)
+	if err := s.TxEnd(); err != nil {
+		t.Fatal(err)
+	}
+	wantLog("commit", "valid 0", "cleanup", "end 0 true false")
+	if a.Load() != 1 {
+		t.Fatal("committed write lost")
+	}
+
+	s.TxBegin()
+	a.NbtcCAS(s, 1, 2, true, true)
+	s.OnAbort(logged("undo"), nil, nil)
+	l.valid = false
+	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("TxEnd = %v, want abort by the layer", err)
+	}
+	wantLog("refused by the owner's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
+	if a.Load() != 1 {
+		t.Fatal("the layer's abort did not roll back")
+	}
+
+	// A helper asks the layer with the owner's session, and its false
+	// aborts the transaction there.
+	s.TxBegin()
+	b.NbtcCAS(s, 0, 1, true, true)
+	s.OnAbort(logged("undo"), nil, nil)
+	d := s.Desc()
+	if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		t.Fatal("setReady failed")
+	}
+	if got := b.Load(); got != 0 { // a foreign load finalizes the transaction
+		t.Fatalf("b = %d, want 0: the helper must abort what the layer refuses", got)
+	}
+	if d.Status() != Aborted {
+		t.Fatalf("status = %v after the helper, want Aborted", d.Status())
+	}
+	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("TxEnd = %v, want the helper's abort", err)
+	}
+	wantLog("refused by a helper's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
+
+	// A read set that fails aborts before the layer is asked.
+	l.valid = true
+	s.TxBegin()
+	_, tag := a.NbtcLoad(s)
+	s.AddToReadSet(&a, tag)
+	if !a.NbtcCAS(other, 1, 3, true, true) {
+		t.Fatal("invalidating CAS failed")
+	}
+	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("TxEnd = %v, want abort on the stale read", err)
+	}
+	wantLog("stale read", "begin 0 true", "end 0 false false")
+}
+
 func TestRunRetriesOnConflictAbort(t *testing.T) {
 	mgr := NewTxManager()
 	s := mgr.Session()
@@ -423,35 +532,6 @@ func TestRunReturnsUserErrorWithoutRetry(t *testing.T) {
 	if a.Load() != 0 {
 		t.Fatal("user-error path did not roll back")
 	}
-}
-
-func TestTxValidatorAbortsCommit(t *testing.T) {
-	mgr := NewTxManager()
-	s := mgr.Session()
-	var a CASObj[int]
-	ok := true
-	s.TxBegin()
-	s.Desc().AddValidator(func() bool { return ok })
-	a.NbtcCAS(s, 0, 1, true, true)
-	ok = false
-	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
-		t.Fatalf("TxEnd = %v, want abort from validator", err)
-	}
-	if a.Load() != 0 {
-		t.Fatal("validator abort did not roll back")
-	}
-}
-
-func TestBeginHookRuns(t *testing.T) {
-	mgr := NewTxManager()
-	calls := 0
-	mgr.SetBeginHook(func(s *Session) { calls++; s.TxData = "epochctx" })
-	s := mgr.Session()
-	s.TxBegin()
-	if calls != 1 || s.TxData != "epochctx" {
-		t.Fatalf("hook calls=%d TxData=%v", calls, s.TxData)
-	}
-	s.TxAbort()
 }
 
 func TestNestedTxBeginPanics(t *testing.T) {
@@ -625,32 +705,5 @@ func TestObstructionFreedomAgainstStalledTx(t *testing.T) {
 	// The stalled owner eventually notices.
 	if err := s1.TxEnd(); !errors.Is(err, ErrTxAborted) {
 		t.Fatalf("stalled owner TxEnd = %v, want abort", err)
-	}
-}
-
-func TestTRetireRunsHookAfterCommit(t *testing.T) {
-	mgr := NewTxManager()
-	var retired []any
-	mgr.SetRetireHook(func(x any) { retired = append(retired, x) })
-	s := mgr.Session()
-	var a CASObj[int]
-
-	s.TxBegin()
-	a.NbtcCAS(s, 0, 1, true, true)
-	s.TRetire("node1")
-	if len(retired) != 0 {
-		t.Fatal("retire hook ran before commit")
-	}
-	if err := s.TxEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if len(retired) != 1 || retired[0] != "node1" {
-		t.Fatalf("retired = %v", retired)
-	}
-
-	// Outside a transaction TRetire is immediate.
-	s.TRetire("node2")
-	if len(retired) != 2 {
-		t.Fatal("TRetire outside tx not immediate")
 	}
 }

@@ -15,35 +15,33 @@
 // transaction pins the epoch it began in and folds "current epoch == pinned
 // epoch" into MCNS read validation, so all operations of a transaction
 // linearize in one epoch and are recovered (or lost) together — failure
-// atomicity "almost for free".
+// atomicity "almost for free". Here the hook is the Domain itself, set as the
+// core.Layer of the TxManager it is attached to (Attach).
 //
-// # Multi-device persistence
+// # Persistence domain
 //
-// The epoch *counter* and the per-device *batching* are separate concerns:
-// an EpochClock carries the counter plus the pinned-session registry, and an
-// EpochSys carries one device's pending batches. A single-device system owns
-// a private clock (NewEpochSys); a multi-device domain shares one clock
-// across S EpochSys instances (NewEpochSysShared), and each Map spans all of
-// them with one index, writing a key's payloads on the device the key routes
-// to (DeviceOf). Every transaction in the domain — wherever its keys'
-// devices are — pins one epoch of the same monotonically advancing clock,
-// tags every payload it writes with it, and commits only while that epoch
-// is current (its one epoch validator), so no transaction is persisted
-// across two recovery cuts and nothing locks the clock to say so. A
-// coordinator advances all devices together
-// (AdvanceTogether, or StartAdvancer's background loop). Each flush ends
-// with a durable frontier marker on the device (pnvm.MarkerKey, tagged with
-// the flushed epoch), so post-crash recovery can compute, per device, the
-// highest epoch fully persisted there. Reclaim is nbMontage's rule — a payload
-// retired in epoch e is freed once e is persisted — and in a domain persisted
-// means on every device: Flush only queues what it found durably retired at
-// or before the epoch it flushed, and AdvanceTogether frees the queues after
-// the last device has fenced its marker, because until then a crash still
-// cuts at the epoch before. Recovery itself is not montage's: the
-// cut (the minimum of those frontiers), the live set at it and the media
-// scrub are pnvm.RecoverDomain, shared with POneFile; Recover below adds only
-// what is epoch-specific — it keeps advancers off the devices meanwhile and
-// restarts the clock past the cut.
+// A Domain is one epoch clock and the devices it persists: the counter, the
+// registry of sessions pinned to an epoch, the lock that serializes advances,
+// and each device's pending batches. One device or several is only a count.
+// Each Map spans every device of its domain with one index, writing a key's
+// payloads on the device the key routes to (DeviceOf). Every transaction in
+// the domain — wherever its keys' devices are — pins one epoch of the clock,
+// tags every payload it writes with it, and commits only while that epoch is
+// current, so no transaction is persisted across two recovery cuts and
+// nothing locks the clock to say so. Advance (or StartAdvancer's background
+// loop) ticks the clock and flushes every device at the same boundary. Each
+// flush ends with a durable frontier marker on the device (pnvm.MarkerKey,
+// tagged with the flushed epoch), so post-crash recovery can compute, per
+// device, the highest epoch fully persisted there. Reclaim is nbMontage's rule
+// — a payload retired in epoch e is freed once e is persisted — and persisted
+// means on every device: a device's flush only queues what it found durably
+// retired at or before the epoch it flushed, and Advance frees the queues
+// after the last device has fenced its marker, because until then a crash
+// still cuts at the epoch before. Recovery itself is not montage's: the cut
+// (the minimum of those frontiers), the live set at it and the media scrub are
+// pnvm.RecoverDomain, shared with POneFile; Domain.Recover adds only what is
+// epoch-specific — it keeps advancers off the devices meanwhile and restarts
+// the clock past the cut.
 package montage
 
 import (
@@ -59,9 +57,9 @@ import (
 )
 
 // Fault-injection points on the epoch flush/advance path. The flush points
-// sit inside one device's Flush (batch write-backs, the window between batch
+// sit inside one device's flush (batch write-backs, the window between batch
 // durability and the frontier marker, and the marker's own volatile window);
-// the advance points sit in AdvanceTogether, where a crash tears the domain
+// the advance points sit in Domain.Advance, where a crash tears the domain
 // between shards' flushes, or between two frees of the reclaim pass that
 // follows them. All of these sites return nothing, so only crash/delay faults
 // are meaningful.
@@ -77,77 +75,76 @@ var (
 // firstEpoch leaves room for the e-2 recovery cut arithmetic.
 const firstEpoch = 3
 
-// EpochClock is the epoch counter plus the registry of sessions pinned to an
-// epoch. One clock can be shared by several EpochSys instances (txMontage
-// over several devices: one batch system per device, one clock): a transaction
-// pins one epoch of it and validates "still current" once at commit, so it
-// lands in the same epoch cut on every device it touches. Nothing locks the
-// counter against commits — a tick between a transaction's operations, or
-// between its last one and TxEnd, fails that validation and the transaction
-// retries in the new epoch.
-type EpochClock struct {
+// Domain is txMontage's persistence domain: one epoch clock, the sessions
+// pinned to its epochs, and the devices it persists. Attach it to the
+// TxManager its maps run under, and either run its background advancer
+// (StartAdvancer) or call Advance and Sync by hand (tests).
+//
+// Nothing locks the clock against commits: a transaction pins one epoch and
+// validates "still current" once at commit, so a tick between its operations,
+// or between its last one and TxEnd, fails that validation and the
+// transaction retries in the new epoch — on every device it touches at once.
+type Domain struct {
 	epoch atomic.Uint64
 
 	// advanceMu serializes whole advance sequences (tick + straggler wait
-	// + flush) against each other. Without it, a Sync racing a background
-	// advancer could durably write epoch E's frontier marker before epoch
-	// E-1's batch finished write-back, falsifying the marker invariant
-	// ("marker at E ⇒ complete through E") that recovery cuts rely on.
+	// + flush) against each other and against Recover. Without it, a Sync
+	// racing a background advancer could durably write epoch E's frontier
+	// marker before epoch E-1's batch finished write-back, falsifying the
+	// marker invariant ("marker at E ⇒ complete through E") that recovery
+	// cuts rely on.
 	advanceMu sync.Mutex
 
-	mu     sync.Mutex
-	active []*atomic.Uint64 // per-session pinned epoch (0 = none)
+	mu   sync.Mutex
+	pins []*pin // every attached session's, from its first transaction on
+
+	devs []*device // in routing order (DeviceOf)
 }
 
-// NewEpochClock creates a clock at the first epoch.
-func NewEpochClock() *EpochClock {
-	c := &EpochClock{}
-	c.epoch.Store(firstEpoch)
-	return c
+// NewDomain creates a domain over one or more devices, in routing order, its
+// clock at the first epoch.
+func NewDomain(devs ...*pnvm.Device) *Domain {
+	d := &Domain{devs: make([]*device, len(devs))}
+	for i, dev := range devs {
+		d.devs[i] = &device{dev: dev}
+	}
+	d.epoch.Store(firstEpoch)
+	return d
 }
 
 // Current returns the current epoch.
-func (c *EpochClock) Current() uint64 { return c.epoch.Load() }
+func (d *Domain) Current() uint64 { return d.epoch.Load() }
 
-// Tick advances the epoch by one and returns the new value. It does not
-// wait for stragglers or flush anything — see EpochSys.Advance and
-// AdvanceTogether for the full advance protocols.
-func (c *EpochClock) Tick() uint64 { return c.epoch.Add(1) }
-
-// AdvanceTo raises the clock to at least epoch e. Recovery re-anchoring
-// uses it so the fresh clock starts beyond every pre-crash epoch still on
-// media — a new transaction must never share an epoch number with an old,
-// already-flushed batch.
-func (c *EpochClock) AdvanceTo(e uint64) {
-	for {
-		cur := c.epoch.Load()
-		if cur >= e || c.epoch.CompareAndSwap(cur, e) {
-			return
-		}
+// Devices returns the domain's devices in routing order.
+func (d *Domain) Devices() []*pnvm.Device {
+	devs := make([]*pnvm.Device, len(d.devs))
+	for i, dv := range d.devs {
+		devs[i] = dv.dev
 	}
+	return devs
 }
 
-// register allocates an active-epoch slot for a session.
-func (c *EpochClock) register() *atomic.Uint64 {
-	slot := &atomic.Uint64{}
-	c.mu.Lock()
-	c.active = append(c.active, slot)
-	c.mu.Unlock()
-	return slot
+// register allocates a session's pin.
+func (d *Domain) register() *pin {
+	p := &pin{}
+	d.mu.Lock()
+	d.pins = append(d.pins, p)
+	d.mu.Unlock()
+	return p
 }
 
-// WaitNotPinnedBelow spins until no session is pinned to an epoch < bound.
-func (c *EpochClock) WaitNotPinnedBelow(bound uint64) {
+// waitNotPinnedBelow spins until no session is pinned to an epoch < bound.
+func (d *Domain) waitNotPinnedBelow(bound uint64) {
 	for {
-		c.mu.Lock()
+		d.mu.Lock()
 		ok := true
-		for _, slot := range c.active {
-			if e := slot.Load(); e != 0 && e < bound {
+		for _, p := range d.pins {
+			if e := p.epoch.Load(); e != 0 && e < bound {
 				ok = false
 				break
 			}
 		}
-		c.mu.Unlock()
+		d.mu.Unlock()
 		if ok {
 			return
 		}
@@ -155,120 +152,92 @@ func (c *EpochClock) WaitNotPinnedBelow(bound uint64) {
 	}
 }
 
-// EpochSys manages one device's pending persistence batches and its view of
-// the (possibly shared) epoch clock. Create with NewEpochSys (private clock)
-// or NewEpochSysShared, attach to a TxManager with Attach, and either run
-// the background advancer (StartAdvancer) over every system of the clock or
-// call Advance / AdvanceTogether by hand (tests).
-type EpochSys struct {
-	dev   *pnvm.Device
-	clock *EpochClock
+// device is one device of a domain with its pending persistence batches.
+type device struct {
+	dev *pnvm.Device
 
 	// Record ids touched (created or retired) in an epoch, awaiting
 	// write-back. Striped to keep op-path contention low.
 	stripes [16]pendStripe
 
-	// dead holds the ids Flush found durably retired at or before the epoch
-	// it flushed. AdvanceTogether frees them once every device of the domain
-	// carries that epoch's marker. Touched only under the clock's advanceMu.
+	// dead holds the ids flush found durably retired at or before the epoch
+	// it flushed. Advance frees them once every device of the domain carries
+	// that epoch's marker. Touched only under the domain's advanceMu.
 	dead []uint64
 
 	// lastMarker is the id of the newest durable frontier marker; each
 	// flush deletes the one it supersedes (recovery takes the max, so only
 	// the newest matters) to keep marker count O(1) instead of O(epochs).
-	// Written only under the clock's advanceMu.
+	// Written only under the domain's advanceMu.
 	lastMarker uint64
 }
 
 // pendSlots is the size of a stripe's ring of batches. Every epoch is flushed
 // exactly once, two advances after it was current, and a session adds only to
-// the epoch it is pinned to, which Flush's caller has waited out: at most
+// the epoch it is pinned to, which flush's caller has waited out: at most
 // three epochs hold ids at a time.
 const pendSlots = 4
 
 type pendStripe struct {
 	mu sync.Mutex
-	// pend[e % pendSlots] is epoch e's batch. Flush empties a slot and keeps
+	// pend[e % pendSlots] is epoch e's batch. flush empties a slot and keeps
 	// its array, so in steady state a batch grows into last round's capacity.
 	pend [pendSlots][]uint64
 }
 
-// NewEpochSys creates an epoch system over the given device with a private
-// clock.
-func NewEpochSys(dev *pnvm.Device) *EpochSys {
-	return NewEpochSysShared(dev, NewEpochClock())
-}
-
-// NewEpochSysShared creates an epoch system over the given device pinned to
-// a shared clock. The caller owns the advance cadence: drive all systems of
-// the clock together (AdvanceTogether, SyncTogether, or one StartAdvancer
-// over all of them), never one system alone.
-func NewEpochSysShared(dev *pnvm.Device, clock *EpochClock) *EpochSys {
-	return &EpochSys{dev: dev, clock: clock}
-}
-
-// Device returns the underlying simulated NVM device.
-func (es *EpochSys) Device() *pnvm.Device { return es.dev }
-
-// Clock returns the epoch clock (private or shared).
-func (es *EpochSys) Clock() *EpochClock { return es.clock }
-
-// Current returns the current epoch.
-func (es *EpochSys) Current() uint64 { return es.clock.Current() }
-
-func (es *EpochSys) pendAdd(sid int, epoch, id uint64) {
-	st := &es.stripes[sid%len(es.stripes)]
+func (dv *device) pendAdd(sid int, epoch, id uint64) {
+	st := &dv.stripes[sid%len(dv.stripes)]
 	st.mu.Lock()
 	st.pend[epoch%pendSlots] = append(st.pend[epoch%pendSlots], id)
 	st.mu.Unlock()
 }
 
-// PNew writes a fresh payload to NVM tagged with epoch, registering it for
+// pNew writes a fresh payload to NVM tagged with epoch, registering it for
 // the epoch's persistence batch. Returns the payload id.
-func (es *EpochSys) PNew(sid int, key uint64, val []byte, epoch uint64) uint64 {
+func (dv *device) pNew(sid int, key uint64, val []byte, epoch uint64) uint64 {
 	if key == pnvm.MarkerKey {
 		panic("montage: payload key 2^64-1 is reserved for frontier markers")
 	}
-	id, err := es.dev.Write(key, val, epoch)
+	id, err := dv.dev.Write(key, val, epoch)
 	if err != nil {
 		panic("montage: device crashed during operation: " + err.Error())
 	}
-	es.pendAdd(sid, epoch, id)
+	dv.pendAdd(sid, epoch, id)
 	return id
 }
 
-// UnNew deletes a payload created by a transaction that aborted (it was
-// never durable: the epoch validator guarantees its batch has not flushed).
-func (es *EpochSys) UnNew(id uint64) { es.dev.Delete(id) }
+// unNew deletes a payload created by a transaction that aborted (it was
+// never durable: the epoch check kept its batch from flushing).
+func (dv *device) unNew(id uint64) { dv.dev.Delete(id) }
 
-// PRetire marks a payload retired as of epoch, registering the mark for the
+// pRetire marks a payload retired as of epoch, registering the mark for the
 // epoch's persistence batch. The mark is final: montage retires only after
-// commit (Attach's end hook), so it carries no claim for an abort to lift it
+// commit (the layer's End), so it carries no claim for an abort to lift it
 // by.
-func (es *EpochSys) PRetire(sid int, id, epoch uint64) {
-	if err := es.dev.Retire(id, epoch, 0); err != nil {
+func (dv *device) pRetire(sid int, id, epoch uint64) {
+	if err := dv.dev.Retire(id, epoch, 0); err != nil {
 		panic("montage: device crashed during operation: " + err.Error())
 	}
-	es.pendAdd(sid, epoch, id)
+	dv.pendAdd(sid, epoch, id)
 }
 
-// Flush persists the given epoch's batch on this device — write-back of
+// flush persists the given epoch's batch on the device — write-back of
 // every pending record, a fence, and then a durable frontier marker
 // asserting the device is complete through that epoch — and reports whether
 // that marker is durable. Callers must ensure no session is still pinned at
-// or below the epoch (WaitNotPinnedBelow). On a crashed device the flush is a
+// or below the epoch (waitNotPinnedBelow). On a crashed device the flush is a
 // no-op: the records (and the marker) are simply lost, which recovery's
 // frontier arithmetic already models.
 //
 // Each write-back also tells whether its record is now durably retired. One
 // retired at or before the flushed epoch is dead at every cut from this epoch
-// on and joins es.dead. A record created in this epoch and retired in the next
+// on and joins dv.dead. A record created in this epoch and retired in the next
 // sits in this batch too, and its write-back here makes the later mark
 // durable — but the cut may still fall on this epoch, where the record is
 // live, so it waits for the next epoch's batch, which holds it again.
-func (es *EpochSys) Flush(epoch uint64) bool {
-	for i := range es.stripes {
-		st := &es.stripes[i]
+func (dv *device) flush(epoch uint64) bool {
+	for i := range dv.stripes {
+		st := &dv.stripes[i]
 		st.mu.Lock()
 		ids := st.pend[epoch%pendSlots]
 		// Emptied in place: the next epoch to use this slot, and ids' array,
@@ -277,17 +246,17 @@ func (es *EpochSys) Flush(epoch uint64) bool {
 		st.mu.Unlock()
 		cpFlushBatch.Hit() // crash here loses this stripe's (and later stripes') write-backs
 		for _, id := range ids {
-			if retired, _ := es.dev.WriteBack(id); retired != 0 && retired <= epoch {
-				es.dead = append(es.dead, id)
+			if retired, _ := dv.dev.WriteBack(id); retired != 0 && retired <= epoch {
+				dv.dead = append(dv.dead, id)
 			}
 		}
 	}
-	es.dev.Fence()
+	dv.dev.Fence()
 	cpFlushPreMarker.Hit() // crash here: batch durable, marker missing — epoch cut falls before it
 	// The frontier marker is only meaningful if it becomes durable after
 	// the batch: recovery treats a missing marker as "this epoch never
 	// fully persisted here" and cuts before it.
-	id, err := es.dev.Write(pnvm.MarkerKey, nil, epoch)
+	id, err := dv.dev.Write(pnvm.MarkerKey, nil, epoch)
 	if err != nil {
 		if errors.Is(err, pnvm.ErrCrashed) {
 			return false
@@ -295,71 +264,54 @@ func (es *EpochSys) Flush(epoch uint64) bool {
 		panic("montage: frontier marker write failed: " + err.Error())
 	}
 	cpFlushMarkerVolatile.Hit() // crash here: marker written but never durable
-	if _, ok := es.dev.WriteBack(id); !ok {
+	if _, ok := dv.dev.WriteBack(id); !ok {
 		return false // the device crashed under the marker and took it along
 	}
-	es.dev.Fence()
+	dv.dev.Fence()
 	// The new marker durably supersedes the previous one; drop it so
 	// markers don't accumulate one per epoch. A crash between the
 	// write-back above and this delete leaves both (harmless, recovery
 	// takes the max); a crash *before* the write-back lost the new marker,
 	// and then the delete must not erase the old one — pnvm.Device.Delete
 	// is a no-op on crashed media, which covers exactly that window.
-	if es.lastMarker != 0 {
-		es.dev.Delete(es.lastMarker)
+	if dv.lastMarker != 0 {
+		dv.dev.Delete(dv.lastMarker)
 	}
-	es.lastMarker = id
+	dv.lastMarker = id
 	return true
 }
 
-// reclaim frees the records Flush found dead: nbMontage's rule that a payload
+// reclaim frees the records flush found dead: nbMontage's rule that a payload
 // retired in epoch e is reclaimed once e is persisted. A free is not a media
 // operation (the device counts none), and a crash between two frees leaves
 // durably dead records behind for recovery's scrub.
-func (es *EpochSys) reclaim() {
-	for _, id := range es.dead {
-		es.dev.Delete(id)
+func (dv *device) reclaim() {
+	for _, id := range dv.dead {
+		dv.dev.Delete(id)
 		cpAdvanceReclaim.Hit()
 	}
-	es.dead = es.dead[:0]
+	dv.dead = dv.dead[:0]
 }
 
-// Advance moves to the next epoch and persists (write-back + fence) the
-// batch from two epochs ago, after waiting for straggler transactions still
-// pinned to that epoch to finish (their commits are already impossible —
-// the epoch validator fails — so the wait is short and bounded by abort
-// processing). On a shared clock prefer AdvanceTogether, which flushes
-// every device of the domain at the same boundary.
-func (es *EpochSys) Advance() {
-	AdvanceTogether(es.clock, []*EpochSys{es})
-}
-
-// Sync persists everything up to and including the current epoch: it
-// advances twice so the current epoch's batch flushes, making all
-// previously-committed transactions durable (the paper's wait-free sync,
-// here a simple blocking call).
-func (es *EpochSys) Sync() {
-	es.Advance()
-	es.Advance()
-}
-
-// AdvanceTogether advances a shared clock once and flushes the newly
-// flushable batch on every system of the domain, so all devices reach the
-// same epoch boundary before the advance returns. This is multi-device
-// txMontage's coordinator step. Whole advance sequences are serialized per
-// clock (a Sync racing the background coordinator must not interleave
-// their flushes, or a frontier marker could outrun an older batch's
-// write-back).
-func AdvanceTogether(clock *EpochClock, systems []*EpochSys) {
-	clock.advanceMu.Lock()
-	defer clock.advanceMu.Unlock()
-	e := clock.Tick()
-	clock.WaitNotPinnedBelow(e - 1)
+// Advance moves the clock to the next epoch and persists the batch from two
+// epochs ago on every device (write-back, fence, frontier marker), so all
+// devices reach the same epoch boundary before it returns. It first waits for
+// straggler transactions still pinned to that epoch (their commits are
+// already impossible — the epoch check fails — so the wait is short and
+// bounded by abort processing); a transaction pinned to the epoch that was
+// current does not hold it up. Whole advances are serialized (a Sync racing
+// the background advancer must not interleave their flushes, or a frontier
+// marker could outrun an older batch's write-back).
+func (d *Domain) Advance() {
+	d.advanceMu.Lock()
+	defer d.advanceMu.Unlock()
+	e := d.epoch.Add(1)
+	d.waitNotPinnedBelow(e - 1)
 	cpAdvancePreFlush.Hit() // crash here: epoch ticked, nothing flushed
 	persisted := true
-	for _, es := range systems {
-		persisted = es.Flush(e-2) && persisted
-		// Fires between one shard's flush and the next, so a crash tears
+	for _, dv := range d.devs {
+		persisted = dv.flush(e-2) && persisted
+		// Fires between one device's flush and the next, so a crash tears
 		// the domain mid-advance: some devices carry this epoch's marker,
 		// the rest don't, and recovery must cut at the minimum frontier.
 		cpAdvanceMidShard.Hit()
@@ -369,51 +321,52 @@ func AdvanceTogether(clock *EpochClock, systems []*EpochSys) {
 	// retired in e-2 is live, on whichever device it sits: no device frees
 	// before every device has flushed.
 	if persisted {
-		for _, es := range systems {
-			es.reclaim()
+		for _, dv := range d.devs {
+			dv.reclaim()
 		}
 	}
 }
 
-// SyncTogether is Sync for a shared-clock domain: after it returns, every
-// transaction committed before the call is durable on its devices at one
-// mutually consistent epoch boundary.
-func SyncTogether(clock *EpochClock, systems []*EpochSys) {
-	AdvanceTogether(clock, systems)
-	AdvanceTogether(clock, systems)
+// Sync persists everything up to and including the current epoch: it
+// advances twice so the current epoch's batch flushes, and after it returns
+// every transaction committed before the call is durable on its devices at
+// one mutually consistent epoch boundary (the paper's wait-free sync, here a
+// simple blocking call).
+func (d *Domain) Sync() {
+	d.Advance()
+	d.Advance()
 }
 
 // Recover runs the shared recovery pipeline (pnvm.RecoverDomain) over the
-// reattached devices of a fresh domain; dumps must be index-aligned with
-// systems. What montage adds is epoch-specific: advancement is blocked for
-// the duration, so a background advancer already running on the rebuilt
-// engine cannot interleave its flushes (and its marker deletes) with the
-// scrub; each system adopts the fresh marker as the one its next flush
-// supersedes; and the shared clock is raised past the cut, so no new
-// transaction shares an epoch number with a pre-crash batch still on media.
-func Recover(clock *EpochClock, systems []*EpochSys, dumps [][]pnvm.Record) (pnvm.Recovery, error) {
-	clock.advanceMu.Lock()
-	defer clock.advanceMu.Unlock()
-	devs := make([]*pnvm.Device, len(systems))
-	for i, es := range systems {
-		devs[i] = es.dev
-	}
-	rec, err := pnvm.RecoverDomain(devs, dumps)
+// domain's reattached devices; dumps must be index-aligned with them. What
+// montage adds is epoch-specific: advancement is blocked for the duration,
+// so a background advancer already running on the rebuilt engine cannot
+// interleave its flushes (and its marker deletes) with the scrub; each device
+// adopts the fresh marker as the one its next flush supersedes; and the clock
+// is raised past the cut, so no new transaction shares an epoch number with a
+// pre-crash batch still on media.
+func (d *Domain) Recover(dumps [][]pnvm.Record) (pnvm.Recovery, error) {
+	d.advanceMu.Lock()
+	defer d.advanceMu.Unlock()
+	rec, err := pnvm.RecoverDomain(d.Devices(), dumps)
 	if err != nil {
 		return rec, err
 	}
-	for i, es := range systems {
-		es.lastMarker = rec.Markers[i]
+	for i, dv := range d.devs {
+		dv.lastMarker = rec.Markers[i]
 	}
-	clock.AdvanceTo(rec.Cut + 2)
+	// Past every pre-crash epoch still on media. Only an advance moves the
+	// clock otherwise, and it waits for the lock this holds.
+	if d.epoch.Load() < rec.Cut+2 {
+		d.epoch.Store(rec.Cut + 2)
+	}
 	return rec, nil
 }
 
-// StartAdvancer launches the one background epoch advancer of a clock: every
-// period (nbMontage uses tens of milliseconds) it advances the clock and
-// flushes all of its systems together. The returned stop halts it and
-// returns once it has exited; call it once.
-func StartAdvancer(clock *EpochClock, systems []*EpochSys, period time.Duration) (stop func()) {
+// StartAdvancer launches the domain's background epoch advancer: every period
+// (nbMontage uses tens of milliseconds) it advances the domain. The returned
+// stop halts it and returns once it has exited; call it once.
+func (d *Domain) StartAdvancer(period time.Duration) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -424,7 +377,7 @@ func StartAdvancer(clock *EpochClock, systems []*EpochSys, period time.Duration)
 			case <-quit:
 				return
 			case <-t.C:
-				AdvanceTogether(clock, systems)
+				d.Advance()
 			}
 		}
 	}()
@@ -434,122 +387,104 @@ func StartAdvancer(clock *EpochClock, systems []*EpochSys, period time.Duration)
 	}
 }
 
-// txCtx is the per-transaction epoch context stored in Session.TxData. It
-// is embedded in the session's sessExt and reused across transactions —
-// only the owning session's goroutine reads or writes its fields. Beside the
-// pinned epoch it lists what the transaction's Map writes leave to its end:
-// the payloads it created, which an abort deletes, and the payloads it
-// superseded, which a commit marks retired at epoch. The lists keep their
-// arrays from one transaction to the next, so this bookkeeping allocates
-// nothing once they have grown.
-type txCtx struct {
-	epoch   uint64
-	slot    *atomic.Uint64
+// pin is a session's epoch state, kept in its Session.Ext from one
+// transaction to the next: the epoch its open transaction is pinned to, and
+// what that transaction's Map writes leave to its end — the payloads it
+// created, which an abort deletes, and the payloads it superseded, which a
+// commit marks retired at the pinned epoch. The lists keep their arrays from
+// one transaction to the next, so this bookkeeping allocates nothing once
+// they have grown. Only the owning session's goroutine touches the lists.
+type pin struct {
+	// epoch is 0 between transactions. The owner writes it; advances and
+	// helpers validating the owner's transaction read it.
+	epoch   atomic.Uint64
 	created []payloadRef
 	retired []payloadRef
 }
 
-// payloadRef names a payload: its record id on the device of es.
+// payloadRef names a payload: its record id on dv.
 type payloadRef struct {
-	es  *EpochSys
+	dv  *device
 	pid uint64
 }
 
-// txOf returns the epoch context of the session's open transaction. A Map
+// pinOf returns the epoch state of the session's open transaction. A Map
 // written under a manager that Attach never saw has none, and without it
 // nothing ties the transaction to one epoch: each write would take whatever
-// epoch is current and no validator would notice a tick between two of them,
-// so a crash could cut the transaction in two. That is a wiring error, so
-// it panics.
-func txOf(s *core.Session) *txCtx {
-	ctx, ok := s.TxData.(*txCtx)
+// epoch is current and nothing would notice a tick between two of them, so a
+// crash could cut the transaction in two. That is a wiring error, so it
+// panics.
+func pinOf(s *core.Session) *pin {
+	p, ok := s.Ext.(*pin)
 	if !ok {
 		panic("montage: Map written in a transaction of a TxManager that montage.Attach never saw")
 	}
-	return ctx
+	return p
 }
 
-// sessExt is the per-session epoch state cached in Session.Ext: the pinned
-// epoch slot plus a reusable transaction context (payload lists included)
-// and validator closure, so neither TxBegin nor a Map write's bookkeeping
-// on the txMontage hot path allocates. The validator reads the atomic pinned slot rather than
-// the (owner-only) ctx fields: helpers may evaluate a descriptor's
-// validators concurrently with the owner, and while the descriptor can be
-// finalized (InProg) the owner is still inside TxEnd, so the slot holds
-// exactly the epoch that transaction pinned. A straggling helper that
-// evaluates after the owner moved on gets an arbitrary verdict, but its
-// status CAS then fails against the already-final descriptor — same as the
-// pre-existing helper race.
-type sessExt struct {
-	slot      *atomic.Uint64
-	ctx       txCtx
-	validator func() bool
-}
+// layer is a Domain as the core.Layer of the managers it is attached to.
+type layer Domain
 
-// Attach wires the epoch system into a TxManager, turning Medley
-// transactions on attached structures into txMontage transactions: TxBegin
-// pins the current epoch and registers the epoch validator; transaction end
-// settles the transaction's payloads and releases the pin. What it binds the
-// manager to is es's clock, not its device: maps on any EpochSys of that
-// clock may run under the manager, and a transaction over several of them
-// holds one pin and one validator (txMontage over several devices attaches
-// its one manager this way). Every Map write must run under an attached
-// manager (txOf).
-//
-// The end hook runs after the session's cleanups and undos. An aborted
-// transaction's payloads were never durable (the validator kept their epoch
-// current), so it deletes them. A committed one writes its retire marks,
-// never earlier: a doomed transaction that raced with, and was aborted by,
-// a payload's real retirer must not clobber the committed mark. Either way
-// the pin is released last, so the marks join the epoch's batch before any
-// advance may flush it.
-func Attach(mgr *core.TxManager, es *EpochSys) {
-	clock := es.clock
-	extFor := func(s *core.Session) *sessExt {
-		// Sessions are single-goroutine, so the cached ext needs no lock.
-		if ext, ok := s.Ext.(*sessExt); ok {
-			return ext
-		}
-		ext := &sessExt{slot: clock.register()}
-		ext.ctx.slot = ext.slot
-		ext.validator = func() bool { return clock.Current() == ext.slot.Load() }
-		s.Ext = ext
-		return ext
+// Begin pins the transaction to the current epoch.
+func (l *layer) Begin(s *core.Session) {
+	p, ok := s.Ext.(*pin)
+	if !ok {
+		// Sessions are single-goroutine, so the cached pin needs no lock.
+		p = (*Domain)(l).register()
+		s.Ext = p
 	}
-	mgr.SetBeginHook(func(s *core.Session) {
-		ext := extFor(s)
-		e := clock.Current()
-		ext.slot.Store(e)
-		ext.ctx.epoch = e
-		s.TxData = &ext.ctx
-		s.Desc().AddValidator(ext.validator)
-	})
-	mgr.SetEndHook(func(s *core.Session, committed bool) {
-		ctx, ok := s.TxData.(*txCtx)
-		if !ok {
-			return
-		}
-		if committed {
-			for _, r := range ctx.retired {
-				r.es.PRetire(s.ID(), r.pid, ctx.epoch)
-			}
-		} else {
-			for _, r := range ctx.created {
-				r.es.UnNew(r.pid)
-			}
-		}
-		ctx.created, ctx.retired = ctx.created[:0], ctx.retired[:0]
-		ctx.slot.Store(0)
-	})
+	p.epoch.Store(l.epoch.Load())
 }
+
+// Valid is the epoch check: the transaction commits only in the epoch it
+// pinned. It reads the owner's pin atomically: a helper may validate
+// concurrently with the owner, and while the descriptor can be finalized
+// (InProg) the owner is still inside TxEnd, so the pin holds exactly the
+// epoch that transaction pinned. A straggling helper that validates after
+// the owner moved on gets an arbitrary verdict, but its status CAS then
+// fails against the already-final descriptor.
+func (l *layer) Valid(s *core.Session) bool {
+	return l.epoch.Load() == s.Ext.(*pin).epoch.Load()
+}
+
+// End settles the transaction's payloads and releases the pin. It runs after
+// the session's cleanups and undos. An aborted transaction's payloads were
+// never durable (the epoch check kept their epoch current), so it deletes
+// them. A committed one writes its retire marks, never earlier: a doomed
+// transaction that raced with, and was aborted by, a payload's real retirer
+// must not clobber the committed mark. Either way the pin is released last,
+// so the marks join the epoch's batch before any advance may flush it.
+func (l *layer) End(s *core.Session, committed bool) {
+	p := s.Ext.(*pin)
+	if committed {
+		e := p.epoch.Load()
+		for _, r := range p.retired {
+			r.dv.pRetire(s.ID(), r.pid, e)
+		}
+	} else {
+		for _, r := range p.created {
+			r.dv.unNew(r.pid)
+		}
+	}
+	p.created, p.retired = p.created[:0], p.retired[:0]
+	p.epoch.Store(0)
+}
+
+// Attach layers the domain over mgr's transactions (core.TxManager.SetLayer),
+// turning Medley transactions on its maps into txMontage transactions: each
+// pins the current epoch at TxBegin, commits only while that epoch is
+// current, and settles its payloads and releases its pin when it ends. A
+// transaction over keys on several devices holds one pin and one check.
+// Every Map write must run under an attached manager (pinOf).
+func (d *Domain) Attach(mgr *core.TxManager) { mgr.SetLayer((*layer)(d)) }
 
 // PinnedEpoch returns the epoch the session's current transaction is pinned
-// to, or 0 when the session is outside a transaction (or the manager has no
-// epoch system attached).
+// to, or 0 when the session is outside a transaction (or its manager has no
+// domain attached).
 func PinnedEpoch(s *core.Session) uint64 {
 	if s != nil && s.InTx() {
-		if ctx, ok := s.TxData.(*txCtx); ok {
-			return ctx.epoch
+		if p, ok := s.Ext.(*pin); ok {
+			return p.epoch.Load()
 		}
 	}
 	return 0

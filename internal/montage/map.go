@@ -46,7 +46,7 @@ type entry[V any] struct {
 // Map is a persistent transactional map: a transient Medley index (skiplist
 // or hash table) over NVM payloads, following the nbMontage split of
 // "payloads persist, indices rebuild". Its writes run under a TxManager
-// that the epoch systems' clock is Attach'ed to, and transactions over Map
+// that its domain is attached to (Domain.Attach), and transactions over Map
 // are then fully ACID (txMontage); a write under any other manager panics.
 //
 // A map spans every device of its domain with one index: each key's payloads
@@ -58,22 +58,22 @@ type Map[V any] struct {
 		txmap.Map[entry[V]]
 		Range(f func(uint64, entry[V]) bool)
 	}
-	es    []*EpochSys // the domain's systems, all on one clock
+	devs  []*device // the domain's, in routing order
 	codec Codec[V]
 }
 
 var _ txmap.Map[uint64] = (*Map[uint64])(nil)
 
-// NewSkipMap creates a persistent map over the epoch systems of one domain,
-// indexed by a Medley skiplist.
-func NewSkipMap[V any](es []*EpochSys, codec Codec[V]) *Map[V] {
-	return &Map[V]{idx: fskiplist.New[uint64, entry[V]](), es: es, codec: codec}
+// NewSkipMap creates a persistent map over the devices of d, indexed by a
+// Medley skiplist.
+func NewSkipMap[V any](d *Domain, codec Codec[V]) *Map[V] {
+	return &Map[V]{idx: fskiplist.New[uint64, entry[V]](), devs: d.devs, codec: codec}
 }
 
-// NewHashMap creates a persistent map over the epoch systems of one domain,
-// indexed by a Medley hash table with nbuckets chains.
-func NewHashMap[V any](es []*EpochSys, codec Codec[V], nbuckets int) *Map[V] {
-	return &Map[V]{idx: mhash.NewUint64[entry[V]](nbuckets), es: es, codec: codec}
+// NewHashMap creates a persistent map over the devices of d, indexed by a
+// Medley hash table with nbuckets chains.
+func NewHashMap[V any](d *Domain, codec Codec[V], nbuckets int) *Map[V] {
+	return &Map[V]{idx: mhash.NewUint64[entry[V]](nbuckets), devs: d.devs, codec: codec}
 }
 
 // DeviceOf routes a key to its device among n: Fibonacci hashing spreads
@@ -87,8 +87,8 @@ func DeviceOf(k uint64, n int) int {
 	return int(hi)
 }
 
-// sys is the epoch system of k's device.
-func (m *Map[V]) sys(k uint64) *EpochSys { return m.es[DeviceOf(k, len(m.es))] }
+// device is k's device.
+func (m *Map[V]) device(k uint64) *device { return m.devs[DeviceOf(k, len(m.devs))] }
 
 // Get returns the value bound to k, if any. Reads touch only the transient
 // index — NVM stays off the read path, as in nbMontage.
@@ -104,9 +104,9 @@ func (m *Map[V]) Get(s *core.Session, k uint64) (V, bool) {
 // Put binds k to v, returning the previous value if k was present. Inside
 // a transaction it writes the new payload on k's device, tagged with the
 // transaction's epoch, and lists it and the payload it supersedes in the
-// transaction's epoch context: Attach's end hook deletes the one if the
-// transaction aborts and marks the other retired if it commits. It panics
-// if the session's manager was never Attach'ed (txOf).
+// session's pin: the layer's End deletes the one if the transaction aborts
+// and marks the other retired if it commits. It panics if the session's
+// manager was never attached (pinOf).
 func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 	if !s.InTx() {
 		// Run as a single-operation transaction so the payload provably
@@ -120,12 +120,12 @@ func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 		})
 		return old, replaced
 	}
-	ctx, es := txOf(s), m.sys(k)
-	pid := es.PNew(s.ID(), k, m.codec.Enc(v), ctx.epoch)
-	ctx.created = append(ctx.created, payloadRef{es, pid})
+	p, dv := pinOf(s), m.device(k)
+	pid := dv.pNew(s.ID(), k, m.codec.Enc(v), p.epoch.Load())
+	p.created = append(p.created, payloadRef{dv, pid})
 	old, replaced := m.idx.Put(s, k, entry[V]{val: v, pid: pid})
 	if replaced {
-		ctx.retired = append(ctx.retired, payloadRef{es, old.pid})
+		p.retired = append(p.retired, payloadRef{dv, old.pid})
 		return old.val, true
 	}
 	var zero V
@@ -142,14 +142,14 @@ func (m *Map[V]) Insert(s *core.Session, k uint64, v V) bool {
 		})
 		return ok
 	}
-	ctx, es := txOf(s), m.sys(k)
-	pid := es.PNew(s.ID(), k, m.codec.Enc(v), ctx.epoch)
+	p, dv := pinOf(s), m.device(k)
+	pid := dv.pNew(s.ID(), k, m.codec.Enc(v), p.epoch.Load())
 	if !m.idx.Insert(s, k, entry[V]{val: v, pid: pid}) {
 		// Key present: the speculative payload is unused either way.
-		es.UnNew(pid)
+		dv.unNew(pid)
 		return false
 	}
-	ctx.created = append(ctx.created, payloadRef{es, pid})
+	p.created = append(p.created, payloadRef{dv, pid})
 	return true
 }
 
@@ -165,13 +165,13 @@ func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 		})
 		return old, ok
 	}
-	ctx := txOf(s)
+	p := pinOf(s)
 	old, ok := m.idx.Remove(s, k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	ctx.retired = append(ctx.retired, payloadRef{m.sys(k), old.pid})
+	p.retired = append(p.retired, payloadRef{m.device(k), old.pid})
 	return old.val, true
 }
 

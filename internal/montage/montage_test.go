@@ -12,18 +12,18 @@ import (
 	"medley/internal/pnvm"
 )
 
-// zero-latency device for unit tests
-func testSys() (*EpochSys, *core.TxManager) {
-	dev := pnvm.New(pnvm.Latencies{})
-	es := NewEpochSys(dev)
+// testSys is a domain over one zero-latency device, attached to a fresh
+// manager.
+func testSys() (*Domain, *core.TxManager) {
+	d := NewDomain(pnvm.New(pnvm.Latencies{}))
 	mgr := core.NewTxManager()
-	Attach(mgr, es)
-	return es, mgr
+	d.Attach(mgr)
+	return d, mgr
 }
 
 func TestBasicMapOps(t *testing.T) {
-	es, mgr := testSys()
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 	if _, ok := m.Get(s, 1); ok {
 		t.Fatal("empty map had key")
@@ -45,9 +45,9 @@ func TestBasicMapOps(t *testing.T) {
 }
 
 func TestTransactionalAtomicity(t *testing.T) {
-	es, mgr := testSys()
-	m1 := NewHashMap([]*EpochSys{es}, Uint64Codec(), 64)
-	m2 := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m1 := NewHashMap(d, Uint64Codec(), 64)
+	m2 := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 	m1.Put(s, 1, 100)
 
@@ -71,18 +71,18 @@ func TestTransactionalAtomicity(t *testing.T) {
 }
 
 func TestAbortUndoesPayloads(t *testing.T) {
-	es, mgr := testSys()
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 	m.Put(s, 1, 10)
-	before := es.Device().Live()
+	before := d.Devices()[0].Live()
 
 	s.TxBegin()
 	m.Put(s, 2, 20) // creates payload
 	m.Remove(s, 1)  // retires payload
 	s.TxAbort()
 
-	if got := es.Device().Live(); got != before {
+	if got := d.Devices()[0].Live(); got != before {
 		t.Fatalf("payload count after abort = %d, want %d", got, before)
 	}
 	if v, ok := m.Get(s, 1); !ok || v != 10 {
@@ -94,8 +94,8 @@ func TestAbortUndoesPayloads(t *testing.T) {
 }
 
 func TestEpochValidatorAbortsCrossEpochTx(t *testing.T) {
-	es, mgr := testSys()
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 
 	s.TxBegin()
@@ -104,7 +104,7 @@ func TestEpochValidatorAbortsCrossEpochTx(t *testing.T) {
 	// waits for transactions pinned to the epoch being flushed (two back),
 	// so it must not block on this current-epoch transaction.
 	done := make(chan struct{})
-	go func() { es.Advance(); close(done) }()
+	go func() { d.Advance(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -120,33 +120,33 @@ func TestEpochValidatorAbortsCrossEpochTx(t *testing.T) {
 
 func TestCrashRecoveryDurableState(t *testing.T) {
 	dev := pnvm.New(pnvm.Latencies{})
-	es := NewEpochSys(dev)
+	d := NewDomain(dev)
 	mgr := core.NewTxManager()
-	Attach(mgr, es)
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d.Attach(mgr)
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 
 	for k := uint64(0); k < 100; k++ {
 		m.Put(s, k, k*2)
 	}
-	es.Sync() // make everything durable
+	d.Sync() // make everything durable
 	// Post-sync updates that will be lost (not yet flushed).
 	m.Put(s, 5, 999)
 	m.Remove(s, 6)
 	m.Put(s, 200, 1)
 
-	es2 := NewEpochSys(dev)
-	rec, err := Recover(es2.Clock(), []*EpochSys{es2}, pnvm.DumpAll([]*pnvm.Device{dev}))
+	d2 := NewDomain(dev)
+	rec, err := d2.Recover(pnvm.DumpAll([]*pnvm.Device{dev}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewSkipMap([]*EpochSys{es2}, Uint64Codec())
+	m2 := NewSkipMap(d2, Uint64Codec())
 	m2.Rebuild(rec.Live[0])
 	chk := core.NewTxManager().Session()
 	// The fresh clock restarts past the cut: a new transaction must never
 	// share an epoch number with a pre-crash batch still on media.
-	if es2.Current() < rec.Cut+2 {
-		t.Fatalf("clock resumed at epoch %d, want at least cut %d + 2", es2.Current(), rec.Cut)
+	if d2.Current() < rec.Cut+2 {
+		t.Fatalf("clock resumed at epoch %d, want at least cut %d + 2", d2.Current(), rec.Cut)
 	}
 
 	// The synced prefix must be intact…
@@ -174,11 +174,11 @@ func TestCrashRecoveryDurableState(t *testing.T) {
 func TestFailureAtomicityAcrossCrash(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		dev := pnvm.New(pnvm.Latencies{})
-		es := NewEpochSys(dev)
+		d := NewDomain(dev)
 		mgr := core.NewTxManager()
-		Attach(mgr, es)
-		ma := NewSkipMap([]*EpochSys{es}, Uint64Codec())
-		mb := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+		d.Attach(mgr)
+		ma := NewSkipMap(d, Uint64Codec())
+		mb := NewSkipMap(d, Uint64Codec())
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
@@ -191,7 +191,7 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					es.Advance()
+					d.Advance()
 					time.Sleep(200 * time.Microsecond)
 				}
 			}
@@ -241,32 +241,24 @@ func TestFailureAtomicityAcrossCrash(t *testing.T) {
 	}
 }
 
-// twoDevices builds a map over two devices on one clock, its manager
-// attached, and returns a key routed to each device.
-func twoDevices(lat pnvm.Latencies) (clock *EpochClock, systems []*EpochSys, m *Map[uint64], s *core.Session, keys [2]uint64) {
-	clock = NewEpochClock()
-	for range 2 {
-		systems = append(systems, NewEpochSysShared(pnvm.New(lat), clock))
-	}
+// twoDevices builds a domain of two devices with a map over them, its
+// manager attached, and returns a key routed to each device.
+func twoDevices(lat pnvm.Latencies) (d *Domain, m *Map[uint64], s *core.Session, keys [2]uint64) {
+	d = NewDomain(pnvm.New(lat), pnvm.New(lat))
 	mgr := core.NewTxManager()
-	Attach(mgr, systems[0])
-	m = NewHashMap(systems, Uint64Codec(), 64)
-	var found [2]bool
-	for k := uint64(0); !found[0] || !found[1]; k++ {
-		if d := DeviceOf(k, 2); !found[d] {
-			keys[d], found[d] = k, true
-		}
-	}
-	return clock, systems, m, mgr.Session(), keys
+	d.Attach(mgr)
+	return d, NewHashMap(d, Uint64Codec(), 64), mgr.Session(), keyPerDevice()
 }
 
-// devicesOf returns the devices under systems.
-func devicesOf(systems []*EpochSys) []*pnvm.Device {
-	devs := make([]*pnvm.Device, len(systems))
-	for i, es := range systems {
-		devs[i] = es.Device()
+// keyPerDevice returns the first key routed to each of two devices.
+func keyPerDevice() (keys [2]uint64) {
+	var found [2]bool
+	for k := uint64(0); !found[0] || !found[1]; k++ {
+		if i := DeviceOf(k, 2); !found[i] {
+			keys[i], found[i] = k, true
+		}
 	}
-	return devs
+	return keys
 }
 
 // An aborted transaction leaves the devices as it found them: the payload
@@ -274,21 +266,21 @@ func devicesOf(systems []*EpochSys) []*pnvm.Device {
 // superseded nor the one its remove took is marked retired, so no flush
 // frees them and recovery finds both keys at their old values.
 func TestAbortLeavesTheDevicesAsTheyWere(t *testing.T) {
-	clock, systems, m, s, keys := twoDevices(pnvm.Latencies{})
-	devs := devicesOf(systems)
+	d, m, s, keys := twoDevices(pnvm.Latencies{})
+	devs := d.Devices()
 	m.Put(s, keys[0], 1)
 	m.Put(s, keys[1], 2)
-	SyncTogether(clock, systems)
+	d.Sync()
 	live := []int{devs[0].Live(), devs[1].Live()}
 
 	s.TxBegin()
 	m.Put(s, keys[0], 10)
 	m.Remove(s, keys[1])
 	s.TxAbort()
-	SyncTogether(clock, systems) // flushes and frees anything the abort retired
+	d.Sync() // flushes and frees anything the abort retired
 
-	for i, d := range devs {
-		if got := d.Live(); got != live[i] {
+	for i, dev := range devs {
+		if got := dev.Live(); got != live[i] {
 			t.Errorf("device %d holds %d records after the abort and a sync, want %d as before", i, got, live[i])
 		}
 	}
@@ -302,7 +294,7 @@ func TestAbortLeavesTheDevicesAsTheyWere(t *testing.T) {
 }
 
 // A committed remove's retire mark joins the batch of the transaction's own
-// epoch: the end hook writes it before it releases the pin, and the advance
+// epoch: the layer's End writes it before it releases the pin, and the advance
 // that flushes the epoch waits for the pin. Here that advance is already
 // waiting when the transaction commits (its cleanup starts it), and a store
 // costs longer than the scheduler lets one goroutine run alone, so a mark
@@ -310,13 +302,13 @@ func TestAbortLeavesTheDevicesAsTheyWere(t *testing.T) {
 // took it, and the crash that follows would find the keys live at the cut of
 // the epoch that removed them.
 func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
-	clock, systems, m, s, keys := twoDevices(pnvm.Latencies{Write: 25 * time.Millisecond})
-	devs := devicesOf(systems)
+	d, m, s, keys := twoDevices(pnvm.Latencies{Write: 25 * time.Millisecond})
+	devs := d.Devices()
 	m.Put(s, keys[0], 1)
 	m.Put(s, keys[1], 2)
-	SyncTogether(clock, systems)
+	d.Sync()
 
-	e := clock.Current()
+	e := d.Current()
 	flushed := make(chan struct{})
 	s.TxBegin()
 	m.Remove(s, keys[0])
@@ -324,13 +316,13 @@ func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
 	s.AddToCleanups(core.Func(func() {
 		// Committed, the marks not yet written. This advance flushes e-1
 		// and waits for no pin below e; the next flushes e once no session
-		// is pinned below e+1, which this one is until its end hook is done.
-		AdvanceTogether(clock, systems)
+		// is pinned below e+1, which this one is until its End is done.
+		d.Advance()
 		go func() {
-			AdvanceTogether(clock, systems)
+			d.Advance()
 			close(flushed)
 		}()
-		for clock.Current() != e+2 { // ticked: it waits for the pin
+		for d.Current() != e+2 { // ticked: it waits for the pin
 			runtime.Gosched()
 		}
 	}), nil, nil)
@@ -356,7 +348,7 @@ func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
 // what is missing.
 func TestUnattachedManagerPanics(t *testing.T) {
 	dev := pnvm.New(pnvm.Latencies{})
-	m := NewSkipMap([]*EpochSys{NewEpochSys(dev)}, Uint64Codec())
+	m := NewSkipMap(NewDomain(dev), Uint64Codec())
 	mgr := core.NewTxManager()
 	for _, c := range []struct {
 		name  string

@@ -30,18 +30,18 @@ func recoverKV(t *testing.T, devs []*pnvm.Device) (kv []map[uint64]uint64, cut u
 // which makes its e+1 mark durable while the cut is still e. Freeing it then
 // loses the key: its successor lies beyond the cut.
 func TestReclaimWaitsForTheRetireEpoch(t *testing.T) {
-	es, mgr := testSys()
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
-	e := es.Current()
+	e := d.Current()
 	m.Put(s, 1, 10) // created in e
-	es.Advance()
+	d.Advance()
 	m.Put(s, 1, 11) // retires it in e+1
-	es.Advance()    // flushes e
-	if got := es.Device().Live(); got != 3 {
+	d.Advance()     // flushes e
+	if got := d.Devices()[0].Live(); got != 3 {
 		t.Fatalf("device holds %d records after flushing the creation epoch, want both versions and a marker", got)
 	}
-	kv, cut := recoverKV(t, []*pnvm.Device{es.Device()})
+	kv, cut := recoverKV(t, d.Devices())
 	if cut != e || kv[0][1] != 10 {
 		t.Fatalf("recovered %v at cut %d, want key 1 = 10 at cut %d", kv[0], cut, e)
 	}
@@ -50,17 +50,17 @@ func TestReclaimWaitsForTheRetireEpoch(t *testing.T) {
 // The same record one advance later: e+1 is flushed, the mark is at the cut,
 // and the record is gone from media before any recovery has to scrub it.
 func TestReclaimFreesAtTheRetireEpoch(t *testing.T) {
-	es, mgr := testSys()
-	m := NewSkipMap([]*EpochSys{es}, Uint64Codec())
+	d, mgr := testSys()
+	m := NewSkipMap(d, Uint64Codec())
 	s := mgr.Session()
 	m.Put(s, 1, 10)
-	es.Advance()
+	d.Advance()
 	m.Put(s, 1, 11)
-	es.Sync()
-	if got := es.Device().Live(); got != 2 {
+	d.Sync()
+	if got := d.Devices()[0].Live(); got != 2 {
 		t.Fatalf("device holds %d records after the retire epoch was flushed, want one version and a marker", got)
 	}
-	if kv, _ := recoverKV(t, []*pnvm.Device{es.Device()}); kv[0][1] != 11 {
+	if kv, _ := recoverKV(t, d.Devices()); kv[0][1] != 11 {
 		t.Fatalf("recovered %v, want key 1 = 11", kv[0])
 	}
 }
@@ -70,26 +70,20 @@ func TestReclaimFreesAtTheRetireEpoch(t *testing.T) {
 // e is already durable. Nothing may have been freed there.
 func TestReclaimWaitsForTheWholeDomain(t *testing.T) {
 	t.Cleanup(chaos.DisarmAll)
-	clock := NewEpochClock()
-	devs := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
-	systems := []*EpochSys{NewEpochSysShared(devs[0], clock), NewEpochSysShared(devs[1], clock)}
-	var maps []*Map[uint64]
-	var sess []*core.Session
-	for _, es := range systems {
-		mgr := core.NewTxManager()
-		Attach(mgr, es)
-		maps = append(maps, NewSkipMap([]*EpochSys{es}, Uint64Codec()))
-		sess = append(sess, mgr.Session())
+	dom := NewDomain(pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{}))
+	devs := dom.Devices()
+	mgr := core.NewTxManager()
+	dom.Attach(mgr)
+	m, s, keys := NewSkipMap(dom, Uint64Codec()), mgr.Session(), keyPerDevice()
+	for _, k := range keys {
+		m.Put(s, k, 10)
 	}
-	for i, m := range maps {
-		m.Put(sess[i], uint64(i), 10)
+	dom.Sync()
+	e := dom.Current()
+	for _, k := range keys {
+		m.Put(s, k, 11) // retires both first versions in e
 	}
-	SyncTogether(clock, systems)
-	e := clock.Current()
-	for i, m := range maps {
-		m.Put(sess[i], uint64(i), 11) // retires both first versions in e
-	}
-	AdvanceTogether(clock, systems) // flushes e-1
+	dom.Advance() // flushes e-1
 
 	err := chaos.Arm("txmontage.advance.mid-shard", chaos.Fault{Kind: chaos.Crash, Action: func() {
 		if got := devs[0].Live(); got != 3 {
@@ -108,11 +102,11 @@ func TestReclaimWaitsForTheWholeDomain(t *testing.T) {
 				t.Fatal("the advance that flushes the retire epoch did not crash between the shards")
 			}
 		}()
-		AdvanceTogether(clock, systems)
+		dom.Advance()
 	}()
 	chaos.DisarmAll()
 	kv, cut := recoverKV(t, devs)
-	if cut != e-1 || kv[0][0] != 10 || kv[1][1] != 10 {
+	if cut != e-1 || kv[0][keys[0]] != 10 || kv[1][keys[1]] != 10 {
 		t.Fatalf("recovered %v at cut %d, want both keys = 10 at cut %d", kv, cut, e-1)
 	}
 }
@@ -121,23 +115,23 @@ func TestReclaimWaitsForTheWholeDomain(t *testing.T) {
 // retired: an epoch's retirees leave with the advance that flushes it.
 func TestReclaimBoundsTheDevice(t *testing.T) {
 	const keys, rounds = 20, 50
-	es, mgr := testSys()
-	m := NewHashMap([]*EpochSys{es}, Uint64Codec(), keys)
+	d, mgr := testSys()
+	m := NewHashMap(d, Uint64Codec(), keys)
 	s := mgr.Session()
 	for round := uint64(0); round < rounds; round++ {
 		for k := uint64(0); k < keys; k++ {
 			m.Put(s, k, round)
 		}
-		es.Advance()
-		if got, most := es.Device().Live(), keys+2*keys+1; got > most {
+		d.Advance()
+		if got, most := d.Devices()[0].Live(), keys+2*keys+1; got > most {
 			t.Fatalf("round %d: device holds %d records, want at most %d keys + %d retired in two epochs + 1 marker", round, got, keys, 2*keys)
 		}
 	}
-	es.Sync()
-	if got := es.Device().Live(); got != keys+1 {
+	d.Sync()
+	if got := d.Devices()[0].Live(); got != keys+1 {
 		t.Fatalf("device holds %d records after Sync, want exactly %d keys + 1 marker", got, keys)
 	}
-	kv, _ := recoverKV(t, []*pnvm.Device{es.Device()})
+	kv, _ := recoverKV(t, d.Devices())
 	for k := uint64(0); k < keys; k++ {
 		if v, ok := kv[0][k]; !ok || v != rounds-1 {
 			t.Fatalf("recovered key %d = %d,%v, want %d", k, v, ok, rounds-1)
@@ -145,7 +139,7 @@ func TestReclaimBoundsTheDevice(t *testing.T) {
 	}
 }
 
-// An aborted transaction's payload is deleted at once (UnNew) but its id stays
+// An aborted transaction's payload is deleted at once (unNew) but its id stays
 // in the epoch's batch, and by the time the batch is flushed the slot it named
 // belongs to another record: here one that committed and was overwritten in
 // the same epoch, so that a write-back through the stale id would find a
@@ -153,26 +147,26 @@ func TestReclaimBoundsTheDevice(t *testing.T) {
 // free a slot twice. The flush must skip those ids.
 func TestFlushSkipsAbortedPayloads(t *testing.T) {
 	const keys = 128 // two laps of the device's 64 shards
-	es, mgr := testSys()
-	m := NewHashMap([]*EpochSys{es}, Uint64Codec(), keys)
+	d, mgr := testSys()
+	m := NewHashMap(d, Uint64Codec(), keys)
 	s := mgr.Session()
 	for k := uint64(0); k < keys; k++ {
 		s.TxBegin()
 		m.Put(s, 1000+k, 1)
 		s.TxAbort()
 	}
-	if got := es.Device().Live(); got != 0 {
+	if got := d.Devices()[0].Live(); got != 0 {
 		t.Fatalf("device holds %d records after %d aborted puts", got, keys)
 	}
 	for k := uint64(0); k < keys; k++ {
 		m.Put(s, k, 1)
 		m.Put(s, k, 10+k)
 	}
-	es.Sync()
-	if got := es.Device().Live(); got != keys+1 {
+	d.Sync()
+	if got := d.Devices()[0].Live(); got != keys+1 {
 		t.Fatalf("device holds %d records after Sync, want exactly %d keys + 1 marker", got, keys)
 	}
-	kv, _ := recoverKV(t, []*pnvm.Device{es.Device()})
+	kv, _ := recoverKV(t, d.Devices())
 	if len(kv[0]) != keys {
 		t.Fatalf("recovered %d keys, want %d", len(kv[0]), keys)
 	}
@@ -181,7 +175,7 @@ func TestFlushSkipsAbortedPayloads(t *testing.T) {
 			t.Fatalf("recovered key %d = %d,%v, want %d", k, v, ok, 10+k)
 		}
 	}
-	if got := es.Device().Live(); got != keys+1 {
+	if got := d.Devices()[0].Live(); got != keys+1 {
 		t.Fatalf("device holds %d records after recovery, want exactly %d keys + 1 marker", got, keys)
 	}
 }

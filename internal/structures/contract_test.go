@@ -100,15 +100,30 @@ func (r *rig) single(proc int, s *core.Session, op history.Op) history.Op {
 
 var errAbort = errors.New("contract: business abort")
 
+// yieldLayer is the core.Layer of the managers whose sessions run r.run's
+// transactions (txManager): its validation yields, so that concurrent
+// transactions interleave inside commits.
+type yieldLayer struct{}
+
+func (yieldLayer) Begin(*core.Session)      {}
+func (yieldLayer) Valid(*core.Session) bool { runtime.Gosched(); return true }
+func (yieldLayer) End(*core.Session, bool)  {}
+
+// txManager returns a manager for r.run's transactions, yieldLayer set.
+func txManager() *core.TxManager {
+	mgr := core.NewTxManager()
+	mgr.SetLayer(yieldLayer{})
+	return mgr
+}
+
 // run records ops run as one transaction, with the answers of the attempt
 // that committed; abort makes it a business abort, which is left out (half of
-// them abort explicitly before returning the error). Its commit yields, so
-// that concurrent transactions interleave inside commits.
+// them abort explicitly before returning the error). s is a session of a
+// txManager, so the commit yields.
 func (r *rig) run(proc int, s *core.Session, ops []history.Op, abort bool) {
 	got := make([]history.Op, len(ops))
 	inv := r.rec.Invoke()
 	err := s.Run(func() error {
-		s.Desc().AddValidator(func() bool { runtime.Gosched(); return true })
 		for i, op := range ops {
 			got[i] = r.do(s, op)
 		}
@@ -217,7 +232,7 @@ func TestContract(t *testing.T) {
 			if sub.tx {
 				t.Run("transactions", func(t *testing.T) {
 					for range 40 {
-						r, s := newRig(sub), core.NewTxManager().Session()
+						r, s := newRig(sub), txManager().Session()
 						for i := range 50 {
 							ops := make([]history.Op, 1+rng.IntN(4))
 							for j := range ops {
@@ -260,7 +275,7 @@ func concurrentMaps(t *testing.T, r *rig) {
 		if round > 0 {
 			r = newRig(r.subject)
 		}
-		mgr := core.NewTxManager()
+		mgr := txManager()
 		setup := mgr.Session()
 		for a := range c.accounts {
 			for obj := range 2 {

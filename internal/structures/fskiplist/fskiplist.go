@@ -281,12 +281,10 @@ func (sl *SkipList[K, V]) Remove(s *core.Session, k K) (V, bool) {
 // replacement, which the victim's marked bottom link, frozen since the
 // replace, names. With (n, nil) an insert builds n's upper levels, and a
 // remove, whose n is dead at the bottom, sweeps it out of every level.
-func (sl *SkipList[K, V]) Cleanup(s *core.Session, a, b any) {
+func (sl *SkipList[K, V]) Cleanup(_ *core.Session, a, b any) {
 	if victim, ok := b.(*node[K, V]); ok {
 		pred, nn := a.(*core.CASObj[Ref[K, V]]), victim.next[0].Load().n
-		if pred.CAS(Ref[K, V]{victim, false}, Ref[K, V]{nn, false}) {
-			s.TRetire(victim)
-		}
+		pred.CAS(Ref[K, V]{victim, false}, Ref[K, V]{nn, false})
 		sl.find(nil, victim.key) // sweep any remaining links
 		sl.linkUpper(nn, victim.key)
 		return

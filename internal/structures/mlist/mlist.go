@@ -241,16 +241,14 @@ func (l *List[K, V]) Remove(s *core.Session, k K) (V, bool) {
 // that stays pointing at it; a remove's successor, if any, has a greater key
 // and its own cell in the link that first pointed at it, so this link takes
 // a fresh one. If the direct CAS fails, a plain find sweeps the victim out.
-func (l *List[K, V]) Cleanup(s *core.Session, prev, victim any) {
+func (l *List[K, V]) Cleanup(_ *core.Session, prev, victim any) {
 	p, v := prev.(*core.CASObj[Ref[K, V]]), victim.(*node[K, V])
 	succ := v.next.Load().node()
 	var in *core.Cell[Ref[K, V]]
 	if succ != nil && succ.key == v.key {
 		in = &succ.in
 	}
-	if p.CASIn(to(v), in, to(succ)) {
-		s.TRetire(v)
-	} else {
+	if !p.CASIn(to(v), in, to(succ)) {
 		l.find(nil, v.key) // generic helping path snips it
 	}
 }

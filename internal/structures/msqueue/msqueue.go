@@ -87,8 +87,8 @@ func (q *Queue[T]) Dequeue(s *core.Session) (v T, ok bool) {
 // transaction. A node's next is set once, so the node names its successor.
 // With operands (tail, nil) an enqueue swings the tail from the node it
 // linked after to that node's successor, the new node; with (nil, head) a
-// dequeue helps the tail past the old head if it lags there, and retires it.
-func (q *Queue[T]) Cleanup(s *core.Session, linked, dequeued any) {
+// dequeue helps the tail past the old head if it lags there.
+func (q *Queue[T]) Cleanup(_ *core.Session, linked, dequeued any) {
 	if tail, ok := linked.(*node[T]); ok {
 		q.tail.CAS(tail, tail.next.Load())
 		return
@@ -97,7 +97,6 @@ func (q *Queue[T]) Cleanup(s *core.Session, linked, dequeued any) {
 	if q.tail.Load() == head {
 		q.tail.CAS(head, head.next.Load())
 	}
-	s.TRetire(head)
 }
 
 // Peek returns the oldest element without removing it.

@@ -7,8 +7,8 @@ import (
 	"medley/internal/core"
 )
 
-// What a committed update allocates. A replace retires its leaf, which with
-// no retire hook registers nothing; a remove registers the splice with the
+// What a committed update allocates. A replace leaves its old leaf to the
+// collector and registers nothing; a remove registers the splice with the
 // session as a record, in a slice that keeps its capacity. Neither allocates
 // for its cleanup; each closure cost one allocation more. Cells here are 32
 // bytes: desc, prev and a two-word edge.

@@ -184,7 +184,6 @@ func (t *Tree[V]) Put(s *core.Session, k uint64, v V) (old V, replaced bool) {
 		if r.leaf.key == k && !r.parVal.flag {
 			nl := &node[V]{key: k, val: v, leaf: true}
 			if r.parObj.NbtcCAS(s, edge[V]{r.leaf, false, false}, edge[V]{nl, false, false}, true, true) {
-				s.TRetire(r.leaf)
 				return r.leaf.val, true
 			}
 			t.help(s, &r)

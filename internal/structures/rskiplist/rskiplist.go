@@ -232,12 +232,10 @@ func (sl *SkipList[V]) Remove(s *core.Session, k uint64) (V, bool) {
 // fskiplist: (pred, victim) unlinks a replaced victim and builds its
 // replacement's wheel, (n, nil) builds an inserted n's upper levels or sweeps
 // a removed one out.
-func (sl *SkipList[V]) Cleanup(s *core.Session, a, b any) {
+func (sl *SkipList[V]) Cleanup(_ *core.Session, a, b any) {
 	if victim, ok := b.(*node[V]); ok {
 		pred, nn := a.(*core.CASObj[Ref[V]]), victim.wheel[0].Load().n
-		if pred.CAS(Ref[V]{victim, false}, Ref[V]{nn, false}) {
-			s.TRetire(victim)
-		}
+		pred.CAS(Ref[V]{victim, false}, Ref[V]{nn, false})
 		sl.find(nil, victim.key)
 		sl.linkUpper(nn, victim.key)
 		return

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"medley/internal/chaos"
-	"medley/internal/montage"
 	"medley/internal/pnvm"
 )
 
@@ -417,7 +416,7 @@ func montageToCrash(t *testing.T, devices int, point string) crashedRun {
 // moving units between accounts on different devices, so ticks land in every
 // gap of a cross-device transaction — between two devices' operations, between
 // the last one and TxEnd, inside validation — thousands of times, with nothing
-// but the transaction's one epoch validator between them and a commit. The
+// but the transaction's one epoch check between them and a commit. The
 // crash fires wherever the point is next hit, in a worker's transaction or in
 // the storm's advance; at whatever cut recovery lands, every account is there
 // and the total is the one that was synced: no transfer was persisted half in
@@ -495,7 +494,7 @@ func stormToCrash(t *testing.T, devices int, point string) crashedRun {
 	go func() {
 		defer wg.Done()
 		for !down.Load() && time.Now().Before(deadline) {
-			if dies(func() { montage.AdvanceTogether(se.clock, se.es) }) {
+			if dies(func() { se.dom.Advance() }) {
 				return
 			}
 		}
@@ -507,7 +506,7 @@ func stormToCrash(t *testing.T, devices int, point string) crashedRun {
 	// whole transactions of the fast workers in the epochs after them, whose
 	// result the credit then reads. Such an attempt must not commit — it would
 	// be persisted an epoch before what it read — and nothing but its epoch
-	// validator says so.
+	// check says so.
 	errStop := errors.New("stop")
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

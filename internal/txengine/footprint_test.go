@@ -10,7 +10,7 @@ import (
 )
 
 // deviceOf routes k among the engine's devices (txmontage).
-func (e *medleyEngine) deviceOf(k uint64) int { return montage.DeviceOf(k, len(e.es)) }
+func (e *medleyEngine) deviceOf(k uint64) int { return montage.DeviceOf(k, len(e.Devices())) }
 
 // keyOnDevice returns the first key >= start whose payloads go to device d
 // on se.
@@ -45,7 +45,7 @@ func alternatingDeviceKeys(t testing.TB, se *medleyEngine, n int, start uint64) 
 	t.Helper()
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = keyOnDevice(t, se, i%len(se.es), start)
+		keys[i] = keyOnDevice(t, se, i%len(se.Devices()), start)
 		start = keys[i] + 1
 	}
 	return keys

@@ -19,29 +19,28 @@ import (
 
 const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | CapRowMaps | CapQueue | CapSnapshot
 
-// medleyEngine drives Medley transactional maps; with epoch systems attached
-// it is txMontage (Medley + periodic persistence over simulated NVM devices).
-// Every map it builds is one index, whatever the device count.
+// medleyEngine drives Medley transactional maps; with a persistence domain
+// attached it is txMontage (Medley + periodic persistence over simulated NVM
+// devices). Every map it builds is one index, whatever the device count.
 //
 // # Devices
 //
-// txMontage runs over a device count taken from Config: one epoch system per
-// device, all on the engine's one montage.EpochClock, to which the one
-// TxManager is attached. Each map is one montage.Map index that writes and
-// retires a key's payloads on the device the key routes to (montage.DeviceOf),
-// so reads never route and a transaction over keys on several devices is one
-// MCNS descriptor pinned to one epoch, exactly as over one device. The
-// advancer and Sync advance all devices together (montage.AdvanceTogether), so
-// they reach the same durable frontier; recovery cuts the domain at the
-// minimum of the per-device frontiers (montage.Recover) and rebuilds each
-// map's one index from every device's live set, so state one device persisted
-// ahead of the others is discarded and no transaction is recovered torn.
+// txMontage runs one montage.Domain over a device count taken from Config,
+// attached to the engine's one TxManager. Each map is one montage.Map index
+// that writes and retires a key's payloads on the device the key routes to
+// (montage.DeviceOf), so reads never route and a transaction over keys on
+// several devices is one MCNS descriptor pinned to one epoch, exactly as over
+// one device. The advancer and Sync advance all devices together
+// (Domain.Advance), so they reach the same durable frontier; recovery cuts the
+// domain at the minimum of the per-device frontiers (Domain.Recover) and
+// rebuilds each map's one index from every device's live set, so state one
+// device persisted ahead of the others is discarded and no transaction is
+// recovered torn.
 // Medley, with nothing to persist, has no devices and ignores the count.
 type medleyEngine struct {
 	name  string
 	mgr   *core.TxManager
-	clock *montage.EpochClock // txMontage: the one clock of es; nil for Medley
-	es    []*montage.EpochSys // txMontage: one per device, on clock; nil for Medley
+	dom   *montage.Domain // txMontage's devices and epoch clock; nil for Medley
 	codec montage.Codec[any]
 	adv   advancer    // the background advancer, when Config.EpochLen asks for one
 	snap  *snapTier   // the engine's one MVCC snapshot tier
@@ -79,7 +78,7 @@ func (a *advancer) close() {
 
 // newMedleyEngine builds Medley, or txMontage when persist is set: over
 // Config.Shards devices, or as many as Config.Devices supplies (in order, for
-// recovery), or one, each with an epoch system of its own on one epoch clock.
+// recovery), or one, all in one persistence domain.
 func newMedleyEngine(cfg Config, persist bool) (Engine, error) {
 	e := &medleyEngine{name: "Medley", mgr: core.NewTxManager(), latch: new(latchTable)}
 	if persist {
@@ -87,23 +86,22 @@ func newMedleyEngine(cfg Config, persist bool) (Engine, error) {
 		if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
 			return nil, fmt.Errorf("txengine: txmontage wants %d devices: got %d", n, len(cfg.Devices))
 		}
-		e.name, e.codec, e.clock = "txMontage", cfg.RowCodec, montage.NewEpochClock()
-		for i := 0; i < n; i++ {
-			dev := pnvm.New(cfg.Latencies)
-			if len(cfg.Devices) > 0 {
-				dev = cfg.Devices[i]
+		devs := cfg.Devices
+		if len(devs) == 0 {
+			devs = make([]*pnvm.Device, n)
+			for i := range devs {
+				devs[i] = pnvm.New(cfg.Latencies)
 			}
-			e.es = append(e.es, montage.NewEpochSysShared(dev, e.clock))
 		}
-		// Attach binds the manager to the clock, which every device shares.
-		montage.Attach(e.mgr, e.es[0])
+		e.name, e.codec, e.dom = "txMontage", cfg.RowCodec, montage.NewDomain(devs...)
+		e.dom.Attach(e.mgr)
 		if cfg.EpochLen > 0 {
-			e.adv.run = func() func() { return montage.StartAdvancer(e.clock, e.es, cfg.EpochLen) }
+			e.adv.run = func() func() { return e.dom.StartAdvancer(cfg.EpochLen) }
 		}
 	}
 	// On txMontage commit timestamps are anchored to the clock that orders
 	// epoch cuts.
-	e.snap = newSnapTier(e.clock)
+	e.snap = newSnapTier(e.dom)
 	return e, nil
 }
 
@@ -116,22 +114,18 @@ func (e *medleyEngine) Close() { e.adv.close() }
 // Devices implements Persister: every device in routing order, or nil for
 // transient Medley.
 func (e *medleyEngine) Devices() []*pnvm.Device {
-	if e.es == nil {
+	if e.dom == nil {
 		return nil
 	}
-	devs := make([]*pnvm.Device, len(e.es))
-	for i, es := range e.es {
-		devs[i] = es.Device()
-	}
-	return devs
+	return e.dom.Devices()
 }
 
 // Sync implements Persister: two advances of every device together, after
 // which each transaction committed before the call is durable on all of its
 // devices at one boundary.
 func (e *medleyEngine) Sync() {
-	if e.es != nil {
-		montage.SyncTogether(e.clock, e.es)
+	if e.dom != nil {
+		e.dom.Sync()
 	}
 }
 
@@ -139,32 +133,32 @@ func (e *medleyEngine) Sync() {
 // every device's live records at the domain's cut. It takes one dump per
 // device, in device order: the device count the state was written under.
 func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
-	if e.es == nil {
+	if e.dom == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
 	}
-	rec, err := montage.Recover(e.clock, e.es, dumps)
+	rec, err := e.dom.Recover(dumps)
 	if err != nil {
 		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
-	m := newMontageMap(e.es, montage.Uint64Codec(), spec)
+	m := newMontageMap(e.dom, montage.Uint64Codec(), spec)
 	m.Rebuild(rec.Live...)
 	e.adv.start()
 	return newSnapMap[uint64](txmapAdapter[uint64]{m}, e.snap), nil
 }
 
-// newMontageMap builds one persistent map over the devices of es.
-func newMontageMap[V any](es []*montage.EpochSys, codec montage.Codec[V], spec MapSpec) *montage.Map[V] {
+// newMontageMap builds one persistent map over the devices of d.
+func newMontageMap[V any](d *montage.Domain, codec montage.Codec[V], spec MapSpec) *montage.Map[V] {
 	if spec.Kind == KindHash {
-		return montage.NewHashMap(es, codec, bucketsOr(spec, 1<<16))
+		return montage.NewHashMap(d, codec, bucketsOr(spec, 1<<16))
 	}
-	return montage.NewSkipMap(es, codec)
+	return montage.NewSkipMap(d, codec)
 }
 
 func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	var m rangeMap[uint64]
 	switch {
-	case e.es != nil:
-		m = txmapAdapter[uint64]{newMontageMap(e.es, montage.Uint64Codec(), spec)}
+	case e.dom != nil:
+		m = txmapAdapter[uint64]{newMontageMap(e.dom, montage.Uint64Codec(), spec)}
 	case spec.Kind == KindHash:
 		m = txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}
 	default:
@@ -177,10 +171,10 @@ func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 	var m rangeMap[any]
 	switch {
-	case e.es != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
+	case e.dom != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
 		return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
-	case e.es != nil:
-		m = txmapAdapter[any]{newMontageMap(e.es, e.codec, spec)}
+	case e.dom != nil:
+		m = txmapAdapter[any]{newMontageMap(e.dom, e.codec, spec)}
 	case spec.Kind == KindHash:
 		m = txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}
 	default:

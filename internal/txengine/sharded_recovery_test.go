@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"medley/internal/chaos"
 	"medley/internal/montage"
 	"medley/internal/pnvm"
 )
@@ -27,8 +28,8 @@ func ctrKey(c uint64) uint64 { return ctrBase | c }
 
 // TestShardedPersistRegistry pins how txmontage counts its devices, under
 // either name: Config.Shards, else len(Config.Devices), else one, every
-// device a Persister reports and every device on the engine's one epoch
-// clock. A Devices slice of another length than Shards is refused.
+// device a Persister reports and every device in the engine's one persistence
+// domain. A Devices slice of another length than Shards is refused.
 func TestShardedPersistRegistry(t *testing.T) {
 	two := []*pnvm.Device{pnvm.New(pnvm.Latencies{}), pnvm.New(pnvm.Latencies{})}
 	for _, tc := range []struct {
@@ -51,15 +52,8 @@ func TestShardedPersistRegistry(t *testing.T) {
 			t.Fatalf("%s Shards=%d with %d Devices: want a Persister with %d devices", tc.name, tc.cfg.Shards, len(tc.cfg.Devices), tc.want)
 		}
 		se := eng.(*medleyEngine)
-		if eng.Name() != "txMontage" || se.clock == nil || len(se.es) != tc.want {
-			t.Errorf("%s over %d devices: name %q, clock %v, %d epoch systems", tc.name, tc.want, eng.Name(), se.clock, len(se.es))
-		}
-		// Every device shares the one clock, or transactions over several
-		// devices could pin different epoch numbers on each.
-		for i, es := range se.es {
-			if es.Clock() != se.clock {
-				t.Errorf("%s: device %d has a private epoch clock", tc.name, i)
-			}
+		if eng.Name() != "txMontage" || se.dom == nil || len(se.dom.Devices()) != tc.want {
+			t.Errorf("%s over %d devices: name %q, domain %v", tc.name, tc.want, eng.Name(), se.dom)
 		}
 		for i, d := range tc.cfg.Devices {
 			if p.Devices()[i] != d {
@@ -254,8 +248,9 @@ func TestShardedCrashRecoveryMerge(t *testing.T) {
 }
 
 // TestShardedTornCutPrevented injects the exact failure the coordinator
-// exists to prevent: a crash between two devices' epoch flushes. Device 0
-// persists the epoch holding a cross-shard transfer; shard 1 does not. A
+// exists to prevent: a crash between two devices' epoch flushes, at the
+// advance's mid-shard crash point. Device 0 persists the epoch holding a
+// cross-shard transfer; shard 1 does not. A
 // naive per-device recovery would see the debit without the credit; the
 // merge must cut at the minimum durable frontier and drop the transfer from
 // both devices.
@@ -309,11 +304,20 @@ func TestShardedTornCutPrevented(t *testing.T) {
 	// One clean coordinated advance (flushes the pre-transfer epoch E-1 on
 	// both devices), then a torn one: the clock ticks, shard 0 flushes epoch
 	// E — transfers included — and the crash lands before shard 1 does.
-	montage.AdvanceTogether(se.clock, se.es)
-	e := se.clock.Tick()
-	se.clock.WaitNotPinnedBelow(e - 1)
-	se.es[0].Flush(e - 2)
+	se.dom.Advance()
 	devs := se.Devices()
+	t.Cleanup(chaos.DisarmAll)
+	if err := chaos.Arm("txmontage.advance.mid-shard", chaos.Fault{Kind: chaos.Crash, Action: func() {
+		for _, d := range devs {
+			d.Crash()
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if !chaosCrashed(se.dom.Advance) {
+		t.Fatal("the advance did not crash between the devices' flushes")
+	}
+	chaos.DisarmAll()
 	dumps := pnvm.DumpAll(devs)
 	eng.Close()
 
@@ -414,12 +418,14 @@ func payloadEpoch(t *testing.T, dump []pnvm.Record, key uint64) uint64 {
 }
 
 // TestShardedEpochStraddle: a transaction holds one epoch pin whichever
-// devices it touches, so a clock tick between its first and its second device's
-// operation cannot put it in two recovery cuts — it can only make the pin
-// stale, and then the attempt aborts by validation alone (nothing locks the
-// clock against commits). The retry commits in the new epoch, and after Sync +
-// crash + recovery both devices hold that attempt's payloads, tagged with the
-// same epoch, and nothing of the first.
+// devices it touches, so a clock tick between its first and its second
+// device's operation cannot put it in two recovery cuts — it can only make
+// the pin stale, and then the attempt aborts by validation alone (nothing
+// locks the clock against commits). The tick is an advance run inside the
+// transaction, which its pin, being current, does not hold up. The retry
+// commits in the new epoch, and after Sync + crash + recovery both devices
+// hold that attempt's payloads, tagged with the same epoch, and nothing of
+// the first.
 func TestShardedEpochStraddle(t *testing.T) {
 	b, _ := Lookup("txmontage")
 	eng, err := b.New(Config{Shards: 2}) // EpochLen 0: the test owns the clock
@@ -446,7 +452,7 @@ func TestShardedEpochStraddle(t *testing.T) {
 		m.Put(tx, k1, a-100)
 		e1 := montage.PinnedEpoch(tx.s)
 		if len(pinned) == 0 {
-			se.clock.Tick()
+			se.dom.Advance()
 		}
 		b, _ := m.Get(tx, k2)
 		m.Put(tx, k2, b+100)
@@ -488,8 +494,9 @@ func TestShardedEpochStraddle(t *testing.T) {
 
 // TestShardedStraddleEveryGap enumerates where a tick can fall inside a
 // cross-shard transaction: a transfer over k keys (k = 2, 3, 4) on alternating
-// devices, the shared clock ticked in each gap between two consecutive device
-// touches and in the one between the last touch and TxEnd — every position.
+// devices, the clock ticked by an advance in each gap between two consecutive
+// device touches and in the one between the last touch and TxEnd — every
+// position.
 // Wherever it falls the attempt must abort and the retry commit; after Sync +
 // crash + recovery every payload of the transfer carries one epoch and the
 // transfer is there whole.
@@ -527,7 +534,7 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 								m.Put(tx, key, v+1)
 							}
 							if runs == 1 && i == gap {
-								se.clock.Tick()
+								se.dom.Advance()
 							}
 						}
 						return nil
@@ -578,13 +585,16 @@ func TestShardedStraddleEveryGap(t *testing.T) {
 // with a clear error, and device-count mismatches fail fast.
 func TestConfigShardsValidation(t *testing.T) {
 	for _, engine := range Names() {
-		for _, bad := range []int{-1, -64, MaxShards + 1} {
-			_, err := Build(engine, Config{Shards: bad})
+		for _, bad := range []struct {
+			shards int
+			bound  string
+		}{{-1, ">= 0"}, {-64, ">= 0"}, {MaxShards + 1, fmt.Sprint("MaxShards ", MaxShards)}} {
+			_, err := Build(engine, Config{Shards: bad.shards})
 			if err == nil {
-				t.Fatalf("%s accepted Shards=%d", engine, bad)
+				t.Fatalf("%s accepted Shards=%d", engine, bad.shards)
 			}
-			if !strings.Contains(err.Error(), "Shards") {
-				t.Errorf("%s Shards=%d error %q does not name the field", engine, bad, err)
+			if msg := err.Error(); !strings.Contains(msg, "Shards") || !strings.Contains(msg, bad.bound) {
+				t.Errorf("%s Shards=%d error %q does not name the field and its bound %q", engine, bad.shards, err, bad.bound)
 			}
 		}
 	}

@@ -30,8 +30,8 @@ func TestShardedRegistryAndKnob(t *testing.T) {
 			t.Fatal(err)
 		}
 		se := eng.(*medleyEngine)
-		if eng.Name() != "Medley" || se.es != nil || se.latch == nil {
-			t.Errorf("Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.es), se.latch != nil)
+		if eng.Name() != "Medley" || se.dom != nil || se.latch == nil {
+			t.Errorf("Shards=%d built %q (devices %d, latch table %v), want plain Medley", shards, eng.Name(), len(se.Devices()), se.latch != nil)
 		}
 		eng.Close()
 	}
@@ -435,7 +435,7 @@ func TestShardedOneSessionPerWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := distinctDeviceKeys(t, se, max(len(se.es), 1), 1) // one key on every device
+			keys := distinctDeviceKeys(t, se, max(len(se.Devices()), 1), 1) // one key on every device
 			if mgr.NumSessions() != 0 {
 				t.Fatalf("%d sessions before the first worker", mgr.NumSessions())
 			}
@@ -461,7 +461,7 @@ func TestShardedOneSessionPerWorker(t *testing.T) {
 			}
 			wg.Wait()
 			if n := mgr.NumSessions(); n != workers {
-				t.Fatalf("%d workers over %d devices hold %d sessions, want one each", workers, len(se.es), n)
+				t.Fatalf("%d workers over %d devices hold %d sessions, want one each", workers, len(se.Devices()), n)
 			}
 			tx := eng.NewWorker(workers)
 			for _, k := range keys {

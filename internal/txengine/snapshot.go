@@ -9,7 +9,7 @@ package txengine
 // transaction can pin a consistent cut and complete validation-free:
 //
 //   - Writers stamp every committed transaction with a timestamp drawn from a
-//     per-engine logical clock (seeded from the shared montage.EpochClock on
+//     per-engine logical clock (seeded from the montage.Domain's epoch clock on
 //     persistent engines, so the version order is anchored to the same clock
 //     that orders durability cuts). The draw happens after the transaction
 //     body has installed all of its descriptor nodes and *before* the
@@ -210,16 +210,16 @@ type snapTier struct {
 	maps    []snapSource // every top-level map of the engine; guarded by startMu
 }
 
-// newSnapTier builds a tier. When the engine is montage-backed, ec anchors
-// the timestamp base to the durable epoch clock (epoch << 16 leaves room
+// newSnapTier builds a tier. When the engine is montage-backed, dom anchors
+// the timestamp base to its durable epoch clock (epoch << 16 leaves room
 // for intra-epoch commit ordering without colliding with a later
 // re-anchor); transient engines start at 1. Zero is reserved to mean "no
 // timestamp" in slots.
-func newSnapTier(ec *montage.EpochClock) *snapTier {
+func newSnapTier(dom *montage.Domain) *snapTier {
 	t := &snapTier{}
 	base := uint64(1)
-	if ec != nil {
-		base = ec.Current() << 16
+	if dom != nil {
+		base = dom.Current() << 16
 	}
 	t.clock.Store(base)
 	t.sealed.Store(base)

@@ -270,7 +270,7 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 				t.Fatal(err)
 			}
 			from, same, other := uint64(0), uint64(1), uint64(2)
-			if se.es != nil {
+			if se.dom != nil {
 				from = keyOnDevice(t, se, 0, 0)
 				same = keyOnDevice(t, se, 0, from+1)
 				other = keyOnDevice(t, se, 1, 0)
@@ -316,10 +316,10 @@ func TestCrossShardRunAllocatesWhatOneShardDoes(t *testing.T) {
 			if twoAllocs != oneAllocs {
 				t.Errorf("a transfer over two devices allocates %d times, on one device %d times: want the same", twoAllocs, oneAllocs)
 			}
-			if se.es == nil && (oneAllocs != 2*2 || oneBytes != 2*72 || twoBytes != oneBytes) {
+			if se.dom == nil && (oneAllocs != 2*2 || oneBytes != 2*72 || twoBytes != oneBytes) {
 				t.Errorf("a transfer allocates %d times / %d B and %d times / %d B: want 4 / 144 B both", oneAllocs, oneBytes, twoAllocs, twoBytes)
 			}
-			if se.es != nil && oneAllocs != 2*3 {
+			if se.dom != nil && oneAllocs != 2*3 {
 				t.Errorf("a transfer allocates %d times on one device, want 6", oneAllocs)
 			}
 			if allocs, bytes := measure(func() error {

@@ -144,7 +144,7 @@ const MaxShards = 1024
 // tpcc, workload, the CLIs) share one validation point.
 func (c Config) Validate() error {
 	if c.Shards < 0 {
-		return fmt.Errorf("txengine: Config.Shards must be >= 1 (got %d); 0 means one device", c.Shards)
+		return fmt.Errorf("txengine: Config.Shards must be >= 0 (got %d); 0 means len(Config.Devices), or one device", c.Shards)
 	}
 	if c.Shards > MaxShards {
 		return fmt.Errorf("txengine: Config.Shards %d exceeds MaxShards %d (that many devices is almost certainly unintended)", c.Shards, MaxShards)

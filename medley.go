@@ -55,8 +55,11 @@
 // # Persistence (txMontage)
 //
 // Package internal/montage supplies nbMontage-style epoch-based periodic
-// persistence over a simulated NVM device (internal/pnvm); attaching it to
-// a TxManager upgrades Medley transactions to full ACID with buffered
+// persistence over simulated NVM devices (internal/pnvm). Its one value, a
+// montage.Domain, is an epoch clock and the devices it persists; attaching it
+// to a TxManager (Domain.Attach) sets it as the manager's one core.Layer,
+// which pins each transaction to an epoch and checks that epoch in MCNS
+// validation, and so upgrades Medley transactions to full ACID with buffered
 // durable strict serializability. See examples/persistence.
 //
 // # Writing your own NBTC structure
