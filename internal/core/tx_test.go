@@ -418,79 +418,105 @@ func (validLayer) End(*Session, bool)      {}
 // the read set, which a conflict fails first, with the owner's session also
 // when a helper finalizes the transaction; false aborts it and rolls its
 // writes back. End runs after the cleanups or undos, with the transaction
-// closed and its verdict.
+// closed and its verdict. Each subtest runs on a fresh manager.
 func TestLayer(t *testing.T) {
-	l := &logLayer{}
-	mgr := NewTxManager()
-	mgr.SetLayer(l)
-	s, other := mgr.Session(), mgr.Session()
-	var a, b CASObj[int]
-	wantLog := func(when string, want ...string) {
-		t.Helper()
-		if fmt.Sprint(l.log) != fmt.Sprint(want) {
-			t.Fatalf("%s: layer calls %q, want %q", when, l.log, want)
+	type rig struct {
+		l        *logLayer
+		s, other *Session
+		wantLog  func(when string, want ...string)
+		logged   func(what string) Func
+	}
+	newRig := func(t *testing.T) rig {
+		l := &logLayer{valid: true}
+		mgr := NewTxManager()
+		mgr.SetLayer(l)
+		s, other := mgr.Session(), mgr.Session()
+		return rig{
+			l: l, s: s, other: other,
+			wantLog: func(when string, want ...string) {
+				t.Helper()
+				if fmt.Sprint(l.log) != fmt.Sprint(want) {
+					t.Fatalf("%s: layer calls %q, want %q", when, l.log, want)
+				}
+				l.log = nil
+			},
+			logged: func(what string) Func { return func() { l.log = append(l.log, what) } },
 		}
-		l.log = nil
-	}
-	logged := func(what string) Func { return func() { l.log = append(l.log, what) } }
-
-	l.valid = true
-	s.TxBegin()
-	wantLog("TxBegin", "begin 0 true")
-	a.NbtcCAS(s, 0, 1, true, true)
-	s.AddToCleanups(logged("cleanup"), nil, nil)
-	if err := s.TxEnd(); err != nil {
-		t.Fatal(err)
-	}
-	wantLog("commit", "valid 0", "cleanup", "end 0 true false")
-	if a.Load() != 1 {
-		t.Fatal("committed write lost")
 	}
 
-	s.TxBegin()
-	a.NbtcCAS(s, 1, 2, true, true)
-	s.OnAbort(logged("undo"), nil, nil)
-	l.valid = false
-	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
-		t.Fatalf("TxEnd = %v, want abort by the layer", err)
-	}
-	wantLog("refused by the owner's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
-	if a.Load() != 1 {
-		t.Fatal("the layer's abort did not roll back")
-	}
+	t.Run("commit", func(t *testing.T) {
+		r := newRig(t)
+		var a CASObj[int]
+		r.s.TxBegin()
+		r.wantLog("TxBegin", "begin 0 true")
+		a.NbtcCAS(r.s, 0, 1, true, true)
+		r.s.AddToCleanups(r.logged("cleanup"), nil, nil)
+		if err := r.s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+		r.wantLog("commit", "valid 0", "cleanup", "end 0 true false")
+		if a.Load() != 1 {
+			t.Fatal("committed write lost")
+		}
+	})
+
+	t.Run("owner_refuses", func(t *testing.T) {
+		r := newRig(t)
+		var a CASObj[int]
+		r.s.TxBegin()
+		a.NbtcCAS(r.s, 0, 1, true, true)
+		r.s.OnAbort(r.logged("undo"), nil, nil)
+		r.l.valid = false
+		if err := r.s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+			t.Fatalf("TxEnd = %v, want abort by the layer", err)
+		}
+		r.wantLog("refused by the owner's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
+		if a.Load() != 0 {
+			t.Fatal("the layer's abort did not roll back")
+		}
+	})
 
 	// A helper asks the layer with the owner's session, and its false
 	// aborts the transaction there.
-	s.TxBegin()
-	b.NbtcCAS(s, 0, 1, true, true)
-	s.OnAbort(logged("undo"), nil, nil)
-	d := s.Desc()
-	if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		t.Fatal("setReady failed")
-	}
-	if got := b.Load(); got != 0 { // a foreign load finalizes the transaction
-		t.Fatalf("b = %d, want 0: the helper must abort what the layer refuses", got)
-	}
-	if d.Status() != Aborted {
-		t.Fatalf("status = %v after the helper, want Aborted", d.Status())
-	}
-	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
-		t.Fatalf("TxEnd = %v, want the helper's abort", err)
-	}
-	wantLog("refused by a helper's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
+	t.Run("helper_refuses", func(t *testing.T) {
+		r := newRig(t)
+		var b CASObj[int]
+		r.l.valid = false
+		r.s.TxBegin()
+		b.NbtcCAS(r.s, 0, 1, true, true)
+		r.s.OnAbort(r.logged("undo"), nil, nil)
+		d := r.s.Desc()
+		if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+			t.Fatal("setReady failed")
+		}
+		if got := b.Load(); got != 0 { // a foreign load finalizes the transaction
+			t.Fatalf("b = %d, want 0: the helper must abort what the layer refuses", got)
+		}
+		if d.Status() != Aborted {
+			t.Fatalf("status = %v after the helper, want Aborted", d.Status())
+		}
+		if err := r.s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+			t.Fatalf("TxEnd = %v, want the helper's abort", err)
+		}
+		r.wantLog("refused by a helper's validation", "begin 0 true", "valid 0", "undo", "end 0 false false")
+	})
 
 	// A read set that fails aborts before the layer is asked.
-	l.valid = true
-	s.TxBegin()
-	_, tag := a.NbtcLoad(s)
-	s.AddToReadSet(&a, tag)
-	if !a.NbtcCAS(other, 1, 3, true, true) {
-		t.Fatal("invalidating CAS failed")
-	}
-	if err := s.TxEnd(); !errors.Is(err, ErrTxAborted) {
-		t.Fatalf("TxEnd = %v, want abort on the stale read", err)
-	}
-	wantLog("stale read", "begin 0 true", "end 0 false false")
+	t.Run("stale_read", func(t *testing.T) {
+		r := newRig(t)
+		var a CASObj[int]
+		a.Store(1)
+		r.s.TxBegin()
+		_, tag := a.NbtcLoad(r.s)
+		r.s.AddToReadSet(&a, tag)
+		if !a.NbtcCAS(r.other, 1, 3, true, true) {
+			t.Fatal("invalidating CAS failed")
+		}
+		if err := r.s.TxEnd(); !errors.Is(err, ErrTxAborted) {
+			t.Fatalf("TxEnd = %v, want abort on the stale read", err)
+		}
+		r.wantLog("stale read", "begin 0 true", "end 0 false false")
+	})
 }
 
 func TestRunRetriesOnConflictAbort(t *testing.T) {
