@@ -240,22 +240,24 @@ func TestBudgetHashRemove(t *testing.T) {
 // and by the superseded markers; the ids join batch slices handed back emptied
 // by the last flush; the dead queue keeps its capacity; the new payload and
 // the one it supersedes join the session's epoch context, whose two lists
-// keep their arrays from one transaction to the next. What is left is what medley
-// pays for the same Put through the same engine and what the payload itself
-// costs. Medley's Put through Run is 3 allocations, 120 B: the Put's 72 and
-// the 48-byte closure this test hands Run (it captures the map, the worker
-// and v), while nothing has read a snapshot; once one SnapshotRead has started
-// the snapshot tier it is 4 allocations, 152 B (one 32-byte version more: the
-// tier's slot array is not re-grown by an overwrite of a key it holds). The
-// payload:
+// keep their arrays from one transaction to the next; the value is encoded
+// into the context's buffer, and the device copies it into the line. What is
+// left is what medley pays for the same Put through the same engine and what
+// the payload costs the index. Medley's Put through Run is 3 allocations,
+// 120 B: the Put's 72 and the 48-byte closure this test hands Run (it
+// captures the map, the worker and v), while nothing has read a snapshot;
+// once one SnapshotRead has started the snapshot tier it is 4 allocations,
+// 152 B (one 32-byte version more: the tier's slot array is not re-grown by
+// an overwrite of a key it holds). The payload:
 //
-//	payload        8  the encoded value, the record's Val
 //	node         +16  the index entry carries the payload id beside the value:
 //	                  56 bytes with the node's cell, the 64-byte class
 //
-// 24 bytes in 1 allocation. Until the undo and the retire mark were entries
-// in the epoch context, an OnAbort closure (32) and a post-commit closure
-// (48) added 2 allocations and 80 B. Before reclaim the same call measured 16
+// 16 bytes and no allocation. While a line kept its payload as a slice, the
+// encoded value was an 8-byte allocation more. Until the undo and the retire
+// mark were entries in the epoch context, an OnAbort closure (32) and a
+// post-commit closure (48) added 2 allocations and 80 B. Before reclaim the
+// same call measured 16
 // allocations and 911 B: a fresh 64-byte record for the payload and for each
 // of Sync's two markers, entries in up to four tables that outlived them, and
 // per-epoch batch slices rebuilt from nil.
@@ -265,8 +267,8 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 		snapshot      bool
 		allocs, bytes int64
 	}{
-		{"tier off", false, 3 + 1, 120 + 24},
-		{"tier started", true, 4 + 1, 152 + 24},
+		{"tier off", false, 3, 120 + 16},
+		{"tier started", true, 4, 152 + 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, m, tx, _ := newHeapBudget(t, "txmontage", 16)
@@ -350,17 +352,18 @@ func TestBudgetDeviceCycle(t *testing.T) {
 // 98–102 in all. txmontage adds what the payload costs on the simulated
 // device and what points at it:
 //
-//	slot          85.4  a 72-byte line in its shard's slab: a chunk of 256 is
-//	                    18 432 B and the allocator's 8-byte header, the 19 072
-//	                    size class, 74.5 B a slot; 1562.5 keys a device shard
-//	                    stand on 7 chunks, 1792 slots
-//	payload        8    the encoded value, the record's Val
+//	slot          73.4  a 64-byte line in its shard's slab, the payload in
+//	                    it: a chunk of 256 is 16 KiB with no pointer and no
+//	                    allocator header; 1562.5 keys a device shard stand on
+//	                    7 chunks, 1792 slots
 //	node         +16    the index entry carries the payload id beside the
 //	                    value: 56 bytes, the 64-byte class
 //	batch          8.9  the id in its epoch's batch, a slice grown by append
 //	                    to 110 592 entries (no advancer runs here)
 //
-// 118.3. With the tier started the ceilings are the arithmetic with every
+// 98.3 (146.3 B measured with the 48 above). While a line was 72 bytes with
+// its payload as a slice, the slot was 85.4 (a 19 072-byte size class a
+// chunk) and the payload 8 more: 118.3. With the tier started the ceilings are the arithmetic with every
 // stripe on the larger array, whose slack also covers what a run allocates
 // once whatever its key count (the worker's scratch and spare descriptor; on
 // txmontage the epoch system's batch ring: 0.2 KB on medley, 4 KB on
@@ -369,7 +372,7 @@ func TestBudgetDeviceCycle(t *testing.T) {
 const (
 	residentKey         = 48
 	residentKeySnapshot = residentKey + 32 + 22
-	montageKey          = 118.3
+	montageKey          = 98.3
 )
 
 func TestBudgetResidentKey(t *testing.T) {

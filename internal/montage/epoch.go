@@ -391,15 +391,18 @@ func (d *Domain) StartAdvancer(period time.Duration) (stop func()) {
 // transaction to the next: the epoch its open transaction is pinned to, and
 // what that transaction's Map writes leave to its end — the payloads it
 // created, which an abort deletes, and the payloads it superseded, which a
-// commit marks retired at the pinned epoch. The lists keep their arrays from
-// one transaction to the next, so this bookkeeping allocates nothing once
-// they have grown. Only the owning session's goroutine touches the lists.
+// commit marks retired at the pinned epoch — plus the buffer each write
+// encodes its payload into before the device copies it. The lists and the
+// buffer keep their arrays from one transaction to the next, so this
+// bookkeeping allocates nothing once they have grown. Only the owning
+// session's goroutine touches them.
 type pin struct {
 	// epoch is 0 between transactions. The owner writes it; advances and
 	// helpers validating the owner's transaction read it.
 	epoch   atomic.Uint64
 	created []payloadRef
 	retired []payloadRef
+	buf     []byte
 }
 
 // payloadRef names a payload: its record id on dv.

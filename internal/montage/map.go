@@ -1,6 +1,7 @@
 package montage
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"medley/internal/core"
@@ -10,23 +11,23 @@ import (
 	"medley/internal/txmap"
 )
 
-// Codec converts values to and from payload bytes.
+// Codec converts values to and from payload bytes. Enc appends v's encoding
+// to dst and returns the extended slice, as the append built-in does; it
+// keeps no reference to dst. A Map encodes every write into one buffer of its
+// session's, reused from write to write, and the device copies the bytes
+// (pnvm.Device.Write), so once that buffer has grown a write allocates
+// nothing for its payload. Dec should not keep b: a dump's values are carved
+// from one allocation, which a kept slice would hold whole.
 type Codec[V any] struct {
-	Enc func(V) []byte
-	Dec func([]byte) V
+	Enc func(dst []byte, v V) []byte
+	Dec func(b []byte) V
 }
 
 // Uint64Codec is the codec used by the paper's microbenchmarks (8-byte
-// integer values).
+// integer values, little-endian: a payload a device line holds in place).
 func Uint64Codec() Codec[uint64] {
 	return Codec[uint64]{
-		Enc: func(v uint64) []byte {
-			var b [8]byte
-			for i := 0; i < 8; i++ {
-				b[i] = byte(v >> (8 * i))
-			}
-			return b[:]
-		},
+		Enc: binary.LittleEndian.AppendUint64,
 		Dec: func(b []byte) uint64 {
 			var v uint64
 			for i := 0; i < 8 && i < len(b); i++ {
@@ -121,7 +122,8 @@ func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 		return old, replaced
 	}
 	p, dv := pinOf(s), m.device(k)
-	pid := dv.pNew(s.ID(), k, m.codec.Enc(v), p.epoch.Load())
+	p.buf = m.codec.Enc(p.buf[:0], v)
+	pid := dv.pNew(s.ID(), k, p.buf, p.epoch.Load())
 	p.created = append(p.created, payloadRef{dv, pid})
 	old, replaced := m.idx.Put(s, k, entry[V]{val: v, pid: pid})
 	if replaced {
@@ -143,7 +145,8 @@ func (m *Map[V]) Insert(s *core.Session, k uint64, v V) bool {
 		return ok
 	}
 	p, dv := pinOf(s), m.device(k)
-	pid := dv.pNew(s.ID(), k, m.codec.Enc(v), p.epoch.Load())
+	p.buf = m.codec.Enc(p.buf[:0], v)
+	pid := dv.pNew(s.ID(), k, p.buf, p.epoch.Load())
 	if !m.idx.Insert(s, k, entry[V]{val: v, pid: pid}) {
 		// Key present: the speculative payload is unused either way.
 		dv.unNew(pid)

@@ -25,6 +25,14 @@
 // Nothing is looked up; an id whose record is gone names a slot that is empty
 // or holds another id, and finds nothing.
 //
+// A line is one 64-byte cache line and holds no pointer, so a chunk of lines
+// is one pointer-free 16 KiB allocation the collector never scans, and every
+// line is cache-line aligned. A payload of up to 8 bytes (a uint value) sits
+// in its line; a longer one (a TPC-C row) sits in the shard's side slab, a
+// payload slice per slot in chunks parallel to the lines', of which a chunk
+// exists only once a long payload has landed in it. Write copies its payload
+// either way: the caller may reuse its buffer as soon as Write returns.
+//
 // The device stores opaque records (key, value bytes, epoch tags). What the
 // tags count — montage epochs, POneFile commit serials — is the persistence
 // layer's business; what they mean after a crash is not: both layers end a
@@ -99,22 +107,27 @@ const (
 	slotsPerShard = 1 << slotBits
 	maxSerial     = 1<<serialBits - 1
 
-	// chunkLines is how many lines a slab grows by: 256 of them are 18 KiB,
+	// chunkLines is how many lines a slab grows by: 256 of them are 16 KiB,
 	// one allocation, and at 100 000 records a device the unused tail of each
 	// shard's last chunk is an eighth of the slab (core's
 	// TestBudgetResidentKey does the arithmetic); at 1024 it was a third.
 	chunkLines = 256
+
+	// inlineBytes is the longest payload a line holds in place.
+	inlineBytes = 8
+	// long in line.n marks a payload held in the side slab.
+	long = inlineBytes + 1
 )
 
-// line is everything the device keeps for one record, retired or not: one
-// element of its shard's slab (TestLineSize) and nothing else. An empty slot
-// is the zero line; no record has id 0.
+// line is everything the device keeps for one record, retired or not, but a
+// payload longer than inlineBytes: one 64-byte, pointer-free element of its
+// shard's slab (TestLineSize, TestLineHoldsNoPointer). An empty slot is the
+// zero line; no record has id 0.
 type line struct {
 	// id is the record's, so that an id whose record was dropped finds nothing
 	// here once the slot has a new owner.
 	id    uint64
 	key   uint64
-	val   []byte
 	epoch uint64
 	// retire is the retire mark on media, possibly volatile (0 = live), and
 	// claim names the transaction that wrote it, so that only it can lift it.
@@ -122,6 +135,10 @@ type line struct {
 	// persisted is what a crash keeps: volatile while the record was never
 	// written back, else the retire mark as of the last write-back.
 	persisted uint64
+	// val[:n] is the payload, or n is long and the payload is the slot's
+	// entry in the shard's side slab.
+	val [inlineBytes]byte
+	n   uint8
 }
 
 // volatile in line.persisted marks a record no write-back has reached. Retire
@@ -146,8 +163,15 @@ func (r *line) lift() {
 type shard struct {
 	mu     sync.Mutex
 	chunks []*[chunkLines]line
-	next   uint32
-	live   int
+	// side[i/chunkLines][i%chunkLines] is slot i's payload when it is long.
+	// side grows, and a chunk of it is allocated, only when a long payload
+	// lands in that chunk's slots.
+	side []*[chunkLines][]byte
+	next uint32
+	live int
+	// bytes is the payload held by the live records, which Recover carves
+	// its dump's values from in one allocation.
+	bytes int
 	// free holds the slots of dropped records, their lines zeroed, for Write
 	// to reuse: in steady state a store allocates nothing on the device's
 	// account.
@@ -155,6 +179,14 @@ type shard struct {
 }
 
 func (s *shard) at(slot uint32) *line { return &s.chunks[slot/chunkLines][slot%chunkLines] }
+
+// payload returns r's payload, where it is kept; r is at slot.
+func (s *shard) payload(slot uint32, r *line) []byte {
+	if r.n == long {
+		return s.side[slot/chunkLines][slot%chunkLines]
+	}
+	return r.val[:r.n]
+}
 
 func slotOf(id uint64) uint32 { return uint32(id >> shardBits & (slotsPerShard - 1)) }
 
@@ -190,24 +222,51 @@ func (s *shard) take() uint32 {
 	return s.next - 1
 }
 
+// store puts a new record in slot, copying its payload into the line or,
+// when it is long, into the slot's side entry. The caller holds s.mu.
+func (s *shard) store(slot uint32, id, key uint64, val []byte, epoch uint64) {
+	r := s.at(slot)
+	*r = line{id: id, key: key, epoch: epoch, persisted: volatile}
+	if len(val) <= inlineBytes {
+		r.n = uint8(copy(r.val[:], val))
+	} else {
+		r.n = long
+		ci := int(slot / chunkLines)
+		for len(s.side) <= ci {
+			s.side = append(s.side, nil)
+		}
+		if s.side[ci] == nil {
+			s.side[ci] = new([chunkLines][]byte)
+		}
+		s.side[ci][slot%chunkLines] = append([]byte(nil), val...)
+	}
+	s.live++
+	s.bytes += len(val)
+}
+
 // drop removes record id, if it is there, and hands its slot to the free
-// list; a second drop of the same id finds nothing. Zeroing releases the
-// payload bytes and leaves the next owner no durability, retire mark or claim
-// to inherit. The caller holds s.mu.
+// list; a second drop of the same id finds nothing. Zeroing the line and its
+// side entry releases the payload and leaves the next owner no payload,
+// durability, retire mark or claim to inherit. The caller holds s.mu.
 func (s *shard) drop(id uint64) {
+	slot := slotOf(id)
 	if r := s.find(id); r != nil {
+		s.bytes -= len(s.payload(slot, r))
+		if r.n == long {
+			s.side[slot/chunkLines][slot%chunkLines] = nil
+		}
 		*r = line{}
-		s.free = append(s.free, slotOf(id))
+		s.free = append(s.free, slot)
 		s.live--
 	}
 }
 
 // each calls f on every record of the shard, in slot order; f may drop the
 // record it is given. The caller holds s.mu.
-func (s *shard) each(f func(r *line)) {
+func (s *shard) each(f func(slot uint32, r *line)) {
 	for slot := uint32(0); slot < s.next; slot++ {
 		if r := s.at(slot); r.id != 0 {
-			f(r)
+			f(slot, r)
 		}
 	}
 }
@@ -248,7 +307,8 @@ func spin(dur time.Duration) {
 var ErrCrashed = errors.New("pnvm: device crashed; call Recover")
 
 // Write stores a new record to media (not yet durable) and returns its id.
-// Models the NVM store cost. Like every store it tests for a crash under the
+// It copies val, which the caller may reuse once Write returns. Models the
+// NVM store cost. Like every store it tests for a crash under the
 // shard lock, which orders it against Crash()'s scan of the same shard: a
 // store that passed the test before the lock could land after the scan and
 // leave a never-written-back record on post-crash media for Recover to hand
@@ -270,8 +330,7 @@ func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 	}
 	slot := s.take()
 	id := serial<<(slotBits+shardBits) | uint64(slot)<<shardBits | serial%nShards
-	*s.at(slot) = line{id: id, key: key, val: val, epoch: epoch, persisted: volatile}
-	s.live++
+	s.store(slot, id, key, val, epoch)
 	s.mu.Unlock()
 	d.writes.Add(1)
 	return id, nil
@@ -358,7 +417,7 @@ func (d *Device) Crash() {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		s.each(func(r *line) {
+		s.each(func(_ uint32, r *line) {
 			if r.persisted == volatile {
 				s.drop(r.id)
 			} else {
@@ -370,14 +429,23 @@ func (d *Device) Crash() {
 }
 
 // Recover returns the surviving records (durable creations, with durable
-// retirement marks applied) and reopens the device for use.
+// retirement marks applied) and reopens the device for use. The records'
+// values are copies, carved from one allocation; a record with an empty
+// payload has a nil Val.
 func (d *Device) Recover() []Record {
-	out := make([]Record, 0, d.Live()) // sized once: a dump is hundreds of thousands of records
+	// Sized once: a dump is hundreds of thousands of records.
+	n, b := d.usage()
+	out, vals := make([]Record, 0, n), make([]byte, 0, b)
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		s.each(func(r *line) {
-			out = append(out, Record{ID: r.id, Key: r.key, Val: r.val, Epoch: r.epoch, Retire: r.retire})
+		s.each(func(slot uint32, r *line) {
+			var val []byte
+			if p := s.payload(slot, r); len(p) > 0 {
+				vals = append(vals, p...)
+				val = vals[len(vals)-len(p) : len(vals) : len(vals)]
+			}
+			out = append(out, Record{ID: r.id, Key: r.key, Val: val, Epoch: r.epoch, Retire: r.retire})
 		})
 		s.mu.Unlock()
 	}
@@ -404,14 +472,19 @@ func DumpAll(devs []*Device) [][]Record {
 
 // Live returns the number of records on media (diagnostic).
 func (d *Device) Live() int {
-	n := 0
+	n, _ := d.usage()
+	return n
+}
+
+// usage returns the number of records on media and their payload bytes.
+func (d *Device) usage() (records, bytes int) {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += s.live
+		records, bytes = records+s.live, bytes+s.bytes
 		s.mu.Unlock()
 	}
-	return n
+	return records, bytes
 }
 
 // Stats reports operation counters.

@@ -1,6 +1,7 @@
 package pnvm
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -127,20 +128,157 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// A record's line is 72 bytes: the 64 of key, value slice, epoch, retire mark,
-// claim and durable copy, and the id, which is what lets a dropped record's
-// id find nothing once its slot has a new owner. core's TestBudgetResidentKey
-// prices txmontage's resident key from this number.
+// A record's line is one 64-byte cache line: the 48 of key, epoch, retire
+// mark, claim and durable copy and the id, which is what lets a dropped
+// record's id find nothing once its slot has a new owner, then an 8-byte
+// payload and its length byte, padded. core's TestBudgetResidentKey prices
+// txmontage's resident key from this number.
 func TestLineSize(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got != 72 {
-		t.Fatalf("a record's line is %d bytes, budget 72", got)
+	if got := unsafe.Sizeof(line{}); got != 64 {
+		t.Fatalf("a record's line is %d bytes, budget 64", got)
+	}
+}
+
+// A line holds no pointer, so a chunk of them is memory the collector never
+// scans: a payload is bytes in the line or in the side slab, never a slice
+// the line points through.
+func TestLineHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ)
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("chunk", reflect.TypeOf([chunkLines]line{}))
+}
+
+// payloadOf returns n bytes counting up from seed: inline at n <= 8, in the
+// side slab past that.
+func payloadOf(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)
+	}
+	return b
+}
+
+// durableDump writes back every id, crashes the device and returns its dump
+// by key.
+func durableDump(t *testing.T, d *Device, ids ...uint64) map[uint64][]byte {
+	t.Helper()
+	for _, id := range ids {
+		d.WriteBack(id)
+	}
+	d.Fence()
+	d.Crash()
+	byKey := map[uint64][]byte{}
+	for _, r := range d.Recover() {
+		byKey[r.Key] = r.Val
+	}
+	return byKey
+}
+
+// Write copies its payload: the caller's buffer is its own again once Write
+// returns, whether the payload went into the line or into the side slab.
+func TestWriteCopiesPayload(t *testing.T) {
+	for _, n := range []int{1, inlineBytes, inlineBytes + 1, 25} {
+		d := New(Latencies{})
+		buf := payloadOf(n, 1)
+		id, err := d.Write(7, buf, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xee
+		}
+		if got := durableDump(t, d, id)[7]; !bytes.Equal(got, payloadOf(n, 1)) {
+			t.Errorf("%d-byte payload: the caller rewrote its buffer after Write and recovery reads %v", n, got)
+		}
+	}
+}
+
+// A payload longer than a line holds makes the same trip as one it holds:
+// volatile until written back, durable after, and recovered byte for byte
+// from a dump whose values are each capped at their own length.
+func TestLongPayloadRoundTrip(t *testing.T) {
+	d := New(Latencies{})
+	var durable []uint64
+	for k := uint64(0); k < 2*nShards; k++ {
+		n := int(k%32) + 1
+		id, err := d.Write(k, payloadOf(n, byte(k)), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k%3 != 0 {
+			durable = append(durable, id)
+		}
+	}
+	checkSlab(t, d)
+	for _, id := range durable {
+		d.WriteBack(id)
+	}
+	d.Crash()
+	checkSlab(t, d) // the crash dropped every third record, short and long
+	recs := d.Recover()
+	if len(recs) != len(durable) {
+		t.Fatalf("recovered %d records, wrote back %d", len(recs), len(durable))
+	}
+	for _, r := range recs {
+		if r.Key%3 == 0 {
+			t.Fatalf("record %d was never written back and was recovered", r.Key)
+		}
+		if want := payloadOf(int(r.Key%32)+1, byte(r.Key)); !bytes.Equal(r.Val, want) || cap(r.Val) != len(r.Val) {
+			t.Fatalf("key %d recovered %v (cap %d), want %v", r.Key, r.Val, cap(r.Val), want)
+		}
+	}
+}
+
+// A slot's next owner inherits nothing of its payload: a short payload after
+// a long one reads as itself, not as the long one's side entry, and a long one
+// after a short one does not carry the short one's bytes.
+func TestSlotReuseAfterLongPayload(t *testing.T) {
+	for _, tc := range []struct{ first, next int }{{25, 1}, {25, 0}, {1, 25}, {25, 9}} {
+		d := New(Latencies{})
+		var gone []uint64
+		for k := uint64(0); k < nShards; k++ {
+			id, _ := d.Write(k, payloadOf(tc.first, 1), 3)
+			gone = append(gone, id)
+		}
+		for _, id := range gone {
+			d.Delete(id)
+		}
+		var ids []uint64
+		for k := uint64(0); k < nShards; k++ {
+			id, _ := d.Write(100+k, payloadOf(tc.next, 50), 3)
+			if slotOf(id) != slotOf(gone[k]) {
+				t.Fatalf("record %#x did not take dropped record %#x's slot", id, gone[k])
+			}
+			ids = append(ids, id)
+		}
+		checkSlab(t, d)
+		for k, val := range durableDump(t, d, ids...) {
+			if want := payloadOf(tc.next, 50); !bytes.Equal(val, want) {
+				t.Fatalf("%d bytes after %d: key %d recovered %v, want %v", tc.next, tc.first, k, val, want)
+			}
+		}
 	}
 }
 
 // checkSlab asserts the slab's one invariant on every shard — every slot ever
 // handed out is either occupied by a record whose id names that slot and
 // shard, or zeroed and on the free list exactly once — and that Live is the
-// occupied count. It returns the occupied and free totals.
+// occupied count. A slot has a side-slab entry exactly when it holds a long
+// payload, and the shard's byte count is what its records hold. It returns
+// the occupied and free totals.
 func checkSlab(t *testing.T, d *Device) (occupied, free int) {
 	t.Helper()
 	for i := range d.shards {
@@ -148,6 +286,9 @@ func checkSlab(t *testing.T, d *Device) (occupied, free int) {
 		s.mu.Lock()
 		if want := (int(s.next) + chunkLines - 1) / chunkLines; len(s.chunks) != want {
 			t.Fatalf("shard %d: %d chunks for %d slots, want %d", i, len(s.chunks), s.next, want)
+		}
+		if len(s.side) > len(s.chunks) {
+			t.Fatalf("shard %d: %d side-slab chunks beside %d chunks of lines", i, len(s.side), len(s.chunks))
 		}
 		onFree := map[uint32]bool{}
 		for _, slot := range s.free {
@@ -159,9 +300,17 @@ func checkSlab(t *testing.T, d *Device) (occupied, free int) {
 				t.Fatalf("shard %d: free slot %d still holds %+v", i, slot, *r)
 			}
 		}
-		n := 0
+		n, held := 0, 0
 		for slot := uint32(0); slot < s.next; slot++ {
 			r := s.at(slot)
+			var side []byte
+			if ci := int(slot / chunkLines); ci < len(s.side) && s.side[ci] != nil {
+				side = s.side[ci][slot%chunkLines]
+			}
+			if isLong := r.id != 0 && r.n == long; isLong != (side != nil) || isLong && len(side) <= inlineBytes {
+				t.Fatalf("shard %d slot %d: line %+v beside side entry %v", i, slot, *r, side)
+			}
+			held += len(s.payload(slot, r))
 			switch {
 			case onFree[slot]:
 			case r.id == 0:
@@ -172,8 +321,8 @@ func checkSlab(t *testing.T, d *Device) (occupied, free int) {
 				n++
 			}
 		}
-		if s.live != n {
-			t.Fatalf("shard %d counts %d records, holds %d", i, s.live, n)
+		if s.live != n || s.bytes != held {
+			t.Fatalf("shard %d counts %d records and %d payload bytes, holds %d and %d", i, s.live, s.bytes, n, held)
 		}
 		occupied, free = occupied+n, free+len(s.free)
 		s.mu.Unlock()

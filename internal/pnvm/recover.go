@@ -156,7 +156,7 @@ func (d *Device) reanchor(cut uint64, dead *[nShards][]uint64) (marker uint64, e
 		for _, id := range dead[i] {
 			s.drop(id)
 		}
-		s.each(func(r *line) {
+		s.each(func(_ uint32, r *line) {
 			if r.key == MarkerKey {
 				stale = append(stale, r.id)
 			} else {

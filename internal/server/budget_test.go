@@ -11,7 +11,8 @@ import (
 )
 
 // Deterministic allocation budgets for the serving tier: what ONE request
-// costs the server, in allocations and bytes, on medley-sharded — measured
+// costs the server, in allocations and bytes, on medley-sharded (and one
+// transfer on txmontage, the engine path of serve_txn_durable) — measured
 // over the in-memory listener as a process-wide malloc delta across a few
 // thousand synchronous round trips, with what the client and the pipe
 // allocate (the same round trips against a stub that answers from canned
@@ -103,6 +104,7 @@ func TestBudgetServe(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
+		engine  string
 		occ     bool // served without the read lane (noLane)
 		started bool // one lane Get has started the engine's snapshot tier first
 		reqs    int  // requests per call of do
@@ -111,34 +113,45 @@ func TestBudgetServe(t *testing.T) {
 		bytes   float64
 	}{
 		// A snapshot read allocates nothing, and neither does the lane.
-		{"get via lane", false, false, 1, get, 0.02, 4},
+		{"get via lane", "medley-sharded", false, false, 1, get, 0.02, 4},
 		// An OCC Get is a standalone read: no descriptor.
-		{"get via occ", true, false, 1, get, 0.02, 4},
+		{"get via occ", "medley-sharded", true, false, 1, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
 		// snapshot: measured 2.006 allocations, 72.1 B — mhash's Put as
 		// internal/core prices it (node 48 with the cell its unlink
 		// publishes, install cell 24; the unlink is a record) and no
 		// snapshot version.
-		{"put", false, false, 1, put, 2.02, 74},
+		{"put", "medley-sharded", false, false, 1, put, 2.02, 74},
 		// The same once the snapshot tier has started: measured 3.007
 		// allocations, 104.3 B (+ one 32-byte snapshot version).
-		{"put, tier started", false, true, 1, put, 3.05, 110},
+		{"put, tier started", "medley-sharded", false, true, 1, put, 3.05, 110},
 		// The same Put served in a batch of batchMax: each costs what it
 		// costs alone, and the batch adds nothing — execBatch hands Run a
 		// body bound once per connection, and the latch stripes allocate
 		// nothing.
-		{"batched puts", false, false, batchMax, puts, 2.02, 74},
+		{"batched puts", "medley-sharded", false, false, batchMax, puts, 2.02, 74},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
 		// before anything has read a snapshot: measured 6.012 allocations,
 		// 216.3 B: three Puts as above; execTxn's body is bound once per
 		// connection and the latch stripes allocate nothing. The worker
 		// runs every transaction on one descriptor, so its header and its
 		// read and write sets cost nothing.
-		{"4-op transfer txn", false, false, 1, txn, 6.15, 228},
+		{"4-op transfer txn", "medley-sharded", false, false, 1, txn, 6.15, 228},
 		// The same once the snapshot tier has started: measured 9.013
 		// allocations, 312.4 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", false, true, 1, txn, 9.15, 324},
+		{"4-op transfer txn, tier started", "medley-sharded", false, true, 1, txn, 9.15, 324},
+		// The same transfer on txmontage over two devices, each request
+		// followed by a Sync, so every record it supersedes is reclaimed and
+		// its slot reused: measured 6.07 allocations, 266 B. That is the
+		// medley row plus 16 B a Put (the index node carries the payload id:
+		// 56 bytes, the 64-byte class), and 0.07 allocations, 2 B of the 128
+		// device shards' free lists still growing after the warm-up (0.03
+		// over four times the requests). The payload's bytes go through the
+		// epoch context's buffer into the device's line. While a line held
+		// its payload as a slice, each Put allocated its 8-byte encoding:
+		// 3 allocations and 24 B more (9.07, 288 B).
+		{"4-op transfer txn, txmontage", "txmontage", false, false, 1, txn, 6.15, 276},
 	}
 
 	// The client's own share: the same client over the same pipe against the
@@ -154,7 +167,7 @@ func TestBudgetServe(t *testing.T) {
 			if tc.occ {
 				wrap = noLane
 			}
-			s := serveWrapped(t, ln, "medley-sharded", txengine.Config{Shards: 2}, Options{}, wrap)
+			s := serveWrapped(t, ln, tc.engine, txengine.Config{Shards: 2}, Options{}, wrap)
 			cl, _ := ln.dial(t)
 			c := &Conn{c: cl, br: bufio.NewReaderSize(cl, 64<<10)}
 			for k := uint64(0); k < keys+8; k++ {
@@ -167,11 +180,16 @@ func TestBudgetServe(t *testing.T) {
 					t.Fatalf("the lane Get that starts the tier: %+v, %v, %+v", r, err, s.Counters())
 				}
 			}
+			sync := func() {}
+			if p, ok := s.Engine().(txengine.Persister); ok && p.Devices() != nil {
+				sync = p.Sync // reclaim what each request superseded
+			}
 			round := func(c *Conn) func(int) {
 				return func(i int) {
 					if r, err := tc.do(c, i); err != nil || !r.OK() {
 						t.Fatalf("request %d: %+v, %v", i, r, err)
 					}
+					sync()
 				}
 			}
 			calls := n / tc.reqs

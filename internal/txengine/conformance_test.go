@@ -167,7 +167,7 @@ func TestUnsupportedFollowsCaps(t *testing.T) {
 func testRowCodec() montage.Codec[any] {
 	u64 := montage.Uint64Codec()
 	return montage.Codec[any]{
-		Enc: func(v any) []byte { return u64.Enc(v.(uint64)) },
+		Enc: func(dst []byte, v any) []byte { return u64.Enc(dst, v.(uint64)) },
 		Dec: func(b []byte) any { return u64.Dec(b) },
 	}
 }

@@ -97,7 +97,7 @@ func (e *onefileEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 // newOFMap builds one OneFile map. On a persistent engine with a payload
 // encoding (always for uint64 maps; Config.RowCodec for row maps) it gets a
 // persistence structure id, and its mutators stage payload records.
-func newOFMap[V any](e *onefileEngine, spec MapSpec, enc func(V) []byte) ofMap[V] {
+func newOFMap[V any](e *onefileEngine, spec MapSpec, enc func([]byte, V) []byte) ofMap[V] {
 	m := ofMap[V]{st: e.st}
 	if e.st.Device() != nil && enc != nil {
 		m.sid, m.enc = e.st.NewPersistSID(), enc
@@ -164,8 +164,11 @@ type ofMap[V any] struct {
 	rem func(uint64) (V, bool)
 
 	st  *onefile.STM
-	sid uint64         // persistence structure id
-	enc func(V) []byte // payload encoding; nil: transient, nothing staged
+	sid uint64 // persistence structure id
+	// enc is the payload encoding; nil: transient, nothing staged. It encodes
+	// into a fresh slice (a nil dst): StagePersist holds the bytes until the
+	// transaction commits.
+	enc func([]byte, V) []byte
 }
 
 func (m ofMap[V]) Get(tx Tx, k uint64) (v V, ok bool) {
@@ -191,7 +194,7 @@ func (m ofMap[V]) Put(tx Tx, k uint64, v V) (old V, had bool) {
 	if t.inTx {
 		old, had = m.put(k, v)
 		if m.enc != nil {
-			m.st.StagePersist(m.sid, k, m.enc(v))
+			m.st.StagePersist(m.sid, k, m.enc(nil, v))
 		}
 		return old, had
 	}
@@ -205,7 +208,7 @@ func (m ofMap[V]) Insert(tx Tx, k uint64, v V) (ok bool) {
 	if t.inTx {
 		ok = m.ins(k, v)
 		if ok && m.enc != nil {
-			m.st.StagePersist(m.sid, k, m.enc(v))
+			m.st.StagePersist(m.sid, k, m.enc(nil, v))
 		}
 		return ok
 	}
