@@ -90,11 +90,14 @@
 // What blocks is the runtime's, and only by declaration: the Medley family's
 // key latches (txengine/latch.go, a fixed array of striped mutexes) make
 // transactions that declared two to latchMaxKeys overlapping keys wait for
-// each other instead of aborting each other. They are taken before the
-// transaction opens and released after it closes, so no descriptor is
-// ever installed by a goroutine waiting on one; they only schedule, and
-// atomicity and isolation never depend on them — undeclared transactions run
-// on the same keys concurrently, under the paper's guarantees alone. (The
+// each other instead of aborting each other. A waiter first yields its
+// processor and retries, a bounded number of times, and only then parks on
+// the mutex, so a short wait keeps its thread running and only a long one
+// sleeps. The latches are taken before the transaction opens and released
+// after it closes, so no descriptor is ever installed by a goroutine waiting
+// on one; they only schedule, and atomicity and isolation never depend on
+// them — undeclared transactions run on the same keys concurrently, under
+// the paper's guarantees alone. (The
 // MVCC sidecar's stripe mutex, txengine/snapshot.go, is the one lock a
 // committer does take inside its commit window; it guards version publication,
 // not the verdict. It exists only once the sidecar has started, on the

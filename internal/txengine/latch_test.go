@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,8 +84,9 @@ func TestLatchAcquireRelease(t *testing.T) {
 // TestLatchContendedHandoff pins the blocking protocol of one stripe: while a
 // holder has it, declarations on that stripe wait and none gets in, other
 // stripes stay free; on release every waiter is let in, one at a time, and the
-// stripe is free once they have all gone. Wake order is sync.Mutex's and is
-// not checked.
+// stripe is free once they have all gone. The 10 ms hold takes each waiter
+// through its latchYields yields and then into Lock, so both halves of the
+// wait are exercised. Wake order is sync.Mutex's and is not checked.
 func TestLatchContendedHandoff(t *testing.T) {
 	const k, n = 17, 8
 	lt := new(latchTable)
@@ -145,6 +147,63 @@ func TestLatchContendedHandoff(t *testing.T) {
 	if lt.holds(k) {
 		t.Error("stripe not free after every waiter released it")
 	}
+}
+
+// TestLatchWaitParksPastBudget pins the fallback of a wait: a holder that
+// keeps its stripe while blocked (here on a channel) for far longer than
+// latchYields yields finds its waiter parked in sync.Mutex.Lock, not spinning
+// through Gosched, and on release the waiter gets in and counts one wait.
+func TestLatchWaitParksPastBudget(t *testing.T) {
+	lt := new(latchTable)
+	set := stage(42)
+	held, release, released := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		lt.acquireAll(set)
+		close(held)
+		<-release
+		lt.releaseAll(set)
+		close(released)
+	}()
+	<-held
+	waits := make(chan int, 1)
+	go func() { waits <- lt.acquireAll(set) }()
+
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for !waiterParked(buf) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the waiter was not parked in sync.Mutex.Lock 5 s into the hold")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(release)
+	select {
+	case w := <-waits:
+		if w != 1 {
+			t.Errorf("acquireAll counted %d waits, want 1", w)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter did not get the stripe in 5 s after release")
+	}
+	<-released
+	lt.releaseAll(set)
+	if lt.holds(42) {
+		t.Error("stripe not free after the waiter released it")
+	}
+}
+
+// waiterParked reports whether a goroutine inside acquireAll is blocked with
+// wait reason sync.Mutex.Lock, reading every goroutine's stack into buf.
+func waiterParked(buf []byte) bool {
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[sync.Mutex.Lock") && strings.Contains(g, "(*latchTable).acquireAll") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLatchStressMutualExclusion hammers acquireAll/releaseAll from many

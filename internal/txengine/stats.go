@@ -30,10 +30,11 @@ import (
 //     operation touched; nothing tracks them. The field stays only because
 //     benchmark/serve.go reads it.
 //   - LatchWaits: stripes an attempt waited for because another latched
-//     transaction held them (see latch.go). A high rate relative to Commits
-//     means declared footprints overlap on hot keys — traffic is pipelining
-//     through the latches rather than aborting, which is the latch layer
-//     doing its job.
+//     transaction held them (see latch.go). A stripe waited for counts once,
+//     whether the waiter took it while yielding or only after it parked in
+//     Lock. A high rate relative to Commits means declared footprints
+//     overlap on hot keys — traffic is pipelining through the latches rather
+//     than aborting, which is the latch layer doing its job.
 //   - LatchFallbacks: always 0, and hidden from printers, for the same reason
 //     as FootprintMisses: it counted attempts that came to span a second
 //     shard without latches. The field stays only because benchmark/serve.go
