@@ -32,9 +32,9 @@ var ratios = []struct {
 	{"18:1:1", 18, 1, 1},
 }
 
-func mkSystem(b *testing.B, engine string, kind txengine.MapKind, wl bench.Workload, opt bench.Options) bench.System {
+func mkSystem(b *testing.B, engine string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) bench.System {
 	b.Helper()
-	sys, err := bench.NewSystem(engine, kind, wl, opt)
+	sys, err := bench.NewSystem(engine, kind, wl, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func BenchmarkFig7(b *testing.B) {
 	lat := pnvm.DefaultLatencies()
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r.g, r.i, r.r, benchScale)
-		opt := bench.Options{Latencies: lat, EpochLen: 10 * time.Millisecond}
+		opt := txengine.Config{Latencies: lat, EpochLen: 10 * time.Millisecond}
 		for _, name := range bench.TxSystemsFor(txengine.KindHash) {
 			b.Run(name+"/"+r.name, func(b *testing.B) {
 				runSystem(b, mkSystem(b, name, txengine.KindHash, wl, opt), wl)
@@ -94,7 +94,7 @@ func BenchmarkFig8(b *testing.B) {
 	lat := pnvm.DefaultLatencies()
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r.g, r.i, r.r, benchScale)
-		opt := bench.Options{Latencies: lat, EpochLen: 10 * time.Millisecond}
+		opt := txengine.Config{Latencies: lat, EpochLen: 10 * time.Millisecond}
 		for _, name := range bench.TxSystemsFor(txengine.KindSkip) {
 			b.Run(name+"/"+r.name, func(b *testing.B) {
 				runSystem(b, mkSystem(b, name, txengine.KindSkip, wl, opt), wl)
@@ -108,7 +108,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	lat := pnvm.DefaultLatencies()
 	cfg := tpcc.DefaultConfig(2)
-	opt := tpcc.StoreOptions{Latencies: lat, EpochLen: 10 * time.Millisecond}
+	opt := txengine.Config{Latencies: lat, EpochLen: 10 * time.Millisecond}
 	for _, name := range tpcc.DefaultEngines() {
 		b.Run(name, func(b *testing.B) {
 			st, err := tpcc.NewStore(name, opt)
@@ -143,13 +143,13 @@ func BenchmarkFig10a(b *testing.B) {
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r.g, r.i, r.r, benchScale)
 		b.Run("Original/"+r.name, func(b *testing.B) {
-			runSystemNoTx(b, mkSystem(b, "original", txengine.KindSkip, wl, bench.Options{}), wl)
+			runSystemNoTx(b, mkSystem(b, "original", txengine.KindSkip, wl, txengine.Config{}), wl)
 		})
 		b.Run("TxOff/"+r.name, func(b *testing.B) {
-			runSystemNoTx(b, mkSystem(b, "medley", txengine.KindSkip, wl, bench.Options{}), wl)
+			runSystemNoTx(b, mkSystem(b, "medley", txengine.KindSkip, wl, txengine.Config{}), wl)
 		})
 		b.Run("TxOn/"+r.name, func(b *testing.B) {
-			runSystem(b, mkSystem(b, "medley", txengine.KindSkip, wl, bench.Options{}), wl)
+			runSystem(b, mkSystem(b, "medley", txengine.KindSkip, wl, txengine.Config{}), wl)
 		})
 	}
 }
@@ -160,7 +160,7 @@ func BenchmarkFig10b(b *testing.B) {
 	lat := pnvm.Latencies{Write: pnvm.DefaultLatencies().Write}
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r.g, r.i, r.r, benchScale)
-		opt := bench.Options{Latencies: lat, EpochLen: time.Hour}
+		opt := txengine.Config{Latencies: lat, EpochLen: time.Hour}
 		b.Run("TxOff/"+r.name, func(b *testing.B) {
 			runSystemNoTx(b, mkSystem(b, "txmontage", txengine.KindSkip, wl, opt), wl)
 		})
@@ -175,7 +175,7 @@ func BenchmarkFig10c(b *testing.B) {
 	lat := pnvm.DefaultLatencies()
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r.g, r.i, r.r, benchScale)
-		opt := bench.Options{Latencies: lat, EpochLen: 10 * time.Millisecond}
+		opt := txengine.Config{Latencies: lat, EpochLen: 10 * time.Millisecond}
 		b.Run("TxOff/"+r.name, func(b *testing.B) {
 			runSystemNoTx(b, mkSystem(b, "txmontage", txengine.KindSkip, wl, opt), wl)
 		})
@@ -191,13 +191,13 @@ func BenchmarkOverheadSingleOp(b *testing.B) {
 	wl := bench.PaperWorkload(1, 1, 1, benchScale)
 	wl.MinOps, wl.MaxOps = 1, 1
 	b.Run("Original", func(b *testing.B) {
-		runSystemNoTx(b, mkSystem(b, "original", txengine.KindSkip, wl, bench.Options{}), wl)
+		runSystemNoTx(b, mkSystem(b, "original", txengine.KindSkip, wl, txengine.Config{}), wl)
 	})
 	b.Run("TxOff", func(b *testing.B) {
-		runSystemNoTx(b, mkSystem(b, "medley", txengine.KindSkip, wl, bench.Options{}), wl)
+		runSystemNoTx(b, mkSystem(b, "medley", txengine.KindSkip, wl, txengine.Config{}), wl)
 	})
 	b.Run("TxOn", func(b *testing.B) {
-		runSystem(b, mkSystem(b, "medley", txengine.KindSkip, wl, bench.Options{}), wl)
+		runSystem(b, mkSystem(b, "medley", txengine.KindSkip, wl, txengine.Config{}), wl)
 	})
 }
 

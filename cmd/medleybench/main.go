@@ -73,15 +73,15 @@ func main() {
 	}
 
 	ratios := parseRatios(*ratio)
-	threads := parseThreads(*threadsFlag)
-	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
+	threads, err := bench.ParseThreads(*threadsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bad -threads:", err)
+		os.Exit(2)
+	}
+	ecfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
 	fmt.Printf("# host: GOMAXPROCS=%d; scale=%.2f; dur=%v\n", runtime.GOMAXPROCS(0), *scale, *dur)
 
 	if *wlFlag != "" {
-		if *zipfS != 0 && *zipfS <= 1 {
-			fmt.Fprintln(os.Stderr, "bad -zipf: the skew exponent must be > 1.0 (or 0 for the default)")
-			os.Exit(2)
-		}
 		if *readPct < -1 || *readPct > 100 {
 			fmt.Fprintln(os.Stderr, "bad -readpct: want 0-100 (or -1 for the default 90)")
 			os.Exit(2)
@@ -96,11 +96,9 @@ func main() {
 			rp = *readPct
 		}
 		cfg := workload.Config{
-			Dur: *dur, Warmup: *warmup, Scale: *scale,
-			Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-			Shards: *devices, ZipfS: *zipfS, ReadPct: rp,
-			Accounts: *accounts, Latency: *lat, NoHints: *noHints,
-			Snapshot: *snapshot,
+			Dur: *dur, Warmup: *warmup, Scale: *scale, Engine: ecfg,
+			ZipfS: *zipfS, ReadPct: rp, Accounts: *accounts,
+			Latency: *lat, NoHints: *noHints, Snapshot: *snapshot,
 		}
 		runWorkloads(*wlFlag, *systemsFlag, threads, cfg)
 		return
@@ -144,8 +142,8 @@ func main() {
 			fmt.Printf("%-16s %8s %14s%s\n", "system", "threads", "txn/s", statHead)
 			for _, name := range systems {
 				for _, th := range threads {
-					sys := mustSystem(name, kind, wl, opt)
-					res := bench.RunThroughput(sys, wl, th, *dur)
+					sys := mustSystem(name, kind, wl, ecfg)
+					res := bench.RunThroughput(sys, wl, th, *dur, true)
 					sys.Close()
 					_, stats := metrics.Columns(res.Stats, 10)
 					fmt.Printf("%-16s %8d %14.0f%s\n", res.System, res.Threads, res.Throughput, stats)
@@ -159,7 +157,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-systems does not apply to -figure 10; its series is fixed (Original, Medley, txMontage)")
 			os.Exit(2)
 		}
-		runLatency(*figure, ratios, *scale, *dur, opt)
+		runLatency(*figure, ratios, *scale, *dur, ecfg)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -figure; want 7, 8, or 10")
 		os.Exit(2)
@@ -188,22 +186,6 @@ func parseRatios(ratio string) [][3]int {
 	return [][3]int{r}
 }
 
-func parseThreads(threadsFlag string) []int {
-	if threadsFlag == "" {
-		return bench.DefaultThreadSweep()
-	}
-	var threads []int
-	for _, p := range splitList(threadsFlag) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bad -threads:", err)
-			os.Exit(2)
-		}
-		threads = append(threads, v)
-	}
-	return threads
-}
-
 func splitList(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -219,76 +201,42 @@ func splitList(s string) []string {
 // engine's uniform stats, optional p50/p99 latency columns, and the
 // scenario's audit counters per row. cfg carries everything but Threads.
 func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config) {
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	wls := splitList(wlFlag)
 	if wlFlag == "all" {
 		wls = workload.Names()
 	}
-	// Fail fast on bad selections, before the first (potentially long)
-	// measurement sweep runs: unknown names always abort, as does an engine
-	// that can host none of the selected workloads. An engine capable of
-	// only some of several selected workloads has the incapable pairs
-	// skipped with a notice, so `-workload all -systems onefile` runs the
-	// map scenarios instead of dying on the queue one.
 	for _, name := range wls {
 		if _, ok := workload.Lookup(name); !ok {
 			fmt.Fprintf(os.Stderr, "unknown workload %q (have %s)\n", name, strings.Join(workload.Names(), ", "))
 			os.Exit(2)
 		}
 	}
-	if systemsFlag != "" {
-		for _, engine := range splitList(systemsFlag) {
-			b, ok := txengine.Lookup(engine)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown engine %q (see -list)\n", engine)
-				os.Exit(2)
+	// Fail fast, before the first (potentially long) measurement sweep: an
+	// engine that can host none of the selected workloads aborts. One that
+	// can host only some has the others skipped below, so
+	// `-workload all -systems onefile` runs the map scenarios instead of
+	// dying on the queue one.
+	for _, engine := range splitList(systemsFlag) {
+		var err error
+		for _, name := range wls {
+			if err = workload.Check(name, engine, cfg); err == nil {
+				break
 			}
-			var firstErr error
-			capable := 0
-			for _, name := range wls {
-				sc, _ := workload.Lookup(name)
-				err := sc.CanRun(b)
-				if err == nil && cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
-					err = fmt.Errorf("engine %q cannot serve -snapshot reads (needs CapSnapshot)", engine)
-				}
-				if err == nil {
-					capable++
-				} else if firstErr == nil {
-					firstErr = err
-				}
-			}
-			if capable == 0 {
-				fmt.Fprintln(os.Stderr, firstErr)
-				os.Exit(2)
-			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 	}
 	for _, name := range wls {
 		sc, _ := workload.Lookup(name)
 		systems := workload.Engines(name)
 		if systemsFlag != "" {
-			systems = nil
-			for _, engine := range splitList(systemsFlag) {
-				b, _ := txengine.Lookup(engine)
-				if err := sc.CanRun(b); err != nil {
-					fmt.Fprintf(os.Stderr, "# skipping %s on %s: %v\n", name, engine, err)
-					continue
-				}
-				if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
-					fmt.Fprintf(os.Stderr, "# skipping %s on %s: engine cannot serve -snapshot reads (needs CapSnapshot)\n", name, engine)
-					continue
-				}
-				systems = append(systems, engine)
-			}
-		} else if cfg.Snapshot {
-			kept := systems[:0]
-			for _, engine := range systems {
-				if b, _ := txengine.Lookup(engine); b.Caps.Has(txengine.CapSnapshot) {
-					kept = append(kept, engine)
-				} else {
-					fmt.Fprintf(os.Stderr, "# skipping %s on %s: engine cannot serve -snapshot reads (needs CapSnapshot)\n", name, engine)
-				}
-			}
-			systems = kept
+			systems = splitList(systemsFlag)
 		}
 		fmt.Printf("\n## workload %s (%s)\n", name, sc.Doc)
 		// The p50/p99 columns, in latency mode.
@@ -300,6 +248,10 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 		}
 		fmt.Printf("%-12s %8s %14s%s%s  %s\n", "system", "threads", "txn/s", statHead, lat("p50", "p99"), "audit")
 		for _, engine := range systems {
+			if err := workload.Check(name, engine, cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "# skipping %s on %s: %v\n", name, engine, err)
+				continue
+			}
 			for _, th := range threads {
 				cfg := cfg
 				cfg.Threads = th
@@ -319,8 +271,8 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 // field.
 var statHead, _ = metrics.Columns(txengine.Stats{}, 10)
 
-func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, opt bench.Options) bench.System {
-	sys, err := bench.NewSystem(name, kind, wl, opt)
+func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) bench.System {
+	sys, err := bench.NewSystem(name, kind, wl, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -328,49 +280,46 @@ func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, opt bench
 	return sys
 }
 
-func runLatency(fig string, ratios [][3]int, scale float64, dur time.Duration, opt bench.Options) {
+// runLatency prints Figure 10: per panel, each mode's ns per transaction
+// (or per op group without one), threads·1e9/throughput of one run.
+func runLatency(fig string, ratios [][3]int, scale float64, dur time.Duration, ecfg txengine.Config) {
 	// The paper measures at 40 threads (half the hyperthreads); use half of
 	// GOMAXPROCS here.
 	th := runtime.GOMAXPROCS(0) / 2
 	if th < 1 {
 		th = 1
 	}
+	// (b) payloads on NVM, persistence off: the same engine as (c), with
+	// free write-back (epoch system idle) but NVM store latency charged.
+	noPersist := ecfg
+	noPersist.Latencies = pnvm.Latencies{Write: ecfg.Latencies.Write}
+	noPersist.EpochLen = time.Hour
+	series := []struct {
+		panel, mode, engine string
+		cfg                 txengine.Config
+	}{
+		// (a) DRAM: Original vs TxOff vs TxOn on the transient Medley list.
+		{"10a", "Original", "original", txengine.Config{}},
+		{"10a", "TxOff", "medley", txengine.Config{}},
+		{"10a", "TxOn", "medley", txengine.Config{}},
+		{"10b", "TxOff", "txmontage", noPersist},
+		{"10b", "TxOn", "txmontage", noPersist},
+		// (c) full persistence on.
+		{"10c", "TxOff", "txmontage", ecfg},
+		{"10c", "TxOn", "txmontage", ecfg},
+	}
 	fmt.Printf("\n## Figure 10 (skiplist latency at %d threads, ns/txn)\n", th)
 	fmt.Printf("%-10s %-10s %-10s %12s\n", "panel", "mode", "ratio", "ns/txn")
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r[0], r[1], r[2], scale)
-		if fig == "10" || fig == "10a" {
-			// (a) DRAM: Original vs TxOff vs TxOn on the transient Medley list.
-			o := mustSystem("original", txengine.KindSkip, wl, bench.Options{})
-			res := bench.RunLatency(o, wl, bench.ModeOriginal, th, dur)
-			fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10a", "Original", wl.Ratio(), res.NsPerTx)
-			o.Close()
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("medley", txengine.KindSkip, wl, bench.Options{})
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10a", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
+		for _, s := range series {
+			if fig != "10" && fig != s.panel {
+				continue
 			}
-		}
-		if fig == "10" || fig == "10b" {
-			// (b) payloads on NVM, persistence off: montage maps with free
-			// write-back (epoch system idle) but NVM store latency charged.
-			noPersist := bench.Options{Latencies: pnvm.Latencies{Write: opt.Latencies.Write}, EpochLen: time.Hour}
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("txmontage", txengine.KindSkip, wl, noPersist)
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10b", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
-			}
-		}
-		if fig == "10" || fig == "10c" {
-			// (c) full persistence on.
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("txmontage", txengine.KindSkip, wl, opt)
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10c", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
-			}
+			sys := mustSystem(s.engine, txengine.KindSkip, wl, s.cfg)
+			res := bench.RunThroughput(sys, wl, th, dur, s.mode == "TxOn")
+			sys.Close()
+			fmt.Printf("%-10s %-10s %-10s %12.0f\n", s.panel, s.mode, wl.Ratio(), float64(th)*1e9/res.Throughput)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -67,21 +66,14 @@ func main() {
 		}
 	}
 
-	threads := bench.DefaultThreadSweep()
-	if *threadsFlag != "" {
-		threads = nil
-		for _, p := range strings.Split(*threadsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -threads:", err)
-				os.Exit(2)
-			}
-			threads = append(threads, v)
-		}
+	threads, err := bench.ParseThreads(*threadsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bad -threads:", err)
+		os.Exit(2)
 	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
-	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
+	ecfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
 	head, _ := metrics.Columns(txengine.Stats{}, 10)
@@ -89,7 +81,7 @@ func main() {
 
 	for _, name := range systems {
 		for _, th := range threads {
-			st, err := tpcc.NewStore(name, opt)
+			st, err := tpcc.NewStore(name, ecfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)

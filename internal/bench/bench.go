@@ -1,7 +1,9 @@
 // Package bench is the harness that regenerates the Medley paper's
 // evaluation (Section 6): the transactional microbenchmark of Figures 7–8,
 // the latency study of Figure 10, and the supporting machinery for the
-// TPC-C study of Figure 9 (see package tpcc).
+// TPC-C study of Figure 9 (see package tpcc). Drive is the one closed-loop
+// driver: the figures, package tpcc's Run and the scenarios of package
+// workload all measure through it.
 //
 // Methodology follows Section 6.1: structures are preloaded with
 // Preload key-value pairs drawn from a KeySpace of uniformly random 8-byte
@@ -14,10 +16,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"medley/internal/metrics"
 	"medley/internal/txengine"
 )
 
@@ -116,137 +121,147 @@ type Worker interface {
 	RunOpsNoTx(ops []Op)
 }
 
-// Result is one measured throughput point.
+// Result is one measured closed-loop run: figures 7, 8 and 10, TPC-C and
+// the composition scenarios of package workload all report one.
 type Result struct {
 	System     string
-	Ratio      string
 	Threads    int
-	Txns       uint64
+	Txns       uint64 // transactions completed in the measured window
 	Duration   time.Duration
 	Throughput float64        // transactions per second
-	Stats      txengine.Stats // engine stats delta over the measured run
+	Stats      txengine.Stats // engine stats delta over the measured window
+	P50, P99   time.Duration  // per-transaction latency percentiles (Drive's lat)
 }
 
-// RunThroughput drives threads workers for dur and reports aggregate
-// transaction throughput plus the engine's stats delta (preload excluded).
-func RunThroughput(sys System, wl Workload, threads int, dur time.Duration) Result {
-	sys.Preload(wl)
-	base := sys.Stats()
-	var stop atomic.Bool
+// Drive runs threads closed-loop workers and measures them: the one driver
+// of every in-process harness. Each worker is built by newWorker (its tx
+// handle, its rng) and then calls the returned iteration until warmup+dur
+// has elapsed; an iteration returns the number of transactions it completed.
+// Workers start together behind a barrier.
+//
+// When warmup is positive, workers run for that long before measurement
+// begins: ramp-up iterations are discarded from the count and the
+// histograms. stats is read at the start of the measured window and again
+// once every worker has stopped, so Result.Stats covers the same window as
+// Txns. With lat set, each iteration's wall time is recorded, weighted by
+// its transaction count, into Result.P50 and P99.
+func Drive(threads int, dur, warmup time.Duration, lat bool, stats func() txengine.Stats, newWorker func(tid int) func() uint64) Result {
+	if threads < 1 {
+		panic(fmt.Sprintf("bench: Drive needs at least one thread, got %d", threads))
+	}
+	var stop, measuring atomic.Bool
 	var total atomic.Uint64
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
+	var wg, ready, start sync.WaitGroup
+	wg.Add(threads)
 	ready.Add(threads)
 	start.Add(1)
+	var hists []metrics.Hist
+	if lat {
+		hists = make([]metrics.Hist, threads)
+	}
 	for t := 0; t < threads; t++ {
-		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			w := sys.NewWorker(tid)
-			rng := rand.New(rand.NewPCG(uint64(tid)+1, 0x9e3779b97f4a7c15))
-			buf := make([]Op, 0, wl.MaxOps)
+			iter := newWorker(tid)
 			ready.Done()
 			start.Wait()
 			n := uint64(0)
 			for !stop.Load() {
-				ops := wl.GenTx(rng, buf)
-				w.RunTx(ops)
-				n++
+				var t0 time.Time
+				if lat {
+					t0 = time.Now()
+				}
+				c := iter()
+				// Warm-up iterations are discarded whole; one spanning the
+				// boundary lands on whichever side it finished. The sample
+				// is weighted by the iteration's transaction count, and an
+				// empty iteration (a lost conflict) records none: the
+				// percentiles are per transaction.
+				if measuring.Load() {
+					if lat && c > 0 {
+						hists[tid].RecordN(time.Since(t0), c)
+					}
+					n += c
+				}
 			}
 			total.Add(n)
 		}(t)
 	}
 	ready.Wait()
+	if warmup > 0 {
+		start.Done()
+		time.Sleep(warmup)
+	}
+	// t0 is taken no later than the measuring flip: a transaction that
+	// finishes after the flip is counted, so the window has to cover it.
 	t0 := time.Now()
-	start.Done()
+	measuring.Store(true)
+	base := stats()
+	if warmup <= 0 {
+		start.Done()
+	}
 	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
 	el := time.Since(t0)
-	txns := total.Load()
-	return Result{
-		System: sys.Name(), Ratio: wl.Ratio(), Threads: threads,
-		Txns: txns, Duration: el,
-		Throughput: float64(txns) / el.Seconds(),
-		Stats:      sys.Stats().Delta(base),
+	res := Result{
+		Threads: threads, Txns: total.Load(), Duration: el,
+		Stats: stats().Delta(base),
 	}
-}
-
-// LatencyMode selects the Figure 10 variant.
-type LatencyMode int
-
-const (
-	// ModeOriginal runs the untransformed structure, ops back to back.
-	ModeOriginal LatencyMode = iota
-	// ModeTxOff runs the NBTC-transformed structure without transactions.
-	ModeTxOff
-	// ModeTxOn wraps each generated group in a transaction.
-	ModeTxOn
-)
-
-func (m LatencyMode) String() string {
-	switch m {
-	case ModeOriginal:
-		return "Original"
-	case ModeTxOff:
-		return "TxOff"
-	case ModeTxOn:
-		return "TxOn"
+	res.Throughput = float64(res.Txns) / el.Seconds()
+	if lat {
+		var merged metrics.Hist
+		for i := range hists {
+			merged.Merge(&hists[i])
+		}
+		if merged.Count() > 0 {
+			res.P50, res.P99 = merged.Percentile(0.50), merged.Percentile(0.99)
+		}
 	}
-	return "?"
+	return res
 }
 
-// LatencyResult is one measured latency point.
-type LatencyResult struct {
-	System  string
-	Mode    LatencyMode
-	Ratio   string
-	Threads int
-	NsPerTx float64
-	Stats   txengine.Stats // engine stats delta over the measured run
-}
-
-// RunLatency measures average wall-clock ns per transaction (or per op
-// group, for the non-transactional modes) at the given thread count,
-// mirroring Figure 10's methodology.
-func RunLatency(sys System, wl Workload, mode LatencyMode, threads int, dur time.Duration) LatencyResult {
+// RunThroughput preloads sys and drives threads workers over wl for dur.
+// Each iteration generates one transaction and runs it with RunTx, or with
+// RunOpsNoTx when tx is false (Figure 10's Original and TxOff modes). A
+// Figure 10 point's ns per transaction is threads·1e9/Throughput.
+func RunThroughput(sys System, wl Workload, threads int, dur time.Duration, tx bool) Result {
 	sys.Preload(wl)
-	base := sys.Stats()
-	var stop atomic.Bool
-	var totalTx atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := sys.NewWorker(tid)
-			rng := rand.New(rand.NewPCG(uint64(tid)+1, 77))
-			buf := make([]Op, 0, wl.MaxOps)
-			n := uint64(0)
-			for !stop.Load() {
-				ops := wl.GenTx(rng, buf)
-				if mode == ModeTxOn {
-					w.RunTx(ops)
-				} else {
-					w.RunOpsNoTx(ops)
-				}
-				n++
-			}
-			totalTx.Add(n)
-		}(t)
+	res := Drive(threads, dur, 0, false, sys.Stats, func(tid int) func() uint64 {
+		w := sys.NewWorker(tid)
+		run := w.RunOpsNoTx
+		if tx {
+			run = w.RunTx
+		}
+		rng := rand.New(rand.NewPCG(uint64(tid)+1, 0x9e3779b97f4a7c15))
+		buf := make([]Op, 0, wl.MaxOps)
+		return func() uint64 {
+			run(wl.GenTx(rng, buf))
+			return 1
+		}
+	})
+	res.System = sys.Name()
+	return res
+}
+
+// ParseThreads parses a -threads flag: comma-separated thread counts, each
+// at least 1. The empty string is DefaultThreadSweep.
+func ParseThreads(s string) ([]int, error) {
+	if s == "" {
+		return DefaultThreadSweep(), nil
 	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	el := time.Since(t0)
-	tx := totalTx.Load()
-	ns := float64(el.Nanoseconds()) * float64(threads) / float64(tx)
-	return LatencyResult{
-		System: sys.Name(), Mode: mode, Ratio: wl.Ratio(), Threads: threads,
-		NsPerTx: ns,
-		Stats:   sys.Stats().Delta(base),
+	var out []int
+	for _, p := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, err
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("thread count %d is below 1", n)
+		}
+		out = append(out, n)
 	}
+	return out, nil
 }
 
 // DefaultThreadSweep returns the thread counts used for throughput figures,

@@ -81,11 +81,11 @@ func TestAllSystemsSmoke(t *testing.T) {
 				counts = append(counts, 4)
 			}
 			for _, devices := range counts {
-				sys, err := NewSystem(name, kind, wl, Options{EpochLen: 5 * time.Millisecond, Shards: devices})
+				sys, err := NewSystem(name, kind, wl, txengine.Config{EpochLen: 5 * time.Millisecond, Shards: devices})
 				if err != nil {
 					t.Fatalf("%s/%v/devices=%d: %v", name, kind, devices, err)
 				}
-				res := RunThroughput(sys, wl, 4, 50*time.Millisecond)
+				res := RunThroughput(sys, wl, 4, 50*time.Millisecond, true)
 				sys.Close()
 				if res.Txns == 0 {
 					t.Errorf("%s/devices=%d: no transactions completed", res.System, devices)
@@ -112,40 +112,57 @@ func TestFigureSeriesCoverage(t *testing.T) {
 	}
 }
 
+// Figure 10's three modes: the untransformed list and the transformed one
+// run their generated groups without a transaction, and TxOn in one.
 func TestLatencyModes(t *testing.T) {
 	wl := PaperWorkload(2, 1, 1, 0.001)
-	for _, mode := range []LatencyMode{ModeOriginal, ModeTxOff, ModeTxOn} {
-		name := "medley"
-		if mode == ModeOriginal {
-			name = "original"
-		}
-		sys, err := NewSystem(name, txengine.KindSkip, wl, Options{})
+	for _, mode := range []struct {
+		engine string
+		tx     bool
+	}{{"original", false}, {"medley", false}, {"medley", true}} {
+		sys, err := NewSystem(mode.engine, txengine.KindSkip, wl, txengine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunLatency(sys, wl, mode, 2, 50*time.Millisecond)
+		res := RunThroughput(sys, wl, 2, 50*time.Millisecond, mode.tx)
 		sys.Close()
-		if res.NsPerTx <= 0 {
-			t.Errorf("mode %v: nonpositive latency", mode)
+		if res.Txns == 0 || res.Throughput <= 0 {
+			t.Errorf("%s tx=%v: no groups completed: %+v", mode.engine, mode.tx, res)
 		}
 	}
 }
 
-// Throughput results must surface the engine's uniform stats: the measured
-// interval's commits account for the measured transactions (preload
-// excluded via the delta).
+// Throughput results must surface the engine's uniform stats: on medley with
+// no warm-up, every counted iteration is exactly one commit of the measured
+// window (preload excluded via the delta).
 func TestThroughputSurfacesStats(t *testing.T) {
 	wl := PaperWorkload(2, 1, 1, 0.001)
-	sys, err := NewSystem("medley", txengine.KindHash, wl, Options{})
+	sys, err := NewSystem("medley", txengine.KindHash, wl, txengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	res := RunThroughput(sys, wl, 2, 50*time.Millisecond)
+	res := RunThroughput(sys, wl, 2, 50*time.Millisecond, true)
 	if res.Stats.Commits == 0 {
 		t.Fatalf("Result.Stats empty: %+v", res.Stats)
 	}
-	if res.Stats.Commits < res.Txns {
-		t.Fatalf("commits %d < measured txns %d", res.Stats.Commits, res.Txns)
+	if res.Stats.Commits != res.Txns {
+		t.Fatalf("commits %d != measured txns %d", res.Stats.Commits, res.Txns)
+	}
+}
+
+// ParseThreads gives the host sweep for the empty flag and rejects anything
+// that is not a list of counts of at least 1.
+func TestParseThreads(t *testing.T) {
+	if got, err := ParseThreads(""); err != nil || !slices.Equal(got, DefaultThreadSweep()) {
+		t.Errorf(`ParseThreads("") = %v, %v; want the sweep %v`, got, err, DefaultThreadSweep())
+	}
+	if got, err := ParseThreads("1, 2,4"); err != nil || !slices.Equal(got, []int{1, 2, 4}) {
+		t.Errorf(`ParseThreads("1, 2,4") = %v, %v`, got, err)
+	}
+	for _, bad := range []string{"0", "-1", "x", "2,0"} {
+		if got, err := ParseThreads(bad); err == nil {
+			t.Errorf("ParseThreads(%q) = %v, want an error", bad, got)
+		}
 	}
 }

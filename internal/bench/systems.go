@@ -2,30 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"medley/internal/pnvm"
 	"medley/internal/txengine"
 )
 
-// Options configures engine construction for benchmarked systems. The zero
-// value is a transient engine with free NVM timing.
-type Options struct {
-	// Latencies drives the simulated NVM device of persistent engines.
-	Latencies pnvm.Latencies
-	// EpochLen is txMontage's persistence epoch length (0: advancer off).
-	EpochLen time.Duration
-	// Shards is txmontage's device count (0: one device); other engines
-	// ignore it. It passes through to txengine.Config.Shards.
-	Shards int
-}
-
-// NewSystem builds the named engine from the txengine registry and wraps it
-// as a benchmark System over one transactional uint64 map of the given
-// kind, sized for wl (hash buckets track the keyspace, as in the paper's
+// NewSystem builds the named engine from the txengine registry with cfg and
+// wraps it as a benchmark System over one transactional uint64 map of the
+// given kind, sized for wl (hash buckets track the keyspace, as in the paper's
 // 1M-bucket table; TDSL stripes scale with keyspace to keep partitions
 // skiplist-shaped).
-func NewSystem(engine string, kind txengine.MapKind, wl Workload, opt Options) (System, error) {
+func NewSystem(engine string, kind txengine.MapKind, wl Workload, cfg txengine.Config) (System, error) {
 	b, ok := txengine.Lookup(engine)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown engine %q", engine)
@@ -40,7 +26,7 @@ func NewSystem(engine string, kind txengine.MapKind, wl Workload, opt Options) (
 			return nil, fmt.Errorf("bench: engine %q has no skiplist: %w", engine, txengine.ErrUnsupported)
 		}
 	}
-	eng, err := b.New(txengine.Config{Latencies: opt.Latencies, EpochLen: opt.EpochLen, Shards: opt.Shards})
+	eng, err := b.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,26 +2,11 @@ package tpcc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"time"
 
 	"medley/internal/montage"
-	"medley/internal/pnvm"
 	"medley/internal/txengine"
 )
-
-// StoreOptions configures engine construction for TPC-C stores. The zero
-// value is a transient engine with free NVM timing.
-type StoreOptions struct {
-	// Latencies drives the simulated NVM device of persistent engines.
-	Latencies pnvm.Latencies
-	// EpochLen is txMontage's persistence epoch length (0: advancer off).
-	EpochLen time.Duration
-	// Shards is txmontage's device count (0: one device); other engines
-	// ignore it. It passes through to txengine.Config.Shards.
-	Shards int
-}
 
 // Engines returns the registry keys of every engine that can run TPC-C
 // (dynamic transactions over row maps), in registration order.
@@ -64,21 +49,17 @@ func CanRun(engine string) error {
 	return nil
 }
 
-// NewStore builds the named engine from the txengine registry and lays the
-// TPC-C tables over its transactional row maps (see CanRun for which
+// NewStore builds the named engine from the txengine registry with cfg (its
+// RowCodec is TPC-C's own) and lays the TPC-C tables over its transactional row maps (see CanRun for which
 // engines qualify). Tables prefer the skiplist shape (the paper's
 // representation); engines without one (Boost) fall back to hash tables.
-func NewStore(engine string, opt StoreOptions) (Store, error) {
+func NewStore(engine string, cfg txengine.Config) (Store, error) {
 	if err := CanRun(engine); err != nil {
 		return nil, err
 	}
 	b, _ := txengine.Lookup(engine)
-	eng, err := b.New(txengine.Config{
-		Latencies: opt.Latencies,
-		EpochLen:  opt.EpochLen,
-		RowCodec:  rowCodec(),
-		Shards:    opt.Shards,
-	})
+	cfg.RowCodec = rowCodec()
+	eng, err := b.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -124,13 +105,9 @@ type engineWorker struct {
 }
 
 // RunTx executes fn transactionally; a business abort (Handle.Abort) rolls
-// the transaction back and counts as completed work.
+// the transaction back and returns txengine.ErrBusinessAbort.
 func (w *engineWorker) RunTx(fn func(h Handle) error) error {
-	err := w.tx.Run(func() error { return fn(engineHandle{w}) })
-	if errors.Is(err, txengine.ErrBusinessAbort) {
-		return nil // deliberate rollback: counted as completed work
-	}
-	return err
+	return w.tx.Run(func() error { return fn(engineHandle{w}) })
 }
 
 // RunTxHinted is RunTx with the key footprint declared before the

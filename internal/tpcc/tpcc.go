@@ -146,6 +146,8 @@ type Handle interface {
 
 // Worker executes TPC-C transactions for one thread.
 type Worker interface {
+	// RunTx runs fn as one transaction. A rollback through Handle.Abort
+	// returns txengine.ErrBusinessAbort.
 	RunTx(fn func(h Handle) error) error
 	// RunTxHinted is RunTx with the transaction's key footprint declared
 	// up front (payment knows all four of its row keys before it starts).
@@ -216,9 +218,6 @@ func Load(st Store, cfg Config) {
 	}
 	batch(rows)
 }
-
-// ErrRollback is the deliberate 1% newOrder rollback of standard TPC-C.
-var ErrRollback = errors.New("tpcc: deliberate rollback")
 
 // NewOrder runs one newOrder transaction on h.
 func NewOrder(h Handle, cfg Config, rng *rand.Rand, tid int) error {

@@ -1,9 +1,12 @@
 package tpcc
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"medley/internal/txengine"
 )
 
 func smallCfg() Config {
@@ -28,8 +31,8 @@ func stores(t *testing.T) []namedStore {
 	if len(names) < 5 {
 		t.Fatalf("Engines() = %v, want at least medley/txmontage/onefile/tdsl/boost", names)
 	}
-	build := func(name string, opt StoreOptions) Store {
-		st, err := NewStore(name, opt)
+	build := func(name string, cfg txengine.Config) Store {
+		st, err := NewStore(name, cfg)
 		if err != nil {
 			t.Fatalf("NewStore(%s): %v", name, err)
 		}
@@ -37,37 +40,48 @@ func stores(t *testing.T) []namedStore {
 	}
 	out := make([]namedStore, 0, len(names)+1)
 	for _, name := range names {
-		st := build(name, StoreOptions{})
+		st := build(name, txengine.Config{})
 		out = append(out, namedStore{st.Name(), st})
 	}
-	return append(out, namedStore{"txMontage/devices=4", build("txmontage", StoreOptions{Shards: 4})})
+	return append(out, namedStore{"txMontage/devices=4", build("txmontage", txengine.Config{Shards: 4})})
 }
 
 // TPC-C must refuse engines that cannot express its transactions.
 func TestNewStoreRejectsStaticEngines(t *testing.T) {
-	if _, err := NewStore("lftt", StoreOptions{}); err == nil {
+	if _, err := NewStore("lftt", txengine.Config{}); err == nil {
 		t.Fatal("NewStore(lftt) succeeded; LFTT cannot run TPC-C")
 	}
-	if _, err := NewStore("no-such-engine", StoreOptions{}); err == nil {
+	if _, err := NewStore("no-such-engine", txengine.Config{}); err == nil {
 		t.Fatal("NewStore of unknown engine succeeded")
 	}
 }
 
+// Every transaction completes; on medley each one that did not roll back is
+// exactly one engine commit, and a newOrder rollback counts in neither.
 func TestLoadAndRunAllStores(t *testing.T) {
 	cfg := smallCfg()
 	for _, st := range stores(t) {
 		t.Run(st.name, func(t *testing.T) {
 			Load(st, cfg)
+			base := st.Stats()
 			w := st.NewWorker(1)
 			rng := rand.New(rand.NewPCG(1, 2))
-			var seq uint64
+			var seq, committed uint64
 			for i := 0; i < 200; i++ {
-				if err := w.RunTx(func(h Handle) error { return NewOrder(h, cfg, rng, 1) }); err != nil {
+				err := w.RunTx(func(h Handle) error { return NewOrder(h, cfg, rng, 1) })
+				if err != nil && !errors.Is(err, txengine.ErrBusinessAbort) {
 					t.Fatalf("newOrder: %v", err)
+				}
+				if err == nil {
+					committed++
 				}
 				if err := w.RunTx(func(h Handle) error { return Payment(h, cfg, rng, 1, &seq) }); err != nil {
 					t.Fatalf("payment: %v", err)
 				}
+				committed++
+			}
+			if commits := st.Stats().Delta(base).Commits; st.name == "Medley" && commits != committed {
+				t.Errorf("medley: %d commits for %d committed transactions", commits, committed)
 			}
 			st.Close()
 		})
@@ -120,7 +134,7 @@ func TestPaymentMoneyConservation(t *testing.T) {
 // every oid below NextOID has exactly one order row.
 func TestNewOrderIDsDense(t *testing.T) {
 	cfg := smallCfg()
-	st, err := NewStore("medley", StoreOptions{})
+	st, err := NewStore("medley", txengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +167,7 @@ func TestNewOrderIDsDense(t *testing.T) {
 // txMontage TPC-C with a running epoch advancer must stay correct.
 func TestTxMontageWithAdvancer(t *testing.T) {
 	cfg := smallCfg()
-	st, err := NewStore("txmontage", StoreOptions{EpochLen: 2 * time.Millisecond})
+	st, err := NewStore("txmontage", txengine.Config{EpochLen: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestSnapshotCacheSmoke(t *testing.T) {
 			cfg := smokeConfig()
 			cfg.ReadPct = 95
 			cfg.Snapshot = true
-			cfg.Shards = tc.devices
+			cfg.Engine.Shards = tc.devices
 			res, err := Run("cache", tc.engine, cfg)
 			if err != nil {
 				t.Fatal(err)

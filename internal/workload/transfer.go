@@ -65,8 +65,7 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 	total := 2 * accounts * startBalance
 
 	var transfers, audits, insufficient atomic.Uint64
-	base := eng.Stats()
-	txns, el, lh := drive(cfg.threads(), cfg.dur(), cfg.Warmup, cfg.Latency, func(tid int) func() uint64 {
+	res := cfg.drive(eng, func(tid int) func() uint64 {
 		tx := eng.NewWorker(tid)
 		rng := rand.New(rand.NewPCG(cfg.seed(), uint64(tid)+1))
 		// Accounts draw uniformly by default; Config.ZipfS > 1 skews the
@@ -123,25 +122,15 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 				transfers.Add(1)
 				return 1
 			case errors.Is(err, txengine.ErrBusinessAbort):
-				// Deliberately completed work, like TPC-C's rolled-back
-				// newOrder.
+				// Deliberately completed work: the transfer ran and chose
+				// not to happen.
 				insufficient.Add(1)
 				return 1
 			default:
 				return 0
 			}
 		}
-	}, func() {
-		// Re-snapshot the stats base at the measurement boundary so the
-		// reported delta excludes warm-up transactions, matching Txns. The
-		// Aux counters deliberately keep spanning the whole run: the
-		// conservation audit below must see every transfer.
-		base = eng.Stats()
 	})
-
-	// Snapshot the measured delta before the audit: audit reads are
-	// one-shot transactions on some engines and must not inflate it.
-	stats := eng.Stats().Delta(base)
 
 	// Post-run audit: money is conserved iff every transfer was atomic.
 	audit := eng.NewWorker(cfg.threads() + 1)
@@ -156,17 +145,11 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 		imbalance = total - sum
 	}
 
-	res := Result{
-		Txns: txns, Duration: el,
-		Throughput: float64(txns) / el.Seconds(),
-		Stats:      stats,
-		Aux: []AuxCount{
-			{"transfers", transfers.Load()},
-			{"audits", audits.Load()},
-			{"insufficient", insufficient.Load()},
-			{"imbalance", imbalance},
-		},
+	res.Aux = []AuxCount{
+		{"transfers", transfers.Load()},
+		{"audits", audits.Load()},
+		{"insufficient", insufficient.Load()},
+		{"imbalance", imbalance},
 	}
-	res.attachLatency(lh)
 	return res, nil
 }

@@ -25,12 +25,9 @@ package workload
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"medley/internal/metrics"
-	"medley/internal/pnvm"
+	"medley/internal/bench"
 	"medley/internal/txengine"
 )
 
@@ -42,14 +39,8 @@ type Config struct {
 	Scale   float64       // structure-size scale (0: 1.0; sizes below)
 	Seed    uint64        // rng seed base (0: fixed default)
 
-	// Latencies and EpochLen configure persistent engines, as in
-	// internal/bench.
-	Latencies pnvm.Latencies
-	EpochLen  time.Duration
-
-	// Shards is txmontage's device count (0: one device); other engines
-	// ignore it. It passes through to txengine.Config.Shards.
-	Shards int
+	// Engine builds the engine the scenario runs on.
+	Engine txengine.Config
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate
 	// traffic on fewer hot keys. The cache scenario always skews (0: 1.2);
@@ -66,9 +57,9 @@ type Config struct {
 	// Snapshot serves the cache scenario's read-only probes through
 	// txengine.SnapshotRead — validation-free MVCC reads at a consistent
 	// cut that never abort or restart — instead of OCC RunRead
-	// transactions. Requires an engine with txengine.CapSnapshot (Run
-	// rejects others, like CanRun gates). The A/B control for measuring
-	// what read validation costs a read-mostly mix.
+	// transactions. Requires an engine with txengine.CapSnapshot (Check
+	// rejects others). The A/B control for measuring what read validation
+	// costs a read-mostly mix.
 	Snapshot bool
 
 	// Latency enables latency percentiles (Result.P50 and P99), at the
@@ -175,25 +166,12 @@ type AuxCount struct {
 	N    uint64
 }
 
-// Result is one measured scenario point.
+// Result is one measured scenario point: the driver's Result (Txns counts
+// completed application transactions), the scenario, and its Aux counters.
 type Result struct {
-	Workload   string
-	System     string
-	Threads    int
-	Txns       uint64 // completed application transactions
-	Duration   time.Duration
-	Throughput float64        // transactions per second
-	Stats      txengine.Stats // engine stats delta over the measured run
-	P50, P99   time.Duration  // per-iteration latency percentiles (see Config.Latency)
-	Aux        []AuxCount     // scenario counters + invariant checks
-}
-
-// attachLatency fills the percentile fields from a measured histogram.
-func (r *Result) attachLatency(h *metrics.Hist) {
-	if h != nil && h.Count() > 0 {
-		r.P50 = h.Percentile(0.50)
-		r.P99 = h.Percentile(0.99)
-	}
+	bench.Result
+	Workload string
+	Aux      []AuxCount // scenario counters + invariant checks
 }
 
 // AuxN returns the named Aux counter (0 if absent).
@@ -261,42 +239,49 @@ func Names() []string {
 // Engines returns the default engine series for a scenario: every capable
 // registry entry not marked Slow (explicit selection still runs those).
 func Engines(scenario string) []string {
-	sc, ok := Lookup(scenario)
-	if !ok {
-		return nil
-	}
 	var out []string
 	for _, b := range txengine.Builders() {
-		if b.Slow {
-			continue
-		}
-		if sc.CanRun(b) == nil {
+		if !b.Slow && Check(scenario, b.Key, Config{}) == nil {
 			out = append(out, b.Key)
 		}
 	}
 	return out
 }
 
-// Run builds the named engine and executes the named scenario on it.
-func Run(scenario, engine string, cfg Config) (Result, error) {
+// Check reports whether the named scenario can run on the named engine
+// under cfg: both exist, the engine has what the scenario needs (its
+// CanRun), and it serves snapshot reads if cfg.Snapshot asks for them. Run
+// asks it, and so does every caller that picks engines for a scenario.
+func Check(scenario, engine string, cfg Config) error {
 	sc, ok := Lookup(scenario)
 	if !ok {
-		return Result{}, fmt.Errorf("workload: unknown scenario %q (have %v)", scenario, Names())
+		return fmt.Errorf("workload: unknown scenario %q (have %v)", scenario, Names())
 	}
 	b, ok := txengine.Lookup(engine)
 	if !ok {
-		return Result{}, fmt.Errorf("workload: unknown engine %q", engine)
+		return fmt.Errorf("workload: unknown engine %q", engine)
 	}
 	if err := sc.CanRun(b); err != nil {
+		return err
+	}
+	if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
+		return fmt.Errorf("workload: engine %q cannot serve snapshot reads (needs CapSnapshot): %w", engine, txengine.ErrUnsupported)
+	}
+	return nil
+}
+
+// Run builds the named engine from cfg.Engine and executes the named
+// scenario on it.
+func Run(scenario, engine string, cfg Config) (Result, error) {
+	if err := Check(scenario, engine, cfg); err != nil {
 		return Result{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
-		return Result{}, fmt.Errorf("workload: engine %q cannot serve snapshot reads (needs CapSnapshot): %w", engine, txengine.ErrUnsupported)
-	}
-	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards})
+	sc, _ := Lookup(scenario)
+	b, _ := txengine.Lookup(engine)
+	eng, err := b.New(cfg.Engine)
 	if err != nil {
 		return Result{}, err
 	}
@@ -307,7 +292,6 @@ func Run(scenario, engine string, cfg Config) (Result, error) {
 	}
 	res.Workload = scenario
 	res.System = eng.Name()
-	res.Threads = cfg.threads()
 	return res, nil
 }
 
@@ -329,102 +313,10 @@ func mapKind(caps txengine.Caps) txengine.MapKind {
 	return txengine.KindSkip
 }
 
-// drive spawns threads workers, each constructed by newWorker (per-worker
-// state: tx handle, rng) and then iterated until warmup+dur elapses; it
-// returns the transaction count completed inside the measured window, the
-// measured wall time, and — when lat is set — a merged per-iteration
-// latency histogram (nil otherwise). Each iteration returns the number of
-// completed transactions it performed.
-//
-// When warmup is positive, workers run for that long before measurement
-// begins: ramp-up iterations are discarded from the count and the
-// histograms. onMeasure, if non-nil, fires once at the start of the
-// measured window (with workers already running), so callers can
-// re-snapshot engine stats to the same boundary.
-func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid int) func() uint64, onMeasure func()) (uint64, time.Duration, *metrics.Hist) {
-	var stop atomic.Bool
-	var measuring atomic.Bool
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
-	ready.Add(threads)
-	start.Add(1)
-	hists := make([]*metrics.Hist, threads)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			iter := newWorker(tid)
-			var h *metrics.Hist
-			if lat {
-				h = &metrics.Hist{}
-				hists[tid] = h
-			}
-			ready.Done()
-			start.Wait()
-			n := uint64(0)
-			if lat {
-				for !stop.Load() {
-					t0 := time.Now()
-					c := iter()
-					// Weight the sample by the iteration's transaction count
-					// and skip empty iterations (audit sweeps, lost
-					// conflicts): the percentiles are per *transaction*, and
-					// an iteration that completed several (or none) would
-					// otherwise skew them. Warm-up iterations are discarded
-					// whole; one iteration spanning the boundary lands on
-					// whichever side its commit did.
-					if measuring.Load() {
-						if c > 0 {
-							h.RecordN(time.Since(t0), c)
-						}
-						n += c
-					}
-				}
-			} else {
-				for !stop.Load() {
-					c := iter()
-					if measuring.Load() {
-						n += c
-					}
-				}
-			}
-			total.Add(n)
-		}(t)
-	}
-	ready.Wait()
-	// t0 must be taken no later than the measuring flip: a transaction that
-	// commits after Store(true) is counted in the measured total, so the
-	// elapsed window has to cover it or throughput is inflated.
-	var t0 time.Time
-	if warmup > 0 {
-		start.Done()
-		time.Sleep(warmup)
-		t0 = time.Now()
-		measuring.Store(true)
-		if onMeasure != nil {
-			onMeasure()
-		}
-	} else {
-		measuring.Store(true)
-		if onMeasure != nil {
-			onMeasure()
-		}
-		start.Done()
-		t0 = time.Now()
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	el := time.Since(t0)
-	if !lat {
-		return total.Load(), el, nil
-	}
-	merged := &metrics.Hist{}
-	for _, h := range hists {
-		if h != nil {
-			merged.Merge(h)
-		}
-	}
-	return total.Load(), el, merged
+// drive runs newWorker's iterations on cfg's threads through bench.Drive,
+// with eng's stats measured over the same window (warm-up excluded). A
+// scenario's Aux counters span the whole run instead: its post-run audit
+// must see everything.
+func (c Config) drive(eng txengine.Engine, newWorker func(tid int) func() uint64) Result {
+	return Result{Result: bench.Drive(c.threads(), c.dur(), c.Warmup, c.Latency, eng.Stats, newWorker)}
 }

@@ -41,7 +41,7 @@ func TestSmoke(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					cfg := smokeConfig()
-					cfg.Shards = devices
+					cfg.Engine.Shards = devices
 					res, err := Run(sc.Key, engine, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -92,15 +92,21 @@ func TestSmoke(t *testing.T) {
 
 // TestKnobs drives the scenario tunables end to end: txmontage at an
 // explicit device count, a hot transfer (few accounts), a skewed all-update
-// cache mix, and latency percentiles — every audit must still hold.
+// cache mix, latency percentiles and a warm-up — every audit must still hold.
 func TestKnobs(t *testing.T) {
 	cfg := smokeConfig()
-	cfg.Shards = 8
+	cfg.Engine.Shards = 8
 	cfg.Accounts = 4 // four hot accounts: maximum cross-map contention
 	cfg.Latency = true
+	cfg.Warmup = 50 * time.Millisecond
 	res, err := Run("transfer", "txmontage", cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The Aux counters span the warm-up too; Txns counts the measured
+	// window only.
+	if all := res.AuxN("transfers") + res.AuxN("audits") + res.AuxN("insufficient"); res.Txns == 0 || res.Txns >= all {
+		t.Errorf("measured txns %d, want between 1 and the whole run's %d (%s)", res.Txns, all-1, res.AuxString())
 	}
 	if n := res.AuxN("imbalance"); n != 0 {
 		t.Errorf("hot transfer over 8 devices lost money: imbalance=%d (%s)", n, res.AuxString())
@@ -153,7 +159,7 @@ func TestTransferConservation(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := smokeConfig()
-				cfg.Shards = shards
+				cfg.Engine.Shards = shards
 				cfg.NoHints = noHints
 				cfg.Accounts = 64 // small: most transfers cross shards
 				cfg.ZipfS = 1.4   // skewed: hot accounts collide constantly

@@ -72,8 +72,7 @@ func runWorkqueue(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, 
 		produced.Add(1)
 	}
 
-	base := eng.Stats()
-	txns, el, lh := drive(cfg.threads(), cfg.dur(), cfg.Warmup, cfg.Latency, func(tid int) func() uint64 {
+	res := cfg.drive(eng, func(tid int) func() uint64 {
 		tx := eng.NewWorker(tid)
 		rng := rand.New(rand.NewPCG(cfg.seed(), uint64(tid)))
 		var seq uint64
@@ -126,16 +125,7 @@ func runWorkqueue(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, 
 			claimed.Add(1)
 			return 1
 		}
-	}, func() {
-		// Re-snapshot at the measurement boundary (see transfer.go): the
-		// delta excludes warm-up, the Aux counters span the whole run for
-		// the drain audit.
-		base = eng.Stats()
 	})
-
-	// Snapshot the measured delta before the audit: audit reads are
-	// one-shot transactions on some engines and must not inflate it.
-	stats := eng.Stats().Delta(base)
 
 	// Post-run audit: drain the queue; every job must be either claimed or
 	// still pending in the backlog — none lost, none claimed twice.
@@ -151,7 +141,7 @@ func runWorkqueue(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, 
 			violations.Add(1)
 		}
 	}
-	aux := []AuxCount{
+	res.Aux = []AuxCount{
 		{"produced", produced.Load()},
 		{"claimed", claimed.Load()},
 		{"empty", empty.Load()},
@@ -159,18 +149,10 @@ func runWorkqueue(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, 
 	}
 	diff := int64(produced.Load()) - int64(claimed.Load()) - int64(leftover)
 	if diff > 0 {
-		aux = append(aux, AuxCount{"lost", uint64(diff)})
+		res.Aux = append(res.Aux, AuxCount{"lost", uint64(diff)})
 	} else if diff < 0 {
-		aux = append(aux, AuxCount{"dup", uint64(-diff)})
+		res.Aux = append(res.Aux, AuxCount{"dup", uint64(-diff)})
 	}
-	aux = append(aux, AuxCount{"violations", violations.Load()})
-
-	res := Result{
-		Txns: txns, Duration: el,
-		Throughput: float64(txns) / el.Seconds(),
-		Stats:      stats,
-		Aux:        aux,
-	}
-	res.attachLatency(lh)
+	res.Aux = append(res.Aux, AuxCount{"violations", violations.Load()})
 	return res, nil
 }
