@@ -157,7 +157,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-systems does not apply to -figure 10; its series is fixed (Original, Medley, txMontage)")
 			os.Exit(2)
 		}
-		runLatency(*figure, ratios, *scale, *dur, ecfg)
+		if *threadsFlag == "" {
+			// The paper measures at 40 threads (half the hyperthreads);
+			// use half of GOMAXPROCS here.
+			threads = []int{max(runtime.GOMAXPROCS(0)/2, 1)}
+		}
+		for _, th := range threads {
+			runLatency(*figure, th, ratios, *scale, *dur, ecfg)
+		}
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -figure; want 7, 8, or 10")
 		os.Exit(2)
@@ -280,15 +287,9 @@ func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, cfg txeng
 	return sys
 }
 
-// runLatency prints Figure 10: per panel, each mode's ns per transaction
-// (or per op group without one), threads·1e9/throughput of one run.
-func runLatency(fig string, ratios [][3]int, scale float64, dur time.Duration, ecfg txengine.Config) {
-	// The paper measures at 40 threads (half the hyperthreads); use half of
-	// GOMAXPROCS here.
-	th := runtime.GOMAXPROCS(0) / 2
-	if th < 1 {
-		th = 1
-	}
+// runLatency prints Figure 10 at th threads: per panel, each mode's ns per
+// transaction (or per op group without one), th·1e9/throughput of one run.
+func runLatency(fig string, th int, ratios [][3]int, scale float64, dur time.Duration, ecfg txengine.Config) {
 	// (b) payloads on NVM, persistence off: the same engine as (c), with
 	// free write-back (epoch system idle) but NVM store latency charged.
 	noPersist := ecfg

@@ -23,13 +23,12 @@
 // network load. Underflowed transfers surface
 // as ABORTED, which the counts report separately.
 //
-// Shed responses (RETRY, and DRAINING with a reconnect first) are honored:
-// the exact request is re-sent after a capped exponential backoff with
-// jitter, and no fresh work is injected while a retry is waiting — backoff
-// genuinely reduces the offered load instead of shifting it. Re-sends are
-// tallied as retries. A connection that fails mid-flight is redialed with
-// the same backoff; requests that were in flight are tallied as unknown
-// (their outcome is ambiguous, so they are neither re-sent nor counted ok).
+// Every connection is a retrying server.Conn and follows its one rule:
+// shed requests are re-sent after a jittered backoff, during which no
+// fresh work reaches the server; after a connection failure, reads that
+// were in flight are re-sent on a redialed connection and writes that were
+// are tallied as unknown, never re-sent nor counted ok. Re-sends are
+// tallied as retries; a request shed on every attempt counts as an error.
 //
 // Exits non-zero if the server acknowledged nothing (a smoke-test guard).
 //
@@ -44,6 +43,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -90,12 +90,13 @@ func main() {
 	}
 
 	// Per-connection windows: -clients distributed as evenly as possible,
-	// or -pipeline everywhere.
-	windows := make([]int, *conns)
+	// or -pipeline everywhere. The first active connections have a window.
+	windows, active := make([]int, *conns), *conns
 	for i := range windows {
 		windows[i] = *pipeline
 	}
 	if *clients > 0 {
+		active = min(*clients, *conns)
 		for i := range windows {
 			windows[i] = *clients / *conns
 			if i < *clients%*conns {
@@ -109,24 +110,10 @@ func main() {
 	// hits the target exactly. A connection whose share rounds to zero stays
 	// idle (it must not fall back to closed-loop injection).
 	rates := make([]int, *conns)
-	if *rate > 0 {
-		active := 0
-		for _, w := range windows {
-			if w > 0 {
-				active++
-			}
-		}
-		base, extra := *rate/active, *rate%active
-		j := 0
-		for i := range windows {
-			if windows[i] == 0 {
-				continue
-			}
-			rates[i] = base
-			if j < extra {
-				rates[i]++
-			}
-			j++
+	for i := 0; *rate > 0 && i < active; i++ {
+		rates[i] = *rate / active
+		if i < *rate%active {
+			rates[i]++
 		}
 	}
 
@@ -157,7 +144,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, h, got := drive(*addr, windows[i], i, *readPct, *txnPct, accounts,
+			h, got := drive(*addr, windows[i], i, *readPct, *txnPct, accounts,
 				*zipfS, *keys, *seed, rates[i], *lat, measureStart, deadline)
 			mu.Lock()
 			metrics.Add(&total, got)
@@ -165,9 +152,6 @@ func main() {
 				merged.Merge(h)
 			}
 			mu.Unlock()
-			if c != nil {
-				c.Close()
-			}
 		}(i)
 	}
 	wg.Wait()
@@ -214,109 +198,46 @@ const txnAccounts = uint64(1024)
 const txnSeedBalance = uint64(1_000_000)
 
 // seedAccounts puts the starting balance on every transfer account over one
-// pipelined connection before the drivers start. Seed Puts are idempotent
-// constants, so a window that is shed or loses its connection (including to
-// an injected fault) is simply re-sent after a backoff.
+// pipelined connection before the drivers start. The client re-sends shed
+// Puts; a Put whose outcome a connection failure left unknown is let be —
+// an account it did not seed only makes its transfers abort.
 func seedAccounts(addr string, accounts uint64) error {
 	const window = 64
-	const maxAttempts = 8
-	c, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if c != nil {
-			c.Close()
-		}
-	}()
-	drop := func() {
-		c.Close()
-		c = nil
-	}
+	c := server.NewClient(addr, server.RetryPolicy{})
+	defer c.Close()
 	for lo := uint64(0); lo < accounts; lo += window {
 		hi := min(lo+window, accounts)
-		var lastErr error
-	attempt:
-		for a := 0; ; a++ {
-			if a == maxAttempts {
-				return fmt.Errorf("seed window %d..%d: %w", lo, hi, lastErr)
+		for k := lo; k < hi; k++ {
+			c.SendPut(k, txnSeedBalance)
+		}
+		c.Flush() // a failure comes back through Recv
+		for k := lo; k < hi; k++ {
+			r, err := c.Recv()
+			switch {
+			case errors.Is(err, server.ErrUnknownOutcome):
+			case err != nil:
+				return fmt.Errorf("seed window %d..%d: %w", lo, hi, err)
+			case !r.OK():
+				return fmt.Errorf("seed window %d..%d: status %d %s", lo, hi, r.Status, r.Err)
 			}
-			if a > 0 {
-				time.Sleep(server.Backoff(a - 1))
-			}
-			if c == nil {
-				if c, err = server.Dial(addr, 5*time.Second); err != nil {
-					lastErr = err
-					continue
-				}
-			}
-			for k := lo; k < hi; k++ {
-				c.SendPut(k, txnSeedBalance)
-			}
-			if err := c.Flush(); err != nil {
-				lastErr = err
-				drop()
-				continue
-			}
-			shed := false
-			for k := lo; k < hi; k++ {
-				r, err := c.Recv()
-				if err != nil {
-					lastErr = err
-					drop()
-					continue attempt
-				}
-				switch {
-				case r.OK():
-				case r.Status == server.StatusRetry || r.Status == server.StatusDraining:
-					shed = true // note it, but keep the response stream in step
-				default:
-					return fmt.Errorf("seed put %d: status %d %s", k, r.Status, r.Err)
-				}
-			}
-			if !shed {
-				break
-			}
-			lastErr = fmt.Errorf("window shed by admission control")
 		}
 	}
 	return nil
 }
 
-// reqDesc is one request held for its whole lifetime: in flight (the
-// in-order FIFO the server's response stream is matched against), or queued
-// for re-send after a shed response. Keeping the full request — not just a
-// send timestamp — is what makes honoring StatusRetry possible.
-type reqDesc struct {
-	isTxn    bool
-	isGet    bool
-	key, val uint64
-	ops      []server.TxnOp
-	t0       time.Time // first send, for end-to-end latency (zero: not sampled)
-	measured bool      // first sent inside the measurement window
-	tries    int       // shed count so far, drives the backoff exponent
-	nextAt   time.Time // earliest re-send time while queued for retry
-}
-
 // drive runs one connection's closed- or open-loop window until the
-// deadline. Responses arrive in request order (a server guarantee), so the
-// in-flight window is a FIFO of request descriptors. Shed requests
-// (RETRY/DRAINING — explicitly not executed) are queued and re-sent after a
-// jittered backoff, during which no fresh work is injected; a DRAINING
-// response additionally recycles the connection once the window empties. A
-// mid-flight connection failure redials with the same backoff and counts
-// the in-flight requests as unknown. Samples and counts before measureStart
-// are discarded; a sample belongs to the measured window if its request was
-// first sent inside it, and a retried request's latency runs from its first
-// send — backoff waits are part of the price the client paid.
+// deadline. out holds each outstanding request's issue time by id, since a
+// re-sent request is answered after later ones. Samples and counts before
+// measureStart are discarded: a request is measured if it was issued inside
+// the measured window, and its latency runs from its issue — backoff
+// waits, its own or one it queued behind, are part of the price the client
+// paid. The retry, draining, retries and reconnects counts are the
+// client's tallies, retry and draining from measureStart on.
 func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS float64, keys, seed uint64,
-	connRate int, lat bool, measureStart, deadline time.Time) (*server.Conn, *metrics.Hist, counts) {
+	connRate int, lat bool, measureStart, deadline time.Time) (*metrics.Hist, counts) {
 	var got counts
-	c, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		got.Errs++
-		return nil, nil, got
-	}
+	c := server.NewClient(addr, server.RetryPolicy{})
+	defer c.Close()
 	rng := rand.New(rand.NewPCG(seed, uint64(tid)+1))
 	draw := func() uint64 { return rng.Uint64N(keys) }
 	if zipfS > 1 {
@@ -328,16 +249,10 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 		h = &metrics.Hist{}
 	}
 
-	pending := make([]*reqDesc, 0, window) // in flight, response order
-	var retryq []*reqDesc                  // shed, waiting out a backoff
-	recycle := false                       // server is draining: redial once the window empties
+	out := make(map[uint64]time.Time, window)
+	var ops []server.TxnOp
 	var txSeq uint64
-
-	newDesc := func(now time.Time) *reqDesc {
-		d := &reqDesc{measured: !now.Before(measureStart)}
-		if lat && d.measured {
-			d.t0 = now
-		}
+	issue := func(now time.Time) {
 		k := draw()
 		if txnPct > 0 && rng.IntN(100) < txnPct {
 			// A transfer: read the source, move one unit between two
@@ -349,104 +264,18 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 				to = (to + 1) % accounts
 			}
 			txSeq++
-			d.isTxn = true
-			d.ops = []server.TxnOp{
-				{Kind: server.TxnRead, Key: from},
+			ops = append(ops[:0],
+				server.TxnOp{Kind: server.TxnRead, Key: from},
 				server.AddDelta(from, -1),
 				server.AddDelta(to, +1),
-				{Kind: server.TxnWrite, Key: accounts + uint64(tid)%accounts, Arg: txSeq},
-			}
+				server.TxnOp{Kind: server.TxnWrite, Key: accounts + uint64(tid)%accounts, Arg: txSeq},
+			)
+			out[c.SendTxn(ops)] = now
 		} else if rng.IntN(100) < readPct {
-			d.isGet = true
-			d.key = k
+			out[c.SendGet(k)] = now
 		} else {
-			d.key, d.val = k, k*3+1
+			out[c.SendPut(k, k*3+1)] = now
 		}
-		return d
-	}
-	writeDesc := func(d *reqDesc) {
-		switch {
-		case d.isTxn:
-			c.SendTxn(d.ops)
-		case d.isGet:
-			c.SendGet(d.key)
-		default:
-			c.SendPut(d.key, d.val)
-		}
-		pending = append(pending, d)
-	}
-
-	// reconnect redials after an I/O failure, backing off between attempts.
-	// Everything in flight has an ambiguous outcome — the server may have
-	// executed it and lost only the acknowledgment — so those requests are
-	// tallied as unknown and NOT re-sent (transfers aren't idempotent).
-	reconnect := func() bool {
-		for _, d := range pending {
-			if d.measured {
-				got.Unknown++
-			}
-		}
-		pending = pending[:0]
-		c.Close()
-		for k := 0; ; k++ {
-			time.Sleep(server.Backoff(k))
-			if !time.Now().Before(deadline) || k >= 5 {
-				got.Errs++
-				return false
-			}
-			if nc, err := server.Dial(addr, 5*time.Second); err == nil {
-				c = nc
-				got.Reconnects++
-				recycle = false
-				return true
-			}
-		}
-	}
-
-	recv := func() bool {
-		r, err := c.Recv()
-		now := time.Now()
-		d := pending[0]
-		pending = pending[:copy(pending, pending[1:])]
-		if err != nil {
-			if d.measured {
-				got.Unknown++
-			}
-			return false // caller redials; the rest of the window is marked there
-		}
-		switch r.Status {
-		case server.StatusRetry, server.StatusDraining:
-			// Explicitly not executed: safe to re-send, after a backoff.
-			if d.measured {
-				if r.Status == server.StatusRetry {
-					got.Retry++
-				} else {
-					got.Draining++
-					recycle = true // this instance is going away; redial when drained
-				}
-			} else if r.Status == server.StatusDraining {
-				recycle = true
-			}
-			d.nextAt = now.Add(server.Backoff(d.tries))
-			d.tries++
-			retryq = append(retryq, d)
-			return true
-		}
-		if !d.measured {
-			return true
-		}
-		if lat && r.Status == server.StatusOK && !d.t0.IsZero() {
-			h.Record(now.Sub(d.t0))
-		}
-		switch r.Status {
-		case server.StatusOK:
-			got.OK++
-		case server.StatusAborted:
-			got.Aborted++
-		default:
-			got.Errs++
-		}
-		return true
 	}
 
 	// Open-loop pacing: this connection's share of the aggregate rate.
@@ -455,81 +284,74 @@ func drive(addr string, window, tid, readPct, txnPct int, accounts uint64, zipfS
 	if connRate > 0 {
 		interval = time.Duration(int64(time.Second) / int64(connRate))
 	}
+	var base server.ClientStats // the client's tallies when measurement began
+	measuring := false
 	for {
 		now := time.Now()
 		if !now.Before(deadline) {
 			break
 		}
-		sent := false
-		for len(pending) < window {
-			if len(retryq) > 0 {
-				// Re-sends take priority over fresh work, and while the head
-				// retry is still backing off nothing fresh is injected in its
-				// place — shed load genuinely drops instead of shifting.
-				d := retryq[0]
-				if now.Before(d.nextAt) {
-					break
-				}
-				retryq = retryq[:copy(retryq, retryq[1:])]
-				got.Retries++
-				writeDesc(d)
-				sent = true
-				continue
-			}
+		if !measuring && !now.Before(measureStart) {
+			measuring, base = true, c.Stats()
+		}
+		for len(out) < window {
 			if interval > 0 {
 				if now.Before(next) {
 					break
 				}
 				next = next.Add(interval)
 			}
-			writeDesc(newDesc(now))
-			sent = true
-			if interval == 0 && len(pending) < window {
+			issue(now)
+			if interval == 0 && len(out) < window {
 				now = time.Now() // keep closed-loop stamps honest while filling
 			}
 		}
-		if sent {
-			if err := c.Flush(); err != nil {
-				if !reconnect() {
-					return c, h, got
-				}
-				continue
-			}
-		}
-		if len(pending) == 0 {
-			if recycle {
-				// Drained the window of a draining server; move to a fresh
-				// instance (or fail out) before re-sending the queue.
-				if !reconnect() {
-					return c, h, got
-				}
-				continue
-			}
-			// Ahead of schedule (open loop) or backing off (retry queue):
-			// sleep until the next thing is due.
-			wake := deadline
-			if interval > 0 && next.Before(wake) {
-				wake = next
-			}
-			if len(retryq) > 0 && retryq[0].nextAt.Before(wake) {
-				wake = retryq[0].nextAt
+		c.Flush() // a failure comes back through Recv
+		if len(out) == 0 {
+			// Ahead of schedule (open loop): sleep until the next request
+			// is due.
+			wake := next
+			if deadline.Before(wake) {
+				wake = deadline
 			}
 			time.Sleep(time.Until(wake))
 			continue
 		}
-		if !recv() {
-			if !reconnect() {
-				return c, h, got
-			}
-		}
-	}
-	// Deadline passed: drain what's still in flight so the server isn't left
-	// writing into a closed connection, but record nothing more.
-	for len(pending) > 0 {
-		if _, err := c.Recv(); err != nil {
+		r, err := c.Recv()
+		if r == nil {
+			got.Errs++ // nothing completed: the client is unusable
 			break
 		}
-		pending = pending[1:]
+		now = time.Now()
+		t0 := out[r.ID]
+		delete(out, r.ID)
+		if t0.Before(measureStart) {
+			continue
+		}
+		switch {
+		case errors.Is(err, server.ErrUnknownOutcome):
+			got.Unknown++
+		case err != nil:
+			got.Errs++
+		case r.Status == server.StatusOK:
+			got.OK++
+			if lat {
+				h.Record(now.Sub(t0))
+			}
+		case r.Status == server.StatusAborted:
+			got.Aborted++
+		default:
+			got.Errs++
+		}
 	}
-	return c, h, got
+	// Deadline passed: what is still outstanding is abandoned unrecorded,
+	// with the connection.
+	st := c.Stats()
+	if !measuring {
+		base = st
+	}
+	got.Retry = (st.Retries - st.Draining) - (base.Retries - base.Draining)
+	got.Draining = st.Draining - base.Draining
+	got.Retries, got.Reconnects = st.Resends, st.Reconnects
+	return h, got
 }

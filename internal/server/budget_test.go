@@ -158,7 +158,8 @@ func TestBudgetServe(t *testing.T) {
 	// stub.
 	scl, ssv := net.Pipe()
 	go stubServe(ssv)
-	stub := &Conn{c: scl, br: bufio.NewReaderSize(scl, 64<<10)}
+	stub := &Conn{pol: RetryPolicy{MaxAttempts: 1}}
+	stub.attach(scl)
 	defer stub.Close()
 
 	for _, tc := range cases {
@@ -169,7 +170,8 @@ func TestBudgetServe(t *testing.T) {
 			}
 			s := serveWrapped(t, ln, tc.engine, txengine.Config{Shards: 2}, Options{}, wrap)
 			cl, _ := ln.dial(t)
-			c := &Conn{c: cl, br: bufio.NewReaderSize(cl, 64<<10)}
+			c := &Conn{pol: RetryPolicy{MaxAttempts: 1}}
+			c.attach(cl)
 			for k := uint64(0); k < keys+8; k++ {
 				if r, err := c.Put(k, 1<<40); err != nil || !r.OK() {
 					t.Fatalf("seed %d: %+v, %v", k, r, err)

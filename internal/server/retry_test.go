@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,6 +104,45 @@ func TestClientExhaustsAttempts(t *testing.T) {
 	}
 	if st := cl.Stats(); st.Retries != 3 {
 		t.Fatalf("retries = %d, want 3", st.Retries)
+	}
+}
+
+// TestClientPipelinedShedResent: a request shed inside a pipelined window
+// is sent again under its own id, and its answer arrives after those of the
+// requests behind it, which completed without waiting for it; a request
+// sent while it backs off is written only after it.
+func TestClientPipelinedShedResent(t *testing.T) {
+	addr := scriptServer(t, []byte{StatusOK, StatusRetry, StatusOK})
+	cl := NewClient(addr, RetryPolicy{})
+	defer cl.Close()
+	var ids, got []uint64
+	recv := func() {
+		resp, err := cl.Recv()
+		if err != nil || !resp.OK() {
+			t.Fatalf("Recv: %+v, %v", resp, err)
+		}
+		got = append(got, resp.ID)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		ids = append(ids, cl.SendGet(k))
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recv()
+	recv() // the second request was shed, so this is the third's answer
+	ids = append(ids, cl.SendGet(5))
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for len(got) < len(ids) {
+		recv()
+	}
+	if want := []uint64{ids[0], ids[2], ids[3], ids[1], ids[4]}; !slices.Equal(got, want) {
+		t.Fatalf("answers for ids %v, want %v: the shed request after the window, under its own id, and before the one sent while it waited", got, want)
+	}
+	if st := cl.Stats(); st.Retries != 1 || st.Resends != 1 || st.Reconnects != 0 {
+		t.Fatalf("%+v, want one shed answer, one re-send, no reconnect", st)
 	}
 }
 
@@ -214,8 +255,16 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 // unknown outcomes), and afterwards every acknowledged commit must be
 // present in the hosted map and every present key must be accounted for by
 // an acknowledged or unknown-outcome Put — zero unaccounted acknowledged
-// commits, zero phantom writes.
+// commits, zero phantom writes. The window-1 row drives synchronous Puts;
+// the window-8 row keeps eight Puts in flight on each connection, as
+// txload does, so a tear catches several of them at once.
 func TestTornFrameLoadZeroUnaccounted(t *testing.T) {
+	for _, window := range []int{1, 8} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) { tornFrameLoad(t, window) })
+	}
+}
+
+func tornFrameLoad(t *testing.T, window int) {
 	s, addr := startServer(t, "medley-sharded", txengine.Config{Shards: 2}, Options{})
 	t.Cleanup(chaos.DisarmAll)
 	if err := chaos.Arm("server.frame.write", chaos.Fault{Kind: chaos.Torn, Every: 37}); err != nil {
@@ -236,10 +285,8 @@ func TestTornFrameLoadZeroUnaccounted(t *testing.T) {
 			cl := NewClient(addr, RetryPolicy{MaxAttempts: 12})
 			defer cl.Close()
 			acked, unknown := map[uint64]uint64{}, map[uint64]uint64{}
-			for i := 0; i < puts; i++ {
-				key := uint64(w*puts + i + 1)
+			record := func(key uint64, resp *Response, err error) {
 				val := key*3 + 1
-				resp, err := cl.Put(key, val)
 				switch {
 				case err == nil && resp.OK():
 					acked[key] = val
@@ -247,6 +294,34 @@ func TestTornFrameLoadZeroUnaccounted(t *testing.T) {
 					unknown[key] = val
 				default:
 					t.Errorf("worker %d put %d: %+v, %v", w, key, resp, err)
+				}
+			}
+			if window == 1 {
+				for i := 0; i < puts; i++ {
+					key := uint64(w*puts + i + 1)
+					resp, err := cl.Put(key, key*3+1)
+					record(key, resp, err)
+				}
+			} else {
+				keyOf := map[uint64]uint64{} // request id → key
+				for i := 0; i < puts || len(keyOf) > 0; {
+					for ; i < puts && len(keyOf) < window; i++ {
+						key := uint64(w*puts + i + 1)
+						keyOf[cl.SendPut(key, key*3+1)] = key
+					}
+					cl.Flush()
+					resp, err := cl.Recv()
+					if resp == nil {
+						t.Errorf("worker %d: Recv with %d outstanding: %v", w, len(keyOf), err)
+						return
+					}
+					key, ok := keyOf[resp.ID]
+					if !ok {
+						t.Errorf("worker %d: answer for unknown request id %d", w, resp.ID)
+						return
+					}
+					delete(keyOf, resp.ID)
+					record(key, resp, err)
 				}
 			}
 			tallies[w] = tally{acked: acked, unknown: unknown, reconnects: cl.Stats().Reconnects}
@@ -297,6 +372,6 @@ func TestTornFrameLoadZeroUnaccounted(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("torn-frame load: %d workers × %d puts, %d reconnects, %d unknown outcomes, %d lost acks, %d unaccounted",
-		workers, puts, reconnects, unknowns, lost, unaccounted)
+	t.Logf("torn-frame load, window %d: %d workers × %d puts, %d reconnects, %d unknown outcomes, %d lost acks, %d unaccounted",
+		window, workers, puts, reconnects, unknowns, lost, unaccounted)
 }

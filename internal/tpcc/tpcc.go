@@ -238,14 +238,17 @@ func NewOrder(h Handle, cfg Config, rng *rand.Rand, tid int) error {
 		return errors.New("tpcc: missing customer")
 	}
 
-	var total uint64
+	// TPC-C clause 2.4.1.4: 1% of newOrders name an unused item on their
+	// last line, whose lookup misses, and roll back.
+	rollback := rng.IntN(100) == 0
 	for l := 0; l < nLines; l++ {
 		item := rng.IntN(cfg.Items)
+		if rollback && l == nLines-1 {
+			item = cfg.Items
+		}
 		qty := uint64(1 + rng.IntN(10))
 		iv, ok := h.Get(TItem, IKey(item))
 		if !ok {
-			// Standard TPC-C: 1% of newOrders reference an invalid item
-			// and roll back. We model it via an out-of-range item below.
 			return h.Abort()
 		}
 		price := iv.(*Item).Price
@@ -269,16 +272,10 @@ func NewOrder(h Handle, cfg Config, rng *rand.Rand, tid int) error {
 			OrderCnt: stock.OrderCnt + 1,
 		})
 		amount := qty * price
-		total += amount
 		h.Insert(TOrderLine, OLKey(w, d, oid, l), &OrderLine{IID: uint64(item), Qty: qty, Amount: amount})
 	}
 	h.Insert(TOrder, OKey(w, d, oid), &Order{CID: uint64(c), OLCnt: uint64(nLines)})
 	h.Insert(TNewOrder, OKey(w, d, oid), &NewOrderRow{})
-	// 1% deliberate rollback.
-	if rng.IntN(100) == 0 {
-		return h.Abort()
-	}
-	_ = total
 	return nil
 }
 
