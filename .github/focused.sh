@@ -6,7 +6,7 @@
 # having run nothing.
 #
 #   sh .github/focused.sh -race <<'ROWS'
-#   core 3 TestReuse|TestStaleHelper
+#   core 3 TestReuse|TestExplore
 #   ROWS
 while read -r pkg count pattern; do
   case "$pkg" in '' | '#'*) continue ;; esac

@@ -22,7 +22,7 @@
 //
 // Scale 1.0 reproduces the paper's 1M-key / 0.5M-preload configuration;
 // the default 0.1 keeps runs laptop-sized. Shapes, not absolute numbers,
-// are the reproduction target (see EXPERIMENTS.md).
+// are the reproduction target (README, "Substitutions").
 package main
 
 import (
@@ -76,6 +76,10 @@ func main() {
 	threads, err := bench.ParseThreads(*threadsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bad -threads:", err)
+		os.Exit(2)
+	}
+	if *dur <= 0 {
+		fmt.Fprintln(os.Stderr, "bad -dur: want a positive duration")
 		os.Exit(2)
 	}
 	ecfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}
@@ -188,7 +192,15 @@ func parseRatios(ratio string) [][3]int {
 			fmt.Fprintln(os.Stderr, "bad -ratio:", err)
 			os.Exit(2)
 		}
+		if v < 0 {
+			fmt.Fprintf(os.Stderr, "bad -ratio: weight %d is negative\n", v)
+			os.Exit(2)
+		}
 		r[i] = v
+	}
+	if r == [3]int{} {
+		fmt.Fprintln(os.Stderr, "bad -ratio: every weight is 0")
+		os.Exit(2)
 	}
 	return [][3]int{r}
 }

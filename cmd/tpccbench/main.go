@@ -71,6 +71,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad -threads:", err)
 		os.Exit(2)
 	}
+	if *warehouses < 1 {
+		fmt.Fprintln(os.Stderr, "bad -warehouses: want at least 1")
+		os.Exit(2)
+	}
+	if *dur <= 0 {
+		fmt.Fprintln(os.Stderr, "bad -dur: want a positive duration")
+		os.Exit(2)
+	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
 	ecfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *devices}

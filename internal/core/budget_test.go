@@ -93,10 +93,12 @@ func TestBudgetOneReadOneWrite(t *testing.T) {
 // The same, with a helper that has taken the descriptor's count and passed
 // its re-check when the owner finishes, and leaves only afterwards: the cell
 // and one fresh descriptor for the next transaction — header 64, a read set
-// of its predecessor's capacity 1 (16), a write set of capacity 1 (8).
+// of its predecessor's capacity 1 (16), a write set of capacity 1 (8). The
+// helper is a Load of w, stopped at the re-check's point.
 func TestBudgetHelperAtFinish(t *testing.T) {
 	s := core.NewTxManager().Session()
 	var r, w core.CASObj[int]
+	h := core.NewHeldHelper(t, "core.tryfinalize.rechecked", func() { w.Load() })
 	v := 0
 	budget(t, func() {
 		s.TxBegin()
@@ -106,11 +108,11 @@ func TestBudgetHelperAtFinish(t *testing.T) {
 			t.Fatal("install failed")
 		}
 		v++
-		d := core.EnterAsHelper(&w)
+		h.Enter(t)
 		if err := s.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
-		d.LeaveAsHelper(&w)
+		h.Leave()
 	}, 1+3, 24+64+16+8)
 }
 

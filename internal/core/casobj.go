@@ -213,6 +213,7 @@ func (o *CASObj[T]) NbtcCASIn(s *Session, expected T, in *Cell[T], desired T, li
 			if !o.cas(c, nc) {
 				return false // contention; let the data structure retry its loop
 			}
+			cpInstall.Hit()
 			d.writeSet = append(d.writeSet, &o.c)
 			atomic.AddUint64(&s.st.Installs, 1)
 			if linPt {

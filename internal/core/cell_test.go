@@ -43,34 +43,26 @@ func txWriteIn(t *testing.T, s *Session, o *CASObj[int], from int, in *Cell[int]
 
 // TestCommitInPlace: the cell a critical CAS installs is the cell that holds
 // the committed value — same pointer, descriptor and overwritten cell let go
-// — whether the owner or a helper sweeps it, and whether the CAS allocated
-// the cell or its caller supplied it.
+// — whether the CAS allocated the cell or its caller supplied it. Swept by a
+// helper instead of the owner: TestExploreStaleHelper.
 func TestCommitInPlace(t *testing.T) {
 	for _, sup := range supplies {
-		for _, byHelper := range []bool{false, true} {
-			s := NewTxManager().Session()
-			var o CASObj[int]
-			o.Store(1)
-			s.TxBegin()
-			txWriteIn(t, s, &o, 1, sup.cell(), 2)
-			c := cellOf(&o)
-			if c.owner() != s.desc || c.prev == nil {
-				t.Fatal("installed cell does not carry its descriptor and the cell it replaced")
-			}
-			if byHelper {
-				h := parkHelper(&o, cellLoaded)
-				s.desc.status.CompareAndSwap(uint32(InPrep), uint32(InProg))
-				h.run()
-				wantSettled(t, "o (swept by the helper)", &o, 2)
-			}
-			if err := s.TxEnd(); err != nil {
-				t.Fatal(err)
-			}
-			if cellOf(&o) != c {
-				t.Fatalf("commit (%s cell, by helper: %v) replaced the installed cell", sup.name, byHelper)
-			}
-			wantSettled(t, "o", &o, 2)
+		s := NewTxManager().Session()
+		var o CASObj[int]
+		o.Store(1)
+		s.TxBegin()
+		txWriteIn(t, s, &o, 1, sup.cell(), 2)
+		c := cellOf(&o)
+		if c.owner() != s.desc || c.prev == nil {
+			t.Fatal("installed cell does not carry its descriptor and the cell it replaced")
 		}
+		if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+		if cellOf(&o) != c {
+			t.Fatalf("commit (%s cell) replaced the installed cell", sup.name)
+		}
+		wantSettled(t, "o", &o, 2)
 	}
 }
 

@@ -3,6 +3,25 @@ package core
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"medley/internal/chaos"
+)
+
+// The MCNS instants at which a goroutine can be descheduled while another
+// finishes the transaction, or reuses the descriptor, it holds (doc.go,
+// "Where the tests stop a goroutine"). Each is one load of chaos's package
+// gate while nothing is armed.
+var (
+	cpInstall   = chaos.At("core.install")               // install CAS made, the write-set append next
+	cpValidated = chaos.At("core.validated")             // read set validated, Layer.Valid next
+	cpInProg    = chaos.At("core.inprog")                // the owner's InPrep→InProg CAS made, its verdict next
+	cpFound     = chaos.At("core.tryfinalize.found")     // a helper holds the cell that names d, its count next
+	cpCounted   = chaos.At("core.tryfinalize.counted")   // counted, the re-check next
+	cpRechecked = chaos.At("core.tryfinalize.rechecked") // re-check passed, finalize next
+	cpVerdict   = chaos.At("core.finalize.verdict")      // verdict taken, the sweep or the one uninstall next
+	cpLoaded    = chaos.At("core.uninstall.loaded")      // slot loaded, settle next
+	cpCleared   = chaos.At("core.settle.cleared")        // committed: prev cleared, desc next
+	cpSwept     = chaos.At("core.finish.swept")          // the owner's sweep done, the count read next
 )
 
 // Status is the lifecycle state of a transaction descriptor (paper Fig. 4).
@@ -98,6 +117,7 @@ func (d *Desc) validate() bool {
 		}
 		return false
 	}
+	cpValidated.Hit()
 	if l := d.owner.mgr.layer; l != nil {
 		return l.Valid(d.owner)
 	}
@@ -122,8 +142,11 @@ func (d *Desc) decide() Status {
 // found still names d, and only then reads anything of d. A helper the owner
 // did not count fails the re-check (doc.go).
 func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
+	cpFound.Hit()
 	d.helpers.Add(1)
+	cpCounted.Hit()
 	if atomic.LoadPointer(slot) == found && (*cellHeader)(found).owner() == d {
+		cpRechecked.Hit()
 		d.finalize(slot)
 	}
 	d.helpers.Add(-1)
@@ -132,9 +155,10 @@ func (d *Desc) tryFinalize(slot *unsafe.Pointer, found unsafe.Pointer) {
 // finalize is tryFinalize past its re-check. A helper can be descheduled
 // anywhere in it for as long as it likes, while the owner finishes this
 // transaction: it is counted, so the owner does not reuse d meanwhile (the
-// stale-helper tests enter here).
+// Explore tests stop one at each of its points).
 func (d *Desc) finalize(slot *unsafe.Pointer) {
 	st, sawInProg := d.verdict()
+	cpVerdict.Hit()
 	if sawInProg {
 		// The owner reached TxEnd: the write set is complete, so sweep it all.
 		d.sweep(st == Committed)
@@ -194,6 +218,7 @@ func (d *Desc) sweep(committed bool) {
 func uninstall(slot *unsafe.Pointer, d *Desc, committed bool) {
 	for {
 		c := atomic.LoadPointer(slot)
+		cpLoaded.Hit()
 		if c == nil || settle(slot, c, d, committed) {
 			return
 		}
@@ -214,6 +239,7 @@ func settle(slot *unsafe.Pointer, c unsafe.Pointer, d *Desc, committed bool) boo
 		return atomic.CompareAndSwapPointer(slot, c, atomic.LoadPointer(&h.prev))
 	}
 	atomic.StorePointer(&h.prev, nil)
+	cpCleared.Hit()
 	atomic.StorePointer(&h.desc, nil)
 	return true
 }

@@ -164,6 +164,52 @@
 // benchmark's tightest bound, 5 %, with deterministic budget tests on top,
 // budget_test.go).
 //
+// # Where the tests stop a goroutine
+//
+// All of the above holds only if any goroutine can be descheduled at any
+// instant while the others run on. desc.go names the instants where that
+// matters as chaos points: an install after its CAS, the read set validated,
+// the owner's InPrep→InProg CAS, tryFinalize with the cell in hand, counted
+// and re-checked, finalize's verdict, uninstall's load, a committed settle
+// between its two clears, and finish after its sweep. The tests
+// (explore_test.go) step owners and helpers through every interleaving of
+// those points with history.Explore, up to a bound on preemptions. Which
+// goroutines, and what bound, is a cutoff argument in the manner of the
+// verification of population protocols ("Towards Efficient Verification of
+// Population Protocols", Blondin, Esparza, Jaax, Meyer), which checks a
+// protocol of anonymous identical agents for every population size at once
+// because a bad run of many agents keeps a bad run of few:
+//
+//   - One helper. Helpers are identical agents: each runs the same
+//     tryFinalize, and depends on the others only through the count, the
+//     slot and the status. The owner reads the count only as zero or not, a
+//     threshold of one, and a helper is safe or stale only by the order of
+//     its own count and re-check against the owner's sweep and count read.
+//     The slot and the status a helper changes only as the owner does, to the
+//     one verdict, and uninstall is idempotent. Take the other helpers out of
+//     a bad run and the stale one still is: one helper reaches every class of
+//     the count and of the re-check.
+//   - Two owners. A stale helper can harm two things: its owner's next
+//     transaction on the reused descriptor (one owner, two transactions),
+//     and a cell another owner installed in the slot it tripped over after
+//     the sweep, which the re-check's comparison and an aborted settle's CAS
+//     must tell apart from the cell the helper found (a second owner). A
+//     third owner's cell there is one more cell that is not the one found:
+//     the same class. A second owner also helps from inside its own
+//     transaction, as the owner of the reused descriptor does in its next.
+//   - Two preemptions. A stale act needs the helper stopped inside the
+//     owner's window (one preemption, owner to helper, before the sweep) and
+//     the owner run past its count read while the helper waits (a second).
+//     The owner leaves its next transaction open when its goroutine returns,
+//     and a returned goroutine hands over for free, so the second owner's
+//     install and the stale helper's act both follow without a third.
+//
+// That is about 1 700 interleavings, under a second. Each of six broken
+// protocols fails it: a tryFinalize with no re-check, with the re-check
+// before the count or comparing the slot alone; a reuse that reads no count
+// or reads it before the sweep; an aborted settle that stores where it
+// should CAS.
+//
 // # Deferred cleanups and undos
 //
 // Post-critical work (the paper's addToCleanups) and abort compensation (the

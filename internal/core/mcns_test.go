@@ -101,9 +101,9 @@ func TestDescStatusTransitionsAreMonotone(t *testing.T) {
 		t.Fatalf("status after the verdict = %v", d.Status())
 	}
 	// A finalized descriptor can never be aborted retroactively: a helper
-	// that arrives now takes the same verdict.
-	if st, _ := d.verdict(); st != Committed || d.Status() != Committed {
-		t.Fatalf("a late helper's verdict = %v, status %v; want Committed", st, d.Status())
+	// that arrives now, a Load of the installed cell, takes the same verdict.
+	if v := a.Load(); v != 1 || d.Status() != Committed {
+		t.Fatalf("a late helper read %d, status %v; want 1, Committed", v, d.Status())
 	}
 	if err := s.finish(d); err != nil {
 		t.Fatal(err)
@@ -301,5 +301,13 @@ func TestZeroValueCASObjInTx(t *testing.T) {
 	}
 	if a.Load() != &x {
 		t.Fatal("commit lost pointer")
+	}
+}
+
+// decide takes the open transaction of s from InPrep to its verdict, as TxEnd
+// does before it finishes.
+func decide(s *Session) {
+	if d := s.desc; d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		d.decide()
 	}
 }

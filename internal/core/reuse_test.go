@@ -10,106 +10,9 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"medley/internal/chaos"
 )
-
-// staleHelper is a goroutine parked at some point of a protocol: when run, it
-// executes the rest against whatever the owner's session has turned into by
-// then.
-type staleHelper struct{ release, done chan struct{} }
-
-func park(resume func()) *staleHelper {
-	h := &staleHelper{make(chan struct{}), make(chan struct{})}
-	go func() {
-		<-h.release
-		resume()
-		close(h.done)
-	}()
-	return h
-}
-
-func (h *staleHelper) run() {
-	close(h.release)
-	<-h.done
-}
-
-// The points of tryFinalize at which a helper that tripped over a cell parks.
-const (
-	cellLoaded  = iota // it loaded the cell and the descriptor the cell names
-	counted            // it took the count
-	rechecked          // its re-check passed
-	inFinalize         // it took the verdict and has not swept
-	inUninstall        // it loaded the slot inside uninstall
-	numHelperPoints
-)
-
-var helperPointNames = [numHelperPoints]string{
-	"cell loaded", "counted", "re-checked", "inside finalize", "inside uninstall",
-}
-
-// parkHelper parks a helper that tripped over o's cell at point at of
-// tryFinalize, taking the count and re-checking the way tryFinalize does.
-// What it does before that point it does now, on the caller's goroutine.
-func parkHelper(o Obj, at int) *staleHelper {
-	slot := o.slot()
-	found := atomic.LoadPointer(slot)
-	d := (*cellHeader)(found).owner()
-	if at == cellLoaded {
-		return park(func() { d.tryFinalize(slot, found) })
-	}
-	if at == counted {
-		d.helpers.Add(1)
-		return park(func() {
-			if atomic.LoadPointer(slot) == found && (*cellHeader)(found).owner() == d {
-				d.finalize(slot)
-			}
-			d.helpers.Add(-1)
-		})
-	}
-	EnterAsHelper(o)
-	if at == rechecked {
-		return park(func() {
-			d.finalize(slot)
-			d.helpers.Add(-1)
-		})
-	}
-	st, sawInProg := d.verdict()
-	committed := st == Committed
-	c := atomic.LoadPointer(slot)
-	return park(func() {
-		if at == inUninstall && !settle(slot, c, d, committed) {
-			uninstall(slot, d, committed)
-		}
-		if sawInProg {
-			d.sweep(committed)
-		} else {
-			uninstall(slot, d, committed)
-		}
-		d.helpers.Add(-1)
-	})
-}
-
-// The points of the owner's timeline at which a parked helper is released.
-const (
-	beforeTxEnd    = iota // transaction 1 InPrep, every install made
-	atInProg              // inside the layer's validation of transaction 1: InProg, no verdict yet
-	afterSweep            // inside its cleanup or undo: swept, the count not read
-	afterCountRead        // TxEnd has returned, the next TxBegin has not run
-	insideNextTx          // the next transaction is open, its installs made
-	afterNextTx           // the next transaction has committed
-	numOwnerPoints
-)
-
-var ownerPointNames = [numOwnerPoints]string{
-	"before TxEnd", "at InProg", "after the sweep", "after the count read", "inside the next transaction", "after the next transaction",
-}
-
-// decide takes the open transaction of s from InPrep to its verdict, as TxEnd
-// does before it finishes.
-func decide(s *Session) {
-	if d := s.desc; d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		d.decide()
-	}
-}
 
 func txRead(s *Session, o *CASObj[int]) int {
 	v, tag := o.NbtcLoad(s)
@@ -131,33 +34,94 @@ func wantAll(t *testing.T, what string, objs []CASObj[int], want int) {
 	}
 }
 
-// wantSettled asserts that o holds want as a real value: no descriptor, and
+// settled reports whether o holds want as a real value: no descriptor, and
 // no overwritten cell pinned behind it.
+func settled(o *CASObj[int], want int) error {
+	c := cellOf(o)
+	switch {
+	case c != nil && c.owner() != nil:
+		return errors.New("a descriptor is still installed")
+	case c != nil && atomic.LoadPointer(&c.prev) != nil:
+		return errors.New("it still pins the cell it was installed over")
+	case c.value() != want:
+		return fmt.Errorf("it holds %d, want %d", c.value(), want)
+	}
+	return nil
+}
+
+// wantSettled asserts that o holds want as a real value (settled).
 func wantSettled(t *testing.T, what string, o *CASObj[int], want int) {
 	t.Helper()
-	c := cellOf(o)
-	if c != nil && c.owner() != nil {
-		t.Fatalf("%s still has a descriptor installed", what)
-	}
-	if c != nil && atomic.LoadPointer(&c.prev) != nil {
-		t.Fatalf("%s still pins the cell it was installed over", what)
-	}
-	if got := c.value(); got != want {
-		t.Fatalf("%s = %d, want %d", what, got, want)
+	if err := settled(o, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
-// wantBlank asserts that d is ready for a transaction: InPrep, empty sets
+// blank reports whether d is ready for a transaction: InPrep, empty sets
 // with at least the given capacities.
-func wantBlank(t *testing.T, d *Desc, reads, writes int) {
-	t.Helper()
+func blank(d *Desc, reads, writes int) error {
 	if d.Status() != InPrep || len(d.readSet) != 0 || len(d.writeSet) != 0 {
-		t.Fatalf("transaction starts on a descriptor that is not blank: %v, sets %d/%d",
+		return fmt.Errorf("transaction starts on a descriptor that is not blank: %v, sets %d/%d",
 			d.Status(), len(d.readSet), len(d.writeSet))
 	}
 	if cap(d.readSet) < reads || cap(d.writeSet) < writes {
-		t.Fatalf("descriptor sets hold %d reads, %d writes; its predecessor's held %d, %d", cap(d.readSet), cap(d.writeSet), reads, writes)
+		return fmt.Errorf("descriptor sets hold %d reads, %d writes; its predecessor's held %d, %d", cap(d.readSet), cap(d.writeSet), reads, writes)
 	}
+	return nil
+}
+
+func wantBlank(t *testing.T, d *Desc, reads, writes int) {
+	t.Helper()
+	if err := blank(d, reads, writes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// holdAt starts a real helper, load, and returns once it has stopped at the
+// core point. The point is disarmed once the helper is there: the owner's own
+// sweep passes the same points and must not stop.
+func holdAt(t *testing.T, point string, load func()) *HeldHelper {
+	h := NewHeldHelper(t, point, load)
+	h.Enter(t)
+	chaos.Disarm(point)
+	return h
+}
+
+// releaseInside releases a stopped helper while another transaction has its
+// cell in the object the helper loads. What is left of its stale step must
+// leave that transaction alone; its Load then meets the new cell, a fresh
+// encounter that would abort it, and stops there instead: leave it once that
+// transaction has ended.
+func releaseInside(t *testing.T, h *HeldHelper) {
+	h.Next(t, "core.tryfinalize.found")
+}
+
+// The core points at which a helper that tripped over a cell is stopped, in
+// the order it passes them.
+var helperPoints = []struct {
+	name, point string
+	counted     bool // it holds the descriptor's count there
+	decided     bool // it has taken the verdict there
+}{
+	{"cell loaded", "core.tryfinalize.found", false, false},
+	{"counted", "core.tryfinalize.counted", true, false},
+	{"re-checked", "core.tryfinalize.rechecked", true, false},
+	{"inside finalize", "core.finalize.verdict", true, true},
+	{"inside uninstall", "core.uninstall.loaded", true, true},
+}
+
+// The points of the owner's timeline at which a stopped helper is released.
+const (
+	beforeTxEnd    = iota // transaction 1 InPrep, every install made
+	atInProg              // inside the layer's validation of transaction 1: InProg, no verdict yet
+	afterSweep            // inside its cleanup or undo: swept, the count not read
+	afterCountRead        // TxEnd has returned, the next TxBegin has not run
+	insideNextTx          // the next transaction is open, its installs made
+	afterNextTx           // the next transaction has committed
+)
+
+var ownerPoints = []string{
+	"before TxEnd", "at InProg", "after the sweep", "after the count read", "inside the next transaction", "after the next transaction",
 }
 
 // nextTx runs the owner's next transaction on s: three reads, two writes over
@@ -206,58 +170,66 @@ func nextTx(t *testing.T, s *Session, prev *Desc, reuse bool, reads, writes int,
 	wantAll(t, "more", more, 2)
 }
 
-// TestStaleHelper enumerates a helper that tripped over one of transaction
-// 1's cells, parked at every point of tryFinalize — while transaction 1 is
-// InPrep, or InProg — and released at every point of the owner's timeline.
-// In every case the owner's next transaction runs on the same descriptor
-// exactly when no helper was counted when the owner read the count (parked
-// past the increment, released after the read), and that transaction is
-// never disturbed.
+// TestStaleHelper names, one by one, placements that TestExploreStaleHelper
+// reaches among its interleavings: a helper, a Load of one of transaction
+// 1's objects, stopped at each core point of tryFinalize, finalize and
+// uninstall — while transaction 1 is InPrep, or InProg — and released at
+// every point of the owner's timeline. In every case the owner's next
+// transaction runs on the same descriptor exactly when a helper was not
+// counted when the owner read the count (stopped past the increment,
+// released after the read), and that transaction is never disturbed.
 func TestStaleHelper(t *testing.T) {
 	for _, parkInProg := range []bool{false, true} {
-		for hp := 0; hp < numHelperPoints; hp++ {
-			for rel := 0; rel < numOwnerPoints; rel++ {
+		for _, hp := range helperPoints {
+			for rel, relName := range ownerPoints {
 				if parkInProg && rel == beforeTxEnd {
-					continue // released before it parked
+					continue // released before it stopped
 				}
-				// Parked past the verdict while InPrep, the helper has aborted
-				// transaction 1, which then never reaches InProg.
-				abortedAtPark := !parkInProg && hp >= inFinalize
-				if abortedAtPark && rel == atInProg {
+				// Stopped past the verdict while InPrep, the helper has
+				// aborted transaction 1, which then never reaches InProg.
+				if !parkInProg && hp.decided && rel == atInProg {
 					continue
 				}
 				when := "InPrep"
 				if parkInProg {
 					when = "InProg"
 				}
-				name := fmt.Sprintf("parked %s %s/released %s", helperPointNames[hp], when, ownerPointNames[rel])
+				name := fmt.Sprintf("parked %s %s/released %s", hp.name, when, relName)
 				t.Run(name, func(t *testing.T) {
-					staleHelperCase(t, parkInProg, hp, rel, abortedAtPark)
+					staleHelperCase(t, parkInProg, hp.point, rel,
+						!parkInProg && (hp.decided || rel == beforeTxEnd),
+						hp.counted && rel >= afterCountRead)
 				})
 			}
 		}
 	}
 }
 
-func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark bool) {
+func staleHelperCase(t *testing.T, parkInProg bool, point string, rel int, aborted, countedAtRead bool) {
 	mgr := NewTxManager()
 	a := mgr.Session()
 	var x CASObj[int]
 	first := make([]CASObj[int], 2)
-	var h *staleHelper
+	var h *HeldHelper
+	hold := func() { h = holdAt(t, point, func() { first[0].Load() }) }
 	released := false
 	at := func(q int) {
-		if rel == q {
-			h.run()
-			released = true
+		switch {
+		case rel != q:
+			return
+		case q == insideNextTx:
+			releaseInside(t, h)
+		default:
+			h.Leave()
 		}
+		released = true
 	}
 	validated := false
 	mgr.SetLayer(validLayer(func(*Session) bool {
-		if !validated { // the owner's own call; a helper validates past the seam
+		if !validated { // the owner's own call; the helper's passes
 			validated = true
 			if parkInProg {
-				h = parkHelper(&first[0], hp)
+				hold()
 			}
 			at(atInProg)
 		}
@@ -273,12 +245,11 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 	a.AddToCleanups(Func(func() { at(afterSweep) }), nil, nil)
 	a.OnAbort(Func(func() { at(afterSweep) }), nil, nil)
 	if !parkInProg {
-		h = parkHelper(&first[0], hp)
+		hold()
 	}
 	reads, writes := cap(d1.readSet), cap(d1.writeSet)
 	at(beforeTxEnd)
 	err := a.TxEnd()
-	aborted := abortedAtPark || rel == beforeTxEnd && hp <= rechecked
 	want := 1
 	if aborted {
 		want = 0
@@ -291,8 +262,10 @@ func staleHelperCase(t *testing.T, parkInProg bool, hp, rel int, abortedAtPark b
 	wantAll(t, "first", first, want)
 	at(afterCountRead)
 
-	countedAtRead := hp >= counted && rel >= afterCountRead
 	nextTx(t, a, d1, !countedAtRead, reads, writes, first, want, func() { at(insideNextTx) })
+	if rel == insideNextTx {
+		h.Leave()
+	}
 	at(afterNextTx)
 	if !released {
 		t.Fatal("the release point was never reached")
@@ -424,11 +397,10 @@ func TestReuseLargeSets(t *testing.T) {
 	// A helper commits it: the sweep it runs covers the whole write set.
 	reads[nr-1].Store(0)
 	d := open(1, 3)
-	h := parkHelper(&writes[nw-1], cellLoaded)
 	if !d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
 		t.Fatal("InPrep→InProg failed")
 	}
-	h.run()
+	writes[nw-1].Load()
 	wantAll(t, "writes (swept by the helper)", writes, 3)
 	if err := s.TxEnd(); err != nil {
 		t.Fatal(err)
@@ -446,6 +418,8 @@ func TestReuseLargeSets(t *testing.T) {
 func TestReuseRecycle(t *testing.T) {
 	a := NewTxManager().Session()
 	objs := make([]CASObj[int], 8)
+	var target *CASObj[int]
+	h := NewHeldHelper(t, "core.tryfinalize.counted", func() { target.Load() })
 	seen := map[*Desc]bool{} // holding the pointers also keeps the addresses from being reused
 	var prev *Desc
 	var prevReads, prevWrites int
@@ -467,15 +441,15 @@ func TestReuseRecycle(t *testing.T) {
 		seen[d] = true
 		return d
 	}
-	end := func(d *Desc, h *staleHelper, abort bool) {
-		prev, prevReads, prevWrites, dropPrev = d, cap(d.readSet), cap(d.writeSet), h != nil
+	end := func(d *Desc, held, abort bool) {
+		prev, prevReads, prevWrites, dropPrev = d, cap(d.readSet), cap(d.writeSet), held
 		if abort {
 			a.TxAbort()
 		} else if err := a.TxEnd(); err != nil {
 			t.Fatal(err)
 		}
-		if h != nil {
-			h.run()
+		if held {
+			h.Leave()
 		}
 	}
 
@@ -484,7 +458,7 @@ func TestReuseRecycle(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		o := &objs[rng.Intn(len(objs))]
 		abort := rng.Intn(4) == 0
-		var h *staleHelper
+		held := false
 		d := begin(i)
 		switch rng.Intn(4) {
 		case 0: // read-only
@@ -499,10 +473,11 @@ func TestReuseRecycle(t *testing.T) {
 		default: // one install, and a helper counted in it across the finish
 			v := txRead(a, o)
 			txWrite(t, a, o, v, v+1)
-			h = parkHelper(o, counted)
+			target, held = o, true
+			h.Enter(t)
 			dropped++
 		}
-		end(d, h, abort)
+		end(d, held, abort)
 	}
 	if dropped < 100 || len(seen) != fresh+1 {
 		t.Fatalf("mix degenerate or descriptors leaked: %d descriptors, %d fresh, %d transactions with a helper at the finish", len(seen), fresh, dropped)
@@ -564,77 +539,47 @@ func TestReuseContended(t *testing.T) {
 	}
 }
 
-// The points inside uninstall at which a caller can be descheduled.
-const (
-	afterLoad     = iota // it loaded the slot and has not entered settle
-	betweenClears        // committed only: it cleared prev and not yet desc
-)
-
-// parkInUninstall models a caller of uninstall(o.slot(), d, committed) — the
-// owner's sweep, a helper's sweep and the single-cell path are that one
-// function — descheduled inside it, counted as a helper is. Parked after the
-// load it resumes in the real settle; between the clears, the second store is
-// made by hand.
-func parkInUninstall(o Obj, d *Desc, committed bool, point int) *staleHelper {
-	slot := o.slot()
-	c := atomic.LoadPointer(slot)
-	h := (*cellHeader)(c)
-	d.helpers.Add(1)
-	if point == betweenClears {
-		atomic.StorePointer(&h.prev, nil)
-		return park(func() {
-			atomic.StorePointer(&h.desc, nil)
-			d.helpers.Add(-1)
-		})
-	}
-	return park(func() {
-		if !settle(slot, c, d, committed) {
-			uninstall(slot, d, committed)
-		}
-		d.helpers.Add(-1)
-	})
-}
-
-// The points at which that caller is released.
+// The points at which the caller stopped inside uninstall is released.
 const (
 	beforeOwnerSweep = iota
 	afterOwnerSweep
 	insideLaterInstall // a later transaction has its own cell in the object
 	afterLaterTx
-	numUninstallReleases
 )
 
-var uninstallReleaseNames = [numUninstallReleases]string{
+var uninstallReleases = []string{
 	"before the owner's sweep", "after the owner's sweep", "inside a later install", "after the later transaction",
 }
 
-// TestStaleHelperInsideUninstall enumerates a caller parked inside uninstall
-// on object o while the owner finishes and a later transaction installs over
-// o and commits or aborts, transaction 1 committed and aborted. Wherever it
-// resumes it must act on transaction 1's cell alone. A reader that saw o
-// between the two transactions is the witness that the slot holds the very
-// same cell again after the later one aborts.
+// TestStaleHelperInsideUninstall stops a helper, a Load of object o, inside
+// uninstall on o while the owner finishes and a later transaction installs
+// over o and commits or aborts, transaction 1 committed and aborted.
+// Wherever it resumes it must act on transaction 1's cell alone. A reader
+// that saw o between the two transactions is the witness that the slot holds
+// the very same cell again after the later one aborts. The owner's sweep and
+// the helper's are the same uninstall, so this covers a stale sweep too.
 func TestStaleHelperInsideUninstall(t *testing.T) {
 	windows := []struct {
 		name   string
 		commit bool
-		point  int
+		point  string
 	}{
-		{"commit, parked after the load", true, afterLoad},
-		{"commit, parked between the clears", true, betweenClears},
-		{"abort, parked before the CAS", false, afterLoad},
+		{"commit, parked after the load", true, "core.uninstall.loaded"},
+		{"commit, parked between the clears", true, "core.settle.cleared"},
+		{"abort, parked before the CAS", false, "core.uninstall.loaded"},
 	}
 	for _, w := range windows {
-		for rel := 0; rel < numUninstallReleases; rel++ {
+		for rel, relName := range uninstallReleases {
 			for _, laterCommits := range []bool{true, false} {
-				name := fmt.Sprintf("%s/released %s/later commits=%v", w.name, uninstallReleaseNames[rel], laterCommits)
+				name := fmt.Sprintf("%s/released %s/later commits=%v", w.name, relName, laterCommits)
 				t.Run(name, func(t *testing.T) {
 					owner, later, reader := NewTxManager().Session(), NewTxManager().Session(), NewTxManager().Session()
 					var o, side, y CASObj[int]
 
+					// o first: a helper that sweeps transaction 1 stops at o's cell.
 					owner.TxBegin()
-					txWrite(t, owner, &side, 0, 1)
 					txWrite(t, owner, &o, 0, 1)
+					txWrite(t, owner, &side, 0, 1)
 					d := owner.desc
 					want := 0
 					if w.commit {
@@ -643,10 +588,14 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 					} else {
 						d.status.CompareAndSwap(uint32(InPrep), uint32(Aborted))
 					}
-					h := parkInUninstall(&o, d, w.commit, w.point)
+					h := holdAt(t, w.point, func() { o.Load() })
 					at := func(q int) {
-						if rel == q {
-							h.run()
+						switch {
+						case rel != q:
+						case q == insideLaterInstall:
+							releaseInside(t, h)
+						default:
+							h.Leave()
 						}
 					}
 
@@ -667,7 +616,7 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 					txWrite(t, later, &o, want, 7)
 					at(insideLaterInstall)
 					if o.installedBy() != d2 || d2.Status() != InPrep {
-						t.Fatal("the parked caller disturbed the later transaction's install")
+						t.Fatal("the stopped helper disturbed the later transaction's install")
 					}
 					if !laterCommits {
 						later.TxAbort()
@@ -675,6 +624,9 @@ func TestStaleHelperInsideUninstall(t *testing.T) {
 						t.Fatalf("later transaction: %v", err)
 					} else {
 						want = 7
+					}
+					if rel == insideLaterInstall {
+						h.Leave()
 					}
 					at(afterLaterTx)
 					wantSettled(t, "o", &o, want)

@@ -100,6 +100,7 @@ func (s *Session) TxEnd() error {
 		panic("medley: TxEnd outside a transaction")
 	}
 	if d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		cpInProg.Hit()
 		d.decide()
 	}
 	return s.finish(d)
@@ -136,6 +137,7 @@ func (s *Session) TxAbort() error {
 func (s *Session) finish(d *Desc) error {
 	committed := d.Status() == Committed
 	d.sweep(committed)
+	cpSwept.Hit()
 	s.desc = nil
 	s.inSpec = false
 	if committed {

@@ -22,7 +22,7 @@
 //     physical node whose info marks it absent, to be revived by a later
 //     insert's adoption CAS.
 //
-// Substitution note (documented in DESIGN.md): the original resolves
+// Substitution note (README, "Substitutions"): the original resolves
 // conflicts by helping the encountered transaction to completion; this
 // implementation resolves them by eagerly aborting the encountered
 // transaction (the same policy Medley uses), which keeps progress

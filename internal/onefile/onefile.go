@@ -30,7 +30,7 @@
 //     txengine's conformance suite proves point by point. Recover below
 //     adds only the serial allocator's restart.
 //
-// Substitution note (documented in DESIGN.md): real OneFile achieves
+// Substitution note (README, "Substitutions"): real OneFile achieves
 // wait-freedom by publishing each transaction as a closure that all threads
 // help apply through 128-bit-CAS'd words. Go has neither 128-bit CAS nor a
 // practical way to re-execute arbitrary closures helpfully, so OneFile-lite

@@ -11,7 +11,7 @@
 // the index shape is stable under churn — no per-insert RNG, as in the
 // original's background adaptation), but omits dynamic zero-level rotation:
 // our workloads hold population roughly constant, so the level window never
-// needs to move. DESIGN.md records this substitution.
+// needs to move. README's "Substitutions" lists this one.
 //
 // The NBTC transform is identical to package fskiplist: bottom-level link /
 // mark CASes are the linearization and publication points, upper wheels are

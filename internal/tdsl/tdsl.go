@@ -14,7 +14,7 @@
 //     scalability saturates once writer commits start queueing — the
 //     behaviour the paper observes.
 //
-// Substitution note (documented in DESIGN.md): the authors' TDSL attaches
+// Substitution note (README, "Substitutions"): the authors' TDSL attaches
 // versioned locks to individual skiplist nodes. TDSL-lite coarsens that to
 // hash-striped partitions, each holding an independent sequential skiplist
 // guarded by one versioned lock. Read sets remain semantic ("the partition
