@@ -239,18 +239,18 @@ func TestBudgetHashRemove(t *testing.T) {
 // lists and the epoch batches have been round the loop: the persistence
 // bookkeeping allocates nothing. The record's line is a slot of its shard's
 // slab off the shard's free list, fed by the reclaim of the record it replaces
-// and by the superseded markers; the ids join batch slices handed back emptied
-// by the last flush; the dead queue keeps its capacity; the new payload and
-// the one it supersedes join the session's epoch context, whose two lists
-// keep their arrays from one transaction to the next; the value is encoded
-// into the context's buffer, and the device copies it into the line. What is
-// left is what medley pays for the same Put through the same engine and what
-// the payload costs the index. Medley's Put through Run is 3 allocations,
-// 120 B: the Put's 72 and the 48-byte closure this test hands Run (it
-// captures the map, the worker and v), while nothing has read a snapshot;
-// once one SnapshotRead has started the snapshot tier it is 4 allocations,
-// 152 B (one 32-byte version more: the tier's slot array is not re-grown by
-// an overwrite of a key it holds). The payload:
+// and by the superseded markers; the ids join the session's batch slices,
+// handed back emptied by the last flush; the dead queue keeps its capacity;
+// the new payload and the one it supersedes join the session's epoch context,
+// whose two lists keep their arrays from one transaction to the next; the
+// value is encoded into the context's buffer, and the device copies it into
+// the line. What is left is what medley pays for the same Put through the
+// same engine and what the payload costs the index. Medley's Put through Run
+// is 3 allocations, 120 B: the Put's 72 and the 48-byte closure this test
+// hands Run (it captures the map, the worker and v), while nothing has read a
+// snapshot; once one SnapshotRead has started the snapshot tier it is 4
+// allocations, 152 B (one 32-byte version more: the tier's slot array is not
+// re-grown by an overwrite of a key it holds). The payload:
 //
 //	node         +16  the index entry carries the payload id beside the value:
 //	                  56 bytes with the node's cell, the 64-byte class
@@ -287,8 +287,9 @@ func TestBudgetMontageOverwrite(t *testing.T) {
 				}
 				p.Sync()
 			}
-			// Ids go round the device's 64 shards; after two laps every shard
-			// has had a line freed to it before it is next asked for one.
+			// Key 7's records and the markers each keep to one device shard,
+			// which after a few rounds has a line freed to it before it is
+			// next asked for one.
 			for i := 0; i < 100; i++ {
 				overwrite()
 			}
@@ -360,8 +361,9 @@ func TestBudgetDeviceCycle(t *testing.T) {
 //	                    7 chunks, 1792 slots
 //	node         +16    the index entry carries the payload id beside the
 //	                    value: 56 bytes, the 64-byte class
-//	batch          8.9  the id in its epoch's batch, a slice grown by append
-//	                    to 110 592 entries (no advancer runs here)
+//	batch          8.9  the id in its epoch's batch, kept by the session's
+//	                    pin, a slice grown by append to 110 592 entries (no
+//	                    advancer runs here)
 //
 // 98.3 (146.3 B measured with the 48 above). While a line was 72 bytes with
 // its payload as a slice, the slot was 85.4 (a 19 072-byte size class a

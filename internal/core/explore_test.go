@@ -261,7 +261,7 @@ func TestExploreStaleHelper(t *testing.T) {
 	}
 	parked := map[string]bool{}
 	var reused, fresh, helped int
-	n := history.Explore(t, points, 2, func(t *testing.T, s *history.Sched) {
+	n, overran := history.Explore(t, points, 2, func(t *testing.T, s *history.Sched) {
 		r := newExploreRig(t, s, parked)
 		s.Go(r.ownerA)
 		s.Go(r.ownerB)
@@ -280,6 +280,9 @@ func TestExploreStaleHelper(t *testing.T) {
 		}
 	})
 	t.Logf("%d interleavings: A's second transaction on the reused descriptor in %d, on a fresh one in %d; helpers committed the first before A swept it in %d", n, reused, fresh, helped)
+	if overran > 0 {
+		t.Logf("%d steps ran past the scheduler's wait and the next went beside them: the exploration was not one step at a time", overran)
+	}
 	if t.Failed() {
 		return
 	}

@@ -158,7 +158,7 @@ func TestExplore(t *testing.T) {
 		var n, distinct int
 		for range 5 {
 			var seen []string
-			n = Explore(t, nil, c.preemptions, func(t *testing.T, s *Sched) {
+			n, _ = Explore(t, nil, c.preemptions, func(t *testing.T, s *Sched) {
 				var mu sync.Mutex
 				var order []string
 				for _, name := range []string{"a", "b"} {

@@ -28,8 +28,12 @@ const maxRuns = 20000
 // preemptions times has run (a goroutine starts parked, so starting one while
 // another could go on is a preemption too). Body builds fresh state, starts
 // two or three goroutines, calls Wait and checks what they did. Explore
-// returns the number of interleavings it ran, and logs the one that failed.
-func Explore(t *testing.T, points []string, preemptions int, body func(t *testing.T, s *Sched)) int {
+// returns the number of interleavings it ran and of the steps in them that
+// ran past blockAfter, and logs the interleaving that failed. Such a step was
+// blocked on a parked goroutine or stalled by the machine (the race detector
+// slows every step); either way the next one ran beside it, so an
+// exploration with any is not one step at a time.
+func Explore(t *testing.T, points []string, preemptions int, body func(t *testing.T, s *Sched)) (runs, overran int) {
 	t.Helper()
 	var cur *Sched
 	t.Cleanup(func() {
@@ -38,7 +42,7 @@ func Explore(t *testing.T, points []string, preemptions int, body func(t *testin
 		}
 	})
 	var prefix []int
-	for runs := 1; ; runs++ {
+	for runs = 1; ; runs++ {
 		s := &Sched{t: t, changed: make(chan struct{}, 1), prefix: prefix, left: preemptions}
 		cur = s
 		for _, p := range points {
@@ -50,12 +54,13 @@ func Explore(t *testing.T, points []string, preemptions int, body func(t *testin
 		for _, p := range points {
 			chaos.Disarm(p)
 		}
+		overran += s.overran
 		if t.Failed() {
 			t.Logf("interleaving %d: %s", runs, strings.Join(s.steps, " "))
-			return runs
+			return runs, overran
 		}
 		if prefix = s.next(); prefix == nil || runs == maxRuns {
-			return runs
+			return runs, overran
 		}
 	}
 }
@@ -68,11 +73,12 @@ type Sched struct {
 	changed  chan struct{} // a goroutine parked or returned
 	released bool
 
-	prefix []int      // the choices to replay, then the first of each
-	trail  []decision // the choices made
-	left   int        // preemptions still allowed
-	last   *gor       // the goroutine let go last
-	steps  []string   // who went, from where: for a failure's log
+	prefix  []int      // the choices to replay, then the first of each
+	trail   []decision // the choices made
+	left    int        // preemptions still allowed
+	last    *gor       // the goroutine let go last
+	steps   []string   // who went, from where: for a failure's log
+	overran int        // steps that ran past blockAfter
 }
 
 type gor struct {
@@ -131,7 +137,9 @@ func (s *Sched) Wait() {
 		}
 		g := s.choose(options)
 		g.resume <- struct{}{}
-		s.await(g, blockAfter)
+		if !s.await(g, blockAfter) {
+			s.overran++
+		}
 	}
 }
 

@@ -21,8 +21,8 @@
 // # Persistence domain
 //
 // A Domain is one epoch clock and the devices it persists: the counter, the
-// registry of sessions pinned to an epoch, the lock that serializes advances,
-// and each device's pending batches. One device or several is only a count.
+// registry of sessions pinned to an epoch and the lock that serializes
+// advances. One device or several is only a count.
 // Each Map spans every device of its domain with one index, writing a key's
 // payloads on the device the key routes to (DeviceOf). Every transaction in
 // the domain — wherever its keys' devices are — pins one epoch of the clock,
@@ -42,11 +42,23 @@
 // pnvm.RecoverDomain, shared with POneFile; Domain.Recover adds only what is
 // epoch-specific — it keeps advancers off the devices meanwhile and restarts
 // the clock past the cut.
+//
+// # Batches
+//
+// As nbMontage keeps a buffer per thread, a session's pin keeps a batch of
+// record ids per device and epoch for the flush, which only the session
+// appends to, with no lock. A flush takes its epoch's batches once no session
+// is pinned at or below it. Begin stores the epoch it read, then reads the
+// clock again and repins if it moved. These are sequentially consistent
+// atomics, so an advance's scan of the pins either sees the pin and waits, or
+// misses it, and then its tick came before the session's re-read, which
+// repins: no session appends to a batch whose flush has begun.
 package montage
 
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +76,7 @@ import (
 // follows them. All of these sites return nothing, so only crash/delay faults
 // are meaningful.
 var (
+	cpBegin               = chaos.At("txmontage.begin") // between Begin's clock read and its pin store
 	cpFlushBatch          = chaos.At("txmontage.flush.batch")
 	cpFlushPreMarker      = chaos.At("txmontage.flush.pre-marker")
 	cpFlushMarkerVolatile = chaos.At("txmontage.flush.marker-volatile")
@@ -106,7 +119,7 @@ type Domain struct {
 func NewDomain(devs ...*pnvm.Device) *Domain {
 	d := &Domain{devs: make([]*device, len(devs))}
 	for i, dev := range devs {
-		d.devs[i] = &device{dev: dev}
+		d.devs[i] = &device{dev: dev, i: i}
 	}
 	d.epoch.Store(firstEpoch)
 	return d
@@ -126,39 +139,32 @@ func (d *Domain) Devices() []*pnvm.Device {
 
 // register allocates a session's pin.
 func (d *Domain) register() *pin {
-	p := &pin{}
+	p := &pin{pend: make([][pendSlots][]uint64, len(d.devs))}
 	d.mu.Lock()
 	d.pins = append(d.pins, p)
 	d.mu.Unlock()
 	return p
 }
 
-// waitNotPinnedBelow spins until no session is pinned to an epoch < bound.
-func (d *Domain) waitNotPinnedBelow(bound uint64) {
+// waitNotPinnedBelow spins until no session is pinned to an epoch < bound,
+// and returns the pins it last looked at.
+func (d *Domain) waitNotPinnedBelow(bound uint64) []*pin {
+	below := func(p *pin) bool { e := p.epoch.Load(); return e != 0 && e < bound }
 	for {
 		d.mu.Lock()
-		ok := true
-		for _, p := range d.pins {
-			if e := p.epoch.Load(); e != 0 && e < bound {
-				ok = false
-				break
-			}
-		}
+		pins := d.pins // append-only: what it held stays as it was
 		d.mu.Unlock()
-		if ok {
-			return
+		if !slices.ContainsFunc(pins, below) {
+			return pins
 		}
 		runtime.Gosched()
 	}
 }
 
-// device is one device of a domain with its pending persistence batches.
+// device is one device of a domain.
 type device struct {
 	dev *pnvm.Device
-
-	// Record ids touched (created or retired) in an epoch, awaiting
-	// write-back. Striped to keep op-path contention low.
-	stripes [16]pendStripe
+	i   int // its index in the domain's devices and in a pin's batches
 
 	// dead holds the ids flush found durably retired at or before the epoch
 	// it flushed. Advance frees them once every device of the domain carries
@@ -172,62 +178,46 @@ type device struct {
 	lastMarker uint64
 }
 
-// pendSlots is the size of a stripe's ring of batches. Every epoch is flushed
-// exactly once, two advances after it was current, and a session adds only to
-// the epoch it is pinned to, which flush's caller has waited out: at most
-// three epochs hold ids at a time.
+// pendSlots is the size of a pin's ring of batches a device. Every epoch is
+// flushed exactly once, two advances after it was current, and a session adds
+// only to the epoch it is pinned to, which flush's caller has waited out: at
+// most three epochs hold ids at a time.
 const pendSlots = 4
 
-type pendStripe struct {
-	mu sync.Mutex
-	// pend[e % pendSlots] is epoch e's batch. flush empties a slot and keeps
-	// its array, so in steady state a batch grows into last round's capacity.
-	pend [pendSlots][]uint64
-}
-
-func (dv *device) pendAdd(sid int, epoch, id uint64) {
-	st := &dv.stripes[sid%len(dv.stripes)]
-	st.mu.Lock()
-	st.pend[epoch%pendSlots] = append(st.pend[epoch%pendSlots], id)
-	st.mu.Unlock()
-}
-
-// pNew writes a fresh payload to NVM tagged with epoch, registering it for
-// the epoch's persistence batch. Returns the payload id.
-func (dv *device) pNew(sid int, key uint64, val []byte, epoch uint64) uint64 {
-	if key == pnvm.MarkerKey {
-		panic("montage: payload key 2^64-1 is reserved for frontier markers")
-	}
-	id, err := dv.dev.Write(key, val, epoch)
+// add puts the record a store to dv just wrote in the pinned epoch's batch, or
+// panics with the store's error. A batch keeps its array from round to round,
+// so in steady state it grows into last round's capacity.
+func (p *pin) add(dv *device, id uint64, err error) {
 	if err != nil {
 		panic("montage: device crashed during operation: " + err.Error())
 	}
-	dv.pendAdd(sid, epoch, id)
+	b := &p.pend[dv.i][p.epoch.Load()%pendSlots]
+	*b = append(*b, id)
+}
+
+// pNew writes a fresh payload on dv tagged with the pinned epoch, and puts it
+// in that epoch's batch. Returns the payload id.
+func (p *pin) pNew(dv *device, key uint64, val []byte) uint64 {
+	if key == pnvm.MarkerKey {
+		panic("montage: payload key 2^64-1 is reserved for frontier markers")
+	}
+	id, err := dv.dev.Write(key, val, p.epoch.Load())
+	p.add(dv, id, err)
 	return id
 }
 
-// unNew deletes a payload created by a transaction that aborted (it was
-// never durable: the epoch check kept its batch from flushing).
-func (dv *device) unNew(id uint64) { dv.dev.Delete(id) }
+// pRetire marks a payload on dv retired as of the pinned epoch, and puts the
+// mark in that epoch's batch. The mark is final: montage retires only after
+// commit (the layer's End), so it carries no claim for an abort to lift it by.
+func (p *pin) pRetire(dv *device, id uint64) { p.add(dv, id, dv.dev.Retire(id, p.epoch.Load(), 0)) }
 
-// pRetire marks a payload retired as of epoch, registering the mark for the
-// epoch's persistence batch. The mark is final: montage retires only after
-// commit (the layer's End), so it carries no claim for an abort to lift it
-// by.
-func (dv *device) pRetire(sid int, id, epoch uint64) {
-	if err := dv.dev.Retire(id, epoch, 0); err != nil {
-		panic("montage: device crashed during operation: " + err.Error())
-	}
-	dv.pendAdd(sid, epoch, id)
-}
-
-// flush persists the given epoch's batch on the device — write-back of
-// every pending record, a fence, and then a durable frontier marker
-// asserting the device is complete through that epoch — and reports whether
-// that marker is durable. Callers must ensure no session is still pinned at
-// or below the epoch (waitNotPinnedBelow). On a crashed device the flush is a
-// no-op: the records (and the marker) are simply lost, which recovery's
-// frontier arithmetic already models.
+// flush persists the given epoch's batches on the device, every pin's —
+// write-back of every pending record, a fence, and then a durable frontier
+// marker asserting the device is complete through that epoch — and reports
+// whether that marker is durable. Callers must ensure no session is still
+// pinned at or below the epoch (waitNotPinnedBelow, which gives the pins). On
+// a crashed device the flush is a no-op: the records (and the marker) are
+// simply lost, which recovery's frontier arithmetic already models.
 //
 // Each write-back also tells whether its record is now durably retired. One
 // retired at or before the flushed epoch is dead at every cut from this epoch
@@ -235,21 +225,19 @@ func (dv *device) pRetire(sid int, id, epoch uint64) {
 // sits in this batch too, and its write-back here makes the later mark
 // durable — but the cut may still fall on this epoch, where the record is
 // live, so it waits for the next epoch's batch, which holds it again.
-func (dv *device) flush(epoch uint64) bool {
-	for i := range dv.stripes {
-		st := &dv.stripes[i]
-		st.mu.Lock()
-		ids := st.pend[epoch%pendSlots]
-		// Emptied in place: the next epoch to use this slot, and ids' array,
-		// is not current until pendSlots-2 advances after this one returns.
-		st.pend[epoch%pendSlots] = ids[:0]
-		st.mu.Unlock()
-		cpFlushBatch.Hit() // crash here loses this stripe's (and later stripes') write-backs
-		for _, id := range ids {
+func (dv *device) flush(epoch uint64, pins []*pin) bool {
+	cpFlushBatch.Hit() // before each batch: crash here loses this one's write-backs and the rest
+	for _, p := range pins {
+		b := &p.pend[dv.i][epoch%pendSlots]
+		for _, id := range *b {
 			if retired, _ := dv.dev.WriteBack(id); retired != 0 && retired <= epoch {
 				dv.dead = append(dv.dead, id)
 			}
 		}
+		// Emptied in place: the next epoch to use this slot, and its array,
+		// is not current until pendSlots-2 advances after this one returns.
+		*b = (*b)[:0]
+		cpFlushBatch.Hit()
 	}
 	dv.dev.Fence()
 	cpFlushPreMarker.Hit() // crash here: batch durable, marker missing — epoch cut falls before it
@@ -306,11 +294,11 @@ func (d *Domain) Advance() {
 	d.advanceMu.Lock()
 	defer d.advanceMu.Unlock()
 	e := d.epoch.Add(1)
-	d.waitNotPinnedBelow(e - 1)
+	pins := d.waitNotPinnedBelow(e - 1)
 	cpAdvancePreFlush.Hit() // crash here: epoch ticked, nothing flushed
 	persisted := true
 	for _, dv := range d.devs {
-		persisted = dv.flush(e-2) && persisted
+		persisted = dv.flush(e-2, pins) && persisted
 		// Fires between one device's flush and the next, so a crash tears
 		// the domain mid-advance: some devices carry this epoch's marker,
 		// the rest don't, and recovery must cut at the minimum frontier.
@@ -388,18 +376,20 @@ func (d *Domain) StartAdvancer(period time.Duration) (stop func()) {
 }
 
 // pin is a session's epoch state, kept in its Session.Ext from one
-// transaction to the next: the epoch its open transaction is pinned to, and
-// what that transaction's Map writes leave to its end — the payloads it
-// created, which an abort deletes, and the payloads it superseded, which a
-// commit marks retired at the pinned epoch — plus the buffer each write
-// encodes its payload into before the device copies it. The lists and the
-// buffer keep their arrays from one transaction to the next, so this
-// bookkeeping allocates nothing once they have grown. Only the owning
-// session's goroutine touches them.
+// transaction to the next: the epoch its open transaction is pinned to, its
+// batches, and what that transaction's Map writes leave to its end — the
+// payloads it created, which an abort deletes, and the payloads it
+// superseded, which a commit marks retired at the pinned epoch — plus the
+// buffer each write encodes its payload into before the device copies it.
+// All keep their arrays, so this bookkeeping allocates nothing once grown.
+// Only the session's goroutine touches them, but for a flush taking a batch.
 type pin struct {
 	// epoch is 0 between transactions. The owner writes it; advances and
 	// helpers validating the owner's transaction read it.
-	epoch   atomic.Uint64
+	epoch atomic.Uint64
+	// pend[i][e%pendSlots] holds the ids of the records the session created
+	// or retired on device i in epoch e, for e's flush to write back.
+	pend    [][pendSlots][]uint64
 	created []payloadRef
 	retired []payloadRef
 	buf     []byte
@@ -428,7 +418,7 @@ func pinOf(s *core.Session) *pin {
 // layer is a Domain as the core.Layer of the managers it is attached to.
 type layer Domain
 
-// Begin pins the transaction to the current epoch.
+// Begin pins the transaction to the current epoch, rechecked (Batches).
 func (l *layer) Begin(s *core.Session) {
 	p, ok := s.Ext.(*pin)
 	if !ok {
@@ -436,7 +426,10 @@ func (l *layer) Begin(s *core.Session) {
 		p = (*Domain)(l).register()
 		s.Ext = p
 	}
-	p.epoch.Store(l.epoch.Load())
+	for e := l.epoch.Load(); p.epoch.Load() != e; e = l.epoch.Load() {
+		cpBegin.Hit()
+		p.epoch.Store(e)
+	}
 }
 
 // Valid is the epoch check: the transaction commits only in the epoch it
@@ -460,13 +453,12 @@ func (l *layer) Valid(s *core.Session) bool {
 func (l *layer) End(s *core.Session, committed bool) {
 	p := s.Ext.(*pin)
 	if committed {
-		e := p.epoch.Load()
 		for _, r := range p.retired {
-			r.dv.pRetire(s.ID(), r.pid, e)
+			p.pRetire(r.dv, r.pid)
 		}
 	} else {
 		for _, r := range p.created {
-			r.dv.unNew(r.pid)
+			r.dv.dev.Delete(r.pid) // never durable: the epoch check kept its batch from flushing
 		}
 	}
 	p.created, p.retired = p.created[:0], p.retired[:0]

@@ -123,7 +123,7 @@ func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 	}
 	p, dv := pinOf(s), m.device(k)
 	p.buf = m.codec.Enc(p.buf[:0], v)
-	pid := dv.pNew(s.ID(), k, p.buf, p.epoch.Load())
+	pid := p.pNew(dv, k, p.buf)
 	p.created = append(p.created, payloadRef{dv, pid})
 	old, replaced := m.idx.Put(s, k, entry[V]{val: v, pid: pid})
 	if replaced {
@@ -146,10 +146,10 @@ func (m *Map[V]) Insert(s *core.Session, k uint64, v V) bool {
 	}
 	p, dv := pinOf(s), m.device(k)
 	p.buf = m.codec.Enc(p.buf[:0], v)
-	pid := dv.pNew(s.ID(), k, p.buf, p.epoch.Load())
+	pid := p.pNew(dv, k, p.buf)
 	if !m.idx.Insert(s, k, entry[V]{val: v, pid: pid}) {
 		// Key present: the speculative payload is unused either way.
-		dv.unNew(pid)
+		dv.dev.Delete(pid)
 		return false
 	}
 	p.created = append(p.created, payloadRef{dv, pid})

@@ -146,7 +146,7 @@ func TestReclaimBoundsTheDevice(t *testing.T) {
 // durably retired record, queue the stale id as dead, and the reclaim would
 // free a slot twice. The flush must skip those ids.
 func TestFlushSkipsAbortedPayloads(t *testing.T) {
-	const keys = 128 // two laps of the device's 64 shards
+	const keys = 128 // two a device shard: the aborted payloads' slots are taken again
 	d, mgr := testSys()
 	m := NewHashMap(d, Uint64Codec(), keys)
 	s := mgr.Session()

@@ -24,6 +24,12 @@
 // on real NVM: serial<<26 | slot<<6 | shard (the arithmetic is at serialBits).
 // Nothing is looked up; an id whose record is gone names a slot that is empty
 // or holds another id, and finds nothing.
+// A record lives on the shard its key hashes to (shardOf), and a shard counts
+// its serials and stores under the lock a store takes anyway; the shards are
+// whole cache lines at the head of the Device, so stores to two shards share
+// no line. Serials grow with allocation order only within a shard, which is
+// all recovery's "newest id wins" (liveAt) needs: it compares records of one
+// key, and those all sit on the key's shard, MarkerKey's included.
 //
 // A line is one 64-byte cache line and holds no pointer, so a chunk of lines
 // is one pointer-free 16 KiB allocation the collector never scans, and every
@@ -91,11 +97,10 @@ type Record struct {
 //	shard   6 bits  id%nShards, the device shard the record lives on
 //	slot   20 bits  its line's index in that shard's slab: 1 Mi lines a shard,
 //	                64 Mi records a device
-//	serial 38 bits  the device's allocation counter, from 1: ids are unique for
-//	                the life of the device and grow with allocation order
-//	                (recovery's "newest id wins"), and a slot's next owner
-//	                never answers to the last one's id; 2.7e11 stores, about
-//	                twenty days of the benchmark's durable transfers
+//	serial 38 bits  the shard's allocation counter, from 1: ids are unique for
+//	                the life of the device and grow with allocation order on
+//	                their shard, and a slot's next owner never answers to the
+//	                last one's id; 2.7e11 stores a shard
 //
 // Running out of either is a panic in Write, never a wrap.
 const (
@@ -176,6 +181,8 @@ type shard struct {
 	// to reuse: in steady state a store allocates nothing on the device's
 	// account.
 	free []uint32
+	// The last serial handed out here, and the stores and clwbs for Stats.
+	serial, writes, writeBacks uint64
 }
 
 func (s *shard) at(slot uint32) *line { return &s.chunks[slot/chunkLines][slot%chunkLines] }
@@ -273,14 +280,9 @@ func (s *shard) each(f func(slot uint32, r *line)) {
 
 // Device is a simulated NVM DIMM. All methods are safe for concurrent use.
 type Device struct {
-	lat    Latencies
-	shards [nShards]shard
-	nextID atomic.Uint64
-
-	writes     atomic.Uint64
-	writeBacks atomic.Uint64
-	fences     atomic.Uint64
-
+	shards  [nShards]shard // first, so that each starts a cache line (TestShardLayout)
+	lat     Latencies
+	fences  atomic.Uint64
 	crashed atomic.Bool
 }
 
@@ -291,6 +293,11 @@ func New(lat Latencies) *Device { return &Device{lat: lat} }
 func NewDefault() *Device { return New(DefaultLatencies()) }
 
 func (d *Device) shard(id uint64) *shard { return &d.shards[id%nShards] }
+
+// shardOf is the shard key's records live on: Fibonacci hashing, whose top
+// bits montage.DeviceOf routes by too, so at n devices a device's keys fill
+// 64/n of its shards, densely; a device-blind hash left more chunks part-full.
+func shardOf(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> (64 - shardBits) }
 
 // spin models device latency without yielding the processor (matching the
 // synchronous nature of clwb/sfence on the store path).
@@ -318,21 +325,22 @@ func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 		return 0, err
 	}
 	spin(d.lat.Write)
-	serial := d.nextID.Add(1)
-	if serial > maxSerial {
-		panic("pnvm: device out of record ids: 1<<38 stores")
-	}
-	s := d.shard(serial)
+	i := shardOf(key)
+	s := &d.shards[i]
 	s.mu.Lock()
 	if d.crashed.Load() {
 		s.mu.Unlock()
 		return 0, ErrCrashed
 	}
+	if s.serial == maxSerial {
+		panic("pnvm: device shard out of record ids: 1<<38 stores")
+	}
+	s.serial++
 	slot := s.take()
-	id := serial<<(slotBits+shardBits) | uint64(slot)<<shardBits | serial%nShards
+	id := s.serial<<(slotBits+shardBits) | uint64(slot)<<shardBits | i
 	s.store(slot, id, key, val, epoch)
+	s.writes++
 	s.mu.Unlock()
-	d.writes.Add(1)
 	return id, nil
 }
 
@@ -350,8 +358,8 @@ func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
 	if r := s.find(id); r != nil {
 		r.retire, r.claim = epoch, claim
 	}
+	s.writes++
 	s.mu.Unlock()
-	d.writes.Add(1)
 	return nil
 }
 
@@ -398,8 +406,8 @@ func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
 		r.persisted = r.retire
 		retired, durable = r.retire, true
 	}
+	s.writeBacks++
 	s.mu.Unlock()
-	d.writeBacks.Add(1)
 	return retired, durable
 }
 
@@ -414,9 +422,7 @@ func (d *Device) Fence() {
 // Recover is called.
 func (d *Device) Crash() {
 	d.crashed.Store(true)
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
+	d.each(func(s *shard) {
 		s.each(func(_ uint32, r *line) {
 			if r.persisted == volatile {
 				s.drop(r.id)
@@ -424,8 +430,7 @@ func (d *Device) Crash() {
 				r.retire = r.persisted
 			}
 		})
-		s.mu.Unlock()
-	}
+	})
 }
 
 // Recover returns the surviving records (durable creations, with durable
@@ -436,9 +441,7 @@ func (d *Device) Recover() []Record {
 	// Sized once: a dump is hundreds of thousands of records.
 	n, b := d.usage()
 	out, vals := make([]Record, 0, n), make([]byte, 0, b)
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
+	d.each(func(s *shard) {
 		s.each(func(slot uint32, r *line) {
 			var val []byte
 			if p := s.payload(slot, r); len(p) > 0 {
@@ -447,8 +450,7 @@ func (d *Device) Recover() []Record {
 			}
 			out = append(out, Record{ID: r.id, Key: r.key, Val: val, Epoch: r.epoch, Retire: r.retire})
 		})
-		s.mu.Unlock()
-	}
+	})
 	d.crashed.Store(false)
 	return out
 }
@@ -478,16 +480,22 @@ func (d *Device) Live() int {
 
 // usage returns the number of records on media and their payload bytes.
 func (d *Device) usage() (records, bytes int) {
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		records, bytes = records+s.live, bytes+s.bytes
-		s.mu.Unlock()
-	}
+	d.each(func(s *shard) { records, bytes = records+s.live, bytes+s.bytes })
 	return records, bytes
 }
 
 // Stats reports operation counters.
 func (d *Device) Stats() (writes, writeBacks, fences uint64) {
-	return d.writes.Load(), d.writeBacks.Load(), d.fences.Load()
+	d.each(func(s *shard) { writes, writeBacks = writes+s.writes, writeBacks+s.writeBacks })
+	return writes, writeBacks, d.fences.Load()
+}
+
+// each calls f on every shard under its lock.
+func (d *Device) each(f func(s *shard)) {
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		f(s)
+		s.mu.Unlock()
+	}
 }

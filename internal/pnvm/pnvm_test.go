@@ -249,16 +249,16 @@ func TestSlotReuseAfterLongPayload(t *testing.T) {
 	for _, tc := range []struct{ first, next int }{{25, 1}, {25, 0}, {1, 25}, {25, 9}} {
 		d := New(Latencies{})
 		var gone []uint64
-		for k := uint64(0); k < nShards; k++ {
-			id, _ := d.Write(k, payloadOf(tc.first, 1), 3)
+		for k := range nShards {
+			id, _ := d.Write(keyOn(k, 0), payloadOf(tc.first, 1), 3)
 			gone = append(gone, id)
 		}
 		for _, id := range gone {
 			d.Delete(id)
 		}
 		var ids []uint64
-		for k := uint64(0); k < nShards; k++ {
-			id, _ := d.Write(100+k, payloadOf(tc.next, 50), 3)
+		for k := range nShards {
+			id, _ := d.Write(keyOn(k, 1000), payloadOf(tc.next, 50), 3)
 			if slotOf(id) != slotOf(gone[k]) {
 				t.Fatalf("record %#x did not take dropped record %#x's slot", id, gone[k])
 			}
@@ -342,13 +342,22 @@ func slotLine(d *Device, id uint64) line {
 	return *s.at(slotOf(id))
 }
 
-// lap writes one record to each of the 64 shards (consecutive serials go
-// round them) with key base+shard, and returns the ids.
+// keyOn returns the first key from base up whose records live on shard i.
+func keyOn(i int, base uint64) uint64 {
+	for k := base; ; k++ {
+		if shardOf(k) == uint64(i) {
+			return k
+		}
+	}
+}
+
+// lap writes one record to each of the 64 shards, shard k's under
+// keyOn(k, base), and returns the ids in shard order.
 func lap(t *testing.T, d *Device, base uint64, val byte, epoch uint64) []uint64 {
 	t.Helper()
 	ids := make([]uint64, nShards)
 	for k := range ids {
-		id, err := d.Write(base+uint64(k), []byte{val}, epoch)
+		id, err := d.Write(keyOn(k, base), []byte{val}, epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +378,7 @@ func TestSlabAccounting(t *testing.T) {
 			t.Fatalf("%s: %d records and %d free slots, want %d and %d", step, o, f, occupied, free)
 		}
 	}
-	first, second, third := lap(t, d, 0, 1, 3), lap(t, d, 100, 1, 3), lap(t, d, 200, 1, 3)
+	first, second, third := lap(t, d, 0, 1, 3), lap(t, d, 1000, 1, 3), lap(t, d, 2000, 1, 3)
 	want("three laps", 3*nShards, 0)
 
 	// The second lap is written back, retired under a claim and that mark
@@ -386,7 +395,7 @@ func TestSlabAccounting(t *testing.T) {
 
 	// As many writes as deletes take exactly the freed slots, and a reused
 	// slot starts over: volatile, live, unclaimed.
-	fourth := lap(t, d, 300, 2, 5)
+	fourth := lap(t, d, 3000, 2, 5)
 	want("freed slots reused", 3*nShards, 0)
 	for k, id := range fourth {
 		if slotOf(id) != slotOf(second[k]) || id%nShards != second[k]%nShards {
@@ -429,7 +438,7 @@ func TestSlabAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("scrubbed to the marker", 1, 3*nShards-1)
-	lap(t, d, 400, 3, 1)
+	lap(t, d, 4000, 3, 1)
 	want("a lap after recovery", nShards+1, 2*nShards-1)
 }
 
@@ -475,7 +484,7 @@ func TestStaleIdFindsNothing(t *testing.T) {
 					d.Delete(id)
 				}
 				if occ.fill != nil {
-					for k, id := range lap(t, d, 100, 2, 5) {
+					for k, id := range lap(t, d, 1000, 2, 5) {
 						if slotOf(id) != slotOf(stale[k]) || id%nShards != stale[k]%nShards {
 							t.Fatalf("record %#x did not take dropped record %#x's slot", id, stale[k])
 						}
@@ -572,9 +581,21 @@ func TestExhaustionIsLoud(t *testing.T) {
 		f()
 	}
 	d := New(Latencies{})
-	d.nextID.Store(maxSerial)
+	d.shards[shardOf(1)].serial = maxSerial // key 1's shard has handed out its last serial
 	panics("serials exhausted", func() { d.Write(1, nil, 3) })
 	d = New(Latencies{})
-	d.shards[1].next = slotsPerShard // serial 1 goes to shard 1
+	d.shards[shardOf(1)].next = slotsPerShard
 	panics("shard full", func() { d.Write(1, nil, 3) })
+}
+
+// A shard is whole cache lines and the shards come first in a Device, so no
+// two shards share a line: a store locks its shard and bumps the shard's
+// serial and counter on lines no store to another shard touches.
+func TestShardLayout(t *testing.T) {
+	if got := unsafe.Sizeof(shard{}); got%64 != 0 {
+		t.Errorf("a shard is %d bytes, not a whole number of 64-byte lines", got)
+	}
+	if got := unsafe.Offsetof(Device{}.shards); got != 0 {
+		t.Errorf("the shards start %d bytes into a Device, want 0", got)
+	}
 }

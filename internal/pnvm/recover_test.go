@@ -1,6 +1,7 @@
 package pnvm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -208,6 +209,57 @@ func TestRecoverDomain(t *testing.T) {
 				t.Fatalf("media after second recovery %v, want %v", kv, tc.live)
 			}
 		})
+	}
+}
+
+// A key rewritten hundreds of times in one epoch, with no retire marks, leaves
+// that many live records of the key at the cut, and recovery keeps the newest
+// by id. Between two rewrites other keys' writes move other shards' serials on
+// unevenly; the key's records all sit on its shard, where ids grow with
+// allocation order. On one device and on four, each with its own run of
+// rewrites.
+func TestRewrittenKeyRecoversNewest(t *testing.T) {
+	const hot, rewrites, epoch = 7, 500, 5
+	for _, n := range []int{1, 4} {
+		devs := make([]*Device, n)
+		for i := range devs {
+			devs[i] = New(Latencies{})
+		}
+		write := func(d *Device, key, val uint64) {
+			id, err := d.Write(key, binary.LittleEndian.AppendUint64(nil, val), epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.WriteBack(id)
+		}
+		other := uint64(1000)
+		for v := uint64(1); v <= rewrites; v++ {
+			for _, d := range devs {
+				write(d, hot, v)
+				for range v % 5 {
+					write(d, other, v)
+					other++
+				}
+			}
+		}
+		for _, d := range devs {
+			write(d, MarkerKey, 0)
+		}
+		rec, err := RecoverDomain(devs, DumpAll(devs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, live := range rec.Live {
+			var got []uint64
+			for _, r := range live {
+				if r.Key == hot {
+					got = append(got, binary.LittleEndian.Uint64(r.Val))
+				}
+			}
+			if len(got) != 1 || got[0] != rewrites {
+				t.Fatalf("%d devices: device %d recovered key %d as %v, want its newest value %d alone", n, i, hot, got, rewrites)
+			}
+		}
 	}
 }
 

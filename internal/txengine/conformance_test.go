@@ -172,15 +172,24 @@ func testRowCodec() montage.Codec[any] {
 	}
 }
 
-// eachTxEngine runs f for every engine that supports transactions.
+// eachTxEngine runs f for every engine that supports transactions, built with
+// a 2 ms epoch advancer, as buildForTest builds them.
 func eachTxEngine(t *testing.T, f func(t *testing.T, b Builder, eng Engine, m Map[uint64])) {
+	eachTxEngineWith(t, Config{EpochLen: 2 * time.Millisecond}, f)
+}
+
+// eachTxEngineWith is eachTxEngine over engines built with cfg.
+func eachTxEngineWith(t *testing.T, cfg Config, f func(t *testing.T, b Builder, eng Engine, m Map[uint64])) {
 	for _, b := range sweptBuilders() {
 		if !b.Caps.Has(CapTx) {
 			continue
 		}
 		b := b
 		t.Run(b.Key, func(t *testing.T) {
-			eng := buildForTest(t, b)
+			eng, err := b.New(cfg)
+			if err != nil {
+				t.Fatalf("build %s: %v", b.Key, err)
+			}
 			defer eng.Close()
 			m, err := eng.NewUintMap(testSpec(b.Caps))
 			if err != nil {

@@ -113,7 +113,7 @@ func TestSnapshotStart(t *testing.T) {
 		for _, w := range startWrites {
 			t.Run(fmt.Sprintf("%s/devices=%d/%s", e.key, e.devices, w.name), func(t *testing.T) {
 				passed := 0 // interleavings whose start passed a writer parked before its mark
-				n := history.Explore(t, startPoints, 2, func(t *testing.T, s *history.Sched) {
+				n, _ := history.Explore(t, startPoints, 2, func(t *testing.T, s *history.Sched) {
 					r := newStartRig(t, e.key, e.devices)
 					defer r.eng.Close()
 					tier := r.m.(snapMap[uint64]).tab.tier

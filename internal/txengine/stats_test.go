@@ -12,9 +12,11 @@ import (
 // transactional engine: committed Runs move Commits exactly, business
 // aborts move Aborts without a retry, RunRead counts as a commit, and NoTx
 // moves Fallbacks exactly on the engines that must wrap it in a
-// transaction.
+// transaction. The engines run no epoch advancer (EpochLen 0): the test owns
+// txMontage's clock, so no tick lands inside a commit it counts as
+// uncontended and aborts it by validation.
 func TestStatsDeterministic(t *testing.T) {
-	eachTxEngine(t, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
+	eachTxEngineWith(t, Config{}, func(t *testing.T, b Builder, eng Engine, m Map[uint64]) {
 		tx := eng.NewWorker(0)
 		base := eng.Stats()
 
