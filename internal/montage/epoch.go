@@ -47,12 +47,26 @@
 //
 // As nbMontage keeps a buffer per thread, a session's pin keeps a batch of
 // record ids per device and epoch for the flush, which only the session
-// appends to, with no lock. A flush takes its epoch's batches once no session
+// appends to, with no lock: the payloads its transactions created, and those
+// their commits superseded. A flush takes its epoch's batches once no session
 // is pinned at or below it. Begin stores the epoch it read, then reads the
 // clock again and repins if it moved. These are sequentially consistent
 // atomics, so an advance's scan of the pins either sees the pin and waits, or
 // misses it, and then its tick came before the session's re-read, which
 // repins: no session appends to a batch whose flush has begun.
+//
+// A commit's only media stores are its new payloads. The payloads it
+// superseded go into its epoch's batch as ids, and that epoch's flush stores
+// each one's retire mark in the same step that writes the record back
+// (pnvm.Device.WriteBackAll). This changes no recovery outcome at any cut. A
+// retire mark is volatile until a flush writes its record back, and a crash
+// discards volatile marks, so a crash before that flush loses a mark stored
+// at commit just as it loses one not yet stored. Nor would a mark stored at
+// commit on a record created in the epoch before make any cut differ: the
+// flush of that epoch writes the record back, but every cut it makes possible
+// lies before the mark's epoch, where recovery lifts the mark. The flush's
+// write-backs and reclaim's frees each take a device shard's lock once per
+// shard a batch touches, not once per record.
 package montage
 
 import (
@@ -72,9 +86,9 @@ import (
 // sit inside one device's flush (batch write-backs, the window between batch
 // durability and the frontier marker, and the marker's own volatile window);
 // the advance points sit in Domain.Advance, where a crash tears the domain
-// between shards' flushes, or between two frees of the reclaim pass that
-// follows them. All of these sites return nothing, so only crash/delay faults
-// are meaningful.
+// between shards' flushes, or between two device shards' frees in the
+// reclaim pass that follows them. All of these sites return nothing, so only
+// crash/delay faults are meaningful.
 var (
 	cpBegin               = chaos.At("txmontage.begin") // between Begin's clock read and its pin store
 	cpFlushBatch          = chaos.At("txmontage.flush.batch")
@@ -139,7 +153,7 @@ func (d *Domain) Devices() []*pnvm.Device {
 
 // register allocates a session's pin.
 func (d *Domain) register() *pin {
-	p := &pin{pend: make([][pendSlots][]uint64, len(d.devs))}
+	p := &pin{pend: make([][pendSlots]batch, len(d.devs))}
 	d.mu.Lock()
 	d.pins = append(d.pins, p)
 	d.mu.Unlock()
@@ -184,59 +198,52 @@ type device struct {
 // most three epochs hold ids at a time.
 const pendSlots = 4
 
-// add puts the record a store to dv just wrote in the pinned epoch's batch, or
-// panics with the store's error. A batch keeps its array from round to round,
-// so in steady state it grows into last round's capacity.
-func (p *pin) add(dv *device, id uint64, err error) {
-	if err != nil {
-		panic("montage: device crashed during operation: " + err.Error())
-	}
-	b := &p.pend[dv.i][p.epoch.Load()%pendSlots]
-	*b = append(*b, id)
-}
-
 // pNew writes a fresh payload on dv tagged with the pinned epoch, and puts it
-// in that epoch's batch. Returns the payload id.
+// in that epoch's batch, or panics with the store's error. Returns the payload
+// id. A batch keeps its arrays from round to round, so in steady state it
+// grows into last round's capacity.
 func (p *pin) pNew(dv *device, key uint64, val []byte) uint64 {
 	if key == pnvm.MarkerKey {
 		panic("montage: payload key 2^64-1 is reserved for frontier markers")
 	}
-	id, err := dv.dev.Write(key, val, p.epoch.Load())
-	p.add(dv, id, err)
+	e := p.epoch.Load()
+	id, err := dv.dev.Write(key, val, e)
+	if err != nil {
+		panic("montage: device crashed during operation: " + err.Error())
+	}
+	b := &p.pend[dv.i][e%pendSlots]
+	b.created = append(b.created, id)
 	return id
 }
 
-// pRetire marks a payload on dv retired as of the pinned epoch, and puts the
-// mark in that epoch's batch. The mark is final: montage retires only after
-// commit (the layer's End), so it carries no claim for an abort to lift it by.
-func (p *pin) pRetire(dv *device, id uint64) { p.add(dv, id, dv.dev.Retire(id, p.epoch.Load(), 0)) }
-
-// flush persists the given epoch's batches on the device, every pin's —
-// write-back of every pending record, a fence, and then a durable frontier
+// flush persists the given epoch's batches on the device, every pin's — a
+// write-back of the records each created, and of the records each superseded
+// with their retire marks at the epoch, a fence, and then a durable frontier
 // marker asserting the device is complete through that epoch — and reports
-// whether that marker is durable. Callers must ensure no session is still
-// pinned at or below the epoch (waitNotPinnedBelow, which gives the pins). On
-// a crashed device the flush is a no-op: the records (and the marker) are
-// simply lost, which recovery's frontier arithmetic already models.
+// whether that marker is durable. Callers must ensure no session is
+// still pinned at or below the epoch (waitNotPinnedBelow, which gives the
+// pins). On a crashed device the flush is a no-op: the records (and the
+// marker) are simply lost, which recovery's frontier arithmetic already
+// models.
 //
-// Each write-back also tells whether its record is now durably retired. One
-// retired at or before the flushed epoch is dead at every cut from this epoch
-// on and joins dv.dead. A record created in this epoch and retired in the next
-// sits in this batch too, and its write-back here makes the later mark
-// durable — but the cut may still fall on this epoch, where the record is
-// live, so it waits for the next epoch's batch, which holds it again.
+// A superseded record is durably retired at the flushed epoch once its
+// write-back returns, so it is dead at every cut from this epoch on and joins
+// dv.dead. No created record carries a mark yet: its own supersession, if any,
+// is in this batch's superseded list or a later epoch's.
 func (dv *device) flush(epoch uint64, pins []*pin) bool {
 	cpFlushBatch.Hit() // before each batch: crash here loses this one's write-backs and the rest
+	dead := func(id, retired uint64) {
+		if retired != 0 && retired <= epoch { // 0 on a crashed device: no mark was stored
+			dv.dead = append(dv.dead, id)
+		}
+	}
 	for _, p := range pins {
 		b := &p.pend[dv.i][epoch%pendSlots]
-		for _, id := range *b {
-			if retired, _ := dv.dev.WriteBack(id); retired != 0 && retired <= epoch {
-				dv.dead = append(dv.dead, id)
-			}
-		}
-		// Emptied in place: the next epoch to use this slot, and its array,
+		dv.dev.WriteBackAll(b.created, 0, nil)
+		dv.dev.WriteBackAll(b.superseded, epoch, dead)
+		// Emptied in place: the next epoch to use this slot, and its arrays,
 		// is not current until pendSlots-2 advances after this one returns.
-		*b = (*b)[:0]
+		b.created, b.superseded = b.created[:0], b.superseded[:0]
 		cpFlushBatch.Hit()
 	}
 	dv.dev.Fence()
@@ -271,13 +278,11 @@ func (dv *device) flush(epoch uint64, pins []*pin) bool {
 
 // reclaim frees the records flush found dead: nbMontage's rule that a payload
 // retired in epoch e is reclaimed once e is persisted. A free is not a media
-// operation (the device counts none), and a crash between two frees leaves
-// durably dead records behind for recovery's scrub.
+// operation (the device counts none), and a crash between two groups of frees
+// (txmontage.advance.reclaim) leaves durably dead records behind for
+// recovery's scrub.
 func (dv *device) reclaim() {
-	for _, id := range dv.dead {
-		dv.dev.Delete(id)
-		cpAdvanceReclaim.Hit()
-	}
+	dv.dev.DeleteAll(dv.dead, cpAdvanceReclaim)
 	dv.dead = dv.dead[:0]
 }
 
@@ -379,7 +384,7 @@ func (d *Domain) StartAdvancer(period time.Duration) (stop func()) {
 // transaction to the next: the epoch its open transaction is pinned to, its
 // batches, and what that transaction's Map writes leave to its end — the
 // payloads it created, which an abort deletes, and the payloads it
-// superseded, which a commit marks retired at the pinned epoch — plus the
+// superseded, which a commit hands to the pinned epoch's batch — plus the
 // buffer each write encodes its payload into before the device copies it.
 // All keep their arrays, so this bookkeeping allocates nothing once grown.
 // Only the session's goroutine touches them, but for a flush taking a batch.
@@ -387,13 +392,18 @@ type pin struct {
 	// epoch is 0 between transactions. The owner writes it; advances and
 	// helpers validating the owner's transaction read it.
 	epoch atomic.Uint64
-	// pend[i][e%pendSlots] holds the ids of the records the session created
-	// or retired on device i in epoch e, for e's flush to write back.
-	pend    [][pendSlots][]uint64
-	created []payloadRef
-	retired []payloadRef
-	buf     []byte
+	// pend[i][e%pendSlots] is the session's batch on device i in epoch e,
+	// for e's flush.
+	pend       [][pendSlots]batch
+	created    []payloadRef
+	superseded []payloadRef
+	buf        []byte
 }
+
+// batch is what a session did on one device in one epoch: the ids of the
+// records it created, and of those its commits superseded, which the epoch's
+// flush marks retired at it.
+type batch struct{ created, superseded []uint64 }
 
 // payloadRef names a payload: its record id on dv.
 type payloadRef struct {
@@ -446,22 +456,26 @@ func (l *layer) Valid(s *core.Session) bool {
 // End settles the transaction's payloads and releases the pin. It runs after
 // the session's cleanups and undos. An aborted transaction's payloads were
 // never durable (the epoch check kept their epoch current), so it deletes
-// them. A committed one writes its retire marks, never earlier: a doomed
-// transaction that raced with, and was aborted by, a payload's real retirer
-// must not clobber the committed mark. Either way the pin is released last,
-// so the marks join the epoch's batch before any advance may flush it.
+// them. A committed one puts the payloads it superseded in the pinned epoch's
+// batch, whose flush marks them retired, never earlier: a doomed transaction
+// that raced with, and was aborted by, a payload's real retirer must not
+// clobber the committed mark. It stores nothing on a device (Batches). Either
+// way the pin is released last, so the superseded ids join the epoch's batch
+// before any advance may flush it.
 func (l *layer) End(s *core.Session, committed bool) {
 	p := s.Ext.(*pin)
 	if committed {
-		for _, r := range p.retired {
-			p.pRetire(r.dv, r.pid)
+		e := p.epoch.Load() % pendSlots
+		for _, r := range p.superseded {
+			b := &p.pend[r.dv.i][e]
+			b.superseded = append(b.superseded, r.pid)
 		}
 	} else {
 		for _, r := range p.created {
 			r.dv.dev.Delete(r.pid) // never durable: the epoch check kept its batch from flushing
 		}
 	}
-	p.created, p.retired = p.created[:0], p.retired[:0]
+	p.created, p.superseded = p.created[:0], p.superseded[:0]
 	p.epoch.Store(0)
 }
 

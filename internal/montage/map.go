@@ -106,8 +106,8 @@ func (m *Map[V]) Get(s *core.Session, k uint64) (V, bool) {
 // a transaction it writes the new payload on k's device, tagged with the
 // transaction's epoch, and lists it and the payload it supersedes in the
 // session's pin: the layer's End deletes the one if the transaction aborts
-// and marks the other retired if it commits. It panics if the session's
-// manager was never attached (pinOf).
+// and, if it commits, hands the other to the flush of its epoch, which marks
+// it retired. It panics if the session's manager was never attached (pinOf).
 func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 	if !s.InTx() {
 		// Run as a single-operation transaction so the payload provably
@@ -127,7 +127,7 @@ func (m *Map[V]) Put(s *core.Session, k uint64, v V) (V, bool) {
 	p.created = append(p.created, payloadRef{dv, pid})
 	old, replaced := m.idx.Put(s, k, entry[V]{val: v, pid: pid})
 	if replaced {
-		p.retired = append(p.retired, payloadRef{dv, old.pid})
+		p.superseded = append(p.superseded, payloadRef{dv, old.pid})
 		return old.val, true
 	}
 	var zero V
@@ -157,7 +157,8 @@ func (m *Map[V]) Insert(s *core.Session, k uint64, v V) bool {
 }
 
 // Remove deletes k, returning its value if present. The removed payload is
-// marked retired when the transaction commits, as Put's superseded one is.
+// marked retired at the transaction's epoch once it commits, as Put's
+// superseded one is.
 func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 	if !s.InTx() {
 		var old V
@@ -174,7 +175,7 @@ func (m *Map[V]) Remove(s *core.Session, k uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	p.retired = append(p.retired, payloadRef{m.device(k), old.pid})
+	p.superseded = append(p.superseded, payloadRef{m.device(k), old.pid})
 	return old.val, true
 }
 

@@ -251,11 +251,16 @@ func twoDevices(lat pnvm.Latencies) (d *Domain, m *Map[uint64], s *core.Session,
 }
 
 // keyPerDevice returns the first key routed to each of two devices.
-func keyPerDevice() (keys [2]uint64) {
-	var found [2]bool
-	for k := uint64(0); !found[0] || !found[1]; k++ {
-		if i := DeviceOf(k, 2); !found[i] {
-			keys[i], found[i] = k, true
+func keyPerDevice() [2]uint64 { return [2]uint64(keysOn(2, 0)) }
+
+// keysOn returns, for each of n devices, the first key from base up routed to
+// it.
+func keysOn(n int, base uint64) []uint64 {
+	keys, left := make([]uint64, n), n
+	found := make([]bool, n)
+	for k := base; left > 0; k++ {
+		if i := DeviceOf(k, n); !found[i] {
+			keys[i], found[i], left = k, true, left-1
 		}
 	}
 	return keys
@@ -293,16 +298,16 @@ func TestAbortLeavesTheDevicesAsTheyWere(t *testing.T) {
 	}
 }
 
-// A committed remove's retire mark joins the batch of the transaction's own
-// epoch: the layer's End writes it before it releases the pin, and the advance
-// that flushes the epoch waits for the pin. Here that advance is already
-// waiting when the transaction commits (its cleanup starts it), and a store
-// costs longer than the scheduler lets one goroutine run alone, so a mark
-// written after the pin was released would reach the batch after the flush
-// took it, and the crash that follows would find the keys live at the cut of
-// the epoch that removed them.
+// A committed remove's payloads join the batch of the transaction's own epoch,
+// whose flush marks them retired: the layer's End hands them over before it
+// releases the pin, and the advance that flushes the epoch waits for the pin.
+// Here that advance is already waiting when the transaction commits (its
+// cleanup starts it), so payloads handed over after the pin was released, or
+// to the batch of an epoch other than the pinned one, would miss the flush,
+// and the crash that follows would find the keys live at the cut of the epoch
+// that removed them.
 func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
-	d, m, s, keys := twoDevices(pnvm.Latencies{Write: 25 * time.Millisecond})
+	d, m, s, keys := twoDevices(pnvm.Latencies{})
 	devs := d.Devices()
 	m.Put(s, keys[0], 1)
 	m.Put(s, keys[1], 2)
@@ -314,7 +319,7 @@ func TestCommittedRemoveIsDurableAtItsEpoch(t *testing.T) {
 	m.Remove(s, keys[0])
 	m.Remove(s, keys[1])
 	s.AddToCleanups(core.Func(func() {
-		// Committed, the marks not yet written. This advance flushes e-1
+		// Committed, the payloads not yet handed over. This advance flushes e-1
 		// and waits for no pin below e; the next flushes e once no session
 		// is pinned below e+1, which this one is until its End is done.
 		d.Advance()

@@ -27,8 +27,9 @@ func recoverKV(t *testing.T, devs []*pnvm.Device) (kv []map[uint64]uint64, cut u
 }
 
 // A record created in epoch e and retired in e+1 is written back with batch e,
-// which makes its e+1 mark durable while the cut is still e. Freeing it then
-// loses the key: its successor lies beyond the cut.
+// while the cut is still e and it is live there; its retire mark waits for
+// batch e+1. Freeing it at e's flush loses the key: its successor lies beyond
+// the cut.
 func TestReclaimWaitsForTheRetireEpoch(t *testing.T) {
 	d, mgr := testSys()
 	m := NewSkipMap(d, Uint64Codec())

@@ -31,6 +31,16 @@
 // all recovery's "newest id wins" (liveAt) needs: it compares records of one
 // key, and those all sit on the key's shard, MarkerKey's included.
 //
+// WriteBackAll and DeleteAll are the grouped forms of WriteBack and Delete,
+// for callers that settle many records at once (montage's epoch flush and
+// reclaim): they group the ids by shard in place, in one counting pass
+// without sorting or allocating, and take each shard's lock once per group
+// instead of once per record. WriteBackAll can also store a retire mark
+// with each write-back, so that a mark never stored before the record's
+// flush becomes durable with it. WriteBack and Delete are the one-id case of
+// the same shard-level code, and what either form counts in Stats, stores
+// and reports is what the other does id by id (TestGroupedFormsMatchOneByOne).
+//
 // A line is one 64-byte cache line and holds no pointer, so a chunk of lines
 // is one pointer-free 16 KiB allocation the collector never scans, and every
 // line is cache-line aligned. A payload of up to 8 bytes (a uint value) sits
@@ -58,8 +68,11 @@ import (
 // Fault-injection points on the media path. pnvm.write fires inside every
 // record store (payloads and cut markers alike), so a crash armed there
 // lands at whatever instant of a higher-level protocol first touches media;
-// pnvm.writeback fires inside every clwb. WriteBack has no error channel, so
-// only crash/delay faults are meaningful there.
+// pnvm.writeback fires before every write-back takes its shard's lock: once a
+// WriteBack, once a shard's group of a WriteBackAll. A crash fault there
+// crashes the device, which takes every shard's lock, so it must not fire
+// under one. The write-back paths have no error channel, so only crash/delay
+// faults are meaningful there.
 var (
 	cpWrite     = chaos.At("pnvm.write")
 	cpWriteBack = chaos.At("pnvm.writeback")
@@ -378,37 +391,126 @@ func (d *Device) UnRetire(id uint64, claim uint64) {
 
 // Delete removes a record outright (used to undo allocations of aborted
 // transactions before they are ever durable, and to drop superseded
-// metadata). On a crashed device it is a no-op: post-crash media must not
-// be mutated until Recover — in particular, a flush racing the crash must
-// not erase the durable frontier marker it was about to supersede. The
-// check happens under the shard lock, so it is ordered against Crash()'s
-// scan of the same shard.
-func (d *Device) Delete(id uint64) {
-	s := d.shard(id)
+// metadata). It is DeleteAll of one id.
+func (d *Device) Delete(id uint64) { d.delete(d.shard(id), []uint64{id}, nil) }
+
+// DeleteAll removes the records ids name, those that are there, taking each
+// device shard's lock once for all of its ids (groups). On a crashed device
+// it is a no-op: post-crash media must not be mutated until Recover — in
+// particular, a flush racing the crash must not erase the durable frontier
+// marker it was about to supersede. The check happens under the shard lock,
+// so it is ordered against Crash()'s scan of the same shard. A non-nil after
+// is hit once a shard's group is gone, outside the lock, so that a crash
+// fault there (which takes every shard's lock) stops the pass between two
+// groups.
+func (d *Device) DeleteAll(ids []uint64, after *chaos.Point) {
+	b := groups(ids)
+	for i := range d.shards {
+		if g := ids[b[i]:b[i+1]]; len(g) > 0 {
+			d.delete(&d.shards[i], g, after)
+		}
+	}
+}
+
+// delete is Delete and DeleteAll on one shard's group g.
+func (d *Device) delete(s *shard, g []uint64, after *chaos.Point) {
 	s.mu.Lock()
 	if !d.crashed.Load() {
-		s.drop(id)
+		for _, id := range g {
+			s.drop(id)
+		}
 	}
 	s.mu.Unlock()
+	if after != nil {
+		after.Hit() // no error channel: crash/delay faults only
+	}
 }
 
 // WriteBack makes record id durable (clwb), its retire mark included.
 // Idempotent. It reports whether the record was there to write back, and the
 // retire mark that is durable with it (0 = durably live): from that epoch on
 // no recovery cut can find the record live, which is what a reclaimer needs
-// to know (montage's epoch rule).
+// to know (montage's epoch rule). It is WriteBackAll of one id, without a
+// mark.
 func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
-	cpWriteBack.Hit() // no error channel: crash/delay faults only
-	spin(d.lat.WriteBack)
-	s := d.shard(id)
-	s.mu.Lock()
-	if r := s.find(id); r != nil {
-		r.persisted = r.retire
-		retired, durable = r.retire, true
-	}
-	s.writeBacks++
-	s.mu.Unlock()
+	d.writeBack(d.shard(id), []uint64{id}, 0, func(_, r uint64) { retired, durable = r, true })
 	return retired, durable
+}
+
+// WriteBackAll writes back the records ids name (clwb), taking each device
+// shard's lock once for all of its ids (groups). With a nonzero retire it
+// first marks each record retired as of that epoch, a final mark with no
+// claim, so that the mark and the record become durable in one step: one
+// store and one write-back an id in Stats, as Retire and WriteBack count
+// them. On a crashed device no mark is stored, as Retire refuses one, and
+// the write-back changes nothing. f, if not nil, is called with each record
+// that was there and the retire mark now durable with it, as WriteBack
+// reports them; it runs under the shard's lock and must not call the device.
+// pnvm.writeback is hit once a group, before its lock.
+func (d *Device) WriteBackAll(ids []uint64, retire uint64, f func(id, retired uint64)) {
+	b := groups(ids)
+	for i := range d.shards {
+		if g := ids[b[i]:b[i+1]]; len(g) > 0 {
+			d.writeBack(&d.shards[i], g, retire, f)
+		}
+	}
+}
+
+// writeBack is WriteBack and WriteBackAll on one shard's group g.
+func (d *Device) writeBack(s *shard, g []uint64, retire uint64, f func(id, retired uint64)) {
+	cpWriteBack.Hit() // no error channel: crash/delay faults only
+	cost := d.lat.WriteBack
+	if retire != 0 {
+		cost += d.lat.Write
+	}
+	spin(time.Duration(len(g)) * cost)
+	s.mu.Lock()
+	mark := retire != 0 && !d.crashed.Load() // under the lock, as in Retire
+	for _, id := range g {
+		r := s.find(id)
+		if r == nil {
+			continue
+		}
+		if mark {
+			r.retire, r.claim = retire, 0
+		}
+		r.persisted = r.retire
+		if f != nil {
+			f(id, r.retire)
+		}
+	}
+	if mark {
+		s.writes += uint64(len(g))
+	}
+	s.writeBacks += uint64(len(g))
+	s.mu.Unlock()
+}
+
+// groups permutes ids in place so that each device shard's ids lie together,
+// in shard order, and returns the bounds: shard i's group is
+// ids[b[i]:b[i+1]]. A counting pass sizes the groups, and then every swap
+// puts one id into its group's next free place for good: O(len(ids)), no
+// allocation, no sort.
+func groups(ids []uint64) (b [nShards + 1]int) {
+	for _, id := range ids {
+		b[id%nShards+1]++
+	}
+	var next [nShards]int
+	for i := range next {
+		b[i+1] += b[i]
+		next[i] = b[i]
+	}
+	for i := range next {
+		for next[i] < b[i+1] {
+			if j := ids[next[i]] % nShards; j != uint64(i) {
+				ids[next[i]], ids[next[j]] = ids[next[j]], ids[next[i]]
+				next[j]++
+			} else {
+				next[i]++
+			}
+		}
+	}
+	return b
 }
 
 // Fence orders prior write-backs (sfence).

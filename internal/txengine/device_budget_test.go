@@ -7,11 +7,12 @@ import "testing"
 // budgets. Nothing here depends on timing: the engines run without a
 // background advancer, one worker, one key.
 //
-// txmontage, buffered: the transaction stores the new payload and, after
-// commit, the old payload's retire mark (2 writes). Sync is two advances, and
-// each flush ends in a frontier marker: write, write-back, and a fence either
-// side of it (2 writes, 2 write-backs, 4 fences). Of the two batches only the
-// second holds anything: the new payload and the retired one (2 write-backs).
+// txmontage, buffered: the transaction stores the new payload, and the flush
+// of its epoch stores the old payload's retire mark (2 writes). Sync is two
+// advances, and each flush ends in a frontier marker: write, write-back, and a
+// fence either side of it (2 writes, 2 write-backs, 4 fences). Of the two
+// batches only the second holds anything: the new payload and the retired one
+// (2 write-backs).
 //
 // ponefile, eager: the commit stores and writes back the new payload and the
 // old one's retire mark (2 + 2), fences, then the commit record (1 + 1) and

@@ -253,7 +253,7 @@ func TestRunAllocatesNothingInAdapter(t *testing.T) {
 // 144 B, and nothing for the descriptor, which the session reuses. On
 // txmontage an overwrite allocates what it does on medley: its payload is
 // encoded into the session's epoch context and copied into the device's line,
-// and the payload's undo and its predecessor's retire mark are entries in
+// and the payload's undo and its predecessor's retirement are entries in
 // that context, so a transfer is 4 allocations on one device and on two
 // (while a line kept its payload as a slice, each overwrite allocated its
 // 8-byte encoding: 6). A committed read-only Run allocates 0 on both.
