@@ -32,7 +32,7 @@ var ratios = []struct {
 	{"18:1:1", 18, 1, 1},
 }
 
-func mkSystem(b *testing.B, engine string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) bench.System {
+func mkSystem(b *testing.B, engine string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) *bench.System {
 	b.Helper()
 	sys, err := bench.NewSystem(engine, kind, wl, cfg)
 	if err != nil {
@@ -41,7 +41,7 @@ func mkSystem(b *testing.B, engine string, kind txengine.MapKind, wl bench.Workl
 	return sys
 }
 
-func runSystem(b *testing.B, sys bench.System, wl bench.Workload) {
+func runSystem(b *testing.B, sys *bench.System, wl bench.Workload) {
 	b.Helper()
 	defer sys.Close()
 	sys.Preload(wl)
@@ -58,7 +58,7 @@ func runSystem(b *testing.B, sys bench.System, wl bench.Workload) {
 	})
 }
 
-func runSystemNoTx(b *testing.B, sys bench.System, wl bench.Workload) {
+func runSystemNoTx(b *testing.B, sys *bench.System, wl bench.Workload) {
 	b.Helper()
 	defer sys.Close()
 	sys.Preload(wl)

@@ -290,7 +290,7 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 // field.
 var statHead, _ = metrics.Columns(txengine.Stats{}, 10)
 
-func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) bench.System {
+func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) *bench.System {
 	sys, err := bench.NewSystem(name, kind, wl, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

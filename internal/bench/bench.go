@@ -96,31 +96,6 @@ func (w Workload) GenTx(rng *rand.Rand, buf []Op) []Op {
 	return buf
 }
 
-// System is one benchmarked implementation.
-type System interface {
-	Name() string
-	// Preload inserts the initial pairs (single-threaded, unmeasured).
-	Preload(wl Workload)
-	// NewWorker returns a per-thread handle.
-	NewWorker(tid int) Worker
-	// Stats snapshots the underlying engine's cumulative transaction
-	// outcomes (commits/aborts/retries/fallbacks).
-	Stats() txengine.Stats
-	// Close releases background resources (epoch advancers etc.).
-	Close()
-}
-
-// Worker executes transactions for one thread.
-type Worker interface {
-	// RunTx executes ops as one transaction, retrying internally until it
-	// commits.
-	RunTx(ops []Op)
-	// RunOpsNoTx executes ops back to back without a surrounding
-	// transaction (the TxOff and Original modes of Figure 10). Workers of
-	// systems without a standalone mode may panic.
-	RunOpsNoTx(ops []Op)
-}
-
 // Result is one measured closed-loop run: figures 7, 8 and 10, TPC-C and
 // the composition scenarios of package workload all report one.
 type Result struct {
@@ -225,7 +200,7 @@ func Drive(threads int, dur, warmup time.Duration, lat bool, stats func() txengi
 // Each iteration generates one transaction and runs it with RunTx, or with
 // RunOpsNoTx when tx is false (Figure 10's Original and TxOff modes). A
 // Figure 10 point's ns per transaction is threads·1e9/Throughput.
-func RunThroughput(sys System, wl Workload, threads int, dur time.Duration, tx bool) Result {
+func RunThroughput(sys *System, wl Workload, threads int, dur time.Duration, tx bool) Result {
 	sys.Preload(wl)
 	res := Drive(threads, dur, 0, false, sys.Stats, func(tid int) func() uint64 {
 		w := sys.NewWorker(tid)

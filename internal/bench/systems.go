@@ -11,7 +11,7 @@ import (
 // given kind, sized for wl (hash buckets track the keyspace, as in the paper's
 // 1M-bucket table; TDSL stripes scale with keyspace to keep partitions
 // skiplist-shaped).
-func NewSystem(engine string, kind txengine.MapKind, wl Workload, cfg txengine.Config) (System, error) {
+func NewSystem(engine string, kind txengine.MapKind, wl Workload, cfg txengine.Config) (*System, error) {
 	b, ok := txengine.Lookup(engine)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown engine %q", engine)
@@ -39,7 +39,7 @@ func NewSystem(engine string, kind txengine.MapKind, wl Workload, cfg txengine.C
 		eng.Close()
 		return nil, err
 	}
-	return &engineSystem{
+	return &System{
 		name: eng.Name() + "-" + kind.String(),
 		eng:  eng,
 		m:    m,
@@ -63,19 +63,25 @@ func TxSystemsFor(kind txengine.MapKind) []string {
 	return out
 }
 
-// engineSystem is the one benchmark adapter: any registered engine, driven
+// System is one benchmarked implementation: any registered engine, driven
 // through its Tx handles over a single transactional map.
-type engineSystem struct {
+type System struct {
 	name string
 	eng  txengine.Engine
 	m    txengine.Map[uint64]
 }
 
-func (b *engineSystem) Name() string          { return b.name }
-func (b *engineSystem) Stats() txengine.Stats { return b.eng.Stats() }
-func (b *engineSystem) Close()                { b.eng.Close() }
+func (b *System) Name() string { return b.name }
 
-func (b *engineSystem) Preload(wl Workload) {
+// Stats snapshots the underlying engine's cumulative transaction outcomes
+// (commits/aborts/retries/fallbacks).
+func (b *System) Stats() txengine.Stats { return b.eng.Stats() }
+
+// Close releases background resources (epoch advancers etc.).
+func (b *System) Close() { b.eng.Close() }
+
+// Preload inserts the initial pairs (single-threaded, unmeasured).
+func (b *System) Preload(wl Workload) {
 	w := b.eng.NewWorker(-1)
 	step := wl.KeySpace / uint64(wl.Preload)
 	if !b.eng.Caps().Has(txengine.CapTx) {
@@ -104,16 +110,18 @@ func (b *engineSystem) Preload(wl Workload) {
 	}
 }
 
-func (b *engineSystem) NewWorker(tid int) Worker {
-	return &engineWorker{m: b.m, tx: b.eng.NewWorker(tid)}
+// NewWorker returns a per-thread handle.
+func (b *System) NewWorker(tid int) *Worker {
+	return &Worker{m: b.m, tx: b.eng.NewWorker(tid)}
 }
 
-type engineWorker struct {
+// Worker executes transactions for one thread.
+type Worker struct {
 	m  txengine.Map[uint64]
 	tx txengine.Tx
 }
 
-func (w *engineWorker) apply(ops []Op) {
+func (w *Worker) apply(ops []Op) {
 	for _, op := range ops {
 		switch op.Kind {
 		case Get:
@@ -126,7 +134,9 @@ func (w *engineWorker) apply(ops []Op) {
 	}
 }
 
-func (w *engineWorker) RunTx(ops []Op) {
+// RunTx executes ops as one transaction, retrying internally until it
+// commits.
+func (w *Worker) RunTx(ops []Op) {
 	readOnly := true
 	for _, op := range ops {
 		if op.Kind != Get {
@@ -141,6 +151,8 @@ func (w *engineWorker) RunTx(ops []Op) {
 	_ = w.tx.Run(func() error { w.apply(ops); return nil })
 }
 
-func (w *engineWorker) RunOpsNoTx(ops []Op) {
+// RunOpsNoTx executes ops back to back without a surrounding transaction
+// (the TxOff and Original modes of Figure 10).
+func (w *Worker) RunOpsNoTx(ops []Op) {
 	w.tx.NoTx(func() { w.apply(ops) })
 }

@@ -316,11 +316,8 @@ func TestBudgetDeviceCycle(t *testing.T) {
 	old := write()
 	cycle := func() {
 		id := write()
-		if err := d.Retire(old, 4, 0); err != nil {
-			t.Fatal(err)
-		}
 		d.WriteBack(id)
-		d.WriteBack(old)
+		d.WriteBackAll([]uint64{old}, 4, nil)
 		d.Delete(old)
 		old = id
 	}

@@ -149,7 +149,8 @@ func TestCheck(t *testing.T) {
 
 // TestExplore: two goroutines of two points each have C(6,3) = 20
 // interleavings, every one run once; with no preemption, the two that run
-// each to the end; and a goroutine that waits on another is let go after it.
+// each to the end; and a goroutine that waits on another is let go after it,
+// its step counted and marked as one that ran past blockAfter.
 func TestExplore(t *testing.T) {
 	for _, c := range []struct{ preemptions, want int }{{0, 2}, {9, 20}} {
 		// A goroutine the machine stalls for longer than blockAfter counts
@@ -185,7 +186,7 @@ func TestExplore(t *testing.T) {
 			t.Errorf("%d preemptions: %d runs, %d distinct interleavings, want %d", c.preemptions, n, distinct, c.want)
 		}
 	}
-	Explore(t, nil, 2, func(t *testing.T, s *Sched) {
+	_, overran := Explore(t, nil, 2, func(t *testing.T, s *Sched) {
 		var set atomic.Bool
 		s.Go(func() {
 			for !set.Load() {
@@ -198,5 +199,17 @@ func TestExplore(t *testing.T) {
 			set.Store(true)
 		})
 		s.Wait()
+		marked := 0
+		for _, step := range s.steps {
+			if strings.HasSuffix(step, "~") {
+				marked++
+			}
+		}
+		if marked != s.overran {
+			t.Errorf("%d steps ran past blockAfter and %d are marked: %s", s.overran, marked, strings.Join(s.steps, " "))
+		}
 	})
+	if overran == 0 {
+		t.Error("the goroutine that waits on another never ran past blockAfter")
+	}
 }

@@ -29,10 +29,11 @@ const maxRuns = 20000
 // another could go on is a preemption too). Body builds fresh state, starts
 // two or three goroutines, calls Wait and checks what they did. Explore
 // returns the number of interleavings it ran and of the steps in them that
-// ran past blockAfter, and logs the interleaving that failed. Such a step was
+// ran past blockAfter, and logs the interleaving that failed, with each of
+// its steps that ran past blockAfter marked ~ and their count. Such a step was
 // blocked on a parked goroutine or stalled by the machine (the race detector
 // slows every step); either way the next one ran beside it, so an
-// exploration with any is not one step at a time.
+// interleaving with any was not run one step at a time.
 func Explore(t *testing.T, points []string, preemptions int, body func(t *testing.T, s *Sched)) (runs, overran int) {
 	t.Helper()
 	var cur *Sched
@@ -56,7 +57,7 @@ func Explore(t *testing.T, points []string, preemptions int, body func(t *testin
 		}
 		overran += s.overran
 		if t.Failed() {
-			t.Logf("interleaving %d: %s", runs, strings.Join(s.steps, " "))
+			t.Logf("interleaving %d, %d steps past blockAfter (~): %s", runs, s.overran, strings.Join(s.steps, " "))
 			return runs, overran
 		}
 		if prefix = s.next(); prefix == nil || runs == maxRuns {
@@ -77,7 +78,7 @@ type Sched struct {
 	trail   []decision // the choices made
 	left    int        // preemptions still allowed
 	last    *gor       // the goroutine let go last
-	steps   []string   // who went, from where: for a failure's log
+	steps   []string   // who went, from where, ~ if past blockAfter: for a failure's log
 	overran int        // steps that ran past blockAfter
 }
 
@@ -139,6 +140,7 @@ func (s *Sched) Wait() {
 		g.resume <- struct{}{}
 		if !s.await(g, blockAfter) {
 			s.overran++
+			s.steps[len(s.steps)-1] += "~"
 		}
 	}
 }

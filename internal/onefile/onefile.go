@@ -19,8 +19,11 @@
 //     magnitude. Persistence is failure-atomic at every instant via a
 //     redo-log commit record: each committing transaction tags its payload
 //     records and retirement marks with a fresh commit serial, makes them
-//     durable, and only then writes back a reserved commit record carrying
-//     that serial (under pnvm.MarkerKey). Recovery is the shared pipeline,
+//     durable (a mark is stored only with its record's write-back,
+//     pnvm.Device.WriteBackAll, as txMontage's epoch flush stores its marks),
+//     and only then writes back a reserved commit record carrying that serial
+//     (under pnvm.MarkerKey). A commit that fails before that deletes its
+//     payload records and lifts its marks. Recovery is the shared pipeline,
 //     pnvm.RecoverDomain: the cut is the highest serial with a durable
 //     commit record, and exactly the transactions at or below it survive —
 //     payload records beyond the cut are torn (scrubbed off media),
@@ -28,7 +31,8 @@
 //     crash at any point of the window therefore recovers either all of a
 //     transaction's records or none, which the chaos crash-point sweep in
 //     txengine's conformance suite proves point by point. Recover below
-//     adds only the serial allocator's restart.
+//     adds only the serial allocator's restart and the live records'
+//     adoption. Only staged writes (StagePersist) reach the device.
 //
 // Substitution note (README, "Substitutions"): real OneFile achieves
 // wait-freedom by publishing each transaction as a closure that all threads
@@ -71,16 +75,14 @@ type STM struct {
 	// persistence (nil for the transient variant)
 	dev *pnvm.Device
 
-	// per-transaction undo log and dirty-line count, guarded by wlock.
-	undo  []func()
-	dirty int
+	// per-transaction undo log, guarded by wlock.
+	undo []func()
 
 	// staged payload updates of the current write transaction and the
 	// (structure, key) → live-record index of the whole store, guarded by
-	// wlock. Only structures that stage payloads (see StagePersist) are
-	// recoverable; unstaged dirty lines still pay the simulated redo-log
-	// cost. The index is namespaced per structure (sid) so one map's
-	// update never retires another map's record for the same key.
+	// wlock. Only staged payloads (see StagePersist) reach the device. The
+	// index is namespaced per structure (sid) so one map's update never
+	// retires another map's record for the same key.
 	staged  []stagedKV
 	keyIDs  map[persistKey]uint64
 	nextSID atomic.Uint64
@@ -145,7 +147,6 @@ func (st *STM) WriteTx(fn func() error) (err error) {
 	st.wlock.Lock()
 	st.undo = st.undo[:0]
 	st.staged = st.staged[:0]
-	st.dirty = 0
 	st.seq.Add(1) // odd: readers hold off
 	done := false
 	defer func() {
@@ -187,40 +188,26 @@ func (st *STM) rollback() {
 // transaction's media effects and aborts it — POneFile never acknowledges a
 // commit it could not persist.
 func (st *STM) persist() error {
-	// Dirty lines without a staged payload pay the simulated redo-log cost
-	// only (transient bookkeeping records, dropped immediately).
-	for i := len(st.staged); i < st.dirty; i++ {
-		id, werr := st.dev.Write(0, nil, 0)
-		if werr != nil {
-			return werr
-		}
-		st.dev.WriteBack(id)
-		st.dev.Delete(id)
-	}
 	if len(st.staged) == 0 {
-		if st.dirty > 0 {
-			st.dev.Fence()
-		}
 		return nil
 	}
 	st.collapseStaged()
 	serial := st.serial + 1
-	claim := st.seq.Load()
 	if err := cpPreLog.Hit(); err != nil {
 		return err
 	}
 	ids := make([]uint64, len(st.staged))
 	var retired []uint64
 	fail := func(err error) error {
-		// Undo this serial's media effects so the transaction aborts
-		// cleanly: its payload records deleted, its retire marks lifted.
+		// Undo this serial's media effects, which the next commit's record
+		// would make count: its payload records deleted, its marks lifted.
 		for _, id := range ids {
 			if id != 0 {
 				st.dev.Delete(id)
 			}
 		}
 		for _, id := range retired {
-			st.dev.UnRetire(id, claim)
+			st.dev.UnRetire(id)
 		}
 		return err
 	}
@@ -242,19 +229,17 @@ func (st *STM) persist() error {
 		}
 	}
 	// (2) Retire every superseded or removed record, marked with the same
-	// serial. The marks reach durability before the commit record, but
-	// recovery honors a mark only when its serial is at or below the
-	// durable commit cut — a crash here leaves the old version live, never
-	// a torn half-transaction.
+	// serial and written back with its mark. The marks reach durability
+	// before the commit record, but recovery honors a mark only when its
+	// serial is at or below the durable commit cut — a crash here leaves the
+	// old version live, never a torn half-transaction. A crashed device
+	// stores no mark, and the commit record's Write fails.
 	for _, p := range st.staged {
 		old, ok := st.keyIDs[persistKey{p.sid, p.key}]
 		if !ok {
 			continue
 		}
-		if rerr := st.dev.Retire(old, serial, claim); rerr != nil {
-			return fail(rerr)
-		}
-		st.dev.WriteBack(old)
+		st.dev.WriteBackAll([]uint64{old}, serial, nil)
 		retired = append(retired, old)
 		if err := cpRetire.Hit(); err != nil {
 			return fail(err)
@@ -326,8 +311,8 @@ outer:
 // StagePersist stages one payload update of the current write transaction:
 // structure sid's key now binds to val (nil val: key removed). Durable iff
 // the transaction commits; staged entries of aborted transactions are
-// discarded. Must only be called from inside WriteTx's fn on a persistent
-// STM, with a sid from NewPersistSID.
+// discarded. Must only be called from inside WriteTx's fn, with a sid from
+// NewPersistSID; on a transient STM it does nothing.
 func (st *STM) StagePersist(sid, key uint64, val []byte) {
 	if st.dev == nil {
 		return
@@ -339,10 +324,10 @@ func (st *STM) StagePersist(sid, key uint64, val []byte) {
 }
 
 // LogUndo registers compensation for one mutation of the current write
-// transaction. Must only be called from inside WriteTx's fn.
+// transaction. Must only be called from inside WriteTx's fn. It persists
+// nothing: a mutation that must survive a crash stages (StagePersist).
 func (st *STM) LogUndo(f func()) {
 	st.undo = append(st.undo, f)
-	st.dirty++
 }
 
 // Stats returns commit/abort counters (reads + writes combined).
@@ -359,10 +344,9 @@ func (st *STM) Device() *pnvm.Device { return st.dev }
 // media down to the live records and one commit record at the cut. What
 // POneFile adds, under the writer lock: the commit-serial allocator resumes
 // at the cut, so post-recovery transactions always supersede pre-crash ones,
-// and the live records are adopted as structure sid's bindings, so the
-// transaction that rebuilds sid from them retires and GCs each one through
-// the normal commit protocol instead of leaving a second copy beside it.
-// Call once, before the STM serves transactions.
+// and the live records are adopted as structure sid's bindings, which the
+// caller binds into sid's DRAM index in one WriteTx that stages nothing, as
+// montage.Map.Rebuild does. Call once, before the STM serves transactions.
 func (st *STM) Recover(dumps [][]pnvm.Record, sid uint64) ([]pnvm.Record, error) {
 	st.wlock.Lock()
 	defer st.wlock.Unlock()

@@ -188,9 +188,12 @@ func TestPersistentVariantChargesNVM(t *testing.T) {
 	dev := pnvm.New(pnvm.Latencies{})
 	st := NewPersistent(dev)
 	sl := NewSkipList[uint64](st)
+	sid := st.NewPersistSID()
 	st.WriteTx(func() error {
 		sl.Insert(1, 1)
+		st.StagePersist(sid, 1, []byte{1})
 		sl.Insert(2, 2)
+		st.StagePersist(sid, 2, []byte{2})
 		return nil
 	})
 	w, wb, f := dev.Stats()
@@ -286,6 +289,45 @@ func TestCommitRecordGatesVisibility(t *testing.T) {
 		if got2, got3 := kv[2] != nil, kv[3] != nil; got2 != tc.want || got3 != tc.want {
 			t.Fatalf("%s: keys (2,3) visible = (%v,%v), want both %v", tc.point, got2, got3, tc.want)
 		}
+	}
+}
+
+// A commit that fails after its retire marks are durable lifts them: the next
+// commit reuses the failed one's serial, and its commit record must not make
+// those marks count. The records the failed commit marked come back live, with
+// their values, and its own payloads do not come back at all.
+func TestFailedCommitLiftsItsMarks(t *testing.T) {
+	t.Cleanup(chaos.DisarmAll)
+	dev := pnvm.New(pnvm.Latencies{})
+	st := NewPersistent(dev)
+	sid := st.NewPersistSID()
+	if err := st.WriteTx(func() error { st.StagePersist(sid, 1, []byte{10}); st.StagePersist(sid, 2, []byte{20}); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// pre-mark: both retire marks are written back and fenced, the commit
+	// record is not written.
+	if err := chaos.Arm("ponefile.commit.pre-mark", chaos.Fault{Kind: chaos.Error, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteTx(func() error { st.StagePersist(sid, 1, []byte{11}); st.StagePersist(sid, 2, nil); return nil }); err == nil {
+		t.Fatal("the commit succeeded through an injected error at pre-mark")
+	}
+	if n := chaos.Fired("ponefile.commit.pre-mark"); n != 1 {
+		t.Fatalf("pre-mark fired %d times, want 1", n)
+	}
+	chaos.DisarmAll()
+	if err := st.WriteTx(func() error { st.StagePersist(sid, 3, []byte{30}); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	_, _, kv := recoverKV(t, dev)
+	want := map[uint64]byte{1: 10, 2: 20, 3: 30}
+	for k, v := range want {
+		if got, ok := kv[k]; !ok || len(got) != 1 || got[0] != v {
+			t.Errorf("key %d recovered as %v, %v, want [%d]", k, got, ok, v)
+		}
+	}
+	if len(kv) != len(want) {
+		t.Errorf("recovered %v, want %v", kv, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // groupMedia writes the same history on a fresh device every time it is
 // called, so two calls build identical devices, and returns ids that name
 // every state a slot can be in on every shard: records written back, durably
-// retired under a claim and volatile; ids whose records were deleted, with
+// retired and volatile; ids whose records were deleted, with
 // their slots free or reused; ids that were never issued; and some of each
 // twice, shuffled.
 func groupMedia(t *testing.T) (*Device, []uint64) {
@@ -21,8 +21,7 @@ func groupMedia(t *testing.T) (*Device, []uint64) {
 	durable, retired, volatile := lap(t, d, 0, 1, 3), lap(t, d, 1000, 2, 3), lap(t, d, 2000, 3, 3)
 	for k := range durable {
 		d.WriteBack(durable[k])
-		d.Retire(retired[k], 4, 77)
-		d.WriteBack(retired[k])
+		d.WriteBackAll([]uint64{retired[k]}, 4, nil)
 	}
 	stale := lap(t, d, 3000, 4, 3)
 	for _, id := range stale {
@@ -64,8 +63,8 @@ func sorted(r []reported) []reported {
 }
 
 // The grouped forms do what their one-id forms do, one id after another:
-// WriteBackAll without a mark is WriteBack, with one it is Retire (no claim)
-// and then WriteBack, DeleteAll is Delete. On two identical devices, fed the
+// WriteBackAll without a mark is WriteBack, with one it is its one-id form,
+// DeleteAll is Delete. On two identical devices, fed the
 // same ids — every shard, every state a slot can be in, ids that name
 // nothing — one id at a time on one and grouped on the other, the devices
 // count the same stores and write-backs, report the same records with the
@@ -93,9 +92,8 @@ func TestGroupedFormsMatchOneByOne(t *testing.T) {
 		var one, grouped []reported
 		for _, id := range ids {
 			if retire != 0 {
-				a.Retire(id, retire, 0)
-			}
-			if r, ok := a.WriteBack(id); ok {
+				a.WriteBackAll([]uint64{id}, retire, func(id, r uint64) { one = append(one, reported{id, r}) })
+			} else if r, ok := a.WriteBack(id); ok {
 				one = append(one, reported{id, r})
 			}
 		}

@@ -36,8 +36,9 @@
 // reclaim): they group the ids by shard in place, in one counting pass
 // without sorting or allocating, and take each shard's lock once per group
 // instead of once per record. WriteBackAll can also store a retire mark
-// with each write-back, so that a mark never stored before the record's
-// flush becomes durable with it. WriteBack and Delete are the one-id case of
+// with each write-back, and that is the only way a mark reaches media: a
+// mark is durable from the moment it is stored, and a crash only drops
+// records no write-back reached. WriteBack and Delete are the one-id case of
 // the same shard-level code, and what either form counts in Stats, stores
 // and reports is what the other does id by id (TestGroupedFormsMatchOneByOne).
 //
@@ -147,29 +148,27 @@ type line struct {
 	id    uint64
 	key   uint64
 	epoch uint64
-	// retire is the retire mark on media, possibly volatile (0 = live), and
-	// claim names the transaction that wrote it, so that only it can lift it.
-	retire, claim uint64
-	// persisted is what a crash keeps: volatile while the record was never
-	// written back, else the retire mark as of the last write-back.
-	persisted uint64
+	// mark is volatile until a write-back reaches the record, and the
+	// record's durable retire mark (0 = live) after that: a mark is only
+	// ever stored with a write-back.
+	mark uint64
 	// val[:n] is the payload, or n is long and the payload is the slot's
 	// entry in the shard's side slab.
 	val [inlineBytes]byte
 	n   uint8
+	_   [64 - 4*8 - inlineBytes - 1]byte // pad to one cache line
 }
 
-// volatile in line.persisted marks a record no write-back has reached. Retire
+// volatile in line.mark marks a record no write-back has reached. Retire
 // marks count epochs or commit serials up from small numbers.
 const volatile = ^uint64(0)
 
-// lift clears the retire mark outright, the durable copy included: the
-// un-retire of an aborted commit or of a recovery that discards the mark's
-// unit needs no write-back of its own.
+// lift clears a durable retire mark, which needs no write-back of its own:
+// the un-retire of an aborted commit or of a recovery that discards the
+// mark's unit. A record no write-back has reached has no mark to lift.
 func (r *line) lift() {
-	r.retire, r.claim = 0, 0
-	if r.persisted != volatile {
-		r.persisted = 0
+	if r.mark != volatile {
+		r.mark = 0
 	}
 }
 
@@ -246,7 +245,7 @@ func (s *shard) take() uint32 {
 // when it is long, into the slot's side entry. The caller holds s.mu.
 func (s *shard) store(slot uint32, id, key uint64, val []byte, epoch uint64) {
 	r := s.at(slot)
-	*r = line{id: id, key: key, epoch: epoch, persisted: volatile}
+	*r = line{id: id, key: key, epoch: epoch, mark: volatile}
 	if len(val) <= inlineBytes {
 		r.n = uint8(copy(r.val[:], val))
 	} else {
@@ -267,7 +266,7 @@ func (s *shard) store(slot uint32, id, key uint64, val []byte, epoch uint64) {
 // drop removes record id, if it is there, and hands its slot to the free
 // list; a second drop of the same id finds nothing. Zeroing the line and its
 // side entry releases the payload and leaves the next owner no payload,
-// durability, retire mark or claim to inherit. The caller holds s.mu.
+// durability or retire mark to inherit. The caller holds s.mu.
 func (s *shard) drop(id uint64) {
 	slot := slotOf(id)
 	if r := s.find(id); r != nil {
@@ -357,33 +356,13 @@ func (d *Device) Write(key uint64, val []byte, epoch uint64) (uint64, error) {
 	return id, nil
 }
 
-// Retire marks a record retired as of the given epoch (a store to the
-// record's metadata; not yet durable). claim identifies the retiring
-// transaction so that only it can undo the mark.
-func (d *Device) Retire(id uint64, epoch uint64, claim uint64) error {
-	spin(d.lat.Write)
+// UnRetire lifts record id's durable retire mark: an aborting commit's. Like
+// Delete it is a no-op on crashed media: an abort racing the crash must not
+// scrub a mark the crash already froze.
+func (d *Device) UnRetire(id uint64) {
 	s := d.shard(id)
 	s.mu.Lock()
-	if d.crashed.Load() { // under the lock, as in Write: no volatile mark on post-crash media
-		s.mu.Unlock()
-		return ErrCrashed
-	}
-	if r := s.find(id); r != nil {
-		r.retire, r.claim = epoch, claim
-	}
-	s.writes++
-	s.mu.Unlock()
-	return nil
-}
-
-// UnRetire clears a retire mark, but only if it is still owned by claim
-// (an aborting transaction must not clear a successor's mark). Like Delete
-// it is a no-op on crashed media: an abort racing the crash must not scrub
-// a mark the crash already froze.
-func (d *Device) UnRetire(id uint64, claim uint64) {
-	s := d.shard(id)
-	s.mu.Lock()
-	if r := s.find(id); r != nil && !d.crashed.Load() && r.claim == claim {
+	if r := s.find(id); r != nil && !d.crashed.Load() {
 		r.lift()
 	}
 	s.mu.Unlock()
@@ -426,12 +405,11 @@ func (d *Device) delete(s *shard, g []uint64, after *chaos.Point) {
 	}
 }
 
-// WriteBack makes record id durable (clwb), its retire mark included.
-// Idempotent. It reports whether the record was there to write back, and the
-// retire mark that is durable with it (0 = durably live): from that epoch on
-// no recovery cut can find the record live, which is what a reclaimer needs
-// to know (montage's epoch rule). It is WriteBackAll of one id, without a
-// mark.
+// WriteBack makes record id durable (clwb). Idempotent. It reports whether
+// the record was there to write back, and the retire mark that is durable
+// with it (0 = durably live): from that epoch on no recovery cut can find the
+// record live, which is what a reclaimer needs to know (montage's epoch
+// rule). It is WriteBackAll of one id, without a mark.
 func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
 	d.writeBack(d.shard(id), []uint64{id}, 0, func(_, r uint64) { retired, durable = r, true })
 	return retired, durable
@@ -439,13 +417,12 @@ func (d *Device) WriteBack(id uint64) (retired uint64, durable bool) {
 
 // WriteBackAll writes back the records ids name (clwb), taking each device
 // shard's lock once for all of its ids (groups). With a nonzero retire it
-// first marks each record retired as of that epoch, a final mark with no
-// claim, so that the mark and the record become durable in one step: one
-// store and one write-back an id in Stats, as Retire and WriteBack count
-// them. On a crashed device no mark is stored, as Retire refuses one, and
-// the write-back changes nothing. f, if not nil, is called with each record
-// that was there and the retire mark now durable with it, as WriteBack
-// reports them; it runs under the shard's lock and must not call the device.
+// also marks each record retired as of that epoch, so that the mark and the
+// record become durable in one step: one store and one write-back an id in
+// Stats. On a crashed device no mark is stored, and the write-back changes
+// nothing. f, if not nil, is called with each record that
+// was there and the retire mark now durable with it, as WriteBack reports
+// them; it runs under the shard's lock and must not call the device.
 // pnvm.writeback is hit once a group, before its lock.
 func (d *Device) WriteBackAll(ids []uint64, retire uint64, f func(id, retired uint64)) {
 	b := groups(ids)
@@ -465,18 +442,19 @@ func (d *Device) writeBack(s *shard, g []uint64, retire uint64, f func(id, retir
 	}
 	spin(time.Duration(len(g)) * cost)
 	s.mu.Lock()
-	mark := retire != 0 && !d.crashed.Load() // under the lock, as in Retire
+	mark := retire != 0 && !d.crashed.Load() // under the lock, as in Write
 	for _, id := range g {
 		r := s.find(id)
 		if r == nil {
 			continue
 		}
 		if mark {
-			r.retire, r.claim = retire, 0
+			r.mark = retire
+		} else if r.mark == volatile {
+			r.mark = 0
 		}
-		r.persisted = r.retire
 		if f != nil {
-			f(id, r.retire)
+			f(id, r.mark)
 		}
 	}
 	if mark {
@@ -519,17 +497,14 @@ func (d *Device) Fence() {
 	d.fences.Add(1)
 }
 
-// Crash simulates a full-system crash: every record or retirement mark that
-// was not acknowledged durable is lost. Subsequent Writes fail until
-// Recover is called.
+// Crash simulates a full-system crash: every record no write-back reached is
+// lost. Subsequent Writes fail until Recover is called.
 func (d *Device) Crash() {
 	d.crashed.Store(true)
 	d.each(func(s *shard) {
 		s.each(func(_ uint32, r *line) {
-			if r.persisted == volatile {
+			if r.mark == volatile {
 				s.drop(r.id)
-			} else {
-				r.retire = r.persisted
 			}
 		})
 	})
@@ -550,7 +525,7 @@ func (d *Device) Recover() []Record {
 				vals = append(vals, p...)
 				val = vals[len(vals)-len(p) : len(vals) : len(vals)]
 			}
-			out = append(out, Record{ID: r.id, Key: r.key, Val: val, Epoch: r.epoch, Retire: r.retire})
+			out = append(out, Record{ID: r.id, Key: r.key, Val: val, Epoch: r.epoch, Retire: r.mark})
 		})
 	})
 	d.crashed.Store(false)

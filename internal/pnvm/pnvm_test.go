@@ -40,43 +40,33 @@ func TestRetireSemantics(t *testing.T) {
 	d := New(Latencies{})
 	id, _ := d.Write(1, []byte{1}, 3)
 	d.WriteBack(id)
-	// Retire without write-back: lost on crash, record resurrects.
-	d.Retire(id, 4, 77)
+	// A mark stored with its write-back survives the crash.
+	d.WriteBackAll([]uint64{id}, 5, nil)
 	d.Crash()
 	recs := d.Recover()
-	if len(recs) != 1 || recs[0].Retire != 0 {
-		t.Fatalf("unflushed retire persisted: %+v", recs)
-	}
-	// Retire with write-back: survives.
-	d.Retire(id, 5, 78)
-	d.WriteBack(id)
-	d.Crash()
-	recs = d.Recover()
 	if len(recs) != 1 || recs[0].Retire != 5 {
 		t.Fatalf("flushed retire lost: %+v", recs)
 	}
 }
 
-func TestUnRetireClaimGuard(t *testing.T) {
+// UnRetire lifts a durable mark without a write-back of its own, and on
+// crashed media it changes nothing.
+func TestUnRetireLiftsDurableMark(t *testing.T) {
 	d := New(Latencies{})
 	id, _ := d.Write(1, []byte{1}, 3)
-	d.Retire(id, 4, 100)
-	// A different claim must not clear the mark.
-	d.UnRetire(id, 999)
-	d.WriteBack(id)
+	d.WriteBackAll([]uint64{id}, 4, nil)
+	d.UnRetire(id)
 	d.Crash()
 	recs := d.Recover()
-	if recs[0].Retire != 4 {
-		t.Fatal("foreign claim cleared retire mark")
+	if len(recs) != 1 || recs[0].Retire != 0 {
+		t.Fatalf("recovered %+v, want the record live: UnRetire did not lift its mark", recs)
 	}
-	// The owning claim may clear it (fresh mark first).
-	d.Retire(id, 6, 101)
-	d.UnRetire(id, 101)
-	d.WriteBack(id)
+	d.WriteBackAll([]uint64{id}, 6, nil)
 	d.Crash()
+	d.UnRetire(id)
 	recs = d.Recover()
-	if recs[0].Retire != 0 {
-		t.Fatal("owner could not clear its own retire mark")
+	if len(recs) != 1 || recs[0].Retire != 6 {
+		t.Fatalf("recovered %+v, want retire mark 6: UnRetire changed crashed media", recs)
 	}
 }
 
@@ -119,8 +109,7 @@ func TestLatencyIsCharged(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	d := New(Latencies{})
 	id, _ := d.Write(1, nil, 3)
-	d.Retire(id, 4, 1)
-	d.WriteBack(id)
+	d.WriteBackAll([]uint64{id}, 4, nil)
 	d.Fence()
 	w, wb, f := d.Stats()
 	if w != 2 || wb != 1 || f != 1 {
@@ -128,10 +117,9 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// A record's line is one 64-byte cache line: the 48 of key, epoch, retire
-// mark, claim and durable copy and the id, which is what lets a dropped
-// record's id find nothing once its slot has a new owner, then an 8-byte
-// payload and its length byte, padded. core's TestBudgetResidentKey prices
+// A record's line is one 64-byte cache line: the 32 of key, epoch, mark and
+// the id, which is what lets a dropped record's id find nothing once its slot
+// has a new owner, then an 8-byte payload and its length byte, padded. core's TestBudgetResidentKey prices
 // txmontage's resident key from this number.
 func TestLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(line{}); got != 64 {
@@ -381,11 +369,10 @@ func TestSlabAccounting(t *testing.T) {
 	first, second, third := lap(t, d, 0, 1, 3), lap(t, d, 1000, 1, 3), lap(t, d, 2000, 1, 3)
 	want("three laps", 3*nShards, 0)
 
-	// The second lap is written back, retired under a claim and that mark
-	// written back too, so its slots have everything to leave behind.
+	// The second lap is written back with a retire mark, so its slots have
+	// everything to leave behind.
 	for _, id := range second {
-		d.Retire(id, 4, 77)
-		d.WriteBack(id)
+		d.WriteBackAll([]uint64{id}, 4, nil)
 		d.Delete(id)
 		d.Delete(id)           // found nothing: frees nothing
 		d.Delete(id + nShards) // the next slot of the shard under this serial: no such record
@@ -394,17 +381,17 @@ func TestSlabAccounting(t *testing.T) {
 	want("one lap deleted twice", 2*nShards, nShards)
 
 	// As many writes as deletes take exactly the freed slots, and a reused
-	// slot starts over: volatile, live, unclaimed.
+	// slot starts over: volatile, with no mark.
 	fourth := lap(t, d, 3000, 2, 5)
 	want("freed slots reused", 3*nShards, 0)
 	for k, id := range fourth {
 		if slotOf(id) != slotOf(second[k]) || id%nShards != second[k]%nShards {
 			t.Fatalf("record %#x took a fresh slot with %#x's waiting on its shard's free list", id, second[k])
 		}
-		if l := slotLine(d, id); l.persisted != volatile || l.retire != 0 || l.claim != 0 || l.val[0] != 2 {
-			t.Fatalf("reused slot starts as %+v, want volatile, live and unclaimed", l)
+		if l := slotLine(d, id); l.mark != volatile || l.val[0] != 2 {
+			t.Fatalf("reused slot starts as %+v, want volatile", l)
 		}
-		d.UnRetire(id, 77) // the first owner's claim: nothing here to lift
+		d.UnRetire(id) // volatile: no mark here to lift
 	}
 
 	// A crash frees what was never written back; crashed media takes no
@@ -446,17 +433,18 @@ func TestSlabAccounting(t *testing.T) {
 // dropped finds nothing, whatever has become of its slot. Every call that
 // takes an id, against every state the slot can be in, on every shard.
 func TestStaleIdFindsNothing(t *testing.T) {
-	const claim = 77
 	ops := []struct {
 		name string
 		call func(t *testing.T, d *Device, id uint64)
 	}{
-		{"Retire", func(t *testing.T, d *Device, id uint64) {
-			if err := d.Retire(id, 9, claim); err != nil {
-				t.Fatal(err)
+		{"WriteBackAll with a mark", func(t *testing.T, d *Device, id uint64) {
+			found := false
+			d.WriteBackAll([]uint64{id}, 9, func(uint64, uint64) { found = true })
+			if found {
+				t.Fatal("a marked write-back through a dropped id reports a record")
 			}
 		}},
-		{"UnRetire", func(_ *testing.T, d *Device, id uint64) { d.UnRetire(id, claim) }},
+		{"UnRetire", func(_ *testing.T, d *Device, id uint64) { d.UnRetire(id) }},
 		{"WriteBack", func(t *testing.T, d *Device, id uint64) {
 			if retired, durable := d.WriteBack(id); durable || retired != 0 {
 				t.Fatalf("write-back through a dropped id reports retired=%d durable=%v", retired, durable)
@@ -471,7 +459,7 @@ func TestStaleIdFindsNothing(t *testing.T) {
 		{"slot empty", nil},
 		{"volatile record", func(d *Device, id uint64) {}},
 		{"durable record", func(d *Device, id uint64) { d.WriteBack(id) }},
-		{"durably retired record", func(d *Device, id uint64) { d.Retire(id, 6, claim); d.WriteBack(id) }},
+		{"durably retired record", func(d *Device, id uint64) { d.WriteBackAll([]uint64{id}, 6, nil) }},
 	}
 	for _, op := range ops {
 		for _, occ := range occupants {
@@ -479,8 +467,7 @@ func TestStaleIdFindsNothing(t *testing.T) {
 				d := New(Latencies{})
 				stale := lap(t, d, 0, 1, 3)
 				for _, id := range stale {
-					d.Retire(id, 4, claim)
-					d.WriteBack(id)
+					d.WriteBackAll([]uint64{id}, 4, nil)
 					d.Delete(id)
 				}
 				if occ.fill != nil {
@@ -509,62 +496,32 @@ func TestStaleIdFindsNothing(t *testing.T) {
 
 // A store tests for the crash under its shard's lock. Testing before the lock
 // lets a store that was inside its media latency when Crash scanned its shard
-// land afterwards: a record no write-back ever reached, or a volatile retire
-// mark, on post-crash media, and Recover hands it out as a survivor.
+// land afterwards: a record no write-back ever reached on post-crash media,
+// and Recover hands it out as a survivor.
 func TestCrashOrdersAgainstStores(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stores int
-		prep   func(d *Device) uint64
-		store  func(d *Device, id uint64) error // called until it fails
-		check  func(recs []Record) bool
-		want   string
-	}{
-		{
-			name:   "write",
-			stores: 4,
-			prep:   func(*Device) uint64 { return 0 },
-			store:  func(d *Device, _ uint64) error { _, err := d.Write(1, nil, 3); return err },
-			check:  func(recs []Record) bool { return len(recs) == 0 },
-			want:   "nothing: no record was ever written back",
-		},
-		{
-			name:   "retire",
-			stores: 1,
-			prep: func(d *Device) uint64 {
-				id, _ := d.Write(1, []byte{1}, 3)
-				d.WriteBack(id)
-				return id
-			},
-			store: func(d *Device, id uint64) error { return d.Retire(id, 4, 1) },
-			check: func(recs []Record) bool { return len(recs) == 1 && recs[0].Retire == 0 },
-			want:  "the one record, live: its retire mark was never written back",
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for round := 0; round < 50; round++ {
-				d := New(Latencies{Write: 200 * time.Microsecond})
-				id := tc.prep(d)
-				var started, done sync.WaitGroup
-				started.Add(tc.stores)
-				done.Add(tc.stores)
-				for i := 0; i < tc.stores; i++ {
-					go func() {
-						defer done.Done()
-						started.Done()
-						for tc.store(d, id) == nil {
-						}
-					}()
+	for round := 0; round < 50; round++ {
+		d := New(Latencies{Write: 200 * time.Microsecond})
+		var started, done sync.WaitGroup
+		started.Add(4)
+		done.Add(4)
+		for i := 0; i < 4; i++ {
+			go func() {
+				defer done.Done()
+				started.Done()
+				for {
+					if _, err := d.Write(1, nil, 3); err != nil {
+						return
+					}
 				}
-				started.Wait()
-				d.Crash() // lands inside the first stores' latency
-				done.Wait()
-				if recs := d.Recover(); !tc.check(recs) {
-					t.Fatalf("round %d: recovered %+v, want %s", round, recs, tc.want)
-				}
-				checkSlab(t, d)
-			}
-		})
+			}()
+		}
+		started.Wait()
+		d.Crash() // lands inside the first stores' latency
+		done.Wait()
+		if recs := d.Recover(); len(recs) != 0 {
+			t.Fatalf("round %d: recovered %+v, want nothing: no record was ever written back", round, recs)
+		}
+		checkSlab(t, d)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // rec is one record of a hand-built pre-crash device state: written to
-// device dev, optionally retired, and written back unless volatile.
+// device dev and written back unless volatile; a retired one is written back
+// with its mark.
 type rec struct {
 	dev           int
 	key           uint64
@@ -36,11 +37,8 @@ func build(t *testing.T, n int, recs []rec) ([]*Device, [][]Record) {
 			t.Fatal(err)
 		}
 		if r.retire != 0 {
-			if err := d.Retire(id, r.retire, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !r.volatile {
+			d.WriteBackAll([]uint64{id}, r.retire, nil)
+		} else if !r.volatile {
 			d.WriteBack(id)
 		}
 	}

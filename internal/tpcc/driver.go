@@ -11,7 +11,7 @@ import (
 // given thread count for dur through bench.Drive, and reports aggregate
 // throughput of committed transactions: a rolled-back newOrder counts in
 // neither Txns nor the engine's commits. The store must already be loaded.
-func Run(st Store, cfg Config, threads int, dur time.Duration) bench.Result {
+func Run(st *Store, cfg Config, threads int, dur time.Duration) bench.Result {
 	res := bench.Drive(threads, dur, 0, false, st.Stats, func(tid int) func() uint64 {
 		w := st.NewWorker(tid + 1)
 		rng := rand.New(rand.NewPCG(uint64(tid)+1, 42))

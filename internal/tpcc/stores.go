@@ -53,7 +53,7 @@ func CanRun(engine string) error {
 // RowCodec is TPC-C's own) and lays the TPC-C tables over its transactional row maps (see CanRun for which
 // engines qualify). Tables prefer the skiplist shape (the paper's
 // representation); engines without one (Boost) fall back to hash tables.
-func NewStore(engine string, cfg txengine.Config) (Store, error) {
+func NewStore(engine string, cfg txengine.Config) (*Store, error) {
 	if err := CanRun(engine); err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func NewStore(engine string, cfg txengine.Config) (Store, error) {
 	if !b.Caps.Has(txengine.CapSkipMap) {
 		spec = txengine.MapSpec{Kind: txengine.KindHash, Buckets: 1 << 14}
 	}
-	st := &engineStore{eng: eng}
+	st := &Store{eng: eng}
 	for i := range st.tables {
 		st.tables[i], err = eng.NewRowMap(spec)
 		if err != nil {
@@ -78,47 +78,48 @@ func NewStore(engine string, cfg txengine.Config) (Store, error) {
 	return st, nil
 }
 
-// engineStore is the one TPC-C store adapter: any row-capable engine,
-// with one transactional row map per table.
-type engineStore struct {
+// Store is one system under test: any row-capable engine, with one
+// transactional row map per table.
+type Store struct {
 	eng    txengine.Engine
 	tables [NumTables]txengine.Map[any]
 }
 
-// Name implements Store.
-func (st *engineStore) Name() string { return st.eng.Name() }
+func (st *Store) Name() string { return st.eng.Name() }
 
-// Stats implements Store.
-func (st *engineStore) Stats() txengine.Stats { return st.eng.Stats() }
+// Stats snapshots the underlying engine's cumulative transaction outcomes
+// (commits/aborts/retries/fallbacks).
+func (st *Store) Stats() txengine.Stats { return st.eng.Stats() }
 
-// Close implements Store.
-func (st *engineStore) Close() { st.eng.Close() }
+func (st *Store) Close() { st.eng.Close() }
 
-// NewWorker implements Store.
-func (st *engineStore) NewWorker(tid int) Worker {
-	return &engineWorker{st: st, tx: st.eng.NewWorker(tid)}
+func (st *Store) NewWorker(tid int) *Worker {
+	return &Worker{st: st, tx: st.eng.NewWorker(tid)}
 }
 
-type engineWorker struct {
-	st *engineStore
+// Worker executes TPC-C transactions for one thread.
+type Worker struct {
+	st *Store
 	tx txengine.Tx
 }
 
 // RunTx executes fn transactionally; a business abort (Handle.Abort) rolls
 // the transaction back and returns txengine.ErrBusinessAbort.
-func (w *engineWorker) RunTx(fn func(h Handle) error) error {
+func (w *Worker) RunTx(fn func(h Handle) error) error {
 	return w.tx.Run(func() error { return fn(engineHandle{w}) })
 }
 
-// RunTxHinted is RunTx with the key footprint declared before the
-// transaction starts; txengine.HintKeys no-ops on engines without hints.
-func (w *engineWorker) RunTxHinted(keys []uint64, fn func(h Handle) error) error {
+// RunTxHinted is RunTx with the transaction's key footprint declared up
+// front (payment knows all four of its row keys before it starts);
+// txengine.HintKeys no-ops on engines without hints, so drivers can call it
+// unconditionally.
+func (w *Worker) RunTxHinted(keys []uint64, fn func(h Handle) error) error {
 	txengine.HintKeys(w.tx, keys...)
 	return w.RunTx(fn)
 }
 
 type engineHandle struct {
-	w *engineWorker
+	w *Worker
 }
 
 func (h engineHandle) Get(t Table, k uint64) (any, bool) {

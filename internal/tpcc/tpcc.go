@@ -14,8 +14,6 @@ package tpcc
 import (
 	"errors"
 	"math/rand/v2"
-
-	"medley/internal/txengine"
 )
 
 // Table identifies one TPC-C table.
@@ -144,31 +142,9 @@ type Handle interface {
 	Abort() error
 }
 
-// Worker executes TPC-C transactions for one thread.
-type Worker interface {
-	// RunTx runs fn as one transaction. A rollback through Handle.Abort
-	// returns txengine.ErrBusinessAbort.
-	RunTx(fn func(h Handle) error) error
-	// RunTxHinted is RunTx with the transaction's key footprint declared
-	// up front (payment knows all four of its row keys before it starts).
-	// Engines without footprint hints ignore the keys, so drivers can call
-	// it unconditionally.
-	RunTxHinted(keys []uint64, fn func(h Handle) error) error
-}
-
-// Store is one system under test.
-type Store interface {
-	Name() string
-	NewWorker(tid int) Worker
-	// Stats snapshots the underlying engine's cumulative transaction
-	// outcomes (commits/aborts/retries/fallbacks).
-	Stats() txengine.Stats
-	Close()
-}
-
 // Load populates a store with the initial TPC-C data (single worker,
 // unmeasured).
-func Load(st Store, cfg Config) {
+func Load(st *Store, cfg Config) {
 	w0 := st.NewWorker(0)
 	// Batch rows into modest transactions to keep descriptors small.
 	batch := func(rows []func(h Handle)) {

@@ -19,7 +19,7 @@ func smallCfg() Config {
 // namedStore is a Store under its subtest name.
 type namedStore struct {
 	name string
-	Store
+	*Store
 }
 
 // stores builds one Store per registry engine that can run TPC-C (LFTT is
@@ -31,7 +31,7 @@ func stores(t *testing.T) []namedStore {
 	if len(names) < 5 {
 		t.Fatalf("Engines() = %v, want at least medley/txmontage/onefile/tdsl/boost", names)
 	}
-	build := func(name string, cfg txengine.Config) Store {
+	build := func(name string, cfg txengine.Config) *Store {
 		st, err := NewStore(name, cfg)
 		if err != nil {
 			t.Fatalf("NewStore(%s): %v", name, err)
@@ -90,7 +90,7 @@ func TestLoadAndRunAllStores(t *testing.T) {
 	cfg := smallCfg()
 	for _, st := range stores(t) {
 		t.Run(st.name, func(t *testing.T) {
-			Load(st, cfg)
+			Load(st.Store, cfg)
 			base := st.Stats()
 			w := st.NewWorker(1)
 			rng := rand.New(rand.NewPCG(1, 2))
@@ -142,8 +142,8 @@ func TestPaymentMoneyConservation(t *testing.T) {
 	cfg := smallCfg()
 	for _, st := range stores(t) {
 		t.Run(st.name, func(t *testing.T) {
-			Load(st, cfg)
-			res := Run(st, cfg, 8, 300*time.Millisecond)
+			Load(st.Store, cfg)
+			res := Run(st.Store, cfg, 8, 300*time.Millisecond)
 			if res.Txns == 0 {
 				t.Fatal("no transactions completed")
 			}

@@ -84,7 +84,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 		if b.Caps.Has(CapRowMaps) {
 			cfg := Config{}
-			if strings.Contains(b.Key, "txmontage") {
+			if strings.Contains(b.Key, "txmontage") || b.Key == "ponefile" {
 				cfg.RowCodec = testRowCodec()
 			}
 			eng2, err := b.New(cfg)

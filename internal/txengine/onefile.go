@@ -13,9 +13,9 @@ const onefileCaps = CapTx | CapDynamicTx | CapHashMap | CapSkipMap | CapRowMaps
 
 // onefileEngine drives OneFile-lite: writers serialized through one global
 // sequence, optimistic readers. The persistent variant (POneFile) persists
-// eagerly on the critical path; its uint64 maps (and row maps given a
-// Config.RowCodec) stage real payload records, so POneFile state is
-// recoverable after a crash. There is no uninstrumented mode — NoTx
+// eagerly on the critical path; every map of it stages real payload records
+// (a row map through Config.RowCodec, which it requires), so POneFile state
+// is recoverable after a crash. There is no uninstrumented mode — NoTx
 // delegates to Run, as the baseline did in the paper's harness.
 type onefileEngine struct {
 	name  string
@@ -60,9 +60,9 @@ func (e *onefileEngine) Sync() {}
 
 // RecoverUintMap implements Persister: POneFile is a recovery domain of one
 // device. The pipeline leaves the live records on media, adopted as the new
-// map's bindings, and one transaction re-puts them to rebuild the DRAM
-// index — so its commit retires and GCs every recovered record under one
-// fresh commit record, and media ends at live keys + one marker.
+// map's bindings, and one transaction that stages nothing binds them into
+// the DRAM index: recovery stores only the fresh commit record, and media
+// ends at live keys + one marker.
 func (e *onefileEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[uint64], error) {
 	if e.st.Device() == nil {
 		return nil, fmt.Errorf("txengine: %s is transient: %w", e.name, ErrUnsupported)
@@ -73,16 +73,12 @@ func (e *onefileEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map
 		return nil, fmt.Errorf("txengine: %s: %w", e.name, err)
 	}
 	dec := montage.Uint64Codec().Dec
-	tx := e.NewWorker(-1)
-	err = tx.Run(func() error {
+	_ = e.st.WriteTx(func() error { // stages nothing, so it cannot fail
 		for _, r := range live {
-			m.Put(tx, r.Key, dec(r.Val))
+			m.put(r.Key, dec(r.Val))
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("txengine: %s rebuild: %w", e.name, err)
-	}
 	return m, nil
 }
 
@@ -91,15 +87,17 @@ func (e *onefileEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 }
 
 func (e *onefileEngine) NewRowMap(spec MapSpec) (Map[any], error) {
+	if e.st.Device() != nil && e.codec.Enc == nil {
+		return nil, fmt.Errorf("txengine: ponefile row maps need Config.RowCodec")
+	}
 	return newOFMap(e, spec, e.codec.Enc), nil
 }
 
-// newOFMap builds one OneFile map. On a persistent engine with a payload
-// encoding (always for uint64 maps; Config.RowCodec for row maps) it gets a
-// persistence structure id, and its mutators stage payload records.
+// newOFMap builds one OneFile map. On a persistent engine it gets a
+// persistence structure id, and its mutators stage payload records in enc.
 func newOFMap[V any](e *onefileEngine, spec MapSpec, enc func([]byte, V) []byte) ofMap[V] {
 	m := ofMap[V]{st: e.st}
-	if e.st.Device() != nil && enc != nil {
+	if e.st.Device() != nil {
 		m.sid, m.enc = e.st.NewPersistSID(), enc
 	}
 	if spec.Kind == KindHash {

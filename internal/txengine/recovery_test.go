@@ -150,6 +150,65 @@ func TestCrashRecoveryConformance(t *testing.T) {
 	}
 }
 
+// POneFile's recovery binds the adopted records into the DRAM index without
+// writing them again: across RecoverUintMap the device counts one store, the
+// fresh commit record, and media afterwards holds the live keys and that one
+// marker. The recovered map reads the values back and keeps committing over
+// the adopted records: an overwrite retires its key's record.
+func TestPOneFileRecoveryWritesOnlyTheMarker(t *testing.T) {
+	const n = 16
+	spec := MapSpec{Kind: KindHash, Buckets: 64}
+	eng, err := Build("ponefile", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := eng.NewUintMap(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := eng.NewWorker(0)
+	for k := uint64(0); k < n; k++ {
+		m.Put(tx, k, 100+k)
+	}
+	m.Put(tx, 0, 7)
+	m.Remove(tx, 1)
+	want := map[uint64]uint64{0: 7}
+	for k := uint64(2); k < n; k++ {
+		want[k] = 100 + k
+	}
+	devs := eng.(Persister).Devices()
+	dumps := pnvm.DumpAll(devs)
+	eng.Close()
+
+	eng2, err := Build("ponefile", Config{Devices: devs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	before, _, _ := devs[0].Stats()
+	rm, err := eng2.(Persister).RecoverUintMap(dumps, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _, _ := devs[0].Stats(); after-before != 1 {
+		t.Errorf("recovery stored %d records, want 1: the commit record", after-before)
+	}
+	if got := devs[0].Live(); got != len(want)+1 {
+		t.Errorf("media holds %d records after recovery, want %d live keys and one marker", got, len(want))
+	}
+	tx2 := eng2.NewWorker(0)
+	for k := uint64(0); k < n; k++ {
+		v, ok := rm.Get(tx2, k)
+		if w, live := want[k]; ok != live || v != w {
+			t.Errorf("key %d recovered as %d, %v, want %d, %v", k, v, ok, w, live)
+		}
+	}
+	rm.Put(tx2, 2, 9)
+	if got := devs[0].Live(); got != len(want)+1 {
+		t.Errorf("media holds %d records after an overwrite of a recovered key, want %d", got, len(want)+1)
+	}
+}
+
 // TestRecoveryAdvancerWaitsForTheMap: an engine built with a background
 // advancer over a crashed image starts the advancer with the map it
 // recovers, not at construction. The image's durable frontier is two epochs

@@ -124,8 +124,9 @@ type Config struct {
 	// reattached for recovery see no fresh-clock marker before it); Close
 	// stops it.
 	EpochLen time.Duration
-	// RowCodec encodes row values into NVM payload bytes; required by
-	// txMontage row maps (TPC-C), unused elsewhere.
+	// RowCodec encodes row values into NVM payload bytes; required by the
+	// row maps (TPC-C) of the persistent engines, txMontage and POneFile,
+	// whose every write goes to media. Unused elsewhere.
 	RowCodec montage.Codec[any]
 	// Shards is txmontage's device count (0: len(Devices), or one device
 	// when Devices is empty): each map is still one index, and each key's
