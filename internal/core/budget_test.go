@@ -25,7 +25,9 @@ import (
 // descriptor: commit turns it into the real value in place, abort swings the
 // slot back to the cell it replaced, and neither allocates. The CAS allocates
 // that cell unless its caller hands it one (NbtcCASIn): mlist's insert
-// publishes the cell inside the new node, which so costs nothing. The descriptor
+// publishes the cell inside the new node, which so costs nothing. Nor does
+// the new node's own link: it starts on the committed cell that the install
+// displaces (CASObj.InitFrom), which holds its value. The descriptor
 // and its read and write sets cost nothing once the session's first
 // transactions have grown them. Only a helper still inside the descriptor when
 // its transaction finishes makes the next transaction pay for a fresh one
@@ -128,27 +130,39 @@ func TestBudgetHelperAtFinish(t *testing.T) {
 // keeps its capacity: the list, the predecessor link and the victim, none of
 // which it allocates; as a closure (function, dictionary and six captures)
 // it cost 1 allocation and 64 B more. The keys here sit alone in their
-// buckets, so the new node's successor is nil — the zero value, which
-// next.Init stores without a cell; in front of a successor it is one 24-byte
-// cell, however often the Put retries (TestBudgetInit).
+// buckets, so the new node's successor is nil — the zero value, which takes
+// no cell; in front of a successor it takes the victim's successor cell, no
+// new one either (TestBudgetHashPutBeforeSuccessor, TestBudgetInitFrom).
 // A Get of a present key records two reads (predecessor link and the node's
 // own successor), of an absent key one.
 const putAllocs, putBytes = 2, 48 + 24
 
-// A private node's successor, set three times as by a Put that retried
-// twice: one 24-byte cell around an int; the zero value costs nothing. The
-// two 8-byte objects themselves are the other two allocations.
-func TestBudgetInit(t *testing.T) {
+// A private node's successor, set by InitFrom as by a Put that retried: on
+// the tagged cell of its value, nothing; the zero value, nothing; any other
+// value, one fresh 24-byte cell around an int.
+func TestBudgetInitFrom(t *testing.T) {
+	var src, o core.CASObj[int]
+	src.Store(1)
+	_, tag := src.NbtcLoad(nil)
 	budget(t, func() {
-		var o, z core.CASObj[int]
-		o.Init(1)
-		o.Init(2)
-		o.Init(3)
-		z.Init(0)
-		if o.Load() != 3 || z.Load() != 0 {
-			t.Fatal("Init lost a value")
+		o.InitFrom(tag, 1)
+		o.InitFrom(tag, 0)
+		o.InitFrom(nil, 0)
+		if o.Load() != 0 {
+			t.Fatal("InitFrom lost a value")
 		}
-	}, 2+1, 2*8+24)
+		o.InitFrom(tag, 1)
+		if o.Load() != 1 || src.Load() != 1 {
+			t.Fatal("InitFrom lost a value")
+		}
+	}, 0, 0)
+	budget(t, func() {
+		o.InitFrom(tag, 1)
+		o.InitFrom(tag, 2)
+		if o.Load() != 2 || src.Load() != 1 {
+			t.Fatal("InitFrom lost a value")
+		}
+	}, 1, 24)
 }
 
 func newBudgetMap(s *core.Session) *mhash.Map[uint64, uint64] {
@@ -209,6 +223,51 @@ func TestBudgetHashFailedInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, 0, 0)
+}
+
+// A Put over a key that has a successor, on a map of one bucket: the same
+// 2 allocations, 72 B as over a key alone. The new node's successor link
+// starts on the victim's committed successor cell, which the install's mark
+// displaces (CASObj.InitFrom); a fresh one there cost a 24-byte cell more,
+// 3 and 96 B.
+func TestBudgetHashPutBeforeSuccessor(t *testing.T) {
+	s := core.NewTxManager().Session()
+	m := mhash.NewUint64[uint64](1)
+	m.Put(s, 1, 1)
+	m.Put(s, 2, 2)
+	v := uint64(0)
+	budget(t, func() {
+		s.TxBegin()
+		v++
+		if _, replaced := m.Put(s, 1, v); !replaced {
+			t.Fatal("key 1 missing")
+		}
+		if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+	}, putAllocs, putBytes)
+}
+
+// An Insert in front of a node: the node (48) and nothing else. Its cell is
+// the install, and its successor link starts on the predecessor's committed
+// cell, which links the node it goes in front of and which the install
+// displaces; a fresh one there cost a 24-byte cell more, 2 and 72 B. Each
+// call inserts a smaller key at the head of the one bucket.
+func TestBudgetHashInsertInFront(t *testing.T) {
+	s := core.NewTxManager().Session()
+	m := mhash.NewUint64[uint64](1)
+	k := uint64(1 << 20)
+	m.Put(s, k, k)
+	budget(t, func() {
+		s.TxBegin()
+		k--
+		if !m.Insert(s, k, k) {
+			t.Fatalf("key %d present", k)
+		}
+		if err := s.TxEnd(); err != nil {
+			t.Fatal(err)
+		}
+	}, 1, 48)
 }
 
 // A committed Remove: the 24-byte cell its marking CAS installs, and the

@@ -40,6 +40,8 @@ type cell[T comparable] struct {
 // the cell and the node are one object. Its zero value is ready; it may go
 // through any number of CASes that fail, but once one has published it, it
 // belongs to the object it was published in and must not be passed again.
+// Once committed it may still move on, like any committed cell, but only
+// into a field of a node not yet published, by InitFrom.
 type Cell[T comparable] struct {
 	c cell[T]
 }
@@ -61,7 +63,11 @@ type Obj interface {
 // CASObj is an augmented atomic word (the paper's CASObj<T>, Fig. 1 and
 // Fig. 4). The zero value holds the zero value of T. T must be comparable;
 // pointer types and small structs of pointers/booleans (e.g. marked
-// references) are the intended instantiations.
+// references) are the intended instantiations. The paper's object is one
+// 128-bit word, so a new node's field costs nothing beyond the node; here a
+// field set before publication starts on the committed cell the publishing
+// CAS displaces (InitFrom), and costs nothing either when its value is the
+// one that cell holds.
 type CASObj[T comparable] struct {
 	c unsafe.Pointer // *cell[T], accessed atomically once the object is shared
 }
@@ -96,15 +102,28 @@ func (o *CASObj[T]) resolve(own *Desc) *cell[T] {
 // atomic method" load. Inside a transaction it performs no read tracking.
 func (o *CASObj[T]) Load() T { return o.resolve(nil).value() }
 
-// Init sets the value of an object no other goroutine can reach yet — a field
-// of a node before the CAS that publishes the node — with plain writes and at
-// most one cell for the life of the object, however often it is called; the
-// zero value needs none. Before publication only: afterwards use Store.
-func (o *CASObj[T]) Init(v T) {
+// InitFrom sets the value of an object no other goroutine can reach yet — a
+// field of a node before the CAS that publishes the node — to v, with a plain
+// write. t is the ReadTag of the link that CAS displaces: when the cell it
+// names holds v, the field starts on that very cell, which the publication
+// is about to take out of its slot, and allocates nothing. The zero value
+// takes no cell, and any other v a fresh one. It never writes a cell, so a
+// second call leaves the cell a first one shared as it was. Before
+// publication only: afterwards use Store.
+//
+// A ReadTag names nil or a committed cell (NbtcLoad hands out an own
+// install's prev, never the install), and a committed cell never changes, so
+// the value check is all it takes. Sharing is sound only because the node is
+// unpublished: the cell then enters this field for the first time (doc.go,
+// "Which cells a slot may hold").
+func (o *CASObj[T]) InitFrom(t ReadTag, v T) {
 	var zero T
-	if c := (*cell[T])(o.c); c != nil {
-		c.val = v
-	} else if v != zero {
+	switch c := (*cell[T])(t); {
+	case v == zero:
+		o.c = nil
+	case c != nil && c.val == v:
+		o.c = unsafe.Pointer(c)
+	default:
 		o.c = unsafe.Pointer(&cell[T]{val: v})
 	}
 }

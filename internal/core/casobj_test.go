@@ -77,23 +77,38 @@ func TestCASObjPlainStoreInstallsNothing(t *testing.T) {
 	}
 }
 
-// Init is for a node nobody else can see yet: any number of calls cost the
-// object one cell, and the zero value none (TestBudgetInit counts).
-func TestCASObjInit(t *testing.T) {
+// InitFrom is for a node nobody else can see yet: the zero value takes no
+// cell, a tag naming a cell of the same value takes that very cell, another
+// value a fresh one, and no call writes a cell, so a second call leaves the
+// cell a first one shared as it was (TestBudgetInitFrom counts).
+func TestCASObjInitFrom(t *testing.T) {
+	var src CASObj[int]
+	src.Store(3)
+	_, tag := src.NbtcLoad(nil)
+	shared := src.c
+
 	var o CASObj[int]
-	o.Init(0)
+	o.InitFrom(tag, 0)
 	if o.c != nil || o.Load() != 0 {
-		t.Fatal("Init(zero) allocated a cell or lost the value")
+		t.Fatal("InitFrom(zero) took a cell or lost the value")
 	}
-	o.Init(3)
-	c := o.c
-	o.Init(4)
-	o.Init(0)
-	if o.c != c || o.Load() != 0 {
-		t.Fatal("a second Init replaced the cell or lost the value")
+	o.InitFrom(tag, 3)
+	if o.c != shared || o.Load() != 3 {
+		t.Fatal("InitFrom did not take the tagged cell of its value")
 	}
-	if !o.CAS(0, 9) || o.Load() != 9 {
-		t.Fatal("CAS after Init failed")
+	o.InitFrom(tag, 4)
+	if o.c == shared || o.c == nil || o.Load() != 4 {
+		t.Fatal("InitFrom of another value did not take a fresh cell")
+	}
+	o.InitFrom(nil, 5)
+	if o.Load() != 5 {
+		t.Fatal("InitFrom with no tag lost the value")
+	}
+	if src.c != shared || src.Load() != 3 || (*cell[int])(shared).owner() != nil {
+		t.Fatal("a later InitFrom wrote the cell an earlier one shared")
+	}
+	if !o.CAS(5, 9) || o.Load() != 9 || src.Load() != 3 {
+		t.Fatal("CAS after InitFrom failed or reached the tagged object")
 	}
 }
 

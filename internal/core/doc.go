@@ -29,7 +29,11 @@
 // A structure gets the one line back by handing the CAS that links a new node
 // the cell inside that node (Cell, NbtcCASIn): the slot then points into the
 // node itself. A cell so supplied must never have been published, so each
-// node's cell goes to the one link that stays pointing at it (mlist).
+// node's cell goes to the one link that stays pointing at it (mlist). The
+// node's own link costs no cell either when its value is the one the
+// publishing CAS displaces: it starts on that committed cell (InitFrom), so
+// a write allocates its node and its install cell, where a 128-bit word
+// would allocate the node alone.
 //
 // The paper also keeps one descriptor per thread and reuses it under a serial
 // number, so that a helper holding an old transaction's descriptor can tell it
@@ -66,9 +70,45 @@
 // or abort. Helpers never mutate a descriptor's sets and read them only
 // after loading InProg or Committed from the status word; a cell's
 // words are written plainly before the CAS that publishes it and atomically
-// after, so the protocol is free of data races by construction (next
-// section). Eager contention management makes the system obstruction-free
-// (paper Section 5.2).
+// after, so the protocol is free of data races by construction ("Who owns
+// the read and write sets"). Eager contention management makes the system
+// obstruction-free (paper Section 5.2).
+//
+// # Which cells a slot may hold
+//
+// A read-set entry is a (slot, cell) pair, and validation asks only whether
+// the slot still holds that cell. That makes the cell one version of the
+// object exactly when a cell enters any one slot at most once, apart from an
+// abort's swing-back: the slot then held the cell from the read to the
+// validation, with no other value between. Three ways put a cell in a slot,
+// and each keeps that:
+//
+//   - A CAS or Store publishes a cell that was never published: a fresh one,
+//     or a node's Cell (CASIn, NbtcCASIn), which goes to its node's first
+//     link and never again.
+//   - An abort swings the slot back to the cell its install displaced, which
+//     is no change of the logical value (above).
+//   - InitFrom starts a field of a node nobody can reach yet on a committed
+//     cell: the one that the CAS publishing the node takes out of its slot,
+//     which already holds the value the field needs. The field has never been
+//     published, so nobody has read it and the cell has never been in it.
+//     A committed cell never changes again, so sharing it writes nothing.
+//
+// A committed cell is shared only so, into a never-published node's field.
+// A link that is already published, such as the predecessor that a list's
+// unlink swings past its victim, takes a fresh cell even where a cell of the
+// right value is at hand. The victim's successor cell holds exactly the
+// value the unlink writes, but it may be the cell that the victim's insert
+// took out of that very predecessor. Putting it back is an ABA that
+// validation cannot see, and two reads validated one after the other then
+// admit a history no serial order explains. Transaction T reads slot R, then
+// the predecessor (key k absent, cell C), then slot U. Between its reads of
+// the predecessor and of U, W1 inserts k (its node's link takes C) and
+// writes U, so T reads W1's U. T validates R. Then W2 reads k present and
+// writes R, W3 removes k, and its unlink puts C back. T validates the
+// predecessor, which holds C again, and U, and commits. T follows W1 (it
+// read W1's U) and precedes W2 (it read R's old value); but k is present
+// from W1 until W3, which follows W2, and T read k absent.
 //
 // # What the paper guarantees and what the runtime adds
 //

@@ -106,6 +106,7 @@ func TestBudgetServe(t *testing.T) {
 		name    string
 		engine  string
 		occ     bool // served without the read lane (noLane)
+		dense   bool // a map of as many buckets as keys, as the benchmark's rows build theirs
 		started bool // one lane Get has started the engine's snapshot tier first
 		reqs    int  // requests per call of do
 		do      func(c *Conn, i int) (*Response, error)
@@ -113,45 +114,55 @@ func TestBudgetServe(t *testing.T) {
 		bytes   float64
 	}{
 		// A snapshot read allocates nothing, and neither does the lane.
-		{"get via lane", "medley-sharded", false, false, 1, get, 0.02, 4},
+		{"get via lane", "medley-sharded", false, false, false, 1, get, 0.02, 4},
 		// An OCC Get is a standalone read: no descriptor.
-		{"get via occ", "medley-sharded", true, false, 1, get, 0.02, 4},
+		{"get via occ", "medley-sharded", true, false, false, 1, get, 0.02, 4},
 		// An overwriting Put, auto-committed, before anything has read a
-		// snapshot: measured 2.006 allocations, 72.1 B — mhash's Put as
+		// snapshot: measured 2.000 allocations, 72.0 B — mhash's Put as
 		// internal/core prices it (node 48 with the cell its unlink
 		// publishes, install cell 24; the unlink is a record) and no
 		// snapshot version.
-		{"put", "medley-sharded", false, false, 1, put, 2.02, 74},
-		// The same once the snapshot tier has started: measured 3.007
-		// allocations, 104.3 B (+ one 32-byte snapshot version).
-		{"put, tier started", "medley-sharded", false, true, 1, put, 3.05, 110},
+		{"put", "medley-sharded", false, false, false, 1, put, 2.02, 74},
+		// The same on a map of as many buckets as keys, where about a third
+		// of the keys have a successor in their bucket: the same again,
+		// since the new node's successor link starts on the victim's
+		// committed successor cell (core.CASObj.InitFrom). Given a fresh
+		// cell there, each such Put cost 24 B more: 2.38 allocations, 81.2 B.
+		{"put, buckets = keys", "medley-sharded", false, true, false, 1, put, 2.02, 74},
+		// The same once the snapshot tier has started: measured 3.001
+		// allocations, 104.1 B (+ one 32-byte snapshot version).
+		{"put, tier started", "medley-sharded", false, false, true, 1, put, 3.05, 110},
 		// The same Put served in a batch of batchMax: each costs what it
 		// costs alone, and the batch adds nothing — execBatch hands Run a
 		// body bound once per connection, and the latch stripes allocate
 		// nothing.
-		{"batched puts", "medley-sharded", false, false, batchMax, puts, 2.02, 74},
+		{"batched puts", "medley-sharded", false, false, false, batchMax, puts, 2.02, 74},
 		// Read + two Adds + a stamp write, the txload/benchmark transfer,
-		// before anything has read a snapshot: measured 6.012 allocations,
-		// 216.3 B: three Puts as above; execTxn's body is bound once per
+		// before anything has read a snapshot: measured 6.000 allocations,
+		// 216.0 B: three Puts as above; execTxn's body is bound once per
 		// connection and the latch stripes allocate nothing. The worker
 		// runs every transaction on one descriptor, so its header and its
 		// read and write sets cost nothing.
-		{"4-op transfer txn", "medley-sharded", false, false, 1, txn, 6.15, 228},
-		// The same once the snapshot tier has started: measured 9.013
-		// allocations, 312.4 B (+ a 32-byte version for each of the three
+		{"4-op transfer txn", "medley-sharded", false, false, false, 1, txn, 6.15, 228},
+		// The same once the snapshot tier has started: measured 9.001
+		// allocations, 312.1 B (+ a 32-byte version for each of the three
 		// keys it writes).
-		{"4-op transfer txn, tier started", "medley-sharded", false, true, 1, txn, 9.15, 324},
+		{"4-op transfer txn, tier started", "medley-sharded", false, false, true, 1, txn, 9.15, 324},
 		// The same transfer on txmontage over two devices, each request
 		// followed by a Sync, so every record it supersedes is reclaimed and
-		// its slot reused: measured 6.07 allocations, 266 B. That is the
+		// its slot reused: measured 6.01 allocations, 265 B. That is the
 		// medley row plus 16 B a Put (the index node carries the payload id:
-		// 56 bytes, the 64-byte class), and 0.07 allocations, 2 B of the 128
-		// device shards' free lists still growing after the warm-up (0.03
-		// over four times the requests). The payload's bytes go through the
+		// 56 bytes, the 64-byte class), and 0.01 allocations, 1 B of the 128
+		// device shards' free lists still growing after the warm-up. The payload's bytes go through the
 		// epoch context's buffer into the device's line. While a line held
 		// its payload as a slice, each Put allocated its 8-byte encoding:
 		// 3 allocations and 24 B more (9.07, 288 B).
-		{"4-op transfer txn, txmontage", "txmontage", false, false, 1, txn, 6.15, 276},
+		{"4-op transfer txn, txmontage", "txmontage", false, false, false, 1, txn, 6.15, 276},
+		// The same on a map of as many buckets as keys, as serve_txn_durable
+		// builds its map: the same again, for the reason the Put row above
+		// gives. With a fresh successor cell it measured 6.77 allocations,
+		// 283.1 B.
+		{"4-op transfer txn, txmontage, buckets = keys", "txmontage", false, true, false, 1, txn, 6.15, 276},
 	}
 
 	// The client's own share: the same client over the same pipe against the
@@ -168,7 +179,11 @@ func TestBudgetServe(t *testing.T) {
 			if tc.occ {
 				wrap = noLane
 			}
-			s := serveWrapped(t, ln, tc.engine, txengine.Config{Shards: 2}, Options{}, wrap)
+			var opts Options
+			if tc.dense {
+				opts.MapSpec = txengine.MapSpec{Kind: txengine.KindHash, Buckets: keys}
+			}
+			s := serveWrapped(t, ln, tc.engine, txengine.Config{Shards: 2}, opts, wrap)
 			cl, _ := ln.dial(t)
 			c := &Conn{pol: RetryPolicy{MaxAttempts: 1}}
 			c.attach(cl)

@@ -191,9 +191,10 @@ func (sl *SkipList[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) 
 		r, found := sl.find(s, k)
 		if found {
 			// Replace: publish the new tower's root as the victim's marked
-			// bottom successor (one CAS: linearization + publication).
+			// bottom successor (one CAS: linearization + publication). Its
+			// own bottom link starts on the cell that CAS displaces.
 			nn := newNode(k, v)
-			nn.next[0].Store(Ref[K, V]{r.nxt0.n, false})
+			nn.next[0].InitFrom(r.ctag, Ref[K, V]{r.nxt0.n, false})
 			if r.curr.next[0].NbtcCAS(s, Ref[K, V]{r.nxt0.n, false}, Ref[K, V]{nn, true}, true, true) {
 				victim := r.curr
 				predObj := r.preds[0]
@@ -241,7 +242,7 @@ func newNode[K cmp.Ordered, V any](k K, v V) *node[K, V] {
 // bottom-level CAS lost a race (caller re-finds).
 func (sl *SkipList[K, V]) insertAt(s *core.Session, r *findResult[K, V], k K, v V) bool {
 	nn := newNode(k, v)
-	nn.next[0].Store(Ref[K, V]{r.succs[0], false})
+	nn.next[0].InitFrom(r.ptag, Ref[K, V]{r.succs[0], false}) // the cell the CAS below displaces
 	// Linearization + publication: bottom-level link.
 	if !r.preds[0].NbtcCAS(s, Ref[K, V]{r.succs[0], false}, Ref[K, V]{nn, false}, true, true) {
 		return false

@@ -23,14 +23,28 @@
 // the cell and the node in one object, where a cell of its own would be a
 // second dependent load; the paper's 128-bit CASObj gets the same from
 // holding the link inline.
+//
+// A new node's own successor link costs nothing either: before publication
+// it starts on the committed cell that the publishing CAS takes out of its
+// slot (core.CASObj.InitFrom with find's tag), since that cell already holds
+// the successor. An insert takes the predecessor's cell, which linked curr; a
+// replace takes the victim's successor cell, which its mark displaces. So a
+// write allocates its node and its install cell, and a Remove its install
+// cell and the fresh cell of its unlink, which borrows nothing (Cleanup).
 package mlist
 
 import (
 	"cmp"
 	"unsafe"
 
+	"medley/internal/chaos"
 	"medley/internal/core"
 )
+
+// cpPutFound is where a Put that found its key stands, its node's successor
+// set, before the replace CAS: a Remove of the key that lands here makes the
+// CAS fail, and the Put inserts instead (TestLostReplaceInsertsOnce).
+var cpPutFound = chaos.At("mlist.put.found")
 
 // node is a list node. key and val never change after insertion; all
 // mutation happens through next. in is the cell that publishes the node in
@@ -167,12 +181,13 @@ func (l *List[K, V]) Contains(s *core.Session, k K) bool {
 func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 	s.OpStart()
 	// nn is private until one of the CASes below publishes it, so its
-	// successor is set with Init: one cell for the node, however many retries.
+	// successor starts on the committed cell that CAS displaces (InitFrom).
 	nn := &node[K, V]{key: k, val: v}
 	for {
-		prev, _, curr, _, nxt, found := l.find(s, k)
+		prev, ptag, curr, ctag, nxt, found := l.find(s, k)
 		if found { // replace
-			nn.next.Init(nxt)
+			nn.next.InitFrom(ctag, nxt)
+			cpPutFound.Hit()
 			if curr.next.NbtcCAS(s, nxt, to(nn).mark(), true, true) {
 				s.AddToCleanups(l, prev, curr)
 				return curr.val, true
@@ -180,7 +195,7 @@ func (l *List[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) {
 			continue
 		}
 		// insert before curr
-		nn.next.Init(to(curr))
+		nn.next.InitFrom(ptag, to(curr))
 		if prev.NbtcCASIn(s, to(curr), &nn.in, to(nn), true, true) {
 			var zero V
 			return zero, false
@@ -204,7 +219,7 @@ func (l *List[K, V]) Insert(s *core.Session, k K, v V) bool {
 		if nn == nil {
 			nn = &node[K, V]{key: k, val: v}
 		}
-		nn.next.Init(to(curr))
+		nn.next.InitFrom(ptag, to(curr))
 		if prev.NbtcCASIn(s, to(curr), &nn.in, to(nn), true, true) {
 			return true
 		}
@@ -240,7 +255,12 @@ func (l *List[K, V]) Remove(s *core.Session, k K) (V, bool) {
 // the victim's key and whose own cell, not yet published, goes to this link
 // that stays pointing at it; a remove's successor, if any, has a greater key
 // and its own cell in the link that first pointed at it, so this link takes
-// a fresh one. If the direct CAS fails, a plain find sweeps the victim out.
+// a fresh one. It must not take the victim's successor cell either, though
+// that holds the same value: the cell may be the one an insert of the victim
+// took out of prev, and putting it back would hand a reader that validates
+// prev its old cell after the key came and went (core's doc.go, "Which cells
+// a slot may hold"). If the direct CAS fails, a plain find sweeps the victim
+// out.
 func (l *List[K, V]) Cleanup(_ *core.Session, prev, victim any) {
 	p, v := prev.(*core.CASObj[Ref[K, V]]), victim.(*node[K, V])
 	succ := v.next.Load().node()

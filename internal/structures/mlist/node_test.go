@@ -2,13 +2,11 @@ package mlist
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 
 	"medley/internal/core"
+	"medley/internal/history"
 )
 
 type uref = Ref[uint64, uint64]
@@ -191,16 +189,14 @@ func TestMarkedNilSurvives(t *testing.T) {
 // once, in the predecessor, and nowhere else.
 //
 // The list starts as 5 → 9, 9 marked but still linked, so a Put of 5 that
-// finds 5 replaces in front of 9 and writes 9 into its node's next (a cell),
-// while one that finds 5 gone inserts at the end (nil, no cell). A node that
-// ends up inserted with a cell in its next therefore lost a replace first.
-// Whether a Remove lands inside that window is a race, so the test repeats it
-// until it has seen the case enough times.
+// finds 5 replaces in front of 9, while one that finds 5 gone inserts at the
+// end. The scheduler runs the Put and a Remove of 5 through every
+// interleaving of mlist.put.found, where a Put that found its key waits
+// before its replace CAS: where the Remove runs while the Put waits there,
+// the CAS fails and the Put inserts.
 func TestLostReplaceInsertsOnce(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	const want = 20
-	seen := 0
-	for deadline := time.Now().Add(time.Minute); seen < want && time.Now().Before(deadline); {
+	lost := 0
+	runs, _ := history.Explore(t, []string{"mlist.put.found"}, 2, func(t *testing.T, sc *history.Sched) {
 		l := New[uint64, uint64]()
 		s, r := newSession(), newSession()
 		l.Insert(s, 5, 5)
@@ -208,26 +204,21 @@ func TestLostReplaceInsertsOnce(t *testing.T) {
 		n9 := nodeOf(t, l, 9)
 		n9.next.Store(n9.next.Load().mark())
 
-		var start atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !start.Load() {
-			}
+		var replaced, raced bool
+		sc.Go(func() { _, replaced = l.Put(s, 5, 50) })
+		sc.Go(func() {
+			raced = sc.Parked()[0] == "mlist.put.found"
 			l.Remove(r, 5)
-		}()
-		start.Store(true)
-		_, replaced := l.Put(s, 5, 50)
-		wg.Wait()
+		})
+		sc.Wait()
+		if !raced {
+			return
+		}
+		lost++
 		if replaced {
-			continue
+			t.Fatal("the Put replaced a key that a Remove took while it waited to")
 		}
 		nn := nodeOf(t, l, 5)
-		if cellAt(&nn.next) == nil {
-			continue // it found 5 gone: no replace to lose
-		}
-		seen++
 		wantOwnCell(t, "insert after a lost replace", &l.head, nn)
 		if nx := nn.next.Load(); nx != (uref{}) {
 			t.Fatalf("the inserted node links %p, want the end of the list", nx.node())
@@ -235,8 +226,9 @@ func TestLostReplaceInsertsOnce(t *testing.T) {
 		if l.Len() != 1 {
 			t.Fatalf("list holds %v, want [5]", l.Keys())
 		}
+	})
+	if lost == 0 {
+		t.Fatalf("none of %d interleavings ran the Remove while the Put waited to replace", runs)
 	}
-	if seen < want {
-		t.Fatalf("a Put lost its replace and inserted %d times in a minute, want %d", seen, want)
-	}
+	t.Logf("%d of %d interleavings lost the replace", lost, runs)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,20 +98,32 @@ func chaosCrashed(fn func()) (crashed bool) {
 // all-or-nothing (stamp pair both-or-neither), every transaction that
 // returned before the crash must be fully present (eager persistence), and
 // the account total must be conserved.
+//
+// Each ponefile.commit.* point also gets an error row: an injected error at
+// the point's second hit, which fails the transaction it lands in unless
+// that transaction is past its commit point, one more transaction, and then
+// the crash. A failed commit must leave nothing on media that the next
+// commit, which reuses its serial, would make count: no payload, and no
+// retire mark it did not lift.
 func TestChaosCrashPointSweepPOneFile(t *testing.T) {
 	requireRegistered(t, ponefilePoints)
 	for _, point := range ponefilePoints {
 		for _, after := range []int{0, 1, 2} {
 			t.Run(fmt.Sprintf("%s/after=%d", point, after), func(t *testing.T) {
-				sweepPOneFile(t, point, after)
+				ponefileToCrash(t, point, after, chaos.Crash).recoverAndAudit(t)
+			})
+		}
+		if strings.HasPrefix(point, "ponefile.commit.") {
+			t.Run(point+"/error", func(t *testing.T) {
+				ponefileToCrash(t, point, 1, chaos.Error).recoverAndAudit(t)
 			})
 		}
 	}
 }
 
-func sweepPOneFile(t *testing.T, point string, after int) {
-	ponefileToCrash(t, point, after).recoverAndAudit(t)
-}
+// ponefilePastCommit are the commit points past the commit record's
+// write-back, where POneFile ignores an injected error.
+var ponefilePastCommit = map[string]bool{"ponefile.commit.post-mark": true, "ponefile.commit.gc": true}
 
 // crashedRun is a sweep workload stopped by its armed crash: the wounded
 // engine is abandoned, and what remains is the device fleet, how to rebuild
@@ -177,8 +190,10 @@ func (r crashedRun) recoverAndAudit(t *testing.T) (media []map[uint64]string, ma
 }
 
 // ponefileToCrash runs the POneFile sweep workload until the crash armed at
-// point (skipping its first after hits) lands.
-func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
+// point (skipping its first after hits) lands. With kind chaos.Error the
+// fault at point is instead one injected error, and the workload runs one
+// transaction past the one it landed in before the whole fleet crashes.
+func ponefileToCrash(t *testing.T, point string, after int, kind chaos.Kind) crashedRun {
 	const (
 		accounts = uint64(8)
 		opening  = uint64(1000)
@@ -209,31 +224,33 @@ func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
 		t.Fatal(err)
 	}
 
-	if err := chaos.Arm(point, chaos.Fault{
-		Kind:  chaos.Crash,
-		After: after,
-		Action: func() {
-			for _, d := range devs {
-				d.Crash()
-			}
-		},
-	}); err != nil {
+	crashAll := func() {
+		for _, d := range devs {
+			d.Crash()
+		}
+	}
+	fault := chaos.Fault{Kind: chaos.Crash, After: after, Action: crashAll}
+	if kind == chaos.Error {
+		fault = chaos.Fault{Kind: chaos.Error, After: after, Times: 1}
+	}
+	if err := chaos.Arm(point, fault); err != nil {
 		t.Fatal(err)
 	}
 
-	// Transfer transactions until the armed crash lands. completed counts
-	// transactions whose Run returned: POneFile is eager, so all of them
+	// Transfer transactions until the armed crash lands. acked marks the
+	// transactions whose Run returned nil: POneFile is eager, so all of them
 	// must survive in full. The one in flight at the crash may land either
-	// way — but never torn.
-	completed, attempted := 0, 0
+	// way — but never torn — and one that failed must not land at all.
+	var acked, failed [maxTx + 1]bool
+	attempted, firedIn := 0, 0
 	crashed := false
-	for i := 1; i <= maxTx && !crashed; i++ {
+	for i := 1; i <= maxTx && !crashed && (firedIn == 0 || attempted <= firedIn); i++ {
 		i := uint64(i)
 		attempted = int(i)
 		crashed = chaosCrashed(func() {
 			from := (i * 7) % accounts
 			to := (from + 3) % accounts
-			if err := tx.Run(func() error {
+			err := tx.Run(func() error {
 				fv, _ := m.Get(tx, from)
 				tv, _ := m.Get(tx, to)
 				m.Put(tx, from, fv-1)
@@ -241,16 +258,23 @@ func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
 				m.Put(tx, stampA+i, i)
 				m.Put(tx, stampB+i, i)
 				return nil
-			}); err != nil {
+			})
+			acked[i], failed[i] = err == nil, err != nil
+			if err != nil && (kind != chaos.Error || chaos.Fired(point) != 1 || firedIn != 0) {
 				t.Fatalf("transfer %d: %v", i, err)
 			}
 		})
-		if !crashed {
-			completed = int(i)
+		if firedIn == 0 && chaos.Fired(point) > 0 {
+			firedIn = attempted
 		}
 	}
-	if !crashed {
+	switch {
+	case firedIn == 0:
 		t.Fatalf("point %s (after=%d) never fired in %d transactions", point, after, maxTx)
+	case kind == chaos.Error && failed[firedIn] == ponefilePastCommit[point]:
+		t.Fatalf("transfer %d with an injected error at %s: failed %v", firedIn, point, failed[firedIn])
+	case kind == chaos.Error:
+		crashAll()
 	}
 	chaos.DisarmAll()
 
@@ -281,14 +305,17 @@ func ponefileToCrash(t *testing.T, point string, after int) crashedRun {
 			if ok1 && (v1 != i || v2 != i) {
 				t.Fatalf("tx %d recovered wrong stamps: %d,%d", i, v1, v2)
 			}
-			if int(i) <= completed && !ok1 {
+			if acked[i] && !ok1 {
 				t.Fatalf("acknowledged tx %d lost after crash at %s", i, point)
+			}
+			if failed[i] && ok1 {
+				t.Fatalf("tx %d failed at %s but recovered", i, point)
 			}
 			if ok1 {
 				keys += 2
 			}
 		}
-		t.Logf("%s after=%d: crashed in tx %d (%d acknowledged), recovery atomic", point, after, attempted, completed)
+		t.Logf("%s after=%d (%v): fired in tx %d of %d, recovery atomic", point, after, kind, firedIn, attempted)
 		return keys
 	}}
 }
@@ -593,8 +620,8 @@ func TestChaosCrashInsideRecoverySweep(t *testing.T) {
 		run  func(t *testing.T) crashedRun
 	}
 	scenarios := []scenario{
-		{"ponefile-after-commit.pre-mark", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.pre-mark", 2) }},
-		{"ponefile-after-commit.gc", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.gc", 2) }},
+		{"ponefile-after-commit.pre-mark", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.pre-mark", 2, chaos.Crash) }},
+		{"ponefile-after-commit.gc", func(t *testing.T) crashedRun { return ponefileToCrash(t, "ponefile.commit.gc", 2, chaos.Crash) }},
 		// No device count: txmontage's default of one device.
 		{"txmontage", func(t *testing.T) crashedRun { return montageToCrash(t, 0, "txmontage.advance.mid-shard") }},
 	}
