@@ -13,6 +13,7 @@ import (
 // gate while nothing is armed.
 var (
 	cpInstall   = chaos.At("core.install")               // install CAS made, the write-set append next
+	cpEntry     = chaos.At("core.validate.entry")        // the read set's entries before it validated, this one's load next
 	cpValidated = chaos.At("core.validated")             // read set validated, Layer.Valid next
 	cpInProg    = chaos.At("core.inprog")                // the owner's InPrep→InProg CAS made, its verdict next
 	cpFound     = chaos.At("core.tryfinalize.found")     // a helper holds the cell that names d, its count next
@@ -104,6 +105,7 @@ func (d *Desc) Status() Status { return Status(d.status.Load()) }
 // by this very descriptor (a later write by the same transaction).
 func (d *Desc) validate() bool {
 	for i := range d.readSet {
+		cpEntry.Hit()
 		r := &d.readSet[i]
 		cur := atomic.LoadPointer(r.slot)
 		if cur == r.tag {

@@ -208,10 +208,11 @@
 //
 // All of the above holds only if any goroutine can be descheduled at any
 // instant while the others run on. desc.go names the instants where that
-// matters as chaos points: an install after its CAS, the read set validated,
-// the owner's InPrep→InProg CAS, tryFinalize with the cell in hand, counted
-// and re-checked, finalize's verdict, uninstall's load, a committed settle
-// between its two clears, and finish after its sweep. The tests
+// matters as chaos points: an install after its CAS, each read-set entry's
+// turn in the validation, the read set validated, the owner's InPrep→InProg
+// CAS, tryFinalize with the cell in hand, counted and re-checked, finalize's
+// verdict, uninstall's load, a committed settle between its two clears, and
+// finish after its sweep. The tests
 // (explore_test.go) step owners and helpers through every interleaving of
 // those points with history.Explore, up to a bound on preemptions. Which
 // goroutines, and what bound, is a cutoff argument in the manner of the
@@ -244,7 +245,7 @@
 //     and a returned goroutine hands over for free, so the second owner's
 //     install and the stale helper's act both follow without a third.
 //
-// That is about 1 700 interleavings, under a second. Each of six broken
+// That is about 2 200 interleavings, about a second. Each of six broken
 // protocols fails it: a tryFinalize with no re-check, with the re-check
 // before the count or comparing the slot alone; a reuse that reads no count
 // or reads it before the sweep; an aborted settle that stores where it

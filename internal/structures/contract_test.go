@@ -18,7 +18,6 @@ import (
 	"medley/internal/structures/mlist"
 	"medley/internal/structures/msqueue"
 	"medley/internal/structures/nmbst"
-	"medley/internal/structures/rskiplist"
 	"medley/internal/txmap"
 )
 
@@ -39,7 +38,7 @@ var subjects = []subject{
 	{"mlist", func() object { return mlist.New[uint64, uint64]() }, true, true},
 	{"fskiplist", func() object { return fskiplist.New[uint64, uint64]() }, true, true},
 	{"original", func() object { return original{fskiplist.NewOriginal[uint64, uint64]()} }, false, true},
-	{"rskiplist", func() object { return rskiplist.New[uint64]() }, true, true},
+	{"rotating", func() object { return fskiplist.NewRotating[uint64]() }, true, true},
 	{"nmbst", func() object { return nmbst.New[uint64]() }, true, true},
 	{"msqueue", func() object { return msqueue.New[uint64]() }, true, false},
 }

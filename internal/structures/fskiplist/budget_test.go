@@ -78,3 +78,48 @@ func TestBudgetCleanup(t *testing.T) {
 		counted++
 	}
 }
+
+// The same on NewRotating's layout, on keys whose height is one level (a
+// height follows from the key, so these are counted a hundred at a time).
+//
+//	remove    2 allocations, 64 B, as above
+//	replace   3 allocations, 272 B: the node 208 with its wheel of MaxLevel
+//	          slots inline, the install, and the unlink's cell. Its
+//	          successor link starts on the displaced cell, as above
+func TestBudgetCleanupRotating(t *testing.T) {
+	if allocs.Race {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := core.NewTxManager().Session()
+	sl := NewRotating[uint64]()
+	var flat []uint64 // keys of height one level
+	for k := uint64(0); len(flat) < 128; k++ {
+		sl.Put(s, k, k)
+		if heightOf(k) == 0 {
+			flat = append(flat, k)
+		}
+	}
+	commit := func(op func()) func() {
+		return func() {
+			s.TxBegin()
+			op()
+			if err := s.TxEnd(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replace := commit(func() { sl.Put(s, flat[0], 0) })
+	remove := commit(func() {
+		sl.Remove(s, flat[0])
+		flat = flat[1:]
+	})
+	replace() // grow the descriptor's sets and the session's slices
+	remove()
+
+	if n, b := allocs.Count(100, replace); n != 3 || b != 272 {
+		t.Errorf("a replace allocates %d times, %d B: want 3, 272 B", n, b)
+	}
+	if n, b := allocs.Count(100, remove); n != 2 || b != 64 {
+		t.Errorf("a remove allocates %d times, %d B: want 2, 64 B", n, b)
+	}
+}

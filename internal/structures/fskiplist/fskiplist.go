@@ -23,6 +23,16 @@
 //     load observed unmarked; together these validate reachability and
 //     liveness at commit time. Upper-level traffic is unrecorded routing —
 //     readers stay invisible and read sets stay small.
+//
+// The transform is the same for every node layout, so one code path serves
+// two. New builds Fraser's list: a random height and a tower allocated beside
+// the node. NewRotating builds the layout of the rotating skip list (Dick,
+// Fekete & Gramoli, "A skip list for multicore"): each node is one allocation
+// with an inline wheel of MaxLevel slots, and its height is derived from a
+// hash of the key, so the index shape is stable under churn and needs no
+// random draw. The rotating list's dynamic zero-level rotation is left out:
+// our workloads hold the population steady, so the level window never moves
+// (README's "Substitutions").
 package fskiplist
 
 import (
@@ -44,6 +54,13 @@ type node[K cmp.Ordered, V any] struct {
 	level int                      // top level index of this tower
 }
 
+// wheelNode is a node of NewRotating's layout: next aliases the inline wheel,
+// so node and tower are one allocation.
+type wheelNode[K cmp.Ordered, V any] struct {
+	node[K, V]
+	wheel [MaxLevel]core.CASObj[Ref[K, V]]
+}
+
 // Ref is a marked successor reference. A marked bottom-level reference
 // {x, true} on node n means "n is logically deleted and x is its successor"
 // — for value updates x is the replacement node carrying the same key.
@@ -53,21 +70,53 @@ type Ref[K cmp.Ordered, V any] struct {
 }
 
 // SkipList is a lock-free ordered map supporting transactional composition.
-// Construct with New.
+// Construct with New or NewRotating.
 type SkipList[K cmp.Ordered, V any] struct {
-	head *node[K, V] // sentinel tower of full height; key unused
+	head    *node[K, V]            // sentinel tower of full height; key unused
+	newNode func(K, V) *node[K, V] // the layout: builds an unpublished node
 }
 
-// New returns an empty skiplist.
+// New returns an empty skiplist of random-height towers.
 func New[K cmp.Ordered, V any]() *SkipList[K, V] {
+	return newList(newTower[K, V])
+}
+
+// NewRotating returns an empty skiplist in the rotating layout: one
+// allocation per node, with a wheel of MaxLevel slots inline, and a height
+// that follows from the key.
+func NewRotating[V any]() *SkipList[uint64, V] {
+	return newList(newWheel[V])
+}
+
+func newList[K cmp.Ordered, V any](newNode func(K, V) *node[K, V]) *SkipList[K, V] {
 	return &SkipList[K, V]{
-		head: &node[K, V]{next: make([]core.CASObj[Ref[K, V]], MaxLevel), level: MaxLevel - 1},
+		head:    &node[K, V]{next: make([]core.CASObj[Ref[K, V]], MaxLevel), level: MaxLevel - 1},
+		newNode: newNode,
 	}
 }
 
-// randomLevel draws a geometric(1/2) tower top-level in [0, MaxLevel).
-func randomLevel() int {
-	return bits.TrailingZeros64(rand.Uint64() | (1 << (MaxLevel - 1)))
+// newTower builds a node of random height with its tower beside it.
+func newTower[K cmp.Ordered, V any](k K, v V) *node[K, V] {
+	lvl := bits.TrailingZeros64(rand.Uint64() | (1 << (MaxLevel - 1)))
+	return &node[K, V]{key: k, val: v, next: make([]core.CASObj[Ref[K, V]], lvl+1), level: lvl}
+}
+
+// newWheel builds a node of height heightOf(k) with its wheel inline.
+func newWheel[V any](k uint64, v V) *node[uint64, V] {
+	w := &wheelNode[uint64, V]{node: node[uint64, V]{key: k, val: v, level: heightOf(k)}}
+	w.next = w.wheel[:w.level+1]
+	return &w.node
+}
+
+// heightOf derives a deterministic geometric(1/2) top level in [0, MaxLevel)
+// from the key, so the index is reproducible and a re-inserted key gets its
+// old shape back.
+func heightOf(k uint64) int {
+	h := k
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return bits.TrailingZeros64(h | (1 << (MaxLevel - 1)))
 }
 
 // findResult carries the outcome of a search.
@@ -193,7 +242,7 @@ func (sl *SkipList[K, V]) Put(s *core.Session, k K, v V) (old V, replaced bool) 
 			// Replace: publish the new tower's root as the victim's marked
 			// bottom successor (one CAS: linearization + publication). Its
 			// own bottom link starts on the cell that CAS displaces.
-			nn := newNode(k, v)
+			nn := sl.newNode(k, v)
 			nn.next[0].InitFrom(r.ctag, Ref[K, V]{r.nxt0.n, false})
 			if r.curr.next[0].NbtcCAS(s, Ref[K, V]{r.nxt0.n, false}, Ref[K, V]{nn, true}, true, true) {
 				victim := r.curr
@@ -233,15 +282,10 @@ func (sl *SkipList[K, V]) Insert(s *core.Session, k K, v V) bool {
 	}
 }
 
-func newNode[K cmp.Ordered, V any](k K, v V) *node[K, V] {
-	lvl := randomLevel()
-	return &node[K, V]{key: k, val: v, next: make([]core.CASObj[Ref[K, V]], lvl+1), level: lvl}
-}
-
 // insertAt links a fresh tower for k before r.succs[0]; returns false if the
 // bottom-level CAS lost a race (caller re-finds).
 func (sl *SkipList[K, V]) insertAt(s *core.Session, r *findResult[K, V], k K, v V) bool {
-	nn := newNode(k, v)
+	nn := sl.newNode(k, v)
 	nn.next[0].InitFrom(r.ptag, Ref[K, V]{r.succs[0], false}) // the cell the CAS below displaces
 	// Linearization + publication: bottom-level link.
 	if !r.preds[0].NbtcCAS(s, Ref[K, V]{r.succs[0], false}, Ref[K, V]{nn, false}, true, true) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"medley/internal/chaos"
 	"medley/internal/core"
 	"medley/internal/history"
 )
@@ -231,4 +232,80 @@ func TestLostReplaceInsertsOnce(t *testing.T) {
 		t.Fatalf("none of %d interleavings ran the Remove while the Put waited to replace", runs)
 	}
 	t.Logf("%d of %d interleavings lost the replace", lost, runs)
+}
+
+// TestUnlinkCellAbortsStaleReader is the history of core's doc.go, "Which
+// cells a slot may hold", run on three lists. T reads R (key 1 of lr), then
+// the predecessor of k = 5 in l with k absent (l's head, in cell C), then U
+// (key 1 of lu) after W1 inserted k, its node's link starting on C, and wrote
+// U. T stops in its validation once R's entries have passed, while W2 reads
+// k present and writes R, and W3 removes k. T read W1's U and R before W2,
+// and k absent, which it is only before W1 or after W3: no serial order has
+// T, so it must abort. It does only because the unlink of k links l's head
+// in a fresh cell; put C back there and T's read of the head validates. C is
+// no node's own cell, so TestRemoveTakesFreshCell does not see that.
+func TestUnlinkCellAbortsStaleReader(t *testing.T) {
+	const point = "core.validate.entry"
+	mgr := core.NewTxManager()
+	lr, l, lu := New[uint64, uint64](), New[uint64, uint64](), New[uint64, uint64]()
+	ts, w := mgr.Session(), mgr.Session()
+	lr.Insert(w, 1, 10)
+	l.Insert(w, 3, 3)
+	l.Insert(w, 9, 9)
+	l.Remove(w, 3) // C is the unlink's fresh cell, not a node's own
+	lu.Insert(w, 1, 100)
+	run := func(fn func()) error { return w.Run(func() error { fn(); return nil }) }
+
+	ts.TxBegin()
+	if v, ok := lr.Get(ts, 1); !ok || v != 10 {
+		t.Fatalf("T read R = %d, %v", v, ok)
+	}
+	if _, ok := l.Get(ts, 5); ok {
+		t.Fatal("T read k present")
+	}
+	c := cellAt(&l.head)
+	if err := run(func() {
+		l.Insert(w, 5, 5)
+		lu.Put(w, 1, 200)
+	}); err != nil {
+		t.Fatalf("W1: %v", err)
+	}
+	if cellAt(&nodeOf(t, l, 5).next) != c {
+		t.Fatal("k's link does not start on the cell T read in its predecessor")
+	}
+	if v, ok := lu.Get(ts, 1); !ok || v != 200 {
+		t.Fatalf("T read U = %d, %v, want W1's 200", v, ok)
+	}
+
+	// T's read set is R's two entries, the predecessor's, then U's two: it
+	// stops at the third.
+	err := chaos.Arm(point, chaos.Fault{Kind: chaos.Delay, After: 2, Times: 1, Action: func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := run(func() {
+				if _, ok := l.Get(w, 5); !ok {
+					t.Error("W2 read k absent")
+				}
+				lr.Put(w, 1, 11)
+			}); err != nil {
+				t.Errorf("W2: %v", err)
+			}
+			if _, ok := l.Remove(w, 5); !ok {
+				t.Error("W3 missed k")
+			}
+		}()
+		<-done
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaos.Disarm(point)
+	err = ts.TxEnd()
+	if chaos.Fired(point) != 1 {
+		t.Fatalf("T's validation passed %s %d times, want once", point, chaos.Fired(point))
+	}
+	if err == nil {
+		t.Fatal("T committed: it read k absent between W1 and W3")
+	}
 }

@@ -198,7 +198,11 @@ func (t *Tree[V]) Put(s *core.Session, k uint64, v V) (old V, replaced bool) {
 }
 
 // tryInsert attempts to replace the reached leaf edge with a new internal
-// node holding the old leaf and the new one.
+// node holding the old leaf and the new one. The internal node is private
+// until the CAS publishes it, so its edge to the old leaf starts on the
+// committed cell that CAS displaces, which holds exactly that edge (InitFrom
+// with the parent edge's tag; a flagged or tagged edge was refused above);
+// its edge to the new leaf takes a fresh cell.
 func (t *Tree[V]) tryInsert(s *core.Session, r *seekRec[V], k uint64, v V) bool {
 	if r.parVal.flag || r.parVal.tag {
 		return false
@@ -208,10 +212,10 @@ func (t *Tree[V]) tryInsert(s *core.Session, r *seekRec[V], k uint64, v V) bool 
 	if k < r.leaf.key {
 		in = &node[V]{key: r.leaf.key}
 		in.left.Store(edge[V]{n: nl})
-		in.right.Store(edge[V]{n: r.leaf})
+		in.right.InitFrom(r.parTag, edge[V]{n: r.leaf})
 	} else {
 		in = &node[V]{key: k}
-		in.left.Store(edge[V]{n: r.leaf})
+		in.left.InitFrom(r.parTag, edge[V]{n: r.leaf})
 		in.right.Store(edge[V]{n: nl})
 	}
 	return r.parObj.NbtcCAS(s, edge[V]{r.leaf, false, false}, edge[V]{in, false, false}, true, true)

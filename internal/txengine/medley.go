@@ -14,7 +14,6 @@ import (
 	"medley/internal/structures/fskiplist"
 	"medley/internal/structures/mhash"
 	"medley/internal/structures/msqueue"
-	"medley/internal/txmap"
 )
 
 const medleyCaps = CapTx | CapDynamicTx | CapNoTx | CapHashMap | CapSkipMap | CapRowMaps | CapQueue | CapSnapshot
@@ -143,7 +142,7 @@ func (e *medleyEngine) RecoverUintMap(dumps [][]pnvm.Record, spec MapSpec) (Map[
 	m := newMontageMap(e.dom, montage.Uint64Codec(), spec)
 	m.Rebuild(rec.Live...)
 	e.adv.start()
-	return newSnapMap[uint64](txmapAdapter[uint64]{m}, e.snap), nil
+	return newSnapMap[uint64](m, e.snap), nil
 }
 
 // newMontageMap builds one persistent map over the devices of d.
@@ -158,11 +157,11 @@ func (e *medleyEngine) NewUintMap(spec MapSpec) (Map[uint64], error) {
 	var m rangeMap[uint64]
 	switch {
 	case e.dom != nil:
-		m = txmapAdapter[uint64]{newMontageMap(e.dom, montage.Uint64Codec(), spec)}
+		m = newMontageMap(e.dom, montage.Uint64Codec(), spec)
 	case spec.Kind == KindHash:
-		m = txmapAdapter[uint64]{mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))}
+		m = mhash.NewUint64[uint64](bucketsOr(spec, 1<<16))
 	default:
-		m = txmapAdapter[uint64]{fskiplist.New[uint64, uint64]()}
+		m = fskiplist.New[uint64, uint64]()
 	}
 	e.adv.start()
 	return newSnapMap(m, e.snap), nil
@@ -174,11 +173,11 @@ func (e *medleyEngine) NewRowMap(spec MapSpec) (Map[any], error) {
 	case e.dom != nil && (e.codec.Enc == nil || e.codec.Dec == nil):
 		return nil, fmt.Errorf("txengine: txmontage row maps need Config.RowCodec")
 	case e.dom != nil:
-		m = txmapAdapter[any]{newMontageMap(e.dom, e.codec, spec)}
+		m = newMontageMap(e.dom, e.codec, spec)
 	case spec.Kind == KindHash:
-		m = txmapAdapter[any]{mhash.NewUint64[any](bucketsOr(spec, 1<<16))}
+		m = mhash.NewUint64[any](bucketsOr(spec, 1<<16))
 	default:
-		m = txmapAdapter[any]{fskiplist.New[uint64, any]()}
+		m = fskiplist.New[uint64, any]()
 	}
 	e.adv.start()
 	return newSnapMap(m, e.snap), nil
@@ -345,26 +344,6 @@ func (t *sessionTx) Abort() error {
 	t.aborted = true
 	return ErrBusinessAbort
 }
-
-// txmapAdapter lifts a session-based txmap.Map (the Medley structures and the
-// montage persistent maps) to an engine Map, its Range included.
-type txmapAdapter[V any] struct {
-	m interface {
-		txmap.Map[V]
-		Range(f func(uint64, V) bool)
-	}
-}
-
-func (a txmapAdapter[V]) Range(f func(uint64, V) bool) { a.m.Range(f) }
-
-func (a txmapAdapter[V]) Get(tx Tx, k uint64) (V, bool) { return a.m.Get(tx.(*sessionTx).s, k) }
-func (a txmapAdapter[V]) Put(tx Tx, k uint64, v V) (V, bool) {
-	return a.m.Put(tx.(*sessionTx).s, k, v)
-}
-func (a txmapAdapter[V]) Insert(tx Tx, k uint64, v V) bool {
-	return a.m.Insert(tx.(*sessionTx).s, k, v)
-}
-func (a txmapAdapter[V]) Remove(tx Tx, k uint64) (V, bool) { return a.m.Remove(tx.(*sessionTx).s, k) }
 
 // msQueueAdapter lifts the session-based M&S queue to an engine Queue.
 // Queues carry no version chains, so queue operations inside a snapshot

@@ -109,6 +109,7 @@ import (
 	"medley/internal/core"
 	"medley/internal/montage"
 	"medley/internal/structures/mhash"
+	"medley/internal/txmap"
 )
 
 // The instants of the start protocol, in the order a committing worker or the
@@ -833,25 +834,28 @@ func (a *snapAgent) commit() error {
 	return err
 }
 
-// rangeMap is a top-level map as the tier's start reads it: Range visits
-// every present pair, each as it stood at some instant of the walk — not a
-// linearizable snapshot of the map, which the start does not need.
+// rangeMap is the session-level structure under a top-level map: a Medley
+// structure or a montage persistent map, called with the worker's session.
+// Range visits every present pair, each as it stood at some instant of the
+// walk — not a linearizable snapshot of the map, which the tier's start does
+// not need.
 type rangeMap[V any] interface {
-	Map[V]
+	txmap.Map[V]
 	Range(f func(k uint64, v V) bool)
 }
 
-// snapMap decorates a top-level engine map with the version sidecar. OCC
-// reads and all writes pass straight through to the inner map; writes
-// additionally meet the tier (write), and snapshot reads (agent.rt != 0) are
-// served entirely from the table.
+// snapMap is a top-level engine map: the session-level structure and its
+// version sidecar. OCC reads and all writes pass straight through to the
+// structure, with the worker's session; writes additionally meet the tier
+// (write), and snapshot reads (agent.rt != 0) are served entirely from the
+// table.
 type snapMap[V any] struct {
 	inner rangeMap[V]
 	tab   *snapTable[V]
 }
 
-// newSnapMap attaches the snapshot sidecar to a top-level map, new or
-// recovered alike, and registers it with the tier.
+// newSnapMap attaches the snapshot sidecar to a structure, new or recovered
+// alike, and registers it with the tier.
 func newSnapMap[V any](inner rangeMap[V], tier *snapTier) Map[V] {
 	m := snapMap[V]{inner: inner, tab: &snapTable[V]{tier: tier}}
 	tier.register(m)
@@ -887,12 +891,12 @@ func (m snapMap[V]) write(tx Tx, op snapOp, k uint64, v V) (V, bool) {
 	a := &t.snap
 	w := a.beginWrite(t.s.InTx())
 	if w != writeOne {
-		return m.apply(a, w, tx, op, k, v)
+		return m.apply(a, w, op, k, v)
 	}
 	for attempt := 0; ; attempt++ {
 		a.reset()
 		a.ses.TxBegin()
-		prev, ok := m.apply(a, writeBuffered, tx, op, k, v)
+		prev, ok := m.apply(a, writeBuffered, op, k, v)
 		if a.ses.InTx() && a.commit() == nil {
 			return prev, ok
 		}
@@ -900,15 +904,16 @@ func (m snapMap[V]) write(tx Tx, op snapOp, k uint64, v V) (V, bool) {
 	}
 }
 
-// apply runs op on the inner map and finishes it as a write begun as w.
-func (m snapMap[V]) apply(a *snapAgent, w snapWrite, tx Tx, op snapOp, k uint64, v V) (prev V, ok bool) {
+// apply runs op on the inner map, with the worker's session, and finishes it
+// as a write begun as w.
+func (m snapMap[V]) apply(a *snapAgent, w snapWrite, op snapOp, k uint64, v V) (prev V, ok bool) {
 	switch op {
 	case opPut:
-		prev, ok = m.inner.Put(tx, k, v)
+		prev, ok = m.inner.Put(a.ses, k, v)
 	case opInsert:
-		ok = m.inner.Insert(tx, k, v)
+		ok = m.inner.Insert(a.ses, k, v)
 	default:
-		prev, ok = m.inner.Remove(tx, k)
+		prev, ok = m.inner.Remove(a.ses, k)
 	}
 	u, av := snapSplit(v)
 	a.endWrite(w, m.tab, k, u, av, op == opRemove, ok || op == opPut)
@@ -916,11 +921,11 @@ func (m snapMap[V]) apply(a *snapAgent, w snapWrite, tx Tx, op snapOp, k uint64,
 }
 
 func (m snapMap[V]) Get(tx Tx, k uint64) (V, bool) {
-	a := &tx.(*sessionTx).snap
-	if a.rt != 0 {
-		return m.tab.read(k, a.rt)
+	t := tx.(*sessionTx)
+	if t.snap.rt != 0 {
+		return m.tab.read(k, t.snap.rt)
 	}
-	return m.inner.Get(tx, k)
+	return m.inner.Get(t.s, k)
 }
 
 func (m snapMap[V]) Put(tx Tx, k uint64, v V) (V, bool) { return m.write(tx, opPut, k, v) }

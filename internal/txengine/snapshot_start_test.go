@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"medley/internal/chaos"
+	"medley/internal/core"
 	"medley/internal/history"
 )
 
@@ -219,14 +220,14 @@ func (h *hookMap) after() {
 	}
 }
 
-func (h *hookMap) Put(tx Tx, k, v uint64) (uint64, bool) {
+func (h *hookMap) Put(s *core.Session, k, v uint64) (uint64, bool) {
 	defer h.after()
-	return h.rangeMap.Put(tx, k, v)
+	return h.rangeMap.Put(s, k, v)
 }
 
-func (h *hookMap) Remove(tx Tx, k uint64) (uint64, bool) {
+func (h *hookMap) Remove(s *core.Session, k uint64) (uint64, bool) {
 	defer h.after()
-	return h.rangeMap.Remove(tx, k)
+	return h.rangeMap.Remove(s, k)
 }
 
 // TestSnapshotStandaloneOrder: on a tier that is on, a Run puts a key between

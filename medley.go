@@ -37,11 +37,12 @@
 // # Structures
 //
 // This module ships NBTC-transformed versions of five classic nonblocking
-// structures (the same set the paper transforms):
+// structures (the same set the paper transforms), in four packages: the two
+// skiplists are one transformed code path over two node layouts.
 //
 //   - medley.NewHashMap — Michael's chained hash table (internal/structures/mhash)
 //   - medley.NewSkipListMap — Fraser-style skiplist (internal/structures/fskiplist)
-//   - medley.NewRotatingSkipListMap — rotating skiplist (internal/structures/rskiplist)
+//   - medley.NewRotatingSkipListMap — rotating skiplist layout (fskiplist.NewRotating)
 //   - medley.NewBSTMap — Natarajan & Mittal external BST (internal/structures/nmbst)
 //   - medley.NewQueue — Michael & Scott FIFO queue (internal/structures/msqueue)
 //
@@ -84,7 +85,6 @@ import (
 	"medley/internal/structures/mhash"
 	"medley/internal/structures/msqueue"
 	"medley/internal/structures/nmbst"
-	"medley/internal/structures/rskiplist"
 	"medley/internal/txmap"
 )
 
@@ -131,10 +131,11 @@ func NewSkipListMap[K cmp.Ordered, V any]() *fskiplist.SkipList[K, V] {
 	return fskiplist.New[K, V]()
 }
 
-// NewRotatingSkipListMap creates a transactional rotating skiplist (Dick,
-// Fekete & Gramoli).
-func NewRotatingSkipListMap[V any]() *rskiplist.SkipList[V] {
-	return rskiplist.New[V]()
+// NewRotatingSkipListMap creates a transactional skiplist in the rotating
+// skiplist's layout (Dick, Fekete & Gramoli): one allocation per node, its
+// wheel inline, its height a function of the key.
+func NewRotatingSkipListMap[V any]() *fskiplist.SkipList[uint64, V] {
+	return fskiplist.NewRotating[V]()
 }
 
 // NewBSTMap creates a transactional lock-free external binary search tree
